@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ustr_core::{Index, IndexOptions};
-use ustr_rmq::{BlockRmq, Direction, FischerHeunRmq, Rmq, SampledRmq, SparseTable};
+use ustr_rmq::{BlockRmq, Direction, Rmq, SampledRmq, SparseTable};
 use ustr_workload::{generate_string, sample_patterns, DatasetConfig, PatternMode};
 
 fn bench_rmq_variants(c: &mut Criterion) {
@@ -30,7 +30,6 @@ fn bench_rmq_variants(c: &mut Criterion) {
     let block = BlockRmq::new(&values, Direction::Max);
     let at = |i: usize| values[i];
     let sampled = SampledRmq::new(n, Direction::Max, &at);
-    let fischer_heun = FischerHeunRmq::new(n, Direction::Max, &at);
 
     let mut group = c.benchmark_group("rmq_query");
     group.bench_function("sparse_table", |b| {
@@ -51,13 +50,6 @@ fn bench_rmq_variants(c: &mut Criterion) {
         b.iter(|| {
             for &(l, r) in &queries {
                 std::hint::black_box(sampled.query_with(l, r, &at));
-            }
-        })
-    });
-    group.bench_function("fischer_heun", |b| {
-        b.iter(|| {
-            for &(l, r) in &queries {
-                std::hint::black_box(fischer_heun.query_with(l, r, &at));
             }
         })
     });

@@ -1,8 +1,5 @@
 //! Collection persistence benchmarks: loading a served collection from the
-//! deprecated one-file-per-document directory layout versus the single-file
-//! collection snapshot, plus the cost of writing each. The single file wins
-//! on open/stat overhead (one file instead of N) and is the only format
-//! carrying approx indexes; this bench keeps that claim measured.
+//! single-file collection snapshot, plus the cost of writing it.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ustr_service::{QueryRequest, QueryService, ServiceConfig};
@@ -17,26 +14,18 @@ fn no_cache(threads: usize) -> ServiceConfig {
     }
 }
 
-fn bench_directory_vs_collection_load(c: &mut Criterion) {
+fn bench_collection_load(c: &mut Criterion) {
     let docs = generate_collection(&DatasetConfig::new(6_000, 0.25, 17));
     let service = QueryService::build(&docs, 0.1, no_cache(2)).unwrap();
 
     let base = std::env::temp_dir().join("ustr_bench_collection");
     let _ = std::fs::remove_dir_all(&base);
     std::fs::create_dir_all(&base).unwrap();
-    let dir = base.join("per_doc");
     let coll = base.join("all.coll");
-    service.save_dir(&dir).unwrap();
     service.save_collection(&coll).unwrap();
 
     let mut group = c.benchmark_group("collection_load");
     group.sample_size(10);
-    group.bench_with_input(BenchmarkId::from_parameter("directory"), &dir, |b, dir| {
-        b.iter(|| {
-            let s = QueryService::load_dir(dir, no_cache(2)).unwrap();
-            std::hint::black_box(s.num_docs())
-        })
-    });
     group.bench_with_input(
         BenchmarkId::from_parameter("collection"),
         &coll,
@@ -95,5 +84,5 @@ fn bench_directory_vs_collection_load(c: &mut Criterion) {
     let _ = std::fs::remove_dir_all(&base);
 }
 
-criterion_group!(benches, bench_directory_vs_collection_load);
+criterion_group!(benches, bench_collection_load);
 criterion_main!(benches);

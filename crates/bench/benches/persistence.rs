@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ustr_core::Index;
-use ustr_service::{BatchQuery, QueryService, ServiceConfig};
+use ustr_service::{QueryRequest, QueryService, ServiceConfig};
 use ustr_store::Snapshot;
 use ustr_workload::{
     generate_collection, generate_string, sample_patterns, DatasetConfig, PatternMode,
@@ -50,9 +50,9 @@ fn bench_service_batch(c: &mut Criterion) {
             .flat_map(|d| d.positions().iter().cloned())
             .collect(),
     );
-    let batch: Vec<BatchQuery> = sample_patterns(&concat, 6, 48, PatternMode::Probable, 9)
+    let batch: Vec<QueryRequest> = sample_patterns(&concat, 6, 48, PatternMode::Probable, 9)
         .into_iter()
-        .map(|p| (p, 0.2))
+        .map(|pattern| QueryRequest::Threshold { pattern, tau: 0.2 })
         .collect();
 
     let mut group = c.benchmark_group("service_batch");
@@ -71,7 +71,7 @@ fn bench_service_batch(c: &mut Criterion) {
         .unwrap();
         group.bench_with_input(BenchmarkId::from_parameter(threads), &batch, |b, batch| {
             b.iter(|| {
-                let results = service.query_batch(batch);
+                let results = service.query_requests(batch);
                 std::hint::black_box(results.iter().filter(|r| r.is_ok()).count())
             })
         });
@@ -89,13 +89,13 @@ fn bench_service_batch(c: &mut Criterion) {
         },
     )
     .unwrap();
-    let _ = cached.query_batch(&batch); // warm
+    let _ = cached.query_requests(&batch); // warm
     group.bench_with_input(
         BenchmarkId::from_parameter("4+cache"),
         &batch,
         |b, batch| {
             b.iter(|| {
-                let results = cached.query_batch(batch);
+                let results = cached.query_requests(batch);
                 std::hint::black_box(results.len())
             })
         },

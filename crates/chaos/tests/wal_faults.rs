@@ -9,8 +9,7 @@ use std::sync::Arc;
 use ustr_chaos::{Fault, FaultIo, FaultPlan};
 use ustr_live::{LiveConfig, LiveService};
 use ustr_store::{
-    read_wal, read_wal_with, replace_wal_file_with, wal::WalOp, wal::WalRecord, RealIo, StoreFile,
-    StoreIo, WalWriter,
+    read_wal, replace_wal_file, wal::WalOp, wal::WalRecord, RealIo, StoreFile, StoreIo, WalWriter,
 };
 use ustr_uncertain::UncertainString;
 
@@ -33,7 +32,7 @@ fn records(n: u64) -> Vec<WalRecord> {
         .collect()
 }
 
-/// `WalWriter::create_with` performs fsync #0 (header) and #1 (parent
+/// `WalWriter::create` performs fsync #0 (header) and #1 (parent
 /// directory); append `i` is fsync `#2 + i`.
 const APPEND_FSYNC_BASE: u64 = 2;
 
@@ -49,7 +48,7 @@ fn fsync_failure_at_every_record_boundary_recovers_the_committed_prefix() {
             },
         });
         let path = dir.join(format!("boundary_{boundary}.wal"));
-        let mut wal = WalWriter::create_with(&io, &path).unwrap();
+        let mut wal = WalWriter::create(&io, &path).unwrap();
         for (i, rec) in recs.iter().enumerate() {
             let result = wal.append(rec);
             if i == boundary {
@@ -62,7 +61,7 @@ fn fsync_failure_at_every_record_boundary_recovers_the_committed_prefix() {
 
         // Recovery on the real filesystem: exactly the acknowledged prefix,
         // and *clean* — the failed append rolled the torn frame back.
-        let replay = read_wal(&path).unwrap();
+        let replay = read_wal(&RealIo, &path).unwrap();
         assert!(
             replay.clean,
             "boundary {boundary}: rollback should leave no torn tail"
@@ -87,7 +86,7 @@ fn failed_append_rolls_back_and_the_writer_stays_usable() {
         },
     });
     let path = dir.join("retry.wal");
-    let mut wal = WalWriter::create_with(&io, &path).unwrap();
+    let mut wal = WalWriter::create(&io, &path).unwrap();
     wal.append(&recs[0]).unwrap();
     wal.append(&recs[1]).expect_err("injected failure");
     // The fault is one-shot (transient): re-issuing the same record must
@@ -96,7 +95,7 @@ fn failed_append_rolls_back_and_the_writer_stays_usable() {
         wal.append(rec).unwrap();
     }
     drop(wal);
-    let replay = read_wal(&path).unwrap();
+    let replay = read_wal(&RealIo, &path).unwrap();
     assert!(replay.clean);
     assert_eq!(replay.records, recs);
     let _ = std::fs::remove_dir_all(&dir);
@@ -117,12 +116,12 @@ fn torn_append_write_is_truncated_to_the_record_boundary() {
             },
         });
         let path = dir.join(format!("torn_{keep_permille}.wal"));
-        let mut wal = WalWriter::create_with(&io, &path).unwrap();
+        let mut wal = WalWriter::create(&io, &path).unwrap();
         wal.append(&recs[0]).unwrap();
         wal.append(&recs[1]).expect_err("torn write must surface");
         wal.append(&recs[2]).unwrap();
         drop(wal);
-        let replay = read_wal(&path).unwrap();
+        let replay = read_wal(&RealIo, &path).unwrap();
         assert!(replay.clean, "keep_permille {keep_permille}");
         assert_eq!(
             replay.records,
@@ -281,7 +280,7 @@ fn failed_rename_leaves_the_original_wal_intact() {
     let dir = scratch("rename");
     let recs = records(5);
     let path = dir.join("log.wal");
-    let mut wal = WalWriter::create_with(&RealIo, &path).unwrap();
+    let mut wal = WalWriter::create(&RealIo, &path).unwrap();
     for rec in &recs {
         wal.append(rec).unwrap();
     }
@@ -291,9 +290,9 @@ fn failed_rename_leaves_the_original_wal_intact() {
         seed: 0,
         fault: Fault::FailRename { nth: 0 },
     });
-    replace_wal_file_with(&io, &path, &recs[3..]).expect_err("injected rename failure");
+    replace_wal_file(&io, &path, &recs[3..]).expect_err("injected rename failure");
     // The replacement never became visible: the original log still replays.
-    let replay = read_wal_with(&RealIo, &path).unwrap();
+    let replay = read_wal(&RealIo, &path).unwrap();
     assert!(replay.clean);
     assert_eq!(replay.records, recs);
     let _ = std::fs::remove_dir_all(&dir);

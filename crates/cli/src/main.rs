@@ -10,7 +10,7 @@
 //! ustr stats --live HOST:PORT   (scrape a running serve-net server)
 //! ustr build-index data.ustr --out data.idx --kind threshold|approx|listing
 //! ustr build-collection collection.ustr --out data.coll [--epsilon 0.05]
-//! ustr serve-batch (INDEXDIR | FILE.coll | FILE) queries.txt --threads 4
+//! ustr serve-batch (FILE.coll | FILE) queries.txt --threads 4
 //! ustr trace data.coll queries.txt --sample-rate 1.0 --out traces.json
 //! ```
 //!
@@ -23,9 +23,9 @@
 //! line file) — and `search --index` loads one instead of rebuilding.
 //! `build-collection` packs a whole collection (per-document substring
 //! indexes, plus approx indexes when `--epsilon` is given) into one `.coll`
-//! snapshot. `serve-batch` answers a query file over a snapshot directory, a
-//! `.coll` collection snapshot, or a plain collection file using the
-//! `ustr-service` concurrent engine; query lines are either the legacy
+//! snapshot. `serve-batch` answers a query file over a `.coll` collection
+//! snapshot or a plain collection file using the `ustr-service` concurrent
+//! engine; query lines are either the legacy
 //! `PATTERN TAU` (threshold search) or mixed-mode
 //! `search|top|list|approx PATTERN ARG` lines, where `ARG` is τ (or K for
 //! `top`). `--quiet` on any query command prints result rows only, for
@@ -85,7 +85,7 @@ const COMMANDS: &[(&str, &str, &str)] = &[
     ),
     (
         "serve-batch",
-        "ustr serve-batch (INDEXDIR | FILE.coll | FILE) QUERIES.txt --threads N [--shards S] [--cache C] [--tau-min T0] [--epsilon E] [--slow-query-us N] [--quiet]",
+        "ustr serve-batch (FILE.coll | FILE) QUERIES.txt --threads N [--shards S] [--cache C] [--tau-min T0] [--epsilon E] [--slow-query-us N] [--quiet]",
         "answer a (mixed-mode) query batch concurrently",
     ),
     (
@@ -110,7 +110,7 @@ const COMMANDS: &[(&str, &str, &str)] = &[
     ),
     (
         "serve-net",
-        "ustr serve-net (LIVEDIR | INDEXDIR | FILE.coll | FILE) --addr HOST:PORT \
+        "ustr serve-net (LIVEDIR | FILE.coll | FILE) --addr HOST:PORT \
          [--threads N] [--io-threads N] [--inflight N] [--max-conns N] [--port-file PATH] \
          [--metrics-addr HOST:PORT] [--trace-sample F] [--slow-query-us N] \
          [--idle-timeout-s N] [--error-budget N] [--tau-min T0] [--epsilon E] [--quiet]",
@@ -123,7 +123,7 @@ const COMMANDS: &[(&str, &str, &str)] = &[
     ),
     (
         "trace",
-        "ustr trace (LIVEDIR | INDEXDIR | FILE.coll | FILE) QUERIES.txt \
+        "ustr trace (LIVEDIR | FILE.coll | FILE) QUERIES.txt \
          [--sample-rate F] [--out FILE.json] [--threads N] [--shards S] [--cache C] \
          [--tau-min T0] [--epsilon E] [--quiet]",
         "answer a query batch with tracing on and export Chrome trace JSON",
@@ -412,16 +412,20 @@ fn is_collection_file(path: &str) -> bool {
         .unwrap_or(false)
 }
 
-/// Detects a *static* source's shape (snapshot directory, `.coll`
-/// snapshot, or plain collection text file), rejects `--tau-min`/
-/// `--epsilon` for snapshot sources (they would be silently ignored —
-/// snapshots carry their own), and loads or builds the service. Shared by
-/// `serve-batch` and `serve-net`.
+/// Detects a *static* source's shape (`.coll` snapshot or plain collection
+/// text file), rejects `--tau-min`/`--epsilon` for snapshot sources (they
+/// would be silently ignored — snapshots carry their own), and loads or
+/// builds the service. Shared by `serve-batch` and `serve-net`.
 fn load_static_service(source: &str, args: &Args) -> Result<QueryService, String> {
     let is_dir = fs::metadata(source)
         .map_err(|e| format!("cannot read {source}: {e}"))?
         .is_dir();
-    let from_snapshots = is_dir || is_collection_file(source);
+    if is_dir {
+        return Err(format!(
+            "{source} is a directory, not a collection: pack one with `ustr build-collection`"
+        ));
+    }
+    let from_snapshots = is_collection_file(source);
     if from_snapshots && args.get("tau-min").is_some() {
         return Err(
             "--tau-min applies only when building from a collection file; \
@@ -447,9 +451,7 @@ fn load_static_service(source: &str, args: &Args) -> Result<QueryService, String
         cache_capacity: args.get_parsed("cache", 1024usize)?,
         epsilon,
     };
-    if is_dir {
-        QueryService::load_dir(source, config).map_err(|e| e.to_string())
-    } else if from_snapshots {
+    if from_snapshots {
         QueryService::load_collection(source, config).map_err(|e| e.to_string())
     } else {
         let docs = load_collection(source)?;
@@ -480,7 +482,7 @@ fn slow_query_summary(log: &ustr_obs::SlowQueryLog) -> String {
 }
 
 fn cmd_serve_batch(args: &Args) -> Result<String, String> {
-    let source = args.positional(0, "INDEXDIR")?;
+    let source = args.positional(0, "SOURCE")?;
     let queries_path = args.positional(1, "QUERIES.txt")?;
     let quiet = args.flag("quiet");
     let queries = load_queries(queries_path)?;
@@ -740,8 +742,8 @@ fn cmd_serve_live(args: &Args) -> Result<String, String> {
 }
 
 /// Assembles the query backend `serve-net` wraps: a live directory, a
-/// snapshot directory, a `.coll` collection snapshot, or a plain collection
-/// text file — the same source shapes `serve-batch`/`serve-live` accept.
+/// `.coll` collection snapshot, or a plain collection text file — the same
+/// source shapes `serve-batch`/`serve-live` accept.
 fn net_backend(
     source: &str,
     args: &Args,
@@ -992,8 +994,7 @@ fn cmd_trace(args: &Args) -> Result<String, String> {
     tracer.set_sample_permyriad(sample_permyriad(args, "sample-rate")?);
 
     let t0 = std::time::Instant::now();
-    let parents = vec![None; queries.len()];
-    let timed = backend.query_requests_traced(&queries, &parents);
+    let timed = backend.answer(&queries, &[]);
     let answered = t0.elapsed();
     let (results, summaries): (Vec<_>, Vec<_>) = timed.into_iter().unzip::<_, _, Vec<_>, Vec<_>>();
 
@@ -1131,28 +1132,16 @@ fn file_magic(path: &str) -> [u8; 8] {
 }
 
 /// `stats --live`: scrape a running `serve-net` server's telemetry over
-/// the wire protocol — one `StatsRequest` round trip (protocol v2+), or
-/// one `StatsJsonRequest` round trip with `--json` (protocol v3+).
+/// the wire protocol — one `StatsRequest` round trip, answered as
+/// exposition text or (with `--json`) as JSON.
 fn live_server_stats(addr: &str, json: bool) -> Result<String, String> {
     let mut client = ustr_net::NetClient::connect(addr).map_err(|e| format!("{addr}: {e}"))?;
-    let info = client.server_info();
-    let text = if json {
-        if info.protocol_version < 3 {
-            return Err(format!(
-                "{addr} speaks protocol v{} — JSON stats need v3 or newer",
-                info.protocol_version
-            ));
-        }
-        client.stats_json().map_err(|e| format!("{addr}: {e}"))?
+    let scraped = if json {
+        client.stats_json()
     } else {
-        if info.protocol_version < 2 {
-            return Err(format!(
-                "{addr} speaks protocol v{} — Stats needs v2 or newer",
-                info.protocol_version
-            ));
-        }
-        client.stats().map_err(|e| format!("{addr}: {e}"))?
+        client.stats()
     };
+    let text = scraped.map_err(|e| format!("{addr}: {e}"))?;
     let _ = client.goodbye();
     Ok(text.trim_end().to_string())
 }
@@ -1325,7 +1314,7 @@ mod tests {
     }
 
     #[test]
-    fn serve_batch_answers_from_collection_and_snapshot_dir() {
+    fn serve_batch_answers_from_a_collection_file_and_refuses_a_directory() {
         let docs = write_temp(
             "ustr_cli_serve_docs.ustr",
             "A:.9,B:.1 | B | C\nC | C | C\nA:.5,B:.5 | B | C\n",
@@ -1341,30 +1330,23 @@ mod tests {
             "{out}"
         );
 
-        // Snapshot directory route: save per-doc indexes, then serve.
-        let dir = std::env::temp_dir().join("ustr_cli_serve_idx");
-        let _ = fs::remove_dir_all(&dir);
-        let collection = load_collection(&docs).unwrap();
-        let service = QueryService::build(
-            &collection,
-            0.05,
-            ServiceConfig {
-                threads: 1,
-                shards: 1,
-                cache_capacity: 0,
-                epsilon: None,
-            },
-        )
-        .unwrap();
-        service.save_dir(&dir).unwrap();
         let quiet = run(&argv(&format!(
-            "serve-batch {} {queries} --threads 2 --quiet",
-            dir.display()
+            "serve-batch {docs} {queries} --threads 2 --tau-min 0.05 --quiet"
         )))
         .unwrap();
-        // Quiet rows: `query doc pos prob`, identical hits to the build route.
+        // Quiet rows: `query doc pos prob`.
         assert!(quiet.lines().all(|l| l.split_whitespace().count() == 4));
         assert!(quiet.contains("0 0 0 0.9"), "{quiet}");
+
+        // A directory is not a static source: the error names the fix.
+        let dir = std::env::temp_dir().join("ustr_cli_serve_idx");
+        fs::create_dir_all(&dir).unwrap();
+        let err = run(&argv(&format!(
+            "serve-batch {} {queries} --threads 2",
+            dir.display()
+        )))
+        .unwrap_err();
+        assert!(err.contains("build-collection"), "{err}");
         let _ = fs::remove_dir_all(&dir);
     }
 

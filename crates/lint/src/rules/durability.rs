@@ -10,7 +10,7 @@ const SCOPE: &[&str] = &["crates/store/src/"];
 /// Calls that establish the renamed file's content durability before the
 /// rename: anything fsync-flavored, plus the project helpers that fsync
 /// internally before returning.
-const DURABLE_WRITERS: &[&str] = &["write_wal_file", "write_wal_file_with"];
+const DURABLE_WRITERS: &[&str] = &["write_wal_file"];
 
 /// Flags `rename(…)` calls in `ustr-store` without a preceding
 /// content-fsync and a following directory-fsync in the same function.

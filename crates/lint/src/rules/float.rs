@@ -70,9 +70,9 @@ impl Rule for FloatDeterminism {
          transcendental/arithmetic method calls (`.ln()`, `.exp()`, `.powf()`, …), arithmetic \
          where a float literal is an operand, and comparisons against float literals. \
          It is a lexical heuristic: identifier-vs-identifier float math is not seen — reviews \
-         still matter. Audited exceptions (e.g. construction-time level probabilities, the \
-         cache's tau quantization) go in lint-allow.toml with a reason explaining why the \
-         site cannot fork query answers. See INVARIANTS.md."
+         still matter. Audited exceptions (e.g. construction-time level probabilities) go in \
+         lint-allow.toml with a reason explaining why the site cannot fork query answers. \
+         See INVARIANTS.md."
     }
 
     fn applies(&self, rel: &str) -> bool {

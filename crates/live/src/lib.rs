@@ -440,7 +440,7 @@ impl Inner {
             tombstones: st.tombstones.iter().copied().collect(),
             segments: st.segments.iter().map(|s| s.meta.clone()).collect(),
         };
-        wal::save_manifest_with(self.io.as_ref(), self.dir.join(MANIFEST_FILE), &manifest)
+        wal::save_manifest(self.io.as_ref(), self.dir.join(MANIFEST_FILE), &manifest)
     }
 
     /// Rewrites the WAL keeping only records newer than `applied_seq`
@@ -450,25 +450,25 @@ impl Inner {
     /// runs under the state lock.
     fn rewrite_wal(&self, st: &mut LiveState) -> Result<(), StoreError> {
         let path = self.dir.join(WAL_FILE);
-        let replay = wal::read_wal_with(self.io.as_ref(), &path)?;
+        let replay = wal::read_wal(self.io.as_ref(), &path)?;
         let keep: Vec<wal::WalRecord> = replay
             .records
             .into_iter()
             .filter(|r| r.seq > st.applied_seq)
             .collect();
-        let replaced = wal::replace_wal_file_with(self.io.as_ref(), &path, &keep);
+        let replaced = wal::replace_wal_file(self.io.as_ref(), &path, &keep);
         if replaced.is_err() {
             // The replace may have failed *after* its rename (e.g. on the
             // directory fsync): the new file is at `path`, and the current
             // writer handle points at the old, now-unlinked inode — where
             // an acknowledged append would silently vanish. Retry the
             // directory fsync so the rename that did happen is durable.
-            wal::fsync_parent_dir_with(self.io.as_ref(), &path)?;
+            wal::fsync_parent_dir(self.io.as_ref(), &path)?;
         }
         // Re-attach the writer to whatever file is at `path` now — the new
         // file on success (or post-rename failure), the untouched old one
         // on a pre-rename failure — before surfacing the replace error.
-        st.wal = WalWriter::open_append_with(self.io.as_ref(), &path)?;
+        st.wal = WalWriter::open_append(self.io.as_ref(), &path)?;
         replaced
     }
 
@@ -558,14 +558,14 @@ impl Inner {
         // The segment must be durable — file *and* directory entry —
         // before the manifest names it and the WAL drops its records.
         let segment_path = self.dir.join(&file);
-        collection::save_collection_file_with(
+        collection::save_collection_file(
             self.io.as_ref(),
             &segment_path,
             docs.len(),
             1,
             &sections,
         )?;
-        wal::fsync_parent_dir_with(self.io.as_ref(), &segment_path)?;
+        wal::fsync_parent_dir(self.io.as_ref(), &segment_path)?;
         let meta = wal::SegmentMeta {
             id: segment_id,
             file,
@@ -653,14 +653,14 @@ impl Inner {
         // Durable before the manifest points at it and the old segment
         // files (the only other copy) are deleted.
         let segment_path = self.dir.join(&file);
-        collection::save_collection_file_with(
+        collection::save_collection_file(
             self.io.as_ref(),
             &segment_path,
             kept.len(),
             1,
             &sections,
         )?;
-        wal::fsync_parent_dir_with(self.io.as_ref(), &segment_path)?;
+        wal::fsync_parent_dir(self.io.as_ref(), &segment_path)?;
         let meta = wal::SegmentMeta {
             id: segment_id,
             file,
@@ -743,7 +743,7 @@ impl LiveService {
         }
         let metrics = LiveMetrics::new();
         let recovery_started = std::time::Instant::now();
-        let manifest = wal::load_manifest_with(io.as_ref(), dir.join(MANIFEST_FILE))?;
+        let manifest = wal::load_manifest(io.as_ref(), dir.join(MANIFEST_FILE))?;
         let (tau_min, epsilon) = match &manifest {
             Some(m) => (m.tau_min, m.epsilon),
             None => (config.tau_min, config.epsilon),
@@ -770,7 +770,7 @@ impl LiveService {
         // Load sealed segments from their collection snapshots.
         let mut segments = Vec::with_capacity(manifest.segments.len());
         for meta in &manifest.segments {
-            let coll = collection::load_collection_file_with(io.as_ref(), dir.join(&meta.file))?;
+            let coll = collection::load_collection_file(io.as_ref(), dir.join(&meta.file))?;
             let corrupt = |detail: String| StoreError::Corrupt { detail };
             if coll.num_docs != meta.docs.len() {
                 return Err(corrupt(format!(
@@ -840,7 +840,7 @@ impl LiveService {
         // Replay the WAL tail (everything newer than the manifest) into
         // the memtable and tombstone set.
         let wal_path = dir.join(WAL_FILE);
-        let replay = wal::read_wal_with(io.as_ref(), &wal_path)?;
+        let replay = wal::read_wal(io.as_ref(), &wal_path)?;
         let mut memtable: Vec<(u64, Arc<DocExecutor>)> = Vec::new();
         let mut tombstones: BTreeSet<u64> = manifest.tombstones.iter().copied().collect();
         let mut next_doc_id = manifest.next_doc_id;
@@ -868,9 +868,9 @@ impl LiveService {
         }
         if !replay.clean {
             // Drop the torn tail record before appending anything new.
-            wal::replace_wal_file_with(io.as_ref(), &wal_path, &replay.records)?;
+            wal::replace_wal_file(io.as_ref(), &wal_path, &replay.records)?;
         }
-        let wal = WalWriter::open_append_with(io.as_ref(), &wal_path)?;
+        let wal = WalWriter::open_append(io.as_ref(), &wal_path)?;
         metrics.recovered_records.add(replay.records.len() as u64);
         metrics
             .recovery_us
@@ -1714,7 +1714,7 @@ mod tests {
         live.compact().unwrap();
         live.wait_idle().unwrap();
         drop(live);
-        let manifest = ustr_store::load_manifest(dir.join(MANIFEST_FILE))
+        let manifest = ustr_store::load_manifest(&RealIo, dir.join(MANIFEST_FILE))
             .unwrap()
             .unwrap();
         assert!(

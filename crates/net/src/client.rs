@@ -15,9 +15,12 @@ use ustr_service::{QueryRequest, QueryResponse};
 use ustr_store::StoreError;
 
 use crate::proto::{
-    frame_bytes, read_message, Frame, RemoteError, WireTraceContext, DEFAULT_MAX_FRAME_LEN,
-    NET_MAGIC, PROTOCOL_VERSION,
+    frame_bytes, read_message, Frame, RemoteError, StatsFormat, WireTraceContext,
+    DEFAULT_MAX_FRAME_LEN, NET_MAGIC, PROTOCOL_VERSION,
 };
+
+/// One answer plus the server's `(stage, microseconds)` timings for it.
+pub type Timed = (Result<QueryResponse, RemoteError>, Vec<(String, u64)>);
 
 /// Everything that can go wrong on the client side of a session. Per-query
 /// failures (validation errors) are **not** here — they come back as
@@ -137,20 +140,10 @@ pub struct NetClient {
 }
 
 impl NetClient {
-    /// Connects and handshakes with the default frame-length cap.
+    /// Connects and handshakes with the default frame-length cap and no
+    /// deadlines.
     pub fn connect(addr: impl ToSocketAddrs) -> Result<Self, NetError> {
-        Self::connect_with(addr, DEFAULT_MAX_FRAME_LEN)
-    }
-
-    /// Connects and handshakes; `max_frame_len` caps response payloads.
-    pub fn connect_with(addr: impl ToSocketAddrs, max_frame_len: usize) -> Result<Self, NetError> {
-        Self::connect_with_config(
-            addr,
-            ClientConfig {
-                max_frame_len: Some(max_frame_len),
-                ..ClientConfig::default()
-            },
-        )
+        Self::connect_with_config(addr, ClientConfig::default())
     }
 
     /// Connects and handshakes with explicit deadlines. With a
@@ -236,6 +229,38 @@ impl NetClient {
         &mut self,
         requests: &[QueryRequest],
     ) -> Result<Vec<Result<QueryResponse, RemoteError>>, NetError> {
+        let timed = self.exchange(requests, &[])?;
+        Ok(timed.into_iter().map(|(result, _)| result).collect())
+    }
+
+    /// Answers a typed batch with client-propagated trace contexts:
+    /// `contexts[i]` rides to the server on request `i`, whose engine-side
+    /// root span continues the client's trace instead of starting a fresh
+    /// one. Each answer carries the server's per-stage timings in
+    /// microseconds (empty when the server did not record the trace).
+    /// `contexts` must align positionally with `requests`.
+    pub fn query_requests_traced(
+        &mut self,
+        requests: &[QueryRequest],
+        contexts: &[ustr_obs::TraceContext],
+    ) -> Result<Vec<Timed>, NetError> {
+        if contexts.len() != requests.len() {
+            return Err(NetError::Protocol(format!(
+                "{} trace contexts for {} requests (must align positionally)",
+                contexts.len(),
+                requests.len()
+            )));
+        }
+        self.exchange(requests, contexts)
+    }
+
+    /// The one pipelining routine: request `i` carries `contexts[i]` when
+    /// there is one (a missing tail means untraced).
+    fn exchange(
+        &mut self,
+        requests: &[QueryRequest],
+        contexts: &[ustr_obs::TraceContext],
+    ) -> Result<Vec<Timed>, NetError> {
         if requests.is_empty() {
             return Ok(Vec::new());
         }
@@ -246,6 +271,7 @@ impl NetClient {
             burst.extend_from_slice(&frame_bytes(&Frame::Request {
                 id: base + i as u64,
                 request: request.clone(),
+                trace: contexts.get(i).copied().map(WireTraceContext::from),
             }));
         }
         // A burst bigger than the socket buffers could deadlock if written
@@ -263,106 +289,12 @@ impl NetClient {
             Some(std::thread::spawn(move || writer.write_all(&burst)))
         };
 
-        let mut results: Vec<Option<Result<QueryResponse, RemoteError>>> =
-            vec![None; requests.len()];
-        let mut outstanding = requests.len();
-        while outstanding > 0 {
-            match read_message(&mut self.reader, self.max_frame_len)? {
-                Some(Frame::Response { id, result }) => {
-                    let slot = id
-                        .checked_sub(base)
-                        .and_then(|i| results.get_mut(i as usize))
-                        .ok_or_else(|| {
-                            NetError::Protocol(format!("response for unknown request id {id}"))
-                        })?;
-                    if slot.is_some() {
-                        return Err(NetError::Protocol(format!(
-                            "duplicate response for request id {id}"
-                        )));
-                    }
-                    *slot = Some(result);
-                    outstanding -= 1;
-                }
-                Some(Frame::Error { code, message }) => {
-                    return Err(NetError::Server { code, message })
-                }
-                Some(Frame::Goodbye) | None => return Err(NetError::Disconnected),
-                Some(other) => {
-                    return Err(NetError::Protocol(format!(
-                        "unexpected frame mid-session: {other:?}"
-                    )))
-                }
-            }
-        }
-        if let Some(handle) = write_thread {
-            handle
-                .join()
-                .map_err(|_| NetError::Protocol("burst writer thread panicked".into()))??;
-        }
-        let mut out = Vec::with_capacity(results.len());
-        for r in results {
-            out.push(r.ok_or_else(|| {
-                NetError::Protocol("server closed the session with responses outstanding".into())
-            })?);
-        }
-        Ok(out)
-    }
-
-    /// Answers a typed batch with client-propagated trace contexts
-    /// (protocol v3+): `contexts[i]` rides to the server on request `i`,
-    /// whose engine-side root span continues the client's trace instead of
-    /// starting a fresh one. Each answer carries the server's per-stage
-    /// timings in microseconds (empty when the server did not sample the
-    /// trace). `contexts` must align positionally with `requests`.
-    #[allow(clippy::type_complexity)]
-    pub fn query_requests_traced(
-        &mut self,
-        requests: &[QueryRequest],
-        contexts: &[ustr_obs::TraceContext],
-    ) -> Result<Vec<(Result<QueryResponse, RemoteError>, Vec<(String, u64)>)>, NetError> {
-        if self.info.protocol_version < 3 {
-            return Err(NetError::Protocol(format!(
-                "traced queries require protocol version 3 (this session negotiated {})",
-                self.info.protocol_version
-            )));
-        }
-        if contexts.len() != requests.len() {
-            return Err(NetError::Protocol(format!(
-                "{} trace contexts for {} requests (must align positionally)",
-                contexts.len(),
-                requests.len()
-            )));
-        }
-        if requests.is_empty() {
-            return Ok(Vec::new());
-        }
-        let base = self.next_id;
-        self.next_id += requests.len() as u64;
-        let mut burst = Vec::new();
-        for (i, (request, ctx)) in requests.iter().zip(contexts).enumerate() {
-            burst.extend_from_slice(&frame_bytes(&Frame::RequestTraced {
-                id: base + i as u64,
-                request: request.clone(),
-                trace: WireTraceContext::from(*ctx),
-            }));
-        }
-        // Same deadlock-avoiding burst split as `query_requests`.
-        const SYNC_BURST_LIMIT: usize = 32 << 10;
-        let write_thread = if burst.len() <= SYNC_BURST_LIMIT {
-            self.writer.write_all(&burst)?;
-            None
-        } else {
-            let mut writer = self.writer.try_clone()?;
-            Some(std::thread::spawn(move || writer.write_all(&burst)))
-        };
-
-        type Timed = (Result<QueryResponse, RemoteError>, Vec<(String, u64)>);
         let mut results: Vec<Option<Timed>> = Vec::new();
         results.resize_with(requests.len(), || None);
         let mut outstanding = requests.len();
         while outstanding > 0 {
             match read_message(&mut self.reader, self.max_frame_len)? {
-                Some(Frame::ResponseTimed {
+                Some(Frame::Response {
                     id,
                     result,
                     timings,
@@ -406,24 +338,6 @@ impl NetClient {
         Ok(out)
     }
 
-    /// Convenience: one traced threshold query. Returns the answer plus
-    /// the server's per-stage timings.
-    #[allow(clippy::type_complexity)]
-    pub fn query_traced(
-        &mut self,
-        pattern: &[u8],
-        tau: f64,
-        ctx: ustr_obs::TraceContext,
-    ) -> Result<(Result<QueryResponse, RemoteError>, Vec<(String, u64)>), NetError> {
-        let req = QueryRequest::Threshold {
-            pattern: pattern.to_vec(),
-            tau,
-        };
-        self.query_requests_traced(std::slice::from_ref(&req), std::slice::from_ref(&ctx))?
-            .pop()
-            .ok_or_else(|| NetError::Protocol("one-request batch yielded no response".into()))
-    }
-
     /// Convenience: one threshold query.
     pub fn query(
         &mut self,
@@ -439,98 +353,61 @@ impl NetClient {
             .ok_or_else(|| NetError::Protocol("one-request batch yielded no response".into()))
     }
 
-    /// Scrapes the server's telemetry (protocol v2+): one
-    /// [`Frame::StatsRequest`]/[`Frame::StatsResponse`] round trip, with
-    /// the exposition-format text returned verbatim. The server holds the
-    /// answer behind the connection's in-flight permits, so a scrape after
-    /// a pipelined burst observes all of that burst's responses.
+    /// One control round trip: sends the frame `request` builds around a
+    /// fresh id and returns the reply, which must echo that id.
+    fn control(&mut self, request: impl FnOnce(u64) -> Frame) -> Result<Frame, NetError> {
+        let id = self.next_id;
+        self.next_id += 1;
+        self.writer.write_all(&frame_bytes(&request(id)))?;
+        match read_message(&mut self.reader, self.max_frame_len)? {
+            Some(Frame::Error { code, message }) => Err(NetError::Server { code, message }),
+            Some(
+                reply @ (Frame::StatsResponse { id: got, .. }
+                | Frame::HealthResponse { id: got, .. }),
+            ) if got == id => Ok(reply),
+            Some(other) => Err(NetError::Protocol(format!(
+                "expected the reply to control request {id}, got {other:?}"
+            ))),
+            None => Err(NetError::Disconnected),
+        }
+    }
+
+    /// Scrapes the server's telemetry as exposition-format text: one
+    /// [`Frame::StatsRequest`]/[`Frame::StatsResponse`] round trip. The
+    /// server holds the answer behind the connection's in-flight permits,
+    /// so a scrape after a pipelined burst observes all of that burst's
+    /// responses.
     pub fn stats(&mut self) -> Result<String, NetError> {
-        let id = self.next_id;
-        self.next_id += 1;
-        self.writer
-            .write_all(&frame_bytes(&Frame::StatsRequest { id }))?;
-        match read_message(&mut self.reader, self.max_frame_len)? {
-            Some(Frame::StatsResponse { id: got, text }) => {
-                if got != id {
-                    return Err(NetError::Protocol(format!(
-                        "stats response for unknown request id {got}"
-                    )));
-                }
-                Ok(text)
-            }
-            Some(Frame::Error { code, message }) => Err(NetError::Server { code, message }),
-            Some(other) => Err(NetError::Protocol(format!(
-                "expected StatsResponse, got {other:?}"
-            ))),
-            None => Err(NetError::Disconnected),
-        }
+        self.scrape(StatsFormat::Text)
     }
 
-    /// Scrapes the server's telemetry in the machine-readable JSON
-    /// rendering (protocol v3+): one [`Frame::StatsJsonRequest`] round
-    /// trip, answered with a [`Frame::StatsResponse`] whose body is JSON.
+    /// [`NetClient::stats`] in the machine-readable JSON rendering.
     pub fn stats_json(&mut self) -> Result<String, NetError> {
-        if self.info.protocol_version < 3 {
-            return Err(NetError::Protocol(format!(
-                "JSON stats require protocol version 3 (this session negotiated {})",
-                self.info.protocol_version
-            )));
-        }
-        let id = self.next_id;
-        self.next_id += 1;
-        self.writer
-            .write_all(&frame_bytes(&Frame::StatsJsonRequest { id }))?;
-        match read_message(&mut self.reader, self.max_frame_len)? {
-            Some(Frame::StatsResponse { id: got, text }) => {
-                if got != id {
-                    return Err(NetError::Protocol(format!(
-                        "stats response for unknown request id {got}"
-                    )));
-                }
-                Ok(text)
-            }
-            Some(Frame::Error { code, message }) => Err(NetError::Server { code, message }),
-            Some(other) => Err(NetError::Protocol(format!(
+        self.scrape(StatsFormat::Json)
+    }
+
+    fn scrape(&mut self, format: StatsFormat) -> Result<String, NetError> {
+        match self.control(|id| Frame::StatsRequest { id, format })? {
+            Frame::StatsResponse { text, .. } => Ok(text),
+            other => Err(NetError::Protocol(format!(
                 "expected StatsResponse, got {other:?}"
             ))),
-            None => Err(NetError::Disconnected),
         }
     }
 
-    /// Probes the server's health (protocol v4+): one
+    /// Probes the server's health: one
     /// [`Frame::HealthRequest`]/[`Frame::HealthResponse`] round trip.
     /// Returns `None` when healthy, or the server's description of the
     /// impairment — e.g. a live backend whose background maintenance
     /// halted on a storage fault (still answering queries, degraded).
     pub fn health(&mut self) -> Result<Option<String>, NetError> {
-        if self.info.protocol_version < 4 {
-            return Err(NetError::Protocol(format!(
-                "health probes require protocol version 4 (this session negotiated {})",
-                self.info.protocol_version
-            )));
-        }
-        let id = self.next_id;
-        self.next_id += 1;
-        self.writer
-            .write_all(&frame_bytes(&Frame::HealthRequest { id }))?;
-        match read_message(&mut self.reader, self.max_frame_len)? {
-            Some(Frame::HealthResponse {
-                id: got,
-                degraded,
-                detail,
-            }) => {
-                if got != id {
-                    return Err(NetError::Protocol(format!(
-                        "health response for unknown request id {got}"
-                    )));
-                }
-                Ok(degraded.then_some(detail))
-            }
-            Some(Frame::Error { code, message }) => Err(NetError::Server { code, message }),
-            Some(other) => Err(NetError::Protocol(format!(
+        match self.control(|id| Frame::HealthRequest { id })? {
+            Frame::HealthResponse {
+                degraded, detail, ..
+            } => Ok(degraded.then_some(detail)),
+            other => Err(NetError::Protocol(format!(
                 "expected HealthResponse, got {other:?}"
             ))),
-            None => Err(NetError::Disconnected),
         }
     }
 

@@ -152,52 +152,29 @@ impl WriteQueue {
     /// write interest and retries on the next readiness.
     pub fn flush(&mut self, out: &mut impl Write) -> Result<Vec<Flushed>, ()> {
         let mut completed = Vec::new();
-        loop {
-            let remaining = match self.queue.front() {
-                Some(front) => front.bytes.len() - self.offset,
-                None => return Ok(completed),
-            };
-            if remaining == 0 {
-                // Degenerate empty frame: complete it without a write.
-                if let Some(front) = self.queue.pop_front() {
-                    completed.push(Flushed {
-                        len: front.bytes.len(),
-                        counted: front.counted,
-                        releases_slot: front.releases_slot,
-                    });
+        while let Some(front) = self.queue.front() {
+            let chunk = front.bytes.get(self.offset..).unwrap_or_default();
+            // A degenerate empty frame completes without a write.
+            if !chunk.is_empty() {
+                match out.write(chunk) {
+                    Ok(0) => return Err(()),
+                    Ok(n) => self.offset += n,
+                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return Ok(completed),
+                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                    Err(_) => return Err(()),
                 }
-                self.offset = 0;
-                continue;
             }
-            let chunk = self
-                .queue
-                .front()
-                .and_then(|front| front.bytes.get(self.offset..))
-                .unwrap_or_default();
-            match out.write(chunk) {
-                Ok(0) => return Err(()),
-                Ok(n) => {
-                    self.offset += n;
-                    let done = self
-                        .queue
-                        .front()
-                        .is_some_and(|front| self.offset == front.bytes.len());
-                    if done {
-                        if let Some(front) = self.queue.pop_front() {
-                            completed.push(Flushed {
-                                len: front.bytes.len(),
-                                counted: front.counted,
-                                releases_slot: front.releases_slot,
-                            });
-                        }
-                        self.offset = 0;
-                    }
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return Ok(completed),
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(_) => return Err(()),
+            if self.offset >= front.bytes.len() {
+                completed.push(Flushed {
+                    len: front.bytes.len(),
+                    counted: front.counted,
+                    releases_slot: front.releases_slot,
+                });
+                self.queue.pop_front();
+                self.offset = 0;
             }
         }
+        Ok(completed)
     }
 }
 
@@ -268,7 +245,7 @@ mod tests {
     #[test]
     fn every_split_point_yields_the_same_frames() {
         let mut stream = Vec::new();
-        stream.extend_from_slice(&frame_bytes(&Frame::StatsRequest { id: 7 }));
+        stream.extend_from_slice(&frame_bytes(&Frame::HealthRequest { id: 7 }));
         stream.extend_from_slice(&frame_bytes(&Frame::Goodbye));
         for cut in 0..=stream.len() {
             let mut reader = FrameReader::default();
@@ -284,7 +261,7 @@ mod tests {
             assert_eq!(
                 got,
                 vec![
-                    format!("{:?}", Frame::StatsRequest { id: 7 }),
+                    format!("{:?}", Frame::HealthRequest { id: 7 }),
                     format!("{:?}", Frame::Goodbye)
                 ],
                 "split at byte {cut}"
@@ -376,7 +353,7 @@ mod tests {
             }
         }
 
-        let first = frame_bytes(&Frame::StatsRequest { id: 1 });
+        let first = frame_bytes(&Frame::HealthRequest { id: 1 });
         let second = frame_bytes(&Frame::Goodbye);
         let mut wq = WriteQueue::default();
         wq.push(first.clone(), true, true);

@@ -39,10 +39,8 @@ use ustr_poll::{Interest, Poller, Waker};
 use ustr_service::{mode_name, QueryRequest, WakeQueue};
 
 use crate::conn::{FrameReader, FrameStep, Phase, WriteQueue};
-use crate::proto::{
-    err_code, frame_bytes, Frame, RemoteError, MIN_PROTOCOL_VERSION, NET_MAGIC, PROTOCOL_VERSION,
-};
-use crate::server::{stats_json, stats_text, Shared};
+use crate::proto::{err_code, frame_bytes, Frame, RemoteError, NET_MAGIC, PROTOCOL_VERSION};
+use crate::server::{stats_answer, Shared};
 
 /// Token for the listening socket (loop 0 only).
 const LISTENER_TOKEN: u64 = u64::MAX;
@@ -171,8 +169,6 @@ struct Conn {
     reader: FrameReader,
     wq: WriteQueue,
     phase: Phase,
-    /// The negotiated protocol version (0 until the handshake completes).
-    session_version: u32,
     /// Requests dispatched (or stats answers queued) whose responses have
     /// not yet fully reached the socket — the backpressure window.
     inflight: usize,
@@ -196,6 +192,17 @@ struct Conn {
     last_activity: Instant,
     /// Failing request results so far (feeds the error budget).
     errors: u32,
+}
+
+impl Conn {
+    /// Ends the session with a fatal error frame: no more reads, and once
+    /// every accepted request has been answered and flushed the frame goes
+    /// out and the socket closes.
+    fn fail(&mut self, code: u32, message: String) {
+        self.fatal = Some(Frame::Error { code, message });
+        self.eof = true;
+        self.phase = Phase::Draining;
+    }
 }
 
 /// One readiness loop. `run` consumes it on a dedicated thread.
@@ -363,15 +370,13 @@ impl EventLoop {
                             {
                                 // Drain with a fatal frame — queued answers
                                 // (including this one) still deliver first.
-                                c.fatal = Some(Frame::Error {
-                                    code: err_code::ERROR_BUDGET_EXCEEDED,
-                                    message: format!(
+                                c.fail(
+                                    err_code::ERROR_BUDGET_EXCEEDED,
+                                    format!(
                                         "connection exceeded its error budget \
                                          ({budget} failing requests)"
                                     ),
-                                });
-                                c.eof = true;
-                                c.phase = Phase::Draining;
+                                );
                                 self.shared.loop_stats.note_budget_close();
                             }
                         }
@@ -412,7 +417,6 @@ impl EventLoop {
                 reader: FrameReader::default(),
                 wq: WriteQueue::default(),
                 phase: Phase::Handshake,
-                session_version: 0,
                 inflight: 0,
                 eof: false,
                 handshaken: false,
@@ -519,18 +523,23 @@ impl EventLoop {
         }
     }
 
-    /// Deregisters and drops one connection, balancing every counter it
-    /// joined.
+    /// Deregisters and drops one connection.
     fn close_conn(&mut self, id: u64) {
         if let Some(conn) = self.conns.remove(&id) {
-            let _ = self.poller.deregister(conn.stream.as_raw_fd());
-            self.shared.loop_stats.conn_deregistered();
-            if conn.counted {
-                self.shared.metrics.conns_open.sub(1);
-            }
-            drop(conn);
-            self.shared.release_active();
+            self.retire(conn);
         }
+    }
+
+    /// Drops a connection already taken out of `conns`, balancing every
+    /// counter it joined.
+    fn retire(&self, conn: Conn) {
+        let _ = self.poller.deregister(conn.stream.as_raw_fd());
+        self.shared.loop_stats.conn_deregistered();
+        if conn.counted {
+            self.shared.metrics.conns_open.sub(1);
+        }
+        drop(conn);
+        self.shared.release_active();
     }
 
     /// Drives one connection as far as it can go without blocking: read,
@@ -550,13 +559,7 @@ impl EventLoop {
             if alive && hangup && conn.phase == Phase::Draining && !conn.finale_queued {
                 self.shared.loop_stats.note_reaped_draining();
             }
-            let _ = self.poller.deregister(conn.stream.as_raw_fd());
-            self.shared.loop_stats.conn_deregistered();
-            if conn.counted {
-                self.shared.metrics.conns_open.sub(1);
-            }
-            drop(conn);
-            self.shared.release_active();
+            self.retire(conn);
             return;
         }
         let desired = Interest {
@@ -577,12 +580,7 @@ impl EventLoop {
                 .reregister(conn.stream.as_raw_fd(), id, desired)
                 .is_err()
             {
-                self.shared.loop_stats.conn_deregistered();
-                if conn.counted {
-                    self.shared.metrics.conns_open.sub(1);
-                }
-                drop(conn);
-                self.shared.release_active();
+                self.retire(conn);
                 return;
             }
             conn.interest = desired;
@@ -656,12 +654,7 @@ impl EventLoop {
                         } else {
                             format!("malformed frame: {e}")
                         };
-                        conn.fatal = Some(Frame::Error {
-                            code: err_code::MALFORMED_FRAME,
-                            message,
-                        });
-                        conn.eof = true;
-                        conn.phase = Phase::Draining;
+                        conn.fail(err_code::MALFORMED_FRAME, message);
                     }
                 }
             }
@@ -725,19 +718,16 @@ impl EventLoop {
     fn on_frame(&self, conn: &mut Conn, frame: Frame, wire_len: u64) {
         match (conn.phase, frame) {
             (Phase::Handshake, Frame::Hello { magic, version }) if magic == NET_MAGIC => {
-                if !(MIN_PROTOCOL_VERSION..=PROTOCOL_VERSION).contains(&version) {
-                    conn.fatal = Some(Frame::Error {
-                        code: err_code::UNSUPPORTED_VERSION,
-                        message: format!(
+                if version != PROTOCOL_VERSION {
+                    conn.fail(
+                        err_code::UNSUPPORTED_VERSION,
+                        format!(
                             "protocol version {version} is not supported (this server \
-                             speaks {MIN_PROTOCOL_VERSION} through {PROTOCOL_VERSION})"
+                             speaks version {PROTOCOL_VERSION} only)"
                         ),
-                    });
-                    conn.eof = true;
-                    conn.phase = Phase::Draining;
+                    );
                     return;
                 }
-                conn.session_version = version;
                 conn.handshaken = true;
                 conn.phase = Phase::Serving;
                 conn.wq.push(
@@ -751,85 +741,28 @@ impl EventLoop {
                 );
             }
             (Phase::Handshake, _) => {
-                conn.fatal = Some(Frame::Error {
-                    code: err_code::BAD_HANDSHAKE,
-                    message: "the first frame must be Hello with magic USTRNET1".into(),
-                });
-                conn.eof = true;
-                conn.phase = Phase::Draining;
-            }
-            (Phase::Serving, Frame::Request { id, request }) => {
-                self.note_request(conn, wire_len);
-                conn.inflight += 1;
-                self.dispatch(conn.id, id, request, None);
-            }
-            (Phase::Serving, Frame::RequestTraced { id, request, trace }) => {
-                if conn.session_version < 3 {
-                    conn.fatal = Some(Frame::Error {
-                        code: err_code::MALFORMED_FRAME,
-                        message: format!(
-                            "RequestTraced requires protocol version 3 \
-                             (this session negotiated {})",
-                            conn.session_version
-                        ),
-                    });
-                    conn.eof = true;
-                    conn.phase = Phase::Draining;
-                    return;
-                }
-                self.note_request(conn, wire_len);
-                conn.inflight += 1;
-                self.dispatch(
-                    conn.id,
-                    id,
-                    request,
-                    Some(ustr_obs::TraceContext::from(trace)),
+                conn.fail(
+                    err_code::BAD_HANDSHAKE,
+                    "the first frame must be Hello with magic USTRNET1".into(),
                 );
             }
-            (Phase::Serving, Frame::StatsRequest { id }) => {
+            (Phase::Serving, Frame::Request { id, request, trace }) => {
+                self.note_request(conn, wire_len);
+                conn.inflight += 1;
+                self.dispatch(conn.id, id, request, trace.map(Into::into));
+            }
+            (Phase::Serving, Frame::StatsRequest { id, format }) => {
                 // Answered inline (a snapshot render, not a query) but
                 // still through the in-flight window, so it stays ordered
                 // behind the backpressure bound and the drain accounts for
                 // it. Deliberately invisible to every counter: two idle
                 // scrapes return identical bytes.
                 conn.inflight += 1;
-                let text = stats_text(&self.shared);
-                conn.wq
-                    .push(frame_bytes(&Frame::StatsResponse { id, text }), false, true);
-            }
-            (Phase::Serving, Frame::StatsJsonRequest { id }) => {
-                if conn.session_version < 3 {
-                    conn.fatal = Some(Frame::Error {
-                        code: err_code::MALFORMED_FRAME,
-                        message: format!(
-                            "StatsJsonRequest requires protocol version 3 \
-                             (this session negotiated {})",
-                            conn.session_version
-                        ),
-                    });
-                    conn.eof = true;
-                    conn.phase = Phase::Draining;
-                    return;
-                }
-                conn.inflight += 1;
-                let text = stats_json(&self.shared);
+                let text = stats_answer(&self.shared, format);
                 conn.wq
                     .push(frame_bytes(&Frame::StatsResponse { id, text }), false, true);
             }
             (Phase::Serving, Frame::HealthRequest { id }) => {
-                if conn.session_version < 4 {
-                    conn.fatal = Some(Frame::Error {
-                        code: err_code::MALFORMED_FRAME,
-                        message: format!(
-                            "HealthRequest requires protocol version 4 \
-                             (this session negotiated {})",
-                            conn.session_version
-                        ),
-                    });
-                    conn.eof = true;
-                    conn.phase = Phase::Draining;
-                    return;
-                }
                 // Answered inline like StatsRequest: a flag read, not a
                 // query — and likewise invisible to the traffic counters.
                 conn.inflight += 1;
@@ -849,12 +782,10 @@ impl EventLoop {
                 conn.phase = Phase::Draining;
             }
             (Phase::Serving, _) => {
-                conn.fatal = Some(Frame::Error {
-                    code: err_code::MALFORMED_FRAME,
-                    message: "unexpected frame kind mid-session".into(),
-                });
-                conn.eof = true;
-                conn.phase = Phase::Draining;
+                conn.fail(
+                    err_code::MALFORMED_FRAME,
+                    "unexpected frame kind mid-session".into(),
+                );
             }
             // Parsing is gated off while draining; nothing reaches here.
             (Phase::Draining, _) => {}
@@ -889,56 +820,33 @@ impl EventLoop {
         let rtt = self.shared.metrics.rtt_for(mode_name(&request)).clone();
         self.shared.pool.execute(move || {
             let span = Span::on(rtt);
-            let failed;
-            let bytes = match parent {
-                None => {
-                    let result = backend
-                        .query_requests(std::slice::from_ref(&request))
-                        .pop()
-                        .unwrap_or_else(|| {
-                            Err(ustr_core::Error::internal(
-                                "the backend returned no response for a one-request batch",
-                            ))
-                        })
-                        .map_err(|e| RemoteError::from(&e));
-                    failed = result.is_err();
-                    frame_bytes(&Frame::Response { id, result })
-                }
-                Some(parent) => {
-                    let (result, summary) = backend
-                        .query_requests_traced(
-                            std::slice::from_ref(&request),
-                            std::slice::from_ref(&Some(parent)),
-                        )
-                        .pop()
-                        .unwrap_or_else(|| {
-                            (
-                                Err(ustr_core::Error::internal(
-                                    "the backend returned no response for a one-request batch",
-                                )),
-                                None,
-                            )
-                        });
-                    let result = result.map_err(|e| RemoteError::from(&e));
-                    failed = result.is_err();
-                    // Per-stage server timings ride back on the response;
-                    // an untraced backend (or unsampled trace) reports
-                    // none.
-                    let timings = summary
-                        .map(|s| {
-                            s.stages
-                                .into_iter()
-                                .map(|(name, us)| (name.to_string(), us))
-                                .collect()
-                        })
-                        .unwrap_or_default();
-                    frame_bytes(&Frame::ResponseTimed {
-                        id,
-                        result,
-                        timings,
-                    })
-                }
+            let (result, summary) = backend
+                .answer(
+                    std::slice::from_ref(&request),
+                    std::slice::from_ref(&parent),
+                )
+                .pop()
+                .unwrap_or_else(|| {
+                    let lost = "the backend returned no response for a one-request batch";
+                    (Err(ustr_core::Error::internal(lost)), None)
+                });
+            let result = result.map_err(|e| RemoteError::from(&e));
+            let failed = result.is_err();
+            // Per-stage server timings ride back only to a request that
+            // carried a trace context (and whose trace was recorded).
+            let timings = match summary {
+                Some(s) if parent.is_some() => s
+                    .stages
+                    .into_iter()
+                    .map(|(name, us)| (name.to_string(), us))
+                    .collect(),
+                _ => Vec::new(),
             };
+            let bytes = frame_bytes(&Frame::Response {
+                id,
+                result,
+                timings,
+            });
             span.finish();
             queue.push(LoopMsg::Done {
                 conn: conn_id,

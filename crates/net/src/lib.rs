@@ -22,8 +22,8 @@
 //!   onto the shared [`ustr_service::ThreadPool`] and finished responses
 //!   return through a wakeable queue. The backend is anything
 //!   implementing [`QueryBackend`]: a static
-//!   [`ustr_service::QueryService`] (`.coll` snapshot or snapshot
-//!   directory) or a mutable [`ustr_live::LiveService`] — both reached
+//!   [`ustr_service::QueryService`] (built, or loaded from a `.coll`
+//!   snapshot) or a mutable [`ustr_live::LiveService`] — both reached
 //!   through the same `Engine`/`SegmentSet` dispatch path, so network
 //!   answers inherit the determinism contract (parallel ≡ sequential, at
 //!   any thread count).
@@ -31,21 +31,18 @@
 //!   one write, and re-aligns out-of-order responses by request id.
 //! * **Telemetry** — every server keeps an instance-scoped
 //!   [`ustr_obs::MetricsRegistry`] (connections, frames/bytes in and out,
-//!   per-mode round-trip histograms) and answers the protocol-v2
+//!   per-mode round-trip histograms) and answers
 //!   [`proto::Frame::StatsRequest`] with its own counters merged with the
-//!   backend engine's, rendered as deterministic exposition text. The
-//!   stats path touches no counter, so two idle scrapes are
-//!   byte-identical; v1 clients (no Stats frames) are still served.
-//! * **Tracing** (protocol v3) — [`proto::Frame::RequestTraced`] carries a
-//!   client [`ustr_obs::TraceContext`] so the server engine's root span
+//!   backend engine's, rendered as deterministic exposition text or JSON
+//!   ([`StatsFormat`]). The stats path touches no counter, so two idle
+//!   scrapes are byte-identical.
+//! * **Tracing** — a [`proto::Frame::Request`] may carry a client
+//!   [`ustr_obs::TraceContext`]: the server engine's root span then
 //!   *continues* the client's trace (one distributed span tree across both
-//!   processes), and the answer rides back as
-//!   [`proto::Frame::ResponseTimed`] with per-stage server timings.
-//!   [`proto::Frame::StatsJsonRequest`] scrapes telemetry as JSON, and
+//!   processes) and the [`proto::Frame::Response`] reports per-stage server
+//!   timings. The answer's bytes are the same either way.
 //!   [`NetServer::traces_json`]/[`NetServer::trace_source`] export the
-//!   backend's finished traces as Chrome `trace_event` JSON. Sessions
-//!   negotiating v1/v2 never see the new kinds and their encodings are
-//!   untouched, byte for byte.
+//!   backend's finished traces as Chrome `trace_event` JSON.
 //!
 //! # Guarantees
 //!
@@ -103,7 +100,7 @@ pub mod server;
 pub use client::{ClientConfig, NetClient, NetError, ServerInfo};
 pub use event_loop::LoopStatsSnapshot;
 pub use proto::{
-    Frame, RemoteError, WireTraceContext, DEFAULT_MAX_FRAME_LEN, MIN_PROTOCOL_VERSION, NET_MAGIC,
+    Frame, RemoteError, StatsFormat, WireTraceContext, DEFAULT_MAX_FRAME_LEN, NET_MAGIC,
     PROTOCOL_VERSION,
 };
 pub use retry::{ResilientClient, RetryPolicy, RetryStats};
@@ -117,10 +114,17 @@ pub use ustr_service::{QueryRequest, QueryResponse};
 mod tests {
     use std::sync::Arc;
 
-    use ustr_service::{QueryService, ServiceConfig};
+    use ustr_obs::TraceContext;
+    use ustr_service::{QueryService, ServiceConfig, TraceSummary};
     use ustr_uncertain::UncertainString;
 
     use super::*;
+
+    /// What [`QueryBackend::answer`] returns (for the test backends).
+    type Answers = Vec<(
+        Result<QueryResponse, ustr_core::Error>,
+        Option<TraceSummary>,
+    )>;
 
     fn service() -> QueryService {
         let docs = vec![
@@ -139,6 +143,18 @@ mod tests {
             },
         )
         .unwrap()
+    }
+
+    /// A raw client's opening frame, naming `version`.
+    fn hello(version: u32) -> Vec<u8> {
+        proto::frame_bytes(&Frame::Hello {
+            magic: NET_MAGIC,
+            version,
+        })
+    }
+
+    fn serve(backend: Arc<dyn QueryBackend>, config: ServerConfig) -> NetServer {
+        NetServer::serve("127.0.0.1:0", backend, config).unwrap()
     }
 
     fn batch() -> Vec<QueryRequest> {
@@ -165,12 +181,7 @@ mod tests {
     #[test]
     fn served_answers_equal_in_process_answers() {
         let service = Arc::new(service());
-        let server = NetServer::serve(
-            "127.0.0.1:0",
-            Arc::clone(&service) as _,
-            ServerConfig::default(),
-        )
-        .unwrap();
+        let server = serve(Arc::clone(&service) as _, ServerConfig::default());
         let mut client = NetClient::connect(server.local_addr()).unwrap();
         assert_eq!(client.server_info().num_docs, 3);
         assert_eq!(client.server_info().protocol_version, PROTOCOL_VERSION);
@@ -185,8 +196,7 @@ mod tests {
 
     #[test]
     fn validation_errors_ride_inside_responses() {
-        let server =
-            NetServer::serve("127.0.0.1:0", Arc::new(service()), ServerConfig::default()).unwrap();
+        let server = serve(Arc::new(service()), ServerConfig::default());
         let mut client = NetClient::connect(server.local_addr()).unwrap();
         let answers = client
             .query_requests(&[
@@ -208,16 +218,14 @@ mod tests {
 
     #[test]
     fn deep_pipelining_respects_a_tiny_inflight_bound() {
-        let server = NetServer::serve(
-            "127.0.0.1:0",
+        let server = serve(
             Arc::new(service()),
             ServerConfig {
                 inflight: 1,
                 threads: 4,
                 ..ServerConfig::default()
             },
-        )
-        .unwrap();
+        );
         let mut client = NetClient::connect(server.local_addr()).unwrap();
         // 64 pipelined requests through a 1-permit window: all answered,
         // positionally aligned.
@@ -244,12 +252,7 @@ mod tests {
     #[test]
     fn shutdown_drains_and_says_goodbye() {
         let service = Arc::new(service());
-        let server = NetServer::serve(
-            "127.0.0.1:0",
-            Arc::clone(&service) as _,
-            ServerConfig::default(),
-        )
-        .unwrap();
+        let server = serve(Arc::clone(&service) as _, ServerConfig::default());
         let mut client = NetClient::connect(server.local_addr()).unwrap();
         let first = client.query(b"AB", 0.3).unwrap().unwrap();
         server.shutdown();
@@ -279,24 +282,17 @@ mod tests {
             },
         )
         .unwrap();
-        let server = NetServer::serve(
-            "127.0.0.1:0",
+        let server = serve(
             Arc::new(service),
             ServerConfig {
                 threads: 2,
                 drain_timeout: std::time::Duration::from_millis(300),
                 ..ServerConfig::default()
             },
-        )
-        .unwrap();
+        );
 
         let mut stalled = std::net::TcpStream::connect(server.local_addr()).unwrap();
-        stalled
-            .write_all(&proto::frame_bytes(&Frame::Hello {
-                magic: NET_MAGIC,
-                version: PROTOCOL_VERSION,
-            }))
-            .unwrap();
+        stalled.write_all(&hello(PROTOCOL_VERSION)).unwrap();
         for id in 0..30u64 {
             stalled
                 .write_all(&proto::frame_bytes(&Frame::Request {
@@ -305,6 +301,7 @@ mod tests {
                         pattern: b"AB".to_vec(),
                         tau: 0.5,
                     },
+                    trace: None,
                 }))
                 .unwrap();
         }
@@ -334,57 +331,8 @@ mod tests {
     }
 
     #[test]
-    fn a_version_1_client_is_still_served() {
-        use std::io::Write;
-        let service = Arc::new(service());
-        let server = NetServer::serve(
-            "127.0.0.1:0",
-            Arc::clone(&service) as _,
-            ServerConfig::default(),
-        )
-        .unwrap();
-        let mut raw = std::net::TcpStream::connect(server.local_addr()).unwrap();
-        raw.write_all(&proto::frame_bytes(&Frame::Hello {
-            magic: NET_MAGIC,
-            version: MIN_PROTOCOL_VERSION,
-        }))
-        .unwrap();
-        let mut reader = std::io::BufReader::new(raw.try_clone().unwrap());
-        let ack = proto::read_message(&mut reader, DEFAULT_MAX_FRAME_LEN)
-            .unwrap()
-            .unwrap();
-        let Frame::HelloAck { version, .. } = ack else {
-            panic!("expected HelloAck, got {ack:?}");
-        };
-        assert_eq!(version, MIN_PROTOCOL_VERSION, "ack echoes the client");
-
-        let request = QueryRequest::Threshold {
-            pattern: b"AB".to_vec(),
-            tau: 0.3,
-        };
-        raw.write_all(&proto::frame_bytes(&Frame::Request {
-            id: 7,
-            request: request.clone(),
-        }))
-        .unwrap();
-        let reply = proto::read_message(&mut reader, DEFAULT_MAX_FRAME_LEN)
-            .unwrap()
-            .unwrap();
-        let Frame::Response { id, result } = reply else {
-            panic!("expected Response, got {reply:?}");
-        };
-        assert_eq!(id, 7);
-        assert_eq!(
-            result.unwrap(),
-            service.query_requests(&[request]).remove(0).unwrap()
-        );
-        server.shutdown();
-    }
-
-    #[test]
     fn stats_are_byte_stable_across_idle_scrapes() {
-        let server =
-            NetServer::serve("127.0.0.1:0", Arc::new(service()), ServerConfig::default()).unwrap();
+        let server = serve(Arc::new(service()), ServerConfig::default());
         let mut client = NetClient::connect(server.local_addr()).unwrap();
         client.query_requests(&batch()).unwrap();
 
@@ -418,12 +366,7 @@ mod tests {
         // valid Chrome trace JSON containing the tree.
         let service = Arc::new(service());
         service.tracer().set_sample_permyriad(10_000);
-        let server = NetServer::serve(
-            "127.0.0.1:0",
-            Arc::clone(&service) as _,
-            ServerConfig::default(),
-        )
-        .unwrap();
+        let server = serve(Arc::clone(&service) as _, ServerConfig::default());
         let mut client = NetClient::connect(server.local_addr()).unwrap();
         assert_eq!(client.server_info().protocol_version, PROTOCOL_VERSION);
 
@@ -432,7 +375,10 @@ mod tests {
             parent_span: 99,
             sampled: true,
         };
-        let (answer, timings) = client.query_traced(b"AB", 0.3, ctx).unwrap();
+        let (answer, timings) = client
+            .query_requests_traced(&batch()[..1], &[ctx])
+            .unwrap()
+            .remove(0);
         let plain = client.query(b"AB", 0.3).unwrap();
         assert_eq!(
             answer.as_ref().unwrap(),
@@ -506,84 +452,62 @@ mod tests {
     }
 
     #[test]
-    fn a_v2_session_round_trips_byte_identically_and_rejects_traced_frames() {
+    fn traced_and_untraced_exchanges_carry_byte_identical_results() {
         use std::io::Write;
-        // Tracing fully on, yet a v2 session must see byte-for-byte the
-        // same reply a pre-tracing server would send — and the v3 frame
-        // kinds must be refused, not half-served.
+        // Tracing fully on: the untraced reply must still be byte-for-byte
+        // the local encoding of the in-process answer with no timings, and
+        // the traced reply the same result bytes plus its stage timings.
         let service = Arc::new(service());
         service.tracer().set_sample_permyriad(10_000);
-        let server = NetServer::serve(
-            "127.0.0.1:0",
-            Arc::clone(&service) as _,
-            ServerConfig::default(),
-        )
-        .unwrap();
+        let server = serve(Arc::clone(&service) as _, ServerConfig::default());
         let mut raw = std::net::TcpStream::connect(server.local_addr()).unwrap();
-        raw.write_all(&proto::frame_bytes(&Frame::Hello {
-            magic: NET_MAGIC,
-            version: 2,
-        }))
-        .unwrap();
+        raw.write_all(&hello(PROTOCOL_VERSION)).unwrap();
         let mut reader = std::io::BufReader::new(raw.try_clone().unwrap());
-        let ack = proto::read_message(&mut reader, DEFAULT_MAX_FRAME_LEN)
-            .unwrap()
-            .unwrap();
-        let Frame::HelloAck { version, .. } = ack else {
-            panic!("expected HelloAck, got {ack:?}");
-        };
-        assert_eq!(version, 2, "the ack echoes the negotiated version");
+        let ack = proto::read_message(&mut reader, DEFAULT_MAX_FRAME_LEN).unwrap();
+        assert!(matches!(ack, Some(Frame::HelloAck { .. })), "{ack:?}");
 
-        let request = QueryRequest::Threshold {
-            pattern: b"AB".to_vec(),
-            tau: 0.3,
-        };
-        raw.write_all(&proto::frame_bytes(&Frame::Request {
-            id: 11,
-            request: request.clone(),
-        }))
-        .unwrap();
-        // Byte identity on the wire: the raw reply payload equals the
-        // local encoding of the expected v2 Response frame.
-        let payload = ustr_store::read_frame(&mut reader, DEFAULT_MAX_FRAME_LEN)
-            .unwrap()
+        let request = batch().remove(0);
+        let local = service.query_requests(&batch()[..1]).remove(0).unwrap();
+        let mut exchange = |id: u64, trace: Option<proto::WireTraceContext>| {
+            raw.write_all(&proto::frame_bytes(&Frame::Request {
+                id,
+                request: request.clone(),
+                trace,
+            }))
             .unwrap();
-        let local = service.query_requests(&[request]).remove(0).unwrap();
+            ustr_store::read_frame(&mut reader, DEFAULT_MAX_FRAME_LEN)
+                .unwrap()
+                .unwrap()
+        };
+        let untraced = exchange(11, None);
         let expected = proto::encode_frame(&Frame::Response {
             id: 11,
             result: Ok(local),
+            timings: Vec::new(),
         });
-        assert_eq!(payload, expected, "v2 reply is byte-identical");
+        assert_eq!(untraced, expected, "the untraced reply is byte-identical");
 
-        // A v3-only frame on the v2 session is a protocol error.
-        raw.write_all(&proto::frame_bytes(&Frame::RequestTraced {
-            id: 12,
-            request: QueryRequest::Threshold {
-                pattern: b"AB".to_vec(),
-                tau: 0.3,
-            },
-            trace: proto::WireTraceContext::from(ustr_obs::TraceContext {
+        let traced = exchange(
+            11,
+            Some(proto::WireTraceContext::from(ustr_obs::TraceContext {
                 trace_id: 1,
                 parent_span: 2,
                 sampled: true,
-            }),
-        }))
-        .unwrap();
-        let reply = proto::read_message(&mut reader, DEFAULT_MAX_FRAME_LEN)
-            .unwrap()
-            .unwrap();
-        let Frame::Error { code, message } = reply else {
-            panic!("expected an error frame, got {reply:?}");
+            })),
+        );
+        // Same id, same result: the payloads agree up to the timings flag.
+        let result_end = untraced.len() - 1;
+        assert_eq!(traced[..result_end], untraced[..result_end]);
+        let Frame::Response { timings, .. } = proto::decode_frame(&traced).unwrap() else {
+            panic!("expected a Response");
         };
-        assert_eq!(code, proto::err_code::MALFORMED_FRAME);
-        assert!(message.contains("version 3"), "{message}");
+        assert!(!timings.is_empty(), "the traced reply reports its stages");
         server.shutdown();
     }
 
     #[test]
     fn stats_json_round_trips_the_merged_snapshot() {
-        let server =
-            NetServer::serve("127.0.0.1:0", Arc::new(service()), ServerConfig::default()).unwrap();
+        let server = serve(Arc::new(service()), ServerConfig::default());
         let mut client = NetClient::connect(server.local_addr()).unwrap();
         client.query_requests(&batch()).unwrap();
 
@@ -600,24 +524,32 @@ mod tests {
     }
 
     #[test]
-    fn version_mismatch_is_refused_with_a_clear_error() {
+    fn every_other_protocol_version_is_refused_with_a_clear_error() {
         use std::io::Write;
-        let server =
-            NetServer::serve("127.0.0.1:0", Arc::new(service()), ServerConfig::default()).unwrap();
-        let mut raw = std::net::TcpStream::connect(server.local_addr()).unwrap();
-        raw.write_all(&proto::frame_bytes(&Frame::Hello {
-            magic: NET_MAGIC,
-            version: 999,
-        }))
-        .unwrap();
-        let reply = proto::read_message(&mut raw, DEFAULT_MAX_FRAME_LEN)
-            .unwrap()
-            .unwrap();
-        let Frame::Error { code, message } = reply else {
-            panic!("expected an error frame, got {reply:?}");
-        };
-        assert_eq!(code, proto::err_code::UNSUPPORTED_VERSION);
-        assert!(message.contains("999"), "{message}");
+        let server = serve(Arc::new(service()), ServerConfig::default());
+        for version in [1, 2, 3, 4, 999] {
+            let mut raw = std::net::TcpStream::connect(server.local_addr()).unwrap();
+            raw.write_all(&hello(version)).unwrap();
+            let reply = proto::read_message(&mut raw, DEFAULT_MAX_FRAME_LEN)
+                .unwrap()
+                .unwrap();
+            let Frame::Error { code, message } = reply else {
+                panic!("version {version}: expected an error frame, got {reply:?}");
+            };
+            assert_eq!(code, proto::err_code::UNSUPPORTED_VERSION);
+            assert!(
+                message.contains(&format!("version {version} ")),
+                "{message}"
+            );
+            assert!(
+                message.contains(&format!("version {PROTOCOL_VERSION} only")),
+                "the refusal names the supported version: {message}"
+            );
+            // The refusal closes the connection.
+            assert!(proto::read_message(&mut raw, DEFAULT_MAX_FRAME_LEN)
+                .unwrap()
+                .is_none());
+        }
         server.shutdown();
     }
 
@@ -645,10 +577,8 @@ mod tests {
 
     #[test]
     fn health_probes_report_backend_degradation() {
-        use std::io::Write;
         // A static backend is always healthy.
-        let server =
-            NetServer::serve("127.0.0.1:0", Arc::new(service()), ServerConfig::default()).unwrap();
+        let server = serve(Arc::new(service()), ServerConfig::default());
         let mut client = NetClient::connect(server.local_addr()).unwrap();
         assert_eq!(client.health().unwrap(), None);
         server.shutdown();
@@ -656,11 +586,12 @@ mod tests {
         // A degraded backend's detail rides back verbatim.
         struct Degraded(QueryService);
         impl QueryBackend for Degraded {
-            fn query_requests(
+            fn answer(
                 &self,
                 requests: &[QueryRequest],
-            ) -> Vec<Result<QueryResponse, ustr_core::Error>> {
-                self.0.query_requests(requests)
+                parents: &[Option<TraceContext>],
+            ) -> Answers {
+                self.0.answer(requests, parents)
             }
             fn num_docs(&self) -> usize {
                 self.0.num_docs()
@@ -672,51 +603,23 @@ mod tests {
                 Some("background maintenance halted: injected fault".into())
             }
         }
-        let server = NetServer::serve(
-            "127.0.0.1:0",
-            Arc::new(Degraded(service())),
-            ServerConfig::default(),
-        )
-        .unwrap();
+        let server = serve(Arc::new(Degraded(service())), ServerConfig::default());
         let mut client = NetClient::connect(server.local_addr()).unwrap();
         let detail = client.health().unwrap().expect("degraded");
         assert!(detail.contains("halted"), "{detail}");
 
-        // A v3 session must have the v4-only probe refused, not answered.
-        let mut raw = std::net::TcpStream::connect(server.local_addr()).unwrap();
-        raw.write_all(&proto::frame_bytes(&Frame::Hello {
-            magic: NET_MAGIC,
-            version: 3,
-        }))
-        .unwrap();
-        let mut reader = std::io::BufReader::new(raw.try_clone().unwrap());
-        proto::read_message(&mut reader, DEFAULT_MAX_FRAME_LEN)
-            .unwrap()
-            .unwrap();
-        raw.write_all(&proto::frame_bytes(&Frame::HealthRequest { id: 1 }))
-            .unwrap();
-        let reply = proto::read_message(&mut reader, DEFAULT_MAX_FRAME_LEN)
-            .unwrap()
-            .unwrap();
-        let Frame::Error { code, message } = reply else {
-            panic!("expected an error frame, got {reply:?}");
-        };
-        assert_eq!(code, proto::err_code::MALFORMED_FRAME);
-        assert!(message.contains("version 4"), "{message}");
         server.shutdown();
     }
 
     #[test]
     fn idle_connections_are_reaped_after_the_timeout() {
-        let server = NetServer::serve(
-            "127.0.0.1:0",
+        let server = serve(
             Arc::new(service()),
             ServerConfig {
                 idle_timeout: Some(std::time::Duration::from_millis(150)),
                 ..ServerConfig::default()
             },
-        )
-        .unwrap();
+        );
         let mut client = NetClient::connect(server.local_addr()).unwrap();
         client.query(b"AB", 0.3).unwrap().unwrap();
         // Go quiet past the timeout: the server must close the session.
@@ -733,15 +636,13 @@ mod tests {
 
     #[test]
     fn an_error_budget_drains_the_connection_with_answers_first() {
-        let server = NetServer::serve(
-            "127.0.0.1:0",
+        let server = serve(
             Arc::new(service()),
             ServerConfig {
                 error_budget: 2,
                 ..ServerConfig::default()
             },
-        )
-        .unwrap();
+        );
         let mut client = NetClient::connect(server.local_addr()).unwrap();
         let bad = QueryRequest::Threshold {
             pattern: b"".to_vec(),
@@ -775,17 +676,18 @@ mod tests {
             gate: Arc<(Mutex<bool>, Condvar)>,
         }
         impl QueryBackend for Gated {
-            fn query_requests(
+            fn answer(
                 &self,
                 requests: &[QueryRequest],
-            ) -> Vec<Result<QueryResponse, ustr_core::Error>> {
+                parents: &[Option<TraceContext>],
+            ) -> Answers {
                 let (lock, cv) = &*self.gate;
                 let mut open = lock.lock().unwrap();
                 while !*open {
                     open = cv.wait(open).unwrap();
                 }
                 drop(open);
-                self.inner.query_requests(requests)
+                self.inner.answer(requests, parents)
             }
             fn num_docs(&self) -> usize {
                 self.inner.num_docs()
@@ -795,8 +697,7 @@ mod tests {
             }
         }
         let gate = Arc::new((Mutex::new(false), Condvar::new()));
-        let server = NetServer::serve(
-            "127.0.0.1:0",
+        let server = serve(
             Arc::new(Gated {
                 inner: service(),
                 gate: Arc::clone(&gate),
@@ -806,21 +707,17 @@ mod tests {
                 drain_timeout: std::time::Duration::from_secs(10),
                 ..ServerConfig::default()
             },
-        )
-        .unwrap();
+        );
 
         let mut raw = std::net::TcpStream::connect(server.local_addr()).unwrap();
-        raw.write_all(&proto::frame_bytes(&Frame::Hello {
-            magic: NET_MAGIC,
-            version: PROTOCOL_VERSION,
-        }))
-        .unwrap();
+        raw.write_all(&hello(PROTOCOL_VERSION)).unwrap();
         raw.write_all(&proto::frame_bytes(&Frame::Request {
             id: 0,
             request: QueryRequest::Threshold {
                 pattern: b"AB".to_vec(),
                 tau: 0.3,
             },
+            trace: None,
         }))
         .unwrap();
         // Let the request dispatch and park on the gate.
@@ -866,8 +763,7 @@ mod tests {
             .map(|r| r.unwrap())
             .collect();
 
-        let server1 =
-            NetServer::serve("127.0.0.1:0", Arc::new(service()), ServerConfig::default()).unwrap();
+        let server1 = serve(Arc::new(service()), ServerConfig::default());
         let addr = server1.local_addr();
         let mut client = ResilientClient::new(
             addr.to_string(),

@@ -15,17 +15,13 @@
 //! client                                server
 //!   │── Hello { magic, version } ─────────▶│   exactly one, first
 //!   │◀─ HelloAck { version, docs, τmin } ──│   (or Error + close)
-//!   │── Request { id, query }  ──────────▶│
-//!   │── Request { id, query }  ──────────▶│   pipelined freely
-//!   │◀─ Response { id, result } ───────────│   any order, matched by id
-//!   │◀─ Response { id, result } ───────────│
-//!   │── StatsRequest { id } ─────────────▶│   v2+: telemetry scrape
-//!   │◀─ StatsResponse { id, text } ────────│   deterministic exposition text
-//!   │── RequestTraced { id, query, ctx } ▶│   v3+: query + trace context
-//!   │◀─ ResponseTimed { id, result, t[] } ─│   answer + per-stage timings
-//!   │── StatsJsonRequest { id } ─────────▶│   v3+: JSON telemetry scrape
-//!   │◀─ StatsResponse { id, json } ────────│   (same response frame, JSON body)
-//!   │── HealthRequest { id } ────────────▶│   v4+: degradation probe
+//!   │── Request { id, query, trace? } ────▶│
+//!   │── Request { id, query, trace? } ────▶│   pipelined freely
+//!   │◀─ Response { id, result, timings } ──│   any order, matched by id
+//!   │◀─ Response { id, result, timings } ──│
+//!   │── StatsRequest { id, format } ─────▶│   telemetry scrape (text or JSON)
+//!   │◀─ StatsResponse { id, text } ────────│   deterministic rendering
+//!   │── HealthRequest { id } ────────────▶│   degradation probe
 //!   │◀─ HealthResponse { id, degraded } ───│
 //!   │◀─ Error { code, message } ───────────│   fatal: connection closes
 //!   │◀─ Goodbye ───────────────────────────│   graceful server shutdown
@@ -44,24 +40,9 @@ use ustr_store::{write_frame, Reader, StoreError, Writer};
 /// Magic bytes opening every [`Frame::Hello`].
 pub const NET_MAGIC: [u8; 8] = *b"USTRNET1";
 
-/// Protocol version spoken by this build. Version 2 added the
-/// `StatsRequest`/`StatsResponse` telemetry frames; version 3 added the
-/// tracing frames (`RequestTraced` carrying a propagated trace context,
-/// `ResponseTimed` carrying per-stage server timings back) and the
-/// `StatsJsonRequest` JSON telemetry scrape; version 4 adds the health
-/// probe (`HealthRequest`/`HealthResponse`, reporting whether the backend
-/// is degraded — e.g. a live collection whose background maintenance hit a
-/// storage fault) and the [`err_code::ERROR_BUDGET_EXCEEDED`] close.
-/// Everything an older session could say is byte-for-byte unchanged, so
-/// the server still accepts any version in
-/// [`MIN_PROTOCOL_VERSION`]`..=`[`PROTOCOL_VERSION`] and answers with the
-/// client's version (old clients stay served; newer-only frames on an
-/// older session are a malformed-frame error). Anything outside the range
-/// is answered with [`err_code::UNSUPPORTED_VERSION`] and a close.
-pub const PROTOCOL_VERSION: u32 = 4;
-
-/// Oldest protocol version the server still accepts.
-pub const MIN_PROTOCOL_VERSION: u32 = 1;
+/// The one protocol version this build speaks. A `Hello` naming any other
+/// version is answered with [`err_code::UNSUPPORTED_VERSION`] and a close.
+pub const PROTOCOL_VERSION: u32 = 5;
 
 /// Default cap on one frame's payload length (requests and responses).
 pub const DEFAULT_MAX_FRAME_LEN: usize = 16 << 20;
@@ -78,8 +59,8 @@ pub mod err_code {
     /// unexpected kind mid-session).
     pub const MALFORMED_FRAME: u32 = 3;
     /// The connection produced more failing requests than the server's
-    /// per-connection error budget allows (protocol v4+). Pending answers
-    /// are still delivered first — the answer-first contract.
+    /// per-connection error budget allows. Pending answers are still
+    /// delivered first — the answer-first contract.
     pub const ERROR_BUDGET_EXCEEDED: u32 = 4;
 }
 
@@ -93,14 +74,11 @@ mod kind {
     pub const GOODBYE: u8 = 6;
     pub const STATS_REQUEST: u8 = 7;
     pub const STATS_RESPONSE: u8 = 8;
-    pub const REQUEST_TRACED: u8 = 9;
-    pub const RESPONSE_TIMED: u8 = 10;
-    pub const STATS_JSON_REQUEST: u8 = 11;
-    pub const HEALTH_REQUEST: u8 = 12;
-    pub const HEALTH_RESPONSE: u8 = 13;
+    pub const HEALTH_REQUEST: u8 = 9;
+    pub const HEALTH_RESPONSE: u8 = 10;
 }
 
-/// A trace context as carried on the wire (protocol v3+): the 128-bit
+/// A trace context as carried on the wire: the 128-bit
 /// trace id split into two words, the parent span id, and the
 /// originator's sampling decision. The deterministic sampler makes the
 /// same keep/drop choice for the id on every node, so propagating the
@@ -177,6 +155,19 @@ impl From<&Error> for RemoteError {
     }
 }
 
+/// Which rendering of the telemetry snapshot a [`Frame::StatsRequest`]
+/// asks for.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum StatsFormat {
+    /// The plaintext exposition format
+    /// (`ustr_obs::MetricsSnapshot::render_text`) followed by any
+    /// slow-query lines.
+    Text,
+    /// The machine-readable JSON rendering
+    /// (`ustr_obs::MetricsSnapshot::render_json`).
+    Json,
+}
+
 /// One protocol message.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Frame {
@@ -203,65 +194,43 @@ pub enum Frame {
         id: u64,
         /// The query itself.
         request: QueryRequest,
+        /// The client's trace context for this request, when it has one:
+        /// the server continues the trace — its spans share the client's
+        /// trace id — and reports per-stage timings in the response.
+        trace: Option<WireTraceContext>,
     },
     /// The answer to the [`Frame::Request`] with the same `id`.
     Response {
         /// The id of the request this answers.
         id: u64,
-        /// The engine's answer, or the per-request validation error.
+        /// The engine's answer, or the per-request validation error. Its
+        /// bytes do not depend on whether the request carried a trace
+        /// context — tracing never changes an answer.
         result: Result<QueryResponse, RemoteError>,
+        /// `(stage name, microseconds)` measured on the server, in
+        /// lifecycle order. Empty unless the request carried a trace
+        /// context and the server recorded the trace.
+        timings: Vec<(String, u64)>,
     },
-    /// Telemetry scrape (protocol v2+), tagged like a request for
-    /// pipelining. Deliberately excluded from the server's traffic
-    /// counters so that two idle scrapes return byte-identical snapshots.
+    /// Telemetry scrape, tagged like a request for pipelining.
+    /// Deliberately excluded from the server's traffic counters so that
+    /// two idle scrapes return byte-identical snapshots.
     StatsRequest {
         /// Echoed verbatim in the matching [`Frame::StatsResponse`].
         id: u64,
+        /// The rendering to answer with.
+        format: StatsFormat,
     },
-    /// The server's telemetry snapshot: counters, gauges, and histograms
-    /// rendered in the deterministic plaintext exposition format (see
-    /// `ustr_obs::MetricsSnapshot::render_text`), followed by any
-    /// slow-query lines.
+    /// The server's telemetry snapshot — counters, gauges, and histograms
+    /// — in the requested [`StatsFormat`].
     StatsResponse {
         /// The id of the [`Frame::StatsRequest`] this answers.
         id: u64,
-        /// Exposition-format text (stable byte-for-byte given equal state).
+        /// The rendering (stable byte-for-byte given equal state).
         text: String,
     },
-    /// One query plus a propagated trace context (protocol v3+). The
-    /// server continues the trace — its spans share the client's trace id
-    /// — and answers with a [`Frame::ResponseTimed`].
-    RequestTraced {
-        /// Echoed verbatim in the matching [`Frame::ResponseTimed`].
-        id: u64,
-        /// The query itself.
-        request: QueryRequest,
-        /// The client's trace context for this request.
-        trace: WireTraceContext,
-    },
-    /// The answer to the [`Frame::RequestTraced`] with the same `id`,
-    /// plus the server-side per-stage breakdown (protocol v3+). The
-    /// result bytes are identical to the plain [`Frame::Response`]
-    /// encoding — tracing never changes an answer.
-    ResponseTimed {
-        /// The id of the traced request this answers.
-        id: u64,
-        /// The engine's answer, or the per-request validation error.
-        result: Result<QueryResponse, RemoteError>,
-        /// `(stage name, microseconds)` measured on the server, in
-        /// lifecycle order — the remote breakdown a client can print.
-        timings: Vec<(String, u64)>,
-    },
-    /// JSON telemetry scrape (protocol v3+): answered with a
-    /// [`Frame::StatsResponse`] whose `text` is the deterministic JSON
-    /// rendering (`ustr_obs::MetricsSnapshot::render_json`). Excluded
-    /// from traffic counters like [`Frame::StatsRequest`].
-    StatsJsonRequest {
-        /// Echoed verbatim in the matching [`Frame::StatsResponse`].
-        id: u64,
-    },
-    /// Health probe (protocol v4+), tagged like a request for pipelining.
-    /// Excluded from traffic counters like [`Frame::StatsRequest`].
+    /// Health probe, tagged like a request for pipelining. Excluded from
+    /// traffic counters like [`Frame::StatsRequest`].
     HealthRequest {
         /// Echoed verbatim in the matching [`Frame::HealthResponse`].
         id: u64,
@@ -308,29 +277,18 @@ mod mode {
     pub const APPROX: u8 = 4;
 }
 
+/// A request travels as its mode tag, the pattern, and one 8-byte argument
+/// (τ as its IEEE-754 bit pattern, or `k`).
 fn encode_request(w: &mut Writer, req: &QueryRequest) {
-    match req {
-        QueryRequest::Threshold { pattern, tau } => {
-            w.put_u8(mode::THRESHOLD);
-            w.put_bytes(pattern);
-            w.put_f64(*tau);
-        }
-        QueryRequest::TopK { pattern, k } => {
-            w.put_u8(mode::TOP_K);
-            w.put_bytes(pattern);
-            w.put_u64(*k as u64);
-        }
-        QueryRequest::Listing { pattern, tau } => {
-            w.put_u8(mode::LISTING);
-            w.put_bytes(pattern);
-            w.put_f64(*tau);
-        }
-        QueryRequest::Approx { pattern, tau } => {
-            w.put_u8(mode::APPROX);
-            w.put_bytes(pattern);
-            w.put_f64(*tau);
-        }
-    }
+    let (tag, pattern, arg) = match req {
+        QueryRequest::Threshold { pattern, tau } => (mode::THRESHOLD, pattern, tau.to_bits()),
+        QueryRequest::TopK { pattern, k } => (mode::TOP_K, pattern, *k as u64),
+        QueryRequest::Listing { pattern, tau } => (mode::LISTING, pattern, tau.to_bits()),
+        QueryRequest::Approx { pattern, tau } => (mode::APPROX, pattern, tau.to_bits()),
+    };
+    w.put_u8(tag);
+    w.put_bytes(pattern);
+    w.put_u64(arg);
 }
 
 fn decode_request(r: &mut Reader<'_>) -> Result<QueryRequest, StoreError> {
@@ -483,51 +441,46 @@ pub fn encode_frame(frame: &Frame) -> Vec<u8> {
             w.put_u64(*num_docs);
             w.put_f64(*tau_min);
         }
-        Frame::Request { id, request } => {
+        Frame::Request { id, request, trace } => {
             w.put_u8(kind::REQUEST);
             w.put_u64(*id);
             encode_request(&mut w, request);
+            w.put_bool(trace.is_some());
+            if let Some(trace) = trace {
+                w.put_u64(trace.trace_hi);
+                w.put_u64(trace.trace_lo);
+                w.put_u64(trace.parent_span);
+                w.put_bool(trace.sampled);
+            }
         }
-        Frame::Response { id, result } => {
+        Frame::Response {
+            id,
+            result,
+            timings,
+        } => {
             w.put_u8(kind::RESPONSE);
             w.put_u64(*id);
             encode_result(&mut w, result);
+            // One flag byte when there is nothing to report — an untraced
+            // answer pays a byte, not a length word.
+            w.put_bool(!timings.is_empty());
+            if !timings.is_empty() {
+                w.put_u64(timings.len() as u64);
+                for (stage, us) in timings {
+                    put_string(&mut w, stage);
+                    w.put_u64(*us);
+                }
+            }
         }
-        Frame::StatsRequest { id } => {
+        Frame::StatsRequest { id, format } => {
             w.put_u8(kind::STATS_REQUEST);
             w.put_u64(*id);
+            w.put_bool(*format == StatsFormat::Json);
         }
         Frame::StatsResponse { id, text } => {
             w.put_u8(kind::STATS_RESPONSE);
             w.put_u64(*id);
             put_string(&mut w, text);
-        }
-        Frame::RequestTraced { id, request, trace } => {
-            w.put_u8(kind::REQUEST_TRACED);
-            w.put_u64(*id);
-            encode_request(&mut w, request);
-            w.put_u64(trace.trace_hi);
-            w.put_u64(trace.trace_lo);
-            w.put_u64(trace.parent_span);
-            w.put_u8(u8::from(trace.sampled));
-        }
-        Frame::ResponseTimed {
-            id,
-            result,
-            timings,
-        } => {
-            w.put_u8(kind::RESPONSE_TIMED);
-            w.put_u64(*id);
-            encode_result(&mut w, result);
-            w.put_u64(timings.len() as u64);
-            for (stage, us) in timings {
-                put_string(&mut w, stage);
-                w.put_u64(*us);
-            }
-        }
-        Frame::StatsJsonRequest { id } => {
-            w.put_u8(kind::STATS_JSON_REQUEST);
-            w.put_u64(*id);
         }
         Frame::HealthRequest { id } => {
             w.put_u8(kind::HEALTH_REQUEST);
@@ -540,7 +493,7 @@ pub fn encode_frame(frame: &Frame) -> Vec<u8> {
         } => {
             w.put_u8(kind::HEALTH_RESPONSE);
             w.put_u64(*id);
-            w.put_u8(u8::from(*degraded));
+            w.put_bool(*degraded);
             put_string(&mut w, detail);
         }
         Frame::Error { code, message } => {
@@ -576,44 +529,21 @@ pub fn decode_frame(payload: &[u8]) -> Result<Frame, StoreError> {
         kind::REQUEST => Frame::Request {
             id: r.get_u64()?,
             request: decode_request(&mut r)?,
+            trace: if r.get_bool()? {
+                Some(WireTraceContext {
+                    trace_hi: r.get_u64()?,
+                    trace_lo: r.get_u64()?,
+                    parent_span: r.get_u64()?,
+                    sampled: r.get_bool()?,
+                })
+            } else {
+                None
+            },
         },
         kind::RESPONSE => Frame::Response {
             id: r.get_u64()?,
             result: decode_result(&mut r)?,
-        },
-        kind::STATS_REQUEST => Frame::StatsRequest { id: r.get_u64()? },
-        kind::STATS_RESPONSE => Frame::StatsResponse {
-            id: r.get_u64()?,
-            text: get_string(&mut r)?,
-        },
-        kind::REQUEST_TRACED => Frame::RequestTraced {
-            id: r.get_u64()?,
-            request: decode_request(&mut r)?,
-            trace: {
-                let trace_hi = r.get_u64()?;
-                let trace_lo = r.get_u64()?;
-                let parent_span = r.get_u64()?;
-                let sampled = match r.get_u8()? {
-                    0 => false,
-                    1 => true,
-                    other => {
-                        return Err(StoreError::Corrupt {
-                            detail: format!("invalid sampled flag byte {other}"),
-                        })
-                    }
-                };
-                WireTraceContext {
-                    trace_hi,
-                    trace_lo,
-                    parent_span,
-                    sampled,
-                }
-            },
-        },
-        kind::RESPONSE_TIMED => Frame::ResponseTimed {
-            id: r.get_u64()?,
-            result: decode_result(&mut r)?,
-            timings: {
+            timings: if r.get_bool()? {
                 let n = r.get_len(16)?;
                 let mut timings = Vec::with_capacity(n);
                 for _ in 0..n {
@@ -621,21 +551,26 @@ pub fn decode_frame(payload: &[u8]) -> Result<Frame, StoreError> {
                     timings.push((stage, r.get_u64()?));
                 }
                 timings
+            } else {
+                Vec::new()
             },
         },
-        kind::STATS_JSON_REQUEST => Frame::StatsJsonRequest { id: r.get_u64()? },
+        kind::STATS_REQUEST => Frame::StatsRequest {
+            id: r.get_u64()?,
+            format: if r.get_bool()? {
+                StatsFormat::Json
+            } else {
+                StatsFormat::Text
+            },
+        },
+        kind::STATS_RESPONSE => Frame::StatsResponse {
+            id: r.get_u64()?,
+            text: get_string(&mut r)?,
+        },
         kind::HEALTH_REQUEST => Frame::HealthRequest { id: r.get_u64()? },
         kind::HEALTH_RESPONSE => Frame::HealthResponse {
             id: r.get_u64()?,
-            degraded: match r.get_u8()? {
-                0 => false,
-                1 => true,
-                other => {
-                    return Err(StoreError::Corrupt {
-                        detail: format!("invalid degraded flag byte {other}"),
-                    })
-                }
-            },
+            degraded: r.get_bool()?,
             detail: get_string(&mut r)?,
         },
         kind::ERROR => Frame::Error {
@@ -689,134 +624,180 @@ pub fn read_message(
 mod tests {
     use super::*;
 
-    fn frames() -> Vec<Frame> {
+    fn threshold_ab() -> QueryRequest {
+        QueryRequest::Threshold {
+            pattern: b"AB".to_vec(),
+            tau: 0.25,
+        }
+    }
+
+    fn trace_ctx() -> WireTraceContext {
+        WireTraceContext {
+            trace_hi: 0xdead_beef_0000_0001,
+            trace_lo: 0x1234_5678_9abc_def0,
+            parent_span: 42,
+            sampled: true,
+        }
+    }
+
+    /// The golden transcript: every frame kind (and every optional-field
+    /// shape) with its exact v5 payload, hex with one group per field.
+    fn transcript() -> Vec<(Frame, &'static str)> {
         vec![
-            Frame::Hello {
-                magic: NET_MAGIC,
-                version: PROTOCOL_VERSION,
-            },
-            Frame::HelloAck {
-                version: 1,
-                num_docs: 42,
-                tau_min: 0.05,
-            },
-            Frame::Request {
-                id: 7,
-                request: QueryRequest::Threshold {
-                    pattern: b"AB".to_vec(),
-                    tau: 0.25,
+            (
+                Frame::Hello {
+                    magic: NET_MAGIC,
+                    version: PROTOCOL_VERSION,
                 },
-            },
-            Frame::Request {
-                id: 8,
-                request: QueryRequest::TopK {
-                    pattern: b"X".to_vec(),
-                    k: 5,
+                "01 555354524e455431 05000000",
+            ),
+            (
+                Frame::HelloAck {
+                    version: PROTOCOL_VERSION,
+                    num_docs: 42,
+                    tau_min: 0.05,
                 },
-            },
-            Frame::Response {
-                id: 7,
-                result: Ok(QueryResponse::Threshold(Arc::new(vec![DocHits {
-                    doc: 3,
-                    hits: vec![(0, 0.9), (4, 0.25)],
-                }]))),
-            },
-            Frame::Response {
-                id: 8,
-                result: Ok(QueryResponse::TopK(Arc::new(vec![TopHit {
-                    doc: 1,
-                    pos: 2,
-                    prob: 0.75,
-                }]))),
-            },
-            Frame::Response {
-                id: 9,
-                result: Ok(QueryResponse::Listing(Arc::new(vec![ListingHit {
-                    doc: 0,
-                    relevance: 0.5,
-                }]))),
-            },
-            Frame::Response {
-                id: 10,
-                result: Err(RemoteError {
-                    code: 1,
-                    message: "query pattern is empty".into(),
-                }),
-            },
-            Frame::StatsRequest { id: 11 },
-            Frame::StatsResponse {
-                id: 11,
-                text: "# TYPE ustr_net_requests counter\nustr_net_requests 12\n".into(),
-            },
-            Frame::RequestTraced {
-                id: 12,
-                request: QueryRequest::Threshold {
-                    pattern: b"AB".to_vec(),
-                    tau: 0.25,
+                "02 05000000 2a00000000000000 9a9999999999a93f",
+            ),
+            (
+                Frame::Request {
+                    id: 7,
+                    request: threshold_ab(),
+                    trace: None,
                 },
-                trace: WireTraceContext {
-                    trace_hi: 0xdead_beef_0000_0001,
-                    trace_lo: 0x1234_5678_9abc_def0,
-                    parent_span: 42,
-                    sampled: true,
+                "03 0700000000000000 01 0200000000000000 4142 000000000000d03f 00",
+            ),
+            (
+                Frame::Request {
+                    id: 8,
+                    request: QueryRequest::TopK {
+                        pattern: b"X".to_vec(),
+                        k: 5,
+                    },
+                    trace: Some(trace_ctx()),
                 },
-            },
-            Frame::ResponseTimed {
-                id: 12,
-                result: Ok(QueryResponse::Threshold(Arc::new(vec![DocHits {
-                    doc: 3,
-                    hits: vec![(0, 0.9)],
-                }]))),
-                timings: vec![
-                    ("cache_lookup".to_string(), 3),
-                    ("fanout".to_string(), 1200),
-                    ("merge".to_string(), 40),
-                ],
-            },
-            Frame::ResponseTimed {
-                id: 13,
-                result: Err(RemoteError {
-                    code: 4,
-                    message: "invalid threshold".into(),
-                }),
-                timings: Vec::new(),
-            },
-            Frame::StatsJsonRequest { id: 14 },
-            Frame::HealthRequest { id: 15 },
-            Frame::HealthResponse {
-                id: 15,
-                degraded: true,
-                detail: "background maintenance halted: injected fault".into(),
-            },
-            Frame::HealthResponse {
-                id: 16,
-                degraded: false,
-                detail: String::new(),
-            },
-            Frame::Error {
-                code: err_code::MALFORMED_FRAME,
-                message: "bad frame".into(),
-            },
-            Frame::Goodbye,
+                "03 0800000000000000 02 0100000000000000 58 0500000000000000 \
+                 01 01000000efbeadde f0debc9a78563412 2a00000000000000 01",
+            ),
+            (
+                Frame::Response {
+                    id: 7,
+                    result: Ok(QueryResponse::Threshold(Arc::new(vec![DocHits {
+                        doc: 3,
+                        hits: vec![(0, 0.9), (4, 0.25)],
+                    }]))),
+                    timings: Vec::new(),
+                },
+                "04 0700000000000000 01 0100000000000000 0300000000000000 0200000000000000 \
+                 0000000000000000 cdccccccccccec3f 0400000000000000 000000000000d03f 00",
+            ),
+            (
+                Frame::Response {
+                    id: 8,
+                    result: Ok(QueryResponse::TopK(Arc::new(vec![TopHit {
+                        doc: 1,
+                        pos: 2,
+                        prob: 0.75,
+                    }]))),
+                    timings: vec![("fanout".to_string(), 1200), ("merge".to_string(), 40)],
+                },
+                "04 0800000000000000 02 0100000000000000 0100000000000000 0200000000000000 \
+                 000000000000e83f 01 0200000000000000 0600000000000000 66616e6f7574 \
+                 b004000000000000 0500000000000000 6d65726765 2800000000000000",
+            ),
+            (
+                Frame::Response {
+                    id: 9,
+                    result: Ok(QueryResponse::Listing(Arc::new(vec![ListingHit {
+                        doc: 0,
+                        relevance: 0.5,
+                    }]))),
+                    timings: Vec::new(),
+                },
+                "04 0900000000000000 03 0100000000000000 0000000000000000 000000000000e03f 00",
+            ),
+            (
+                Frame::Response {
+                    id: 10,
+                    result: Err(RemoteError {
+                        code: 1,
+                        message: "empty".into(),
+                    }),
+                    timings: Vec::new(),
+                },
+                "04 0a00000000000000 00 01 0500000000000000 656d707479 00",
+            ),
+            (
+                Frame::StatsRequest {
+                    id: 11,
+                    format: StatsFormat::Text,
+                },
+                "07 0b00000000000000 00",
+            ),
+            (
+                Frame::StatsRequest {
+                    id: 12,
+                    format: StatsFormat::Json,
+                },
+                "07 0c00000000000000 01",
+            ),
+            (
+                Frame::StatsResponse {
+                    id: 11,
+                    text: "ustr_net_requests 12\n".into(),
+                },
+                "08 0b00000000000000 1500000000000000 757374725f6e65745f72657175657374732031320a",
+            ),
+            (Frame::HealthRequest { id: 15 }, "09 0f00000000000000"),
+            (
+                Frame::HealthResponse {
+                    id: 15,
+                    degraded: true,
+                    detail: "halted".into(),
+                },
+                "0a 0f00000000000000 01 0600000000000000 68616c746564",
+            ),
+            (
+                Frame::Error {
+                    code: err_code::MALFORMED_FRAME,
+                    message: "bad frame".into(),
+                },
+                "05 03000000 0900000000000000 626164206672616d65",
+            ),
+            (Frame::Goodbye, "06"),
         ]
     }
 
+    fn unhex(hex: &str) -> Vec<u8> {
+        let digits: Vec<u8> = hex.bytes().filter(|b| !b.is_ascii_whitespace()).collect();
+        digits
+            .chunks(2)
+            .map(|pair| u8::from_str_radix(std::str::from_utf8(pair).unwrap(), 16).unwrap())
+            .collect()
+    }
+
     #[test]
-    fn every_frame_round_trips_bit_exactly() {
-        for frame in frames() {
-            let payload = encode_frame(&frame);
-            assert_eq!(decode_frame(&payload).unwrap(), frame);
+    fn golden_transcript_pins_the_encoding_of_every_frame_kind() {
+        let mut kinds = Vec::new();
+        for (frame, hex) in transcript() {
+            let bytes = unhex(hex);
+            assert_eq!(encode_frame(&frame), bytes, "{frame:?}");
+            assert_eq!(decode_frame(&bytes).unwrap(), frame);
+            kinds.push(bytes[0]);
         }
+        kinds.sort_unstable();
+        kinds.dedup();
+        assert_eq!(kinds, (1..=10).collect::<Vec<u8>>(), "every kind is pinned");
     }
 
     #[test]
     fn a_session_transcript_round_trips_through_a_stream() {
         let mut stream = Vec::new();
-        for frame in frames() {
+        for (frame, _) in transcript() {
             stream.extend_from_slice(&frame_bytes(&frame));
         }
         let mut cursor = &stream[..];
-        for frame in frames() {
+        for (frame, _) in transcript() {
             assert_eq!(
                 read_message(&mut cursor, DEFAULT_MAX_FRAME_LEN)
                     .unwrap()
@@ -831,7 +812,7 @@ mod tests {
 
     #[test]
     fn truncated_payloads_fail_cleanly_at_every_cut() {
-        for frame in frames() {
+        for (frame, _) in transcript() {
             let payload = encode_frame(&frame);
             for cut in 0..payload.len() {
                 assert!(
@@ -863,71 +844,82 @@ mod tests {
         assert_eq!(ustr_obs::TraceContext::from(wire), ctx);
     }
 
+    /// Every one-byte flag admits only 0 and 1.
     #[test]
-    fn invalid_sampled_flag_is_rejected() {
-        let frame = Frame::RequestTraced {
-            id: 1,
-            request: QueryRequest::Threshold {
-                pattern: b"A".to_vec(),
-                tau: 0.5,
-            },
-            trace: WireTraceContext {
-                trace_hi: 0,
-                trace_lo: 1,
-                parent_span: 0,
-                sampled: false,
-            },
+    fn invalid_flag_bytes_are_rejected() {
+        let reject = |frame: &Frame, flag_at: usize| {
+            let mut payload = encode_frame(frame);
+            assert!(
+                payload[flag_at] <= 1,
+                "{frame:?}: byte {flag_at} is no flag"
+            );
+            payload[flag_at] = 2;
+            assert!(
+                matches!(decode_frame(&payload), Err(StoreError::Corrupt { .. })),
+                "{frame:?} with flag byte {flag_at} set to 2 must be rejected"
+            );
         };
-        let mut payload = encode_frame(&frame);
-        let flag = payload.len() - 1;
-        payload[flag] = 2;
-        assert!(matches!(
-            decode_frame(&payload),
-            Err(StoreError::Corrupt { .. })
-        ));
-    }
-
-    #[test]
-    fn invalid_degraded_flag_is_rejected() {
-        let frame = Frame::HealthResponse {
+        let traced = Frame::Request {
+            id: 1,
+            request: threshold_ab(),
+            trace: Some(trace_ctx()),
+        };
+        let len = encode_frame(&traced).len();
+        reject(&traced, len - 1); // sampled
+        reject(&traced, len - 26); // trace-present, before hi + lo + parent + sampled
+        let response = Frame::Response {
+            id: 1,
+            result: Ok(QueryResponse::Listing(Arc::new(Vec::new()))),
+            timings: Vec::new(),
+        };
+        reject(&response, encode_frame(&response).len() - 1); // timings-present
+        let stats = Frame::StatsRequest {
+            id: 1,
+            format: StatsFormat::Text,
+        };
+        reject(&stats, 9); // format, after kind(1) + id(8)
+        let health = Frame::HealthResponse {
             id: 1,
             degraded: false,
             detail: String::new(),
         };
-        let mut payload = encode_frame(&frame);
-        // kind(1) + id(8) puts the flag at offset 9.
-        payload[9] = 7;
-        assert!(matches!(
-            decode_frame(&payload),
-            Err(StoreError::Corrupt { .. })
-        ));
+        reject(&health, 9); // degraded, after kind(1) + id(8)
     }
 
+    /// Tracing never changes an answer's bytes, and the single frame pair
+    /// costs an untraced exchange two bytes over the v4 `Request` +
+    /// `Response` it replaces (kind + id + body each, no optional fields).
     #[test]
-    fn v2_frame_encodings_are_unchanged_by_the_v3_bump() {
-        // A v2 peer's bytes must decode identically under v3 — pin the
-        // exact encoding of each pre-v3 frame kind.
-        let request = Frame::Request {
+    fn an_untraced_exchange_costs_two_bytes_and_result_bytes_ignore_tracing() {
+        let result = Ok(QueryResponse::Approx(Arc::new(vec![DocHits {
+            doc: 3,
+            hits: vec![(0, 0.9), (4, 0.25)],
+        }])));
+        let mut v4_request = Writer::new();
+        encode_request(&mut v4_request, &threshold_ab());
+        let mut v4_result = Writer::new();
+        encode_result(&mut v4_result, &result);
+        let result_bytes = v4_result.into_bytes();
+        let v4_len = (1 + 8 + v4_request.into_bytes().len()) + (1 + 8 + result_bytes.len());
+
+        let request = encode_frame(&Frame::Request {
             id: 7,
-            request: QueryRequest::Threshold {
-                pattern: b"AB".to_vec(),
-                tau: 0.25,
-            },
+            request: threshold_ab(),
+            trace: None,
+        });
+        let response = |timings| {
+            encode_frame(&Frame::Response {
+                id: 7,
+                result: result.clone(),
+                timings,
+            })
         };
-        let mut expect = vec![3u8]; // kind::REQUEST
-        expect.extend_from_slice(&7u64.to_le_bytes());
-        expect.push(1); // mode::THRESHOLD
-        expect.extend_from_slice(&2u64.to_le_bytes());
-        expect.extend_from_slice(b"AB");
-        expect.extend_from_slice(&0.25f64.to_bits().to_le_bytes());
-        assert_eq!(encode_frame(&request), expect);
-
-        let stats = Frame::StatsRequest { id: 9 };
-        let mut expect = vec![7u8]; // kind::STATS_REQUEST
-        expect.extend_from_slice(&9u64.to_le_bytes());
-        assert_eq!(encode_frame(&stats), expect);
-
-        assert_eq!(encode_frame(&Frame::Goodbye), vec![6u8]);
+        let untraced = response(Vec::new());
+        let traced = response(vec![("fanout".to_string(), 1200)]);
+        assert_eq!(request.len() + untraced.len(), v4_len + 2);
+        let result_span = 9..9 + result_bytes.len();
+        assert_eq!(untraced[result_span.clone()], result_bytes[..]);
+        assert_eq!(traced[result_span], result_bytes[..]);
     }
 
     #[test]

@@ -172,32 +172,36 @@ impl ResilientClient {
         requests: &[QueryRequest],
     ) -> Result<Vec<Result<QueryResponse, RemoteError>>, NetError> {
         let mut slots: Vec<Option<Result<QueryResponse, RemoteError>>> = vec![None; requests.len()];
+        self.retrying(|this| this.try_fill(requests, &mut slots))?;
+        let mut out = Vec::with_capacity(slots.len());
+        for slot in slots {
+            out.push(
+                slot.ok_or_else(|| NetError::Protocol("a filled batch left an empty slot".into()))?,
+            );
+        }
+        Ok(out)
+    }
+
+    /// Runs `attempt` until it succeeds, a permanent error surfaces, or the
+    /// policy is exhausted — dropping the connection (it can no longer be
+    /// trusted mid-exchange) and backing off between tries.
+    fn retrying<T>(
+        &mut self,
+        mut attempt: impl FnMut(&mut Self) -> Result<T, NetError>,
+    ) -> Result<T, NetError> {
         let mut failures = 0u32;
         loop {
-            match self.try_fill(requests, &mut slots) {
-                Ok(()) => {
-                    let mut out = Vec::with_capacity(slots.len());
-                    for slot in slots {
-                        out.push(slot.ok_or_else(|| {
-                            NetError::Protocol("a filled batch left an empty slot".into())
-                        })?);
-                    }
-                    return Ok(out);
-                }
-                Err(error) => {
-                    // The connection can no longer be trusted mid-batch.
-                    self.client = None;
-                    if !Self::is_transient(&error) {
-                        return Err(error);
-                    }
-                    failures += 1;
-                    if failures >= self.policy.max_attempts.max(1) {
-                        return Err(error);
-                    }
-                    self.note_failure(&error);
-                    std::thread::sleep(self.policy.backoff(failures - 1));
-                }
+            let error = match attempt(self) {
+                Ok(value) => return Ok(value),
+                Err(error) => error,
+            };
+            self.client = None;
+            failures += 1;
+            if !Self::is_transient(&error) || failures >= self.policy.max_attempts.max(1) {
+                return Err(error);
             }
+            self.note_failure(&error);
+            std::thread::sleep(self.policy.backoff(failures - 1));
         }
     }
 
@@ -251,28 +255,9 @@ impl ResilientClient {
         Ok(self.connected()?.server_info())
     }
 
-    /// Probes server health (protocol v4+), with the same retry behavior
-    /// as queries.
+    /// Probes server health, with the same retry behavior as queries.
     pub fn health(&mut self) -> Result<Option<String>, NetError> {
-        let mut failures = 0u32;
-        loop {
-            let result = self.connected().and_then(|c| c.health());
-            match result {
-                Ok(health) => return Ok(health),
-                Err(error) => {
-                    self.client = None;
-                    if !Self::is_transient(&error) {
-                        return Err(error);
-                    }
-                    failures += 1;
-                    if failures >= self.policy.max_attempts.max(1) {
-                        return Err(error);
-                    }
-                    self.note_failure(&error);
-                    std::thread::sleep(self.policy.backoff(failures - 1));
-                }
-            }
-        }
+        self.retrying(|this| this.connected()?.health())
     }
 }
 

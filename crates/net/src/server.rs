@@ -14,7 +14,7 @@
 //! the shared [`ThreadPool`] — the same `ustr-service` pool type the
 //! in-process engine uses — so `N` connections pipelining requests share
 //! one fixed set of workers. (Each worker drives
-//! `backend.query_requests`, which in turn fans shards onto the backend
+//! `backend.answer`, which in turn fans shards onto the backend
 //! engine's own pool — the server pool bounds concurrent *requests*, the
 //! engine pool bounds per-request index parallelism.) A finished worker
 //! pushes the framed response into the owning loop's wake queue and rings
@@ -55,7 +55,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
 use ustr_core::Error;
-use ustr_obs::{Counter, Gauge, Histogram, MetricsRegistry, MetricsSnapshot, Tracer};
+use ustr_obs::{Counter, Gauge, Histogram, MetricsRegistry, MetricsSnapshot, TraceContext, Tracer};
 use ustr_poll::{Poller, Waker};
 use ustr_service::{
     lock_clean, wait_clean, QueryRequest, QueryResponse, QueryService, ThreadPool, TraceSummary,
@@ -63,14 +63,22 @@ use ustr_service::{
 };
 
 use crate::event_loop::{EventLoop, LoopHandle, LoopMsg, LoopStats, LoopStatsSnapshot};
-use crate::proto::DEFAULT_MAX_FRAME_LEN;
+use crate::proto::{StatsFormat, DEFAULT_MAX_FRAME_LEN};
 
 /// Anything the server can answer queries from: the static
 /// [`QueryService`], the mutable [`ustr_live::LiveService`], or any other
 /// implementor of the engine's typed dispatch path.
 pub trait QueryBackend: Send + Sync {
     /// Answers a typed batch (positionally aligned with `requests`).
-    fn query_requests(&self, requests: &[QueryRequest]) -> Vec<Result<QueryResponse, Error>>;
+    /// `parents[q]`, when present, is a propagated client trace context the
+    /// request's root span continues (a missing tail means no parent). Each
+    /// answer comes with the request's [`TraceSummary`] when the backend
+    /// recorded its trace; backends without a tracer report `None`.
+    fn answer(
+        &self,
+        requests: &[QueryRequest],
+        parents: &[Option<TraceContext>],
+    ) -> Vec<(Result<QueryResponse, Error>, Option<TraceSummary>)>;
 
     /// Documents currently served (point-in-time for mutable backends).
     fn num_docs(&self) -> usize;
@@ -90,20 +98,6 @@ pub trait QueryBackend: Send + Sync {
         Vec::new()
     }
 
-    /// Answers a typed batch with tracing: `parents[q]`, when present, is a
-    /// propagated client trace context the request's root span continues.
-    /// The default (untraced backends) answers normally with no summaries.
-    fn query_requests_traced(
-        &self,
-        requests: &[QueryRequest],
-        _parents: &[Option<ustr_obs::TraceContext>],
-    ) -> Vec<(Result<QueryResponse, Error>, Option<TraceSummary>)> {
-        self.query_requests(requests)
-            .into_iter()
-            .map(|result| (result, None))
-            .collect()
-    }
-
     /// The backend's tracer, when it has one — lets the server expose
     /// trace export without knowing the concrete backend type.
     fn tracer(&self) -> Option<Arc<Tracer>> {
@@ -113,7 +107,7 @@ pub trait QueryBackend: Send + Sync {
     /// `None` when fully healthy, or a description of a degraded-but-
     /// serving state (e.g. a live collection whose background maintenance
     /// halted on a storage fault: queries still answer from memory, but
-    /// sealing/compaction stopped until recovery). Answers the protocol-v4
+    /// sealing/compaction stopped until recovery). Answers
     /// [`crate::proto::Frame::HealthRequest`]. Static backends are always
     /// healthy.
     fn health(&self) -> Option<String> {
@@ -122,8 +116,12 @@ pub trait QueryBackend: Send + Sync {
 }
 
 impl QueryBackend for QueryService {
-    fn query_requests(&self, requests: &[QueryRequest]) -> Vec<Result<QueryResponse, Error>> {
-        QueryService::query_requests(self, requests)
+    fn answer(
+        &self,
+        requests: &[QueryRequest],
+        parents: &[Option<TraceContext>],
+    ) -> Vec<(Result<QueryResponse, Error>, Option<TraceSummary>)> {
+        self.query_requests_traced(requests, parents)
     }
 
     fn num_docs(&self) -> usize {
@@ -146,22 +144,18 @@ impl QueryBackend for QueryService {
             .collect()
     }
 
-    fn query_requests_traced(
-        &self,
-        requests: &[QueryRequest],
-        parents: &[Option<ustr_obs::TraceContext>],
-    ) -> Vec<(Result<QueryResponse, Error>, Option<TraceSummary>)> {
-        QueryService::query_requests_traced(self, requests, parents)
-    }
-
     fn tracer(&self) -> Option<Arc<Tracer>> {
         Some(Arc::clone(QueryService::tracer(self)))
     }
 }
 
 impl QueryBackend for ustr_live::LiveService {
-    fn query_requests(&self, requests: &[QueryRequest]) -> Vec<Result<QueryResponse, Error>> {
-        ustr_live::LiveService::query_requests(self, requests)
+    fn answer(
+        &self,
+        requests: &[QueryRequest],
+        parents: &[Option<TraceContext>],
+    ) -> Vec<(Result<QueryResponse, Error>, Option<TraceSummary>)> {
+        self.query_requests_traced(requests, parents)
     }
 
     fn num_docs(&self) -> usize {
@@ -182,14 +176,6 @@ impl QueryBackend for ustr_live::LiveService {
             .iter()
             .map(|e| e.render())
             .collect()
-    }
-
-    fn query_requests_traced(
-        &self,
-        requests: &[QueryRequest],
-        parents: &[Option<ustr_obs::TraceContext>],
-    ) -> Vec<(Result<QueryResponse, Error>, Option<TraceSummary>)> {
-        ustr_live::LiveService::query_requests_traced(self, requests, parents)
     }
 
     fn tracer(&self) -> Option<Arc<Tracer>> {
@@ -477,13 +463,6 @@ impl NetServer {
         self.shared.loop_stats.snapshot()
     }
 
-    /// The exact text a [`crate::proto::Frame::StatsRequest`] on this server is answered
-    /// with: server + backend telemetry in the exposition format, followed
-    /// by any slow-query lines.
-    pub fn stats_text(&self) -> String {
-        stats_text(&self.shared)
-    }
-
     /// An owning snapshot source (server + backend metrics merged, plus
     /// the `net.loop.*` event-loop counters) for wiring into an exposition
     /// endpoint that must outlive any borrow of the server — e.g.
@@ -590,14 +569,19 @@ impl Drop for NetServer {
 /// How many slow-query lines a `Stats` answer carries at most.
 const STATS_SLOW_QUERIES: usize = 8;
 
-/// Renders the `Stats` answer: server + backend telemetry merged into one
-/// exposition-format snapshot, then slow-query lines as comments. Every
-/// source is instance-scoped and the stats path itself counts nothing, so
-/// equal state renders to equal bytes. (The `net.loop.*` counters stay out
-/// for the same reason: a TCP scrape is itself readiness events.)
-pub(crate) fn stats_text(shared: &Shared) -> String {
+/// Renders a `StatsRequest` answer: server + backend telemetry merged into
+/// one snapshot, as JSON or as exposition text followed by slow-query lines
+/// as comments (a text-exposition affordance that stays out of the JSON).
+/// Every source is instance-scoped and the stats path itself counts
+/// nothing, so equal state renders to equal bytes. (The `net.loop.*`
+/// counters stay out for the same reason: a TCP scrape is itself readiness
+/// events.)
+pub(crate) fn stats_answer(shared: &Shared, format: StatsFormat) -> String {
     let mut snap = shared.metrics.registry.snapshot();
     snap.merge(&shared.backend.metrics_snapshot());
+    if format == StatsFormat::Json {
+        return snap.render_json();
+    }
     let mut text = snap.render_text();
     let slow = shared.backend.slow_queries(STATS_SLOW_QUERIES);
     if !slow.is_empty() {
@@ -609,15 +593,6 @@ pub(crate) fn stats_text(shared: &Shared) -> String {
         }
     }
     text
-}
-
-/// Renders the `StatsJson` answer: the same merged server + backend
-/// snapshot as [`stats_text`], in the machine-readable JSON rendering
-/// (slow-query lines are a text-exposition affordance and stay out).
-pub(crate) fn stats_json(shared: &Shared) -> String {
-    let mut snap = shared.metrics.registry.snapshot();
-    snap.merge(&shared.backend.metrics_snapshot());
-    snap.render_json()
 }
 
 /// Renders the backend's finished traces as Chrome `trace_event` JSON.

@@ -45,10 +45,12 @@ fn assert_byte_identical(remote: &QueryResponse, local: &QueryResponse, what: &s
     let r = encode_frame(&Frame::Response {
         id: 0,
         result: Ok(remote.clone()),
+        timings: Vec::new(),
     });
     let l = encode_frame(&Frame::Response {
         id: 0,
         result: Ok(local.clone()),
+        timings: Vec::new(),
     });
     assert_eq!(r, l, "{what}: TCP answer is not byte-identical");
 }
@@ -57,7 +59,11 @@ fn assert_byte_identical(remote: &QueryResponse, local: &QueryResponse, what: &s
 /// full mixed-mode batches against the in-process reference answers.
 fn assert_clients_match(addr: std::net::SocketAddr, reference: &dyn QueryBackend, rounds: usize) {
     let batch = mixed_batch();
-    let local = reference.query_requests(&batch);
+    let local: Vec<_> = reference
+        .answer(&batch, &[])
+        .into_iter()
+        .map(|(result, _)| result)
+        .collect();
     std::thread::scope(|scope| {
         for conn in 0..CONNS {
             let batch = &batch;

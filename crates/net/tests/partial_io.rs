@@ -13,7 +13,7 @@ use std::time::{Duration, Instant};
 use ustr_net::proto::{
     err_code, frame_bytes, read_message, Frame, DEFAULT_MAX_FRAME_LEN, NET_MAGIC, PROTOCOL_VERSION,
 };
-use ustr_net::{NetClient, NetServer, QueryBackend, QueryRequest, ServerConfig};
+use ustr_net::{NetClient, NetServer, QueryBackend, QueryRequest, ServerConfig, WireTraceContext};
 use ustr_service::{QueryService, ServiceConfig};
 use ustr_workload::{generate_collection, DatasetConfig};
 
@@ -50,7 +50,8 @@ fn ordered_server() -> (NetServer, Arc<QueryService>) {
     })
 }
 
-/// Hello + each request (ids 0..) + Goodbye, as raw wire bytes.
+/// Hello + each request (ids 0..) + Goodbye, as raw wire bytes. Even ids
+/// carry a trace context, odd ids none, so both request shapes get split.
 fn session_bytes(requests: &[QueryRequest]) -> Vec<u8> {
     let mut out = frame_bytes(&Frame::Hello {
         magic: NET_MAGIC,
@@ -60,6 +61,12 @@ fn session_bytes(requests: &[QueryRequest]) -> Vec<u8> {
         out.extend_from_slice(&frame_bytes(&Frame::Request {
             id: id as u64,
             request: request.clone(),
+            trace: (id % 2 == 0).then_some(WireTraceContext {
+                trace_hi: 7,
+                trace_lo: id as u64,
+                parent_span: 3,
+                sampled: false,
+            }),
         }));
     }
     out.extend_from_slice(&frame_bytes(&Frame::Goodbye));
@@ -189,6 +196,7 @@ fn malformed_frames_yield_one_clean_error_frame() {
     let mut request = frame_bytes(&Frame::Request {
         id: 7,
         request: sample_requests()[0].clone(),
+        trace: None,
     });
     let last = request.len() - 1;
     request[last] ^= 0xff;

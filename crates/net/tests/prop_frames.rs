@@ -14,7 +14,7 @@ use proptest::prelude::*;
 use ustr_net::proto::{
     self, err_code, frame_bytes, Frame, DEFAULT_MAX_FRAME_LEN, NET_MAGIC, PROTOCOL_VERSION,
 };
-use ustr_net::{NetClient, NetServer, QueryRequest, ServerConfig};
+use ustr_net::{NetClient, NetServer, QueryRequest, ServerConfig, WireTraceContext};
 use ustr_service::{QueryService, ServiceConfig};
 use ustr_uncertain::UncertainString;
 
@@ -141,8 +141,9 @@ fn assert_server_healthy() {
     assert!(answers[0].is_ok(), "healthy client must get an answer");
 }
 
-/// A well-formed session prefix: handshake plus `n` valid requests.
-fn valid_session_bytes(n: usize) -> Vec<u8> {
+/// A well-formed session prefix: handshake plus `n` valid requests, each
+/// carrying a trace context when `traced`.
+fn valid_session_bytes(n: usize, traced: bool) -> Vec<u8> {
     let mut bytes = frame_bytes(&Frame::Hello {
         magic: NET_MAGIC,
         version: PROTOCOL_VERSION,
@@ -154,6 +155,12 @@ fn valid_session_bytes(n: usize) -> Vec<u8> {
                 pattern: b"AB".to_vec(),
                 tau: 0.3,
             },
+            trace: traced.then_some(WireTraceContext {
+                trace_hi: 1,
+                trace_lo: id,
+                parent_span: 9,
+                sampled: true,
+            }),
         }));
     }
     bytes
@@ -179,9 +186,10 @@ proptest! {
     #[test]
     fn truncated_sessions_never_yield_partial_answers(
         nreq in 1usize..4,
+        traced in any::<bool>(),
         cut_seed in 0usize..10_000,
     ) {
-        let bytes = valid_session_bytes(nreq);
+        let bytes = valid_session_bytes(nreq, traced);
         let cut = cut_seed % (bytes.len() + 1);
         let frames = raw_session(&bytes[..cut]);
         assert_legal_replies(&frames);
@@ -212,10 +220,11 @@ proptest! {
     #[test]
     fn corrupted_sessions_fail_cleanly(
         nreq in 1usize..4,
+        traced in any::<bool>(),
         flip_seed in 0usize..10_000,
         mask in 1u8..255,
     ) {
-        let mut bytes = valid_session_bytes(nreq);
+        let mut bytes = valid_session_bytes(nreq, traced);
         let at = flip_seed % bytes.len();
         bytes[at] ^= mask;
         let frames = raw_session(&bytes);
@@ -273,7 +282,7 @@ fn wrong_magic_is_a_bad_handshake() {
 fn out_of_state_frames_mid_session_are_fatal_but_answered() {
     // Handshake, one valid request, then a HelloAck (a frame only servers
     // send): the request is answered, the stray frame is a clean error.
-    let mut bytes = valid_session_bytes(1);
+    let mut bytes = valid_session_bytes(1, false);
     bytes.extend_from_slice(&frame_bytes(&Frame::HelloAck {
         version: PROTOCOL_VERSION,
         num_docs: 0,

@@ -3,8 +3,12 @@
 //! The indexes of Thankachan et al. (EDBT 2016) retrieve occurrences in
 //! decreasing probability order by iterating *range maximum queries* over
 //! per-pattern-length probability arrays (the paper's Lemma 1 cites the
-//! Fischer–Heun 2n+o(n)-bit structure). This crate provides the practical
-//! equivalents used throughout the workspace:
+//! Fischer–Heun 2n+o(n)-bit structure). The workspace does not implement
+//! that succinct design: [`SampledRmq`] stands in for it wherever the value
+//! array is discarded after construction (the per-length level arrays), and
+//! [`BlockRmq`] where the values stay resident (suffix tree, approx index).
+//! Both keep the O(1)-query, O(n)-space bounds Lemma 1 needs, in words
+//! rather than bits. This crate provides:
 //!
 //! * [`SparseTable`] — classic O(n log n)-word, O(1)-query table; used for
 //!   LCP/LCA queries and as the top level of the hybrid structures.
@@ -15,10 +19,6 @@
 //!   champion indices (the underlying value array can be *discarded*, exactly
 //!   as the paper discards the `C_i` arrays after building `RMQ_i`); partial
 //!   blocks are rescanned through the accessor.
-//! * [`FischerHeunRmq`] — the succinct design Lemma 1 actually cites:
-//!   16-bit Cartesian-tree signatures per 8-element block with shared
-//!   in-block answer tables; ~2.5 bytes/element, O(1) queries, values
-//!   consulted only for the final candidate comparison.
 //! * [`ThresholdReporter`] — the recursive "report everything above τ in
 //!   decreasing order" driver shared by every index (Algorithm 2/4 in the
 //!   paper).
@@ -30,13 +30,11 @@
 #![forbid(unsafe_code)]
 
 mod block;
-mod fischer_heun;
 mod reporter;
 mod sampled;
 mod sparse;
 
 pub use block::BlockRmq;
-pub use fischer_heun::FischerHeunRmq;
 pub use reporter::{report_above, ThresholdReporter};
 pub use sampled::SampledRmq;
 pub use sparse::SparseTable;

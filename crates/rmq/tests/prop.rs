@@ -2,7 +2,7 @@
 //! leftmost tie-breaking, reporter completeness, and block-size robustness.
 
 use proptest::prelude::*;
-use ustr_rmq::{report_above, BlockRmq, Direction, FischerHeunRmq, Rmq, SampledRmq, SparseTable};
+use ustr_rmq::{report_above, BlockRmq, Direction, Rmq, SampledRmq, SparseTable};
 
 fn scan(values: &[f64], l: usize, r: usize, dir: Direction) -> usize {
     let mut best = l;
@@ -30,7 +30,6 @@ proptest! {
         let sparse = SparseTable::new(&values, dir);
         let block = BlockRmq::new(&values, dir);
         let at = |i: usize| values[i];
-        let fh = FischerHeunRmq::new(n, dir, &at);
         for bs in [1usize, 3, 64] {
             let sampled = SampledRmq::with_block_size(n, bs, dir, &at);
             for &(a, b) in &ranges {
@@ -39,7 +38,6 @@ proptest! {
                 prop_assert_eq!(sparse.query(l, r), expected);
                 prop_assert_eq!(block.query(l, r), expected);
                 prop_assert_eq!(sampled.query_with(l, r, &at), expected);
-                prop_assert_eq!(fh.query_with(l, r, &at), expected);
             }
         }
     }

@@ -6,7 +6,7 @@
 //! mutable `ustr-live` service hands it a point-in-time snapshot of sealed
 //! segments plus the memtable. Both get the same guarantees: parallel
 //! answers identical to sequential evaluation, duplicate requests computed
-//! once, and per-mode LRU caching keyed on quantized thresholds.
+//! once, and per-mode LRU caching keyed on the exact threshold.
 
 use std::collections::HashMap;
 use std::sync::mpsc::channel;
@@ -26,27 +26,19 @@ use crate::exec::{merge_partials, Segment, ShardPartial};
 use crate::{LruCache, QueryRequest, QueryResponse, ThreadPool};
 
 /// τ values closer than this are treated as the same threshold by request
-/// validation (see [`validate_request`]), and are therefore quantized onto
-/// one cache key: two requests whose τs round to the same multiple of
-/// `TAU_TOLERANCE` share a cache entry.
+/// validation against the serving floor (see [`validate_request`]).
 pub const TAU_TOLERANCE: f64 = canon::TAU_TOLERANCE;
 
-/// Quantizes τ onto the `TAU_TOLERANCE` lattice for cache keying. Only
-/// called on validated thresholds (finite, in `(0, 1]`), so the cast is
-/// always in range.
-fn quantize_tau(tau: f64) -> i64 {
-    (tau / TAU_TOLERANCE).round() as i64
-}
-
 /// Per-mode request key. The mode tag keeps e.g. `Threshold("AB", τ)` and
-/// `Approx("AB", τ)` in distinct entries; τ is pre-quantized (see
-/// [`TAU_TOLERANCE`]).
+/// `Approx("AB", τ)` in distinct entries. τ is keyed by its bit pattern:
+/// an occurrence is admitted iff `p ≥ τ − PROB_EPS`, so any two distinct τ
+/// can straddle some occurrence's boundary and must never share an answer.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 enum RequestKey {
-    Threshold(Vec<u8>, i64),
+    Threshold(Vec<u8>, u64),
     TopK(Vec<u8>, usize),
-    Listing(Vec<u8>, i64),
-    Approx(Vec<u8>, i64),
+    Listing(Vec<u8>, u64),
+    Approx(Vec<u8>, u64),
 }
 
 /// Full cache key: the request key plus the [`SegmentSet::cache_epoch`]
@@ -63,15 +55,13 @@ struct CacheKey {
 fn request_key(req: &QueryRequest, epoch: u64) -> CacheKey {
     let request = match req {
         QueryRequest::Threshold { pattern, tau } => {
-            RequestKey::Threshold(pattern.clone(), quantize_tau(*tau))
+            RequestKey::Threshold(pattern.clone(), tau.to_bits())
         }
         QueryRequest::TopK { pattern, k } => RequestKey::TopK(pattern.clone(), *k),
         QueryRequest::Listing { pattern, tau } => {
-            RequestKey::Listing(pattern.clone(), quantize_tau(*tau))
+            RequestKey::Listing(pattern.clone(), tau.to_bits())
         }
-        QueryRequest::Approx { pattern, tau } => {
-            RequestKey::Approx(pattern.clone(), quantize_tau(*tau))
-        }
+        QueryRequest::Approx { pattern, tau } => RequestKey::Approx(pattern.clone(), tau.to_bits()),
     };
     CacheKey { epoch, request }
 }

@@ -23,9 +23,8 @@
 //! * **LRU result cache** — hot requests are served from an [`LruCache`]
 //!   without touching the indexes. Cache keys are per-mode: a `Threshold`
 //!   and an `Approx` request for the same `(pattern, τ)` occupy distinct
-//!   entries, and τ is quantized to the validation tolerance (see
-//!   [`TAU_TOLERANCE`]) so thresholds the service treats as equal share one
-//!   entry.
+//!   entries, and τ is keyed by its exact bit pattern, so a cached answer
+//!   is only ever served for the very threshold it was computed at.
 //!
 //! # Persistence
 //!
@@ -36,13 +35,7 @@
 //! plus one substring-index section — and, when the service was built with
 //! [`ServiceConfig::epsilon`], one approx-index section — per document.
 //! Loading memory-plans shards from the manifest's per-document sizes.
-//!
-//! The older one-file-per-document directory layout
-//! ([`QueryService::save_dir`] / [`QueryService::load_dir`]) is
-//! **superseded for new code** by collection snapshots (and, for mutable
-//! collections, `ustr-live` directories): it cannot carry approx indexes,
-//! and a collection can only be moved or checksummed as a unit with the
-//! single-file format. It remains supported for existing data.
+//! Mutable collections persist as `ustr-live` directories instead.
 //!
 //! # Architecture
 //!
@@ -92,11 +85,11 @@ pub mod exec;
 mod pool;
 pub mod sync;
 
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::Arc;
 
 use ustr_core::{ApproxIndex, Error, Index};
-use ustr_store::{collection, CollectionSection, Snapshot, SnapshotKind, StoreError};
+use ustr_store::{collection, CollectionSection, RealIo, Snapshot, SnapshotKind, StoreError};
 use ustr_uncertain::UncertainString;
 
 pub use cache::LruCache;
@@ -215,40 +208,16 @@ pub enum QueryResponse {
     Approx(SharedHits),
 }
 
-/// A batch query: the pattern and its probability threshold τ (the legacy
-/// threshold-only batch shape; see [`QueryRequest`] for the typed form).
-pub type BatchQuery = (Vec<u8>, f64);
-
 /// Shared, immutable results (cache entries hand out clones of the `Arc`).
 pub type SharedHits = Arc<Vec<DocHits>>;
 
-/// Errors from assembling a service out of snapshot files.
+/// Errors from saving or loading a service's collection snapshot.
 #[derive(Debug)]
 pub enum ServiceError {
     /// Index construction failed.
     Index(Error),
-    /// A snapshot failed to load.
+    /// A snapshot failed to save or load.
     Store(StoreError),
-    /// Directory walking failed.
-    Io(std::io::Error),
-    /// The index directory holds no snapshots.
-    NoSnapshots,
-    /// A `.idx` file in the directory is not named `doc_<id>.idx`.
-    BadSnapshotName {
-        /// The offending file name.
-        name: String,
-    },
-    /// Two snapshot files name the same document id (e.g. `doc_1.idx` and
-    /// `doc_01.idx`).
-    DuplicateDocId {
-        /// The id claimed twice.
-        id: usize,
-    },
-    /// Document ids are not contiguous from 0 (a snapshot is missing).
-    MissingDocId {
-        /// The first id with no snapshot.
-        id: usize,
-    },
 }
 
 impl std::fmt::Display for ServiceError {
@@ -256,20 +225,6 @@ impl std::fmt::Display for ServiceError {
         match self {
             ServiceError::Index(e) => write!(f, "index error: {e}"),
             ServiceError::Store(e) => write!(f, "snapshot error: {e}"),
-            ServiceError::Io(e) => write!(f, "I/O error: {e}"),
-            ServiceError::NoSnapshots => write!(f, "no .idx snapshots found in directory"),
-            ServiceError::BadSnapshotName { name } => {
-                write!(f, "snapshot file {name:?} is not named doc_<id>.idx")
-            }
-            ServiceError::DuplicateDocId { id } => {
-                write!(f, "two snapshot files claim document id {id}")
-            }
-            ServiceError::MissingDocId { id } => {
-                write!(
-                    f,
-                    "no snapshot for document id {id} (ids must be contiguous from 0)"
-                )
-            }
         }
     }
 }
@@ -285,12 +240,6 @@ impl From<Error> for ServiceError {
 impl From<StoreError> for ServiceError {
     fn from(e: StoreError) -> Self {
         ServiceError::Store(e)
-    }
-}
-
-impl From<std::io::Error> for ServiceError {
-    fn from(e: std::io::Error) -> Self {
-        ServiceError::Io(e)
     }
 }
 
@@ -327,22 +276,10 @@ fn plan_shards(weights: &[usize], num_shards: usize) -> Vec<usize> {
     sizes
 }
 
-/// Parses the document id out of a `doc_<id>.idx` file name; `None` for any
-/// other shape (including non-numeric or overflowing ids).
-fn doc_id_from_name(name: &str) -> Option<usize> {
-    let digits = name.strip_prefix("doc_")?.strip_suffix(".idx")?;
-    if digits.is_empty() || !digits.bytes().all(|b| b.is_ascii_digit()) {
-        return None;
-    }
-    digits.parse().ok()
-}
-
 /// A document-sharded, thread-pooled, result-cached query engine.
 ///
-/// Built from a collection ([`QueryService::build`]), pre-built indexes
-/// ([`QueryService::from_indexes`]), a single-file collection snapshot
-/// ([`QueryService::load_collection`]), or a directory of per-document
-/// snapshots ([`QueryService::load_dir`], deprecated path).
+/// Built from a collection ([`QueryService::build`]) or a single-file
+/// collection snapshot ([`QueryService::load_collection`]).
 pub struct QueryService {
     shards: Vec<Arc<Segment>>,
     engine: Engine,
@@ -389,24 +326,6 @@ impl QueryService {
         Ok(Self::assemble(indexes, None, shards, &config))
     }
 
-    /// Assembles a service from pre-built (or snapshot-loaded) indexes.
-    /// Document ids follow the input order. The service's threshold floor is
-    /// the largest `τmin` among the indexes.
-    pub fn from_indexes(indexes: Vec<Index>, config: ServiceConfig) -> Self {
-        let docs = indexes
-            .into_iter()
-            .map(|index| DocExecutor::Built {
-                index,
-                approx: None,
-            })
-            .collect();
-        let shards = match config.shards {
-            0 => config.effective_threads(),
-            n => n,
-        };
-        Self::assemble(docs, None, shards, &config)
-    }
-
     /// Shards `docs` (by `weights` when given, uniformly otherwise) and
     /// wires up the dispatch engine.
     fn assemble(
@@ -443,79 +362,6 @@ impl QueryService {
             tau_min,
             num_docs,
         }
-    }
-
-    /// Loads every `doc_<id>.idx` snapshot in `dir` and assembles a service;
-    /// document ids come from the *parsed numeric id*, not the sort order of
-    /// the file names, so unpadded ids (`doc_10.idx` next to `doc_2.idx`)
-    /// load correctly. Any other `.idx` name, a duplicated id, or a gap in
-    /// the ids is an error.
-    ///
-    /// This directory layout is the deprecated persistence path — it cannot
-    /// carry approx indexes; prefer [`QueryService::load_collection`].
-    pub fn load_dir(dir: impl AsRef<Path>, config: ServiceConfig) -> Result<Self, ServiceError> {
-        let mut entries: Vec<(usize, PathBuf)> = Vec::new();
-        for entry in std::fs::read_dir(dir)? {
-            let path = entry?.path();
-            if path.extension().is_none_or(|ext| ext != "idx") {
-                continue;
-            }
-            let name = path
-                .file_name()
-                .and_then(|n| n.to_str())
-                .unwrap_or_default()
-                .to_string();
-            match doc_id_from_name(&name) {
-                Some(id) => entries.push((id, path)),
-                None => return Err(ServiceError::BadSnapshotName { name }),
-            }
-        }
-        if entries.is_empty() {
-            return Err(ServiceError::NoSnapshots);
-        }
-        entries.sort_by_key(|&(id, _)| id);
-        for (expected, &(id, _)) in entries.iter().enumerate() {
-            if id == expected {
-                continue;
-            }
-            return Err(
-                if entries.iter().take(expected).any(|&(prev, _)| prev == id) {
-                    ServiceError::DuplicateDocId { id }
-                } else {
-                    ServiceError::MissingDocId { id: expected }
-                },
-            );
-        }
-        let indexes = entries
-            .iter()
-            .map(|(_, path)| Index::load(path))
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(Self::from_indexes(indexes, config))
-    }
-
-    /// Saves one snapshot per document into `dir` as `doc_<id>.idx`
-    /// (zero-padded; [`QueryService::load_dir`] parses the numeric id back).
-    ///
-    /// This directory layout is the deprecated persistence path — approx
-    /// indexes are **not** saved; prefer [`QueryService::save_collection`].
-    pub fn save_dir(&self, dir: impl AsRef<Path>) -> Result<(), ServiceError> {
-        let dir = dir.as_ref();
-        std::fs::create_dir_all(dir)?;
-        for shard in &self.shards {
-            for (doc, d) in &shard.docs {
-                let path = dir.join(format!("doc_{doc:08}.idx"));
-                match d.as_ref() {
-                    DocExecutor::Built { index, .. } => index.save(path)?,
-                    // Persistence always writes real index snapshots; a
-                    // scan-served document is indexed on the way out.
-                    DocExecutor::Scanned(scan) => {
-                        Index::build(scan.source(), ustr_core::QueryExecutor::tau_min(scan))?
-                            .save(path)?
-                    }
-                }
-            }
-        }
-        Ok(())
     }
 
     /// Saves the whole collection as one file: a manifest (doc count, shard
@@ -555,7 +401,13 @@ impl QueryService {
                 }
             }
         }
-        collection::save_collection_file(path, self.num_docs, self.num_shards(), &sections)?;
+        collection::save_collection_file(
+            &RealIo,
+            path,
+            self.num_docs,
+            self.num_shards(),
+            &sections,
+        )?;
         Ok(())
     }
 
@@ -569,7 +421,7 @@ impl QueryService {
         path: impl AsRef<Path>,
         config: ServiceConfig,
     ) -> Result<Self, ServiceError> {
-        let coll = collection::load_collection_file(path)?;
+        let coll = collection::load_collection_file(&RealIo, path)?;
         let corrupt = |detail: String| ServiceError::Store(StoreError::Corrupt { detail });
         let n = coll.num_docs;
         let mut index_bytes: Vec<Option<Vec<u8>>> = (0..n).map(|_| None).collect();
@@ -780,53 +632,6 @@ impl QueryService {
     ) -> Vec<Result<QueryResponse, Error>> {
         self.engine.run_sequential(self, requests)
     }
-
-    /// Answers a legacy threshold-only batch (see [`QueryRequest`] /
-    /// [`QueryService::query_requests`] for mixed-mode batches). Results are
-    /// positionally aligned with `queries` and identical to
-    /// [`QueryService::query_batch_sequential`].
-    pub fn query_batch(&self, queries: &[BatchQuery]) -> Vec<Result<SharedHits, Error>> {
-        let requests: Vec<QueryRequest> = queries
-            .iter()
-            .map(|(pattern, tau)| QueryRequest::Threshold {
-                pattern: pattern.clone(),
-                tau: *tau,
-            })
-            .collect();
-        self.query_requests(&requests)
-            .into_iter()
-            .map(|r| {
-                r.and_then(|resp| match resp {
-                    QueryResponse::Threshold(shared) => Ok(shared),
-                    _ => Err(Error::internal(
-                        "threshold request produced a mismatched response kind",
-                    )),
-                })
-            })
-            .collect()
-    }
-
-    /// Sequential reference for [`QueryService::query_batch`].
-    pub fn query_batch_sequential(&self, queries: &[BatchQuery]) -> Vec<Result<SharedHits, Error>> {
-        let requests: Vec<QueryRequest> = queries
-            .iter()
-            .map(|(pattern, tau)| QueryRequest::Threshold {
-                pattern: pattern.clone(),
-                tau: *tau,
-            })
-            .collect();
-        self.query_requests_sequential(&requests)
-            .into_iter()
-            .map(|r| {
-                r.and_then(|resp| match resp {
-                    QueryResponse::Threshold(shared) => Ok(shared),
-                    _ => Err(Error::internal(
-                        "threshold request produced a mismatched response kind",
-                    )),
-                })
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -903,28 +708,6 @@ mod tests {
             d3.hits.iter().map(|&(p, _)| p).collect::<Vec<_>>(),
             vec![0, 2, 4]
         );
-    }
-
-    #[test]
-    fn parallel_batches_equal_sequential() {
-        let docs = collection();
-        let parallel = QueryService::build(&docs, 0.05, config(4, 3, 0)).unwrap();
-        let sequential = QueryService::build(&docs, 0.05, config(1, 1, 0)).unwrap();
-        let batch: Vec<BatchQuery> = vec![
-            (b"AB".to_vec(), 0.3),
-            (b"B".to_vec(), 0.5),
-            (b"C".to_vec(), 0.9),
-            (b"ZZ".to_vec(), 0.1),
-            (b"A".to_vec(), 0.05),
-        ];
-        let a = parallel.query_batch(&batch);
-        let b = parallel.query_batch_sequential(&batch);
-        let c = sequential.query_batch(&batch);
-        for ((x, y), z) in a.iter().zip(b.iter()).zip(c.iter()) {
-            let x = x.as_ref().unwrap();
-            assert_eq!(x.as_ref(), y.as_ref().unwrap().as_ref());
-            assert_eq!(x.as_ref(), z.as_ref().unwrap().as_ref());
-        }
     }
 
     #[test]
@@ -1162,16 +945,14 @@ mod tests {
     }
 
     #[test]
-    fn cache_key_quantizes_tau_to_validation_tolerance() {
+    fn cache_keys_tau_exactly_and_never_shares_entries_across_modes() {
         let service = QueryService::build(&collection(), 0.05, config(2, 2, 8)).unwrap();
         let a = service.query(b"AB", 0.3).unwrap();
         assert_eq!(service.cache_stats(), (0, 1));
-        // τ within the validation tolerance: same entry, served from cache.
-        let b = service.query(b"AB", 0.3 + 2e-13).unwrap();
-        assert_eq!(service.cache_stats(), (1, 1), "quantized τ must hit");
-        assert_eq!(a, b);
-        // τ a full lattice step away: distinct entry.
-        let _ = service.query(b"AB", 0.3 + 1e-11).unwrap();
+        // The same τ bit pattern hits; a neighbouring τ is its own entry.
+        assert_eq!(service.query(b"AB", 0.3).unwrap(), a);
+        assert_eq!(service.cache_stats(), (1, 1));
+        let _ = service.query(b"AB", 0.3 + 2e-13).unwrap();
         assert_eq!(service.cache_stats(), (1, 2));
         // Modes never share entries, even for identical (pattern, τ).
         let _ = service.query_approx(b"AB", 0.3).unwrap();
@@ -1181,16 +962,70 @@ mod tests {
     }
 
     #[test]
+    fn cached_answers_equal_uncached_across_an_occurrence_boundary() {
+        // Document 2's best "AB" occurrence has p = 0.7, so the document
+        // drops out of every τ-mode answer just above τ = 0.7 + PROB_EPS.
+        // Bisect to the two τ (1e-14 apart — far inside one cell of the old
+        // 1e-12 cache lattice) on either side of that flip: a cache that
+        // treats them as one key serves one's answer for the other.
+        let docs = collection();
+        let uncached = QueryService::build(&docs, 0.05, config(1, 1, 0)).unwrap();
+        let modes: [fn(Vec<u8>, f64) -> QueryRequest; 3] = [
+            |pattern, tau| QueryRequest::Threshold { pattern, tau },
+            |pattern, tau| QueryRequest::Listing { pattern, tau },
+            |pattern, tau| QueryRequest::Approx { pattern, tau },
+        ];
+        for mode in modes {
+            let answer = |service: &QueryService, tau: f64| {
+                service
+                    .query_requests(&[mode(b"AB".to_vec(), tau)])
+                    .remove(0)
+                    .unwrap()
+            };
+            let lists_doc_2 = |tau: f64| match answer(&uncached, tau) {
+                QueryResponse::Threshold(hits) | QueryResponse::Approx(hits) => {
+                    hits.iter().any(|d| d.doc == 2)
+                }
+                QueryResponse::Listing(listed) => listed.iter().any(|h| h.doc == 2),
+                QueryResponse::TopK(_) => unreachable!("no top-k mode in this test"),
+            };
+            let (mut below, mut above) = (0.7, 0.7 + 1e-6);
+            assert!(lists_doc_2(below) && !lists_doc_2(above));
+            while above - below > 1e-14 {
+                let mid = below + (above - below) / 2.0;
+                if lists_doc_2(mid) {
+                    below = mid;
+                } else {
+                    above = mid;
+                }
+            }
+            for order in [[below, above], [above, below]] {
+                let cached = QueryService::build(&docs, 0.05, config(1, 1, 16)).unwrap();
+                for tau in order {
+                    assert_eq!(
+                        answer(&cached, tau),
+                        answer(&uncached, tau),
+                        "cache-on != cache-off at tau = {tau:e}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
     fn validation_errors_are_per_query() {
         let service = QueryService::build(&collection(), 0.1, config(2, 2, 4)).unwrap();
-        let batch: Vec<BatchQuery> = vec![
-            (b"".to_vec(), 0.3),
-            (b"AB".to_vec(), 0.05), // below tau_min
-            (b"AB".to_vec(), 0.3),
-            (b"A\0B".to_vec(), 0.3),
-            (b"AB".to_vec(), 1.5),
-        ];
-        let results = service.query_batch(&batch);
+        let threshold = |pattern: &[u8], tau| QueryRequest::Threshold {
+            pattern: pattern.to_vec(),
+            tau,
+        };
+        let results = service.query_requests(&[
+            threshold(b"", 0.3),
+            threshold(b"AB", 0.05), // below tau_min
+            threshold(b"AB", 0.3),
+            threshold(b"A\0B", 0.3),
+            threshold(b"AB", 1.5),
+        ]);
         assert!(matches!(results[0], Err(Error::EmptyPattern)));
         assert!(matches!(
             results[1],
@@ -1220,27 +1055,29 @@ mod tests {
     #[test]
     fn duplicate_queries_in_a_batch_compute_once() {
         let service = QueryService::build(&collection(), 0.05, config(2, 2, 16)).unwrap();
-        let batch: Vec<BatchQuery> = vec![
-            (b"AB".to_vec(), 0.3),
-            (b"AB".to_vec(), 0.3),
-            (b"AB".to_vec(), 0.3),
-            (b"B".to_vec(), 0.5),
+        let threshold = |pattern: &[u8], tau| QueryRequest::Threshold {
+            pattern: pattern.to_vec(),
+            tau,
+        };
+        let batch = [
+            threshold(b"AB", 0.3),
+            threshold(b"AB", 0.3),
+            threshold(b"AB", 0.3),
+            threshold(b"B", 0.5),
         ];
-        let results = service.query_batch(&batch);
+        let results = service.query_requests(&batch);
+        let shared = |i: usize| match results[i].as_ref().unwrap() {
+            QueryResponse::Threshold(hits) => hits,
+            other => panic!("mode preserved, got {other:?}"),
+        };
         // Followers share the leader's allocation, not a recomputation.
-        assert!(Arc::ptr_eq(
-            results[0].as_ref().unwrap(),
-            results[1].as_ref().unwrap()
-        ));
-        assert!(Arc::ptr_eq(
-            results[0].as_ref().unwrap(),
-            results[2].as_ref().unwrap()
-        ));
+        assert!(Arc::ptr_eq(shared(0), shared(1)));
+        assert!(Arc::ptr_eq(shared(0), shared(2)));
         // And duplicates still agree with sequential evaluation (served from
         // the now-warm cache).
-        let seq = service.query_batch_sequential(&batch);
+        let seq = service.query_requests_sequential(&batch);
         for (a, b) in results.iter().zip(seq.iter()) {
-            assert_eq!(a.as_ref().unwrap().as_ref(), b.as_ref().unwrap().as_ref());
+            assert_eq!(a.as_ref().unwrap(), b.as_ref().unwrap());
         }
         let (hits, _) = service.cache_stats();
         assert_eq!(hits, 4, "sequential pass is fully cache-served");
@@ -1290,105 +1127,6 @@ mod tests {
                 assert_eq!(sizes.len(), shards.min(n));
             }
         }
-    }
-
-    #[test]
-    fn save_dir_load_dir_round_trips() {
-        let docs = collection();
-        let built = QueryService::build(&docs, 0.05, config(2, 3, 0)).unwrap();
-        let dir = std::env::temp_dir().join("ustr_service_round_trip");
-        let _ = std::fs::remove_dir_all(&dir);
-        built.save_dir(&dir).unwrap();
-        let loaded = QueryService::load_dir(&dir, config(4, 2, 0)).unwrap();
-        assert_eq!(loaded.num_docs(), docs.len());
-        let batch: Vec<BatchQuery> = vec![
-            (b"AB".to_vec(), 0.3),
-            (b"C".to_vec(), 0.8),
-            (b"B".to_vec(), 0.1),
-        ];
-        let a = built.query_batch(&batch);
-        let b = loaded.query_batch(&batch);
-        for (x, y) in a.iter().zip(b.iter()) {
-            assert_eq!(x.as_ref().unwrap().as_ref(), y.as_ref().unwrap().as_ref());
-        }
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn load_dir_parses_numeric_ids_from_unpadded_names() {
-        // Hand-named, unpadded snapshots: lexicographic order (doc_10 <
-        // doc_2) must NOT permute ids.
-        let docs: Vec<UncertainString> = (0..11)
-            .map(|i| {
-                UncertainString::parse(&format!("A:.{}{},B:.{}{} | B", 9 - i % 9, 0, i % 9, 9))
-                    .unwrap_or_else(|_| UncertainString::deterministic(b"AB"))
-            })
-            .collect();
-        let dir = std::env::temp_dir().join("ustr_service_unpadded");
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        for (i, d) in docs.iter().enumerate() {
-            let index = Index::build(d, 0.05).unwrap();
-            index.save(dir.join(format!("doc_{i}.idx"))).unwrap();
-        }
-        let loaded = QueryService::load_dir(&dir, config(2, 2, 0)).unwrap();
-        assert_eq!(loaded.num_docs(), docs.len());
-        // Each document answers under its own id: compare with a freshly
-        // built service over the same ordered collection.
-        let built = QueryService::build(&docs, 0.05, config(1, 1, 0)).unwrap();
-        for tau in [0.3, 0.6] {
-            assert_eq!(
-                loaded.query(b"AB", tau).unwrap(),
-                built.query(b"AB", tau).unwrap()
-            );
-        }
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn load_dir_rejects_foreign_duplicate_and_gapped_names() {
-        let dir = std::env::temp_dir().join("ustr_service_bad_names");
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        let index = Index::build(&UncertainString::deterministic(b"AB"), 0.5).unwrap();
-
-        // Foreign name.
-        index.save(dir.join("doc_0.idx")).unwrap();
-        index.save(dir.join("stray.idx")).unwrap();
-        assert!(matches!(
-            QueryService::load_dir(&dir, config(1, 1, 0)),
-            Err(ServiceError::BadSnapshotName { .. })
-        ));
-        std::fs::remove_file(dir.join("stray.idx")).unwrap();
-
-        // Duplicate id via padding variants.
-        index.save(dir.join("doc_1.idx")).unwrap();
-        index.save(dir.join("doc_01.idx")).unwrap();
-        assert!(matches!(
-            QueryService::load_dir(&dir, config(1, 1, 0)),
-            Err(ServiceError::DuplicateDocId { id: 1 })
-        ));
-        std::fs::remove_file(dir.join("doc_01.idx")).unwrap();
-
-        // Gap: ids {0, 1, 3}.
-        index.save(dir.join("doc_3.idx")).unwrap();
-        assert!(matches!(
-            QueryService::load_dir(&dir, config(1, 1, 0)),
-            Err(ServiceError::MissingDocId { id: 2 })
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn load_dir_rejects_empty_directories() {
-        let dir = std::env::temp_dir().join("ustr_service_empty_dir");
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        assert!(matches!(
-            QueryService::load_dir(&dir, ServiceConfig::default()),
-            Err(ServiceError::NoSnapshots)
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -36,7 +36,7 @@ use std::fs::File;
 use std::io::{BufWriter, Read, Write};
 use std::path::Path;
 
-use crate::io::{RealIo, StoreIo};
+use crate::io::StoreIo;
 use crate::{fnv1a, SnapshotKind, StoreError};
 
 /// The 8-byte magic prefix of every collection snapshot file.
@@ -115,16 +115,6 @@ pub fn write_collection(
 /// manifest (the live serving path truncates its WAL once a segment is
 /// manifested) can rely on the bytes surviving a power loss.
 pub fn save_collection_file(
-    path: impl AsRef<Path>,
-    num_docs: usize,
-    shard_hint: usize,
-    sections: &[CollectionSection],
-) -> Result<(), StoreError> {
-    save_collection_file_with(&RealIo, path, num_docs, shard_hint, sections)
-}
-
-/// [`save_collection_file`] through an injectable [`StoreIo`].
-pub fn save_collection_file_with(
     io: &dyn StoreIo,
     path: impl AsRef<Path>,
     num_docs: usize,
@@ -284,7 +274,11 @@ pub fn read_collection_manifest(path: impl AsRef<Path>) -> Result<CollectionMani
 pub fn read_collection(mut input: impl Read) -> Result<Collection, StoreError> {
     let mut bytes = Vec::new();
     input.read_to_end(&mut bytes)?;
-    let h = parse_collection_header(&bytes)?;
+    parse_collection(&bytes)
+}
+
+fn parse_collection(bytes: &[u8]) -> Result<Collection, StoreError> {
+    let h = parse_collection_header(bytes)?;
     let (num_docs, shard_hint, num_sections) = (h.num_docs, h.shard_hint, h.num_sections);
     let manifest_end = num_sections
         .checked_mul(MANIFEST_ENTRY_LEN)
@@ -352,16 +346,11 @@ pub fn read_collection(mut input: impl Read) -> Result<Collection, StoreError> {
     })
 }
 
-/// Convenience wrapper: [`read_collection`] from a file path.
-pub fn load_collection_file(path: impl AsRef<Path>) -> Result<Collection, StoreError> {
-    read_collection(File::open(path)?)
-}
-
-/// [`load_collection_file`] through an injectable [`StoreIo`]. A missing
-/// file is an error here (unlike [`StoreIo::read`]'s `None`): segment
-/// files are always named by a manifest, so absence means a broken
-/// directory, not an empty collection.
-pub fn load_collection_file_with(
+/// Convenience wrapper: [`read_collection`] from a file path. A missing
+/// file is an error here (unlike [`StoreIo::read`]'s `None`): collection
+/// files are always named by a caller or a manifest, so absence means a
+/// broken path or directory, not an empty collection.
+pub fn load_collection_file(
     io: &dyn StoreIo,
     path: impl AsRef<Path>,
 ) -> Result<Collection, StoreError> {
@@ -369,10 +358,10 @@ pub fn load_collection_file_with(
     let Some(bytes) = io.read(path)? else {
         return Err(StoreError::Io(std::io::Error::new(
             std::io::ErrorKind::NotFound,
-            format!("segment file {} does not exist", path.display()),
+            format!("collection file {} does not exist", path.display()),
         )));
     };
-    read_collection(&bytes[..])
+    parse_collection(&bytes)
 }
 
 #[cfg(test)]

@@ -98,10 +98,9 @@ pub use collection::{
 pub use error::StoreError;
 pub use io::{RealIo, StoreFile, StoreIo};
 pub use wal::{
-    fsync_parent_dir, fsync_parent_dir_with, load_manifest, load_manifest_with, read_wal,
-    read_wal_bytes, read_wal_with, replace_wal_file, replace_wal_file_with, save_manifest,
-    save_manifest_with, write_wal_file, write_wal_file_with, LiveManifest, SegmentMeta, WalOp,
-    WalRecord, WalReplay, WalWriter, WAL_MAGIC, WAL_VERSION,
+    fsync_parent_dir, load_manifest, read_wal, read_wal_bytes, replace_wal_file, save_manifest,
+    write_wal_file, LiveManifest, SegmentMeta, WalOp, WalRecord, WalReplay, WalWriter, WAL_MAGIC,
+    WAL_VERSION,
 };
 pub use wire::{read_frame, write_frame, Reader, Writer, FRAME_OVERHEAD};
 

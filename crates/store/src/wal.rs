@@ -42,7 +42,7 @@ use std::path::Path;
 
 use ustr_uncertain::UncertainString;
 
-use crate::io::{RealIo, StoreFile, StoreIo};
+use crate::io::{StoreFile, StoreIo};
 use crate::{decode_uncertain_string, encode_uncertain_string, fnv1a, Reader, StoreError, Writer};
 
 /// The 8-byte magic prefix of every WAL / manifest file.
@@ -223,12 +223,7 @@ fn wal_header() -> [u8; WAL_HEADER_LEN] {
 /// Fsyncs the directory containing `path`, making a just-persisted rename
 /// or file creation durable (the file's own fsync does not cover its
 /// directory entry).
-pub fn fsync_parent_dir(path: impl AsRef<Path>) -> Result<(), StoreError> {
-    fsync_parent_dir_with(&RealIo, path)
-}
-
-/// [`fsync_parent_dir`] through an injectable [`StoreIo`].
-pub fn fsync_parent_dir_with(io: &dyn StoreIo, path: impl AsRef<Path>) -> Result<(), StoreError> {
+pub fn fsync_parent_dir(io: &dyn StoreIo, path: impl AsRef<Path>) -> Result<(), StoreError> {
     let dir = path.as_ref().parent().filter(|p| !p.as_os_str().is_empty());
     if let Some(dir) = dir {
         io.sync_dir(dir)?;
@@ -255,17 +250,12 @@ pub struct WalWriter {
 
 impl WalWriter {
     /// Creates (truncating) a new WAL at `path` and writes the header.
-    pub fn create(path: impl AsRef<Path>) -> Result<Self, StoreError> {
-        Self::create_with(&RealIo, path)
-    }
-
-    /// [`WalWriter::create`] through an injectable [`StoreIo`].
-    pub fn create_with(io: &dyn StoreIo, path: impl AsRef<Path>) -> Result<Self, StoreError> {
+    pub fn create(io: &dyn StoreIo, path: impl AsRef<Path>) -> Result<Self, StoreError> {
         let path = path.as_ref();
         let mut file = io.create(path)?;
         file.write_all(&wal_header())?;
         file.sync_data()?;
-        fsync_parent_dir_with(io, path)?;
+        fsync_parent_dir(io, path)?;
         Ok(Self {
             file,
             len: WAL_HEADER_LEN as u64,
@@ -276,18 +266,13 @@ impl WalWriter {
     /// Opens an existing WAL for appending (creating an empty one with a
     /// header when absent). The caller is expected to have replayed the
     /// file first; this does not validate existing content.
-    pub fn open_append(path: impl AsRef<Path>) -> Result<Self, StoreError> {
-        Self::open_append_with(&RealIo, path)
-    }
-
-    /// [`WalWriter::open_append`] through an injectable [`StoreIo`].
-    pub fn open_append_with(io: &dyn StoreIo, path: impl AsRef<Path>) -> Result<Self, StoreError> {
+    pub fn open_append(io: &dyn StoreIo, path: impl AsRef<Path>) -> Result<Self, StoreError> {
         let path = path.as_ref();
         let (mut file, mut len) = io.open_append(path)?;
         if len == 0 {
             file.write_all(&wal_header())?;
             file.sync_data()?;
-            fsync_parent_dir_with(io, path)?;
+            fsync_parent_dir(io, path)?;
             len = WAL_HEADER_LEN as u64;
         }
         Ok(Self {
@@ -334,12 +319,7 @@ impl WalWriter {
 /// paths (log compaction after a seal, torn-tail trimming on recovery)
 /// where per-record fsyncs would multiply latency for no durability gain:
 /// the rewrite only becomes visible via a subsequent rename.
-pub fn write_wal_file(path: impl AsRef<Path>, records: &[WalRecord]) -> Result<(), StoreError> {
-    write_wal_file_with(&RealIo, path, records)
-}
-
-/// [`write_wal_file`] through an injectable [`StoreIo`].
-pub fn write_wal_file_with(
+pub fn write_wal_file(
     io: &dyn StoreIo,
     path: impl AsRef<Path>,
     records: &[WalRecord],
@@ -352,7 +332,7 @@ pub fn write_wal_file_with(
     }
     file.write_all(&bytes)?;
     file.sync_data()?;
-    fsync_parent_dir_with(io, path)?;
+    fsync_parent_dir(io, path)?;
     Ok(())
 }
 
@@ -473,12 +453,7 @@ pub fn read_wal_bytes(bytes: &[u8]) -> Result<WalReplay, StoreError> {
 /// Replays the WAL at `path` ([`read_wal_bytes`] over the file contents).
 /// A missing file replays as empty — the collection simply has no
 /// committed writes yet.
-pub fn read_wal(path: impl AsRef<Path>) -> Result<WalReplay, StoreError> {
-    read_wal_with(&RealIo, path)
-}
-
-/// [`read_wal`] through an injectable [`StoreIo`].
-pub fn read_wal_with(io: &dyn StoreIo, path: impl AsRef<Path>) -> Result<WalReplay, StoreError> {
+pub fn read_wal(io: &dyn StoreIo, path: impl AsRef<Path>) -> Result<WalReplay, StoreError> {
     let bytes = io.read(path.as_ref())?.unwrap_or_default();
     read_wal_bytes(&bytes)
 }
@@ -487,21 +462,16 @@ pub fn read_wal_with(io: &dyn StoreIo, path: impl AsRef<Path>) -> Result<WalRepl
 /// `records`: sibling temp file, one fsync, rename, directory fsync. Used
 /// to shrink the log after a seal (dropping records the manifest now
 /// covers) and to trim a torn tail on recovery.
-pub fn replace_wal_file(path: impl AsRef<Path>, records: &[WalRecord]) -> Result<(), StoreError> {
-    replace_wal_file_with(&RealIo, path, records)
-}
-
-/// [`replace_wal_file`] through an injectable [`StoreIo`].
-pub fn replace_wal_file_with(
+pub fn replace_wal_file(
     io: &dyn StoreIo,
     path: impl AsRef<Path>,
     records: &[WalRecord],
 ) -> Result<(), StoreError> {
     let path = path.as_ref();
     let tmp = path.with_extension("tmp");
-    write_wal_file_with(io, &tmp, records)?;
+    write_wal_file(io, &tmp, records)?;
     io.rename(&tmp, path)?;
-    fsync_parent_dir_with(io, path)?;
+    fsync_parent_dir(io, path)?;
     Ok(())
 }
 
@@ -510,19 +480,14 @@ pub fn replace_wal_file_with(
 /// over `path`, and the directory entry is fsynced — so a reader sees
 /// either the old or the new state, never a mixture, even across power
 /// loss.
-pub fn save_manifest(path: impl AsRef<Path>, manifest: &LiveManifest) -> Result<(), StoreError> {
-    save_manifest_with(&RealIo, path, manifest)
-}
-
-/// [`save_manifest`] through an injectable [`StoreIo`].
-pub fn save_manifest_with(
+pub fn save_manifest(
     io: &dyn StoreIo,
     path: impl AsRef<Path>,
     manifest: &LiveManifest,
 ) -> Result<(), StoreError> {
     let path = path.as_ref();
     let tmp = path.with_extension("tmp");
-    write_wal_file_with(
+    write_wal_file(
         io,
         &tmp,
         std::slice::from_ref(&WalRecord {
@@ -531,18 +496,13 @@ pub fn save_manifest_with(
         }),
     )?;
     io.rename(&tmp, path)?;
-    fsync_parent_dir_with(io, path)?;
+    fsync_parent_dir(io, path)?;
     Ok(())
 }
 
 /// Loads the manifest at `path`: the last manifest-state record wins.
 /// `Ok(None)` when the file does not exist (a brand-new live directory).
-pub fn load_manifest(path: impl AsRef<Path>) -> Result<Option<LiveManifest>, StoreError> {
-    load_manifest_with(&RealIo, path)
-}
-
-/// [`load_manifest`] through an injectable [`StoreIo`].
-pub fn load_manifest_with(
+pub fn load_manifest(
     io: &dyn StoreIo,
     path: impl AsRef<Path>,
 ) -> Result<Option<LiveManifest>, StoreError> {
@@ -568,6 +528,7 @@ pub fn load_manifest_with(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::io::RealIo;
 
     fn doc(spec: &str) -> UncertainString {
         UncertainString::parse(spec).unwrap()
@@ -609,23 +570,23 @@ mod tests {
         let path = std::env::temp_dir().join("ustr_wal_round_trip.wal");
         let _ = std::fs::remove_file(&path);
         let records = sample_records();
-        let mut w = WalWriter::create(&path).unwrap();
+        let mut w = WalWriter::create(&RealIo, &path).unwrap();
         for r in &records {
             w.append(r).unwrap();
         }
         drop(w);
-        let replay = read_wal(&path).unwrap();
+        let replay = read_wal(&RealIo, &path).unwrap();
         assert!(replay.clean);
         assert_eq!(replay.records, records);
         // Reopen and append more.
-        let mut w = WalWriter::open_append(&path).unwrap();
+        let mut w = WalWriter::open_append(&RealIo, &path).unwrap();
         w.append(&WalRecord {
             seq: 9,
             op: WalOp::Delete { doc: 1 },
         })
         .unwrap();
         drop(w);
-        let replay = read_wal(&path).unwrap();
+        let replay = read_wal(&RealIo, &path).unwrap();
         assert_eq!(replay.records.len(), 4);
         assert_eq!(replay.records[3].seq, 9);
         let _ = std::fs::remove_file(&path);
@@ -633,7 +594,11 @@ mod tests {
 
     #[test]
     fn missing_wal_replays_empty() {
-        let replay = read_wal(std::env::temp_dir().join("ustr_wal_never_created.wal")).unwrap();
+        let replay = read_wal(
+            &RealIo,
+            std::env::temp_dir().join("ustr_wal_never_created.wal"),
+        )
+        .unwrap();
         assert!(replay.clean);
         assert!(replay.records.is_empty());
     }
@@ -685,7 +650,7 @@ mod tests {
     fn manifest_round_trips_atomically() {
         let path = std::env::temp_dir().join("ustr_wal_manifest.mf");
         let _ = std::fs::remove_file(&path);
-        assert!(load_manifest(&path).unwrap().is_none());
+        assert!(load_manifest(&RealIo, &path).unwrap().is_none());
         let manifest = LiveManifest {
             applied_seq: 7,
             next_doc_id: 5,
@@ -699,8 +664,8 @@ mod tests {
                 docs: vec![0, 1, 2],
             }],
         };
-        save_manifest(&path, &manifest).unwrap();
-        assert_eq!(load_manifest(&path).unwrap().unwrap(), manifest);
+        save_manifest(&RealIo, &path, &manifest).unwrap();
+        assert_eq!(load_manifest(&RealIo, &path).unwrap().unwrap(), manifest);
         // Overwrite with new state; the replacement is whole.
         let mut next = manifest.clone();
         next.applied_seq = 12;
@@ -709,8 +674,8 @@ mod tests {
             file: "segment_1.coll".into(),
             docs: vec![4],
         });
-        save_manifest(&path, &next).unwrap();
-        assert_eq!(load_manifest(&path).unwrap().unwrap(), next);
+        save_manifest(&RealIo, &path, &next).unwrap();
+        assert_eq!(load_manifest(&RealIo, &path).unwrap().unwrap(), next);
         let _ = std::fs::remove_file(&path);
     }
 }

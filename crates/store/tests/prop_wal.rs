@@ -4,7 +4,7 @@
 //! sequence number, never a torn document.
 
 use proptest::prelude::*;
-use ustr_store::{read_wal_bytes, StoreError, WalOp, WalRecord, WalWriter};
+use ustr_store::{read_wal_bytes, RealIo, StoreError, WalOp, WalRecord, WalWriter};
 use ustr_uncertain::UncertainString;
 
 /// Strategy: a small uncertain document over {a, b, c} with random pdfs.
@@ -62,7 +62,7 @@ fn committed_bytes(records: &[WalRecord]) -> Vec<u8> {
     let path =
         std::env::temp_dir().join(format!("ustr_prop_wal_{}_{}.wal", std::process::id(), call));
     let _ = std::fs::remove_file(&path);
-    let mut w = WalWriter::create(&path).unwrap();
+    let mut w = WalWriter::create(&RealIo, &path).unwrap();
     for r in records {
         w.append(r).unwrap();
     }
