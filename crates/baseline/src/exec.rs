@@ -165,7 +165,8 @@ mod tests {
         let scan = ScanIndex::new(s.clone(), 0.05).unwrap();
         let idx = Index::build(&s, 0.05).unwrap();
         for pattern in [&b"P"[..], b"AT", b"T", b"F"] {
-            for k in [1usize, 2, 5, 100] {
+            // The last two: `k` is unvalidated wire input, never a capacity.
+            for k in [1usize, 2, 5, 100, 1 << 40, usize::MAX] {
                 assert_eq!(
                     scan.top_k_hits(pattern, k).unwrap(),
                     QueryExecutor::top_k_hits(&idx, pattern, k).unwrap(),

@@ -9,7 +9,8 @@
 //! `--full` uses the paper's n range (up to 300K positions); the default
 //! uses reduced sizes that finish in a few minutes. Absolute times differ
 //! from the paper's 2015 C++/i5 testbed; the *shapes* are the comparison
-//! target (see EXPERIMENTS.md).
+//! target (`benchmark/README.md` describes the gated `paper-string`
+//! workload that measures the same axes).
 
 #![forbid(unsafe_code)]
 

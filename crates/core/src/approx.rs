@@ -27,33 +27,17 @@
 use std::time::Instant;
 
 use ustr_rmq::{BlockRmq, Direction, Rmq, ThresholdReporter};
-use ustr_suffix::SuffixTree;
 use ustr_uncertain::{canon, transform_with_options, Transformed, UncertainString};
 
 use crate::{
-    carray::CumulativeLogProb,
     error::{validate_query, Error},
     options::IndexOptions,
     result::QueryResult,
-    snapshot::{ApproxIndexState, ApproxLinkState, CumState, TreeState},
+    // A link's in-memory form *is* its snapshot row.
+    snapshot::{invalid, ApproxIndexState, ApproxLinkState as Link},
     stats::BuildStats,
+    substrate::ScoredText,
 };
-
-/// One ε-refined link.
-#[derive(Debug, Clone)]
-struct Link {
-    /// Preorder rank of the (real) node whose subtree anchors the origin.
-    origin_pre: u32,
-    /// String depth of the (possibly dummy) origin endpoint.
-    origin_depth: u32,
-    /// String depth of the (possibly dummy) target endpoint.
-    target_depth: u32,
-    /// Original string position (`Posid`).
-    source_pos: u32,
-    /// Probability of the origin-depth prefix at `source_pos` (capped at the
-    /// factor boundary).
-    prob: f64,
-}
 
 /// Approximate substring-search index with additive error ε.
 ///
@@ -70,8 +54,8 @@ struct Link {
 /// ```
 pub struct ApproxIndex {
     transformed: Transformed,
-    tree: SuffixTree,
-    cum: CumulativeLogProb,
+    /// The §4 machinery minus its RMQ levels: links replace them here.
+    text: ScoredText,
     links: Vec<Link>,
     /// Min-RMQ over `links[..].target_depth`.
     target_rmq: BlockRmq,
@@ -100,10 +84,8 @@ impl ApproxIndex {
         }
         let start = Instant::now();
         let transformed = transform_with_options(source, tau_min, &options.transform)?;
-        let tree = SuffixTree::build(transformed.special.chars().to_vec());
-        let cum = CumulativeLogProb::new(transformed.special.probs(), |i| {
-            transformed.special.char_at(i) == 0
-        });
+        let text = ScoredText::build(transformed.special.chars(), transformed.special.probs());
+        let tree = &text.tree;
 
         // Group marked leaves by Posid (slots ascend in preorder order)
         // with a counting sort into one flat arena — two passes, zero
@@ -147,7 +129,7 @@ impl ApproxIndex {
             // Virtual (induced) tree over the marked leaves; emit one link
             // per virtual edge.
             let emit = |u: u32, v_depth: usize, links: &mut Vec<Link>, witness_x: u32| {
-                refine_link(&tree, &cum, u, v_depth, d as u32, witness_x, epsilon, links);
+                refine_link(&text, u, v_depth, d as u32, witness_x, epsilon, links);
             };
             for &slot in slots {
                 let leaf = tree.leaf(slot as usize);
@@ -209,15 +191,13 @@ impl ApproxIndex {
             build_time: start.elapsed(),
             heap_bytes: 0,
         };
-        let idx_heap = tree.heap_size()
-            + cum.heap_size()
+        let idx_heap = text.heap_size()
             + links.capacity() * std::mem::size_of::<Link>()
             + links.len() * std::mem::size_of::<f64>() * 2;
         stats.heap_bytes = idx_heap;
         Ok(Self {
             transformed,
-            tree,
-            cum,
+            text,
             links,
             target_rmq,
             epsilon,
@@ -249,23 +229,10 @@ impl ApproxIndex {
     /// Decomposes the index into its persistence-ready snapshot state (see
     /// [`crate::snapshot`]). The byte encoding lives in `ustr-store`.
     pub fn to_snapshot(&self) -> ApproxIndexState {
-        let (text, sa, lcp) = self.tree.to_parts();
-        let (prefix, sentinels) = self.cum.to_parts();
         ApproxIndexState {
             transformed: self.transformed.clone(),
-            tree: TreeState { text, sa, lcp },
-            cum: CumState { prefix, sentinels },
-            links: self
-                .links
-                .iter()
-                .map(|l| ApproxLinkState {
-                    origin_pre: l.origin_pre,
-                    origin_depth: l.origin_depth,
-                    target_depth: l.target_depth,
-                    source_pos: l.source_pos,
-                    prob: l.prob,
-                })
-                .collect(),
+            text: self.text.to_state(),
+            links: self.links.clone(),
             epsilon: self.epsilon,
             tau_min: self.tau_min,
             stats: self.stats.clone(),
@@ -279,9 +246,7 @@ impl ApproxIndex {
     /// index the snapshot was taken from. Fails with
     /// [`Error::InvalidSnapshot`] on structurally inconsistent state.
     pub fn from_snapshot(state: ApproxIndexState) -> Result<Self, Error> {
-        use crate::snapshot::{invalid, validate_tree_state};
-        validate_tree_state(&state.tree)?;
-        if state.tree.text != state.transformed.special.chars() {
+        if state.text.text != state.transformed.special.chars() {
             return Err(invalid("tree text does not match the transformed text"));
         }
         if state.transformed.pos.len() != state.transformed.special.len() {
@@ -293,13 +258,8 @@ impl ApproxIndex {
         if !canon::valid_tau(state.tau_min) {
             return Err(invalid("tau_min outside (0, 1]"));
         }
-        let tree = SuffixTree::from_parts(state.tree.text, state.tree.sa, state.tree.lcp);
-        let cum = CumulativeLogProb::from_parts(state.cum.prefix, state.cum.sentinels)
-            .map_err(invalid)?;
-        if cum.len() != tree.text_len() {
-            return Err(invalid("cumulative array length does not match text"));
-        }
-        let num_nodes = tree.num_nodes() as u32;
+        let text = ScoredText::from_state(state.text)?;
+        let num_nodes = text.tree.num_nodes() as u32;
         let source_len = state.transformed.source_len as u32;
         let mut prev_pre = 0u32;
         for link in &state.links {
@@ -320,23 +280,12 @@ impl ApproxIndex {
                 return Err(invalid("link probability is not a finite non-negative"));
             }
         }
-        let links: Vec<Link> = state
-            .links
-            .into_iter()
-            .map(|l| Link {
-                origin_pre: l.origin_pre,
-                origin_depth: l.origin_depth,
-                target_depth: l.target_depth,
-                source_pos: l.source_pos,
-                prob: l.prob,
-            })
-            .collect();
+        let links = state.links;
         let depths: Vec<f64> = links.iter().map(|l| l.target_depth as f64).collect();
         let target_rmq = BlockRmq::new(&depths, Direction::Min);
         Ok(Self {
             transformed: state.transformed,
-            tree,
-            cum,
+            text,
             links,
             target_rmq,
             epsilon: state.epsilon,
@@ -352,10 +301,11 @@ impl ApproxIndex {
     pub fn query(&self, pattern: &[u8], tau: f64) -> Result<QueryResult, Error> {
         validate_query(pattern, tau, self.tau_min)?;
         let m = pattern.len();
-        let Some(locus) = self.tree.locus(pattern) else {
+        let tree = &self.text.tree;
+        let Some(locus) = tree.locus(pattern) else {
             return Ok(QueryResult::default());
         };
-        let (pl, pr) = self.tree.preorder_range(locus);
+        let (pl, pr) = tree.preorder_range(locus);
         // Link range whose origin preorder falls inside the locus subtree.
         let lo = self.links.partition_point(|l| (l.origin_pre as usize) < pl);
         let hi = self
@@ -390,10 +340,8 @@ impl ApproxIndex {
 /// `t₀` into sub-links whose endpoint probabilities differ by ≤ ε.
 /// Probabilities are evaluated at the witness position `x`, capped at the
 /// factor boundary.
-#[allow(clippy::too_many_arguments)]
 fn refine_link(
-    tree: &SuffixTree,
-    cum: &CumulativeLogProb,
+    text: &ScoredText,
     u: u32,
     t0: usize,
     source_pos: u32,
@@ -401,6 +349,7 @@ fn refine_link(
     epsilon: f64,
     links: &mut Vec<Link>,
 ) {
+    let (tree, cum) = (&text.tree, &text.cum);
     let o0 = tree.string_depth(u);
     debug_assert!(o0 > t0, "virtual child must be deeper than its parent");
     let lmax = cum.run_length(x as usize);

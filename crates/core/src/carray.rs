@@ -10,15 +10,6 @@
 use ustr_uncertain::canon;
 
 /// Cumulative log-probability array with separator tracking.
-///
-/// ```
-/// use ustr_core::CumulativeLogProb;
-/// // Figure 5's special string: probabilities of "banana".
-/// let cum = CumulativeLogProb::new(&[0.4, 0.7, 0.5, 0.8, 0.9, 0.6], |_| false);
-/// // "ana" aligned at 1: .7*.5*.8 = .28
-/// assert!((cum.window(1, 3).exp() - 0.28).abs() < 1e-12);
-/// assert_eq!(cum.window(4, 3), f64::NEG_INFINITY); // out of bounds
-/// ```
 #[derive(Debug, Clone)]
 pub struct CumulativeLogProb {
     /// `prefix[i]` = Σ log(prob) over the first `i` positions.
@@ -77,11 +68,6 @@ impl CumulativeLogProb {
         self.prefix.len() - 1
     }
 
-    /// Returns `true` when no positions are covered.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// Log probability of the window `[start, start + len)`: −∞ when the
     /// window leaves the array or crosses a separator; 0 (= log 1) for the
     /// empty window.
@@ -129,8 +115,10 @@ mod tests {
 
     #[test]
     fn windows_match_direct_products() {
+        // Figure 5's special string: probabilities of "banana".
         let probs = [0.4, 0.7, 0.5, 0.8, 0.9, 0.6];
         let cum = CumulativeLogProb::new(&probs, |_| false);
+        assert_eq!(cum.window(4, 3), f64::NEG_INFINITY, "out of bounds");
         for start in 0..probs.len() {
             for len in 0..=probs.len() - start {
                 let direct: f64 = probs[start..start + len].iter().product();
@@ -179,7 +167,7 @@ mod tests {
     #[test]
     fn empty_array() {
         let cum = CumulativeLogProb::new(&[], |_| false);
-        assert!(cum.is_empty());
+        assert_eq!(cum.len(), 0);
         assert_eq!(cum.window(0, 0), 0.0);
         assert_eq!(cum.window(0, 1), f64::NEG_INFINITY);
     }

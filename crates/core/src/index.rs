@@ -3,17 +3,15 @@
 
 use std::time::Instant;
 
-use ustr_suffix::SuffixTree;
 use ustr_uncertain::{canon, transform_with_options, ProbPlane, Transformed, UncertainString};
 
 use crate::{
-    carray::CumulativeLogProb,
     error::{validate_query, Error},
-    levels::{DedupStrategy, Levels},
     options::IndexOptions,
     result::QueryResult,
-    snapshot::{CumState, IndexState, TreeState},
+    snapshot::{invalid, IndexState},
     stats::BuildStats,
+    substrate::{DedupStrategy, Substrate},
 };
 
 /// Substring-search index over a general [`UncertainString`].
@@ -38,10 +36,10 @@ pub struct Index {
     /// construction and snapshot load, never persisted.
     plane: ProbPlane,
     transformed: Transformed,
-    tree: SuffixTree,
-    cum: CumulativeLogProb,
-    levels: Levels,
+    substrate: Substrate,
     tau_min: f64,
+    /// Whether the levels were built with duplicate masks — recorded for
+    /// the snapshot; queries aggregate by position either way.
     dedup_enabled: bool,
     stats: BuildStats,
 }
@@ -60,35 +58,19 @@ impl Index {
     ) -> Result<Self, Error> {
         let start = Instant::now();
         let transformed = transform_with_options(source, tau_min, &options.transform)?;
-        let tree = SuffixTree::build(transformed.special.chars().to_vec());
-        let cum = CumulativeLogProb::new(transformed.special.probs(), |i| {
-            transformed.special.char_at(i) == 0
-        });
-        let max_short = options.short_levels_for(tree.num_slots());
-        let source_key = |j: usize| -> Option<u32> {
-            let x = tree.sa(j);
-            if x >= transformed.pos.len() {
-                return None; // virtual-terminator slot
-            }
-            match transformed.pos[x] {
-                u32::MAX => None,
-                p => Some(p),
-            }
-        };
+        let source_key = |x: usize| transformed.pos.get(x).copied().filter(|&p| p != u32::MAX);
         let dedup = if options.disable_dedup {
             DedupStrategy::None
         } else {
             DedupStrategy::BySource(&source_key)
         };
-        let levels = Levels::build(
-            &tree,
-            &cum,
-            max_short,
-            options.ratio(),
-            !options.disable_long_levels,
+        let substrate = Substrate::build(
+            transformed.special.chars(),
+            transformed.special.probs(),
+            options,
             &dedup,
         );
-        let mut stats = BuildStats {
+        let stats = BuildStats {
             source_len: source.len(),
             transformed_len: transformed.len(),
             num_factors: transformed.num_factors,
@@ -99,15 +81,12 @@ impl Index {
             source: source.clone(),
             plane: ProbPlane::build(source),
             transformed,
-            tree,
-            cum,
-            levels,
+            substrate,
             tau_min,
             dedup_enabled: !options.disable_dedup,
-            stats: BuildStats::default(),
+            stats,
         };
-        stats.heap_bytes = idx.heap_size();
-        idx.stats = stats;
+        idx.stats.heap_bytes = idx.heap_size();
         Ok(idx)
     }
 
@@ -119,14 +98,10 @@ impl Index {
     /// Decomposes the index into its persistence-ready snapshot state (see
     /// [`crate::snapshot`]). The byte encoding lives in `ustr-store`.
     pub fn to_snapshot(&self) -> IndexState {
-        let (text, sa, lcp) = self.tree.to_parts();
-        let (prefix, sentinels) = self.cum.to_parts();
         IndexState {
             source: self.source.clone(),
             transformed: self.transformed.clone(),
-            tree: TreeState { text, sa, lcp },
-            cum: CumState { prefix, sentinels },
-            levels: self.levels.to_parts(),
+            substrate: self.substrate.to_state(),
             tau_min: self.tau_min,
             dedup_enabled: self.dedup_enabled,
             stats: self.stats.clone(),
@@ -139,9 +114,7 @@ impl Index {
     /// identically to the index the snapshot was taken from. Fails with
     /// [`Error::InvalidSnapshot`] on structurally inconsistent state.
     pub fn from_snapshot(state: IndexState) -> Result<Self, Error> {
-        use crate::snapshot::{invalid, validate_tree_state};
-        validate_tree_state(&state.tree)?;
-        if state.tree.text != state.transformed.special.chars() {
+        if state.substrate.text.text != state.transformed.special.chars() {
             return Err(invalid("tree text does not match the transformed text"));
         }
         if state.transformed.pos.len() != state.transformed.special.len() {
@@ -159,21 +132,13 @@ impl Index {
         if !canon::valid_tau(state.tau_min) {
             return Err(invalid("tau_min outside (0, 1]"));
         }
-        let tree = SuffixTree::from_parts(state.tree.text, state.tree.sa, state.tree.lcp);
-        let cum = CumulativeLogProb::from_parts(state.cum.prefix, state.cum.sentinels)
-            .map_err(invalid)?;
-        if cum.len() != tree.text_len() {
-            return Err(invalid("cumulative array length does not match text"));
-        }
-        let levels = Levels::from_parts(state.levels, &tree, &cum)?;
+        let substrate = Substrate::from_state(state.substrate)?;
         let plane = ProbPlane::build(&state.source);
         Ok(Self {
             source: state.source,
             plane,
             transformed: state.transformed,
-            tree,
-            cum,
-            levels,
+            substrate,
             tau_min: state.tau_min,
             dedup_enabled: state.dedup_enabled,
             stats: state.stats,
@@ -190,10 +155,9 @@ impl Index {
         &self.source
     }
 
-    /// Source position of the suffix in tree slot `j`, if it starts inside a
-    /// factor.
-    fn source_pos_of_slot(&self, slot: usize) -> Option<usize> {
-        let x = self.tree.sa(slot);
+    /// Source position of the suffix starting at text position `x`, if it
+    /// starts inside a factor.
+    fn source_pos(&self, x: usize) -> Option<usize> {
         if x >= self.transformed.pos.len() {
             return None;
         }
@@ -206,23 +170,10 @@ impl Index {
     pub fn query(&self, pattern: &[u8], tau: f64) -> Result<QueryResult, Error> {
         validate_query(pattern, tau, self.tau_min)?;
         let m = pattern.len();
-        let Some((l, r)) = self.tree.suffix_range(pattern) else {
+        let Some((l, r)) = self.substrate.range(pattern) else {
             return Ok(QueryResult::default());
         };
-        let log_tau = canon::ln(tau);
-        let has_corr = !self.source.correlations().is_empty();
-        let short = m <= self.levels.max_short();
-        let candidates = if short {
-            self.levels
-                .report_short(m, l, r, log_tau, &self.tree, &self.cum)
-        } else {
-            self.levels
-                .report_long(m, l, r, log_tau, &self.tree, &self.cum)
-        };
-        // Short path with dedup: each reported slot is a distinct source
-        // position (the suffix range is one locus partition). Long path and
-        // dedup-disabled builds may repeat sources — aggregate.
-        //
+        let candidates = self.substrate.report(m, l, r, canon::ln(tau));
         // Reported probabilities are *canonical*: always recomputed from the
         // source model, never read off the stored prefix sums. The two agree
         // to float noise, but the canonical value is independent of the
@@ -238,8 +189,8 @@ impl Index {
             let start = std::time::Instant::now();
             let evaluated = candidates.len() as u64;
             self.plane.with_kernel(pattern, |kernel| {
-                for (slot, _stored) in candidates {
-                    let Some(src) = self.source_pos_of_slot(slot) else {
+                for (x, _stored) in candidates {
+                    let Some(src) = self.source_pos(x) else {
                         continue;
                     };
                     let exact = kernel.match_probability(src);
@@ -255,10 +206,12 @@ impl Index {
                 ustr_uncertain::kstats::elapsed_ns(start),
             );
         }
-        if !(short && self.dedup_enabled && !has_corr) {
-            hits.sort_unstable_by_key(|&(p, _)| p);
-            hits.dedup_by_key(|&mut (p, _)| p);
-        }
+        // A duplicate-masked level reports each source position once; the
+        // blocking scheme, dedup-disabled builds and source-level masks
+        // under correlation may repeat one. Repeats carry the same canonical
+        // probability, so keep one per position.
+        hits.sort_unstable_by_key(|&(p, _)| p);
+        hits.dedup_by_key(|&mut (p, _)| p);
         Ok(QueryResult::from_hits(hits))
     }
 
@@ -277,7 +230,7 @@ impl Index {
         if k == 0 {
             return Ok(Vec::new());
         }
-        let Some((l, r)) = self.tree.suffix_range(pattern) else {
+        let Some((l, r)) = self.substrate.range(pattern) else {
             return Ok(Vec::new());
         };
         if !self.source.correlations().is_empty() {
@@ -299,22 +252,15 @@ impl Index {
         // order below, not by heap arbitration among equal stored values.
         // The widening is capped at the suffix-range width: the range holds
         // at most `r - l + 1` candidates, so doubling past the population
-        // can never surface anything new.
+        // can never surface anything new — and a `k` beyond it (it arrives
+        // unvalidated from the wire) asks for exactly the whole population.
         let cap = r - l + 1;
-        let mut want = k;
+        let mut want = k.min(cap);
         let mut ranked;
         loop {
-            ranked = crate::topk::top_k_for_range(
-                &self.tree,
-                &self.cum,
-                &self.levels,
-                m,
-                l,
-                r,
-                want,
-                floor,
-                |slot| self.source_pos_of_slot(slot),
-            );
+            ranked = self
+                .substrate
+                .top_k(m, l, r, want, floor, |x| self.source_pos(x));
             if ranked.len() < want || want >= cap {
                 break;
             }
@@ -343,11 +289,7 @@ impl Index {
 
     /// Approximate heap footprint in bytes (Figure 9c).
     pub fn heap_size(&self) -> usize {
-        self.tree.heap_size()
-            + self.cum.heap_size()
-            + self.levels.heap_size()
-            + self.transformed.heap_size()
-            + self.plane.heap_size()
+        self.substrate.heap_size() + self.transformed.heap_size() + self.plane.heap_size()
     }
 }
 

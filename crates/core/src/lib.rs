@@ -29,6 +29,16 @@
 //! recursion, per-level duplicate elimination keeps output time proportional
 //! to distinct results, and a geometric blocking scheme covers patterns
 //! longer than `log n`.
+//!
+//! That is §4's machinery, and the paper has only the one: §5, §6 and §7
+//! are the same engine under a Lemma-2 position map, a document map and an
+//! ε-link table. So has this crate. One crate-private *substrate* (suffix
+//! tree + `C` + levels) is the only code that builds, queries, measures,
+//! decomposes and validates that triple; [`SpecialIndex`], [`Index`] and
+//! [`ListingIndex`] are each "substrate + own map + own verification", and
+//! [`ApproxIndex`] holds the substrate's level-free half (suffix tree + `C`)
+//! beside its links. In [`snapshot`] it appears as one
+//! [`snapshot::SubstrateState`] shared by all four state structs.
 
 #![forbid(unsafe_code)]
 
@@ -37,27 +47,24 @@ mod carray;
 mod error;
 mod executor;
 mod index;
-mod levels;
 mod listing;
 mod options;
 mod result;
 pub mod snapshot;
 mod special;
 mod stats;
-mod topk;
+mod substrate;
 
 pub use approx::ApproxIndex;
-pub use carray::CumulativeLogProb;
 pub use error::{validate_pattern, validate_query, Error};
 pub use executor::{canonical_hit_order, QueryExecutor};
 pub use index::Index;
-pub use levels::{DedupStrategy, Levels, LevelsParts, LongLevelParts, ShortLevelParts};
 pub use listing::{ListingHit, ListingIndex, RelMetric};
 pub use options::IndexOptions;
 pub use result::QueryResult;
 pub use snapshot::{
-    ApproxIndexState, ApproxLinkState, CumState, IndexState, ListingIndexState, SpecialIndexState,
-    TreeState,
+    ApproxIndexState, ApproxLinkState, IndexState, LevelsParts, ListingIndexState, LongLevelParts,
+    ScoredTextState, ShortLevelParts, SpecialIndexState, SubstrateState,
 };
 pub use special::SpecialIndex;
 pub use stats::BuildStats;

@@ -4,16 +4,14 @@
 use std::collections::HashMap;
 use std::time::Instant;
 
-use ustr_suffix::SuffixTree;
 use ustr_uncertain::{canon, transform_with_options, PatternRanks, ProbPlane, UncertainString};
 
 use crate::{
-    carray::CumulativeLogProb,
     error::{validate_query, Error},
-    levels::{DedupStrategy, Levels},
     options::IndexOptions,
-    snapshot::{CumState, ListingIndexState, TreeState},
+    snapshot::{invalid, ListingIndexState},
     stats::BuildStats,
+    substrate::{DedupStrategy, Substrate},
 };
 
 /// Relevance metric for string listing (§6).
@@ -60,9 +58,7 @@ pub struct ListingIndex {
     /// Per-document flat verification planes — derived state, rebuilt on
     /// construction and snapshot load, never persisted.
     planes: Vec<ProbPlane>,
-    tree: SuffixTree,
-    cum: CumulativeLogProb,
-    levels: Levels,
+    substrate: Substrate,
     /// X position → document id (`u32::MAX` at separators).
     doc_of: Vec<u32>,
     /// X position → source position *within its document*.
@@ -118,26 +114,13 @@ impl ListingIndex {
             source_total += d.len();
         }
         let has_correlations = docs.iter().any(|d| !d.correlations().is_empty());
-        let tree = SuffixTree::build(chars.clone());
-        let cum = CumulativeLogProb::new(&probs, |i| chars[i] == 0);
-        let max_short = options.short_levels_for(tree.num_slots());
 
         // Doc-level dedup keeps the max-probability entry per document per
         // partition (Rel_max). Under correlations the stored values are only
         // upper bounds, so the "max" entry could be the wrong one — fall back
         // to source-level dedup and aggregate per document at query time.
-        let doc_key = |j: usize| -> Option<u32> {
-            let x = tree.sa(j);
-            doc_of.get(x).copied().filter(|&d| d != NONE32)
-        };
-        let source_key = |j: usize| -> Option<u32> {
-            let x = tree.sa(j);
-            let d = *doc_of.get(x)?;
-            if d == NONE32 {
-                return None;
-            }
-            Some(doc_base[d as usize] + src_of[x])
-        };
+        let doc_key = |x: usize| doc_of.get(x).copied().filter(|&d| d != NONE32);
+        let source_key = |x: usize| doc_key(x).map(|d| doc_base[d as usize] + src_of[x]);
         let dedup = if options.disable_dedup {
             DedupStrategy::None
         } else if has_correlations {
@@ -145,15 +128,8 @@ impl ListingIndex {
         } else {
             DedupStrategy::ByKeyMax(&doc_key)
         };
-        let levels = Levels::build(
-            &tree,
-            &cum,
-            max_short,
-            options.ratio(),
-            !options.disable_long_levels,
-            &dedup,
-        );
-        let mut stats = BuildStats {
+        let substrate = Substrate::build(&chars, &probs, options, &dedup);
+        let stats = BuildStats {
             source_len: source_total,
             transformed_len: chars.len(),
             num_factors,
@@ -163,18 +139,15 @@ impl ListingIndex {
         let mut idx = Self {
             docs: docs.to_vec(),
             planes: docs.iter().map(ProbPlane::build).collect(),
-            tree,
-            cum,
-            levels,
+            substrate,
             doc_of,
             src_of,
             doc_base,
             tau_min,
             has_correlations,
-            stats: BuildStats::default(),
+            stats,
         };
-        stats.heap_bytes = idx.heap_size();
-        idx.stats = stats;
+        idx.stats.heap_bytes = idx.heap_size();
         Ok(idx)
     }
 
@@ -196,13 +169,9 @@ impl ListingIndex {
     /// Decomposes the index into its persistence-ready snapshot state (see
     /// [`crate::snapshot`]).
     pub fn to_snapshot(&self) -> ListingIndexState {
-        let (text, sa, lcp) = self.tree.to_parts();
-        let (prefix, sentinels) = self.cum.to_parts();
         ListingIndexState {
             docs: self.docs.clone(),
-            tree: TreeState { text, sa, lcp },
-            cum: CumState { prefix, sentinels },
-            levels: self.levels.to_parts(),
+            substrate: self.substrate.to_state(),
             doc_of: self.doc_of.clone(),
             src_of: self.src_of.clone(),
             doc_base: self.doc_base.clone(),
@@ -215,9 +184,7 @@ impl ListingIndex {
     /// query identically to the original. Fails with
     /// [`Error::InvalidSnapshot`] on structurally inconsistent state.
     pub fn from_snapshot(state: ListingIndexState) -> Result<Self, Error> {
-        use crate::snapshot::{invalid, validate_tree_state};
-        validate_tree_state(&state.tree)?;
-        let n = state.tree.text.len();
+        let n = state.substrate.text.text.len();
         if state.doc_of.len() != n || state.src_of.len() != n {
             return Err(invalid("document maps do not match the text length"));
         }
@@ -239,20 +206,12 @@ impl ListingIndex {
             return Err(invalid("tau_min outside (0, 1]"));
         }
         let has_correlations = state.docs.iter().any(|d| !d.correlations().is_empty());
-        let tree = SuffixTree::from_parts(state.tree.text, state.tree.sa, state.tree.lcp);
-        let cum = CumulativeLogProb::from_parts(state.cum.prefix, state.cum.sentinels)
-            .map_err(invalid)?;
-        if cum.len() != tree.text_len() {
-            return Err(invalid("cumulative array length does not match text"));
-        }
-        let levels = Levels::from_parts(state.levels, &tree, &cum)?;
+        let substrate = Substrate::from_state(state.substrate)?;
         let planes = state.docs.iter().map(ProbPlane::build).collect();
         Ok(Self {
             docs: state.docs,
             planes,
-            tree,
-            cum,
-            levels,
+            substrate,
             doc_of: state.doc_of,
             src_of: state.src_of,
             doc_base: state.doc_base,
@@ -280,7 +239,7 @@ impl ListingIndex {
         metric: RelMetric,
     ) -> Result<Vec<ListingHit>, Error> {
         validate_query(pattern, tau, self.tau_min)?;
-        let Some((l, r)) = self.tree.suffix_range(pattern) else {
+        let Some((l, r)) = self.substrate.range(pattern) else {
             return Ok(Vec::new());
         };
         match metric {
@@ -291,8 +250,9 @@ impl ListingIndex {
         }
     }
 
-    fn doc_and_src(&self, slot: usize) -> Option<(usize, usize)> {
-        let x = self.tree.sa(slot);
+    /// Document and in-document offset of text position `x` (`None` at
+    /// separators).
+    fn doc_and_src(&self, x: usize) -> Option<(usize, usize)> {
         let d = *self.doc_of.get(x)?;
         if d == NONE32 {
             return None;
@@ -326,19 +286,11 @@ impl ListingIndex {
         l: usize,
         r: usize,
     ) -> Result<Vec<ListingHit>, Error> {
-        let m = pattern.len();
-        let log_tau = canon::ln(tau);
-        let candidates = if m <= self.levels.max_short() {
-            self.levels
-                .report_short(m, l, r, log_tau, &self.tree, &self.cum)
-        } else {
-            self.levels
-                .report_long(m, l, r, log_tau, &self.tree, &self.cum)
-        };
+        let candidates = self.substrate.report(pattern.len(), l, r, canon::ln(tau));
         let mut best: HashMap<usize, f64> = HashMap::new();
         let mut compiled: HashMap<usize, PatternRanks> = HashMap::new();
-        for (slot, _stored) in candidates {
-            let Some((doc, src)) = self.doc_and_src(slot) else {
+        for (x, _stored) in candidates {
+            let Some((doc, src)) = self.doc_and_src(x) else {
                 continue;
             };
             // Canonical probability (see `Index::query`): recomputed from
@@ -371,18 +323,13 @@ impl ListingIndex {
         r: usize,
         metric: RelMetric,
     ) -> Result<Vec<ListingHit>, Error> {
-        let m = pattern.len();
         let mut occs: HashMap<(usize, usize), f64> = HashMap::new();
         let mut compiled: HashMap<usize, PatternRanks> = HashMap::new();
-        for slot in l..=r {
-            let Some((doc, src)) = self.doc_and_src(slot) else {
+        for (x, stored) in self.substrate.windows(pattern.len(), l, r) {
+            let Some((doc, src)) = self.doc_and_src(x) else {
                 continue;
             };
-            if occs.contains_key(&(doc, src)) {
-                continue;
-            }
-            let stored = self.cum.window(self.tree.sa(slot), m);
-            if stored == f64::NEG_INFINITY {
+            if stored == f64::NEG_INFINITY || occs.contains_key(&(doc, src)) {
                 continue;
             }
             let exact = self.verify(&mut compiled, pattern, doc, src);
@@ -424,21 +371,12 @@ impl ListingIndex {
     /// occurrences visible at `tau_min` are candidates.
     pub fn query_top_k(&self, pattern: &[u8], k: usize) -> Result<Vec<ListingHit>, Error> {
         crate::error::validate_pattern(pattern)?;
-        let Some((l, r)) = self.tree.suffix_range(pattern) else {
+        let Some((l, r)) = self.substrate.range(pattern) else {
             return Ok(Vec::new());
         };
-        let m = pattern.len();
-        let hits = crate::topk::top_k_for_range(
-            &self.tree,
-            &self.cum,
-            &self.levels,
-            m,
-            l,
-            r,
-            k,
-            f64::MIN,
-            |slot| self.doc_and_src(slot).map(|(doc, _)| doc),
-        );
+        let hits = self.substrate.top_k(pattern.len(), l, r, k, f64::MIN, |x| {
+            self.doc_and_src(x).map(|(doc, _)| doc)
+        });
         let mut out: Vec<ListingHit> = hits
             .into_iter()
             .map(|(doc, v)| {
@@ -463,9 +401,7 @@ impl ListingIndex {
     /// Approximate heap footprint in bytes.
     pub fn heap_size(&self) -> usize {
         use std::mem::size_of;
-        self.tree.heap_size()
-            + self.cum.heap_size()
-            + self.levels.heap_size()
+        self.substrate.heap_size()
             + self.planes.iter().map(ProbPlane::heap_size).sum::<usize>()
             + (self.doc_of.capacity() + self.src_of.capacity() + self.doc_base.capacity())
                 * size_of::<u32>()

@@ -1,49 +1,94 @@
 //! Decomposed, persistence-ready state of the index types.
 //!
-//! Each index can be taken apart into a plain-data *snapshot state* struct
-//! (`Index::to_snapshot` / `Index::from_snapshot`, and likewise for
-//! [`crate::SpecialIndex`] and [`crate::ListingIndex`]) holding exactly the
-//! query-critical state:
+//! Each of the four index types — [`crate::SpecialIndex`], [`crate::Index`],
+//! [`crate::ListingIndex`] and [`crate::ApproxIndex`] — can be taken apart
+//! into a plain-data *snapshot state* struct (`to_snapshot` /
+//! `from_snapshot`) holding exactly the query-critical state:
 //!
 //! * the source model (uncertain string(s), correlations),
 //! * the transformed deterministic text and its position mapping,
-//! * the suffix substrate as a `(text, SA, LCP)` triple — the suffix tree is
-//!   rebuilt from these in one linear, deterministic pass,
-//! * the cumulative log-probability prefix sums (serialized verbatim so
-//!   window evaluations stay bit-identical),
-//! * per-level RMQ champion indices and duplicate masks (champion *values*
-//!   are re-derived from the cumulative array on reassembly).
+//! * the paper's §4 machinery as one [`SubstrateState`], the same shape in
+//!   every index that has it:
+//!   * a [`ScoredTextState`] — the text with its `(SA, LCP)` arrays (the
+//!     suffix tree is rebuilt from these in one linear, deterministic pass)
+//!     and the cumulative log-probability prefix sums (serialized verbatim
+//!     so window evaluations stay bit-identical),
+//!   * per-level RMQ champion indices and duplicate masks (champion
+//!     *values* are re-derived from the cumulative array on reassembly),
+//! * each index's own map beside it: the Lemma-2 position map (§5), the
+//!   document maps (§6), or — for the approximate index, which needs no
+//!   levels and so holds a bare [`ScoredTextState`] — the ε-link table (§7).
 //!
 //! The byte-level encoding of these structs lives in the `ustr-store` crate;
-//! this module only defines the shapes and the invariant-checked assembly.
-//! Reassembly never recomputes the expensive parts of construction (SA-IS,
-//! the Lemma-2 transform, level mask sweeps) and produces an index that
-//! answers every query identically to the freshly built original.
+//! this module only defines the shapes. Assembly is invariant-checked in
+//! one place for all four types (the crate-private substrate), so a
+//! structurally inconsistent state is an [`crate::Error::InvalidSnapshot`]
+//! whichever index it was addressed to. Reassembly never recomputes the
+//! expensive parts of construction (SA-IS, the Lemma-2 transform, level
+//! mask sweeps) and produces an index that answers every query identically
+//! to the freshly built original.
 
 use ustr_uncertain::{SpecialUncertainString, Transformed, UncertainString};
 
-use crate::{levels::LevelsParts, stats::BuildStats};
+use crate::stats::BuildStats;
 
-/// Suffix substrate of an index: the deterministic text with its suffix and
-/// LCP arrays (`ustr_suffix::SuffixTree::{to_parts, from_parts}`).
+/// The deterministic text of an index with its suffix structure and
+/// cumulative probabilities — what window probabilities and pattern loci
+/// are read from.
 #[derive(Debug, Clone)]
-pub struct TreeState {
+pub struct ScoredTextState {
     /// The indexed deterministic text (no virtual terminator).
     pub text: Vec<u8>,
     /// Plain suffix array of `text`.
     pub sa: Vec<u32>,
     /// LCP array of `text` (`lcp[0] = 0`).
     pub lcp: Vec<u32>,
-}
-
-/// Cumulative log-probability array state
-/// (`crate::CumulativeLogProb::{to_parts, from_parts}`).
-#[derive(Debug, Clone)]
-pub struct CumState {
     /// Prefix sums of per-position log probabilities (`len + 1` entries).
     pub prefix: Vec<f64>,
     /// Running separator counts (`len + 1` entries).
     pub sentinels: Vec<u32>,
+}
+
+/// Persistent representation of one short RMQ level.
+#[derive(Debug, Clone)]
+pub struct ShortLevelParts {
+    /// Duplicate-elimination mask, 64 slots per word.
+    pub mask_words: Vec<u64>,
+    /// RMQ sampling block size.
+    pub block_size: usize,
+    /// Per-block champion indices.
+    pub champions: Vec<u32>,
+}
+
+/// Persistent representation of one long (blocking-scheme) level.
+#[derive(Debug, Clone)]
+pub struct LongLevelParts {
+    /// Filter length of this level.
+    pub len: usize,
+    /// RMQ sampling block size.
+    pub block_size: usize,
+    /// Per-block champion indices.
+    pub champions: Vec<u32>,
+}
+
+/// Persistent representation of all RMQ levels of an index.
+#[derive(Debug, Clone)]
+pub struct LevelsParts {
+    /// Largest pattern length served by the short levels.
+    pub max_short: usize,
+    /// Short levels, in pattern-length order (`1..=max_short`).
+    pub short: Vec<ShortLevelParts>,
+    /// Long levels, in increasing filter-length order.
+    pub long: Vec<LongLevelParts>,
+}
+
+/// The §4 machinery of an index: scored text plus per-length RMQ levels.
+#[derive(Debug, Clone)]
+pub struct SubstrateState {
+    /// Text, suffix structure and cumulative probabilities.
+    pub text: ScoredTextState,
+    /// Per-length RMQ levels over `text`.
+    pub levels: LevelsParts,
 }
 
 /// Snapshot state of a general substring [`crate::Index`].
@@ -53,12 +98,8 @@ pub struct IndexState {
     pub source: UncertainString,
     /// The Lemma-2 transform output.
     pub transformed: Transformed,
-    /// Suffix substrate over the transformed text.
-    pub tree: TreeState,
-    /// Cumulative log probabilities of the transformed text.
-    pub cum: CumState,
-    /// Per-length RMQ levels.
-    pub levels: LevelsParts,
+    /// The §4 machinery over the transformed text.
+    pub substrate: SubstrateState,
     /// Construction-time threshold.
     pub tau_min: f64,
     /// Whether per-level duplicate elimination was enabled at build time.
@@ -74,12 +115,8 @@ pub struct SpecialIndexState {
     pub special: SpecialUncertainString,
     /// Correlations attached at build time, as plain rows.
     pub correlations: Vec<ustr_uncertain::Correlation>,
-    /// Suffix substrate over the string's characters.
-    pub tree: TreeState,
-    /// Cumulative log probabilities.
-    pub cum: CumState,
-    /// Per-length RMQ levels.
-    pub levels: LevelsParts,
+    /// The §4 machinery over the string's characters.
+    pub substrate: SubstrateState,
     /// Build statistics.
     pub stats: BuildStats,
 }
@@ -109,10 +146,8 @@ pub struct ApproxLinkState {
 pub struct ApproxIndexState {
     /// The Lemma-2 transform output.
     pub transformed: Transformed,
-    /// Suffix substrate over the transformed text.
-    pub tree: TreeState,
-    /// Cumulative log probabilities of the transformed text.
-    pub cum: CumState,
+    /// The transformed text with its suffix structure and probabilities.
+    pub text: ScoredTextState,
     /// The ε-refined sub-link table, sorted by `origin_pre` (the min-RMQ
     /// over target depths is rebuilt from this on reassembly).
     pub links: Vec<ApproxLinkState>,
@@ -129,12 +164,8 @@ pub struct ApproxIndexState {
 pub struct ListingIndexState {
     /// The indexed collection.
     pub docs: Vec<UncertainString>,
-    /// Suffix substrate over the concatenated transformed texts.
-    pub tree: TreeState,
-    /// Cumulative log probabilities.
-    pub cum: CumState,
-    /// Per-length RMQ levels.
-    pub levels: LevelsParts,
+    /// The §4 machinery over the concatenated transformed texts.
+    pub substrate: SubstrateState,
     /// Transformed position → document id (`u32::MAX` at separators).
     pub doc_of: Vec<u32>,
     /// Transformed position → offset within its document.
@@ -152,36 +183,4 @@ pub(crate) fn invalid(detail: impl Into<String>) -> crate::Error {
     crate::Error::InvalidSnapshot {
         detail: detail.into(),
     }
-}
-
-/// Validates a `(text, sa, lcp)` triple well enough that
-/// `SuffixTree::from_parts` cannot panic: the SA must be a permutation of
-/// `0..n` and every LCP entry must be a genuine common-prefix length.
-pub(crate) fn validate_tree_state(state: &TreeState) -> Result<(), crate::Error> {
-    let n = state.text.len();
-    if state.sa.len() != n || state.lcp.len() != n {
-        return Err(invalid("suffix/LCP array length does not match text"));
-    }
-    let mut seen = vec![false; n];
-    for &p in &state.sa {
-        let p = p as usize;
-        if p >= n || seen[p] {
-            return Err(invalid("suffix array is not a permutation of 0..n"));
-        }
-        seen[p] = true;
-    }
-    for (j, &l) in state.lcp.iter().enumerate() {
-        let l = l as usize;
-        if j == 0 {
-            if l != 0 {
-                return Err(invalid("lcp[0] must be 0"));
-            }
-            continue;
-        }
-        let (a, b) = (state.sa[j - 1] as usize, state.sa[j] as usize);
-        if l > n - a || l > n - b || state.text[a..a + l] != state.text[b..b + l] {
-            return Err(invalid("LCP entry exceeds the true common prefix"));
-        }
-    }
-    Ok(())
 }

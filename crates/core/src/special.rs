@@ -4,17 +4,15 @@
 
 use std::time::Instant;
 
-use ustr_suffix::SuffixTree;
 use ustr_uncertain::{canon, CorrelationSet, SpecialUncertainString};
 
 use crate::{
-    carray::CumulativeLogProb,
     error::{validate_query, Error},
-    levels::{DedupStrategy, Levels},
     options::IndexOptions,
     result::QueryResult,
-    snapshot::{CumState, SpecialIndexState, TreeState},
+    snapshot::{invalid, SpecialIndexState},
     stats::BuildStats,
+    substrate::{DedupStrategy, Substrate},
 };
 
 /// Index over a [`SpecialUncertainString`] (Definition 1) supporting
@@ -39,9 +37,7 @@ use crate::{
 pub struct SpecialIndex {
     special: SpecialUncertainString,
     correlations: CorrelationSet,
-    tree: SuffixTree,
-    cum: CumulativeLogProb,
-    levels: Levels,
+    substrate: Substrate,
     /// Log-space slack added to the recursion threshold so upward
     /// correlation adjustments cannot prune true matches (§4.1).
     boost_log: f64,
@@ -61,19 +57,16 @@ impl SpecialIndex {
         options: &IndexOptions,
     ) -> Result<Self, Error> {
         let start = Instant::now();
-        let tree = SuffixTree::build(special.chars().to_vec());
-        let cum = CumulativeLogProb::new(special.probs(), |i| special.char_at(i) == 0);
-        let max_short = options.short_levels_for(tree.num_slots());
-        let levels = Levels::build(
-            &tree,
-            &cum,
-            max_short,
-            options.ratio(),
-            !options.disable_long_levels,
+        // Every text position is a distinct occurrence position: nothing
+        // to deduplicate.
+        let substrate = Substrate::build(
+            special.chars(),
+            special.probs(),
+            options,
             &DedupStrategy::None,
         );
         let boost_log = correlation_boost(special, &correlations);
-        let mut stats = BuildStats {
+        let stats = BuildStats {
             source_len: special.len(),
             transformed_len: special.len(),
             num_factors: 1,
@@ -83,14 +76,11 @@ impl SpecialIndex {
         let mut idx = Self {
             special: special.clone(),
             correlations,
-            tree,
-            cum,
-            levels,
+            substrate,
             boost_log,
-            stats: BuildStats::default(),
+            stats,
         };
-        stats.heap_bytes = idx.heap_size();
-        idx.stats = stats;
+        idx.stats.heap_bytes = idx.heap_size();
         Ok(idx)
     }
 
@@ -107,14 +97,10 @@ impl SpecialIndex {
     /// Decomposes the index into its persistence-ready snapshot state (see
     /// [`crate::snapshot`]).
     pub fn to_snapshot(&self) -> SpecialIndexState {
-        let (text, sa, lcp) = self.tree.to_parts();
-        let (prefix, sentinels) = self.cum.to_parts();
         SpecialIndexState {
             special: self.special.clone(),
             correlations: self.correlations.iter().cloned().collect(),
-            tree: TreeState { text, sa, lcp },
-            cum: CumState { prefix, sentinels },
-            levels: self.levels.to_parts(),
+            substrate: self.substrate.to_state(),
             stats: self.stats.clone(),
         }
     }
@@ -123,31 +109,21 @@ impl SpecialIndex {
     /// query identically to the original. Fails with
     /// [`Error::InvalidSnapshot`] on structurally inconsistent state.
     pub fn from_snapshot(state: SpecialIndexState) -> Result<Self, Error> {
-        use crate::snapshot::{invalid, validate_tree_state};
-        validate_tree_state(&state.tree)?;
-        if state.tree.text != state.special.chars() {
+        if state.substrate.text.text != state.special.chars() {
             return Err(invalid("tree text does not match the indexed string"));
         }
         let mut correlations = CorrelationSet::new();
         for corr in state.correlations {
             correlations.add(corr).map_err(Error::Model)?;
         }
-        let tree = SuffixTree::from_parts(state.tree.text, state.tree.sa, state.tree.lcp);
-        let cum = CumulativeLogProb::from_parts(state.cum.prefix, state.cum.sentinels)
-            .map_err(invalid)?;
-        if cum.len() != tree.text_len() {
-            return Err(invalid("cumulative array length does not match text"));
-        }
-        let levels = Levels::from_parts(state.levels, &tree, &cum)?;
+        let substrate = Substrate::from_state(state.substrate)?;
         // Derived, never trusted from the snapshot: a too-small boost would
         // silently prune true matches under correlation uplift.
         let boost_log = correlation_boost(&state.special, &correlations);
         Ok(Self {
             special: state.special,
             correlations,
-            tree,
-            cum,
-            levels,
+            substrate,
             boost_log,
             stats: state.stats,
         })
@@ -157,21 +133,15 @@ impl SpecialIndex {
     pub fn query(&self, pattern: &[u8], tau: f64) -> Result<QueryResult, Error> {
         validate_query(pattern, tau, 0.0)?;
         let m = pattern.len();
-        let Some((l, r)) = self.tree.suffix_range(pattern) else {
+        let Some((l, r)) = self.substrate.range(pattern) else {
             return Ok(QueryResult::default());
         };
-        let log_tau = canon::ln(tau);
         // Candidates come back with their *stored* window log-probability.
-        let candidates = if m <= self.levels.max_short() {
-            self.levels
-                .report_short(m, l, r, log_tau - self.boost_log, &self.tree, &self.cum)
-        } else {
-            self.levels
-                .report_long(m, l, r, log_tau - self.boost_log, &self.tree, &self.cum)
-        };
+        let candidates = self
+            .substrate
+            .report(m, l, r, canon::ln(tau) - self.boost_log);
         let mut hits = Vec::with_capacity(candidates.len());
-        for (slot, stored) in candidates {
-            let pos = self.tree.sa(slot);
+        for (pos, stored) in candidates {
             let exact = if self.correlations.is_empty() {
                 canon::exp(stored)
             } else {
@@ -190,21 +160,11 @@ impl SpecialIndex {
     /// exact).
     pub fn query_top_k(&self, pattern: &[u8], k: usize) -> Result<Vec<(usize, f64)>, Error> {
         crate::error::validate_pattern(pattern)?;
-        let Some((l, r)) = self.tree.suffix_range(pattern) else {
+        let Some((l, r)) = self.substrate.range(pattern) else {
             return Ok(Vec::new());
         };
         let m = pattern.len();
-        let hits = crate::topk::top_k_for_range(
-            &self.tree,
-            &self.cum,
-            &self.levels,
-            m,
-            l,
-            r,
-            k,
-            f64::MIN,
-            |slot| Some(self.tree.sa(slot)),
-        );
+        let hits = self.substrate.top_k(m, l, r, k, f64::MIN, Some);
         let mut out: Vec<(usize, f64)> = hits
             .into_iter()
             .map(|(pos, v)| {
@@ -222,10 +182,7 @@ impl SpecialIndex {
 
     /// Approximate heap footprint in bytes.
     pub fn heap_size(&self) -> usize {
-        self.tree.heap_size()
-            + self.cum.heap_size()
-            + self.levels.heap_size()
-            + self.special.len() * (1 + std::mem::size_of::<f64>())
+        self.substrate.heap_size() + self.special.len() * (1 + std::mem::size_of::<f64>())
     }
 }
 

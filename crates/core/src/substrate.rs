@@ -1,0 +1,273 @@
+//! The paper's §4 machinery, owned in one place.
+//!
+//! §4 builds one engine — a suffix tree over a deterministic text, the
+//! cumulative probability array `C`, and per-pattern-length RMQ levels — and
+//! §5, §6 and §7 reuse it under a Lemma-2 position map, a document map and
+//! an ε-link table. [`Substrate`] is that engine: the only code that knows
+//! how the triple is built, queried (suffix range → candidates in
+//! decreasing-probability order, threshold or top-k), measured, taken apart
+//! into [`SubstrateState`] and validated back together. [`ScoredText`] is
+//! its level-free half (tree + `C`), which is all [`crate::ApproxIndex`]
+//! needs. The index types add their own map and their own verification.
+//!
+//! Outside this module nothing sees a suffix-array *slot*: candidates come
+//! back as text positions.
+
+mod levels;
+mod topk;
+
+use ustr_suffix::SuffixTree;
+
+use crate::{
+    carray::CumulativeLogProb,
+    error::Error,
+    options::IndexOptions,
+    snapshot::{invalid, ScoredTextState, SubstrateState},
+};
+
+pub(crate) use levels::DedupStrategy;
+use levels::Levels;
+
+/// A deterministic text with per-position probabilities: its suffix tree
+/// (pattern loci) and cumulative array `C` (O(1) window probabilities).
+pub(crate) struct ScoredText {
+    pub(crate) tree: SuffixTree,
+    pub(crate) cum: CumulativeLogProb,
+}
+
+impl ScoredText {
+    /// Builds over `chars` (byte 0 = factor separator) with one probability
+    /// per character.
+    pub(crate) fn build(chars: &[u8], probs: &[f64]) -> Self {
+        Self {
+            tree: SuffixTree::build(chars.to_vec()),
+            cum: CumulativeLogProb::new(probs, |i| chars[i] == 0),
+        }
+    }
+
+    /// Text position of the suffix in suffix-array slot `slot`.
+    #[inline]
+    fn pos(&self, slot: usize) -> usize {
+        self.tree.sa(slot)
+    }
+
+    /// Stored log-probability of the length-`len` prefix of the suffix in
+    /// `slot` (−∞ past the text end or across a separator).
+    #[inline]
+    fn window(&self, slot: usize, len: usize) -> f64 {
+        self.cum.window(self.tree.sa(slot), len)
+    }
+
+    /// Approximate heap footprint in bytes.
+    pub(crate) fn heap_size(&self) -> usize {
+        self.tree.heap_size() + self.cum.heap_size()
+    }
+
+    /// Decomposes into plain data: `(text, SA, LCP)` and the prefix sums.
+    pub(crate) fn to_state(&self) -> ScoredTextState {
+        let (text, sa, lcp) = self.tree.to_parts();
+        let (prefix, sentinels) = self.cum.to_parts();
+        ScoredTextState {
+            text,
+            sa,
+            lcp,
+            prefix,
+            sentinels,
+        }
+    }
+
+    /// Validates and reassembles. The checks are exactly what keeps
+    /// `SuffixTree::from_parts` and every later window evaluation from
+    /// panicking: the SA must be a permutation of `0..n`, every LCP entry a
+    /// genuine common-prefix length, and `C` must cover the text.
+    pub(crate) fn from_state(state: ScoredTextState) -> Result<Self, Error> {
+        let ScoredTextState {
+            text,
+            sa,
+            lcp,
+            prefix,
+            sentinels,
+        } = state;
+        let n = text.len();
+        if sa.len() != n || lcp.len() != n {
+            return Err(invalid("suffix/LCP array length does not match text"));
+        }
+        let mut seen = vec![false; n];
+        for &p in &sa {
+            let p = p as usize;
+            if p >= n || seen[p] {
+                return Err(invalid("suffix array is not a permutation of 0..n"));
+            }
+            seen[p] = true;
+        }
+        for (j, &l) in lcp.iter().enumerate() {
+            let l = l as usize;
+            if j == 0 {
+                if l != 0 {
+                    return Err(invalid("lcp[0] must be 0"));
+                }
+                continue;
+            }
+            let (a, b) = (sa[j - 1] as usize, sa[j] as usize);
+            if l > n - a || l > n - b || text[a..a + l] != text[b..b + l] {
+                return Err(invalid("LCP entry exceeds the true common prefix"));
+            }
+        }
+        let cum = CumulativeLogProb::from_parts(prefix, sentinels).map_err(invalid)?;
+        if cum.len() != n {
+            return Err(invalid("cumulative array length does not match text"));
+        }
+        let tree = SuffixTree::from_parts(text, sa, lcp);
+        Ok(Self { tree, cum })
+    }
+}
+
+/// Scored text plus the per-length RMQ levels over it (see the module docs).
+pub(crate) struct Substrate {
+    text: ScoredText,
+    levels: Levels,
+}
+
+impl Substrate {
+    /// Builds the machinery over `chars`/`probs`. `dedup` states which
+    /// suffixes of one locus partition are duplicates of each other.
+    pub(crate) fn build(
+        chars: &[u8],
+        probs: &[f64],
+        options: &IndexOptions,
+        dedup: &DedupStrategy<'_>,
+    ) -> Self {
+        let text = ScoredText::build(chars, probs);
+        let levels = Levels::build(
+            &text,
+            options.short_levels_for(text.tree.num_slots()),
+            options.ratio(),
+            !options.disable_long_levels,
+            dedup,
+        );
+        Self { text, levels }
+    }
+
+    /// Suffix range of `pattern`: an opaque `(l, r)` for the query methods
+    /// (`report` and `top_k` live beside the levels they search),
+    /// `r - l + 1` suffixes wide. `None` when the pattern does not occur.
+    pub(crate) fn range(&self, pattern: &[u8]) -> Option<(usize, usize)> {
+        self.text.tree.suffix_range(pattern)
+    }
+
+    /// Every suffix in `[l, r]` as `(text position, stored length-m window
+    /// log-probability)`, unfiltered and with duplicates.
+    pub(crate) fn windows(
+        &self,
+        m: usize,
+        l: usize,
+        r: usize,
+    ) -> impl Iterator<Item = (usize, f64)> + '_ {
+        (l..=r).map(move |slot| (self.text.pos(slot), self.text.window(slot, m)))
+    }
+
+    /// Approximate heap footprint in bytes.
+    pub(crate) fn heap_size(&self) -> usize {
+        self.text.heap_size() + self.levels.heap_size()
+    }
+
+    /// Decomposes into plain data (see [`crate::snapshot`]).
+    pub(crate) fn to_state(&self) -> SubstrateState {
+        SubstrateState {
+            text: self.text.to_state(),
+            levels: self.levels.to_parts(),
+        }
+    }
+
+    /// Validates and reassembles; [`Error::InvalidSnapshot`] on any
+    /// structural inconsistency, never a panic.
+    pub(crate) fn from_state(state: SubstrateState) -> Result<Self, Error> {
+        let text = ScoredText::from_state(state.text)?;
+        let levels = Levels::from_parts(state.levels, &text)?;
+        Ok(Self { text, levels })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{ApproxIndex, Index, ListingIndex, SpecialIndex};
+    use ustr_uncertain::{SpecialUncertainString, UncertainString};
+
+    const BANANA_PROBS: [f64; 6] = [0.4, 0.7, 0.5, 0.8, 0.9, 0.6];
+
+    /// Figure 5's string: 7 slots, 3 short levels, long levels at 3 and 6.
+    fn banana_state() -> SubstrateState {
+        let options = IndexOptions::default();
+        Substrate::build(b"banana", &BANANA_PROBS, &options, &DedupStrategy::None).to_state()
+    }
+
+    fn rejection<T>(result: Result<T, Error>) -> String {
+        match result {
+            Err(Error::InvalidSnapshot { detail }) => detail,
+            Err(other) => panic!("wrong error kind: {other:?}"),
+            Ok(_) => panic!("inconsistent state was accepted"),
+        }
+    }
+
+    /// Checksummed-but-inconsistent state: a payload can pass the store's
+    /// checksum and still describe no valid structure. Every such state is
+    /// an `InvalidSnapshot` from the one validator — never a panic, at load
+    /// or at the first query.
+    #[test]
+    fn inconsistent_state_is_rejected_not_panicked_on() {
+        assert!(Substrate::from_state(banana_state()).is_ok());
+        type Tamper = fn(&mut SubstrateState);
+        let rows: [(&str, Tamper); 9] = [
+            ("not a permutation", |s| s.text.sa[0] = s.text.sa[1]),
+            ("lcp[0] must be 0", |s| s.text.lcp[0] = 1),
+            ("exceeds the true common prefix", |s| s.text.lcp[1] += 1),
+            ("cumulative array length", |s| {
+                s.text.prefix.push(0.0);
+                s.text.sentinels.push(0);
+            }),
+            ("short level count", |s| s.levels.max_short += 1),
+            ("mask word count", |s| s.levels.short[0].mask_words.push(0)),
+            ("outside its block", |s| {
+                s.levels.short[0].champions[0] = u32::MAX
+            }),
+            ("strictly increasing", |s| {
+                s.levels.long[1].len = s.levels.long[0].len
+            }),
+            ("exceeds the text length", |s| {
+                s.levels.long[1].len = usize::MAX
+            }),
+        ];
+        for (expected, tamper) in rows {
+            let mut state = banana_state();
+            tamper(&mut state);
+            let detail = rejection(Substrate::from_state(state));
+            assert!(detail.contains(expected), "{expected:?}: got {detail:?}");
+        }
+    }
+
+    /// One row of the table through each public entry point: all four
+    /// `from_snapshot`s reach the same validator.
+    #[test]
+    fn every_from_snapshot_reaches_the_substrate_validator() {
+        let s = UncertainString::parse("Q:.7,S:.3 | Q:.3,P:.7 | P | A:.4,F:.3,P:.2,Q:.1").unwrap();
+        let mut index = Index::build(&s, 0.1).unwrap().to_snapshot();
+        index.substrate.text.lcp[0] = 1;
+        let x = SpecialUncertainString::new(b"banana".to_vec(), BANANA_PROBS.to_vec()).unwrap();
+        let mut special = SpecialIndex::build(&x).unwrap().to_snapshot();
+        special.substrate.text.lcp[0] = 1;
+        let mut listing = ListingIndex::build(&[s.clone(), s.clone()], 0.1)
+            .unwrap()
+            .to_snapshot();
+        listing.substrate.text.lcp[0] = 1;
+        let mut approx = ApproxIndex::build(&s, 0.1, 0.05).unwrap().to_snapshot();
+        approx.text.lcp[0] = 1;
+        let details = [
+            rejection(Index::from_snapshot(index)),
+            rejection(SpecialIndex::from_snapshot(special)),
+            rejection(ListingIndex::from_snapshot(listing)),
+            rejection(ApproxIndex::from_snapshot(approx)),
+        ];
+        assert_eq!(details, ["lcp[0] must be 0"; 4]);
+    }
+}

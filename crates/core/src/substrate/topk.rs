@@ -11,17 +11,14 @@
 //! value is computed and re-inserted, and it is only emitted once exact —
 //! correct because every other entry still bounds its contents from above.
 //!
-//! Values ranked here are the *stored* window products read off the
-//! cumulative array; the callers re-verify every emitted source through
-//! the flat [`ustr_uncertain::ProbPlane`] kernel to produce the canonical
+//! `Levels::top_k` points this search at an RMQ level. Values ranked there
+//! are the *stored* window products read off the cumulative array; the
+//! index types re-verify every emitted source through the flat
+//! [`ustr_uncertain::ProbPlane`] kernel to produce the canonical
 //! probabilities the [`crate::QueryExecutor`] contract reports.
 
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashSet};
-
-use ustr_suffix::SuffixTree;
-
-use crate::carray::CumulativeLogProb;
 
 /// Max-heap entry: either an unexplored range (keyed by the value of its
 /// best slot) or an exact candidate awaiting emission.
@@ -72,7 +69,7 @@ impl Ord for Entry {
 /// (`-inf` to drop the slot); `source(slot)` maps a slot to the deduplicated
 /// output key and position. Emits at most `k` distinct sources in
 /// decreasing exact-value order, skipping values below `floor`.
-pub(crate) fn top_k_search(
+pub(super) fn top_k_search(
     l: usize,
     r: usize,
     k: usize,
@@ -132,70 +129,6 @@ pub(crate) fn top_k_search(
         }
     }
     out
-}
-
-/// Shared driver used by the index types: top-k over the suffix range of a
-/// pattern at window length `m`, through a level RMQ accessor pair.
-/// `floor` is a log-probability cut-off: candidates whose (exact) window
-/// value falls below it are never emitted (`f64::MIN` disables the cut).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn top_k_for_range(
-    tree: &SuffixTree,
-    cum: &CumulativeLogProb,
-    levels: &crate::levels::Levels,
-    m: usize,
-    l: usize,
-    r: usize,
-    k: usize,
-    floor: f64,
-    source: impl Fn(usize) -> Option<usize>,
-) -> Vec<(usize, f64)> {
-    if m <= levels.max_short() {
-        let (query, value) = levels.short_accessors(m, tree, cum);
-        top_k_search(
-            l,
-            r,
-            k,
-            floor,
-            |a, b| {
-                let s = query(a, b);
-                (s, value(s))
-            },
-            value,
-            source,
-        )
-    } else {
-        let Some((filter_len, query, value)) = levels.long_accessors(m, tree, cum) else {
-            // No blocking level: rank by scanning (rare; tiny texts only).
-            let mut all: Vec<(usize, f64)> = (l..=r)
-                .filter_map(|j| {
-                    let v = cum.window(tree.sa(j), m);
-                    if v == f64::NEG_INFINITY || v < floor {
-                        return None;
-                    }
-                    source(j).map(|s| (s, v))
-                })
-                .collect();
-            all.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(Ordering::Equal));
-            let mut seen = HashSet::new();
-            all.retain(|&(s, _)| seen.insert(s));
-            all.truncate(k);
-            return all;
-        };
-        debug_assert!(filter_len <= m);
-        top_k_search(
-            l,
-            r,
-            k,
-            floor,
-            |a, b| {
-                let s = query(a, b);
-                (s, value(s)) // filter-length value: an upper bound for m
-            },
-            |slot| cum.window(tree.sa(slot), m),
-            source,
-        )
-    }
 }
 
 #[cfg(test)]

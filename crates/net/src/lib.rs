@@ -195,6 +195,27 @@ mod tests {
     }
 
     #[test]
+    fn an_oversized_top_k_frame_is_answered_and_the_session_survives() {
+        // `k` crosses the wire unvalidated; it once sized an allocation
+        // that aborted the whole server process.
+        let service = Arc::new(service());
+        let server = serve(Arc::clone(&service) as _, ServerConfig::default());
+        let mut client = NetClient::connect(server.local_addr()).unwrap();
+        let top_k = |k: usize| QueryRequest::TopK {
+            pattern: b"AB".to_vec(),
+            k,
+        };
+        let huge = [top_k(1 << 40), top_k(usize::MAX)];
+        let remote = client.query_requests(&huge).unwrap();
+        let everything = service.query_requests(&[top_k(100)]);
+        for answer in &remote {
+            assert_eq!(answer.as_ref().unwrap(), everything[0].as_ref().unwrap());
+        }
+        assert_eq!(client.health().unwrap(), None, "same connection, alive");
+        server.shutdown();
+    }
+
+    #[test]
     fn validation_errors_ride_inside_responses() {
         let server = serve(Arc::new(service()), ServerConfig::default());
         let mut client = NetClient::connect(server.local_addr()).unwrap();

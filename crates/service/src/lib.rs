@@ -869,6 +869,20 @@ mod tests {
         for w in top.windows(2) {
             assert!(w[0].prob >= w[1].prob, "ranked descending");
         }
+        // `k` is unvalidated wire input: past the number of occurrences it
+        // answers exactly like `k = occurrences`, and never sizes a buffer.
+        let all = service.query_top_k(b"AB", 100).unwrap();
+        let ask = |k: usize| {
+            let request = QueryRequest::TopK {
+                pattern: b"AB".to_vec(),
+                k,
+            };
+            service.query_requests(&[request]).remove(0).unwrap()
+        };
+        let expected = ask(all.len());
+        for k in [1usize << 40, usize::MAX] {
+            assert_eq!(ask(k), expected, "k {k}");
+        }
     }
 
     #[test]

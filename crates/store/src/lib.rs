@@ -4,10 +4,11 @@
 //! makes the "built once" part durable. [`Snapshot::save`] serializes the
 //! query-critical state of an [`Index`], [`SpecialIndex`], [`ListingIndex`],
 //! or [`ApproxIndex`] — the source model, the transformed text with its
-//! position mapping, the suffix substrate as a `(text, SA, LCP)` triple, the
-//! cumulative log-probability prefix sums, and every per-level RMQ table
-//! (champion indices + duplicate masks; for the approximate index, the
-//! ε-refined sub-link table instead) — and [`Snapshot::load`] reassembles
+//! position mapping, and the paper's §4 substrate, encoded by one routine
+//! for every kind: the text with its `(SA, LCP)` arrays, the cumulative
+//! log-probability prefix sums, and every per-level RMQ table (champion
+//! indices + duplicate masks; for the approximate index, the ε-refined
+//! sub-link table instead) — and [`Snapshot::load`] reassembles
 //! an index that answers **byte-identical** query results, skipping the
 //! expensive construction passes (the Lemma-2 transform, SA-IS, and the
 //! level mask sweeps).
@@ -82,13 +83,10 @@ use std::io::{BufReader, BufWriter, Read, Write};
 use std::path::Path;
 
 use ustr_core::snapshot::{
-    ApproxIndexState, ApproxLinkState, CumState, IndexState, ListingIndexState, SpecialIndexState,
-    TreeState,
+    ApproxIndexState, ApproxLinkState, IndexState, LevelsParts, ListingIndexState, LongLevelParts,
+    ScoredTextState, ShortLevelParts, SpecialIndexState, SubstrateState,
 };
-use ustr_core::{
-    ApproxIndex, BuildStats, Index, LevelsParts, ListingIndex, LongLevelParts, ShortLevelParts,
-    SpecialIndex,
-};
+use ustr_core::{ApproxIndex, BuildStats, Index, ListingIndex, SpecialIndex};
 use ustr_uncertain::{Correlation, SpecialUncertainString, Transformed, UncertainString};
 
 pub use collection::{
@@ -329,13 +327,17 @@ pub(crate) fn encode_uncertain_string(w: &mut Writer, s: &UncertainString) {
     let correlations: Vec<&Correlation> = s.correlations().iter().collect();
     w.put_u64(correlations.len() as u64);
     for corr in correlations {
-        w.put_u64(corr.subject_pos as u64);
-        w.put_u8(corr.subject_char);
-        w.put_u64(corr.cond_pos as u64);
-        w.put_u8(corr.cond_char);
-        w.put_f64(corr.p_present);
-        w.put_f64(corr.p_absent);
+        encode_correlation(w, corr);
     }
+}
+
+fn encode_correlation(w: &mut Writer, corr: &Correlation) {
+    w.put_u64(corr.subject_pos as u64);
+    w.put_u8(corr.subject_char);
+    w.put_u64(corr.cond_pos as u64);
+    w.put_u8(corr.cond_char);
+    w.put_f64(corr.p_present);
+    w.put_f64(corr.p_absent);
 }
 
 fn decode_correlation(r: &mut Reader<'_>) -> Result<Correlation, StoreError> {
@@ -408,33 +410,29 @@ fn decode_transformed(r: &mut Reader<'_>) -> Result<Transformed, StoreError> {
     })
 }
 
-fn encode_tree(w: &mut Writer, t: &TreeState) {
+fn encode_scored_text(w: &mut Writer, t: &ScoredTextState) {
     w.put_bytes(&t.text);
     w.put_u32s(&t.sa);
     w.put_u32s(&t.lcp);
+    w.put_f64s(&t.prefix);
+    w.put_u32s(&t.sentinels);
 }
 
-fn decode_tree(r: &mut Reader<'_>) -> Result<TreeState, StoreError> {
-    Ok(TreeState {
+fn decode_scored_text(r: &mut Reader<'_>) -> Result<ScoredTextState, StoreError> {
+    Ok(ScoredTextState {
         text: r.get_bytes()?,
         sa: r.get_u32s()?,
         lcp: r.get_u32s()?,
-    })
-}
-
-fn encode_cum(w: &mut Writer, c: &CumState) {
-    w.put_f64s(&c.prefix);
-    w.put_u32s(&c.sentinels);
-}
-
-fn decode_cum(r: &mut Reader<'_>) -> Result<CumState, StoreError> {
-    Ok(CumState {
         prefix: r.get_f64s()?,
         sentinels: r.get_u32s()?,
     })
 }
 
-fn encode_levels(w: &mut Writer, l: &LevelsParts) {
+/// The §4 machinery every index kind but `ApproxIndex` carries: scored text,
+/// then levels. The one place its byte layout is written down.
+fn encode_substrate(w: &mut Writer, state: &SubstrateState) {
+    encode_scored_text(w, &state.text);
+    let l = &state.levels;
     w.put_u64(l.max_short as u64);
     w.put_u64(l.short.len() as u64);
     for s in &l.short {
@@ -450,7 +448,8 @@ fn encode_levels(w: &mut Writer, l: &LevelsParts) {
     }
 }
 
-fn decode_levels(r: &mut Reader<'_>) -> Result<LevelsParts, StoreError> {
+fn decode_substrate(r: &mut Reader<'_>) -> Result<SubstrateState, StoreError> {
+    let text = decode_scored_text(r)?;
     let max_short = r.get_usize()?;
     let num_short = r.get_len(8)?;
     let mut short = Vec::with_capacity(num_short);
@@ -470,10 +469,13 @@ fn decode_levels(r: &mut Reader<'_>) -> Result<LevelsParts, StoreError> {
             champions: r.get_u32s()?,
         });
     }
-    Ok(LevelsParts {
-        max_short,
-        short,
-        long,
+    Ok(SubstrateState {
+        text,
+        levels: LevelsParts {
+            max_short,
+            short,
+            long,
+        },
     })
 }
 
@@ -496,7 +498,7 @@ fn decode_stats(r: &mut Reader<'_>) -> Result<BuildStats, StoreError> {
 }
 
 // ---------------------------------------------------------------------------
-// Snapshot impls for the three index types.
+// Snapshot impls for the four index types.
 // ---------------------------------------------------------------------------
 
 impl Snapshot for Index {
@@ -506,9 +508,7 @@ impl Snapshot for Index {
         let state = self.to_snapshot();
         encode_uncertain_string(w, &state.source);
         encode_transformed(w, &state.transformed);
-        encode_tree(w, &state.tree);
-        encode_cum(w, &state.cum);
-        encode_levels(w, &state.levels);
+        encode_substrate(w, &state.substrate);
         w.put_f64(state.tau_min);
         w.put_bool(state.dedup_enabled);
         encode_stats(w, &state.stats);
@@ -518,9 +518,7 @@ impl Snapshot for Index {
         let state = IndexState {
             source: decode_uncertain_string(r)?,
             transformed: decode_transformed(r)?,
-            tree: decode_tree(r)?,
-            cum: decode_cum(r)?,
-            levels: decode_levels(r)?,
+            substrate: decode_substrate(r)?,
             tau_min: r.get_f64()?,
             dedup_enabled: r.get_bool()?,
             stats: decode_stats(r)?,
@@ -537,16 +535,9 @@ impl Snapshot for SpecialIndex {
         encode_special(w, &state.special);
         w.put_u64(state.correlations.len() as u64);
         for corr in &state.correlations {
-            w.put_u64(corr.subject_pos as u64);
-            w.put_u8(corr.subject_char);
-            w.put_u64(corr.cond_pos as u64);
-            w.put_u8(corr.cond_char);
-            w.put_f64(corr.p_present);
-            w.put_f64(corr.p_absent);
+            encode_correlation(w, corr);
         }
-        encode_tree(w, &state.tree);
-        encode_cum(w, &state.cum);
-        encode_levels(w, &state.levels);
+        encode_substrate(w, &state.substrate);
         encode_stats(w, &state.stats);
     }
 
@@ -560,9 +551,7 @@ impl Snapshot for SpecialIndex {
         let state = SpecialIndexState {
             special,
             correlations,
-            tree: decode_tree(r)?,
-            cum: decode_cum(r)?,
-            levels: decode_levels(r)?,
+            substrate: decode_substrate(r)?,
             stats: decode_stats(r)?,
         };
         Ok(SpecialIndex::from_snapshot(state)?)
@@ -578,9 +567,7 @@ impl Snapshot for ListingIndex {
         for doc in &state.docs {
             encode_uncertain_string(w, doc);
         }
-        encode_tree(w, &state.tree);
-        encode_cum(w, &state.cum);
-        encode_levels(w, &state.levels);
+        encode_substrate(w, &state.substrate);
         w.put_u32s(&state.doc_of);
         w.put_u32s(&state.src_of);
         w.put_u32s(&state.doc_base);
@@ -596,9 +583,7 @@ impl Snapshot for ListingIndex {
         }
         let state = ListingIndexState {
             docs,
-            tree: decode_tree(r)?,
-            cum: decode_cum(r)?,
-            levels: decode_levels(r)?,
+            substrate: decode_substrate(r)?,
             doc_of: r.get_u32s()?,
             src_of: r.get_u32s()?,
             doc_base: r.get_u32s()?,
@@ -615,8 +600,7 @@ impl Snapshot for ApproxIndex {
     fn encode_payload(&self, w: &mut Writer) {
         let state = self.to_snapshot();
         encode_transformed(w, &state.transformed);
-        encode_tree(w, &state.tree);
-        encode_cum(w, &state.cum);
+        encode_scored_text(w, &state.text);
         w.put_u64(state.links.len() as u64);
         for link in &state.links {
             w.put_u32(link.origin_pre);
@@ -632,8 +616,7 @@ impl Snapshot for ApproxIndex {
 
     fn decode_payload(r: &mut Reader<'_>) -> Result<Self, StoreError> {
         let transformed = decode_transformed(r)?;
-        let tree = decode_tree(r)?;
-        let cum = decode_cum(r)?;
+        let text = decode_scored_text(r)?;
         let num_links = r.get_len(24)?;
         let mut links = Vec::with_capacity(num_links);
         for _ in 0..num_links {
@@ -647,8 +630,7 @@ impl Snapshot for ApproxIndex {
         }
         let state = ApproxIndexState {
             transformed,
-            tree,
-            cum,
+            text,
             links,
             epsilon: r.get_f64()?,
             tau_min: r.get_f64()?,
@@ -761,5 +743,54 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// `(payload length, FNV-1a payload checksum)` of `index`'s snapshot.
+    fn pinned<T: Snapshot>(index: &T) -> (u64, u64) {
+        let mut bytes = Vec::new();
+        index.write_snapshot(&mut bytes).unwrap();
+        let header = Header::parse(&bytes).unwrap();
+        (header.payload_len, header.checksum)
+    }
+
+    /// The payloads of all four kinds are byte-for-byte what the commit
+    /// before the shared substrate wrote (constants computed there), so
+    /// files written before it still load and `snapshot_bytes_per_pos`
+    /// cannot have moved. `build_time` — the one nondeterministic field —
+    /// is zeroed through the public state struct.
+    #[test]
+    fn snapshot_payloads_are_pinned() {
+        use std::time::Duration;
+        let s = UncertainString::parse("Q:.7,S:.3 | Q:.3,P:.7 | P | A:.4,F:.3,P:.2,Q:.1").unwrap();
+        let mut state = Index::build(&s, 0.1).unwrap().to_snapshot();
+        state.stats.build_time = Duration::ZERO;
+        assert_eq!(
+            pinned(&Index::from_snapshot(state).unwrap()),
+            (2194, 16130110927768970065)
+        );
+        let mut state = ApproxIndex::build(&s, 0.1, 0.05).unwrap().to_snapshot();
+        state.stats.build_time = Duration::ZERO;
+        assert_eq!(
+            pinned(&ApproxIndex::from_snapshot(state).unwrap()),
+            (3456, 16573239407359248965)
+        );
+        let x = SpecialUncertainString::new(b"banana".to_vec(), vec![0.4, 0.7, 0.5, 0.8, 0.9, 0.6])
+            .unwrap();
+        let mut state = SpecialIndex::build(&x).unwrap().to_snapshot();
+        state.stats.build_time = Duration::ZERO;
+        assert_eq!(
+            pinned(&SpecialIndex::from_snapshot(state).unwrap()),
+            (496, 17373307002530070499)
+        );
+        let docs = vec![
+            UncertainString::parse("A:.4,B:.3,F:.3 | B:.3,L:.3,F:.3,J:.1 | F:.5,J:.5").unwrap(),
+            UncertainString::parse("A:.6,C:.4 | B:.5,F:.3,E:.2 | B:.4,C:.3,P:.2,F:.1").unwrap(),
+        ];
+        let mut state = ListingIndex::build(&docs, 0.05).unwrap().to_snapshot();
+        state.stats.build_time = Duration::ZERO;
+        assert_eq!(
+            pinned(&ListingIndex::from_snapshot(state).unwrap()),
+            (5248, 11977288679900869057)
+        );
     }
 }

@@ -68,7 +68,6 @@
 //! | [`LiveService`], [`LiveConfig`] | `ustr-live` | mutable collections: WAL → memtable → sealed segments → compaction |
 //! | [`NetServer`], [`NetClient`], [`ServerConfig`] | `ustr-net` | TCP serving: checksummed wire protocol, handshake, pipelined concurrent server, client |
 //! | [`NaiveScanner`], [`SimpleIndex`], [`ScanIndex`], DP containment | `ustr-baseline` | baselines, test oracles, and the scan-backed memtable executor |
-//! | [`StreamMatcher`], [`ContainmentTracker`] | `ustr-stream` | online matching over event streams (§2) |
 //! | suffix arrays / trees | `ustr-suffix` | SA-IS, LCP, suffix tree substrate |
 //! | RMQ structures | `ustr-rmq` | Lemma-1 substrate |
 //! | dataset generators | `ustr-workload` | §8.1 synthetic workloads |
@@ -88,7 +87,6 @@ pub use ustr_service::{
     self as service, DocHits, QueryRequest, QueryResponse, QueryService, ServiceConfig, TopHit,
 };
 pub use ustr_store::{self as store, Snapshot, SnapshotKind, StoreError};
-pub use ustr_stream::{self as stream, Alert, ContainmentTracker, StreamMatcher};
 pub use ustr_suffix::{self as suffix, SuffixArray, SuffixTree};
 pub use ustr_uncertain::{
     self as uncertain, Correlation, CorrelationSet, SpecialUncertainString, Transformed,

@@ -30,11 +30,16 @@ fn special_index_top_k_is_exact() {
     assert_eq!(top.len(), 1);
     assert_eq!(top[0].0, 3);
     assert!((top[0].1 - 0.432).abs() < 1e-9);
-    let top = idx.query_top_k(b"ana", 5).unwrap();
-    assert_eq!(top.len(), 2);
-    assert_eq!(top[0].0, 3);
-    assert_eq!(top[1].0, 1);
-    assert!(top[0].1 >= top[1].1);
+    // `k` is unvalidated wire input: past the occurrence count it changes
+    // nothing, and it never sizes an allocation (`1 << 40` used to abort
+    // the process, `usize::MAX` to panic with a capacity overflow).
+    for k in [5, 1 << 40, usize::MAX] {
+        let top = idx.query_top_k(b"ana", k).unwrap();
+        assert_eq!(top.len(), 2);
+        assert_eq!(top[0].0, 3);
+        assert_eq!(top[1].0, 1);
+        assert!(top[0].1 >= top[1].1);
+    }
     let top = idx.query_top_k(b"a", 2).unwrap();
     assert_eq!(top.len(), 2);
     // Positions 3 (.8) and 5 (... wait: probabilities .7, .8, .6 at a's).
@@ -50,7 +55,7 @@ fn general_index_top_k_matches_reference() {
     let idx = Index::build(&s, 0.01).unwrap();
     for m in [2usize, 4, 6] {
         for pattern in sample_patterns(&s, m, 6, PatternMode::Probable, 23) {
-            for k in [1usize, 3, 10] {
+            for k in [1usize, 3, 10, 1 << 40, usize::MAX] {
                 let got: Vec<f64> = idx
                     .query_top_k(&pattern, k)
                     .unwrap()
@@ -112,8 +117,9 @@ fn listing_top_k_ranks_documents() {
     assert_eq!(top[1].doc, 2);
     assert!((top[1].relevance - 0.7).abs() < 1e-9);
     // k beyond the candidate set returns everything that matches.
-    let top = idx.query_top_k(b"AB", 10).unwrap();
-    assert_eq!(top.len(), 3);
+    for k in [10, 1 << 40, usize::MAX] {
+        assert_eq!(idx.query_top_k(b"AB", k).unwrap().len(), 3);
+    }
     // Missing pattern.
     assert!(idx.query_top_k(b"ZZ", 3).unwrap().is_empty());
 }
