@@ -27,9 +27,11 @@
 use std::time::Instant;
 
 use ustr_rmq::{BlockRmq, Direction, Rmq, ThresholdReporter};
+use ustr_suffix::Ancestry;
 use ustr_uncertain::{canon, transform_with_options, Transformed, UncertainString};
 
 use crate::{
+    carray::CumulativeLogProb,
     error::{validate_query, Error},
     options::IndexOptions,
     result::QueryResult,
@@ -56,6 +58,9 @@ pub struct ApproxIndex {
     transformed: Transformed,
     /// The §4 machinery minus its RMQ levels: links replace them here.
     text: ScoredText,
+    /// Preorder ranks and LCA over `text.tree` — derived state, rebuilt on
+    /// construction and snapshot load. Only this index needs them.
+    ancestry: Ancestry,
     links: Vec<Link>,
     /// Min-RMQ over `links[..].target_depth`.
     target_rmq: BlockRmq,
@@ -86,6 +91,7 @@ impl ApproxIndex {
         let transformed = transform_with_options(source, tau_min, &options.transform)?;
         let text = ScoredText::build(transformed.special.chars(), transformed.special.probs());
         let tree = &text.tree;
+        let ancestry = Ancestry::build(tree);
 
         // Group marked leaves by Posid (slots ascend in preorder order)
         // with a counting sort into one flat arena — two passes, zero
@@ -116,94 +122,104 @@ impl ApproxIndex {
             }
         }
 
+        let run = text.cum.run_lengths();
         let mut links: Vec<Link> = Vec::new();
-        let mut stack: Vec<u32> = Vec::new();
-        let mut witness: std::collections::HashMap<u32, u32> = std::collections::HashMap::new();
+        // Virtual-tree stack of `(node, witness)`: the witness is the text
+        // position of the first marked leaf found below the node, fixed
+        // when the node is pushed.
+        let mut stack: Vec<(u32, u32)> = Vec::new();
         for d in 0..n_src {
             let slots = &flat[bucket_start[d] as usize..bucket_start[d + 1] as usize];
-            if slots.is_empty() {
-                continue;
-            }
             stack.clear();
-            witness.clear();
             // Virtual (induced) tree over the marked leaves; emit one link
             // per virtual edge.
-            let emit = |u: u32, v_depth: usize, links: &mut Vec<Link>, witness_x: u32| {
-                refine_link(&text, u, v_depth, d as u32, witness_x, epsilon, links);
+            let emit = |(u, witness_x): (u32, u32), v_depth: usize, links: &mut Vec<Link>| {
+                let origin = (ancestry.preorder(u) as u32, tree.string_depth(u));
+                let lmax = run[witness_x as usize] as usize;
+                refine_link(
+                    &text.cum,
+                    origin,
+                    v_depth,
+                    d as u32,
+                    (witness_x, lmax),
+                    epsilon,
+                    links,
+                );
             };
-            for &slot in slots {
-                let leaf = tree.leaf(slot as usize);
-                let x = tree.sa(slot as usize) as u32;
-                witness.insert(leaf, x);
-                if stack.is_empty() {
+            for (k, &slot) in slots.iter().enumerate() {
+                let leaf = (ancestry.leaf(slot as usize), tree.sa(slot as usize) as u32);
+                if k == 0 {
                     stack.push(leaf);
                     continue;
                 }
-                let l = tree.lca(*stack.last().unwrap(), leaf);
+                // The previous leaf tops the stack.
+                let l = ancestry.lca_of_slots(slots[k - 1] as usize, slot as usize);
+                let l_depth = tree.string_depth(l);
                 // Unwind stack nodes deeper than the new LCA, emitting their
                 // virtual-tree edges; the LCA ends up on top of the stack.
                 while let Some(&top) = stack.last() {
-                    if tree.string_depth(top) <= tree.string_depth(l) {
+                    if tree.string_depth(top.0) <= l_depth {
                         break;
                     }
                     stack.pop();
-                    let wx = witness[&top];
                     match stack.last() {
-                        Some(&p) if tree.string_depth(p) >= tree.string_depth(l) => {
-                            emit(top, tree.string_depth(p), &mut links, wx);
-                            witness.entry(p).or_insert(wx);
+                        Some(&(p, _)) if tree.string_depth(p) >= l_depth => {
+                            emit(top, tree.string_depth(p), &mut links);
                         }
                         _ => {
-                            emit(top, tree.string_depth(l), &mut links, wx);
-                            witness.entry(l).or_insert(wx);
-                            stack.push(l);
+                            emit(top, l_depth, &mut links);
+                            stack.push((l, top.1));
                             break;
                         }
                     }
                 }
-                debug_assert_eq!(stack.last(), Some(&l), "LCA tops the stack");
+                debug_assert_eq!(stack.last().map(|e| e.0), Some(l), "LCA tops the stack");
                 stack.push(leaf);
             }
             // Drain: connect the remaining right spine, then the virtual
             // root to the tree root (target depth 0).
-            while stack.len() > 1 {
-                let top = stack.pop().unwrap();
-                let parent = *stack.last().unwrap();
-                let wx = witness[&top];
-                emit(top, tree.string_depth(parent), &mut links, wx);
-                witness.entry(parent).or_insert(wx);
-            }
-            let vr = stack.pop().unwrap();
-            if vr != tree.root() {
-                let wx = witness[&vr];
-                emit(vr, 0, &mut links, wx);
+            while let Some(top) = stack.pop() {
+                match stack.last() {
+                    Some(&(parent, _)) => emit(top, tree.string_depth(parent), &mut links),
+                    None if top.0 != tree.root() => emit(top, 0, &mut links),
+                    None => {}
+                }
             }
         }
 
         links.sort_unstable_by_key(|l| l.origin_pre);
-        let depths: Vec<f64> = links.iter().map(|l| l.target_depth as f64).collect();
-        let target_rmq = BlockRmq::new(&depths, Direction::Min);
+        links.shrink_to_fit();
+        let target_rmq = target_depth_rmq(&links);
 
-        let mut stats = BuildStats {
+        let stats = BuildStats {
             source_len: source.len(),
             transformed_len: transformed.len(),
             num_factors: transformed.num_factors,
-            build_time: start.elapsed(),
-            heap_bytes: 0,
+            ..Default::default()
         };
-        let idx_heap = text.heap_size()
-            + links.capacity() * std::mem::size_of::<Link>()
-            + links.len() * std::mem::size_of::<f64>() * 2;
-        stats.heap_bytes = idx_heap;
-        Ok(Self {
+        let mut idx = Self {
             transformed,
             text,
+            ancestry,
             links,
             target_rmq,
             epsilon,
             tau_min,
             stats,
-        })
+        };
+        idx.stats.heap_bytes = idx.heap_size();
+        // Last: the clock covers everything a caller waits for.
+        idx.stats.build_time = start.elapsed();
+        Ok(idx)
+    }
+
+    /// Heap bytes held.
+    fn heap_size(&self) -> usize {
+        self.transformed.heap_size()
+            + self.text.heap_size()
+            + self.ancestry.heap_size()
+            + self.links.capacity() * std::mem::size_of::<Link>()
+            + self.target_rmq.heap_size()
     }
 
     /// The additive error bound ε.
@@ -281,10 +297,10 @@ impl ApproxIndex {
             }
         }
         let links = state.links;
-        let depths: Vec<f64> = links.iter().map(|l| l.target_depth as f64).collect();
-        let target_rmq = BlockRmq::new(&depths, Direction::Min);
+        let target_rmq = target_depth_rmq(&links);
         Ok(Self {
             transformed: state.transformed,
+            ancestry: Ancestry::build(&text.tree),
             text,
             links,
             target_rmq,
@@ -305,7 +321,7 @@ impl ApproxIndex {
         let Some(locus) = tree.locus(pattern) else {
             return Ok(QueryResult::default());
         };
-        let (pl, pr) = tree.preorder_range(locus);
+        let (pl, pr) = self.ancestry.preorder_range(locus);
         // Link range whose origin preorder falls inside the locus subtree.
         let lo = self.links.partition_point(|l| (l.origin_pre as usize) < pl);
         let hi = self
@@ -336,25 +352,27 @@ impl ApproxIndex {
     }
 }
 
-/// Splits the virtual edge from node `u` (string depth `o₀`) up to depth
-/// `t₀` into sub-links whose endpoint probabilities differ by ≤ ε.
-/// Probabilities are evaluated at the witness position `x`, capped at the
-/// factor boundary.
+/// Min-RMQ over `links[..].target_depth`.
+fn target_depth_rmq(links: &[Link]) -> BlockRmq {
+    let depths: Vec<f64> = links.iter().map(|l| l.target_depth as f64).collect();
+    BlockRmq::new(&depths, Direction::Min)
+}
+
+/// Splits the virtual edge from a node — `origin` is its (preorder rank,
+/// string depth `o₀`) — up to depth `t₀` into sub-links whose endpoint
+/// probabilities differ by ≤ ε. Probabilities are evaluated at the witness
+/// position `x`, capped at the factor boundary `lmax` (its run length).
 fn refine_link(
-    text: &ScoredText,
-    u: u32,
+    cum: &CumulativeLogProb,
+    (origin_pre, o0): (u32, usize),
     t0: usize,
     source_pos: u32,
-    x: u32,
+    (x, lmax): (u32, usize),
     epsilon: f64,
     links: &mut Vec<Link>,
 ) {
-    let (tree, cum) = (&text.tree, &text.cum);
-    let o0 = tree.string_depth(u);
     debug_assert!(o0 > t0, "virtual child must be deeper than its parent");
-    let lmax = cum.run_length(x as usize);
     let p_at = |depth: usize| -> f64 { canon::exp(cum.window(x as usize, depth.min(lmax))) };
-    let origin_pre = tree.preorder(u) as u32;
     let mut o = o0;
     while o > t0 {
         let p_o = p_at(o);

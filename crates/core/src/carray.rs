@@ -83,23 +83,25 @@ impl CumulativeLogProb {
         self.prefix[end] - self.prefix[start]
     }
 
-    /// Number of positions from `start` until the next separator (or the end
-    /// of the array): the longest valid window length at `start`.
-    pub fn run_length(&self, start: usize) -> usize {
-        // Binary search the first prefix index > start with a higher
-        // separator count.
-        let target = self.sentinels[start];
-        let mut lo = start;
-        let mut hi = self.len();
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            if self.sentinels[mid + 1] > target {
-                hi = mid;
-            } else {
-                lo = mid + 1;
+    /// The prefix sums themselves: `window(start, len)` of a window that
+    /// crosses no separator is `prefix()[start + len] - prefix()[start]`.
+    pub(crate) fn prefix(&self) -> &[f64] {
+        &self.prefix
+    }
+
+    /// For every start `0..=len()`, the number of positions until the next
+    /// separator (or the end of the array) — the longest valid window
+    /// there: `window(start, len)` is finite exactly when
+    /// `len <= run_lengths()[start]`. One backward pass.
+    pub(crate) fn run_lengths(&self) -> Vec<u32> {
+        let n = self.len();
+        let mut run = vec![0u32; n + 1];
+        for i in (0..n).rev() {
+            if self.sentinels[i + 1] == self.sentinels[i] {
+                run[i] = run[i + 1] + 1;
             }
         }
-        lo - start
+        run
     }
 
     /// Approximate heap footprint in bytes.
@@ -143,14 +145,16 @@ mod tests {
     }
 
     #[test]
-    fn run_length_finds_next_separator() {
+    fn run_lengths_find_the_next_separator() {
         let probs = [0.5, 0.5, 1.0, 0.5, 1.0, 0.5];
         let cum = CumulativeLogProb::new(&probs, |i| i == 2 || i == 4);
-        assert_eq!(cum.run_length(0), 2);
-        assert_eq!(cum.run_length(1), 1);
-        assert_eq!(cum.run_length(2), 0);
-        assert_eq!(cum.run_length(3), 1);
-        assert_eq!(cum.run_length(5), 1);
+        let run = cum.run_lengths();
+        assert_eq!(run, [2, 1, 0, 1, 0, 1, 0]);
+        for (start, &run) in run.iter().enumerate() {
+            for len in 0..=probs.len() + 1 {
+                assert_eq!(cum.window(start, len).is_finite(), len <= run as usize);
+            }
+        }
     }
 
     #[test]

@@ -11,8 +11,11 @@ use crate::{
     result::QueryResult,
     snapshot::{invalid, IndexState},
     stats::BuildStats,
-    substrate::{DedupStrategy, Substrate},
+    substrate::{DedupStrategy, Substrate, NO_KEY},
 };
+
+// `Transformed::pos` doubles as the dedup key array.
+const _: () = assert!(ustr_uncertain::NO_POSITION == NO_KEY);
 
 /// Substring-search index over a general [`UncertainString`].
 ///
@@ -58,11 +61,12 @@ impl Index {
     ) -> Result<Self, Error> {
         let start = Instant::now();
         let transformed = transform_with_options(source, tau_min, &options.transform)?;
-        let source_key = |x: usize| transformed.pos.get(x).copied().filter(|&p| p != u32::MAX);
+        // `pos` is already the dedup key array: source position per text
+        // position, `NO_POSITION` (= no key) at separators.
         let dedup = if options.disable_dedup {
             DedupStrategy::None
         } else {
-            DedupStrategy::BySource(&source_key)
+            DedupStrategy::BySource(&transformed.pos)
         };
         let substrate = Substrate::build(
             transformed.special.chars(),
@@ -74,8 +78,7 @@ impl Index {
             source_len: source.len(),
             transformed_len: transformed.len(),
             num_factors: transformed.num_factors,
-            build_time: start.elapsed(),
-            heap_bytes: 0,
+            ..Default::default()
         };
         let mut idx = Self {
             source: source.clone(),
@@ -87,6 +90,8 @@ impl Index {
             stats,
         };
         idx.stats.heap_bytes = idx.heap_size();
+        // Last: the clock covers everything a caller waits for.
+        idx.stats.build_time = start.elapsed();
         Ok(idx)
     }
 

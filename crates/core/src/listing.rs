@@ -11,7 +11,7 @@ use crate::{
     options::IndexOptions,
     snapshot::{invalid, ListingIndexState},
     stats::BuildStats,
-    substrate::{DedupStrategy, Substrate},
+    substrate::{DedupStrategy, Substrate, NO_KEY},
 };
 
 /// Relevance metric for string listing (§6).
@@ -71,7 +71,8 @@ pub struct ListingIndex {
     stats: BuildStats,
 }
 
-const NONE32: u32 = u32::MAX;
+/// "No document" in `doc_of`/`src_of` — the dedup sweeps' "no key" too.
+const NONE32: u32 = NO_KEY;
 
 impl ListingIndex {
     /// Builds the index over `docs` with construction threshold `tau_min`.
@@ -118,23 +119,31 @@ impl ListingIndex {
         // Doc-level dedup keeps the max-probability entry per document per
         // partition (Rel_max). Under correlations the stored values are only
         // upper bounds, so the "max" entry could be the wrong one — fall back
-        // to source-level dedup and aggregate per document at query time.
-        let doc_key = |x: usize| doc_of.get(x).copied().filter(|&d| d != NONE32);
-        let source_key = |x: usize| doc_key(x).map(|d| doc_base[d as usize] + src_of[x]);
+        // to source-level dedup (keys unique across documents) and aggregate
+        // per document at query time. `doc_of` is already the document key
+        // array (`NONE32` = no key).
+        let source_keys: Vec<u32>;
         let dedup = if options.disable_dedup {
             DedupStrategy::None
         } else if has_correlations {
-            DedupStrategy::BySource(&source_key)
+            source_keys = doc_of
+                .iter()
+                .zip(&src_of)
+                .map(|(&d, &s)| match d {
+                    NONE32 => NONE32,
+                    d => doc_base[d as usize] + s,
+                })
+                .collect();
+            DedupStrategy::BySource(&source_keys)
         } else {
-            DedupStrategy::ByKeyMax(&doc_key)
+            DedupStrategy::ByKeyMax(&doc_of)
         };
         let substrate = Substrate::build(&chars, &probs, options, &dedup);
         let stats = BuildStats {
             source_len: source_total,
             transformed_len: chars.len(),
             num_factors,
-            build_time: start.elapsed(),
-            heap_bytes: 0,
+            ..Default::default()
         };
         let mut idx = Self {
             docs: docs.to_vec(),
@@ -148,6 +157,8 @@ impl ListingIndex {
             stats,
         };
         idx.stats.heap_bytes = idx.heap_size();
+        // Last: the clock covers everything a caller waits for.
+        idx.stats.build_time = start.elapsed();
         Ok(idx)
     }
 

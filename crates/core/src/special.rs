@@ -70,8 +70,7 @@ impl SpecialIndex {
             source_len: special.len(),
             transformed_len: special.len(),
             num_factors: 1,
-            build_time: start.elapsed(),
-            heap_bytes: 0,
+            ..Default::default()
         };
         let mut idx = Self {
             special: special.clone(),
@@ -81,6 +80,8 @@ impl SpecialIndex {
             stats,
         };
         idx.stats.heap_bytes = idx.heap_size();
+        // Last: the clock covers everything a caller waits for.
+        idx.stats.build_time = start.elapsed();
         Ok(idx)
     }
 

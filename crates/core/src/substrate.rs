@@ -7,8 +7,9 @@
 //! how the triple is built, queried (suffix range → candidates in
 //! decreasing-probability order, threshold or top-k), measured, taken apart
 //! into [`SubstrateState`] and validated back together. [`ScoredText`] is
-//! its level-free half (tree + `C`), which is all [`crate::ApproxIndex`]
-//! needs. The index types add their own map and their own verification.
+//! its level-free half (tree + `C`), which [`crate::ApproxIndex`] tops with
+//! its own ancestry layer and links instead of levels. The index types add
+//! their own map and their own verification.
 //!
 //! Outside this module nothing sees a suffix-array *slot*: candidates come
 //! back as text positions.
@@ -25,8 +26,8 @@ use crate::{
     snapshot::{invalid, ScoredTextState, SubstrateState},
 };
 
-pub(crate) use levels::DedupStrategy;
 use levels::Levels;
+pub(crate) use levels::{DedupStrategy, NO_KEY};
 
 /// A deterministic text with per-position probabilities: its suffix tree
 /// (pattern loci) and cumulative array `C` (O(1) window probabilities).

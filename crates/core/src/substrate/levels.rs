@@ -22,9 +22,40 @@
 //! (`i ≤ m`) upper-bounds every length-`m` window in its block — a sound
 //! pruning filter; survivors are verified against `C` exactly. This keeps
 //! the paper's `O(m · occ)` long-pattern flavour at O(N log N) build cost.
+//!
+//! # Construction: every level from one pass over the slots
+//!
+//! The level-`i` values of one slot `j` are the differences
+//! `C[x + i] − C[x]` of one *contiguous* stretch of `C` (`x = SA[j]`), so
+//! [`Levels::build`] walks the suffix array once per job, not once per
+//! level, and reads per slot `SA[j]`, `LCP[j]`, the slot's dedup key and
+//! that stretch:
+//!
+//! 1. **Keep sweep** (skipped without dedup): decides for every slot the
+//!    set of levels at which it stays visible, one bit per level. All
+//!    levels keep their own partition counter, bumped for the levels above
+//!    `LCP[j]`; "was this key already seen in this partition of this level"
+//!    is one read of a stamp table addressed `key · L + level` holding the
+//!    partition id it was last seen in (`ByKeyMax` keeps the winner's slot
+//!    and value beside the stamp and drops the displaced winner's bit).
+//! 2. **Champion sweep**: per block of slots, the mask word and the
+//!    leftmost maximum of every level among the kept bits; the champions go
+//!    straight into [`SampledRmq::from_parts`].
+//!
+//! A window is finite exactly up to the slot's separator-free run length
+//! ([`CumulativeLogProb::run_lengths`](crate::carray::CumulativeLogProb::run_lengths)),
+//! so neither sweep reads `C` past it: deeper short levels are masked (or
+//! −∞) without a memory access, and a long level is evaluated only for the
+//! few slots whose run reaches its length.
+//!
+//! Temporary memory: the run lengths (one word per text position), one
+//! `u64` of level bits per slot, and the stamp table — `L × key space`
+//! words, the key space being the document's own (source positions, or
+//! document ids). At most [`CHUNK`] levels are swept together, so a very
+//! large `max_short_level` costs further sweeps, not a larger table.
 
 use std::cmp::Ordering;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 use ustr_rmq::{Direction, SampledRmq, ThresholdReporter};
 
@@ -41,22 +72,6 @@ struct BitVec {
 }
 
 impl BitVec {
-    fn new(len: usize) -> Self {
-        Self {
-            words: vec![0u64; len.div_ceil(64)],
-        }
-    }
-
-    #[inline]
-    fn set(&mut self, i: usize) {
-        self.words[i / 64] |= 1u64 << (i % 64);
-    }
-
-    #[inline]
-    fn clear(&mut self, i: usize) {
-        self.words[i / 64] &= !(1u64 << (i % 64));
-    }
-
     #[inline]
     fn get(&self, i: usize) -> bool {
         self.words[i / 64] >> (i % 64) & 1 == 1
@@ -67,19 +82,23 @@ impl BitVec {
     }
 }
 
+/// "No key" in a [`DedupStrategy`] key array: separator positions.
+pub(crate) const NO_KEY: u32 = u32::MAX;
+
 /// How duplicate entries are eliminated inside each locus partition. Keys
-/// are functions of the *text position* a suffix starts at (`None` at
+/// are given per *text position* a suffix starts at ([`NO_KEY`] at
 /// separators), so a caller can state its strategy before the suffix tree
-/// exists.
+/// exists; the largest key sizes the build's stamp table.
 pub(crate) enum DedupStrategy<'a> {
     /// No masking (the special index: every slot is a distinct position).
     None,
     /// Mask slots whose source key repeats within the partition (general
     /// substring index: key = original string position).
-    BySource(&'a dyn Fn(usize) -> Option<u32>),
-    /// Keep only the maximum-value slot per key per partition (listing
-    /// index: key = document id, value drives `Rel_max`).
-    ByKeyMax(&'a dyn Fn(usize) -> Option<u32>),
+    BySource(&'a [u32]),
+    /// Keep only the maximum-value slot per key per partition, the earlier
+    /// slot on a tie (listing index: key = document id, value drives
+    /// `Rel_max`).
+    ByKeyMax(&'a [u32]),
 }
 
 struct ShortLevel {
@@ -126,10 +145,10 @@ fn plain(text: &ScoredText, len: usize) -> impl Fn(usize) -> f64 + Copy + '_ {
 }
 
 impl Levels {
-    /// Builds all levels over `text`. Slot 0 (the virtual terminator) is
-    /// always masked. `max_short` short levels are built (lengths
-    /// `1..=max_short`); long levels at `max_short·ratioᵏ` while ≤ text
-    /// length, unless `enable_long` is false.
+    /// Builds all levels over `text` (see the module docs). Slot 0 (the
+    /// virtual terminator) is always masked. `max_short` short levels are
+    /// built (lengths `1..=max_short`); long levels at `max_short·ratioᵏ`
+    /// while ≤ text length, unless `enable_long` is false.
     pub(super) fn build(
         text: &ScoredText,
         max_short: usize,
@@ -138,31 +157,59 @@ impl Levels {
         dedup: &DedupStrategy<'_>,
     ) -> Self {
         let slots = text.tree.num_slots();
-        let short = (1..=max_short)
-            .map(|i| {
-                let mask = build_mask(text, i, dedup);
-                let rmq = SampledRmq::new(slots, Direction::Max, &masked(&mask, text, i));
-                ShortLevel { rmq, mask }
-            })
-            .collect();
+        let run = text.cum.run_lengths();
 
-        let mut long = Vec::new();
+        let mut long_sweeps = Vec::new();
         if enable_long {
             let mut len = max_short;
             while len <= text.cum.len().max(1) {
-                let rmq = SampledRmq::with_block_size(
-                    slots,
-                    len.max(1),
-                    Direction::Max,
-                    &plain(text, len),
-                );
-                long.push(LongLevel { len, rmq });
+                long_sweeps.push(LongSweep::new(len, slots));
                 match len.checked_mul(ratio) {
                     Some(next) => len = next,
                     None => break,
                 }
             }
         }
+
+        let mut short = Vec::with_capacity(max_short);
+        for lo in (0..max_short).step_by(CHUNK) {
+            let width = CHUNK.min(max_short - lo);
+            let keep = keep_sweep(text, &run, lo, width, dedup);
+            // The long levels ride along with the first chunk.
+            let long_now = if lo == 0 {
+                &mut long_sweeps[..]
+            } else {
+                &mut []
+            };
+            let swept = champion_sweep(text, &run, lo, width, keep.as_deref(), long_now);
+            for (i, (words, champions)) in swept.into_iter().enumerate() {
+                let mask = BitVec { words };
+                let rmq = SampledRmq::from_parts(
+                    slots,
+                    SampledRmq::DEFAULT_BLOCK,
+                    Direction::Max,
+                    champions,
+                    &masked(&mask, text, lo + i + 1),
+                )
+                .expect("the sweep yields one in-block champion per block");
+                short.push(ShortLevel { rmq, mask });
+            }
+        }
+
+        let long = long_sweeps
+            .into_iter()
+            .map(|sweep| LongLevel {
+                len: sweep.len,
+                rmq: SampledRmq::from_parts(
+                    slots,
+                    sweep.len,
+                    Direction::Max,
+                    sweep.champions,
+                    &plain(text, sweep.len),
+                )
+                .expect("the sweep yields one in-block champion per block"),
+            })
+            .collect();
 
         Self { short, long }
     }
@@ -373,78 +420,219 @@ impl Substrate {
     }
 }
 
-/// Builds the duplicate mask for one level.
-fn build_mask(text: &ScoredText, level: usize, dedup: &DedupStrategy<'_>) -> BitVec {
-    let tree = &text.tree;
-    let slots = tree.num_slots();
-    let mut mask = BitVec::new(slots);
-    if slots > 0 {
-        mask.set(0); // virtual-terminator slot never matches
+/// Short levels swept together: one `u64` of per-slot level bits.
+const CHUNK: usize = 64;
+
+/// `u64` with the low `n ≤ 64` bits set.
+#[inline]
+fn low_bits(n: usize) -> u64 {
+    if n >= 64 {
+        !0
+    } else {
+        (1u64 << n) - 1
     }
-    match dedup {
-        DedupStrategy::None => {}
-        DedupStrategy::BySource(key_of) => {
-            // Stamp-based "seen" set avoids clearing a hash set per partition.
-            let mut seen: HashMap<u32, u32> = HashMap::new();
-            let mut partition = 0u32;
-            for j in 1..slots {
-                if tree.slot_lcp(j) < level {
-                    partition += 1;
-                }
-                let valid = text.window(j, level) > f64::NEG_INFINITY;
-                match key_of(text.pos(j)) {
-                    Some(key) if valid => {
-                        if seen.insert(key, partition) == Some(partition) {
-                            mask.set(j);
-                        }
-                    }
-                    _ => mask.set(j),
-                }
-            }
+}
+
+/// How many of the chunk's levels `lo..lo + width` (level `ℓ` = pattern
+/// length `ℓ + 1`) a threshold `t` lies above: the levels `ℓ < t`.
+#[inline]
+fn levels_below(t: u32, lo: usize, width: usize) -> usize {
+    (t as usize).saturating_sub(lo).min(width)
+}
+
+/// A key's current winner in one level's partition (`ByKeyMax`).
+#[derive(Clone)]
+struct Best {
+    slot: u32,
+    value: f64,
+}
+
+/// The keep sweep: for every slot, bit `i` set when the slot stays visible
+/// at level `lo + i`, i.e. its window is finite and `dedup` does not hide
+/// it. `None` without dedup, where visibility is the run length alone.
+fn keep_sweep(
+    text: &ScoredText,
+    run: &[u32],
+    lo: usize,
+    width: usize,
+    dedup: &DedupStrategy<'_>,
+) -> Option<Vec<u64>> {
+    let (keys, keep_max) = match *dedup {
+        DedupStrategy::None => return None,
+        DedupStrategy::BySource(keys) => (keys, false),
+        DedupStrategy::ByKeyMax(keys) => (keys, true),
+    };
+    debug_assert_eq!(keys.len(), text.cum.len(), "one key per text position");
+    let sa = text.tree.sa_slots();
+    let lcp = text.tree.slot_lcps();
+    let prefix = text.cum.prefix();
+    let key_space = keys
+        .iter()
+        .filter(|&&k| k != NO_KEY)
+        .max()
+        .map_or(0, |&k| k as usize + 1);
+
+    // `stamp[key · width + i]`: the level-`lo + i` partition the key was
+    // last seen in. Partition ids start at 1 (slot 1 opens one at every
+    // level), so 0 is "never".
+    let mut stamp = vec![0u32; key_space * width];
+    let mut best = vec![
+        Best {
+            slot: 0,
+            value: 0.0
+        };
+        if keep_max { key_space * width } else { 0 }
+    ];
+    let mut partition = [0u32; CHUNK];
+    let mut keep = vec![0u64; sa.len()];
+    for j in 1..sa.len() {
+        // A level's partition ends where the LCP drops below its length.
+        for p in &mut partition[levels_below(lcp[j], lo, width)..width] {
+            *p += 1;
         }
-        DedupStrategy::ByKeyMax(key_of) => {
-            let mut best: HashMap<u32, (usize, f64)> = HashMap::new();
-            let mut members: Vec<usize> = Vec::new();
-            let flush = |best: &mut HashMap<u32, (usize, f64)>,
-                         members: &mut Vec<usize>,
-                         mask: &mut BitVec| {
-                for &j in members.iter() {
-                    mask.set(j);
+        let x = sa[j] as usize;
+        let key = keys[x];
+        if key == NO_KEY {
+            continue;
+        }
+        let at = key as usize * width;
+        let finite = levels_below(run[x], lo, width);
+        let mut bits = 0u64;
+        for i in 0..finite {
+            let seen = std::mem::replace(&mut stamp[at + i], partition[i]) == partition[i];
+            if keep_max {
+                let value = prefix[x + lo + i + 1] - prefix[x];
+                let incumbent = &mut best[at + i];
+                if seen {
+                    if incumbent.value >= value {
+                        continue;
+                    }
+                    keep[incumbent.slot as usize] &= !(1u64 << i);
                 }
-                for &(winner, _) in best.values() {
-                    mask.clear(winner);
-                }
-                best.clear();
-                members.clear();
+                *incumbent = Best {
+                    slot: j as u32,
+                    value,
+                };
+            } else if seen {
+                continue;
+            }
+            bits |= 1u64 << i;
+        }
+        keep[j] = bits;
+    }
+    Some(keep)
+}
+
+/// One long level while the champion sweep runs over it.
+struct LongSweep {
+    /// Filter length = block size.
+    len: usize,
+    /// Starts out as every block's first slot: the champion of a block of
+    /// −∞ values.
+    champions: Vec<u32>,
+    /// The best value seen in the block ending before `block_end`.
+    best: f64,
+    block_end: usize,
+}
+
+impl LongSweep {
+    fn new(len: usize, slots: usize) -> Self {
+        Self {
+            len,
+            champions: (0..slots.div_ceil(len)).map(|b| (b * len) as u32).collect(),
+            best: f64::NEG_INFINITY,
+            block_end: 0,
+        }
+    }
+
+    /// Slot `j` (slots arrive in increasing order) has the finite `value`.
+    #[inline]
+    fn offer(&mut self, j: usize, value: f64) {
+        if j >= self.block_end {
+            self.block_end = (j / self.len + 1) * self.len;
+            self.best = f64::NEG_INFINITY;
+        }
+        if value > self.best {
+            self.best = value;
+            self.champions[j / self.len] = j as u32;
+        }
+    }
+}
+
+/// The champion sweep over the chunk's levels `lo..lo + width`: per level
+/// its duplicate-mask words and per-block champions (leftmost maximum of
+/// the visible values; the block's first slot when none is). `keep` is the
+/// [`keep_sweep`] result; `long` levels are offered every slot whose run
+/// reaches their length.
+fn champion_sweep(
+    text: &ScoredText,
+    run: &[u32],
+    lo: usize,
+    width: usize,
+    keep: Option<&[u64]>,
+    long: &mut [LongSweep],
+) -> Vec<(Vec<u64>, Vec<u32>)> {
+    const BLOCK: usize = SampledRmq::DEFAULT_BLOCK;
+    const _: () = assert!(BLOCK == 64, "one mask word per champion block");
+    let sa = text.tree.sa_slots();
+    let prefix = text.cum.prefix();
+    let blocks = sa.len().div_ceil(BLOCK);
+    let mut levels: Vec<(Vec<u64>, Vec<u32>)> = (0..width)
+        .map(|_| (Vec::with_capacity(blocks), Vec::with_capacity(blocks)))
+        .collect();
+    let mut mask = [0u64; CHUNK];
+    let mut best = [f64::NEG_INFINITY; CHUNK];
+    let mut champion = [0u32; CHUNK];
+    for start in (0..sa.len()).step_by(BLOCK) {
+        let end = (start + BLOCK).min(sa.len());
+        // With dedup every slot is masked until a kept bit says otherwise;
+        // without, only the virtual-terminator slot is.
+        mask[..width].fill(match keep {
+            Some(_) => low_bits(end - start),
+            None => u64::from(start == 0),
+        });
+        best[..width].fill(f64::NEG_INFINITY);
+        champion[..width].fill(start as u32);
+        for j in start..end {
+            let x = sa[j] as usize;
+            let run_x = run[x];
+            let mut bits = match keep {
+                Some(keep) => keep[j],
+                None => low_bits(levels_below(run_x, lo, width)),
             };
-            for j in 1..slots {
-                if tree.slot_lcp(j) < level {
-                    flush(&mut best, &mut members, &mut mask);
+            while bits != 0 {
+                let i = bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                if keep.is_some() {
+                    mask[i] &= !(1u64 << (j - start));
                 }
-                let value = text.window(j, level);
-                match key_of(text.pos(j)) {
-                    Some(key) if value > f64::NEG_INFINITY => {
-                        members.push(j);
-                        match best.get(&key) {
-                            Some(&(_, v)) if v >= value => {}
-                            _ => {
-                                best.insert(key, (j, value));
-                            }
-                        }
-                    }
-                    _ => mask.set(j),
+                let value = prefix[x + lo + i + 1] - prefix[x];
+                if value > best[i] {
+                    best[i] = value;
+                    champion[i] = j as u32;
                 }
             }
-            flush(&mut best, &mut members, &mut mask);
+            for level in long.iter_mut() {
+                if level.len > run_x as usize {
+                    break;
+                }
+                level.offer(j, prefix[x + level.len] - prefix[x]);
+            }
+        }
+        for (i, (words, champions)) in levels.iter_mut().enumerate() {
+            words.push(mask[i]);
+            champions.push(champion[i]);
         }
     }
-    mask
+    levels
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::IndexOptions;
+    use proptest::prelude::*;
+    use std::collections::HashMap;
 
     fn substrate(
         text: &[u8],
@@ -511,8 +699,8 @@ mod tests {
         let text = b"AB\0AB\0";
         let probs = [0.5, 0.5, 1.0, 0.5, 0.5, 1.0];
         // Every real position pretends to be source 7.
-        let key = |x: usize| (x < 6 && text[x] != 0).then_some(7u32);
-        let sub = substrate(text, &probs, 2, false, &DedupStrategy::BySource(&key));
+        let keys = [7, 7, NO_KEY, 7, 7, NO_KEY];
+        let sub = substrate(text, &probs, 2, false, &DedupStrategy::BySource(&keys));
         assert_eq!(
             report(&sub, b"AB", 0.2).len(),
             1,
@@ -525,8 +713,8 @@ mod tests {
         // Two "AB" occurrences with different probabilities, same document.
         let text = b"AB\0AB\0";
         let probs = [0.5, 0.5, 1.0, 0.9, 0.9, 1.0];
-        let key = |x: usize| (x < 6 && text[x] != 0).then_some(0u32); // one document
-        let sub = substrate(text, &probs, 2, false, &DedupStrategy::ByKeyMax(&key));
+        let keys = [0, 0, NO_KEY, 0, 0, NO_KEY]; // one document
+        let sub = substrate(text, &probs, 2, false, &DedupStrategy::ByKeyMax(&keys));
         let hits = report(&sub, b"AB", 0.1);
         assert_eq!(hits.len(), 1);
         assert!((hits[0].1 - 0.81).abs() < 1e-9, "max entry kept");
@@ -545,5 +733,180 @@ mod tests {
         let sub = substrate(b"aaaa", &[0.9; 4], 1, false, &DedupStrategy::None);
         assert!(sub.levels.long.is_empty());
         assert_eq!(report(&sub, b"aa", 0.5).len(), 3);
+    }
+
+    /// The per-level construction the sweeps replaced, kept as their
+    /// reference: for each level on its own, one pass over the slots for
+    /// the duplicate mask (hash maps keyed by dedup key), then
+    /// `SampledRmq::new` over the masked accessor.
+    fn reference_parts(
+        text: &ScoredText,
+        max_short: usize,
+        ratio: usize,
+        enable_long: bool,
+        dedup: &DedupStrategy<'_>,
+    ) -> LevelsParts {
+        let slots = text.tree.num_slots();
+        let short = (1..=max_short)
+            .map(|i| {
+                let mask = BitVec {
+                    words: reference_mask(text, i, dedup),
+                };
+                let rmq = SampledRmq::new(slots, Direction::Max, &masked(&mask, text, i));
+                ShortLevelParts {
+                    block_size: rmq.block_size(),
+                    champions: rmq.champions().to_vec(),
+                    mask_words: mask.words,
+                }
+            })
+            .collect();
+        let mut long = Vec::new();
+        let mut len = max_short;
+        while enable_long && len <= text.cum.len().max(1) {
+            let rmq = SampledRmq::with_block_size(slots, len, Direction::Max, &plain(text, len));
+            long.push(LongLevelParts {
+                len,
+                block_size: rmq.block_size(),
+                champions: rmq.champions().to_vec(),
+            });
+            match len.checked_mul(ratio) {
+                Some(next) => len = next,
+                None => break,
+            }
+        }
+        LevelsParts {
+            max_short,
+            short,
+            long,
+        }
+    }
+
+    /// The duplicate-mask words of one level, the old way.
+    fn reference_mask(text: &ScoredText, level: usize, dedup: &DedupStrategy<'_>) -> Vec<u64> {
+        let tree = &text.tree;
+        let slots = tree.num_slots();
+        let mut words = vec![0u64; slots.div_ceil(64)];
+        let set = |words: &mut Vec<u64>, j: usize| words[j / 64] |= 1u64 << (j % 64);
+        let clear = |words: &mut Vec<u64>, j: usize| words[j / 64] &= !(1u64 << (j % 64));
+        let key_of =
+            |keys: &[u32], j: usize| keys.get(text.pos(j)).copied().filter(|&k| k != NO_KEY);
+        set(&mut words, 0); // virtual-terminator slot never matches
+        match *dedup {
+            DedupStrategy::None => {}
+            DedupStrategy::BySource(keys) => {
+                let mut seen: HashMap<u32, u32> = HashMap::new();
+                let mut partition = 0u32;
+                for j in 1..slots {
+                    if tree.slot_lcp(j) < level {
+                        partition += 1;
+                    }
+                    let valid = text.window(j, level) > f64::NEG_INFINITY;
+                    match key_of(keys, j) {
+                        Some(key) if valid => {
+                            if seen.insert(key, partition) == Some(partition) {
+                                set(&mut words, j);
+                            }
+                        }
+                        _ => set(&mut words, j),
+                    }
+                }
+            }
+            DedupStrategy::ByKeyMax(keys) => {
+                let mut best: HashMap<u32, (usize, f64)> = HashMap::new();
+                let mut members: Vec<usize> = Vec::new();
+                let flush = |best: &mut HashMap<u32, (usize, f64)>,
+                             members: &mut Vec<usize>,
+                             words: &mut Vec<u64>| {
+                    for &j in members.iter() {
+                        set(words, j);
+                    }
+                    for &(winner, _) in best.values() {
+                        clear(words, winner);
+                    }
+                    best.clear();
+                    members.clear();
+                };
+                for j in 1..slots {
+                    if tree.slot_lcp(j) < level {
+                        flush(&mut best, &mut members, &mut words);
+                    }
+                    let value = text.window(j, level);
+                    match key_of(keys, j) {
+                        Some(key) if value > f64::NEG_INFINITY => {
+                            members.push(j);
+                            match best.get(&key) {
+                                Some(&(_, v)) if v >= value => {}
+                                _ => {
+                                    best.insert(key, (j, value));
+                                }
+                            }
+                        }
+                        _ => set(&mut words, j),
+                    }
+                }
+                flush(&mut best, &mut members, &mut words);
+            }
+        }
+        words
+    }
+
+    /// One text position: character (0 = separator), probability, dedup
+    /// key. Few characters give deep partitions; probability 1 gives exact
+    /// value ties; few keys give repeats inside a partition.
+    fn position(separator_weight: usize) -> impl Strategy<Value = (u8, f64, u32)> {
+        let mut chars = vec![b'a', b'a', b'b', b'b', b'c'];
+        chars.resize(chars.len() + separator_weight, 0u8);
+        (
+            prop::sample::select(chars),
+            prop::sample::select(vec![1.0, 1.0, 0.5, 0.7]),
+            prop::sample::select(vec![0, 0, 1, 2, 5, NO_KEY]),
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The fused sweeps yield the reference's mask words and champions,
+        /// level by level, for every strategy.
+        #[test]
+        fn sweeps_match_the_per_level_reference(
+            positions in prop_oneof![
+                // Shorter than one 64-slot block; separators common.
+                prop::collection::vec(position(2), 1..40),
+                // Several blocks.
+                prop::collection::vec(position(1), 40..200),
+                // No separators: runs longer than one chunk of levels.
+                prop::collection::vec(position(0), 60..160),
+            ],
+            // Up to past one chunk of levels, and past the text length.
+            max_short in prop::sample::select(vec![1usize, 2, 3, 7, 64, 65, 100, 250]),
+            ratio in 2usize..4,
+            enable_long in any::<bool>(),
+        ) {
+            let chars: Vec<u8> = positions.iter().map(|p| p.0).collect();
+            let probs: Vec<f64> = positions.iter().map(|p| p.1).collect();
+            let keys: Vec<u32> = positions.iter().map(|p| p.2).collect();
+            let text = ScoredText::build(&chars, &probs);
+            for dedup in [
+                DedupStrategy::None,
+                DedupStrategy::BySource(&keys),
+                DedupStrategy::ByKeyMax(&keys),
+            ] {
+                let fused = Levels::build(&text, max_short, ratio, enable_long, &dedup).to_parts();
+                let reference = reference_parts(&text, max_short, ratio, enable_long, &dedup);
+                prop_assert_eq!(fused.short.len(), reference.short.len());
+                for (i, (f, r)) in fused.short.iter().zip(&reference.short).enumerate() {
+                    prop_assert_eq!(&f.mask_words, &r.mask_words, "mask of level {}", i + 1);
+                    prop_assert_eq!(&f.champions, &r.champions, "champions of level {}", i + 1);
+                    prop_assert_eq!(f.block_size, r.block_size);
+                }
+                prop_assert_eq!(fused.long.len(), reference.long.len());
+                for (f, r) in fused.long.iter().zip(&reference.long) {
+                    prop_assert_eq!(f.len, r.len);
+                    prop_assert_eq!(f.block_size, r.block_size);
+                    prop_assert_eq!(&f.champions, &r.champions, "champions of long level {}", f.len);
+                }
+            }
+        }
     }
 }

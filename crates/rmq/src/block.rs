@@ -94,6 +94,16 @@ impl BlockRmq {
         self.values[index]
     }
 
+    /// Heap bytes held: one `f64` value and one `u64` in-block mask per
+    /// element, the per-block champions, and the sparse table over them.
+    pub fn heap_size(&self) -> usize {
+        use std::mem::size_of;
+        self.values.capacity() * size_of::<f64>()
+            + self.masks.capacity() * size_of::<u64>()
+            + self.champions.capacity() * size_of::<u32>()
+            + self.block_table.as_ref().map_or(0, SparseTable::heap_size)
+    }
+
     /// In-block query: both endpoints must lie in the same block.
     #[inline]
     fn query_in_block(&self, l: usize, r: usize) -> usize {
@@ -220,6 +230,14 @@ mod tests {
         let rmq = BlockRmq::new(&v, Direction::Max);
         assert_eq!(rmq.query(0, 2), 0);
         assert_eq!(rmq.query(1, 2), 1);
+    }
+
+    #[test]
+    fn heap_size_includes_the_block_table() {
+        let v = values(64 * 5, 3);
+        let rmq = BlockRmq::new(&v, Direction::Max);
+        let table = SparseTable::new(&[0.0; 5], Direction::Max).heap_size();
+        assert_eq!(rmq.heap_size(), v.len() * 16 + 5 * 4 + table);
     }
 
     #[test]

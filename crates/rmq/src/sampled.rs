@@ -154,20 +154,11 @@ impl SampledRmq {
         self.direction
     }
 
-    /// Approximate heap footprint in bytes (for the space experiments).
+    /// Heap bytes held (for the space experiments): the champion indices
+    /// plus the sparse table over their values.
     pub fn heap_size(&self) -> usize {
-        let champions = self.champions.capacity() * std::mem::size_of::<u32>();
-        let table = self.block_table.as_ref().map_or(0, |t| {
-            // values + one u32 row per level
-            let n = t.len();
-            n * std::mem::size_of::<f64>()
-                + if n <= 1 {
-                    0
-                } else {
-                    (n.ilog2() as usize) * n * std::mem::size_of::<u32>()
-                }
-        });
-        champions + table
+        self.champions.capacity() * std::mem::size_of::<u32>()
+            + self.block_table.as_ref().map_or(0, SparseTable::heap_size)
     }
 
     fn scan(

@@ -70,6 +70,19 @@ impl SparseTable {
         self.values[index]
     }
 
+    /// Heap bytes held: the value copy plus every index row (row `k` holds
+    /// `n + 1 − 2^(k+1)` entries) and the row headers.
+    pub fn heap_size(&self) -> usize {
+        use std::mem::size_of;
+        self.values.capacity() * size_of::<f64>()
+            + self.table.capacity() * size_of::<Vec<u32>>()
+            + self
+                .table
+                .iter()
+                .map(|row| row.capacity() * size_of::<u32>())
+                .sum::<usize>()
+    }
+
     /// Extreme *value* within `[l, r]`.
     #[inline]
     pub fn query_value(&self, l: usize, r: usize) -> f64 {
@@ -176,6 +189,14 @@ mod tests {
     fn out_of_bounds_panics() {
         let st = SparseTable::new(&[1.0, 2.0], Direction::Max);
         st.query(0, 2);
+    }
+
+    #[test]
+    fn heap_size_counts_the_rows_actually_held() {
+        // n = 5: rows of 4 and 2 indices, not 2 x 5.
+        let st = SparseTable::new(&[1.0, 2.0, 3.0, 4.0, 5.0], Direction::Max);
+        let rows = 2 * std::mem::size_of::<Vec<u32>>();
+        assert_eq!(st.heap_size(), 5 * 8 + 6 * 4 + rows);
     }
 
     #[test]

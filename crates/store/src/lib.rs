@@ -756,20 +756,26 @@ mod tests {
     /// The payloads of all four kinds are byte-for-byte what the commit
     /// before the shared substrate wrote (constants computed there), so
     /// files written before it still load and `snapshot_bytes_per_pos`
-    /// cannot have moved. `build_time` — the one nondeterministic field —
-    /// is zeroed through the public state struct.
+    /// cannot have moved. The two measurements among the statistics are
+    /// set through the public state struct: `build_time` — nondeterministic
+    /// — to zero, `heap_bytes` to what that commit's accounting recorded
+    /// for the fixture (the footprint has shrunk since and is now measured,
+    /// not estimated; every other byte — text, SA, LCP, `C`, mask words,
+    /// champions, links — is still what the pinned checksums cover).
     #[test]
     fn snapshot_payloads_are_pinned() {
         use std::time::Duration;
         let s = UncertainString::parse("Q:.7,S:.3 | Q:.3,P:.7 | P | A:.4,F:.3,P:.2,Q:.1").unwrap();
         let mut state = Index::build(&s, 0.1).unwrap().to_snapshot();
         state.stats.build_time = Duration::ZERO;
+        state.stats.heap_bytes = 6664;
         assert_eq!(
             pinned(&Index::from_snapshot(state).unwrap()),
             (2194, 16130110927768970065)
         );
         let mut state = ApproxIndex::build(&s, 0.1, 0.05).unwrap().to_snapshot();
         state.stats.build_time = Duration::ZERO;
+        state.stats.heap_bytes = 9038;
         assert_eq!(
             pinned(&ApproxIndex::from_snapshot(state).unwrap()),
             (3456, 16573239407359248965)
@@ -778,6 +784,7 @@ mod tests {
             .unwrap();
         let mut state = SpecialIndex::build(&x).unwrap().to_snapshot();
         state.stats.build_time = Duration::ZERO;
+        state.stats.heap_bytes = 920;
         assert_eq!(
             pinned(&SpecialIndex::from_snapshot(state).unwrap()),
             (496, 17373307002530070499)
@@ -788,6 +795,7 @@ mod tests {
         ];
         let mut state = ListingIndex::build(&docs, 0.05).unwrap().to_snapshot();
         state.stats.build_time = Duration::ZERO;
+        state.stats.heap_bytes = 19312;
         assert_eq!(
             pinned(&ListingIndex::from_snapshot(state).unwrap()),
             (5248, 11977288679900869057)

@@ -10,19 +10,40 @@
 //! * [`SuffixArray`] — text + SA bundle with O(m log n) pattern range search
 //!   (used by the simple/naive baselines).
 //! * [`SuffixTree`] — explicit suffix tree built from SA + LCP in linear
-//!   time, with O(m log σ) locus/suffix-range descent, preorder numbering,
-//!   subtree intervals, and O(1) LCA — everything Sections 4–7 need.
+//!   time, with O(m log σ) locus/suffix-range descent and subtree slot
+//!   intervals — what every index of Sections 4–6 queries.
+//! * [`Ancestry`] — preorder numbering, subtree preorder intervals and O(1)
+//!   LCA over a [`SuffixTree`], for the ε-link structure of Section 7.
 //! * [`DocumentConcat`] — document-collection bookkeeping for the
 //!   generalized suffix tree of Section 6.
+//!
+//! # Space
+//!
+//! A tree over `n` characters has `n + 1` suffix-array slots (one virtual
+//! terminator) and about 1.5 nodes per slot on transformed uncertain
+//! strings. The two layers are built — and paid for — separately:
+//!
+//! * **Locus core** ([`SuffixTree`], ≈ 40 B/slot): text 1, SA 4, slot-LCP 4,
+//!   `{depth, l, r}` nodes 12 per node, CSR children 8 per node (offsets +
+//!   ids). The node arena is sized exactly; the parent links exist only
+//!   while the children are laid out (one counting sort — siblings are
+//!   created in slot order, so no comparison sort is needed).
+//! * **Ancestry layer** ([`Ancestry`], ≈ 37 B/slot): leaf-of-slot 4,
+//!   boundary LCA node 4, preorder rank and subtree end 8 per node, and the
+//!   LCP min-RMQ (`ustr_rmq::BlockRmq`: value 8 + in-block mask 8 per slot,
+//!   plus its block table). One depth-first pass over the core derives it;
+//!   only `ustr_core::ApproxIndex` does.
 
 #![forbid(unsafe_code)]
 
+mod ancestry;
 mod array;
 mod doc;
 mod lcp;
 mod sais;
 mod tree;
 
+pub use ancestry::Ancestry;
 pub use array::SuffixArray;
 pub use doc::DocumentConcat;
 pub use lcp::{lcp_array, rank_array};

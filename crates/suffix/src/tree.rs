@@ -16,11 +16,10 @@
 //! * Pattern descent never matches the virtual terminator, so suffix ranges
 //!   of non-empty patterns always lie within `[1, n]`.
 //!
-//! Space: nodes are 16-byte structs, children live in one CSR array, and
-//! LCA is answered from the slot-LCP array + per-boundary split nodes with
-//! an O(n)-word block RMQ — everything is O(n) words with small constants.
-
-use ustr_rmq::{BlockRmq, Direction, Rmq};
+//! [`SuffixTree`] holds only what pattern descent reads — the *locus core*:
+//! text, SA, slot-LCP, 12-byte `{depth, l, r}` nodes and their CSR children.
+//! Preorder ranks and LCA live in [`crate::Ancestry`], which its one consumer
+//! builds on top (see the crate docs for the bytes per slot of each).
 
 use crate::{lcp_array, sais::suffix_array};
 
@@ -28,6 +27,7 @@ use crate::{lcp_array, sais::suffix_array};
 pub type NodeId = u32;
 
 const NO_NODE: u32 = u32::MAX;
+const ROOT: NodeId = 0;
 
 #[derive(Debug, Clone)]
 struct Node {
@@ -37,11 +37,10 @@ struct Node {
     /// Inclusive SA-slot range of the leaves below this node.
     l: u32,
     r: u32,
-    parent: u32,
 }
 
-/// Explicit suffix tree with preorder numbering, subtree intervals, pattern
-/// locus descent, and O(1) LCA queries.
+/// Explicit suffix tree with subtree slot intervals and pattern locus
+/// descent.
 ///
 /// ```
 /// use ustr_suffix::SuffixTree;
@@ -58,23 +57,15 @@ pub struct SuffixTree {
     text: Vec<u8>,
     /// Virtual SA: `sa[0] = n` (terminator suffix), `sa[1..]` = real SA.
     sa: Vec<u32>,
+    /// `slot_lcp[j]` = LCP of the suffixes in slots `j-1` and `j` (0 for
+    /// `j <= 1`).
+    slot_lcp: Vec<u32>,
+    /// Node arena in creation order of the build sweep; the root is node 0.
     nodes: Vec<Node>,
-    root: u32,
     /// CSR children: `child_flat[child_start[v]..child_start[v+1]]`, in SA
     /// (lexicographic) order.
     child_start: Vec<u32>,
     child_flat: Vec<u32>,
-    /// SA slot -> leaf node id.
-    leaf_of_slot: Vec<u32>,
-    /// Node id -> preorder rank, and the largest preorder rank in its subtree.
-    pre: Vec<u32>,
-    pre_end: Vec<u32>,
-    /// `slot_lcp[j]` = LCP of the suffixes in slots `j-1` and `j` (0 for
-    /// `j <= 1`); `boundary_node[j]` = LCA of leaves `j-1` and `j`.
-    slot_lcp: Vec<u32>,
-    boundary_node: Vec<u32>,
-    /// Min-RMQ over `slot_lcp` for O(1) LCA.
-    lcp_rmq: BlockRmq,
 }
 
 impl SuffixTree {
@@ -100,17 +91,18 @@ impl SuffixTree {
             slot_lcp[2..m].copy_from_slice(&lcp[1..m - 1]);
         }
 
+        // A tree with m leaves and only branching internal nodes (the root
+        // aside) has fewer than 2m nodes.
         let mut nodes: Vec<Node> = Vec::with_capacity(2 * m);
+        // Build-time only: the CSR below is laid out from it.
+        let mut parent: Vec<u32> = Vec::with_capacity(2 * m);
         nodes.push(Node {
             depth: 0,
             l: 0,
             r: (m - 1) as u32,
-            parent: NO_NODE,
         });
-        let root = 0u32;
-        let mut leaf_of_slot = vec![NO_NODE; m];
-        let mut boundary_node = vec![root; m];
-        let mut stack: Vec<u32> = vec![root];
+        parent.push(NO_NODE);
+        let mut stack: Vec<u32> = vec![ROOT];
 
         // One sweep over the leaves; a node's parent is fixed when it leaves
         // the stack.
@@ -119,21 +111,20 @@ impl SuffixTree {
             let mut last: Option<u32> = None;
             loop {
                 let &top = stack.last().expect("root never pops");
-                if nodes[top as usize].depth <= lcp_j || top == root {
+                if nodes[top as usize].depth <= lcp_j || top == ROOT {
                     break;
                 }
                 stack.pop();
                 nodes[top as usize].r = (j - 1) as u32;
                 if let Some(l) = last {
-                    nodes[l as usize].parent = top;
+                    parent[l as usize] = top;
                 }
                 last = Some(top);
             }
             if let Some(l) = last {
-                let &top = stack.last().unwrap();
-                let boundary = if nodes[top as usize].depth == lcp_j {
-                    nodes[l as usize].parent = top;
-                    top
+                let &top = stack.last().expect("root never pops");
+                if nodes[top as usize].depth == lcp_j {
+                    parent[l as usize] = top;
                 } else {
                     // Split: new internal node at depth lcp_j adopting `last`
                     // as its first (leftmost) child.
@@ -142,95 +133,59 @@ impl SuffixTree {
                         depth: lcp_j,
                         l: nodes[l as usize].l,
                         r: NO_NODE, // finalized when popped
-                        parent: NO_NODE,
                     });
-                    nodes[l as usize].parent = v;
+                    parent.push(NO_NODE);
+                    parent[l as usize] = v;
                     stack.push(v);
-                    v
-                };
-                if j < m {
-                    // The node at depth lcp_j is the LCA of leaves j-1 and j.
-                    boundary_node[j] = boundary;
                 }
             }
             if j < m {
                 // Leaf depth includes the virtual terminator.
                 let suffix_len = (n - sa[j] as usize) as u32 + 1;
-                let leaf = nodes.len() as u32;
+                stack.push(nodes.len() as u32);
                 nodes.push(Node {
                     depth: suffix_len,
                     l: j as u32,
                     r: j as u32,
-                    parent: NO_NODE,
                 });
-                leaf_of_slot[j] = leaf;
-                stack.push(leaf);
+                parent.push(NO_NODE);
             }
         }
-        debug_assert_eq!(stack.as_slice(), &[root]);
-        nodes[root as usize].r = (m - 1) as u32;
+        debug_assert_eq!(stack.as_slice(), &[ROOT]);
+        nodes[ROOT as usize].r = (m - 1) as u32;
+        nodes.shrink_to_fit();
 
-        // CSR children via a stable counting sort on (parent, range start).
+        // CSR children by a counting sort on the parent. Siblings are
+        // created in slot order (a node is created no earlier than its
+        // range start and no later than its range end, and sibling ranges
+        // are disjoint), so filling in id order leaves every child list in
+        // SA order.
         let count = nodes.len();
         let mut child_start = vec![0u32; count + 1];
-        for v in nodes.iter().skip(1) {
-            child_start[v.parent as usize + 1] += 1;
+        for &p in &parent[1..] {
+            child_start[p as usize + 1] += 1;
         }
         for i in 0..count {
             child_start[i + 1] += child_start[i];
         }
-        let mut cursor = child_start.clone();
-        let mut order: Vec<u32> = (1..count as u32).collect();
-        // Children of one parent must appear in SA order; sorting all
-        // non-root nodes by (parent, l) achieves that in one pass.
-        order.sort_unstable_by_key(|&id| {
-            let nd = &nodes[id as usize];
-            ((nd.parent as u64) << 32) | nd.l as u64
-        });
-        let mut child_flat = vec![0u32; count.saturating_sub(1)];
-        for id in order {
-            let p = nodes[id as usize].parent as usize;
-            child_flat[cursor[p] as usize] = id;
-            cursor[p] += 1;
+        let mut child_flat = vec![0u32; count - 1];
+        // `child_start[p]` serves as parent p's write cursor, which leaves
+        // every entry one parent ahead; the shift back restores it.
+        for (id, &p) in parent.iter().enumerate().skip(1) {
+            let cursor = &mut child_start[p as usize];
+            child_flat[*cursor as usize] = id as u32;
+            *cursor += 1;
         }
-
-        // Preorder numbering and subtree intervals.
-        let mut pre = vec![0u32; count];
-        let mut pre_end = vec![0u32; count];
-        let mut next_pre = 0u32;
-        let mut dfs: Vec<(u32, u32)> = vec![(root, child_start[root as usize])];
-        pre[root as usize] = 0;
-        next_pre += 1;
-        while let Some(&mut (node, ref mut cix)) = dfs.last_mut() {
-            let node_us = node as usize;
-            if *cix < child_start[node_us + 1] {
-                let child = child_flat[*cix as usize];
-                *cix += 1;
-                pre[child as usize] = next_pre;
-                next_pre += 1;
-                dfs.push((child, child_start[child as usize]));
-            } else {
-                pre_end[node_us] = next_pre - 1;
-                dfs.pop();
-            }
-        }
-
-        let lcp_f64: Vec<f64> = slot_lcp.iter().map(|&x| x as f64).collect();
-        let lcp_rmq = BlockRmq::new(&lcp_f64, Direction::Min);
+        child_start.copy_within(0..count, 1);
+        child_start[0] = 0;
 
         Self {
             text,
             sa,
+            slot_lcp,
             nodes,
-            root,
             child_start,
             child_flat,
-            leaf_of_slot,
-            pre,
-            pre_end,
-            slot_lcp,
-            boundary_node,
-            lcp_rmq,
         }
     }
 
@@ -278,22 +233,20 @@ impl SuffixTree {
         self.sa[j] as usize
     }
 
+    /// The whole virtual suffix array: [`SuffixTree::sa`] of every slot.
+    pub fn sa_slots(&self) -> &[u32] {
+        &self.sa
+    }
+
     /// The root node.
     pub fn root(&self) -> NodeId {
-        self.root
+        ROOT
     }
 
     /// String depth of `node` (leaf depths include the virtual terminator).
     #[inline]
     pub fn string_depth(&self, node: NodeId) -> usize {
         self.nodes[node as usize].depth as usize
-    }
-
-    /// Parent of `node`, or `None` for the root.
-    #[inline]
-    pub fn parent(&self, node: NodeId) -> Option<NodeId> {
-        let p = self.nodes[node as usize].parent;
-        (p != NO_NODE).then_some(p)
     }
 
     /// Children of `node` in lexicographic (SA) order.
@@ -316,65 +269,15 @@ impl SuffixTree {
         (n.l as usize, n.r as usize)
     }
 
-    /// Leaf node for SA slot `j`.
-    #[inline]
-    pub fn leaf(&self, slot: usize) -> NodeId {
-        self.leaf_of_slot[slot]
-    }
-
     /// LCP between the suffixes in slots `j-1` and `j` (0 for `j <= 1`).
     #[inline]
     pub fn slot_lcp(&self, j: usize) -> usize {
         self.slot_lcp[j] as usize
     }
 
-    /// Preorder rank of `node`.
-    #[inline]
-    pub fn preorder(&self, node: NodeId) -> usize {
-        self.pre[node as usize] as usize
-    }
-
-    /// Preorder interval `[preorder(node), ..]` covered by the subtree.
-    #[inline]
-    pub fn preorder_range(&self, node: NodeId) -> (usize, usize) {
-        (
-            self.pre[node as usize] as usize,
-            self.pre_end[node as usize] as usize,
-        )
-    }
-
-    /// Returns `true` when `a` is an ancestor of `b` (inclusive).
-    pub fn is_ancestor(&self, a: NodeId, b: NodeId) -> bool {
-        let (al, ar) = self.preorder_range(a);
-        let pb = self.preorder(b);
-        al <= pb && pb <= ar
-    }
-
-    /// LCA of the leaves in slots `i` and `j`: the boundary split node at
-    /// the minimum slot-LCP between them.
-    pub fn lca_of_slots(&self, i: usize, j: usize) -> NodeId {
-        if i == j {
-            return self.leaf_of_slot[i];
-        }
-        let (lo, hi) = if i < j { (i, j) } else { (j, i) };
-        let k = self.lcp_rmq.query(lo + 1, hi);
-        self.boundary_node[k]
-    }
-
-    /// Lowest common ancestor of two nodes in O(1).
-    pub fn lca(&self, a: NodeId, b: NodeId) -> NodeId {
-        if a == b {
-            return a;
-        }
-        if self.is_ancestor(a, b) {
-            return a;
-        }
-        if self.is_ancestor(b, a) {
-            return b;
-        }
-        let (al, _) = self.slot_range(a);
-        let (bl, _) = self.slot_range(b);
-        self.lca_of_slots(al, bl)
+    /// The whole slot-LCP array: [`SuffixTree::slot_lcp`] of every slot.
+    pub fn slot_lcps(&self) -> &[u32] {
+        &self.slot_lcp
     }
 
     /// First byte of the edge entering `child` from a parent at string depth
@@ -391,9 +294,9 @@ impl SuffixTree {
     pub fn locus(&self, pattern: &[u8]) -> Option<NodeId> {
         let m = pattern.len();
         if m == 0 {
-            return Some(self.root);
+            return Some(ROOT);
         }
-        let mut node = self.root;
+        let mut node = ROOT;
         let mut matched = 0usize; // chars matched == string depth reached
         loop {
             let depth = self.nodes[node as usize].depth as usize;
@@ -445,23 +348,16 @@ impl SuffixTree {
         }
     }
 
-    /// Approximate heap footprint in bytes.
+    /// Heap bytes held.
     pub fn heap_size(&self) -> usize {
         use std::mem::size_of;
         self.text.capacity()
-            + self.sa.capacity() * size_of::<u32>()
             + self.nodes.capacity() * size_of::<Node>()
-            + (self.child_start.capacity()
-                + self.child_flat.capacity()
-                + self.leaf_of_slot.capacity()
-                + self.pre.capacity()
-                + self.pre_end.capacity()
+            + (self.sa.capacity()
                 + self.slot_lcp.capacity()
-                + self.boundary_node.capacity())
+                + self.child_start.capacity()
+                + self.child_flat.capacity())
                 * size_of::<u32>()
-            // BlockRmq: one f64 value + one u64 mask per slot + champions.
-            + self.sa.len() * (size_of::<f64>() + size_of::<u64>())
-            + self.sa.len().div_ceil(64) * (size_of::<u32>() + size_of::<f64>())
     }
 }
 
@@ -535,20 +431,20 @@ mod tests {
     }
 
     #[test]
-    fn parent_child_consistency() {
+    fn every_node_but_the_root_is_a_deeper_child_of_one_node() {
         let st = SuffixTree::build(b"abracadabra".to_vec());
+        let mut times_a_child = vec![0usize; st.num_nodes()];
         for id in 0..st.num_nodes() as u32 {
             for &c in st.children(id) {
-                assert_eq!(st.parent(c), Some(id));
+                times_a_child[c as usize] += 1;
                 assert!(st.string_depth(c) > st.string_depth(id));
                 let (pl, pr) = st.slot_range(id);
                 let (cl, cr) = st.slot_range(c);
                 assert!(pl <= cl && cr <= pr);
             }
-            if st.parent(id).is_none() {
-                assert_eq!(id, st.root());
-            }
         }
+        assert_eq!(times_a_child[st.root() as usize], 0);
+        assert!(times_a_child[1..].iter().all(|&c| c == 1));
     }
 
     #[test]
@@ -567,80 +463,6 @@ mod tests {
             }
             assert_eq!(cursor, pr + 1);
             assert!(st.children(id).len() >= 2, "internal nodes branch");
-        }
-    }
-
-    #[test]
-    fn preorder_intervals_nest() {
-        let st = SuffixTree::build(b"mississippi".to_vec());
-        for id in 0..st.num_nodes() as u32 {
-            let (l, r) = st.preorder_range(id);
-            assert!(l <= r);
-            assert_eq!(st.preorder(id), l);
-            for &c in st.children(id) {
-                let (cl, cr) = st.preorder_range(c);
-                assert!(l < cl && cr <= r);
-                assert!(st.is_ancestor(id, c));
-                assert!(!st.is_ancestor(c, id));
-            }
-        }
-    }
-
-    #[test]
-    fn lca_agrees_with_ancestor_walk() {
-        let st = SuffixTree::build(b"abaababaabaab".to_vec());
-        let naive_lca = |mut a: NodeId, mut b: NodeId| -> NodeId {
-            let mut seen = std::collections::HashSet::new();
-            loop {
-                seen.insert(a);
-                match st.parent(a) {
-                    Some(p) => a = p,
-                    None => break,
-                }
-            }
-            seen.insert(a);
-            loop {
-                if seen.contains(&b) {
-                    return b;
-                }
-                b = st.parent(b).unwrap();
-            }
-        };
-        let slots = st.num_slots();
-        for i in 0..slots {
-            for j in 0..slots {
-                let (a, b) = (st.leaf(i), st.leaf(j));
-                assert_eq!(st.lca(a, b), naive_lca(a, b), "slots {i},{j}");
-            }
-        }
-        // Internal-node LCAs too.
-        for a in 0..st.num_nodes() as u32 {
-            for b in (0..st.num_nodes() as u32).step_by(3) {
-                assert_eq!(st.lca(a, b), naive_lca(a, b), "nodes {a},{b}");
-            }
-        }
-    }
-
-    #[test]
-    fn lca_of_leaves_has_lcp_string_depth() {
-        let text = b"abaababaabaab".to_vec();
-        let st = SuffixTree::build(text.clone());
-        let lcp_of = |a: usize, b: usize| -> usize {
-            text[a..]
-                .iter()
-                .zip(text[b..].iter())
-                .take_while(|(x, y)| x == y)
-                .count()
-        };
-        for i in 1..st.num_slots() {
-            for j in i + 1..st.num_slots() {
-                let l = st.lca(st.leaf(i), st.leaf(j));
-                assert_eq!(
-                    st.string_depth(l),
-                    lcp_of(st.sa(i), st.sa(j)),
-                    "slots {i},{j}"
-                );
-            }
         }
     }
 
@@ -690,7 +512,7 @@ mod tests {
 
     #[test]
     fn to_parts_round_trips_through_from_parts() {
-        for text in [&b"mississippi"[..], b"A\0A\0\0", b"a", b"aaaaaa"] {
+        for text in [&b"mississippi"[..], b"A\0A\0\0", b"a", b"aaaaaa", b""] {
             let original = SuffixTree::build(text.to_vec());
             let (t, sa, lcp) = original.to_parts();
             let rebuilt = SuffixTree::from_parts(t, sa, lcp);
@@ -709,15 +531,6 @@ mod tests {
                     );
                 }
             }
-        }
-    }
-
-    #[test]
-    fn slot_lcp_matches_lca_depth() {
-        let st = SuffixTree::build(b"mississippi".to_vec());
-        for j in 2..st.num_slots() {
-            let l = st.lca(st.leaf(j - 1), st.leaf(j));
-            assert_eq!(st.slot_lcp(j), st.string_depth(l));
         }
     }
 }

@@ -2,7 +2,9 @@
 //! LCA, and document concatenation.
 
 use proptest::prelude::*;
-use ustr_suffix::{lcp_array, rank_array, suffix_array, DocumentConcat, SuffixArray, SuffixTree};
+use ustr_suffix::{
+    lcp_array, rank_array, suffix_array, Ancestry, DocumentConcat, SuffixArray, SuffixTree,
+};
 
 fn byte_text() -> impl Strategy<Value = Vec<u8>> {
     prop_oneof![
@@ -76,6 +78,23 @@ proptest! {
         prop_assert_eq!(t_occ, a_occ);
     }
 
+    /// `suffix_range` against a naive scan of the sorted suffixes: the slots
+    /// whose suffix starts with the pattern are exactly `[l, r]`.
+    #[test]
+    fn suffix_range_is_the_run_of_matching_slots(
+        text in byte_text(),
+        pattern in prop::collection::vec(prop::sample::select(vec![0u8, b'a', b'b', b'c']), 1..5),
+    ) {
+        let tree = SuffixTree::build(text.clone());
+        let matching: Vec<usize> = (0..tree.num_slots())
+            .filter(|&j| text[tree.sa(j)..].starts_with(&pattern))
+            .collect();
+        match tree.suffix_range(&pattern) {
+            Some((l, r)) => prop_assert_eq!(matching, (l..=r).collect::<Vec<_>>()),
+            None => prop_assert!(matching.is_empty()),
+        }
+    }
+
     #[test]
     fn lca_depth_equals_pairwise_lcp(text in byte_text(), i in 0usize..150, j in 0usize..150) {
         let tree = SuffixTree::build(text.clone());
@@ -84,7 +103,8 @@ proptest! {
         if i == j || slots < 3 {
             return Ok(());
         }
-        let l = tree.lca(tree.leaf(i), tree.leaf(j));
+        let anc = Ancestry::build(&tree);
+        let l = anc.lca(&tree, anc.leaf(i), anc.leaf(j));
         let (a, b) = (tree.sa(i), tree.sa(j));
         let expected = text[a..]
             .iter()
@@ -97,20 +117,19 @@ proptest! {
     #[test]
     fn tree_structural_invariants(text in byte_text()) {
         let tree = SuffixTree::build(text);
+        let anc = Ancestry::build(&tree);
         for id in 0..tree.num_nodes() as u32 {
             let (l, r) = tree.slot_range(id);
             prop_assert!(l <= r);
-            let (pl, pr) = tree.preorder_range(id);
+            let (pl, pr) = anc.preorder_range(id);
             prop_assert!(pl <= pr);
-            if let Some(p) = tree.parent(id) {
-                prop_assert!(tree.is_ancestor(p, id));
-                prop_assert!(tree.string_depth(p) < tree.string_depth(id));
-            }
             if !tree.is_leaf(id) {
                 let kids = tree.children(id);
                 prop_assert!(kids.len() >= 2 || id == tree.root());
                 let mut cursor = l;
                 for &c in kids {
+                    prop_assert!(anc.is_ancestor(id, c));
+                    prop_assert!(tree.string_depth(id) < tree.string_depth(c));
                     let (cl, cr) = tree.slot_range(c);
                     prop_assert_eq!(cl, cursor);
                     cursor = cr + 1;
