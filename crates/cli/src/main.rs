@@ -403,15 +403,6 @@ fn describe_request(req: &QueryRequest) -> String {
     }
 }
 
-/// `true` when `path` is a single-file collection snapshot (by magic).
-fn is_collection_file(path: &str) -> bool {
-    let mut prefix = [0u8; 8];
-    std::fs::File::open(path)
-        .and_then(|mut f| std::io::Read::read_exact(&mut f, &mut prefix))
-        .map(|()| prefix == COLLECTION_MAGIC)
-        .unwrap_or(false)
-}
-
 /// Detects a *static* source's shape (`.coll` snapshot or plain collection
 /// text file), rejects `--tau-min`/`--epsilon` for snapshot sources (they
 /// would be silently ignored — snapshots carry their own), and loads or
@@ -425,7 +416,7 @@ fn load_static_service(source: &str, args: &Args) -> Result<QueryService, String
             "{source} is a directory, not a collection: pack one with `ustr build-collection`"
         ));
     }
-    let from_snapshots = is_collection_file(source);
+    let from_snapshots = file_magic(source) == COLLECTION_MAGIC;
     if from_snapshots && args.get("tau-min").is_some() {
         return Err(
             "--tau-min applies only when building from a collection file; \
@@ -468,55 +459,70 @@ fn apply_slow_query_threshold(args: &Args, log: &ustr_obs::SlowQueryLog) -> Resu
     Ok(())
 }
 
-/// Renders the slow-query section appended to verbose batch output;
-/// empty when no query crossed the threshold.
-fn slow_query_summary(log: &ustr_obs::SlowQueryLog) -> String {
-    if log.is_empty() {
-        return String::new();
-    }
-    let mut out = String::from("slow queries (worst first):\n");
-    for entry in log.worst(8) {
-        out.push_str(&format!("  {}\n", entry.render()));
-    }
-    out
-}
-
+/// `serve-batch`: [`serve_in_process`] over a static source (any other
+/// directory is refused by `load_static_service`).
 fn cmd_serve_batch(args: &Args) -> Result<String, String> {
     let source = args.positional(0, "SOURCE")?;
+    if require_live_dir(source).is_ok() {
+        return Err(format!(
+            "{source} is a live collection directory: answer it with `ustr serve-live`"
+        ));
+    }
+    serve_in_process(source, args)
+}
+
+/// `serve-live`: [`serve_in_process`] over an existing live directory.
+fn cmd_serve_live(args: &Args) -> Result<String, String> {
+    let dir = args.positional(0, "LIVEDIR")?;
+    require_live_dir(dir)?;
+    serve_in_process(dir, args)
+}
+
+/// Opens `source` (already vetted by the calling command), answers the
+/// query file in-process through the same backend `serve-net` serves, and
+/// renders the answers under a summary of the run.
+fn serve_in_process(source: &str, args: &Args) -> Result<String, String> {
     let queries_path = args.positional(1, "QUERIES.txt")?;
     let quiet = args.flag("quiet");
     let queries = load_queries(queries_path)?;
     let start = std::time::Instant::now();
-    let service = load_static_service(source, args)?;
-    apply_slow_query_threshold(args, service.slow_log())?;
+    let (backend, what) = net_backend(source, args)?;
     let ready = start.elapsed();
 
     let t0 = std::time::Instant::now();
-    let results = service.query_requests(&queries);
+    let answers = backend.answer(&queries, &[]);
     let answered = t0.elapsed();
+    let results: Vec<_> = answers.into_iter().map(|(result, _)| result).collect();
 
     let mut out = String::new();
     if !quiet {
         out.push_str(&format!(
-            "{} document(s) in {} shard(s), {} thread(s); ready in {ready:?}, \
-             {} query(ies) answered in {answered:?}\n",
-            service.num_docs(),
-            service.num_shards(),
-            service.threads(),
+            "{what}; ready in {ready:?}, {} query(ies) answered in {answered:?}\n",
             queries.len(),
         ));
-        out.push_str(&cache_summary(service.cache_stats()));
-        out.push_str(&slow_query_summary(service.slow_log()));
+        let snap = backend.metrics_snapshot();
+        let count = |name: &str| snap.counters.get(name).copied().unwrap_or(0);
+        out.push_str(&cache_summary(
+            count("service.cache.hits"),
+            count("service.cache.misses"),
+        ));
+        let slow = backend.slow_queries(8);
+        if !slow.is_empty() {
+            out.push_str("slow queries (worst first):\n");
+            for line in slow {
+                out.push_str(&format!("  {line}\n"));
+            }
+        }
     }
     render_results(&mut out, &queries, &results, quiet);
     Ok(out.trim_end().to_string())
 }
 
 /// One summary line for the result cache: hits, misses, and hit ratio.
-/// The counters are process-lifetime totals for the service instance (see
-/// `QueryService::cache_stats`), which for a CLI invocation means totals
+/// The counters are lifetime totals for the service instance (its
+/// `service.cache.*` metrics), which for a CLI invocation means totals
 /// across this batch including its duplicate-request cache hits.
-fn cache_summary((hits, misses): (u64, u64)) -> String {
+fn cache_summary(hits: u64, misses: u64) -> String {
     let total = hits + misses;
     let ratio = if total == 0 {
         0.0
@@ -711,60 +717,37 @@ fn cmd_compact(args: &Args) -> Result<String, String> {
     ))
 }
 
-fn cmd_serve_live(args: &Args) -> Result<String, String> {
-    let dir = args.positional(0, "LIVEDIR")?;
-    require_live_dir(dir)?;
-    let queries_path = args.positional(1, "QUERIES.txt")?;
-    let quiet = args.flag("quiet");
-    let queries = load_queries(queries_path)?;
-    let start = std::time::Instant::now();
-    let live = LiveService::open(dir, live_config(args)?).map_err(|e| e.to_string())?;
-    apply_slow_query_threshold(args, live.slow_log())?;
-    let ready = start.elapsed();
-    let t0 = std::time::Instant::now();
-    let results = live.query_requests(&queries);
-    let answered = t0.elapsed();
-    let mut out = String::new();
-    if !quiet {
-        out.push_str(&format!(
-            "{} live document(s): {} sealed segment(s) + {} memtable document(s); \
-             ready in {ready:?}, {} query(ies) answered in {answered:?}\n",
-            live.num_docs(),
-            live.num_segments(),
-            live.memtable_len(),
-            queries.len(),
-        ));
-        out.push_str(&cache_summary(live.cache_stats()));
-        out.push_str(&slow_query_summary(live.slow_log()));
-    }
-    render_results(&mut out, &queries, &results, quiet);
-    Ok(out.trim_end().to_string())
-}
-
-/// Assembles the query backend `serve-net` wraps: a live directory, a
-/// `.coll` collection snapshot, or a plain collection text file — the same
-/// source shapes `serve-batch`/`serve-live` accept.
+/// Opens the query backend every serving command answers from — a live
+/// directory, a `.coll` collection snapshot, or a plain collection text
+/// file — and describes it for the command's summary line.
 fn net_backend(
     source: &str,
     args: &Args,
 ) -> Result<(std::sync::Arc<dyn ustr_net::QueryBackend>, String), String> {
     use std::sync::Arc;
-    // Live directories take the live options for the first-open case
-    // (exactly like serve-live; an existing directory adopts its recorded
-    // values); every static shape goes through the shared
-    // `load_static_service` path, flag validation included.
-    let p = std::path::Path::new(source);
-    if p.is_dir()
-        && (p.join(ustr_live::MANIFEST_FILE).exists() || p.join(ustr_live::WAL_FILE).exists())
-    {
+    // Live directories take the live options for the first-open case (an
+    // existing directory adopts its recorded values); every static shape
+    // goes through `load_static_service`, flag validation included.
+    if require_live_dir(source).is_ok() {
         let live = LiveService::open(source, live_config(args)?).map_err(|e| e.to_string())?;
         apply_slow_query_threshold(args, live.slow_log())?;
-        let what = format!("live directory {source} ({} document(s))", live.num_docs());
+        let what = format!(
+            "live directory {source} ({} live document(s): {} sealed segment(s) + {} memtable \
+             document(s))",
+            live.num_docs(),
+            live.num_segments(),
+            live.memtable_len(),
+        );
         return Ok((Arc::new(live), what));
     }
     let service = load_static_service(source, args)?;
     apply_slow_query_threshold(args, service.slow_log())?;
-    let what = format!("{source} ({} document(s))", service.num_docs());
+    let what = format!(
+        "{source} ({} document(s) in {} shard(s), {} thread(s))",
+        service.num_docs(),
+        service.num_shards(),
+        service.threads(),
+    );
     Ok((Arc::new(service), what))
 }
 
@@ -1540,6 +1523,10 @@ mod tests {
             "{out}"
         );
         assert!(out.contains("cache:"), "{out}");
+
+        // serve-batch refuses a live directory and names the command for it.
+        let err = run(&argv(&format!("serve-batch {} {queries}", dir.display()))).unwrap_err();
+        assert!(err.contains("serve-live"), "{err}");
 
         // Ingest more, tombstone one, compact everything into one segment.
         run(&argv(&format!("ingest {} {more} --quiet", dir.display()))).unwrap();

@@ -199,7 +199,7 @@ impl Index {
                         continue;
                     };
                     let exact = kernel.match_probability(src);
-                    if exact >= tau - ustr_uncertain::PROB_EPS {
+                    if canon::meets_threshold(exact, tau) {
                         hits.push((src, exact));
                     }
                 }
@@ -286,7 +286,7 @@ impl Index {
         }
         // Mirror the threshold query's final canonical filter at τmin, so
         // the candidate set is exactly the τmin threshold answer.
-        out.retain(|&(_, p)| p >= self.tau_min - ustr_uncertain::PROB_EPS);
+        out.retain(|&(_, p)| canon::meets_threshold(p, self.tau_min));
         out.sort_by(crate::canonical_hit_order);
         out.truncate(k);
         Ok(out)

@@ -309,7 +309,7 @@ impl ListingIndex {
             // agree bit-for-bit with any per-document executor folding its
             // own threshold hits.
             let exact = self.verify(&mut compiled, pattern, doc, src);
-            if exact >= tau - ustr_uncertain::PROB_EPS {
+            if canon::meets_threshold(exact, tau) {
                 let e = best.entry(doc).or_insert(0.0);
                 if exact > *e {
                     *e = exact;
@@ -369,7 +369,7 @@ impl ListingIndex {
                 RelMetric::IndependentOr => canon::independent_or(probs.iter().copied()),
                 RelMetric::Max => unreachable!("handled by query_max"),
             };
-            if relevance >= tau - ustr_uncertain::PROB_EPS {
+            if canon::meets_threshold(relevance, tau) {
                 hits.push(ListingHit { doc, relevance });
             }
         }

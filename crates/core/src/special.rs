@@ -148,7 +148,7 @@ impl SpecialIndex {
             } else {
                 self.special.window_prob_with(&self.correlations, pos, m)
             };
-            if exact >= tau - ustr_uncertain::PROB_EPS {
+            if canon::meets_threshold(exact, tau) {
                 hits.push((pos, exact));
             }
         }

@@ -29,6 +29,13 @@
 //!        └───────────────────┘
 //! ```
 //!
+//! A sealed segment is a collection snapshot: it is written and read by
+//! `ustr_service::{save_coll, load_coll}`, the functions behind
+//! `QueryService::{save_collection, load_collection}`. Segment files are
+//! written before the manifest names them and removed after it stops
+//! naming them; [`LiveService::open`] sweeps whatever a crash in between
+//! left unnamed.
+//!
 //! Queries fan out over *sealed segments + sealing batches + memtable*
 //! through the same typed [`QueryRequest`] dispatcher
 //! ([`ustr_service::Engine`]) the static service uses, and merge
@@ -72,16 +79,13 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
 use ustr_baseline::ScanIndex;
-use ustr_core::{ApproxIndex, Error, Index};
+use ustr_core::Error;
 use ustr_obs::{Counter, Histogram, MetricsRegistry, MetricsSnapshot, Span};
 use ustr_service::{
-    lock_clean, wait_clean, DocExecutor, DocHits, Engine, ListingHit, QueryRequest, QueryResponse,
-    Segment, SegmentSet, TopHit,
+    load_coll, lock_clean, save_coll, wait_clean, DocExecutor, DocHits, Engine, ListingHit,
+    QueryRequest, QueryResponse, Segment, SegmentSet, TopHit,
 };
-use ustr_store::{
-    collection, wal, CollectionSection, RealIo, Snapshot, SnapshotKind, StoreError, StoreIo, WalOp,
-    WalRecord, WalWriter,
-};
+use ustr_store::{wal, RealIo, StoreError, StoreIo, WalOp, WalRecord, WalWriter};
 use ustr_uncertain::{canon, UncertainString};
 
 /// File name of the write-ahead log inside a live directory.
@@ -234,6 +238,21 @@ struct LiveState {
     applied_seq: u64,
 }
 
+impl LiveState {
+    /// Every run of physically present documents, in ascending document
+    /// order: sealed segments, then sealing batches, then the memtable.
+    fn runs(&self) -> impl Iterator<Item = &Vec<(u64, Arc<DocExecutor>)>> {
+        (self.segments.iter().map(|seg| &seg.docs))
+            .chain(self.sealing.iter().map(|batch| &batch.docs))
+            .chain([&self.memtable])
+    }
+
+    /// Ids of every physically present document (tombstoned or not).
+    fn present_ids(&self) -> impl Iterator<Item = u64> + '_ {
+        self.runs().flatten().map(|(id, _)| *id)
+    }
+}
+
 enum Job {
     Seal { batch_id: u64 },
     Compact,
@@ -360,33 +379,17 @@ impl Inner {
                 }
             }
         }
-        let mut segments = Vec::with_capacity(st.segments.len() + st.sealing.len() + 1);
-        let alive = |id: &u64| !st.tombstones.contains(id);
-        for seg in &st.segments {
-            let docs: Vec<(usize, Arc<DocExecutor>)> = seg
-                .docs
-                .iter()
-                .filter(|(id, _)| alive(id))
-                .map(|(id, d)| (*id as usize, Arc::clone(d)))
-                .collect();
-            segments.push(Arc::new(Segment { docs }));
-        }
-        for batch in &st.sealing {
-            let docs: Vec<(usize, Arc<DocExecutor>)> = batch
-                .docs
-                .iter()
-                .filter(|(id, _)| alive(id))
-                .map(|(id, d)| (*id as usize, Arc::clone(d)))
-                .collect();
-            segments.push(Arc::new(Segment { docs }));
-        }
-        let docs: Vec<(usize, Arc<DocExecutor>)> = st
-            .memtable
-            .iter()
-            .filter(|(id, _)| alive(id))
-            .map(|(id, d)| (*id as usize, Arc::clone(d)))
+        let segments = st
+            .runs()
+            .map(|docs| {
+                let docs = docs
+                    .iter()
+                    .filter(|(id, _)| !st.tombstones.contains(id))
+                    .map(|(id, d)| (*id as usize, Arc::clone(d)))
+                    .collect();
+                Arc::new(Segment { docs })
+            })
             .collect();
-        segments.push(Arc::new(Segment { docs }));
         let view = LiveView {
             segments,
             tau_min: self.tau_min,
@@ -401,14 +404,7 @@ impl Inner {
     /// carries information while the document is still physically present
     /// somewhere; keeping the rest would grow the manifest forever.
     fn prune_dead_tombstones(st: &mut LiveState) {
-        let mut present: BTreeSet<u64> = BTreeSet::new();
-        for seg in &st.segments {
-            present.extend(seg.meta.docs.iter().copied());
-        }
-        for batch in &st.sealing {
-            present.extend(batch.docs.iter().map(|(id, _)| *id));
-        }
-        present.extend(st.memtable.iter().map(|(id, _)| *id));
+        let present: BTreeSet<u64> = st.present_ids().collect();
         st.tombstones.retain(|id| present.contains(id));
     }
 
@@ -504,79 +500,27 @@ impl Inner {
         seal_trace.set_u64("docs", docs.len() as u64);
         let _seal_span = Span::on(self.metrics.seal_us.clone());
         self.metrics.seals.inc();
-        if docs.is_empty() {
-            // Nothing (left) to seal: the batch's records are still fully
-            // accounted for — every doc is tombstoned — so install the
-            // empty result directly.
-            let mut st = lock_clean(&self.state);
-            st.sealing.retain(|b| b.batch_id != batch_id);
-            st.applied_seq = st.applied_seq.max(max_seq);
-            // ordering: AcqRel publishes the segment change to the next view()'s
-            // Acquire load.
-            self.structure_version.fetch_add(1, Ordering::AcqRel);
-            Inner::prune_dead_tombstones(&mut st);
-            self.write_manifest(&st)?;
-            self.rewrite_wal(&mut st)?;
-            return Ok(());
+        // Nothing (left) to seal installs no segment: every document of the
+        // batch is tombstoned, so its records are still fully accounted for.
+        let mut sealed = None;
+        if !docs.is_empty() {
+            let built = docs
+                .iter()
+                .map(|(id, exec)| {
+                    let built = DocExecutor::build(exec.source(), self.tau_min, self.epsilon)?;
+                    Ok((*id, Arc::new(built)))
+                })
+                .collect::<Result<Vec<_>, Error>>()?;
+            // Durable before the manifest names it and the WAL drops its
+            // records.
+            let meta = self.write_segment(&built)?;
+            self.metrics.sealed_docs.add(built.len() as u64);
+            sealed = Some(Arc::new(SealedSegment { meta, docs: built }));
         }
-        let mut built: Vec<(u64, Arc<DocExecutor>)> = Vec::with_capacity(docs.len());
-        let mut sections = Vec::new();
-        for (local, (id, exec)) in docs.iter().enumerate() {
-            let source = match exec.as_ref() {
-                DocExecutor::Scanned(scan) => scan.source().clone(),
-                DocExecutor::Built { index, .. } => index.source().clone(),
-            };
-            let index = Index::build(&source, self.tau_min)?;
-            let approx = self
-                .epsilon
-                .map(|eps| ApproxIndex::build(&source, self.tau_min, eps))
-                .transpose()?;
-            let mut bytes = Vec::new();
-            index.write_snapshot(&mut bytes)?;
-            sections.push(CollectionSection {
-                doc: local,
-                kind: SnapshotKind::Index,
-                bytes,
-            });
-            if let Some(approx) = &approx {
-                let mut bytes = Vec::new();
-                approx.write_snapshot(&mut bytes)?;
-                sections.push(CollectionSection {
-                    doc: local,
-                    kind: SnapshotKind::Approx,
-                    bytes,
-                });
-            }
-            built.push((*id, Arc::new(DocExecutor::Built { index, approx })));
-        }
-        let (segment_id, file) = {
-            let mut st = lock_clean(&self.state);
-            let id = st.next_segment_id;
-            st.next_segment_id += 1;
-            (id, format!("segment_{id:08}.coll"))
-        };
-        // The segment must be durable — file *and* directory entry —
-        // before the manifest names it and the WAL drops its records.
-        let segment_path = self.dir.join(&file);
-        collection::save_collection_file(
-            self.io.as_ref(),
-            &segment_path,
-            docs.len(),
-            1,
-            &sections,
-        )?;
-        wal::fsync_parent_dir(self.io.as_ref(), &segment_path)?;
-        let meta = wal::SegmentMeta {
-            id: segment_id,
-            file,
-            docs: docs.iter().map(|(id, _)| *id).collect(),
-        };
         // Install: swap the sealing batch for the sealed segment, advance
         // applied_seq, persist the manifest, shrink the WAL.
-        self.metrics.sealed_docs.add(docs.len() as u64);
         let mut st = lock_clean(&self.state);
-        st.segments
-            .push(Arc::new(SealedSegment { meta, docs: built }));
+        st.segments.extend(sealed);
         st.sealing.retain(|b| b.batch_id != batch_id);
         st.applied_seq = st.applied_seq.max(max_seq);
         // ordering: AcqRel publishes the segment change to the next view()'s
@@ -586,6 +530,32 @@ impl Inner {
         self.write_manifest(&st)?;
         self.rewrite_wal(&mut st)?;
         Ok(())
+    }
+
+    /// Persists `docs` as the next `segment_<id>.coll` and returns its
+    /// manifest entry. The segment is durable — file *and* directory entry —
+    /// on return; nothing refers to it until a manifest names it (a crash
+    /// before that leaves an orphan the next open sweeps).
+    fn write_segment(
+        &self,
+        docs: &[(u64, Arc<DocExecutor>)],
+    ) -> Result<wal::SegmentMeta, StoreError> {
+        let id = {
+            let mut st = lock_clean(&self.state);
+            let id = st.next_segment_id;
+            st.next_segment_id += 1;
+            id
+        };
+        let file = format!("segment_{id:08}.coll");
+        let path = self.dir.join(&file);
+        let executors = docs.iter().map(|(_, d)| d.as_ref());
+        save_coll(self.io.as_ref(), &path, executors, 1)?;
+        wal::fsync_parent_dir(self.io.as_ref(), &path)?;
+        Ok(wal::SegmentMeta {
+            id,
+            file,
+            docs: docs.iter().map(|(id, _)| *id).collect(),
+        })
     }
 
     /// Background compaction: merge every sealed segment into one, dropping
@@ -619,53 +589,9 @@ impl Inner {
         let kept_docs = kept.len();
         compact_trace.set_u64("captured_docs", captured_docs as u64);
         compact_trace.set_u64("kept_docs", kept_docs as u64);
-        let mut sections = Vec::new();
-        for (local, (_, d)) in kept.iter().enumerate() {
-            let DocExecutor::Built { index, approx } = d.as_ref() else {
-                return Err(StoreError::Corrupt {
-                    detail: "a sealing batch holds an unbuilt executor".into(),
-                }
-                .into());
-            };
-            let mut bytes = Vec::new();
-            index.write_snapshot(&mut bytes)?;
-            sections.push(CollectionSection {
-                doc: local,
-                kind: SnapshotKind::Index,
-                bytes,
-            });
-            if let Some(approx) = approx {
-                let mut bytes = Vec::new();
-                approx.write_snapshot(&mut bytes)?;
-                sections.push(CollectionSection {
-                    doc: local,
-                    kind: SnapshotKind::Approx,
-                    bytes,
-                });
-            }
-        }
-        let (segment_id, file) = {
-            let mut st = lock_clean(&self.state);
-            let id = st.next_segment_id;
-            st.next_segment_id += 1;
-            (id, format!("segment_{id:08}.coll"))
-        };
         // Durable before the manifest points at it and the old segment
         // files (the only other copy) are deleted.
-        let segment_path = self.dir.join(&file);
-        collection::save_collection_file(
-            self.io.as_ref(),
-            &segment_path,
-            kept.len(),
-            1,
-            &sections,
-        )?;
-        wal::fsync_parent_dir(self.io.as_ref(), &segment_path)?;
-        let meta = wal::SegmentMeta {
-            id: segment_id,
-            file,
-            docs: kept.iter().map(|(id, _)| *id).collect(),
-        };
+        let meta = self.write_segment(&kept)?;
         let old_files: Vec<String> = {
             let mut st = lock_clean(&self.state);
             // The background worker is the only segment mutator and runs
@@ -687,6 +613,7 @@ impl Inner {
             self.write_manifest(&st)?;
             old_files
         };
+        // Best effort: a file that survives this is swept at the next open.
         for file in old_files {
             let _ = self.io.remove_file(&self.dir.join(file));
         }
@@ -696,6 +623,29 @@ impl Inner {
             .add((captured_docs - kept_docs) as u64);
         Ok(())
     }
+}
+
+/// Removes every `segment_*.coll` in `dir` that `named` does not list: the
+/// leftovers of a crash between a segment write and its manifest, or of a
+/// failed post-compaction remove. Nothing will ever load them, and
+/// `next_segment_id` has moved past them. Removal is best effort — the next
+/// open tries again.
+fn sweep_orphan_segments(
+    dir: &Path,
+    io: &dyn StoreIo,
+    named: &[wal::SegmentMeta],
+) -> std::io::Result<()> {
+    for entry in std::fs::read_dir(dir)? {
+        let name = entry?.file_name();
+        let name = name.to_string_lossy();
+        if name.starts_with("segment_")
+            && name.ends_with(".coll")
+            && !named.iter().any(|s| s.file == *name)
+        {
+            let _ = io.remove_file(&dir.join(&*name));
+        }
+    }
+    Ok(())
 }
 
 /// A mutable uncertain-document collection: durable writes, immediately
@@ -711,8 +661,9 @@ pub struct LiveService {
 impl LiveService {
     /// Opens (or creates) the live collection in `dir`. An existing
     /// directory recovers its durable state: the manifest names the sealed
-    /// segments (loaded from their `.coll` files), and the WAL tail
-    /// replays into the memtable — a torn final record (interrupted crash
+    /// segments (loaded from their `.coll` files; `segment_*.coll` files it
+    /// does not name are removed), and the WAL tail replays into the
+    /// memtable — a torn final record (interrupted crash
     /// write) is discarded, every committed write is recovered. On an
     /// existing directory, `config.tau_min`/`config.epsilon` are ignored
     /// in favor of the recorded values.
@@ -767,70 +718,29 @@ impl LiveService {
             ..Default::default()
         });
 
+        sweep_orphan_segments(&dir, io.as_ref(), &manifest.segments)?;
+
         // Load sealed segments from their collection snapshots.
         let mut segments = Vec::with_capacity(manifest.segments.len());
         for meta in &manifest.segments {
-            let coll = collection::load_collection_file(io.as_ref(), dir.join(&meta.file))?;
-            let corrupt = |detail: String| StoreError::Corrupt { detail };
-            if coll.num_docs != meta.docs.len() {
-                return Err(corrupt(format!(
-                    "segment {} holds {} documents, manifest says {}",
-                    meta.id,
-                    coll.num_docs,
+            let in_segment = |detail: String| StoreError::Corrupt {
+                detail: format!("segment {}: {detail}", meta.id),
+            };
+            let loaded = load_coll(io.as_ref(), &dir.join(&meta.file)).map_err(|e| match e {
+                StoreError::Corrupt { detail } => in_segment(detail),
+                other => other,
+            })?;
+            if loaded.docs.len() != meta.docs.len() {
+                return Err(in_segment(format!(
+                    "holds {} documents, manifest says {}",
+                    loaded.docs.len(),
                     meta.docs.len()
                 ))
                 .into());
             }
-            let mut index_bytes: Vec<Option<Vec<u8>>> = (0..coll.num_docs).map(|_| None).collect();
-            let mut approx_bytes: Vec<Option<Vec<u8>>> = (0..coll.num_docs).map(|_| None).collect();
-            for section in coll.sections {
-                let table = match section.kind {
-                    SnapshotKind::Index => &mut index_bytes,
-                    SnapshotKind::Approx => &mut approx_bytes,
-                    other => {
-                        return Err(corrupt(format!(
-                            "segment {} document {} holds unsupported kind {}",
-                            meta.id, section.doc, other as u8
-                        ))
-                        .into())
-                    }
-                };
-                let Some(slot) = table.get_mut(section.doc) else {
-                    return Err(corrupt(format!(
-                        "segment {} section names document {} of {}",
-                        meta.id, section.doc, coll.num_docs
-                    ))
-                    .into());
-                };
-                if slot.replace(section.bytes).is_some() {
-                    return Err(corrupt(format!(
-                        "segment {} document {} has duplicate sections",
-                        meta.id, section.doc
-                    ))
-                    .into());
-                }
-            }
-            let mut docs = Vec::with_capacity(coll.num_docs);
-            for (local, (ib, ab)) in index_bytes.into_iter().zip(approx_bytes).enumerate() {
-                let ib = ib.ok_or_else(|| {
-                    corrupt(format!(
-                        "segment {} document {local} has no substring-index section",
-                        meta.id
-                    ))
-                })?;
-                let index = Index::read_snapshot(ib.as_slice())?;
-                let approx = ab
-                    .map(|bytes| ApproxIndex::read_snapshot(bytes.as_slice()))
-                    .transpose()?;
-                let Some(&doc_id) = meta.docs.get(local) else {
-                    return Err(corrupt(format!(
-                        "segment {} holds more documents than its manifest entry",
-                        meta.id
-                    ))
-                    .into());
-                };
-                docs.push((doc_id, Arc::new(DocExecutor::Built { index, approx })));
-            }
+            let docs = (meta.docs.iter().copied())
+                .zip(loaded.docs.into_iter().map(Arc::new))
+                .collect();
             segments.push(Arc::new(SealedSegment {
                 meta: meta.clone(),
                 docs,
@@ -890,11 +800,6 @@ impl LiveService {
         };
         Inner::prune_dead_tombstones(&mut state);
         let state = state;
-        let threads = if config.threads > 0 {
-            config.threads
-        } else {
-            std::thread::available_parallelism().map_or(1, |n| n.get())
-        };
         let inner = Arc::new(Inner {
             dir,
             io,
@@ -902,7 +807,7 @@ impl LiveService {
             epsilon,
             compact_min_segments: config.compact_min_segments,
             state: Mutex::new(state),
-            engine: Engine::new(threads, config.cache_capacity),
+            engine: Engine::new(config.threads, config.cache_capacity),
             generation: AtomicU64::new(0),
             structure_version: AtomicU64::new(0),
             view_cache: Mutex::new(None),
@@ -1075,13 +980,7 @@ impl LiveService {
     pub fn delete(&self, id: u64) -> Result<(), LiveError> {
         self.check_background()?;
         let mut st = lock_clean(&self.inner.state);
-        let exists = !st.tombstones.contains(&id)
-            && (st.memtable.iter().any(|(d, _)| *d == id)
-                || st
-                    .sealing
-                    .iter()
-                    .any(|b| b.docs.iter().any(|(d, _)| *d == id))
-                || st.segments.iter().any(|s| s.meta.docs.contains(&id)));
+        let exists = !st.tombstones.contains(&id) && st.present_ids().any(|d| d == id);
         if !exists {
             return Err(LiveError::UnknownDocument { id });
         }
@@ -1168,15 +1067,10 @@ impl LiveService {
     /// Stable ids of every live document, ascending.
     pub fn live_doc_ids(&self) -> Vec<u64> {
         let st = lock_clean(&self.inner.state);
-        let mut ids = Vec::new();
-        for seg in &st.segments {
-            ids.extend(seg.meta.docs.iter().copied());
-        }
-        for batch in &st.sealing {
-            ids.extend(batch.docs.iter().map(|(id, _)| *id));
-        }
-        ids.extend(st.memtable.iter().map(|(id, _)| *id));
-        ids.retain(|id| !st.tombstones.contains(id));
+        let mut ids: Vec<u64> = st
+            .present_ids()
+            .filter(|id| !st.tombstones.contains(id))
+            .collect();
         ids.sort_unstable();
         ids
     }
@@ -1185,29 +1079,12 @@ impl LiveService {
     /// (cloned; used by tests and offline rebuilds).
     pub fn live_docs(&self) -> Vec<(u64, UncertainString)> {
         let st = lock_clean(&self.inner.state);
-        let mut docs: Vec<(u64, UncertainString)> = Vec::new();
-        let mut push = |id: u64, d: &DocExecutor| {
-            if !st.tombstones.contains(&id) {
-                let body = match d {
-                    DocExecutor::Scanned(scan) => scan.source().clone(),
-                    DocExecutor::Built { index, .. } => index.source().clone(),
-                };
-                docs.push((id, body));
-            }
-        };
-        for seg in &st.segments {
-            for (id, d) in &seg.docs {
-                push(*id, d);
-            }
-        }
-        for batch in &st.sealing {
-            for (id, d) in &batch.docs {
-                push(*id, d);
-            }
-        }
-        for (id, d) in &st.memtable {
-            push(*id, d);
-        }
+        let mut docs: Vec<(u64, UncertainString)> = st
+            .runs()
+            .flatten()
+            .filter(|(id, _)| !st.tombstones.contains(id))
+            .map(|(id, d)| (*id, d.source().clone()))
+            .collect();
         docs.sort_by_key(|&(id, _)| id);
         docs
     }
@@ -1292,69 +1169,27 @@ impl LiveService {
 
     /// Answers one threshold query.
     pub fn query(&self, pattern: &[u8], tau: f64) -> Result<Vec<DocHits>, Error> {
-        let req = QueryRequest::Threshold {
-            pattern: pattern.to_vec(),
-            tau,
-        };
-        match self.one_request(req)? {
-            QueryResponse::Threshold(shared) => Ok(shared.as_ref().clone()),
-            _ => Err(Error::internal(
-                "threshold request produced a mismatched response kind",
-            )),
-        }
+        let view = self.inner.view();
+        self.inner.engine.query(&view, pattern, tau)
     }
 
     /// Answers one collection-wide top-k query.
     pub fn query_top_k(&self, pattern: &[u8], k: usize) -> Result<Vec<TopHit>, Error> {
-        let req = QueryRequest::TopK {
-            pattern: pattern.to_vec(),
-            k,
-        };
-        match self.one_request(req)? {
-            QueryResponse::TopK(shared) => Ok(shared.as_ref().clone()),
-            _ => Err(Error::internal(
-                "top-k request produced a mismatched response kind",
-            )),
-        }
+        let view = self.inner.view();
+        self.inner.engine.query_top_k(&view, pattern, k)
     }
 
     /// Answers one listing query.
     pub fn query_listing(&self, pattern: &[u8], tau: f64) -> Result<Vec<ListingHit>, Error> {
-        let req = QueryRequest::Listing {
-            pattern: pattern.to_vec(),
-            tau,
-        };
-        match self.one_request(req)? {
-            QueryResponse::Listing(shared) => Ok(shared.as_ref().clone()),
-            _ => Err(Error::internal(
-                "listing request produced a mismatched response kind",
-            )),
-        }
+        let view = self.inner.view();
+        self.inner.engine.query_listing(&view, pattern, tau)
     }
 
     /// Answers one ε-approximate query (exact for scan-served documents
     /// and when ε is not configured).
     pub fn query_approx(&self, pattern: &[u8], tau: f64) -> Result<Vec<DocHits>, Error> {
-        let req = QueryRequest::Approx {
-            pattern: pattern.to_vec(),
-            tau,
-        };
-        match self.one_request(req)? {
-            QueryResponse::Approx(shared) => Ok(shared.as_ref().clone()),
-            _ => Err(Error::internal(
-                "approx request produced a mismatched response kind",
-            )),
-        }
-    }
-
-    fn one_request(&self, req: QueryRequest) -> Result<QueryResponse, Error> {
-        self.query_requests(std::slice::from_ref(&req))
-            .pop()
-            .unwrap_or_else(|| {
-                Err(Error::internal(
-                    "the engine returned no response for a one-request batch",
-                ))
-            })
+        let view = self.inner.view();
+        self.inner.engine.query_approx(&view, pattern, tau)
     }
 }
 
@@ -1610,6 +1445,140 @@ mod tests {
             .count();
         assert_eq!(colls, 1);
         drop(live);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn open_sweeps_segment_files_the_manifest_does_not_name() {
+        let dir = fresh_dir("ustr_live_orphan_sweep");
+        let live = LiveService::open(&dir, config(2)).unwrap();
+        for d in sample_docs() {
+            live.insert(d).unwrap();
+        }
+        live.wait_idle().unwrap();
+        live.compact().unwrap();
+        live.wait_idle().unwrap();
+        let before = live.query_requests(&mixed_batch());
+        drop(live);
+        let manifest = ustr_store::load_manifest(&RealIo, dir.join(MANIFEST_FILE))
+            .unwrap()
+            .unwrap();
+        let named = dir.join(&manifest.segments[0].file);
+        // What a crash between compaction's manifest write and its removes
+        // leaves behind: a superseded segment file nothing names.
+        let orphan = dir.join("segment_00000000.coll");
+        assert!(named.exists() && !orphan.exists());
+        std::fs::copy(&named, &orphan).unwrap();
+        let live = LiveService::open(&dir, config(0)).unwrap();
+        assert!(!orphan.exists(), "the orphan is swept at open");
+        assert!(named.exists(), "the manifest-named segment survives");
+        assert_eq!(live.query_requests(&mixed_batch()), before);
+        drop(live);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_sealed_segment_loads_as_a_static_collection() {
+        let dir = fresh_dir("ustr_live_cross_load");
+        let cfg = LiveConfig {
+            epsilon: Some(0.05),
+            ..config(0)
+        };
+        let live = LiveService::open(&dir, cfg).unwrap();
+        for d in sample_docs() {
+            live.insert(d).unwrap();
+        }
+        live.flush().unwrap();
+        // No deletes, one segment: stable ids coincide with file ranks.
+        let stat = QueryService::load_collection(
+            dir.join("segment_00000000.coll"),
+            ServiceConfig::default(),
+        )
+        .unwrap();
+        assert!(stat.has_approx_indexes());
+        let batch = mixed_batch();
+        assert_eq!(stat.query_requests(&batch), live.query_requests(&batch));
+        drop(live);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn well_formed_files_with_wrong_contents_fail_cleanly_through_every_door() {
+        use ustr_store::{collection, CollectionSection, Snapshot, SnapshotKind};
+        let mut index = Vec::new();
+        ustr_core::Index::build(&doc("A:.9,B:.1 | B"), 0.05)
+            .unwrap()
+            .write_snapshot(&mut index)
+            .unwrap();
+        let section = |doc: usize, kind: SnapshotKind| CollectionSection {
+            doc,
+            kind,
+            bytes: index.clone(),
+        };
+        // One document declared; each row's sections break one rule.
+        let rows = [
+            (
+                vec![
+                    section(0, SnapshotKind::Index),
+                    section(0, SnapshotKind::Listing),
+                ],
+                "unsupported kind 3",
+            ),
+            (
+                vec![
+                    section(0, SnapshotKind::Index),
+                    section(1, SnapshotKind::Index),
+                ],
+                "names document 1",
+            ),
+            (
+                vec![
+                    section(0, SnapshotKind::Index),
+                    section(0, SnapshotKind::Index),
+                ],
+                "duplicate sections",
+            ),
+            (
+                vec![section(0, SnapshotKind::Approx)],
+                "no substring-index section",
+            ),
+        ];
+        let dir = fresh_dir("ustr_live_semantic_corruption");
+        std::fs::create_dir_all(&dir).unwrap();
+        let file = "segment_00000000.coll";
+        let manifest = wal::LiveManifest {
+            next_doc_id: 1,
+            next_segment_id: 1,
+            tau_min: 0.05,
+            segments: vec![wal::SegmentMeta {
+                id: 0,
+                file: file.into(),
+                docs: vec![0],
+            }],
+            ..Default::default()
+        };
+        ustr_store::save_manifest(&RealIo, dir.join(MANIFEST_FILE), &manifest).unwrap();
+        for (sections, expect) in rows {
+            let mut bytes = Vec::new();
+            collection::write_collection(&mut bytes, 1, 1, &sections).unwrap();
+            std::fs::write(dir.join(file), bytes).unwrap();
+            let Err(StoreError::Corrupt { detail }) = load_coll(&RealIo, &dir.join(file)) else {
+                panic!("{expect}: the shared reader must report Corrupt");
+            };
+            assert!(detail.contains(expect), "{detail}");
+            match QueryService::load_collection(dir.join(file), ServiceConfig::default()) {
+                Err(ustr_service::ServiceError::Store(StoreError::Corrupt { detail: d })) => {
+                    assert_eq!(d, detail)
+                }
+                _ => panic!("{expect}: load_collection must report Corrupt"),
+            }
+            match LiveService::open(&dir, config(0)) {
+                Err(LiveError::Store(StoreError::Corrupt { detail: d })) => {
+                    assert_eq!(d, format!("segment 0: {detail}"))
+                }
+                _ => panic!("{expect}: open must report Corrupt"),
+            }
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -358,11 +358,6 @@ impl NetServer {
     ) -> std::io::Result<Self> {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
-        let threads = if config.threads > 0 {
-            config.threads
-        } else {
-            std::thread::available_parallelism().map_or(1, |n| n.get())
-        };
         let io_threads = if config.io_threads > 0 {
             config.io_threads
         } else {
@@ -391,7 +386,7 @@ impl NetServer {
 
         let shared = Arc::new(Shared {
             backend,
-            pool: ThreadPool::new(threads),
+            pool: ThreadPool::new(config.threads),
             config,
             shutdown: AtomicBool::new(false),
             lifecycle: Mutex::new(Lifecycle::default()),

@@ -12,7 +12,7 @@ use std::collections::HashMap;
 use std::sync::mpsc::channel;
 use std::sync::{Arc, Mutex};
 
-use ustr_core::Error;
+use ustr_core::{Error, ListingHit};
 use ustr_uncertain::canon;
 
 use crate::sync::lock_clean;
@@ -23,7 +23,7 @@ use ustr_obs::{
 use ustr_uncertain::kstats;
 
 use crate::exec::{merge_partials, Segment, ShardPartial};
-use crate::{LruCache, QueryRequest, QueryResponse, ThreadPool};
+use crate::{DocHits, LruCache, QueryRequest, QueryResponse, ThreadPool, TopHit};
 
 /// τ values closer than this are treated as the same threshold by request
 /// validation against the serving floor (see [`validate_request`]).
@@ -178,6 +178,12 @@ fn pattern_of(req: &QueryRequest) -> &[u8] {
     }
 }
 
+fn mismatched(mode: &str) -> Error {
+    Error::internal(format!(
+        "{mode} request produced a mismatched response kind"
+    ))
+}
+
 /// What one traced request looked like from the inside: the flat stage
 /// timings a network response can carry, and the full span set for the
 /// slow-query log or an exporter. Produced by [`Engine::run_traced`] for
@@ -209,8 +215,8 @@ pub struct Engine {
 }
 
 impl Engine {
-    /// Spawns `threads` workers (min 1); `cache_capacity` of 0 disables the
-    /// result cache.
+    /// Spawns `threads` workers (0 = one per available core);
+    /// `cache_capacity` of 0 disables the result cache.
     pub fn new(threads: usize, cache_capacity: usize) -> Self {
         Self {
             pool: ThreadPool::new(threads),
@@ -603,6 +609,72 @@ impl Engine {
                 )
             })
             .collect()
+    }
+
+    /// Answers one threshold query over `set`.
+    pub fn query(
+        &self,
+        set: &dyn SegmentSet,
+        pattern: &[u8],
+        tau: f64,
+    ) -> Result<Vec<DocHits>, Error> {
+        let pattern = pattern.to_vec();
+        match self.one_request(set, QueryRequest::Threshold { pattern, tau })? {
+            QueryResponse::Threshold(shared) => Ok(shared.as_ref().clone()),
+            _ => Err(mismatched("threshold")),
+        }
+    }
+
+    /// Answers one collection-wide top-k query over `set`.
+    pub fn query_top_k(
+        &self,
+        set: &dyn SegmentSet,
+        pattern: &[u8],
+        k: usize,
+    ) -> Result<Vec<TopHit>, Error> {
+        let pattern = pattern.to_vec();
+        match self.one_request(set, QueryRequest::TopK { pattern, k })? {
+            QueryResponse::TopK(shared) => Ok(shared.as_ref().clone()),
+            _ => Err(mismatched("top-k")),
+        }
+    }
+
+    /// Answers one listing query over `set`.
+    pub fn query_listing(
+        &self,
+        set: &dyn SegmentSet,
+        pattern: &[u8],
+        tau: f64,
+    ) -> Result<Vec<ListingHit>, Error> {
+        let pattern = pattern.to_vec();
+        match self.one_request(set, QueryRequest::Listing { pattern, tau })? {
+            QueryResponse::Listing(shared) => Ok(shared.as_ref().clone()),
+            _ => Err(mismatched("listing")),
+        }
+    }
+
+    /// Answers one ε-approximate query over `set`.
+    pub fn query_approx(
+        &self,
+        set: &dyn SegmentSet,
+        pattern: &[u8],
+        tau: f64,
+    ) -> Result<Vec<DocHits>, Error> {
+        let pattern = pattern.to_vec();
+        match self.one_request(set, QueryRequest::Approx { pattern, tau })? {
+            QueryResponse::Approx(shared) => Ok(shared.as_ref().clone()),
+            _ => Err(mismatched("approx")),
+        }
+    }
+
+    fn one_request(&self, set: &dyn SegmentSet, req: QueryRequest) -> Result<QueryResponse, Error> {
+        self.run(set, std::slice::from_ref(&req))
+            .pop()
+            .unwrap_or_else(|| {
+                Err(Error::internal(
+                    "the engine returned no response for a one-request batch",
+                ))
+            })
     }
 
     /// Reference implementation: the same typed batch answered

@@ -16,10 +16,13 @@
 //! kernel's bit-identity contract: a query answered here matches the naive
 //! `match_probability` evaluation bit for bit.
 
+use std::path::Path;
 use std::sync::Arc;
 
 use ustr_baseline::ScanIndex;
 use ustr_core::{ApproxIndex, Error, Index, ListingHit, QueryExecutor};
+use ustr_store::{collection, CollectionSection, Snapshot, SnapshotKind, StoreError, StoreIo};
+use ustr_uncertain::UncertainString;
 
 use crate::{DocHits, QueryRequest, QueryResponse, SharedHits, TopHit};
 
@@ -47,6 +50,28 @@ pub enum DocExecutor {
 }
 
 impl DocExecutor {
+    /// Builds the paper's indexes for one document: the substring index,
+    /// plus an ε-approximate index when `epsilon` is set.
+    pub fn build(
+        source: &UncertainString,
+        tau_min: f64,
+        epsilon: Option<f64>,
+    ) -> Result<Self, Error> {
+        let index = Index::build(source, tau_min)?;
+        let approx = epsilon
+            .map(|eps| ApproxIndex::build(source, tau_min, eps))
+            .transpose()?;
+        Ok(DocExecutor::Built { index, approx })
+    }
+
+    /// The document this executor answers for.
+    pub fn source(&self) -> &UncertainString {
+        match self {
+            DocExecutor::Built { index, .. } => index.source(),
+            DocExecutor::Scanned(scan) => scan.source(),
+        }
+    }
+
     /// The smallest τ the document accepts.
     pub fn tau_min(&self) -> f64 {
         match self {
@@ -94,6 +119,113 @@ impl DocExecutor {
             _ => self.threshold(pattern, tau),
         }
     }
+}
+
+fn corrupt(detail: String) -> StoreError {
+    StoreError::Corrupt { detail }
+}
+
+fn section<S: Snapshot>(doc: usize, index: &S) -> Result<CollectionSection, StoreError> {
+    let mut bytes = Vec::new();
+    index.write_snapshot(&mut bytes)?;
+    Ok(CollectionSection {
+        doc,
+        kind: S::KIND,
+        bytes,
+    })
+}
+
+/// Writes `docs` as one `.coll` file ([`ustr_store::collection`]): per
+/// document, in rank order, its substring-index section, then its
+/// approx-index section when it holds one. Static collection snapshots and
+/// live sealed segments are both written here — and read back by
+/// [`load_coll`] — so they are the same artifact. Only built executors have
+/// a persistent form.
+pub fn save_coll<'a>(
+    io: &dyn StoreIo,
+    path: &Path,
+    docs: impl IntoIterator<Item = &'a DocExecutor>,
+    shard_hint: usize,
+) -> Result<(), StoreError> {
+    let mut sections = Vec::new();
+    let mut num_docs = 0;
+    for doc in docs {
+        let DocExecutor::Built { index, approx } = doc else {
+            return Err(corrupt(format!(
+                "document {num_docs} is scan-served: only built indexes can be saved"
+            )));
+        };
+        sections.push(section(num_docs, index)?);
+        if let Some(approx) = approx {
+            sections.push(section(num_docs, approx)?);
+        }
+        num_docs += 1;
+    }
+    collection::save_collection_file(io, path, num_docs, shard_hint, &sections)
+}
+
+/// A `.coll` file decoded by [`load_coll`].
+pub struct LoadedColl {
+    /// One built executor per document, in rank order.
+    pub docs: Vec<DocExecutor>,
+    /// Per-document snapshot bytes (a proxy for index heap when planning
+    /// shards).
+    pub sizes: Vec<usize>,
+    /// The shard count recorded when the file was written.
+    pub shard_hint: usize,
+}
+
+/// Reads a `.coll` file written by [`save_coll`]. A well-formed container
+/// with the wrong contents — a section of a kind no executor holds, a rank
+/// outside the declared document count, two sections of one kind for a
+/// document, a document without a substring index — is
+/// [`StoreError::Corrupt`], never a panic.
+pub fn load_coll(io: &dyn StoreIo, path: &Path) -> Result<LoadedColl, StoreError> {
+    let coll = collection::load_collection_file(io, path)?;
+    let n = coll.num_docs;
+    let mut index_bytes: Vec<Option<Vec<u8>>> = (0..n).map(|_| None).collect();
+    let mut approx_bytes: Vec<Option<Vec<u8>>> = (0..n).map(|_| None).collect();
+    for section in coll.sections {
+        let table = match section.kind {
+            SnapshotKind::Index => &mut index_bytes,
+            SnapshotKind::Approx => &mut approx_bytes,
+            other => {
+                return Err(corrupt(format!(
+                    "collection section for document {} holds unsupported kind {}",
+                    section.doc, other as u8
+                )))
+            }
+        };
+        let Some(slot) = table.get_mut(section.doc) else {
+            return Err(corrupt(format!(
+                "collection section names document {} of {n}",
+                section.doc
+            )));
+        };
+        if slot.replace(section.bytes).is_some() {
+            return Err(corrupt(format!(
+                "document {} has duplicate sections of one kind",
+                section.doc
+            )));
+        }
+    }
+    let mut docs = Vec::with_capacity(n);
+    let mut sizes = Vec::with_capacity(n);
+    for (rank, (ib, ab)) in index_bytes.into_iter().zip(approx_bytes).enumerate() {
+        let ib =
+            ib.ok_or_else(|| corrupt(format!("document {rank} has no substring-index section")))?;
+        sizes.push(ib.len() + ab.as_ref().map_or(0, Vec::len));
+        let index = Index::read_snapshot(ib.as_slice())?;
+        let approx = ab
+            .map(|bytes| ApproxIndex::read_snapshot(bytes.as_slice()))
+            .transpose()?;
+        docs.push(DocExecutor::Built { index, approx });
+    }
+    Ok(LoadedColl {
+        docs,
+        sizes,
+        shard_hint: coll.shard_hint,
+    })
 }
 
 /// One unit of query fan-out: a contiguous run of documents (ascending doc

@@ -11,8 +11,8 @@
 //!   modes can share one batch; each answer comes back as the matching
 //!   [`QueryResponse`] variant.
 //! * **Document sharding** — a collection is split into contiguous shards,
-//!   each holding one [`Index`] (and optionally one [`ApproxIndex`]) per
-//!   document.
+//!   each holding one [`ustr_core::Index`] (and optionally one
+//!   [`ustr_core::ApproxIndex`]) per document.
 //! * **Fixed thread pool** — batch queries fan out as one job per
 //!   `(request, shard)` pair onto [`ThreadPool`] workers.
 //! * **Deterministic merge** — per-shard results are reassembled in shard
@@ -41,9 +41,11 @@
 //!
 //! The serving machinery is layered so static and mutable services share
 //! every query path: [`exec`] defines [`DocExecutor`] (a built index or an
-//! exact scan — interchangeable under `ustr_core::QueryExecutor`),
-//! [`Segment`] (an ordered run of documents), and the deterministic
-//! [`merge_partials`]; [`engine`] defines the [`Engine`] dispatcher
+//! exact scan — interchangeable under `ustr_core::QueryExecutor`) and its
+//! one `.coll` codec ([`save_coll`] / [`load_coll`] — collection snapshots
+//! and `ustr-live`'s sealed segments are the same artifact), [`Segment`]
+//! (an ordered run of documents), and the deterministic [`merge_partials`];
+//! [`engine`] defines the [`Engine`] dispatcher
 //! (validation, per-mode LRU cache, thread-pool fan-out) running over any
 //! [`SegmentSet`]. [`QueryService`] is the static `SegmentSet` (fixed
 //! shards); `ustr-live`'s `LiveService` is the mutable one (sealed
@@ -88,13 +90,16 @@ pub mod sync;
 use std::path::Path;
 use std::sync::Arc;
 
-use ustr_core::{ApproxIndex, Error, Index};
-use ustr_store::{collection, CollectionSection, RealIo, Snapshot, SnapshotKind, StoreError};
+use ustr_core::Error;
+use ustr_store::{RealIo, StoreError};
 use ustr_uncertain::UncertainString;
 
 pub use cache::LruCache;
 pub use engine::{mode_name, validate_request, Engine, SegmentSet, TraceSummary, TAU_TOLERANCE};
-pub use exec::{merge_partials, top_hit_order, DocExecutor, Segment, ShardPartial};
+pub use exec::{
+    load_coll, merge_partials, save_coll, top_hit_order, DocExecutor, LoadedColl, Segment,
+    ShardPartial,
+};
 pub use pool::ThreadPool;
 pub use sync::{lock_clean, wait_clean, wait_timeout_clean, WakeQueue};
 pub use ustr_core::ListingHit;
@@ -110,10 +115,10 @@ pub struct ServiceConfig {
     /// LRU cache capacity in request entries (0 disables caching).
     pub cache_capacity: usize,
     /// When set, [`QueryService::build`] additionally builds one
-    /// [`ApproxIndex`] with this ε per document, making `Approx` requests
-    /// ε-approximate. Without approx indexes, `Approx` requests fall back to
-    /// the exact index (a valid — if slower — answer under the §7 sandwich
-    /// guarantee).
+    /// [`ustr_core::ApproxIndex`] with this ε per document, making `Approx`
+    /// requests ε-approximate. Without approx indexes, `Approx` requests
+    /// fall back to the exact index (a valid — if slower — answer under the
+    /// §7 sandwich guarantee).
     pub epsilon: Option<f64>,
 }
 
@@ -124,16 +129,6 @@ impl Default for ServiceConfig {
             shards: 0,
             cache_capacity: 1024,
             epsilon: None,
-        }
-    }
-}
-
-impl ServiceConfig {
-    fn effective_threads(&self) -> usize {
-        if self.threads > 0 {
-            self.threads
-        } else {
-            std::thread::available_parallelism().map_or(1, |n| n.get())
         }
     }
 }
@@ -214,8 +209,6 @@ pub type SharedHits = Arc<Vec<DocHits>>;
 /// Errors from saving or loading a service's collection snapshot.
 #[derive(Debug)]
 pub enum ServiceError {
-    /// Index construction failed.
-    Index(Error),
     /// A snapshot failed to save or load.
     Store(StoreError),
 }
@@ -223,19 +216,12 @@ pub enum ServiceError {
 impl std::fmt::Display for ServiceError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            ServiceError::Index(e) => write!(f, "index error: {e}"),
             ServiceError::Store(e) => write!(f, "snapshot error: {e}"),
         }
     }
 }
 
 impl std::error::Error for ServiceError {}
-
-impl From<Error> for ServiceError {
-    fn from(e: Error) -> Self {
-        ServiceError::Index(e)
-    }
-}
 
 impl From<StoreError> for ServiceError {
     fn from(e: StoreError) -> Self {
@@ -308,43 +294,30 @@ impl QueryService {
         tau_min: f64,
         config: ServiceConfig,
     ) -> Result<Self, Error> {
-        let indexes = docs
+        let executors = docs
             .iter()
-            .map(|d| {
-                let index = Index::build(d, tau_min)?;
-                let approx = config
-                    .epsilon
-                    .map(|eps| ApproxIndex::build(d, tau_min, eps))
-                    .transpose()?;
-                Ok(DocExecutor::Built { index, approx })
-            })
+            .map(|d| DocExecutor::build(d, tau_min, config.epsilon))
             .collect::<Result<Vec<_>, Error>>()?;
-        let shards = match config.shards {
-            0 => config.effective_threads(),
-            n => n,
-        };
-        Ok(Self::assemble(indexes, None, shards, &config))
+        Ok(Self::assemble(executors, &vec![1; docs.len()], 0, &config))
     }
 
-    /// Shards `docs` (by `weights` when given, uniformly otherwise) and
-    /// wires up the dispatch engine.
+    /// Shards `docs` by `weights` (one per document) and wires up the
+    /// dispatch engine. The shard count is `config.shards`,
+    /// else `shard_hint`, else the pool's thread count (first non-zero).
     fn assemble(
         docs: Vec<DocExecutor>,
-        weights: Option<&[usize]>,
-        num_shards: usize,
+        weights: &[usize],
+        shard_hint: usize,
         config: &ServiceConfig,
     ) -> Self {
         let num_docs = docs.len();
-        let threads = config.effective_threads();
-        let tau_min = docs.iter().map(|d| d.tau_min()).fold(0.0, f64::max);
-        let uniform: Vec<usize>;
-        let weights = match weights {
-            Some(w) => w,
-            None => {
-                uniform = vec![1; num_docs];
-                &uniform
-            }
+        let engine = Engine::new(config.threads, config.cache_capacity);
+        let num_shards = match (config.shards, shard_hint) {
+            (0, 0) => engine.threads(),
+            (0, hint) => hint,
+            (shards, _) => shards,
         };
+        let tau_min = docs.iter().map(|d| d.tau_min()).fold(0.0, f64::max);
         let sizes = plan_shards(weights, num_shards);
         let mut shards = Vec::with_capacity(sizes.len());
         let mut iter = docs.into_iter().enumerate();
@@ -358,7 +331,7 @@ impl QueryService {
         }
         Self {
             shards,
-            engine: Engine::new(threads, config.cache_capacity),
+            engine,
             tau_min,
             num_docs,
         }
@@ -368,47 +341,11 @@ impl QueryService {
     /// plan, per-doc offsets, per-section checksums) followed by each
     /// document's substring-index snapshot — and its approx-index snapshot,
     /// when the service holds one. Format:
-    /// [`ustr_store::collection`].
+    /// [`ustr_store::collection`]; written by [`save_coll`].
     pub fn save_collection(&self, path: impl AsRef<Path>) -> Result<(), ServiceError> {
-        let mut sections = Vec::with_capacity(self.num_docs);
-        for shard in &self.shards {
-            for (doc, d) in &shard.docs {
-                let mut bytes = Vec::new();
-                match d.as_ref() {
-                    DocExecutor::Built { index, .. } => index.write_snapshot(&mut bytes)?,
-                    DocExecutor::Scanned(scan) => {
-                        Index::build(scan.source(), ustr_core::QueryExecutor::tau_min(scan))?
-                            .write_snapshot(&mut bytes)?
-                    }
-                }
-                sections.push(CollectionSection {
-                    doc: *doc,
-                    kind: SnapshotKind::Index,
-                    bytes,
-                });
-                if let DocExecutor::Built {
-                    approx: Some(approx),
-                    ..
-                } = d.as_ref()
-                {
-                    let mut bytes = Vec::new();
-                    approx.write_snapshot(&mut bytes)?;
-                    sections.push(CollectionSection {
-                        doc: *doc,
-                        kind: SnapshotKind::Approx,
-                        bytes,
-                    });
-                }
-            }
-        }
-        collection::save_collection_file(
-            &RealIo,
-            path,
-            self.num_docs,
-            self.num_shards(),
-            &sections,
-        )?;
-        Ok(())
+        let docs = self.shards.iter().flat_map(|shard| &shard.docs);
+        let docs = docs.map(|(_, d)| d.as_ref());
+        Ok(save_coll(&RealIo, path.as_ref(), docs, self.num_shards())?)
     }
 
     /// Loads a single-file collection snapshot and assembles a service.
@@ -421,54 +358,13 @@ impl QueryService {
         path: impl AsRef<Path>,
         config: ServiceConfig,
     ) -> Result<Self, ServiceError> {
-        let coll = collection::load_collection_file(&RealIo, path)?;
-        let corrupt = |detail: String| ServiceError::Store(StoreError::Corrupt { detail });
-        let n = coll.num_docs;
-        let mut index_bytes: Vec<Option<Vec<u8>>> = (0..n).map(|_| None).collect();
-        let mut approx_bytes: Vec<Option<Vec<u8>>> = (0..n).map(|_| None).collect();
-        for section in coll.sections {
-            let table = match section.kind {
-                SnapshotKind::Index => &mut index_bytes,
-                SnapshotKind::Approx => &mut approx_bytes,
-                other => {
-                    return Err(corrupt(format!(
-                        "collection section for document {} holds unsupported kind {}",
-                        section.doc, other as u8
-                    )))
-                }
-            };
-            let Some(slot) = table.get_mut(section.doc) else {
-                return Err(corrupt(format!(
-                    "collection section names document {} of {n}",
-                    section.doc
-                )));
-            };
-            if slot.is_some() {
-                return Err(corrupt(format!(
-                    "document {} has duplicate sections of one kind",
-                    section.doc
-                )));
-            }
-            *slot = Some(section.bytes);
-        }
-        let mut docs = Vec::with_capacity(n);
-        let mut weights = Vec::with_capacity(n);
-        for (id, (ib, ab)) in index_bytes.into_iter().zip(approx_bytes).enumerate() {
-            let ib =
-                ib.ok_or_else(|| corrupt(format!("document {id} has no substring-index section")))?;
-            weights.push(ib.len() + ab.as_ref().map_or(0, Vec::len));
-            let index = Index::read_snapshot(ib.as_slice())?;
-            let approx = ab
-                .map(|bytes| ApproxIndex::read_snapshot(bytes.as_slice()))
-                .transpose()?;
-            docs.push(DocExecutor::Built { index, approx });
-        }
-        let shards = match config.shards {
-            0 if coll.shard_hint > 0 => coll.shard_hint,
-            0 => config.effective_threads(),
-            s => s,
-        };
-        Ok(Self::assemble(docs, Some(&weights), shards, &config))
+        let coll = load_coll(&RealIo, path.as_ref())?;
+        Ok(Self::assemble(
+            coll.docs,
+            &coll.sizes,
+            coll.shard_hint,
+            &config,
+        ))
     }
 
     /// Number of documents served.
@@ -491,7 +387,7 @@ impl QueryService {
         self.tau_min
     }
 
-    /// `true` when every document carries an [`ApproxIndex`] (so `Approx`
+    /// `true` when every document carries an [`ustr_core::ApproxIndex`] (so `Approx`
     /// requests are genuinely ε-approximate rather than exact fallbacks).
     pub fn has_approx_indexes(&self) -> bool {
         self.num_docs > 0
@@ -525,72 +421,26 @@ impl QueryService {
 
     /// Answers one threshold query (through the cache and the thread pool).
     pub fn query(&self, pattern: &[u8], tau: f64) -> Result<Vec<DocHits>, Error> {
-        let req = QueryRequest::Threshold {
-            pattern: pattern.to_vec(),
-            tau,
-        };
-        match self.one_request(req)? {
-            QueryResponse::Threshold(shared) => Ok(shared.as_ref().clone()),
-            _ => Err(Error::internal(
-                "threshold request produced a mismatched response kind",
-            )),
-        }
+        self.engine.query(self, pattern, tau)
     }
 
     /// Answers one collection-wide top-k query: the `k` most probable
     /// occurrences across every document, ranked by probability with a
     /// deterministic `(doc, pos)` tie-break.
     pub fn query_top_k(&self, pattern: &[u8], k: usize) -> Result<Vec<TopHit>, Error> {
-        let req = QueryRequest::TopK {
-            pattern: pattern.to_vec(),
-            k,
-        };
-        match self.one_request(req)? {
-            QueryResponse::TopK(shared) => Ok(shared.as_ref().clone()),
-            _ => Err(Error::internal(
-                "top-k request produced a mismatched response kind",
-            )),
-        }
+        self.engine.query_top_k(self, pattern, k)
     }
 
     /// Answers one listing query: every document whose `Rel_max` for
     /// `pattern` is ≥ τ, sorted by document id.
     pub fn query_listing(&self, pattern: &[u8], tau: f64) -> Result<Vec<ListingHit>, Error> {
-        let req = QueryRequest::Listing {
-            pattern: pattern.to_vec(),
-            tau,
-        };
-        match self.one_request(req)? {
-            QueryResponse::Listing(shared) => Ok(shared.as_ref().clone()),
-            _ => Err(Error::internal(
-                "listing request produced a mismatched response kind",
-            )),
-        }
+        self.engine.query_listing(self, pattern, tau)
     }
 
     /// Answers one ε-approximate query (exact when the service holds no
     /// approx indexes — see [`ServiceConfig::epsilon`]).
     pub fn query_approx(&self, pattern: &[u8], tau: f64) -> Result<Vec<DocHits>, Error> {
-        let req = QueryRequest::Approx {
-            pattern: pattern.to_vec(),
-            tau,
-        };
-        match self.one_request(req)? {
-            QueryResponse::Approx(shared) => Ok(shared.as_ref().clone()),
-            _ => Err(Error::internal(
-                "approx request produced a mismatched response kind",
-            )),
-        }
-    }
-
-    fn one_request(&self, req: QueryRequest) -> Result<QueryResponse, Error> {
-        self.query_requests(std::slice::from_ref(&req))
-            .pop()
-            .unwrap_or_else(|| {
-                Err(Error::internal(
-                    "the engine returned no response for a one-request batch",
-                ))
-            })
+        self.engine.query_approx(self, pattern, tau)
     }
 
     /// Answers a typed batch of any mix of query modes through the shared
@@ -1189,7 +1039,6 @@ mod tests {
             std::fs::write(&path, &bytes[..cut]).unwrap();
             match QueryService::load_collection(&path, config(1, 1, 0)) {
                 Err(ServiceError::Store(_)) => {}
-                Err(other) => panic!("cut at {cut}: expected a StoreError, got {other:?}"),
                 Ok(_) => panic!("cut at {cut}: truncated collection must not load"),
             }
         }

@@ -17,9 +17,12 @@ pub struct ThreadPool {
 }
 
 impl ThreadPool {
-    /// Spawns `threads` workers (min 1).
+    /// Spawns `threads` workers (0 = one per available core).
     pub fn new(threads: usize) -> Self {
-        let threads = threads.max(1);
+        let threads = match threads {
+            0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
+            n => n,
+        };
         let (sender, receiver): (Sender<Job>, Receiver<Job>) = channel();
         let receiver = Arc::new(Mutex::new(receiver));
         // A failed spawn (thread exhaustion) degrades the pool instead of
@@ -106,9 +109,10 @@ mod tests {
     }
 
     #[test]
-    fn zero_threads_clamps_to_one() {
+    fn zero_threads_means_one_per_core() {
         let pool = ThreadPool::new(0);
-        assert_eq!(pool.threads(), 1);
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        assert_eq!(pool.threads(), cores);
         let (done, results) = channel();
         pool.execute(move || done.send(42).unwrap());
         assert_eq!(results.recv().unwrap(), 42);
