@@ -8,16 +8,17 @@
 //! ```
 //!
 //! `gen-docs` writes a generated collection totalling `N` positions (the
-//! paper's `n` — the same axis the benches sweep) in the CLI's text
-//! format, one uncertain string per line, so the job can feed the
-//! *release `serve-net` binary* the same corpus shape the benches use. `run` opens `--conns`
-//! connections, pipelines mixed-mode batches on every one of them until
-//! the deadline, then closes each session with a `Goodbye`, and writes a
-//! JSON summary to `--out`.
+//! paper's `n`) in the CLI's text format, one uncertain string per line,
+//! so the job can feed the *release `serve-net` binary* a §8.1 protein
+//! corpus (`generate_collection`). `run` opens `--conns` connections,
+//! pipelines mixed-mode batches on every one of them until the deadline,
+//! then closes each session with a `Goodbye`, and writes a JSON summary
+//! to `--out`.
 //!
 //! The job's three assertions map to exit codes:
 //! - **zero error frames** — any per-request error (or failed round trip)
-//!   exits 1;
+//!   exits 1, and so does a run in which every answer was empty (a soak
+//!   whose patterns match nothing exercises no result encoding at all);
 //! - **no stuck connections** — a watchdog thread force-exits 3 if the
 //!   load has not wound down within a grace period after the deadline
 //!   (a connection wedged in a read would otherwise hang the job until
@@ -34,7 +35,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use ustr_net::{NetClient, QueryRequest};
+use ustr_net::{NetClient, QueryRequest, QueryResponse};
 use ustr_workload::{generate_collection, DatasetConfig};
 
 /// Extra time the load gets to wind down (drain pipelined responses and
@@ -42,30 +43,43 @@ use ustr_workload::{generate_collection, DatasetConfig};
 /// stuck.
 const WATCHDOG_GRACE: Duration = Duration::from_secs(60);
 
-/// The mixed-mode request cycle every connection pipelines.
+/// The mixed-mode request cycle every connection pipelines. `gen-docs`
+/// writes upper-case protein text, so the patterns pair its two most
+/// abundant residues (L 9.7%, A 8.3%): they occur in any corpus of a few
+/// hundred positions, and the answers carry hits.
 fn modes() -> Vec<QueryRequest> {
     vec![
         QueryRequest::Threshold {
-            pattern: b"ab".to_vec(),
+            pattern: b"LA".to_vec(),
             tau: 0.3,
         },
         QueryRequest::TopK {
-            pattern: b"ab".to_vec(),
+            pattern: b"LA".to_vec(),
             k: 5,
         },
         QueryRequest::Listing {
-            pattern: b"ba".to_vec(),
+            pattern: b"AL".to_vec(),
             tau: 0.2,
         },
         QueryRequest::Approx {
-            pattern: b"ab".to_vec(),
+            pattern: b"LA".to_vec(),
             tau: 0.3,
         },
     ]
 }
 
+fn is_non_empty(response: &QueryResponse) -> bool {
+    match response {
+        QueryResponse::Threshold(hits) | QueryResponse::Approx(hits) => !hits.is_empty(),
+        QueryResponse::TopK(top) => !top.is_empty(),
+        QueryResponse::Listing(listed) => !listed.is_empty(),
+    }
+}
+
+#[derive(Default)]
 struct ConnOutcome {
     answered: usize,
+    non_empty: usize,
     errors: usize,
 }
 
@@ -73,10 +87,7 @@ struct ConnOutcome {
 /// then a graceful `Goodbye`. Wire failures count as errors rather than
 /// panicking, so one bad connection cannot hide the others' tallies.
 fn drive(addr: &str, batch: &[QueryRequest], deadline: Instant) -> ConnOutcome {
-    let mut out = ConnOutcome {
-        answered: 0,
-        errors: 0,
-    };
+    let mut out = ConnOutcome::default();
     let mut client = match NetClient::connect(addr) {
         Ok(c) => c,
         Err(e) => {
@@ -89,10 +100,12 @@ fn drive(addr: &str, batch: &[QueryRequest], deadline: Instant) -> ConnOutcome {
         match client.query_requests(batch) {
             Ok(answers) => {
                 for a in &answers {
-                    if a.is_ok() {
-                        out.answered += 1;
-                    } else {
-                        out.errors += 1;
+                    match a {
+                        Ok(response) => {
+                            out.answered += 1;
+                            out.non_empty += usize::from(is_non_empty(response));
+                        }
+                        Err(_) => out.errors += 1,
                     }
                 }
             }
@@ -203,8 +216,8 @@ fn run_soak(args: &[String]) -> Result<String, String> {
             .into_iter()
             .map(|h| {
                 h.join().unwrap_or(ConnOutcome {
-                    answered: 0,
                     errors: 1,
+                    ..ConnOutcome::default()
                 })
             })
             .collect()
@@ -214,11 +227,13 @@ fn run_soak(args: &[String]) -> Result<String, String> {
     done.store(true, Ordering::Relaxed);
 
     let answered: usize = outcomes.iter().map(|o| o.answered).sum();
+    let non_empty: usize = outcomes.iter().map(|o| o.non_empty).sum();
     let errors: usize = outcomes.iter().map(|o| o.errors).sum();
     let rps = answered as f64 / wall;
     let json = format!(
         "{{\n  \"soak\": {{\n    \"conns\": {conns},\n    \"seconds\": {seconds},\n    \
          \"wall_seconds\": {wall:.3},\n    \"requests\": {answered},\n    \
+         \"non_empty_answers\": {non_empty},\n    \
          \"throughput_rps\": {rps:.1},\n    \"error_frames\": {errors}\n  }}\n}}\n",
     );
     let mut file =
@@ -230,9 +245,14 @@ fn run_soak(args: &[String]) -> Result<String, String> {
     if errors > 0 {
         return Err(format!("{errors} error frame(s) during the soak"));
     }
+    if non_empty == 0 {
+        return Err(format!(
+            "all {answered} answer(s) were empty: the soak moved no results"
+        ));
+    }
     Ok(format!(
-        "{answered} request(s) over {conns} connection(s) in {wall:.1}s \
-         ({rps:.0} req/s), zero error frames"
+        "{answered} request(s) ({non_empty} with hits) over {conns} connection(s) in \
+         {wall:.1}s ({rps:.0} req/s), zero error frames"
     ))
 }
 

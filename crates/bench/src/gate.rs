@@ -1,16 +1,12 @@
-//! The perf-regression gate: a dependency-free JSON reader and a latency
-//! comparator over the machine-readable `BENCH_*.json` artifacts.
+//! A dependency-free JSON reader: the value type and parser `benchmark/`
+//! borrows for its result, baseline and trace files
+//! (`benchmark/src/json.rs` re-exports [`Json`] and [`parse`]).
 //!
-//! CI checks current bench output against the snapshots committed under
-//! `BENCH_baseline/` (see the `bench-gate` binary). Keys whose dotted
-//! path contains `p50` (default 30% tolerance) or `p99` (looser, default
-//! 50%) are gated from above; keys containing `rps` are gated from *below*
-//! (default 50% headroom) so connection-scaling throughput cannot quietly
-//! collapse. One-shot maintenance durations are reported but too
-//! machine-dependent to fail a build on.
+//! Nothing here gates anything — measuring and comparing are `benchmark/`'s
+//! job alone. The module keeps the name `gate` because that import path is
+//! what `benchmark/` compiles against.
 
-/// A parsed JSON value (the subset the bench artifacts use, which is all of
-/// JSON minus exotic escapes).
+/// A parsed JSON value (all of JSON minus exotic escapes).
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
     /// `null`
@@ -28,18 +24,22 @@ pub enum Json {
 }
 
 struct Parser<'a> {
-    bytes: &'a [u8],
+    text: &'a str,
     pos: usize,
 }
 
 impl<'a> Parser<'a> {
+    fn bytes(&self) -> &'a [u8] {
+        self.text.as_bytes()
+    }
+
     fn fail(&self, what: &str) -> String {
         format!("{what} at byte {}", self.pos)
     }
 
     fn skip_ws(&mut self) {
         while self
-            .bytes
+            .bytes()
             .get(self.pos)
             .is_some_and(|b| b.is_ascii_whitespace())
         {
@@ -48,7 +48,7 @@ impl<'a> Parser<'a> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.bytes().get(self.pos).copied()
     }
 
     fn eat(&mut self, b: u8, what: &str) -> Result<(), String> {
@@ -61,7 +61,7 @@ impl<'a> Parser<'a> {
     }
 
     fn eat_literal(&mut self, lit: &str, value: Json) -> Result<Json, String> {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
+        if self.text[self.pos..].starts_with(lit) {
             self.pos += lit.len();
             Ok(value)
         } else {
@@ -158,9 +158,8 @@ impl<'a> Parser<'a> {
                         b'f' => out.push('\u{c}'),
                         b'u' => {
                             let hex = self
-                                .bytes
+                                .text
                                 .get(self.pos..self.pos + 4)
-                                .and_then(|h| std::str::from_utf8(h).ok())
                                 .ok_or_else(|| self.fail("bad \\u escape"))?;
                             let code = u32::from_str_radix(hex, 16)
                                 .map_err(|_| self.fail("bad \\u escape"))?;
@@ -171,13 +170,15 @@ impl<'a> Parser<'a> {
                     }
                 }
                 _ => {
-                    // Consume one UTF-8 scalar (the artifacts are ASCII, but
-                    // stay correct on arbitrary input).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.fail("invalid UTF-8"))?;
-                    let c = rest.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the whole unescaped run at once. It ends at a
+                    // quote or backslash (both ASCII, so never inside a
+                    // multi-byte scalar) or at the end of the input, and
+                    // `pos` only ever advances past whole scalars: both
+                    // ends are char boundaries of the `&str`.
+                    let rest = &self.text[self.pos..];
+                    let run = rest.find(['"', '\\']).unwrap_or(rest.len());
+                    out.push_str(&rest[..run]);
+                    self.pos += run;
                 }
             }
         }
@@ -194,9 +195,9 @@ impl<'a> Parser<'a> {
         {
             self.pos += 1;
         }
-        std::str::from_utf8(&self.bytes[start..self.pos])
+        self.text[start..self.pos]
+            .parse::<f64>()
             .ok()
-            .and_then(|s| s.parse::<f64>().ok())
             .map(Json::Num)
             .ok_or_else(|| self.fail("invalid number"))
     }
@@ -204,211 +205,21 @@ impl<'a> Parser<'a> {
 
 /// Parses one JSON document; trailing non-whitespace is an error.
 pub fn parse(text: &str) -> Result<Json, String> {
-    let mut p = Parser {
-        bytes: text.as_bytes(),
-        pos: 0,
-    };
+    let mut p = Parser { text, pos: 0 };
     let value = p.value()?;
     p.skip_ws();
-    if p.pos != p.bytes.len() {
+    if p.pos != text.len() {
         return Err(p.fail("trailing bytes after the JSON document"));
     }
     Ok(value)
-}
-
-/// Every numeric leaf as a `(dotted.path, value)` pair, in source order.
-/// Array elements use their index as the path segment.
-pub fn flatten_numbers(value: &Json) -> Vec<(String, f64)> {
-    fn walk(prefix: &str, value: &Json, out: &mut Vec<(String, f64)>) {
-        let join = |key: &str| {
-            if prefix.is_empty() {
-                key.to_string()
-            } else {
-                format!("{prefix}.{key}")
-            }
-        };
-        match value {
-            Json::Num(n) => out.push((prefix.to_string(), *n)),
-            Json::Obj(fields) => {
-                for (key, v) in fields {
-                    walk(&join(key), v, out);
-                }
-            }
-            Json::Arr(items) => {
-                for (i, v) in items.iter().enumerate() {
-                    walk(&join(&i.to_string()), v, out);
-                }
-            }
-            _ => {}
-        }
-    }
-    let mut out = Vec::new();
-    walk("", value, &mut out);
-    out
-}
-
-/// One gated metric that got slower than the baseline allows.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Regression {
-    /// Dotted path of the metric.
-    pub key: String,
-    /// Baseline value.
-    pub baseline: f64,
-    /// Current value.
-    pub current: f64,
-}
-
-/// The comparator's verdict for one artifact.
-#[derive(Debug, Default)]
-pub struct GateReport {
-    /// `(key, baseline, current)` for every gated metric that passed.
-    pub passed: Vec<(String, f64, f64)>,
-    /// Gated metrics above `baseline × (1 + tolerance)`.
-    pub regressions: Vec<Regression>,
-    /// Gated baseline keys with no numeric counterpart in the current
-    /// artifact (a renamed or vanished metric also fails the gate).
-    pub missing: Vec<String>,
-}
-
-impl GateReport {
-    /// `true` when nothing regressed and nothing went missing.
-    pub fn ok(&self) -> bool {
-        self.regressions.is_empty() && self.missing.is_empty()
-    }
-}
-
-/// Which way a gated metric is allowed to drift: latencies regress by going
-/// *up*, throughputs by going *down*.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Bound {
-    /// Fail when `current > baseline × (1 + tolerance)` (latencies).
-    Upper(f64),
-    /// Fail when `current < baseline × (1 - tolerance)` (throughputs).
-    Lower(f64),
-}
-
-impl Bound {
-    /// The tolerance fraction, direction-agnostic (for reporting).
-    pub fn tolerance(self) -> f64 {
-        match self {
-            Bound::Upper(t) | Bound::Lower(t) => t,
-        }
-    }
-
-    fn violated(self, base: f64, now: f64) -> bool {
-        match self {
-            Bound::Upper(t) => now > base * (1.0 + t),
-            Bound::Lower(t) => now < base * (1.0 - t),
-        }
-    }
-}
-
-/// Shared comparator: `bound_of` decides, per dotted path (lowercased),
-/// whether a baseline key is gated, at what tolerance, and in which
-/// direction.
-fn compare_with(
-    baseline: &Json,
-    current: &Json,
-    bound_of: impl Fn(&str) -> Option<Bound>,
-) -> GateReport {
-    let current: std::collections::HashMap<String, f64> =
-        flatten_numbers(current).into_iter().collect();
-    let mut report = GateReport::default();
-    for (key, base) in flatten_numbers(baseline) {
-        let Some(bound) = bound_of(&key.to_ascii_lowercase()) else {
-            continue;
-        };
-        match current.get(&key) {
-            None => report.missing.push(key),
-            Some(&now) if bound.violated(base, now) => report.regressions.push(Regression {
-                key,
-                baseline: base,
-                current: now,
-            }),
-            Some(&now) => report.passed.push((key, base, now)),
-        }
-    }
-    report
-}
-
-/// Gates the current artifact against the baseline: every baseline key
-/// whose dotted path contains `p50` (latencies — lower is better) must be
-/// ≤ `baseline × (1 + tolerance)` in the current artifact.
-pub fn compare_p50s(baseline: &Json, current: &Json, tolerance: f64) -> GateReport {
-    compare_with(baseline, current, |key| {
-        key.contains("p50").then_some(Bound::Upper(tolerance))
-    })
-}
-
-/// Gates both latency quantiles: `p50` keys at `tolerance_p50` and `p99`
-/// keys at the (looser) `tolerance_p99` — tail latencies are far noisier
-/// than medians, so they get more headroom, but an unbounded p99 regression
-/// still cannot slip through on a green median.
-pub fn compare_latencies(
-    baseline: &Json,
-    current: &Json,
-    tolerance_p50: f64,
-    tolerance_p99: f64,
-) -> GateReport {
-    compare_with(baseline, current, |key| {
-        if key.contains("p50") {
-            Some(Bound::Upper(tolerance_p50))
-        } else if key.contains("p99") {
-            Some(Bound::Upper(tolerance_p99))
-        } else {
-            None
-        }
-    })
-}
-
-/// The full serving gate: latency quantiles bounded from above exactly as
-/// [`compare_latencies`], plus every `rps` key bounded from *below* at
-/// `tolerance_rps` — connection-scaling throughput (the `conns_64` /
-/// `conns_256` sections of `BENCH_net.json`) may not quietly collapse while
-/// per-request medians stay green.
-pub fn compare_scaling(
-    baseline: &Json,
-    current: &Json,
-    tolerance_p50: f64,
-    tolerance_p99: f64,
-    tolerance_rps: f64,
-) -> GateReport {
-    compare_with(baseline, current, |key| {
-        if key.contains("p50") {
-            Some(Bound::Upper(tolerance_p50))
-        } else if key.contains("p99") {
-            Some(Bound::Upper(tolerance_p99))
-        } else if key.contains("rps") {
-            Some(Bound::Lower(tolerance_rps))
-        } else {
-            None
-        }
-    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    const SAMPLE: &str = r#"{
-        "num_docs": 57,
-        "ingest_docs_per_sec": 1234.5,
-        "query_p50_us": { "memtable_only": 80.0, "one_segment": 40.0 },
-        "conns_8": { "threshold": { "p50_us": 12.5, "p99_us": 30.0 } },
-        "labels": ["a", "b"],
-        "flag": true,
-        "nothing": null
-    }"#;
-
-    #[test]
-    fn parses_and_flattens_bench_artifacts() {
-        let json = parse(SAMPLE).unwrap();
-        let flat = flatten_numbers(&json);
-        let get = |k: &str| flat.iter().find(|(key, _)| key == k).map(|&(_, v)| v);
-        assert_eq!(get("num_docs"), Some(57.0));
-        assert_eq!(get("query_p50_us.memtable_only"), Some(80.0));
-        assert_eq!(get("conns_8.threshold.p50_us"), Some(12.5));
-        assert_eq!(get("conns_8.threshold.p99_us"), Some(30.0));
+    fn obj(pairs: Vec<(&str, Json)>) -> Json {
+        Json::Obj(pairs.into_iter().map(|(k, v)| (k.into(), v)).collect())
     }
 
     #[test]
@@ -416,139 +227,51 @@ mod tests {
         for bad in ["", "{", "{\"a\": }", "[1,]", "{\"a\":1} x", "nul"] {
             assert!(parse(bad).is_err(), "{bad:?} must fail");
         }
+        // An escape or literal cut off mid-scalar must not slice the input
+        // off a char boundary.
+        for bad in ["\"\\é\"", "\"\\u00é\"", "\"é", "tré", "[é]"] {
+            assert!(parse(bad).is_err(), "{bad:?} must fail");
+        }
     }
 
     #[test]
     fn scientific_and_negative_numbers_parse() {
         let json = parse(r#"{"a": -1.5e3, "b": 2E-2}"#).unwrap();
-        let flat = flatten_numbers(&json);
-        assert_eq!(flat[0], ("a".into(), -1500.0));
-        assert_eq!(flat[1], ("b".into(), 0.02));
+        let want = obj(vec![("a", Json::Num(-1500.0)), ("b", Json::Num(0.02))]);
+        assert_eq!(json, want);
     }
 
     #[test]
-    fn only_p50_keys_are_gated() {
-        let baseline = parse(SAMPLE).unwrap();
-        // Throughput collapses and p99 doubles: the p50-only gate does not
-        // care.
-        let current = parse(
-            r#"{
-            "num_docs": 57,
-            "ingest_docs_per_sec": 1.0,
-            "query_p50_us": { "memtable_only": 81.0, "one_segment": 40.0 },
-            "conns_8": { "threshold": { "p50_us": 12.5, "p99_us": 300.0 } }
-        }"#,
-        )
-        .unwrap();
-        let report = compare_p50s(&baseline, &current, 0.30);
-        assert!(report.ok(), "{report:?}");
-        assert_eq!(report.passed.len(), 3);
+    fn every_value_kind_parses_in_source_order() {
+        let json = parse(r#"{"c": [true, null, "x\n\"\u00e9", 57], "d": {"e": []}}"#).unwrap();
+        let c = vec![
+            Json::Bool(true),
+            Json::Null,
+            Json::Str("x\n\"\u{e9}".into()),
+            Json::Num(57.0),
+        ];
+        let d = obj(vec![("e", Json::Arr(vec![]))]);
+        assert_eq!(json, obj(vec![("c", Json::Arr(c)), ("d", d)]));
     }
 
+    /// A trace-file-sized document (the parser used to re-validate the
+    /// whole remaining input per character: minutes for this input).
     #[test]
-    fn p99_keys_are_gated_at_their_own_tolerance() {
-        let baseline = parse(SAMPLE).unwrap();
-        // p99 grew 10x while every p50 held: the two-quantile gate fails
-        // exactly the tail.
-        let current = parse(
-            r#"{
-            "query_p50_us": { "memtable_only": 80.0, "one_segment": 40.0 },
-            "conns_8": { "threshold": { "p50_us": 12.5, "p99_us": 300.0 } }
-        }"#,
-        )
-        .unwrap();
-        let report = compare_latencies(&baseline, &current, 0.30, 0.50);
-        assert_eq!(report.regressions.len(), 1, "{report:?}");
-        assert_eq!(report.regressions[0].key, "conns_8.threshold.p99_us");
-        assert_eq!(report.passed.len(), 3);
-
-        // A p99 within its looser headroom passes even where the p50
-        // tolerance would have failed it (40.0 vs 30.0 = +33%).
-        let current = parse(
-            r#"{
-            "query_p50_us": { "memtable_only": 80.0, "one_segment": 40.0 },
-            "conns_8": { "threshold": { "p50_us": 12.5, "p99_us": 40.0 } }
-        }"#,
-        )
-        .unwrap();
-        let report = compare_latencies(&baseline, &current, 0.30, 0.50);
-        assert!(report.ok(), "{report:?}");
-        assert_eq!(report.passed.len(), 4);
-
-        // A vanished p99 key fails the gate like a vanished p50.
-        let current = parse(
-            r#"{"query_p50_us": { "memtable_only": 80.0, "one_segment": 40.0 },
-            "conns_8": { "threshold": { "p50_us": 12.5 } }}"#,
-        )
-        .unwrap();
-        let report = compare_latencies(&baseline, &current, 0.30, 0.50);
-        assert_eq!(report.missing, vec!["conns_8.threshold.p99_us".to_string()]);
-    }
-
-    #[test]
-    fn rps_keys_are_gated_from_below() {
-        let baseline = parse(
-            r#"{
-            "conns_256": { "throughput_rps": 10000.0,
-                           "threshold": { "p50_us": 100.0 } },
-            "ingest_docs_per_sec": 500.0
-        }"#,
-        )
-        .unwrap();
-        // Throughput collapsed to a third while the median held: the
-        // scaling gate fails exactly the rps key (docs/sec is not gated).
-        let current = parse(
-            r#"{
-            "conns_256": { "throughput_rps": 3333.0,
-                           "threshold": { "p50_us": 100.0 } },
-            "ingest_docs_per_sec": 1.0
-        }"#,
-        )
-        .unwrap();
-        let report = compare_scaling(&baseline, &current, 0.30, 0.50, 0.50);
-        assert_eq!(report.regressions.len(), 1, "{report:?}");
-        assert_eq!(report.regressions[0].key, "conns_256.throughput_rps");
-        assert_eq!(report.passed.len(), 1);
-
-        // Faster-than-baseline throughput passes with any headroom to
-        // spare; a *higher* rps can never regress.
-        let current = parse(
-            r#"{
-            "conns_256": { "throughput_rps": 50000.0,
-                           "threshold": { "p50_us": 100.0 } },
-            "ingest_docs_per_sec": 500.0
-        }"#,
-        )
-        .unwrap();
-        let report = compare_scaling(&baseline, &current, 0.30, 0.50, 0.50);
-        assert!(report.ok(), "{report:?}");
-
-        // A vanished rps key fails like a vanished latency key.
-        let current = parse(
-            r#"{"conns_256": { "threshold": { "p50_us": 100.0 } },
-                "ingest_docs_per_sec": 500.0}"#,
-        )
-        .unwrap();
-        let report = compare_scaling(&baseline, &current, 0.30, 0.50, 0.50);
-        assert_eq!(report.missing, vec!["conns_256.throughput_rps".to_string()]);
-    }
-
-    #[test]
-    fn regressions_beyond_tolerance_fail() {
-        let baseline = parse(r#"{"p50_us": 100.0, "other_p50": 10.0}"#).unwrap();
-        let current = parse(r#"{"p50_us": 131.0, "other_p50": 12.9}"#).unwrap();
-        let report = compare_p50s(&baseline, &current, 0.30);
-        assert_eq!(report.regressions.len(), 1);
-        assert_eq!(report.regressions[0].key, "p50_us");
-        assert_eq!(report.passed.len(), 1, "12.9 <= 10 * 1.3 passes");
-    }
-
-    #[test]
-    fn missing_gated_keys_fail() {
-        let baseline = parse(r#"{"a": {"p50_us": 5.0}}"#).unwrap();
-        let current = parse(r#"{"b": {"p50_us": 5.0}}"#).unwrap();
-        let report = compare_p50s(&baseline, &current, 0.30);
-        assert!(!report.ok());
-        assert_eq!(report.missing, vec!["a.p50_us".to_string()]);
+    fn a_two_megabyte_document_of_short_strings_parses_in_linear_time() {
+        // 1-, 2-, 3- and 4-byte scalars, an escape between two runs.
+        let cycle = ["plain", "caf\u{e9}", "\u{20ac}5", "\u{1d11e}", "a\\nb"];
+        let quoted: Vec<String> = (0..300_000)
+            .map(|i| format!("\"{}\"", cycle[i % cycle.len()]))
+            .collect();
+        let text = format!("[{}]", quoted.join(","));
+        assert!(text.len() >= 2 << 20);
+        let Json::Arr(items) = parse(&text).unwrap() else {
+            panic!("an array parses as an array");
+        };
+        assert_eq!(items.len(), quoted.len());
+        for (i, item) in items.iter().enumerate() {
+            let want = cycle[i % cycle.len()].replace("\\n", "\n");
+            assert_eq!(item, &Json::Str(want), "string {i}");
+        }
     }
 }

@@ -1,12 +1,12 @@
-//! Shared measurement utilities for the figure harness and criterion
-//! benches (Section 8 of the paper), plus the CI perf-regression gate
-//! ([`gate`]).
+//! Experiment cells and measurement helpers of the `figures` harness
+//! (Section 8 of the paper), plus the JSON reader `benchmark/` borrows
+//! ([`gate`]). Timing that gates a PR lives in `benchmark/` alone.
 
 #![forbid(unsafe_code)]
 
 pub mod gate;
 
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use ustr_core::{Index, ListingIndex};
 use ustr_uncertain::UncertainString;
@@ -91,15 +91,6 @@ pub fn listing_cell(n: usize, theta: f64, tau_min: f64, seed: u64) -> ListingCel
     }
 }
 
-/// Average wall-clock time of `f` per call over `iters` calls.
-pub fn time_avg(iters: usize, mut f: impl FnMut()) -> Duration {
-    let t0 = Instant::now();
-    for _ in 0..iters {
-        f();
-    }
-    t0.elapsed() / iters as u32
-}
-
 /// Average query latency over a pattern set (microseconds).
 pub fn avg_query_micros(mut query: impl FnMut(&[u8]), patterns: &[Vec<u8>], repeat: usize) -> f64 {
     if patterns.is_empty() {
@@ -155,10 +146,6 @@ mod tests {
 
     #[test]
     fn timing_helpers_return_positive() {
-        let d = time_avg(3, || {
-            std::hint::black_box(1 + 1);
-        });
-        assert!(d.as_nanos() < 1_000_000_000);
         let micros = avg_query_micros(|_| (), &[vec![1u8]], 2);
         assert!(micros >= 0.0);
     }

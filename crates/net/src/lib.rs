@@ -15,7 +15,7 @@
 //!   IEEE-754 bit patterns — a decoded response compares equal to the
 //!   in-process answer, bit for bit.
 //! * **Server** ([`NetServer`]) — a small set of readiness-driven event
-//!   loops ([`ustr_poll::Poller`]: epoll on Linux, poll(2) elsewhere) own
+//!   loops ([`ustr_poll::Poller`], epoll — Linux/Android only) own
 //!   a non-blocking listener and every connection's state machine
 //!   (`conn`: handshake → framed read → dispatch → framed write, with
 //!   partial-read and partial-write buffers), while query execution fans

@@ -5,7 +5,7 @@
 //!
 //! A small fixed set of event-loop threads ([`ServerConfig::io_threads`])
 //! drives every connection through a readiness poller
-//! ([`ustr_poll::Poller`]: epoll on Linux, poll(2) elsewhere). Loop 0 owns
+//! ([`ustr_poll::Poller`], epoll — Linux/Android only). Loop 0 owns
 //! the non-blocking listener and deals accepted connections across the
 //! loops round-robin; each loop owns its connections outright — their
 //! partial-read buffers, write queues, and phase machines

@@ -367,8 +367,8 @@ impl MetricsSnapshot {
         out
     }
 
-    /// Deterministic JSON rendering (sorted maps, integer values) for
-    /// artifacts such as `BENCH_metrics.json`.
+    /// Deterministic JSON rendering (sorted maps, integer values): what
+    /// `ustr stats --json` and the endpoint's JSON route serve.
     pub fn render_json(&self) -> String {
         let mut out = String::from("{\n  \"counters\": {");
         let mut first = true;

@@ -5,10 +5,9 @@
 //! about per socket", and "let another thread kick me awake". This crate
 //! provides them std-only:
 //!
-//! - [`Poller`] — a level-triggered readiness queue. On Linux it is backed
-//!   by `epoll` (O(ready) wakeups, no per-wait re-registration); on other
-//!   Unix platforms it falls back to `poll(2)` over the registered set.
-//!   Both backends speak the same API, so callers never branch on platform.
+//! - [`Poller`] — a level-triggered readiness queue backed by `epoll`
+//!   (O(ready) wakeups, no per-wait re-registration). Linux and Android
+//!   are the supported platforms; anything else fails to compile.
 //! - [`Waker`] — a cross-thread wakeup built from a connected pair of
 //!   loopback UDP sockets. The receive half registers in the poller like
 //!   any other fd; `wake()` is one datagram from any thread. No pipes, no
@@ -19,8 +18,8 @@
 //! This is the **only** crate in the workspace exempt from the
 //! `unsafe-free` invariant (see `INVARIANTS.md` §6 and `lint-allow.toml`):
 //! readiness syscalls are not exposed by `std`, so `epoll_create1` /
-//! `epoll_ctl` / `epoll_wait` / `poll` / `close` are declared as
-//! `extern "C"` bindings against libc and invoked in five small, audited
+//! `epoll_ctl` / `epoll_wait` / `close` are declared as
+//! `extern "C"` bindings against libc and invoked in four small, audited
 //! `unsafe` blocks. Every pointer passed crosses into the kernel for the
 //! duration of one call only, every buffer is stack- or caller-owned, and
 //! no `unsafe` leaks into the API: consumers (the `ustr-net` event loop)
@@ -41,8 +40,8 @@ use std::net::UdpSocket;
 use std::os::fd::{AsRawFd, RawFd};
 use std::time::Duration;
 
-#[cfg(not(unix))]
-compile_error!("ustr-poll requires a Unix platform (epoll or poll(2))");
+#[cfg(not(any(target_os = "linux", target_os = "android")))]
+compile_error!("ustr-poll requires Linux or Android (epoll)");
 
 /// What a registration wants to be told about.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -60,8 +59,8 @@ impl Interest {
         writable: false,
     };
 
-    /// No interest: only hangup/error conditions are reported (both
-    /// backends deliver those unconditionally). Used by connections that
+    /// No interest: only hangup/error conditions are reported (epoll
+    /// delivers those unconditionally). Used by connections that
     /// are draining in-flight work and have nothing to read or write yet.
     pub const NONE: Interest = Interest {
         readable: false,
@@ -84,13 +83,13 @@ pub struct Event {
     pub hangup: bool,
 }
 
-/// Upper bound on events decoded per [`Poller::wait`] call. Level-triggered
-/// backends re-report anything still ready, so a small bound costs nothing
+/// Upper bound on events decoded per [`Poller::wait`] call. A level-triggered
+/// poller re-reports anything still ready, so a small bound costs nothing
 /// but an extra syscall under extreme fan-in.
 const MAX_EVENTS: usize = 256;
 
-/// Converts an optional timeout to the millisecond convention shared by
-/// `epoll_wait` and `poll`: `-1` blocks, `0` polls, sub-millisecond
+/// Converts an optional timeout to the millisecond convention of
+/// `epoll_wait`: `-1` blocks, `0` polls, sub-millisecond
 /// non-zero timeouts round **up** so a 100µs deadline cannot spin.
 fn timeout_ms(timeout: Option<Duration>) -> i32 {
     match timeout {
@@ -269,146 +268,10 @@ mod sys {
     }
 }
 
-#[cfg(all(unix, not(any(target_os = "linux", target_os = "android"))))]
-mod sys {
-    //! The `poll(2)` fallback for non-Linux Unix. The interest set lives in
-    //! userspace (a mutex-guarded map) and is snapshotted into a `pollfd`
-    //! array per wait — O(registered) per call, which is fine at the
-    //! connection counts a development laptop sees.
-
-    use super::{timeout_ms, Event, Interest, MAX_EVENTS};
-    use std::collections::HashMap;
-    use std::ffi::{c_int, c_short, c_uint};
-    use std::io;
-    use std::os::fd::RawFd;
-    use std::sync::Mutex;
-    use std::time::Duration;
-
-    #[repr(C)]
-    #[derive(Clone, Copy)]
-    struct PollFd {
-        fd: c_int,
-        events: c_short,
-        revents: c_short,
-    }
-
-    const POLLIN: c_short = 0x001;
-    const POLLOUT: c_short = 0x004;
-    const POLLERR: c_short = 0x008;
-    const POLLHUP: c_short = 0x010;
-    const POLLNVAL: c_short = 0x020;
-
-    extern "C" {
-        // POSIX nfds_t is "an unsigned integer type"; on the BSDs and
-        // macOS (the platforms this arm compiles for) it is unsigned int.
-        fn poll(fds: *mut PollFd, nfds: c_uint, timeout: c_int) -> c_int;
-    }
-
-    /// Level-triggered readiness queue over `poll(2)`.
-    pub struct Poller {
-        registered: Mutex<HashMap<RawFd, (u64, Interest)>>,
-    }
-
-    impl Poller {
-        pub fn new() -> io::Result<Self> {
-            Ok(Self {
-                registered: Mutex::new(HashMap::new()),
-            })
-        }
-
-        pub fn register(&self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-            let mut map = self.registered.lock().unwrap_or_else(|e| e.into_inner());
-            if map.insert(fd, (token, interest)).is_some() {
-                return Err(io::Error::new(
-                    io::ErrorKind::AlreadyExists,
-                    "fd already registered",
-                ));
-            }
-            Ok(())
-        }
-
-        pub fn reregister(&self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-            let mut map = self.registered.lock().unwrap_or_else(|e| e.into_inner());
-            match map.get_mut(&fd) {
-                Some(slot) => {
-                    *slot = (token, interest);
-                    Ok(())
-                }
-                None => Err(io::Error::new(io::ErrorKind::NotFound, "fd not registered")),
-            }
-        }
-
-        pub fn deregister(&self, fd: RawFd) -> io::Result<()> {
-            let mut map = self.registered.lock().unwrap_or_else(|e| e.into_inner());
-            match map.remove(&fd) {
-                Some(_) => Ok(()),
-                None => Err(io::Error::new(io::ErrorKind::NotFound, "fd not registered")),
-            }
-        }
-
-        pub fn wait(
-            &self,
-            events: &mut Vec<Event>,
-            timeout: Option<Duration>,
-        ) -> io::Result<usize> {
-            events.clear();
-            // Snapshot under the lock, poll outside it: the syscall blocks.
-            let snapshot: Vec<(RawFd, u64, Interest)> = {
-                let map = self.registered.lock().unwrap_or_else(|e| e.into_inner());
-                map.iter().map(|(&fd, &(tok, i))| (fd, tok, i)).collect()
-            };
-            let mut fds: Vec<PollFd> = snapshot
-                .iter()
-                .map(|&(fd, _, interest)| {
-                    let mut mask: c_short = 0;
-                    if interest.readable {
-                        mask |= POLLIN;
-                    }
-                    if interest.writable {
-                        mask |= POLLOUT;
-                    }
-                    PollFd {
-                        fd,
-                        events: mask,
-                        revents: 0,
-                    }
-                })
-                .collect();
-            // SAFETY: `fds` is a live Vec whose length matches `nfds`; the
-            // kernel only writes the `revents` fields.
-            let n = unsafe { poll(fds.as_mut_ptr(), fds.len() as c_uint, timeout_ms(timeout)) };
-            if n < 0 {
-                let err = io::Error::last_os_error();
-                if err.kind() == io::ErrorKind::Interrupted {
-                    return Ok(0);
-                }
-                return Err(err);
-            }
-            for (slot, &(_, token, _)) in fds.iter().zip(snapshot.iter()) {
-                let r = slot.revents;
-                if r == 0 {
-                    continue;
-                }
-                events.push(Event {
-                    token,
-                    readable: r & POLLIN != 0,
-                    writable: r & POLLOUT != 0,
-                    hangup: r & (POLLERR | POLLHUP | POLLNVAL) != 0,
-                });
-                if events.len() >= MAX_EVENTS {
-                    break;
-                }
-            }
-            Ok(events.len())
-        }
-    }
-}
-
-/// A level-triggered readiness queue: `epoll` on Linux, `poll(2)` on other
-/// Unix platforms. Registration is by raw fd plus a caller-chosen `u64`
-/// token; [`Poller::wait`] reports tokens, never fds, so callers are immune
-/// to fd reuse races. See the [crate docs](self) for the level-triggered
-/// contract.
+/// A level-triggered readiness queue over `epoll`. Registration is by raw
+/// fd plus a caller-chosen `u64` token; [`Poller::wait`] reports tokens,
+/// never fds, so callers are immune to fd reuse races. See the
+/// [crate docs](self) for the level-triggered contract.
 pub struct Poller {
     inner: sys::Poller,
 }
