@@ -114,7 +114,8 @@ const COMMANDS: &[(&str, &str, &str)] = &[
          [--threads N] [--io-threads N] [--inflight N] [--max-conns N] [--port-file PATH] \
          [--metrics-addr HOST:PORT] [--trace-sample F] [--slow-query-us N] \
          [--idle-timeout-s N] [--error-budget N] [--tau-min T0] [--epsilon E] [--quiet]",
-        "serve queries over TCP (ustr-net wire protocol)",
+        "serve queries over TCP (ustr-net wire protocol): --threads query workers in \
+         all (default one per core) beside the --io-threads event loops",
     ),
     (
         "client",
@@ -780,8 +781,9 @@ fn cmd_serve_net(args: &Args) -> Result<String, String> {
     // --idle-timeout-s 0 (the default) keeps idle sessions forever;
     // --error-budget 0 (the default) never closes on failing requests.
     let idle_timeout_s = args.get_parsed("idle-timeout-s", 0u64)?;
+    // --threads sized the backend's pool in `net_backend`: the one set of
+    // query workers this process runs. The server adds event loops only.
     let config = ustr_net::ServerConfig {
-        threads: args.get_parsed("threads", 0usize)?,
         io_threads: args.get_parsed("io-threads", 0usize)?,
         inflight: args.get_parsed("inflight", 64usize)?,
         max_conns: args.get_parsed("max-conns", 0usize)?,
@@ -873,8 +875,10 @@ fn cmd_client(args: &Args) -> Result<String, String> {
         ..ustr_net::ClientConfig::default()
     };
     let queries = load_queries(queries_path)?;
-    if retries > 0 {
-        let t0 = std::time::Instant::now();
+    let t0 = std::time::Instant::now();
+    // What a branch has to say besides the answers, under the header.
+    let mut notes = String::new();
+    let (info, results, answered) = if retries > 0 {
         let policy = ustr_net::RetryPolicy {
             max_attempts: retries + 1,
             ..ustr_net::RetryPolicy::default()
@@ -884,55 +888,51 @@ fn cmd_client(args: &Args) -> Result<String, String> {
             .query_requests(&queries)
             .map_err(|e| format!("{addr}: {e}"))?;
         let info = client.server_info().map_err(|e| format!("{addr}: {e}"))?;
-        let answered = t0.elapsed();
         let stats = client.stats();
-        let mut out = String::new();
-        if !quiet {
-            out.push_str(&format!(
-                "{} document(s) at {addr} (protocol v{}, tau_min {}); \
-                 {} query(ies) answered in {answered:?}\n",
-                info.num_docs,
-                info.protocol_version,
-                info.tau_min,
-                queries.len(),
-            ));
-            if stats.retries > 0 {
-                out.push_str(&format!(
-                    "resilience: {} retry(ies), {} reconnect(s), {} timeout(s)\n",
-                    stats.retries, stats.reconnects, stats.timeouts,
-                ));
-            }
+        if stats.retries > 0 {
+            notes = format!(
+                "resilience: {} retry(ies), {} reconnect(s), {} timeout(s)\n",
+                stats.retries, stats.reconnects, stats.timeouts,
+            );
         }
-        render_results(&mut out, &queries, &results, quiet);
-        return Ok(out.trim_end().to_string());
-    }
-    let t0 = std::time::Instant::now();
-    let mut client = ustr_net::NetClient::connect_with_config(addr, config)
-        .map_err(|e| format!("{addr}: {e}"))?;
-    let info = client.server_info();
-    let (results, timings) = if traced {
-        // Force-sampled contexts (one distinct trace id per query) so the
-        // server keeps every trace and reports its per-stage timings.
-        let contexts: Vec<ustr_obs::TraceContext> = (0..queries.len())
-            .map(|q| ustr_obs::TraceContext {
-                trace_id: q as u128 + 1,
-                parent_span: 0,
-                sampled: true,
-            })
-            .collect();
-        let timed = client
-            .query_requests_traced(&queries, &contexts)
-            .map_err(|e| format!("{addr}: {e}"))?;
-        let (results, timings): (Vec<_>, Vec<_>) = timed.into_iter().unzip();
-        (results, Some(timings))
+        (info, results, t0.elapsed())
     } else {
-        let results = client
-            .query_requests(&queries)
+        let mut client = ustr_net::NetClient::connect_with_config(addr, config)
             .map_err(|e| format!("{addr}: {e}"))?;
-        (results, None)
+        let results = if traced {
+            // Force-sampled contexts (one distinct trace id per query) so the
+            // server keeps every trace and reports its per-stage timings.
+            let contexts: Vec<ustr_obs::TraceContext> = (0..queries.len())
+                .map(|q| ustr_obs::TraceContext {
+                    trace_id: q as u128 + 1,
+                    parent_span: 0,
+                    sampled: true,
+                })
+                .collect();
+            let timed = client
+                .query_requests_traced(&queries, &contexts)
+                .map_err(|e| format!("{addr}: {e}"))?;
+            let (results, timings): (Vec<_>, Vec<_>) = timed.into_iter().unzip();
+            for (q, stages) in timings.iter().enumerate() {
+                if stages.is_empty() {
+                    continue;
+                }
+                let line: Vec<String> = stages
+                    .iter()
+                    .map(|(name, us)| format!("{name} {us}us"))
+                    .collect();
+                notes.push_str(&format!("query {q} server stages: {}\n", line.join(", ")));
+            }
+            results
+        } else {
+            client
+                .query_requests(&queries)
+                .map_err(|e| format!("{addr}: {e}"))?
+        };
+        let (info, answered) = (client.server_info(), t0.elapsed());
+        let _ = client.goodbye();
+        (info, results, answered)
     };
-    let answered = t0.elapsed();
-    let _ = client.goodbye();
     let mut out = String::new();
     if !quiet {
         out.push_str(&format!(
@@ -943,18 +943,7 @@ fn cmd_client(args: &Args) -> Result<String, String> {
             info.tau_min,
             queries.len(),
         ));
-        if let Some(timings) = &timings {
-            for (q, stages) in timings.iter().enumerate() {
-                if stages.is_empty() {
-                    continue;
-                }
-                let line: Vec<String> = stages
-                    .iter()
-                    .map(|(name, us)| format!("{name} {us}us"))
-                    .collect();
-                out.push_str(&format!("query {q} server stages: {}\n", line.join(", ")));
-            }
-        }
+        out.push_str(&notes);
     }
     render_results(&mut out, &queries, &results, quiet);
     Ok(out.trim_end().to_string())

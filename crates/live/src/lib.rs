@@ -1149,6 +1149,11 @@ impl LiveService {
         self.inner.engine.run_traced(&view, requests, parents)
     }
 
+    /// Runs `job` on the query pool (see [`Engine::execute`]).
+    pub fn execute(&self, job: impl FnOnce() + Send + 'static) {
+        self.inner.engine.execute(job);
+    }
+
     /// The engine's tracer. Queries *and* background work (WAL appends,
     /// seals, compactions) trace through it, so one `/traces` export shows
     /// foreground latency next to the background churn that caused it.

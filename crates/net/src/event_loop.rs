@@ -5,17 +5,19 @@
 //! of the connections; loop 0 additionally owns the (non-blocking)
 //! listener and deals new connections round-robin. Sockets are
 //! non-blocking and level-triggered — the loop reads what is there, parses
-//! with [`FrameReader`], fans queries onto the shared `ustr-service`
-//! [`ThreadPool`](ustr_service::ThreadPool), and drains finished responses
-//! from a [`WakeQueue`] the pool workers push into (the push wakes the
-//! poller, so a response never waits for an unrelated readiness event).
+//! with [`FrameReader`], queues each query as one job on the backend's pool
+//! ([`QueryBackend::execute`](crate::QueryBackend::execute) — the server has
+//! no query threads of its own), and drains finished responses from a
+//! [`WakeQueue`] those jobs push into (the push wakes the poller, so a
+//! response never waits for an unrelated readiness event).
 //!
 //! # Event-thread invariants (see `INVARIANTS.md`)
 //!
 //! * **No blocking syscalls on the event thread.** The only place a loop
 //!   thread parks is `Poller::wait`. Sockets are non-blocking from the
 //!   moment they are accepted; writes go through [`WriteQueue`] which
-//!   stops at `WouldBlock`; queries run on the pool, never inline.
+//!   stops at `WouldBlock`; queries run on the backend's pool, never
+//!   inline.
 //! * **No guard held across `wait`.** The loop owns its connections
 //!   outright (a plain `HashMap`, no locks); the only shared state it
 //!   touches — the message queue and the lifecycle table — is locked
@@ -595,12 +597,16 @@ impl EventLoop {
         let max_frame = self.shared.config.max_frame_len;
         let mut can_read = readable && !conn.eof;
         loop {
-            // Monitor-read while draining: consume and discard whatever
-            // the peer still sends (no new work is admitted), detect its
-            // FIN, and reap immediately on a transport error — a dead
-            // peer must not hold its drain slot until the deadline.
-            while can_read && conn.phase == Phase::Draining {
-                let mut buf = [0u8; 4 * 1024];
+            // Read while the backpressure window is open: past it the bytes
+            // stay in the kernel and TCP flow control stalls the client, so
+            // per-connection memory stays bounded by inflight ×
+            // max_frame_len plus one read chunk. While draining, the read
+            // half is only a monitor: what the peer still sends is
+            // discarded (no new work is admitted), its FIN is noted, and a
+            // transport error (the peer is gone; no error frame could
+            // reach it) reaps the connection now, not at the drain deadline.
+            while can_read && (conn.phase == Phase::Draining || conn.inflight < max_inflight) {
+                let mut buf = [0u8; 16 * 1024];
                 match conn.stream.read(&mut buf) {
                     Ok(0) => {
                         // FIN: the peer is done talking but may still be
@@ -608,38 +614,20 @@ impl EventLoop {
                         conn.eof = true;
                         can_read = false;
                     }
-                    Ok(_) => {}
+                    Ok(n) => {
+                        if conn.phase != Phase::Draining {
+                            conn.reader.extend(buf.get(..n).unwrap_or_default());
+                            conn.last_activity = Instant::now();
+                        }
+                    }
                     Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => can_read = false,
                     Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
                     Err(_) => {
-                        if !conn.finale_queued {
+                        if conn.phase == Phase::Draining && !conn.finale_queued {
                             self.shared.loop_stats.note_reaped_draining();
                         }
                         return false;
                     }
-                }
-            }
-
-            // Read while the backpressure window is open. Past the window
-            // the bytes stay in the kernel and TCP flow control stalls the
-            // client — per-connection memory stays bounded by
-            // inflight × max_frame_len plus one read chunk.
-            while can_read && conn.phase != Phase::Draining && conn.inflight < max_inflight {
-                let mut buf = [0u8; 16 * 1024];
-                match conn.stream.read(&mut buf) {
-                    Ok(0) => {
-                        conn.eof = true;
-                        can_read = false;
-                    }
-                    Ok(n) => {
-                        conn.reader.extend(buf.get(..n).unwrap_or_default());
-                        conn.last_activity = Instant::now();
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => can_read = false,
-                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                    // A transport error mid-read means the peer is gone; an
-                    // error frame could not be delivered anyway.
-                    Err(_) => return false,
                 }
             }
 
@@ -805,9 +793,9 @@ impl EventLoop {
         self.shared.metrics.requests.inc();
     }
 
-    /// Fans one query onto the shared pool; the worker computes, frames,
-    /// and pushes the response back through this loop's queue (the push
-    /// rings the waker).
+    /// Queues one query as a job on the backend's pool; the job computes,
+    /// frames, and pushes the response back through this loop's queue (the
+    /// push rings the waker).
     fn dispatch(
         &self,
         conn_id: u64,
@@ -818,7 +806,7 @@ impl EventLoop {
         let backend = Arc::clone(&self.shared.backend);
         let queue = Arc::clone(&self.queue);
         let rtt = self.shared.metrics.rtt_for(mode_name(&request)).clone();
-        self.shared.pool.execute(move || {
+        self.shared.backend.execute(Box::new(move || {
             let span = Span::on(rtt);
             let (result, summary) = backend
                 .answer(
@@ -853,6 +841,6 @@ impl EventLoop {
                 bytes,
                 failed,
             });
-        });
+        }));
     }
 }

@@ -18,9 +18,10 @@
 //!   loops ([`ustr_poll::Poller`], epoll — Linux/Android only) own
 //!   a non-blocking listener and every connection's state machine
 //!   (`conn`: handshake → framed read → dispatch → framed write, with
-//!   partial-read and partial-write buffers), while query execution fans
-//!   onto the shared [`ustr_service::ThreadPool`] and finished responses
-//!   return through a wakeable queue. The backend is anything
+//!   partial-read and partial-write buffers), while every query runs as a
+//!   job on the backend's own [`ustr_service::ThreadPool`] — the server
+//!   keeps no query threads — and finished responses return through a
+//!   wakeable queue. The backend is anything
 //!   implementing [`QueryBackend`]: a static
 //!   [`ustr_service::QueryService`] (built, or loaded from a `.coll`
 //!   snapshot) or a mutable [`ustr_live::LiveService`] — both reached
@@ -614,6 +615,9 @@ mod tests {
             ) -> Answers {
                 self.0.answer(requests, parents)
             }
+            fn execute(&self, job: Box<dyn FnOnce() + Send>) {
+                self.0.execute(job);
+            }
             fn num_docs(&self) -> usize {
                 self.0.num_docs()
             }
@@ -709,6 +713,9 @@ mod tests {
                 }
                 drop(open);
                 self.inner.answer(requests, parents)
+            }
+            fn execute(&self, job: Box<dyn FnOnce() + Send>) {
+                self.inner.execute(job);
             }
             fn num_docs(&self) -> usize {
                 self.inner.num_docs()

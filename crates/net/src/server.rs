@@ -10,18 +10,19 @@
 //! loops round-robin; each loop owns its connections outright — their
 //! partial-read buffers, write queues, and phase machines
 //! (`Handshake → Serving → Draining`, see `crate::conn`) — so no
-//! per-connection state is ever locked. Query execution still fans onto
-//! the shared [`ThreadPool`] — the same `ustr-service` pool type the
-//! in-process engine uses — so `N` connections pipelining requests share
-//! one fixed set of workers. (Each worker drives
-//! `backend.answer`, which in turn fans shards onto the backend
-//! engine's own pool — the server pool bounds concurrent *requests*, the
-//! engine pool bounds per-request index parallelism.) A finished worker
-//! pushes the framed response into the owning loop's wake queue and rings
-//! its waker; the loop flushes it on the next pass. Pool workers never
-//! touch a socket: a slow or non-reading client backs up only its own
-//! write queue (bounded by the in-flight window), never a shared query
-//! worker, so one bad client cannot starve the other connections.
+//! per-connection state is ever locked. The server owns no query threads:
+//! a decoded request becomes one job on the backend's own pool
+//! ([`QueryBackend::execute`] — for both services the `ustr-service`
+//! [`ThreadPool`](ustr_service::ThreadPool) inside their engine), and that
+//! job's shard fan-out lands on the same pool, worked by the job's own
+//! thread beside whichever workers are free. So `N` connections pipelining
+//! requests share one fixed set of workers — the backend's `threads` —
+//! which bounds concurrent requests and per-request parallelism at once.
+//! A finished job pushes the framed response into the owning loop's wake
+//! queue and rings its waker; the loop flushes it on the next pass. Pool
+//! workers never touch a socket: a slow or non-reading client backs up
+//! only its own write queue (bounded by the in-flight window), never a
+//! query worker, so one bad client cannot starve the other connections.
 //!
 //! # Backpressure
 //!
@@ -55,11 +56,11 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
 use ustr_core::Error;
+use ustr_live::LiveService;
 use ustr_obs::{Counter, Gauge, Histogram, MetricsRegistry, MetricsSnapshot, TraceContext, Tracer};
 use ustr_poll::{Poller, Waker};
 use ustr_service::{
-    lock_clean, wait_clean, QueryRequest, QueryResponse, QueryService, ThreadPool, TraceSummary,
-    WakeQueue,
+    lock_clean, wait_clean, QueryRequest, QueryResponse, QueryService, TraceSummary, WakeQueue,
 };
 
 use crate::event_loop::{EventLoop, LoopHandle, LoopMsg, LoopStats, LoopStatsSnapshot};
@@ -79,6 +80,11 @@ pub trait QueryBackend: Send + Sync {
         requests: &[QueryRequest],
         parents: &[Option<TraceContext>],
     ) -> Vec<(Result<QueryResponse, Error>, Option<TraceSummary>)>;
+
+    /// Runs `job` on the pool [`QueryBackend::answer`] fans out over. The
+    /// server queues every request job here and keeps no query threads of
+    /// its own; the job must not run on the calling (event-loop) thread.
+    fn execute(&self, job: Box<dyn FnOnce() + Send>);
 
     /// Documents currently served (point-in-time for mutable backends).
     fn num_docs(&self) -> usize;
@@ -115,77 +121,53 @@ pub trait QueryBackend: Send + Sync {
     }
 }
 
-impl QueryBackend for QueryService {
-    fn answer(
-        &self,
-        requests: &[QueryRequest],
-        parents: &[Option<TraceContext>],
-    ) -> Vec<(Result<QueryResponse, Error>, Option<TraceSummary>)> {
-        self.query_requests_traced(requests, parents)
-    }
+/// Both services answer through one `ustr_service::Engine` and name its
+/// façade alike, so one body serves both; health is all that differs.
+macro_rules! engine_backend {
+    ($service:ty, $health:expr) => {
+        impl QueryBackend for $service {
+            fn answer(
+                &self,
+                requests: &[QueryRequest],
+                parents: &[Option<TraceContext>],
+            ) -> Vec<(Result<QueryResponse, Error>, Option<TraceSummary>)> {
+                self.query_requests_traced(requests, parents)
+            }
 
-    fn num_docs(&self) -> usize {
-        QueryService::num_docs(self)
-    }
+            fn execute(&self, job: Box<dyn FnOnce() + Send>) {
+                <$service>::execute(self, job);
+            }
 
-    fn tau_min(&self) -> f64 {
-        QueryService::tau_min(self)
-    }
+            fn num_docs(&self) -> usize {
+                <$service>::num_docs(self)
+            }
 
-    fn metrics_snapshot(&self) -> MetricsSnapshot {
-        QueryService::metrics_snapshot(self)
-    }
+            fn tau_min(&self) -> f64 {
+                <$service>::tau_min(self)
+            }
 
-    fn slow_queries(&self, n: usize) -> Vec<String> {
-        self.slow_log()
-            .worst(n)
-            .iter()
-            .map(|e| e.render())
-            .collect()
-    }
+            fn metrics_snapshot(&self) -> MetricsSnapshot {
+                <$service>::metrics_snapshot(self)
+            }
 
-    fn tracer(&self) -> Option<Arc<Tracer>> {
-        Some(Arc::clone(QueryService::tracer(self)))
-    }
+            fn slow_queries(&self, n: usize) -> Vec<String> {
+                let worst = self.slow_log().worst(n);
+                worst.iter().map(|e| e.render()).collect()
+            }
+
+            fn tracer(&self) -> Option<Arc<Tracer>> {
+                Some(Arc::clone(<$service>::tracer(self)))
+            }
+
+            fn health(&self) -> Option<String> {
+                $health(self)
+            }
+        }
+    };
 }
 
-impl QueryBackend for ustr_live::LiveService {
-    fn answer(
-        &self,
-        requests: &[QueryRequest],
-        parents: &[Option<TraceContext>],
-    ) -> Vec<(Result<QueryResponse, Error>, Option<TraceSummary>)> {
-        self.query_requests_traced(requests, parents)
-    }
-
-    fn num_docs(&self) -> usize {
-        ustr_live::LiveService::num_docs(self)
-    }
-
-    fn tau_min(&self) -> f64 {
-        ustr_live::LiveService::tau_min(self)
-    }
-
-    fn metrics_snapshot(&self) -> MetricsSnapshot {
-        ustr_live::LiveService::metrics_snapshot(self)
-    }
-
-    fn slow_queries(&self, n: usize) -> Vec<String> {
-        self.slow_log()
-            .worst(n)
-            .iter()
-            .map(|e| e.render())
-            .collect()
-    }
-
-    fn tracer(&self) -> Option<Arc<Tracer>> {
-        Some(Arc::clone(ustr_live::LiveService::tracer(self)))
-    }
-
-    fn health(&self) -> Option<String> {
-        self.background_health()
-    }
-}
+engine_backend!(QueryService, |_: &QueryService| None);
+engine_backend!(LiveService, LiveService::background_health);
 
 /// Per-server-instance telemetry. Instance-scoped (not the process-global
 /// registry) so that parallel servers in one process — the test suite, or
@@ -237,8 +219,10 @@ impl NetMetrics {
 /// Tuning knobs for a [`NetServer`].
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Query worker threads shared by every connection (0 = one per
-    /// available core).
+    /// Accepted and ignored: queries run on the backend's pool
+    /// ([`QueryBackend::execute`]), sized by the backend's own `threads`.
+    /// Kept only because `benchmark/src/serve.rs` names it; removal is
+    /// queued in ROADMAP item 6.
     pub threads: usize,
     /// Event-loop (I/O) threads driving connection readiness. Each loop
     /// owns a share of the connections; loop 0 also owns the listener.
@@ -300,11 +284,9 @@ pub(crate) struct Lifecycle {
     pub(crate) accept_done: bool,
 }
 
-/// State shared by the event loops, the pool workers, and the server
-/// handle.
+/// State shared by the event loops and the server handle.
 pub(crate) struct Shared {
     pub(crate) backend: Arc<dyn QueryBackend>,
-    pub(crate) pool: ThreadPool,
     pub(crate) config: ServerConfig,
     pub(crate) shutdown: AtomicBool,
     pub(crate) lifecycle: Mutex<Lifecycle>,
@@ -386,7 +368,6 @@ impl NetServer {
 
         let shared = Arc::new(Shared {
             backend,
-            pool: ThreadPool::new(config.threads),
             config,
             shutdown: AtomicBool::new(false),
             lifecycle: Mutex::new(Lifecycle::default()),
@@ -526,8 +507,8 @@ impl NetServer {
     /// event loop has exited. Idempotent.
     pub fn shutdown(&self) {
         // ordering: SeqCst — shutdown is a once-per-server edge whose flag
-        // and waker signals must appear in one total order to every loop
-        // and pool worker; contention is irrelevant here.
+        // and waker signals must appear in one total order to every loop;
+        // contention is irrelevant here.
         self.shared.shutdown.store(true, Ordering::SeqCst);
         for handle in &self.shared.loops {
             handle.waker.wake();

@@ -9,7 +9,6 @@
 //! once, and per-mode LRU caching keyed on the exact threshold.
 
 use std::collections::HashMap;
-use std::sync::mpsc::channel;
 use std::sync::{Arc, Mutex};
 
 use ustr_core::{Error, ListingHit};
@@ -22,7 +21,7 @@ use ustr_obs::{
 };
 use ustr_uncertain::kstats;
 
-use crate::exec::{merge_partials, Segment, ShardPartial};
+use crate::exec::{merge_partials, Segment};
 use crate::{DocHits, LruCache, QueryRequest, QueryResponse, ThreadPool, TopHit};
 
 /// τ values closer than this are treated as the same threshold by request
@@ -110,9 +109,6 @@ pub trait SegmentSet {
     }
 }
 
-/// One segment's answer to one request (collected during a parallel batch).
-type SegmentAnswer = Result<ShardPartial, Error>;
-
 /// Per-engine telemetry handles, all registered in one instance-scoped
 /// [`MetricsRegistry`] so concurrent engines (parallel tests, multiple
 /// services in one process) never mix counts. Snapshot via
@@ -178,6 +174,11 @@ fn pattern_of(req: &QueryRequest) -> &[u8] {
     }
 }
 
+/// Test hook: a request for this pattern panics inside its segment jobs,
+/// standing in for a bug in an executor.
+#[cfg(test)]
+pub(crate) const PANIC_PATTERN: &[u8] = b"!panic";
+
 fn mismatched(mode: &str) -> Error {
     Error::internal(format!(
         "{mode} request produced a mismatched response kind"
@@ -236,6 +237,14 @@ impl Engine {
     /// Worker threads in the pool.
     pub fn threads(&self) -> usize {
         self.pool.threads()
+    }
+
+    /// Runs `job` on the pool — the same workers [`Engine::run`] fans out
+    /// over, so a front end that queues its request jobs here needs no
+    /// query threads of its own. A job may call [`Engine::run`]: the
+    /// fan-out is worked by the thread that asks for it.
+    pub fn execute(&self, job: impl FnOnce() + Send + 'static) {
+        self.pool.execute(job);
     }
 
     /// `(hits, misses)` of the result cache since the engine was created;
@@ -349,6 +358,7 @@ impl Engine {
         let lookup_span = Span::on(self.metrics.lookup_us.clone());
         let lookup_start_ns = self.tracer.now_ns();
         let mut pending: Vec<usize> = Vec::new();
+        let mut fanned: Vec<QueryRequest> = Vec::new(); // pending's requests, owned by the jobs
         let mut leaders: HashMap<CacheKey, usize> = HashMap::new();
         let mut followers: Vec<(usize, usize)> = Vec::new(); // (request, leader)
         for (q, (req, (outcome, result))) in requests
@@ -373,6 +383,7 @@ impl Engine {
                 None => {
                     leaders.insert(key, q);
                     pending.push(q);
+                    fanned.push(req.clone());
                 }
             }
         }
@@ -397,88 +408,72 @@ impl Engine {
             );
         }
 
-        // Fan out: one job per (pending request, segment). Each leader gets
-        // a live fanout child span; its per-segment children are created
-        // here (so parentage is right) but restarted inside the worker so
-        // they measure execution, not queue wait. Kernel counts come from
-        // the worker thread's scratch totals — the hot loop stays
-        // atomic-free and the delta is exactly this segment's work.
+        // Fan out: one job per (pending request, segment), request-major,
+        // scattered over the pool and worked by this thread too — so a
+        // request job already running *on* the pool fans out onto it
+        // without waiting for a free worker. Each leader gets a live fanout
+        // child span; its per-segment children are created here (so
+        // parentage is right) but restarted inside the job so they measure
+        // execution, not queue wait. Kernel counts come from the running
+        // thread's scratch totals — the hot loop stays atomic-free and the
+        // delta is exactly this segment's work.
         let fanout_span = Span::on(self.metrics.fanout_us.clone());
-        let mut fanout_spans: HashMap<usize, TraceSpan> = pending
+        let fanout_spans: Vec<TraceSpan> = pending
             .iter()
-            .filter_map(|&q| Some((q, roots.get(q)?.child("fanout"))))
+            .map(|&q| {
+                roots
+                    .get(q)
+                    .map_or_else(TraceSpan::disabled, |root| root.child("fanout"))
+            })
             .collect();
-        let (tx, rx) = channel::<(usize, usize, SegmentAnswer)>();
-        for &q in &pending {
-            let Some(request) = requests.get(q) else {
-                continue;
+        let seg_spans: Vec<Mutex<TraceSpan>> = fanout_spans
+            .iter()
+            .flat_map(|f| (0..num_segments).map(|_| Mutex::new(f.child("segment_answer"))))
+            .collect();
+        let segment_us = self.metrics.segment_us.clone();
+        let answers = self.pool.scatter(pending.len() * num_segments, move |job| {
+            let s = job % num_segments;
+            let (Some(req), Some(segment), Some(seg_span)) = (
+                fanned.get(job / num_segments),
+                segments.get(s),
+                seg_spans.get(job),
+            ) else {
+                return Err(Error::internal("a fan-out job fell outside the batch"));
             };
-            for (s, segment) in segments.iter().enumerate() {
-                let segment = Arc::clone(segment);
-                let req = request.clone();
-                let tx = tx.clone();
-                let segment_us = self.metrics.segment_us.clone();
-                let mut seg_span = fanout_spans
-                    .get(&q)
-                    .map(|f| f.child("segment_answer"))
-                    .unwrap_or_else(TraceSpan::disabled);
-                self.pool.execute(move || {
-                    seg_span.restart();
-                    let kernel_before = kstats::thread_totals();
-                    let span = Span::on(segment_us);
-                    let answer = segment.answer(&req);
-                    span.finish();
-                    if seg_span.is_recording() {
-                        let d = kstats::thread_totals().since(&kernel_before);
-                        seg_span.set_u64("segment", s as u64);
-                        seg_span.set_u64("candidates", d.candidates);
-                        seg_span.set_u64("verified", d.verified);
-                        seg_span.set_u64("plane_scans", d.plane_scans);
-                        seg_span.set_u64("cold_scans", d.cold_scans);
-                    }
-                    seg_span.finish();
-                    // A send failure means the batch was abandoned; nothing
-                    // useful to do from a worker.
-                    let _ = tx.send((q, s, answer));
-                });
+            #[cfg(test)]
+            assert!(pattern_of(req) != PANIC_PATTERN, "injected segment panic");
+            let mut seg_span = std::mem::replace(&mut *lock_clean(seg_span), TraceSpan::disabled());
+            seg_span.restart();
+            let kernel_before = kstats::thread_totals();
+            let span = Span::on(segment_us.clone());
+            let answer = segment.answer(req);
+            span.finish();
+            if seg_span.is_recording() {
+                let d = kstats::thread_totals().since(&kernel_before);
+                seg_span.set_u64("segment", s as u64);
+                seg_span.set_u64("candidates", d.candidates);
+                seg_span.set_u64("verified", d.verified);
+                seg_span.set_u64("plane_scans", d.plane_scans);
+                seg_span.set_u64("cold_scans", d.cold_scans);
             }
-        }
-        drop(tx);
-
-        // Collect in completion order, merge in segment order.
-        let mut per_query: Vec<Vec<Option<SegmentAnswer>>> =
-            (0..requests.len()).map(|_| Vec::new()).collect();
-        for &q in &pending {
-            if let Some(row) = per_query.get_mut(q) {
-                *row = (0..num_segments).map(|_| None).collect();
-            }
-        }
-        let mut outstanding = pending.len() * num_segments;
-        while outstanding > 0 {
-            let Ok((q, s, answer)) = rx.recv() else {
-                // Every worker vanished mid-batch; unreported slots
-                // degrade to internal errors in the merge below.
-                break;
-            };
-            if let Some(slot) = per_query.get_mut(q).and_then(|row| row.get_mut(s)) {
-                *slot = Some(answer);
-            }
-            outstanding -= 1;
-        }
+            seg_span.finish();
+            answer
+        });
         // Close every leader's fanout span now that all its segment
         // answers are in.
-        for (_, span) in fanout_spans.drain() {
+        for span in fanout_spans {
             span.finish();
         }
         let fanout_us = fanout_span.finish();
 
+        // Merge in segment order, whatever order the jobs finished in.
         let merge_span = Span::on(self.metrics.merge_us.clone());
         let merge_start_ns = self.tracer.now_ns();
+        let mut answers = answers.into_iter();
         for &q in &pending {
             let mut parts = Vec::with_capacity(num_segments);
             let mut error: Option<Error> = None;
-            let slots = per_query.get_mut(q).map(std::mem::take).unwrap_or_default();
-            for slot in slots {
+            for slot in answers.by_ref().take(num_segments) {
                 match slot {
                     Some(Ok(part)) => parts.push(part),
                     Some(Err(e)) => {
@@ -527,44 +522,40 @@ impl Engine {
             }
         }
 
+        // Stage timings are batch-level (requests in one batch share the
+        // pool), so a request is attributed the stages it went through:
+        // cache hits stop after the lookup, computed requests ride all
+        // three.
+        let stages = |outcome: Outcome| match outcome {
+            Outcome::Invalid => Vec::new(),
+            Outcome::CacheHit => vec![("cache_lookup", lookup_us)],
+            Outcome::Computed => vec![
+                ("cache_lookup", lookup_us),
+                ("fanout", fanout_us),
+                ("merge", merge_us),
+            ],
+        };
         // Close every root: this is where a trace commits to (or skips)
         // the ring, and where its span tree becomes available for the
         // slow-query log and the network response's stage breakdown.
         let mut summaries: Vec<Option<TraceSummary>> = Vec::with_capacity(requests.len());
-        for (root, outcome) in roots.drain(..).zip(&outcomes) {
-            let stages = |lookup_only: bool| {
-                if lookup_only {
-                    vec![("cache_lookup", lookup_us)]
-                } else {
-                    vec![
-                        ("cache_lookup", lookup_us),
-                        ("fanout", fanout_us),
-                        ("merge", merge_us),
-                    ]
-                }
-            };
+        for (root, &outcome) in roots.drain(..).zip(&outcomes) {
             summaries.push(root.finish_trace().map(|finished| TraceSummary {
                 trace_id: finished.trace_id,
                 duration_us: finished.duration_us,
                 kept: finished.kept,
-                stages: match outcome {
-                    Outcome::Invalid => Vec::new(),
-                    Outcome::CacheHit => stages(true),
-                    Outcome::Computed => stages(false),
-                },
+                stages: stages(outcome),
                 spans: finished.spans,
             }));
         }
 
-        // Per-request accounting. Stage timings are batch-level (requests
-        // in one batch share the pool), so a request's attributed latency
-        // is the sum of the stages it went through: cache hits stop after
-        // the lookup stage, computed requests ride all three. The slow
-        // threshold is read once for the whole batch — one decision per
-        // request even if it is adjusted concurrently.
+        // Per-request accounting: a request's attributed latency is the
+        // sum of its stages. The slow threshold is read once for the whole
+        // batch — one decision per request even if it is adjusted
+        // concurrently.
         let slow_threshold_us = self.slow_log.threshold_us();
         let computed_us = lookup_us + fanout_us + merge_us;
-        for ((req, outcome), summary) in requests.iter().zip(&outcomes).zip(&summaries) {
+        for ((req, &outcome), summary) in requests.iter().zip(&outcomes).zip(&summaries) {
             let total_us = match outcome {
                 Outcome::Invalid => continue,
                 Outcome::CacheHit => lookup_us,
@@ -572,20 +563,12 @@ impl Engine {
             };
             self.metrics.request_us.record(total_us);
             if total_us >= slow_threshold_us {
-                let stages = match outcome {
-                    Outcome::CacheHit => vec![("cache_lookup", lookup_us)],
-                    _ => vec![
-                        ("cache_lookup", lookup_us),
-                        ("fanout", fanout_us),
-                        ("merge", merge_us),
-                    ],
-                };
                 self.slow_log.observe_at(
                     SlowQueryEntry {
                         pattern: String::from_utf8_lossy(pattern_of(req)).into_owned(),
                         mode: mode_name(req),
                         total_us,
-                        stages,
+                        stages: stages(outcome),
                         spans: summary
                             .as_ref()
                             .map(|s| s.spans.clone())

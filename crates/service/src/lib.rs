@@ -13,8 +13,11 @@
 //! * **Document sharding** — a collection is split into contiguous shards,
 //!   each holding one [`ustr_core::Index`] (and optionally one
 //!   [`ustr_core::ApproxIndex`]) per document.
-//! * **Fixed thread pool** — batch queries fan out as one job per
-//!   `(request, shard)` pair onto [`ThreadPool`] workers.
+//! * **One fixed thread pool** — a batch fans out as one job per
+//!   `(request, shard)` pair over [`ThreadPool::scatter`], worked by the
+//!   calling thread beside the pool's workers. A front end queues its
+//!   request jobs on the same pool ([`QueryService::execute`]), so a
+//!   serving process runs `threads` query workers in all.
 //! * **Deterministic merge** — per-shard results are reassembled in shard
 //!   order (top-k answers are re-ranked with a total tie-break on
 //!   `(probability, doc, position)`), so a parallel batch returns *exactly*
@@ -101,7 +104,7 @@ pub use exec::{
     ShardPartial,
 };
 pub use pool::ThreadPool;
-pub use sync::{lock_clean, wait_clean, wait_timeout_clean, WakeQueue};
+pub use sync::{lock_clean, wait_clean, WakeQueue};
 pub use ustr_core::ListingHit;
 
 /// Tuning knobs for a [`QueryService`].
@@ -380,6 +383,11 @@ impl QueryService {
     /// Worker threads in the pool.
     pub fn threads(&self) -> usize {
         self.engine.threads()
+    }
+
+    /// Runs `job` on the query pool (see [`Engine::execute`]).
+    pub fn execute(&self, job: impl FnOnce() + Send + 'static) {
+        self.engine.execute(job);
     }
 
     /// The smallest τ the service accepts (largest `τmin` of its indexes).
@@ -945,6 +953,29 @@ mod tests {
         }
         let (hits, _) = service.cache_stats();
         assert_eq!(hits, 4, "sequential pass is fully cache-served");
+    }
+
+    #[test]
+    fn a_panicking_segment_job_fails_only_its_own_request() {
+        let service = QueryService::build(&collection(), 0.05, config(2, 2, 0)).unwrap();
+        let mut batch = mixed_batch();
+        batch.insert(
+            3,
+            QueryRequest::Threshold {
+                pattern: engine::PANIC_PATTERN.to_vec(),
+                tau: 0.3,
+            },
+        );
+        let mut got = service.query_requests(&batch);
+        let lost = got.remove(3).expect_err("its segment jobs panicked");
+        assert!(lost.to_string().contains("never reported"), "{lost}");
+        batch.remove(3);
+        let seq = service.query_requests_sequential(&batch);
+        for (q, (g, s)) in got.iter().zip(seq.iter()).enumerate() {
+            assert_eq!(g.as_ref().unwrap(), s.as_ref().unwrap(), "request {q}");
+        }
+        // Both workers outlived the panics: the pool still fans out.
+        assert!(service.query(b"AB", 0.3).is_ok());
     }
 
     #[test]

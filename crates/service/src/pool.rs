@@ -1,16 +1,55 @@
 //! A fixed-size thread pool over `std::sync` primitives (no external
-//! dependencies): one shared job queue, workers parked on a channel.
+//! dependencies): one shared job queue, workers parked on a channel, and
+//! one fan-out primitive ([`ThreadPool::scatter`]) that the thread asking
+//! for it works on too.
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
-use crate::sync::lock_clean;
+use crate::sync::{lock_clean, wait_clean};
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
+/// One [`ThreadPool::scatter`] call: the job, the cursor its workers claim
+/// indices from, and the result slots with a count of how many are in.
+struct Scatter<T, F> {
+    len: usize,
+    job: F,
+    next: AtomicUsize,
+    results: Mutex<(Vec<Option<T>>, usize)>,
+    all_in: Condvar,
+}
+
+impl<T, F: Fn(usize) -> T> Scatter<T, F> {
+    /// Claims and runs jobs until the cursor runs out. A panicking job
+    /// leaves `None` in its slot and is counted like any other, so the
+    /// caller's wait always ends.
+    fn work(&self) {
+        loop {
+            // ordering: Relaxed — the cursor only deals out distinct
+            // indices; results are published under the `results` mutex.
+            let i = self.next.fetch_add(1, Ordering::Relaxed);
+            if i >= self.len {
+                return;
+            }
+            let out = catch_unwind(AssertUnwindSafe(|| (self.job)(i))).ok();
+            let mut results = lock_clean(&self.results);
+            if let Some(slot) = results.0.get_mut(i) {
+                *slot = out;
+            }
+            results.1 += 1;
+            if results.1 == self.len {
+                self.all_in.notify_one();
+            }
+        }
+    }
+}
+
 /// Fixed worker pool. Jobs run in submission order per worker pickup;
-/// callers that need ordered results tag jobs with their own indices.
+/// ordered fan-out goes through [`ThreadPool::scatter`].
 pub struct ThreadPool {
     workers: Vec<JoinHandle<()>>,
     sender: Option<Sender<Job>>,
@@ -39,7 +78,10 @@ impl ThreadPool {
                             guard.recv()
                         };
                         match job {
-                            Ok(job) => job(),
+                            // A panicking job loses its own result, never
+                            // its worker: the unwind stops here and the
+                            // thread goes back to the queue.
+                            Ok(job) => drop(catch_unwind(AssertUnwindSafe(job))),
                             Err(_) => break, // sender dropped: shut down
                         }
                     })
@@ -57,9 +99,9 @@ impl ThreadPool {
         self.workers.len()
     }
 
-    /// Enqueues one job. If the workers are gone (none spawned, or every
-    /// one exited), the job runs inline on the caller: slower, but every
-    /// submitted job still completes exactly once.
+    /// Enqueues one job. If no worker ever spawned, the job runs inline on
+    /// the caller: slower, but every submitted job still completes exactly
+    /// once.
     pub fn execute(&self, job: impl FnOnce() + Send + 'static) {
         let job: Job = Box::new(job);
         match &self.sender {
@@ -71,14 +113,51 @@ impl ThreadPool {
             None => job(),
         }
     }
+
+    /// Runs `job(0) .. job(len - 1)` and returns their results in index
+    /// order, `None` where a job panicked. The calling thread claims jobs
+    /// from a shared cursor beside at most `min(len - 1, threads)` helper
+    /// tickets on the queue, and the call returns once `len` results are
+    /// counted in — so it completes even when every worker is busy, and a
+    /// job running *on* the pool may scatter onto it. A ticket that starts
+    /// late finds the cursor spent and returns at once.
+    pub fn scatter<T, F>(&self, len: usize, job: F) -> Vec<Option<T>>
+    where
+        T: Send + 'static,
+        F: Fn(usize) -> T + Send + Sync + 'static,
+    {
+        let scatter = Arc::new(Scatter {
+            len,
+            job,
+            next: AtomicUsize::new(0),
+            results: Mutex::new(((0..len).map(|_| None).collect(), 0)),
+            all_in: Condvar::new(),
+        });
+        for _ in 0..len.saturating_sub(1).min(self.threads()) {
+            let scatter = Arc::clone(&scatter);
+            self.execute(move || scatter.work());
+        }
+        scatter.work();
+        let mut results = lock_clean(&scatter.results);
+        while results.1 < len {
+            results = wait_clean(&scatter.all_in, results);
+        }
+        std::mem::take(&mut results.0)
+    }
 }
 
 impl Drop for ThreadPool {
     fn drop(&mut self) {
         // Closing the channel makes every worker's recv() fail and exit.
         drop(self.sender.take());
+        // A job may hold the last handle to this pool's owner, so the drop
+        // can run *on* a worker. That thread cannot join itself; it exits
+        // on its own when the job returns and its recv() fails.
+        let current = std::thread::current().id();
         for worker in self.workers.drain(..) {
-            let _ = worker.join();
+            if worker.thread().id() != current {
+                let _ = worker.join();
+            }
         }
     }
 }
@@ -86,7 +165,101 @@ impl Drop for ThreadPool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Barrier;
+    use std::time::Duration;
+
+    /// Runs `test` on its own thread and fails — instead of hanging the
+    /// suite — when it deadlocks (or panics).
+    fn watchdog(test: impl FnOnce() + Send + 'static) {
+        let (done, finished) = channel();
+        std::thread::spawn(move || {
+            test();
+            let _ = done.send(());
+        });
+        finished
+            .recv_timeout(Duration::from_secs(10))
+            .expect("the test body deadlocked or panicked");
+    }
+
+    fn squares(len: usize) -> Vec<Option<usize>> {
+        (0..len).map(|i| Some(i * i)).collect()
+    }
+
+    #[test]
+    fn a_panicking_job_does_not_cost_the_pool_its_worker() {
+        watchdog(|| {
+            let pool = ThreadPool::new(1);
+            pool.execute(|| panic!("injected job panic"));
+            let (ran_on, reported) = channel();
+            pool.execute(move || ran_on.send(std::thread::current().id()).unwrap());
+            // Still a pool thread — not the inline fallback on the caller.
+            assert_ne!(reported.recv().unwrap(), std::thread::current().id());
+        });
+    }
+
+    #[test]
+    fn a_pool_job_scatters_onto_its_own_busy_pool() {
+        // The pool's only worker is the one asking: unless the caller
+        // works its own fan-out, nobody ever will.
+        watchdog(|| {
+            let pool = Arc::new(ThreadPool::new(1));
+            let (tx, rx) = channel();
+            let handle = Arc::clone(&pool);
+            pool.execute(move || tx.send(handle.scatter(8, |i| i * i)).unwrap());
+            assert_eq!(rx.recv().unwrap(), squares(8));
+        });
+    }
+
+    #[test]
+    fn two_pool_jobs_scatter_at_once_on_a_two_thread_pool() {
+        watchdog(|| {
+            let pool = Arc::new(ThreadPool::new(2));
+            // Both workers are inside a job before either scatters.
+            let both_running = Arc::new(Barrier::new(2));
+            let (tx, rx) = channel();
+            for _ in 0..2 {
+                let (handle, both_running, tx) =
+                    (Arc::clone(&pool), Arc::clone(&both_running), tx.clone());
+                pool.execute(move || {
+                    both_running.wait();
+                    tx.send(handle.scatter(8, |i| i * i)).unwrap();
+                });
+            }
+            assert_eq!(rx.recv().unwrap(), squares(8));
+            assert_eq!(rx.recv().unwrap(), squares(8));
+        });
+    }
+
+    #[test]
+    fn a_panicking_scatter_job_leaves_none_in_its_slot() {
+        watchdog(|| {
+            let pool = ThreadPool::new(2);
+            let got = pool.scatter(5, |i| {
+                assert!(i != 2, "injected scatter panic");
+                i
+            });
+            assert_eq!(got, vec![Some(0), Some(1), None, Some(3), Some(4)]);
+            assert!(pool.scatter(0, |i| i).is_empty());
+        });
+    }
+
+    #[test]
+    fn the_last_handle_can_drop_inside_a_job() {
+        watchdog(|| {
+            let pool = Arc::new(ThreadPool::new(2));
+            let (release, released) = channel::<()>();
+            let (done, finished) = channel();
+            let last = Arc::clone(&pool);
+            pool.execute(move || {
+                released.recv().unwrap();
+                drop(last); // ThreadPool::drop, on one of its own workers
+                done.send(()).unwrap();
+            });
+            drop(pool);
+            release.send(()).unwrap();
+            finished.recv().unwrap();
+        });
+    }
 
     #[test]
     fn runs_every_job_across_workers() {

@@ -10,8 +10,7 @@
 //! state as a per-request error — and the alternative (propagating the
 //! poison) is strictly worse: it converts one failure into total outage.
 
-use std::sync::{Condvar, Mutex, MutexGuard, PoisonError, WaitTimeoutResult};
-use std::time::Duration;
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
 /// Locks `mutex`, recovering the guard if a previous holder panicked.
 pub fn lock_clean<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
@@ -23,30 +22,21 @@ pub fn wait_clean<'a, T>(cv: &Condvar, guard: MutexGuard<'a, T>) -> MutexGuard<'
     cv.wait(guard).unwrap_or_else(PoisonError::into_inner)
 }
 
-/// [`Condvar::wait_timeout`] that recovers the guard on poison.
-pub fn wait_timeout_clean<'a, T>(
-    cv: &Condvar,
-    guard: MutexGuard<'a, T>,
-    dur: Duration,
-) -> (MutexGuard<'a, T>, WaitTimeoutResult) {
-    cv.wait_timeout(guard, dur)
-        .unwrap_or_else(PoisonError::into_inner)
-}
-
 /// A multi-producer queue that *wakes* its single consumer instead of
 /// blocking it: every push from a pool worker (or any thread) lands under a
 /// short lock, and the transition from empty to non-empty fires a
 /// caller-supplied wake callback — in the network server, a poller waker
 /// that interrupts the event loop's `wait`.
 ///
-/// This is the pool→event-loop handoff primitive: [`ThreadPool`] workers
-/// finish a query, push the framed response here, and the event loop (which
-/// must never block on a channel — it blocks *only* in the poller) drains
-/// the whole batch on its next pass. Wakes are coalesced: pushes onto an
-/// already-non-empty queue skip the callback, because the consumer drains
-/// everything at once and a pending wake is already in flight. The consumer
-/// must therefore always [`WakeQueue::drain`] to empty — draining partially
-/// could strand items until the next unrelated wake.
+/// This is the pool→event-loop handoff primitive: a request job on the
+/// engine's [`ThreadPool`] finishes its query, pushes the framed response
+/// here, and the event loop (which must never block on a channel — it
+/// blocks *only* in the poller) drains the whole batch on its next pass.
+/// Wakes are coalesced: pushes onto an already-non-empty queue skip the
+/// callback, because the consumer drains everything at once and a pending
+/// wake is already in flight. The consumer must therefore always
+/// [`WakeQueue::drain`] to empty — draining partially could strand items
+/// until the next unrelated wake.
 ///
 /// [`ThreadPool`]: crate::ThreadPool
 pub struct WakeQueue<T> {

@@ -7,7 +7,7 @@
 //! with a manifest up front, so a whole collection can be shipped, checksummed
 //! and memory-planned as a unit. This is the primary persistence path of the
 //! `ustr-service` serving layer (`QueryService::{save_collection,
-//! load_collection}`); the directory layout remains supported but deprecated.
+//! load_collection}`); the directory layout it replaced no longer exists.
 //!
 //! # Container format
 //!

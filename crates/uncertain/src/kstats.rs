@@ -4,7 +4,7 @@
 //! verification work, Biswas et al. §5).
 //!
 //! Plain relaxed atomics, zero dependencies. Hot loops batch their local
-//! counts and call [`record_scan`] **once per scan**, so the per-candidate
+//! counts and call [`record_scan_on`] **once per scan**, so the per-candidate
 //! cost of instrumentation is zero. Counters are cumulative for the
 //! process lifetime; telemetry layers surface them via
 //! [`kernel_totals`] (e.g. merged into an exposition snapshot under
@@ -81,13 +81,6 @@ pub fn record_scan_on(path: ScanPath, candidates: u64, verified: u64, ns: u64) {
     }
 }
 
-/// [`record_scan_on`] for callers that predate the plane/cold split;
-/// attributed to the cold path.
-#[inline]
-pub fn record_scan(candidates: u64, verified: u64, ns: u64) {
-    record_scan_on(ScanPath::Cold, candidates, verified, ns);
-}
-
 /// Current process-wide totals.
 pub fn kernel_totals() -> KernelTotals {
     KernelTotals {
@@ -143,8 +136,8 @@ mod tests {
     #[test]
     fn record_scan_accumulates() {
         let before = kernel_totals();
-        record_scan(10, 3, 1_000);
-        record_scan(5, 5, 500);
+        record_scan_on(ScanPath::Cold, 10, 3, 1_000);
+        record_scan_on(ScanPath::Cold, 5, 5, 500);
         let after = kernel_totals();
         assert_eq!(after.candidates - before.candidates, 15);
         assert_eq!(after.verified - before.verified, 8);
