@@ -5,19 +5,33 @@
 //! of the connections; loop 0 additionally owns the (non-blocking)
 //! listener and deals new connections round-robin. Sockets are
 //! non-blocking and level-triggered — the loop reads what is there, parses
-//! with [`FrameReader`], queues each query as one job on the backend's pool
+//! with [`FrameReader`], and answers each query one of two ways, both
+//! through `respond`. **Run to completion:** the backend is offered the
+//! request on this thread
+//! ([`QueryBackend::answer_inline`](crate::QueryBackend::answer_inline));
+//! when it takes it — it has opted in, it measures such a request to cost
+//! less than the hand-off would, and this loop iteration has not already
+//! spent its inline allowance — the response goes straight into the
+//! connection's write queue and out on the same pass: no other thread is
+//! woken, this one included. **Queued:** otherwise the request becomes one
+//! job on the backend's pool
 //! ([`QueryBackend::execute`](crate::QueryBackend::execute) — the server has
-//! no query threads of its own), and drains finished responses from a
-//! [`WakeQueue`] those jobs push into (the push wakes the poller, so a
-//! response never waits for an unrelated readiness event).
+//! no query threads of its own) and its response comes back through a
+//! [`WakeQueue`] (the push wakes the poller, so a response never waits for
+//! an unrelated readiness event). So a lone cheap request costs no thread
+//! wake at all, while a pipelined burst or a crowd of ready connections
+//! overflows to the workers instead of serialising on one loop.
 //!
 //! # Event-thread invariants (see `INVARIANTS.md`)
 //!
-//! * **No blocking syscalls on the event thread.** The only place a loop
-//!   thread parks is `Poller::wait`. Sockets are non-blocking from the
-//!   moment they are accepted; writes go through [`WriteQueue`] which
-//!   stops at `WouldBlock`; queries run on the backend's pool, never
-//!   inline.
+//! * **No blocking call and no unbounded work on the event thread.** The
+//!   only place a loop thread parks is `Poller::wait`. Sockets are
+//!   non-blocking from the moment they are accepted; writes go through
+//!   [`WriteQueue`] which stops at `WouldBlock`; a query runs here only
+//!   when the backend opted in, measures it cheap, and the iteration's
+//!   allowance is not spent — everything else runs on the backend's pool.
+//!   A panic while answering stops at `respond` and becomes that request's
+//!   error result; it never unwinds a loop.
 //! * **No guard held across `wait`.** The loop owns its connections
 //!   outright (a plain `HashMap`, no locks); the only shared state it
 //!   touches — the message queue and the lifecycle table — is locked
@@ -32,11 +46,12 @@ use std::collections::HashMap;
 use std::io::Read;
 use std::net::{TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use ustr_obs::Span;
+use ustr_obs::{Span, TraceContext};
 use ustr_poll::{Interest, Poller, Waker};
 use ustr_service::{mode_name, QueryRequest, WakeQueue};
 
@@ -53,15 +68,106 @@ const WAKER_TOKEN: u64 = u64::MAX - 1;
 pub(crate) enum LoopMsg {
     /// A freshly accepted connection this loop should own.
     Conn(TcpStream),
-    /// A pool worker finished a query for connection `conn`: one
-    /// pre-framed response to enqueue (counted traffic, releases one
-    /// in-flight slot when fully written). `failed` reports a per-request
-    /// error result — it feeds the connection's error budget.
-    Done {
-        conn: u64,
-        bytes: Vec<u8>,
-        failed: bool,
-    },
+    /// A pool worker finished a query for connection `conn`.
+    Done { conn: u64, reply: Reply },
+}
+
+/// One request's framed `Response`, as `respond` builds it on either path
+/// and [`Conn::deliver`] takes it.
+pub(crate) struct Reply {
+    bytes: Vec<u8>,
+    /// The result is a per-request error (feeds the error budget).
+    failed: bool,
+    /// What answering and framing took — the `rtt` span's reading.
+    took_us: u64,
+}
+
+/// How a request gets its answer — the one thing the two paths differ in.
+enum Path {
+    /// On the loop thread, if the backend will;
+    /// `spent_us` is the iteration's inline time so far.
+    Inline { spent_us: u64 },
+    /// On a pool worker, queued at `since`.
+    Queued { since: Instant },
+}
+
+/// Builds one request's `Response` frame — the one place an answer becomes
+/// bytes, whichever thread runs it. `None` only when `Path::Inline` was
+/// declined (nothing was computed or recorded). A panic on the way — a bug
+/// in an executor, say — stops here and becomes the request's
+/// `Error::internal` result in an ordinary frame: the client gets its
+/// answer and its in-flight slot back, and the thread (a pool worker, or an
+/// event loop with every connection it owns) lives.
+fn respond(
+    shared: &Shared,
+    id: u64,
+    request: &QueryRequest,
+    parent: Option<TraceContext>,
+    path: Path,
+) -> Option<Reply> {
+    let span = Span::on(shared.metrics.rtt_for(mode_name(request)).clone());
+    let built = catch_unwind(AssertUnwindSafe(|| {
+        let (queue_wait, answer) = match path {
+            Path::Inline { spent_us } => (
+                None,
+                shared.backend.answer_inline(request, parent, spent_us)?,
+            ),
+            Path::Queued { since } => {
+                let waited = u64::try_from(since.elapsed().as_micros()).unwrap_or(u64::MAX);
+                let answer = shared
+                    .backend
+                    .answer(std::slice::from_ref(request), std::slice::from_ref(&parent))
+                    .pop()
+                    .unwrap_or_else(|| {
+                        let lost = "the backend returned no response for a one-request batch";
+                        (Err(ustr_core::Error::internal(lost)), None)
+                    });
+                (Some(waited), answer)
+            }
+        };
+        let (result, summary) = answer;
+        let result = result.map_err(|e| RemoteError::from(&e));
+        let failed = result.is_err();
+        // Per-stage server timings ride back only to a request that
+        // carried a trace context (and whose trace was recorded); a queued
+        // one leads with how long its job sat in the pool's queue.
+        let timings = match summary {
+            Some(s) if parent.is_some() => queue_wait
+                .map(|us| ("queue_wait", us))
+                .into_iter()
+                .chain(s.stages)
+                .map(|(name, us)| (name.to_string(), us))
+                .collect(),
+            _ => Vec::new(),
+        };
+        let frame = Frame::Response {
+            id,
+            result,
+            timings,
+        };
+        Some((frame_bytes(&frame), failed))
+    }));
+    let (bytes, failed) = match built {
+        Ok(Some(built)) => built,
+        Ok(None) => {
+            span.cancel();
+            return None;
+        }
+        Err(_) => {
+            let panicked = ustr_core::Error::internal("the request panicked while being answered");
+            let frame = Frame::Response {
+                id,
+                result: Err(RemoteError::from(&panicked)),
+                timings: Vec::new(),
+            };
+            (frame_bytes(&frame), true)
+        }
+    };
+    Some(Reply {
+        bytes,
+        failed,
+        took_us: span.finish(),
+    })
 }
 
 /// The handle other threads use to reach a loop: push a message, ring the
@@ -194,9 +300,26 @@ struct Conn {
     last_activity: Instant,
     /// Failing request results so far (feeds the error budget).
     errors: u32,
+    /// Requests of this connection now with the pool. While there are any
+    /// the next one is queued too: an inline answer never overtakes a
+    /// queued one, so mixing the two paths reorders a connection's
+    /// responses no more than the pool alone does (one worker: not at all).
+    queued: usize,
 }
 
 impl Conn {
+    /// Takes one finished response, from either path: queued for the
+    /// socket (counted traffic; releases its in-flight slot once fully
+    /// written), and a failing result counted against the error budget —
+    /// whose verdict `drive` takes, once the frames already buffered have
+    /// been answered too.
+    fn deliver(&mut self, reply: Reply) {
+        self.wq.push(reply.bytes, true, true);
+        if reply.failed {
+            self.errors = self.errors.saturating_add(1);
+        }
+    }
+
     /// Ends the session with a fatal error frame: no more reads, and once
     /// every accepted request has been answered and flushed the frame goes
     /// out and the socket closes.
@@ -223,6 +346,9 @@ pub(crate) struct EventLoop {
     draining: bool,
     /// Force-close moment for the shutdown drain.
     deadline: Option<Instant>,
+    /// Microseconds this iteration of `run` has spent answering inline;
+    /// the backend declines further inline answers once it is too many.
+    inline_us: u64,
 }
 
 impl EventLoop {
@@ -252,6 +378,7 @@ impl EventLoop {
             accepted: 0,
             draining: false,
             deadline: None,
+            inline_us: 0,
         })
     }
 
@@ -285,6 +412,7 @@ impl EventLoop {
                 continue;
             }
             self.shared.loop_stats.note_events(events.len() as u64);
+            self.inline_us = 0;
             for ev in events.drain(..) {
                 match ev.token {
                     LISTENER_TOKEN => self.accept_burst(),
@@ -355,33 +483,10 @@ impl EventLoop {
                         self.adopt(stream);
                     }
                 }
-                LoopMsg::Done {
-                    conn,
-                    bytes,
-                    failed,
-                } => {
+                LoopMsg::Done { conn, reply } => {
                     if let Some(c) = self.conns.get_mut(&conn) {
-                        c.wq.push(bytes, true, true);
-                        if failed {
-                            c.errors = c.errors.saturating_add(1);
-                            let budget = self.shared.config.error_budget;
-                            if budget > 0
-                                && c.errors >= budget
-                                && c.phase == Phase::Serving
-                                && c.fatal.is_none()
-                            {
-                                // Drain with a fatal frame — queued answers
-                                // (including this one) still deliver first.
-                                c.fail(
-                                    err_code::ERROR_BUDGET_EXCEEDED,
-                                    format!(
-                                        "connection exceeded its error budget \
-                                         ({budget} failing requests)"
-                                    ),
-                                );
-                                self.shared.loop_stats.note_budget_close();
-                            }
-                        }
+                        c.queued = c.queued.saturating_sub(1);
+                        c.deliver(reply);
                         self.pump(conn, false, false);
                     }
                     // A vanished connection's responses are undeliverable;
@@ -428,6 +533,7 @@ impl EventLoop {
                 finale_queued: false,
                 last_activity: Instant::now(),
                 errors: 0,
+                queued: 0,
             },
         );
     }
@@ -647,6 +753,24 @@ impl EventLoop {
                 }
             }
 
+            // The error-budget verdict, taken only here: every frame that
+            // was already buffered has by now been answered or dispatched,
+            // so a pipelined batch gets all its answers — the failing ones
+            // that spent the budget included — before the fatal frame,
+            // whichever path answered them.
+            let budget = self.shared.config.error_budget;
+            if budget > 0
+                && conn.errors >= budget
+                && conn.phase == Phase::Serving
+                && conn.fatal.is_none()
+            {
+                conn.fail(
+                    err_code::ERROR_BUDGET_EXCEEDED,
+                    format!("connection exceeded its error budget ({budget} failing requests)"),
+                );
+                self.shared.loop_stats.note_budget_close();
+            }
+
             // A clean end of stream (EOF at a frame boundary, or the
             // client's Goodbye already handled) starts the drain.
             if conn.eof && conn.phase != Phase::Draining && conn.reader.is_empty() {
@@ -703,7 +827,7 @@ impl EventLoop {
     /// Handles one well-formed frame according to the connection's phase —
     /// the dispatch table of the old per-connection reader thread, minus
     /// the blocking.
-    fn on_frame(&self, conn: &mut Conn, frame: Frame, wire_len: u64) {
+    fn on_frame(&mut self, conn: &mut Conn, frame: Frame, wire_len: u64) {
         match (conn.phase, frame) {
             (Phase::Handshake, Frame::Hello { magic, version }) if magic == NET_MAGIC => {
                 if version != PROTOCOL_VERSION {
@@ -737,7 +861,27 @@ impl EventLoop {
             (Phase::Serving, Frame::Request { id, request, trace }) => {
                 self.note_request(conn, wire_len);
                 conn.inflight += 1;
-                self.dispatch(conn.id, id, request, trace.map(Into::into));
+                let parent = trace.map(Into::into);
+                let path = Path::Inline {
+                    spent_us: self.inline_us,
+                };
+                let inline = (conn.queued == 0)
+                    .then(|| respond(&self.shared, id, &request, parent, path))
+                    .flatten();
+                match inline {
+                    Some(reply) => {
+                        self.shared.metrics.requests_inline.inc();
+                        // At least 1 µs each, so that even answers too
+                        // quick for the clock use the allowance up.
+                        self.inline_us += reply.took_us.max(1);
+                        conn.deliver(reply);
+                    }
+                    None => {
+                        self.shared.metrics.requests_queued.inc();
+                        conn.queued += 1;
+                        self.dispatch(conn.id, id, request, parent);
+                    }
+                }
             }
             (Phase::Serving, Frame::StatsRequest { id, format }) => {
                 // Answered inline (a snapshot render, not a query) but
@@ -796,51 +940,14 @@ impl EventLoop {
     /// Queues one query as a job on the backend's pool; the job computes,
     /// frames, and pushes the response back through this loop's queue (the
     /// push rings the waker).
-    fn dispatch(
-        &self,
-        conn_id: u64,
-        id: u64,
-        request: QueryRequest,
-        parent: Option<ustr_obs::TraceContext>,
-    ) {
-        let backend = Arc::clone(&self.shared.backend);
+    fn dispatch(&self, conn: u64, id: u64, request: QueryRequest, parent: Option<TraceContext>) {
+        let shared = Arc::clone(&self.shared);
         let queue = Arc::clone(&self.queue);
-        let rtt = self.shared.metrics.rtt_for(mode_name(&request)).clone();
+        let since = Instant::now();
         self.shared.backend.execute(Box::new(move || {
-            let span = Span::on(rtt);
-            let (result, summary) = backend
-                .answer(
-                    std::slice::from_ref(&request),
-                    std::slice::from_ref(&parent),
-                )
-                .pop()
-                .unwrap_or_else(|| {
-                    let lost = "the backend returned no response for a one-request batch";
-                    (Err(ustr_core::Error::internal(lost)), None)
-                });
-            let result = result.map_err(|e| RemoteError::from(&e));
-            let failed = result.is_err();
-            // Per-stage server timings ride back only to a request that
-            // carried a trace context (and whose trace was recorded).
-            let timings = match summary {
-                Some(s) if parent.is_some() => s
-                    .stages
-                    .into_iter()
-                    .map(|(name, us)| (name.to_string(), us))
-                    .collect(),
-                _ => Vec::new(),
-            };
-            let bytes = frame_bytes(&Frame::Response {
-                id,
-                result,
-                timings,
-            });
-            span.finish();
-            queue.push(LoopMsg::Done {
-                conn: conn_id,
-                bytes,
-                failed,
-            });
+            if let Some(reply) = respond(&shared, id, &request, parent, Path::Queued { since }) {
+                queue.push(LoopMsg::Done { conn, reply });
+            }
         }));
     }
 }

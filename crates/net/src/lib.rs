@@ -18,10 +18,12 @@
 //!   loops ([`ustr_poll::Poller`], epoll — Linux/Android only) own
 //!   a non-blocking listener and every connection's state machine
 //!   (`conn`: handshake → framed read → dispatch → framed write, with
-//!   partial-read and partial-write buffers), while every query runs as a
-//!   job on the backend's own [`ustr_service::ThreadPool`] — the server
-//!   keeps no query threads — and finished responses return through a
-//!   wakeable queue. The backend is anything
+//!   partial-read and partial-write buffers). A query the backend measures
+//!   to be cheaper than a thread hand-off is answered on the loop that read
+//!   it ([`QueryBackend::answer_inline`] — opt-in, bounded per loop
+//!   iteration); every other query runs as a job on the backend's own
+//!   [`ustr_service::ThreadPool`] — the server keeps no query threads —
+//!   and its response returns through a wakeable queue. The backend is anything
 //!   implementing [`QueryBackend`]: a static
 //!   [`ustr_service::QueryService`] (built, or loaded from a `.coll`
 //!   snapshot) or a mutable [`ustr_live::LiveService`] — both reached
@@ -408,11 +410,13 @@ mod tests {
             "traced and untraced answers are identical"
         );
 
-        // Per-stage server timings ride back on the wire.
+        // Per-stage server timings ride back on the wire — led, for this
+        // first request of a fresh service (never answered on the loop),
+        // by its wait in the pool's queue.
         let stage_names: Vec<&str> = timings.iter().map(|(n, _)| n.as_str()).collect();
         assert_eq!(
             stage_names,
-            ["cache_lookup", "fanout", "merge"],
+            ["queue_wait", "cache_lookup", "fanout", "merge"],
             "{timings:?}"
         );
 

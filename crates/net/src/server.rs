@@ -10,19 +10,32 @@
 //! loops round-robin; each loop owns its connections outright — their
 //! partial-read buffers, write queues, and phase machines
 //! (`Handshake → Serving → Draining`, see `crate::conn`) — so no
-//! per-connection state is ever locked. The server owns no query threads:
-//! a decoded request becomes one job on the backend's own pool
+//! per-connection state is ever locked. The server owns no query threads,
+//! and a decoded request is answered one of two ways. **On the loop that
+//! read it**, when the backend takes it there
+//! ([`QueryBackend::answer_inline`]): it must have opted in (the static
+//! service does; the live one, whose view takes a lock held across fsyncs,
+//! does not), its engine must *measure* a computed request to cost less
+//! work than the hand-off would, and the loop must not already have spent
+//! that much on inline answers this iteration — then the response goes
+//! straight into the connection's write queue and no thread is woken for
+//! it at all. **Otherwise as one job on the backend's own pool**
 //! ([`QueryBackend::execute`] — for both services the `ustr-service`
-//! [`ThreadPool`](ustr_service::ThreadPool) inside their engine), and that
-//! job's shard fan-out lands on the same pool, worked by the job's own
-//! thread beside whichever workers are free. So `N` connections pipelining
+//! [`ThreadPool`](ustr_service::ThreadPool) inside their engine), whose
+//! shard fan-out lands on the same pool, worked by the job's own thread
+//! beside whichever workers are free. So `N` connections pipelining
 //! requests share one fixed set of workers — the backend's `threads` —
-//! which bounds concurrent requests and per-request parallelism at once.
-//! A finished job pushes the framed response into the owning loop's wake
-//! queue and rings its waker; the loop flushes it on the next pass. Pool
-//! workers never touch a socket: a slow or non-reading client backs up
-//! only its own write queue (bounded by the in-flight window), never a
-//! query worker, so one bad client cannot starve the other connections.
+//! which bounds concurrent requests and per-request parallelism at once,
+//! and a burst overflows to them rather than serialising on a loop. A
+//! finished job pushes the framed response into the owning loop's wake
+//! queue and rings its waker; the loop flushes it on the next pass. On a
+//! connection with requests on the pool the next request is queued too, so
+//! the two paths together reorder a connection's responses no more than
+//! the pool alone does. Pool workers never touch a socket: a slow or
+//! non-reading client backs up only its own write queue (bounded by the
+//! in-flight window), never a query worker, so one bad client cannot
+//! starve the other connections. A panic while answering, on either path,
+//! becomes that request's error result (`event_loop::respond`).
 //!
 //! # Backpressure
 //!
@@ -82,9 +95,31 @@ pub trait QueryBackend: Send + Sync {
     ) -> Vec<(Result<QueryResponse, Error>, Option<TraceSummary>)>;
 
     /// Runs `job` on the pool [`QueryBackend::answer`] fans out over. The
-    /// server queues every request job here and keeps no query threads of
-    /// its own; the job must not run on the calling (event-loop) thread.
+    /// server queues here every request job [`QueryBackend::answer_inline`]
+    /// declined and keeps no query threads of its own; the job must not run
+    /// on the calling (event-loop) thread.
     fn execute(&self, job: Box<dyn FnOnce() + Send>);
+
+    /// Answers one request **on the calling thread — an event loop — or
+    /// declines** (`None`: nothing happened; the server queues the request
+    /// through [`QueryBackend::execute`]). `spent_us` is what the calling
+    /// loop has already spent on inline answers in its current iteration.
+    /// A backend opts in only if it can promise what the loop needs: the
+    /// call never blocks (no lock that is held across I/O, no wait on
+    /// another thread's work) and does a bounded, small amount of work —
+    /// it decides that from its own measurements and `spent_us`, and
+    /// deciding and answering are this one call so the promise cannot go
+    /// stale in between. The same answer as [`QueryBackend::answer`] gives.
+    /// The default declines everything: a backend that says nothing is
+    /// never run on a loop.
+    fn answer_inline(
+        &self,
+        _request: &QueryRequest,
+        _parent: Option<TraceContext>,
+        _spent_us: u64,
+    ) -> Option<(Result<QueryResponse, Error>, Option<TraceSummary>)> {
+        None
+    }
 
     /// Documents currently served (point-in-time for mutable backends).
     fn num_docs(&self) -> usize;
@@ -122,9 +157,10 @@ pub trait QueryBackend: Send + Sync {
 }
 
 /// Both services answer through one `ustr_service::Engine` and name its
-/// façade alike, so one body serves both; health is all that differs.
+/// façade alike, so one body serves both; health, and whether a loop
+/// thread may answer, are all that differ.
 macro_rules! engine_backend {
-    ($service:ty, $health:expr) => {
+    ($service:ty, $health:expr, $inline:expr) => {
         impl QueryBackend for $service {
             fn answer(
                 &self,
@@ -136,6 +172,15 @@ macro_rules! engine_backend {
 
             fn execute(&self, job: Box<dyn FnOnce() + Send>) {
                 <$service>::execute(self, job);
+            }
+
+            fn answer_inline(
+                &self,
+                request: &QueryRequest,
+                parent: Option<TraceContext>,
+                spent_us: u64,
+            ) -> Option<(Result<QueryResponse, Error>, Option<TraceSummary>)> {
+                $inline(self, request, parent, spent_us)
             }
 
             fn num_docs(&self) -> usize {
@@ -166,8 +211,18 @@ macro_rules! engine_backend {
     };
 }
 
-engine_backend!(QueryService, |_: &QueryService| None);
-engine_backend!(LiveService, LiveService::background_health);
+engine_backend!(
+    QueryService,
+    |_: &QueryService| None,
+    QueryService::answer_inline
+);
+// Never inline: building a live view takes the state lock, which `insert`
+// holds across a WAL fsync — a loop thread must not queue up behind a disk.
+engine_backend!(
+    LiveService,
+    LiveService::background_health,
+    |_: &LiveService, _: &QueryRequest, _: Option<TraceContext>, _: u64| None
+);
 
 /// Per-server-instance telemetry. Instance-scoped (not the process-global
 /// registry) so that parallel servers in one process — the test suite, or
@@ -181,6 +236,9 @@ pub(crate) struct NetMetrics {
     pub(crate) bytes_in: Counter,
     pub(crate) bytes_out: Counter,
     pub(crate) requests: Counter,
+    /// The two paths a request can take; they sum to `requests`.
+    pub(crate) requests_inline: Counter,
+    pub(crate) requests_queued: Counter,
     rtt_threshold: Histogram,
     rtt_top_k: Histogram,
     rtt_listing: Histogram,
@@ -198,6 +256,8 @@ impl NetMetrics {
             bytes_in: registry.counter("net.bytes_in"),
             bytes_out: registry.counter("net.bytes_out"),
             requests: registry.counter("net.requests"),
+            requests_inline: registry.counter("net.requests_inline"),
+            requests_queued: registry.counter("net.requests_queued"),
             rtt_threshold: registry.histogram("net.rtt_us.threshold"),
             rtt_top_k: registry.histogram("net.rtt_us.top_k"),
             rtt_listing: registry.histogram("net.rtt_us.listing"),

@@ -1,13 +1,13 @@
 //! Server/client equivalence: answers received over TCP are byte-identical
 //! to in-process `Engine` answers for all four query modes — from a `.coll`
 //! collection snapshot, from a live directory (including while ingest is
-//! racing the queries), and with both served concurrently to 8+
-//! connections.
+//! racing the queries), with both served concurrently to 8+ connections,
+//! and whichever thread the server answers on.
 
 use std::sync::Arc;
 
 use ustr_live::{LiveConfig, LiveService};
-use ustr_net::proto::{encode_frame, Frame};
+use ustr_net::proto::{encode_frame, frame_bytes, Frame, NET_MAGIC, PROTOCOL_VERSION};
 use ustr_net::{NetClient, NetServer, QueryBackend, QueryRequest, QueryResponse, ServerConfig};
 use ustr_service::{QueryService, ServiceConfig};
 use ustr_uncertain::UncertainString;
@@ -260,4 +260,118 @@ fn coll_and_live_directories_are_served_concurrently() {
     drop(live);
     let _ = std::fs::remove_file(&path);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The static service minus its opt-in: a backend that says nothing about
+/// inline answers, so the server queues every request on the pool.
+struct Declining(Arc<QueryService>);
+
+impl QueryBackend for Declining {
+    fn answer(
+        &self,
+        requests: &[QueryRequest],
+        parents: &[Option<ustr_obs::TraceContext>],
+    ) -> Vec<(
+        Result<QueryResponse, ustr_core::Error>,
+        Option<ustr_service::TraceSummary>,
+    )> {
+        self.0.answer(requests, parents)
+    }
+
+    fn execute(&self, job: Box<dyn FnOnce() + Send>) {
+        self.0.execute(job);
+    }
+
+    fn num_docs(&self) -> usize {
+        self.0.num_docs()
+    }
+
+    fn tau_min(&self) -> f64 {
+        self.0.tau_min()
+    }
+}
+
+/// One raw session: each request of `batch` in its own round trip, and the
+/// response frames exactly as they came off the wire.
+fn raw_response_frames(addr: std::net::SocketAddr, batch: &[QueryRequest]) -> Vec<Vec<u8>> {
+    use std::io::Write;
+    let mut raw = std::net::TcpStream::connect(addr).expect("connect");
+    let mut reader = std::io::BufReader::new(raw.try_clone().expect("clone"));
+    let max = ustr_net::DEFAULT_MAX_FRAME_LEN;
+    let mut exchange = |frame: Frame| {
+        raw.write_all(&frame_bytes(&frame)).expect("write");
+        ustr_store::read_frame(&mut reader, max)
+            .expect("read")
+            .expect("a reply")
+    };
+    exchange(Frame::Hello {
+        magic: NET_MAGIC,
+        version: PROTOCOL_VERSION,
+    });
+    let request = |(id, request): (usize, &QueryRequest)| Frame::Request {
+        id: id as u64,
+        request: request.clone(),
+        trace: None,
+    };
+    batch
+        .iter()
+        .enumerate()
+        .map(request)
+        .map(exchange)
+        .collect()
+}
+
+#[test]
+fn both_request_paths_put_byte_identical_frames_on_the_wire() {
+    // A collection small enough to be measured cheap even unoptimised, no
+    // result cache (every request computes), and one service behind both
+    // servers: primed in-process, it answers on the event loop where it may
+    // and on its pool where the wrapper keeps it off the loop.
+    let docs = generate_collection(&DatasetConfig::new(80, 0.25, 31));
+    let config = ServiceConfig {
+        threads: 2,
+        shards: 2,
+        cache_capacity: 0,
+        epsilon: Some(0.05),
+    };
+    let service = Arc::new(QueryService::build(&docs, 0.1, config).unwrap());
+    let batch = mixed_batch();
+    let expected: Vec<Vec<u8>> = service
+        .query_requests(&batch)
+        .into_iter()
+        .enumerate()
+        .map(|(id, result)| {
+            encode_frame(&Frame::Response {
+                id: id as u64,
+                result: Ok(result.expect("local answer")),
+                timings: Vec::new(),
+            })
+        })
+        .collect();
+
+    let serve = |backend: Arc<dyn QueryBackend>| {
+        NetServer::serve("127.0.0.1:0", backend, ServerConfig::default()).unwrap()
+    };
+    let path_counts = |server: &NetServer| {
+        let counters = server.metrics_snapshot().counters;
+        (
+            counters["net.requests_inline"],
+            counters["net.requests_queued"],
+        )
+    };
+    let inline = serve(Arc::clone(&service) as _);
+    let queued = serve(Arc::new(Declining(Arc::clone(&service))));
+    for round in 0..10 {
+        let on_loop = raw_response_frames(inline.local_addr(), &batch);
+        let on_pool = raw_response_frames(queued.local_addr(), &batch);
+        assert_eq!(on_loop, expected, "round {round}: inline vs in-process");
+        assert_eq!(on_pool, expected, "round {round}: queued vs in-process");
+    }
+    let requests = 10 * batch.len() as u64;
+    let (on_loop, on_pool) = path_counts(&inline);
+    assert!(on_loop > 0, "nothing was ever answered on the event loop");
+    assert_eq!(on_loop + on_pool, requests);
+    assert_eq!(path_counts(&queued), (0, requests));
+    inline.shutdown();
+    queued.shutdown();
 }

@@ -9,15 +9,17 @@
 //! once, and per-mode LRU caching keyed on the exact threshold.
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
+use std::time::Instant;
 
 use ustr_core::{Error, ListingHit};
 use ustr_uncertain::canon;
 
 use crate::sync::lock_clean;
 use ustr_obs::{
-    Counter, Histogram, MetricsRegistry, MetricsSnapshot, SlowQueryEntry, SlowQueryLog, Span,
-    SpanRecord, TraceContext, TraceSpan, Tracer,
+    Counter, Gauge, Histogram, MetricsRegistry, MetricsSnapshot, SlowQueryEntry, SlowQueryLog,
+    Span, SpanRecord, TraceContext, TraceSpan, Tracer,
 };
 use ustr_uncertain::kstats;
 
@@ -204,12 +206,82 @@ pub struct TraceSummary {
     pub spans: Vec<SpanRecord>,
 }
 
+/// Work under this many microseconds is *cheap*: doing it on the thread
+/// that holds it beats handing it to another one. The measurement that
+/// chose it: on `serve-wire` (62 documents, ~8 µs of work a request) the
+/// loop → worker → loop hand-off adds 75 µs to a round trip when the host
+/// schedules the guest slowly and 19 µs when it does so fast (CHANGES.md,
+/// PR 18). A thread that keeps a request for less than the hand-off costs
+/// delays whatever else it owes by less than handing *that* off would, so
+/// the line sits between the two readings. One constant serves the three
+/// questions that are the same question: is a request cheap enough to
+/// answer where it was read, is a fan-out cheap enough to need no helper,
+/// and has a thread with other duties done enough inline for now.
+const CHEAP_WORK_US: u64 = 50;
+
+fn ns_since(start: Instant) -> u64 {
+    u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX)
+}
+
+/// What a computed request costs *in work* — Σ segment-answer time + merge,
+/// not elapsed time, so it reads the same on whichever thread, with or
+/// without helpers, the request ran — as a decaying maximum: a sample above
+/// the estimate replaces it at once, a sample below lets it sink by an
+/// eighth. Cache hits and validation failures compute nothing and feed
+/// nothing.
+struct WorkEstimate {
+    /// Nanoseconds; [`WorkEstimate::UNPRIMED`] until the first sample.
+    ns: AtomicU64,
+    /// `service.inline_estimate_us`: the same number for a scrape, −1
+    /// while unprimed.
+    gauge: Gauge,
+}
+
+impl WorkEstimate {
+    const UNPRIMED: u64 = u64::MAX;
+
+    fn new(gauge: Gauge) -> Self {
+        gauge.set(-1);
+        Self {
+            ns: AtomicU64::new(Self::UNPRIMED),
+            gauge,
+        }
+    }
+
+    fn feed(&self, sample_ns: u64) {
+        let sample = sample_ns.min(Self::UNPRIMED - 1);
+        let fed = |old: u64| match old {
+            Self::UNPRIMED => sample,
+            old => sample.max(old - old / 8),
+        };
+        let step = |old| Some(fed(old));
+        // One atomic step, so a racing cheap sample never overwrites a slow one.
+        // ordering: Relaxed — a statistic that publishes no other data.
+        let replaced = self
+            .ns
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, step);
+        let (Ok(old) | Err(old)) = replaced;
+        self.gauge
+            .set(i64::try_from(fed(old) / 1_000).unwrap_or(i64::MAX));
+    }
+
+    /// Whether `requests` computed requests together are expected to stay
+    /// under [`CHEAP_WORK_US`]. Unprimed means *not* cheap: nothing is
+    /// assumed about a collection no request has yet been computed on.
+    fn is_cheap(&self, requests: usize) -> bool {
+        // ordering: Relaxed — see `feed`.
+        let ns = self.ns.load(Ordering::Relaxed);
+        ns != Self::UNPRIMED && ns.saturating_mul(requests as u64) < CHEAP_WORK_US * 1_000
+    }
+}
+
 /// The reusable dispatch core: a fixed thread pool plus an optional LRU
 /// result cache. Holds no documents — every batch runs over the
 /// [`SegmentSet`] it is handed.
 pub struct Engine {
     pool: ThreadPool,
     cache: Option<Mutex<LruCache<CacheKey, QueryResponse>>>,
+    work: WorkEstimate,
     metrics: EngineMetrics,
     slow_log: Arc<SlowQueryLog>,
     tracer: Arc<Tracer>,
@@ -219,10 +291,12 @@ impl Engine {
     /// Spawns `threads` workers (0 = one per available core);
     /// `cache_capacity` of 0 disables the result cache.
     pub fn new(threads: usize, cache_capacity: usize) -> Self {
+        let metrics = EngineMetrics::new();
         Self {
             pool: ThreadPool::new(threads),
             cache: (cache_capacity > 0).then(|| Mutex::new(LruCache::new(cache_capacity))),
-            metrics: EngineMetrics::new(),
+            work: WorkEstimate::new(metrics.registry.gauge("service.inline_estimate_us")),
+            metrics,
             slow_log: Arc::new(SlowQueryLog::default()),
             tracer: Arc::new(Tracer::new()),
         }
@@ -326,6 +400,52 @@ impl Engine {
         set: &dyn SegmentSet,
         requests: &[QueryRequest],
         parents: &[Option<TraceContext>],
+    ) -> Vec<(Result<QueryResponse, Error>, Option<TraceSummary>)> {
+        self.run_batch(set, requests, parents, false)
+    }
+
+    /// Answers one request **on the calling thread, or declines** (`None`:
+    /// nothing was computed, counted or traced — queue the request as
+    /// usual). For a caller with other duties — an event loop holding a
+    /// decoded request — that would rather not pay two thread wakes for a
+    /// few microseconds of work. It is answered here only while the
+    /// engine's measured estimate of a computed request's work and
+    /// `spent_us`, what the caller has already spent on such answers since
+    /// it last looked after its other duties, are each under the engine's
+    /// one cheapness constant. Deciding and answering are one call, so the
+    /// answer is computed without helper tickets whatever a concurrent
+    /// sample does to the estimate meanwhile: an inline answer waits on no
+    /// other thread. Same validation, cache, merge, tracing and accounting
+    /// as [`Engine::run_traced`] — same answer.
+    pub fn run_inline(
+        &self,
+        set: &dyn SegmentSet,
+        request: &QueryRequest,
+        parent: Option<TraceContext>,
+        spent_us: u64,
+    ) -> Option<(Result<QueryResponse, Error>, Option<TraceSummary>)> {
+        if spent_us >= CHEAP_WORK_US || !self.work.is_cheap(1) {
+            return None;
+        }
+        self.run_batch(
+            set,
+            std::slice::from_ref(request),
+            std::slice::from_ref(&parent),
+            true,
+        )
+        .pop()
+    }
+
+    /// The one dispatch path. `alone`: the caller may wait on no other
+    /// thread, so the fan-out gets no helper tickets; otherwise it gets
+    /// them unless the whole fan-out is expected to be cheaper than the
+    /// wake a helper costs.
+    fn run_batch(
+        &self,
+        set: &dyn SegmentSet,
+        requests: &[QueryRequest],
+        parents: &[Option<TraceContext>],
+        alone: bool,
     ) -> Vec<(Result<QueryResponse, Error>, Option<TraceSummary>)> {
         let batch_span = Span::on(self.metrics.batch_us.clone());
         self.metrics.requests.add(requests.len() as u64);
@@ -431,23 +551,31 @@ impl Engine {
             .flat_map(|f| (0..num_segments).map(|_| Mutex::new(f.child("segment_answer"))))
             .collect();
         let segment_us = self.metrics.segment_us.clone();
-        let answers = self.pool.scatter(pending.len() * num_segments, move |job| {
+        let helpers = if alone || self.work.is_cheap(pending.len()) {
+            0
+        } else {
+            usize::MAX
+        };
+        let jobs = pending.len() * num_segments;
+        let answers = self.pool.scatter(jobs, helpers, move |job| {
             let s = job % num_segments;
             let (Some(req), Some(segment), Some(seg_span)) = (
                 fanned.get(job / num_segments),
                 segments.get(s),
                 seg_spans.get(job),
             ) else {
-                return Err(Error::internal("a fan-out job fell outside the batch"));
+                let outside = Error::internal("a fan-out job fell outside the batch");
+                return (Err(outside), 0);
             };
             #[cfg(test)]
             assert!(pattern_of(req) != PANIC_PATTERN, "injected segment panic");
             let mut seg_span = std::mem::replace(&mut *lock_clean(seg_span), TraceSpan::disabled());
             seg_span.restart();
             let kernel_before = kstats::thread_totals();
-            let span = Span::on(segment_us.clone());
+            let started = Instant::now();
             let answer = segment.answer(req);
-            span.finish();
+            let work_ns = ns_since(started);
+            segment_us.record(work_ns / 1_000);
             if seg_span.is_recording() {
                 let d = kstats::thread_totals().since(&kernel_before);
                 seg_span.set_u64("segment", s as u64);
@@ -457,7 +585,7 @@ impl Engine {
                 seg_span.set_u64("cold_scans", d.cold_scans);
             }
             seg_span.finish();
-            answer
+            (answer, work_ns)
         });
         // Close every leader's fanout span now that all its segment
         // answers are in.
@@ -471,10 +599,16 @@ impl Engine {
         let merge_start_ns = self.tracer.now_ns();
         let mut answers = answers.into_iter();
         for &q in &pending {
+            let merge_started = Instant::now();
             let mut parts = Vec::with_capacity(num_segments);
             let mut error: Option<Error> = None;
+            let mut work_ns = 0u64;
             for slot in answers.by_ref().take(num_segments) {
-                match slot {
+                let answer = slot.map(|(answer, ns)| {
+                    work_ns = work_ns.saturating_add(ns);
+                    answer
+                });
+                match answer {
                     Some(Ok(part)) => parts.push(part),
                     Some(Err(e)) => {
                         // Keep the first (lowest-segment) error: deterministic.
@@ -495,6 +629,8 @@ impl Engine {
                 (None, Some(req)) => {
                     let response = merge_partials(req, parts);
                     self.cache_put(request_key(req, epoch), response.clone());
+                    self.work
+                        .feed(work_ns.saturating_add(ns_since(merge_started)));
                     Ok(response)
                 }
                 (None, None) => Err(Error::internal("a pending index fell outside the batch")),
@@ -712,5 +848,50 @@ impl Engine {
                 result
             })
             .collect()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const US: u64 = 1_000;
+
+    #[test]
+    fn the_work_estimate_is_a_decaying_maximum() {
+        let gauge = Gauge::new();
+        let work = WorkEstimate::new(gauge.clone());
+        assert!(!work.is_cheap(1), "unprimed is not cheap");
+        assert!(!work.is_cheap(0), "not even for no requests at all");
+        assert_eq!(gauge.get(), -1);
+
+        work.feed(8 * US);
+        assert!(work.is_cheap(1));
+        assert_eq!(gauge.get(), 8);
+        // A fan-out is cheap while *all* of it is expected under the line.
+        assert!(work.is_cheap((CHEAP_WORK_US / 8) as usize));
+        assert!(!work.is_cheap((CHEAP_WORK_US / 8) as usize + 1));
+
+        // One slow sample: not cheap at once.
+        work.feed(600 * US);
+        assert!(!work.is_cheap(1));
+        assert_eq!(gauge.get(), 600);
+        // Cheap samples let it sink by an eighth each: 600 → under 50 takes
+        // ⌈ln 12 / ln (8/7)⌉ = 19 of them, and not one fewer.
+        for _ in 0..18 {
+            work.feed(8 * US);
+        }
+        assert!(!work.is_cheap(1), "{} us", gauge.get());
+        work.feed(8 * US);
+        assert!(work.is_cheap(1), "{} us", gauge.get());
+        // ...and never below what the samples say.
+        for _ in 0..100 {
+            work.feed(8 * US);
+        }
+        assert_eq!(gauge.get(), 8);
+
+        // A sample exactly on the line is not under it.
+        work.feed(CHEAP_WORK_US * US);
+        assert!(!work.is_cheap(1));
     }
 }

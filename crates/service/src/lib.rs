@@ -15,9 +15,12 @@
 //!   [`ustr_core::ApproxIndex`]) per document.
 //! * **One fixed thread pool** — a batch fans out as one job per
 //!   `(request, shard)` pair over [`ThreadPool::scatter`], worked by the
-//!   calling thread beside the pool's workers. A front end queues its
-//!   request jobs on the same pool ([`QueryService::execute`]), so a
-//!   serving process runs `threads` query workers in all.
+//!   calling thread beside the pool's workers — and by it alone, no helper
+//!   woken, when the engine measures the fan-out to be cheaper than a wake.
+//!   A front end queues its request jobs on the same pool
+//!   ([`QueryService::execute`]), so a serving process runs `threads` query
+//!   workers in all; what the engine measures cheap it may answer on its
+//!   own thread instead ([`QueryService::answer_inline`]).
 //! * **Deterministic merge** — per-shard results are reassembled in shard
 //!   order (top-k answers are re-ranked with a total tie-break on
 //!   `(probability, doc, position)`), so a parallel batch returns *exactly*
@@ -470,6 +473,19 @@ impl QueryService {
         parents: &[Option<ustr_obs::TraceContext>],
     ) -> Vec<(Result<QueryResponse, Error>, Option<engine::TraceSummary>)> {
         self.engine.run_traced(self, requests, parents)
+    }
+
+    /// Answers one request on the calling thread when the engine measures
+    /// that to be cheaper than a hand-off, and declines (`None`) otherwise
+    /// — see [`Engine::run_inline`]. No lock on the way is ever held across
+    /// I/O: the shard list is fixed at assembly.
+    pub fn answer_inline(
+        &self,
+        request: &QueryRequest,
+        parent: Option<ustr_obs::TraceContext>,
+        spent_us: u64,
+    ) -> Option<(Result<QueryResponse, Error>, Option<engine::TraceSummary>)> {
+        self.engine.run_inline(self, request, parent, spent_us)
     }
 
     /// The engine's tracer: configure sampling with
@@ -976,6 +992,31 @@ mod tests {
         }
         // Both workers outlived the panics: the pool still fans out.
         assert!(service.query(b"AB", 0.3).is_ok());
+    }
+
+    #[test]
+    fn an_inline_answer_is_declined_until_measured_cheap_and_then_identical() {
+        let service = QueryService::build(&collection(), 0.05, config(2, 2, 0)).unwrap();
+        let batch = mixed_batch();
+        // Nothing computed yet: no collection is first met on the caller.
+        assert!(service.answer_inline(&batch[0], None, 0).is_none());
+        assert_eq!(service.metrics_snapshot().counters["service.requests"], 0);
+        let pooled = service.query_requests(&batch);
+        // One preempted sample may hold the estimate up for a few more; a
+        // five-document collection is cheap as soon as it is measured fairly.
+        let primed = (0..200).any(|_| {
+            service.query_requests(&batch[..1]);
+            service.answer_inline(&batch[0], None, 0).is_some()
+        });
+        assert!(primed, "{:?}", service.metrics_snapshot().gauges);
+        for (req, pooled) in batch.iter().zip(&pooled) {
+            if let Some((inline, _)) = service.answer_inline(req, None, 0) {
+                assert_eq!(&inline, pooled, "{req:?}");
+            }
+        }
+        // A caller that has spent its allowance is declined whatever the
+        // request costs.
+        assert!(service.answer_inline(&batch[0], None, u64::MAX).is_none());
     }
 
     #[test]

@@ -1,17 +1,54 @@
 //! A fixed-size thread pool over `std::sync` primitives (no external
-//! dependencies): one shared job queue, workers parked on a channel, and
+//! dependencies): one shared job queue, workers parked on a condvar, and
 //! one fan-out primitive ([`ThreadPool::scatter`]) that the thread asking
 //! for it works on too.
 
+use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
 use crate::sync::{lock_clean, wait_clean};
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
+
+/// The shared job queue. An idle worker waits on `ready` — never inside
+/// the mutex — so a queued job wakes exactly one thread, and none when
+/// every worker is busy.
+#[derive(Default)]
+struct Queue {
+    state: Mutex<QueueState>,
+    ready: Condvar,
+}
+
+#[derive(Default)]
+struct QueueState {
+    jobs: VecDeque<Job>,
+    /// Workers waiting on `ready`.
+    idle: usize,
+    /// The pool is dropping: workers exit once `jobs` runs dry.
+    closed: bool,
+}
+
+impl Queue {
+    /// The next job, waiting for one if need be; `None` once the pool has
+    /// closed and every queued job has been handed out.
+    fn next(&self) -> Option<Job> {
+        let mut state = lock_clean(&self.state);
+        loop {
+            if let Some(job) = state.jobs.pop_front() {
+                return Some(job);
+            }
+            if state.closed {
+                return None;
+            }
+            state.idle += 1;
+            state = wait_clean(&self.ready, state);
+            state.idle -= 1;
+        }
+    }
+}
 
 /// One [`ThreadPool::scatter`] call: the job, the cursor its workers claim
 /// indices from, and the result slots with a count of how many are in.
@@ -52,7 +89,7 @@ impl<T, F: Fn(usize) -> T> Scatter<T, F> {
 /// ordered fan-out goes through [`ThreadPool::scatter`].
 pub struct ThreadPool {
     workers: Vec<JoinHandle<()>>,
-    sender: Option<Sender<Job>>,
+    queue: Arc<Queue>,
 }
 
 impl ThreadPool {
@@ -62,36 +99,27 @@ impl ThreadPool {
             0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
             n => n,
         };
-        let (sender, receiver): (Sender<Job>, Receiver<Job>) = channel();
-        let receiver = Arc::new(Mutex::new(receiver));
+        let queue = Arc::new(Queue::default());
         // A failed spawn (thread exhaustion) degrades the pool instead of
         // panicking: remaining workers carry the load, and if none spawned
         // at all, `execute` runs jobs inline on the caller.
         let workers = (0..threads)
             .filter_map(|i| {
-                let receiver = Arc::clone(&receiver);
+                let queue = Arc::clone(&queue);
                 std::thread::Builder::new()
                     .name(format!("ustr-service-{i}"))
-                    .spawn(move || loop {
-                        let job = {
-                            let guard = lock_clean(&receiver);
-                            guard.recv()
-                        };
-                        match job {
-                            // A panicking job loses its own result, never
-                            // its worker: the unwind stops here and the
-                            // thread goes back to the queue.
-                            Ok(job) => drop(catch_unwind(AssertUnwindSafe(job))),
-                            Err(_) => break, // sender dropped: shut down
+                    .spawn(move || {
+                        // A panicking job loses its own result, never its
+                        // worker: the unwind stops here and the thread goes
+                        // back to the queue.
+                        while let Some(job) = queue.next() {
+                            drop(catch_unwind(AssertUnwindSafe(job)));
                         }
                     })
                     .ok()
             })
             .collect();
-        Self {
-            workers,
-            sender: Some(sender),
-        }
+        Self { workers, queue }
     }
 
     /// Number of worker threads.
@@ -103,29 +131,40 @@ impl ThreadPool {
     /// the caller: slower, but every submitted job still completes exactly
     /// once.
     pub fn execute(&self, job: impl FnOnce() + Send + 'static) {
-        let job: Job = Box::new(job);
-        match &self.sender {
-            Some(sender) => {
-                if let Err(returned) = sender.send(job) {
-                    (returned.0)();
-                }
-            }
-            None => job(),
+        if self.workers.is_empty() {
+            return job();
+        }
+        let wake = {
+            let mut state = lock_clean(&self.queue.state);
+            state.jobs.push_back(Box::new(job));
+            state.idle > 0
+        };
+        if wake {
+            self.queue.ready.notify_one();
         }
     }
 
     /// Runs `job(0) .. job(len - 1)` and returns their results in index
     /// order, `None` where a job panicked. The calling thread claims jobs
-    /// from a shared cursor beside at most `min(len - 1, threads)` helper
-    /// tickets on the queue, and the call returns once `len` results are
-    /// counted in — so it completes even when every worker is busy, and a
-    /// job running *on* the pool may scatter onto it. A ticket that starts
-    /// late finds the cursor spent and returns at once.
-    pub fn scatter<T, F>(&self, len: usize, job: F) -> Vec<Option<T>>
+    /// from a shared cursor beside at most `min(len - 1, threads, helpers)`
+    /// helper tickets on the queue, and the call returns once `len` results
+    /// are counted in — so it completes even when every worker is busy, and
+    /// a job running *on* the pool may scatter onto it. A ticket that
+    /// starts late finds the cursor spent and returns at once. With
+    /// `helpers == 0` — a fan-out expected to cost less than waking a
+    /// worker does — the caller runs every job itself and touches neither
+    /// the queue nor any other thread.
+    pub fn scatter<T, F>(&self, len: usize, helpers: usize, job: F) -> Vec<Option<T>>
     where
         T: Send + 'static,
         F: Fn(usize) -> T + Send + Sync + 'static,
     {
+        let tickets = len.saturating_sub(1).min(self.threads()).min(helpers);
+        if tickets == 0 {
+            return (0..len)
+                .map(|i| catch_unwind(AssertUnwindSafe(|| job(i))).ok())
+                .collect();
+        }
         let scatter = Arc::new(Scatter {
             len,
             job,
@@ -133,7 +172,7 @@ impl ThreadPool {
             results: Mutex::new(((0..len).map(|_| None).collect(), 0)),
             all_in: Condvar::new(),
         });
-        for _ in 0..len.saturating_sub(1).min(self.threads()) {
+        for _ in 0..tickets {
             let scatter = Arc::clone(&scatter);
             self.execute(move || scatter.work());
         }
@@ -148,11 +187,12 @@ impl ThreadPool {
 
 impl Drop for ThreadPool {
     fn drop(&mut self) {
-        // Closing the channel makes every worker's recv() fail and exit.
-        drop(self.sender.take());
+        // Closing the queue makes every worker exit once it runs dry.
+        lock_clean(&self.queue.state).closed = true;
+        self.queue.ready.notify_all();
         // A job may hold the last handle to this pool's owner, so the drop
         // can run *on* a worker. That thread cannot join itself; it exits
-        // on its own when the job returns and its recv() fails.
+        // on its own when the job returns and it finds the queue closed.
         let current = std::thread::current().id();
         for worker in self.workers.drain(..) {
             if worker.thread().id() != current {
@@ -165,6 +205,7 @@ impl Drop for ThreadPool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::mpsc::channel;
     use std::sync::Barrier;
     use std::time::Duration;
 
@@ -205,7 +246,7 @@ mod tests {
             let pool = Arc::new(ThreadPool::new(1));
             let (tx, rx) = channel();
             let handle = Arc::clone(&pool);
-            pool.execute(move || tx.send(handle.scatter(8, |i| i * i)).unwrap());
+            pool.execute(move || tx.send(handle.scatter(8, usize::MAX, |i| i * i)).unwrap());
             assert_eq!(rx.recv().unwrap(), squares(8));
         });
     }
@@ -222,7 +263,7 @@ mod tests {
                     (Arc::clone(&pool), Arc::clone(&both_running), tx.clone());
                 pool.execute(move || {
                     both_running.wait();
-                    tx.send(handle.scatter(8, |i| i * i)).unwrap();
+                    tx.send(handle.scatter(8, usize::MAX, |i| i * i)).unwrap();
                 });
             }
             assert_eq!(rx.recv().unwrap(), squares(8));
@@ -234,12 +275,28 @@ mod tests {
     fn a_panicking_scatter_job_leaves_none_in_its_slot() {
         watchdog(|| {
             let pool = ThreadPool::new(2);
-            let got = pool.scatter(5, |i| {
+            let got = pool.scatter(5, usize::MAX, |i| {
                 assert!(i != 2, "injected scatter panic");
                 i
             });
             assert_eq!(got, vec![Some(0), Some(1), None, Some(3), Some(4)]);
-            assert!(pool.scatter(0, |i| i).is_empty());
+            assert!(pool.scatter(0, usize::MAX, |i| i).is_empty());
+        });
+    }
+
+    #[test]
+    fn zero_helpers_keeps_the_whole_fan_out_on_the_caller() {
+        watchdog(|| {
+            let pool = ThreadPool::new(2);
+            let caller = std::thread::current().id();
+            let got = pool.scatter(5, 0, move |i| {
+                assert!(i != 2, "injected scatter panic");
+                std::thread::current().id() == caller
+            });
+            assert_eq!(
+                got,
+                vec![Some(true), Some(true), None, Some(true), Some(true)]
+            );
         });
     }
 
@@ -303,7 +360,7 @@ mod tests {
                 });
             }
             // Dropping waits for workers; queued jobs all run first because
-            // the channel drains before recv() errors.
+            // a worker exits only once the closed queue has run dry.
         }
         assert_eq!(counter.load(Ordering::SeqCst), 50);
     }

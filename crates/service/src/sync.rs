@@ -74,11 +74,6 @@ impl<T> WakeQueue<T> {
     pub fn drain(&self) -> std::collections::VecDeque<T> {
         std::mem::take(&mut *lock_clean(&self.items))
     }
-
-    /// `true` when nothing is queued.
-    pub fn is_empty(&self) -> bool {
-        lock_clean(&self.items).is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -110,7 +105,6 @@ mod tests {
         queue.push(3);
         assert_eq!(*wakes.lock().unwrap(), 1, "pushes onto non-empty coalesce");
         assert_eq!(queue.drain().into_iter().collect::<Vec<_>>(), vec![1, 2, 3]);
-        assert!(queue.is_empty());
 
         queue.push(4);
         assert_eq!(*wakes.lock().unwrap(), 2, "a drained queue wakes again");
