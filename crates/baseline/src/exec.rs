@@ -1,7 +1,7 @@
-//! [`ScanIndex`]: the scan-based [`QueryExecutor`].
+//! [`ScanIndex`]: the scan-based per-document executor.
 //!
-//! Wraps one [`UncertainString`] and answers the per-document query
-//! contract by scanning instead of building the paper's index.
+//! Wraps one [`UncertainString`] and answers the per-document queries
+//! (threshold, top-k) by scanning instead of building the paper's index.
 //! Construction builds only the flat [`ProbPlane`] — no transform, no
 //! suffix tree — which is exactly what a live memtable needs: a freshly
 //! ingested document is queryable immediately, and the answers are
@@ -9,7 +9,8 @@
 //! document at the same `τmin` returns (both report canonical
 //! probabilities recomputed from the model through the same
 //! [`MatchKernel`], both use the same threshold tolerance, and top-k uses
-//! the same total order — see [`ustr_core::QueryExecutor`]).
+//! the same total order, [`ustr_core::canonical_hit_order`], over the same
+//! candidate set, the threshold answer at `τmin`).
 //!
 //! The scan itself runs on the plane: candidate start positions are
 //! prefiltered with the presence bitmap of the *first* pattern character
@@ -19,12 +20,12 @@
 //! stays as the plane-free reference implementation the differential tests
 //! compare against.
 
-use ustr_core::{validate_pattern, validate_query, Error, QueryExecutor};
+use ustr_core::{validate_pattern, validate_query, Error};
 use ustr_uncertain::{canon, MatchKernel, ProbPlane, UncertainString};
 
 /// A scan-backed per-document query engine (O(n·σ) construction for the
-/// probability plane, O(n·m) queries) satisfying the [`QueryExecutor`]
-/// interchangeability contract.
+/// probability plane, O(n·m) queries), interchangeable with a built
+/// [`ustr_core::Index`] (see the module docs).
 #[derive(Debug, Clone)]
 pub struct ScanIndex {
     doc: UncertainString,
@@ -55,12 +56,6 @@ impl ScanIndex {
     /// The document's flat verification plane.
     pub fn plane(&self) -> &ProbPlane {
         &self.plane
-    }
-
-    /// Consumes the executor, returning the document (e.g. to build a real
-    /// index when the memtable is sealed).
-    pub fn into_source(self) -> UncertainString {
-        self.doc
     }
 
     /// The plane-backed scan shared by threshold and top-k: presence-row
@@ -96,14 +91,15 @@ impl ScanIndex {
         );
         hits
     }
-}
 
-impl QueryExecutor for ScanIndex {
-    fn tau_min(&self) -> f64 {
+    /// The smallest τ this executor accepts.
+    pub fn tau_min(&self) -> f64 {
         self.tau_min
     }
 
-    fn threshold_hits(&self, pattern: &[u8], tau: f64) -> Result<Vec<(usize, f64)>, Error> {
+    /// All `(position, probability)` occurrences of `pattern` with
+    /// probability ≥ `tau`, sorted by position. Requires `tau ≥ tau_min`.
+    pub fn threshold_hits(&self, pattern: &[u8], tau: f64) -> Result<Vec<(usize, f64)>, Error> {
         validate_query(pattern, tau, self.tau_min)?;
         // The kernel's log-domain early exit mirrors the index's RMQ report
         // threshold; the linear-domain filter mirrors the index's final
@@ -113,7 +109,9 @@ impl QueryExecutor for ScanIndex {
             .with_kernel(pattern, |kernel| self.scan(kernel, pattern, tau)))
     }
 
-    fn top_k_hits(&self, pattern: &[u8], k: usize) -> Result<Vec<(usize, f64)>, Error> {
+    /// The `k` most probable occurrences with probability ≥ `tau_min`, in
+    /// `(probability ↓, position ↑)` order.
+    pub fn top_k_hits(&self, pattern: &[u8], k: usize) -> Result<Vec<(usize, f64)>, Error> {
         validate_pattern(pattern)?;
         if k == 0 {
             return Ok(Vec::new());
@@ -152,7 +150,7 @@ mod tests {
             for tau in [0.05, 0.1, 0.4, 0.9] {
                 assert_eq!(
                     scan.threshold_hits(pattern, tau).unwrap(),
-                    QueryExecutor::threshold_hits(&idx, pattern, tau).unwrap(),
+                    idx.query(pattern, tau).unwrap().into_hits(),
                     "pattern {pattern:?} tau {tau}"
                 );
             }
@@ -169,7 +167,7 @@ mod tests {
             for k in [1usize, 2, 5, 100, 1 << 40, usize::MAX] {
                 assert_eq!(
                     scan.top_k_hits(pattern, k).unwrap(),
-                    QueryExecutor::top_k_hits(&idx, pattern, k).unwrap(),
+                    idx.query_top_k(pattern, k).unwrap(),
                     "pattern {pattern:?} k {k}"
                 );
             }
@@ -184,7 +182,7 @@ mod tests {
         let idx = Index::build(&s, 0.5).unwrap();
         let got = scan.top_k_hits(b"AB", 2).unwrap();
         assert_eq!(got, vec![(0, 1.0), (2, 1.0)], "smallest positions win");
-        assert_eq!(got, QueryExecutor::top_k_hits(&idx, b"AB", 2).unwrap());
+        assert_eq!(got, idx.query_top_k(b"AB", 2).unwrap());
     }
 
     #[test]
@@ -210,14 +208,14 @@ mod tests {
             for tau in [0.05, 0.2, 0.5] {
                 assert_eq!(
                     scan.threshold_hits(pattern, tau).unwrap(),
-                    QueryExecutor::threshold_hits(&idx, pattern, tau).unwrap(),
+                    idx.query(pattern, tau).unwrap().into_hits(),
                     "threshold {pattern:?} tau {tau}"
                 );
             }
             for k in [1usize, 2, 10] {
                 assert_eq!(
                     scan.top_k_hits(pattern, k).unwrap(),
-                    QueryExecutor::top_k_hits(&idx, pattern, k).unwrap(),
+                    idx.query_top_k(pattern, k).unwrap(),
                     "top-k {pattern:?} k {k}"
                 );
             }

@@ -13,9 +13,8 @@
 //! [`PossibleWorldOracle`] enumerates possible worlds outright and serves as
 //! the ground truth for every property test in the workspace.
 //!
-//! [`ScanIndex`] packages the scan strategy behind the `ustr-core`
-//! [`QueryExecutor`](ustr_core::QueryExecutor) contract: a per-document
-//! engine whose only construction cost is the flat
+//! [`ScanIndex`] packages the scan strategy as a per-document engine
+//! whose only construction cost is the flat
 //! [`ProbPlane`](ustr_uncertain::ProbPlane) (no transform, no suffix tree)
 //! and whose answers are bit-identical to a built index — the serving path
 //! for documents too young to have been indexed (the `ustr-live`

@@ -800,22 +800,21 @@ fn cmd_serve_net(args: &Args) -> Result<String, String> {
     if let Some(path) = args.get("port-file") {
         fs::write(path, format!("{bound}\n")).map_err(|e| format!("cannot write {path}: {e}"))?;
     }
-    // Optional plaintext exposition endpoint: process-global registry +
-    // kernel totals + this server's (and its backend's) instance metrics,
-    // scraped over HTTP while the query port serves traffic. The same
+    // Optional plaintext exposition endpoint: kernel totals + this
+    // server's (and its backend's) instance metrics, scraped over HTTP
+    // while the query port serves traffic. The same
     // endpoint serves the backend's finished traces as Chrome trace JSON
     // on /traces (an empty valid document until sampling is on).
     let _metrics_endpoint = match args.get("metrics-addr") {
         Some(maddr) => {
             let server_source = server.metrics_source();
             let source: ustr_obs::SnapshotFn = std::sync::Arc::new(move || {
-                let mut snap = ustr_obs::global().snapshot();
+                let mut snap = server_source();
                 let k = ustr_uncertain::kstats::kernel_totals();
                 snap.counters
                     .insert("kernel.candidates".into(), k.candidates);
                 snap.counters.insert("kernel.verified".into(), k.verified);
                 snap.counters.insert("kernel.kernel_ns".into(), k.kernel_ns);
-                snap.merge(&server_source());
                 snap
             });
             let traces: ustr_obs::TextFn = std::sync::Arc::new(server.trace_source());

@@ -28,12 +28,11 @@ use std::time::Instant;
 
 use ustr_rmq::{BlockRmq, Direction, Rmq, ThresholdReporter};
 use ustr_suffix::Ancestry;
-use ustr_uncertain::{canon, transform_with_options, Transformed, UncertainString};
+use ustr_uncertain::{canon, transform, Transformed, UncertainString};
 
 use crate::{
     carray::CumulativeLogProb,
     error::{validate_query, Error},
-    options::IndexOptions,
     result::QueryResult,
     // A link's in-memory form *is* its snapshot row.
     snapshot::{invalid, ApproxIndexState, ApproxLinkState as Link},
@@ -73,23 +72,12 @@ impl ApproxIndex {
     /// Builds the index for threshold floor `tau_min` and additive error
     /// `epsilon ∈ (0, 1)`.
     pub fn build(source: &UncertainString, tau_min: f64, epsilon: f64) -> Result<Self, Error> {
-        Self::build_with(source, tau_min, epsilon, &IndexOptions::default())
-    }
-
-    /// Builds with explicit [`IndexOptions`] (only the transform options are
-    /// consulted).
-    pub fn build_with(
-        source: &UncertainString,
-        tau_min: f64,
-        epsilon: f64,
-        options: &IndexOptions,
-    ) -> Result<Self, Error> {
         if !canon::valid_epsilon(epsilon) {
             return Err(Error::InvalidEpsilon { value: epsilon });
         }
         let start = Instant::now();
-        let transformed = transform_with_options(source, tau_min, &options.transform)?;
-        let text = ScoredText::build(transformed.special.chars(), transformed.special.probs());
+        let transformed = transform(source, tau_min)?;
+        let text = ScoredText::build(transformed.special.chars(), transformed.special.probs())?;
         let tree = &text.tree;
         let ancestry = Ancestry::build(tree);
 

@@ -3,11 +3,10 @@
 
 use std::time::Instant;
 
-use ustr_uncertain::{canon, transform_with_options, ProbPlane, Transformed, UncertainString};
+use ustr_uncertain::{canon, transform, ProbPlane, Transformed, UncertainString};
 
 use crate::{
     error::{validate_query, Error},
-    options::IndexOptions,
     result::QueryResult,
     snapshot::{invalid, IndexState},
     stats::BuildStats,
@@ -41,39 +40,21 @@ pub struct Index {
     transformed: Transformed,
     substrate: Substrate,
     tau_min: f64,
-    /// Whether the levels were built with duplicate masks — recorded for
-    /// the snapshot; queries aggregate by position either way.
-    dedup_enabled: bool,
     stats: BuildStats,
 }
 
 impl Index {
     /// Builds the index with construction-time threshold `tau_min ∈ (0, 1]`.
     pub fn build(source: &UncertainString, tau_min: f64) -> Result<Self, Error> {
-        Self::build_with(source, tau_min, &IndexOptions::default())
-    }
-
-    /// Builds with explicit [`IndexOptions`].
-    pub fn build_with(
-        source: &UncertainString,
-        tau_min: f64,
-        options: &IndexOptions,
-    ) -> Result<Self, Error> {
         let start = Instant::now();
-        let transformed = transform_with_options(source, tau_min, &options.transform)?;
+        let transformed = transform(source, tau_min)?;
         // `pos` is already the dedup key array: source position per text
         // position, `NO_POSITION` (= no key) at separators.
-        let dedup = if options.disable_dedup {
-            DedupStrategy::None
-        } else {
-            DedupStrategy::BySource(&transformed.pos)
-        };
         let substrate = Substrate::build(
             transformed.special.chars(),
             transformed.special.probs(),
-            options,
-            &dedup,
-        );
+            &DedupStrategy::BySource(&transformed.pos),
+        )?;
         let stats = BuildStats {
             source_len: source.len(),
             transformed_len: transformed.len(),
@@ -86,7 +67,6 @@ impl Index {
             transformed,
             substrate,
             tau_min,
-            dedup_enabled: !options.disable_dedup,
             stats,
         };
         idx.stats.heap_bytes = idx.heap_size();
@@ -108,7 +88,6 @@ impl Index {
             transformed: self.transformed.clone(),
             substrate: self.substrate.to_state(),
             tau_min: self.tau_min,
-            dedup_enabled: self.dedup_enabled,
             stats: self.stats.clone(),
         }
     }
@@ -145,7 +124,6 @@ impl Index {
             transformed: state.transformed,
             substrate,
             tau_min: state.tau_min,
-            dedup_enabled: state.dedup_enabled,
             stats: state.stats,
         })
     }
@@ -183,7 +161,7 @@ impl Index {
         // source model, never read off the stored prefix sums. The two agree
         // to float noise, but the canonical value is independent of the
         // transform's factor layout — so an index, a snapshot-loaded index,
-        // and a `QueryExecutor` that scans the source directly all report
+        // and an executor that scans the source directly all report
         // bit-identical probabilities. (Under correlation the stored values
         // are only upper bounds, making the recomputation mandatory rather
         // than merely canonical.) Recomputation goes through the flat
@@ -212,8 +190,8 @@ impl Index {
             );
         }
         // A duplicate-masked level reports each source position once; the
-        // blocking scheme, dedup-disabled builds and source-level masks
-        // under correlation may repeat one. Repeats carry the same canonical
+        // blocking scheme and source-level masks under correlation may
+        // repeat one. Repeats carry the same canonical
         // probability, so keep one per position.
         hits.sort_unstable_by_key(|&(p, _)| p);
         hits.dedup_by_key(|&mut (p, _)| p);
@@ -227,8 +205,8 @@ impl Index {
     /// The candidate set (exactly the occurrences a threshold query at
     /// `tau_min` would report) and the total `(probability ↓, position ↑)`
     /// order make the answer *canonical*: independent of heap arbitration
-    /// among ties and identical for any [`crate::QueryExecutor`] over the
-    /// same document. Probabilities are recomputed from the source model
+    /// among ties and identical for any other executor over the same
+    /// document. Probabilities are recomputed from the source model
     /// (see [`Index::query`]).
     pub fn query_top_k(&self, pattern: &[u8], k: usize) -> Result<Vec<(usize, f64)>, Error> {
         crate::error::validate_pattern(pattern)?;
@@ -398,30 +376,6 @@ mod tests {
         let got = idx.query(pattern, 0.05).unwrap().positions();
         let expected = NaiveScanner::find(&s, pattern, 0.05);
         assert_eq!(got, expected);
-    }
-
-    #[test]
-    fn dedup_ablation_gives_same_answers() {
-        let s = figure_10_string();
-        let idx = Index::build(&s, 0.1).unwrap();
-        let no_dedup = Index::build_with(
-            &s,
-            0.1,
-            &IndexOptions {
-                disable_dedup: true,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        for pattern in [&b"QP"[..], b"P", b"PA", b"QPP", b"SP"] {
-            for tau in [0.1, 0.3, 0.5] {
-                assert_eq!(
-                    idx.query(pattern, tau).unwrap().positions(),
-                    no_dedup.query(pattern, tau).unwrap().positions(),
-                    "pattern {pattern:?}"
-                );
-            }
-        }
     }
 
     #[test]

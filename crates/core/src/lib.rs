@@ -3,7 +3,10 @@
 //!
 //! Four indexes over character-level uncertain strings, all parameterised by
 //! a construction-time threshold `τmin` and answering queries for any
-//! `τ ≥ τmin`:
+//! `τ ≥ τmin`. As in the paper, `τmin` is the only construction parameter
+//! (plus ε for the approximate index; the special index, which needs no
+//! transform, takes none): the level ladder is derived from the text an
+//! index is built over.
 //!
 //! | Type | Paper | Problem | Service query mode |
 //! |---|---|---|---|
@@ -45,10 +48,8 @@
 mod approx;
 mod carray;
 mod error;
-mod executor;
 mod index;
 mod listing;
-mod options;
 mod result;
 pub mod snapshot;
 mod special;
@@ -57,11 +58,9 @@ mod substrate;
 
 pub use approx::ApproxIndex;
 pub use error::{validate_pattern, validate_query, Error};
-pub use executor::{canonical_hit_order, QueryExecutor};
 pub use index::Index;
 pub use listing::{ListingHit, ListingIndex, RelMetric};
-pub use options::IndexOptions;
-pub use result::QueryResult;
+pub use result::{canonical_hit_order, QueryResult};
 pub use snapshot::{
     ApproxIndexState, ApproxLinkState, IndexState, LevelsParts, ListingIndexState, LongLevelParts,
     ScoredTextState, ShortLevelParts, SpecialIndexState, SubstrateState,

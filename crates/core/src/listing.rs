@@ -4,14 +4,13 @@
 use std::collections::HashMap;
 use std::time::Instant;
 
-use ustr_uncertain::{canon, transform_with_options, PatternRanks, ProbPlane, UncertainString};
+use ustr_uncertain::{canon, transform, PatternRanks, ProbPlane, UncertainString};
 
 use crate::{
     error::{validate_query, Error},
-    options::IndexOptions,
     snapshot::{invalid, ListingIndexState},
     stats::BuildStats,
-    substrate::{DedupStrategy, Substrate, NO_KEY},
+    substrate::{check_text_len, DedupStrategy, Substrate, NO_KEY},
 };
 
 /// Relevance metric for string listing (§6).
@@ -77,26 +76,21 @@ const NONE32: u32 = NO_KEY;
 impl ListingIndex {
     /// Builds the index over `docs` with construction threshold `tau_min`.
     pub fn build(docs: &[UncertainString], tau_min: f64) -> Result<Self, Error> {
-        Self::build_with(docs, tau_min, &IndexOptions::default())
-    }
-
-    /// Builds with explicit [`IndexOptions`].
-    pub fn build_with(
-        docs: &[UncertainString],
-        tau_min: f64,
-        options: &IndexOptions,
-    ) -> Result<Self, Error> {
         let start = Instant::now();
+        // Document ids and `doc_base` offsets are stored as `u32`, like the
+        // text positions `Substrate::build` checks.
+        let source_total: usize = docs.iter().map(UncertainString::len).sum();
+        check_text_len(docs.len().max(source_total))?;
         let mut chars: Vec<u8> = Vec::new();
         let mut probs: Vec<f64> = Vec::new();
         let mut doc_of: Vec<u32> = Vec::new();
         let mut src_of: Vec<u32> = Vec::new();
         let mut doc_base: Vec<u32> = Vec::with_capacity(docs.len());
-        let mut source_total = 0usize;
+        let mut base = 0usize;
         let mut num_factors = 0usize;
         for (id, d) in docs.iter().enumerate() {
-            doc_base.push(source_total as u32);
-            let t = transform_with_options(d, tau_min, &options.transform)?;
+            doc_base.push(base as u32);
+            let t = transform(d, tau_min)?;
             num_factors += t.num_factors;
             chars.extend_from_slice(t.special.chars());
             probs.extend_from_slice(t.special.probs());
@@ -112,7 +106,7 @@ impl ListingIndex {
                     }
                 }
             }
-            source_total += d.len();
+            base += d.len();
         }
         let has_correlations = docs.iter().any(|d| !d.correlations().is_empty());
 
@@ -123,9 +117,7 @@ impl ListingIndex {
         // per document at query time. `doc_of` is already the document key
         // array (`NONE32` = no key).
         let source_keys: Vec<u32>;
-        let dedup = if options.disable_dedup {
-            DedupStrategy::None
-        } else if has_correlations {
+        let dedup = if has_correlations {
             source_keys = doc_of
                 .iter()
                 .zip(&src_of)
@@ -138,7 +130,7 @@ impl ListingIndex {
         } else {
             DedupStrategy::ByKeyMax(&doc_of)
         };
-        let substrate = Substrate::build(&chars, &probs, options, &dedup);
+        let substrate = Substrate::build(&chars, &probs, &dedup)?;
         let stats = BuildStats {
             source_len: source_total,
             transformed_len: chars.len(),

@@ -1,10 +1,20 @@
-//! Query result container.
+//! Query result container and the canonical order of its hits.
 
 /// Result of a substring-search query: occurrence positions with their
 /// occurrence probabilities, sorted by position.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct QueryResult {
     hits: Vec<(usize, f64)>,
+}
+
+/// The canonical total order for per-document hits: probability
+/// descending, then position ascending. Every top-k over one document —
+/// the built [`crate::Index`] or a scan of the source — ranks with exactly
+/// this comparator, so ties at the cut never depend on which one answered.
+pub fn canonical_hit_order(a: &(usize, f64), b: &(usize, f64)) -> std::cmp::Ordering {
+    b.1.partial_cmp(&a.1)
+        .unwrap_or(std::cmp::Ordering::Equal)
+        .then(a.0.cmp(&b.0))
 }
 
 impl QueryResult {

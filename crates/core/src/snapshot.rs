@@ -102,8 +102,6 @@ pub struct IndexState {
     pub substrate: SubstrateState,
     /// Construction-time threshold.
     pub tau_min: f64,
-    /// Whether per-level duplicate elimination was enabled at build time.
-    pub dedup_enabled: bool,
     /// Build statistics (the original build's numbers).
     pub stats: BuildStats,
 }

@@ -8,7 +8,6 @@ use ustr_uncertain::{canon, CorrelationSet, SpecialUncertainString};
 
 use crate::{
     error::{validate_query, Error},
-    options::IndexOptions,
     result::QueryResult,
     snapshot::{invalid, SpecialIndexState},
     stats::BuildStats,
@@ -47,24 +46,18 @@ pub struct SpecialIndex {
 impl SpecialIndex {
     /// Builds the index without correlations.
     pub fn build(special: &SpecialUncertainString) -> Result<Self, Error> {
-        Self::build_with(special, CorrelationSet::new(), &IndexOptions::default())
+        Self::build_correlated(special, CorrelationSet::new())
     }
 
-    /// Builds with correlations and explicit options.
-    pub fn build_with(
+    /// Builds the index with `correlations` attached to the string.
+    pub fn build_correlated(
         special: &SpecialUncertainString,
         correlations: CorrelationSet,
-        options: &IndexOptions,
     ) -> Result<Self, Error> {
         let start = Instant::now();
         // Every text position is a distinct occurrence position: nothing
         // to deduplicate.
-        let substrate = Substrate::build(
-            special.chars(),
-            special.probs(),
-            options,
-            &DedupStrategy::None,
-        );
+        let substrate = Substrate::build(special.chars(), special.probs(), &DedupStrategy::None)?;
         let boost_log = correlation_boost(special, &correlations);
         let stats = BuildStats {
             source_len: special.len(),
@@ -274,7 +267,7 @@ mod tests {
                 p_absent: 0.1,
             })
             .unwrap();
-        let idx = SpecialIndex::build_with(&x, corrs, &IndexOptions::default()).unwrap();
+        let idx = SpecialIndex::build_correlated(&x, corrs).unwrap();
         let r = idx.query(b"eqz", 0.5).unwrap();
         assert_eq!(r.positions(), vec![0]);
         assert!((r.hits()[0].1 - 0.9).abs() < 1e-9);

@@ -18,16 +18,28 @@ mod levels;
 mod topk;
 
 use ustr_suffix::SuffixTree;
+use ustr_uncertain::{ModelError, MAX_TEXT_LEN};
 
 use crate::{
     carray::CumulativeLogProb,
     error::Error,
-    options::IndexOptions,
     snapshot::{invalid, ScoredTextState, SubstrateState},
 };
 
 use levels::Levels;
 pub(crate) use levels::{DedupStrategy, NO_KEY};
+
+/// Refuses a length that `u32` positions (and one more slot than
+/// positions) cannot address.
+pub(crate) fn check_text_len(len: usize) -> Result<(), Error> {
+    if len > MAX_TEXT_LEN {
+        return Err(Error::Model(ModelError::TransformTooLarge {
+            produced: len,
+            limit: MAX_TEXT_LEN,
+        }));
+    }
+    Ok(())
+}
 
 /// A deterministic text with per-position probabilities: its suffix tree
 /// (pattern loci) and cumulative array `C` (O(1) window probabilities).
@@ -38,12 +50,14 @@ pub(crate) struct ScoredText {
 
 impl ScoredText {
     /// Builds over `chars` (byte 0 = factor separator) with one probability
-    /// per character.
-    pub(crate) fn build(chars: &[u8], probs: &[f64]) -> Self {
-        Self {
+    /// per character. Every index builds its text here, so this is where a
+    /// text too long for `u32` positions and slots is refused.
+    pub(crate) fn build(chars: &[u8], probs: &[f64]) -> Result<Self, Error> {
+        check_text_len(chars.len())?;
+        Ok(Self {
             tree: SuffixTree::build(chars.to_vec()),
             cum: CumulativeLogProb::new(probs, |i| chars[i] == 0),
-        }
+        })
     }
 
     /// Text position of the suffix in suffix-array slot `slot`.
@@ -135,18 +149,11 @@ impl Substrate {
     pub(crate) fn build(
         chars: &[u8],
         probs: &[f64],
-        options: &IndexOptions,
         dedup: &DedupStrategy<'_>,
-    ) -> Self {
-        let text = ScoredText::build(chars, probs);
-        let levels = Levels::build(
-            &text,
-            options.short_levels_for(text.tree.num_slots()),
-            options.ratio(),
-            !options.disable_long_levels,
-            dedup,
-        );
-        Self { text, levels }
+    ) -> Result<Self, Error> {
+        let text = ScoredText::build(chars, probs)?;
+        let levels = Levels::build(&text, dedup);
+        Ok(Self { text, levels })
     }
 
     /// Suffix range of `pattern`: an opaque `(l, r)` for the query methods
@@ -199,8 +206,9 @@ mod tests {
 
     /// Figure 5's string: 7 slots, 3 short levels, long levels at 3 and 6.
     fn banana_state() -> SubstrateState {
-        let options = IndexOptions::default();
-        Substrate::build(b"banana", &BANANA_PROBS, &options, &DedupStrategy::None).to_state()
+        Substrate::build(b"banana", &BANANA_PROBS, &DedupStrategy::None)
+            .unwrap()
+            .to_state()
     }
 
     fn rejection<T>(result: Result<T, Error>) -> String {
@@ -245,6 +253,18 @@ mod tests {
             let detail = rejection(Substrate::from_state(state));
             assert!(detail.contains(expected), "{expected:?}: got {detail:?}");
         }
+    }
+
+    /// `u32::MAX` is the "no position" value and the slot count is one
+    /// more than the length, so the last length that fits is one below it.
+    #[test]
+    fn a_text_too_long_for_u32_positions_is_refused() {
+        assert!(check_text_len(u32::MAX as usize - 1).is_ok());
+        let refused = check_text_len(u32::MAX as usize);
+        assert!(matches!(
+            refused,
+            Err(Error::Model(ModelError::TransformTooLarge { .. }))
+        ));
     }
 
     /// One row of the table through each public entry point: all four

@@ -49,10 +49,9 @@
 //! few slots whose run reaches its length.
 //!
 //! Temporary memory: the run lengths (one word per text position), one
-//! `u64` of level bits per slot, and the stamp table — `L × key space`
-//! words, the key space being the document's own (source positions, or
-//! document ids). At most [`CHUNK`] levels are swept together, so a very
-//! large `max_short_level` costs further sweeps, not a larger table.
+//! `u64` of level bits per slot — `L ≤ 32` for any text an index accepts —
+//! and the stamp table: `L × key space` words, the key space being the
+//! document's own (source positions, or document ids).
 
 use std::cmp::Ordering;
 use std::collections::HashSet;
@@ -145,56 +144,34 @@ fn plain(text: &ScoredText, len: usize) -> impl Fn(usize) -> f64 + Copy + '_ {
 }
 
 impl Levels {
-    /// Builds all levels over `text` (see the module docs). Slot 0 (the
-    /// virtual terminator) is always masked. `max_short` short levels are
-    /// built (lengths `1..=max_short`); long levels at `max_short·ratioᵏ`
-    /// while ≤ text length, unless `enable_long` is false.
-    pub(super) fn build(
-        text: &ScoredText,
-        max_short: usize,
-        ratio: usize,
-        enable_long: bool,
-        dedup: &DedupStrategy<'_>,
-    ) -> Self {
+    /// Builds all levels over `text` (see the module docs) on the ladder
+    /// [`ladder`] derives from it. Slot 0 (the virtual terminator) is
+    /// always masked.
+    pub(super) fn build(text: &ScoredText, dedup: &DedupStrategy<'_>) -> Self {
         let slots = text.tree.num_slots();
         let run = text.cum.run_lengths();
+        let (max_short, long_lens) = ladder(text);
+        let mut long_sweeps: Vec<LongSweep> =
+            long_lens.map(|len| LongSweep::new(len, slots)).collect();
 
-        let mut long_sweeps = Vec::new();
-        if enable_long {
-            let mut len = max_short;
-            while len <= text.cum.len().max(1) {
-                long_sweeps.push(LongSweep::new(len, slots));
-                match len.checked_mul(ratio) {
-                    Some(next) => len = next,
-                    None => break,
-                }
-            }
-        }
-
-        let mut short = Vec::with_capacity(max_short);
-        for lo in (0..max_short).step_by(CHUNK) {
-            let width = CHUNK.min(max_short - lo);
-            let keep = keep_sweep(text, &run, lo, width, dedup);
-            // The long levels ride along with the first chunk.
-            let long_now = if lo == 0 {
-                &mut long_sweeps[..]
-            } else {
-                &mut []
-            };
-            let swept = champion_sweep(text, &run, lo, width, keep.as_deref(), long_now);
-            for (i, (words, champions)) in swept.into_iter().enumerate() {
+        let keep = keep_sweep(text, &run, max_short, dedup);
+        let swept = champion_sweep(text, &run, max_short, keep.as_deref(), &mut long_sweeps);
+        let short = swept
+            .into_iter()
+            .enumerate()
+            .map(|(i, (words, champions))| {
                 let mask = BitVec { words };
                 let rmq = SampledRmq::from_parts(
                     slots,
                     SampledRmq::DEFAULT_BLOCK,
                     Direction::Max,
                     champions,
-                    &masked(&mask, text, lo + i + 1),
+                    &masked(&mask, text, i + 1),
                 )
                 .expect("the sweep yields one in-block champion per block");
-                short.push(ShortLevel { rmq, mask });
-            }
-        }
+                ShortLevel { rmq, mask }
+            })
+            .collect();
 
         let long = long_sweeps
             .into_iter()
@@ -346,7 +323,8 @@ impl Substrate {
             (v >= threshold).then(|| (text.pos(slot), v))
         };
         let Some(level) = levels.filter_level(m) else {
-            // No filter level available: scan the whole range.
+            // No filter level (`build` always makes one, a loaded snapshot
+            // may carry none): scan the whole range.
             return (l..=r).filter_map(exact).collect();
         };
         let filter = plain(text, level.len);
@@ -394,7 +372,7 @@ impl Substrate {
         }
         let exact = plain(text, m);
         let Some(level) = levels.filter_level(m) else {
-            // No blocking level: rank by scanning (rare; tiny texts only).
+            // No filter level, as in `report`: rank by scanning.
             let mut all: Vec<(usize, f64)> = (l..=r)
                 .filter_map(|j| {
                     let v = exact(j);
@@ -420,8 +398,23 @@ impl Substrate {
     }
 }
 
-/// Short levels swept together: one `u64` of per-slot level bits.
-const CHUNK: usize = 64;
+/// The level ladder, derived from the text and nothing else: short levels
+/// for the pattern lengths `1..=L`, `L = ⌈log₂(slots + 1)⌉` (the paper's
+/// `log n`), and the lengths of the long levels, `L·2ᵏ` up to the text
+/// length.
+fn ladder(text: &ScoredText) -> (usize, impl Iterator<Item = usize>) {
+    let max_short = (usize::BITS - text.tree.num_slots().leading_zeros()) as usize;
+    let text_len = text.cum.len().max(1);
+    let long = std::iter::successors(Some(max_short), |&len| len.checked_mul(2))
+        .take_while(move |&len| len <= text_len);
+    (max_short, long)
+}
+
+/// The sweeps hold a slot's short levels as the bits of one `u64`: level
+/// `ℓ` (pattern length `ℓ + 1`) is bit `ℓ`, and [`ladder`] cannot derive
+/// more levels than a `usize` has bits.
+const LEVEL_BITS: usize = u64::BITS as usize;
+const _: () = assert!(usize::BITS <= u64::BITS);
 
 /// `u64` with the low `n ≤ 64` bits set.
 #[inline]
@@ -433,11 +426,11 @@ fn low_bits(n: usize) -> u64 {
     }
 }
 
-/// How many of the chunk's levels `lo..lo + width` (level `ℓ` = pattern
-/// length `ℓ + 1`) a threshold `t` lies above: the levels `ℓ < t`.
+/// How many of the `levels` short levels a threshold `t` lies above: the
+/// levels `ℓ < t`.
 #[inline]
-fn levels_below(t: u32, lo: usize, width: usize) -> usize {
-    (t as usize).saturating_sub(lo).min(width)
+fn levels_below(t: u32, levels: usize) -> usize {
+    (t as usize).min(levels)
 }
 
 /// A key's current winner in one level's partition (`ByKeyMax`).
@@ -447,14 +440,14 @@ struct Best {
     value: f64,
 }
 
-/// The keep sweep: for every slot, bit `i` set when the slot stays visible
-/// at level `lo + i`, i.e. its window is finite and `dedup` does not hide
-/// it. `None` without dedup, where visibility is the run length alone.
+/// The keep sweep over the short levels `0..levels`: for every slot, bit
+/// `i` set when the slot stays visible at level `i`, i.e. its window is
+/// finite and `dedup` does not hide it. `None` without dedup, where
+/// visibility is the run length alone.
 fn keep_sweep(
     text: &ScoredText,
     run: &[u32],
-    lo: usize,
-    width: usize,
+    levels: usize,
     dedup: &DedupStrategy<'_>,
 ) -> Option<Vec<u64>> {
     let (keys, keep_max) = match *dedup {
@@ -472,22 +465,22 @@ fn keep_sweep(
         .max()
         .map_or(0, |&k| k as usize + 1);
 
-    // `stamp[key · width + i]`: the level-`lo + i` partition the key was
-    // last seen in. Partition ids start at 1 (slot 1 opens one at every
-    // level), so 0 is "never".
-    let mut stamp = vec![0u32; key_space * width];
+    // `stamp[key · levels + i]`: the level-`i` partition the key was last
+    // seen in. Partition ids start at 1 (slot 1 opens one at every level),
+    // so 0 is "never".
+    let mut stamp = vec![0u32; key_space * levels];
     let mut best = vec![
         Best {
             slot: 0,
             value: 0.0
         };
-        if keep_max { key_space * width } else { 0 }
+        if keep_max { key_space * levels } else { 0 }
     ];
-    let mut partition = [0u32; CHUNK];
+    let mut partition = [0u32; LEVEL_BITS];
     let mut keep = vec![0u64; sa.len()];
     for j in 1..sa.len() {
         // A level's partition ends where the LCP drops below its length.
-        for p in &mut partition[levels_below(lcp[j], lo, width)..width] {
+        for p in &mut partition[levels_below(lcp[j], levels)..levels] {
             *p += 1;
         }
         let x = sa[j] as usize;
@@ -495,13 +488,13 @@ fn keep_sweep(
         if key == NO_KEY {
             continue;
         }
-        let at = key as usize * width;
-        let finite = levels_below(run[x], lo, width);
+        let at = key as usize * levels;
+        let finite = levels_below(run[x], levels);
         let mut bits = 0u64;
         for i in 0..finite {
             let seen = std::mem::replace(&mut stamp[at + i], partition[i]) == partition[i];
             if keep_max {
-                let value = prefix[x + lo + i + 1] - prefix[x];
+                let value = prefix[x + i + 1] - prefix[x];
                 let incumbent = &mut best[at + i];
                 if seen {
                     if incumbent.value >= value {
@@ -559,16 +552,15 @@ impl LongSweep {
     }
 }
 
-/// The champion sweep over the chunk's levels `lo..lo + width`: per level
-/// its duplicate-mask words and per-block champions (leftmost maximum of
-/// the visible values; the block's first slot when none is). `keep` is the
+/// The champion sweep over the short levels `0..levels`: per level its
+/// duplicate-mask words and per-block champions (leftmost maximum of the
+/// visible values; the block's first slot when none is). `keep` is the
 /// [`keep_sweep`] result; `long` levels are offered every slot whose run
 /// reaches their length.
 fn champion_sweep(
     text: &ScoredText,
     run: &[u32],
-    lo: usize,
-    width: usize,
+    levels: usize,
     keep: Option<&[u64]>,
     long: &mut [LongSweep],
 ) -> Vec<(Vec<u64>, Vec<u32>)> {
@@ -577,28 +569,28 @@ fn champion_sweep(
     let sa = text.tree.sa_slots();
     let prefix = text.cum.prefix();
     let blocks = sa.len().div_ceil(BLOCK);
-    let mut levels: Vec<(Vec<u64>, Vec<u32>)> = (0..width)
+    let mut swept: Vec<(Vec<u64>, Vec<u32>)> = (0..levels)
         .map(|_| (Vec::with_capacity(blocks), Vec::with_capacity(blocks)))
         .collect();
-    let mut mask = [0u64; CHUNK];
-    let mut best = [f64::NEG_INFINITY; CHUNK];
-    let mut champion = [0u32; CHUNK];
+    let mut mask = [0u64; LEVEL_BITS];
+    let mut best = [f64::NEG_INFINITY; LEVEL_BITS];
+    let mut champion = [0u32; LEVEL_BITS];
     for start in (0..sa.len()).step_by(BLOCK) {
         let end = (start + BLOCK).min(sa.len());
         // With dedup every slot is masked until a kept bit says otherwise;
         // without, only the virtual-terminator slot is.
-        mask[..width].fill(match keep {
+        mask[..levels].fill(match keep {
             Some(_) => low_bits(end - start),
             None => u64::from(start == 0),
         });
-        best[..width].fill(f64::NEG_INFINITY);
-        champion[..width].fill(start as u32);
+        best[..levels].fill(f64::NEG_INFINITY);
+        champion[..levels].fill(start as u32);
         for j in start..end {
             let x = sa[j] as usize;
             let run_x = run[x];
             let mut bits = match keep {
                 Some(keep) => keep[j],
-                None => low_bits(levels_below(run_x, lo, width)),
+                None => low_bits(levels_below(run_x, levels)),
             };
             while bits != 0 {
                 let i = bits.trailing_zeros() as usize;
@@ -606,7 +598,7 @@ fn champion_sweep(
                 if keep.is_some() {
                     mask[i] &= !(1u64 << (j - start));
                 }
-                let value = prefix[x + lo + i + 1] - prefix[x];
+                let value = prefix[x + i + 1] - prefix[x];
                 if value > best[i] {
                     best[i] = value;
                     champion[i] = j as u32;
@@ -619,34 +611,30 @@ fn champion_sweep(
                 level.offer(j, prefix[x + level.len] - prefix[x]);
             }
         }
-        for (i, (words, champions)) in levels.iter_mut().enumerate() {
+        for (i, (words, champions)) in swept.iter_mut().enumerate() {
             words.push(mask[i]);
             champions.push(champion[i]);
         }
     }
-    levels
+    swept
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::IndexOptions;
     use proptest::prelude::*;
-    use std::collections::HashMap;
+    use std::collections::{BTreeMap, HashMap};
 
-    fn substrate(
-        text: &[u8],
-        probs: &[f64],
-        max_short: usize,
-        enable_long: bool,
-        dedup: &DedupStrategy<'_>,
-    ) -> Substrate {
-        let options = IndexOptions {
-            max_short_level: Some(max_short),
-            disable_long_levels: !enable_long,
-            ..Default::default()
-        };
-        Substrate::build(text, probs, &options, dedup)
+    fn substrate(text: &[u8], probs: &[f64], dedup: &DedupStrategy<'_>) -> Substrate {
+        Substrate::build(text, probs, dedup).unwrap()
+    }
+
+    /// `sub` as a snapshot written without long levels reloads: the one
+    /// door to a substrate whose long patterns have no filter level.
+    fn without_long_levels(sub: &Substrate) -> Substrate {
+        let mut state = sub.to_state();
+        state.levels.long = vec![];
+        Substrate::from_state(state).unwrap()
     }
 
     /// Reported `(text position, probability)` for `pattern` at `tau`,
@@ -668,7 +656,7 @@ mod tests {
     #[test]
     fn short_report_matches_brute_force() {
         let probs = [0.4, 0.7, 0.5, 0.8, 0.9, 0.6];
-        let sub = substrate(b"banana", &probs, 3, true, &DedupStrategy::None);
+        let sub = substrate(b"banana", &probs, &DedupStrategy::None);
         // Level 3 over the suffix range of "ana" with tau = 0.3: Figure 5
         // reports position 3 only (prob .432); position 1 has .28.
         let hits = report(&sub, b"ana", 0.3);
@@ -681,16 +669,17 @@ mod tests {
 
     #[test]
     fn long_report_verifies_exact_length() {
-        let sub = substrate(b"abababab", &[0.9; 8], 2, true, &DedupStrategy::None);
-        assert!(!sub.levels.long.is_empty());
-        // length 4 at 0.9^4 = .6561; threshold .6 keeps all three occurrences
-        let hits = report(&sub, b"abab", 0.6);
-        assert_eq!(positions(&sub, b"abab", 0.6), vec![0, 2, 4]);
+        // 9 slots: 4 short levels, long levels at 4 and 8.
+        let sub = substrate(b"abababab", &[0.9; 8], &DedupStrategy::None);
+        assert_eq!((sub.levels.short.len(), sub.levels.long.len()), (4, 2));
+        // length 5 at 0.9^5 = .59049; threshold .5 keeps both occurrences
+        let hits = report(&sub, b"ababa", 0.5);
+        assert_eq!(positions(&sub, b"ababa", 0.5), vec![0, 2]);
         for &(_, p) in &hits {
-            assert!((p - 0.9f64.powi(4)).abs() < 1e-9);
+            assert!((p - 0.9f64.powi(5)).abs() < 1e-9);
         }
-        // Threshold .66 rejects (0.6561 < 0.66).
-        assert!(report(&sub, b"abab", 0.66).is_empty());
+        // Threshold .6 rejects (0.59049 < 0.6).
+        assert!(report(&sub, b"ababa", 0.6).is_empty());
     }
 
     #[test]
@@ -700,7 +689,7 @@ mod tests {
         let probs = [0.5, 0.5, 1.0, 0.5, 0.5, 1.0];
         // Every real position pretends to be source 7.
         let keys = [7, 7, NO_KEY, 7, 7, NO_KEY];
-        let sub = substrate(text, &probs, 2, false, &DedupStrategy::BySource(&keys));
+        let sub = substrate(text, &probs, &DedupStrategy::BySource(&keys));
         assert_eq!(
             report(&sub, b"AB", 0.2).len(),
             1,
@@ -714,7 +703,7 @@ mod tests {
         let text = b"AB\0AB\0";
         let probs = [0.5, 0.5, 1.0, 0.9, 0.9, 1.0];
         let keys = [0, 0, NO_KEY, 0, 0, NO_KEY]; // one document
-        let sub = substrate(text, &probs, 2, false, &DedupStrategy::ByKeyMax(&keys));
+        let sub = substrate(text, &probs, &DedupStrategy::ByKeyMax(&keys));
         let hits = report(&sub, b"AB", 0.1);
         assert_eq!(hits.len(), 1);
         assert!((hits[0].1 - 0.81).abs() < 1e-9, "max entry kept");
@@ -722,31 +711,135 @@ mod tests {
 
     #[test]
     fn sentinel_windows_never_report() {
-        let sub = substrate(b"A\0B", &[0.9, 1.0, 0.9], 2, false, &DedupStrategy::None);
+        let sub = substrate(b"A\0B", &[0.9, 1.0, 0.9], &DedupStrategy::None);
         // "A\0" would cross the separator: the window is -inf at level 2.
         let (l, r) = sub.range(b"A").unwrap();
         assert!(sub.report(2, l, r, 0.001f64.ln()).is_empty());
     }
 
+    /// A 48-character text for the matrix below: 6 short levels and long
+    /// levels at 6, 12, 24 and 48. Characters repeat with period 3 and
+    /// probabilities with period 6, broken by one separator, so a pattern
+    /// matches at two residues with two different values.
+    fn periodic_text() -> (Vec<u8>, Vec<f64>) {
+        const PROBS: [f64; 6] = [0.9, 1.0, 0.8, 1.0, 0.95, 0.9];
+        let mut chars: Vec<u8> = (0..48).map(|x| b"abc"[x % 3]).collect();
+        chars[30] = 0;
+        let probs = (0..48)
+            .map(|x| if x == 30 { 1.0 } else { PROBS[x % 6] })
+            .collect();
+        (chars, probs)
+    }
+
+    /// Per key (the text position without dedup) the best window among
+    /// `hits`, as probabilities.
+    fn best_per_key(
+        hits: impl IntoIterator<Item = (usize, f64)>,
+        keys: Option<&[u32]>,
+    ) -> BTreeMap<u32, f64> {
+        let mut best = BTreeMap::new();
+        for (x, p) in hits {
+            let key = keys.map_or(x as u32, |keys| keys[x]);
+            let entry = best.entry(key).or_insert(0.0f64);
+            *entry = entry.max(p);
+        }
+        best
+    }
+
+    /// `report` and `top_k` over [`periodic_text`] against brute force, for
+    /// every distinct separator-free substring of the lengths `lens`, three
+    /// thresholds and all three strategies. `prepare` may rebuild the
+    /// substrate; `deduplicated` says whether each key must come back once.
+    fn check_against_brute_force(
+        lens: &[usize],
+        prepare: impl Fn(Substrate) -> Substrate,
+        deduplicated: bool,
+    ) {
+        let (chars, probs) = periodic_text();
+        // Equal key ⇒ equal value for one pattern, as for source positions.
+        let by_source: Vec<u32> = (0..48)
+            .map(|x| if x == 30 { NO_KEY } else { x as u32 % 6 })
+            .collect();
+        // "Documents" of ten positions: both residues meet inside one key.
+        let by_key: Vec<u32> = (0..48)
+            .map(|x| if x == 30 { NO_KEY } else { x as u32 / 10 })
+            .collect();
+        for (dedup, keys) in [
+            (DedupStrategy::None, None),
+            (DedupStrategy::BySource(&by_source), Some(&by_source[..])),
+            (DedupStrategy::ByKeyMax(&by_key), Some(&by_key[..])),
+        ] {
+            let sub = prepare(substrate(&chars, &probs, &dedup));
+            for &m in lens {
+                let mut patterns: Vec<&[u8]> =
+                    chars.windows(m).filter(|w| !w.contains(&0)).collect();
+                patterns.sort_unstable();
+                patterns.dedup();
+                assert!(!patterns.is_empty(), "no pattern of length {m}");
+                for pattern in patterns {
+                    let all = best_per_key(
+                        (0..=48 - m)
+                            .filter(|&x| &chars[x..x + m] == pattern)
+                            .map(|x| (x, probs[x..x + m].iter().product())),
+                        keys,
+                    );
+                    for tau in [0.05, 0.33, 0.62] {
+                        let hits = report(&sub, pattern, tau);
+                        let got = best_per_key(hits.iter().copied(), keys);
+                        let expected: Vec<_> = all.iter().filter(|e| *e.1 >= tau).collect();
+                        let context = format!("{:?} at {tau}", String::from_utf8_lossy(pattern));
+                        assert_eq!(got.len(), expected.len(), "{context}");
+                        for ((k, p), (ek, ep)) in got.iter().zip(expected) {
+                            assert_eq!(k, ek, "{context}");
+                            assert!((p - ep).abs() < 1e-9, "{context}: {p} vs {ep}");
+                        }
+                        if deduplicated {
+                            assert_eq!(hits.len(), got.len(), "{context}: a key twice");
+                        }
+                    }
+                    // Top-k: the k best distinct keys, best first.
+                    let (l, r) = sub.range(pattern).unwrap();
+                    let key_of = |x: usize| Some(keys.map_or(x as u32, |keys| keys[x]) as usize);
+                    let top = sub.top_k(m, l, r, 3, f64::MIN, key_of);
+                    let mut ranked: Vec<f64> = all.values().copied().collect();
+                    ranked.sort_by(|a, b| b.total_cmp(a));
+                    ranked.truncate(3);
+                    assert_eq!(top.len(), ranked.len());
+                    for ((_, v), p) in top.iter().zip(ranked) {
+                        assert!((v.exp() - p).abs() < 1e-9, "top-k of {pattern:?}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn short_levels_match_brute_force() {
+        check_against_brute_force(&[1, 2, 3, 5, 6], |sub| sub, true);
+    }
+
+    #[test]
+    fn long_levels_match_brute_force() {
+        // Filter levels 6, 12 and 24; the blocking scheme may repeat a key.
+        let two_long = |sub: Substrate| {
+            assert!(sub.levels.short.len() == 6 && sub.levels.long.len() >= 2);
+            sub
+        };
+        check_against_brute_force(&[7, 12, 13, 17], two_long, false);
+    }
+
     #[test]
     fn report_without_long_levels_falls_back_to_scan() {
-        let sub = substrate(b"aaaa", &[0.9; 4], 1, false, &DedupStrategy::None);
-        assert!(sub.levels.long.is_empty());
-        assert_eq!(report(&sub, b"aa", 0.5).len(), 3);
+        check_against_brute_force(&[7, 13, 17], |sub| without_long_levels(&sub), false);
     }
 
     /// The per-level construction the sweeps replaced, kept as their
     /// reference: for each level on its own, one pass over the slots for
     /// the duplicate mask (hash maps keyed by dedup key), then
     /// `SampledRmq::new` over the masked accessor.
-    fn reference_parts(
-        text: &ScoredText,
-        max_short: usize,
-        ratio: usize,
-        enable_long: bool,
-        dedup: &DedupStrategy<'_>,
-    ) -> LevelsParts {
+    fn reference_parts(text: &ScoredText, dedup: &DedupStrategy<'_>) -> LevelsParts {
         let slots = text.tree.num_slots();
+        let (max_short, long_lens) = ladder(text);
         let short = (1..=max_short)
             .map(|i| {
                 let mask = BitVec {
@@ -760,20 +853,17 @@ mod tests {
                 }
             })
             .collect();
-        let mut long = Vec::new();
-        let mut len = max_short;
-        while enable_long && len <= text.cum.len().max(1) {
-            let rmq = SampledRmq::with_block_size(slots, len, Direction::Max, &plain(text, len));
-            long.push(LongLevelParts {
-                len,
-                block_size: rmq.block_size(),
-                champions: rmq.champions().to_vec(),
-            });
-            match len.checked_mul(ratio) {
-                Some(next) => len = next,
-                None => break,
-            }
-        }
+        let long = long_lens
+            .map(|len| {
+                let rmq =
+                    SampledRmq::with_block_size(slots, len, Direction::Max, &plain(text, len));
+                LongLevelParts {
+                    len,
+                    block_size: rmq.block_size(),
+                    champions: rmq.champions().to_vec(),
+                }
+            })
+            .collect();
         LevelsParts {
             max_short,
             short,
@@ -875,25 +965,21 @@ mod tests {
                 prop::collection::vec(position(2), 1..40),
                 // Several blocks.
                 prop::collection::vec(position(1), 40..200),
-                // No separators: runs longer than one chunk of levels.
+                // No separators: runs that reach every long level.
                 prop::collection::vec(position(0), 60..160),
             ],
-            // Up to past one chunk of levels, and past the text length.
-            max_short in prop::sample::select(vec![1usize, 2, 3, 7, 64, 65, 100, 250]),
-            ratio in 2usize..4,
-            enable_long in any::<bool>(),
         ) {
             let chars: Vec<u8> = positions.iter().map(|p| p.0).collect();
             let probs: Vec<f64> = positions.iter().map(|p| p.1).collect();
             let keys: Vec<u32> = positions.iter().map(|p| p.2).collect();
-            let text = ScoredText::build(&chars, &probs);
+            let text = ScoredText::build(&chars, &probs).unwrap();
             for dedup in [
                 DedupStrategy::None,
                 DedupStrategy::BySource(&keys),
                 DedupStrategy::ByKeyMax(&keys),
             ] {
-                let fused = Levels::build(&text, max_short, ratio, enable_long, &dedup).to_parts();
-                let reference = reference_parts(&text, max_short, ratio, enable_long, &dedup);
+                let fused = Levels::build(&text, &dedup).to_parts();
+                let reference = reference_parts(&text, &dedup);
                 prop_assert_eq!(fused.short.len(), reference.short.len());
                 for (i, (f, r)) in fused.short.iter().zip(&reference.short).enumerate() {
                     prop_assert_eq!(&f.mask_words, &r.mask_words, "mask of level {}", i + 1);

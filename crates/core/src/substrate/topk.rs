@@ -15,7 +15,7 @@
 //! are the *stored* window products read off the cumulative array; the
 //! index types re-verify every emitted source through the flat
 //! [`ustr_uncertain::ProbPlane`] kernel to produce the canonical
-//! probabilities the [`crate::QueryExecutor`] contract reports.
+//! probabilities every executor over the document reports.
 
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashSet};

@@ -46,7 +46,7 @@
 //! exists).
 //!
 //! Because the memtable's scan executor and a built index satisfy the
-//! [`ustr_core::QueryExecutor`] interchangeability contract, a
+//! [`ustr_service::DocExecutor`] interchangeability contract, a
 //! [`LiveService`] answers **byte-identically** to a static
 //! [`ustr_service::QueryService`] rebuilt from scratch over the same live
 //! documents — before, during, and after any seal or compaction.
@@ -1572,7 +1572,7 @@ mod tests {
             };
             assert!(detail.contains(expect), "{detail}");
             match QueryService::load_collection(dir.join(file), ServiceConfig::default()) {
-                Err(ustr_service::ServiceError::Store(StoreError::Corrupt { detail: d })) => {
+                Err(StoreError::Corrupt { detail: d }) => {
                     assert_eq!(d, detail)
                 }
                 _ => panic!("{expect}: load_collection must report Corrupt"),

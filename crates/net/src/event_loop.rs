@@ -47,11 +47,11 @@ use std::io::Read;
 use std::net::{TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
 
-use ustr_obs::{Span, TraceContext};
+use ustr_obs::{Counter, Gauge, MetricsRegistry, Span, TraceContext};
 use ustr_poll::{Interest, Poller, Waker};
 use ustr_service::{mode_name, QueryRequest, WakeQueue};
 
@@ -178,72 +178,46 @@ pub(crate) struct LoopHandle {
     pub(crate) waker: Arc<Waker>,
 }
 
-/// Event-loop telemetry, shared by all loops of one server. Kept *outside*
-/// the server's metrics registry on purpose: a `Stats` scrape over TCP is
-/// itself readiness events and wakeups, so folding these counters into the
-/// TCP stats answer would break its byte-stability guarantee. They are
-/// exposed through [`crate::NetServer::loop_stats`] and folded into the
-/// HTTP [`crate::NetServer::metrics_source`] exposition instead.
-#[derive(Default)]
-pub struct LoopStats {
-    ready_events: AtomicU64,
-    wakeups: AtomicU64,
-    registered_conns: AtomicI64,
-    reaped_idle: AtomicU64,
-    reaped_draining: AtomicU64,
-    budget_closes: AtomicU64,
+/// Event-loop telemetry, shared by all loops of one server: handles into a
+/// registry of its own, kept *beside* the server's main one on purpose. A
+/// `Stats` scrape over TCP is itself readiness events and wakeups, so
+/// folding these counters into the TCP stats answer would break its
+/// byte-stability guarantee. They are exposed through
+/// [`crate::NetServer::loop_stats`] and merged into the HTTP
+/// [`crate::NetServer::metrics_source`] exposition instead.
+pub(crate) struct LoopStats {
+    pub(crate) registry: MetricsRegistry,
+    ready_events: Counter,
+    wakeups: Counter,
+    conns_registered: Gauge,
+    reaped_idle: Counter,
+    reaped_draining: Counter,
+    budget_closes: Counter,
 }
 
 impl LoopStats {
-    fn note_events(&self, n: u64) {
-        // ordering: Relaxed — monotonic telemetry counter, no reader
-        // infers cross-thread state from it.
-        self.ready_events.fetch_add(n, Ordering::Relaxed);
-    }
-
-    fn note_wakeup(&self) {
-        // ordering: Relaxed — monotonic telemetry counter.
-        self.wakeups.fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn conn_registered(&self) {
-        // ordering: Relaxed — telemetry gauge; loops never branch on it.
-        self.registered_conns.fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn conn_deregistered(&self) {
-        // ordering: Relaxed — telemetry gauge.
-        self.registered_conns.fetch_sub(1, Ordering::Relaxed);
-    }
-
-    fn note_reaped_idle(&self) {
-        // ordering: Relaxed — monotonic telemetry counter.
-        self.reaped_idle.fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn note_reaped_draining(&self) {
-        // ordering: Relaxed — monotonic telemetry counter.
-        self.reaped_draining.fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn note_budget_close(&self) {
-        // ordering: Relaxed — monotonic telemetry counter.
-        self.budget_closes.fetch_add(1, Ordering::Relaxed);
+    pub(crate) fn new() -> Self {
+        let registry = MetricsRegistry::default();
+        Self {
+            ready_events: registry.counter("net.loop.ready_events"),
+            wakeups: registry.counter("net.loop.wakeups"),
+            conns_registered: registry.gauge("net.loop.conns_registered"),
+            reaped_idle: registry.counter("net.loop.reaped_idle"),
+            reaped_draining: registry.counter("net.loop.reaped_draining"),
+            budget_closes: registry.counter("net.loop.budget_closes"),
+            registry,
+        }
     }
 
     /// Point-in-time copy of the loop counters.
-    pub fn snapshot(&self) -> LoopStatsSnapshot {
+    pub(crate) fn snapshot(&self) -> LoopStatsSnapshot {
         LoopStatsSnapshot {
-            // ordering: Relaxed — a telemetry read; slight skew between
-            // the three loads is acceptable.
-            ready_events: self.ready_events.load(Ordering::Relaxed),
-            wakeups: self.wakeups.load(Ordering::Relaxed),
-            // ordering: Relaxed — same telemetry read as above.
-            registered_conns: self.registered_conns.load(Ordering::Relaxed).max(0) as u64,
-            // ordering: Relaxed — telemetry reads.
-            reaped_idle: self.reaped_idle.load(Ordering::Relaxed),
-            reaped_draining: self.reaped_draining.load(Ordering::Relaxed),
-            budget_closes: self.budget_closes.load(Ordering::Relaxed),
+            ready_events: self.ready_events.get(),
+            wakeups: self.wakeups.get(),
+            registered_conns: self.conns_registered.get().max(0) as u64,
+            reaped_idle: self.reaped_idle.get(),
+            reaped_draining: self.reaped_draining.get(),
+            budget_closes: self.budget_closes.get(),
         }
     }
 }
@@ -411,13 +385,13 @@ impl EventLoop {
                 self.force_close_all();
                 continue;
             }
-            self.shared.loop_stats.note_events(events.len() as u64);
+            self.shared.loop_stats.ready_events.add(events.len() as u64);
             self.inline_us = 0;
             for ev in events.drain(..) {
                 match ev.token {
                     LISTENER_TOKEN => self.accept_burst(),
                     WAKER_TOKEN => {
-                        self.shared.loop_stats.note_wakeup();
+                        self.shared.loop_stats.wakeups.inc();
                         self.waker.drain();
                     }
                     id => self.pump(id, ev.readable || ev.hangup, ev.hangup),
@@ -464,7 +438,7 @@ impl EventLoop {
             .map(|c| c.id)
             .collect();
         for id in expired {
-            self.shared.loop_stats.note_reaped_idle();
+            self.shared.loop_stats.reaped_idle.inc();
             self.close_conn(id);
         }
     }
@@ -515,7 +489,7 @@ impl EventLoop {
             self.shared.release_active();
             return;
         }
-        self.shared.loop_stats.conn_registered();
+        self.shared.loop_stats.conns_registered.add(1);
         self.conns.insert(
             id,
             Conn {
@@ -642,7 +616,7 @@ impl EventLoop {
     /// counter it joined.
     fn retire(&self, conn: Conn) {
         let _ = self.poller.deregister(conn.stream.as_raw_fd());
-        self.shared.loop_stats.conn_deregistered();
+        self.shared.loop_stats.conns_registered.sub(1);
         if conn.counted {
             self.shared.metrics.conns_open.sub(1);
         }
@@ -665,7 +639,7 @@ impl EventLoop {
             // peer disconnect; `drive` counts the monitor-read variant
             // itself, so only the hangup-while-alive path counts here.
             if alive && hangup && conn.phase == Phase::Draining && !conn.finale_queued {
-                self.shared.loop_stats.note_reaped_draining();
+                self.shared.loop_stats.reaped_draining.inc();
             }
             self.retire(conn);
             return;
@@ -730,7 +704,7 @@ impl EventLoop {
                     Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
                     Err(_) => {
                         if conn.phase == Phase::Draining && !conn.finale_queued {
-                            self.shared.loop_stats.note_reaped_draining();
+                            self.shared.loop_stats.reaped_draining.inc();
                         }
                         return false;
                     }
@@ -768,7 +742,7 @@ impl EventLoop {
                     err_code::ERROR_BUDGET_EXCEEDED,
                     format!("connection exceeded its error budget ({budget} failing requests)"),
                 );
-                self.shared.loop_stats.note_budget_close();
+                self.shared.loop_stats.budget_closes.inc();
             }
 
             // A clean end of stream (EOF at a frame boundary, or the

@@ -658,6 +658,14 @@ mod tests {
         }
         assert_eq!(server.active_connections(), 0, "the idle session lingers");
         assert_eq!(server.loop_stats().reaped_idle, 1);
+        // The HTTP exposition carries the same counters, the TCP one none.
+        let exposed = server.metrics_source()();
+        assert_eq!(exposed.counters["net.loop.reaped_idle"], 1);
+        assert_eq!(exposed.gauges["net.loop.conns_registered"], 0);
+        assert!(!server
+            .metrics_snapshot()
+            .counters
+            .contains_key("net.loop.reaped_idle"));
         let after = client.query(b"AB", 0.3);
         assert!(after.is_err(), "the reaped session is gone");
         server.shutdown();

@@ -15,7 +15,6 @@
 use std::net::ToSocketAddrs;
 use std::time::Duration;
 
-use ustr_obs::{Counter, MetricsRegistry};
 use ustr_service::{QueryRequest, QueryResponse};
 
 use crate::client::{ClientConfig, NetClient, NetError};
@@ -62,9 +61,7 @@ impl RetryPolicy {
     }
 }
 
-/// Counters describing what a [`ResilientClient`] had to do. Exposed for
-/// telemetry wiring; also registered as `net.client.*` counters when the
-/// client is built with [`ResilientClient::bind_metrics`].
+/// Counters describing what a [`ResilientClient`] had to do.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RetryStats {
     /// Transient failures that triggered a backoff + retry.
@@ -85,9 +82,6 @@ pub struct ResilientClient {
     config: ClientConfig,
     client: Option<NetClient>,
     stats: RetryStats,
-    retries_metric: Option<Counter>,
-    reconnects_metric: Option<Counter>,
-    timeouts_metric: Option<Counter>,
 }
 
 impl ResilientClient {
@@ -99,19 +93,7 @@ impl ResilientClient {
             config,
             client: None,
             stats: RetryStats::default(),
-            retries_metric: None,
-            reconnects_metric: None,
-            timeouts_metric: None,
         }
-    }
-
-    /// Registers `net.client.{retries,reconnects,timeouts}` counters in
-    /// `registry`; subsequent activity feeds them alongside the local
-    /// [`RetryStats`].
-    pub fn bind_metrics(&mut self, registry: &MetricsRegistry) {
-        self.retries_metric = Some(registry.counter("net.client.retries"));
-        self.reconnects_metric = Some(registry.counter("net.client.reconnects"));
-        self.timeouts_metric = Some(registry.counter("net.client.timeouts"));
     }
 
     /// What this client had to do so far.
@@ -131,14 +113,8 @@ impl ResilientClient {
 
     fn note_failure(&mut self, error: &NetError) {
         self.stats.retries += 1;
-        if let Some(c) = &self.retries_metric {
-            c.inc();
-        }
         if matches!(error, NetError::Timeout(_)) {
             self.stats.timeouts += 1;
-            if let Some(c) = &self.timeouts_metric {
-                c.inc();
-            }
         }
     }
 
@@ -150,9 +126,6 @@ impl ResilientClient {
             let was_reconnect = self.stats.retries > 0;
             if was_reconnect {
                 self.stats.reconnects += 1;
-                if let Some(c) = &self.reconnects_metric {
-                    c.inc();
-                }
             }
             self.client = Some(client);
         }

@@ -224,9 +224,9 @@ engine_backend!(
     |_: &LiveService, _: &QueryRequest, _: Option<TraceContext>, _: u64| None
 );
 
-/// Per-server-instance telemetry. Instance-scoped (not the process-global
-/// registry) so that parallel servers in one process — the test suite, or
-/// a benchmark harness — never bleed into each other's `Stats` answers.
+/// Per-server-instance telemetry. Instance-scoped so that parallel servers
+/// in one process — the test suite, or a benchmark harness — never bleed
+/// into each other's `Stats` answers.
 pub(crate) struct NetMetrics {
     pub(crate) registry: MetricsRegistry,
     pub(crate) conns_accepted: Counter,
@@ -434,7 +434,7 @@ impl NetServer {
             lifecycle_changed: Condvar::new(),
             next_conn: AtomicU64::new(0),
             metrics: NetMetrics::new(),
-            loop_stats: LoopStats::default(),
+            loop_stats: LoopStats::new(),
             loops: handles,
         });
 
@@ -502,27 +502,13 @@ impl NetServer {
     /// An owning snapshot source (server + backend metrics merged, plus
     /// the `net.loop.*` event-loop counters) for wiring into an exposition
     /// endpoint that must outlive any borrow of the server — e.g.
-    /// `ustr_obs::MetricsServer::serve_with`.
+    /// `ustr_obs::MetricsServer::serve_routes`.
     pub fn metrics_source(&self) -> impl Fn() -> MetricsSnapshot + Send + Sync + 'static {
         let shared = Arc::clone(&self.shared);
         move || {
             let mut snap = shared.metrics.registry.snapshot();
             snap.merge(&shared.backend.metrics_snapshot());
-            let loops = shared.loop_stats.snapshot();
-            snap.counters
-                .insert("net.loop.ready_events".into(), loops.ready_events);
-            snap.counters
-                .insert("net.loop.wakeups".into(), loops.wakeups);
-            snap.counters
-                .insert("net.loop.reaped_idle".into(), loops.reaped_idle);
-            snap.counters
-                .insert("net.loop.reaped_draining".into(), loops.reaped_draining);
-            snap.counters
-                .insert("net.loop.budget_closes".into(), loops.budget_closes);
-            snap.gauges.insert(
-                "net.loop.conns_registered".into(),
-                loops.registered_conns.min(i64::MAX as u64) as i64,
-            );
+            snap.merge(&shared.loop_stats.registry.snapshot());
             snap
         }
     }

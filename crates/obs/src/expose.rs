@@ -5,7 +5,7 @@
 //! Zero dependencies — just enough HTTP/1.0 for `curl`, a scraper, or a
 //! raw `TcpStream` GET.
 
-use crate::metrics::{global, MetricsSnapshot};
+use crate::metrics::MetricsSnapshot;
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -14,7 +14,7 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 /// Produces the snapshot served at scrape time. Callers compose layers
-/// here (e.g. global registry + server registry + backend metrics).
+/// here (e.g. kernel counters + server registry + backend metrics).
 pub type SnapshotFn = Arc<dyn Fn() -> MetricsSnapshot + Send + Sync>;
 
 /// Produces an already-rendered body at scrape time — the `/traces`
@@ -31,16 +31,6 @@ pub struct MetricsServer {
 }
 
 impl MetricsServer {
-    /// Serves the [global](crate::global) registry.
-    pub fn serve(addr: impl ToSocketAddrs) -> io::Result<MetricsServer> {
-        Self::serve_with(addr, Arc::new(|| global().snapshot()))
-    }
-
-    /// Serves snapshots produced by `source` (no `/traces` route).
-    pub fn serve_with(addr: impl ToSocketAddrs, source: SnapshotFn) -> io::Result<MetricsServer> {
-        Self::serve_routes(addr, source, None)
-    }
-
     /// Serves snapshots produced by `source`, plus a `/traces` route
     /// answering with `traces()` as Chrome `trace_event` JSON when given.
     pub fn serve_routes(
@@ -216,6 +206,11 @@ mod tests {
     use super::*;
     use crate::metrics::MetricsRegistry;
 
+    /// An endpoint on a free port serving `source`, without `/traces`.
+    fn serve(source: SnapshotFn) -> MetricsServer {
+        MetricsServer::serve_routes("127.0.0.1:0", source, None).unwrap()
+    }
+
     #[test]
     fn scrape_round_trips_the_snapshot() {
         let reg = MetricsRegistry::new();
@@ -225,7 +220,7 @@ mod tests {
             let reg = Arc::clone(&reg);
             Arc::new(move || reg.snapshot())
         };
-        let server = MetricsServer::serve_with("127.0.0.1:0", source).unwrap();
+        let server = serve(source);
         let body = scrape(server.local_addr()).unwrap();
         assert!(body.contains("ustr_expose_test 7"));
         // Scrapes are byte-stable while nothing records.
@@ -271,7 +266,7 @@ mod tests {
             let reg = Arc::clone(&reg);
             Arc::new(move || reg.snapshot())
         };
-        let server = MetricsServer::serve_with("127.0.0.1:0", source).unwrap();
+        let server = serve(source);
         let mut stream = TcpStream::connect(server.local_addr()).unwrap();
         write!(
             stream,
@@ -288,7 +283,7 @@ mod tests {
 
     #[test]
     fn unknown_path_and_missing_traces_route_get_404() {
-        let server = MetricsServer::serve("127.0.0.1:0").unwrap();
+        let server = serve(Arc::new(MetricsSnapshot::default));
         let addr = server.local_addr();
         assert!(scrape_path(addr, "/nope").is_err());
         assert!(scrape_path(addr, "/traces").is_err());
@@ -297,7 +292,7 @@ mod tests {
 
     #[test]
     fn shutdown_joins_and_frees_the_port() {
-        let server = MetricsServer::serve("127.0.0.1:0").unwrap();
+        let server = serve(Arc::new(MetricsSnapshot::default));
         let addr = server.local_addr();
         server.shutdown();
         // The port is released; a fresh bind on it succeeds (racy in

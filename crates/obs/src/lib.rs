@@ -18,9 +18,7 @@
 //!   answer a `Stats` request (an engine, a net server) keep their own
 //!   [`MetricsRegistry`] so concurrent instances (e.g. parallel tests)
 //!   never bleed into each other's snapshots — which is what makes two
-//!   idle scrapes byte-identical. The [`global`] registry aggregates
-//!   process-scoped metrics (kernel counters) for the exposition
-//!   endpoint.
+//!   idle scrapes byte-identical.
 //! * **Deterministic rendering.** [`MetricsSnapshot`] is sorted maps;
 //!   [`render_text`](MetricsSnapshot::render_text) and
 //!   [`render_json`](MetricsSnapshot::render_json) carry no timestamps,
@@ -36,8 +34,8 @@ mod trace;
 
 pub use expose::{scrape, scrape_path, MetricsServer, SnapshotFn, TextFn};
 pub use metrics::{
-    bucket_floor, bucket_index, global, Counter, Gauge, Histogram, HistogramSnapshot,
-    MetricsRegistry, MetricsSnapshot, HISTOGRAM_BUCKETS,
+    bucket_floor, bucket_index, Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry,
+    MetricsSnapshot, HISTOGRAM_BUCKETS,
 };
 pub use slowlog::{
     SlowQueryEntry, SlowQueryLog, DEFAULT_SLOW_QUERY_CAPACITY, DEFAULT_SLOW_QUERY_US,

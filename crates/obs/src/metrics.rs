@@ -224,12 +224,8 @@ struct RegistryInner {
     histograms: BTreeMap<String, Histogram>,
 }
 
-/// Named metric handles. `counter`/`gauge`/`histogram` get-or-create (the
-/// same name always yields handles sharing one cell); `register_*` insert
-/// an externally owned handle under a name, replacing any previous owner
-/// (last registration wins — a serving process registers its engine's
-/// counters once; concurrent test engines harmlessly overwrite each
-/// other because tests never assert the shared registry).
+/// Named metric handles. `counter`/`gauge`/`histogram` get-or-create: the
+/// same name always yields handles sharing one cell.
 #[derive(Default)]
 pub struct MetricsRegistry {
     inner: Mutex<RegistryInner>,
@@ -259,21 +255,6 @@ impl MetricsRegistry {
             .clone()
     }
 
-    pub fn register_counter(&self, name: &str, counter: &Counter) {
-        let mut inner = self.inner.lock().expect("metrics registry poisoned");
-        inner.counters.insert(name.to_string(), counter.clone());
-    }
-
-    pub fn register_gauge(&self, name: &str, gauge: &Gauge) {
-        let mut inner = self.inner.lock().expect("metrics registry poisoned");
-        inner.gauges.insert(name.to_string(), gauge.clone());
-    }
-
-    pub fn register_histogram(&self, name: &str, histogram: &Histogram) {
-        let mut inner = self.inner.lock().expect("metrics registry poisoned");
-        inner.histograms.insert(name.to_string(), histogram.clone());
-    }
-
     pub fn snapshot(&self) -> MetricsSnapshot {
         let inner = self.inner.lock().expect("metrics registry poisoned");
         MetricsSnapshot {
@@ -294,14 +275,6 @@ impl MetricsRegistry {
                 .collect(),
         }
     }
-}
-
-/// Process-wide registry. Per-instance components (an `Engine`, a
-/// `NetServer`) keep their own registries so tests stay isolated; the
-/// global one aggregates process-scoped metrics such as kernel counters.
-pub fn global() -> &'static MetricsRegistry {
-    static GLOBAL: std::sync::OnceLock<MetricsRegistry> = std::sync::OnceLock::new();
-    GLOBAL.get_or_init(MetricsRegistry::new)
 }
 
 /// Point-in-time copy of a registry, in plain sorted maps.
@@ -636,7 +609,7 @@ mod tests {
     }
 
     #[test]
-    fn registry_get_or_create_shares_cells_and_register_replaces() {
+    fn registry_get_or_create_shares_cells() {
         let reg = MetricsRegistry::new();
         let a = reg.counter("x");
         let b = reg.counter("x");
@@ -644,15 +617,10 @@ mod tests {
         b.add(4);
         assert_eq!(reg.counter("x").get(), 7);
 
-        let mine = Counter::new();
-        mine.add(100);
-        reg.register_counter("x", &mine);
-        assert_eq!(reg.counter("x").get(), 100);
-
         reg.gauge("g").set(-5);
         reg.histogram("h").record(8);
         let snap = reg.snapshot();
-        assert_eq!(snap.counters["x"], 100);
+        assert_eq!(snap.counters["x"], 7);
         assert_eq!(snap.gauges["g"], -5);
         assert_eq!(snap.histograms["h"].count, 1);
     }

@@ -1,14 +1,12 @@
 //! Lightweight timing spans: start a clock, record the elapsed
 //! microseconds into a histogram when finished (or dropped).
 
-use crate::metrics::{global, Histogram};
+use crate::metrics::Histogram;
 use std::time::Instant;
 
 /// A started stage timer. Records elapsed **microseconds** into its
 /// histogram exactly once — on [`finish`](Span::finish) or on drop,
-/// whichever comes first. Hot paths should pre-create the histogram
-/// handle and use [`Span::on`]; [`Span::enter`] resolves the name in the
-/// [global](crate::global) registry, which takes the registry lock.
+/// whichever comes first.
 #[derive(Debug)]
 pub struct Span {
     histogram: Histogram,
@@ -17,11 +15,6 @@ pub struct Span {
 }
 
 impl Span {
-    /// Starts a span recording into `global().histogram(name)`.
-    pub fn enter(name: &str) -> Span {
-        Span::on(global().histogram(name))
-    }
-
     /// Starts a span recording into an existing histogram handle.
     pub fn on(histogram: Histogram) -> Span {
         Span {
@@ -81,13 +74,5 @@ mod tests {
         assert_eq!(h.snapshot().count, 1);
         Span::on(h.clone()).cancel();
         assert_eq!(h.snapshot().count, 1);
-    }
-
-    #[test]
-    fn enter_uses_the_global_registry() {
-        let span = Span::enter("obs.test.span_us");
-        span.finish();
-        let snap = global().snapshot();
-        assert!(snap.histograms["obs.test.span_us"].count >= 1);
     }
 }

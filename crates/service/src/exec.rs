@@ -20,16 +20,24 @@ use std::path::Path;
 use std::sync::Arc;
 
 use ustr_baseline::ScanIndex;
-use ustr_core::{ApproxIndex, Error, Index, ListingHit, QueryExecutor};
+use ustr_core::{ApproxIndex, Error, Index, ListingHit};
 use ustr_store::{collection, CollectionSection, Snapshot, SnapshotKind, StoreError, StoreIo};
 use ustr_uncertain::UncertainString;
 
 use crate::{DocHits, QueryRequest, QueryResponse, SharedHits, TopHit};
 
 /// How one document is queried: through built index structures, or by
-/// scanning the source string (bit-identical answers — see
-/// [`ustr_core::QueryExecutor`]). `Scanned` is the serving strategy for
+/// scanning the source string. `Scanned` is the serving strategy for
 /// documents too young to have been indexed (a live memtable).
+///
+/// **Interchangeability contract:** both variants over the same document
+/// with the same `τmin` return **bit-identical** answers from every method.
+/// That holds because answers are *canonical*: probabilities are always
+/// recomputed from the source model through the plane kernel, never read
+/// off an execution structure's internal arithmetic; top-k uses the total
+/// [`ustr_core::canonical_hit_order`], so ties at the cut are never left to
+/// implementation arbitration; and the top-k candidate set is exactly the
+/// threshold answer at `τmin`.
 // Executors always live behind an `Arc` in a `Segment`, so the size
 // difference between a built index bundle and a bare scan wrapper is paid
 // once per document, not per handle.
@@ -76,7 +84,7 @@ impl DocExecutor {
     pub fn tau_min(&self) -> f64 {
         match self {
             DocExecutor::Built { index, .. } => index.tau_min(),
-            DocExecutor::Scanned(scan) => QueryExecutor::tau_min(scan),
+            DocExecutor::Scanned(scan) => scan.tau_min(),
         }
     }
 
@@ -95,7 +103,7 @@ impl DocExecutor {
     /// Threshold occurrences, sorted by position.
     pub fn threshold(&self, pattern: &[u8], tau: f64) -> Result<Vec<(usize, f64)>, Error> {
         match self {
-            DocExecutor::Built { index, .. } => index.threshold_hits(pattern, tau),
+            DocExecutor::Built { index, .. } => Ok(index.query(pattern, tau)?.into_hits()),
             DocExecutor::Scanned(scan) => scan.threshold_hits(pattern, tau),
         }
     }
@@ -104,7 +112,7 @@ impl DocExecutor {
     /// order.
     pub fn top_k(&self, pattern: &[u8], k: usize) -> Result<Vec<(usize, f64)>, Error> {
         match self {
-            DocExecutor::Built { index, .. } => index.top_k_hits(pattern, k),
+            DocExecutor::Built { index, .. } => index.query_top_k(pattern, k),
             DocExecutor::Scanned(scan) => scan.top_k_hits(pattern, k),
         }
     }

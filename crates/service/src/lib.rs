@@ -47,7 +47,7 @@
 //!
 //! The serving machinery is layered so static and mutable services share
 //! every query path: [`exec`] defines [`DocExecutor`] (a built index or an
-//! exact scan — interchangeable under `ustr_core::QueryExecutor`) and its
+//! exact scan — interchangeable, bit for bit, by its contract) and its
 //! one `.coll` codec ([`save_coll`] / [`load_coll`] — collection snapshots
 //! and `ustr-live`'s sealed segments are the same artifact), [`Segment`]
 //! (an ordered run of documents), and the deterministic [`merge_partials`];
@@ -212,29 +212,6 @@ pub enum QueryResponse {
 /// Shared, immutable results (cache entries hand out clones of the `Arc`).
 pub type SharedHits = Arc<Vec<DocHits>>;
 
-/// Errors from saving or loading a service's collection snapshot.
-#[derive(Debug)]
-pub enum ServiceError {
-    /// A snapshot failed to save or load.
-    Store(StoreError),
-}
-
-impl std::fmt::Display for ServiceError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ServiceError::Store(e) => write!(f, "snapshot error: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for ServiceError {}
-
-impl From<StoreError> for ServiceError {
-    fn from(e: StoreError) -> Self {
-        ServiceError::Store(e)
-    }
-}
-
 /// Plans `num_shards` contiguous, non-empty document ranges balancing the
 /// given per-document weights; returns the shard sizes (summing to
 /// `weights.len()`). With uniform weights this degenerates to count
@@ -348,10 +325,10 @@ impl QueryService {
     /// document's substring-index snapshot — and its approx-index snapshot,
     /// when the service holds one. Format:
     /// [`ustr_store::collection`]; written by [`save_coll`].
-    pub fn save_collection(&self, path: impl AsRef<Path>) -> Result<(), ServiceError> {
+    pub fn save_collection(&self, path: impl AsRef<Path>) -> Result<(), StoreError> {
         let docs = self.shards.iter().flat_map(|shard| &shard.docs);
         let docs = docs.map(|(_, d)| d.as_ref());
-        Ok(save_coll(&RealIo, path.as_ref(), docs, self.num_shards())?)
+        save_coll(&RealIo, path.as_ref(), docs, self.num_shards())
     }
 
     /// Loads a single-file collection snapshot and assembles a service.
@@ -359,11 +336,11 @@ impl QueryService {
     /// ranges balanced by per-document snapshot size (a proxy for index
     /// heap), using `config.shards` when non-zero and the file's recorded
     /// shard plan otherwise. Truncated or corrupted files fail with a clean
-    /// [`StoreError`] (wrapped in [`ServiceError::Store`]), never a panic.
+    /// [`StoreError`], never a panic.
     pub fn load_collection(
         path: impl AsRef<Path>,
         config: ServiceConfig,
-    ) -> Result<Self, ServiceError> {
+    ) -> Result<Self, StoreError> {
         let coll = load_coll(&RealIo, path.as_ref())?;
         Ok(Self::assemble(
             coll.docs,
@@ -1109,10 +1086,10 @@ mod tests {
         // Truncation at several depths (header, manifest, section bodies).
         for cut in [0, 7, 39, 60, bytes.len() / 2, bytes.len() - 1] {
             std::fs::write(&path, &bytes[..cut]).unwrap();
-            match QueryService::load_collection(&path, config(1, 1, 0)) {
-                Err(ServiceError::Store(_)) => {}
-                Ok(_) => panic!("cut at {cut}: truncated collection must not load"),
-            }
+            assert!(
+                QueryService::load_collection(&path, config(1, 1, 0)).is_err(),
+                "cut at {cut}: truncated collection must not load"
+            );
         }
         // A flipped payload byte fails a checksum.
         let mut flipped = bytes.clone();
@@ -1121,7 +1098,7 @@ mod tests {
         std::fs::write(&path, &flipped).unwrap();
         assert!(matches!(
             QueryService::load_collection(&path, config(1, 1, 0)),
-            Err(ServiceError::Store(_))
+            Err(StoreError::ChecksumMismatch)
         ));
         let _ = std::fs::remove_file(&path);
     }

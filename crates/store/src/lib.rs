@@ -280,33 +280,10 @@ pub trait Snapshot: Sized {
         Ok(())
     }
 
-    /// [`Snapshot::save`] through an injectable [`StoreIo`].
-    fn save_with(&self, io: &dyn StoreIo, path: impl AsRef<Path>) -> Result<(), StoreError> {
-        let file = io.create(path.as_ref())?;
-        let mut out = BufWriter::new(file);
-        self.write_snapshot(&mut out)?;
-        out.flush()?;
-        Ok(())
-    }
-
     /// Loads a snapshot from `path` (buffered).
     fn load(path: impl AsRef<Path>) -> Result<Self, StoreError> {
         let file = File::open(path)?;
         Self::read_snapshot(BufReader::new(file))
-    }
-
-    /// [`Snapshot::load`] through an injectable [`StoreIo`]. A missing
-    /// file surfaces as [`StoreError::Io`] with `NotFound`, matching
-    /// [`Snapshot::load`].
-    fn load_with(io: &dyn StoreIo, path: impl AsRef<Path>) -> Result<Self, StoreError> {
-        let path = path.as_ref();
-        let Some(bytes) = io.read(path)? else {
-            return Err(StoreError::Io(std::io::Error::new(
-                std::io::ErrorKind::NotFound,
-                format!("snapshot file {} does not exist", path.display()),
-            )));
-        };
-        Self::read_snapshot(&bytes[..])
     }
 }
 
@@ -510,7 +487,9 @@ impl Snapshot for Index {
         encode_transformed(w, &state.transformed);
         encode_substrate(w, &state.substrate);
         w.put_f64(state.tau_min);
-        w.put_bool(state.dedup_enabled);
+        // The format's byte for a retired build option (per-level dedup,
+        // which every index has): written as it always was, ignored on read.
+        w.put_bool(true);
         encode_stats(w, &state.stats);
     }
 
@@ -520,8 +499,10 @@ impl Snapshot for Index {
             transformed: decode_transformed(r)?,
             substrate: decode_substrate(r)?,
             tau_min: r.get_f64()?,
-            dedup_enabled: r.get_bool()?,
-            stats: decode_stats(r)?,
+            stats: {
+                r.get_bool()?;
+                decode_stats(r)?
+            },
         };
         Ok(Index::from_snapshot(state)?)
     }

@@ -14,8 +14,6 @@
 //!   intervals — what every index of Sections 4–6 queries.
 //! * [`Ancestry`] — preorder numbering, subtree preorder intervals and O(1)
 //!   LCA over a [`SuffixTree`], for the ε-link structure of Section 7.
-//! * [`DocumentConcat`] — document-collection bookkeeping for the
-//!   generalized suffix tree of Section 6.
 //!
 //! # Space
 //!
@@ -38,14 +36,12 @@
 
 mod ancestry;
 mod array;
-mod doc;
 mod lcp;
 mod sais;
 mod tree;
 
 pub use ancestry::Ancestry;
 pub use array::SuffixArray;
-pub use doc::DocumentConcat;
 pub use lcp::{lcp_array, rank_array};
 pub use sais::suffix_array;
 pub use tree::{NodeId, SuffixTree};

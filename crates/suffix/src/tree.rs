@@ -211,12 +211,8 @@ impl SuffixTree {
         (self.text.clone(), plain_sa, lcp)
     }
 
-    /// Text length (excluding the virtual terminator).
-    pub fn text_len(&self) -> usize {
-        self.text.len()
-    }
-
-    /// Number of SA slots / leaves: `text_len() + 1`.
+    /// Number of SA slots / leaves: one per text character plus the
+    /// virtual terminator.
     pub fn num_slots(&self) -> usize {
         self.sa.len()
     }
@@ -227,7 +223,7 @@ impl SuffixTree {
     }
 
     /// Text position of the suffix in SA slot `j` (slot 0 is the virtual
-    /// terminator at position `text_len()`).
+    /// terminator at position `text().len()`).
     #[inline]
     pub fn sa(&self, j: usize) -> usize {
         self.sa[j] as usize

@@ -1,10 +1,8 @@
-//! Property tests for the suffix substrate: SA-IS, LCP, tree structure,
-//! LCA, and document concatenation.
+//! Property tests for the suffix substrate: SA-IS, LCP, tree structure and
+//! LCA.
 
 use proptest::prelude::*;
-use ustr_suffix::{
-    lcp_array, rank_array, suffix_array, Ancestry, DocumentConcat, SuffixArray, SuffixTree,
-};
+use ustr_suffix::{lcp_array, rank_array, suffix_array, Ancestry, SuffixArray, SuffixTree};
 
 fn byte_text() -> impl Strategy<Value = Vec<u8>> {
     prop_oneof![
@@ -137,26 +135,5 @@ proptest! {
                 prop_assert_eq!(cursor, r + 1);
             }
         }
-    }
-
-    #[test]
-    fn document_concat_round_trips(docs in prop::collection::vec(
-        prop::collection::vec(1u8..255, 0..20), 0..8)
-    ) {
-        let cat = DocumentConcat::new(&docs, 0);
-        prop_assert_eq!(cat.num_docs(), docs.len());
-        let mut pos = 0usize;
-        for (id, d) in docs.iter().enumerate() {
-            prop_assert_eq!(cat.doc_start(id), pos);
-            for (off, &b) in d.iter().enumerate() {
-                prop_assert_eq!(cat.doc_of(pos + off), Some(id));
-                prop_assert_eq!(cat.offset_in_doc(pos + off), Some(off));
-                prop_assert_eq!(cat.text()[pos + off], b);
-            }
-            pos += d.len();
-            prop_assert_eq!(cat.doc_of(pos), None, "separator");
-            pos += 1;
-        }
-        prop_assert_eq!(cat.text().len(), pos);
     }
 }

@@ -23,7 +23,8 @@ pub enum ModelError {
     InvalidCorrelation { detail: String },
     /// Possible-world enumeration would exceed the safety limit.
     WorldExplosion { worlds_at_least: u128, limit: u128 },
-    /// The transformed string would exceed the configured size limit.
+    /// The text to index would exceed [`MAX_TEXT_LEN`](crate::MAX_TEXT_LEN)
+    /// characters.
     TransformTooLarge { produced: usize, limit: usize },
     /// Failure while parsing the text format.
     Parse { detail: String },
@@ -45,10 +46,9 @@ impl fmt::Display for ModelError {
                 "character {:?} appears twice at position {position}",
                 *ch as char
             ),
-            ModelError::ProbabilitySumExceedsOne { position, sum } => write!(
-                f,
-                "probabilities at position {position} sum to {sum} > 1"
-            ),
+            ModelError::ProbabilitySumExceedsOne { position, sum } => {
+                write!(f, "probabilities at position {position} sum to {sum} > 1")
+            }
             ModelError::ReservedByte { position } => write!(
                 f,
                 "byte 0 at position {position} is reserved as the factor separator"
@@ -60,13 +60,16 @@ impl fmt::Display for ModelError {
             ModelError::InvalidCorrelation { detail } => {
                 write!(f, "invalid correlation: {detail}")
             }
-            ModelError::WorldExplosion { worlds_at_least, limit } => write!(
+            ModelError::WorldExplosion {
+                worlds_at_least,
+                limit,
+            } => write!(
                 f,
                 "possible-world enumeration needs at least {worlds_at_least} worlds (limit {limit})"
             ),
             ModelError::TransformTooLarge { produced, limit } => write!(
                 f,
-                "maximal-factor transform produced {produced} characters, exceeding the limit {limit}"
+                "the text to index has {produced} characters, exceeding the limit {limit}"
             ),
             ModelError::Parse { detail } => write!(f, "parse error: {detail}"),
         }

@@ -43,9 +43,7 @@ pub use error::ModelError;
 pub use plane::{MatchKernel, PatternRanks, ProbPlane};
 pub use special::SpecialUncertainString;
 pub use string::UncertainString;
-pub use transform::{
-    transform, transform_with_options, TransformOptions, Transformed, NO_POSITION, SENTINEL,
-};
+pub use transform::{transform, Transformed, MAX_TEXT_LEN, NO_POSITION, SENTINEL};
 pub use worlds::{WorldIter, DEFAULT_WORLD_LIMIT};
 
 /// Relative tolerance used for probability comparisons throughout the

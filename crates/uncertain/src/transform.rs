@@ -39,14 +39,10 @@ pub const SENTINEL: u8 = 0;
 /// `Pos` value marking separator positions.
 pub const NO_POSITION: u32 = u32::MAX;
 
-/// Options controlling the transformation.
-#[derive(Debug, Clone, Default)]
-pub struct TransformOptions {
-    /// Abort with [`ModelError::TransformTooLarge`] when the output exceeds
-    /// this many characters (`None` = unbounded). The paper bounds the
-    /// output by O((1/τmin)²·n); this guard catches pathological inputs.
-    pub max_output_len: Option<usize>,
-}
+/// Longest text an index can be built over. Text positions, source
+/// positions and suffix-array slots (one more than the text has characters)
+/// are stored as `u32`, and `u32::MAX` itself is [`NO_POSITION`].
+pub const MAX_TEXT_LEN: usize = u32::MAX as usize - 1;
 
 /// Result of the Lemma-2 transformation.
 #[derive(Debug, Clone)]
@@ -112,20 +108,31 @@ impl Transformed {
 /// let text = t.special.chars();
 /// assert!(text.windows(3).any(|w| w == b"QPP"));
 /// ```
+///
+/// The paper bounds the output by O((1/τmin)²·n); one that would outgrow
+/// [`MAX_TEXT_LEN`] is [`ModelError::TransformTooLarge`].
 pub fn transform(s: &UncertainString, tau_min: f64) -> Result<Transformed, ModelError> {
-    transform_with_options(s, tau_min, &TransformOptions::default())
+    transform_capped(s, tau_min, MAX_TEXT_LEN)
 }
 
-/// [`transform`] with explicit [`TransformOptions`].
-pub fn transform_with_options(
+/// [`transform`], failing once the output exceeds `limit` characters
+/// (checked per emitted factor).
+fn transform_capped(
     s: &UncertainString,
     tau_min: f64,
-    options: &TransformOptions,
+    limit: usize,
 ) -> Result<Transformed, ModelError> {
     if !(tau_min > 0.0 && tau_min <= 1.0) {
         return Err(ModelError::InvalidThreshold { value: tau_min });
     }
     let n = s.len();
+    // `pos` stores source positions as `u32` too.
+    if n > MAX_TEXT_LEN {
+        return Err(ModelError::TransformTooLarge {
+            produced: n,
+            limit: MAX_TEXT_LEN,
+        });
+    }
     let log_tau = tau_min.ln();
     let mut out_chars: Vec<u8> = Vec::new();
     let mut out_probs: Vec<f64> = Vec::new();
@@ -156,13 +163,11 @@ pub fn transform_with_options(
         out_probs.push(1.0);
         out_pos.push(NO_POSITION);
         num_factors += 1;
-        if let Some(limit) = options.max_output_len {
-            if out_chars.len() > limit {
-                return Err(ModelError::TransformTooLarge {
-                    produced: out_chars.len(),
-                    limit,
-                });
-            }
+        if out_chars.len() > limit {
+            return Err(ModelError::TransformTooLarge {
+                produced: out_chars.len(),
+                limit,
+            });
         }
         Ok(())
     };
@@ -341,11 +346,8 @@ mod tests {
     #[test]
     fn output_limit_enforced() {
         let s = UncertainString::parse("A:.5,B:.5 | C:.5,D:.5 | E:.5,F:.5").unwrap();
-        let opts = TransformOptions {
-            max_output_len: Some(4),
-        };
         assert!(matches!(
-            transform_with_options(&s, 0.1, &opts),
+            transform_capped(&s, 0.1, 4),
             Err(ModelError::TransformTooLarge { .. })
         ));
     }

@@ -30,7 +30,7 @@
 //! deletes at serving time — writes go through a checksummed, fsynced
 //! write-ahead log into a scan-served memtable (immediately queryable,
 //! answers bit-identical to a built index under the
-//! [`QueryExecutor`](ustr_core::QueryExecutor) contract), a background
+//! [`DocExecutor`](ustr_service::DocExecutor) contract), a background
 //! thread seals memtables into immutable `.coll` segments built with the
 //! ordinary constructors, and a compactor merges small segments while
 //! dropping tombstoned documents. Static and live serving share one
@@ -62,7 +62,7 @@
 //! | Re-export | Crate | Role |
 //! |---|---|---|
 //! | [`UncertainString`], [`SpecialUncertainString`], correlation & transform | `ustr-uncertain` | data model, possible worlds, Lemma-2 factor transform |
-//! | [`Index`], [`SpecialIndex`], [`ListingIndex`], [`ApproxIndex`], [`core::QueryExecutor`] | `ustr-core` | the paper's indexes (§4–§7) + the execution-strategy contract |
+//! | [`Index`], [`SpecialIndex`], [`ListingIndex`], [`ApproxIndex`] | `ustr-core` | the paper's indexes (§4–§7), each built from its input and `τmin` alone |
 //! | [`Snapshot`], [`StoreError`], snapshot/collection/WAL formats | `ustr-store` | versioned binary index persistence; single-file collection snapshots; write-ahead log + live manifest |
 //! | [`QueryService`], [`QueryRequest`], [`ServiceConfig`], [`DocHits`], [`TopHit`] | `ustr-service` | concurrent sharded serving: four typed query modes, one `Engine` dispatcher over `SegmentSet`s, deterministic merge, per-mode LRU cache |
 //! | [`LiveService`], [`LiveConfig`] | `ustr-live` | mutable collections: WAL → memtable → sealed segments → compaction |

@@ -1,6 +1,9 @@
 //! End-to-end tests of the §3.3 correlation model through every layer:
 //! model evaluation, transform upper-bounding, and index verification.
 
+mod common;
+
+use common::first_long_lengths;
 use uncertain_strings::{
     baseline::NaiveScanner, Correlation, CorrelationSet, Index, ListingIndex, SpecialIndex,
     SpecialUncertainString, UncertainString,
@@ -24,9 +27,27 @@ fn corr(
     }
 }
 
+/// `spec` followed by one certain position per byte of `tail`. A tail
+/// keeps every factor that reaches it probable for as long as it lasts, so
+/// the cases below also sit behind an index's long levels.
+fn with_tail(spec: &str, tail: &[u8]) -> UncertainString {
+    let mut spec = spec.to_string();
+    for &c in tail {
+        spec.push_str(" | ");
+        spec.push(c as char);
+    }
+    UncertainString::parse(&spec).unwrap()
+}
+
+const TAIL: &[u8] = b"abcdefghijklmnopqrstuvwx";
+
 /// Figure 4's string with a backward correlation.
 fn figure_4_string() -> UncertainString {
-    let mut s = UncertainString::parse("e:.6,f:.4 | q | z:.36").unwrap();
+    figure_4_string_with_tail(b"")
+}
+
+fn figure_4_string_with_tail(tail: &[u8]) -> UncertainString {
+    let mut s = with_tail("e:.6,f:.4 | q | z:.36", tail);
     let mut set = CorrelationSet::new();
     set.add(corr(2, b'z', 0, b'e', 0.3, 0.4)).unwrap();
     s.set_correlations(set).unwrap();
@@ -53,14 +74,27 @@ fn general_index_agrees_with_scanner_under_correlation() {
     let s = figure_4_string();
     let idx = Index::build(&s, 0.05).unwrap();
     for pattern in [&b"eqz"[..], b"fqz", b"qz", b"z", b"eq", b"e"] {
-        for tau in [0.05, 0.17, 0.2, 0.33, 0.35, 0.5] {
-            assert_eq!(
-                idx.query(pattern, tau).unwrap().positions(),
-                NaiveScanner::find(&s, pattern, tau),
-                "pattern {:?} tau {tau}",
-                String::from_utf8_lossy(pattern)
-            );
+        assert_index_agrees_with_scanner(&idx, &s, pattern);
+    }
+    // The same three window cases past the first and the second long level.
+    let s = figure_4_string_with_tail(TAIL);
+    let idx = Index::build(&s, 0.05).unwrap();
+    for m in first_long_lengths(idx.stats().transformed_len) {
+        for head in [&b"eqz"[..], b"fqz", b"qz"] {
+            let pattern = [head, &TAIL[..m - head.len()]].concat();
+            assert_index_agrees_with_scanner(&idx, &s, &pattern);
         }
+    }
+}
+
+fn assert_index_agrees_with_scanner(idx: &Index, s: &UncertainString, pattern: &[u8]) {
+    for tau in [0.05, 0.17, 0.2, 0.33, 0.35, 0.5] {
+        assert_eq!(
+            idx.query(pattern, tau).unwrap().positions(),
+            NaiveScanner::find(s, pattern, tau),
+            "pattern {:?} tau {tau}",
+            String::from_utf8_lossy(pattern)
+        );
     }
 }
 
@@ -103,7 +137,7 @@ fn special_index_boost_prevents_missed_uplifts() {
     let x = SpecialUncertainString::new(b"abc".to_vec(), vec![1.0, 0.1, 1.0]).unwrap();
     let mut set = CorrelationSet::new();
     set.add(corr(1, b'b', 0, b'a', 0.95, 0.05)).unwrap();
-    let idx = SpecialIndex::build_with(&x, set, &Default::default()).unwrap();
+    let idx = SpecialIndex::build_correlated(&x, set).unwrap();
     // abc window: b's probability is .95 (a present) → product .95.
     let hits = idx.query(b"abc", 0.9).unwrap();
     assert_eq!(hits.positions(), vec![0]);
@@ -115,23 +149,34 @@ fn special_index_boost_prevents_missed_uplifts() {
 
 #[test]
 fn listing_with_correlated_documents() {
-    let mut d0 = UncertainString::parse("a:.5,b:.5 | c:.2 | d").unwrap();
-    let mut set = CorrelationSet::new();
-    set.add(corr(1, b'c', 0, b'a', 0.9, 0.1)).unwrap();
-    d0.set_correlations(set).unwrap();
-    let d1 = UncertainString::parse("a | c:.15 | d").unwrap();
-    let docs = vec![d0, d1];
-    let idx = ListingIndex::build(&docs, 0.05).unwrap();
-    for pattern in [&b"acd"[..], b"cd", b"c"] {
-        for tau in [0.05, 0.12, 0.2, 0.4, 0.5] {
-            let got: Vec<usize> = idx
-                .query(pattern, tau)
-                .unwrap()
-                .into_iter()
-                .map(|h| h.doc)
-                .collect();
-            let expected = NaiveScanner::listing(&docs, pattern, tau);
-            assert_eq!(got, expected, "pattern {pattern:?} tau {tau}");
+    // Without a tail, then with one: the same cases behind the long levels.
+    for tail in [&b""[..], TAIL] {
+        let mut d0 = with_tail("a:.5,b:.5 | c:.2 | d", tail);
+        let mut set = CorrelationSet::new();
+        set.add(corr(1, b'c', 0, b'a', 0.9, 0.1)).unwrap();
+        d0.set_correlations(set).unwrap();
+        let d1 = with_tail("a | c:.15 | d", tail);
+        let docs = vec![d0, d1];
+        let idx = ListingIndex::build(&docs, 0.05).unwrap();
+        let mut patterns = vec![b"acd".to_vec(), b"cd".to_vec(), b"c".to_vec()];
+        if !tail.is_empty() {
+            for m in first_long_lengths(idx.stats().transformed_len) {
+                for head in [&b"acd"[..], b"cd"] {
+                    patterns.push([head, &tail[..m - head.len()]].concat());
+                }
+            }
+        }
+        for pattern in &patterns {
+            for tau in [0.05, 0.12, 0.2, 0.4, 0.5] {
+                let got: Vec<usize> = idx
+                    .query(pattern, tau)
+                    .unwrap()
+                    .into_iter()
+                    .map(|h| h.doc)
+                    .collect();
+                let expected = NaiveScanner::listing(&docs, pattern, tau);
+                assert_eq!(got, expected, "pattern {pattern:?} tau {tau}");
+            }
         }
     }
 }

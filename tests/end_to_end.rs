@@ -1,9 +1,11 @@
 //! Cross-crate integration: realistic-scale pipelines from workload
 //! generation through every index, with edge-case and failure injection.
 
+mod common;
+
+use common::first_long_lengths;
 use uncertain_strings::{
     baseline::NaiveScanner,
-    core::IndexOptions,
     workload::{generate_collection, generate_string, sample_patterns, DatasetConfig, PatternMode},
     ApproxIndex, Error, Index, ListingIndex, RelMetric, UncertainString,
 };
@@ -31,24 +33,42 @@ fn workload_pipeline_substring_search() {
 
 #[test]
 fn workload_pipeline_listing() {
-    let docs = generate_collection(&DatasetConfig::new(1500, 0.25, 55));
-    let idx = ListingIndex::build(&docs, 0.1).unwrap();
-    let all = UncertainString::new(
-        docs.iter()
-            .flat_map(|d| d.positions().iter().cloned())
-            .collect(),
-    );
-    for pattern in sample_patterns(&all, 3, 10, PatternMode::Probable, 3) {
-        for tau in [0.1, 0.4] {
-            let got: Vec<usize> = idx
-                .query(&pattern, tau)
-                .unwrap()
-                .into_iter()
-                .map(|h| h.doc)
-                .collect();
-            let expected = NaiveScanner::listing(&docs, &pattern, tau);
-            assert_eq!(got, expected, "tau={tau}");
+    // θ = 0.25 as the paper's collections; θ = 0.02 so that probable
+    // factors outgrow both of the lengths `first_long_lengths` names.
+    for theta in [0.25, 0.02] {
+        let docs = generate_collection(&DatasetConfig::new(1500, theta, 55));
+        let idx = ListingIndex::build(&docs, 0.1).unwrap();
+        let all = UncertainString::new(
+            docs.iter()
+                .flat_map(|d| d.positions().iter().cloned())
+                .collect(),
+        );
+        let mut patterns = sample_patterns(&all, 3, 10, PatternMode::Probable, 3);
+        // Long patterns are drawn inside one document, so that it can list.
+        let long = first_long_lengths(idx.stats().transformed_len);
+        for m in long {
+            let long_enough = docs.iter().filter(|d| d.len() >= m);
+            patterns.extend(
+                long_enough.flat_map(|d| sample_patterns(d, m, 1, PatternMode::Probable, 3)),
+            );
         }
+        let mut listed_past_second_level = 0;
+        for pattern in &patterns {
+            for tau in [0.1, 0.4] {
+                let got: Vec<usize> = idx
+                    .query(pattern, tau)
+                    .unwrap()
+                    .into_iter()
+                    .map(|h| h.doc)
+                    .collect();
+                let expected = NaiveScanner::listing(&docs, pattern, tau);
+                assert_eq!(got, expected, "m={} tau={tau}", pattern.len());
+                if pattern.len() == long[1] {
+                    listed_past_second_level += got.len();
+                }
+            }
+        }
+        assert!(theta > 0.1 || listed_past_second_level > 0, "{long:?}");
     }
 }
 
@@ -70,53 +90,22 @@ fn workload_pipeline_approx() {
 
 #[test]
 fn long_patterns_cross_blocking_threshold() {
-    // max_short over the transformed text will be ~log2(N); patterns of
-    // length 32/64 exercise the blocking path.
-    let s = generate_string(&DatasetConfig::new(3000, 0.15, 31));
-    let idx = Index::build(&s, 0.1).unwrap();
-    for m in [24, 32, 64] {
-        for pattern in sample_patterns(&s, m, 4, PatternMode::Probable, 13) {
-            let got = idx.query(&pattern, 0.1).unwrap().positions();
-            let expected = NaiveScanner::find(&s, &pattern, 0.1);
-            assert_eq!(got, expected, "m={m}");
-        }
-    }
-}
-
-#[test]
-fn ablation_options_do_not_change_answers() {
-    let s = generate_string(&DatasetConfig::new(1200, 0.3, 9));
-    let configs = [
-        IndexOptions::default(),
-        IndexOptions {
-            disable_dedup: true,
-            ..Default::default()
-        },
-        IndexOptions {
-            disable_long_levels: true,
-            ..Default::default()
-        },
-        IndexOptions {
-            max_short_level: Some(4),
-            ..Default::default()
-        },
-        IndexOptions {
-            long_level_ratio: Some(4),
-            ..Default::default()
-        },
-    ];
-    let indexes: Vec<Index> = configs
-        .iter()
-        .map(|o| Index::build_with(&s, 0.1, o).unwrap())
-        .collect();
-    for pattern in sample_patterns(&s, 6, 8, PatternMode::Weighted, 21) {
-        let reference = indexes[0].query(&pattern, 0.2).unwrap().positions();
-        for (k, idx) in indexes.iter().enumerate().skip(1) {
-            assert_eq!(
-                idx.query(&pattern, 0.2).unwrap().positions(),
-                reference,
-                "config {k} diverged"
-            );
+    // Patterns past the ~log2(N) short levels exercise the blocking path:
+    // at θ = 0.15 mostly to find nothing, at θ = 0.02 (long probable
+    // factors) to find occurrences behind every long level asked.
+    for theta in [0.15, 0.02] {
+        let s = generate_string(&DatasetConfig::new(3000, theta, 31));
+        let idx = Index::build(&s, 0.1).unwrap();
+        let [first, second] = first_long_lengths(idx.stats().transformed_len);
+        for m in [first, second, 24, 32, 64] {
+            let mut found = 0;
+            for pattern in sample_patterns(&s, m, 4, PatternMode::Probable, 13) {
+                let got = idx.query(&pattern, 0.1).unwrap().positions();
+                let expected = NaiveScanner::find(&s, &pattern, 0.1);
+                assert_eq!(got, expected, "m={m}");
+                found += got.len();
+            }
+            assert!(theta > 0.1 || found > 0, "theta={theta} m={m}");
         }
     }
 }
