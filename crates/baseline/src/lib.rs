@@ -30,7 +30,7 @@ mod oracle;
 mod scan;
 mod simple;
 
-pub use dp::{containment_probability, expected_occurrences, kmp_delta, prefix_function};
+pub use dp::{containment_probability, kmp_delta, prefix_function};
 pub use exec::ScanIndex;
 pub use oracle::PossibleWorldOracle;
 pub use scan::NaiveScanner;

@@ -2,8 +2,8 @@
 //!
 //! The lexer produces a flat token stream with line numbers, handling the
 //! constructs that defeat naive regex scanning — nested block comments,
-//! string/raw-string/byte-string/char literals (an `unwrap()` inside a
-//! string must not trip the panic rule), lifetimes vs char literals, and
+//! string/raw-string/byte-string/char literals (a `rename(` inside a
+//! string must not trip the durability rule), lifetimes vs char literals, and
 //! float vs integer vs range-expression numeric literals (`1.0` is a
 //! float, `1..2` is not, `1.max(2)` is a method call). Comments are not
 //! tokens; they land in a side table keyed by line so rules can look up
@@ -11,8 +11,8 @@
 //!
 //! A second pass, [`strip_test_regions`], removes every item annotated
 //! `#[test]` or `#[cfg(test)]` (and everything nested inside it) from the
-//! stream: test code is allowed to panic, compare floats, and use any
-//! atomic ordering it likes.
+//! stream: test code is allowed to compare floats and use any atomic
+//! ordering it likes.
 
 /// Token categories. Keywords are ordinary [`Kind::Ident`] tokens; rules
 /// match on the text.

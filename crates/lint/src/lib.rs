@@ -1,9 +1,10 @@
 //! `ustr-lint` — the workspace invariant linter.
 //!
 //! The repo's core guarantees — byte-identical probability answers across
-//! every executor, panic-free serving paths, justified atomic orderings,
-//! fsync-before-rename durability, and mutex guards that never straddle
-//! blocking calls — used to live only in tests and reviewer memory. This
+//! every executor, justified atomic orderings, fsync-before-rename
+//! durability, and mutex guards that never straddle blocking calls — used
+//! to live only in tests and reviewer memory (panic-free serving paths are
+//! clippy's to enforce: `#![deny(..)]` in the three serving crates). This
 //! crate makes them structural: a lightweight Rust [`lexer`] feeds a
 //! [`rules`] engine that walks every workspace source file and reports
 //! named, `--explain`-able violations with `file:line` diagnostics.
@@ -34,7 +35,7 @@ pub use rules::{all_rules, Rule};
 /// One reported violation.
 #[derive(Debug, Clone)]
 pub struct Diagnostic {
-    /// Rule name (`float-determinism`, `panic-freedom`, …).
+    /// Rule name (`float-determinism`, `lock-hygiene`, …).
     pub rule: &'static str,
     /// Workspace-relative path, unix separators.
     pub path: String,
@@ -240,7 +241,7 @@ pub fn lint_files(
 /// every project source file: `src/**/*.rs` of the root crate and of each
 /// crate under `crates/`. Excluded: `vendor/` (third-party stand-ins),
 /// `target/`, and the per-crate `tests/`, `benches/`, `examples/` trees
-/// (non-production code may panic and compare floats freely — in-file
+/// (non-production code may compare floats freely — in-file
 /// `#[cfg(test)]` regions are stripped separately by the lexer).
 pub fn workspace_files(root: &Path) -> Result<Vec<(String, String)>, String> {
     let mut files = Vec::new();

@@ -9,7 +9,7 @@ use std::process::ExitCode;
 use ustr_lint::{all_rules, lint_files, lint_source_forced, AllowList, Rule};
 
 const USAGE: &str = "\
-ustr-lint — workspace invariant linter (determinism, panic-freedom, atomics)
+ustr-lint — workspace invariant linter (determinism, atomics, durability)
 
 USAGE:
     ustr-lint --workspace [--root DIR] [--deny] [--allow FILE]

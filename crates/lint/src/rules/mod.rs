@@ -5,7 +5,6 @@ mod atomics;
 mod durability;
 mod float;
 mod locks;
-mod panics;
 mod unsafe_free;
 
 use crate::{Diagnostic, SourceFile};
@@ -14,7 +13,6 @@ pub use atomics::AtomicsJustify;
 pub use durability::DurabilityRename;
 pub use float::FloatDeterminism;
 pub use locks::LockHygiene;
-pub use panics::PanicFreedom;
 pub use unsafe_free::UnsafeFree;
 
 /// One lint rule. Rules are lexical heuristics tuned to this codebase —
@@ -44,19 +42,9 @@ pub trait Rule {
 pub fn all_rules() -> Vec<Box<dyn Rule>> {
     vec![
         Box::new(FloatDeterminism),
-        Box::new(PanicFreedom),
         Box::new(AtomicsJustify),
         Box::new(DurabilityRename),
         Box::new(LockHygiene),
         Box::new(UnsafeFree),
     ]
 }
-
-/// Rust keywords that may legitimately precede a `[` without the bracket
-/// being an index expression (`return [..]`, `match x { [a] => .. }`).
-pub(crate) const KEYWORDS: &[&str] = &[
-    "as", "async", "await", "break", "const", "continue", "crate", "dyn", "else", "enum", "extern",
-    "false", "fn", "for", "if", "impl", "in", "let", "loop", "match", "mod", "move", "mut", "pub",
-    "ref", "return", "self", "Self", "static", "struct", "super", "trait", "true", "type", "union",
-    "unsafe", "use", "where", "while",
-];

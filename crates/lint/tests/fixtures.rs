@@ -9,7 +9,6 @@ use std::process::Command;
 /// Every rule, paired with the fixture slug its files are named after.
 const RULES: &[(&str, &str)] = &[
     ("float-determinism", "float_determinism"),
-    ("panic-freedom", "panic_freedom"),
     ("atomics-justify", "atomics_justify"),
     ("durability-rename", "durability_rename"),
     ("lock-hygiene", "lock_hygiene"),

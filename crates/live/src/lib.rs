@@ -68,6 +68,17 @@
 //! ```
 
 #![forbid(unsafe_code)]
+// Serving paths never panic (INVARIANTS.md §2). The attribute, not a `[lints]`
+// table: `tests/*.rs` are not swept in, and `clippy.toml` exempts unit tests.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::unreachable,
+    clippy::indexing_slicing
+)]
 
 use std::collections::BTreeSet;
 use std::fmt;

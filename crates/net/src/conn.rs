@@ -3,14 +3,14 @@
 //! queue. Pure buffer logic — no sockets, no clocks — so the non-blocking
 //! framing path is unit-testable byte by byte.
 //!
-//! The wire format is unchanged from the blocking server (see
-//! [`crate::proto`]): a `u32` little-endian payload length, the payload,
-//! and an FNV-1a-64 checksum trailer. What changes here is *delivery*: the
-//! event loop hands whatever bytes the socket had, and [`FrameReader`]
-//! yields exactly the frames the blocking `read_frame` would have — the
-//! same `StoreError`s for oversize declarations (refused from the header
-//! alone, before any body arrives), torn tails, and checksum mismatches —
-//! regardless of how reads were split.
+//! The wire format is [`crate::proto`]'s: a `u32` little-endian payload
+//! length, the payload, and an FNV-1a-64 checksum trailer. What is
+//! particular here is *delivery*: the event loop hands whatever bytes the
+//! socket had, and [`FrameReader`] yields exactly the frames the blocking
+//! `read_frame` would have — the same `StoreError`s for oversize
+//! declarations (refused from the header alone, before any body arrives),
+//! torn tails, and checksum mismatches — regardless of how reads were
+//! split.
 
 use std::collections::VecDeque;
 use std::io::Write;

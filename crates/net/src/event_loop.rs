@@ -1,13 +1,12 @@
 //! The readiness-driven I/O engine behind [`crate::NetServer`].
 //!
-//! One small set of event-loop threads replaces the old two-threads-per-
-//! connection model: each loop owns a [`Poller`], a [`Waker`], and a share
-//! of the connections; loop 0 additionally owns the (non-blocking)
-//! listener and deals new connections round-robin. Sockets are
-//! non-blocking and level-triggered — the loop reads what is there, parses
-//! with [`FrameReader`], and answers each query one of two ways, both
-//! through `respond`. **Run to completion:** the backend is offered the
-//! request on this thread
+//! One small set of event-loop threads drives every connection: each loop
+//! owns a [`Poller`], a [`Waker`], and a share of the connections; loop 0
+//! additionally owns the (non-blocking) listener and deals new connections
+//! round-robin. Sockets are non-blocking and level-triggered — the loop
+//! reads what is there, parses with [`FrameReader`], and answers each query
+//! one of two ways, both through `respond`. **Run to completion:** the
+//! backend is offered the request on this thread
 //! ([`QueryBackend::answer_inline`](crate::QueryBackend::answer_inline));
 //! when it takes it — it has opted in, it measures such a request to cost
 //! less than the hand-off would, and this loop iteration has not already
@@ -463,9 +462,8 @@ impl EventLoop {
                         c.deliver(reply);
                         self.pump(conn, false, false);
                     }
-                    // A vanished connection's responses are undeliverable;
-                    // dropping them mirrors the old writer's dead-socket
-                    // path.
+                    // A vanished connection's responses are undeliverable
+                    // and dropped.
                 }
             }
         }
@@ -798,9 +796,8 @@ impl EventLoop {
         }
     }
 
-    /// Handles one well-formed frame according to the connection's phase —
-    /// the dispatch table of the old per-connection reader thread, minus
-    /// the blocking.
+    /// Handles one well-formed frame according to the connection's phase:
+    /// the protocol's dispatch table.
     fn on_frame(&mut self, conn: &mut Conn, frame: Frame, wire_len: u64) {
         match (conn.phase, frame) {
             (Phase::Handshake, Frame::Hello { magic, version }) if magic == NET_MAGIC => {
@@ -899,7 +896,7 @@ impl EventLoop {
     }
 
     /// First-query connection accounting plus per-request traffic counters
-    /// (exactly the frames the old reader counted: query requests only).
+    /// (query request frames only).
     fn note_request(&self, conn: &mut Conn, wire_len: u64) {
         if !conn.counted {
             conn.counted = true;

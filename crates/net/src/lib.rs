@@ -92,6 +92,17 @@
 //! ```
 
 #![forbid(unsafe_code)]
+// Serving paths never panic (INVARIANTS.md §2). The attribute, not a `[lints]`
+// table: `tests/*.rs` are not swept in, and `clippy.toml` exempts unit tests.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::unreachable,
+    clippy::indexing_slicing
+)]
 
 pub mod client;
 pub(crate) mod conn;
@@ -113,6 +124,7 @@ pub use server::{NetServer, QueryBackend, ServerConfig};
 // vocabulary without a direct ustr-service dependency.
 pub use ustr_service::{QueryRequest, QueryResponse};
 
+#[allow(clippy::unreachable)] // clippy.toml has no in-tests switch for this one
 #[cfg(test)]
 mod tests {
     use std::sync::Arc;

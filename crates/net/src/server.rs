@@ -46,9 +46,7 @@
 //! control propagates the stall to the client. Memory per connection is
 //! therefore bounded by `inflight × max_frame_len` (plus one read chunk)
 //! regardless of how aggressively a client pipelines. A slot is released
-//! only when its response frame has completely reached the socket, exactly
-//! like the old per-connection writer releasing its permit after
-//! `write_all`.
+//! only when its response frame has completely reached the socket.
 //!
 //! # Shutdown
 //!
@@ -308,8 +306,7 @@ pub struct ServerConfig {
     pub drain_timeout: std::time::Duration,
     /// Reap a connection that has been completely quiet — no reads, no
     /// in-flight work, nothing queued to write — for this long. `None`
-    /// (the default) never reaps: idle sessions are held open
-    /// indefinitely, the pre-resilience behavior.
+    /// (the default) never reaps: idle sessions are held open indefinitely.
     pub idle_timeout: Option<std::time::Duration>,
     /// Per-connection budget of *failing* requests. Once a connection has
     /// produced this many error results it is drained with a fatal

@@ -541,38 +541,6 @@ impl TraceSpan {
         }
     }
 
-    /// Records an already-measured child directly (explicit timestamps,
-    /// tracer clock). For stages timed once but attributed to several
-    /// requests' traces, where a live child span per request would
-    /// re-measure the same region.
-    pub fn add_child_at(
-        &self,
-        name: &'static str,
-        start_ns: u64,
-        end_ns: u64,
-        attrs: &[(&'static str, AttrValue)],
-    ) {
-        let Some(inner) = &self.inner else {
-            return;
-        };
-        let mut set = AttrSet::new();
-        for &(k, v) in attrs {
-            set.push(k, v);
-        }
-        let record = SpanRecord {
-            trace_id: inner.buf.trace_id,
-            span_id: inner.buf.next_span_id(),
-            parent_span: inner.span_id,
-            name,
-            start_ns,
-            end_ns: end_ns.max(start_ns),
-            attrs: set,
-        };
-        if let Ok(mut spans) = inner.buf.spans.lock() {
-            spans.push(record);
-        }
-    }
-
     /// Finishes the span, returning its duration in microseconds (0 when
     /// disabled). Root spans decide keep-or-drop for the whole trace here.
     pub fn finish(mut self) -> u64 {
@@ -922,7 +890,7 @@ mod tests {
         seg.set_u64("verified", 3);
         seg.finish();
         fanout.finish();
-        root.add_child_at("merge", t.now_ns(), t.now_ns(), &[]);
+        root.child("merge").finish();
         let finished = root.finish_trace().expect("recording root");
         assert!(finished.kept);
         assert_eq!(finished.spans.len(), 5);

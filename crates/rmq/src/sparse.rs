@@ -82,12 +82,6 @@ impl SparseTable {
                 .map(|row| row.capacity() * size_of::<u32>())
                 .sum::<usize>()
     }
-
-    /// Extreme *value* within `[l, r]`.
-    #[inline]
-    pub fn query_value(&self, l: usize, r: usize) -> f64 {
-        self.values[self.query(l, r)]
-    }
 }
 
 impl Rmq for SparseTable {
@@ -197,13 +191,5 @@ mod tests {
         let st = SparseTable::new(&[1.0, 2.0, 3.0, 4.0, 5.0], Direction::Max);
         let rows = 2 * std::mem::size_of::<Vec<u32>>();
         assert_eq!(st.heap_size(), 5 * 8 + 6 * 4 + rows);
-    }
-
-    #[test]
-    fn query_value_returns_extreme() {
-        let st = SparseTable::new(&[0.25, 0.75, 0.5], Direction::Max);
-        assert_eq!(st.query_value(0, 2), 0.75);
-        let st = SparseTable::new(&[0.25, 0.75, 0.5], Direction::Min);
-        assert_eq!(st.query_value(0, 2), 0.25);
     }
 }

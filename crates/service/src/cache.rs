@@ -1,5 +1,13 @@
 //! A classic O(1) LRU cache: hash map into an index-linked recency list.
 
+// The one audited exception to the crate's panic-freedom lints
+// (INVARIANTS.md §2). Intrusive LRU list: prev/next are indices into a fixed
+// arena and every mutation re-links both directions before releasing the
+// lock, so the indices are maintained as an internal invariant, never read
+// from external input. Checked get() in the hot path would hide real logic
+// bugs that the debug-build panic is designed to surface.
+#![allow(clippy::indexing_slicing)]
+
 use std::collections::HashMap;
 use std::hash::Hash;
 

@@ -1,12 +1,19 @@
-//! The typed batch dispatcher: validation, per-mode result cache, thread
-//! pool fan-out, and deterministic merge — over any [`SegmentSet`].
+//! One request, one answer function: `Core::answer` validates a request,
+//! looks it up in the per-mode result cache, fans it out across the
+//! segments of a [`SegmentSet`], merges the partial answers in segment
+//! order, and times, traces and accounts it — all for that one request.
 //!
-//! [`Engine::run`] is the one concurrent dispatch path in the workspace.
-//! The static [`crate::QueryService`] hands it a fixed shard list; the
-//! mutable `ustr-live` service hands it a point-in-time snapshot of sealed
-//! segments plus the memtable. Both get the same guarantees: parallel
-//! answers identical to sequential evaluation, duplicate requests computed
-//! once, and per-mode LRU caching keyed on the exact threshold.
+//! Every door of [`Engine`] is that function. [`Engine::answer`] hands it
+//! the thread pool for the segment fan-out; [`Engine::run_inline`] and
+//! [`Engine::run_sequential`] hand it none, so the calling thread does all
+//! the work; a batch ([`Engine::run_traced`]) is a scatter of whole
+//! requests over the pool, each answered without it. The static
+//! [`crate::QueryService`] serves a fixed shard list through it; the
+//! mutable `ustr-live` service a point-in-time snapshot of sealed segments
+//! plus the memtable. Both get the same guarantees: an answer identical to
+//! sequential evaluation on whichever threads it was computed, duplicate
+//! requests of a batch computed once, and per-mode LRU caching keyed on
+//! the exact threshold.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -24,48 +31,36 @@ use ustr_obs::{
 use ustr_uncertain::kstats;
 
 use crate::exec::{merge_partials, Segment};
+use crate::pool::run_each;
 use crate::{DocHits, LruCache, QueryRequest, QueryResponse, ThreadPool, TopHit};
 
 /// τ values closer than this are treated as the same threshold by request
 /// validation against the serving floor (see [`validate_request`]).
 pub const TAU_TOLERANCE: f64 = canon::TAU_TOLERANCE;
 
-/// Per-mode request key. The mode tag keeps e.g. `Threshold("AB", τ)` and
-/// `Approx("AB", τ)` in distinct entries. τ is keyed by its bit pattern:
-/// an occurrence is admitted iff `p ≥ τ − PROB_EPS`, so any two distinct τ
-/// can straddle some occurrence's boundary and must never share an answer.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-enum RequestKey {
-    Threshold(Vec<u8>, u64),
-    TopK(Vec<u8>, usize),
-    Listing(Vec<u8>, u64),
-    Approx(Vec<u8>, u64),
-}
+/// Per-mode request key: `(mode, pattern, τ bits or k)`. The mode tag keeps
+/// e.g. `Threshold("AB", τ)` and `Approx("AB", τ)` in distinct entries. τ is
+/// keyed by its bit pattern: an occurrence is admitted iff `p ≥ τ −
+/// PROB_EPS`, so any two distinct τ can straddle some occurrence's boundary
+/// and must never share an answer.
+type RequestKey = (&'static str, Vec<u8>, u64);
 
-/// Full cache key: the request key plus the [`SegmentSet::cache_epoch`]
-/// the answer was computed against. Keying on the epoch makes stale
-/// entries unreachable even when a mutation races an in-flight batch —
-/// the batch's `cache_put` lands under the *old* epoch, and every later
-/// lookup uses the new one.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-struct CacheKey {
-    epoch: u64,
-    request: RequestKey,
-}
-
-fn request_key(req: &QueryRequest, epoch: u64) -> CacheKey {
-    let request = match req {
-        QueryRequest::Threshold { pattern, tau } => {
-            RequestKey::Threshold(pattern.clone(), tau.to_bits())
-        }
-        QueryRequest::TopK { pattern, k } => RequestKey::TopK(pattern.clone(), *k),
-        QueryRequest::Listing { pattern, tau } => {
-            RequestKey::Listing(pattern.clone(), tau.to_bits())
-        }
-        QueryRequest::Approx { pattern, tau } => RequestKey::Approx(pattern.clone(), tau.to_bits()),
+fn request_key(req: &QueryRequest) -> RequestKey {
+    let arg = match req {
+        QueryRequest::Threshold { tau, .. }
+        | QueryRequest::Listing { tau, .. }
+        | QueryRequest::Approx { tau, .. } => tau.to_bits(),
+        QueryRequest::TopK { k, .. } => *k as u64,
     };
-    CacheKey { epoch, request }
+    (mode_name(req), pattern_of(req).to_vec(), arg)
 }
+
+/// Full cache key: the [`SegmentSet::cache_epoch`] the answer was computed
+/// against, then the request key. Keying on the epoch makes stale entries
+/// unreachable even when a mutation races an in-flight request — the
+/// request's insert lands under the *old* epoch, and every later lookup
+/// uses the new one.
+type CacheKey = (u64, RequestKey);
 
 use ustr_core::validate_pattern;
 
@@ -91,8 +86,9 @@ pub fn validate_request(req: &QueryRequest, tau_min: f64) -> Result<(), Error> {
 
 /// A point-in-time view of a served collection: an ordered list of
 /// [`Segment`]s (ascending document order across the list) and the
-/// validation threshold floor. [`Engine::run`] answers batches over any
-/// implementor; a mutable service returns a fresh snapshot per batch.
+/// validation threshold floor. [`Engine`] answers over any implementor,
+/// reading it once per call; a mutable service hands over a fresh snapshot
+/// each time.
 pub trait SegmentSet {
     /// Segments in ascending document order. Partial answers are merged in
     /// exactly this order.
@@ -104,7 +100,7 @@ pub trait SegmentSet {
     /// A monotone counter identifying the collection state this snapshot
     /// describes. Cached responses are keyed on it, so an answer computed
     /// against one state can never serve a lookup against another — even
-    /// when a mutation races an in-flight batch. Immutable sets keep the
+    /// when a mutation races an in-flight request. Immutable sets keep the
     /// default 0.
     fn cache_epoch(&self) -> u64 {
         0
@@ -148,15 +144,6 @@ impl EngineMetrics {
     }
 }
 
-/// How one request in a batch was resolved (drives per-request latency
-/// accounting and the slow-query log).
-#[derive(Clone, Copy, PartialEq)]
-enum Outcome {
-    Invalid,
-    CacheHit,
-    Computed,
-}
-
 /// Display name of a request's mode for telemetry.
 pub fn mode_name(req: &QueryRequest) -> &'static str {
     match req {
@@ -189,8 +176,8 @@ fn mismatched(mode: &str) -> Error {
 
 /// What one traced request looked like from the inside: the flat stage
 /// timings a network response can carry, and the full span set for the
-/// slow-query log or an exporter. Produced by [`Engine::run_traced`] for
-/// requests whose trace recorded; `None` otherwise.
+/// slow-query log or an exporter. Every answer carries one when the
+/// request's trace recorded; `None` otherwise.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TraceSummary {
     /// The request's trace id.
@@ -275,16 +262,226 @@ impl WorkEstimate {
     }
 }
 
-/// The reusable dispatch core: a fixed thread pool plus an optional LRU
-/// result cache. Holds no documents — every batch runs over the
-/// [`SegmentSet`] it is handed.
-pub struct Engine {
-    pool: ThreadPool,
+/// One request's answer and, when its trace recorded, its [`TraceSummary`].
+type Answer = (Result<QueryResponse, Error>, Option<TraceSummary>);
+
+/// The collection state one call answers over: a [`SegmentSet`] read once,
+/// and owned, so a batch's request jobs can carry it onto the pool (and a
+/// request's segment jobs its segment list, by one reference count).
+struct View {
+    segments: Arc<[Arc<Segment>]>,
+    tau_min: f64,
+    epoch: u64,
+}
+
+impl View {
+    fn of(set: &dyn SegmentSet) -> Self {
+        Self {
+            segments: set.segments().into(),
+            tau_min: set.tau_min(),
+            epoch: set.cache_epoch(),
+        }
+    }
+}
+
+/// Everything answering a request needs except the pool — shared, so a
+/// request job running *on* the pool can answer too.
+struct Core {
     cache: Option<Mutex<LruCache<CacheKey, QueryResponse>>>,
     work: WorkEstimate,
     metrics: EngineMetrics,
-    slow_log: Arc<SlowQueryLog>,
+    slow_log: SlowQueryLog,
     tracer: Arc<Tracer>,
+}
+
+impl Core {
+    fn cache_get(&self, key: &CacheKey) -> Option<QueryResponse> {
+        let cache = self.cache.as_ref()?;
+        let hit = lock_clean(cache).get(key);
+        match &hit {
+            Some(_) => self.metrics.cache_hits.inc(),
+            None => self.metrics.cache_misses.inc(),
+        }
+        hit
+    }
+
+    /// Answers one request over `view`: root span → validation → cache
+    /// lookup → segment fan-out → merge in segment order → accounting.
+    /// With a `pool` the fan-out is scattered over it — worked by this
+    /// thread too, and by it alone while the whole fan-out is expected to
+    /// be cheaper than the wake a helper costs; without one every segment
+    /// is answered here, so the call waits on no other thread. The answer
+    /// is the same either way: partial answers are merged in segment order
+    /// (top-k with a total tie-break), never in completion order.
+    fn answer(
+        &self,
+        view: &View,
+        req: &QueryRequest,
+        parent: Option<TraceContext>,
+        pool: Option<&ThreadPool>,
+    ) -> Answer {
+        self.metrics.requests.inc();
+        // Continuing the propagated context when one was carried in, fresh
+        // otherwise. Disabled tracer ⇒ the root is a no-op and so is every
+        // child derived from it.
+        let mut root = match parent {
+            Some(ctx) => self.tracer.continue_span("request", ctx),
+            None => self.tracer.root_span("request"),
+        };
+        root.set_str("mode", mode_name(req));
+        // `(stage, microseconds)` in lifecycle order. A request that fails
+        // validation goes through none, a cache hit stops after the lookup.
+        let mut stages: Vec<(&'static str, u64)> = Vec::new();
+        let result = 'resolved: {
+            if let Err(e) = validate_request(req, view.tau_min) {
+                break 'resolved Err(e);
+            }
+
+            let key: CacheKey = (view.epoch, request_key(req));
+            let lookup = Span::on(self.metrics.lookup_us.clone());
+            let mut lookup_span = root.child("cache_lookup");
+            let hit = self.cache_get(&key);
+            lookup_span.set_str("cache", if hit.is_some() { "hit" } else { "miss" });
+            lookup_span.finish();
+            stages.push(("cache_lookup", lookup.finish()));
+            if let Some(hit) = hit {
+                break 'resolved Ok(hit);
+            }
+
+            // Fan out: one job per segment. The per-segment spans are
+            // created here (so parentage is right) but restarted inside the
+            // job so they measure execution, not queue wait. Kernel counts
+            // come from the running thread's scratch totals — the hot loop
+            // stays atomic-free and the delta is exactly this segment's
+            // work.
+            let fanout = Span::on(self.metrics.fanout_us.clone());
+            let fanout_span = root.child("fanout");
+            let seg_spans: Vec<Mutex<TraceSpan>> = (view.segments.iter())
+                .map(|_| Mutex::new(fanout_span.child("segment_answer")))
+                .collect();
+            let job = {
+                let (req, segments) = (req.clone(), Arc::clone(&view.segments));
+                let segment_us = self.metrics.segment_us.clone();
+                move |s: usize| {
+                    let (segment, seg_span) = (segments.get(s)?, seg_spans.get(s)?);
+                    #[cfg(test)]
+                    assert!(pattern_of(&req) != PANIC_PATTERN, "injected segment panic");
+                    let mut seg_span =
+                        std::mem::replace(&mut *lock_clean(seg_span), TraceSpan::disabled());
+                    seg_span.restart();
+                    let kernel_before = kstats::thread_totals();
+                    let started = Instant::now();
+                    let answer = segment.answer(&req);
+                    let work_ns = ns_since(started);
+                    segment_us.record(work_ns / 1_000);
+                    if seg_span.is_recording() {
+                        let d = kstats::thread_totals().since(&kernel_before);
+                        seg_span.set_u64("segment", s as u64);
+                        seg_span.set_u64("candidates", d.candidates);
+                        seg_span.set_u64("verified", d.verified);
+                        seg_span.set_u64("plane_scans", d.plane_scans);
+                        seg_span.set_u64("cold_scans", d.cold_scans);
+                    }
+                    seg_span.finish();
+                    Some((answer, work_ns))
+                }
+            };
+            let answers = match pool {
+                Some(pool) => {
+                    let helpers = if self.work.is_cheap(1) { 0 } else { usize::MAX };
+                    pool.scatter(view.segments.len(), helpers, job)
+                }
+                None => run_each(view.segments.len(), job),
+            };
+            fanout_span.finish();
+            stages.push(("fanout", fanout.finish()));
+
+            // Merge in segment order, whatever order the jobs finished in.
+            let merge = Span::on(self.metrics.merge_us.clone());
+            let merge_span = root.child("merge");
+            let merge_started = Instant::now();
+            let mut parts = Vec::with_capacity(view.segments.len());
+            let mut error: Option<Error> = None;
+            let mut work_ns = 0u64;
+            for slot in answers {
+                // `None`: the job panicked.
+                let (answer, ns) = slot.flatten().unwrap_or_else(|| {
+                    let lost = Error::internal("a segment worker never reported its answer");
+                    (Err(lost), 0)
+                });
+                work_ns = work_ns.saturating_add(ns);
+                match answer {
+                    Ok(part) => parts.push(part),
+                    // Keep the first (lowest-segment) error: deterministic.
+                    Err(e) => {
+                        error.get_or_insert(e);
+                    }
+                }
+            }
+            let merged = match error {
+                Some(e) => Err(e),
+                None => {
+                    let response = merge_partials(req, parts);
+                    if let Some(cache) = &self.cache {
+                        lock_clean(cache).insert(key, response.clone());
+                    }
+                    self.work
+                        .feed(work_ns.saturating_add(ns_since(merge_started)));
+                    Ok(response)
+                }
+            };
+            merge_span.finish();
+            stages.push(("merge", merge.finish()));
+            merged
+        };
+        if result.is_err() {
+            self.metrics.errors.inc();
+        }
+
+        // Closing the root is where the trace commits to (or skips) the
+        // ring, and where its span tree becomes available for the slow-query
+        // log and the network response's stage breakdown.
+        let summary = root.finish_trace().map(|finished| TraceSummary {
+            trace_id: finished.trace_id,
+            duration_us: finished.duration_us,
+            kept: finished.kept,
+            stages: stages.clone(),
+            spans: finished.spans,
+        });
+        // A request's latency is the sum of the stages it went through;
+        // one that went through none is counted and traced, not timed.
+        if !stages.is_empty() {
+            let total_us = stages.iter().map(|&(_, us)| us).sum();
+            self.metrics.request_us.record(total_us);
+            // One threshold read: one decision even if it is adjusted
+            // concurrently.
+            let slow_threshold_us = self.slow_log.threshold_us();
+            if total_us >= slow_threshold_us {
+                self.slow_log.observe_at(
+                    SlowQueryEntry {
+                        pattern: String::from_utf8_lossy(pattern_of(req)).into_owned(),
+                        mode: mode_name(req),
+                        total_us,
+                        stages,
+                        spans: summary
+                            .as_ref()
+                            .map(|s| s.spans.clone())
+                            .unwrap_or_default(),
+                    },
+                    slow_threshold_us,
+                );
+            }
+        }
+        (result, summary)
+    }
+}
+
+/// The reusable answering engine: a fixed thread pool plus an optional LRU
+/// result cache. Holds no documents — every call answers over the
+/// [`SegmentSet`] it is handed.
+pub struct Engine {
+    pool: ThreadPool,
+    core: Arc<Core>,
 }
 
 impl Engine {
@@ -294,18 +491,20 @@ impl Engine {
         let metrics = EngineMetrics::new();
         Self {
             pool: ThreadPool::new(threads),
-            cache: (cache_capacity > 0).then(|| Mutex::new(LruCache::new(cache_capacity))),
-            work: WorkEstimate::new(metrics.registry.gauge("service.inline_estimate_us")),
-            metrics,
-            slow_log: Arc::new(SlowQueryLog::default()),
-            tracer: Arc::new(Tracer::new()),
+            core: Arc::new(Core {
+                cache: (cache_capacity > 0).then(|| Mutex::new(LruCache::new(cache_capacity))),
+                work: WorkEstimate::new(metrics.registry.gauge("service.inline_estimate_us")),
+                metrics,
+                slow_log: SlowQueryLog::default(),
+                tracer: Arc::new(Tracer::new()),
+            }),
         }
     }
 
     /// This engine's tracer (sampling off by default; enable with
     /// [`Tracer::set_sample_permyriad`] / [`Tracer::set_slow_us`]).
     pub fn tracer(&self) -> &Arc<Tracer> {
-        &self.tracer
+        &self.core.tracer
     }
 
     /// Worker threads in the pool.
@@ -313,9 +512,9 @@ impl Engine {
         self.pool.threads()
     }
 
-    /// Runs `job` on the pool — the same workers [`Engine::run`] fans out
-    /// over, so a front end that queues its request jobs here needs no
-    /// query threads of its own. A job may call [`Engine::run`]: the
+    /// Runs `job` on the pool — the same workers [`Engine::answer`] fans
+    /// out over, so a front end that queues its request jobs here needs no
+    /// query threads of its own. A job may call [`Engine::answer`]: the
     /// fan-out is worked by the thread that asks for it.
     pub fn execute(&self, job: impl FnOnce() + Send + 'static) {
         self.pool.execute(job);
@@ -329,54 +528,49 @@ impl Engine {
     /// one source of truth, two views.
     pub fn cache_stats(&self) -> (u64, u64) {
         (
-            self.metrics.cache_hits.get(),
-            self.metrics.cache_misses.get(),
+            self.core.metrics.cache_hits.get(),
+            self.core.metrics.cache_misses.get(),
         )
     }
 
     /// Point-in-time snapshot of this engine's metrics registry (cache
     /// counters, request/error totals, per-stage latency histograms).
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
-        self.metrics.registry.snapshot()
+        self.core.metrics.registry.snapshot()
     }
 
     /// This engine's slow-query ring (threshold adjustable at runtime via
     /// [`SlowQueryLog::set_threshold_us`]).
     pub fn slow_log(&self) -> &SlowQueryLog {
-        &self.slow_log
+        &self.core.slow_log
     }
 
     /// Drops every cached response (the hit/miss counters are preserved).
     /// A mutable service calls this on every write, because cached answers
     /// describe a collection state that no longer exists.
     pub fn invalidate_cache(&self) {
-        if let Some(c) = &self.cache {
+        if let Some(c) = &self.core.cache {
             lock_clean(c).clear();
         }
     }
 
-    fn cache_get(&self, key: &CacheKey) -> Option<QueryResponse> {
-        let cache = self.cache.as_ref()?;
-        let hit = lock_clean(cache).get(key);
-        match &hit {
-            Some(_) => self.metrics.cache_hits.inc(),
-            None => self.metrics.cache_misses.inc(),
-        }
-        hit
+    /// Answers one request of any mode over `set`, fanning it across every
+    /// segment on the thread pool, with its [`TraceSummary`] when its trace
+    /// recorded (`parent`: a propagated context the root span continues).
+    /// **Identical** to [`Engine::run_sequential`] for every mode. Tracing
+    /// disabled ⇒ no summary and the span sites cost one branch each.
+    pub fn answer(
+        &self,
+        set: &dyn SegmentSet,
+        request: &QueryRequest,
+        parent: Option<TraceContext>,
+    ) -> Answer {
+        self.core
+            .answer(&View::of(set), request, parent, Some(&self.pool))
     }
 
-    fn cache_put(&self, key: CacheKey, value: QueryResponse) {
-        if let Some(c) = &self.cache {
-            lock_clean(c).insert(key, value);
-        }
-    }
-
-    /// Answers a typed batch of any mix of query modes, fanning each
-    /// request across every segment of `set` on the thread pool. Responses
-    /// are positionally aligned with `requests` and **identical** to
-    /// [`Engine::run_sequential`] for every mode — per-segment answers are
-    /// merged in segment order (top-k with a total tie-break), never in
-    /// completion order.
+    /// Answers a typed batch of any mix of query modes: [`Engine::run_traced`]
+    /// without the summaries.
     pub fn run(
         &self,
         set: &dyn SegmentSet,
@@ -388,20 +582,57 @@ impl Engine {
             .collect()
     }
 
-    /// [`Engine::run`] with tracing: opens a root span per request (fresh,
-    /// or continuing a propagated parent from `parents` — positionally
-    /// aligned, missing tail = no parent), records cache-lookup / fanout /
-    /// per-segment / merge child spans, and returns each request's
-    /// [`TraceSummary`] alongside its response. Tracing disabled ⇒ every
-    /// summary is `None` and the span sites cost one branch each; answers
-    /// are identical either way.
+    /// Answers a typed batch, positionally aligned with `requests` and
+    /// `parents` (a missing tail = no parent). One request is
+    /// [`Engine::answer`]. Several are scattered over the pool as whole
+    /// requests, each answered by the thread that claims it — the calling
+    /// thread among them, and it alone while the whole batch is expected
+    /// to be cheaper than the wake a helper costs. Duplicate requests are
+    /// collapsed onto their first occurrence first: it alone is answered,
+    /// counted and traced, and the others copy its result — so cache hit
+    /// and miss counts do not depend on how the batch was scheduled.
     pub fn run_traced(
         &self,
         set: &dyn SegmentSet,
         requests: &[QueryRequest],
         parents: &[Option<TraceContext>],
-    ) -> Vec<(Result<QueryResponse, Error>, Option<TraceSummary>)> {
-        self.run_batch(set, requests, parents, false)
+    ) -> Vec<Answer> {
+        let _batch = Span::on(self.core.metrics.batch_us.clone());
+        if let [request] = requests {
+            let parent = parents.first().copied().flatten();
+            return vec![self.answer(set, request, parent)];
+        }
+        let mut firsts: HashMap<RequestKey, usize> = HashMap::new();
+        let mut unique: Vec<(QueryRequest, Option<TraceContext>)> = Vec::new();
+        let slots: Vec<usize> = (requests.iter().enumerate())
+            .map(|(q, req)| {
+                *firsts.entry(request_key(req)).or_insert_with(|| {
+                    unique.push((req.clone(), parents.get(q).copied().flatten()));
+                    unique.len() - 1
+                })
+            })
+            .collect();
+        let (core, view, jobs) = (Arc::clone(&self.core), View::of(set), unique.len());
+        let helpers = if core.work.is_cheap(jobs) {
+            0
+        } else {
+            usize::MAX
+        };
+        let mut answers = self.pool.scatter(jobs, helpers, move |u| {
+            let (request, parent) = unique.get(u)?;
+            Some(core.answer(&view, request, *parent, None))
+        });
+        (slots.iter())
+            .map(|&u| match answers.get_mut(u) {
+                // The first taker is the first occurrence: the summary is its own.
+                Some(Some(Some((result, summary)))) => (result.clone(), summary.take()),
+                // `None`: the job panicked outside its segment jobs.
+                _ => {
+                    let lost = Error::internal("a request job never reported its answer");
+                    (Err(lost), None)
+                }
+            })
+            .collect()
     }
 
     /// Answers one request **on the calling thread, or declines** (`None`:
@@ -412,322 +643,21 @@ impl Engine {
     /// engine's measured estimate of a computed request's work and
     /// `spent_us`, what the caller has already spent on such answers since
     /// it last looked after its other duties, are each under the engine's
-    /// one cheapness constant. Deciding and answering are one call, so the
-    /// answer is computed without helper tickets whatever a concurrent
-    /// sample does to the estimate meanwhile: an inline answer waits on no
-    /// other thread. Same validation, cache, merge, tracing and accounting
-    /// as [`Engine::run_traced`] — same answer.
+    /// one cheapness constant. The answer is computed without the pool, so
+    /// whatever a concurrent sample does to the estimate meanwhile, an
+    /// inline answer waits on no other thread. Same answer as
+    /// [`Engine::answer`].
     pub fn run_inline(
         &self,
         set: &dyn SegmentSet,
         request: &QueryRequest,
         parent: Option<TraceContext>,
         spent_us: u64,
-    ) -> Option<(Result<QueryResponse, Error>, Option<TraceSummary>)> {
-        if spent_us >= CHEAP_WORK_US || !self.work.is_cheap(1) {
+    ) -> Option<Answer> {
+        if spent_us >= CHEAP_WORK_US || !self.core.work.is_cheap(1) {
             return None;
         }
-        self.run_batch(
-            set,
-            std::slice::from_ref(request),
-            std::slice::from_ref(&parent),
-            true,
-        )
-        .pop()
-    }
-
-    /// The one dispatch path. `alone`: the caller may wait on no other
-    /// thread, so the fan-out gets no helper tickets; otherwise it gets
-    /// them unless the whole fan-out is expected to be cheaper than the
-    /// wake a helper costs.
-    fn run_batch(
-        &self,
-        set: &dyn SegmentSet,
-        requests: &[QueryRequest],
-        parents: &[Option<TraceContext>],
-        alone: bool,
-    ) -> Vec<(Result<QueryResponse, Error>, Option<TraceSummary>)> {
-        let batch_span = Span::on(self.metrics.batch_us.clone());
-        self.metrics.requests.add(requests.len() as u64);
-        let segments = set.segments();
-        let tau_min = set.tau_min();
-        let epoch = set.cache_epoch();
-        let num_segments = segments.len();
-        let mut results: Vec<Option<Result<QueryResponse, Error>>> = vec![None; requests.len()];
-        let mut outcomes: Vec<Outcome> = vec![Outcome::Computed; requests.len()];
-
-        // One root span per request: continuing the propagated context
-        // when one was carried in, fresh otherwise. Disabled tracer ⇒
-        // every root is a no-op and so is every child derived from it.
-        let mut roots: Vec<TraceSpan> = requests
-            .iter()
-            .enumerate()
-            .map(|(q, req)| {
-                let mut root = match parents.get(q).copied().flatten() {
-                    Some(ctx) => self.tracer.continue_span("request", ctx),
-                    None => self.tracer.root_span("request"),
-                };
-                root.set_str("mode", mode_name(req));
-                root
-            })
-            .collect();
-
-        // Resolve validation failures and cache hits up front, and collapse
-        // duplicate requests onto one computation: only the first occurrence
-        // (the leader) fans out; followers copy its result.
-        let lookup_span = Span::on(self.metrics.lookup_us.clone());
-        let lookup_start_ns = self.tracer.now_ns();
-        let mut pending: Vec<usize> = Vec::new();
-        let mut fanned: Vec<QueryRequest> = Vec::new(); // pending's requests, owned by the jobs
-        let mut leaders: HashMap<CacheKey, usize> = HashMap::new();
-        let mut followers: Vec<(usize, usize)> = Vec::new(); // (request, leader)
-        for (q, (req, (outcome, result))) in requests
-            .iter()
-            .zip(outcomes.iter_mut().zip(results.iter_mut()))
-            .enumerate()
-        {
-            if let Err(e) = validate_request(req, tau_min) {
-                self.metrics.errors.inc();
-                *outcome = Outcome::Invalid;
-                *result = Some(Err(e));
-                continue;
-            }
-            let key = request_key(req, epoch);
-            if let Some(hit) = self.cache_get(&key) {
-                *outcome = Outcome::CacheHit;
-                *result = Some(Ok(hit));
-                continue;
-            }
-            match leaders.get(&key) {
-                Some(&leader) => followers.push((q, leader)),
-                None => {
-                    leaders.insert(key, q);
-                    pending.push(q);
-                    fanned.push(req.clone());
-                }
-            }
-        }
-        let lookup_end_ns = self.tracer.now_ns();
-        let lookup_us = lookup_span.finish();
-        // The lookup stage is timed once for the batch; each request's
-        // trace gets its own cache_lookup child with the hit/miss verdict.
-        for (root, outcome) in roots.iter().zip(&outcomes) {
-            if *outcome == Outcome::Invalid {
-                continue;
-            }
-            let verdict = if *outcome == Outcome::CacheHit {
-                "hit"
-            } else {
-                "miss"
-            };
-            root.add_child_at(
-                "cache_lookup",
-                lookup_start_ns,
-                lookup_end_ns,
-                &[("cache", ustr_obs::AttrValue::Str(verdict))],
-            );
-        }
-
-        // Fan out: one job per (pending request, segment), request-major,
-        // scattered over the pool and worked by this thread too — so a
-        // request job already running *on* the pool fans out onto it
-        // without waiting for a free worker. Each leader gets a live fanout
-        // child span; its per-segment children are created here (so
-        // parentage is right) but restarted inside the job so they measure
-        // execution, not queue wait. Kernel counts come from the running
-        // thread's scratch totals — the hot loop stays atomic-free and the
-        // delta is exactly this segment's work.
-        let fanout_span = Span::on(self.metrics.fanout_us.clone());
-        let fanout_spans: Vec<TraceSpan> = pending
-            .iter()
-            .map(|&q| {
-                roots
-                    .get(q)
-                    .map_or_else(TraceSpan::disabled, |root| root.child("fanout"))
-            })
-            .collect();
-        let seg_spans: Vec<Mutex<TraceSpan>> = fanout_spans
-            .iter()
-            .flat_map(|f| (0..num_segments).map(|_| Mutex::new(f.child("segment_answer"))))
-            .collect();
-        let segment_us = self.metrics.segment_us.clone();
-        let helpers = if alone || self.work.is_cheap(pending.len()) {
-            0
-        } else {
-            usize::MAX
-        };
-        let jobs = pending.len() * num_segments;
-        let answers = self.pool.scatter(jobs, helpers, move |job| {
-            let s = job % num_segments;
-            let (Some(req), Some(segment), Some(seg_span)) = (
-                fanned.get(job / num_segments),
-                segments.get(s),
-                seg_spans.get(job),
-            ) else {
-                let outside = Error::internal("a fan-out job fell outside the batch");
-                return (Err(outside), 0);
-            };
-            #[cfg(test)]
-            assert!(pattern_of(req) != PANIC_PATTERN, "injected segment panic");
-            let mut seg_span = std::mem::replace(&mut *lock_clean(seg_span), TraceSpan::disabled());
-            seg_span.restart();
-            let kernel_before = kstats::thread_totals();
-            let started = Instant::now();
-            let answer = segment.answer(req);
-            let work_ns = ns_since(started);
-            segment_us.record(work_ns / 1_000);
-            if seg_span.is_recording() {
-                let d = kstats::thread_totals().since(&kernel_before);
-                seg_span.set_u64("segment", s as u64);
-                seg_span.set_u64("candidates", d.candidates);
-                seg_span.set_u64("verified", d.verified);
-                seg_span.set_u64("plane_scans", d.plane_scans);
-                seg_span.set_u64("cold_scans", d.cold_scans);
-            }
-            seg_span.finish();
-            (answer, work_ns)
-        });
-        // Close every leader's fanout span now that all its segment
-        // answers are in.
-        for span in fanout_spans {
-            span.finish();
-        }
-        let fanout_us = fanout_span.finish();
-
-        // Merge in segment order, whatever order the jobs finished in.
-        let merge_span = Span::on(self.metrics.merge_us.clone());
-        let merge_start_ns = self.tracer.now_ns();
-        let mut answers = answers.into_iter();
-        for &q in &pending {
-            let merge_started = Instant::now();
-            let mut parts = Vec::with_capacity(num_segments);
-            let mut error: Option<Error> = None;
-            let mut work_ns = 0u64;
-            for slot in answers.by_ref().take(num_segments) {
-                let answer = slot.map(|(answer, ns)| {
-                    work_ns = work_ns.saturating_add(ns);
-                    answer
-                });
-                match answer {
-                    Some(Ok(part)) => parts.push(part),
-                    Some(Err(e)) => {
-                        // Keep the first (lowest-segment) error: deterministic.
-                        error.get_or_insert(e);
-                    }
-                    None => {
-                        error.get_or_insert(Error::internal(
-                            "a segment worker never reported its answer",
-                        ));
-                    }
-                }
-            }
-            let resolved = match (error, requests.get(q)) {
-                (Some(e), _) => {
-                    self.metrics.errors.inc();
-                    Err(e)
-                }
-                (None, Some(req)) => {
-                    let response = merge_partials(req, parts);
-                    self.cache_put(request_key(req, epoch), response.clone());
-                    self.work
-                        .feed(work_ns.saturating_add(ns_since(merge_started)));
-                    Ok(response)
-                }
-                (None, None) => Err(Error::internal("a pending index fell outside the batch")),
-            };
-            if let Some(slot) = results.get_mut(q) {
-                *slot = Some(resolved);
-            }
-        }
-
-        for (q, leader) in followers {
-            let resolved = results.get(leader).cloned().flatten().unwrap_or_else(|| {
-                Err(Error::internal(
-                    "a duplicate request's leader never resolved",
-                ))
-            });
-            if let Some(slot) = results.get_mut(q) {
-                *slot = Some(resolved);
-            }
-        }
-        let merge_end_ns = self.tracer.now_ns();
-        let merge_us = merge_span.finish();
-        for (root, outcome) in roots.iter().zip(&outcomes) {
-            if *outcome == Outcome::Computed {
-                root.add_child_at("merge", merge_start_ns, merge_end_ns, &[]);
-            }
-        }
-
-        // Stage timings are batch-level (requests in one batch share the
-        // pool), so a request is attributed the stages it went through:
-        // cache hits stop after the lookup, computed requests ride all
-        // three.
-        let stages = |outcome: Outcome| match outcome {
-            Outcome::Invalid => Vec::new(),
-            Outcome::CacheHit => vec![("cache_lookup", lookup_us)],
-            Outcome::Computed => vec![
-                ("cache_lookup", lookup_us),
-                ("fanout", fanout_us),
-                ("merge", merge_us),
-            ],
-        };
-        // Close every root: this is where a trace commits to (or skips)
-        // the ring, and where its span tree becomes available for the
-        // slow-query log and the network response's stage breakdown.
-        let mut summaries: Vec<Option<TraceSummary>> = Vec::with_capacity(requests.len());
-        for (root, &outcome) in roots.drain(..).zip(&outcomes) {
-            summaries.push(root.finish_trace().map(|finished| TraceSummary {
-                trace_id: finished.trace_id,
-                duration_us: finished.duration_us,
-                kept: finished.kept,
-                stages: stages(outcome),
-                spans: finished.spans,
-            }));
-        }
-
-        // Per-request accounting: a request's attributed latency is the
-        // sum of its stages. The slow threshold is read once for the whole
-        // batch — one decision per request even if it is adjusted
-        // concurrently.
-        let slow_threshold_us = self.slow_log.threshold_us();
-        let computed_us = lookup_us + fanout_us + merge_us;
-        for ((req, &outcome), summary) in requests.iter().zip(&outcomes).zip(&summaries) {
-            let total_us = match outcome {
-                Outcome::Invalid => continue,
-                Outcome::CacheHit => lookup_us,
-                Outcome::Computed => computed_us,
-            };
-            self.metrics.request_us.record(total_us);
-            if total_us >= slow_threshold_us {
-                self.slow_log.observe_at(
-                    SlowQueryEntry {
-                        pattern: String::from_utf8_lossy(pattern_of(req)).into_owned(),
-                        mode: mode_name(req),
-                        total_us,
-                        stages: stages(outcome),
-                        spans: summary
-                            .as_ref()
-                            .map(|s| s.spans.clone())
-                            .unwrap_or_default(),
-                    },
-                    slow_threshold_us,
-                );
-            }
-        }
-        batch_span.finish();
-
-        results
-            .into_iter()
-            .zip(summaries)
-            .map(|(r, summary)| {
-                (
-                    r.unwrap_or_else(|| {
-                        Err(Error::internal("a request in the batch was never resolved"))
-                    }),
-                    summary,
-                )
-            })
-            .collect()
+        Some(self.core.answer(&View::of(set), request, parent, None))
     }
 
     /// Answers one threshold query over `set`.
@@ -738,7 +668,10 @@ impl Engine {
         tau: f64,
     ) -> Result<Vec<DocHits>, Error> {
         let pattern = pattern.to_vec();
-        match self.one_request(set, QueryRequest::Threshold { pattern, tau })? {
+        match self
+            .answer(set, &QueryRequest::Threshold { pattern, tau }, None)
+            .0?
+        {
             QueryResponse::Threshold(shared) => Ok(shared.as_ref().clone()),
             _ => Err(mismatched("threshold")),
         }
@@ -752,7 +685,10 @@ impl Engine {
         k: usize,
     ) -> Result<Vec<TopHit>, Error> {
         let pattern = pattern.to_vec();
-        match self.one_request(set, QueryRequest::TopK { pattern, k })? {
+        match self
+            .answer(set, &QueryRequest::TopK { pattern, k }, None)
+            .0?
+        {
             QueryResponse::TopK(shared) => Ok(shared.as_ref().clone()),
             _ => Err(mismatched("top-k")),
         }
@@ -766,7 +702,10 @@ impl Engine {
         tau: f64,
     ) -> Result<Vec<ListingHit>, Error> {
         let pattern = pattern.to_vec();
-        match self.one_request(set, QueryRequest::Listing { pattern, tau })? {
+        match self
+            .answer(set, &QueryRequest::Listing { pattern, tau }, None)
+            .0?
+        {
             QueryResponse::Listing(shared) => Ok(shared.as_ref().clone()),
             _ => Err(mismatched("listing")),
         }
@@ -780,73 +719,27 @@ impl Engine {
         tau: f64,
     ) -> Result<Vec<DocHits>, Error> {
         let pattern = pattern.to_vec();
-        match self.one_request(set, QueryRequest::Approx { pattern, tau })? {
+        match self
+            .answer(set, &QueryRequest::Approx { pattern, tau }, None)
+            .0?
+        {
             QueryResponse::Approx(shared) => Ok(shared.as_ref().clone()),
             _ => Err(mismatched("approx")),
         }
     }
 
-    fn one_request(&self, set: &dyn SegmentSet, req: QueryRequest) -> Result<QueryResponse, Error> {
-        self.run(set, std::slice::from_ref(&req))
-            .pop()
-            .unwrap_or_else(|| {
-                Err(Error::internal(
-                    "the engine returned no response for a one-request batch",
-                ))
-            })
-    }
-
-    /// Reference implementation: the same typed batch answered
-    /// segment-by-segment on the calling thread (no pool), sharing the same
-    /// cache and merge code. Exists to state — and test — the determinism
-    /// contract of [`Engine::run`].
+    /// Reference implementation: the same typed batch answered request by
+    /// request, segment by segment, on the calling thread (no pool),
+    /// through the same function. Exists to state — and test — the
+    /// determinism contract of [`Engine::answer`] and [`Engine::run`].
     pub fn run_sequential(
         &self,
         set: &dyn SegmentSet,
         requests: &[QueryRequest],
     ) -> Vec<Result<QueryResponse, Error>> {
-        let segments = set.segments();
-        let tau_min = set.tau_min();
-        let epoch = set.cache_epoch();
-        self.metrics.requests.add(requests.len() as u64);
-        requests
-            .iter()
-            .map(|req| {
-                let span = Span::on(self.metrics.request_us.clone());
-                let result = (|| {
-                    validate_request(req, tau_min)?;
-                    let key = request_key(req, epoch);
-                    if let Some(hit) = self.cache_get(&key) {
-                        return Ok(hit);
-                    }
-                    let mut parts = Vec::with_capacity(segments.len());
-                    for segment in &segments {
-                        parts.push(segment.answer(req)?);
-                    }
-                    let response = merge_partials(req, parts);
-                    self.cache_put(key, response.clone());
-                    Ok(response)
-                })();
-                let total_us = span.finish();
-                if result.is_err() {
-                    self.metrics.errors.inc();
-                }
-                // One threshold read per request (see SlowQueryLog docs).
-                let slow_threshold_us = self.slow_log.threshold_us();
-                if total_us >= slow_threshold_us {
-                    self.slow_log.observe_at(
-                        SlowQueryEntry {
-                            pattern: String::from_utf8_lossy(pattern_of(req)).into_owned(),
-                            mode: mode_name(req),
-                            total_us,
-                            stages: vec![("sequential", total_us)],
-                            spans: Vec::new(),
-                        },
-                        slow_threshold_us,
-                    );
-                }
-                result
-            })
+        let view = View::of(set);
+        (requests.iter())
+            .map(|req| self.core.answer(&view, req, None, None).0)
             .collect()
     }
 }

@@ -13,19 +13,20 @@
 //! * **Document sharding** — a collection is split into contiguous shards,
 //!   each holding one [`ustr_core::Index`] (and optionally one
 //!   [`ustr_core::ApproxIndex`]) per document.
-//! * **One fixed thread pool** — a batch fans out as one job per
-//!   `(request, shard)` pair over [`ThreadPool::scatter`], worked by the
-//!   calling thread beside the pool's workers — and by it alone, no helper
-//!   woken, when the engine measures the fan-out to be cheaper than a wake.
-//!   A front end queues its request jobs on the same pool
-//!   ([`QueryService::execute`]), so a serving process runs `threads` query
-//!   workers in all; what the engine measures cheap it may answer on its
-//!   own thread instead ([`QueryService::answer_inline`]).
+//! * **One fixed thread pool** — a request fans out as one job per shard
+//!   over [`ThreadPool::scatter`], and a batch as one job per request (each
+//!   then working its own shards), worked by the calling thread beside the
+//!   pool's workers — and by it alone, no helper woken, when the engine
+//!   measures the fan-out to be cheaper than a wake. A front end queues its
+//!   request jobs on the same pool ([`QueryService::execute`]), so a
+//!   serving process runs `threads` query workers in all; what the engine
+//!   measures cheap it may answer on its own thread instead
+//!   ([`QueryService::answer_inline`]).
 //! * **Deterministic merge** — per-shard results are reassembled in shard
 //!   order (top-k answers are re-ranked with a total tie-break on
-//!   `(probability, doc, position)`), so a parallel batch returns *exactly*
-//!   the same answer as sequential evaluation for **every** mode, regardless
-//!   of thread interleaving.
+//!   `(probability, doc, position)`), so a request returns *exactly* the
+//!   same answer as sequential evaluation for **every** mode, regardless of
+//!   thread interleaving — alone or in a batch.
 //! * **LRU result cache** — hot requests are served from an [`LruCache`]
 //!   without touching the indexes. Cache keys are per-mode: a `Threshold`
 //!   and an `Approx` request for the same `(pattern, τ)` occupy distinct
@@ -51,11 +52,11 @@
 //! one `.coll` codec ([`save_coll`] / [`load_coll`] — collection snapshots
 //! and `ustr-live`'s sealed segments are the same artifact), [`Segment`]
 //! (an ordered run of documents), and the deterministic [`merge_partials`];
-//! [`engine`] defines the [`Engine`] dispatcher
-//! (validation, per-mode LRU cache, thread-pool fan-out) running over any
-//! [`SegmentSet`]. [`QueryService`] is the static `SegmentSet` (fixed
-//! shards); `ustr-live`'s `LiveService` is the mutable one (sealed
-//! segments + memtable snapshot per batch).
+//! [`engine`] defines the [`Engine`] — one per-request answer function
+//! (validation, per-mode LRU cache, thread-pool fan-out, merge, timing and
+//! accounting) running over any [`SegmentSet`]. [`QueryService`] is the
+//! static `SegmentSet` (fixed shards); `ustr-live`'s `LiveService` is the
+//! mutable one (sealed segments + memtable snapshot per call).
 //!
 //! ```
 //! use ustr_service::{QueryRequest, QueryResponse, QueryService, ServiceConfig};
@@ -86,6 +87,17 @@
 //! ```
 
 #![forbid(unsafe_code)]
+// Serving paths never panic (INVARIANTS.md §2). The attribute, not a `[lints]`
+// table: `tests/*.rs` are not swept in, and `clippy.toml` exempts unit tests.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::unreachable,
+    clippy::indexing_slicing
+)]
 
 mod cache;
 pub mod engine;
@@ -432,11 +444,12 @@ impl QueryService {
     }
 
     /// Answers a typed batch of any mix of query modes through the shared
-    /// [`Engine`], fanning each request across every shard on the thread
-    /// pool. Responses are positionally aligned with `requests` and are
-    /// **identical** to [`QueryService::query_requests_sequential`] for
-    /// every mode — per-shard answers are merged in shard order (top-k with
-    /// a total tie-break), never in completion order.
+    /// [`Engine`] (see [`Engine::run_traced`] for how a batch is spread
+    /// over the thread pool). Responses are positionally aligned with
+    /// `requests` and are **identical** to
+    /// [`QueryService::query_requests_sequential`] for every mode —
+    /// per-shard answers are merged in shard order (top-k with a total
+    /// tie-break), never in completion order.
     pub fn query_requests(&self, requests: &[QueryRequest]) -> Vec<Result<QueryResponse, Error>> {
         self.engine.run(self, requests)
     }
@@ -473,10 +486,10 @@ impl QueryService {
         self.engine.tracer()
     }
 
-    /// Reference implementation: the same typed batch answered
-    /// shard-by-shard on the calling thread (no pool), sharing the same
-    /// cache and merge code. Exists to state — and test — the determinism
-    /// contract of [`QueryService::query_requests`].
+    /// Reference implementation: the same typed batch answered request by
+    /// request, shard by shard, on the calling thread (no pool), through
+    /// the same answer function. Exists to state — and test — the
+    /// determinism contract of [`QueryService::query_requests`].
     pub fn query_requests_sequential(
         &self,
         requests: &[QueryRequest],
@@ -852,7 +865,7 @@ mod tests {
                     hits.iter().any(|d| d.doc == 2)
                 }
                 QueryResponse::Listing(listed) => listed.iter().any(|h| h.doc == 2),
-                QueryResponse::TopK(_) => unreachable!("no top-k mode in this test"),
+                QueryResponse::TopK(_) => panic!("no top-k mode in this test"),
             };
             let (mut below, mut above) = (0.7, 0.7 + 1e-6);
             assert!(lists_doc_2(below) && !lists_doc_2(above));
@@ -969,6 +982,73 @@ mod tests {
         }
         // Both workers outlived the panics: the pool still fans out.
         assert!(service.query(b"AB", 0.3).is_ok());
+    }
+
+    #[test]
+    fn a_batched_request_is_timed_logged_and_traced_as_itself() {
+        // A tiny document beside one of 6 000 positions: "C" costs a few
+        // microseconds, "AB" — matched 3 000 times — a hundred times that.
+        let docs = vec![
+            UncertainString::parse("C | C | C").unwrap(),
+            UncertainString::deterministic(&b"AB".repeat(3000)),
+        ];
+        let service = QueryService::build(&docs, 0.5, config(2, 2, 0)).unwrap();
+        let threshold = |pattern: &[u8]| QueryRequest::Threshold {
+            pattern: pattern.to_vec(),
+            tau: 0.9,
+        };
+        let (cheap, expensive) = (threshold(b"C"), threshold(b"AB"));
+        let request_us = || service.metrics_snapshot().histograms["service.request_us"].sum;
+        // The `service.request_us` sample(s) answering `batch` leaves.
+        let sampled_us = |batch: &[QueryRequest]| {
+            let before = request_us();
+            assert!(service.query_requests(batch).iter().all(|r| r.is_ok()));
+            request_us() - before
+        };
+        // With the slow-query threshold between what each costs alone, a
+        // batch of both logs the expensive one only, and what is left of
+        // the two samples — the cheap one's — is under the threshold.
+        // (Retried: a preempted thread can make either one slow.)
+        let told_apart = (0..100).any(|_| {
+            let cheap_us = sampled_us(std::slice::from_ref(&cheap));
+            let expensive_us = sampled_us(std::slice::from_ref(&expensive));
+            let between = (cheap_us + expensive_us) / 2;
+            service.slow_log().set_threshold_us(between);
+            service.slow_log().clear();
+            let both_us = sampled_us(&[cheap.clone(), expensive.clone()]);
+            let logged = service.slow_log().entries();
+            cheap_us < between
+                && logged.len() == 1
+                && logged[0].pattern == "AB"
+                && logged[0].stages.iter().map(|(_, us)| us).sum::<u64>() == logged[0].total_us
+                && both_us - logged[0].total_us < between
+        });
+        assert!(told_apart, "each of two batched requests carried both");
+
+        // Traced: each request of a batch has its own root, its stages sum
+        // to no more than that root lasted, and its other spans lie inside.
+        service
+            .tracer()
+            .set_sample_permyriad(ustr_obs::SAMPLE_SCALE);
+        let batch = [cheap, expensive, threshold(b"BA")];
+        for (_, summary) in service.query_requests_traced(&batch, &[]) {
+            let summary = summary.expect("trace recorded at 100%");
+            let stage_sum: u64 = summary.stages.iter().map(|(_, us)| us).sum();
+            assert!(stage_sum <= summary.duration_us, "{summary:?}");
+            let roots = summary.spans.iter().filter(|s| s.name == "request");
+            let [root] = roots.collect::<Vec<_>>()[..] else {
+                panic!("one root a request: {summary:?}");
+            };
+            assert_eq!(root.duration_us(), summary.duration_us);
+            for span in &summary.spans {
+                assert_eq!(span.trace_id, summary.trace_id);
+                assert!(
+                    root.start_ns <= span.start_ns && span.end_ns <= root.end_ns,
+                    "{} outside its root: {summary:?}",
+                    span.name
+                );
+            }
+        }
     }
 
     #[test]

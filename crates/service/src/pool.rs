@@ -85,6 +85,16 @@ impl<T, F: Fn(usize) -> T> Scatter<T, F> {
     }
 }
 
+/// Runs `job(0) .. job(len - 1)` on the calling thread and returns their
+/// results in index order, `None` where a job panicked: what
+/// [`ThreadPool::scatter`] does when it takes no helper, for a caller that
+/// has no pool at hand.
+pub(crate) fn run_each<T>(len: usize, job: impl Fn(usize) -> T) -> Vec<Option<T>> {
+    (0..len)
+        .map(|i| catch_unwind(AssertUnwindSafe(|| job(i))).ok())
+        .collect()
+}
+
 /// Fixed worker pool. Jobs run in submission order per worker pickup;
 /// ordered fan-out goes through [`ThreadPool::scatter`].
 pub struct ThreadPool {
@@ -161,9 +171,7 @@ impl ThreadPool {
     {
         let tickets = len.saturating_sub(1).min(self.threads()).min(helpers);
         if tickets == 0 {
-            return (0..len)
-                .map(|i| catch_unwind(AssertUnwindSafe(|| job(i))).ok())
-                .collect();
+            return run_each(len, job);
         }
         let scatter = Arc::new(Scatter {
             len,

@@ -62,8 +62,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Mixed-mode batches are thread-count invariant: 1 thread / 1 shard,
-    /// 8 threads / many shards, and the sequential reference all agree,
-    /// with and without approx indexes.
+    /// 8 threads / many shards, the sequential reference and each request
+    /// asked alone all agree, with and without approx indexes.
     #[test]
     fn mixed_mode_batches_are_thread_invariant(
         raw_docs in prop::collection::vec(doc(10), 1..6),
@@ -89,6 +89,9 @@ proptest! {
                 (Err(_), Err(_), Err(_)) => {}
                 _ => prop_assert!(false, "request {} error-ness diverged", q),
             }
+            // A batch is its requests, each answered as if alone —
+            // duplicates of an earlier one included.
+            prop_assert_eq!(y, &pooled.query_requests(&batch[q..=q])[0], "request {}", q);
         }
     }
 

@@ -5,8 +5,7 @@ use crate::{error::ModelError, transform::SENTINEL, PROB_EPS};
 /// One position of an uncertain string: a non-empty set of
 /// `(character, probability)` choices with probabilities in `(0, 1]` summing
 /// to at most 1 (strictly-less sums model unenumerated rare characters,
-/// which real annotation pipelines produce; see
-/// [`UncertainChar::validate_strict`] for the exact-sum check).
+/// which real annotation pipelines produce).
 ///
 /// Choices are kept sorted by character byte.
 ///
@@ -65,16 +64,6 @@ impl UncertainChar {
         Self {
             choices: vec![(ch, 1.0)],
         }
-    }
-
-    /// Checks that the probabilities sum to exactly 1 (within tolerance), as
-    /// §3.1 of the paper requires.
-    pub fn validate_strict(&self, position: usize) -> Result<(), ModelError> {
-        let sum: f64 = self.choices.iter().map(|&(_, p)| p).sum();
-        if (sum - 1.0).abs() > 1e-6 {
-            return Err(ModelError::ProbabilitySumExceedsOne { position, sum });
-        }
-        Ok(())
     }
 
     /// The choices, sorted by character byte.
@@ -147,14 +136,6 @@ mod tests {
             UncertainChar::new(vec![(0u8, 1.0)], 0),
             Err(ModelError::ReservedByte { .. })
         ));
-    }
-
-    #[test]
-    fn accepts_under_unit_sums_but_strict_rejects() {
-        let c = UncertainChar::new(vec![(b'A', 0.4), (b'B', 0.3)], 0).unwrap();
-        assert!(c.validate_strict(0).is_err());
-        let c = UncertainChar::new(vec![(b'A', 0.4), (b'B', 0.6)], 0).unwrap();
-        assert!(c.validate_strict(0).is_ok());
     }
 
     #[test]

@@ -123,14 +123,6 @@ impl CorrelationSet {
     pub fn has_subject_at(&self, pos: usize) -> bool {
         self.by_subject.keys().any(|&(p, _)| p == pos)
     }
-
-    /// Subjects at `pos` (used by the verification step of §4.1).
-    pub fn subjects_at(&self, pos: usize) -> impl Iterator<Item = &Correlation> {
-        self.by_subject
-            .iter()
-            .filter(move |&(&(p, _), _)| p == pos)
-            .map(|(_, c)| c)
-    }
 }
 
 #[cfg(test)]
@@ -193,6 +185,5 @@ mod tests {
         assert!(set.get(1, b'z').is_none());
         assert!(set.has_subject_at(2));
         assert!(!set.has_subject_at(0));
-        assert_eq!(set.subjects_at(2).count(), 1);
     }
 }

@@ -44,7 +44,7 @@ pub use plane::{MatchKernel, PatternRanks, ProbPlane};
 pub use special::SpecialUncertainString;
 pub use string::UncertainString;
 pub use transform::{transform, Transformed, MAX_TEXT_LEN, NO_POSITION, SENTINEL};
-pub use worlds::{WorldIter, DEFAULT_WORLD_LIMIT};
+pub use worlds::DEFAULT_WORLD_LIMIT;
 
 /// Relative tolerance used for probability comparisons throughout the
 /// workspace (products of hundreds of floats accumulate rounding error).

@@ -362,27 +362,6 @@ impl ProbPlane {
         }
     }
 
-    /// `true` when position `pos` is deterministic for the kernel (single
-    /// choice with probability exactly 1 and no correlation subject).
-    #[inline]
-    pub fn is_deterministic_at(&self, pos: usize) -> bool {
-        self.det_mask[pos / 64] >> (pos % 64) & 1 == 1
-    }
-
-    /// Iterates the positions `< limit` where `ch` has nonzero probability,
-    /// ascending — the first-pattern-character candidate prefilter used by
-    /// the scan executors.
-    pub fn positions_with(&self, ch: u8, limit: usize) -> PresenceIter<'_> {
-        let words = match self.rank(ch) {
-            Some(r) => {
-                let r = r as usize;
-                &self.presence[r * self.words_per_row..(r + 1) * self.words_per_row]
-            }
-            None => &[],
-        };
-        PresenceIter::new(words, None, limit.min(self.len))
-    }
-
     /// Remaps `pattern` to plane ranks (one small allocation per call; the
     /// hot paths use [`ProbPlane::with_kernel`], which reuses a
     /// thread-local buffer instead).
@@ -822,7 +801,6 @@ mod tests {
     fn deterministic_fast_path_is_exact() {
         let s = UncertainString::deterministic(b"banana");
         let plane = ProbPlane::build(&s);
-        assert!(plane.is_deterministic_at(0));
         for pattern in [&b"ana"[..], b"nan", b"banana", b"band", b"x"] {
             assert_bit_identical(&s, pattern);
         }
@@ -838,9 +816,6 @@ mod tests {
         // 0.999999999999 is "deterministic" for the model's tolerance-based
         // predicate but must NOT take the exact-1.0 fast path.
         let s = UncertainString::parse("a:.999999999999 | b").unwrap();
-        let plane = ProbPlane::build(&s);
-        assert!(!plane.is_deterministic_at(0));
-        assert!(plane.is_deterministic_at(1));
         assert_bit_identical(&s, b"ab");
     }
 
@@ -913,11 +888,6 @@ mod tests {
     fn presence_prefilter_enumerates_first_char_starts() {
         let s = UncertainString::parse("a:.5,b:.5 | c | a | c:.9,d:.1 | a:.2,c:.8").unwrap();
         let plane = ProbPlane::build(&s);
-        let got: Vec<usize> = plane.positions_with(b'a', 5).collect();
-        assert_eq!(got, vec![0, 2, 4]);
-        let got: Vec<usize> = plane.positions_with(b'a', 3).collect();
-        assert_eq!(got, vec![0, 2], "limit is exclusive");
-        assert_eq!(plane.positions_with(b'z', 5).count(), 0);
         plane.with_kernel(b"ac", |k| {
             let got: Vec<usize> = k.candidates(4).collect();
             assert_eq!(got, vec![0, 2]);

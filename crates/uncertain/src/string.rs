@@ -2,10 +2,7 @@
 
 use std::fmt;
 
-use crate::{
-    chars::UncertainChar, correlation::CorrelationSet, error::ModelError,
-    special::SpecialUncertainString,
-};
+use crate::{chars::UncertainChar, correlation::CorrelationSet, error::ModelError};
 
 /// A character-level uncertain string: a sequence of per-position character
 /// distributions, optionally with pairwise correlations between positions.
@@ -179,22 +176,6 @@ impl UncertainString {
     /// The single most probable character at every position.
     pub fn most_probable_world(&self) -> Vec<u8> {
         self.positions.iter().map(|p| p.most_probable().0).collect()
-    }
-
-    /// Converts to a [`SpecialUncertainString`] when every position has
-    /// exactly one choice (Definition 1), or `None` otherwise.
-    pub fn to_special(&self) -> Option<SpecialUncertainString> {
-        let mut chars = Vec::with_capacity(self.positions.len());
-        let mut probs = Vec::with_capacity(self.positions.len());
-        for p in &self.positions {
-            if p.num_choices() != 1 {
-                return None;
-            }
-            let (c, pr) = p.choices()[0];
-            chars.push(c);
-            probs.push(pr);
-        }
-        Some(SpecialUncertainString::from_raw(chars, probs))
     }
 
     /// Parses the text format: positions separated by `|`, choices by `,`,
@@ -412,15 +393,6 @@ mod tests {
         assert_eq!(s.match_probability(b"nab", 2), 0.0);
         assert_eq!(s.uncertain_fraction(), 0.0);
         assert_eq!(s.most_probable_world(), b"banana");
-    }
-
-    #[test]
-    fn to_special_requires_single_choices() {
-        let s = UncertainString::parse("a:.4 | b:.9 | c").unwrap();
-        let sp = s.to_special().unwrap();
-        assert_eq!(sp.chars(), b"abc");
-        assert_eq!(sp.probs(), &[0.4, 0.9, 1.0]);
-        assert!(figure_1().to_special().is_none());
     }
 
     #[test]

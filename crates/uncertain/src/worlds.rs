@@ -12,7 +12,7 @@ pub const DEFAULT_WORLD_LIMIT: u128 = 1 << 20;
 
 /// Iterator over `(world, probability)` pairs in odometer order (the choice
 /// at the last position varies fastest).
-pub struct WorldIter<'a> {
+struct WorldIter<'a> {
     s: &'a UncertainString,
     /// Current choice index at each position; `None` once exhausted.
     state: Option<Vec<usize>>,
@@ -90,11 +90,6 @@ impl UncertainString {
         }
         Ok(WorldIter::new(self).collect())
     }
-
-    /// Iterator form of [`Self::possible_worlds`] without the safety check.
-    pub fn worlds_iter(&self) -> WorldIter<'_> {
-        WorldIter::new(self)
-    }
 }
 
 #[cfg(test)]
@@ -149,8 +144,6 @@ mod tests {
             s.possible_worlds(),
             Err(ModelError::WorldExplosion { .. })
         ));
-        // Iterator access still works if the caller insists.
-        assert!(s.worlds_iter().next().is_some());
     }
 
     #[test]
