@@ -230,7 +230,7 @@ fn cmd_search(args: &Args) -> Result<String, String> {
     // index is built from the uncertain-string file.
     let (index, pattern) = match args.get("index") {
         Some(idx_path) => {
-            let index = Index::load(idx_path).map_err(|e| e.to_string())?;
+            let index = Index::load(idx_path).map_err(|e| format!("{idx_path}: {e}"))?;
             (index, args.positional(0, "PATTERN")?.as_bytes().to_vec())
         }
         None => {
@@ -444,7 +444,7 @@ fn load_static_service(source: &str, args: &Args) -> Result<QueryService, String
         epsilon,
     };
     if from_snapshots {
-        QueryService::load_collection(source, config).map_err(|e| e.to_string())
+        QueryService::load_collection(source, config).map_err(|e| format!("{source}: {e}"))
     } else {
         let docs = load_collection(source)?;
         let tau_min: f64 = args.get_parsed("tau-min", 0.05)?;
@@ -1055,7 +1055,7 @@ fn cmd_list(args: &Args) -> Result<String, String> {
 /// format version, document count, per-document section sizes and
 /// checksums — no index payload is loaded or decoded.
 fn collection_stats(path: &str) -> Result<String, String> {
-    let m = ustr_store::read_collection_manifest(path).map_err(|e| e.to_string())?;
+    let m = ustr_store::read_collection_manifest(path).map_err(|e| format!("{path}: {e}"))?;
     let total: u64 = m.entries.iter().map(|e| e.len).sum();
     let mut out = format!(
         "collection snapshot      {path}\n\
@@ -1083,7 +1083,7 @@ fn collection_stats(path: &str) -> Result<String, String> {
 
 /// `stats` on a single-index `.idx` snapshot: header only.
 fn snapshot_stats(path: &str) -> Result<String, String> {
-    let h = ustr_store::read_header(path).map_err(|e| e.to_string())?;
+    let h = ustr_store::read_header(path).map_err(|e| format!("{path}: {e}"))?;
     Ok(format!(
         "index snapshot           {path}\n\
          format version           {}\n\
@@ -1470,6 +1470,62 @@ mod tests {
         .unwrap();
         let out = run(&argv(&format!("stats {}", idx.display()))).unwrap();
         assert!(out.contains("kind                     Index"), "{out}");
+        let _ = fs::remove_file(&coll);
+        let _ = fs::remove_file(&idx);
+    }
+
+    /// A file of the previous snapshot format is refused with its path and
+    /// both version numbers, by every command that opens one (`serve-net`
+    /// loads through the same function as `serve-batch`).
+    #[test]
+    fn an_old_format_file_is_refused_by_path() {
+        use ustr_store::{collection, FORMAT_VERSION};
+        let docs = write_temp(
+            "ustr_cli_oldfmt_docs.ustr",
+            "A:.9,B:.1 | B | C\nC | C | C\n",
+        );
+        let queries = write_temp("ustr_cli_oldfmt_q.txt", "AB 0.3\n");
+        let coll = std::env::temp_dir().join("ustr_cli_oldfmt.coll");
+        run(&argv(&format!(
+            "build-collection {docs} --out {} --tau-min 0.05",
+            coll.display()
+        )))
+        .unwrap();
+        let mut parsed = collection::read_collection(&fs::read(&coll).unwrap()[..]).unwrap();
+        let old = FORMAT_VERSION - 1;
+        parsed.sections[0].bytes[8..12].copy_from_slice(&old.to_le_bytes());
+        let mut bytes = Vec::new();
+        collection::write_collection(
+            &mut bytes,
+            parsed.num_docs,
+            parsed.shard_hint,
+            &parsed.sections,
+        )
+        .unwrap();
+        fs::write(&coll, bytes).unwrap();
+        let idx = std::env::temp_dir().join("ustr_cli_oldfmt.idx");
+        fs::write(&idx, &parsed.sections[0].bytes).unwrap();
+
+        for (cmd, path) in [
+            (format!("serve-batch {} {queries}", coll.display()), &coll),
+            (format!("stats {}", idx.display()), &idx),
+            (
+                format!("search --index {} AB --tau 0.3", idx.display()),
+                &idx,
+            ),
+        ] {
+            let err = run(&argv(&cmd)).unwrap_err();
+            assert!(
+                err.starts_with(&format!("{}: ", path.display())),
+                "{cmd}: {err}"
+            );
+            assert!(
+                err.contains(&format!(
+                    "version {old} (this build reads version {FORMAT_VERSION})"
+                )),
+                "{cmd}: {err}"
+            );
+        }
         let _ = fs::remove_file(&coll);
         let _ = fs::remove_file(&idx);
     }

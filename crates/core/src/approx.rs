@@ -28,7 +28,7 @@ use std::time::Instant;
 
 use ustr_rmq::{BlockRmq, Direction, Rmq, ThresholdReporter};
 use ustr_suffix::Ancestry;
-use ustr_uncertain::{canon, transform, Transformed, UncertainString};
+use ustr_uncertain::{canon, transform, UncertainString};
 
 use crate::{
     carray::CumulativeLogProb,
@@ -54,8 +54,8 @@ use crate::{
 /// assert!(!hits.positions().contains(&1));
 /// ```
 pub struct ApproxIndex {
-    transformed: Transformed,
-    /// The §4 machinery minus its RMQ levels: links replace them here.
+    /// The §4 machinery minus its RMQ levels: links replace them here, and
+    /// carry their source positions (nothing else of the transform is kept).
     text: ScoredText,
     /// Preorder ranks and LCA over `text.tree` — derived state, rebuilt on
     /// construction and snapshot load. Only this index needs them.
@@ -186,7 +186,6 @@ impl ApproxIndex {
             ..Default::default()
         };
         let mut idx = Self {
-            transformed,
             text,
             ancestry,
             links,
@@ -202,9 +201,8 @@ impl ApproxIndex {
     }
 
     /// Heap bytes held.
-    fn heap_size(&self) -> usize {
-        self.transformed.heap_size()
-            + self.text.heap_size()
+    pub(crate) fn heap_size(&self) -> usize {
+        self.text.heap_size()
             + self.ancestry.heap_size()
             + self.links.capacity() * std::mem::size_of::<Link>()
             + self.target_rmq.heap_size()
@@ -234,7 +232,7 @@ impl ApproxIndex {
     /// [`crate::snapshot`]). The byte encoding lives in `ustr-store`.
     pub fn to_snapshot(&self) -> ApproxIndexState {
         ApproxIndexState {
-            transformed: self.transformed.clone(),
+            source_len: self.stats.source_len,
             text: self.text.to_state(),
             links: self.links.clone(),
             epsilon: self.epsilon,
@@ -250,12 +248,6 @@ impl ApproxIndex {
     /// index the snapshot was taken from. Fails with
     /// [`Error::InvalidSnapshot`] on structurally inconsistent state.
     pub fn from_snapshot(state: ApproxIndexState) -> Result<Self, Error> {
-        if state.text.text != state.transformed.special.chars() {
-            return Err(invalid("tree text does not match the transformed text"));
-        }
-        if state.transformed.pos.len() != state.transformed.special.len() {
-            return Err(invalid("position map length does not match text"));
-        }
         if !canon::valid_epsilon(state.epsilon) {
             return Err(invalid("epsilon outside (0, 1)"));
         }
@@ -264,7 +256,7 @@ impl ApproxIndex {
         }
         let text = ScoredText::from_state(state.text)?;
         let num_nodes = text.tree.num_nodes() as u32;
-        let source_len = state.transformed.source_len as u32;
+        let source_len = state.source_len;
         let mut prev_pre = 0u32;
         for link in &state.links {
             if link.origin_pre >= num_nodes {
@@ -277,7 +269,7 @@ impl ApproxIndex {
             if link.target_depth >= link.origin_depth {
                 return Err(invalid("link target depth not below its origin"));
             }
-            if link.source_pos >= source_len {
+            if link.source_pos as usize >= source_len {
                 return Err(invalid("link source position outside the source"));
             }
             if !link.prob.is_finite() || canon::is_negative(link.prob) {
@@ -286,8 +278,7 @@ impl ApproxIndex {
         }
         let links = state.links;
         let target_rmq = target_depth_rmq(&links);
-        Ok(Self {
-            transformed: state.transformed,
+        let mut idx = Self {
             ancestry: Ancestry::build(&text.tree),
             text,
             links,
@@ -295,7 +286,9 @@ impl ApproxIndex {
             epsilon: state.epsilon,
             tau_min: state.tau_min,
             stats: state.stats,
-        })
+        };
+        idx.stats.heap_bytes = idx.heap_size();
+        Ok(idx)
     }
 
     /// Positions where `pattern` matches with probability ≥ τ, up to the

@@ -22,45 +22,32 @@ impl CumulativeLogProb {
     /// Builds from per-position probabilities; `is_sentinel(i)` marks
     /// separator positions (their probability is ignored).
     pub fn new(probs: &[f64], is_sentinel: impl Fn(usize) -> bool) -> Self {
-        let n = probs.len();
-        let mut prefix = Vec::with_capacity(n + 1);
-        let mut sentinels = Vec::with_capacity(n + 1);
+        let mut prefix = Vec::with_capacity(probs.len() + 1);
         prefix.push(0.0);
-        sentinels.push(0);
         let mut sum = 0.0f64;
-        let mut count = 0u32;
         for (i, &p) in probs.iter().enumerate() {
-            if is_sentinel(i) {
-                count += 1;
-            } else {
+            if !is_sentinel(i) {
                 debug_assert!(canon::is_positive_prob(p), "probabilities must be positive");
                 sum += canon::ln(p);
             }
             prefix.push(sum);
+        }
+        Self::from_prefix(prefix, is_sentinel)
+    }
+
+    /// Reassembles from the prefix sums (`len + 1` entries, never empty) —
+    /// what snapshots store, so window evaluations stay bit-identical after
+    /// a load — recounting the separators as [`Self::new`] counts them.
+    pub fn from_prefix(prefix: Vec<f64>, is_sentinel: impl Fn(usize) -> bool) -> Self {
+        assert!(!prefix.is_empty(), "prefix sums start with the empty sum");
+        let mut sentinels = Vec::with_capacity(prefix.len());
+        sentinels.push(0);
+        let mut count = 0u32;
+        for i in 0..prefix.len() - 1 {
+            count += u32::from(is_sentinel(i));
             sentinels.push(count);
         }
         Self { prefix, sentinels }
-    }
-
-    /// Decomposes into the `(prefix, sentinels)` arrays accepted by
-    /// [`CumulativeLogProb::from_parts`] (the persistent representation used
-    /// by index snapshots; serializing the prefix sums directly keeps window
-    /// evaluations bit-identical after a load).
-    pub fn to_parts(&self) -> (Vec<f64>, Vec<u32>) {
-        (self.prefix.clone(), self.sentinels.clone())
-    }
-
-    /// Reassembles from parts produced by [`CumulativeLogProb::to_parts`].
-    /// Fails when the arrays are structurally inconsistent (empty, unequal
-    /// lengths, or a non-monotone sentinel count).
-    pub fn from_parts(prefix: Vec<f64>, sentinels: Vec<u32>) -> Result<Self, &'static str> {
-        if prefix.is_empty() || prefix.len() != sentinels.len() {
-            return Err("prefix and sentinel arrays must be non-empty and equal-length");
-        }
-        if sentinels.windows(2).any(|w| w[0] > w[1]) {
-            return Err("sentinel counts must be non-decreasing");
-        }
-        Ok(Self { prefix, sentinels })
     }
 
     /// Number of positions covered.

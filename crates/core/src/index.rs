@@ -3,7 +3,7 @@
 
 use std::time::Instant;
 
-use ustr_uncertain::{canon, transform, ProbPlane, Transformed, UncertainString};
+use ustr_uncertain::{canon, transform, ProbPlane, UncertainString, NO_POSITION};
 
 use crate::{
     error::{validate_query, Error},
@@ -13,8 +13,8 @@ use crate::{
     substrate::{DedupStrategy, Substrate, NO_KEY},
 };
 
-// `Transformed::pos` doubles as the dedup key array.
-const _: () = assert!(ustr_uncertain::NO_POSITION == NO_KEY);
+// The position map doubles as the dedup key array.
+const _: () = assert!(NO_POSITION == NO_KEY);
 
 /// Substring-search index over a general [`UncertainString`].
 ///
@@ -37,7 +37,9 @@ pub struct Index {
     /// Flat verification plane over `source` — derived state, rebuilt on
     /// construction and snapshot load, never persisted.
     plane: ProbPlane,
-    transformed: Transformed,
+    /// Lemma-2 position map, all that is kept of the transform beside the
+    /// substrate: text position → source position, [`NO_POSITION`] at separators.
+    pos: Vec<u32>,
     substrate: Substrate,
     tau_min: f64,
     stats: BuildStats,
@@ -48,23 +50,25 @@ impl Index {
     pub fn build(source: &UncertainString, tau_min: f64) -> Result<Self, Error> {
         let start = Instant::now();
         let transformed = transform(source, tau_min)?;
+        let mut pos = transformed.pos;
+        pos.shrink_to_fit();
         // `pos` is already the dedup key array: source position per text
         // position, `NO_POSITION` (= no key) at separators.
         let substrate = Substrate::build(
             transformed.special.chars(),
             transformed.special.probs(),
-            &DedupStrategy::BySource(&transformed.pos),
+            &DedupStrategy::BySource(&pos),
         )?;
         let stats = BuildStats {
             source_len: source.len(),
-            transformed_len: transformed.len(),
+            transformed_len: pos.len(),
             num_factors: transformed.num_factors,
             ..Default::default()
         };
         let mut idx = Self {
             source: source.clone(),
             plane: ProbPlane::build(source),
-            transformed,
+            pos,
             substrate,
             tau_min,
             stats,
@@ -85,7 +89,7 @@ impl Index {
     pub fn to_snapshot(&self) -> IndexState {
         IndexState {
             source: self.source.clone(),
-            transformed: self.transformed.clone(),
+            pos: self.pos.clone(),
             substrate: self.substrate.to_state(),
             tau_min: self.tau_min,
             stats: self.stats.clone(),
@@ -98,18 +102,14 @@ impl Index {
     /// identically to the index the snapshot was taken from. Fails with
     /// [`Error::InvalidSnapshot`] on structurally inconsistent state.
     pub fn from_snapshot(state: IndexState) -> Result<Self, Error> {
-        if state.substrate.text.text != state.transformed.special.chars() {
-            return Err(invalid("tree text does not match the transformed text"));
-        }
-        if state.transformed.pos.len() != state.transformed.special.len() {
+        if state.pos.len() != state.substrate.text.text.len() {
             return Err(invalid("position map length does not match text"));
         }
         let source_len = state.source.len();
         if state
-            .transformed
             .pos
             .iter()
-            .any(|&p| p != u32::MAX && p as usize >= source_len)
+            .any(|&p| p != NO_POSITION && p as usize >= source_len)
         {
             return Err(invalid("position map points outside the source string"));
         }
@@ -118,14 +118,16 @@ impl Index {
         }
         let substrate = Substrate::from_state(state.substrate)?;
         let plane = ProbPlane::build(&state.source);
-        Ok(Self {
+        let mut idx = Self {
             source: state.source,
             plane,
-            transformed: state.transformed,
+            pos: state.pos,
             substrate,
             tau_min: state.tau_min,
             stats: state.stats,
-        })
+        };
+        idx.stats.heap_bytes = idx.heap_size();
+        Ok(idx)
     }
 
     /// Construction statistics (transform expansion, timings, space).
@@ -141,10 +143,10 @@ impl Index {
     /// Source position of the suffix starting at text position `x`, if it
     /// starts inside a factor.
     fn source_pos(&self, x: usize) -> Option<usize> {
-        if x >= self.transformed.pos.len() {
-            return None;
+        match *self.pos.get(x)? {
+            NO_POSITION => None,
+            p => Some(p as usize),
         }
-        self.transformed.source_pos(x)
     }
 
     /// All positions of the source string where `pattern` matches with
@@ -272,7 +274,9 @@ impl Index {
 
     /// Approximate heap footprint in bytes (Figure 9c).
     pub fn heap_size(&self) -> usize {
-        self.substrate.heap_size() + self.transformed.heap_size() + self.plane.heap_size()
+        self.substrate.heap_size()
+            + self.pos.capacity() * std::mem::size_of::<u32>()
+            + self.plane.heap_size()
     }
 }
 

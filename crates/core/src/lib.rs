@@ -42,6 +42,23 @@
 //! [`ApproxIndex`] holds the substrate's level-free half (suffix tree + `C`)
 //! beside its links. In [`snapshot`] it appears as one
 //! [`snapshot::SubstrateState`] shared by all four state structs.
+//!
+//! # Space
+//!
+//! The substrate holds the only copy of the transformed text and its
+//! probabilities. What an [`Index`] keeps per *source* position on the
+//! benchmark's `paper-string` workload (n = 100 000, 948 400 slots), before
+//! → after the second copy went (PR 21):
+//!
+//! | structure | B/position |
+//! |---|---|
+//! | suffix tree (text, SA, LCP; nodes + CSR children are 293 of it) | 378.5 |
+//! | levels (masks, champions, sparse tables) | 259.6 |
+//! | verification plane over the source | 184.0 |
+//! | cumulative array `C` (prefix sums, separator counts) | 113.8 |
+//! | position map | 41.9 → 37.9 |
+//! | transform output (text and probabilities again) | 85.4 → 0 |
+//! | **`Index::heap_size()`** | **1 063.2 → 973.9** |
 
 #![forbid(unsafe_code)]
 

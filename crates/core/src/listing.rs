@@ -211,7 +211,7 @@ impl ListingIndex {
         let has_correlations = state.docs.iter().any(|d| !d.correlations().is_empty());
         let substrate = Substrate::from_state(state.substrate)?;
         let planes = state.docs.iter().map(ProbPlane::build).collect();
-        Ok(Self {
+        let mut idx = Self {
             docs: state.docs,
             planes,
             substrate,
@@ -221,7 +221,9 @@ impl ListingIndex {
             tau_min: state.tau_min,
             has_correlations,
             stats: state.stats,
-        })
+        };
+        idx.stats.heap_bytes = idx.heap_size();
+        Ok(idx)
     }
 
     /// Lists all strings with `Rel_max ≥ tau` (the default metric), sorted

@@ -3,16 +3,17 @@
 //! Each of the four index types — [`crate::SpecialIndex`], [`crate::Index`],
 //! [`crate::ListingIndex`] and [`crate::ApproxIndex`] — can be taken apart
 //! into a plain-data *snapshot state* struct (`to_snapshot` /
-//! `from_snapshot`) holding exactly the query-critical state:
+//! `from_snapshot`) holding exactly the query-critical state, each array
+//! once (so assembly checks that the one copy is valid, never that two agree):
 //!
 //! * the source model (uncertain string(s), correlations),
-//! * the transformed deterministic text and its position mapping,
 //! * the paper's §4 machinery as one [`SubstrateState`], the same shape in
 //!   every index that has it:
-//!   * a [`ScoredTextState`] — the text with its `(SA, LCP)` arrays (the
+//!   * a [`ScoredTextState`] — the **only copy** of the deterministic text
+//!     and its probabilities: the text with its `(SA, LCP)` arrays (the
 //!     suffix tree is rebuilt from these in one linear, deterministic pass)
 //!     and the cumulative log-probability prefix sums (serialized verbatim
-//!     so window evaluations stay bit-identical),
+//!     so window evaluations stay bit-identical; separators are recounted),
 //!   * per-level RMQ champion indices and duplicate masks (champion
 //!     *values* are re-derived from the cumulative array on reassembly),
 //! * each index's own map beside it: the Lemma-2 position map (§5), the
@@ -28,16 +29,16 @@
 //! mask sweeps) and produces an index that answers every query identically
 //! to the freshly built original.
 
-use ustr_uncertain::{SpecialUncertainString, Transformed, UncertainString};
+use ustr_uncertain::UncertainString;
 
 use crate::stats::BuildStats;
 
 /// The deterministic text of an index with its suffix structure and
 /// cumulative probabilities — what window probabilities and pattern loci
-/// are read from.
+/// are read from; no state struct holds either a second time.
 #[derive(Debug, Clone)]
 pub struct ScoredTextState {
-    /// The indexed deterministic text (no virtual terminator).
+    /// The indexed deterministic text (no virtual terminator; 0 = separator).
     pub text: Vec<u8>,
     /// Plain suffix array of `text`.
     pub sa: Vec<u32>,
@@ -45,8 +46,6 @@ pub struct ScoredTextState {
     pub lcp: Vec<u32>,
     /// Prefix sums of per-position log probabilities (`len + 1` entries).
     pub prefix: Vec<f64>,
-    /// Running separator counts (`len + 1` entries).
-    pub sentinels: Vec<u32>,
 }
 
 /// Persistent representation of one short RMQ level.
@@ -54,29 +53,23 @@ pub struct ScoredTextState {
 pub struct ShortLevelParts {
     /// Duplicate-elimination mask, 64 slots per word.
     pub mask_words: Vec<u64>,
-    /// RMQ sampling block size.
-    pub block_size: usize,
-    /// Per-block champion indices.
+    /// Champion index of every 64-slot block.
     pub champions: Vec<u32>,
 }
 
 /// Persistent representation of one long (blocking-scheme) level.
 #[derive(Debug, Clone)]
 pub struct LongLevelParts {
-    /// Filter length of this level.
+    /// Filter length of this level, which is also its block size.
     pub len: usize,
-    /// RMQ sampling block size.
-    pub block_size: usize,
-    /// Per-block champion indices.
+    /// Champion index of every `len`-slot block.
     pub champions: Vec<u32>,
 }
 
 /// Persistent representation of all RMQ levels of an index.
 #[derive(Debug, Clone)]
 pub struct LevelsParts {
-    /// Largest pattern length served by the short levels.
-    pub max_short: usize,
-    /// Short levels, in pattern-length order (`1..=max_short`).
+    /// Short levels, in pattern-length order (`1..=short.len()`).
     pub short: Vec<ShortLevelParts>,
     /// Long levels, in increasing filter-length order.
     pub long: Vec<LongLevelParts>,
@@ -96,8 +89,9 @@ pub struct SubstrateState {
 pub struct IndexState {
     /// The source uncertain string (with correlations).
     pub source: UncertainString,
-    /// The Lemma-2 transform output.
-    pub transformed: Transformed,
+    /// Lemma-2 position map: text position → source position (`u32::MAX`
+    /// at separators).
+    pub pos: Vec<u32>,
     /// The §4 machinery over the transformed text.
     pub substrate: SubstrateState,
     /// Construction-time threshold.
@@ -109,8 +103,9 @@ pub struct IndexState {
 /// Snapshot state of a [`crate::SpecialIndex`].
 #[derive(Debug, Clone)]
 pub struct SpecialIndexState {
-    /// The indexed special uncertain string.
-    pub special: SpecialUncertainString,
+    /// Probability of every character of the indexed string (the
+    /// characters are `substrate.text.text`).
+    pub probs: Vec<f64>,
     /// Correlations attached at build time, as plain rows.
     pub correlations: Vec<ustr_uncertain::Correlation>,
     /// The §4 machinery over the string's characters.
@@ -142,8 +137,8 @@ pub struct ApproxLinkState {
 /// Snapshot state of an [`crate::ApproxIndex`].
 #[derive(Debug, Clone)]
 pub struct ApproxIndexState {
-    /// The Lemma-2 transform output.
-    pub transformed: Transformed,
+    /// Length of the source string (every link's `source_pos` is below it).
+    pub source_len: usize,
     /// The transformed text with its suffix structure and probabilities.
     pub text: ScoredTextState,
     /// The ε-refined sub-link table, sorted by `origin_pre` (the min-RMQ

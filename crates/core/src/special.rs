@@ -92,7 +92,7 @@ impl SpecialIndex {
     /// [`crate::snapshot`]).
     pub fn to_snapshot(&self) -> SpecialIndexState {
         SpecialIndexState {
-            special: self.special.clone(),
+            probs: self.special.probs().to_vec(),
             correlations: self.correlations.iter().cloned().collect(),
             substrate: self.substrate.to_state(),
             stats: self.stats.clone(),
@@ -103,9 +103,10 @@ impl SpecialIndex {
     /// query identically to the original. Fails with
     /// [`Error::InvalidSnapshot`] on structurally inconsistent state.
     pub fn from_snapshot(state: SpecialIndexState) -> Result<Self, Error> {
-        if state.substrate.text.text != state.special.chars() {
-            return Err(invalid("tree text does not match the indexed string"));
-        }
+        // The characters are the substrate's text; `special()` serves a copy.
+        let chars = state.substrate.text.text.clone();
+        let special =
+            SpecialUncertainString::new(chars, state.probs).map_err(|e| invalid(e.to_string()))?;
         let mut correlations = CorrelationSet::new();
         for corr in state.correlations {
             correlations.add(corr).map_err(Error::Model)?;
@@ -113,14 +114,16 @@ impl SpecialIndex {
         let substrate = Substrate::from_state(state.substrate)?;
         // Derived, never trusted from the snapshot: a too-small boost would
         // silently prune true matches under correlation uplift.
-        let boost_log = correlation_boost(&state.special, &correlations);
-        Ok(Self {
-            special: state.special,
+        let boost_log = correlation_boost(&special, &correlations);
+        let mut idx = Self {
+            special,
             correlations,
             substrate,
             boost_log,
             stats: state.stats,
-        })
+        };
+        idx.stats.heap_bytes = idx.heap_size();
+        Ok(idx)
     }
 
     /// All positions where `pattern` matches with probability ≥ `tau`.

@@ -16,7 +16,8 @@ pub struct BuildStats {
     pub num_factors: usize,
     /// Wall-clock construction time.
     pub build_time: Duration,
-    /// Approximate heap footprint of the finished index, in bytes.
+    /// Approximate heap footprint, in bytes, of the index these statistics
+    /// are read from: measured when built, and again when loaded.
     pub heap_bytes: usize,
 }
 

@@ -42,7 +42,9 @@ pub(crate) fn check_text_len(len: usize) -> Result<(), Error> {
 }
 
 /// A deterministic text with per-position probabilities: its suffix tree
-/// (pattern loci) and cumulative array `C` (O(1) window probabilities).
+/// (pattern loci) and cumulative array `C` (O(1) window probabilities) —
+/// the only copy an index keeps of the characters (in the tree) and of the
+/// probabilities (`C`'s prefix sums).
 pub(crate) struct ScoredText {
     pub(crate) tree: SuffixTree,
     pub(crate) cum: CumulativeLogProb,
@@ -81,27 +83,25 @@ impl ScoredText {
     /// Decomposes into plain data: `(text, SA, LCP)` and the prefix sums.
     pub(crate) fn to_state(&self) -> ScoredTextState {
         let (text, sa, lcp) = self.tree.to_parts();
-        let (prefix, sentinels) = self.cum.to_parts();
         ScoredTextState {
             text,
             sa,
             lcp,
-            prefix,
-            sentinels,
+            prefix: self.cum.prefix().to_vec(),
         }
     }
 
     /// Validates and reassembles. The checks are exactly what keeps
     /// `SuffixTree::from_parts` and every later window evaluation from
     /// panicking: the SA must be a permutation of `0..n`, every LCP entry a
-    /// genuine common-prefix length, and `C` must cover the text.
+    /// genuine common-prefix length, and `C` must cover the text (whose
+    /// separators are recounted as [`ScoredText::build`] counts them).
     pub(crate) fn from_state(state: ScoredTextState) -> Result<Self, Error> {
         let ScoredTextState {
             text,
             sa,
             lcp,
             prefix,
-            sentinels,
         } = state;
         let n = text.len();
         if sa.len() != n || lcp.len() != n {
@@ -128,10 +128,10 @@ impl ScoredText {
                 return Err(invalid("LCP entry exceeds the true common prefix"));
             }
         }
-        let cum = CumulativeLogProb::from_parts(prefix, sentinels).map_err(invalid)?;
-        if cum.len() != n {
+        if prefix.len() != n + 1 {
             return Err(invalid("cumulative array length does not match text"));
         }
+        let cum = CumulativeLogProb::from_prefix(prefix, |i| text[i] == 0);
         let tree = SuffixTree::from_parts(text, sa, lcp);
         Ok(Self { tree, cum })
     }
@@ -199,16 +199,34 @@ impl Substrate {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::snapshot::{IndexState, SpecialIndexState};
     use crate::{ApproxIndex, Index, ListingIndex, SpecialIndex};
     use ustr_uncertain::{SpecialUncertainString, UncertainString};
 
     const BANANA_PROBS: [f64; 6] = [0.4, 0.7, 0.5, 0.8, 0.9, 0.6];
 
-    /// Figure 5's string: 7 slots, 3 short levels, long levels at 3 and 6.
-    fn banana_state() -> SubstrateState {
-        Substrate::build(b"banana", &BANANA_PROBS, &DedupStrategy::None)
-            .unwrap()
-            .to_state()
+    fn banana() -> SpecialUncertainString {
+        SpecialUncertainString::new(b"banana".to_vec(), BANANA_PROBS.to_vec()).unwrap()
+    }
+
+    fn figure_10() -> UncertainString {
+        UncertainString::parse("Q:.7,S:.3 | Q:.3,P:.7 | P | A:.4,F:.3,P:.2,Q:.1").unwrap()
+    }
+
+    /// Figure 5's string (7 slots, 3 short levels, long levels at 3 and 6)
+    /// as a special index, beside Figure 10's as a general one: between
+    /// them every array a state struct holds.
+    fn states() -> (SpecialIndexState, IndexState) {
+        (
+            SpecialIndex::build(&banana()).unwrap().to_snapshot(),
+            Index::build(&figure_10(), 0.1).unwrap().to_snapshot(),
+        )
+    }
+
+    fn assemble((special, index): (SpecialIndexState, IndexState)) -> Result<(), Error> {
+        SpecialIndex::from_snapshot(special)?;
+        Index::from_snapshot(index)?;
+        Ok(())
     }
 
     fn rejection<T>(result: Result<T, Error>) -> String {
@@ -221,36 +239,49 @@ mod tests {
 
     /// Checksummed-but-inconsistent state: a payload can pass the store's
     /// checksum and still describe no valid structure. Every such state is
-    /// an `InvalidSnapshot` from the one validator — never a panic, at load
-    /// or at the first query.
+    /// an `InvalidSnapshot` — never a panic, at load or at the first query.
+    /// No row sets two copies of one array against each other: a state
+    /// holds each once.
     #[test]
     fn inconsistent_state_is_rejected_not_panicked_on() {
-        assert!(Substrate::from_state(banana_state()).is_ok());
-        type Tamper = fn(&mut SubstrateState);
-        let rows: [(&str, Tamper); 9] = [
-            ("not a permutation", |s| s.text.sa[0] = s.text.sa[1]),
-            ("lcp[0] must be 0", |s| s.text.lcp[0] = 1),
-            ("exceeds the true common prefix", |s| s.text.lcp[1] += 1),
-            ("cumulative array length", |s| {
-                s.text.prefix.push(0.0);
-                s.text.sentinels.push(0);
+        assert!(assemble(states()).is_ok());
+        type Tamper = fn(&mut SpecialIndexState, &mut IndexState);
+        let rows: [(&str, Tamper); 12] = [
+            ("not a permutation", |s, _| {
+                s.substrate.text.sa[0] = s.substrate.text.sa[1]
             }),
-            ("short level count", |s| s.levels.max_short += 1),
-            ("mask word count", |s| s.levels.short[0].mask_words.push(0)),
-            ("outside its block", |s| {
-                s.levels.short[0].champions[0] = u32::MAX
+            ("lcp[0] must be 0", |s, _| s.substrate.text.lcp[0] = 1),
+            ("exceeds the true common prefix", |s, _| {
+                s.substrate.text.lcp[1] += 1
             }),
-            ("strictly increasing", |s| {
-                s.levels.long[1].len = s.levels.long[0].len
+            ("cumulative array length", |s, _| {
+                s.substrate.text.prefix.push(0.0)
             }),
-            ("exceeds the text length", |s| {
-                s.levels.long[1].len = usize::MAX
+            ("mask word count", |s, _| {
+                s.substrate.levels.short[0].mask_words.push(0)
+            }),
+            ("outside its block", |s, _| {
+                s.substrate.levels.short[0].champions[0] = u32::MAX
+            }),
+            ("strictly increasing", |s, _| {
+                s.substrate.levels.long[1].len = s.substrate.levels.long[0].len
+            }),
+            ("exceeds the text length", |s, _| {
+                s.substrate.levels.long[1].len = usize::MAX
+            }),
+            ("champion count", |s, _| {
+                s.substrate.levels.long[0].champions.push(0)
+            }),
+            ("does not match probability count", |s, _| s.probs.push(0.5)),
+            ("position map length", |_, i| i.pos.push(0)),
+            ("outside the source string", |_, i| {
+                i.pos[0] = i.source.len() as u32
             }),
         ];
         for (expected, tamper) in rows {
-            let mut state = banana_state();
-            tamper(&mut state);
-            let detail = rejection(Substrate::from_state(state));
+            let (mut special, mut index) = states();
+            tamper(&mut special, &mut index);
+            let detail = rejection(assemble((special, index)));
             assert!(detail.contains(expected), "{expected:?}: got {detail:?}");
         }
     }
@@ -271,11 +302,9 @@ mod tests {
     /// `from_snapshot`s reach the same validator.
     #[test]
     fn every_from_snapshot_reaches_the_substrate_validator() {
-        let s = UncertainString::parse("Q:.7,S:.3 | Q:.3,P:.7 | P | A:.4,F:.3,P:.2,Q:.1").unwrap();
-        let mut index = Index::build(&s, 0.1).unwrap().to_snapshot();
+        let s = figure_10();
+        let (mut special, mut index) = states();
         index.substrate.text.lcp[0] = 1;
-        let x = SpecialUncertainString::new(b"banana".to_vec(), BANANA_PROBS.to_vec()).unwrap();
-        let mut special = SpecialIndex::build(&x).unwrap().to_snapshot();
         special.substrate.text.lcp[0] = 1;
         let mut listing = ListingIndex::build(&[s.clone(), s.clone()], 0.1)
             .unwrap()
@@ -290,5 +319,38 @@ mod tests {
             rejection(ApproxIndex::from_snapshot(approx)),
         ];
         assert_eq!(details, ["lcp[0] must be 0"; 4]);
+    }
+
+    /// `heap_bytes` measures the index it is read from: a loaded index
+    /// reports its own footprint, not the number its builder recorded.
+    #[test]
+    fn a_loaded_index_reports_its_own_heap() {
+        let s = figure_10();
+        let (mut special, mut index) = states();
+        let mut listing = ListingIndex::build(&[s.clone(), s.clone()], 0.1)
+            .unwrap()
+            .to_snapshot();
+        let mut approx = ApproxIndex::build(&s, 0.1, 0.05).unwrap().to_snapshot();
+        for stats in [
+            &mut special.stats,
+            &mut index.stats,
+            &mut listing.stats,
+            &mut approx.stats,
+        ] {
+            stats.heap_bytes = 1;
+        }
+        let special = SpecialIndex::from_snapshot(special).unwrap();
+        let index = Index::from_snapshot(index).unwrap();
+        let listing = ListingIndex::from_snapshot(listing).unwrap();
+        let approx = ApproxIndex::from_snapshot(approx).unwrap();
+        for (reported, held) in [
+            (special.stats().heap_bytes, special.heap_size()),
+            (index.stats().heap_bytes, index.heap_size()),
+            (listing.stats().heap_bytes, listing.heap_size()),
+            (approx.stats().heap_bytes, approx.heap_size()),
+        ] {
+            assert!(reported > 1);
+            assert_eq!(reported, held);
+        }
     }
 }

@@ -198,13 +198,11 @@ impl Levels {
     /// cumulative array on reload, exactly as queries re-derive them.
     pub(super) fn to_parts(&self) -> LevelsParts {
         LevelsParts {
-            max_short: self.short.len(),
             short: self
                 .short
                 .iter()
                 .map(|s| ShortLevelParts {
                     mask_words: s.mask.words.clone(),
-                    block_size: s.rmq.block_size(),
                     champions: s.rmq.champions().to_vec(),
                 })
                 .collect(),
@@ -213,7 +211,6 @@ impl Levels {
                 .iter()
                 .map(|l| LongLevelParts {
                     len: l.len,
-                    block_size: l.rmq.block_size(),
                     champions: l.rmq.champions().to_vec(),
                 })
                 .collect(),
@@ -226,9 +223,6 @@ impl Levels {
     /// structurally inconsistent parts.
     pub(super) fn from_parts(parts: LevelsParts, text: &ScoredText) -> Result<Self, Error> {
         let slots = text.tree.num_slots();
-        if parts.short.len() != parts.max_short {
-            return Err(invalid("short level count does not match max_short"));
-        }
         let mut short = Vec::with_capacity(parts.short.len());
         for (idx, level) in parts.short.into_iter().enumerate() {
             if level.mask_words.len() != slots.div_ceil(64) {
@@ -239,7 +233,7 @@ impl Levels {
             };
             let rmq = SampledRmq::from_parts(
                 slots,
-                level.block_size,
+                SampledRmq::DEFAULT_BLOCK,
                 Direction::Max,
                 level.champions,
                 &masked(&mask, text, idx + 1),
@@ -261,7 +255,7 @@ impl Levels {
             prev_len = level.len;
             let rmq = SampledRmq::from_parts(
                 slots,
-                level.block_size,
+                level.len,
                 Direction::Max,
                 level.champions,
                 &plain(text, level.len),
@@ -847,7 +841,6 @@ mod tests {
                 };
                 let rmq = SampledRmq::new(slots, Direction::Max, &masked(&mask, text, i));
                 ShortLevelParts {
-                    block_size: rmq.block_size(),
                     champions: rmq.champions().to_vec(),
                     mask_words: mask.words,
                 }
@@ -859,16 +852,11 @@ mod tests {
                     SampledRmq::with_block_size(slots, len, Direction::Max, &plain(text, len));
                 LongLevelParts {
                     len,
-                    block_size: rmq.block_size(),
                     champions: rmq.champions().to_vec(),
                 }
             })
             .collect();
-        LevelsParts {
-            max_short,
-            short,
-            long,
-        }
+        LevelsParts { short, long }
     }
 
     /// The duplicate-mask words of one level, the old way.
@@ -984,12 +972,10 @@ mod tests {
                 for (i, (f, r)) in fused.short.iter().zip(&reference.short).enumerate() {
                     prop_assert_eq!(&f.mask_words, &r.mask_words, "mask of level {}", i + 1);
                     prop_assert_eq!(&f.champions, &r.champions, "champions of level {}", i + 1);
-                    prop_assert_eq!(f.block_size, r.block_size);
                 }
                 prop_assert_eq!(fused.long.len(), reference.long.len());
                 for (f, r) in fused.long.iter().zip(&reference.long) {
                     prop_assert_eq!(f.len, r.len);
-                    prop_assert_eq!(f.block_size, r.block_size);
                     prop_assert_eq!(&f.champions, &r.champions, "champions of long level {}", f.len);
                 }
             }

@@ -5,7 +5,6 @@ mod atomics;
 mod durability;
 mod float;
 mod locks;
-mod unsafe_free;
 
 use crate::{Diagnostic, SourceFile};
 
@@ -13,7 +12,6 @@ pub use atomics::AtomicsJustify;
 pub use durability::DurabilityRename;
 pub use float::FloatDeterminism;
 pub use locks::LockHygiene;
-pub use unsafe_free::UnsafeFree;
 
 /// One lint rule. Rules are lexical heuristics tuned to this codebase —
 /// see each `explain()` for what is matched, why the invariant exists,
@@ -45,6 +43,5 @@ pub fn all_rules() -> Vec<Box<dyn Rule>> {
         Box::new(AtomicsJustify),
         Box::new(DurabilityRename),
         Box::new(LockHygiene),
-        Box::new(UnsafeFree),
     ]
 }

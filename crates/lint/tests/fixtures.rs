@@ -12,7 +12,6 @@ const RULES: &[(&str, &str)] = &[
     ("atomics-justify", "atomics_justify"),
     ("durability-rename", "durability_rename"),
     ("lock-hygiene", "lock_hygiene"),
-    ("unsafe-free", "unsafe_free"),
 ];
 
 fn fixture(name: &str) -> PathBuf {

@@ -737,9 +737,13 @@ impl LiveService {
             let in_segment = |detail: String| StoreError::Corrupt {
                 detail: format!("segment {}: {detail}", meta.id),
             };
+            // Whatever is wrong with the file's contents — an old format
+            // version included — names the segment. An I/O error stays one:
+            // callers tell a failing disk from a bad file by the variant.
             let loaded = load_coll(io.as_ref(), &dir.join(&meta.file)).map_err(|e| match e {
+                StoreError::Io(_) => e,
                 StoreError::Corrupt { detail } => in_segment(detail),
-                other => other,
+                other => in_segment(other.to_string()),
             })?;
             if loaded.docs.len() != meta.docs.len() {
                 return Err(in_segment(format!(
@@ -1594,6 +1598,50 @@ mod tests {
                 }
                 _ => panic!("{expect}: open must report Corrupt"),
             }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A file of the previous format version is refused by its version
+    /// field, saying both versions, through every door — and the live
+    /// directory says which segment it was.
+    #[test]
+    fn an_old_format_section_names_itself_through_every_door() {
+        use ustr_store::{collection, Snapshot, FORMAT_VERSION};
+        let dir = fresh_dir("ustr_live_old_format");
+        let live = LiveService::open(&dir, config(0)).unwrap();
+        live.insert(doc("A:.9,B:.1 | B")).unwrap();
+        live.flush().unwrap();
+        drop(live);
+        let file = dir.join("segment_00000000.coll");
+        let mut coll = collection::read_collection(&std::fs::read(&file).unwrap()[..]).unwrap();
+        let old = FORMAT_VERSION - 1;
+        coll.sections[0].bytes[8..12].copy_from_slice(&old.to_le_bytes());
+        let mut bytes = Vec::new();
+        collection::write_collection(&mut bytes, coll.num_docs, coll.shard_hint, &coll.sections)
+            .unwrap();
+        std::fs::write(&file, bytes).unwrap();
+        let idx = dir.join("old.idx");
+        std::fs::write(&idx, &coll.sections[0].bytes).unwrap();
+
+        let refused = |e: Option<StoreError>| match e {
+            Some(e @ StoreError::UnsupportedVersion { found }) if found == old => e.to_string(),
+            other => panic!("expected UnsupportedVersion, got {other:?}"),
+        };
+        let said = refused(ustr_core::Index::load(&idx).err());
+        assert!(said.contains(&format!("version {old} ")), "{said}");
+        assert!(
+            said.contains(&format!("version {FORMAT_VERSION})")),
+            "{said}"
+        );
+        assert_eq!(refused(load_coll(&RealIo, &file).err()), said);
+        let loaded = QueryService::load_collection(&file, ServiceConfig::default());
+        assert_eq!(refused(loaded.err()), said);
+        match LiveService::open(&dir, config(0)) {
+            Err(LiveError::Store(StoreError::Corrupt { detail })) => {
+                assert_eq!(detail, format!("segment 0: {said}"))
+            }
+            _ => panic!("open must refuse the segment by name"),
         }
         let _ = std::fs::remove_dir_all(&dir);
     }

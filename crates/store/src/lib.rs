@@ -3,12 +3,13 @@
 //! The paper's indexes are built once and queried many times; this crate
 //! makes the "built once" part durable. [`Snapshot::save`] serializes the
 //! query-critical state of an [`Index`], [`SpecialIndex`], [`ListingIndex`],
-//! or [`ApproxIndex`] — the source model, the transformed text with its
-//! position mapping, and the paper's §4 substrate, encoded by one routine
-//! for every kind: the text with its `(SA, LCP)` arrays, the cumulative
-//! log-probability prefix sums, and every per-level RMQ table (champion
-//! indices + duplicate masks; for the approximate index, the ε-refined
-//! sub-link table instead) — and [`Snapshot::load`] reassembles
+//! or [`ApproxIndex`] — the source model, the index's own map, and the
+//! paper's §4 substrate, encoded by one routine for every kind and holding
+//! the only copy of the transformed text and its probabilities: the text
+//! with its `(SA, LCP)` arrays, the cumulative log-probability prefix sums,
+//! and every per-level RMQ table (champion indices + duplicate masks; for
+//! the approximate index, the ε-refined sub-link table instead) — and
+//! [`Snapshot::load`] reassembles
 //! an index that answers **byte-identical** query results, skipping the
 //! expensive construction passes (the Lemma-2 transform, SA-IS, and the
 //! level mask sweeps).
@@ -25,7 +26,7 @@
 //! | offset | size | field |
 //! |---|---|---|
 //! | 0  | 8 | magic `"USTRSNAP"` |
-//! | 8  | 4 | format version, `u32` little-endian (currently 2) |
+//! | 8  | 4 | format version, `u32` little-endian (currently 3) |
 //! | 12 | 1 | index kind: 1 = `Index`, 2 = `SpecialIndex`, 3 = `ListingIndex`, 4 = `ApproxIndex` |
 //! | 13 | 3 | reserved, must be zero |
 //! | 16 | 8 | payload length in bytes, `u64` little-endian |
@@ -36,14 +37,42 @@
 //! bit patterns (so probabilities and prefix sums survive round-trips
 //! bit-exactly); variable-length sequences are length-prefixed with a `u64`.
 //!
+//! # Payloads (version 3)
+//!
+//! Each array is written once. Shared pieces first, then the four payloads,
+//! every field in the order it is written:
+//!
+//! | piece | fields |
+//! |---|---|
+//! | *string* | position count; per position: choice count (`u32`), then `(char, prob)` pairs; correlation count; *correlation* rows |
+//! | *correlation* | subject position, subject char, condition position, condition char, `p_present`, `p_absent` |
+//! | *scored text* | text bytes (0 = factor separator), SA (`u32`s), LCP (`u32`s), prefix sums `C` (`f64`s, text length + 1) |
+//! | *substrate* | *scored text*; short-level count; per short level: mask words (`u64`s), champions (`u32`s, one per 64 slots); long-level count; per long level: filter length, champions (`u32`s, one per filter-length slots) |
+//! | *stats* | source length, transformed length, factor count, build time in ns |
+//!
+//! | kind | payload |
+//! |---|---|
+//! | `Index` | *string* (the source); position map (`u32`s, one per text byte, `u32::MAX` at separators); *substrate*; `τmin`; *stats* |
+//! | `SpecialIndex` | per-character probabilities (`f64`s; the characters are the substrate's text); correlation count, *correlation* rows; *substrate*; *stats* |
+//! | `ListingIndex` | document count, one *string* each; *substrate*; text position → document (`u32`s); text position → offset in document (`u32`s); document bases (`u32`s); `τmin`; *stats* |
+//! | `ApproxIndex` | source length; *scored text*; link count; per link: origin preorder, origin depth, target depth, source position (`u32` each), probability; ε; `τmin`; *stats* |
+//!
+//! Not written, because another field fixes it: the separator counts beside
+//! `C` (the zero bytes of the text), a level's block size (64, or the filter
+//! length), the largest short pattern length (the short-level count), and the heap footprint (a
+//! measurement of the loaded index, taken again on load).
+//!
 //! # Versioning policy
 //!
 //! The format version is bumped whenever the payload layout changes in any
 //! way. Readers accept exactly their own version — a snapshot written by a
 //! different version fails with [`StoreError::UnsupportedVersion`] instead of
 //! being misdecoded; rebuilding from source data is always possible and is
-//! the supported migration path. The reserved header bytes allow future flags
-//! without disturbing the field offsets.
+//! the supported migration path. Version 2 wrote the transformed text twice
+//! (once under the suffix arrays, once with the position map), the
+//! per-character probabilities beside their prefix sums, and the separator
+//! counts; version 3 is the layout above. The reserved header bytes allow
+//! future flags without disturbing the field offsets.
 //!
 //! # Failure model
 //!
@@ -87,7 +116,7 @@ use ustr_core::snapshot::{
     ScoredTextState, ShortLevelParts, SpecialIndexState, SubstrateState,
 };
 use ustr_core::{ApproxIndex, BuildStats, Index, ListingIndex, SpecialIndex};
-use ustr_uncertain::{Correlation, SpecialUncertainString, Transformed, UncertainString};
+use ustr_uncertain::{Correlation, UncertainString};
 
 pub use collection::{
     read_collection, read_collection_manifest, write_collection, Collection, CollectionManifest,
@@ -106,8 +135,9 @@ pub use wire::{read_frame, write_frame, Reader, Writer, FRAME_OVERHEAD};
 pub const MAGIC: [u8; 8] = *b"USTRSNAP";
 
 /// Current snapshot format version (see the crate docs for the policy).
-/// Version 2 added the `ApproxIndex` record kind.
-pub const FORMAT_VERSION: u32 = 2;
+/// Version 2 added the `ApproxIndex` record kind; version 3 stores each
+/// array once.
+pub const FORMAT_VERSION: u32 = 3;
 
 /// Total header size in bytes.
 pub const HEADER_LEN: usize = 32;
@@ -358,41 +388,11 @@ pub(crate) fn decode_uncertain_string(r: &mut Reader<'_>) -> Result<UncertainStr
     Ok(s)
 }
 
-fn encode_special(w: &mut Writer, x: &SpecialUncertainString) {
-    w.put_bytes(x.chars());
-    w.put_f64s(x.probs());
-}
-
-fn decode_special(r: &mut Reader<'_>) -> Result<SpecialUncertainString, StoreError> {
-    let chars = r.get_bytes()?;
-    let probs = r.get_f64s()?;
-    Ok(SpecialUncertainString::new(chars, probs)?)
-}
-
-fn encode_transformed(w: &mut Writer, t: &Transformed) {
-    encode_special(w, &t.special);
-    w.put_u32s(&t.pos);
-    w.put_f64(t.tau_min);
-    w.put_u64(t.num_factors as u64);
-    w.put_u64(t.source_len as u64);
-}
-
-fn decode_transformed(r: &mut Reader<'_>) -> Result<Transformed, StoreError> {
-    Ok(Transformed {
-        special: decode_special(r)?,
-        pos: r.get_u32s()?,
-        tau_min: r.get_f64()?,
-        num_factors: r.get_usize()?,
-        source_len: r.get_usize()?,
-    })
-}
-
 fn encode_scored_text(w: &mut Writer, t: &ScoredTextState) {
     w.put_bytes(&t.text);
     w.put_u32s(&t.sa);
     w.put_u32s(&t.lcp);
     w.put_f64s(&t.prefix);
-    w.put_u32s(&t.sentinels);
 }
 
 fn decode_scored_text(r: &mut Reader<'_>) -> Result<ScoredTextState, StoreError> {
@@ -401,39 +401,35 @@ fn decode_scored_text(r: &mut Reader<'_>) -> Result<ScoredTextState, StoreError>
         sa: r.get_u32s()?,
         lcp: r.get_u32s()?,
         prefix: r.get_f64s()?,
-        sentinels: r.get_u32s()?,
     })
 }
 
 /// The §4 machinery every index kind but `ApproxIndex` carries: scored text,
-/// then levels. The one place its byte layout is written down.
+/// then levels (a level's block size is not written: 64 slots for a short
+/// level, its filter length for a long one). The one place its byte layout
+/// is written down.
 fn encode_substrate(w: &mut Writer, state: &SubstrateState) {
     encode_scored_text(w, &state.text);
     let l = &state.levels;
-    w.put_u64(l.max_short as u64);
     w.put_u64(l.short.len() as u64);
     for s in &l.short {
         w.put_u64s(&s.mask_words);
-        w.put_u64(s.block_size as u64);
         w.put_u32s(&s.champions);
     }
     w.put_u64(l.long.len() as u64);
     for lv in &l.long {
         w.put_u64(lv.len as u64);
-        w.put_u64(lv.block_size as u64);
         w.put_u32s(&lv.champions);
     }
 }
 
 fn decode_substrate(r: &mut Reader<'_>) -> Result<SubstrateState, StoreError> {
     let text = decode_scored_text(r)?;
-    let max_short = r.get_usize()?;
     let num_short = r.get_len(8)?;
     let mut short = Vec::with_capacity(num_short);
     for _ in 0..num_short {
         short.push(ShortLevelParts {
             mask_words: r.get_u64s()?,
-            block_size: r.get_usize()?,
             champions: r.get_u32s()?,
         });
     }
@@ -442,26 +438,22 @@ fn decode_substrate(r: &mut Reader<'_>) -> Result<SubstrateState, StoreError> {
     for _ in 0..num_long {
         long.push(LongLevelParts {
             len: r.get_usize()?,
-            block_size: r.get_usize()?,
             champions: r.get_u32s()?,
         });
     }
     Ok(SubstrateState {
         text,
-        levels: LevelsParts {
-            max_short,
-            short,
-            long,
-        },
+        levels: LevelsParts { short, long },
     })
 }
 
+/// The builder's record. `heap_bytes` is not part of it: that is a
+/// measurement of the index in memory, which `from_snapshot` takes again.
 fn encode_stats(w: &mut Writer, s: &BuildStats) {
     w.put_u64(s.source_len as u64);
     w.put_u64(s.transformed_len as u64);
     w.put_u64(s.num_factors as u64);
     w.put_u64(s.build_time.as_nanos().min(u64::MAX as u128) as u64);
-    w.put_u64(s.heap_bytes as u64);
 }
 
 fn decode_stats(r: &mut Reader<'_>) -> Result<BuildStats, StoreError> {
@@ -470,7 +462,7 @@ fn decode_stats(r: &mut Reader<'_>) -> Result<BuildStats, StoreError> {
         transformed_len: r.get_usize()?,
         num_factors: r.get_usize()?,
         build_time: std::time::Duration::from_nanos(r.get_u64()?),
-        heap_bytes: r.get_usize()?,
+        heap_bytes: 0,
     })
 }
 
@@ -484,25 +476,19 @@ impl Snapshot for Index {
     fn encode_payload(&self, w: &mut Writer) {
         let state = self.to_snapshot();
         encode_uncertain_string(w, &state.source);
-        encode_transformed(w, &state.transformed);
+        w.put_u32s(&state.pos);
         encode_substrate(w, &state.substrate);
         w.put_f64(state.tau_min);
-        // The format's byte for a retired build option (per-level dedup,
-        // which every index has): written as it always was, ignored on read.
-        w.put_bool(true);
         encode_stats(w, &state.stats);
     }
 
     fn decode_payload(r: &mut Reader<'_>) -> Result<Self, StoreError> {
         let state = IndexState {
             source: decode_uncertain_string(r)?,
-            transformed: decode_transformed(r)?,
+            pos: r.get_u32s()?,
             substrate: decode_substrate(r)?,
             tau_min: r.get_f64()?,
-            stats: {
-                r.get_bool()?;
-                decode_stats(r)?
-            },
+            stats: decode_stats(r)?,
         };
         Ok(Index::from_snapshot(state)?)
     }
@@ -513,7 +499,7 @@ impl Snapshot for SpecialIndex {
 
     fn encode_payload(&self, w: &mut Writer) {
         let state = self.to_snapshot();
-        encode_special(w, &state.special);
+        w.put_f64s(&state.probs);
         w.put_u64(state.correlations.len() as u64);
         for corr in &state.correlations {
             encode_correlation(w, corr);
@@ -523,14 +509,14 @@ impl Snapshot for SpecialIndex {
     }
 
     fn decode_payload(r: &mut Reader<'_>) -> Result<Self, StoreError> {
-        let special = decode_special(r)?;
+        let probs = r.get_f64s()?;
         let num_corr = r.get_len(27)?;
         let mut correlations = Vec::with_capacity(num_corr);
         for _ in 0..num_corr {
             correlations.push(decode_correlation(r)?);
         }
         let state = SpecialIndexState {
-            special,
+            probs,
             correlations,
             substrate: decode_substrate(r)?,
             stats: decode_stats(r)?,
@@ -580,7 +566,7 @@ impl Snapshot for ApproxIndex {
 
     fn encode_payload(&self, w: &mut Writer) {
         let state = self.to_snapshot();
-        encode_transformed(w, &state.transformed);
+        w.put_u64(state.source_len as u64);
         encode_scored_text(w, &state.text);
         w.put_u64(state.links.len() as u64);
         for link in &state.links {
@@ -596,7 +582,7 @@ impl Snapshot for ApproxIndex {
     }
 
     fn decode_payload(r: &mut Reader<'_>) -> Result<Self, StoreError> {
-        let transformed = decode_transformed(r)?;
+        let source_len = r.get_usize()?;
         let text = decode_scored_text(r)?;
         let num_links = r.get_len(24)?;
         let mut links = Vec::with_capacity(num_links);
@@ -610,7 +596,7 @@ impl Snapshot for ApproxIndex {
             });
         }
         let state = ApproxIndexState {
-            transformed,
+            source_len,
             text,
             links,
             epsilon: r.get_f64()?,
@@ -624,6 +610,7 @@ impl Snapshot for ApproxIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ustr_uncertain::SpecialUncertainString;
 
     fn sample_index() -> Index {
         let s = UncertainString::parse("Q:.7,S:.3 | Q:.3,P:.7 | P | A:.4,F:.3,P:.2,Q:.1").unwrap();
@@ -734,41 +721,33 @@ mod tests {
         (header.payload_len, header.checksum)
     }
 
-    /// The payloads of all four kinds are byte-for-byte what the commit
-    /// before the shared substrate wrote (constants computed there), so
-    /// files written before it still load and `snapshot_bytes_per_pos`
-    /// cannot have moved. The two measurements among the statistics are
-    /// set through the public state struct: `build_time` — nondeterministic
-    /// — to zero, `heap_bytes` to what that commit's accounting recorded
-    /// for the fixture (the footprint has shrunk since and is now measured,
-    /// not estimated; every other byte — text, SA, LCP, `C`, mask words,
-    /// champions, links — is still what the pinned checksums cover).
+    /// The version-3 payloads of four fixtures, byte for byte. The one
+    /// nondeterministic field, `build_time`, is set to zero through the
+    /// public state struct; everything else — source, maps, text, SA, LCP,
+    /// `C`, mask words, champions, links — is what the checksums cover.
     #[test]
     fn snapshot_payloads_are_pinned() {
         use std::time::Duration;
         let s = UncertainString::parse("Q:.7,S:.3 | Q:.3,P:.7 | P | A:.4,F:.3,P:.2,Q:.1").unwrap();
         let mut state = Index::build(&s, 0.1).unwrap().to_snapshot();
         state.stats.build_time = Duration::ZERO;
-        state.stats.heap_bytes = 6664;
         assert_eq!(
             pinned(&Index::from_snapshot(state).unwrap()),
-            (2194, 16130110927768970065)
+            (1455, 16328272809061747226)
         );
         let mut state = ApproxIndex::build(&s, 0.1, 0.05).unwrap().to_snapshot();
         state.stats.build_time = Duration::ZERO;
-        state.stats.heap_bytes = 9038;
         assert_eq!(
             pinned(&ApproxIndex::from_snapshot(state).unwrap()),
-            (3456, 16573239407359248965)
+            (2614, 5402459184516746742)
         );
         let x = SpecialUncertainString::new(b"banana".to_vec(), vec![0.4, 0.7, 0.5, 0.8, 0.9, 0.6])
             .unwrap();
         let mut state = SpecialIndex::build(&x).unwrap().to_snapshot();
         state.stats.build_time = Duration::ZERO;
-        state.stats.heap_bytes = 920;
         assert_eq!(
             pinned(&SpecialIndex::from_snapshot(state).unwrap()),
-            (496, 17373307002530070499)
+            (390, 1423984753200441312)
         );
         let docs = vec![
             UncertainString::parse("A:.4,B:.3,F:.3 | B:.3,L:.3,F:.3,J:.1 | F:.5,J:.5").unwrap(),
@@ -776,10 +755,45 @@ mod tests {
         ];
         let mut state = ListingIndex::build(&docs, 0.05).unwrap().to_snapshot();
         state.stats.build_time = Duration::ZERO;
-        state.stats.heap_bytes = 19312;
         assert_eq!(
             pinned(&ListingIndex::from_snapshot(state).unwrap()),
-            (5248, 11977288679900869057)
+            (4548, 5216174987608351150)
+        );
+    }
+
+    fn encoded_len(encode: impl FnOnce(&mut Writer)) -> usize {
+        let mut w = Writer::new();
+        encode(&mut w);
+        w.into_bytes().len()
+    }
+
+    /// A payload holds the source, one copy of each per-slot array — text
+    /// byte, SA, LCP and `C` entry, plus the position map for `Index` —
+    /// the levels (or links), and nothing else that grows with the text.
+    /// Version 2 spent 34 and 30 bytes per slot where this allows 21 and 17.
+    #[test]
+    fn snapshot_holds_each_array_once() {
+        let s = ustr_workload::generate_string(&ustr_workload::DatasetConfig::new(2_000, 0.3, 7));
+        const FIXED: usize = 256;
+
+        let index = Index::build(&s, 0.1).unwrap();
+        let state = index.to_snapshot();
+        let slots = state.substrate.text.text.len() + 1;
+        let source = encoded_len(|w| encode_uncertain_string(w, &state.source));
+        let levels = encoded_len(|w| encode_substrate(w, &state.substrate))
+            - encoded_len(|w| encode_scored_text(w, &state.substrate.text));
+        let payload = encoded_len(|w| index.encode_payload(w));
+        assert!(
+            payload <= source + slots * (1 + 4 + 4 + 8 + 4) + levels + FIXED,
+            "{payload} bytes for {slots} slots, source {source}, levels {levels}"
+        );
+
+        let approx = ApproxIndex::build(&s, 0.1, 0.05).unwrap();
+        let links = approx.num_links() * (4 * 4 + 8);
+        let payload = encoded_len(|w| approx.encode_payload(w));
+        assert!(
+            payload <= slots * (1 + 4 + 4 + 8) + links + FIXED,
+            "{payload} bytes for {slots} slots, links {links}"
         );
     }
 }

@@ -219,19 +219,21 @@ fn bad_magic_is_a_clean_error() {
     ));
 }
 
+/// A newer file and an older one (version 2 wrote each array twice) are
+/// refused by the version field alone, before any payload byte is read.
 #[test]
 fn wrong_version_is_a_clean_error() {
     let s = UncertainString::parse("a:.5,b:.5 | b | a").unwrap();
     let built = Index::build(&s, 0.1).unwrap();
     let mut bytes = Vec::new();
     built.write_snapshot(&mut bytes).unwrap();
-    bytes[8..12].copy_from_slice(&(FORMAT_VERSION + 1).to_le_bytes());
-    match Index::read_snapshot(&bytes[..]) {
-        Err(StoreError::UnsupportedVersion { found }) => {
-            assert_eq!(found, FORMAT_VERSION + 1);
+    for foreign in [FORMAT_VERSION + 1, FORMAT_VERSION - 1] {
+        bytes[8..12].copy_from_slice(&foreign.to_le_bytes());
+        match Index::read_snapshot(&bytes[..]) {
+            Err(StoreError::UnsupportedVersion { found }) => assert_eq!(found, foreign),
+            Err(other) => panic!("expected UnsupportedVersion, got {other:?}"),
+            Ok(_) => panic!("foreign version must not load"),
         }
-        Err(other) => panic!("expected UnsupportedVersion, got {other:?}"),
-        Ok(_) => panic!("foreign version must not load"),
     }
 }
 

@@ -53,12 +53,8 @@ pub struct Transformed {
     /// `pos[k]` = position in the source string of the k-th character of
     /// `X`; [`NO_POSITION`] at separators.
     pub pos: Vec<u32>,
-    /// The construction-time threshold.
-    pub tau_min: f64,
     /// Number of factors emitted.
     pub num_factors: usize,
-    /// Length of the source uncertain string.
-    pub source_len: usize,
 }
 
 impl Transformed {
@@ -79,14 +75,6 @@ impl Transformed {
             NO_POSITION => None,
             p => Some(p as usize),
         }
-    }
-
-    /// Expansion ratio |X| / |S| (the space constant of §8.7).
-    pub fn expansion(&self) -> f64 {
-        if self.source_len == 0 {
-            return 0.0;
-        }
-        self.pos.len() as f64 / self.source_len as f64
     }
 
     /// Approximate heap footprint in bytes.
@@ -225,9 +213,7 @@ fn transform_capped(
     Ok(Transformed {
         special: SpecialUncertainString::from_raw(out_chars, out_probs),
         pos: out_pos,
-        tau_min,
         num_factors,
-        source_len: n,
     })
 }
 
@@ -298,7 +284,6 @@ mod tests {
         assert_eq!(t.num_factors, 1);
         assert_eq!(t.special.chars(), b"banana\0");
         assert_eq!(t.pos, vec![0, 1, 2, 3, 4, 5, NO_POSITION]);
-        assert_eq!(t.expansion(), 7.0 / 6.0);
     }
 
     #[test]
@@ -379,7 +364,6 @@ mod tests {
         let s = UncertainString::new(Vec::new());
         let t = transform(&s, 0.5).unwrap();
         assert!(t.is_empty());
-        assert_eq!(t.expansion(), 0.0);
     }
 
     #[test]
