@@ -1138,7 +1138,7 @@ fn cmd_stats(args: &Args) -> Result<String, String> {
     let s = load_string(path)?;
     let index = Index::build(&s, tau_min).map_err(|e| e.to_string())?;
     let st = index.stats();
-    Ok(format!(
+    let mut out = format!(
         "source positions      {}\n\
          uncertain fraction    {:.3}\n\
          total choices         {}\n\
@@ -1157,7 +1157,14 @@ fn cmd_stats(args: &Args) -> Result<String, String> {
         st.expansion(),
         st.build_time,
         st.heap_mib()
-    ))
+    );
+    for (structure, bytes) in index.heap_breakdown() {
+        let per_pos = bytes as f64 / st.source_len.max(1) as f64;
+        out.push_str(&format!(
+            "\n  {structure:<19} {bytes:>12} B {per_pos:>9.1} B/position"
+        ));
+    }
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -1185,6 +1192,7 @@ mod tests {
         assert!(msg.contains("200 positions"));
         let stats = run(&argv(&format!("stats {path} --tau-min 0.1"))).unwrap();
         assert!(stats.contains("source positions      200"));
+        assert!(stats.contains("  child table "), "{stats}");
     }
 
     #[test]

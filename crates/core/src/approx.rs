@@ -111,48 +111,60 @@ impl ApproxIndex {
         }
 
         let run = text.cum.run_lengths();
+        // A tree node as a link sees it: (preorder rank, string depth). A
+        // leaf's depth counts the virtual terminator; an internal node's is
+        // the LCP at the slot that names it.
+        let text_len = tree.text().len();
+        let leaf_node = |slot: usize| {
+            let depth = text_len - tree.sa(slot) + 1;
+            (ancestry.leaf_preorder(slot) as u32, depth)
+        };
+        let lca_node = |a: u32, b: u32| {
+            let name = ancestry.lca_of_slots(a as usize, b as usize);
+            (ancestry.interval_preorder(name) as u32, tree.slot_lcp(name))
+        };
         let mut links: Vec<Link> = Vec::new();
         // Virtual-tree stack of `(node, witness)`: the witness is the text
         // position of the first marked leaf found below the node, fixed
         // when the node is pushed.
-        let mut stack: Vec<(u32, u32)> = Vec::new();
+        let mut stack: Vec<((u32, usize), u32)> = Vec::new();
         for d in 0..n_src {
             let slots = &flat[bucket_start[d] as usize..bucket_start[d + 1] as usize];
             stack.clear();
             // Virtual (induced) tree over the marked leaves; emit one link
             // per virtual edge.
-            let emit = |(u, witness_x): (u32, u32), v_depth: usize, links: &mut Vec<Link>| {
-                let origin = (ancestry.preorder(u) as u32, tree.string_depth(u));
-                let lmax = run[witness_x as usize] as usize;
-                refine_link(
-                    &text.cum,
-                    origin,
-                    v_depth,
-                    d as u32,
-                    (witness_x, lmax),
-                    epsilon,
-                    links,
-                );
-            };
+            let emit =
+                |(origin, witness_x): ((u32, usize), u32), v_depth, links: &mut Vec<Link>| {
+                    let lmax = run[witness_x as usize] as usize;
+                    refine_link(
+                        &text.cum,
+                        origin,
+                        v_depth,
+                        d as u32,
+                        (witness_x, lmax),
+                        epsilon,
+                        links,
+                    );
+                };
             for (k, &slot) in slots.iter().enumerate() {
-                let leaf = (ancestry.leaf(slot as usize), tree.sa(slot as usize) as u32);
+                let leaf = (leaf_node(slot as usize), tree.sa(slot as usize) as u32);
                 if k == 0 {
                     stack.push(leaf);
                     continue;
                 }
                 // The previous leaf tops the stack.
-                let l = ancestry.lca_of_slots(slots[k - 1] as usize, slot as usize);
-                let l_depth = tree.string_depth(l);
+                let l = lca_node(slots[k - 1], slot);
+                let l_depth = l.1;
                 // Unwind stack nodes deeper than the new LCA, emitting their
                 // virtual-tree edges; the LCA ends up on top of the stack.
                 while let Some(&top) = stack.last() {
-                    if tree.string_depth(top.0) <= l_depth {
+                    if top.0 .1 <= l_depth {
                         break;
                     }
                     stack.pop();
                     match stack.last() {
-                        Some(&(p, _)) if tree.string_depth(p) >= l_depth => {
-                            emit(top, tree.string_depth(p), &mut links);
+                        Some(&((_, p_depth), _)) if p_depth >= l_depth => {
+                            emit(top, p_depth, &mut links);
                         }
                         _ => {
                             emit(top, l_depth, &mut links);
@@ -165,11 +177,11 @@ impl ApproxIndex {
                 stack.push(leaf);
             }
             // Drain: connect the remaining right spine, then the virtual
-            // root to the tree root (target depth 0).
+            // root to the tree root (target depth 0) unless it is the root.
             while let Some(top) = stack.pop() {
                 match stack.last() {
-                    Some(&(parent, _)) => emit(top, tree.string_depth(parent), &mut links),
-                    None if top.0 != tree.root() => emit(top, 0, &mut links),
+                    Some(&((_, p_depth), _)) => emit(top, p_depth, &mut links),
+                    None if top.0 .1 > 0 => emit(top, 0, &mut links),
                     None => {}
                 }
             }
@@ -242,8 +254,8 @@ impl ApproxIndex {
     }
 
     /// Reassembles an index from snapshot state. Only the cheap derived
-    /// structures are rebuilt (the suffix-tree arena from SA + LCP and the
-    /// min-RMQ over link target depths); the sub-link table is restored
+    /// structures are rebuilt (the child table and ancestry layer from SA +
+    /// LCP, the min-RMQ over link target depths); the sub-link table is restored
     /// verbatim, so the result answers every query byte-identically to the
     /// index the snapshot was taken from. Fails with
     /// [`Error::InvalidSnapshot`] on structurally inconsistent state.
@@ -255,11 +267,11 @@ impl ApproxIndex {
             return Err(invalid("tau_min outside (0, 1]"));
         }
         let text = ScoredText::from_state(state.text)?;
-        let num_nodes = text.tree.num_nodes() as u32;
+        let ancestry = Ancestry::build(&text.tree);
         let source_len = state.source_len;
         let mut prev_pre = 0u32;
         for link in &state.links {
-            if link.origin_pre >= num_nodes {
+            if link.origin_pre as usize >= ancestry.node_count() {
                 return Err(invalid("link origin preorder outside the tree"));
             }
             if link.origin_pre < prev_pre {
@@ -279,7 +291,7 @@ impl ApproxIndex {
         let links = state.links;
         let target_rmq = target_depth_rmq(&links);
         let mut idx = Self {
-            ancestry: Ancestry::build(&text.tree),
+            ancestry,
             text,
             links,
             target_rmq,
@@ -299,10 +311,10 @@ impl ApproxIndex {
         validate_query(pattern, tau, self.tau_min)?;
         let m = pattern.len();
         let tree = &self.text.tree;
-        let Some(locus) = tree.locus(pattern) else {
+        let Some((l, r)) = tree.suffix_range(pattern) else {
             return Ok(QueryResult::default());
         };
-        let (pl, pr) = self.ancestry.preorder_range(locus);
+        let (pl, pr) = self.ancestry.preorder_range(tree, l, r);
         // Link range whose origin preorder falls inside the locus subtree.
         let lo = self.links.partition_point(|l| (l.origin_pre as usize) < pl);
         let hi = self

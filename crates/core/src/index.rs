@@ -97,8 +97,8 @@ impl Index {
     }
 
     /// Reassembles an index from snapshot state. Rebuilds only the cheap
-    /// derived structures (suffix-tree node arena from SA + LCP, RMQ champion
-    /// values from the cumulative array); the result answers every query
+    /// derived structures (suffix-tree child table from the LCP array, RMQ
+    /// champion values from the cumulative array); the result answers every query
     /// identically to the index the snapshot was taken from. Fails with
     /// [`Error::InvalidSnapshot`] on structurally inconsistent state.
     pub fn from_snapshot(state: IndexState) -> Result<Self, Error> {
@@ -272,11 +272,29 @@ impl Index {
         Ok(out)
     }
 
-    /// Approximate heap footprint in bytes (Figure 9c).
+    /// Heap bytes held, per structure: a `(name, bytes)` row for every
+    /// array the index keeps, each counted by capacity. The rows are the
+    /// whole footprint — [`Index::heap_size`] is their sum.
+    pub fn heap_breakdown(&self) -> [(&'static str, usize); 7] {
+        let [arrays, child_table, cum, short, long] = self.substrate.heap_breakdown();
+        [
+            arrays,
+            child_table,
+            cum,
+            short,
+            long,
+            (
+                "position map",
+                self.pos.capacity() * std::mem::size_of::<u32>(),
+            ),
+            ("verification plane", self.plane.heap_size()),
+        ]
+    }
+
+    /// Approximate heap footprint in bytes (Figure 9c): the sum of
+    /// [`Index::heap_breakdown`].
     pub fn heap_size(&self) -> usize {
-        self.substrate.heap_size()
-            + self.pos.capacity() * std::mem::size_of::<u32>()
-            + self.plane.heap_size()
+        self.heap_breakdown().iter().map(|&(_, bytes)| bytes).sum()
     }
 }
 

@@ -47,18 +47,22 @@
 //!
 //! The substrate holds the only copy of the transformed text and its
 //! probabilities. What an [`Index`] keeps per *source* position on the
-//! benchmark's `paper-string` workload (n = 100 000, 948 400 slots), before
-//! → after the second copy went (PR 21):
+//! benchmark's `paper-string` workload (n = 100 000, 948 400 slots) — the
+//! rows of [`Index::heap_breakdown`], which `ustr stats FILE` prints and
+//! `tests/space_budget.rs` pins — before (PR 21) → after the suffix tree
+//! dropped its node arena for a child table and the levels their sparse
+//! tables for the linear-space block RMQ (PR 22):
 //!
 //! | structure | B/position |
 //! |---|---|
-//! | suffix tree (text, SA, LCP; nodes + CSR children are 293 of it) | 378.5 |
-//! | levels (masks, champions, sparse tables) | 259.6 |
-//! | verification plane over the source | 184.0 |
+//! | text + SA + LCP | 85.4 |
+//! | suffix-tree nodes + CSR children → child table | 293.0 → 37.9 |
 //! | cumulative array `C` (prefix sums, separator counts) | 113.8 |
-//! | position map | 41.9 → 37.9 |
-//! | transform output (text and probabilities again) | 85.4 → 0 |
-//! | **`Index::heap_size()`** | **1 063.2 → 973.9** |
+//! | short levels (masks, champions, RMQ over champion values) | 200.4 → 84.7 |
+//! | long levels (champions, RMQ over champion values) | 59.2 → 19.6 |
+//! | position map | 37.9 |
+//! | verification plane over the source | 184.0 |
+//! | **`Index::heap_size()`** | **973.9 → 563.3** |
 
 #![forbid(unsafe_code)]
 

@@ -91,11 +91,13 @@ impl ScoredText {
         }
     }
 
-    /// Validates and reassembles. The checks are exactly what keeps
-    /// `SuffixTree::from_parts` and every later window evaluation from
-    /// panicking: the SA must be a permutation of `0..n`, every LCP entry a
-    /// genuine common-prefix length, and `C` must cover the text (whose
-    /// separators are recounted as [`ScoredText::build`] counts them).
+    /// Validates and reassembles. The checks are exact: the SA must be
+    /// *the* suffix array of the text — a permutation of `0..n` whose
+    /// neighbours ascend — and every LCP entry the full common prefix of
+    /// its two suffixes, because `SuffixTree::from_parts` derives its child
+    /// table from the LCP values alone and a wrong table loses occurrences
+    /// silently; and `C` must cover the text (whose separators are
+    /// recounted as [`ScoredText::build`] counts them).
     pub(crate) fn from_state(state: ScoredTextState) -> Result<Self, Error> {
         let ScoredTextState {
             text,
@@ -126,6 +128,17 @@ impl ScoredText {
             let (a, b) = (sa[j - 1] as usize, sa[j] as usize);
             if l > n - a || l > n - b || text[a..a + l] != text[b..b + l] {
                 return Err(invalid("LCP entry exceeds the true common prefix"));
+            }
+            // Past the common prefix slot j-1 ends (a proper prefix sorts
+            // first) or continues with a smaller character: the order of
+            // the two slots and the maximality of `l` in one comparison.
+            if a + l < n {
+                if b + l == n || text[a + l] > text[b + l] {
+                    return Err(invalid("suffix array is not in suffix order"));
+                }
+                if text[a + l] == text[b + l] {
+                    return Err(invalid("LCP entry is short of the true common prefix"));
+                }
             }
         }
         if prefix.len() != n + 1 {
@@ -174,9 +187,24 @@ impl Substrate {
         (l..=r).map(move |slot| (self.text.pos(slot), self.text.window(slot, m)))
     }
 
-    /// Approximate heap footprint in bytes.
+    /// Heap bytes per structure; a `(name, bytes)` row each.
+    pub(crate) fn heap_breakdown(&self) -> [(&'static str, usize); 5] {
+        let tree = &self.text.tree;
+        let child_table = tree.child_table_heap_size();
+        let (short, long) = self.levels.heap_sizes();
+        [
+            ("text + SA + LCP", tree.heap_size() - child_table),
+            ("child table", child_table),
+            ("cumulative array C", self.text.cum.heap_size()),
+            ("short levels", short),
+            ("long levels", long),
+        ]
+    }
+
+    /// Approximate heap footprint in bytes: the rows of
+    /// [`Substrate::heap_breakdown`].
     pub(crate) fn heap_size(&self) -> usize {
-        self.text.heap_size() + self.levels.heap_size()
+        self.heap_breakdown().iter().map(|&(_, bytes)| bytes).sum()
     }
 
     /// Decomposes into plain data (see [`crate::snapshot`]).
@@ -246,13 +274,23 @@ mod tests {
     fn inconsistent_state_is_rejected_not_panicked_on() {
         assert!(assemble(states()).is_ok());
         type Tamper = fn(&mut SpecialIndexState, &mut IndexState);
-        let rows: [(&str, Tamper); 12] = [
+        let rows: [(&str, Tamper); 14] = [
             ("not a permutation", |s, _| {
                 s.substrate.text.sa[0] = s.substrate.text.sa[1]
             }),
             ("lcp[0] must be 0", |s, _| s.substrate.text.lcp[0] = 1),
             ("exceeds the true common prefix", |s, _| {
                 s.substrate.text.lcp[1] += 1
+            }),
+            // Two suffixes swapped, with the LCPs around them zeroed so
+            // that none *exceeds* a common prefix.
+            ("not in suffix order", |s, _| {
+                s.substrate.text.sa.swap(2, 3);
+                s.substrate.text.lcp[2..5].fill(0);
+            }),
+            ("short of the true common prefix", |s, _| {
+                let lcp = &mut s.substrate.text.lcp;
+                *lcp.iter_mut().find(|l| **l > 0).unwrap() -= 1;
             }),
             ("cumulative array length", |s, _| {
                 s.substrate.text.prefix.push(0.0)

@@ -48,6 +48,15 @@
 //! −∞) without a memory access, and a long level is evaluated only for the
 //! few slots whose run reaches its length.
 //!
+//! # Space
+//!
+//! A level keeps one champion slot per block and a linear-space block RMQ
+//! over the champions' values, 20.2 B per block in all (see [`SampledRmq`]).
+//! A short level has blocks of 64 slots and one mask bit per slot:
+//! ≈ 0.44 B per slot per level. A long level's block is its length, from
+//! `L` up: 20.2 / `len` B per slot, under 2.5 B per slot for the whole
+//! geometric ladder.
+//!
 //! Temporary memory: the run lengths (one word per text position), one
 //! `u64` of level bits per slot — `L ≤ 32` for any text an index accepts —
 //! and the stamp table: `L × key space` words, the key space being the
@@ -276,13 +285,15 @@ impl Levels {
         self.long.iter().rev().find(|lvl| lvl.len <= m)
     }
 
-    /// Approximate heap footprint in bytes.
-    pub(super) fn heap_size(&self) -> usize {
-        self.short
+    /// Heap bytes of the short levels (masks and RMQs) and of the long
+    /// levels.
+    pub(super) fn heap_sizes(&self) -> (usize, usize) {
+        let short = self
+            .short
             .iter()
-            .map(|s| s.rmq.heap_size() + s.mask.heap_size())
-            .sum::<usize>()
-            + self.long.iter().map(|l| l.rmq.heap_size()).sum::<usize>()
+            .map(|s| s.rmq.heap_size() + s.mask.heap_size());
+        let long = self.long.iter().map(|l| l.rmq.heap_size());
+        (short.sum(), long.sum())
     }
 }
 

@@ -10,15 +10,16 @@
 //! Both keep the O(1)-query, O(n)-space bounds Lemma 1 needs, in words
 //! rather than bits. This crate provides:
 //!
-//! * [`SparseTable`] — classic O(n log n)-word, O(1)-query table; used for
-//!   LCP/LCA queries and as the top level of the hybrid structures.
+//! * [`SparseTable`] — classic O(n log n)-word, O(1)-query table; the top
+//!   level of [`BlockRmq`], over 1/64 of its elements, and nowhere else.
 //! * [`BlockRmq`] — O(n)-word hybrid with word-parallel in-block queries
 //!   (one `u64` "visible extrema" mask per element) and a sparse table over
 //!   per-block extrema. O(1) query with small constants.
 //! * [`SampledRmq`] — accessor-based hybrid that stores only per-block
-//!   champion indices (the underlying value array can be *discarded*, exactly
-//!   as the paper discards the `C_i` arrays after building `RMQ_i`); partial
-//!   blocks are rescanned through the accessor.
+//!   champion indices and a [`BlockRmq`] over the champions' values (the
+//!   underlying value array can be *discarded*, exactly as the paper
+//!   discards the `C_i` arrays after building `RMQ_i`); partial blocks are
+//!   rescanned through the accessor.
 //! * [`ThresholdReporter`] — the recursive "report everything above τ in
 //!   decreasing order" driver shared by every index (Algorithm 2/4 in the
 //!   paper).

@@ -42,6 +42,45 @@ proptest! {
         }
     }
 
+    /// `SampledRmq` alone, at the sizes where its block RMQ over the
+    /// champions has blocks of its own (block size 1 over hundreds of
+    /// elements) down to a `len` inside one block: leftmost extremum under
+    /// heavy ties and whole blocks of −∞ (masked level entries), and the
+    /// same answers from the champions alone.
+    #[test]
+    fn sampled_agrees_with_scan_and_round_trips(
+        raw in prop::collection::vec(-3i64..6, 1..500),
+        masked in prop::collection::vec((0usize..500, 0usize..120), 0..4),
+        ranges in prop::collection::vec((0usize..500, 0usize..500), 1..24),
+    ) {
+        let mut values: Vec<f64> = raw.iter().map(|&v| v as f64).collect();
+        let n = values.len();
+        for &(start, len) in &masked {
+            for v in values.iter_mut().skip(start % n).take(len) {
+                *v = f64::NEG_INFINITY;
+            }
+        }
+        let at = |i: usize| values[i];
+        for bs in [1usize, 7, 20, 64, 300] {
+            let sampled = SampledRmq::with_block_size(n, bs, Direction::Max, &at);
+            let restored = SampledRmq::from_parts(
+                n,
+                bs,
+                Direction::Max,
+                sampled.champions().to_vec(),
+                &at,
+            )
+            .unwrap();
+            prop_assert_eq!(restored.heap_size(), sampled.heap_size());
+            for &(a, b) in &ranges {
+                let (l, r) = ((a % n).min(b % n), (a % n).max(b % n));
+                let expected = scan(&values, l, r, Direction::Max);
+                prop_assert_eq!(sampled.query_with(l, r, &at), expected, "bs={} [{},{}]", bs, l, r);
+                prop_assert_eq!(restored.query_with(l, r, &at), expected, "bs={} [{},{}]", bs, l, r);
+            }
+        }
+    }
+
     #[test]
     fn reporter_returns_exactly_the_passing_set(
         raw in prop::collection::vec(0u32..100, 1..150),

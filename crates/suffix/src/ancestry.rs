@@ -1,35 +1,43 @@
-//! The ancestry layer over a [`SuffixTree`]: leaf lookup, preorder ranks
-//! with subtree intervals, and O(1) LCA.
+//! The ancestry layer over a [`SuffixTree`]: preorder ranks with subtree
+//! intervals, and O(1) LCA of leaves.
 //!
 //! Pattern descent needs none of this, so the tree does not carry it; the
 //! §7 approximate index — the one structure that links nodes to their
-//! ancestors — builds it on top. LCA is answered from the slot-LCP array
-//! and per-boundary split nodes with an O(n)-word block RMQ.
+//! ancestors — builds it on top. Nodes are named as the tree names them: a
+//! leaf by its slot, an internal node by its first ℓ-index
+//! ([`SuffixTree::first_l_index`]), so everything here is an array over
+//! slots. LCA is answered from the slot-LCP array and the per-boundary node
+//! names with an O(n)-word block RMQ.
 
 use ustr_rmq::{BlockRmq, Direction, Rmq};
 
-use crate::tree::{NodeId, SuffixTree};
+use crate::tree::SuffixTree;
 
 /// Preorder numbering, subtree intervals and O(1) LCA for one
-/// [`SuffixTree`]. Node arguments are ids of the tree it was built over.
+/// [`SuffixTree`]. Slot and interval arguments are those of the tree it was
+/// built over. The root has rank 0 and children are visited in SA order.
 ///
 /// ```
 /// use ustr_suffix::{Ancestry, SuffixTree};
 /// let st = SuffixTree::build(b"banana".to_vec());
 /// let anc = Ancestry::build(&st);
 /// let (l, r) = st.suffix_range(b"ana").unwrap();
-/// let lca = anc.lca(&st, anc.leaf(l), anc.leaf(r));
-/// assert_eq!(st.string_depth(lca), 3);
-/// assert_eq!(Some(lca), st.locus(b"ana"));
+/// let lca = anc.lca_of_slots(l, r);
+/// assert_eq!(lca, st.first_l_index(l, r));
+/// assert_eq!(st.slot_lcp(lca), 3);
+/// let (first, last) = anc.preorder_range(&st, l, r);
+/// assert_eq!(first, anc.interval_preorder(lca));
+/// assert_eq!(last, anc.leaf_preorder(r));
 /// ```
 #[derive(Debug, Clone)]
 pub struct Ancestry {
-    /// SA slot -> leaf node id.
-    leaf_of_slot: Vec<u32>,
-    /// Node id -> preorder rank, and the largest preorder rank in its subtree.
-    pre: Vec<u32>,
-    pre_end: Vec<u32>,
-    /// `boundary_node[j]` = LCA of leaves `j-1` and `j` (the root for slot 0).
+    /// Slot `j` -> preorder rank of leaf `j`.
+    leaf_pre: Vec<u32>,
+    /// First ℓ-index `k` -> preorder rank of the internal node it names
+    /// (unused at every other slot).
+    interval_pre: Vec<u32>,
+    /// Slot `k` -> name of the node `k` is an ℓ-index of: the LCA of leaves
+    /// `k - 1` and `k` (unused at slot 0).
     boundary_node: Vec<u32>,
     /// Min-RMQ over the tree's slot-LCP array.
     lcp_rmq: BlockRmq,
@@ -39,111 +47,93 @@ impl Ancestry {
     /// Derives the layer from `tree` in one depth-first pass plus the RMQ
     /// construction.
     pub fn build(tree: &SuffixTree) -> Self {
-        let root = tree.root();
-        let count = tree.num_nodes();
         let slots = tree.num_slots();
-        let mut leaf_of_slot = vec![root; slots];
-        let mut boundary_node = vec![root; slots];
-        let mut pre = vec![0u32; count];
-        let mut pre_end = vec![0u32; count];
-        let mut next_pre = 1u32; // the root is rank 0
-        let mut dfs: Vec<(NodeId, usize)> = vec![(root, 0)];
-        while let Some(&mut (node, ref mut visited)) = dfs.last_mut() {
-            let Some(&child) = tree.children(node).get(*visited) else {
-                pre_end[node as usize] = next_pre - 1;
+        let mut leaf_pre = vec![0u32; slots];
+        let mut interval_pre = vec![0u32; slots];
+        let mut boundary_node = vec![0u32; slots];
+        // The empty text is a root above the terminator leaf: the one tree
+        // whose root (rank 0) is not an interval of two slots or more.
+        let mut next_pre = u32::from(slots == 1);
+        // Open internal nodes: range start, name, children still to visit.
+        let mut dfs = Vec::new();
+        let mut visit = |(l, r): (usize, usize), dfs: &mut Vec<_>| {
+            if l == r {
+                leaf_pre[l] = next_pre;
+            } else {
+                let name = tree.first_l_index(l, r);
+                interval_pre[name] = next_pre;
+                dfs.push((l, name as u32, tree.child_intervals(l, r)));
+            }
+            next_pre += 1;
+        };
+        visit((0, slots - 1), &mut dfs);
+        while let Some((l, name, children)) = dfs.last_mut() {
+            let Some(child) = children.next() else {
                 dfs.pop();
                 continue;
             };
-            let first_slot = tree.slot_range(child).0;
-            if *visited > 0 {
-                // `node` is where the leaves either side of this child
-                // boundary part ways.
-                boundary_node[first_slot] = node;
+            if child.0 > *l {
+                // The leaves either side of this child boundary part ways
+                // at the open node.
+                boundary_node[child.0] = *name;
             }
-            *visited += 1;
-            pre[child as usize] = next_pre;
-            next_pre += 1;
-            if tree.is_leaf(child) {
-                leaf_of_slot[first_slot] = child;
-                pre_end[child as usize] = next_pre - 1;
-            } else {
-                dfs.push((child, 0));
-            }
+            visit(child, &mut dfs);
         }
 
         let lcp_f64: Vec<f64> = tree.slot_lcps().iter().map(|&x| x as f64).collect();
         let lcp_rmq = BlockRmq::new(&lcp_f64, Direction::Min);
 
         Self {
-            leaf_of_slot,
-            pre,
-            pre_end,
+            leaf_pre,
+            interval_pre,
             boundary_node,
             lcp_rmq,
         }
     }
 
-    /// Leaf node for SA slot `j`.
+    /// Number of tree nodes, leaves included: one more than the last rank,
+    /// which the last leaf holds.
+    pub fn node_count(&self) -> usize {
+        self.leaf_pre.last().map_or(0, |&p| p as usize + 1)
+    }
+
+    /// Preorder rank of the leaf of slot `slot`.
     #[inline]
-    pub fn leaf(&self, slot: usize) -> NodeId {
-        self.leaf_of_slot[slot]
+    pub fn leaf_preorder(&self, slot: usize) -> usize {
+        self.leaf_pre[slot] as usize
     }
 
-    /// Preorder rank of `node`.
+    /// Preorder rank of the internal node whose first ℓ-index is `name`.
     #[inline]
-    pub fn preorder(&self, node: NodeId) -> usize {
-        self.pre[node as usize] as usize
+    pub fn interval_preorder(&self, name: usize) -> usize {
+        self.interval_pre[name] as usize
     }
 
-    /// Preorder interval `[preorder(node), ..]` covered by the subtree.
+    /// Preorder ranks `[first, last]` of the subtree of the node `[l, r]` of
+    /// `tree` (a leaf when `l == r`): its own rank, and that of its last
+    /// leaf.
     #[inline]
-    pub fn preorder_range(&self, node: NodeId) -> (usize, usize) {
-        (
-            self.pre[node as usize] as usize,
-            self.pre_end[node as usize] as usize,
-        )
-    }
-
-    /// Returns `true` when `a` is an ancestor of `b` (inclusive).
-    pub fn is_ancestor(&self, a: NodeId, b: NodeId) -> bool {
-        let (al, ar) = self.preorder_range(a);
-        let pb = self.preorder(b);
-        al <= pb && pb <= ar
-    }
-
-    /// LCA of the leaves in slots `i` and `j`: the boundary split node at
-    /// the minimum slot-LCP between them.
-    pub fn lca_of_slots(&self, i: usize, j: usize) -> NodeId {
-        if i == j {
-            return self.leaf_of_slot[i];
+    pub fn preorder_range(&self, tree: &SuffixTree, l: usize, r: usize) -> (usize, usize) {
+        let last = self.leaf_preorder(r);
+        if l == r {
+            (last, last)
+        } else {
+            (self.interval_preorder(tree.first_l_index(l, r)), last)
         }
+    }
+
+    /// Name of the LCA of the leaves in slots `i != j`: the node whose
+    /// ℓ-index is the minimum slot-LCP between them.
+    pub fn lca_of_slots(&self, i: usize, j: usize) -> usize {
+        debug_assert_ne!(i, j, "a leaf is not named by an ℓ-index");
         let (lo, hi) = if i < j { (i, j) } else { (j, i) };
         let k = self.lcp_rmq.query(lo + 1, hi);
-        self.boundary_node[k]
-    }
-
-    /// Lowest common ancestor of two nodes of `tree` in O(1).
-    pub fn lca(&self, tree: &SuffixTree, a: NodeId, b: NodeId) -> NodeId {
-        if a == b {
-            return a;
-        }
-        if self.is_ancestor(a, b) {
-            return a;
-        }
-        if self.is_ancestor(b, a) {
-            return b;
-        }
-        let (al, _) = tree.slot_range(a);
-        let (bl, _) = tree.slot_range(b);
-        self.lca_of_slots(al, bl)
+        self.boundary_node[k] as usize
     }
 
     /// Heap bytes held.
     pub fn heap_size(&self) -> usize {
-        (self.leaf_of_slot.capacity()
-            + self.pre.capacity()
-            + self.pre_end.capacity()
-            + self.boundary_node.capacity())
+        (self.leaf_pre.capacity() + self.interval_pre.capacity() + self.boundary_node.capacity())
             * std::mem::size_of::<u32>()
             + self.lcp_rmq.heap_size()
     }
@@ -153,82 +143,54 @@ impl Ancestry {
 mod tests {
     use super::*;
 
-    /// Node id -> parent, read off the children lists.
-    fn parents(st: &SuffixTree) -> Vec<Option<NodeId>> {
-        let mut parent = vec![None; st.num_nodes()];
-        for id in 0..st.num_nodes() as u32 {
-            for &c in st.children(id) {
-                parent[c as usize] = Some(id);
+    /// Every node below and including `[l, r]` as `(l, r)`, in preorder.
+    fn preorder(st: &SuffixTree, l: usize, r: usize, out: &mut Vec<(usize, usize)>) {
+        out.push((l, r));
+        if l < r {
+            for (a, b) in st.child_intervals(l, r) {
+                preorder(st, a, b, out);
             }
         }
-        parent
     }
 
     #[test]
-    fn leaves_map_slots_to_their_nodes() {
-        let st = SuffixTree::build(b"mississippi".to_vec());
+    fn ranks_follow_a_recursive_preorder_walk() {
+        for text in [&b"mississippi"[..], b"abaababaabaab", b"A\0A\0\0", b"a"] {
+            let st = SuffixTree::build(text.to_vec());
+            let anc = Ancestry::build(&st);
+            let mut nodes = Vec::new();
+            preorder(&st, 0, st.num_slots() - 1, &mut nodes);
+            assert_eq!(anc.node_count(), nodes.len());
+            for (rank, &(l, r)) in nodes.iter().enumerate() {
+                // The subtree is the run of nodes nested in `[l, r]`.
+                let size = nodes[rank..]
+                    .iter()
+                    .take_while(|&&(a, b)| l <= a && b <= r)
+                    .count();
+                assert_eq!(
+                    anc.preorder_range(&st, l, r),
+                    (rank, rank + size - 1),
+                    "node [{l}, {r}]"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn the_empty_text_is_a_root_above_one_leaf() {
+        let st = SuffixTree::build(Vec::new());
         let anc = Ancestry::build(&st);
-        for j in 0..st.num_slots() {
-            let leaf = anc.leaf(j);
-            assert!(st.is_leaf(leaf));
-            assert_eq!(st.slot_range(leaf), (j, j));
-        }
+        assert_eq!(anc.node_count(), 2);
+        assert_eq!(anc.leaf_preorder(0), 1);
     }
 
     #[test]
-    fn preorder_intervals_nest() {
-        let st = SuffixTree::build(b"mississippi".to_vec());
-        let anc = Ancestry::build(&st);
-        for id in 0..st.num_nodes() as u32 {
-            let (l, r) = anc.preorder_range(id);
-            assert!(l <= r);
-            assert_eq!(anc.preorder(id), l);
-            for &c in st.children(id) {
-                let (cl, cr) = anc.preorder_range(c);
-                assert!(l < cl && cr <= r);
-                assert!(anc.is_ancestor(id, c));
-                assert!(!anc.is_ancestor(c, id));
-            }
-        }
-    }
-
-    #[test]
-    fn lca_agrees_with_ancestor_walk() {
-        let st = SuffixTree::build(b"abaababaabaab".to_vec());
-        let anc = Ancestry::build(&st);
-        let parent = parents(&st);
-        let naive_lca = |mut a: NodeId, mut b: NodeId| -> NodeId {
-            let mut seen = std::collections::HashSet::new();
-            seen.insert(a);
-            while let Some(p) = parent[a as usize] {
-                a = p;
-                seen.insert(a);
-            }
-            while !seen.contains(&b) {
-                b = parent[b as usize].unwrap();
-            }
-            b
-        };
-        let slots = st.num_slots();
-        for i in 0..slots {
-            for j in 0..slots {
-                let (a, b) = (anc.leaf(i), anc.leaf(j));
-                assert_eq!(anc.lca(&st, a, b), naive_lca(a, b), "slots {i},{j}");
-            }
-        }
-        // Internal-node LCAs too.
-        for a in 0..st.num_nodes() as u32 {
-            for b in (0..st.num_nodes() as u32).step_by(3) {
-                assert_eq!(anc.lca(&st, a, b), naive_lca(a, b), "nodes {a},{b}");
-            }
-        }
-    }
-
-    #[test]
-    fn lca_of_leaves_has_lcp_string_depth() {
+    fn lca_of_leaves_is_the_narrowest_interval_holding_both() {
         let text = b"abaababaabaab".to_vec();
         let st = SuffixTree::build(text.clone());
         let anc = Ancestry::build(&st);
+        let mut nodes = Vec::new();
+        preorder(&st, 0, st.num_slots() - 1, &mut nodes);
         let lcp_of = |a: usize, b: usize| -> usize {
             text[a..]
                 .iter()
@@ -236,25 +198,22 @@ mod tests {
                 .take_while(|(x, y)| x == y)
                 .count()
         };
-        for i in 1..st.num_slots() {
+        for i in 0..st.num_slots() {
             for j in i + 1..st.num_slots() {
-                let l = anc.lca(&st, anc.leaf(i), anc.leaf(j));
+                let &(l, r) = nodes
+                    .iter()
+                    .filter(|&&(l, r)| l <= i && j <= r)
+                    .min_by_key(|&&(l, r)| r - l)
+                    .unwrap();
+                let lca = anc.lca_of_slots(i, j);
+                assert_eq!(lca, st.first_l_index(l, r), "slots {i},{j}");
+                assert_eq!(anc.lca_of_slots(j, i), lca);
                 assert_eq!(
-                    st.string_depth(l),
+                    st.slot_lcp(lca),
                     lcp_of(st.sa(i), st.sa(j)),
                     "slots {i},{j}"
                 );
             }
-        }
-    }
-
-    #[test]
-    fn slot_lcp_matches_lca_depth() {
-        let st = SuffixTree::build(b"mississippi".to_vec());
-        let anc = Ancestry::build(&st);
-        for j in 2..st.num_slots() {
-            let l = anc.lca(&st, anc.leaf(j - 1), anc.leaf(j));
-            assert_eq!(st.slot_lcp(j), st.string_depth(l));
         }
     }
 }

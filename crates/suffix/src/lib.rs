@@ -9,33 +9,41 @@
 //! * [`lcp_array`] — Kasai's linear-time longest-common-prefix array.
 //! * [`SuffixArray`] — text + SA bundle with O(m log n) pattern range search
 //!   (used by the simple/naive baselines).
-//! * [`SuffixTree`] — explicit suffix tree built from SA + LCP in linear
-//!   time, with O(m log σ) locus/suffix-range descent and subtree slot
-//!   intervals — what every index of Sections 4–6 queries.
+//! * [`SuffixTree`] — the suffix tree as an enhanced suffix array: SA, LCP
+//!   and a child table built from the LCP array in one stack sweep, with
+//!   O(m · σ) descent to a pattern's suffix range and child-interval
+//!   enumeration — what every index of Sections 4–6 queries. Nodes are LCP
+//!   intervals; none is stored.
 //! * [`Ancestry`] — preorder numbering, subtree preorder intervals and O(1)
-//!   LCA over a [`SuffixTree`], for the ε-link structure of Section 7.
+//!   LCA of leaves over a [`SuffixTree`], for the ε-link structure of
+//!   Section 7.
 //!
 //! # Space
 //!
 //! A tree over `n` characters has `n + 1` suffix-array slots (one virtual
-//! terminator) and about 1.5 nodes per slot on transformed uncertain
-//! strings. The two layers are built — and paid for — separately:
+//! terminator); everything is an array over slots. The two layers are
+//! built — and paid for — separately:
 //!
-//! * **Locus core** ([`SuffixTree`], ≈ 40 B/slot): text 1, SA 4, slot-LCP 4,
-//!   `{depth, l, r}` nodes 12 per node, CSR children 8 per node (offsets +
-//!   ids). The node arena is sized exactly; the parent links exist only
-//!   while the children are laid out (one counting sort — siblings are
-//!   created in slot order, so no comparison sort is needed).
-//! * **Ancestry layer** ([`Ancestry`], ≈ 37 B/slot): leaf-of-slot 4,
-//!   boundary LCA node 4, preorder rank and subtree end 8 per node, and the
+//! * **Locus core** ([`SuffixTree`], 13 B/slot): text 1, SA 4, slot-LCP 4,
+//!   child table 4 — one `u32` cell per slot holding the `up`, `down` or
+//!   `nextlIndex` value of Abouelhoda, Kurtz and Ohlebusch's enhanced
+//!   suffix array, whichever that slot can be asked for. (Until PR 22 the
+//!   tree had explicit nodes: a 12-byte `{depth, l, r}` record and 8 bytes
+//!   of CSR child list for each of ≈ 1.55 nodes per slot, leaves included —
+//!   ≈ 40 B/slot in all.)
+//! * **Ancestry layer** ([`Ancestry`], ≈ 28 B/slot): preorder rank of each
+//!   leaf 4, preorder rank of each internal node (at the slot that names
+//!   it) 4, name of the LCA of each pair of neighbouring leaves 4, and the
 //!   LCP min-RMQ (`ustr_rmq::BlockRmq`: value 8 + in-block mask 8 per slot,
 //!   plus its block table). One depth-first pass over the core derives it;
-//!   only `ustr_core::ApproxIndex` does.
+//!   only `ustr_core::ApproxIndex` does. (≈ 37 B/slot with per-node ranks
+//!   and subtree ends.)
 //!
 //! Measured per *source* position on the benchmark's `paper-string` workload
-//! (n = 100 000, 9.48 slots per position): the locus core is 378.5 B, of
-//! which nodes + CSR children are 293 — the largest single structure of an
-//! `ustr_core::Index` (973.9 B in all; its crate docs have the table).
+//! (n = 100 000, 9.48 slots per position): the locus core is 123.3 B, of
+//! which the child table is 37.9 — where nodes + CSR children were 293, the
+//! largest single structure of an `ustr_core::Index` (563.3 B in all, 973.9
+//! before; its crate docs have the table).
 
 #![forbid(unsafe_code)]
 
@@ -49,4 +57,4 @@ pub use ancestry::Ancestry;
 pub use array::SuffixArray;
 pub use lcp::{lcp_array, rank_array};
 pub use sais::suffix_array;
-pub use tree::{NodeId, SuffixTree};
+pub use tree::SuffixTree;

@@ -1,46 +1,57 @@
-//! Explicit suffix tree built from SA + LCP in linear time.
+//! The suffix tree of a text as an *enhanced suffix array*: SA, LCP and a
+//! child table (Abouelhoda, Kurtz, Ohlebusch 2004), built in linear time.
 //!
-//! The tree is constructed over the text extended with a *virtual
-//! terminator* — a character strictly smaller than every byte that appears
-//! exactly once at the end. This guarantees no suffix is a prefix of another
-//! (so every suffix is a distinct leaf), even for texts that embed repeated
-//! separator bytes, which the transformed uncertain strings do.
+//! The tree is taken over the text extended with a *virtual terminator* — a
+//! character strictly smaller than every byte that appears exactly once at
+//! the end. This guarantees no suffix is a prefix of another (so every
+//! suffix is a distinct leaf), even for texts that embed repeated separator
+//! bytes, which the transformed uncertain strings do.
 //!
 //! Consequences for users:
 //!
-//! * The tree has `n + 1` leaves; SA slot `0` is the virtual-terminator
-//!   suffix (text position `n`), slots `1..=n` are the real suffixes in the
-//!   same order as [`crate::suffix_array`].
-//! * Leaf string depths are inflated by 1 (the virtual terminator);
-//!   internal-node depths are real LCP values.
+//! * There are `n + 1` leaves; SA slot `0` is the virtual-terminator suffix
+//!   (text position `n`), slots `1..=n` are the real suffixes in the same
+//!   order as [`crate::suffix_array`].
 //! * Pattern descent never matches the virtual terminator, so suffix ranges
 //!   of non-empty patterns always lie within `[1, n]`.
 //!
-//! [`SuffixTree`] holds only what pattern descent reads — the *locus core*:
-//! text, SA, slot-LCP, 12-byte `{depth, l, r}` nodes and their CSR children.
-//! Preorder ranks and LCA live in [`crate::Ancestry`], which its one consumer
-//! builds on top (see the crate docs for the bytes per slot of each).
+//! # Nodes are intervals
+//!
+//! No node is stored. A leaf *is* its slot `j`, of string depth
+//! `n − SA[j] + 1` (the virtual terminator counts). An internal node *is*
+//! its LCP interval `[l, r]`: the maximal run of slots whose suffixes share
+//! a prefix of length `ℓ` = the minimum of `LCP[l+1..=r]`, its string depth.
+//! The slots in `(l, r]` where the LCP equals `ℓ` are the node's *ℓ-indices*;
+//! they are where one child interval ends and the next begins, and the
+//! first of them names the node ([`SuffixTree::first_l_index`]): every slot
+//! `k ≥ 1` is an ℓ-index of exactly one node, the LCA of leaves `k − 1` and
+//! `k`.
+//!
+//! The child table is one `u32` per slot holding whichever of the classic
+//! `up`/`down`/`nextlIndex` values that slot can ever be asked for — they
+//! exclude each other:
+//!
+//! * `up[k + 1]` when `LCP[k] > LCP[k + 1]`: the first ℓ-index of the
+//!   widest interval that ends at `k`;
+//! * else `nextlIndex[k]`: the next ℓ-index of the node `k` is one of;
+//! * else `down[k]`: the first ℓ-index of the widest interval that starts
+//!   at `k` (needed only for an interval the `up` of its end does not
+//!   name, which is exactly when `nextlIndex[k]` does not exist).
+//!
+//! A value is told apart by where it points and by what lies there — an
+//! equal LCP for a `nextlIndex`, or, in the pattern descent, a different
+//! edge character — so a descent step reads per child what it did with
+//! explicit nodes, one SA entry and one text byte, with the table cell in
+//! place of a child-list entry and a node record (see the crate docs for
+//! the bytes per slot). The siblings of a node form a linked list through
+//! the table where the explicit nodes had an array: a walk over them is
+//! bound by load latency rather than throughput, the one cost of the
+//! smaller structure (≈ 50 ns of a 200 ns descent at a 20-letter alphabet).
 
 use crate::{lcp_array, sais::suffix_array};
 
-/// Node identifier within a [`SuffixTree`] (index into the node arena).
-pub type NodeId = u32;
-
-const NO_NODE: u32 = u32::MAX;
-const ROOT: NodeId = 0;
-
-#[derive(Debug, Clone)]
-struct Node {
-    /// String depth: length of the root-to-node path label. Leaf depths
-    /// include the virtual terminator.
-    depth: u32,
-    /// Inclusive SA-slot range of the leaves below this node.
-    l: u32,
-    r: u32,
-}
-
-/// Explicit suffix tree with subtree slot intervals and pattern locus
-/// descent.
+/// Suffix tree with pattern descent to suffix-array ranges, held as text,
+/// suffix array, LCP array and child table (see the module docs).
 ///
 /// ```
 /// use ustr_suffix::SuffixTree;
@@ -60,12 +71,9 @@ pub struct SuffixTree {
     /// `slot_lcp[j]` = LCP of the suffixes in slots `j-1` and `j` (0 for
     /// `j <= 1`).
     slot_lcp: Vec<u32>,
-    /// Node arena in creation order of the build sweep; the root is node 0.
-    nodes: Vec<Node>,
-    /// CSR children: `child_flat[child_start[v]..child_start[v+1]]`, in SA
-    /// (lexicographic) order.
-    child_start: Vec<u32>,
-    child_flat: Vec<u32>,
+    /// One cell per slot: `up`, `nextlIndex` or `down` (module docs); 0
+    /// where none exists.
+    child: Vec<u32>,
 }
 
 impl SuffixTree {
@@ -77,10 +85,11 @@ impl SuffixTree {
         Self::from_parts(text, plain_sa, lcp)
     }
 
-    /// Builds from a precomputed suffix array and LCP array of `text`.
+    /// Builds from a precomputed suffix array and LCP array of `text`: the
+    /// child table is one stack sweep over the LCP values.
     pub fn from_parts(text: Vec<u8>, plain_sa: Vec<u32>, lcp: Vec<u32>) -> Self {
         let n = text.len();
-        let m = n + 1; // leaves, including the virtual-terminator suffix
+        let m = n + 1; // slots, including the virtual-terminator suffix
 
         let mut sa = Vec::with_capacity(m);
         sa.push(n as u32);
@@ -91,101 +100,55 @@ impl SuffixTree {
             slot_lcp[2..m].copy_from_slice(&lcp[1..m - 1]);
         }
 
-        // A tree with m leaves and only branching internal nodes (the root
-        // aside) has fewer than 2m nodes.
-        let mut nodes: Vec<Node> = Vec::with_capacity(2 * m);
-        // Build-time only: the CSR below is laid out from it.
-        let mut parent: Vec<u32> = Vec::with_capacity(2 * m);
-        nodes.push(Node {
-            depth: 0,
-            l: 0,
-            r: (m - 1) as u32,
-        });
-        parent.push(NO_NODE);
-        let mut stack: Vec<u32> = vec![ROOT];
-
-        // One sweep over the leaves; a node's parent is fixed when it leaves
-        // the stack.
-        for j in 0..=m {
-            let lcp_j = if j < m { slot_lcp[j] } else { 0 };
-            let mut last: Option<u32> = None;
-            loop {
-                let &top = stack.last().expect("root never pops");
-                if nodes[top as usize].depth <= lcp_j || top == ROOT {
+        // The stack holds the slots whose interval is still open, LCP
+        // non-decreasing toward the top; slot 0 (LCP 0) never leaves it.
+        // A slot popped because a smaller LCP arrived is the first ℓ-index
+        // of an interval that just ended: the `up` of the arriving slot if
+        // it is the last one popped, and the `down` of the slot below it
+        // if that one lies strictly shallower — unless the arriving LCP
+        // falls between the two, which opens a wider interval at the same
+        // start. A slot arriving at the LCP of the top is that one's
+        // `nextlIndex`, written after — and so over — any `down` of the
+        // same cell.
+        let mut child = vec![0u32; m];
+        let mut stack: Vec<u32> = vec![0];
+        for k in 1..m {
+            let lcp_k = slot_lcp[k];
+            let mut last = None;
+            while let Some(&top) = stack.last() {
+                let lcp_top = slot_lcp[top as usize];
+                if lcp_top <= lcp_k {
+                    if lcp_top == lcp_k {
+                        child[top as usize] = k as u32;
+                    }
                     break;
                 }
                 stack.pop();
-                nodes[top as usize].r = (j - 1) as u32;
-                if let Some(l) = last {
-                    parent[l as usize] = top;
+                let below = *stack.last().expect("slot 0 is never popped") as usize;
+                if lcp_k <= slot_lcp[below] && slot_lcp[below] != lcp_top {
+                    child[below] = top;
                 }
                 last = Some(top);
             }
-            if let Some(l) = last {
-                let &top = stack.last().expect("root never pops");
-                if nodes[top as usize].depth == lcp_j {
-                    parent[l as usize] = top;
-                } else {
-                    // Split: new internal node at depth lcp_j adopting `last`
-                    // as its first (leftmost) child.
-                    let v = nodes.len() as u32;
-                    nodes.push(Node {
-                        depth: lcp_j,
-                        l: nodes[l as usize].l,
-                        r: NO_NODE, // finalized when popped
-                    });
-                    parent.push(NO_NODE);
-                    parent[l as usize] = v;
-                    stack.push(v);
+            if let Some(first) = last {
+                child[k - 1] = first;
+            }
+            stack.push(k as u32);
+        }
+        // Past the last slot every interval ends: the remaining `down`s.
+        while let Some(top) = stack.pop() {
+            if let Some(&below) = stack.last() {
+                if slot_lcp[below as usize] != slot_lcp[top as usize] {
+                    child[below as usize] = top;
                 }
             }
-            if j < m {
-                // Leaf depth includes the virtual terminator.
-                let suffix_len = (n - sa[j] as usize) as u32 + 1;
-                stack.push(nodes.len() as u32);
-                nodes.push(Node {
-                    depth: suffix_len,
-                    l: j as u32,
-                    r: j as u32,
-                });
-                parent.push(NO_NODE);
-            }
         }
-        debug_assert_eq!(stack.as_slice(), &[ROOT]);
-        nodes[ROOT as usize].r = (m - 1) as u32;
-        nodes.shrink_to_fit();
-
-        // CSR children by a counting sort on the parent. Siblings are
-        // created in slot order (a node is created no earlier than its
-        // range start and no later than its range end, and sibling ranges
-        // are disjoint), so filling in id order leaves every child list in
-        // SA order.
-        let count = nodes.len();
-        let mut child_start = vec![0u32; count + 1];
-        for &p in &parent[1..] {
-            child_start[p as usize + 1] += 1;
-        }
-        for i in 0..count {
-            child_start[i + 1] += child_start[i];
-        }
-        let mut child_flat = vec![0u32; count - 1];
-        // `child_start[p]` serves as parent p's write cursor, which leaves
-        // every entry one parent ahead; the shift back restores it.
-        for (id, &p) in parent.iter().enumerate().skip(1) {
-            let cursor = &mut child_start[p as usize];
-            child_flat[*cursor as usize] = id as u32;
-            *cursor += 1;
-        }
-        child_start.copy_within(0..count, 1);
-        child_start[0] = 0;
 
         Self {
             text,
             sa,
             slot_lcp,
-            nodes,
-            child_start,
-            child_flat,
+            child,
         }
     }
 
@@ -217,11 +180,6 @@ impl SuffixTree {
         self.sa.len()
     }
 
-    /// Total node count (internal + leaves).
-    pub fn num_nodes(&self) -> usize {
-        self.nodes.len()
-    }
-
     /// Text position of the suffix in SA slot `j` (slot 0 is the virtual
     /// terminator at position `text().len()`).
     #[inline]
@@ -232,37 +190,6 @@ impl SuffixTree {
     /// The whole virtual suffix array: [`SuffixTree::sa`] of every slot.
     pub fn sa_slots(&self) -> &[u32] {
         &self.sa
-    }
-
-    /// The root node.
-    pub fn root(&self) -> NodeId {
-        ROOT
-    }
-
-    /// String depth of `node` (leaf depths include the virtual terminator).
-    #[inline]
-    pub fn string_depth(&self, node: NodeId) -> usize {
-        self.nodes[node as usize].depth as usize
-    }
-
-    /// Children of `node` in lexicographic (SA) order.
-    pub fn children(&self, node: NodeId) -> &[NodeId] {
-        let v = node as usize;
-        &self.child_flat[self.child_start[v] as usize..self.child_start[v + 1] as usize]
-    }
-
-    /// Returns `true` when `node` is a leaf.
-    #[inline]
-    pub fn is_leaf(&self, node: NodeId) -> bool {
-        let v = node as usize;
-        self.child_start[v] == self.child_start[v + 1]
-    }
-
-    /// Inclusive SA-slot range `[l, r]` of the leaves below `node`.
-    #[inline]
-    pub fn slot_range(&self, node: NodeId) -> (usize, usize) {
-        let n = &self.nodes[node as usize];
-        (n.l as usize, n.r as usize)
     }
 
     /// LCP between the suffixes in slots `j-1` and `j` (0 for `j <= 1`).
@@ -276,61 +203,119 @@ impl SuffixTree {
         &self.slot_lcp
     }
 
-    /// First byte of the edge entering `child` from a parent at string depth
-    /// `parent_depth`, or `None` when the edge starts with the virtual
-    /// terminator.
-    fn edge_first_byte(&self, child: NodeId, parent_depth: usize) -> Option<u8> {
-        let pos = self.sa(self.nodes[child as usize].l as usize) + parent_depth;
-        self.text.get(pos).copied()
+    /// The name of the internal node `[l, r]` (`l < r`): its first ℓ-index,
+    /// the end of its first child interval plus one.
+    /// [`SuffixTree::slot_lcp`] there is the node's string depth.
+    #[inline]
+    pub fn first_l_index(&self, l: usize, r: usize) -> usize {
+        debug_assert!(l < r, "a leaf has no ℓ-index");
+        // `up[r + 1]` names the widest interval ending at `r`; this one
+        // unless that starts left of `l`, and then `down[l]` is stored.
+        let up = self.child[r] as usize;
+        if l < up && up <= r {
+            up
+        } else {
+            self.child[l] as usize
+        }
     }
 
-    /// Locus of `pattern`: the node closest to the root whose path label has
-    /// `pattern` as a prefix. Returns the root for the empty pattern and
-    /// `None` when the pattern does not occur.
-    pub fn locus(&self, pattern: &[u8]) -> Option<NodeId> {
-        let m = pattern.len();
-        if m == 0 {
-            return Some(ROOT);
-        }
-        let mut node = ROOT;
-        let mut matched = 0usize; // chars matched == string depth reached
-        loop {
-            let depth = self.nodes[node as usize].depth as usize;
-            debug_assert_eq!(depth, matched);
-            let target = pattern[matched];
-            let child = *self
-                .children(node)
-                .iter()
-                .find(|&&c| self.edge_first_byte(c, depth) == Some(target))?;
-            let child_depth = self.nodes[child as usize].depth as usize;
-            let start = self.sa(self.nodes[child as usize].l as usize);
-            // Real characters available along this path (a leaf's final
-            // character is the virtual terminator, which matches nothing).
-            let real_limit = self.text.len() - start;
-            let end = child_depth.min(m);
-            if end > real_limit {
+    /// Child intervals of the internal node `[l, r]` (`l < r`, as returned
+    /// by [`SuffixTree::suffix_range`] or by this function) in SA order:
+    /// they partition `[l, r]`, and a child `(j, j)` is the leaf of slot `j`.
+    pub fn child_intervals(&self, l: usize, r: usize) -> impl Iterator<Item = (usize, usize)> + '_ {
+        let first = self.first_l_index(l, r);
+        let depth = self.slot_lcp[first];
+        let (mut start, mut next) = (l, first);
+        std::iter::from_fn(move || {
+            if start > r {
                 return None;
             }
+            let child = (start, next - 1);
+            start = next;
+            if start <= r {
+                // The cell of an ℓ-index is its successor exactly when it
+                // points right at an equal LCP (`down` points at a larger
+                // one, `up` points left).
+                let cell = self.child[start] as usize;
+                next = if cell > start && self.slot_lcp[cell] == depth {
+                    cell
+                } else {
+                    r + 1
+                };
+            }
+            Some(child)
+        })
+    }
+
+    /// Inclusive SA-slot range of all suffixes prefixed by `pattern` — the
+    /// pattern's locus, as an interval — or `None` when the pattern does
+    /// not occur. The empty pattern matches every slot including the
+    /// virtual terminator.
+    pub fn suffix_range(&self, pattern: &[u8]) -> Option<(usize, usize)> {
+        let m = pattern.len();
+        let n = self.text.len();
+        let (mut l, mut r) = (0, n);
+        // Characters matched == string depth of `[l, r]`.
+        let mut matched = 0usize;
+        if m == 0 || n == 0 {
+            return (m == 0).then_some((l, r));
+        }
+        let mut first = self.first_l_index(l, r);
+        // The edge into the child starting at `slot` begins with its
+        // suffixes' character `depth`; past the text end that is the
+        // virtual terminator (`None`).
+        let edge = |slot: usize, depth: usize| self.text.get(self.sa(slot) + depth).copied();
+        loop {
+            let target = Some(pattern[matched]);
+            // Walk the child boundaries: `a` starts the current child and
+            // `next` the one after it (`r + 1` when there is none), `c` and
+            // `next_c` are their edge characters.
+            let (mut a, mut c) = (l, edge(l, matched));
+            let (mut next, mut next_c) = (first, edge(first, matched));
+            while c != target {
+                if next > r {
+                    return None;
+                }
+                (a, c) = (next, next_c);
+                // The cell of a boundary is the next boundary unless it
+                // points left (`up`) or into the same child (`down`) — told
+                // here by the edge character, which the walk reads anyway
+                // and which repeats inside a child.
+                let cell = self.child[a] as usize;
+                (next, next_c) = (r + 1, None);
+                if cell > a {
+                    let cell_c = edge(cell, matched);
+                    if cell_c != c {
+                        (next, next_c) = (cell, cell_c);
+                    }
+                }
+            }
+            let b = next - 1;
+            let start = self.sa(a);
+            // Real characters on the path to the child: a leaf's last one
+            // is the virtual terminator, which matches nothing.
+            let depth = if a == b {
+                n - start
+            } else {
+                // `first_l_index(a, b)` without its test: a child that
+                // ends before `r` is the widest interval ending there, and
+                // the last child the widest starting at its boundary.
+                first = self.child[if b < r { b } else { a }] as usize;
+                self.slot_lcp(first)
+            };
+            let end = depth.min(m);
             if self.text[start + matched + 1..start + end] != pattern[matched + 1..end] {
                 return None;
             }
             if end == m {
-                return Some(child);
+                return Some((a, b));
             }
-            matched = end; // == child_depth < m: descend further
-            node = child;
+            if a == b {
+                return None; // the pattern outruns the one suffix left
+            }
+            matched = depth;
+            (l, r) = (a, b);
         }
-    }
-
-    /// Inclusive SA-slot range of all suffixes prefixed by `pattern`, or
-    /// `None` when the pattern does not occur. The empty pattern matches
-    /// every slot including the virtual terminator.
-    pub fn suffix_range(&self, pattern: &[u8]) -> Option<(usize, usize)> {
-        if pattern.is_empty() {
-            return Some((0, self.sa.len() - 1));
-        }
-        let locus = self.locus(pattern)?;
-        Some(self.slot_range(locus))
     }
 
     /// All text positions where `pattern` occurs (unsorted).
@@ -344,16 +329,18 @@ impl SuffixTree {
         }
     }
 
-    /// Heap bytes held.
+    /// Heap bytes held: the text, SA and LCP arrays plus
+    /// [`SuffixTree::child_table_heap_size`].
     pub fn heap_size(&self) -> usize {
-        use std::mem::size_of;
         self.text.capacity()
-            + self.nodes.capacity() * size_of::<Node>()
-            + (self.sa.capacity()
-                + self.slot_lcp.capacity()
-                + self.child_start.capacity()
-                + self.child_flat.capacity())
-                * size_of::<u32>()
+            + (self.sa.capacity() + self.slot_lcp.capacity()) * std::mem::size_of::<u32>()
+            + self.child_table_heap_size()
+    }
+
+    /// Heap bytes of the child table alone — what the tree holds beyond the
+    /// three arrays a snapshot stores.
+    pub fn child_table_heap_size(&self) -> usize {
+        self.child.capacity() * std::mem::size_of::<u32>()
     }
 }
 
@@ -375,7 +362,7 @@ mod tests {
     }
 
     #[test]
-    fn locus_and_ranges_match_suffix_array() {
+    fn ranges_match_suffix_array() {
         let text = b"abaabbabaabbaabab".to_vec();
         let st = SuffixTree::build(text.clone());
         let sa = SuffixArray::new(text.clone());
@@ -426,39 +413,56 @@ mod tests {
         assert_eq!(r - l + 1, 3);
     }
 
-    #[test]
-    fn every_node_but_the_root_is_a_deeper_child_of_one_node() {
-        let st = SuffixTree::build(b"abracadabra".to_vec());
-        let mut times_a_child = vec![0usize; st.num_nodes()];
-        for id in 0..st.num_nodes() as u32 {
-            for &c in st.children(id) {
-                times_a_child[c as usize] += 1;
-                assert!(st.string_depth(c) > st.string_depth(id));
-                let (pl, pr) = st.slot_range(id);
-                let (cl, cr) = st.slot_range(c);
-                assert!(pl <= cl && cr <= pr);
-            }
+    /// Every internal node reached from the root: its children partition
+    /// its range in SA order, there are at least two, each lies strictly
+    /// deeper, and the LCP reaches the node's depth exactly at the child
+    /// boundaries. Returns the number of nodes below and including `[l, r]`.
+    fn check_subtree(st: &SuffixTree, l: usize, r: usize) -> usize {
+        if l == r {
+            return 1;
         }
-        assert_eq!(times_a_child[st.root() as usize], 0);
-        assert!(times_a_child[1..].iter().all(|&c| c == 1));
+        let depth = st.slot_lcp(st.first_l_index(l, r));
+        let n = st.text().len();
+        let mut nodes = 1;
+        let mut cursor = l;
+        let mut kids = 0;
+        for (a, b) in st.child_intervals(l, r) {
+            assert_eq!(a, cursor, "gap in children of [{l}, {r}]");
+            assert!(b <= r);
+            if a > l {
+                assert_eq!(st.slot_lcp(a), depth, "child boundary {a} of [{l}, {r}]");
+            }
+            assert!((a + 1..=b).all(|k| st.slot_lcp(k) > depth));
+            let child_depth = if a == b {
+                n - st.sa(a) + 1
+            } else {
+                st.slot_lcp(st.first_l_index(a, b))
+            };
+            assert!(child_depth > depth);
+            cursor = b + 1;
+            kids += 1;
+            nodes += check_subtree(st, a, b);
+        }
+        assert_eq!(cursor, r + 1);
+        assert!(kids >= 2, "internal nodes branch");
+        nodes
     }
 
     #[test]
-    fn children_partition_parent_range() {
-        let st = SuffixTree::build(b"abracadabra".to_vec());
-        for id in 0..st.num_nodes() as u32 {
-            if st.is_leaf(id) {
-                continue;
-            }
-            let (pl, pr) = st.slot_range(id);
-            let mut cursor = pl;
-            for &c in st.children(id) {
-                let (cl, cr) = st.slot_range(c);
-                assert_eq!(cl, cursor, "gap in children of node {id}");
-                cursor = cr + 1;
-            }
-            assert_eq!(cursor, pr + 1);
-            assert!(st.children(id).len() >= 2, "internal nodes branch");
+    fn children_partition_their_parent_and_lie_deeper() {
+        for text in [
+            &b"abracadabra"[..],
+            b"mississippi",
+            b"A\0A\0\0",
+            b"aaaaaa",
+            b"a",
+        ] {
+            let st = SuffixTree::build(text.to_vec());
+            let nodes = check_subtree(&st, 0, st.num_slots() - 1);
+            // One leaf per slot, and every slot past the first child of
+            // some node is an ℓ-index of exactly one: fewer internal nodes
+            // than slots.
+            assert!(nodes > st.num_slots() && nodes < 2 * st.num_slots());
         }
     }
 
@@ -512,7 +516,6 @@ mod tests {
             let original = SuffixTree::build(text.to_vec());
             let (t, sa, lcp) = original.to_parts();
             let rebuilt = SuffixTree::from_parts(t, sa, lcp);
-            assert_eq!(original.num_nodes(), rebuilt.num_nodes());
             for j in 0..original.num_slots() {
                 assert_eq!(original.sa(j), rebuilt.sa(j));
                 assert_eq!(original.slot_lcp(j), rebuilt.slot_lcp(j));

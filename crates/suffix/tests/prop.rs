@@ -93,6 +93,79 @@ proptest! {
         }
     }
 
+    /// The child-table descent against the binary search of
+    /// [`SuffixArray`]: the same range, shifted by the virtual slot, for
+    /// present and absent patterns over alphabets of 1-4 symbols with
+    /// embedded separators — patterns ending in `0`, longer than the text,
+    /// the all-equal and the single-character text included.
+    #[test]
+    fn suffix_range_equals_the_suffix_array_search(
+        sigma in 1usize..5,
+        raw_text in prop::collection::vec(0u8..4, 1..120),
+        raw_pattern in prop::collection::vec(0u8..4, 1..7),
+        start in 0usize..120,
+        len in 1usize..130,
+        zero_end in any::<bool>(),
+    ) {
+        const SYMBOLS: [u8; 4] = [b'a', 0, b'b', b'c'];
+        let text: Vec<u8> = raw_text.iter().map(|&c| SYMBOLS[c as usize % sigma]).collect();
+        let tree = SuffixTree::build(text.clone());
+        let arr = SuffixArray::new(text.clone());
+        // A substring of the text (stretched past its end when `len` says
+        // so), and a free pattern that is usually absent.
+        let start = start % text.len();
+        let mut present: Vec<u8> = text[start..].iter().copied().take(len).collect();
+        present.extend(std::iter::repeat_n(b'a', len.saturating_sub(text.len())));
+        let mut free: Vec<u8> = raw_pattern.iter().map(|&c| SYMBOLS[c as usize % 4]).collect();
+        if zero_end {
+            present.push(0);
+            free.push(0);
+        }
+        for pattern in [present, free] {
+            let shifted = arr.suffix_range(&pattern).map(|(l, r)| (l + 1, r + 1));
+            prop_assert_eq!(tree.suffix_range(&pattern), shifted, "pattern {:?}", pattern);
+        }
+    }
+
+    /// Preorder ranks, subtree ends and leaf LCAs against a tree built here
+    /// from SA + LCP with explicit nodes — the numbering the ε-link
+    /// snapshots persist (`origin_pre`).
+    #[test]
+    fn ancestry_matches_an_explicit_tree(text in byte_text()) {
+        let tree = SuffixTree::build(text);
+        let anc = Ancestry::build(&tree);
+        let oracle = ExplicitTree::build(&tree);
+        prop_assert_eq!(anc.node_count(), oracle.nodes.len());
+        let (pre, pre_end) = oracle.preorder();
+        for (v, node) in oracle.nodes.iter().enumerate() {
+            let (l, r) = (node.l, node.r);
+            if l == r {
+                prop_assert_eq!(anc.leaf_preorder(l), pre[v]);
+            } else if v > 0 || tree.num_slots() > 1 {
+                let name = tree.first_l_index(l, r);
+                prop_assert_eq!(anc.interval_preorder(name), pre[v]);
+                prop_assert_eq!(tree.slot_lcp(name), node.depth);
+                let kids: Vec<(usize, usize)> = oracle.children[v]
+                    .iter()
+                    .map(|&c| (oracle.nodes[c].l, oracle.nodes[c].r))
+                    .collect();
+                prop_assert_eq!(tree.child_intervals(l, r).collect::<Vec<_>>(), kids);
+            }
+            if l < r || v > 0 {
+                prop_assert_eq!(anc.preorder_range(&tree, l, r), (pre[v], pre_end[v]));
+            }
+        }
+        let slots = tree.num_slots();
+        for i in 0..slots {
+            for j in (i + 1..slots).step_by(3) {
+                let lca = oracle.lca(oracle.leaf_of_slot[i], oracle.leaf_of_slot[j]);
+                let (l, r) = (oracle.nodes[lca].l, oracle.nodes[lca].r);
+                prop_assert_eq!(anc.lca_of_slots(i, j), tree.first_l_index(l, r));
+                prop_assert_eq!(anc.lca_of_slots(j, i), tree.first_l_index(l, r));
+            }
+        }
+    }
+
     #[test]
     fn lca_depth_equals_pairwise_lcp(text in byte_text(), i in 0usize..150, j in 0usize..150) {
         let tree = SuffixTree::build(text.clone());
@@ -102,38 +175,173 @@ proptest! {
             return Ok(());
         }
         let anc = Ancestry::build(&tree);
-        let l = anc.lca(&tree, anc.leaf(i), anc.leaf(j));
+        let l = anc.lca_of_slots(i, j);
         let (a, b) = (tree.sa(i), tree.sa(j));
         let expected = text[a..]
             .iter()
             .zip(text[b..].iter())
             .take_while(|(x, y)| x == y)
             .count();
-        prop_assert_eq!(tree.string_depth(l), expected);
+        prop_assert_eq!(tree.slot_lcp(l), expected);
     }
 
+    /// Every internal node, as an interval: its children partition its
+    /// range in SA order, there are at least two, and each is strictly
+    /// deeper and nested in preorder.
     #[test]
     fn tree_structural_invariants(text in byte_text()) {
+        let n = text.len();
         let tree = SuffixTree::build(text);
         let anc = Ancestry::build(&tree);
-        for id in 0..tree.num_nodes() as u32 {
-            let (l, r) = tree.slot_range(id);
-            prop_assert!(l <= r);
-            let (pl, pr) = anc.preorder_range(id);
+        let depth = |l: usize, r: usize| {
+            if l == r { n - tree.sa(l) + 1 } else { tree.slot_lcp(tree.first_l_index(l, r)) }
+        };
+        let mut open = vec![(0, tree.num_slots() - 1)];
+        let mut leaves = 0;
+        while let Some((l, r)) = open.pop() {
+            let (pl, pr) = anc.preorder_range(&tree, l, r);
             prop_assert!(pl <= pr);
-            if !tree.is_leaf(id) {
-                let kids = tree.children(id);
-                prop_assert!(kids.len() >= 2 || id == tree.root());
-                let mut cursor = l;
-                for &c in kids {
-                    prop_assert!(anc.is_ancestor(id, c));
-                    prop_assert!(tree.string_depth(id) < tree.string_depth(c));
-                    let (cl, cr) = tree.slot_range(c);
-                    prop_assert_eq!(cl, cursor);
-                    cursor = cr + 1;
+            if l == r {
+                leaves += 1;
+                continue;
+            }
+            let mut cursor = l;
+            let mut kids = 0;
+            for (cl, cr) in tree.child_intervals(l, r) {
+                prop_assert_eq!(cl, cursor);
+                prop_assert!(cl <= cr);
+                prop_assert!(depth(l, r) < depth(cl, cr));
+                let (cpl, cpr) = anc.preorder_range(&tree, cl, cr);
+                prop_assert!(pl < cpl && cpr <= pr);
+                cursor = cr + 1;
+                kids += 1;
+                open.push((cl, cr));
+            }
+            prop_assert_eq!(cursor, r + 1);
+            prop_assert!(kids >= 2);
+        }
+        prop_assert_eq!(leaves, tree.num_slots());
+    }
+}
+
+/// The suffix tree with explicit nodes, built from SA + LCP by the stack
+/// sweep `SuffixTree` used before it named nodes by intervals: the oracle
+/// for [`Ancestry`]'s numbering.
+struct ExplicitTree {
+    nodes: Vec<OracleNode>,
+    /// Children of each node in SA order.
+    children: Vec<Vec<usize>>,
+    parent: Vec<usize>,
+    leaf_of_slot: Vec<usize>,
+}
+
+struct OracleNode {
+    depth: usize,
+    l: usize,
+    r: usize,
+}
+
+impl ExplicitTree {
+    fn build(tree: &SuffixTree) -> Self {
+        let m = tree.num_slots();
+        let n = m - 1;
+        let mut nodes = vec![OracleNode {
+            depth: 0,
+            l: 0,
+            r: n,
+        }];
+        let mut parent = vec![usize::MAX];
+        let mut leaf_of_slot = Vec::with_capacity(m);
+        let mut stack = vec![0usize];
+        // One sweep over the leaves; a node's parent is fixed when it
+        // leaves the stack.
+        for j in 0..=m {
+            let lcp_j = if j < m { tree.slot_lcp(j) } else { 0 };
+            let mut last = None;
+            while let Some(&top) = stack.last() {
+                if nodes[top].depth <= lcp_j || top == 0 {
+                    break;
                 }
-                prop_assert_eq!(cursor, r + 1);
+                stack.pop();
+                nodes[top].r = j - 1;
+                if let Some(l) = last {
+                    parent[l] = top;
+                }
+                last = Some(top);
+            }
+            if let Some(l) = last {
+                let top = *stack.last().unwrap();
+                if nodes[top].depth == lcp_j {
+                    parent[l] = top;
+                } else {
+                    // Split: a new internal node adopting `last` as its
+                    // first child.
+                    let v = nodes.len();
+                    nodes.push(OracleNode {
+                        depth: lcp_j,
+                        l: nodes[l].l,
+                        r: usize::MAX,
+                    });
+                    parent.push(usize::MAX);
+                    parent[l] = v;
+                    stack.push(v);
+                }
+            }
+            if j < m {
+                leaf_of_slot.push(nodes.len());
+                stack.push(nodes.len());
+                nodes.push(OracleNode {
+                    depth: n - tree.sa(j) + 1,
+                    l: j,
+                    r: j,
+                });
+                parent.push(usize::MAX);
             }
         }
+        // Siblings are created in slot order.
+        let mut children = vec![Vec::new(); nodes.len()];
+        for (v, &p) in parent.iter().enumerate().skip(1) {
+            children[p].push(v);
+        }
+        Self {
+            nodes,
+            children,
+            parent,
+            leaf_of_slot,
+        }
+    }
+
+    /// Node -> preorder rank, and the largest rank in its subtree.
+    fn preorder(&self) -> (Vec<usize>, Vec<usize>) {
+        let mut pre = vec![0; self.nodes.len()];
+        let mut pre_end = vec![0; self.nodes.len()];
+        let mut next = 0;
+        self.number(0, &mut next, &mut pre, &mut pre_end);
+        (pre, pre_end)
+    }
+
+    fn number(&self, v: usize, next: &mut usize, pre: &mut [usize], pre_end: &mut [usize]) {
+        pre[v] = *next;
+        *next += 1;
+        for &c in &self.children[v] {
+            self.number(c, next, pre, pre_end);
+        }
+        pre_end[v] = *next - 1;
+    }
+
+    fn lca(&self, mut a: usize, mut b: usize) -> usize {
+        let contains = |v: usize, w: usize| {
+            self.nodes[v].l <= self.nodes[w].l && self.nodes[w].r <= self.nodes[v].r
+        };
+        while !contains(a, b) {
+            a = self.parent[a];
+        }
+        while !contains(b, a) {
+            b = self.parent[b];
+        }
+        // `a` holds `b`'s leaf range and is the lowest node to: climbing
+        // `b` to it cannot pass it.
+        debug_assert_eq!(a, b);
+        a
     }
 }
