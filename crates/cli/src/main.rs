@@ -36,6 +36,7 @@
 mod args;
 
 use std::fs;
+use std::io::{self, Write};
 use std::process::ExitCode;
 
 use args::Args;
@@ -146,15 +147,26 @@ fn usage_for(command: Option<&str>) -> String {
     out
 }
 
+/// Writes `text` and a newline to stdout. A reader that went away
+/// (`ustr stats c.coll | head`) has all it wanted: that is not an error.
+fn print_line(text: &str) -> io::Result<()> {
+    match writeln!(io::stdout().lock(), "{text}") {
+        Err(e) if e.kind() == io::ErrorKind::BrokenPipe => Ok(()),
+        other => other,
+    }
+}
+
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     match run(&argv) {
-        Ok(output) => {
-            if !output.is_empty() {
-                println!("{output}");
+        Ok(output) if output.is_empty() => ExitCode::SUCCESS,
+        Ok(output) => match print_line(&output) {
+            Ok(()) => ExitCode::SUCCESS,
+            Err(e) => {
+                eprintln!("error: cannot write to stdout: {e}");
+                ExitCode::FAILURE
             }
-            ExitCode::SUCCESS
-        }
+        },
         Err(e) => {
             // Only the failing subcommand's usage, not the whole blob.
             let cmd = argv.first().map(|s| s.as_str());
@@ -764,6 +776,12 @@ fn sample_permyriad(args: &Args, flag: &str) -> Result<u32, String> {
     Ok((rate * f64::from(ustr_obs::SAMPLE_SCALE)).round() as u32)
 }
 
+/// A line a server prints while it runs: nobody reading it is no reason to
+/// stop serving.
+fn banner(text: &str) {
+    let _ = print_line(text);
+}
+
 fn cmd_serve_net(args: &Args) -> Result<String, String> {
     let source = args.positional(0, "SOURCE")?;
     let addr = args.get("addr").unwrap_or("127.0.0.1:0");
@@ -821,20 +839,22 @@ fn cmd_serve_net(args: &Args) -> Result<String, String> {
             let endpoint = ustr_obs::MetricsServer::serve_routes(maddr, source, Some(traces))
                 .map_err(|e| format!("bind metrics {maddr}: {e}"))?;
             if !quiet {
-                println!("metrics on http://{}/metrics", endpoint.local_addr());
-                println!("traces  on http://{}/traces", endpoint.local_addr());
+                let at = endpoint.local_addr();
+                banner(&format!(
+                    "metrics on http://{at}/metrics\ntraces  on http://{at}/traces"
+                ));
             }
             Some(endpoint)
         }
         None => None,
     };
     if !quiet {
-        println!(
+        banner(&format!(
             "serving {what} on {bound} (ustr-net protocol v{})",
             ustr_net::PROTOCOL_VERSION
-        );
+        ));
         if max_conns > 0 {
-            println!("will shut down after {max_conns} connection(s)");
+            banner(&format!("will shut down after {max_conns} connection(s)"));
         }
     }
     server.wait();
@@ -1053,7 +1073,8 @@ fn cmd_list(args: &Args) -> Result<String, String> {
 
 /// `stats` on a `.coll` collection snapshot: the manifest alone is read —
 /// format version, document count, per-document section sizes and
-/// checksums — no index payload is loaded or decoded.
+/// checksums, then the totals per section kind — no index payload is loaded
+/// or decoded.
 fn collection_stats(path: &str) -> Result<String, String> {
     let m = ustr_store::read_collection_manifest(path).map_err(|e| format!("{path}: {e}"))?;
     let total: u64 = m.entries.iter().map(|e| e.len).sum();
@@ -1068,14 +1089,28 @@ fn collection_stats(path: &str) -> Result<String, String> {
         m.shard_hint,
         m.entries.len(),
     );
+    let kind_name = |kind| format!("{kind:?}").to_lowercase();
+    // `(kind, sections, bytes)` in order of first appearance.
+    let mut kinds: Vec<(ustr_store::SnapshotKind, usize, u64)> = Vec::new();
     for e in &m.entries {
         out.push_str(&format!(
             "  doc {:>6} {:<9} {:>10} bytes at offset {:>10}  fnv1a {:016x}\n",
             e.doc,
-            format!("{:?}", e.kind).to_lowercase(),
+            kind_name(e.kind),
             e.len,
             e.offset,
             e.checksum
+        ));
+        match kinds.iter_mut().find(|k| k.0 == e.kind) {
+            Some(k) => (k.1, k.2) = (k.1 + 1, k.2 + e.len),
+            None => kinds.push((e.kind, 1, e.len)),
+        }
+    }
+    for (kind, sections, bytes) in kinds {
+        out.push_str(&format!(
+            "total {:<12} {sections:>6} section(s) {bytes:>12} bytes  {:>5.1} %\n",
+            kind_name(kind),
+            100.0 * bytes as f64 / total.max(1) as f64
         ));
     }
     Ok(out.trim_end().to_string())
@@ -1468,6 +1503,18 @@ mod tests {
         assert!(out.contains("format version           1"), "{out}");
         assert!(out.contains("approx"), "approx sections listed: {out}");
         assert!(out.contains("fnv1a"), "checksums listed: {out}");
+        // The totals per kind close the listing, shares summing to 100 %.
+        let totals: Vec<&str> = out.lines().rev().take(2).collect();
+        assert!(totals[1].starts_with("total index ") && totals[1].contains(" 3 section(s)"));
+        assert!(totals[0].starts_with("total approx ") && totals[0].contains(" 3 section(s)"));
+        let share = |line: &str| -> f64 {
+            let percent = line.trim_end_matches(" %").rsplit(' ').next().unwrap();
+            percent.parse().unwrap()
+        };
+        assert!(
+            (share(totals[0]) + share(totals[1]) - 100.0).abs() < 0.11,
+            "{out}"
+        );
 
         let idx = std::env::temp_dir().join("ustr_cli_stats.idx");
         let single = write_temp("ustr_cli_stats_one.ustr", "a:.9,b:.1 | a");

@@ -27,7 +27,7 @@
 use std::time::Instant;
 
 use ustr_rmq::{BlockRmq, Direction, Rmq, ThresholdReporter};
-use ustr_suffix::Ancestry;
+use ustr_suffix::{Ancestry, LeafLca, SuffixTree};
 use ustr_uncertain::{canon, transform, UncertainString};
 
 use crate::{
@@ -37,7 +37,7 @@ use crate::{
     // A link's in-memory form *is* its snapshot row.
     snapshot::{invalid, ApproxIndexState, ApproxLinkState as Link},
     stats::BuildStats,
-    substrate::ScoredText,
+    substrate::{checked_tree, ScoredText},
 };
 
 /// Approximate substring-search index with additive error ε.
@@ -54,12 +54,14 @@ use crate::{
 /// assert!(!hits.positions().contains(&1));
 /// ```
 pub struct ApproxIndex {
-    /// The §4 machinery minus its RMQ levels: links replace them here, and
-    /// carry their source positions (nothing else of the transform is kept).
-    text: ScoredText,
-    /// Preorder ranks and LCA over `text.tree` — derived state, rebuilt on
-    /// construction and snapshot load. Only this index needs them.
-    ancestry: Ancestry,
+    /// Pattern loci over the transformed text. Nothing else of the §4
+    /// machinery outlives `build`: the links replace the levels, and carry
+    /// the probabilities and source positions a query reports.
+    tree: SuffixTree,
+    /// Preorder ranks over `tree`, the numbering `Link::origin_pre` is in —
+    /// derived state, one depth-first pass at construction and at load.
+    ranks: Ancestry,
+    /// Sorted by `origin_pre`.
     links: Vec<Link>,
     /// Min-RMQ over `links[..].target_depth`.
     target_rmq: BlockRmq,
@@ -78,8 +80,11 @@ impl ApproxIndex {
         let start = Instant::now();
         let transformed = transform(source, tau_min)?;
         let text = ScoredText::build(transformed.special.chars(), transformed.special.probs())?;
+        // What finds the links and no query reads: `C` (in `text`), the run
+        // lengths and the leaf-LCA structure are dropped when this returns.
         let tree = &text.tree;
-        let ancestry = Ancestry::build(tree);
+        let ranks = Ancestry::build(tree);
+        let lca = LeafLca::build(tree);
 
         // Group marked leaves by Posid (slots ascend in preorder order)
         // with a counting sort into one flat arena — two passes, zero
@@ -117,11 +122,11 @@ impl ApproxIndex {
         let text_len = tree.text().len();
         let leaf_node = |slot: usize| {
             let depth = text_len - tree.sa(slot) + 1;
-            (ancestry.leaf_preorder(slot) as u32, depth)
+            (ranks.leaf_preorder(slot) as u32, depth)
         };
         let lca_node = |a: u32, b: u32| {
-            let name = ancestry.lca_of_slots(a as usize, b as usize);
-            (ancestry.interval_preorder(name) as u32, tree.slot_lcp(name))
+            let name = lca.lca_of_slots(a as usize, b as usize);
+            (ranks.interval_preorder(name) as u32, tree.slot_lcp(name))
         };
         let mut links: Vec<Link> = Vec::new();
         // Virtual-tree stack of `(node, witness)`: the witness is the text
@@ -198,8 +203,8 @@ impl ApproxIndex {
             ..Default::default()
         };
         let mut idx = Self {
-            text,
-            ancestry,
+            tree: text.tree,
+            ranks,
             links,
             target_rmq,
             epsilon,
@@ -212,12 +217,20 @@ impl ApproxIndex {
         Ok(idx)
     }
 
-    /// Heap bytes held.
+    /// Heap bytes held, per structure: a `(name, bytes)` row for everything
+    /// the index keeps — which is everything a query reads.
+    pub fn heap_breakdown(&self) -> [(&'static str, usize); 4] {
+        [
+            ("suffix tree", self.tree.heap_size()),
+            ("preorder ranks", self.ranks.heap_size()),
+            ("links", self.links.capacity() * std::mem::size_of::<Link>()),
+            ("link RMQ", self.target_rmq.heap_size()),
+        ]
+    }
+
+    /// Heap bytes held: the sum of [`ApproxIndex::heap_breakdown`].
     pub(crate) fn heap_size(&self) -> usize {
-        self.text.heap_size()
-            + self.ancestry.heap_size()
-            + self.links.capacity() * std::mem::size_of::<Link>()
-            + self.target_rmq.heap_size()
+        self.heap_breakdown().iter().map(|&(_, bytes)| bytes).sum()
     }
 
     /// The additive error bound ε.
@@ -243,9 +256,12 @@ impl ApproxIndex {
     /// Decomposes the index into its persistence-ready snapshot state (see
     /// [`crate::snapshot`]). The byte encoding lives in `ustr-store`.
     pub fn to_snapshot(&self) -> ApproxIndexState {
+        let (text, sa, lcp) = self.tree.to_parts();
         ApproxIndexState {
             source_len: self.stats.source_len,
-            text: self.text.to_state(),
+            text,
+            sa,
+            lcp,
             links: self.links.clone(),
             epsilon: self.epsilon,
             tau_min: self.tau_min,
@@ -254,11 +270,12 @@ impl ApproxIndex {
     }
 
     /// Reassembles an index from snapshot state. Only the cheap derived
-    /// structures are rebuilt (the child table and ancestry layer from SA +
-    /// LCP, the min-RMQ over link target depths); the sub-link table is restored
-    /// verbatim, so the result answers every query byte-identically to the
-    /// index the snapshot was taken from. Fails with
-    /// [`Error::InvalidSnapshot`] on structurally inconsistent state.
+    /// structures are rebuilt (the child table from the LCP array, the
+    /// preorder ranks in one depth-first pass, the min-RMQ over link target
+    /// depths); the sub-link table is restored verbatim, so the result holds
+    /// what the index the snapshot was taken from held and answers every
+    /// query byte-identically. Fails with [`Error::InvalidSnapshot`] on
+    /// structurally inconsistent state.
     pub fn from_snapshot(state: ApproxIndexState) -> Result<Self, Error> {
         if !canon::valid_epsilon(state.epsilon) {
             return Err(invalid("epsilon outside (0, 1)"));
@@ -266,12 +283,12 @@ impl ApproxIndex {
         if !canon::valid_tau(state.tau_min) {
             return Err(invalid("tau_min outside (0, 1]"));
         }
-        let text = ScoredText::from_state(state.text)?;
-        let ancestry = Ancestry::build(&text.tree);
+        let tree = checked_tree(state.text, state.sa, state.lcp)?;
+        let ranks = Ancestry::build(&tree);
         let source_len = state.source_len;
         let mut prev_pre = 0u32;
         for link in &state.links {
-            if link.origin_pre as usize >= ancestry.node_count() {
+            if link.origin_pre as usize >= ranks.node_count() {
                 return Err(invalid("link origin preorder outside the tree"));
             }
             if link.origin_pre < prev_pre {
@@ -291,8 +308,8 @@ impl ApproxIndex {
         let links = state.links;
         let target_rmq = target_depth_rmq(&links);
         let mut idx = Self {
-            ancestry,
-            text,
+            tree,
+            ranks,
             links,
             target_rmq,
             epsilon: state.epsilon,
@@ -310,11 +327,10 @@ impl ApproxIndex {
     pub fn query(&self, pattern: &[u8], tau: f64) -> Result<QueryResult, Error> {
         validate_query(pattern, tau, self.tau_min)?;
         let m = pattern.len();
-        let tree = &self.text.tree;
-        let Some((l, r)) = tree.suffix_range(pattern) else {
+        let Some((l, r)) = self.tree.suffix_range(pattern) else {
             return Ok(QueryResult::default());
         };
-        let (pl, pr) = self.ancestry.preorder_range(tree, l, r);
+        let (pl, pr) = self.ranks.preorder_range(&self.tree, l, r);
         // Link range whose origin preorder falls inside the locus subtree.
         let lo = self.links.partition_point(|l| (l.origin_pre as usize) < pl);
         let hi = self

@@ -39,9 +39,15 @@
 //! tree + `C` + levels) is the only code that builds, queries, measures,
 //! decomposes and validates that triple; [`SpecialIndex`], [`Index`] and
 //! [`ListingIndex`] are each "substrate + own map + own verification", and
-//! [`ApproxIndex`] holds the substrate's level-free half (suffix tree + `C`)
-//! beside its links. In [`snapshot`] it appears as one
-//! [`snapshot::SubstrateState`] shared by all four state structs.
+//! [`ApproxIndex`] builds its links from the substrate's level-free half
+//! (suffix tree + `C`) and keeps the tree. In [`snapshot`] it appears as
+//! one [`snapshot::SubstrateState`] shared by the three state structs that
+//! have levels; all four get their tree back through one validator.
+//!
+//! A loaded index is a built index: a state struct says what `build`
+//! produces and a query reads, `from_snapshot` accepts only levels on the
+//! ladder `build` derives, and `from_snapshot(x.to_snapshot())` has `x`'s
+//! `heap_size()` and state (`tests/loaded_is_built.rs`).
 //!
 //! # Space
 //!
@@ -51,7 +57,7 @@
 //! rows of [`Index::heap_breakdown`], which `ustr stats FILE` prints and
 //! `tests/space_budget.rs` pins — before (PR 21) → after the suffix tree
 //! dropped its node arena for a child table and the levels their sparse
-//! tables for the linear-space block RMQ (PR 22):
+//! tables for the linear-space block RMQ (PR 23):
 //!
 //! | structure | B/position |
 //! |---|---|
@@ -63,6 +69,19 @@
 //! | position map | 37.9 |
 //! | verification plane over the source | 184.0 |
 //! | **`Index::heap_size()`** | **973.9 → 563.3** |
+//!
+//! And an [`ApproxIndex`] on the same string (1 944 732 links) — the rows of
+//! [`ApproxIndex::heap_breakdown`] — before → after PR 24 made everything
+//! only `build` reads a local of `build`:
+//!
+//! | structure | B/position |
+//! |---|---|
+//! | suffix tree (text + SA + LCP + child table) | 123.3 |
+//! | cumulative array `C` | 113.8 → 0 |
+//! | ancestry: preorder ranks (+ boundary names, LCP RMQ) | 274.4 → 75.9 |
+//! | links (24 B each) | 466.7 |
+//! | min-RMQ over the links' target depths | 330.5 |
+//! | **`stats().heap_bytes`** | **1 308.7 → 996.4** |
 
 #![forbid(unsafe_code)]
 

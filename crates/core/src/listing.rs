@@ -62,9 +62,6 @@ pub struct ListingIndex {
     doc_of: Vec<u32>,
     /// X position → source position *within its document*.
     src_of: Vec<u32>,
-    /// Start of each document in the concatenated *source* position space
-    /// (for globally-unique dedup keys).
-    doc_base: Vec<u32>,
     tau_min: f64,
     has_correlations: bool,
     stats: BuildStats,
@@ -77,14 +74,16 @@ impl ListingIndex {
     /// Builds the index over `docs` with construction threshold `tau_min`.
     pub fn build(docs: &[UncertainString], tau_min: f64) -> Result<Self, Error> {
         let start = Instant::now();
-        // Document ids and `doc_base` offsets are stored as `u32`, like the
-        // text positions `Substrate::build` checks.
+        // Document ids and `doc_base` offsets are `u32`s, like the text
+        // positions `Substrate::build` checks.
         let source_total: usize = docs.iter().map(UncertainString::len).sum();
         check_text_len(docs.len().max(source_total))?;
         let mut chars: Vec<u8> = Vec::new();
         let mut probs: Vec<f64> = Vec::new();
         let mut doc_of: Vec<u32> = Vec::new();
         let mut src_of: Vec<u32> = Vec::new();
+        // Start of each document in the concatenated *source* position
+        // space: globally unique dedup keys, under correlations.
         let mut doc_base: Vec<u32> = Vec::with_capacity(docs.len());
         let mut base = 0usize;
         let mut num_factors = 0usize;
@@ -108,6 +107,9 @@ impl ListingIndex {
             }
             base += d.len();
         }
+        // Held for the life of the index: no growth slack.
+        doc_of.shrink_to_fit();
+        src_of.shrink_to_fit();
         let has_correlations = docs.iter().any(|d| !d.correlations().is_empty());
 
         // Doc-level dedup keeps the max-probability entry per document per
@@ -143,7 +145,6 @@ impl ListingIndex {
             substrate,
             doc_of,
             src_of,
-            doc_base,
             tau_min,
             has_correlations,
             stats,
@@ -177,7 +178,6 @@ impl ListingIndex {
             substrate: self.substrate.to_state(),
             doc_of: self.doc_of.clone(),
             src_of: self.src_of.clone(),
-            doc_base: self.doc_base.clone(),
             tau_min: self.tau_min,
             stats: self.stats.clone(),
         }
@@ -190,9 +190,6 @@ impl ListingIndex {
         let n = state.substrate.text.text.len();
         if state.doc_of.len() != n || state.src_of.len() != n {
             return Err(invalid("document maps do not match the text length"));
-        }
-        if state.doc_base.len() != state.docs.len() {
-            return Err(invalid("document base count does not match collection"));
         }
         for (&d, &s) in state.doc_of.iter().zip(state.src_of.iter()) {
             if d == NONE32 {
@@ -217,7 +214,6 @@ impl ListingIndex {
             substrate,
             doc_of: state.doc_of,
             src_of: state.src_of,
-            doc_base: state.doc_base,
             tau_min: state.tau_min,
             has_correlations,
             stats: state.stats,
@@ -408,8 +404,7 @@ impl ListingIndex {
         use std::mem::size_of;
         self.substrate.heap_size()
             + self.planes.iter().map(ProbPlane::heap_size).sum::<usize>()
-            + (self.doc_of.capacity() + self.src_of.capacity() + self.doc_base.capacity())
-                * size_of::<u32>()
+            + (self.doc_of.capacity() + self.src_of.capacity()) * size_of::<u32>()
     }
 }
 

@@ -17,8 +17,14 @@
 //!   * per-level RMQ champion indices and duplicate masks (champion
 //!     *values* are re-derived from the cumulative array on reassembly),
 //! * each index's own map beside it: the Lemma-2 position map (§5), the
-//!   document maps (§6), or — for the approximate index, which needs no
-//!   levels and so holds a bare [`ScoredTextState`] — the ε-link table (§7).
+//!   document maps (§6), or the ε-link table (§7) — that one beside the
+//!   bare text and `(SA, LCP)`: the approximate index reads no level and,
+//!   once its links exist, no probability.
+//!
+//! A state says what `build` produces and a query reads, nothing else:
+//! level lengths are the ladder its text derives, and what only
+//! construction needs (the approximate index's `C`, the listing index's
+//! document offsets) is not in it. So a loaded index is a built index.
 //!
 //! The byte-level encoding of these structs lives in the `ustr-store` crate;
 //! this module only defines the shapes. Assembly is invariant-checked in
@@ -36,7 +42,7 @@ use crate::stats::BuildStats;
 /// The deterministic text of an index with its suffix structure and
 /// cumulative probabilities — what window probabilities and pattern loci
 /// are read from; no state struct holds either a second time.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScoredTextState {
     /// The indexed deterministic text (no virtual terminator; 0 = separator).
     pub text: Vec<u8>,
@@ -49,7 +55,7 @@ pub struct ScoredTextState {
 }
 
 /// Persistent representation of one short RMQ level.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ShortLevelParts {
     /// Duplicate-elimination mask, 64 slots per word.
     pub mask_words: Vec<u64>,
@@ -57,17 +63,18 @@ pub struct ShortLevelParts {
     pub champions: Vec<u32>,
 }
 
-/// Persistent representation of one long (blocking-scheme) level.
-#[derive(Debug, Clone)]
+/// Persistent representation of one long (blocking-scheme) level: the
+/// `k`-th has filter length and block size `L·2ᵏ`, `L` the short count.
+#[derive(Debug, Clone, PartialEq)]
 pub struct LongLevelParts {
-    /// Filter length of this level, which is also its block size.
-    pub len: usize,
-    /// Champion index of every `len`-slot block.
+    /// Champion index of every block.
     pub champions: Vec<u32>,
 }
 
-/// Persistent representation of all RMQ levels of an index.
-#[derive(Debug, Clone)]
+/// Persistent representation of all RMQ levels of an index: exactly
+/// `L = ⌈log₂(slots + 1)⌉` short levels and a long level for every `L·2ᵏ`
+/// up to the text length.
+#[derive(Debug, Clone, PartialEq)]
 pub struct LevelsParts {
     /// Short levels, in pattern-length order (`1..=short.len()`).
     pub short: Vec<ShortLevelParts>,
@@ -76,7 +83,7 @@ pub struct LevelsParts {
 }
 
 /// The §4 machinery of an index: scored text plus per-length RMQ levels.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SubstrateState {
     /// Text, suffix structure and cumulative probabilities.
     pub text: ScoredTextState,
@@ -85,7 +92,7 @@ pub struct SubstrateState {
 }
 
 /// Snapshot state of a general substring [`crate::Index`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct IndexState {
     /// The source uncertain string (with correlations).
     pub source: UncertainString,
@@ -101,7 +108,7 @@ pub struct IndexState {
 }
 
 /// Snapshot state of a [`crate::SpecialIndex`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SpecialIndexState {
     /// Probability of every character of the indexed string (the
     /// characters are `substrate.text.text`).
@@ -135,12 +142,17 @@ pub struct ApproxLinkState {
 }
 
 /// Snapshot state of an [`crate::ApproxIndex`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ApproxIndexState {
     /// Length of the source string (every link's `source_pos` is below it).
     pub source_len: usize,
-    /// The transformed text with its suffix structure and probabilities.
-    pub text: ScoredTextState,
+    /// The transformed text (no virtual terminator; 0 = separator). Its
+    /// probabilities are in the links.
+    pub text: Vec<u8>,
+    /// Plain suffix array of `text`.
+    pub sa: Vec<u32>,
+    /// LCP array of `text` (`lcp[0] = 0`).
+    pub lcp: Vec<u32>,
     /// The ε-refined sub-link table, sorted by `origin_pre` (the min-RMQ
     /// over target depths is rebuilt from this on reassembly).
     pub links: Vec<ApproxLinkState>,
@@ -153,7 +165,7 @@ pub struct ApproxIndexState {
 }
 
 /// Snapshot state of a [`crate::ListingIndex`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ListingIndexState {
     /// The indexed collection.
     pub docs: Vec<UncertainString>,
@@ -163,8 +175,6 @@ pub struct ListingIndexState {
     pub doc_of: Vec<u32>,
     /// Transformed position → offset within its document.
     pub src_of: Vec<u32>,
-    /// Start of each document in concatenated source-position space.
-    pub doc_base: Vec<u32>,
     /// Construction-time threshold.
     pub tau_min: f64,
     /// Build statistics.

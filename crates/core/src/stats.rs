@@ -5,7 +5,7 @@ use ustr_uncertain::canon;
 use std::time::Duration;
 
 /// Statistics recorded while building an index.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct BuildStats {
     /// Positions in the source uncertain string (collection total for the
     /// listing index).

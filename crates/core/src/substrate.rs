@@ -7,9 +7,10 @@
 //! how the triple is built, queried (suffix range → candidates in
 //! decreasing-probability order, threshold or top-k), measured, taken apart
 //! into [`SubstrateState`] and validated back together. [`ScoredText`] is
-//! its level-free half (tree + `C`), which [`crate::ApproxIndex`] tops with
-//! its own ancestry layer and links instead of levels. The index types add
-//! their own map and their own verification.
+//! its level-free half (tree + `C`), which [`crate::ApproxIndex`] builds
+//! its links from and then keeps the tree of ([`checked_tree`] is how any
+//! index gets a tree back from a snapshot). The index types add their own
+//! map and their own verification.
 //!
 //! Outside this module nothing sees a suffix-array *slot*: candidates come
 //! back as text positions.
@@ -75,11 +76,6 @@ impl ScoredText {
         self.cum.window(self.tree.sa(slot), len)
     }
 
-    /// Approximate heap footprint in bytes.
-    pub(crate) fn heap_size(&self) -> usize {
-        self.tree.heap_size() + self.cum.heap_size()
-    }
-
     /// Decomposes into plain data: `(text, SA, LCP)` and the prefix sums.
     pub(crate) fn to_state(&self) -> ScoredTextState {
         let (text, sa, lcp) = self.tree.to_parts();
@@ -91,13 +87,9 @@ impl ScoredText {
         }
     }
 
-    /// Validates and reassembles. The checks are exact: the SA must be
-    /// *the* suffix array of the text — a permutation of `0..n` whose
-    /// neighbours ascend — and every LCP entry the full common prefix of
-    /// its two suffixes, because `SuffixTree::from_parts` derives its child
-    /// table from the LCP values alone and a wrong table loses occurrences
-    /// silently; and `C` must cover the text (whose separators are
-    /// recounted as [`ScoredText::build`] counts them).
+    /// Validates and reassembles: the tree through [`checked_tree`], and
+    /// `C` must cover the text (whose separators are recounted as
+    /// [`ScoredText::build`] counts them).
     pub(crate) fn from_state(state: ScoredTextState) -> Result<Self, Error> {
         let ScoredTextState {
             text,
@@ -105,49 +97,64 @@ impl ScoredText {
             lcp,
             prefix,
         } = state;
-        let n = text.len();
-        if sa.len() != n || lcp.len() != n {
-            return Err(invalid("suffix/LCP array length does not match text"));
-        }
-        let mut seen = vec![false; n];
-        for &p in &sa {
-            let p = p as usize;
-            if p >= n || seen[p] {
-                return Err(invalid("suffix array is not a permutation of 0..n"));
-            }
-            seen[p] = true;
-        }
-        for (j, &l) in lcp.iter().enumerate() {
-            let l = l as usize;
-            if j == 0 {
-                if l != 0 {
-                    return Err(invalid("lcp[0] must be 0"));
-                }
-                continue;
-            }
-            let (a, b) = (sa[j - 1] as usize, sa[j] as usize);
-            if l > n - a || l > n - b || text[a..a + l] != text[b..b + l] {
-                return Err(invalid("LCP entry exceeds the true common prefix"));
-            }
-            // Past the common prefix slot j-1 ends (a proper prefix sorts
-            // first) or continues with a smaller character: the order of
-            // the two slots and the maximality of `l` in one comparison.
-            if a + l < n {
-                if b + l == n || text[a + l] > text[b + l] {
-                    return Err(invalid("suffix array is not in suffix order"));
-                }
-                if text[a + l] == text[b + l] {
-                    return Err(invalid("LCP entry is short of the true common prefix"));
-                }
-            }
-        }
-        if prefix.len() != n + 1 {
+        let tree = checked_tree(text, sa, lcp)?;
+        let text = tree.text();
+        if prefix.len() != text.len() + 1 {
             return Err(invalid("cumulative array length does not match text"));
         }
         let cum = CumulativeLogProb::from_prefix(prefix, |i| text[i] == 0);
-        let tree = SuffixTree::from_parts(text, sa, lcp);
         Ok(Self { tree, cum })
     }
+}
+
+/// The suffix tree of `text` from its stored `(SA, LCP)` arrays, for every
+/// index that loads one. The checks are exact: the SA must be *the* suffix
+/// array of the text — a permutation of `0..n` whose neighbours ascend —
+/// and every LCP entry the full common prefix of its two suffixes, because
+/// `SuffixTree::from_parts` derives its child table from the LCP values
+/// alone and a wrong table loses occurrences silently.
+pub(crate) fn checked_tree(
+    text: Vec<u8>,
+    sa: Vec<u32>,
+    lcp: Vec<u32>,
+) -> Result<SuffixTree, Error> {
+    let n = text.len();
+    if sa.len() != n || lcp.len() != n {
+        return Err(invalid("suffix/LCP array length does not match text"));
+    }
+    let mut seen = vec![false; n];
+    for &p in &sa {
+        let p = p as usize;
+        if p >= n || seen[p] {
+            return Err(invalid("suffix array is not a permutation of 0..n"));
+        }
+        seen[p] = true;
+    }
+    for (j, &l) in lcp.iter().enumerate() {
+        let l = l as usize;
+        if j == 0 {
+            if l != 0 {
+                return Err(invalid("lcp[0] must be 0"));
+            }
+            continue;
+        }
+        let (a, b) = (sa[j - 1] as usize, sa[j] as usize);
+        if l > n - a || l > n - b || text[a..a + l] != text[b..b + l] {
+            return Err(invalid("LCP entry exceeds the true common prefix"));
+        }
+        // Past the common prefix slot j-1 ends (a proper prefix sorts
+        // first) or continues with a smaller character: the order of
+        // the two slots and the maximality of `l` in one comparison.
+        if a + l < n {
+            if b + l == n || text[a + l] > text[b + l] {
+                return Err(invalid("suffix array is not in suffix order"));
+            }
+            if text[a + l] == text[b + l] {
+                return Err(invalid("LCP entry is short of the true common prefix"));
+            }
+        }
+    }
+    Ok(SuffixTree::from_parts(text, sa, lcp))
 }
 
 /// Scored text plus the per-length RMQ levels over it (see the module docs).
@@ -274,7 +281,8 @@ mod tests {
     fn inconsistent_state_is_rejected_not_panicked_on() {
         assert!(assemble(states()).is_ok());
         type Tamper = fn(&mut SpecialIndexState, &mut IndexState);
-        let rows: [(&str, Tamper); 14] = [
+        const LADDER: &str = "level count does not match the ladder";
+        let rows: [(&str, Tamper); 15] = [
             ("not a permutation", |s, _| {
                 s.substrate.text.sa[0] = s.substrate.text.sa[1]
             }),
@@ -301,11 +309,13 @@ mod tests {
             ("outside its block", |s, _| {
                 s.substrate.levels.short[0].champions[0] = u32::MAX
             }),
-            ("strictly increasing", |s, _| {
-                s.substrate.levels.long[1].len = s.substrate.levels.long[0].len
-            }),
-            ("exceeds the text length", |s, _| {
-                s.substrate.levels.long[1].len = usize::MAX
+            // One short level missing, one long level missing, one long
+            // level too many: a file describes the levels `build` makes.
+            (LADDER, |s, _| drop(s.substrate.levels.short.pop())),
+            (LADDER, |s, _| drop(s.substrate.levels.long.pop())),
+            (LADDER, |s, _| {
+                let extra = s.substrate.levels.long[1].clone();
+                s.substrate.levels.long.push(extra)
             }),
             ("champion count", |s, _| {
                 s.substrate.levels.long[0].champions.push(0)
@@ -349,7 +359,7 @@ mod tests {
             .to_snapshot();
         listing.substrate.text.lcp[0] = 1;
         let mut approx = ApproxIndex::build(&s, 0.1, 0.05).unwrap().to_snapshot();
-        approx.text.lcp[0] = 1;
+        approx.lcp[0] = 1;
         let details = [
             rejection(Index::from_snapshot(index)),
             rejection(SpecialIndex::from_snapshot(special)),

@@ -17,7 +17,7 @@ use crate::{BlockRmq, Direction, Rmq};
 /// in-block mask 8, and its own champions and sparse table over 1/64 of the
 /// blocks, ≈ 0.2: **20.2 B per block**, `n · 20.2 / 64 ≈ n / 3` bytes at the
 /// default block size, against 8 B per *element* for a materialised level.
-/// Until PR 22 the champion values sat in a sparse table — the `f64` and
+/// Until PR 23 the champion values sat in a sparse table — the `f64` and
 /// `⌊log₂ blocks⌋` rows of `u32` per block, 4 + 55.6 B at the 14 819
 /// blocks of a 948 400-element level (`≈ n` bytes) — while this comment
 /// promised "roughly `n/8` bytes".

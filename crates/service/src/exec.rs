@@ -265,29 +265,33 @@ pub fn top_hit_order(a: &TopHit, b: &TopHit) -> std::cmp::Ordering {
 }
 
 impl Segment {
+    /// `row(doc, hits)` of every document whose `hits` answer is not empty,
+    /// in doc order.
+    fn rows<T>(
+        &self,
+        hits: impl Fn(&DocExecutor) -> Result<Vec<(usize, f64)>, Error>,
+        row: impl Fn(usize, Vec<(usize, f64)>) -> T,
+    ) -> Result<Vec<T>, Error> {
+        let mut out = Vec::new();
+        for (doc, d) in &self.docs {
+            let hits = hits(d)?;
+            if !hits.is_empty() {
+                out.push(row(*doc, hits));
+            }
+        }
+        Ok(out)
+    }
+
     /// Sequentially answers `req` over every document in the segment.
     pub fn answer(&self, req: &QueryRequest) -> Result<ShardPartial, Error> {
+        let doc_hits = |doc, hits| DocHits { doc, hits };
         match req {
-            QueryRequest::Threshold { pattern, tau } => {
-                let mut out = Vec::new();
-                for (doc, d) in &self.docs {
-                    let hits = d.threshold(pattern, *tau)?;
-                    if !hits.is_empty() {
-                        out.push(DocHits { doc: *doc, hits });
-                    }
-                }
-                Ok(ShardPartial::Hits(out))
-            }
-            QueryRequest::Approx { pattern, tau } => {
-                let mut out = Vec::new();
-                for (doc, d) in &self.docs {
-                    let hits = d.approx(pattern, *tau)?;
-                    if !hits.is_empty() {
-                        out.push(DocHits { doc: *doc, hits });
-                    }
-                }
-                Ok(ShardPartial::Hits(out))
-            }
+            QueryRequest::Threshold { pattern, tau } => self
+                .rows(|d| d.threshold(pattern, *tau), doc_hits)
+                .map(ShardPartial::Hits),
+            QueryRequest::Approx { pattern, tau } => self
+                .rows(|d| d.approx(pattern, *tau), doc_hits)
+                .map(ShardPartial::Hits),
             QueryRequest::TopK { pattern, k } => {
                 // Any global top-k hit is inside its document's top-k, so
                 // per-doc truncation loses nothing.
@@ -305,23 +309,19 @@ impl Segment {
                 all.truncate(*k);
                 Ok(ShardPartial::TopK(all))
             }
-            QueryRequest::Listing { pattern, tau } => {
-                let mut out = Vec::new();
-                for (doc, d) in &self.docs {
-                    let hits = d.threshold(pattern, *tau)?;
-                    if !hits.is_empty() {
-                        let relevance = hits
+            // `Rel_max`: a document's best threshold hit.
+            QueryRequest::Listing { pattern, tau } => self
+                .rows(
+                    |d| d.threshold(pattern, *tau),
+                    |doc, hits| ListingHit {
+                        doc,
+                        relevance: hits
                             .iter()
                             .map(|&(_, p)| p)
-                            .fold(f64::NEG_INFINITY, f64::max);
-                        out.push(ListingHit {
-                            doc: *doc,
-                            relevance,
-                        });
-                    }
-                }
-                Ok(ShardPartial::Listing(out))
-            }
+                            .fold(f64::NEG_INFINITY, f64::max),
+                    },
+                )
+                .map(ShardPartial::Listing),
         }
     }
 }

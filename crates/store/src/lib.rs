@@ -7,12 +7,12 @@
 //! paper's §4 substrate, encoded by one routine for every kind and holding
 //! the only copy of the transformed text and its probabilities: the text
 //! with its `(SA, LCP)` arrays, the cumulative log-probability prefix sums,
-//! and every per-level RMQ table (champion indices + duplicate masks; for
-//! the approximate index, the ε-refined sub-link table instead) — and
-//! [`Snapshot::load`] reassembles
-//! an index that answers **byte-identical** query results, skipping the
-//! expensive construction passes (the Lemma-2 transform, SA-IS, and the
-//! level mask sweeps).
+//! and every per-level RMQ table (champion indices + duplicate masks); for
+//! the approximate index, the text with its `(SA, LCP)` arrays and the
+//! ε-refined sub-link table — and [`Snapshot::load`] reassembles an index
+//! that holds what the built one held and answers **byte-identical** query
+//! results, skipping the expensive construction passes (the Lemma-2
+//! transform, SA-IS, the level mask sweeps, the link search).
 //!
 //! Beyond single indexes, the [`collection`] module defines a one-file
 //! container for a whole document collection (manifest + per-section
@@ -26,7 +26,7 @@
 //! | offset | size | field |
 //! |---|---|---|
 //! | 0  | 8 | magic `"USTRSNAP"` |
-//! | 8  | 4 | format version, `u32` little-endian (currently 3) |
+//! | 8  | 4 | format version, `u32` little-endian (currently 4) |
 //! | 12 | 1 | index kind: 1 = `Index`, 2 = `SpecialIndex`, 3 = `ListingIndex`, 4 = `ApproxIndex` |
 //! | 13 | 3 | reserved, must be zero |
 //! | 16 | 8 | payload length in bytes, `u64` little-endian |
@@ -37,30 +37,39 @@
 //! bit patterns (so probabilities and prefix sums survive round-trips
 //! bit-exactly); variable-length sequences are length-prefixed with a `u64`.
 //!
-//! # Payloads (version 3)
+//! # Payloads (version 4)
 //!
-//! Each array is written once. Shared pieces first, then the four payloads,
-//! every field in the order it is written:
+//! A payload says what `build` produces and a query reads, each array
+//! once. Shared pieces first, then the four payloads, every field in the
+//! order it is written:
 //!
 //! | piece | fields |
 //! |---|---|
 //! | *string* | position count; per position: choice count (`u32`), then `(char, prob)` pairs; correlation count; *correlation* rows |
 //! | *correlation* | subject position, subject char, condition position, condition char, `p_present`, `p_absent` |
 //! | *scored text* | text bytes (0 = factor separator), SA (`u32`s), LCP (`u32`s), prefix sums `C` (`f64`s, text length + 1) |
-//! | *substrate* | *scored text*; short-level count; per short level: mask words (`u64`s), champions (`u32`s, one per 64 slots); long-level count; per long level: filter length, champions (`u32`s, one per filter-length slots) |
+//! | *substrate* | *scored text*; short-level count `L`; per short level: mask words (`u64`s), champions (`u32`s, one per 64 slots); long-level count; per long level, the `k`-th of length `L·2ᵏ`: champions (`u32`s, one per `L·2ᵏ` slots) |
 //! | *stats* | source length, transformed length, factor count, build time in ns |
 //!
 //! | kind | payload |
 //! |---|---|
 //! | `Index` | *string* (the source); position map (`u32`s, one per text byte, `u32::MAX` at separators); *substrate*; `τmin`; *stats* |
 //! | `SpecialIndex` | per-character probabilities (`f64`s; the characters are the substrate's text); correlation count, *correlation* rows; *substrate*; *stats* |
-//! | `ListingIndex` | document count, one *string* each; *substrate*; text position → document (`u32`s); text position → offset in document (`u32`s); document bases (`u32`s); `τmin`; *stats* |
-//! | `ApproxIndex` | source length; *scored text*; link count; per link: origin preorder, origin depth, target depth, source position (`u32` each), probability; ε; `τmin`; *stats* |
+//! | `ListingIndex` | document count, one *string* each; *substrate*; text position → document (`u32`s); text position → offset in document (`u32`s); `τmin`; *stats* |
+//! | `ApproxIndex` | source length; text bytes, SA (`u32`s), LCP (`u32`s); link count; per link: origin preorder, origin depth, target depth, source position (`u32` each), probability; ε; `τmin`; *stats* |
+//!
+//! The two level counts must be the text's own — `L = ⌈log₂(slots + 1)⌉`
+//! short levels, a long level for every `L·2ᵏ` up to the text length: any
+//! other ladder is refused, so a loaded index has a built one's levels.
 //!
 //! Not written, because another field fixes it: the separator counts beside
-//! `C` (the zero bytes of the text), a level's block size (64, or the filter
-//! length), the largest short pattern length (the short-level count), and the heap footprint (a
-//! measurement of the loaded index, taken again on load).
+//! `C` (the zero bytes of the text), a level's length (its place on the
+//! ladder) and block size (64, or the length), the largest short pattern
+//! length (the short-level count), each document's start in the
+//! concatenated source (the running sum of the documents' lengths), and the
+//! heap footprint (a measurement of the loaded index, taken again on load).
+//! Not written, because only construction reads it: the prefix sums `C` of
+//! an `ApproxIndex`, whose links carry every probability a query reports.
 //!
 //! # Versioning policy
 //!
@@ -71,8 +80,11 @@
 //! the supported migration path. Version 2 wrote the transformed text twice
 //! (once under the suffix arrays, once with the position map), the
 //! per-character probabilities beside their prefix sums, and the separator
-//! counts; version 3 is the layout above. The reserved header bytes allow
-//! future flags without disturbing the field offsets.
+//! counts. Version 3 wrote each array once but also every long level's
+//! filter length (accepting any increasing sequence of them, and any number
+//! of short levels), the listing index's document bases and the approximate
+//! index's prefix sums; version 4 is the layout above. The reserved header
+//! bytes allow future flags without disturbing the field offsets.
 //!
 //! # Failure model
 //!
@@ -136,8 +148,8 @@ pub const MAGIC: [u8; 8] = *b"USTRSNAP";
 
 /// Current snapshot format version (see the crate docs for the policy).
 /// Version 2 added the `ApproxIndex` record kind; version 3 stores each
-/// array once.
-pub const FORMAT_VERSION: u32 = 3;
+/// array once; version 4 only what `build` produces and a query reads.
+pub const FORMAT_VERSION: u32 = 4;
 
 /// Total header size in bytes.
 pub const HEADER_LEN: usize = 32;
@@ -405,9 +417,9 @@ fn decode_scored_text(r: &mut Reader<'_>) -> Result<ScoredTextState, StoreError>
 }
 
 /// The §4 machinery every index kind but `ApproxIndex` carries: scored text,
-/// then levels (a level's block size is not written: 64 slots for a short
-/// level, its filter length for a long one). The one place its byte layout
-/// is written down.
+/// then levels (a level's length is its place on the ladder and its block
+/// size 64 slots for a short level, the length for a long one: neither is
+/// written). The one place its byte layout is written down.
 fn encode_substrate(w: &mut Writer, state: &SubstrateState) {
     encode_scored_text(w, &state.text);
     let l = &state.levels;
@@ -418,7 +430,6 @@ fn encode_substrate(w: &mut Writer, state: &SubstrateState) {
     }
     w.put_u64(l.long.len() as u64);
     for lv in &l.long {
-        w.put_u64(lv.len as u64);
         w.put_u32s(&lv.champions);
     }
 }
@@ -437,7 +448,6 @@ fn decode_substrate(r: &mut Reader<'_>) -> Result<SubstrateState, StoreError> {
     let mut long = Vec::with_capacity(num_long);
     for _ in 0..num_long {
         long.push(LongLevelParts {
-            len: r.get_usize()?,
             champions: r.get_u32s()?,
         });
     }
@@ -537,7 +547,6 @@ impl Snapshot for ListingIndex {
         encode_substrate(w, &state.substrate);
         w.put_u32s(&state.doc_of);
         w.put_u32s(&state.src_of);
-        w.put_u32s(&state.doc_base);
         w.put_f64(state.tau_min);
         encode_stats(w, &state.stats);
     }
@@ -553,7 +562,6 @@ impl Snapshot for ListingIndex {
             substrate: decode_substrate(r)?,
             doc_of: r.get_u32s()?,
             src_of: r.get_u32s()?,
-            doc_base: r.get_u32s()?,
             tau_min: r.get_f64()?,
             stats: decode_stats(r)?,
         };
@@ -567,7 +575,9 @@ impl Snapshot for ApproxIndex {
     fn encode_payload(&self, w: &mut Writer) {
         let state = self.to_snapshot();
         w.put_u64(state.source_len as u64);
-        encode_scored_text(w, &state.text);
+        w.put_bytes(&state.text);
+        w.put_u32s(&state.sa);
+        w.put_u32s(&state.lcp);
         w.put_u64(state.links.len() as u64);
         for link in &state.links {
             w.put_u32(link.origin_pre);
@@ -583,7 +593,7 @@ impl Snapshot for ApproxIndex {
 
     fn decode_payload(r: &mut Reader<'_>) -> Result<Self, StoreError> {
         let source_len = r.get_usize()?;
-        let text = decode_scored_text(r)?;
+        let (text, sa, lcp) = (r.get_bytes()?, r.get_u32s()?, r.get_u32s()?);
         let num_links = r.get_len(24)?;
         let mut links = Vec::with_capacity(num_links);
         for _ in 0..num_links {
@@ -598,6 +608,8 @@ impl Snapshot for ApproxIndex {
         let state = ApproxIndexState {
             source_len,
             text,
+            sa,
+            lcp,
             links,
             epsilon: r.get_f64()?,
             tau_min: r.get_f64()?,
@@ -721,7 +733,7 @@ mod tests {
         (header.payload_len, header.checksum)
     }
 
-    /// The version-3 payloads of four fixtures, byte for byte. The one
+    /// The version-4 payloads of four fixtures, byte for byte. The one
     /// nondeterministic field, `build_time`, is set to zero through the
     /// public state struct; everything else — source, maps, text, SA, LCP,
     /// `C`, mask words, champions, links — is what the checksums cover.
@@ -733,13 +745,13 @@ mod tests {
         state.stats.build_time = Duration::ZERO;
         assert_eq!(
             pinned(&Index::from_snapshot(state).unwrap()),
-            (1455, 16328272809061747226)
+            (1431, 17471945890653679512)
         );
         let mut state = ApproxIndex::build(&s, 0.1, 0.05).unwrap().to_snapshot();
         state.stats.build_time = Duration::ZERO;
         assert_eq!(
             pinned(&ApproxIndex::from_snapshot(state).unwrap()),
-            (2614, 5402459184516746742)
+            (2230, 16203643008765604901)
         );
         let x = SpecialUncertainString::new(b"banana".to_vec(), vec![0.4, 0.7, 0.5, 0.8, 0.9, 0.6])
             .unwrap();
@@ -747,7 +759,7 @@ mod tests {
         state.stats.build_time = Duration::ZERO;
         assert_eq!(
             pinned(&SpecialIndex::from_snapshot(state).unwrap()),
-            (390, 1423984753200441312)
+            (374, 4804542443468506197)
         );
         let docs = vec![
             UncertainString::parse("A:.4,B:.3,F:.3 | B:.3,L:.3,F:.3,J:.1 | F:.5,J:.5").unwrap(),
@@ -757,7 +769,7 @@ mod tests {
         state.stats.build_time = Duration::ZERO;
         assert_eq!(
             pinned(&ListingIndex::from_snapshot(state).unwrap()),
-            (4548, 5216174987608351150)
+            (4492, 12559329278673171099)
         );
     }
 
@@ -768,9 +780,10 @@ mod tests {
     }
 
     /// A payload holds the source, one copy of each per-slot array — text
-    /// byte, SA, LCP and `C` entry, plus the position map for `Index` —
-    /// the levels (or links), and nothing else that grows with the text.
-    /// Version 2 spent 34 and 30 bytes per slot where this allows 21 and 17.
+    /// byte, SA and LCP, plus the `C` entry and the position map for
+    /// `Index` — the levels (or links), and nothing else that grows with
+    /// the text. Version 2 spent 34 and 30 bytes per slot where this allows
+    /// 21 and 9 (17 in version 3, which wrote `C` for `ApproxIndex` too).
     #[test]
     fn snapshot_holds_each_array_once() {
         let s = ustr_workload::generate_string(&ustr_workload::DatasetConfig::new(2_000, 0.3, 7));
@@ -792,7 +805,7 @@ mod tests {
         let links = approx.num_links() * (4 * 4 + 8);
         let payload = encoded_len(|w| approx.encode_payload(w));
         assert!(
-            payload <= slots * (1 + 4 + 4 + 8) + links + FIXED,
+            payload <= slots * (1 + 4 + 4) + links + FIXED,
             "{payload} bytes for {slots} slots, links {links}"
         );
     }

@@ -1,30 +1,36 @@
 //! The ancestry layer over a [`SuffixTree`]: preorder ranks with subtree
-//! intervals, and O(1) LCA of leaves.
+//! intervals ([`Ancestry`]), and O(1) LCA of leaves ([`LeafLca`]).
 //!
 //! Pattern descent needs none of this, so the tree does not carry it; the
 //! §7 approximate index — the one structure that links nodes to their
 //! ancestors — builds it on top. Nodes are named as the tree names them: a
 //! leaf by its slot, an internal node by its first ℓ-index
 //! ([`SuffixTree::first_l_index`]), so everything here is an array over
-//! slots. LCA is answered from the slot-LCP array and the per-boundary node
-//! names with an O(n)-word block RMQ.
+//! slots.
+//!
+//! The halves live apart because they are needed apart. Links name their
+//! origin by preorder rank and a query turns its locus into a rank
+//! interval, so the ranks are *held* with the links: two `u32` per slot,
+//! one depth-first pass. The LCA structure (boundary names + a block RMQ
+//! over the slot-LCP array, ≈ 21 B per slot) finds the links and is read by
+//! no query: a *build-time* value, never built when an index is loaded.
 
 use ustr_rmq::{BlockRmq, Direction, Rmq};
 
 use crate::tree::SuffixTree;
 
-/// Preorder numbering, subtree intervals and O(1) LCA for one
-/// [`SuffixTree`]. Slot and interval arguments are those of the tree it was
-/// built over. The root has rank 0 and children are visited in SA order.
+/// Preorder numbering and subtree intervals for one [`SuffixTree`]. Slot
+/// and interval arguments are those of the tree it was built over. The root
+/// has rank 0 and children are visited in SA order.
 ///
 /// ```
-/// use ustr_suffix::{Ancestry, SuffixTree};
+/// use ustr_suffix::{Ancestry, LeafLca, SuffixTree};
 /// let st = SuffixTree::build(b"banana".to_vec());
-/// let anc = Ancestry::build(&st);
 /// let (l, r) = st.suffix_range(b"ana").unwrap();
-/// let lca = anc.lca_of_slots(l, r);
+/// let lca = LeafLca::build(&st).lca_of_slots(l, r);
 /// assert_eq!(lca, st.first_l_index(l, r));
 /// assert_eq!(st.slot_lcp(lca), 3);
+/// let anc = Ancestry::build(&st);
 /// let (first, last) = anc.preorder_range(&st, l, r);
 /// assert_eq!(first, anc.interval_preorder(lca));
 /// assert_eq!(last, anc.leaf_preorder(r));
@@ -36,58 +42,40 @@ pub struct Ancestry {
     /// First ℓ-index `k` -> preorder rank of the internal node it names
     /// (unused at every other slot).
     interval_pre: Vec<u32>,
-    /// Slot `k` -> name of the node `k` is an ℓ-index of: the LCA of leaves
-    /// `k - 1` and `k` (unused at slot 0).
-    boundary_node: Vec<u32>,
-    /// Min-RMQ over the tree's slot-LCP array.
-    lcp_rmq: BlockRmq,
 }
 
 impl Ancestry {
-    /// Derives the layer from `tree` in one depth-first pass plus the RMQ
-    /// construction.
+    /// Derives the ranks from `tree` in one depth-first pass.
     pub fn build(tree: &SuffixTree) -> Self {
         let slots = tree.num_slots();
         let mut leaf_pre = vec![0u32; slots];
         let mut interval_pre = vec![0u32; slots];
-        let mut boundary_node = vec![0u32; slots];
         // The empty text is a root above the terminator leaf: the one tree
         // whose root (rank 0) is not an interval of two slots or more.
         let mut next_pre = u32::from(slots == 1);
-        // Open internal nodes: range start, name, children still to visit.
+        // Open internal nodes: the children still to visit.
         let mut dfs = Vec::new();
         let mut visit = |(l, r): (usize, usize), dfs: &mut Vec<_>| {
             if l == r {
                 leaf_pre[l] = next_pre;
             } else {
-                let name = tree.first_l_index(l, r);
-                interval_pre[name] = next_pre;
-                dfs.push((l, name as u32, tree.child_intervals(l, r)));
+                interval_pre[tree.first_l_index(l, r)] = next_pre;
+                dfs.push(tree.child_intervals(l, r));
             }
             next_pre += 1;
         };
         visit((0, slots - 1), &mut dfs);
-        while let Some((l, name, children)) = dfs.last_mut() {
-            let Some(child) = children.next() else {
-                dfs.pop();
-                continue;
-            };
-            if child.0 > *l {
-                // The leaves either side of this child boundary part ways
-                // at the open node.
-                boundary_node[child.0] = *name;
+        while let Some(children) = dfs.last_mut() {
+            match children.next() {
+                Some(child) => visit(child, &mut dfs),
+                None => {
+                    dfs.pop();
+                }
             }
-            visit(child, &mut dfs);
         }
-
-        let lcp_f64: Vec<f64> = tree.slot_lcps().iter().map(|&x| x as f64).collect();
-        let lcp_rmq = BlockRmq::new(&lcp_f64, Direction::Min);
-
         Self {
             leaf_pre,
             interval_pre,
-            boundary_node,
-            lcp_rmq,
         }
     }
 
@@ -122,6 +110,53 @@ impl Ancestry {
         }
     }
 
+    /// Heap bytes held: two `u32` per slot.
+    pub fn heap_size(&self) -> usize {
+        (self.leaf_pre.capacity() + self.interval_pre.capacity()) * std::mem::size_of::<u32>()
+    }
+}
+
+/// O(1) lowest common ancestor of two leaves of one [`SuffixTree`],
+/// answered from the slot-LCP array: the LCA of leaves `i < j` is the node
+/// the minimum of `LCP[i+1..=j]` is an ℓ-index of.
+#[derive(Debug, Clone)]
+pub struct LeafLca {
+    /// Slot `k` -> name of the node `k` is an ℓ-index of: the LCA of leaves
+    /// `k - 1` and `k` (unused at slot 0).
+    boundary_node: Vec<u32>,
+    /// Min-RMQ over the tree's slot-LCP array.
+    lcp_rmq: BlockRmq,
+}
+
+impl LeafLca {
+    /// Derives the structure from `tree`'s slot-LCP array: one stack sweep
+    /// for the boundary names plus the RMQ construction.
+    pub fn build(tree: &SuffixTree) -> Self {
+        let lcp = tree.slot_lcps();
+        let mut boundary_node = vec![0u32; lcp.len()];
+        // First ℓ-indices of the nodes still open, LCP strictly increasing
+        // toward the top: a smaller LCP closes a node, an equal one is its
+        // next ℓ-index, a larger one opens a node below it.
+        let mut open: Vec<u32> = Vec::new();
+        for k in 1..lcp.len() {
+            while open.last().is_some_and(|&top| lcp[top as usize] > lcp[k]) {
+                open.pop();
+            }
+            boundary_node[k] = match open.last() {
+                Some(&top) if lcp[top as usize] == lcp[k] => top,
+                _ => {
+                    open.push(k as u32);
+                    k as u32
+                }
+            };
+        }
+        let lcp_f64: Vec<f64> = lcp.iter().map(|&x| x as f64).collect();
+        Self {
+            boundary_node,
+            lcp_rmq: BlockRmq::new(&lcp_f64, Direction::Min),
+        }
+    }
+
     /// Name of the LCA of the leaves in slots `i != j`: the node whose
     /// ℓ-index is the minimum slot-LCP between them.
     pub fn lca_of_slots(&self, i: usize, j: usize) -> usize {
@@ -129,13 +164,6 @@ impl Ancestry {
         let (lo, hi) = if i < j { (i, j) } else { (j, i) };
         let k = self.lcp_rmq.query(lo + 1, hi);
         self.boundary_node[k] as usize
-    }
-
-    /// Heap bytes held.
-    pub fn heap_size(&self) -> usize {
-        (self.leaf_pre.capacity() + self.interval_pre.capacity() + self.boundary_node.capacity())
-            * std::mem::size_of::<u32>()
-            + self.lcp_rmq.heap_size()
     }
 }
 
@@ -188,7 +216,7 @@ mod tests {
     fn lca_of_leaves_is_the_narrowest_interval_holding_both() {
         let text = b"abaababaabaab".to_vec();
         let st = SuffixTree::build(text.clone());
-        let anc = Ancestry::build(&st);
+        let anc = LeafLca::build(&st);
         let mut nodes = Vec::new();
         preorder(&st, 0, st.num_slots() - 1, &mut nodes);
         let lcp_of = |a: usize, b: usize| -> usize {

@@ -14,9 +14,10 @@
 //!   O(m · σ) descent to a pattern's suffix range and child-interval
 //!   enumeration — what every index of Sections 4–6 queries. Nodes are LCP
 //!   intervals; none is stored.
-//! * [`Ancestry`] — preorder numbering, subtree preorder intervals and O(1)
-//!   LCA of leaves over a [`SuffixTree`], for the ε-link structure of
-//!   Section 7.
+//! * [`Ancestry`] — preorder numbering and subtree preorder intervals over
+//!   a [`SuffixTree`] — and [`LeafLca`] — O(1) LCA of leaves — for the
+//!   ε-link structure of Section 7: the ranks are what its queries read,
+//!   the LCA only what finds its links.
 //!
 //! # Space
 //!
@@ -27,17 +28,19 @@
 //! * **Locus core** ([`SuffixTree`], 13 B/slot): text 1, SA 4, slot-LCP 4,
 //!   child table 4 — one `u32` cell per slot holding the `up`, `down` or
 //!   `nextlIndex` value of Abouelhoda, Kurtz and Ohlebusch's enhanced
-//!   suffix array, whichever that slot can be asked for. (Until PR 22 the
+//!   suffix array, whichever that slot can be asked for. (Until PR 23 the
 //!   tree had explicit nodes: a 12-byte `{depth, l, r}` record and 8 bytes
 //!   of CSR child list for each of ≈ 1.55 nodes per slot, leaves included —
 //!   ≈ 40 B/slot in all.)
-//! * **Ancestry layer** ([`Ancestry`], ≈ 28 B/slot): preorder rank of each
-//!   leaf 4, preorder rank of each internal node (at the slot that names
-//!   it) 4, name of the LCA of each pair of neighbouring leaves 4, and the
-//!   LCP min-RMQ (`ustr_rmq::BlockRmq`: value 8 + in-block mask 8 per slot,
-//!   plus its block table). One depth-first pass over the core derives it;
-//!   only `ustr_core::ApproxIndex` does. (≈ 37 B/slot with per-node ranks
-//!   and subtree ends.)
+//! * **Ancestry layer**, which only `ustr_core::ApproxIndex` derives.
+//!   *Held* ([`Ancestry`], 8 B/slot): preorder rank of each leaf 4 and of
+//!   each internal node (at the slot that names it) 4 — one depth-first
+//!   pass over the core, at construction and at snapshot load.
+//!   *Build-time* ([`LeafLca`], ≈ 21 B/slot, never built on load): name of
+//!   the LCA of each pair of neighbouring leaves 4 and the LCP min-RMQ
+//!   (`ustr_rmq::BlockRmq`: value 8 + in-block mask 8 per slot, plus its
+//!   block table). (Until PR 24 one struct held all ≈ 28 B/slot for the
+//!   life of the index; ≈ 37 before PR 23, with per-node ranks and ends.)
 //!
 //! Measured per *source* position on the benchmark's `paper-string` workload
 //! (n = 100 000, 9.48 slots per position): the locus core is 123.3 B, of
@@ -53,7 +56,7 @@ mod lcp;
 mod sais;
 mod tree;
 
-pub use ancestry::Ancestry;
+pub use ancestry::{Ancestry, LeafLca};
 pub use array::SuffixArray;
 pub use lcp::{lcp_array, rank_array};
 pub use sais::suffix_array;

@@ -2,7 +2,9 @@
 //! LCA.
 
 use proptest::prelude::*;
-use ustr_suffix::{lcp_array, rank_array, suffix_array, Ancestry, SuffixArray, SuffixTree};
+use ustr_suffix::{
+    lcp_array, rank_array, suffix_array, Ancestry, LeafLca, SuffixArray, SuffixTree,
+};
 
 fn byte_text() -> impl Strategy<Value = Vec<u8>> {
     prop_oneof![
@@ -156,12 +158,13 @@ proptest! {
             }
         }
         let slots = tree.num_slots();
+        let leaf_lca = LeafLca::build(&tree);
         for i in 0..slots {
             for j in (i + 1..slots).step_by(3) {
                 let lca = oracle.lca(oracle.leaf_of_slot[i], oracle.leaf_of_slot[j]);
                 let (l, r) = (oracle.nodes[lca].l, oracle.nodes[lca].r);
-                prop_assert_eq!(anc.lca_of_slots(i, j), tree.first_l_index(l, r));
-                prop_assert_eq!(anc.lca_of_slots(j, i), tree.first_l_index(l, r));
+                prop_assert_eq!(leaf_lca.lca_of_slots(i, j), tree.first_l_index(l, r));
+                prop_assert_eq!(leaf_lca.lca_of_slots(j, i), tree.first_l_index(l, r));
             }
         }
     }
@@ -174,8 +177,7 @@ proptest! {
         if i == j || slots < 3 {
             return Ok(());
         }
-        let anc = Ancestry::build(&tree);
-        let l = anc.lca_of_slots(i, j);
+        let l = LeafLca::build(&tree).lca_of_slots(i, j);
         let (a, b) = (tree.sa(i), tree.sa(j));
         let expected = text[a..]
             .iter()

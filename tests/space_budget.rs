@@ -1,59 +1,84 @@
 //! The space budget of the general index (the paper's Fig. 9(c) axis, the
-//! benchmark's `index_bytes_per_pos`): bytes per structure on a generated
-//! 10 000-position string, printed as a table and pinned per row. A failure
-//! here is a space regression — some structure grew — not a flake: every
-//! number is a count.
+//! benchmark's `index_bytes_per_pos`), of the §7 approximate index
+//! (`core.approx_heap_bytes_per_pos`) and of a collection file
+//! (`snapshot_bytes_per_pos` on `serve-wire`): bytes per structure on a
+//! generated 10 000-position string, and per section kind for the
+//! benchmark's 62 short documents, printed as tables and pinned per row. A
+//! failure here is a space regression — some structure grew — not a flake:
+//! every number is a count.
 //!
-//! CI appends the table to the job summary
-//! (`cargo test --release --test space_budget -- --nocapture`).
+//! CI appends the tables to the job summary (`cargo test --release --test
+//! space_budget -- --nocapture --test-threads=1`).
 
 use uncertain_strings::{
-    workload::{generate_string, DatasetConfig},
-    Index,
+    store::{write_collection, CollectionSection},
+    workload::{generate_collection, generate_string, DatasetConfig},
+    ApproxIndex, Index, Snapshot, SnapshotKind, UncertainString,
 };
 
-/// The benchmark's construction threshold.
+/// The benchmark's construction threshold and additive error.
 const TAU_MIN: f64 = 0.1;
+const EPSILON: f64 = 0.05;
+
+/// The `paper-string` input at a tenth of its length.
+fn string() -> (usize, UncertainString) {
+    let n = 10_000;
+    (n, generate_string(&DatasetConfig::new(n, 0.3, 43)))
+}
+
+fn per(bytes: usize, of: usize) -> f64 {
+    bytes as f64 / of as f64
+}
+
+/// Prints `rows` (the whole footprint `total` of the structure `what`) as a
+/// table and holds the total to its `budget` in bytes per position, +5 %.
+fn check_heap_rows(
+    what: &str,
+    rows: &[(&str, usize)],
+    total: usize,
+    n: usize,
+    slots: usize,
+    budget: f64,
+) {
+    println!("\n\n| structure | bytes | B/position | B/slot |");
+    println!("|---|---:|---:|---:|");
+    let line = |name: &str, bytes: usize, bold: &str| {
+        println!(
+            "| {bold}{name}{bold} | {bold}{bytes}{bold} | {bold}{:.1}{bold} | {bold}{:.2}{bold} |",
+            per(bytes, n),
+            per(bytes, slots)
+        );
+    };
+    for &(structure, bytes) in rows {
+        line(structure, bytes, "");
+    }
+    line(what, total, "**");
+    assert_eq!(rows.iter().map(|&(_, bytes)| bytes).sum::<usize>(), total);
+    assert!(
+        per(total, n) <= budget * 1.05,
+        "{what} grew: {:.1} B/position against {budget} when the budget was set",
+        per(total, n)
+    );
+}
 
 /// `Index::heap_size()` per source position on this input when the budget
-/// was last set (PR 22; 925.3 before it, with explicit tree nodes and a
+/// was last set (PR 23; 925.3 before it, with explicit tree nodes and a
 /// sparse table per level).
 const MEASURED_BYTES_PER_POS: f64 = 561.4;
 
 #[test]
 fn heap_breakdown_stays_inside_the_budget() {
-    let n = 10_000;
-    let s = generate_string(&DatasetConfig::new(n, 0.3, 43));
+    let (n, s) = string();
     let index = Index::build(&s, TAU_MIN).unwrap();
     let snapshot = index.to_snapshot();
     let slots = index.stats().transformed_len + 1;
     let short_levels = snapshot.substrate.levels.short.len();
     let rows = index.heap_breakdown();
 
-    println!("| structure | bytes | B/position | B/slot |");
-    println!("|---|---:|---:|---:|");
-    let per = |bytes: usize, of: usize| bytes as f64 / of as f64;
-    for (structure, bytes) in rows {
-        println!(
-            "| {structure} | {bytes} | {:.1} | {:.2} |",
-            per(bytes, n),
-            per(bytes, slots)
-        );
-    }
+    let what =
+        format!("`Index::heap_size()` ({n} positions, {slots} slots, {short_levels} short levels)");
     let total = index.heap_size();
-    println!(
-        "| **`Index::heap_size()`** ({n} positions, {slots} slots, {short_levels} short levels) \
-         | **{total}** | **{:.1}** | **{:.2}** |",
-        per(total, n),
-        per(total, slots)
-    );
-
-    assert_eq!(rows.iter().map(|&(_, bytes)| bytes).sum::<usize>(), total);
-    assert!(
-        per(total, n) <= MEASURED_BYTES_PER_POS * 1.05,
-        "index grew: {:.1} B/position against {MEASURED_BYTES_PER_POS} when the budget was set",
-        per(total, n)
-    );
+    check_heap_rows(&what, &rows, total, n, slots, MEASURED_BYTES_PER_POS);
     let row = |name: &str| {
         let found = rows.iter().find(|&&(structure, _)| structure == name);
         found.unwrap_or_else(|| panic!("no {name:?} row")).1
@@ -63,4 +88,90 @@ fn heap_breakdown_stays_inside_the_budget() {
 
     let loaded = Index::from_snapshot(snapshot).unwrap();
     assert_eq!(loaded.heap_breakdown(), rows);
+}
+
+/// `ApproxIndex` heap per source position on the same input when the budget
+/// was last set (PR 24; 1 322.3 before it, when the index kept `C`, the
+/// boundary names and the LCP RMQ it had found its links with).
+const APPROX_MEASURED_BYTES_PER_POS: f64 = 1005.4;
+
+#[test]
+fn approx_heap_breakdown_stays_inside_the_budget() {
+    let (n, s) = string();
+    let approx = ApproxIndex::build(&s, TAU_MIN, EPSILON).unwrap();
+    let slots = approx.stats().transformed_len + 1;
+    let rows = approx.heap_breakdown();
+
+    let what = format!(
+        "`ApproxIndex` heap ({n} positions, {slots} slots, {} links)",
+        approx.num_links()
+    );
+    let total = approx.stats().heap_bytes;
+    check_heap_rows(&what, &rows, total, n, slots, APPROX_MEASURED_BYTES_PER_POS);
+    // Text 1 + SA 4 + LCP 4 + child table 4, and two rank arrays.
+    assert!(per(rows[0].1, slots) <= 13.01);
+    assert!(per(rows[1].1, slots) <= 8.01);
+}
+
+/// Section bytes per source position of the collection below when the
+/// budget was last set (PR 24): substring-index sections (292.8 before it,
+/// with their long-level lengths) and approx-index sections (667.6 before
+/// it, with their prefix sums).
+const COLL_INDEX_BYTES_PER_POS: f64 = 291.3;
+const COLL_APPROX_BYTES_PER_POS: f64 = 579.8;
+
+/// The `serve-wire` collection — 62 documents of 20–45 positions — as the
+/// `.coll` file `build-collection --epsilon 0.05` writes, split by section
+/// kind.
+#[test]
+fn collection_file_bytes_stay_inside_the_budget() {
+    let docs = generate_collection(&DatasetConfig::new(2_000, 0.25, 43));
+    let positions: usize = docs.iter().map(UncertainString::len).sum();
+    let mut sections = Vec::new();
+    for (doc, d) in docs.iter().enumerate() {
+        let mut section = |kind, bytes| sections.push(CollectionSection { doc, kind, bytes });
+        let mut bytes = Vec::new();
+        Index::build(d, TAU_MIN)
+            .unwrap()
+            .write_snapshot(&mut bytes)
+            .unwrap();
+        section(SnapshotKind::Index, bytes);
+        let mut bytes = Vec::new();
+        ApproxIndex::build(d, TAU_MIN, EPSILON)
+            .unwrap()
+            .write_snapshot(&mut bytes)
+            .unwrap();
+        section(SnapshotKind::Approx, bytes);
+    }
+    let mut file = Vec::new();
+    write_collection(&mut file, docs.len(), 1, &sections).unwrap();
+
+    let of_kind = |kind| -> usize {
+        let of_kind = sections.iter().filter(|s| s.kind == kind);
+        of_kind.map(|s| s.bytes.len()).sum()
+    };
+    let (index, approx) = (of_kind(SnapshotKind::Index), of_kind(SnapshotKind::Approx));
+    println!("\n\n| .coll part | bytes | B/position | share |");
+    println!("|---|---:|---:|---:|");
+    for (part, bytes) in [
+        ("index sections", index),
+        ("approx sections", approx),
+        ("header + manifest", file.len() - index - approx),
+    ] {
+        println!(
+            "| {part} | {bytes} | {:.1} | {:.1} % |",
+            per(bytes, positions),
+            100.0 * per(bytes, file.len())
+        );
+    }
+    println!(
+        "| **file** ({} documents, {positions} positions) | **{}** | **{:.1}** | |",
+        docs.len(),
+        file.len(),
+        per(file.len(), positions)
+    );
+
+    assert_eq!(docs.len(), 62);
+    assert!(per(index, positions) <= COLL_INDEX_BYTES_PER_POS * 1.05);
+    assert!(per(approx, positions) <= COLL_APPROX_BYTES_PER_POS * 1.05);
 }
