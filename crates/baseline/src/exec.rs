@@ -82,7 +82,8 @@ impl ScanIndex {
             }
         }
         // One batched record per scan: the per-candidate loop stays free
-        // of atomics and clock reads. This is the cold (plane-less) path.
+        // of atomics and clock reads. Counted as `ScanPath::Cold`: no index
+        // picked the candidates, though the plane kernel verifies them.
         ustr_uncertain::kstats::record_scan_on(
             ustr_uncertain::kstats::ScanPath::Cold,
             candidates,

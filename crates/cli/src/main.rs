@@ -989,11 +989,11 @@ fn cmd_trace(args: &Args) -> Result<String, String> {
     let answered = t0.elapsed();
     let (results, summaries): (Vec<_>, Vec<_>) = timed.into_iter().unzip::<_, _, Vec<_>, Vec<_>>();
 
-    let exporter = ustr_obs::TraceExporter::new(std::sync::Arc::clone(&tracer));
-    let json = exporter.chrome_json();
+    let traces = tracer.traces();
+    let json = ustr_obs::chrome_trace_json(&traces);
     fs::write(out_path, &json).map_err(|e| format!("cannot write {out_path}: {e}"))?;
 
-    let kept = summaries.iter().flatten().filter(|s| s.kept).count();
+    let kept = summaries.iter().flatten().count();
     let mut out = String::new();
     if !quiet {
         out.push_str(&format!(
@@ -1001,9 +1001,12 @@ fn cmd_trace(args: &Args) -> Result<String, String> {
              wrote Chrome trace JSON to {out_path}\n",
             queries.len(),
         ));
-        let trees = exporter.render_text();
-        if !trees.is_empty() {
-            out.push_str(&trees);
+        for (i, tree) in traces.iter().enumerate() {
+            if i > 0 {
+                out.push('\n');
+            }
+            out.push_str(&format!("trace {:032x}\n", tree.trace_id));
+            out.push_str(&ustr_obs::render_tree(tree));
         }
     }
     render_results(&mut out, &queries, &results, quiet);

@@ -88,10 +88,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Sender};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 use ustr_baseline::ScanIndex;
 use ustr_core::Error;
-use ustr_obs::{Counter, Histogram, MetricsRegistry, MetricsSnapshot, Span};
+use ustr_obs::{Counter, Histogram, MetricsRegistry, MetricsSnapshot, TraceSpan};
 use ustr_service::{
     load_coll, lock_clean, save_coll, wait_clean, DocExecutor, DocHits, Engine, ListingHit,
     QueryRequest, QueryResponse, Segment, SegmentSet, TopHit,
@@ -504,43 +505,42 @@ impl Inner {
             (docs, batch.max_seq)
         };
         // From here on this is a real seal (duplicate schedules returned
-        // above); the span records on every exit, including failures. The
-        // trace root rides along as a background trace (drop = finish).
-        let mut seal_trace = self.engine.tracer().root_span("seal");
-        seal_trace.set_u64("batch", batch_id);
-        seal_trace.set_u64("docs", docs.len() as u64);
-        let _seal_span = Span::on(self.metrics.seal_us.clone());
-        self.metrics.seals.inc();
-        // Nothing (left) to seal installs no segment: every document of the
-        // batch is tombstoned, so its records are still fully accounted for.
-        let mut sealed = None;
-        if !docs.is_empty() {
-            let built = docs
-                .iter()
-                .map(|(id, exec)| {
-                    let built = DocExecutor::build(exec.source(), self.tau_min, self.epsilon)?;
-                    Ok((*id, Arc::new(built)))
-                })
-                .collect::<Result<Vec<_>, Error>>()?;
-            // Durable before the manifest names it and the WAL drops its
-            // records.
-            let meta = self.write_segment(&built)?;
-            self.metrics.sealed_docs.add(built.len() as u64);
-            sealed = Some(Arc::new(SealedSegment { meta, docs: built }));
-        }
-        // Install: swap the sealing batch for the sealed segment, advance
-        // applied_seq, persist the manifest, shrink the WAL.
-        let mut st = lock_clean(&self.state);
-        st.segments.extend(sealed);
-        st.sealing.retain(|b| b.batch_id != batch_id);
-        st.applied_seq = st.applied_seq.max(max_seq);
-        // ordering: AcqRel publishes the segment change to the next view()'s
-        // Acquire load.
-        self.structure_version.fetch_add(1, Ordering::AcqRel);
-        Inner::prune_dead_tombstones(&mut st);
-        self.write_manifest(&st)?;
-        self.rewrite_wal(&mut st)?;
-        Ok(())
+        // above); it is timed and traced on every exit, failures included.
+        self.timed("seal", &self.metrics.seal_us, |trace| {
+            trace.set_u64("batch", batch_id);
+            trace.set_u64("docs", docs.len() as u64);
+            self.metrics.seals.inc();
+            // Nothing (left) to seal installs no segment: every document of
+            // the batch is tombstoned, so its records are still fully
+            // accounted for.
+            let mut sealed = None;
+            if !docs.is_empty() {
+                let built = (docs.iter())
+                    .map(|(id, exec)| {
+                        let built = DocExecutor::build(exec.source(), self.tau_min, self.epsilon)?;
+                        Ok((*id, Arc::new(built)))
+                    })
+                    .collect::<Result<Vec<_>, Error>>()?;
+                // Durable before the manifest names it and the WAL drops its
+                // records.
+                let meta = self.write_segment(&built)?;
+                self.metrics.sealed_docs.add(built.len() as u64);
+                sealed = Some(Arc::new(SealedSegment { meta, docs: built }));
+            }
+            // Install: swap the sealing batch for the sealed segment, advance
+            // applied_seq, persist the manifest, shrink the WAL.
+            let mut st = lock_clean(&self.state);
+            st.segments.extend(sealed);
+            st.sealing.retain(|b| b.batch_id != batch_id);
+            st.applied_seq = st.applied_seq.max(max_seq);
+            // ordering: AcqRel publishes the segment change to the next
+            // view()'s Acquire load.
+            self.structure_version.fetch_add(1, Ordering::AcqRel);
+            Inner::prune_dead_tombstones(&mut st);
+            self.write_manifest(&st)?;
+            self.rewrite_wal(&mut st)?;
+            Ok(())
+        })
     }
 
     /// Persists `docs` as the next `segment_<id>.coll` and returns its
@@ -584,56 +584,97 @@ impl Inner {
         if captured.len() <= 1 && !has_garbage {
             return Ok(());
         }
-        // Background trace root for the whole compaction (drop = finish).
-        let mut compact_trace = self.engine.tracer().root_span("compact");
-        compact_trace.set_u64("segments", captured.len() as u64);
-        let _compact_span = Span::on(self.metrics.compact_us.clone());
-        let captured_docs: usize = captured.iter().map(|s| s.docs.len()).sum();
-        let mut kept: Vec<(u64, Arc<DocExecutor>)> = Vec::new();
-        for seg in &captured {
-            for (id, d) in &seg.docs {
-                if !tombstones.contains(id) {
-                    kept.push((*id, Arc::clone(d)));
+        self.timed("compact", &self.metrics.compact_us, |trace| {
+            trace.set_u64("segments", captured.len() as u64);
+            let captured_docs: usize = captured.iter().map(|s| s.docs.len()).sum();
+            let mut kept: Vec<(u64, Arc<DocExecutor>)> = Vec::new();
+            for seg in &captured {
+                for (id, d) in &seg.docs {
+                    if !tombstones.contains(id) {
+                        kept.push((*id, Arc::clone(d)));
+                    }
                 }
             }
-        }
-        let kept_docs = kept.len();
-        compact_trace.set_u64("captured_docs", captured_docs as u64);
-        compact_trace.set_u64("kept_docs", kept_docs as u64);
-        // Durable before the manifest points at it and the old segment
-        // files (the only other copy) are deleted.
-        let meta = self.write_segment(&kept)?;
-        let old_files: Vec<String> = {
-            let mut st = lock_clean(&self.state);
-            // The background worker is the only segment mutator and runs
-            // jobs serially, so the captured segments are exactly the
-            // current prefix of the list.
-            debug_assert!(st.segments.len() >= captured.len());
-            let old_files = captured.iter().map(|s| s.meta.file.clone()).collect();
-            let tail = st.segments.split_off(captured.len());
-            st.segments = vec![Arc::new(SealedSegment { meta, docs: kept })];
-            st.segments.extend(tail);
-            // Tombstoned documents are gone from the merged segment; drop
-            // every tombstone whose document no longer exists anywhere
-            // (including strays a replayed delete record resurrected after
-            // an earlier compaction already removed the document).
-            // ordering: AcqRel publishes the segment change to the next view()'s
-            // Acquire load.
-            self.structure_version.fetch_add(1, Ordering::AcqRel);
-            Inner::prune_dead_tombstones(&mut st);
-            self.write_manifest(&st)?;
-            old_files
+            let kept_docs = kept.len();
+            trace.set_u64("captured_docs", captured_docs as u64);
+            trace.set_u64("kept_docs", kept_docs as u64);
+            // Durable before the manifest points at it and the old segment
+            // files (the only other copy) are deleted.
+            let meta = self.write_segment(&kept)?;
+            let old_files: Vec<String> = {
+                let mut st = lock_clean(&self.state);
+                // The background worker is the only segment mutator and runs
+                // jobs serially, so the captured segments are exactly the
+                // current prefix of the list.
+                debug_assert!(st.segments.len() >= captured.len());
+                let old_files = captured.iter().map(|s| s.meta.file.clone()).collect();
+                let tail = st.segments.split_off(captured.len());
+                st.segments = vec![Arc::new(SealedSegment { meta, docs: kept })];
+                st.segments.extend(tail);
+                // Tombstoned documents are gone from the merged segment; drop
+                // every tombstone whose document no longer exists anywhere
+                // (including strays a replayed delete record resurrected
+                // after an earlier compaction already removed the document).
+                // ordering: AcqRel publishes the segment change to the next
+                // view()'s Acquire load.
+                self.structure_version.fetch_add(1, Ordering::AcqRel);
+                Inner::prune_dead_tombstones(&mut st);
+                self.write_manifest(&st)?;
+                old_files
+            };
+            // Best effort: a file that survives this is swept at the next open.
+            for file in old_files {
+                let _ = self.io.remove_file(&self.dir.join(file));
+            }
+            self.metrics.compactions.inc();
+            (self.metrics.compact_drops).add((captured_docs - kept_docs) as u64);
+            Ok(())
+        })
+    }
+
+    /// Runs `work` as one measured interval: the clock is read once when it
+    /// starts and once when it ends, and that one reading is `histogram`'s
+    /// sample and the extent of a `name` background trace root (handed to
+    /// `work` for its attributes).
+    fn timed<T>(
+        &self,
+        name: &'static str,
+        histogram: &Histogram,
+        work: impl FnOnce(&mut TraceSpan) -> T,
+    ) -> T {
+        let started = Instant::now();
+        let mut trace = self.engine.tracer().root_span(name, started);
+        let out = work(&mut trace);
+        let ended = Instant::now();
+        histogram.record(micros(ended.saturating_duration_since(started)));
+        trace.finish(ended);
+        out
+    }
+
+    /// Appends `op` (about document `doc`) to the WAL as record
+    /// `st.next_seq` — the one path a write takes to durability: timed once
+    /// (`live.wal.append_fsync_us` and a `wal_append` root tagged with `doc`
+    /// and the byte count), then counted, and the sequence advanced.
+    fn append_wal(&self, st: &mut LiveState, doc: u64, op: WalOp) -> Result<(), StoreError> {
+        let record = WalRecord {
+            seq: st.next_seq,
+            op,
         };
-        // Best effort: a file that survives this is swept at the next open.
-        for file in old_files {
-            let _ = self.io.remove_file(&self.dir.join(file));
-        }
-        self.metrics.compactions.inc();
-        self.metrics
-            .compact_drops
-            .add((captured_docs - kept_docs) as u64);
+        let bytes = self.timed("wal_append", &self.metrics.wal_fsync_us, |trace| {
+            let bytes = st.wal.append(&record)?;
+            trace.set_u64("doc", doc);
+            trace.set_u64("bytes", bytes);
+            Ok::<_, StoreError>(bytes)
+        })?;
+        self.metrics.wal_appends.inc();
+        self.metrics.wal_bytes.add(bytes);
+        st.next_seq += 1;
         Ok(())
     }
+}
+
+fn micros(d: Duration) -> u64 {
+    u64::try_from(d.as_micros()).unwrap_or(u64::MAX)
 }
 
 /// Removes every `segment_*.coll` in `dir` that `named` does not list: the
@@ -704,7 +745,7 @@ impl LiveService {
             });
         }
         let metrics = LiveMetrics::new();
-        let recovery_started = std::time::Instant::now();
+        let recovery_started = Instant::now();
         let manifest = wal::load_manifest(io.as_ref(), dir.join(MANIFEST_FILE))?;
         let (tau_min, epsilon) = match &manifest {
             Some(m) => (m.tau_min, m.epsilon),
@@ -799,7 +840,7 @@ impl LiveService {
         metrics.recovered_records.add(replay.records.len() as u64);
         metrics
             .recovery_us
-            .record(u64::try_from(recovery_started.elapsed().as_micros()).unwrap_or(u64::MAX));
+            .record(micros(recovery_started.elapsed()));
 
         let mut state = LiveState {
             wal,
@@ -931,25 +972,10 @@ impl LiveService {
         let scan = ScanIndex::new(body.clone(), self.inner.tau_min)?;
         let mut st = lock_clean(&self.inner.state);
         let id = st.next_doc_id;
-        let seq = st.next_seq;
-        // WAL appends trace as background roots: one span per durable
-        // write, tagged with the doc id and byte count.
-        let mut trace = self.inner.engine.tracer().root_span("wal_append");
-        let wal_span = Span::on(self.inner.metrics.wal_fsync_us.clone());
-        let appended = st.wal.append(&WalRecord {
-            seq,
-            op: WalOp::Insert { doc: id, body },
-        });
-        wal_span.finish();
-        let bytes = appended?;
-        trace.set_u64("doc", id);
-        trace.set_u64("bytes", bytes);
-        trace.finish();
-        self.inner.metrics.wal_appends.inc();
-        self.inner.metrics.wal_bytes.add(bytes);
+        self.inner
+            .append_wal(&mut st, id, WalOp::Insert { doc: id, body })?;
         self.inner.metrics.inserts.inc();
         st.next_doc_id += 1;
-        st.next_seq += 1;
         st.memtable.push((id, Arc::new(DocExecutor::Scanned(scan))));
         let batch = if self.seal_threshold > 0 && st.memtable.len() >= self.seal_threshold {
             Self::freeze_memtable(&mut st)
@@ -999,18 +1025,9 @@ impl LiveService {
         if !exists {
             return Err(LiveError::UnknownDocument { id });
         }
-        let seq = st.next_seq;
-        let wal_span = Span::on(self.inner.metrics.wal_fsync_us.clone());
-        let appended = st.wal.append(&WalRecord {
-            seq,
-            op: WalOp::Delete { doc: id },
-        });
-        wal_span.finish();
-        let bytes = appended?;
-        self.inner.metrics.wal_appends.inc();
-        self.inner.metrics.wal_bytes.add(bytes);
+        self.inner
+            .append_wal(&mut st, id, WalOp::Delete { doc: id })?;
         self.inner.metrics.deletes.inc();
-        st.next_seq += 1;
         st.tombstones.insert(id);
         // ordering: AcqRel — both bumps publish the mutation to the next
         // view()'s Acquire loads.
@@ -1371,6 +1388,33 @@ mod tests {
             seal.attrs.get("docs"),
             Some(ustr_obs::AttrValue::U64(n)) if n > 0
         ));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_sampled_delete_traces_its_wal_append_like_an_insert() {
+        use ustr_obs::AttrValue;
+        let dir = fresh_dir("ustr-live-delete-trace-test");
+        let live = LiveService::open(&dir, config(0)).unwrap();
+        let id = live.insert(doc("A | B")).unwrap();
+        live.tracer().set_sample_permyriad(ustr_obs::SAMPLE_SCALE);
+        let appended = || live.metrics_snapshot().counters["live.wal.appended_bytes"];
+        let before = appended();
+        live.delete(id).unwrap();
+        let spans = live.tracer().spans();
+        let [append] = spans.iter().collect::<Vec<_>>()[..] else {
+            panic!("one span, the delete's append: {spans:?}");
+        };
+        assert_eq!(append.name, "wal_append");
+        assert_eq!(append.attrs.get("doc"), Some(AttrValue::U64(id)));
+        assert_eq!(
+            append.attrs.get("bytes"),
+            Some(AttrValue::U64(appended() - before))
+        );
+        // One append path: both writes are counted and timed alike.
+        let snap = live.metrics_snapshot();
+        assert_eq!(snap.counters["live.wal.appends"], 2);
+        assert_eq!(snap.histograms["live.wal.append_fsync_us"].count, 2);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

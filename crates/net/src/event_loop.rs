@@ -50,7 +50,7 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
 
-use ustr_obs::{Counter, Gauge, MetricsRegistry, Span, TraceContext};
+use ustr_obs::{Counter, Gauge, MetricsRegistry, TraceContext};
 use ustr_poll::{Interest, Poller, Waker};
 use ustr_service::{mode_name, QueryRequest, WakeQueue};
 
@@ -77,7 +77,7 @@ pub(crate) struct Reply {
     bytes: Vec<u8>,
     /// The result is a per-request error (feeds the error budget).
     failed: bool,
-    /// What answering and framing took — the `rtt` span's reading.
+    /// What answering and framing took — the `rtt` histogram's sample.
     took_us: u64,
 }
 
@@ -104,7 +104,7 @@ fn respond(
     parent: Option<TraceContext>,
     path: Path,
 ) -> Option<Reply> {
-    let span = Span::on(shared.metrics.rtt_for(mode_name(request)).clone());
+    let started = Instant::now();
     let built = catch_unwind(AssertUnwindSafe(|| {
         let (queue_wait, answer) = match path {
             Path::Inline { spent_us } => (
@@ -148,10 +148,7 @@ fn respond(
     }));
     let (bytes, failed) = match built {
         Ok(Some(built)) => built,
-        Ok(None) => {
-            span.cancel();
-            return None;
-        }
+        Ok(None) => return None,
         Err(_) => {
             let panicked = ustr_core::Error::internal("the request panicked while being answered");
             let frame = Frame::Response {
@@ -162,10 +159,12 @@ fn respond(
             (frame_bytes(&frame), true)
         }
     };
+    let took_us = u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
+    shared.metrics.rtt_for(mode_name(request)).record(took_us);
     Some(Reply {
         bytes,
         failed,
-        took_us: span.finish(),
+        took_us,
     })
 }
 

@@ -466,6 +466,13 @@ mod tests {
             "segment spans carry kernel attribution"
         );
         assert!(root.children.iter().any(|c| c.span.name == "merge"));
+        // Each server stage on the wire is the reading its span was built
+        // from: the client's timings and the server's tree agree exactly.
+        for (name, us) in &timings[1..] {
+            let stage = root.children.iter().find(|c| c.span.name == name);
+            let stage = stage.unwrap_or_else(|| panic!("no {name} span"));
+            assert_eq!(stage.span.duration_us(), *us, "{name}: {timings:?}");
+        }
 
         // Both export paths render the same valid Chrome trace JSON.
         let via_method = server.traces_json();

@@ -280,7 +280,7 @@ pub struct ServerConfig {
     /// Accepted and ignored: queries run on the backend's pool
     /// ([`QueryBackend::execute`]), sized by the backend's own `threads`.
     /// Kept only because `benchmark/src/serve.rs` names it; removal is
-    /// queued in ROADMAP item 6.
+    /// queued in ROADMAP item 1(e).
     pub threads: usize,
     /// Event-loop (I/O) threads driving connection readiness. Each loop
     /// owns a share of the connections; loop 0 also owns the listener.
@@ -617,8 +617,6 @@ pub(crate) fn stats_answer(shared: &Shared, format: StatsFormat) -> String {
 /// Renders the backend's finished traces as Chrome `trace_event` JSON.
 /// Untraced backends render the empty (still valid) document.
 fn traces_json(shared: &Shared) -> String {
-    match shared.backend.tracer() {
-        Some(tracer) => ustr_obs::TraceExporter::new(tracer).chrome_json(),
-        None => ustr_obs::chrome_trace_json(&[]),
-    }
+    let traces = shared.backend.tracer().map(|t| t.traces());
+    ustr_obs::chrome_trace_json(&traces.unwrap_or_default())
 }

@@ -18,8 +18,8 @@ use std::time::Duration;
 pub type SnapshotFn = Arc<dyn Fn() -> MetricsSnapshot + Send + Sync>;
 
 /// Produces an already-rendered body at scrape time — the `/traces`
-/// route's source (typically [`crate::TraceExporter::chrome_json`]
-/// (crate::TraceExporter::chrome_json)).
+/// route's source (typically [`crate::chrome_trace_json`] over
+/// [`Tracer::traces`](crate::Tracer::traces)).
 pub type TextFn = Arc<dyn Fn() -> String + Send + Sync>;
 
 /// Background exposition endpoint. One listener thread; each request is
@@ -239,9 +239,9 @@ mod tests {
         };
         let tracer = Arc::new(crate::Tracer::with_seed(21));
         tracer.set_sample_permyriad(crate::SAMPLE_SCALE);
-        tracer.root_span("request").finish();
-        let exporter = crate::TraceExporter::new(Arc::clone(&tracer));
-        let traces: TextFn = Arc::new(move || exporter.chrome_json());
+        let now = std::time::Instant::now;
+        tracer.root_span("request", now()).finish(now());
+        let traces: TextFn = Arc::new(move || crate::chrome_trace_json(&tracer.traces()));
         let server = MetricsServer::serve_routes("127.0.0.1:0", source, Some(traces)).unwrap();
         let addr = server.local_addr();
         // Query-string and path-suffix JSON both hit render_json.

@@ -3,11 +3,10 @@
 //! Std-only, zero-dependency telemetry for the uncertain-strings
 //! workspace: named atomic [counters](Counter)/[gauges](Gauge) and
 //! log2-bucketed latency [histograms](Histogram) in a
-//! [`MetricsRegistry`], a [`Span`] timer for per-stage query-lifecycle
-//! tracing, a ring-buffered [`SlowQueryLog`], a per-request distributed
-//! tracing subsystem ([`Tracer`] / [`TraceSpan`] / [`TraceExporter`]
-//! with Chrome `trace_event` export), and a plaintext Prometheus-style
-//! exposition endpoint ([`MetricsServer`]).
+//! [`MetricsRegistry`], a ring-buffered [`SlowQueryLog`], a per-request
+//! distributed tracing subsystem ([`Tracer`] / [`TraceSpan`], with Chrome
+//! `trace_event` export by [`chrome_trace_json`]), and a plaintext
+//! Prometheus-style exposition endpoint ([`MetricsServer`]).
 //!
 //! Design rules, enforced throughout the workspace:
 //!
@@ -29,7 +28,6 @@
 mod expose;
 mod metrics;
 mod slowlog;
-mod span;
 mod trace;
 
 pub use expose::{scrape, scrape_path, MetricsServer, SnapshotFn, TextFn};
@@ -40,9 +38,8 @@ pub use metrics::{
 pub use slowlog::{
     SlowQueryEntry, SlowQueryLog, DEFAULT_SLOW_QUERY_CAPACITY, DEFAULT_SLOW_QUERY_US,
 };
-pub use span::Span;
 pub use trace::{
     assemble_traces, chrome_trace_json, render_tree, AttrSet, AttrValue, FinishedTrace, SpanRecord,
-    TraceContext, TraceExporter, TraceNode, TraceSpan, TraceTree, Tracer, DEFAULT_TRACE_CAPACITY,
-    MAX_SPAN_ATTRS, SAMPLE_SCALE,
+    TraceContext, TraceNode, TraceSpan, TraceTree, Tracer, DEFAULT_TRACE_CAPACITY, MAX_SPAN_ATTRS,
+    SAMPLE_SCALE,
 };

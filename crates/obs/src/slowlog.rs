@@ -92,22 +92,11 @@ impl SlowQueryLog {
         self.capacity
     }
 
-    /// Records `entry` if it is at or over the current threshold,
-    /// evicting the oldest entry when full. Returns whether it was kept.
-    ///
-    /// Serving code that checks the threshold earlier in a request (e.g.
-    /// to decide whether to even build the entry) must capture
-    /// [`threshold_us`](Self::threshold_us) once and use
-    /// [`observe_at`](Self::observe_at) with the captured value —
-    /// re-reading here could disagree with that earlier read when the
-    /// threshold is adjusted mid-request.
-    pub fn observe(&self, entry: SlowQueryEntry) -> bool {
-        self.observe_at(entry, self.threshold_us())
-    }
-
-    /// As [`observe`](Self::observe), but against a caller-captured
-    /// threshold so one request makes exactly one threshold decision even
-    /// if [`set_threshold_us`](Self::set_threshold_us) races with it.
+    /// Records `entry` if it is at or over `threshold_us`, evicting the
+    /// oldest entry when full. Returns whether it was kept. The threshold
+    /// is the caller's one read of [`threshold_us`](Self::threshold_us), so
+    /// one request makes exactly one threshold decision even if
+    /// [`set_threshold_us`](Self::set_threshold_us) races with it.
     pub fn observe_at(&self, entry: SlowQueryEntry, threshold_us: u64) -> bool {
         if entry.total_us < threshold_us {
             return false;
@@ -184,10 +173,10 @@ mod tests {
     #[test]
     fn threshold_filters_and_is_adjustable() {
         let log = SlowQueryLog::new(4, 100);
-        assert!(!log.observe(entry(99)));
-        assert!(log.observe(entry(100)));
+        assert!(!log.observe_at(entry(99), log.threshold_us()));
+        assert!(log.observe_at(entry(100), log.threshold_us()));
         log.set_threshold_us(1000);
-        assert!(!log.observe(entry(500)));
+        assert!(!log.observe_at(entry(500), log.threshold_us()));
         assert_eq!(log.len(), 1);
     }
 
@@ -195,7 +184,7 @@ mod tests {
     fn ring_evicts_oldest_at_capacity() {
         let log = SlowQueryLog::new(3, 0);
         for t in 1..=5 {
-            log.observe(entry(t));
+            log.observe_at(entry(t), 0);
         }
         let totals: Vec<u64> = log.entries().iter().map(|e| e.total_us).collect();
         assert_eq!(totals, vec![3, 4, 5]);
@@ -205,7 +194,7 @@ mod tests {
     fn worst_sorts_descending() {
         let log = SlowQueryLog::new(8, 0);
         for t in [5, 900, 20, 300] {
-            log.observe(entry(t));
+            log.observe_at(entry(t), 0);
         }
         let worst: Vec<u64> = log.worst(2).iter().map(|e| e.total_us).collect();
         assert_eq!(worst, vec![900, 300]);
@@ -214,7 +203,7 @@ mod tests {
     #[test]
     fn render_includes_stage_breakdown() {
         let log = SlowQueryLog::new(2, 0);
-        log.observe(entry(1000));
+        log.observe_at(entry(1000), 0);
         let text = log.render(10);
         assert!(text.contains("1000us threshold \"AT\""));
         assert!(text.contains("fanout=998"));
@@ -225,15 +214,16 @@ mod tests {
         use crate::{Tracer, SAMPLE_SCALE};
         let t = std::sync::Arc::new(Tracer::with_seed(17));
         t.set_sample_permyriad(SAMPLE_SCALE);
-        let root = t.root_span("request");
-        let mut child = root.child("cache_lookup");
+        let now = std::time::Instant::now;
+        let root = t.root_span("request", now());
+        let mut child = root.child("cache_lookup", now());
         child.set_str("cache", "miss");
-        child.finish();
-        let finished = root.finish_trace().expect("recording root");
+        child.finish(now());
+        let finished = root.finish_trace(now()).expect("recording root");
         let log = SlowQueryLog::new(2, 0);
         let mut e = entry(1000);
         e.spans = finished.spans;
-        log.observe(e);
+        log.observe_at(e, 0);
         let text = log.render(10);
         assert!(text.contains("1000us threshold \"AT\""));
         // The span tree follows the flat stage line, indented.
@@ -261,7 +251,7 @@ mod tests {
         // A writer flips the threshold between "keep nothing" and "keep
         // everything" while observers record entries at a fixed captured
         // threshold of 0. Every observe_at must keep its entry — a
-        // re-read of the live threshold inside observe would drop some.
+        // re-read of the live threshold inside it would drop some.
         let log = std::sync::Arc::new(SlowQueryLog::new(usize::MAX >> 1, 0));
         let stop = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
         const PER_THREAD: u64 = 500;
@@ -311,7 +301,7 @@ mod tests {
                 let log = std::sync::Arc::clone(&log);
                 s.spawn(move || {
                     for i in 0..1000u64 {
-                        log.observe(entry(t * 1000 + i));
+                        log.observe_at(entry(t * 1000 + i), 0);
                     }
                 });
             }

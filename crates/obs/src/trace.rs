@@ -6,7 +6,7 @@
 //! [`SpanRecord`]s (name, parent, start/end monotonic nanoseconds, a small
 //! fixed-capacity key/value payload) into a fixed-capacity ring, assembled
 //! on demand into span trees ([`Tracer::traces`]) and exported as Chrome
-//! `trace_event` JSON ([`TraceExporter`], loadable in `chrome://tracing`
+//! `trace_event` JSON ([`chrome_trace_json`], loadable in `chrome://tracing`
 //! or Perfetto).
 //!
 //! Design rules:
@@ -15,12 +15,11 @@
 //!   function of the trace id (an FNV-1a hash compared against a
 //!   parts-per-[`SAMPLE_SCALE`] rate), so the same trace id makes the same
 //!   decision on every node that sees it, and tracing can never perturb
-//!   float-determinism-audited query code.
-//! * **Rate-or-always-on-slow.** A trace is kept when the rate sampler
-//!   picks its id *or* its root span runs at least
-//!   [`Tracer::slow_us`] microseconds — slow outliers are captured even
-//!   at a 0% sample rate. Until the root finishes, spans buffer in a
-//!   per-trace scratch, so an unsampled fast trace costs no ring traffic.
+//!   float-determinism-audited query code. The decision is made when the
+//!   root opens: a trace that records is a trace that is kept.
+//! * **The caller's clock.** A span opens and finishes at [`Instant`]s the
+//!   caller read, so the one reading that times a stage for a histogram is
+//!   also that stage's span — the two cannot disagree.
 //! * **One branch per span site when off.** A disabled tracer returns
 //!   no-op [`TraceSpan`]s; every operation on them is a tag check.
 //! * **The ring never blocks a recorder.** Slots are claimed with one
@@ -176,14 +175,11 @@ fn mix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// Per-trace scratch: spans buffer here until the root finishes and the
-/// keep-or-drop decision (sampled, or slow enough) commits them to the
-/// ring in one batch.
+/// Per-trace scratch: spans buffer here until the root finishes and
+/// commits them to the ring in one batch (and hands them back to the
+/// caller as a [`FinishedTrace`]).
 struct TraceBuf {
     trace_id: u128,
-    /// The rate sampler's (or the propagator's) decision; slow-only traces
-    /// carry `false` here and are kept only if the root crosses `slow_us`.
-    sampled: bool,
     /// Whitened span-id allocator: unique within the process, and spread
     /// so spans minted by a remote continuation cannot collide with the
     /// originator's ids.
@@ -259,7 +255,6 @@ pub struct Tracer {
     epoch: Instant,
     seed: u64,
     sample_permyriad: AtomicU32,
-    slow_us: AtomicU64,
     next_trace: AtomicU64,
     ring: SpanRing,
 }
@@ -271,15 +266,9 @@ impl Default for Tracer {
 }
 
 impl Tracer {
-    /// A disabled tracer (sample rate 0, no slow threshold) with the
-    /// default ring capacity. Enable with [`Tracer::set_sample_permyriad`]
-    /// / [`Tracer::set_slow_us`].
+    /// A disabled tracer (sample rate 0) with the default ring capacity.
+    /// Enable with [`Tracer::set_sample_permyriad`].
     pub fn new() -> Self {
-        Self::with_capacity(DEFAULT_TRACE_CAPACITY)
-    }
-
-    /// As [`Tracer::new`] with an explicit ring capacity.
-    pub fn with_capacity(capacity: usize) -> Self {
         // Seed from a process counter plus wall-clock nanoseconds: trace
         // ids must differ across processes, not be cryptographic.
         static SEEDS: AtomicU64 = AtomicU64::new(0);
@@ -289,7 +278,8 @@ impl Tracer {
             .duration_since(std::time::UNIX_EPOCH)
             .map(|d| d.as_nanos() as u64)
             .unwrap_or(0);
-        Self::with_seed_and_capacity(mix64(clock) ^ mix64(n.wrapping_add(0x5eed)), capacity)
+        let seed = mix64(clock) ^ mix64(n.wrapping_add(0x5eed));
+        Self::with_seed_and_capacity(seed, DEFAULT_TRACE_CAPACITY)
     }
 
     /// Deterministic construction for tests: trace ids and span ids are a
@@ -303,7 +293,6 @@ impl Tracer {
             epoch: Instant::now(),
             seed,
             sample_permyriad: AtomicU32::new(0),
-            slow_us: AtomicU64::new(0),
             next_trace: AtomicU64::new(0),
             ring: SpanRing::new(capacity),
         }
@@ -322,23 +311,10 @@ impl Tracer {
         self.sample_permyriad.load(Ordering::Relaxed)
     }
 
-    /// Sets the always-on-slow threshold: any trace whose root runs at
-    /// least this many microseconds is kept regardless of the rate
-    /// sampler. 0 disables the slow path.
-    pub fn set_slow_us(&self, us: u64) {
-        // ordering: Relaxed — a live-tunable knob.
-        self.slow_us.store(us, Ordering::Relaxed);
-    }
-
-    pub fn slow_us(&self) -> u64 {
-        // ordering: Relaxed — see set_slow_us().
-        self.slow_us.load(Ordering::Relaxed)
-    }
-
-    /// `true` when any span could be recorded — the one branch a span site
-    /// pays when tracing is off.
+    /// `true` when a fresh trace could be recorded — the one branch a span
+    /// site pays when tracing is off.
     pub fn enabled(&self) -> bool {
-        self.sample_permyriad() > 0 || self.slow_us() > 0
+        self.sample_permyriad() > 0
     }
 
     /// Spans lost to ring-slot contention since construction.
@@ -356,10 +332,10 @@ impl Tracer {
         rate > 0 && (trace_hash(trace_id) % u64::from(SAMPLE_SCALE)) < u64::from(rate)
     }
 
-    /// Monotonic nanoseconds since this tracer was created (the clock all
-    /// its spans share).
-    pub fn now_ns(&self) -> u64 {
-        u64::try_from(self.epoch.elapsed().as_nanos()).unwrap_or(u64::MAX)
+    /// `at` in nanoseconds since this tracer was created (the clock all its
+    /// spans share).
+    fn ns_at(&self, at: Instant) -> u64 {
+        u64::try_from(at.saturating_duration_since(self.epoch).as_nanos()).unwrap_or(u64::MAX)
     }
 
     fn fresh_trace_id(&self) -> u128 {
@@ -370,31 +346,33 @@ impl Tracer {
         (u128::from(hi) << 64) | u128::from(lo.max(1))
     }
 
-    /// Opens a root span for a fresh trace. Returns a no-op span unless
-    /// the tracer is [enabled](Tracer::enabled); when the rate sampler
-    /// skips the id but a slow threshold is set, the trace records
-    /// speculatively and commits only if the root turns out slow.
-    pub fn root_span(self: &Arc<Self>, name: &'static str) -> TraceSpan {
+    /// Opens, at `start`, a root span for a fresh trace. Returns a no-op
+    /// span unless the rate sampler picks the new trace id.
+    pub fn root_span(self: &Arc<Self>, name: &'static str, start: Instant) -> TraceSpan {
         if !self.enabled() {
             return TraceSpan::disabled();
         }
         let trace_id = self.fresh_trace_id();
-        let sampled = self.would_sample(trace_id);
-        if !sampled && self.slow_us() == 0 {
+        if !self.would_sample(trace_id) {
             return TraceSpan::disabled();
         }
-        self.start_span(name, trace_id, 0, sampled)
+        self.start_span(name, trace_id, 0, start)
     }
 
     /// Continues a propagated trace (e.g. a context carried on a network
-    /// request) under a new local root span. The propagated sampling
-    /// decision wins: `ctx.sampled` records even at a 0% local rate.
-    pub fn continue_span(self: &Arc<Self>, name: &'static str, ctx: TraceContext) -> TraceSpan {
-        let sampled = ctx.sampled || self.would_sample(ctx.trace_id);
-        if !sampled && self.slow_us() == 0 {
+    /// request) under a new local root span opened at `start`. The
+    /// propagated sampling decision wins: `ctx.sampled` records even at a
+    /// 0% local rate.
+    pub fn continue_span(
+        self: &Arc<Self>,
+        name: &'static str,
+        ctx: TraceContext,
+        start: Instant,
+    ) -> TraceSpan {
+        if !ctx.sampled && !self.would_sample(ctx.trace_id) {
             return TraceSpan::disabled();
         }
-        self.start_span(name, ctx.trace_id, ctx.parent_span, sampled)
+        self.start_span(name, ctx.trace_id, ctx.parent_span, start)
     }
 
     fn start_span(
@@ -402,11 +380,10 @@ impl Tracer {
         name: &'static str,
         trace_id: u128,
         parent_span: u64,
-        sampled: bool,
+        start: Instant,
     ) -> TraceSpan {
         let buf = Arc::new(TraceBuf {
             trace_id,
-            sampled,
             id_base: mix64(self.seed ^ (trace_id as u64) ^ parent_span),
             next_seq: AtomicU64::new(0),
             spans: Mutex::new(Vec::new()),
@@ -419,7 +396,7 @@ impl Tracer {
                 span_id,
                 parent_span,
                 name,
-                start_ns: self.now_ns(),
+                start_ns: self.ns_at(start),
                 attrs: AttrSet::new(),
                 root: true,
             }),
@@ -454,25 +431,22 @@ struct SpanInner {
     root: bool,
 }
 
-/// A finished root span's trace: the spans it committed (or would have —
-/// `kept` says whether the ring took them) and the root duration, handed
-/// back so callers can reuse the tree (e.g. for a slow-query log entry)
-/// without re-reading the ring.
+/// A finished root span's trace: the spans it committed to the ring and
+/// the root duration, handed back so callers can reuse the tree (e.g. for a
+/// slow-query log entry) without re-reading the ring.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct FinishedTrace {
     pub trace_id: u128,
     /// Root span duration in microseconds.
     pub duration_us: u64,
-    /// Whether the trace was committed to the ring (sampled, or slow
-    /// enough for the always-on-slow path).
-    pub kept: bool,
     /// Every span of the trace, root included, ordered by start time.
     pub spans: Vec<SpanRecord>,
 }
 
 /// One live span. All operations are no-ops on a disabled span, so span
-/// sites need no `if tracing` guards of their own. Dropping a span records
-/// it; roots commit (or discard) their whole trace when they finish.
+/// sites need no `if tracing` guards of their own. Roots commit their whole
+/// trace when they finish; a span dropped unfinished (an early return, an
+/// unwind) finishes when it is dropped.
 pub struct TraceSpan {
     inner: Option<SpanInner>,
 }
@@ -494,13 +468,13 @@ impl TraceSpan {
         self.inner.as_ref().map(|i| TraceContext {
             trace_id: i.buf.trace_id,
             parent_span: i.span_id,
-            sampled: i.buf.sampled,
+            sampled: true,
         })
     }
 
-    /// Opens a child span (same trace, parented under this span). Children
-    /// of a disabled span are disabled.
-    pub fn child(&self, name: &'static str) -> TraceSpan {
+    /// Opens, at `start`, a child span (same trace, parented under this
+    /// span). Children of a disabled span are disabled.
+    pub fn child(&self, name: &'static str, start: Instant) -> TraceSpan {
         let Some(inner) = &self.inner else {
             return TraceSpan::disabled();
         };
@@ -510,19 +484,11 @@ impl TraceSpan {
                 buf: Arc::clone(&inner.buf),
                 span_id: inner.buf.next_span_id(),
                 parent_span: inner.span_id,
-                name: inner.name_for_child(name),
-                start_ns: inner.tracer.now_ns(),
+                name,
+                start_ns: inner.tracer.ns_at(start),
                 attrs: AttrSet::new(),
                 root: false,
             }),
-        }
-    }
-
-    /// Resets the start time to now — for spans created ahead of a queue
-    /// hop whose measured region only begins when a worker picks them up.
-    pub fn restart(&mut self) {
-        if let Some(inner) = &mut self.inner {
-            inner.start_ns = inner.tracer.now_ns();
         }
     }
 
@@ -541,25 +507,21 @@ impl TraceSpan {
         }
     }
 
-    /// Finishes the span, returning its duration in microseconds (0 when
-    /// disabled). Root spans decide keep-or-drop for the whole trace here.
-    pub fn finish(mut self) -> u64 {
-        match self.finish_inner() {
-            Some(t) => t.duration_us,
-            None => 0,
-        }
+    /// Finishes the span at `end`. A root commits its whole trace here.
+    pub fn finish(mut self, end: Instant) {
+        self.finish_inner(end);
     }
 
-    /// Finishes a root span and hands back the whole trace (`None` when
-    /// disabled). Non-root spans return a single-span trace with
-    /// `kept = false` (their records live on in the trace buffer).
-    pub fn finish_trace(mut self) -> Option<FinishedTrace> {
-        self.finish_inner()
+    /// Finishes a root span at `end` and hands back the whole trace (`None`
+    /// when disabled, or for a child: its record lives on in the trace
+    /// buffer until the root finishes).
+    pub fn finish_trace(mut self, end: Instant) -> Option<FinishedTrace> {
+        self.finish_inner(end)
     }
 
-    fn finish_inner(&mut self) -> Option<FinishedTrace> {
+    fn finish_inner(&mut self, end: Instant) -> Option<FinishedTrace> {
         let inner = self.inner.take()?;
-        let end_ns = inner.tracer.now_ns();
+        let end_ns = inner.tracer.ns_at(end).max(inner.start_ns);
         let record = SpanRecord {
             trace_id: inner.buf.trace_id,
             span_id: inner.span_id,
@@ -569,21 +531,13 @@ impl TraceSpan {
             end_ns,
             attrs: inner.attrs,
         };
-        let duration_us = record.duration_us();
         if !inner.root {
             if let Ok(mut spans) = inner.buf.spans.lock() {
                 spans.push(record);
             }
-            return Some(FinishedTrace {
-                trace_id: record.trace_id,
-                duration_us,
-                kept: false,
-                spans: vec![record],
-            });
+            return None;
         }
-        // Root: the trace is complete — decide, then commit in one batch.
-        let slow_us = inner.tracer.slow_us();
-        let kept = inner.buf.sampled || (slow_us > 0 && duration_us >= slow_us);
+        // Root: the trace is complete — commit it in one batch.
         let mut spans = inner
             .buf
             .spans
@@ -592,31 +546,20 @@ impl TraceSpan {
             .unwrap_or_default();
         spans.push(record);
         spans.sort_by_key(|r| (r.start_ns, r.span_id));
-        if kept {
-            for span in &spans {
-                inner.tracer.ring.push(*span);
-            }
+        for span in &spans {
+            inner.tracer.ring.push(*span);
         }
         Some(FinishedTrace {
             trace_id: record.trace_id,
-            duration_us,
-            kept,
+            duration_us: record.duration_us(),
             spans,
         })
     }
 }
 
-impl SpanInner {
-    /// Child spans keep their own site name; this hook exists so the
-    /// borrow in [`TraceSpan::child`] stays trivially copyable.
-    fn name_for_child(&self, name: &'static str) -> &'static str {
-        name
-    }
-}
-
 impl Drop for TraceSpan {
     fn drop(&mut self) {
-        let _ = self.finish_inner();
+        let _ = self.finish_inner(Instant::now());
     }
 }
 
@@ -794,42 +737,10 @@ pub fn chrome_trace_json(traces: &[TraceTree]) -> String {
     out
 }
 
-/// Renders a [`Tracer`]'s sampled traces for export: Chrome `trace_event`
-/// JSON for tooling, indented text for humans.
-pub struct TraceExporter {
-    tracer: Arc<Tracer>,
-}
-
-impl TraceExporter {
-    pub fn new(tracer: Arc<Tracer>) -> Self {
-        Self { tracer }
-    }
-
-    /// The ring's traces as Chrome `trace_event` JSON (see
-    /// [`chrome_trace_json`]). Always a valid JSON document, even when the
-    /// ring is empty.
-    pub fn chrome_json(&self) -> String {
-        chrome_trace_json(&self.tracer.traces())
-    }
-
-    /// The ring's traces as indented text trees, one blank-line-separated
-    /// block per trace.
-    pub fn render_text(&self) -> String {
-        let mut out = String::new();
-        for (i, tree) in self.tracer.traces().iter().enumerate() {
-            if i > 0 {
-                out.push('\n');
-            }
-            out.push_str(&format!("trace {:032x}\n", tree.trace_id));
-            out.push_str(&render_tree(tree));
-        }
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     fn on_tracer() -> Arc<Tracer> {
         let t = Arc::new(Tracer::with_seed(42));
@@ -841,14 +752,14 @@ mod tests {
     fn disabled_tracer_records_nothing_and_spans_are_noops() {
         let t = Arc::new(Tracer::with_seed(1));
         assert!(!t.enabled());
-        let mut root = t.root_span("request");
+        let mut root = t.root_span("request", Instant::now());
         assert!(!root.is_recording());
         assert!(root.context().is_none());
         root.set_u64("candidates", 5);
-        let child = root.child("stage");
+        let child = root.child("stage", Instant::now());
         assert!(!child.is_recording());
-        assert_eq!(child.finish(), 0);
-        assert!(root.finish_trace().is_none());
+        child.finish(Instant::now());
+        assert!(root.finish_trace(Instant::now()).is_none());
         assert!(t.spans().is_empty());
     }
 
@@ -878,21 +789,20 @@ mod tests {
     #[test]
     fn span_tree_assembles_parent_child_structure() {
         let t = on_tracer();
-        let mut root = t.root_span("request");
+        let mut root = t.root_span("request", Instant::now());
         assert!(root.is_recording());
         root.set_str("mode", "threshold");
-        let mut lookup = root.child("cache_lookup");
+        let mut lookup = root.child("cache_lookup", Instant::now());
         lookup.set_str("cache", "miss");
-        lookup.finish();
-        let fanout = root.child("fanout");
-        let mut seg = fanout.child("segment_answer");
+        lookup.finish(Instant::now());
+        let fanout = root.child("fanout", Instant::now());
+        let mut seg = fanout.child("segment_answer", Instant::now());
         seg.set_u64("candidates", 17);
         seg.set_u64("verified", 3);
-        seg.finish();
-        fanout.finish();
-        root.child("merge").finish();
-        let finished = root.finish_trace().expect("recording root");
-        assert!(finished.kept);
+        seg.finish(Instant::now());
+        fanout.finish(Instant::now());
+        root.child("merge", Instant::now()).finish(Instant::now());
+        let finished = root.finish_trace(Instant::now()).expect("recording root");
         assert_eq!(finished.spans.len(), 5);
 
         let traces = t.traces();
@@ -919,40 +829,35 @@ mod tests {
     }
 
     #[test]
-    fn rate_zero_with_slow_threshold_keeps_only_slow_traces() {
-        let t = Arc::new(Tracer::with_seed(11));
-        t.set_slow_us(5_000); // keep only traces >= 5ms; rate stays 0
-        assert!(t.enabled());
-        // Fast trace: recorded speculatively, dropped at the root.
-        let fast = t.root_span("request");
-        assert!(fast.is_recording());
-        let finished = fast.finish_trace().expect("speculative root");
-        assert!(!finished.kept);
-        assert!(t.spans().is_empty());
-        // "Slow" trace: simulate by lowering the bar to 0us mid-flight —
-        // the keep decision reads the threshold at the root's finish.
-        let slow = t.root_span("request");
-        t.set_slow_us(1);
-        std::thread::sleep(std::time::Duration::from_millis(2));
-        let finished = slow.finish_trace().expect("speculative root");
-        assert!(finished.kept);
-        assert_eq!(t.spans().len(), 1);
+    fn spans_open_and_finish_at_the_callers_readings() {
+        let t = on_tracer();
+        let t0 = Instant::now();
+        let at = |ns: u64| t0 + Duration::from_nanos(ns);
+        let root = t.root_span("request", t0);
+        root.child("stage", at(1_500)).finish(at(4_000));
+        // A reading before the start finishes the span empty, never negative.
+        root.child("late", at(5_000)).finish(at(4_000));
+        let finished = root.finish_trace(at(9_999)).expect("recording root");
+        let span = |name| finished.spans.iter().find(|s| s.name == name).unwrap();
+        assert_eq!(span("stage").duration_ns(), 2_500);
+        assert_eq!(span("late").duration_ns(), 0);
+        assert_eq!(span("request").duration_ns(), 9_999);
+        assert_eq!(finished.duration_us, 9);
     }
 
     #[test]
     fn propagated_context_forces_recording_and_links_parents() {
-        let server = Arc::new(Tracer::with_seed(5)); // rate 0, slow 0: off
+        let server = Arc::new(Tracer::with_seed(5)); // rate 0: off
         let client = on_tracer();
-        let client_root = client.root_span("client_request");
+        let client_root = client.root_span("client_request", Instant::now());
         let ctx = client_root.context().expect("recording");
         assert!(ctx.sampled);
         // The server tracer would record nothing on its own...
         assert!(!server.enabled());
         // ...but the propagated decision wins.
-        let remote = server.continue_span("request", ctx);
+        let remote = server.continue_span("request", ctx, Instant::now());
         assert!(remote.is_recording());
-        let finished = remote.finish_trace().expect("continued root");
-        assert!(finished.kept);
+        let finished = remote.finish_trace(Instant::now()).expect("continued root");
         assert_eq!(finished.trace_id, ctx.trace_id);
         let spans = server.spans();
         assert_eq!(spans.len(), 1);
@@ -970,7 +875,9 @@ mod tests {
         let small = Arc::new(Tracer::with_seed_and_capacity(9, 8));
         small.set_sample_permyriad(SAMPLE_SCALE);
         for _ in 0..100 {
-            small.root_span("request").finish();
+            small
+                .root_span("request", Instant::now())
+                .finish(Instant::now());
         }
         assert!(small.spans().len() <= 8);
         drop(t);
@@ -984,24 +891,24 @@ mod tests {
         }
         assert_eq!(set.len(), MAX_SPAN_ATTRS);
         let t = on_tracer();
-        let mut root = t.root_span("request");
+        let mut root = t.root_span("request", Instant::now());
         for i in 0..20 {
             root.set_u64("x", i);
         }
-        let finished = root.finish_trace().expect("recording");
+        let finished = root.finish_trace(Instant::now()).expect("recording");
         assert_eq!(finished.spans[0].attrs.len(), MAX_SPAN_ATTRS);
     }
 
     #[test]
     fn chrome_export_is_structurally_valid_json() {
         let t = on_tracer();
-        let mut root = t.root_span("request");
+        let mut root = t.root_span("request", Instant::now());
         root.set_str("mode", "threshold");
-        let mut seg = root.child("segment_answer");
+        let mut seg = root.child("segment_answer", Instant::now());
         seg.set_u64("candidates", 9);
-        seg.finish();
-        root.finish();
-        let json = TraceExporter::new(Arc::clone(&t)).chrome_json();
+        seg.finish(Instant::now());
+        root.finish(Instant::now());
+        let json = chrome_trace_json(&t.traces());
         assert!(json.starts_with('{'));
         assert!(json.contains("\"traceEvents\": ["));
         assert!(json.contains("\"ph\": \"X\""));
@@ -1015,19 +922,19 @@ mod tests {
         assert!(braces && brackets);
         // Empty ring still renders a valid document.
         t.clear();
-        let empty = TraceExporter::new(t).chrome_json();
+        let empty = chrome_trace_json(&t.traces());
         assert!(empty.contains("\"traceEvents\": [\n  ]"));
     }
 
     #[test]
     fn render_tree_indents_children_with_attrs() {
         let t = on_tracer();
-        let mut root = t.root_span("request");
-        let mut child = root.child("cache_lookup");
+        let mut root = t.root_span("request", Instant::now());
+        let mut child = root.child("cache_lookup", Instant::now());
         child.set_str("cache", "hit");
-        child.finish();
+        child.finish(Instant::now());
         root.set_str("mode", "top_k");
-        root.finish();
+        root.finish(Instant::now());
         let trees = t.traces();
         let text = render_tree(&trees[0]);
         let lines: Vec<&str> = text.lines().collect();
@@ -1044,7 +951,8 @@ mod tests {
         let t = Arc::new(Tracer::with_seed_and_capacity(13, 1));
         t.set_sample_permyriad(SAMPLE_SCALE);
         let guard = t.ring.slots[0].lock().unwrap();
-        t.root_span("request").finish();
+        t.root_span("request", Instant::now())
+            .finish(Instant::now());
         drop(guard);
         assert_eq!(t.dropped_spans(), 1);
         assert!(t.spans().is_empty());

@@ -18,19 +18,19 @@
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use ustr_core::{Error, ListingHit};
 use ustr_uncertain::canon;
 
 use crate::sync::lock_clean;
 use ustr_obs::{
-    Counter, Gauge, Histogram, MetricsRegistry, MetricsSnapshot, SlowQueryEntry, SlowQueryLog,
-    Span, SpanRecord, TraceContext, TraceSpan, Tracer,
+    Counter, FinishedTrace, Gauge, Histogram, MetricsRegistry, MetricsSnapshot, SlowQueryEntry,
+    SlowQueryLog, TraceContext, TraceSpan, Tracer,
 };
-use ustr_uncertain::kstats;
+use ustr_uncertain::kstats::{self, KernelTotals};
 
-use crate::exec::{merge_partials, Segment};
+use crate::exec::{merge_partials, Segment, ShardPartial};
 use crate::pool::run_each;
 use crate::{DocHits, LruCache, QueryRequest, QueryResponse, ThreadPool, TopHit};
 
@@ -174,23 +174,17 @@ fn mismatched(mode: &str) -> Error {
     ))
 }
 
-/// What one traced request looked like from the inside: the flat stage
-/// timings a network response can carry, and the full span set for the
-/// slow-query log or an exporter. Every answer carries one when the
-/// request's trace recorded; `None` otherwise.
+/// What one traced request looked like from the inside: its finished trace
+/// (for the slow-query log or an exporter) and the flat stage timings a
+/// network response can carry. Every answer carries one when the request's
+/// trace recorded; `None` otherwise.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TraceSummary {
-    /// The request's trace id.
-    pub trace_id: u128,
-    /// Root span duration in microseconds.
-    pub duration_us: u64,
-    /// Whether the trace was committed to the tracer's ring.
-    pub kept: bool,
-    /// `(stage, microseconds)` in lifecycle order — the wire-friendly
-    /// flat breakdown.
+    /// The request's trace: id, root duration, every span.
+    pub trace: FinishedTrace,
+    /// `(stage, microseconds)` in lifecycle order — the wire-friendly flat
+    /// breakdown, each the duration of the trace's span of that name.
     pub stages: Vec<(&'static str, u64)>,
-    /// Every span of the request's trace, root included.
-    pub spans: Vec<SpanRecord>,
 }
 
 /// Work under this many microseconds is *cheap*: doing it on the thread
@@ -206,8 +200,54 @@ pub struct TraceSummary {
 /// and has a thread with other duties done enough inline for now.
 const CHEAP_WORK_US: u64 = 50;
 
-fn ns_since(start: Instant) -> u64 {
-    u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX)
+fn nanos(d: Duration) -> u64 {
+    u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
+}
+
+/// One stage of a request (`cache_lookup`, `fanout`, `merge`). Its clock is
+/// read once when it begins and once when it ends, and that one reading is
+/// the stage histogram's sample, the request's `stages` entry and — when
+/// the request is sampled — the extent of its span.
+struct Stage {
+    name: &'static str,
+    started: Instant,
+    span: TraceSpan,
+}
+
+impl Stage {
+    fn begin(root: &TraceSpan, name: &'static str) -> Self {
+        let started = Instant::now();
+        let span = root.child(name, started);
+        Self {
+            name,
+            started,
+            span,
+        }
+    }
+
+    /// Ends the stage at `ended`, feeding every consumer; returns its
+    /// nanoseconds.
+    fn end(
+        self,
+        ended: Instant,
+        histogram: &Histogram,
+        stages: &mut Vec<(&'static str, u64)>,
+    ) -> u64 {
+        let ns = nanos(ended.saturating_duration_since(self.started));
+        histogram.record(ns / 1_000);
+        stages.push((self.name, ns / 1_000));
+        self.span.finish(ended);
+        ns
+    }
+}
+
+/// One segment job: its answer, its one clock reading (when it started, how
+/// long it ran) and the kernel counts of that interval.
+struct SegmentRun {
+    answer: Result<ShardPartial, Error>,
+    started: Instant,
+    work_ns: u64,
+    kernel: KernelTotals,
 }
 
 /// What a computed request costs *in work* — Σ segment-answer time + merge,
@@ -324,9 +364,10 @@ impl Core {
         // Continuing the propagated context when one was carried in, fresh
         // otherwise. Disabled tracer ⇒ the root is a no-op and so is every
         // child derived from it.
+        let opened = Instant::now();
         let mut root = match parent {
-            Some(ctx) => self.tracer.continue_span("request", ctx),
-            None => self.tracer.root_span("request"),
+            Some(ctx) => self.tracer.continue_span("request", ctx, opened),
+            None => self.tracer.root_span("request", opened),
         };
         root.set_str("mode", mode_name(req));
         // `(stage, microseconds)` in lifecycle order. A request that fails
@@ -338,78 +379,75 @@ impl Core {
             }
 
             let key: CacheKey = (view.epoch, request_key(req));
-            let lookup = Span::on(self.metrics.lookup_us.clone());
-            let mut lookup_span = root.child("cache_lookup");
+            let mut lookup = Stage::begin(&root, "cache_lookup");
             let hit = self.cache_get(&key);
-            lookup_span.set_str("cache", if hit.is_some() { "hit" } else { "miss" });
-            lookup_span.finish();
-            stages.push(("cache_lookup", lookup.finish()));
+            let cache = if hit.is_some() { "hit" } else { "miss" };
+            lookup.span.set_str("cache", cache);
+            lookup.end(Instant::now(), &self.metrics.lookup_us, &mut stages);
             if let Some(hit) = hit {
                 break 'resolved Ok(hit);
             }
 
-            // Fan out: one job per segment. The per-segment spans are
-            // created here (so parentage is right) but restarted inside the
-            // job so they measure execution, not queue wait. Kernel counts
-            // come from the running thread's scratch totals — the hot loop
-            // stays atomic-free and the delta is exactly this segment's
-            // work.
-            let fanout = Span::on(self.metrics.fanout_us.clone());
-            let fanout_span = root.child("fanout");
-            let seg_spans: Vec<Mutex<TraceSpan>> = (view.segments.iter())
-                .map(|_| Mutex::new(fanout_span.child("segment_answer")))
-                .collect();
+            // Fan out: one job per segment, each timed by its own reading —
+            // execution, not queue wait. Kernel counts come from the running
+            // thread's scratch totals: the hot loop stays atomic-free and the
+            // delta is exactly this segment's work.
+            let fanout = Stage::begin(&root, "fanout");
             let job = {
                 let (req, segments) = (req.clone(), Arc::clone(&view.segments));
-                let segment_us = self.metrics.segment_us.clone();
                 move |s: usize| {
-                    let (segment, seg_span) = (segments.get(s)?, seg_spans.get(s)?);
+                    let segment = segments.get(s)?;
                     #[cfg(test)]
                     assert!(pattern_of(&req) != PANIC_PATTERN, "injected segment panic");
-                    let mut seg_span =
-                        std::mem::replace(&mut *lock_clean(seg_span), TraceSpan::disabled());
-                    seg_span.restart();
                     let kernel_before = kstats::thread_totals();
                     let started = Instant::now();
                     let answer = segment.answer(&req);
-                    let work_ns = ns_since(started);
-                    segment_us.record(work_ns / 1_000);
-                    if seg_span.is_recording() {
-                        let d = kstats::thread_totals().since(&kernel_before);
-                        seg_span.set_u64("segment", s as u64);
-                        seg_span.set_u64("candidates", d.candidates);
-                        seg_span.set_u64("verified", d.verified);
-                        seg_span.set_u64("plane_scans", d.plane_scans);
-                        seg_span.set_u64("cold_scans", d.cold_scans);
-                    }
-                    seg_span.finish();
-                    Some((answer, work_ns))
+                    let work_ns = nanos(started.elapsed());
+                    Some(SegmentRun {
+                        answer,
+                        started,
+                        work_ns,
+                        kernel: kstats::thread_totals().since(&kernel_before),
+                    })
                 }
             };
-            let answers = match pool {
+            let runs = match pool {
                 Some(pool) => {
                     let helpers = if self.work.is_cheap(1) { 0 } else { usize::MAX };
                     pool.scatter(view.segments.len(), helpers, job)
                 }
                 None => run_each(view.segments.len(), job),
             };
-            fanout_span.finish();
-            stages.push(("fanout", fanout.finish()));
+            let fanned_in = Instant::now();
+            // Each job's reading is its histogram sample, its share of the
+            // work estimate and its span.
+            let mut work_ns = 0u64;
+            for (s, run) in runs.iter().enumerate() {
+                let Some(Some(run)) = run else { continue };
+                work_ns = work_ns.saturating_add(run.work_ns);
+                self.metrics.segment_us.record(run.work_ns / 1_000);
+                let mut span = fanout.span.child("segment_answer", run.started);
+                span.set_u64("segment", s as u64);
+                span.set_u64("candidates", run.kernel.candidates);
+                span.set_u64("verified", run.kernel.verified);
+                span.set_u64("plane_scans", run.kernel.plane_scans);
+                span.set_u64("cold_scans", run.kernel.cold_scans);
+                span.finish(run.started + Duration::from_nanos(run.work_ns));
+            }
+            fanout.end(fanned_in, &self.metrics.fanout_us, &mut stages);
 
             // Merge in segment order, whatever order the jobs finished in.
-            let merge = Span::on(self.metrics.merge_us.clone());
-            let merge_span = root.child("merge");
-            let merge_started = Instant::now();
+            let merge = Stage::begin(&root, "merge");
             let mut parts = Vec::with_capacity(view.segments.len());
             let mut error: Option<Error> = None;
-            let mut work_ns = 0u64;
-            for slot in answers {
-                // `None`: the job panicked.
-                let (answer, ns) = slot.flatten().unwrap_or_else(|| {
-                    let lost = Error::internal("a segment worker never reported its answer");
-                    (Err(lost), 0)
-                });
-                work_ns = work_ns.saturating_add(ns);
+            for run in runs {
+                let answer = match run.flatten() {
+                    Some(run) => run.answer,
+                    // The job panicked.
+                    None => Err(Error::internal(
+                        "a segment worker never reported its answer",
+                    )),
+                };
                 match answer {
                     Ok(part) => parts.push(part),
                     // Keep the first (lowest-segment) error: deterministic.
@@ -425,28 +463,25 @@ impl Core {
                     if let Some(cache) = &self.cache {
                         lock_clean(cache).insert(key, response.clone());
                     }
-                    self.work
-                        .feed(work_ns.saturating_add(ns_since(merge_started)));
                     Ok(response)
                 }
             };
-            merge_span.finish();
-            stages.push(("merge", merge.finish()));
+            let merge_ns = merge.end(Instant::now(), &self.metrics.merge_us, &mut stages);
+            if merged.is_ok() {
+                self.work.feed(work_ns.saturating_add(merge_ns));
+            }
             merged
         };
         if result.is_err() {
             self.metrics.errors.inc();
         }
 
-        // Closing the root is where the trace commits to (or skips) the
-        // ring, and where its span tree becomes available for the slow-query
-        // log and the network response's stage breakdown.
-        let summary = root.finish_trace().map(|finished| TraceSummary {
-            trace_id: finished.trace_id,
-            duration_us: finished.duration_us,
-            kept: finished.kept,
+        // Closing the root is where the trace commits to the ring, and where
+        // its span tree becomes available for the slow-query log and the
+        // network response's stage breakdown.
+        let summary = (root.finish_trace(Instant::now())).map(|trace| TraceSummary {
+            trace,
             stages: stages.clone(),
-            spans: finished.spans,
         });
         // A request's latency is the sum of the stages it went through;
         // one that went through none is counted and traced, not timed.
@@ -465,7 +500,7 @@ impl Core {
                         stages,
                         spans: summary
                             .as_ref()
-                            .map(|s| s.spans.clone())
+                            .map(|s| s.trace.spans.clone())
                             .unwrap_or_default(),
                     },
                     slow_threshold_us,
@@ -502,7 +537,7 @@ impl Engine {
     }
 
     /// This engine's tracer (sampling off by default; enable with
-    /// [`Tracer::set_sample_permyriad`] / [`Tracer::set_slow_us`]).
+    /// [`Tracer::set_sample_permyriad`]).
     pub fn tracer(&self) -> &Arc<Tracer> {
         &self.core.tracer
     }
@@ -597,42 +632,46 @@ impl Engine {
         requests: &[QueryRequest],
         parents: &[Option<TraceContext>],
     ) -> Vec<Answer> {
-        let _batch = Span::on(self.core.metrics.batch_us.clone());
-        if let [request] = requests {
-            let parent = parents.first().copied().flatten();
-            return vec![self.answer(set, request, parent)];
-        }
-        let mut firsts: HashMap<RequestKey, usize> = HashMap::new();
-        let mut unique: Vec<(QueryRequest, Option<TraceContext>)> = Vec::new();
-        let slots: Vec<usize> = (requests.iter().enumerate())
-            .map(|(q, req)| {
-                *firsts.entry(request_key(req)).or_insert_with(|| {
-                    unique.push((req.clone(), parents.get(q).copied().flatten()));
-                    unique.len() - 1
+        let started = Instant::now();
+        let answers = 'answered: {
+            if let [request] = requests {
+                let parent = parents.first().copied().flatten();
+                break 'answered vec![self.answer(set, request, parent)];
+            }
+            let mut firsts: HashMap<RequestKey, usize> = HashMap::new();
+            let mut unique: Vec<(QueryRequest, Option<TraceContext>)> = Vec::new();
+            let slots: Vec<usize> = (requests.iter().enumerate())
+                .map(|(q, req)| {
+                    *firsts.entry(request_key(req)).or_insert_with(|| {
+                        unique.push((req.clone(), parents.get(q).copied().flatten()));
+                        unique.len() - 1
+                    })
                 })
-            })
-            .collect();
-        let (core, view, jobs) = (Arc::clone(&self.core), View::of(set), unique.len());
-        let helpers = if core.work.is_cheap(jobs) {
-            0
-        } else {
-            usize::MAX
+                .collect();
+            let (core, view, jobs) = (Arc::clone(&self.core), View::of(set), unique.len());
+            let helpers = if core.work.is_cheap(jobs) {
+                0
+            } else {
+                usize::MAX
+            };
+            let mut answers = self.pool.scatter(jobs, helpers, move |u| {
+                let (request, parent) = unique.get(u)?;
+                Some(core.answer(&view, request, *parent, None))
+            });
+            (slots.iter())
+                .map(|&u| match answers.get_mut(u) {
+                    // The first taker is the first occurrence: the summary is its own.
+                    Some(Some(Some((result, summary)))) => (result.clone(), summary.take()),
+                    // `None`: the job panicked outside its segment jobs.
+                    _ => {
+                        let lost = Error::internal("a request job never reported its answer");
+                        (Err(lost), None)
+                    }
+                })
+                .collect()
         };
-        let mut answers = self.pool.scatter(jobs, helpers, move |u| {
-            let (request, parent) = unique.get(u)?;
-            Some(core.answer(&view, request, *parent, None))
-        });
-        (slots.iter())
-            .map(|&u| match answers.get_mut(u) {
-                // The first taker is the first occurrence: the summary is its own.
-                Some(Some(Some((result, summary)))) => (result.clone(), summary.take()),
-                // `None`: the job panicked outside its segment jobs.
-                _ => {
-                    let lost = Error::internal("a request job never reported its answer");
-                    (Err(lost), None)
-                }
-            })
-            .collect()
+        (self.core.metrics.batch_us).record(nanos(started.elapsed()) / 1_000);
+        answers
     }
 
     /// Answers one request **on the calling thread, or declines** (`None`:

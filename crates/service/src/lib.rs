@@ -595,13 +595,12 @@ mod tests {
         );
 
         let summary = traced_out[0].1.as_ref().expect("trace recorded at 100%");
-        assert!(summary.kept);
         let stage_names: Vec<&str> = summary.stages.iter().map(|(n, _)| *n).collect();
         assert_eq!(stage_names, vec!["cache_lookup", "fanout", "merge"]);
 
         // The span set assembles into root + cache_lookup(miss) + fanout
         // + per-segment answers (with kernel attribution) + merge.
-        let trees = assemble_traces(&summary.spans);
+        let trees = assemble_traces(&summary.trace.spans);
         assert_eq!(trees.len(), 1);
         let tree = &trees[0];
         let root = tree.find("request").expect("root span");
@@ -632,7 +631,7 @@ mod tests {
         let again = traced.query_requests_traced(&batch, &[]);
         assert_eq!(again[0].0.as_ref().unwrap(), plain_out[0].as_ref().unwrap());
         let summary = again[0].1.as_ref().expect("hit trace recorded");
-        let trees = assemble_traces(&summary.spans);
+        let trees = assemble_traces(&summary.trace.spans);
         let lookup = trees[0].find("cache_lookup").expect("cache_lookup span");
         assert_eq!(lookup.span.attrs.get("cache"), Some(AttrValue::Str("hit")));
         assert!(trees[0].find("fanout").is_none());
@@ -645,11 +644,42 @@ mod tests {
         };
         let continued = traced.query_requests_traced(&batch, &[Some(parent)]);
         let summary = continued[0].1.as_ref().expect("continued trace");
-        assert_eq!(summary.trace_id, parent.trace_id);
+        assert_eq!(summary.trace.trace_id, parent.trace_id);
         assert!(summary
+            .trace
             .spans
             .iter()
             .any(|s| s.name == "request" && s.parent_span == parent.parent_span));
+    }
+
+    #[test]
+    fn each_stage_reads_as_its_span_and_each_segment_span_as_its_histogram_sample() {
+        use ustr_obs::SAMPLE_SCALE;
+        let service = QueryService::build(&collection(), 0.05, config(4, 3, 16)).unwrap();
+        service.tracer().set_sample_permyriad(SAMPLE_SCALE);
+        let segment_us =
+            || service.metrics_snapshot().histograms["service.stage.segment_answer_us"].sum;
+        let mut stages_seen = 0;
+        // A miss (three stages), its hit (one), and every mode.
+        for req in mixed_batch().iter().chain(&mixed_batch()[..1]) {
+            let before = segment_us();
+            let (result, summary) = service
+                .query_requests_traced(std::slice::from_ref(req), &[])
+                .remove(0);
+            assert!(result.is_ok());
+            let summary = summary.expect("trace recorded at 100%");
+            let span = |name| summary.trace.spans.iter().filter(move |s| s.name == name);
+            for &(name, us) in &summary.stages {
+                let [stage] = span(name).collect::<Vec<_>>()[..] else {
+                    panic!("one {name} span: {summary:?}");
+                };
+                assert_eq!(stage.duration_us(), us, "{name}: {summary:?}");
+                stages_seen += 1;
+            }
+            let segments: u64 = span("segment_answer").map(|s| s.duration_us()).sum();
+            assert_eq!(segments, segment_us() - before, "{summary:?}");
+        }
+        assert_eq!(stages_seen, 3 * mixed_batch().len() + 1);
     }
 
     #[test]
@@ -1033,15 +1063,15 @@ mod tests {
         let batch = [cheap, expensive, threshold(b"BA")];
         for (_, summary) in service.query_requests_traced(&batch, &[]) {
             let summary = summary.expect("trace recorded at 100%");
-            let stage_sum: u64 = summary.stages.iter().map(|(_, us)| us).sum();
-            assert!(stage_sum <= summary.duration_us, "{summary:?}");
-            let roots = summary.spans.iter().filter(|s| s.name == "request");
+            let (trace, stage_sum) = (&summary.trace, summary.stages.iter().map(|(_, us)| us));
+            assert!(stage_sum.sum::<u64>() <= trace.duration_us, "{summary:?}");
+            let roots = trace.spans.iter().filter(|s| s.name == "request");
             let [root] = roots.collect::<Vec<_>>()[..] else {
                 panic!("one root a request: {summary:?}");
             };
-            assert_eq!(root.duration_us(), summary.duration_us);
-            for span in &summary.spans {
-                assert_eq!(span.trace_id, summary.trace_id);
+            assert_eq!(root.duration_us(), trace.duration_us);
+            for span in &trace.spans {
+                assert_eq!(span.trace_id, trace.trace_id);
                 assert!(
                     root.start_ns <= span.start_ns && span.end_ns <= root.end_ns,
                     "{} outside its root: {summary:?}",

@@ -32,13 +32,13 @@ thread_local! {
     static TL_COLD_SCANS: Cell<u64> = const { Cell::new(0) };
 }
 
-/// Which execution path performed a scan: the precomputed flat
-/// probability plane, or the cold per-candidate DP fallback.
+/// Which execution path performed a scan. Both verify through the flat
+/// probability plane; they differ in who picks the candidates.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ScanPath {
-    /// Plane-backed verification (the paper's indexed fast path).
+    /// An index's candidates (the paper's indexed path).
     Plane,
-    /// Cold scan without plane reuse.
+    /// Every window of a document no index serves (`ScanIndex`).
     Cold,
 }
 
