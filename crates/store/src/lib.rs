@@ -733,7 +733,27 @@ mod tests {
         (header.payload_len, header.checksum)
     }
 
-    /// The version-4 payloads of four fixtures, byte for byte. The one
+    /// A model with one correlation (one, so the set's iteration order is
+    /// fixed) whose subject's only choice is exactly 1.0, and a single
+    /// choice just below 1.0.
+    fn correlated() -> UncertainString {
+        let mut s = UncertainString::parse("A:.6,B:.4 | C | A:.999999999999 | B:.5,C:.5").unwrap();
+        let mut corrs = ustr_uncertain::CorrelationSet::new();
+        corrs
+            .add(Correlation {
+                subject_pos: 1,
+                subject_char: b'C',
+                cond_pos: 0,
+                cond_char: b'A',
+                p_present: 0.9,
+                p_absent: 0.7,
+            })
+            .unwrap();
+        s.set_correlations(corrs).unwrap();
+        s
+    }
+
+    /// The version-4 payloads of six fixtures, byte for byte. The one
     /// nondeterministic field, `build_time`, is set to zero through the
     /// public state struct; everything else — source, maps, text, SA, LCP,
     /// `C`, mask words, champions, links — is what the checksums cover.
@@ -770,6 +790,25 @@ mod tests {
         assert_eq!(
             pinned(&ListingIndex::from_snapshot(state).unwrap()),
             (4492, 12559329278673171099)
+        );
+
+        // The same bytes after the model went through a correlation, a
+        // near-1.0 single choice and a correlated certain position.
+        let mut state = Index::build(&correlated(), 0.1).unwrap().to_snapshot();
+        state.stats.build_time = Duration::ZERO;
+        assert_eq!(
+            pinned(&Index::from_snapshot(state).unwrap()),
+            (1174, 16954804211335782515)
+        );
+        let docs = vec![
+            correlated(),
+            UncertainString::parse("A:.6,C:.4 | B:.5,F:.3,E:.2 | B").unwrap(),
+        ];
+        let mut state = ListingIndex::build(&docs, 0.05).unwrap().to_snapshot();
+        state.stats.build_time = Duration::ZERO;
+        assert_eq!(
+            pinned(&ListingIndex::from_snapshot(state).unwrap()),
+            (2439, 4951141584431304618)
         );
     }
 
