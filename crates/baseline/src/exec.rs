@@ -1,9 +1,10 @@
 //! [`ScanIndex`]: the scan-based per-document executor.
 //!
-//! Wraps one [`UncertainString`] and answers the per-document queries
+//! Answers the per-document queries over one [`UncertainString`]
 //! (threshold, top-k) by scanning instead of building the paper's index.
 //! Construction builds only the flat [`ProbPlane`] — no transform, no
-//! suffix tree — which is exactly what a live memtable needs: a freshly
+//! suffix tree, and no copy of the string: the plane is the model — which
+//! is exactly what a live memtable needs: a freshly
 //! ingested document is queryable immediately, and the answers are
 //! **bit-identical** to what a built [`ustr_core::Index`] over the same
 //! document at the same `τmin` returns (both report canonical
@@ -28,29 +29,26 @@ use ustr_uncertain::{canon, MatchKernel, ProbPlane, UncertainString};
 /// [`ustr_core::Index`] (see the module docs).
 #[derive(Debug, Clone)]
 pub struct ScanIndex {
-    doc: UncertainString,
     plane: ProbPlane,
     tau_min: f64,
 }
 
 impl ScanIndex {
-    /// Wraps `doc` with the construction threshold `tau_min ∈ (0, 1]` (the
+    /// Serves `doc` with the construction threshold `tau_min ∈ (0, 1]` (the
     /// same value an [`ustr_core::Index`] would be built with).
-    pub fn new(doc: UncertainString, tau_min: f64) -> Result<Self, Error> {
+    pub fn new(doc: &UncertainString, tau_min: f64) -> Result<Self, Error> {
         if !canon::valid_tau(tau_min) {
             return Err(Error::InvalidThreshold { value: tau_min });
         }
-        let plane = ProbPlane::build(&doc);
         Ok(Self {
-            doc,
-            plane,
+            plane: ProbPlane::build(doc),
             tau_min,
         })
     }
 
-    /// The wrapped document.
-    pub fn source(&self) -> &UncertainString {
-        &self.doc
+    /// The served document, rebuilt bit for bit from the plane.
+    pub fn to_source(&self) -> UncertainString {
+        self.plane.to_model()
     }
 
     /// The document's flat verification plane.
@@ -64,7 +62,7 @@ impl ScanIndex {
     /// Equivalent to `NaiveScanner::find_with_probs` + retain, bit for bit.
     fn scan(&self, kernel: &MatchKernel<'_>, pattern: &[u8], tau: f64) -> Vec<(usize, f64)> {
         let m = pattern.len();
-        let n = self.doc.len();
+        let n = self.plane.len();
         let mut hits = Vec::new();
         if m == 0 || m > n {
             return hits;
@@ -145,7 +143,7 @@ mod tests {
     #[test]
     fn threshold_hits_are_bit_identical_to_an_index() {
         let s = figure_3_string();
-        let scan = ScanIndex::new(s.clone(), 0.05).unwrap();
+        let scan = ScanIndex::new(&s, 0.05).unwrap();
         let idx = Index::build(&s, 0.05).unwrap();
         for pattern in [&b"AT"[..], b"P", b"FP", b"SFPQ", b"ZZ"] {
             for tau in [0.05, 0.1, 0.4, 0.9] {
@@ -161,7 +159,7 @@ mod tests {
     #[test]
     fn top_k_is_bit_identical_to_an_index() {
         let s = figure_3_string();
-        let scan = ScanIndex::new(s.clone(), 0.05).unwrap();
+        let scan = ScanIndex::new(&s, 0.05).unwrap();
         let idx = Index::build(&s, 0.05).unwrap();
         for pattern in [&b"P"[..], b"AT", b"T", b"F"] {
             // The last two: `k` is unvalidated wire input, never a capacity.
@@ -179,7 +177,7 @@ mod tests {
     fn top_k_tie_break_is_positional_under_equal_probabilities() {
         // "ABABAB" deterministic: every "AB" occurrence has p = 1 exactly.
         let s = UncertainString::deterministic(b"ABABAB");
-        let scan = ScanIndex::new(s.clone(), 0.5).unwrap();
+        let scan = ScanIndex::new(&s, 0.5).unwrap();
         let idx = Index::build(&s, 0.5).unwrap();
         let got = scan.top_k_hits(b"AB", 2).unwrap();
         assert_eq!(got, vec![(0, 1.0), (2, 1.0)], "smallest positions win");
@@ -203,7 +201,7 @@ mod tests {
         })
         .unwrap();
         s.set_correlations(set).unwrap();
-        let scan = ScanIndex::new(s.clone(), 0.05).unwrap();
+        let scan = ScanIndex::new(&s, 0.05).unwrap();
         let idx = Index::build(&s, 0.05).unwrap();
         for pattern in [&b"AT"[..], b"T", b"A"] {
             for tau in [0.05, 0.2, 0.5] {
@@ -225,7 +223,7 @@ mod tests {
 
     #[test]
     fn validation_matches_the_index_layer() {
-        let scan = ScanIndex::new(figure_3_string(), 0.2).unwrap();
+        let scan = ScanIndex::new(&figure_3_string(), 0.2).unwrap();
         assert!(matches!(
             scan.threshold_hits(b"", 0.5),
             Err(Error::EmptyPattern)
@@ -239,7 +237,7 @@ mod tests {
             Err(Error::PatternContainsSentinel)
         ));
         assert!(matches!(
-            ScanIndex::new(figure_3_string(), 0.0),
+            ScanIndex::new(&figure_3_string(), 0.0),
             Err(Error::InvalidThreshold { .. })
         ));
     }

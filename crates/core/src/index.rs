@@ -33,9 +33,9 @@ const _: () = assert!(NO_POSITION == NO_KEY);
 /// assert_eq!(idx.query(b"QP", 0.4).unwrap().positions(), vec![0]);
 /// ```
 pub struct Index {
-    source: UncertainString,
-    /// Flat verification plane over `source` — derived state, rebuilt on
-    /// construction and snapshot load, never persisted.
+    /// The one in-memory copy of the source model, and its verification
+    /// kernel — rebuilt on load from the snapshot's string, which
+    /// [`Index::to_snapshot`] materializes again (formats are untouched).
     plane: ProbPlane,
     /// Lemma-2 position map, all that is kept of the transform beside the
     /// substrate: text position → source position, [`NO_POSITION`] at separators.
@@ -66,7 +66,6 @@ impl Index {
             ..Default::default()
         };
         let mut idx = Self {
-            source: source.clone(),
             plane: ProbPlane::build(source),
             pos,
             substrate,
@@ -88,7 +87,7 @@ impl Index {
     /// [`crate::snapshot`]). The byte encoding lives in `ustr-store`.
     pub fn to_snapshot(&self) -> IndexState {
         IndexState {
-            source: self.source.clone(),
+            source: self.plane.to_model(),
             pos: self.pos.clone(),
             substrate: self.substrate.to_state(),
             tau_min: self.tau_min,
@@ -98,7 +97,8 @@ impl Index {
 
     /// Reassembles an index from snapshot state. Rebuilds only the cheap
     /// derived structures (suffix-tree child table from the LCP array, RMQ
-    /// champion values from the cumulative array); the result answers every query
+    /// champion values from the cumulative array, the plane from the
+    /// source, which is then dropped); the result answers every query
     /// identically to the index the snapshot was taken from. Fails with
     /// [`Error::InvalidSnapshot`] on structurally inconsistent state.
     pub fn from_snapshot(state: IndexState) -> Result<Self, Error> {
@@ -117,10 +117,8 @@ impl Index {
             return Err(invalid("tau_min outside (0, 1]"));
         }
         let substrate = Substrate::from_state(state.substrate)?;
-        let plane = ProbPlane::build(&state.source);
         let mut idx = Self {
-            source: state.source,
-            plane,
+            plane: ProbPlane::build(&state.source),
             pos: state.pos,
             substrate,
             tau_min: state.tau_min,
@@ -135,9 +133,9 @@ impl Index {
         &self.stats
     }
 
-    /// The source uncertain string.
-    pub fn source(&self) -> &UncertainString {
-        &self.source
+    /// The source uncertain string, rebuilt bit for bit from the plane.
+    pub fn to_source(&self) -> UncertainString {
+        self.plane.to_model()
     }
 
     /// Source position of the suffix starting at text position `x`, if it
@@ -218,7 +216,7 @@ impl Index {
         let Some((l, r)) = self.substrate.range(pattern) else {
             return Ok(Vec::new());
         };
-        if !self.source.correlations().is_empty() {
+        if self.plane.has_correlations() {
             // Stored values are only *upper bounds* under correlation —
             // arbitrarily far from the canonical probabilities, so neither
             // the best-first cut nor the tie-closure test below is sound.
@@ -274,7 +272,8 @@ impl Index {
 
     /// Heap bytes held, per structure: a `(name, bytes)` row for every
     /// array the index keeps, each counted by capacity. The rows are the
-    /// whole footprint — [`Index::heap_size`] is their sum.
+    /// whole footprint, the model included (the plane is its one copy) —
+    /// [`Index::heap_size`] is their sum.
     pub fn heap_breakdown(&self) -> [(&'static str, usize); 7] {
         let [arrays, child_table, cum, short, long] = self.substrate.heap_breakdown();
         [
@@ -287,7 +286,7 @@ impl Index {
                 "position map",
                 self.pos.capacity() * std::mem::size_of::<u32>(),
             ),
-            ("verification plane", self.plane.heap_size()),
+            ("model (plane)", self.plane.heap_size()),
         ]
     }
 

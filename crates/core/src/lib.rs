@@ -52,23 +52,28 @@
 //! # Space
 //!
 //! The substrate holds the only copy of the transformed text and its
-//! probabilities. What an [`Index`] keeps per *source* position on the
-//! benchmark's `paper-string` workload (n = 100 000, 948 400 slots) — the
-//! rows of [`Index::heap_breakdown`], which `ustr stats FILE` prints and
-//! `tests/space_budget.rs` pins — before (PR 21) → after the suffix tree
-//! dropped its node arena for a child table and the levels their sparse
-//! tables for the linear-space block RMQ (PR 23):
+//! probabilities, and the verification plane the only copy of the source
+//! model. What an [`Index`] keeps per *source* position on the benchmark's
+//! `paper-string` workload (n = 100 000, 948 400 slots) — the rows of
+//! [`Index::heap_breakdown`], which `ustr stats FILE` prints and
+//! `tests/space_budget.rs` pins — at PR 21; after the suffix tree dropped
+//! its node arena for a child table and the levels their sparse tables for
+//! the linear-space block RMQ (PR 23); and after the plane became the model
+//! (PR 26): probability rows only at the 30 % uncertain positions, their
+//! choices verbatim, and no `UncertainString` beside it. The tables before
+//! PR 26 left that source copy out: the last row, by a counting allocator.
 //!
-//! | structure | B/position |
-//! |---|---|
-//! | text + SA + LCP | 85.4 |
-//! | suffix-tree nodes + CSR children → child table | 293.0 → 37.9 |
-//! | cumulative array `C` (prefix sums, separator counts) | 113.8 |
-//! | short levels (masks, champions, RMQ over champion values) | 200.4 → 84.7 |
-//! | long levels (champions, RMQ over champion values) | 59.2 → 19.6 |
-//! | position map | 37.9 |
-//! | verification plane over the source | 184.0 |
-//! | **`Index::heap_size()`** | **973.9 → 563.3** |
+//! | structure | PR 21 | PR 23 | PR 26 |
+//! |---|---|---|---|
+//! | text + SA + LCP | 85.4 | 85.4 | 85.4 |
+//! | suffix-tree nodes + CSR children → child table | 293.0 | 37.9 | 37.9 |
+//! | cumulative array `C` (prefix sums, separator counts) | 113.8 | 113.8 | 113.8 |
+//! | short levels (masks, champions, RMQ over champion values) | 200.4 | 84.7 | 84.7 |
+//! | long levels (champions, RMQ over champion values) | 59.2 | 19.6 | 19.6 |
+//! | position map | 37.9 | 37.9 | 37.9 |
+//! | model (plane) | 184.0 | 184.0 | 75.0 |
+//! | **`Index::heap_size()`** | **973.9** | **563.3** | **454.3** |
+//! | source copy beside the plane, uncounted | 57.8 | 57.8 | — |
 //!
 //! And an [`ApproxIndex`] on the same string (1 944 732 links) — the rows of
 //! [`ApproxIndex::heap_breakdown`] — before → after PR 24 made everything

@@ -53,9 +53,10 @@ pub struct ListingHit {
 /// assert_eq!(hits[0].doc, 0);
 /// ```
 pub struct ListingIndex {
-    docs: Vec<UncertainString>,
-    /// Per-document flat verification planes — derived state, rebuilt on
-    /// construction and snapshot load, never persisted.
+    /// Per-document flat verification planes, the one in-memory copy of
+    /// each document's model — rebuilt on load from the snapshot's strings,
+    /// which [`ListingIndex::to_snapshot`] materializes again (formats are
+    /// untouched).
     planes: Vec<ProbPlane>,
     substrate: Substrate,
     /// X position → document id (`u32::MAX` at separators).
@@ -140,7 +141,6 @@ impl ListingIndex {
             ..Default::default()
         };
         let mut idx = Self {
-            docs: docs.to_vec(),
             planes: docs.iter().map(ProbPlane::build).collect(),
             substrate,
             doc_of,
@@ -157,7 +157,7 @@ impl ListingIndex {
 
     /// Number of strings in the collection.
     pub fn num_docs(&self) -> usize {
-        self.docs.len()
+        self.planes.len()
     }
 
     /// The construction-time threshold.
@@ -174,7 +174,7 @@ impl ListingIndex {
     /// [`crate::snapshot`]).
     pub fn to_snapshot(&self) -> ListingIndexState {
         ListingIndexState {
-            docs: self.docs.clone(),
+            docs: self.planes.iter().map(ProbPlane::to_model).collect(),
             substrate: self.substrate.to_state(),
             doc_of: self.doc_of.clone(),
             src_of: self.src_of.clone(),
@@ -207,10 +207,8 @@ impl ListingIndex {
         }
         let has_correlations = state.docs.iter().any(|d| !d.correlations().is_empty());
         let substrate = Substrate::from_state(state.substrate)?;
-        let planes = state.docs.iter().map(ProbPlane::build).collect();
         let mut idx = Self {
-            docs: state.docs,
-            planes,
+            planes: state.docs.iter().map(ProbPlane::build).collect(),
             substrate,
             doc_of: state.doc_of,
             src_of: state.src_of,
@@ -399,10 +397,12 @@ impl ListingIndex {
         Ok(out)
     }
 
-    /// Approximate heap footprint in bytes.
+    /// Approximate heap footprint in bytes: everything the index holds,
+    /// the documents' models included (their planes are their one copy).
     pub fn heap_size(&self) -> usize {
         use std::mem::size_of;
         self.substrate.heap_size()
+            + self.planes.capacity() * size_of::<ProbPlane>()
             + self.planes.iter().map(ProbPlane::heap_size).sum::<usize>()
             + (self.doc_of.capacity() + self.src_of.capacity()) * size_of::<u32>()
     }

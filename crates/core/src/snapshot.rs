@@ -6,7 +6,10 @@
 //! `from_snapshot`) holding exactly the query-critical state, each array
 //! once (so assembly checks that the one copy is valid, never that two agree):
 //!
-//! * the source model (uncertain string(s), correlations),
+//! * the source model (uncertain string(s), correlations) — in memory an
+//!   index holds it only as its verification plane(s), so `to_snapshot`
+//!   rebuilds the strings bit for bit and `from_snapshot` builds the planes
+//!   from them and drops them,
 //! * the paper's §4 machinery as one [`SubstrateState`], the same shape in
 //!   every index that has it:
 //!   * a [`ScoredTextState`] — the **only copy** of the deterministic text

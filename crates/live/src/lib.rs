@@ -517,7 +517,8 @@ impl Inner {
             if !docs.is_empty() {
                 let built = (docs.iter())
                     .map(|(id, exec)| {
-                        let built = DocExecutor::build(exec.source(), self.tau_min, self.epsilon)?;
+                        let built =
+                            DocExecutor::build(&exec.to_source(), self.tau_min, self.epsilon)?;
                         Ok((*id, Arc::new(built)))
                     })
                     .collect::<Result<Vec<_>, Error>>()?;
@@ -818,7 +819,7 @@ impl LiveService {
             }
             match &record.op {
                 WalOp::Insert { doc, body } => {
-                    let scan = ScanIndex::new(body.clone(), tau_min)?;
+                    let scan = ScanIndex::new(body, tau_min)?;
                     memtable.push((*doc, Arc::new(DocExecutor::Scanned(scan))));
                     next_doc_id = next_doc_id.max(doc + 1);
                 }
@@ -969,7 +970,7 @@ impl LiveService {
     /// background seal per [`LiveConfig::seal_threshold`].
     pub fn insert(&self, body: UncertainString) -> Result<u64, LiveError> {
         self.check_background()?;
-        let scan = ScanIndex::new(body.clone(), self.inner.tau_min)?;
+        let scan = ScanIndex::new(&body, self.inner.tau_min)?;
         let mut st = lock_clean(&self.inner.state);
         let id = st.next_doc_id;
         self.inner
@@ -1115,7 +1116,7 @@ impl LiveService {
             .runs()
             .flatten()
             .filter(|(id, _)| !st.tombstones.contains(id))
-            .map(|(id, d)| (*id, d.source().clone()))
+            .map(|(id, d)| (*id, d.to_source()))
             .collect();
         docs.sort_by_key(|&(id, _)| id);
         docs

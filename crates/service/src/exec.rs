@@ -72,11 +72,12 @@ impl DocExecutor {
         Ok(DocExecutor::Built { index, approx })
     }
 
-    /// The document this executor answers for.
-    pub fn source(&self) -> &UncertainString {
+    /// The document this executor answers for, rebuilt bit for bit from
+    /// its plane.
+    pub fn to_source(&self) -> UncertainString {
         match self {
-            DocExecutor::Built { index, .. } => index.source(),
-            DocExecutor::Scanned(scan) => scan.source(),
+            DocExecutor::Built { index, .. } => index.to_source(),
+            DocExecutor::Scanned(scan) => scan.to_source(),
         }
     }
 

@@ -66,6 +66,12 @@ impl UncertainChar {
         }
     }
 
+    /// Rebuilds a position from choices that were validated when it was
+    /// first built (already sorted by byte).
+    pub(crate) fn from_validated(choices: Vec<(u8, f64)>) -> Self {
+        Self { choices }
+    }
+
     /// The choices, sorted by character byte.
     pub fn choices(&self) -> &[(u8, f64)] {
         &self.choices

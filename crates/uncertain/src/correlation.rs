@@ -119,6 +119,11 @@ impl CorrelationSet {
         self.by_subject.values()
     }
 
+    /// Approximate heap footprint in bytes (the table's slots, by capacity).
+    pub(crate) fn heap_size(&self) -> usize {
+        self.by_subject.capacity() * std::mem::size_of::<((usize, u8), Correlation)>()
+    }
+
     /// Returns `true` when any correlation's subject lies at `pos`.
     pub fn has_subject_at(&self, pos: usize) -> bool {
         self.by_subject.keys().any(|&(p, _)| p == pos)

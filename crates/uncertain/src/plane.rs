@@ -1,5 +1,5 @@
 //! Flat probability planes: the zero-allocation verification kernel behind
-//! every query hot path.
+//! every query hot path, and the one in-memory copy of a document's model.
 //!
 //! Per-candidate verification (`UncertainString::log_match_probability`)
 //! walks a `Vec<UncertainChar>` of per-position heap `Vec<(u8, f64)>`
@@ -10,13 +10,16 @@
 //! work on weighted sequences stores position × character probabilities:
 //!
 //! * [`ProbPlane`] — built once per document. The live alphabet is remapped
-//!   to ranks `0..σ` and the **natural-log** probabilities are stored as one
-//!   contiguous row-major `pos × σ` table (a CSR layout is used instead
-//!   when σ is large and the rows are sparse). Sidecars: per-character
-//!   *presence bitmaps* (which positions can produce a character at all),
-//!   a *deterministic-position* bitmask with the flattened deterministic
-//!   bytes, and a *correlation-subject* bitmask over the handful of
-//!   correlated positions.
+//!   to ranks `0..σ`. A *deterministic-position* bitmask with the flattened
+//!   deterministic bytes answers every certain position; the **natural-log**
+//!   probabilities are stored only for the others, as one contiguous
+//!   row-major `row × σ` table (a CSR layout is used instead when σ is large
+//!   and the rows are sparse), a row found by rank over the bitmask. Beside
+//!   them: the same positions' `(byte, p)` choices verbatim and the
+//!   correlations, so [`ProbPlane::to_model`] gives the model back bit for
+//!   bit; per-character *presence bitmaps* (which positions can produce a
+//!   character at all); and a *correlation-subject* bitmask over the
+//!   handful of correlated positions.
 //! * [`MatchKernel`] — a per-query view that remaps the pattern to ranks
 //!   **once**, then evaluates every candidate window as a tight flat-array
 //!   loop with first-impossible-factor early exit. Pattern rank scratch
@@ -37,19 +40,22 @@
 
 use std::cell::RefCell;
 
-use crate::{log_meets_threshold, string::UncertainString};
+use crate::{
+    chars::UncertainChar, correlation::CorrelationSet, log_meets_threshold, string::UncertainString,
+};
 
-/// Rank value meaning "this byte never occurs in the document".
-pub const RANK_NONE: u16 = u16::MAX;
+/// Rank value meaning "this byte never occurs in the document" (byte 0 is
+/// the reserved sentinel, so σ ≤ 255 and every live rank is below it).
+pub const RANK_NONE: u8 = u8::MAX;
 
 /// Dense layout is always used up to this alphabet size (covers IUPAC DNA
 /// at σ ≤ 16 and protein at σ ≤ 25 — the workloads the kernel targets; a
 /// dense row costs one indexed load where CSR costs a chain of them, and
 /// CSR measured slower on protein windows even with the deterministic
 /// byte sidecar absorbing the single-choice positions). The deliberate
-/// trade: up to `32 × 8 = 256` bytes of mostly-`−∞` cells per position on
-/// sparse documents, bounded by this cap, in exchange for one-load
-/// verification at the uncertain positions.
+/// trade: up to `32 × 8 = 256` bytes of mostly-`−∞` cells per uncertain
+/// position on sparse documents, bounded by this cap, in exchange for
+/// one-load verification there.
 const DENSE_SIGMA_MAX: usize = 32;
 /// Dense layout is always used when the whole table stays below this many
 /// cells (512 KiB of `f64`) — small documents never pay CSR indirection.
@@ -76,26 +82,13 @@ struct PlaneCorrelation {
     ln_outside: f64,
 }
 
-/// Probability storage: dense row-major `pos × σ`, or CSR rows when the
-/// dense table would be large *and* mostly `−∞`.
-#[derive(Debug, Clone)]
-enum Storage {
-    /// `logs[pos * sigma + rank]` = `ln pr(char(rank) at pos)`, `−∞` absent.
-    Dense(Vec<f64>),
-    /// Compressed sparse rows: `row_start[pos]..row_start[pos + 1]` indexes
-    /// `ranks`/`logs`, ranks ascending within a row.
-    Csr {
-        row_start: Vec<u32>,
-        ranks: Vec<u16>,
-        logs: Vec<f64>,
-    },
-}
-
 /// A flat, rank-remapped view of one [`UncertainString`]'s probabilities,
 /// built once per document and shared by every query against it.
 ///
-/// Purely *derived* state: rebuilt from the model on construction and on
-/// snapshot load, never persisted.
+/// The one in-memory copy of the model: an index keeps the plane and not
+/// the string, rebuilds the plane on load from the snapshot's string, and
+/// gets the string back from [`ProbPlane::to_model`] when it writes one —
+/// the snapshot formats are untouched.
 ///
 /// ```
 /// use ustr_uncertain::{ProbPlane, UncertainString};
@@ -108,6 +101,7 @@ enum Storage {
 ///         s.log_match_probability(b"AC", 0).to_bits(),
 ///     );
 /// });
+/// assert_eq!(plane.to_model(), s);
 /// ```
 #[derive(Debug, Clone)]
 pub struct ProbPlane {
@@ -116,10 +110,25 @@ pub struct ProbPlane {
     /// Live alphabet size.
     sigma: usize,
     /// Byte → rank (`RANK_NONE` when the byte never occurs).
-    rank_of: Box<[u16; 256]>,
+    rank_of: Box<[u8; 256]>,
     /// Rank → byte, ascending.
     alphabet: Vec<u8>,
-    storage: Storage,
+    /// `ln p` of the non-det positions (those clear in `det_mask`), one row
+    /// each in position order: `sigma` cells per row, `−∞` where absent
+    /// (dense), or one cell per choice, parallel to `choice_bytes` (CSR).
+    logs: Vec<f64>,
+    dense: bool,
+    /// Non-det positions before each 64-position word of `det_mask`: a
+    /// position's row is this plus a popcount within its word.
+    row_base: Vec<u32>,
+    /// The non-det positions' choices verbatim, one row each:
+    /// `choice_start[r]..choice_start[r + 1]` indexes `choice_bytes` /
+    /// `choice_probs`, bytes ascending within a row.
+    choice_start: Vec<u32>,
+    choice_bytes: Vec<u8>,
+    choice_probs: Vec<f64>,
+    /// The model's correlations, kept as they came.
+    correlations: CorrelationSet,
     /// `sigma` presence rows of `words_per_row` words each: bit `p` of row
     /// `r` is set when `char(r)` has nonzero probability at position `p`.
     presence: Vec<u64>,
@@ -133,7 +142,8 @@ pub struct ProbPlane {
     /// actually loads (one `u32` per candidate instead of a word fold).
     det_run: Vec<u32>,
     /// The deterministic byte at det positions (`0`, the reserved sentinel,
-    /// elsewhere) — lets an all-deterministic window verify by byte compare.
+    /// elsewhere) — lets an all-deterministic window verify by byte compare,
+    /// and is all the plane keeps of a det position.
     det_chars: Vec<u8>,
     /// Bit `p` set when any correlation subject lives at position `p`.
     corr_mask: Vec<u64>,
@@ -148,7 +158,13 @@ thread_local! {
     /// Reusable pattern→rank scratch. Taken (not borrowed) around kernel
     /// use so nested kernels degrade to a fresh allocation instead of a
     /// re-borrow panic.
-    static RANK_SCRATCH: RefCell<Vec<u16>> = const { RefCell::new(Vec::new()) };
+    static RANK_SCRATCH: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Bit `i` of a bitmap.
+#[inline]
+fn bit(words: &[u64], i: usize) -> bool {
+    words[i / 64] >> (i % 64) & 1 == 1
 }
 
 impl ProbPlane {
@@ -156,13 +172,26 @@ impl ProbPlane {
     /// the alphabet size and choice density; both answer identically.
     pub fn build(source: &UncertainString) -> Self {
         let n = source.len();
-        let mut rank_of: Box<[u16; 256]> = Box::new([RANK_NONE; 256]);
+        let words_per_row = n.div_ceil(64);
+        let corrs = source.correlations();
+        let mut corr_mask = vec![0u64; words_per_row];
+        for c in corrs.iter() {
+            corr_mask[c.subject_pos / 64] |= 1u64 << (c.subject_pos % 64);
+        }
+        let det_char = |i: usize, p: &UncertainChar| match p.choices() {
+            &[(c, pr)] if pr.to_bits() == 1.0f64.to_bits() && !bit(&corr_mask, i) => Some(c),
+            _ => None,
+        };
+
         let mut seen = [false; 256];
-        let mut entries = 0usize;
-        for p in source.positions() {
+        let (mut rows, mut entries) = (0usize, 0usize);
+        for (i, p) in source.positions().iter().enumerate() {
             for &(c, _) in p.choices() {
                 seen[c as usize] = true;
-                entries += 1;
+            }
+            if det_char(i, p).is_none() {
+                rows += 1;
+                entries += p.num_choices();
             }
         }
         let alphabet: Vec<u8> = (0u16..256)
@@ -170,69 +199,58 @@ impl ProbPlane {
             .map(|c| c as u8)
             .collect();
         let sigma = alphabet.len();
+        let mut rank_of: Box<[u8; 256]> = Box::new([RANK_NONE; 256]);
         for (r, &c) in alphabet.iter().enumerate() {
-            rank_of[c as usize] = r as u16;
+            rank_of[c as usize] = r as u8;
         }
 
-        let cells = n * sigma;
+        let cells = rows * sigma;
         let dense = sigma <= DENSE_SIGMA_MAX || cells <= DENSE_CELLS_SMALL || entries * 2 >= cells;
-        let storage = if dense {
-            let mut logs = vec![f64::NEG_INFINITY; cells];
-            for (i, p) in source.positions().iter().enumerate() {
-                let row = &mut logs[i * sigma..(i + 1) * sigma];
-                for &(c, pr) in p.choices() {
-                    row[rank_of[c as usize] as usize] = pr.ln();
-                }
-            }
-            Storage::Dense(logs)
+        let mut logs = if dense {
+            vec![f64::NEG_INFINITY; cells]
         } else {
-            let mut row_start = Vec::with_capacity(n + 1);
-            let mut ranks = Vec::with_capacity(entries);
-            let mut logs = Vec::with_capacity(entries);
-            row_start.push(0u32);
-            for p in source.positions() {
-                // Choices are sorted by byte, and rank order is byte order,
-                // so each CSR row comes out rank-ascending for free.
-                for &(c, pr) in p.choices() {
-                    ranks.push(rank_of[c as usize]);
-                    logs.push(pr.ln());
-                }
-                row_start.push(ranks.len() as u32);
-            }
-            Storage::Csr {
-                row_start,
-                ranks,
-                logs,
-            }
+            Vec::with_capacity(entries)
         };
-
-        let words_per_row = n.div_ceil(64);
+        let mut row_base = Vec::with_capacity(words_per_row);
+        let mut choice_start = Vec::with_capacity(rows + 1);
+        let mut choice_bytes = Vec::with_capacity(entries);
+        let mut choice_probs = Vec::with_capacity(entries);
+        choice_start.push(0u32);
         let mut presence = vec![0u64; sigma * words_per_row];
+        let mut det_mask = vec![0u64; words_per_row];
+        let mut det_chars = vec![0u8; n];
         for (i, p) in source.positions().iter().enumerate() {
+            if i % 64 == 0 {
+                row_base.push((choice_start.len() - 1) as u32);
+            }
             for &(c, _) in p.choices() {
                 let r = rank_of[c as usize] as usize;
                 presence[r * words_per_row + i / 64] |= 1u64 << (i % 64);
             }
-        }
-
-        let corrs = source.correlations();
-        let mut det_mask = vec![0u64; words_per_row];
-        let mut det_chars = vec![0u8; n];
-        for (i, p) in source.positions().iter().enumerate() {
-            let choices = p.choices();
-            if choices.len() == 1
-                && choices[0].1.to_bits() == 1.0f64.to_bits()
-                && !corrs.has_subject_at(i)
-            {
+            if let Some(c) = det_char(i, p) {
                 det_mask[i / 64] |= 1u64 << (i % 64);
-                det_chars[i] = choices[0].0;
+                det_chars[i] = c;
+                continue;
             }
+            let row = choice_start.len() - 1;
+            // Choices are sorted by byte, so each CSR row comes out
+            // byte-ascending for free (the lookup's early break needs it).
+            for &(c, pr) in p.choices() {
+                choice_bytes.push(c);
+                choice_probs.push(pr);
+                if dense {
+                    logs[row * sigma + rank_of[c as usize] as usize] = pr.ln();
+                } else {
+                    logs.push(pr.ln());
+                }
+            }
+            choice_start.push(choice_bytes.len() as u32);
         }
 
         let mut det_run = vec![0u32; n];
         let mut run = 0u32;
         for i in (0..n).rev() {
-            run = if det_mask[i / 64] >> (i % 64) & 1 == 1 {
+            run = if bit(&det_mask, i) {
                 run.saturating_add(1)
             } else {
                 0
@@ -240,7 +258,6 @@ impl ProbPlane {
             det_run[i] = run;
         }
 
-        let mut corr_mask = vec![0u64; words_per_row];
         let mut corr: Vec<PlaneCorrelation> = corrs
             .iter()
             .map(|c| {
@@ -261,16 +278,13 @@ impl ProbPlane {
             })
             .collect();
         corr.sort_unstable_by_key(|c| (c.pos, c.ch));
-        for c in &corr {
-            corr_mask[c.pos as usize / 64] |= 1u64 << (c.pos % 64);
-        }
         let corr_run = if corr.is_empty() {
             Vec::new()
         } else {
             let mut corr_run = vec![0u32; n];
             let mut run = 0u32;
             for i in (0..n).rev() {
-                run = if corr_mask[i / 64] >> (i % 64) & 1 == 1 {
+                run = if bit(&corr_mask, i) {
                     0
                 } else {
                     run.saturating_add(1)
@@ -285,7 +299,13 @@ impl ProbPlane {
             sigma,
             rank_of,
             alphabet,
-            storage,
+            logs,
+            dense,
+            row_base,
+            choice_start,
+            choice_bytes,
+            choice_probs,
+            correlations: corrs.clone(),
             presence,
             words_per_row,
             det_mask,
@@ -295,6 +315,26 @@ impl ProbPlane {
             corr_run,
             corr,
         }
+    }
+
+    /// The model this plane was built from, bit for bit: every choice's
+    /// byte and probability, and the same correlations.
+    pub fn to_model(&self) -> UncertainString {
+        let mut row = 0;
+        let positions = (self.det_chars.iter())
+            .map(|&d| {
+                if d != 0 {
+                    return UncertainChar::deterministic(d);
+                }
+                let span = self.choice_start[row] as usize..self.choice_start[row + 1] as usize;
+                row += 1;
+                let bytes = self.choice_bytes[span.clone()].iter().copied();
+                UncertainChar::from_validated(
+                    bytes.zip(self.choice_probs[span].iter().copied()).collect(),
+                )
+            })
+            .collect();
+        UncertainString::from_validated(positions, self.correlations.clone())
     }
 
     /// Number of positions.
@@ -317,9 +357,14 @@ impl ProbPlane {
         &self.alphabet
     }
 
+    /// `true` when the model has any correlation.
+    pub fn has_correlations(&self) -> bool {
+        !self.corr.is_empty()
+    }
+
     /// Rank of `ch`, or `None` when the byte never occurs in the document.
     #[inline]
-    pub fn rank(&self, ch: u8) -> Option<u16> {
+    pub fn rank(&self, ch: u8) -> Option<u8> {
         match self.rank_of[ch as usize] {
             RANK_NONE => None,
             r => Some(r),
@@ -329,37 +374,46 @@ impl ProbPlane {
     /// `true` when the plane uses the dense row-major table (as opposed to
     /// the CSR fallback for large sparse alphabets).
     pub fn is_dense(&self) -> bool {
-        matches!(self.storage, Storage::Dense(_))
+        self.dense
     }
 
     /// `ln pr(char(rank) at pos)`; `−∞` when absent (or `rank` is
-    /// [`RANK_NONE`]).
+    /// [`RANK_NONE`]). A det position answers from its byte: `0.0` or `−∞`.
     #[inline]
-    pub fn log_prob(&self, pos: usize, rank: u16) -> f64 {
-        if rank == RANK_NONE {
-            return f64::NEG_INFINITY;
+    pub fn log_prob(&self, pos: usize, rank: u8) -> f64 {
+        match self.det_chars[pos] {
+            _ if rank == RANK_NONE => f64::NEG_INFINITY,
+            0 => self.row_log_prob(self.row_of(pos), rank),
+            d if self.alphabet[rank as usize] == d => 0.0,
+            _ => f64::NEG_INFINITY,
         }
-        match &self.storage {
-            Storage::Dense(logs) => logs[pos * self.sigma + rank as usize],
-            Storage::Csr {
-                row_start,
-                ranks,
-                logs,
-            } => {
-                let lo = row_start[pos] as usize;
-                let hi = row_start[pos + 1] as usize;
-                // Rows hold a handful of ascending ranks; a linear scan with
-                // early break beats binary search at these sizes.
-                for i in lo..hi {
-                    match ranks[i] {
-                        r if r == rank => return logs[i],
-                        r if r > rank => return f64::NEG_INFINITY,
-                        _ => {}
-                    }
-                }
-                f64::NEG_INFINITY
+    }
+
+    /// The non-det positions before `pos` — its row when it is non-det.
+    #[inline]
+    fn row_of(&self, pos: usize) -> usize {
+        let w = pos / 64;
+        let below = !self.det_mask[w] & ((1u64 << (pos % 64)) - 1);
+        self.row_base[w] as usize + below.count_ones() as usize
+    }
+
+    /// `ln pr(char(rank))` in row `row`, for a live `rank`.
+    #[inline]
+    fn row_log_prob(&self, row: usize, rank: u8) -> f64 {
+        if self.dense {
+            return self.logs[row * self.sigma + rank as usize];
+        }
+        let ch = self.alphabet[rank as usize];
+        // Rows hold a handful of ascending bytes; a linear scan with early
+        // break beats binary search at these sizes.
+        for i in self.choice_start[row] as usize..self.choice_start[row + 1] as usize {
+            match self.choice_bytes[i] {
+                c if c == ch => return self.logs[i],
+                c if c > ch => return f64::NEG_INFINITY,
+                _ => {}
             }
         }
+        f64::NEG_INFINITY
     }
 
     /// Remaps `pattern` to plane ranks (one small allocation per call; the
@@ -380,7 +434,7 @@ impl ProbPlane {
             ranks: &compiled.ranks,
             first_row: self.first_char_row(pattern),
             impossible: compiled.impossible,
-            any_corr: !self.corr.is_empty(),
+            any_corr: self.has_correlations(),
         }
     }
 
@@ -397,7 +451,7 @@ impl ProbPlane {
             ranks: &buf,
             first_row: self.first_char_row(pattern),
             impossible,
-            any_corr: !self.corr.is_empty(),
+            any_corr: self.has_correlations(),
         };
         let out = f(&kernel);
         RANK_SCRATCH.with(|cell| cell.replace(buf));
@@ -407,7 +461,7 @@ impl ProbPlane {
     /// Fills `ranks` with the pattern's plane ranks; returns `true` when
     /// some pattern byte never occurs in the document (every window is then
     /// impossible).
-    fn remap_into(&self, pattern: &[u8], ranks: &mut Vec<u16>) -> bool {
+    fn remap_into(&self, pattern: &[u8], ranks: &mut Vec<u8>) -> bool {
         ranks.clear();
         let mut impossible = false;
         ranks.extend(pattern.iter().map(|&c| {
@@ -441,36 +495,31 @@ impl ProbPlane {
         }
     }
 
-    /// Approximate heap footprint in bytes.
+    /// Approximate heap footprint in bytes — the model's whole footprint,
+    /// since the plane is its one copy.
     pub fn heap_size(&self) -> usize {
         use std::mem::size_of;
-        let storage = match &self.storage {
-            Storage::Dense(logs) => logs.capacity() * size_of::<f64>(),
-            Storage::Csr {
-                row_start,
-                ranks,
-                logs,
-            } => {
-                row_start.capacity() * size_of::<u32>()
-                    + ranks.capacity() * size_of::<u16>()
-                    + logs.capacity() * size_of::<f64>()
-            }
-        };
-        storage
-            + size_of::<[u16; 256]>()
+        (self.logs.capacity() + self.choice_probs.capacity()) * size_of::<f64>()
+            + size_of::<[u8; 256]>()
             + self.alphabet.capacity()
+            + self.choice_bytes.capacity()
+            + self.det_chars.capacity()
             + (self.presence.capacity() + self.det_mask.capacity() + self.corr_mask.capacity())
                 * size_of::<u64>()
-            + (self.det_run.capacity() + self.corr_run.capacity()) * size_of::<u32>()
-            + self.det_chars.capacity()
+            + (self.row_base.capacity()
+                + self.choice_start.capacity()
+                + self.det_run.capacity()
+                + self.corr_run.capacity())
+                * size_of::<u32>()
             + self.corr.capacity() * size_of::<PlaneCorrelation>()
+            + self.correlations.heap_size()
     }
 }
 
 /// A pattern remapped to one plane's ranks (see [`ProbPlane::compile`]).
 #[derive(Debug, Clone)]
 pub struct PatternRanks {
-    ranks: Vec<u16>,
+    ranks: Vec<u8>,
     impossible: bool,
 }
 
@@ -557,7 +606,7 @@ impl Iterator for PresenceIter<'_> {
 pub struct MatchKernel<'a> {
     plane: &'a ProbPlane,
     pattern: &'a [u8],
-    ranks: &'a [u16],
+    ranks: &'a [u8],
     /// Presence row of the first pattern character (empty iff the pattern
     /// is empty or impossible — never consulted in those cases).
     first_row: &'a [u64],
@@ -636,11 +685,14 @@ impl<'a> MatchKernel<'a> {
             };
         }
         let mut log_p = 0.0;
+        // Rows are in position order: the non-det positions before `pos`
+        // number the window's first row, and each later one takes the next.
+        let mut row = plane.row_of(pos);
         for k in 0..m {
             let i = pos + k;
             // Deterministic positions resolve from the byte sidecar: their
             // factor is exactly 1, and `log_p + ln 1` is `log_p` bit for
-            // bit, so the probability-table load is skipped entirely.
+            // bit, so they need (and have) no probability row.
             let d = plane.det_chars[i];
             if d != 0 {
                 if d == self.pattern[k] {
@@ -648,7 +700,8 @@ impl<'a> MatchKernel<'a> {
                 }
                 return f64::NEG_INFINITY;
             }
-            let lp = plane.log_prob(i, self.ranks[k]);
+            let lp = plane.row_log_prob(row, self.ranks[k]);
+            row += 1;
             if lp == f64::NEG_INFINITY {
                 return f64::NEG_INFINITY;
             }
@@ -699,6 +752,7 @@ impl<'a> MatchKernel<'a> {
                 .then_some(0.0);
         }
         let mut log_p = 0.0;
+        let mut row = plane.row_of(pos);
         for k in 0..m {
             let i = pos + k;
             // Factor exactly 1: running product and threshold check are
@@ -710,7 +764,8 @@ impl<'a> MatchKernel<'a> {
                 }
                 return None;
             }
-            let lp = plane.log_prob(i, self.ranks[k]);
+            let lp = plane.row_log_prob(row, self.ranks[k]);
+            row += 1;
             if lp == f64::NEG_INFINITY {
                 return None;
             }
@@ -736,7 +791,7 @@ impl<'a> MatchKernel<'a> {
             if lp == f64::NEG_INFINITY {
                 return f64::NEG_INFINITY;
             }
-            let in_corr = plane.corr_mask[i / 64] >> (i % 64) & 1 == 1;
+            let in_corr = bit(&plane.corr_mask, i);
             let v = if in_corr {
                 match plane.corr_at(i, self.pattern[k]) {
                     Some(c) => {
@@ -984,5 +1039,18 @@ mod tests {
         assert_eq!(plane.rank(b'G'), Some(2));
         assert_eq!(plane.rank(b'z'), None);
         assert_eq!(plane.log_prob(1, RANK_NONE), f64::NEG_INFINITY);
+    }
+
+    #[test]
+    fn det_positions_have_no_row_and_answer_from_their_byte() {
+        // Rows only at 0 and 2: position 1 is certain.
+        let s = UncertainString::parse("A:.5,C:.5 | G | T:.9,A:.1").unwrap();
+        let plane = ProbPlane::build(&s);
+        let rank = |c| plane.rank(c).unwrap();
+        assert_eq!(plane.log_prob(1, rank(b'G')).to_bits(), 0.0f64.to_bits());
+        assert_eq!(plane.log_prob(1, rank(b'A')), f64::NEG_INFINITY);
+        assert_eq!(plane.log_prob(2, rank(b'T')), 0.9f64.ln());
+        assert_eq!(plane.log_prob(2, rank(b'G')), f64::NEG_INFINITY);
+        assert_eq!(plane.to_model(), s);
     }
 }

@@ -31,6 +31,18 @@ impl UncertainString {
         }
     }
 
+    /// Reassembles a string from parts that were validated together when it
+    /// was first built.
+    pub(crate) fn from_validated(
+        positions: Vec<UncertainChar>,
+        correlations: CorrelationSet,
+    ) -> Self {
+        Self {
+            positions,
+            correlations,
+        }
+    }
+
     /// Builds a fully deterministic uncertain string from plain bytes.
     pub fn deterministic(text: &[u8]) -> Self {
         Self::new(

@@ -2,11 +2,15 @@
 //! **bit-identical** (`f64::to_bits`) to the naive
 //! [`UncertainString::log_match_probability`] across random models —
 //! including correlations, non-strict probability sums, degenerate σ = 1
-//! alphabets, and patterns containing characters absent from the alphabet.
+//! alphabets, deterministic-heavy models (rows only at the uncertain
+//! positions), and patterns containing characters absent from the alphabet.
+//! And the plane is the model: [`ProbPlane::to_model`] gives back every
+//! probability bit for bit, and the correlations.
 
 use proptest::prelude::*;
 use ustr_uncertain::{
-    log_meets_threshold, Correlation, CorrelationSet, ProbPlane, UncertainString, PROB_EPS,
+    log_meets_threshold, Correlation, CorrelationSet, ProbPlane, UncertainChar, UncertainString,
+    PROB_EPS,
 };
 
 /// Random rows over a tiny alphabet; `scale < 1` leaves the sums
@@ -28,6 +32,37 @@ fn rows_strategy() -> impl Strategy<Value = Vec<Vec<(u8, f64)>>> {
                         .collect()
                 })
                 .collect()
+        })
+}
+
+/// Deterministic-heavy models of 60–200 positions: blocks of a certain run
+/// ([`UncertainChar::deterministic`], 2–12 positions) followed by at most as
+/// many uncertain rows (cycled from [`rows_strategy`]), cut or padded with
+/// certain positions to the drawn length. At least half the positions are
+/// certain, and the row prefix counts cross 64-position word boundaries.
+fn det_heavy_strategy() -> impl Strategy<Value = Vec<Vec<(u8, f64)>>> {
+    (
+        prop::collection::vec((2usize..13, 0usize..13, 0u8..5), 30..=60),
+        rows_strategy(),
+        60usize..201,
+    )
+        .prop_map(|(blocks, pool, n)| {
+            let certain = |c: u8| {
+                UncertainChar::deterministic(b'a' + c % 5)
+                    .choices()
+                    .to_vec()
+            };
+            let mut pool = pool.into_iter().cycle();
+            let mut rows = Vec::new();
+            for (run, uncertain, c) in blocks {
+                rows.extend((0..run as u8).map(|k| certain(c + k)));
+                rows.extend(pool.by_ref().take(uncertain % (run + 1)));
+            }
+            rows.truncate(n);
+            while rows.len() < n {
+                rows.push(certain(rows.len() as u8));
+            }
+            rows
         })
 }
 
@@ -80,6 +115,135 @@ fn patterns_for(s: &UncertainString) -> Vec<Vec<u8>> {
         }
     }
     out
+}
+
+/// `true` when `p`'s only choice is exactly 1.0.
+fn is_certain(p: &UncertainChar) -> bool {
+    matches!(p.choices(), &[(_, pr)] if pr == 1.0)
+}
+
+/// A raw pick whose subject is drawn among the certain positions.
+type CertainPick = ((usize, usize), usize, (u32, u32));
+
+fn certain_pick() -> impl Strategy<Value = CertainPick> {
+    (
+        (0usize..256, 0usize..256),
+        0usize..4,
+        (0u32..101, 0u32..101),
+    )
+}
+
+/// Resolves `pick` to a correlation pick whose subject is a certain
+/// position of `s`, conditioned on another position.
+fn certain_subject_pick(s: &UncertainString, pick: CertainPick) -> CorrPick {
+    let ((subj, cond), cond_idx, probs) = pick;
+    let certain: Vec<usize> = (0..s.len())
+        .filter(|&i| is_certain(s.position(i)))
+        .collect();
+    let subj = certain[subj % certain.len()];
+    let cond = match cond % s.len() {
+        c if c == subj => (c + 1) % s.len(),
+        c => c,
+    };
+    ((subj, 0), (cond, cond_idx), probs)
+}
+
+/// Kernel vs naive, bit for bit, at every window of `s` — the check of
+/// `kernel_is_bit_identical_with_correlations`, for other strategies.
+fn check_log_match(s: &UncertainString) -> Result<(), TestCaseError> {
+    let plane = ProbPlane::build(s);
+    for pattern in patterns_for(s) {
+        plane.with_kernel(&pattern, |k| {
+            for pos in 0..=s.len() + 1 {
+                prop_assert_eq!(
+                    s.log_match_probability(&pattern, pos).to_bits(),
+                    k.log_match(pos).to_bits(),
+                    "pattern {:?} pos {}",
+                    pattern.clone(),
+                    pos
+                );
+            }
+            Ok(())
+        })?;
+    }
+    Ok(())
+}
+
+/// The bounded scan over presence candidates keeps exactly the windows the
+/// naive scan does, with the same bits — the check of
+/// `bounded_kernel_matches_naive_scan`, for other strategies.
+fn check_bounded_scan(s: &UncertainString, tau: f64) -> Result<(), TestCaseError> {
+    let log_tau = tau.ln();
+    let plane = ProbPlane::build(s);
+    for pattern in patterns_for(s) {
+        let m = pattern.len();
+        if m == 0 || m > s.len() {
+            continue;
+        }
+        let expected = naive_scan(s, &pattern, log_tau);
+        plane.with_kernel(&pattern, |k| {
+            let got: Vec<(usize, u64)> = k
+                .candidates(s.len() + 1 - m)
+                .filter_map(|i| k.log_match_bounded(i, log_tau).map(|lp| (i, lp.to_bits())))
+                .collect();
+            prop_assert_eq!(&got, &expected, "pattern {:?} tau {}", pattern.clone(), tau);
+            Ok(())
+        })?;
+    }
+    Ok(())
+}
+
+/// The naive scan of `bounded_kernel_matches_naive_scan`: the full window
+/// product with the per-factor early exit, `(start, log_p bits)` of every
+/// survivor.
+fn naive_scan(s: &UncertainString, pattern: &[u8], log_tau: f64) -> Vec<(usize, u64)> {
+    let m = pattern.len();
+    let mut out = Vec::new();
+    'pos: for i in 0..=s.len() - m {
+        let mut log_p = 0.0f64;
+        for (k, &ch) in pattern.iter().enumerate() {
+            let q = i + k;
+            if s.position(q).prob_of(ch) <= 0.0 {
+                continue 'pos;
+            }
+            let p = match s.correlations().get(q, ch) {
+                Some(c) if (i..i + m).contains(&c.cond_pos) => {
+                    c.effective_prob(Some(pattern[c.cond_pos - i]), 0.0)
+                }
+                Some(c) => c.effective_prob(None, s.position(c.cond_pos).prob_of(c.cond_char)),
+                None => s.position(q).prob_of(ch),
+            };
+            if p <= 0.0 {
+                continue 'pos;
+            }
+            log_p += p.ln();
+            if !log_meets_threshold(log_p, log_tau) {
+                continue 'pos;
+            }
+        }
+        out.push((i, log_p.to_bits()));
+    }
+    out
+}
+
+/// `to_model` gives `s` back: every choice's byte and probability bits, and
+/// the correlations.
+fn check_round_trip(s: &UncertainString) -> Result<(), TestCaseError> {
+    let model = ProbPlane::build(s).to_model();
+    let bits = |s: &UncertainString| -> Vec<Vec<(u8, u64)>> {
+        (s.positions().iter())
+            .map(|p| {
+                p.choices()
+                    .iter()
+                    .map(|&(c, pr)| (c, pr.to_bits()))
+                    .collect()
+            })
+            .collect()
+    };
+    prop_assert_eq!(bits(&model), bits(s));
+    prop_assert_eq!(model.correlations(), s.correlations());
+    prop_assert_eq!(&model, s);
+    Ok(())
 }
 
 proptest! {
@@ -222,4 +386,91 @@ proptest! {
         }
         let _ = PROB_EPS; // tolerance constant shared with the scanner
     }
+}
+
+proptest! {
+    // Up to 200 positions a case, every window checked: fewer cases.
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The kernel and the bounded scan on deterministic-heavy models, with
+    /// one correlation whose subject is a certain position (its only choice
+    /// exactly 1.0) beside random ones.
+    #[test]
+    fn kernel_is_bit_identical_on_deterministic_heavy_models(
+        rows in det_heavy_strategy(),
+        certain in certain_pick(),
+        picks in prop::collection::vec(
+            ((0usize..256, 0usize..4), (0usize..256, 0usize..4), (0u32..101, 0u32..101)),
+            0..3,
+        ),
+        tau_pct in 1u32..81,
+    ) {
+        let mut s = UncertainString::from_rows(rows).unwrap();
+        let certain_count = s.positions().iter().filter(|p| is_certain(p)).count();
+        prop_assert!(2 * certain_count >= s.len());
+        let mut all = vec![certain_subject_pick(&s, certain)];
+        all.extend(picks);
+        check_log_match(&s)?;
+        check_bounded_scan(&s, tau_pct as f64 / 100.0)?;
+        attach_correlations(&mut s, &all);
+        prop_assert!(!s.is_effectively_deterministic(all[0].0 .0));
+        check_log_match(&s)?;
+        check_bounded_scan(&s, tau_pct as f64 / 100.0)?;
+    }
+
+    /// The plane gives its model back bit for bit, with and without
+    /// correlations, on both strategies.
+    #[test]
+    fn plane_gives_its_model_back(
+        rows in rows_strategy(),
+        heavy in det_heavy_strategy(),
+        certain in certain_pick(),
+        picks in prop::collection::vec(
+            ((0usize..64, 0usize..4), (0usize..64, 0usize..4), (0u32..101, 0u32..101)),
+            0..4,
+        ),
+    ) {
+        let mut s = UncertainString::from_rows(rows).unwrap();
+        check_round_trip(&s)?;
+        attach_correlations(&mut s, &picks);
+        check_round_trip(&s)?;
+        let mut s = UncertainString::from_rows(heavy).unwrap();
+        check_round_trip(&s)?;
+        let pick = certain_subject_pick(&s, certain);
+        attach_correlations(&mut s, &[pick]);
+        check_round_trip(&s)?;
+    }
+}
+
+/// The CSR layout (a wide sparse alphabet, as `csr_fallback_answers_
+/// identically` builds, with every third position certain) and the empty
+/// string round-trip too, and the CSR kernel stays bit-identical.
+#[test]
+fn csr_and_empty_models_round_trip() {
+    let rows: Vec<Vec<(u8, f64)>> = (0..3000usize)
+        .map(|i| {
+            let a = 1 + (i * 7 % 200) as u8;
+            match i % 3 {
+                0 => vec![(a, 1.0)],
+                _ => vec![(a, 0.6), (201 + (i % 50) as u8, 0.4)],
+            }
+        })
+        .collect();
+    let s = UncertainString::from_rows(rows).unwrap();
+    let plane = ProbPlane::build(&s);
+    assert!(!plane.is_dense(), "sparse wide alphabet should pick CSR");
+    check_round_trip(&s).unwrap();
+    let world = s.most_probable_world();
+    for start in [0usize, 17, 1234, 2990] {
+        let pattern = &world[start..start + 5];
+        plane.with_kernel(pattern, |k| {
+            for pos in 0..s.len() {
+                assert_eq!(
+                    s.log_match_probability(pattern, pos).to_bits(),
+                    k.log_match(pos).to_bits()
+                );
+            }
+        });
+    }
+    check_round_trip(&UncertainString::new(Vec::new())).unwrap();
 }

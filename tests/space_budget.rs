@@ -1,9 +1,11 @@
 //! The space budget of the general index (the paper's Fig. 9(c) axis, the
 //! benchmark's `index_bytes_per_pos`), of the §7 approximate index
-//! (`core.approx_heap_bytes_per_pos`) and of a collection file
-//! (`snapshot_bytes_per_pos` on `serve-wire`): bytes per structure on a
-//! generated 10 000-position string, and per section kind for the
-//! benchmark's 62 short documents, printed as tables and pinned per row. A
+//! (`core.approx_heap_bytes_per_pos`), of the §6 listing index over the
+//! same positions cut into documents (`core.listing_heap_bytes_per_pos`)
+//! and of a collection file (`snapshot_bytes_per_pos` on `serve-wire`):
+//! bytes per structure on a generated 10 000-position string, and per
+//! section kind for the benchmark's 62 short documents, printed as tables
+//! and pinned per row. A
 //! failure here is a space regression — some structure grew — not a flake:
 //! every number is a count.
 //!
@@ -12,18 +14,24 @@
 
 use uncertain_strings::{
     store::{write_collection, CollectionSection},
+    uncertain::ProbPlane,
     workload::{generate_collection, generate_string, DatasetConfig},
-    ApproxIndex, Index, Snapshot, SnapshotKind, UncertainString,
+    ApproxIndex, Index, ListingIndex, Snapshot, SnapshotKind, UncertainString,
 };
 
 /// The benchmark's construction threshold and additive error.
 const TAU_MIN: f64 = 0.1;
 const EPSILON: f64 = 0.05;
 
+/// The `paper-string` configuration at a tenth of its length.
+fn config() -> DatasetConfig {
+    DatasetConfig::new(10_000, 0.3, 43)
+}
+
 /// The `paper-string` input at a tenth of its length.
 fn string() -> (usize, UncertainString) {
-    let n = 10_000;
-    (n, generate_string(&DatasetConfig::new(n, 0.3, 43)))
+    let s = generate_string(&config());
+    (s.len(), s)
 }
 
 fn per(bytes: usize, of: usize) -> f64 {
@@ -62,9 +70,11 @@ fn check_heap_rows(
 }
 
 /// `Index::heap_size()` per source position on this input when the budget
-/// was last set (PR 23; 925.3 before it, with explicit tree nodes and a
-/// sparse table per level).
-const MEASURED_BYTES_PER_POS: f64 = 561.4;
+/// was last set (PR 26, which made the plane the one copy of the model, with
+/// probability rows only at uncertain positions; 561.4 at PR 23, which did
+/// not count the ≈ 58 B of source copy beside the plane; 925.3 before PR 23,
+/// with explicit tree nodes and a sparse table per level).
+const MEASURED_BYTES_PER_POS: f64 = 452.3;
 
 #[test]
 fn heap_breakdown_stays_inside_the_budget() {
@@ -85,6 +95,15 @@ fn heap_breakdown_stays_inside_the_budget() {
     };
     assert!(per(row("child table"), slots) <= 8.0);
     assert!(per(row("short levels"), slots * short_levels) <= 0.5);
+    // Probability rows only where the kernel reads one: σ cells at each
+    // uncertain position, plus the per-position sidecars and the uncertain
+    // positions' choices verbatim.
+    let plane = per(row("model (plane)"), n);
+    let rows_budget = s.uncertain_fraction() * ProbPlane::build(&s).sigma() as f64 * 8.0;
+    assert!(
+        plane <= rows_budget + 24.0,
+        "the plane holds {plane:.1} B/position against {rows_budget:.1} of uncertain rows"
+    );
 
     let loaded = Index::from_snapshot(snapshot).unwrap();
     assert_eq!(loaded.heap_breakdown(), rows);
@@ -111,6 +130,40 @@ fn approx_heap_breakdown_stays_inside_the_budget() {
     // Text 1 + SA 4 + LCP 4 + child table 4, and two rank arrays.
     assert!(per(rows[0].1, slots) <= 13.01);
     assert!(per(rows[1].1, slots) <= 8.01);
+}
+
+/// `ListingIndex::heap_size()` per source position over the same positions
+/// cut into documents when the budget was set (PR 26, the first count of
+/// everything the index holds: 549.8 on `paper-string` before it, without
+/// the documents' source copies or the planes' slots).
+const LISTING_MEASURED_BYTES_PER_POS: f64 = 450.6;
+
+#[test]
+fn listing_heap_stays_inside_the_budget() {
+    let docs = generate_collection(&config());
+    let n: usize = docs.iter().map(UncertainString::len).sum();
+    let listing = ListingIndex::build(&docs, TAU_MIN).unwrap();
+    let slots = listing.stats().transformed_len + 1;
+    let models: usize = (docs.iter())
+        .map(|d| ProbPlane::build(d).heap_size() + std::mem::size_of::<ProbPlane>())
+        .sum();
+    let total = listing.heap_size();
+    let rows = [
+        ("substrate + document maps", total - models),
+        ("models (one plane per document)", models),
+    ];
+    let what = format!(
+        "`ListingIndex::heap_size()` ({} documents, {n} positions, {slots} slots)",
+        docs.len()
+    );
+    check_heap_rows(
+        &what,
+        &rows,
+        total,
+        n,
+        slots,
+        LISTING_MEASURED_BYTES_PER_POS,
+    );
 }
 
 /// Section bytes per source position of the collection below when the
