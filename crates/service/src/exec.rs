@@ -177,9 +177,10 @@ pub fn save_coll<'a>(
 pub struct LoadedColl {
     /// One built executor per document, in rank order.
     pub docs: Vec<DocExecutor>,
-    /// Per-document snapshot bytes (a proxy for index heap when planning
-    /// shards).
-    pub sizes: Vec<usize>,
+    /// Per-document index heap in bytes, the shard planner's weights:
+    /// `Index::heap_size()` plus the approx index's `heap_bytes` (what the
+    /// loaded document holds, whatever the file's encoding).
+    pub heap_bytes: Vec<usize>,
     /// The shard count recorded when the file was written.
     pub shard_hint: usize,
 }
@@ -219,20 +220,20 @@ pub fn load_coll(io: &dyn StoreIo, path: &Path) -> Result<LoadedColl, StoreError
         }
     }
     let mut docs = Vec::with_capacity(n);
-    let mut sizes = Vec::with_capacity(n);
+    let mut heap_bytes = Vec::with_capacity(n);
     for (rank, (ib, ab)) in index_bytes.into_iter().zip(approx_bytes).enumerate() {
         let ib =
             ib.ok_or_else(|| corrupt(format!("document {rank} has no substring-index section")))?;
-        sizes.push(ib.len() + ab.as_ref().map_or(0, Vec::len));
         let index = Index::read_snapshot(ib.as_slice())?;
         let approx = ab
             .map(|bytes| ApproxIndex::read_snapshot(bytes.as_slice()))
             .transpose()?;
+        heap_bytes.push(index.heap_size() + approx.as_ref().map_or(0, |a| a.stats().heap_bytes));
         docs.push(DocExecutor::Built { index, approx });
     }
     Ok(LoadedColl {
         docs,
-        sizes,
+        heap_bytes,
         shard_hint: coll.shard_hint,
     })
 }

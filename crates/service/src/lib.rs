@@ -41,7 +41,7 @@
 //! manifest (doc count, shard plan, per-doc offsets, per-section checksums)
 //! plus one substring-index section — and, when the service was built with
 //! [`ServiceConfig::epsilon`], one approx-index section — per document.
-//! Loading memory-plans shards from the manifest's per-document sizes.
+//! Loading memory-plans shards from each loaded document's index heap.
 //! Mutable collections persist as `ustr-live` directories instead.
 //!
 //! # Architecture
@@ -344,11 +344,10 @@ impl QueryService {
     }
 
     /// Loads a single-file collection snapshot and assembles a service.
-    /// Shards are **memory-planned** from the manifest: contiguous document
-    /// ranges balanced by per-document snapshot size (a proxy for index
-    /// heap), using `config.shards` when non-zero and the file's recorded
-    /// shard plan otherwise. Truncated or corrupted files fail with a clean
-    /// [`StoreError`], never a panic.
+    /// Shards are **memory-planned**: contiguous document ranges balanced
+    /// by each loaded document's index heap, using `config.shards` when
+    /// non-zero and the file's recorded shard plan otherwise. Truncated or
+    /// corrupted files fail with a clean [`StoreError`], never a panic.
     pub fn load_collection(
         path: impl AsRef<Path>,
         config: ServiceConfig,
@@ -356,7 +355,7 @@ impl QueryService {
         let coll = load_coll(&RealIo, path.as_ref())?;
         Ok(Self::assemble(
             coll.docs,
-            &coll.sizes,
+            &coll.heap_bytes,
             coll.shard_hint,
             &config,
         ))

@@ -36,6 +36,7 @@ use std::fs::File;
 use std::io::{BufWriter, Read, Write};
 use std::path::Path;
 
+use crate::error::corrupt;
 use crate::io::StoreIo;
 use crate::{fnv1a, SnapshotKind, StoreError};
 
@@ -127,12 +128,6 @@ pub fn save_collection_file(
     out.flush()?;
     out.get_mut().sync_data()?;
     Ok(())
-}
-
-fn corrupt(detail: impl Into<String>) -> StoreError {
-    StoreError::Corrupt {
-        detail: detail.into(),
-    }
 }
 
 /// Parsed collection header fields (shared by the full reader and the

@@ -78,6 +78,13 @@ impl fmt::Display for StoreError {
     }
 }
 
+/// A [`StoreError::Corrupt`] saying `detail`.
+pub(crate) fn corrupt(detail: impl Into<String>) -> StoreError {
+    StoreError::Corrupt {
+        detail: detail.into(),
+    }
+}
+
 impl std::error::Error for StoreError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {

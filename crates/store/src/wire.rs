@@ -1,10 +1,13 @@
 //! Little-endian payload encoding primitives and checksummed framing.
 //!
-//! Scalars are fixed-width little-endian; `f64`s travel as IEEE-754 bit
-//! patterns (bit-exact round trips); sequences are `u64`-length-prefixed.
-//! Every [`Reader`] accessor bounds-checks before touching the buffer and
-//! validates declared sequence lengths against the bytes actually remaining,
-//! so corrupt length fields fail cleanly instead of over-allocating.
+//! Scalars are fixed-width little-endian, or `u32` LEB128 varints (7 bits a
+//! byte, low group first, 1–5 bytes) where a value's size should set its
+//! width; `f64`s travel as IEEE-754 bit patterns (bit-exact round trips);
+//! sequences are `u64`-length-prefixed. Every [`Reader`] accessor
+//! bounds-checks before touching the buffer and validates declared sequence
+//! lengths against the bytes actually remaining, so corrupt length fields
+//! fail cleanly instead of over-allocating; a varint must be the shortest
+//! encoding of a `u32`.
 //!
 //! [`write_frame`] / [`read_frame`] wrap one payload in the shared frame
 //! format used by streaming consumers (the WAL's cousins and the `ustr-net`
@@ -15,6 +18,7 @@
 
 use std::io::{Read, Write};
 
+use crate::error::corrupt;
 use crate::StoreError;
 
 /// Byte overhead of one frame around its payload: the `u32` length prefix
@@ -24,8 +28,11 @@ pub const FRAME_OVERHEAD: usize = 4 + 8;
 /// Writes one frame: `u32` payload length (little-endian), the payload
 /// bytes, and the payload's FNV-1a 64-bit checksum (little-endian).
 pub fn write_frame(mut out: impl Write, payload: &[u8]) -> Result<(), StoreError> {
-    let len = u32::try_from(payload.len()).map_err(|_| StoreError::Corrupt {
-        detail: format!("frame payload of {} bytes exceeds u32::MAX", payload.len()),
+    let len = u32::try_from(payload.len()).map_err(|_| {
+        corrupt(format!(
+            "frame payload of {} bytes exceeds u32::MAX",
+            payload.len()
+        ))
     })?;
     out.write_all(&len.to_le_bytes())?;
     out.write_all(payload)?;
@@ -71,11 +78,9 @@ pub fn read_frame(
     }
     let len = u32::from_le_bytes(len_buf) as usize;
     if len > max_payload_len {
-        return Err(StoreError::Corrupt {
-            detail: format!(
-                "frame payload of {len} bytes exceeds the {max_payload_len}-byte limit"
-            ),
-        });
+        return Err(corrupt(format!(
+            "frame payload of {len} bytes exceeds the {max_payload_len}-byte limit"
+        )));
     }
     let mut payload = vec![0u8; len];
     if len > 0 && read_exact_or_eof(&mut input, &mut payload, "frame payload")? == 0 {
@@ -138,11 +143,20 @@ impl Writer {
         self.buf.extend_from_slice(v);
     }
 
-    /// Length-prefixed `u32` sequence.
-    pub fn put_u32s(&mut self, v: &[u32]) {
+    /// One `u32` as an LEB128 varint: one byte below 2⁷, five at most.
+    pub fn put_varint(&mut self, mut v: u32) {
+        while v >= 0x80 {
+            self.buf.push(v as u8 | 0x80);
+            v >>= 7;
+        }
+        self.buf.push(v as u8);
+    }
+
+    /// Length-prefixed sequence of varints.
+    pub fn put_varints(&mut self, v: impl ExactSizeIterator<Item = u32>) {
         self.put_u64(v.len() as u64);
-        for &x in v {
-            self.buf.extend_from_slice(&x.to_le_bytes());
+        for x in v {
+            self.put_varint(x);
         }
     }
 
@@ -203,9 +217,7 @@ impl<'a> Reader<'a> {
         match self.get_u8()? {
             0 => Ok(false),
             1 => Ok(true),
-            other => Err(StoreError::Corrupt {
-                detail: format!("invalid bool byte {other}"),
-            }),
+            other => Err(corrupt(format!("invalid bool byte {other}"))),
         }
     }
 
@@ -219,9 +231,8 @@ impl<'a> Reader<'a> {
 
     /// A `u64` that must fit in `usize`.
     pub fn get_usize(&mut self) -> Result<usize, StoreError> {
-        usize::try_from(self.get_u64()?).map_err(|_| StoreError::Corrupt {
-            detail: "value exceeds the platform word size".into(),
-        })
+        usize::try_from(self.get_u64()?)
+            .map_err(|_| corrupt("value exceeds the platform word size"))
     }
 
     pub fn get_f64(&mut self) -> Result<f64, StoreError> {
@@ -247,14 +258,32 @@ impl<'a> Reader<'a> {
         Ok(self.take(len, "byte sequence")?.to_vec())
     }
 
-    /// Length-prefixed `u32` sequence.
-    pub fn get_u32s(&mut self) -> Result<Vec<u32>, StoreError> {
-        let len = self.get_len(4)?;
-        let raw = self.take(len * 4, "u32 sequence")?;
-        Ok(raw
-            .chunks_exact(4)
-            .map(|c| u32::from_le_bytes(c.try_into().unwrap()))
-            .collect())
+    /// One varint written by [`Writer::put_varint`]. A value above
+    /// `u32::MAX`, a sixth byte and an overlong encoding (a last byte of 0
+    /// after the first) are [`StoreError::Corrupt`].
+    pub fn get_varint(&mut self) -> Result<u32, StoreError> {
+        let mut v = 0u64;
+        for i in 0..5 {
+            let b = self.take(1, "varint")?[0];
+            v |= u64::from(b & 0x7f) << (7 * i);
+            if b & 0x80 == 0 {
+                if b == 0 && i > 0 {
+                    return Err(corrupt("overlong varint"));
+                }
+                return u32::try_from(v).map_err(|_| corrupt("varint above u32::MAX"));
+            }
+        }
+        Err(corrupt("varint longer than 5 bytes"))
+    }
+
+    /// Length-prefixed sequence of varints.
+    pub fn get_varints(&mut self) -> Result<Vec<u32>, StoreError> {
+        let len = self.get_len(1)?;
+        let mut out = Vec::with_capacity(len);
+        for _ in 0..len {
+            out.push(self.get_varint()?);
+        }
+        Ok(out)
     }
 
     /// Length-prefixed `u64` sequence.
@@ -291,7 +320,7 @@ mod tests {
         w.put_u64(u64::MAX - 3);
         w.put_f64(-0.25);
         w.put_bytes(b"hello");
-        w.put_u32s(&[1, 2, 3]);
+        w.put_varints([1, 2, 3].into_iter());
         w.put_u64s(&[u64::MAX, 0]);
         w.put_f64s(&[1.5, f64::NEG_INFINITY]);
         let bytes = w.into_bytes();
@@ -302,7 +331,7 @@ mod tests {
         assert_eq!(r.get_u64().unwrap(), u64::MAX - 3);
         assert_eq!(r.get_f64().unwrap(), -0.25);
         assert_eq!(r.get_bytes().unwrap(), b"hello");
-        assert_eq!(r.get_u32s().unwrap(), vec![1, 2, 3]);
+        assert_eq!(r.get_varints().unwrap(), vec![1, 2, 3]);
         assert_eq!(r.get_u64s().unwrap(), vec![u64::MAX, 0]);
         let f = r.get_f64s().unwrap();
         assert_eq!(f[0], 1.5);
@@ -310,14 +339,54 @@ mod tests {
         assert!(r.is_exhausted());
     }
 
+    /// A varint takes one byte per started 7 bits of its value.
+    #[test]
+    fn varints_round_trip_at_every_width() {
+        for (v, len) in [
+            (0, 1),
+            (127, 1),
+            (128, 2),
+            (16_383, 2),
+            (16_384, 3),
+            (1 << 21, 4),
+            (u32::MAX, 5),
+        ] {
+            let mut w = Writer::new();
+            w.put_varint(v);
+            let bytes = w.into_bytes();
+            assert_eq!(bytes.len(), len, "{v} takes {len} bytes");
+            let mut r = Reader::new(&bytes);
+            assert_eq!(r.get_varint().unwrap(), v);
+            assert!(r.is_exhausted());
+        }
+    }
+
+    #[test]
+    fn malformed_varints_are_corrupt() {
+        for bytes in [
+            &[0x80, 0x80, 0x80, 0x80, 0x80, 0x01][..], // a sixth byte
+            &[0xff, 0xff, 0xff, 0xff, 0x10],           // 2³², past u32::MAX
+            &[0x80, 0x00],                             // an overlong zero
+        ] {
+            let mut r = Reader::new(bytes);
+            assert!(
+                matches!(r.get_varint(), Err(StoreError::Corrupt { .. })),
+                "{bytes:?} must be corrupt"
+            );
+        }
+    }
+
     #[test]
     fn truncation_is_detected_not_panicked() {
         let mut w = Writer::new();
-        w.put_u32s(&[1, 2, 3, 4]);
+        w.put_varints([1, 300, 70_000, u32::MAX].into_iter());
         let bytes = w.into_bytes();
         for cut in 0..bytes.len() {
             let mut r = Reader::new(&bytes[..cut]);
-            assert!(r.get_u32s().is_err(), "cut at {cut} must fail");
+            assert!(
+                matches!(r.get_varints(), Err(StoreError::Truncated { .. })),
+                "cut at {cut} must be a clean truncation error"
+            );
         }
     }
 
@@ -327,7 +396,21 @@ mod tests {
         w.put_u64(u64::MAX); // a sequence length no buffer can satisfy
         let bytes = w.into_bytes();
         let mut r = Reader::new(&bytes);
-        assert!(matches!(r.get_u32s(), Err(StoreError::Truncated { .. })));
+        assert!(matches!(r.get_varints(), Err(StoreError::Truncated { .. })));
+        // One byte short of one byte per element fails before allocating.
+        let mut w = Writer::new();
+        w.put_u64(4);
+        w.put_varint(1);
+        w.put_varint(2);
+        w.put_varint(3);
+        let bytes = w.into_bytes();
+        let mut r = Reader::new(&bytes);
+        assert!(matches!(
+            r.get_varints(),
+            Err(StoreError::Truncated {
+                context: "sequence length"
+            })
+        ));
     }
 
     #[test]

@@ -1,26 +1,40 @@
 //! A loaded index is a built index: taking any of the four index types
-//! apart and putting it back together yields the structures `build` made —
-//! the same bytes on the heap, row for row, and the same state when taken
-//! apart again. Nothing is kept that a snapshot does not carry or derive,
-//! and a snapshot carries nothing an index does not keep.
+//! apart and putting it back together — from its state, or from the bytes
+//! of its snapshot file — yields the structures `build` made: the same
+//! bytes on the heap, row for row, and the same state when taken apart
+//! again (the recorded build time included: it is in the bytes). Nothing is
+//! kept that a snapshot does not carry or derive, and a snapshot carries
+//! nothing an index does not keep.
 
 use uncertain_strings::{
     workload::{generate_collection, generate_string, DatasetConfig},
-    ApproxIndex, Index, ListingIndex, SpecialIndex, SpecialUncertainString, UncertainString,
+    ApproxIndex, Index, ListingIndex, Snapshot, SpecialIndex, SpecialUncertainString,
+    UncertainString,
 };
 
 const TAU_MIN: f64 = 0.1;
 
-/// Generated strings from one position (no long level at all) to a few
-/// hundred (several long levels), certain and uncertain.
+/// Generated strings from one position (no long level at all) to 2 000
+/// (more than 16 384 slots, so some SA entries take three varint bytes),
+/// certain and uncertain, and a periodic certain one whose LCPs pass 127
+/// (two-byte LCP entries).
 fn strings() -> Vec<UncertainString> {
     let mut out = Vec::new();
-    for (n, seed) in [(1, 3), (2, 5), (3, 7), (37, 11), (400, 13)] {
+    for (n, seed) in [(1, 3), (2, 5), (3, 7), (37, 11), (400, 13), (2_000, 29)] {
         for theta in [0.0, 0.3] {
             out.push(generate_string(&DatasetConfig::new(n, theta, seed)));
         }
     }
+    let periodic = (0..300).map(|i| vec![(b"ABC"[i % 3], 1.0)]).collect();
+    out.push(UncertainString::from_rows(periodic).unwrap());
     out
+}
+
+/// `built` written as a snapshot file's bytes and read back.
+fn reread<T: Snapshot>(built: &T) -> T {
+    let mut bytes = Vec::new();
+    built.write_snapshot(&mut bytes).unwrap();
+    T::read_snapshot(&bytes[..]).unwrap()
 }
 
 #[test]
@@ -28,10 +42,11 @@ fn index_round_trip_keeps_heap_and_state() {
     for s in strings() {
         let built = Index::build(&s, TAU_MIN).unwrap();
         let state = built.to_snapshot();
-        let loaded = Index::from_snapshot(state.clone()).unwrap();
-        assert_eq!(loaded.heap_breakdown(), built.heap_breakdown());
-        assert_eq!(loaded.heap_size(), built.heap_size());
-        assert_eq!(loaded.to_snapshot(), state);
+        for loaded in [Index::from_snapshot(state.clone()).unwrap(), reread(&built)] {
+            assert_eq!(loaded.heap_breakdown(), built.heap_breakdown());
+            assert_eq!(loaded.heap_size(), built.heap_size());
+            assert_eq!(loaded.to_snapshot(), state);
+        }
     }
 }
 
@@ -43,9 +58,13 @@ fn special_index_round_trip_keeps_heap_and_state() {
         let special = SpecialUncertainString::new(chars, probs).unwrap();
         let built = SpecialIndex::build(&special).unwrap();
         let state = built.to_snapshot();
-        let loaded = SpecialIndex::from_snapshot(state.clone()).unwrap();
-        assert_eq!(loaded.heap_size(), built.heap_size());
-        assert_eq!(loaded.to_snapshot(), state);
+        for loaded in [
+            SpecialIndex::from_snapshot(state.clone()).unwrap(),
+            reread(&built),
+        ] {
+            assert_eq!(loaded.heap_size(), built.heap_size());
+            assert_eq!(loaded.to_snapshot(), state);
+        }
     }
 }
 
@@ -55,9 +74,13 @@ fn listing_index_round_trip_keeps_heap_and_state() {
         let docs = generate_collection(&DatasetConfig::new(n, 0.3, seed));
         let built = ListingIndex::build(&docs, TAU_MIN).unwrap();
         let state = built.to_snapshot();
-        let loaded = ListingIndex::from_snapshot(state.clone()).unwrap();
-        assert_eq!(loaded.heap_size(), built.heap_size());
-        assert_eq!(loaded.to_snapshot(), state);
+        for loaded in [
+            ListingIndex::from_snapshot(state.clone()).unwrap(),
+            reread(&built),
+        ] {
+            assert_eq!(loaded.heap_size(), built.heap_size());
+            assert_eq!(loaded.to_snapshot(), state);
+        }
     }
 }
 
@@ -66,9 +89,13 @@ fn approx_index_round_trip_keeps_heap_and_state() {
     for s in strings() {
         let built = ApproxIndex::build(&s, TAU_MIN, 0.05).unwrap();
         let state = built.to_snapshot();
-        let loaded = ApproxIndex::from_snapshot(state.clone()).unwrap();
-        assert_eq!(loaded.heap_breakdown(), built.heap_breakdown());
-        assert_eq!(loaded.stats().heap_bytes, built.stats().heap_bytes);
-        assert_eq!(loaded.to_snapshot(), state);
+        for loaded in [
+            ApproxIndex::from_snapshot(state.clone()).unwrap(),
+            reread(&built),
+        ] {
+            assert_eq!(loaded.heap_breakdown(), built.heap_breakdown());
+            assert_eq!(loaded.stats().heap_bytes, built.stats().heap_bytes);
+            assert_eq!(loaded.to_snapshot(), state);
+        }
     }
 }

@@ -1,13 +1,13 @@
 //! The space budget of the general index (the paper's Fig. 9(c) axis, the
 //! benchmark's `index_bytes_per_pos`), of the §7 approximate index
 //! (`core.approx_heap_bytes_per_pos`), of the §6 listing index over the
-//! same positions cut into documents (`core.listing_heap_bytes_per_pos`)
-//! and of a collection file (`snapshot_bytes_per_pos` on `serve-wire`):
-//! bytes per structure on a generated 10 000-position string, and per
-//! section kind for the benchmark's 62 short documents, printed as tables
-//! and pinned per row. A
-//! failure here is a space regression — some structure grew — not a flake:
-//! every number is a count.
+//! same positions cut into documents (`core.listing_heap_bytes_per_pos`),
+//! of an index file (`snapshot_bytes_per_pos` on `paper-string`) and of a
+//! collection file (`snapshot_bytes_per_pos` on `serve-wire`): bytes per
+//! structure on a generated 10 000-position string, and per section kind
+//! for the benchmark's 62 short documents, printed as tables and pinned
+//! per row. A failure here is a space regression — some structure grew —
+//! not a flake: every number is a count.
 //!
 //! CI appends the tables to the job summary (`cargo test --release --test
 //! space_budget -- --nocapture --test-threads=1`).
@@ -166,12 +166,37 @@ fn listing_heap_stays_inside_the_budget() {
     );
 }
 
+/// `.idx` bytes per source position of the 10 000-position string when the
+/// budget was set (snapshot format 5, which writes integer arrays as
+/// varints: 261.8 in format 4).
+const IDX_BYTES_PER_POS: f64 = 180.4;
+
+/// The `paper-string` snapshot (`snapshot_bytes_per_pos`) at a tenth.
+#[test]
+fn index_file_bytes_stay_inside_the_budget() {
+    let (n, s) = string();
+    let mut bytes = Vec::new();
+    Index::build(&s, TAU_MIN)
+        .unwrap()
+        .write_snapshot(&mut bytes)
+        .unwrap();
+    println!("\n\n| file | bytes | B/position |");
+    println!("|---|---:|---:|");
+    println!(
+        "| `.idx` ({n} positions, format 5) | {} | {:.1} |",
+        bytes.len(),
+        per(bytes.len(), n)
+    );
+    assert!(per(bytes.len(), n) <= IDX_BYTES_PER_POS * 1.05);
+}
+
 /// Section bytes per source position of the collection below when the
-/// budget was last set (PR 24): substring-index sections (292.8 before it,
-/// with their long-level lengths) and approx-index sections (667.6 before
-/// it, with their prefix sums).
-const COLL_INDEX_BYTES_PER_POS: f64 = 291.3;
-const COLL_APPROX_BYTES_PER_POS: f64 = 579.8;
+/// budget was last set (snapshot format 5, which writes integer arrays as
+/// varints: 291.3 and 579.8 in format 4): substring-index sections (292.8
+/// in format 3, with their long-level lengths) and approx-index sections
+/// (667.6 in format 3, with their prefix sums).
+const COLL_INDEX_BYTES_PER_POS: f64 = 186.1;
+const COLL_APPROX_BYTES_PER_POS: f64 = 294.7;
 
 /// The `serve-wire` collection — 62 documents of 20–45 positions — as the
 /// `.coll` file `build-collection --epsilon 0.05` writes, split by section
