@@ -387,11 +387,13 @@ fn refine_link(
         let p_o = p_at(o);
         // Smallest t ∈ [t0, o-1] with P(t) − P(o) ≤ ε (P non-increasing in
         // depth, so the predicate is monotone in t). If even one step up
-        // exceeds ε the link degenerates to a single character.
+        // exceeds ε the link degenerates to a single character. At depths
+        // ≥ `lmax` P is the constant P(lmax) = P(o) (`o` is deeper still),
+        // so the predicate holds there without a probe.
         let (mut lo, mut hi) = (t0, o - 1);
         while lo < hi {
             let mid = lo + (hi - lo) / 2;
-            if p_at(mid) - p_o <= epsilon {
+            if mid >= lmax || p_at(mid) - p_o <= epsilon {
                 hi = mid;
             } else {
                 lo = mid + 1;

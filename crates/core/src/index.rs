@@ -199,15 +199,14 @@ impl Index {
     }
 
     /// The `k` most probable occurrences of `pattern` with probability
-    /// ≥ `tau_min`, ranked by occurrence probability (descending) with an
-    /// ascending-position tie-break. Best-first search over the RMQ levels.
+    /// ≥ `tau_min`: `query(pattern, tau_min)` ranked by
+    /// [`crate::canonical_hit_order`] (probability ↓, position ↑) and cut at
+    /// `k`. Best-first search over the RMQ levels.
     ///
-    /// The candidate set (exactly the occurrences a threshold query at
-    /// `tau_min` would report) and the total `(probability ↓, position ↑)`
-    /// order make the answer *canonical*: independent of heap arbitration
-    /// among ties and identical for any other executor over the same
-    /// document. Probabilities are recomputed from the source model
-    /// (see [`Index::query`]).
+    /// That candidate set and total order make the answer *canonical*:
+    /// independent of heap arbitration among ties and identical for any
+    /// other executor over the same document. Probabilities are recomputed
+    /// from the source model (see [`Index::query`]).
     pub fn query_top_k(&self, pattern: &[u8], k: usize) -> Result<Vec<(usize, f64)>, Error> {
         crate::error::validate_pattern(pattern)?;
         if k == 0 {
@@ -218,40 +217,22 @@ impl Index {
         };
         if self.plane.has_correlations() {
             // Stored values are only *upper bounds* under correlation —
-            // arbitrarily far from the canonical probabilities, so neither
-            // the best-first cut nor the tie-closure test below is sound.
-            // Rank the full τmin threshold answer (already canonical and
-            // exactly the documented candidate set) instead.
+            // arbitrarily far from the canonical probabilities, so the
+            // best-first cut is not sound. Rank the full τmin threshold
+            // answer (already canonical and exactly the documented candidate
+            // set) instead.
             let mut out = self.query(pattern, self.tau_min)?.into_hits();
             out.sort_by(crate::canonical_hit_order);
             out.truncate(k);
             return Ok(out);
         }
-        let m = pattern.len();
         let floor = canon::ln(self.tau_min) - ustr_uncertain::PROB_EPS;
-        // Fetch k candidates, then widen until the boundary value drops
-        // strictly below the k-th value (the tie class at the cut is closed)
-        // or the candidates run out — so the cut is decided by the canonical
-        // order below, not by heap arbitration among equal stored values.
-        // The widening is capped at the suffix-range width: the range holds
-        // at most `r - l + 1` candidates, so doubling past the population
-        // can never surface anything new — and a `k` beyond it (it arrives
-        // unvalidated from the wire) asks for exactly the whole population.
-        let cap = r - l + 1;
-        let mut want = k.min(cap);
-        let mut ranked;
-        loop {
-            ranked = self
-                .substrate
-                .top_k(m, l, r, want, floor, |x| self.source_pos(x));
-            if ranked.len() < want || want >= cap {
-                break;
-            }
-            if ranked[want - 1].1 < ranked[k - 1].1 - ustr_uncertain::PROB_EPS {
-                break;
-            }
-            want = want.saturating_mul(2).min(cap);
-        }
+        // The search also returns the k-th candidate's whole tie class, so
+        // the cut is decided by the canonical order below, not by heap
+        // arbitration among equal stored values.
+        let ranked = self
+            .substrate
+            .top_k(pattern.len(), l, r, k, floor, |x| self.source_pos(x));
         let mut out: Vec<(usize, f64)> = Vec::with_capacity(ranked.len());
         if !ranked.is_empty() {
             self.plane.with_kernel(pattern, |kernel| {

@@ -1,10 +1,9 @@
 //! Uncertain string listing (§6): report every string in a collection that
 //! contains a probable occurrence of the pattern.
 
-use std::collections::HashMap;
 use std::time::Instant;
 
-use ustr_uncertain::{canon, transform, PatternRanks, ProbPlane, UncertainString};
+use ustr_uncertain::{canon, transform, ProbPlane, UncertainString};
 
 use crate::{
     error::{validate_query, Error},
@@ -64,7 +63,6 @@ pub struct ListingIndex {
     /// X position → source position *within its document*.
     src_of: Vec<u32>,
     tau_min: f64,
-    has_correlations: bool,
     stats: BuildStats,
 }
 
@@ -146,7 +144,6 @@ impl ListingIndex {
             doc_of,
             src_of,
             tau_min,
-            has_correlations,
             stats,
         };
         idx.stats.heap_bytes = idx.heap_size();
@@ -205,7 +202,6 @@ impl ListingIndex {
         if !canon::valid_tau(state.tau_min) {
             return Err(invalid("tau_min outside (0, 1]"));
         }
-        let has_correlations = state.docs.iter().any(|d| !d.correlations().is_empty());
         let substrate = Substrate::from_state(state.substrate)?;
         let mut idx = Self {
             planes: state.docs.iter().map(ProbPlane::build).collect(),
@@ -213,7 +209,6 @@ impl ListingIndex {
             doc_of: state.doc_of,
             src_of: state.src_of,
             tau_min: state.tau_min,
-            has_correlations,
             stats: state.stats,
         };
         idx.stats.heap_bytes = idx.heap_size();
@@ -259,25 +254,32 @@ impl ListingIndex {
         Some((d as usize, self.src_of[x] as usize))
     }
 
-    /// Canonical probability of `pattern` at `src` in `doc`, verified
-    /// through the document's flat plane. Candidates arrive in slot order
-    /// with documents interleaved, so the pattern→rank remap is compiled
-    /// lazily per touched document and cached in `compiled` for the rest of
-    /// the query — nothing is allocated per candidate.
-    fn verify(
+    /// Every distinct occurrence among the candidate text positions `xs`,
+    /// as `(doc, src, canonical probability)` in `(doc, src)` order. The
+    /// probability is recomputed from the document model through its plane
+    /// kernel (see `Index::query`), one [`ProbPlane::with_kernel`] per
+    /// document, so values agree bit for bit with any per-document executor.
+    fn verified(
         &self,
-        compiled: &mut HashMap<usize, PatternRanks>,
         pattern: &[u8],
-        doc: usize,
-        src: usize,
-    ) -> f64 {
-        let plane = &self.planes[doc];
-        let ranks = compiled
-            .entry(doc)
-            .or_insert_with(|| plane.compile(pattern));
-        plane.kernel(pattern, ranks).match_probability(src)
+        xs: impl IntoIterator<Item = usize>,
+    ) -> Vec<(usize, usize, f64)> {
+        let occ = |x| self.doc_and_src(x).map(|(doc, src)| (doc, src, 0.0));
+        let mut occs: Vec<(usize, usize, f64)> = xs.into_iter().filter_map(occ).collect();
+        occs.sort_unstable_by_key(|&(doc, src, _)| (doc, src));
+        occs.dedup_by_key(|&mut (doc, src, _)| (doc, src));
+        for group in occs.chunk_by_mut(|a, b| a.0 == b.0) {
+            self.planes[group[0].0].with_kernel(pattern, |kernel| {
+                for (_, src, p) in group.iter_mut() {
+                    *p = kernel.match_probability(*src);
+                }
+            });
+        }
+        occs
     }
 
+    /// `Rel_max` of every document whose most probable verified candidate
+    /// reaches `tau`, sorted by document.
     fn query_max(
         &self,
         pattern: &[u8],
@@ -286,29 +288,14 @@ impl ListingIndex {
         r: usize,
     ) -> Result<Vec<ListingHit>, Error> {
         let candidates = self.substrate.report(pattern.len(), l, r, canon::ln(tau));
-        let mut best: HashMap<usize, f64> = HashMap::new();
-        let mut compiled: HashMap<usize, PatternRanks> = HashMap::new();
-        for (x, _stored) in candidates {
-            let Some((doc, src)) = self.doc_and_src(x) else {
-                continue;
-            };
-            // Canonical probability (see `Index::query`): recomputed from
-            // the document model via its plane kernel, so `Rel_max` values
-            // agree bit-for-bit with any per-document executor folding its
-            // own threshold hits.
-            let exact = self.verify(&mut compiled, pattern, doc, src);
-            if canon::meets_threshold(exact, tau) {
-                let e = best.entry(doc).or_insert(0.0);
-                if exact > *e {
-                    *e = exact;
-                }
-            }
-        }
-        let mut hits: Vec<ListingHit> = best
+        let mut hits: Vec<ListingHit> = self
+            .verified(pattern, candidates.into_iter().map(|(x, _)| x))
             .into_iter()
-            .map(|(doc, relevance)| ListingHit { doc, relevance })
+            .filter(|&(_, _, p)| canon::meets_threshold(p, tau))
+            .map(|(doc, _, relevance)| ListingHit { doc, relevance })
             .collect();
-        hits.sort_unstable_by_key(|h| h.doc);
+        hits.sort_unstable_by(|a, b| a.doc.cmp(&b.doc).then(b.relevance.total_cmp(&a.relevance)));
+        hits.dedup_by_key(|hit| hit.doc);
         Ok(hits)
     }
 
@@ -322,79 +309,40 @@ impl ListingIndex {
         r: usize,
         metric: RelMetric,
     ) -> Result<Vec<ListingHit>, Error> {
-        let mut occs: HashMap<(usize, usize), f64> = HashMap::new();
-        let mut compiled: HashMap<usize, PatternRanks> = HashMap::new();
-        for (x, stored) in self.substrate.windows(pattern.len(), l, r) {
-            let Some((doc, src)) = self.doc_and_src(x) else {
-                continue;
-            };
-            if stored == f64::NEG_INFINITY || occs.contains_key(&(doc, src)) {
-                continue;
-            }
-            let exact = self.verify(&mut compiled, pattern, doc, src);
-            if canon::is_positive_prob(exact) {
-                occs.insert((doc, src), exact);
-            }
-        }
-        let mut per_doc: HashMap<usize, Vec<f64>> = HashMap::new();
-        for ((doc, _), p) in occs {
-            per_doc.entry(doc).or_default().push(p);
-        }
+        let windows = self.substrate.windows(pattern.len(), l, r);
+        let xs = windows.filter(|&(_, stored)| stored > f64::NEG_INFINITY);
+        let mut occs = self.verified(pattern, xs.map(|(x, _)| x));
+        occs.retain(|&(_, _, p)| canon::is_positive_prob(p));
         let mut hits = Vec::new();
-        for (doc, probs) in per_doc {
+        for group in occs.chunk_by(|a, b| a.0 == b.0) {
+            let probs = group.iter().map(|&(_, _, p)| p);
             let relevance = match metric {
-                RelMetric::Or => {
-                    // §6: a single occurrence's relevance is its probability;
-                    // the Σp − Πp form applies to multiple occurrences.
-                    if probs.len() == 1 {
-                        probs[0]
-                    } else {
-                        let sum: f64 = probs.iter().sum();
-                        let prod: f64 = probs.iter().product();
-                        sum - prod
-                    }
-                }
-                RelMetric::IndependentOr => canon::independent_or(probs.iter().copied()),
+                // §6: a single occurrence's relevance is its probability;
+                // the Σp − Πp form applies to multiple occurrences.
+                RelMetric::Or if group.len() == 1 => group[0].2,
+                RelMetric::Or => probs.clone().sum::<f64>() - probs.product::<f64>(),
+                RelMetric::IndependentOr => canon::independent_or(probs),
                 RelMetric::Max => unreachable!("handled by query_max"),
             };
             if canon::meets_threshold(relevance, tau) {
-                hits.push(ListingHit { doc, relevance });
+                hits.push(ListingHit {
+                    doc: group[0].0,
+                    relevance,
+                });
             }
         }
-        hits.sort_unstable_by_key(|h| h.doc);
         Ok(hits)
     }
 
-    /// The `k` most relevant documents under `Rel_max`, ranked descending.
-    /// Best-first search over the doc-deduplicated RMQ levels; only
-    /// occurrences visible at `tau_min` are candidates.
+    /// The `k` most relevant documents under `Rel_max`: `query(pattern,
+    /// tau_min)` ranked by relevance (descending), then document id, and cut
+    /// at `k`.
     pub fn query_top_k(&self, pattern: &[u8], k: usize) -> Result<Vec<ListingHit>, Error> {
-        crate::error::validate_pattern(pattern)?;
-        let Some((l, r)) = self.substrate.range(pattern) else {
-            return Ok(Vec::new());
-        };
-        let hits = self.substrate.top_k(pattern.len(), l, r, k, f64::MIN, |x| {
-            self.doc_and_src(x).map(|(doc, _)| doc)
-        });
-        let mut out: Vec<ListingHit> = hits
-            .into_iter()
-            .map(|(doc, v)| {
-                let relevance = if self.has_correlations {
-                    // Stored values are bounds; recompute the document's
-                    // exact Rel_max through its plane.
-                    crate::listing::exact_rel_max(&self.planes[doc], pattern)
-                } else {
-                    canon::exp(v)
-                };
-                ListingHit { doc, relevance }
-            })
-            .collect();
-        out.sort_by(|a, b| {
-            b.relevance
-                .partial_cmp(&a.relevance)
-                .unwrap_or(std::cmp::Ordering::Equal)
-        });
-        Ok(out)
+        let mut hits = self.query(pattern, self.tau_min)?;
+        let key = |hit: &ListingHit| (hit.doc, hit.relevance);
+        hits.sort_by(|a, b| crate::canonical_hit_order(&key(a), &key(b)));
+        hits.truncate(k);
+        Ok(hits)
     }
 
     /// Approximate heap footprint in bytes: everything the index holds,
@@ -406,20 +354,6 @@ impl ListingIndex {
             + self.planes.iter().map(ProbPlane::heap_size).sum::<usize>()
             + (self.doc_of.capacity() + self.src_of.capacity()) * size_of::<u32>()
     }
-}
-
-/// Exact `Rel_max` by scanning one document's plane (used only under
-/// correlations, where stored values are upper bounds).
-fn exact_rel_max(plane: &ProbPlane, pattern: &[u8]) -> f64 {
-    let m = pattern.len();
-    if m > plane.len() {
-        return 0.0;
-    }
-    plane.with_kernel(pattern, |kernel| {
-        (0..=plane.len() - m)
-            .map(|i| kernel.match_probability(i))
-            .fold(0.0, f64::max)
-    })
 }
 
 #[cfg(test)]

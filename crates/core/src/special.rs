@@ -151,29 +151,14 @@ impl SpecialIndex {
         Ok(QueryResult::from_hits(hits))
     }
 
-    /// The `k` most probable occurrences of `pattern`, ranked descending.
-    /// Without correlations this is the exact top-k; with correlations the
-    /// ranking key is the stored probability (returned probabilities are
-    /// exact).
+    /// The `k` most probable occurrences of `pattern`: `query(pattern, τ)`
+    /// at the least τ it takes, [`f64::MIN_POSITIVE`], ranked by
+    /// [`crate::canonical_hit_order`] (probability ↓, position ↑) and cut at
+    /// `k`.
     pub fn query_top_k(&self, pattern: &[u8], k: usize) -> Result<Vec<(usize, f64)>, Error> {
-        crate::error::validate_pattern(pattern)?;
-        let Some((l, r)) = self.substrate.range(pattern) else {
-            return Ok(Vec::new());
-        };
-        let m = pattern.len();
-        let hits = self.substrate.top_k(m, l, r, k, f64::MIN, Some);
-        let mut out: Vec<(usize, f64)> = hits
-            .into_iter()
-            .map(|(pos, v)| {
-                let p = if self.correlations.is_empty() {
-                    canon::exp(v)
-                } else {
-                    self.special.window_prob_with(&self.correlations, pos, m)
-                };
-                (pos, p)
-            })
-            .collect();
-        out.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
+        let mut out = self.query(pattern, f64::MIN_POSITIVE)?.into_hits();
+        out.sort_by(crate::canonical_hit_order);
+        out.truncate(k);
         Ok(out)
     }
 

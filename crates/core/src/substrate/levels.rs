@@ -29,7 +29,12 @@
 //! empty one on a long level), and a query does not tell them apart: the
 //! level that serves `m` bounds every candidate, and the exact value is
 //! that bound when the level's length is `m`, the length-`m` window
-//! otherwise. No other shape exists: [`ladder`] derives the lengths from
+//! otherwise. A threshold report is that level's
+//! [`SampledRmq::report_at_least`]: the suffix range is split at its
+//! maximum only while it spans more than two blocks, and a smaller range is
+//! read once, so each candidate costs O(1) reads (§4's `O(m + occ)`).
+//! Top-k is [`super::topk`]'s best-first search over the same level.
+//! No other shape exists: [`ladder`] derives the lengths from
 //! the text alone, `build` makes exactly those levels and `from_parts`
 //! accepts exactly those — a stored state names no lengths, and one level
 //! short or over is refused.
@@ -73,7 +78,7 @@
 //! and the stamp table: `L × key space` words, the key space being the
 //! document's own (source positions, or document ids).
 
-use ustr_rmq::{Direction, SampledRmq, ThresholdReporter};
+use ustr_rmq::{Direction, SampledRmq};
 
 use super::{topk::top_k_search, ScoredText, Substrate};
 use crate::{
@@ -186,6 +191,16 @@ impl Level {
     /// This level's [`level_value`].
     fn value<'a>(&'a self, text: &'a ScoredText) -> impl Fn(usize) -> f64 + Copy + 'a {
         level_value(&self.mask, text, self.len)
+    }
+
+    /// The length-`m` window of `slot`, whose value here is `upper`: that
+    /// value itself on the level of length `m`, a bound on a shorter one.
+    fn exact(&self, text: &ScoredText, m: usize, slot: usize, upper: f64) -> f64 {
+        if self.len == m {
+            upper
+        } else {
+            text.window(slot, m)
+        }
     }
 }
 
@@ -301,35 +316,28 @@ impl Substrate {
     /// `[l, r]`: `(text position, stored window log-probability)` of every
     /// suffix whose length-`m` window is ≥ `log_tau`. Algorithm 2/4 runs on
     /// the level that serves `m`; survivors of a shorter level are verified
-    /// at length `m`. A short level (`m ≤ L`) yields one hit per distinct
-    /// key, most probable first; a long one — the blocking scheme — does
-    /// *not* eliminate duplicate keys (the caller aggregates).
+    /// at length `m`. Hits come in no set order. A short level (`m ≤ L`)
+    /// yields one hit per distinct key; a long one — the blocking scheme —
+    /// does *not* eliminate duplicate keys (the caller aggregates).
     pub(crate) fn report(&self, m: usize, l: usize, r: usize, log_tau: f64) -> Vec<(usize, f64)> {
         debug_assert!(m >= 1, "patterns are validated non-empty");
         let (text, level) = (&self.text, self.levels.serving(m));
         let threshold = log_tau - ustr_uncertain::PROB_EPS;
-        let bound = level.value(text);
-        ThresholdReporter::new(
-            l,
-            r,
-            threshold,
-            Direction::Max,
-            |a, b| level.rmq.query_with(a, b, &bound),
-            bound,
-        )
-        .filter_map(|(slot, upper)| {
-            let v = if level.len == m {
-                upper
-            } else {
-                text.window(slot, m)
-            };
-            (v >= threshold).then(|| (text.pos(slot), v))
-        })
-        .collect()
+        let mut hits = Vec::new();
+        level
+            .rmq
+            .report_at_least(l, r, threshold, &level.value(text), |slot, upper| {
+                let v = level.exact(text, m, slot, upper);
+                if v >= threshold {
+                    hits.push((text.pos(slot), v));
+                }
+            });
+        hits
     }
 
     /// The `k` most probable distinct sources over the suffix range `[l, r]`
-    /// of a length-`m` pattern, as `(source, stored value)` in decreasing
+    /// of a length-`m` pattern, and every other source tied with the `k`-th
+    /// within `PROB_EPS`, as `(source, stored value)` in decreasing
     /// stored-value order: best-first search over the level that serves `m`
     /// (see [`super::topk`]), its values lazy bounds when it is shorter than
     /// `m`. `source` maps a text position to its deduplicated output key
@@ -355,13 +363,7 @@ impl Substrate {
             let s = level.rmq.query_with(a, b, &bound);
             (s, bound(s))
         };
-        let exact = |slot: usize| {
-            if level.len == m {
-                bound(slot)
-            } else {
-                text.window(slot, m)
-            }
-        };
+        let exact = |slot, upper| level.exact(text, m, slot, upper);
         top_k_search(l, r, k, floor, best, exact, source)
     }
 }
@@ -757,10 +759,15 @@ mod tests {
                             assert_eq!(hits.len(), got.len(), "{context}: a key twice");
                         }
                     }
-                    // Top-k: the k best distinct keys, best first.
+                    // Top-k: the k best distinct keys, best first, and then
+                    // the rest of the k-th one's tie class.
                     let (l, r) = sub.range(pattern).unwrap();
                     let key_of = |x: usize| Some(keys.map_or(x as u32, |keys| keys[x]) as usize);
-                    let top = sub.top_k(m, l, r, 3, f64::MIN, key_of);
+                    let mut top = sub.top_k(m, l, r, 3, f64::MIN, key_of);
+                    if let Some(&(_, third)) = top.get(2) {
+                        assert!(top[3..].iter().all(|&(_, v)| (v - third).abs() < 1e-9));
+                    }
+                    top.truncate(3);
                     let mut ranked: Vec<f64> = all.values().copied().collect();
                     ranked.sort_by(|a, b| b.total_cmp(a));
                     ranked.truncate(3);

@@ -19,10 +19,14 @@
 //!   champion indices and a [`BlockRmq`] over the champions' values (the
 //!   underlying value array can be *discarded*, exactly as the paper
 //!   discards the `C_i` arrays after building `RMQ_i`); partial blocks are
-//!   rescanned through the accessor.
-//! * [`ThresholdReporter`] — the recursive "report everything above τ in
-//!   decreasing order" driver shared by every index (Algorithm 2/4 in the
-//!   paper).
+//!   rescanned through the accessor. A query reads up to two blocks;
+//!   [`SampledRmq::report_at_least`], the levels' threshold report
+//!   (Algorithm 2/4 in the paper), splits a range at its extreme only while
+//!   it spans more than two blocks and reads a smaller one once, not once
+//!   per value it reports: `O(block · (occ + 1))` reads in all.
+//! * [`ThresholdReporter`] — the same recursion over any range-extreme
+//!   oracle, in decreasing order within each subrange (the approximate
+//!   index's links, over a [`BlockRmq`]).
 //!
 //! All structures are parameterised over a [`Direction`] (maximum or
 //! minimum) and break ties toward the *leftmost* index, which the reporting
@@ -67,6 +71,16 @@ impl Direction {
         match self {
             Direction::Max => f64::NEG_INFINITY,
             Direction::Min => f64::INFINITY,
+        }
+    }
+
+    /// Whether `value` passes `threshold` in a report: `value >= threshold`
+    /// for max, `value <= threshold` for min.
+    #[inline]
+    pub fn reaches(self, value: f64, threshold: f64) -> bool {
+        match self {
+            Direction::Max => value >= threshold,
+            Direction::Min => value <= threshold,
         }
     }
 }

@@ -71,14 +71,6 @@ where
             value,
         }
     }
-
-    #[inline]
-    fn passes(&self, v: f64) -> bool {
-        match self.direction {
-            Direction::Max => v >= self.threshold,
-            Direction::Min => v <= self.threshold,
-        }
-    }
 }
 
 impl<Q, V> Iterator for ThresholdReporter<Q, V>
@@ -93,7 +85,7 @@ where
             let m = (self.query)(l, r);
             debug_assert!((l..=r).contains(&m), "oracle returned index outside range");
             let v = (self.value)(m);
-            if self.passes(v) {
+            if self.direction.reaches(v, self.threshold) {
                 if m > l {
                     self.stack.push((l, m - 1));
                 }

@@ -6,7 +6,9 @@
 //! champion indices plus a linear-space [`BlockRmq`] over the champion
 //! values; partial blocks are rescanned through a caller-supplied accessor
 //! (each probe is O(1) via `C`), keeping queries O(block size) = O(1) for a
-//! fixed block size.
+//! fixed block size. A threshold report ([`SampledRmq::report_at_least`])
+//! pays that per split only while a range spans more than two blocks: a
+//! range inside two blocks is read once, not once per value it reports.
 
 use crate::{BlockRmq, Direction, Rmq};
 
@@ -164,7 +166,7 @@ impl SampledRmq {
         &self,
         l: usize,
         r: usize,
-        accessor: &dyn Fn(usize) -> f64,
+        accessor: &(impl Fn(usize) -> f64 + ?Sized),
         mut best: Option<(usize, f64)>,
     ) -> Option<(usize, f64)> {
         for i in l..=r {
@@ -178,13 +180,70 @@ impl SampledRmq {
     }
 
     /// Index of the extreme value within `[l, r]`, re-reading partial blocks
-    /// through `accessor`. The accessor must be consistent with the one used
-    /// at construction time.
+    /// through `accessor`: at most two blocks' worth of values. The accessor
+    /// must be consistent with the one used at construction time.
     ///
     /// # Panics
     ///
     /// Panics if `l > r` or `r >= self.len()`.
-    pub fn query_with(&self, l: usize, r: usize, accessor: &dyn Fn(usize) -> f64) -> usize {
+    pub fn query_with(
+        &self,
+        l: usize,
+        r: usize,
+        accessor: &(impl Fn(usize) -> f64 + ?Sized),
+    ) -> usize {
+        self.extreme(l, r, accessor).0
+    }
+
+    /// Calls `emit(i, value)` once for every `i` in `[l, r]` whose value
+    /// [reaches](Direction::reaches) `threshold`, in no set order (nothing
+    /// for `l > r`). A range wider than two blocks is split at its extreme
+    /// and dropped when the extreme fails; a range inside two blocks is read
+    /// once, value by value. A split and a two-block read each read at most
+    /// `2·block` values, and there are at most `2·reported + 1` of them.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `l <= r` and `r >= self.len()`.
+    pub fn report_at_least(
+        &self,
+        l: usize,
+        r: usize,
+        threshold: f64,
+        accessor: &(impl Fn(usize) -> f64 + ?Sized),
+        mut emit: impl FnMut(usize, f64),
+    ) {
+        assert!(l > r || r < self.len, "range end {r} out of bounds");
+        let mut next = (l <= r).then_some((l, r));
+        let mut pending = Vec::new();
+        while let Some((l, r)) = next.take().or_else(|| pending.pop()) {
+            if r / self.block_size <= l / self.block_size + 1 {
+                for i in l..=r {
+                    let v = accessor(i);
+                    if self.direction.reaches(v, threshold) {
+                        emit(i, v);
+                    }
+                }
+                continue;
+            }
+            let (m, v) = self.extreme(l, r, accessor);
+            if self.direction.reaches(v, threshold) {
+                emit(m, v);
+                if m > l {
+                    pending.push((l, m - 1));
+                }
+                next = (m < r).then_some((m + 1, r));
+            }
+        }
+    }
+
+    /// [`SampledRmq::query_with`] with the extreme's value.
+    fn extreme(
+        &self,
+        l: usize,
+        r: usize,
+        accessor: &(impl Fn(usize) -> f64 + ?Sized),
+    ) -> (usize, f64) {
         assert!(l <= r, "invalid range: l={l} > r={r}");
         assert!(
             r < self.len,
@@ -194,7 +253,7 @@ impl SampledRmq {
         let bl = l / self.block_size;
         let br = r / self.block_size;
         if bl == br {
-            return self.scan(l, r, accessor, None).expect("non-empty range").0;
+            return self.scan(l, r, accessor, None).expect("non-empty range");
         }
         let left_end = (bl + 1) * self.block_size - 1;
         let mut best = self.scan(l, left_end, accessor, None);
@@ -208,7 +267,7 @@ impl SampledRmq {
             }
         }
         best = self.scan(br * self.block_size, r, accessor, best);
-        best.expect("non-empty range").0
+        best.expect("non-empty range")
     }
 }
 

@@ -81,6 +81,59 @@ proptest! {
         }
     }
 
+    /// `SampledRmq::report_at_least` emits the naive filter's index set,
+    /// each index once, and reads at most `2·block·(2·reported + 1)` values
+    /// through the accessor — an exact work bound, checked as a count — and
+    /// a range inside two blocks exactly once. Each drawn range is also cut
+    /// to its first block and to its first two, under heavy ties and runs of
+    /// −∞ (masked level entries).
+    #[test]
+    fn report_at_least_reads_a_small_range_once(
+        raw in prop::collection::vec(-3i64..6, 1..700),
+        masked in prop::collection::vec((0usize..700, 0usize..120), 0..4),
+        ranges in prop::collection::vec((0usize..700, 0usize..700), 1..8),
+        threshold in -4i64..7,
+        max_dir in any::<bool>(),
+    ) {
+        let dir = if max_dir { Direction::Max } else { Direction::Min };
+        let mut values: Vec<f64> = raw.iter().map(|&v| v as f64).collect();
+        let n = values.len();
+        for &(start, len) in &masked {
+            for v in values.iter_mut().skip(start % n).take(len) {
+                *v = f64::NEG_INFINITY;
+            }
+        }
+        let t = threshold as f64;
+        let reads = std::cell::Cell::new(0usize);
+        let at = |i: usize| {
+            reads.set(reads.get() + 1);
+            values[i]
+        };
+        for bs in [1usize, 2, 7, 64, 300] {
+            let sampled = SampledRmq::with_block_size(n, bs, dir, &at);
+            for &(a, b) in &ranges {
+                let (l, r) = ((a % n).min(b % n), (a % n).max(b % n));
+                let block_end = |blocks: usize| r.min((l / bs + blocks) * bs - 1);
+                for (l, r) in [(l, block_end(1)), (l, block_end(2)), (l, r)] {
+                    let mut got = Vec::new();
+                    reads.set(0);
+                    sampled.report_at_least(l, r, t, &at, |i, v| {
+                        assert_eq!(v, values[i]);
+                        got.push(i);
+                    });
+                    let bound = 2 * bs * (2 * got.len() + 1);
+                    prop_assert!(reads.get() <= bound, "bs={} [{},{}]: {} reads > {}", bs, l, r, reads.get(), bound);
+                    if r / bs <= l / bs + 1 {
+                        prop_assert_eq!(reads.get(), r - l + 1, "bs={} [{},{}] read once", bs, l, r);
+                    }
+                    got.sort_unstable();
+                    let expected: Vec<usize> = (l..=r).filter(|&i| dir.reaches(values[i], t)).collect();
+                    prop_assert_eq!(got, expected, "bs={} [{},{}]", bs, l, r);
+                }
+            }
+        }
+    }
+
     #[test]
     fn reporter_returns_exactly_the_passing_set(
         raw in prop::collection::vec(0u32..100, 1..150),

@@ -40,7 +40,7 @@ mod worlds;
 pub use chars::UncertainChar;
 pub use correlation::{Correlation, CorrelationSet};
 pub use error::ModelError;
-pub use plane::{MatchKernel, PatternRanks, ProbPlane};
+pub use plane::{MatchKernel, ProbPlane};
 pub use special::SpecialUncertainString;
 pub use string::UncertainString;
 pub use transform::{transform, Transformed, MAX_TEXT_LEN, NO_POSITION, SENTINEL};

@@ -416,28 +416,6 @@ impl ProbPlane {
         f64::NEG_INFINITY
     }
 
-    /// Remaps `pattern` to plane ranks (one small allocation per call; the
-    /// hot paths use [`ProbPlane::with_kernel`], which reuses a
-    /// thread-local buffer instead).
-    pub fn compile(&self, pattern: &[u8]) -> PatternRanks {
-        let mut ranks = Vec::new();
-        let impossible = self.remap_into(pattern, &mut ranks);
-        PatternRanks { ranks, impossible }
-    }
-
-    /// A kernel over previously [`compile`](Self::compile)d ranks.
-    pub fn kernel<'a>(&'a self, pattern: &'a [u8], compiled: &'a PatternRanks) -> MatchKernel<'a> {
-        debug_assert_eq!(pattern.len(), compiled.ranks.len());
-        MatchKernel {
-            plane: self,
-            pattern,
-            ranks: &compiled.ranks,
-            first_row: self.first_char_row(pattern),
-            impossible: compiled.impossible,
-            any_corr: self.has_correlations(),
-        }
-    }
-
     /// Runs `f` with a [`MatchKernel`] for `pattern`, remapping the pattern
     /// into a reusable thread-local rank buffer: once the buffer is warm, a
     /// query allocates nothing here no matter how many candidates it
@@ -516,20 +494,6 @@ impl ProbPlane {
     }
 }
 
-/// A pattern remapped to one plane's ranks (see [`ProbPlane::compile`]).
-#[derive(Debug, Clone)]
-pub struct PatternRanks {
-    ranks: Vec<u8>,
-    impossible: bool,
-}
-
-impl PatternRanks {
-    /// `true` when some pattern byte never occurs in the document.
-    pub fn is_impossible(&self) -> bool {
-        self.impossible
-    }
-}
-
 /// Ascending iterator over candidate start positions, driven by presence
 /// bitmaps: the set bits of one presence row, optionally ANDed word-by-word
 /// with a second row shifted left by one (candidates whose *second*
@@ -601,8 +565,7 @@ impl Iterator for PresenceIter<'_> {
 /// The per-query verification kernel: `pattern` remapped to ranks once,
 /// candidate windows evaluated as flat-array loops.
 ///
-/// Obtained from [`ProbPlane::with_kernel`] (thread-local scratch, the hot
-/// path) or [`ProbPlane::kernel`] over a [`PatternRanks`].
+/// Obtained from [`ProbPlane::with_kernel`] (thread-local rank scratch).
 pub struct MatchKernel<'a> {
     plane: &'a ProbPlane,
     pattern: &'a [u8],
@@ -1014,20 +977,6 @@ mod tests {
                 );
             });
         });
-    }
-
-    #[test]
-    fn compiled_ranks_reusable_across_calls() {
-        let s = UncertainString::parse("a:.4,b:.6 | b | a:.9,c:.1").unwrap();
-        let plane = ProbPlane::build(&s);
-        let compiled = plane.compile(b"ab");
-        assert!(!compiled.is_impossible());
-        let k = plane.kernel(b"ab", &compiled);
-        assert_eq!(
-            k.log_match(0).to_bits(),
-            s.log_match_probability(b"ab", 0).to_bits()
-        );
-        assert!(plane.compile(b"aq").is_impossible());
     }
 
     #[test]

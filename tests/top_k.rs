@@ -4,6 +4,7 @@
 use proptest::prelude::*;
 use uncertain_strings::{
     baseline::NaiveScanner,
+    core::{canonical_hit_order, ListingHit},
     workload::{generate_string, sample_patterns, DatasetConfig, PatternMode},
     Index, ListingIndex, SpecialIndex, SpecialUncertainString, UncertainString,
 };
@@ -132,6 +133,99 @@ fn top_k_validates_patterns() {
     assert!(idx.query_top_k(b"a\0", 3).is_err());
     assert!(idx.query_top_k(b"zzz", 3).unwrap().is_empty());
     assert!(idx.query_top_k(b"a", 0).unwrap().is_empty());
+}
+
+/// One tie-heavy position: its choices' probabilities drawn from
+/// {1, .5, .25} over a four-letter alphabet, so many windows share one
+/// probability and every cut at `k` falls inside a tie class.
+fn tie_heavy_row() -> impl Strategy<Value = Vec<(u8, f64)>> {
+    let shapes = vec![
+        vec![1.0],
+        vec![1.0],
+        vec![0.5, 0.5],
+        vec![0.5, 0.25, 0.25],
+        vec![0.25; 4],
+    ];
+    (prop::sample::select(shapes), 0u8..4).prop_map(|(probs, shift)| {
+        let mut row: Vec<(u8, f64)> = (0u8..)
+            .zip(probs)
+            .map(|(i, p)| (b'a' + (shift + i) % 4, p))
+            .collect();
+        row.sort_by_key(|&(c, _)| c);
+        row
+    })
+}
+
+/// Substrings of the most probable world of `s`, of short and long-level
+/// lengths.
+fn patterns_of(s: &UncertainString) -> Vec<Vec<u8>> {
+    let world = s.most_probable_world();
+    let mut patterns: Vec<Vec<u8>> = [1, 2, 3, 5, 9]
+        .into_iter()
+        .flat_map(|m| world.windows(m).step_by(3).map(<[u8]>::to_vec))
+        .collect();
+    patterns.sort_unstable();
+    patterns.dedup();
+    patterns
+}
+
+/// `(key, probability bits)`: hits compared to the bit.
+fn bits(hits: impl IntoIterator<Item = (usize, f64)>) -> Vec<(usize, u64)> {
+    hits.into_iter().map(|(x, p)| (x, p.to_bits())).collect()
+}
+
+/// For every `k` from 1 to one past the answer's size, `top_k(k)` is the
+/// first `k` of `answer` ranked by `canonical_hit_order`.
+fn assert_ranked_prefixes(
+    mut answer: Vec<(usize, f64)>,
+    top_k: impl Fn(usize) -> Vec<(usize, f64)>,
+    context: &str,
+) {
+    answer.sort_by(canonical_hit_order);
+    for k in 1..=answer.len() + 1 {
+        let expected = bits(answer.iter().copied().take(k));
+        assert_eq!(bits(top_k(k)), expected, "{context} k={k}");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Top-k is the threshold answer at τmin, ranked and cut at `k`, ties
+    /// at the cut included, positions and probability bits alike — for the
+    /// general, listing and special indexes.
+    #[test]
+    fn top_k_is_the_ranked_threshold_answer(
+        docs in prop::collection::vec(prop::collection::vec(tie_heavy_row(), 1..40), 1..4),
+        special in prop::collection::vec((0u8..2, prop::sample::select(vec![1.0, 0.5, 0.25])), 1..60),
+    ) {
+        let tau_min = 0.01;
+        let docs: Vec<UncertainString> =
+            docs.into_iter().map(|rows| UncertainString::from_rows(rows).unwrap()).collect();
+        let listing = ListingIndex::build(&docs, tau_min).unwrap();
+        for s in &docs {
+            let idx = Index::build(s, tau_min).unwrap();
+            for p in patterns_of(s) {
+                let context = format!("{:?}", String::from_utf8_lossy(&p));
+                let answer = idx.query(&p, tau_min).unwrap().into_hits();
+                assert_ranked_prefixes(answer, |k| idx.query_top_k(&p, k).unwrap(), &context);
+                let doc_hits = |hits: Vec<ListingHit>| -> Vec<(usize, f64)> {
+                    hits.into_iter().map(|h| (h.doc, h.relevance)).collect()
+                };
+                let answer = doc_hits(listing.query(&p, tau_min).unwrap());
+                let top_k = |k| doc_hits(listing.query_top_k(&p, k).unwrap());
+                assert_ranked_prefixes(answer, top_k, &format!("listing {context}"));
+            }
+        }
+        let (chars, probs): (Vec<u8>, Vec<f64>) = special.into_iter().map(|(c, p)| (b'a' + c, p)).unzip();
+        let x = SpecialUncertainString::new(chars.clone(), probs).unwrap();
+        let idx = SpecialIndex::build(&x).unwrap();
+        for p in patterns_of(&UncertainString::deterministic(&chars)) {
+            let answer = idx.query(&p, f64::MIN_POSITIVE).unwrap().into_hits();
+            let top_k = |k| idx.query_top_k(&p, k).unwrap();
+            assert_ranked_prefixes(answer, top_k, &format!("special {:?}", String::from_utf8_lossy(&p)));
+        }
+    }
 }
 
 proptest! {
