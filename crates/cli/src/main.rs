@@ -24,8 +24,9 @@
 //! `build-collection` packs a whole collection (per-document substring
 //! indexes, plus approx indexes when `--epsilon` is given) into one `.coll`
 //! snapshot. `serve-batch` answers a query file over a `.coll` collection
-//! snapshot or a plain collection file using the `ustr-service` concurrent
-//! engine; query lines are either the legacy
+//! snapshot or a plain collection file, one request at a time, each fanned
+//! out over the shards by the `ustr-service` engine; query lines are either
+//! the legacy
 //! `PATTERN TAU` (threshold search) or mixed-mode
 //! `search|top|list|approx PATTERN ARG` lines, where `ARG` is τ (or K for
 //! `top`). `--quiet` on any query command prints result rows only, for
@@ -87,7 +88,7 @@ const COMMANDS: &[(&str, &str, &str)] = &[
     (
         "serve-batch",
         "ustr serve-batch (FILE.coll | FILE) QUERIES.txt --threads N [--shards S] [--cache C] [--tau-min T0] [--epsilon E] [--slow-query-us N] [--quiet]",
-        "answer a (mixed-mode) query batch concurrently",
+        "answer a (mixed-mode) query file, one request at a time, each fanned over the shards",
     ),
     (
         "ingest",
@@ -107,7 +108,8 @@ const COMMANDS: &[(&str, &str, &str)] = &[
     (
         "serve-live",
         "ustr serve-live LIVEDIR QUERIES.txt [--threads N] [--cache C] [--slow-query-us N] [--quiet]",
-        "answer a (mixed-mode) query batch over a live collection",
+        "answer a (mixed-mode) query file over a live collection, one request at a time, \
+         each fanned over its segments",
     ),
     (
         "serve-net",
@@ -128,7 +130,7 @@ const COMMANDS: &[(&str, &str, &str)] = &[
         "ustr trace (LIVEDIR | FILE.coll | FILE) QUERIES.txt \
          [--sample-rate F] [--out FILE.json] [--threads N] [--shards S] [--cache C] \
          [--tau-min T0] [--epsilon E] [--quiet]",
-        "answer a query batch with tracing on and export Chrome trace JSON",
+        "answer a query file one request at a time with tracing on and export Chrome trace JSON",
     ),
 ];
 
@@ -492,8 +494,9 @@ fn cmd_serve_live(args: &Args) -> Result<String, String> {
 }
 
 /// Opens `source` (already vetted by the calling command), answers the
-/// query file in-process through the same backend `serve-net` serves, and
-/// renders the answers under a summary of the run.
+/// query file in-process through the same backend `serve-net` serves — one
+/// request at a time, each fanned out over the segments — and renders the
+/// answers under a summary of the run.
 fn serve_in_process(source: &str, args: &Args) -> Result<String, String> {
     let queries_path = args.positional(1, "QUERIES.txt")?;
     let quiet = args.flag("quiet");
@@ -503,9 +506,8 @@ fn serve_in_process(source: &str, args: &Args) -> Result<String, String> {
     let ready = start.elapsed();
 
     let t0 = std::time::Instant::now();
-    let answers = backend.answer(&queries, &[]);
+    let results: Vec<_> = queries.iter().map(|q| backend.answer(q, None).0).collect();
     let answered = t0.elapsed();
-    let results: Vec<_> = answers.into_iter().map(|(result, _)| result).collect();
 
     let mut out = String::new();
     if !quiet {
@@ -534,7 +536,7 @@ fn serve_in_process(source: &str, args: &Args) -> Result<String, String> {
 /// One summary line for the result cache: hits, misses, and hit ratio.
 /// The counters are lifetime totals for the service instance (its
 /// `service.cache.*` metrics), which for a CLI invocation means totals
-/// across this batch including its duplicate-request cache hits.
+/// across its query file: a repeated line is a cache hit.
 fn cache_summary(hits: u64, misses: u64) -> String {
     let total = hits + misses;
     let ratio = if total == 0 {
@@ -968,8 +970,9 @@ fn cmd_client(args: &Args) -> Result<String, String> {
     Ok(out.trim_end().to_string())
 }
 
-/// `trace`: answer a batch in-process with tracing at `--sample-rate`
-/// (default 1.0 — every query), then export the finished traces as Chrome
+/// `trace`: answer a query file in-process, one request at a time, with
+/// tracing at `--sample-rate` (default 1.0 — every query, a repeated line
+/// included), then export the finished traces as Chrome
 /// `trace_event` JSON (`--out`, default `traces.json`) and print the span
 /// trees. The same backend shapes as `serve-net` are accepted.
 fn cmd_trace(args: &Args) -> Result<String, String> {
@@ -985,9 +988,9 @@ fn cmd_trace(args: &Args) -> Result<String, String> {
     tracer.set_sample_permyriad(sample_permyriad(args, "sample-rate")?);
 
     let t0 = std::time::Instant::now();
-    let timed = backend.answer(&queries, &[]);
+    let (results, summaries): (Vec<_>, Vec<_>) =
+        queries.iter().map(|q| backend.answer(q, None)).unzip();
     let answered = t0.elapsed();
-    let (results, summaries): (Vec<_>, Vec<_>) = timed.into_iter().unzip::<_, _, Vec<_>, Vec<_>>();
 
     let traces = tracer.traces();
     let json = ustr_obs::chrome_trace_json(&traces);
@@ -1479,8 +1482,7 @@ mod tests {
             "serve-batch {docs} {queries} --threads 2 --tau-min 0.05"
         )))
         .unwrap();
-        assert!(out.contains("cache:"), "{out}");
-        assert!(out.contains("miss(es)"), "{out}");
+        assert!(out.contains("cache: 2 hit(s), 1 miss(es)"), "{out}");
         // --quiet suppresses the summary (result rows only).
         let quiet = run(&argv(&format!(
             "serve-batch {docs} {queries} --threads 2 --tau-min 0.05 --quiet"
@@ -1842,6 +1844,16 @@ mod tests {
         )))
         .unwrap();
         assert_eq!(traced_rows, untraced_rows, "tracing changed an answer");
+
+        // A repeated line is a request of its own: answered, and traced.
+        let twice = write_temp("ustr_cli_trace_twice.txt", "AB 0.3\nAB 0.3\n");
+        let out = run(&argv(&format!(
+            "trace {docs} {twice} --tau-min 0.05 --out {}",
+            json_path.display()
+        )))
+        .unwrap();
+        assert!(out.contains("traced 2 query(ies)"), "{out}");
+        assert!(out.contains("2 trace(s) kept"), "{out}");
 
         // Rate 0 keeps nothing but still writes a valid empty document.
         let out = run(&argv(&format!(

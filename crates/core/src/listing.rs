@@ -216,7 +216,12 @@ impl ListingIndex {
     }
 
     /// Lists all strings with `Rel_max ≥ tau` (the default metric), sorted
-    /// by document id.
+    /// by document id. A document's relevance is one of its occurrences'
+    /// probability, bit for bit as a per-document executor reports that
+    /// occurrence; the occurrence is the maximum in the index's stored
+    /// arithmetic, so the relevance can differ from the maximum of the
+    /// canonical probabilities by rounding (within `PROB_EPS`) where two
+    /// occurrences tie in exact arithmetic.
     pub fn query(&self, pattern: &[u8], tau: f64) -> Result<Vec<ListingHit>, Error> {
         self.query_with_metric(pattern, tau, RelMetric::Max)
     }
@@ -258,7 +263,8 @@ impl ListingIndex {
     /// as `(doc, src, canonical probability)` in `(doc, src)` order. The
     /// probability is recomputed from the document model through its plane
     /// kernel (see `Index::query`), one [`ProbPlane::with_kernel`] per
-    /// document, so values agree bit for bit with any per-document executor.
+    /// document, so each occurrence's value agrees bit for bit with any
+    /// per-document executor's.
     fn verified(
         &self,
         pattern: &[u8],

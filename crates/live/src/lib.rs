@@ -53,16 +53,19 @@
 //!
 //! ```
 //! use ustr_live::{LiveConfig, LiveService};
+//! use ustr_service::{QueryRequest, QueryResponse};
 //! use ustr_uncertain::UncertainString;
 //!
 //! let dir = std::env::temp_dir().join("ustr_live_doc_example");
 //! let _ = std::fs::remove_dir_all(&dir);
 //! let live = LiveService::open(&dir, LiveConfig::default()).unwrap();
 //! let id = live.insert(UncertainString::parse("A:.9,B:.1 | B | C").unwrap()).unwrap();
-//! let hits = live.query(b"AB", 0.5).unwrap();
+//! let ab = QueryRequest::Threshold { pattern: b"AB".to_vec(), tau: 0.5 };
+//! let Ok(QueryResponse::Threshold(hits)) = live.answer(&ab, None).0 else { panic!() };
 //! assert_eq!((hits[0].doc as u64, hits[0].hits[0].0), (id, 0));
 //! live.delete(id).unwrap();
-//! assert!(live.query(b"AB", 0.5).unwrap().is_empty());
+//! let Ok(QueryResponse::Threshold(hits)) = live.answer(&ab, None).0 else { panic!() };
+//! assert!(hits.is_empty());
 //! drop(live);
 //! let _ = std::fs::remove_dir_all(&dir);
 //! ```
@@ -92,10 +95,10 @@ use std::time::{Duration, Instant};
 
 use ustr_baseline::ScanIndex;
 use ustr_core::Error;
-use ustr_obs::{Counter, Histogram, MetricsRegistry, MetricsSnapshot, TraceSpan};
+use ustr_obs::{Counter, Histogram, MetricsRegistry, MetricsSnapshot, TraceContext, TraceSpan};
 use ustr_service::{
-    load_coll, lock_clean, save_coll, wait_clean, DocExecutor, DocHits, Engine, ListingHit,
-    QueryRequest, QueryResponse, Segment, SegmentSet, TopHit,
+    load_coll, lock_clean, save_coll, wait_clean, Answer, DocExecutor, Engine, QueryRequest,
+    QueryResponse, Segment, SegmentSet,
 };
 use ustr_store::{wal, RealIo, StoreError, StoreIo, WalOp, WalRecord, WalWriter};
 use ustr_uncertain::{canon, UncertainString};
@@ -1158,6 +1161,15 @@ impl LiveService {
         self.inner.engine.slow_log()
     }
 
+    /// Answers one request of any mode over a point-in-time snapshot, fanned
+    /// out on the thread pool, with its trace summary when its trace recorded
+    /// (`parent`: a propagated context the root span continues). Document ids
+    /// in the response are the stable insert-time ids. See [`Engine::answer`].
+    pub fn answer(&self, request: &QueryRequest, parent: Option<TraceContext>) -> Answer {
+        let view = self.inner.view();
+        self.inner.engine.answer(&view, request, parent)
+    }
+
     /// Answers a typed batch of any mix of query modes over a consistent
     /// point-in-time snapshot, fanning out on the thread pool through the
     /// same dispatcher as the static service. Document ids in responses
@@ -1165,21 +1177,6 @@ impl LiveService {
     pub fn query_requests(&self, requests: &[QueryRequest]) -> Vec<Result<QueryResponse, Error>> {
         let view = self.inner.view();
         self.inner.engine.run(&view, requests)
-    }
-
-    /// [`LiveService::query_requests`] with tracing: each request's trace
-    /// (fresh, or continuing a propagated parent context) is summarized
-    /// alongside its response. See [`Engine::run_traced`].
-    pub fn query_requests_traced(
-        &self,
-        requests: &[QueryRequest],
-        parents: &[Option<ustr_obs::TraceContext>],
-    ) -> Vec<(
-        Result<QueryResponse, Error>,
-        Option<ustr_service::TraceSummary>,
-    )> {
-        let view = self.inner.view();
-        self.inner.engine.run_traced(&view, requests, parents)
     }
 
     /// Runs `job` on the query pool (see [`Engine::execute`]).
@@ -1204,31 +1201,6 @@ impl LiveService {
         let view = self.inner.view();
         self.inner.engine.run_sequential(&view, requests)
     }
-
-    /// Answers one threshold query.
-    pub fn query(&self, pattern: &[u8], tau: f64) -> Result<Vec<DocHits>, Error> {
-        let view = self.inner.view();
-        self.inner.engine.query(&view, pattern, tau)
-    }
-
-    /// Answers one collection-wide top-k query.
-    pub fn query_top_k(&self, pattern: &[u8], k: usize) -> Result<Vec<TopHit>, Error> {
-        let view = self.inner.view();
-        self.inner.engine.query_top_k(&view, pattern, k)
-    }
-
-    /// Answers one listing query.
-    pub fn query_listing(&self, pattern: &[u8], tau: f64) -> Result<Vec<ListingHit>, Error> {
-        let view = self.inner.view();
-        self.inner.engine.query_listing(&view, pattern, tau)
-    }
-
-    /// Answers one ε-approximate query (exact for scan-served documents
-    /// and when ε is not configured).
-    pub fn query_approx(&self, pattern: &[u8], tau: f64) -> Result<Vec<DocHits>, Error> {
-        let view = self.inner.view();
-        self.inner.engine.query_approx(&view, pattern, tau)
-    }
 }
 
 impl Drop for LiveService {
@@ -1243,7 +1215,7 @@ impl Drop for LiveService {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ustr_service::{QueryService, ServiceConfig};
+    use ustr_service::{DocHits, ListingHit, QueryService, ServiceConfig, TopHit};
 
     fn doc(spec: &str) -> UncertainString {
         UncertainString::parse(spec).unwrap()
@@ -1332,6 +1304,21 @@ mod tests {
         }
     }
 
+    fn threshold(pattern: &[u8], tau: f64) -> QueryRequest {
+        QueryRequest::Threshold {
+            pattern: pattern.to_vec(),
+            tau,
+        }
+    }
+
+    /// What a threshold or approx request answers with.
+    fn hits(live: &LiveService, request: &QueryRequest) -> Vec<DocHits> {
+        match live.answer(request, None).0.unwrap() {
+            QueryResponse::Threshold(hits) | QueryResponse::Approx(hits) => hits.to_vec(),
+            other => panic!("not a hit list: {other:?}"),
+        }
+    }
+
     fn mixed_batch() -> Vec<QueryRequest> {
         vec![
             QueryRequest::Threshold {
@@ -1364,15 +1351,9 @@ mod tests {
         live.wait_idle().unwrap();
         live.compact().unwrap();
         live.wait_idle().unwrap();
-        let out = live.query_requests_traced(
-            &[QueryRequest::Threshold {
-                pattern: b"AB".to_vec(),
-                tau: 0.3,
-            }],
-            &[],
-        );
-        assert!(out[0].0.is_ok());
-        assert!(out[0].1.is_some());
+        let (result, summary) = live.answer(&threshold(b"AB", 0.3), None);
+        assert!(result.is_ok());
+        assert!(summary.is_some());
         let spans = live.tracer().spans();
         let names: std::collections::BTreeSet<&str> = spans.iter().map(|s| s.name).collect();
         // Foreground and background activity share the ring: WAL appends
@@ -1728,12 +1709,13 @@ mod tests {
             };
             live.insert(doc(spec)).unwrap();
         }
-        let before = live.query(b"AB", 0.3).unwrap();
+        let ab = threshold(b"AB", 0.3);
+        let before = hits(&live, &ab);
         live.seal().unwrap();
         // Hammer queries while the seal builds and installs off-thread.
         let mut observed = 0u32;
         loop {
-            let during = live.query(b"AB", 0.3).unwrap();
+            let during = hits(&live, &ab);
             assert_eq!(during, before, "answers never change across a seal");
             observed += 1;
             let idle = *live.inner.pending_jobs.lock().unwrap() == 0;
@@ -1744,7 +1726,7 @@ mod tests {
         live.wait_idle().unwrap();
         assert_eq!(live.num_segments(), 1);
         assert_eq!(live.memtable_len(), 0);
-        assert_eq!(live.query(b"AB", 0.3).unwrap(), before);
+        assert_eq!(hits(&live, &ab), before);
         drop(live);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1765,8 +1747,7 @@ mod tests {
         // recorded 0.01, so low-τ queries keep working.
         let live = LiveService::open(&dir, LiveConfig::default()).unwrap();
         assert_eq!(live.tau_min(), 0.01);
-        let hits = live.query(b"AB", 0.02).unwrap();
-        assert_eq!(hits.len(), 1);
+        assert_eq!(hits(&live, &threshold(b"AB", 0.02)).len(), 1);
         drop(live);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1825,16 +1806,17 @@ mod tests {
         let dir = fresh_dir("ustr_live_cache");
         let live = LiveService::open(&dir, config(0)).unwrap();
         live.insert(doc("A:.9,B:.1 | B")).unwrap();
-        let first = live.query(b"AB", 0.5).unwrap();
+        let ab = threshold(b"AB", 0.5);
+        let first = hits(&live, &ab);
         assert_eq!(first.len(), 1);
         assert_eq!(live.cache_stats(), (0, 1));
-        let again = live.query(b"AB", 0.5).unwrap();
+        let again = hits(&live, &ab);
         assert_eq!(again, first);
         assert_eq!(live.cache_stats(), (1, 1), "repeat is cache-served");
         // A mutation drops the entry: the same query misses and recomputes
         // against the new collection state.
         live.insert(doc("A | B")).unwrap();
-        let after = live.query(b"AB", 0.5).unwrap();
+        let after = hits(&live, &ab);
         assert_eq!(after.len(), 2);
         assert_eq!(live.cache_stats(), (1, 2), "mutation invalidated the cache");
         drop(live);
@@ -1856,24 +1838,17 @@ mod tests {
         let eps = live.epsilon().unwrap();
         // ε-sandwich: everything ≥ τ is present, nothing below τ − ε.
         let tau = 0.4;
-        let must: Vec<(usize, usize)> = live
-            .query(b"AB", tau)
-            .unwrap()
-            .iter()
-            .flat_map(|d| d.hits.iter().map(|&(p, _)| (d.doc, p)).collect::<Vec<_>>())
-            .collect();
-        let may: Vec<(usize, usize)> = live
-            .query(b"AB", (tau - eps).max(0.05))
-            .unwrap()
-            .iter()
-            .flat_map(|d| d.hits.iter().map(|&(p, _)| (d.doc, p)).collect::<Vec<_>>())
-            .collect();
-        let got: Vec<(usize, usize)> = live
-            .query_approx(b"AB", tau)
-            .unwrap()
-            .iter()
-            .flat_map(|d| d.hits.iter().map(|&(p, _)| (d.doc, p)).collect::<Vec<_>>())
-            .collect();
+        let occurrences = |request: QueryRequest| -> Vec<(usize, usize)> {
+            let hits = hits(&live, &request);
+            let pairs = hits
+                .iter()
+                .flat_map(|d| d.hits.iter().map(|&(p, _)| (d.doc, p)));
+            pairs.collect()
+        };
+        let must = occurrences(threshold(b"AB", tau));
+        let may = occurrences(threshold(b"AB", (tau - eps).max(0.05)));
+        let pattern = b"AB".to_vec();
+        let got = occurrences(QueryRequest::Approx { pattern, tau });
         for m in &must {
             assert!(got.contains(m), "missing exact hit {m:?}");
         }

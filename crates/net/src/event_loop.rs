@@ -113,15 +113,7 @@ fn respond(
             ),
             Path::Queued { since } => {
                 let waited = u64::try_from(since.elapsed().as_micros()).unwrap_or(u64::MAX);
-                let answer = shared
-                    .backend
-                    .answer(std::slice::from_ref(request), std::slice::from_ref(&parent))
-                    .pop()
-                    .unwrap_or_else(|| {
-                        let lost = "the backend returned no response for a one-request batch";
-                        (Err(ustr_core::Error::internal(lost)), None)
-                    });
-                (Some(waited), answer)
+                (Some(waited), shared.backend.answer(request, parent))
             }
         };
         let (result, summary) = answer;

@@ -130,16 +130,10 @@ mod tests {
     use std::sync::Arc;
 
     use ustr_obs::TraceContext;
-    use ustr_service::{QueryService, ServiceConfig, TraceSummary};
+    use ustr_service::{Answer, QueryService, ServiceConfig};
     use ustr_uncertain::UncertainString;
 
     use super::*;
-
-    /// What [`QueryBackend::answer`] returns (for the test backends).
-    type Answers = Vec<(
-        Result<QueryResponse, ustr_core::Error>,
-        Option<TraceSummary>,
-    )>;
 
     fn service() -> QueryService {
         let docs = vec![
@@ -631,12 +625,8 @@ mod tests {
         // A degraded backend's detail rides back verbatim.
         struct Degraded(QueryService);
         impl QueryBackend for Degraded {
-            fn answer(
-                &self,
-                requests: &[QueryRequest],
-                parents: &[Option<TraceContext>],
-            ) -> Answers {
-                self.0.answer(requests, parents)
+            fn answer(&self, request: &QueryRequest, parent: Option<TraceContext>) -> Answer {
+                self.0.answer(request, parent)
             }
             fn execute(&self, job: Box<dyn FnOnce() + Send>) {
                 self.0.execute(job);
@@ -732,18 +722,14 @@ mod tests {
             gate: Arc<(Mutex<bool>, Condvar)>,
         }
         impl QueryBackend for Gated {
-            fn answer(
-                &self,
-                requests: &[QueryRequest],
-                parents: &[Option<TraceContext>],
-            ) -> Answers {
+            fn answer(&self, request: &QueryRequest, parent: Option<TraceContext>) -> Answer {
                 let (lock, cv) = &*self.gate;
                 let mut open = lock.lock().unwrap();
                 while !*open {
                     open = cv.wait(open).unwrap();
                 }
                 drop(open);
-                self.inner.answer(requests, parents)
+                self.inner.answer(request, parent)
             }
             fn execute(&self, job: Box<dyn FnOnce() + Send>) {
                 self.inner.execute(job);

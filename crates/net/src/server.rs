@@ -66,13 +66,10 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
-use ustr_core::Error;
 use ustr_live::LiveService;
 use ustr_obs::{Counter, Gauge, Histogram, MetricsRegistry, MetricsSnapshot, TraceContext, Tracer};
 use ustr_poll::{Poller, Waker};
-use ustr_service::{
-    lock_clean, wait_clean, QueryRequest, QueryResponse, QueryService, TraceSummary, WakeQueue,
-};
+use ustr_service::{lock_clean, wait_clean, Answer, QueryRequest, QueryService, WakeQueue};
 
 use crate::event_loop::{EventLoop, LoopHandle, LoopMsg, LoopStats, LoopStatsSnapshot};
 use crate::proto::{StatsFormat, DEFAULT_MAX_FRAME_LEN};
@@ -81,16 +78,12 @@ use crate::proto::{StatsFormat, DEFAULT_MAX_FRAME_LEN};
 /// [`QueryService`], the mutable [`ustr_live::LiveService`], or any other
 /// implementor of the engine's typed dispatch path.
 pub trait QueryBackend: Send + Sync {
-    /// Answers a typed batch (positionally aligned with `requests`).
-    /// `parents[q]`, when present, is a propagated client trace context the
-    /// request's root span continues (a missing tail means no parent). Each
-    /// answer comes with the request's [`TraceSummary`] when the backend
-    /// recorded its trace; backends without a tracer report `None`.
-    fn answer(
-        &self,
-        requests: &[QueryRequest],
-        parents: &[Option<TraceContext>],
-    ) -> Vec<(Result<QueryResponse, Error>, Option<TraceSummary>)>;
+    /// Answers one request. `parent`, when present, is a propagated client
+    /// trace context the request's root span continues. The answer comes
+    /// with the request's [`TraceSummary`](ustr_service::TraceSummary) when
+    /// the backend recorded its trace; backends without a tracer report
+    /// `None`.
+    fn answer(&self, request: &QueryRequest, parent: Option<TraceContext>) -> Answer;
 
     /// Runs `job` on the pool [`QueryBackend::answer`] fans out over. The
     /// server queues here every request job [`QueryBackend::answer_inline`]
@@ -115,7 +108,7 @@ pub trait QueryBackend: Send + Sync {
         _request: &QueryRequest,
         _parent: Option<TraceContext>,
         _spent_us: u64,
-    ) -> Option<(Result<QueryResponse, Error>, Option<TraceSummary>)> {
+    ) -> Option<Answer> {
         None
     }
 
@@ -160,12 +153,8 @@ pub trait QueryBackend: Send + Sync {
 macro_rules! engine_backend {
     ($service:ty, $health:expr, $inline:expr) => {
         impl QueryBackend for $service {
-            fn answer(
-                &self,
-                requests: &[QueryRequest],
-                parents: &[Option<TraceContext>],
-            ) -> Vec<(Result<QueryResponse, Error>, Option<TraceSummary>)> {
-                self.query_requests_traced(requests, parents)
+            fn answer(&self, request: &QueryRequest, parent: Option<TraceContext>) -> Answer {
+                <$service>::answer(self, request, parent)
             }
 
             fn execute(&self, job: Box<dyn FnOnce() + Send>) {
@@ -177,7 +166,7 @@ macro_rules! engine_backend {
                 request: &QueryRequest,
                 parent: Option<TraceContext>,
                 spent_us: u64,
-            ) -> Option<(Result<QueryResponse, Error>, Option<TraceSummary>)> {
+            ) -> Option<Answer> {
                 $inline(self, request, parent, spent_us)
             }
 
@@ -280,7 +269,7 @@ pub struct ServerConfig {
     /// Accepted and ignored: queries run on the backend's pool
     /// ([`QueryBackend::execute`]), sized by the backend's own `threads`.
     /// Kept only because `benchmark/src/serve.rs` names it; removal is
-    /// queued in ROADMAP item 1(e).
+    /// queued in ROADMAP item 1A(e).
     pub threads: usize,
     /// Event-loop (I/O) threads driving connection readiness. Each loop
     /// owns a share of the connections; loop 0 also owns the listener.

@@ -6,15 +6,12 @@
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use ustr_core::Error;
 use ustr_net::{
     ClientConfig, NetClient, NetServer, QueryBackend, QueryRequest, QueryResponse, ServerConfig,
 };
 use ustr_obs::TraceContext;
-use ustr_service::{QueryService, ServiceConfig, TraceSummary};
+use ustr_service::{Answer, QueryService, ServiceConfig};
 use ustr_uncertain::UncertainString;
-
-type Answer = (Result<QueryResponse, Error>, Option<TraceSummary>);
 
 /// A request for this pattern panics wherever it is answered.
 const BOOM: &[u8] = b"BOOM";
@@ -72,9 +69,9 @@ impl Probe {
 }
 
 impl QueryBackend for Probe {
-    fn answer(&self, requests: &[QueryRequest], parents: &[Option<TraceContext>]) -> Vec<Answer> {
-        requests.iter().for_each(|r| self.note(r));
-        QueryBackend::answer(&self.inner, requests, parents)
+    fn answer(&self, request: &QueryRequest, parent: Option<TraceContext>) -> Answer {
+        self.note(request);
+        self.inner.answer(request, parent)
     }
 
     fn execute(&self, job: Box<dyn FnOnce() + Send>) {

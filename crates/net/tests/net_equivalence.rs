@@ -59,11 +59,7 @@ fn assert_byte_identical(remote: &QueryResponse, local: &QueryResponse, what: &s
 /// full mixed-mode batches against the in-process reference answers.
 fn assert_clients_match(addr: std::net::SocketAddr, reference: &dyn QueryBackend, rounds: usize) {
     let batch = mixed_batch();
-    let local: Vec<_> = reference
-        .answer(&batch, &[])
-        .into_iter()
-        .map(|(result, _)| result)
-        .collect();
+    let local: Vec<_> = batch.iter().map(|q| reference.answer(q, None).0).collect();
     std::thread::scope(|scope| {
         for conn in 0..CONNS {
             let batch = &batch;
@@ -269,13 +265,10 @@ struct Declining(Arc<QueryService>);
 impl QueryBackend for Declining {
     fn answer(
         &self,
-        requests: &[QueryRequest],
-        parents: &[Option<ustr_obs::TraceContext>],
-    ) -> Vec<(
-        Result<QueryResponse, ustr_core::Error>,
-        Option<ustr_service::TraceSummary>,
-    )> {
-        self.0.answer(requests, parents)
+        request: &QueryRequest,
+        parent: Option<ustr_obs::TraceContext>,
+    ) -> ustr_service::Answer {
+        self.0.answer(request, parent)
     }
 
     fn execute(&self, job: Box<dyn FnOnce() + Send>) {

@@ -6,7 +6,7 @@
 //! Every door of [`Engine`] is that function. [`Engine::answer`] hands it
 //! the thread pool for the segment fan-out; [`Engine::run_inline`] and
 //! [`Engine::run_sequential`] hand it none, so the calling thread does all
-//! the work; a batch ([`Engine::run_traced`]) is a scatter of whole
+//! the work; a batch ([`Engine::run`]) is a scatter of whole
 //! requests over the pool, each answered without it. The static
 //! [`crate::QueryService`] serves a fixed shard list through it; the
 //! mutable `ustr-live` service a point-in-time snapshot of sealed segments
@@ -20,7 +20,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use ustr_core::{Error, ListingHit};
+use ustr_core::Error;
 use ustr_uncertain::canon;
 
 use crate::sync::lock_clean;
@@ -32,7 +32,7 @@ use ustr_uncertain::kstats::{self, KernelTotals};
 
 use crate::exec::{merge_partials, Segment, ShardPartial};
 use crate::pool::run_each;
-use crate::{DocHits, LruCache, QueryRequest, QueryResponse, ThreadPool, TopHit};
+use crate::{LruCache, QueryRequest, QueryResponse, ThreadPool};
 
 /// τ values closer than this are treated as the same threshold by request
 /// validation against the serving floor (see [`validate_request`]).
@@ -168,12 +168,6 @@ fn pattern_of(req: &QueryRequest) -> &[u8] {
 #[cfg(test)]
 pub(crate) const PANIC_PATTERN: &[u8] = b"!panic";
 
-fn mismatched(mode: &str) -> Error {
-    Error::internal(format!(
-        "{mode} request produced a mismatched response kind"
-    ))
-}
-
 /// What one traced request looked like from the inside: its finished trace
 /// (for the slow-query log or an exporter) and the flat stage timings a
 /// network response can carry. Every answer carries one when the request's
@@ -303,7 +297,7 @@ impl WorkEstimate {
 }
 
 /// One request's answer and, when its trace recorded, its [`TraceSummary`].
-type Answer = (Result<QueryResponse, Error>, Option<TraceSummary>);
+pub type Answer = (Result<QueryResponse, Error>, Option<TraceSummary>);
 
 /// The collection state one call answers over: a [`SegmentSet`] read once,
 /// and owned, so a batch's request jobs can carry it onto the pool (and a
@@ -604,46 +598,31 @@ impl Engine {
             .answer(&View::of(set), request, parent, Some(&self.pool))
     }
 
-    /// Answers a typed batch of any mix of query modes: [`Engine::run_traced`]
-    /// without the summaries.
+    /// Answers a typed batch of any mix of query modes, positionally aligned
+    /// with `requests`. One request is [`Engine::answer`]. Several are
+    /// scattered over the pool as whole requests, each answered by the
+    /// thread that claims it — the calling thread among them, and it alone
+    /// while the whole batch is expected to be cheaper than the wake a
+    /// helper costs. Duplicate requests are collapsed onto their first
+    /// occurrence first: it alone is answered, counted and traced, and the
+    /// others copy its result — so cache hit and miss counts do not depend
+    /// on how the batch was scheduled.
     pub fn run(
         &self,
         set: &dyn SegmentSet,
         requests: &[QueryRequest],
     ) -> Vec<Result<QueryResponse, Error>> {
-        self.run_traced(set, requests, &[])
-            .into_iter()
-            .map(|(result, _)| result)
-            .collect()
-    }
-
-    /// Answers a typed batch, positionally aligned with `requests` and
-    /// `parents` (a missing tail = no parent). One request is
-    /// [`Engine::answer`]. Several are scattered over the pool as whole
-    /// requests, each answered by the thread that claims it — the calling
-    /// thread among them, and it alone while the whole batch is expected
-    /// to be cheaper than the wake a helper costs. Duplicate requests are
-    /// collapsed onto their first occurrence first: it alone is answered,
-    /// counted and traced, and the others copy its result — so cache hit
-    /// and miss counts do not depend on how the batch was scheduled.
-    pub fn run_traced(
-        &self,
-        set: &dyn SegmentSet,
-        requests: &[QueryRequest],
-        parents: &[Option<TraceContext>],
-    ) -> Vec<Answer> {
         let started = Instant::now();
         let answers = 'answered: {
             if let [request] = requests {
-                let parent = parents.first().copied().flatten();
-                break 'answered vec![self.answer(set, request, parent)];
+                break 'answered vec![self.answer(set, request, None).0];
             }
             let mut firsts: HashMap<RequestKey, usize> = HashMap::new();
-            let mut unique: Vec<(QueryRequest, Option<TraceContext>)> = Vec::new();
-            let slots: Vec<usize> = (requests.iter().enumerate())
-                .map(|(q, req)| {
+            let mut unique: Vec<QueryRequest> = Vec::new();
+            let slots: Vec<usize> = (requests.iter())
+                .map(|req| {
                     *firsts.entry(request_key(req)).or_insert_with(|| {
-                        unique.push((req.clone(), parents.get(q).copied().flatten()));
+                        unique.push(req.clone());
                         unique.len() - 1
                     })
                 })
@@ -654,19 +633,14 @@ impl Engine {
             } else {
                 usize::MAX
             };
-            let mut answers = self.pool.scatter(jobs, helpers, move |u| {
-                let (request, parent) = unique.get(u)?;
-                Some(core.answer(&view, request, *parent, None))
+            let answers = self.pool.scatter(jobs, helpers, move |u| {
+                Some(core.answer(&view, unique.get(u)?, None, None).0)
             });
             (slots.iter())
-                .map(|&u| match answers.get_mut(u) {
-                    // The first taker is the first occurrence: the summary is its own.
-                    Some(Some(Some((result, summary)))) => (result.clone(), summary.take()),
+                .map(|&u| match answers.get(u) {
+                    Some(Some(Some(result))) => result.clone(),
                     // `None`: the job panicked outside its segment jobs.
-                    _ => {
-                        let lost = Error::internal("a request job never reported its answer");
-                        (Err(lost), None)
-                    }
+                    _ => Err(Error::internal("a request job never reported its answer")),
                 })
                 .collect()
         };
@@ -697,74 +671,6 @@ impl Engine {
             return None;
         }
         Some(self.core.answer(&View::of(set), request, parent, None))
-    }
-
-    /// Answers one threshold query over `set`.
-    pub fn query(
-        &self,
-        set: &dyn SegmentSet,
-        pattern: &[u8],
-        tau: f64,
-    ) -> Result<Vec<DocHits>, Error> {
-        let pattern = pattern.to_vec();
-        match self
-            .answer(set, &QueryRequest::Threshold { pattern, tau }, None)
-            .0?
-        {
-            QueryResponse::Threshold(shared) => Ok(shared.as_ref().clone()),
-            _ => Err(mismatched("threshold")),
-        }
-    }
-
-    /// Answers one collection-wide top-k query over `set`.
-    pub fn query_top_k(
-        &self,
-        set: &dyn SegmentSet,
-        pattern: &[u8],
-        k: usize,
-    ) -> Result<Vec<TopHit>, Error> {
-        let pattern = pattern.to_vec();
-        match self
-            .answer(set, &QueryRequest::TopK { pattern, k }, None)
-            .0?
-        {
-            QueryResponse::TopK(shared) => Ok(shared.as_ref().clone()),
-            _ => Err(mismatched("top-k")),
-        }
-    }
-
-    /// Answers one listing query over `set`.
-    pub fn query_listing(
-        &self,
-        set: &dyn SegmentSet,
-        pattern: &[u8],
-        tau: f64,
-    ) -> Result<Vec<ListingHit>, Error> {
-        let pattern = pattern.to_vec();
-        match self
-            .answer(set, &QueryRequest::Listing { pattern, tau }, None)
-            .0?
-        {
-            QueryResponse::Listing(shared) => Ok(shared.as_ref().clone()),
-            _ => Err(mismatched("listing")),
-        }
-    }
-
-    /// Answers one ε-approximate query over `set`.
-    pub fn query_approx(
-        &self,
-        set: &dyn SegmentSet,
-        pattern: &[u8],
-        tau: f64,
-    ) -> Result<Vec<DocHits>, Error> {
-        let pattern = pattern.to_vec();
-        match self
-            .answer(set, &QueryRequest::Approx { pattern, tau }, None)
-            .0?
-        {
-            QueryResponse::Approx(shared) => Ok(shared.as_ref().clone()),
-            _ => Err(mismatched("approx")),
-        }
     }
 
     /// Reference implementation: the same typed batch answered request by

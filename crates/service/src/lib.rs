@@ -68,13 +68,16 @@
 //!     UncertainString::parse("A:.5,B:.5 | B | C").unwrap(),
 //! ];
 //! let service = QueryService::build(&docs, 0.05, ServiceConfig::default()).unwrap();
-//! let hits = service.query(b"AB", 0.4).unwrap();
+//! let ab = QueryRequest::Threshold { pattern: b"AB".to_vec(), tau: 0.4 };
+//! // One request, one answer (and a trace summary when tracing is on).
+//! let (answer, _trace) = service.answer(&ab, None);
+//! let Ok(QueryResponse::Threshold(hits)) = answer else { panic!() };
 //! // Documents 0 (p = .9) and 2 (p = .5) contain "AB" at position 0.
 //! assert_eq!(hits.len(), 2);
 //! assert_eq!((hits[0].doc, hits[0].hits[0].0), (0, 0));
 //! assert_eq!((hits[1].doc, hits[1].hits[0].0), (2, 0));
 //!
-//! // Mixed-mode batches go through the typed dispatcher.
+//! // An in-process batch may mix modes; a duplicate is answered once.
 //! let batch = vec![
 //!     QueryRequest::Threshold { pattern: b"AB".to_vec(), tau: 0.4 },
 //!     QueryRequest::TopK { pattern: b"AB".to_vec(), k: 2 },
@@ -109,11 +112,14 @@ use std::path::Path;
 use std::sync::Arc;
 
 use ustr_core::Error;
+use ustr_obs::TraceContext;
 use ustr_store::{RealIo, StoreError};
 use ustr_uncertain::UncertainString;
 
 pub use cache::LruCache;
-pub use engine::{mode_name, validate_request, Engine, SegmentSet, TraceSummary, TAU_TOLERANCE};
+pub use engine::{
+    mode_name, validate_request, Answer, Engine, SegmentSet, TraceSummary, TAU_TOLERANCE,
+};
 pub use exec::{
     load_coll, merge_partials, save_coll, top_hit_order, DocExecutor, LoadedColl, Segment,
     ShardPartial,
@@ -418,32 +424,15 @@ impl QueryService {
         self.engine.slow_log()
     }
 
-    /// Answers one threshold query (through the cache and the thread pool).
-    pub fn query(&self, pattern: &[u8], tau: f64) -> Result<Vec<DocHits>, Error> {
-        self.engine.query(self, pattern, tau)
-    }
-
-    /// Answers one collection-wide top-k query: the `k` most probable
-    /// occurrences across every document, ranked by probability with a
-    /// deterministic `(doc, pos)` tie-break.
-    pub fn query_top_k(&self, pattern: &[u8], k: usize) -> Result<Vec<TopHit>, Error> {
-        self.engine.query_top_k(self, pattern, k)
-    }
-
-    /// Answers one listing query: every document whose `Rel_max` for
-    /// `pattern` is ≥ τ, sorted by document id.
-    pub fn query_listing(&self, pattern: &[u8], tau: f64) -> Result<Vec<ListingHit>, Error> {
-        self.engine.query_listing(self, pattern, tau)
-    }
-
-    /// Answers one ε-approximate query (exact when the service holds no
-    /// approx indexes — see [`ServiceConfig::epsilon`]).
-    pub fn query_approx(&self, pattern: &[u8], tau: f64) -> Result<Vec<DocHits>, Error> {
-        self.engine.query_approx(self, pattern, tau)
+    /// Answers one request of any mode through the cache and the thread
+    /// pool, with its [`TraceSummary`] when its trace recorded (`parent`: a
+    /// propagated context the root span continues). See [`Engine::answer`].
+    pub fn answer(&self, request: &QueryRequest, parent: Option<TraceContext>) -> Answer {
+        self.engine.answer(self, request, parent)
     }
 
     /// Answers a typed batch of any mix of query modes through the shared
-    /// [`Engine`] (see [`Engine::run_traced`] for how a batch is spread
+    /// [`Engine`] (see [`Engine::run`] for how a batch is spread
     /// over the thread pool). Responses are positionally aligned with
     /// `requests` and are **identical** to
     /// [`QueryService::query_requests_sequential`] for every mode —
@@ -453,17 +442,6 @@ impl QueryService {
         self.engine.run(self, requests)
     }
 
-    /// [`QueryService::query_requests`] with tracing: each request's trace
-    /// (fresh, or continuing a propagated parent context) is summarized
-    /// alongside its response. See [`Engine::run_traced`].
-    pub fn query_requests_traced(
-        &self,
-        requests: &[QueryRequest],
-        parents: &[Option<ustr_obs::TraceContext>],
-    ) -> Vec<(Result<QueryResponse, Error>, Option<engine::TraceSummary>)> {
-        self.engine.run_traced(self, requests, parents)
-    }
-
     /// Answers one request on the calling thread when the engine measures
     /// that to be cheaper than a hand-off, and declines (`None`) otherwise
     /// — see [`Engine::run_inline`]. No lock on the way is ever held across
@@ -471,9 +449,9 @@ impl QueryService {
     pub fn answer_inline(
         &self,
         request: &QueryRequest,
-        parent: Option<ustr_obs::TraceContext>,
+        parent: Option<TraceContext>,
         spent_us: u64,
-    ) -> Option<(Result<QueryResponse, Error>, Option<engine::TraceSummary>)> {
+    ) -> Option<Answer> {
         self.engine.run_inline(self, request, parent, spent_us)
     }
 
@@ -557,12 +535,27 @@ mod tests {
         ]
     }
 
+    fn threshold(pattern: &[u8], tau: f64) -> QueryRequest {
+        QueryRequest::Threshold {
+            pattern: pattern.to_vec(),
+            tau,
+        }
+    }
+
+    /// What a threshold or approx request answers with.
+    fn hits(service: &QueryService, request: &QueryRequest) -> Vec<DocHits> {
+        match service.answer(request, None).0.unwrap() {
+            QueryResponse::Threshold(hits) | QueryResponse::Approx(hits) => hits.to_vec(),
+            other => panic!("not a hit list: {other:?}"),
+        }
+    }
+
     #[test]
     fn doc_ids_and_positions_are_global() {
         let service = QueryService::build(&collection(), 0.05, config(3, 2, 16)).unwrap();
         assert_eq!(service.num_docs(), 5);
         assert_eq!(service.num_shards(), 2);
-        let hits = service.query(b"AB", 0.4).unwrap();
+        let hits = hits(&service, &threshold(b"AB", 0.4));
         let docs: Vec<usize> = hits.iter().map(|h| h.doc).collect();
         assert_eq!(docs, vec![0, 2, 3]);
         // Doc 3 is deterministic "ABABAB": AB at 0, 2, 4 with p = 1.
@@ -580,20 +573,14 @@ mod tests {
         let traced = QueryService::build(&docs, 0.05, config(4, 2, 16)).unwrap();
         let plain = QueryService::build(&docs, 0.05, config(4, 2, 16)).unwrap();
         traced.tracer().set_sample_permyriad(SAMPLE_SCALE);
-        let batch = vec![QueryRequest::Threshold {
-            pattern: b"AB".to_vec(),
-            tau: 0.3,
-        }];
+        let request = threshold(b"AB", 0.3);
 
-        let traced_out = traced.query_requests_traced(&batch, &[]);
-        let plain_out = plain.query_requests(&batch);
+        let (traced_out, summary) = traced.answer(&request, None);
+        let plain_out = plain.answer(&request, None).0.unwrap();
         // Tracing never perturbs answers.
-        assert_eq!(
-            traced_out[0].0.as_ref().unwrap(),
-            plain_out[0].as_ref().unwrap()
-        );
+        assert_eq!(traced_out.unwrap(), plain_out);
 
-        let summary = traced_out[0].1.as_ref().expect("trace recorded at 100%");
+        let summary = summary.expect("trace recorded at 100%");
         let stage_names: Vec<&str> = summary.stages.iter().map(|(n, _)| *n).collect();
         assert_eq!(stage_names, vec!["cache_lookup", "fanout", "merge"]);
 
@@ -627,9 +614,9 @@ mod tests {
 
         // A repeat of the same request is a cache hit: its trace has a
         // cache_lookup child tagged hit and no fanout.
-        let again = traced.query_requests_traced(&batch, &[]);
-        assert_eq!(again[0].0.as_ref().unwrap(), plain_out[0].as_ref().unwrap());
-        let summary = again[0].1.as_ref().expect("hit trace recorded");
+        let (again, summary) = traced.answer(&request, None);
+        assert_eq!(again.unwrap(), plain_out);
+        let summary = summary.expect("hit trace recorded");
         let trees = assemble_traces(&summary.trace.spans);
         let lookup = trees[0].find("cache_lookup").expect("cache_lookup span");
         assert_eq!(lookup.span.attrs.get("cache"), Some(AttrValue::Str("hit")));
@@ -641,8 +628,8 @@ mod tests {
             parent_span: 77,
             sampled: true,
         };
-        let continued = traced.query_requests_traced(&batch, &[Some(parent)]);
-        let summary = continued[0].1.as_ref().expect("continued trace");
+        let summary = traced.answer(&request, Some(parent)).1;
+        let summary = summary.expect("continued trace");
         assert_eq!(summary.trace.trace_id, parent.trace_id);
         assert!(summary
             .trace
@@ -662,9 +649,7 @@ mod tests {
         // A miss (three stages), its hit (one), and every mode.
         for req in mixed_batch().iter().chain(&mixed_batch()[..1]) {
             let before = segment_us();
-            let (result, summary) = service
-                .query_requests_traced(std::slice::from_ref(req), &[])
-                .remove(0);
+            let (result, summary) = service.answer(req, None);
             assert!(result.is_ok());
             let summary = summary.expect("trace recorded at 100%");
             let span = |name| summary.trace.spans.iter().filter(move |s| s.name == name);
@@ -682,19 +667,13 @@ mod tests {
     }
 
     #[test]
-    fn tracing_off_run_traced_returns_no_summaries() {
+    fn tracing_off_answers_carry_no_summaries() {
         let docs = collection();
         let service = QueryService::build(&docs, 0.05, config(2, 2, 0)).unwrap();
         assert!(!service.tracer().enabled());
-        let out = service.query_requests_traced(
-            &[QueryRequest::Threshold {
-                pattern: b"AB".to_vec(),
-                tau: 0.3,
-            }],
-            &[],
-        );
-        assert!(out[0].0.is_ok());
-        assert!(out[0].1.is_none());
+        let (result, summary) = service.answer(&threshold(b"AB", 0.3), None);
+        assert!(result.is_ok());
+        assert!(summary.is_none());
         assert!(service.tracer().spans().is_empty());
     }
 
@@ -749,7 +728,17 @@ mod tests {
     #[test]
     fn top_k_ranks_across_documents() {
         let service = QueryService::build(&collection(), 0.05, config(4, 3, 0)).unwrap();
-        let top = service.query_top_k(b"AB", 5).unwrap();
+        let ask = |k: usize| {
+            let request = QueryRequest::TopK {
+                pattern: b"AB".to_vec(),
+                k,
+            };
+            match service.answer(&request, None).0.unwrap() {
+                QueryResponse::TopK(top) => top,
+                other => panic!("mode preserved, got {other:?}"),
+            }
+        };
+        let top = ask(5);
         assert_eq!(top.len(), 5);
         // Four certain occurrences (doc 0 pos 3; doc 3 pos 0, 2, 4) rank
         // first in (doc, pos) tie-break order; then doc 0 pos 0 (p = .9).
@@ -764,15 +753,7 @@ mod tests {
         }
         // `k` is unvalidated wire input: past the number of occurrences it
         // answers exactly like `k = occurrences`, and never sizes a buffer.
-        let all = service.query_top_k(b"AB", 100).unwrap();
-        let ask = |k: usize| {
-            let request = QueryRequest::TopK {
-                pattern: b"AB".to_vec(),
-                k,
-            };
-            service.query_requests(&[request]).remove(0).unwrap()
-        };
-        let expected = ask(all.len());
+        let expected = ask(ask(100).len());
         for k in [1usize << 40, usize::MAX] {
             assert_eq!(ask(k), expected, "k {k}");
         }
@@ -782,12 +763,18 @@ mod tests {
     fn listing_reports_rel_max_per_document() {
         let docs = collection();
         let service = QueryService::build(&docs, 0.05, config(2, 2, 0)).unwrap();
-        let listed = service.query_listing(b"AB", 0.45).unwrap();
+        let request = QueryRequest::Listing {
+            pattern: b"AB".to_vec(),
+            tau: 0.45,
+        };
+        let Ok(QueryResponse::Listing(listed)) = service.answer(&request, None).0 else {
+            panic!("a listing answer");
+        };
         let ids: Vec<usize> = listed.iter().map(|h| h.doc).collect();
         assert_eq!(ids, vec![0, 2, 3]);
         // Agrees with the §6 ListingIndex under Rel_max.
         let reference = ustr_core::ListingIndex::build(&docs, 0.05).unwrap();
-        assert_eq!(listed, reference.query(b"AB", 0.45).unwrap());
+        assert_eq!(*listed, reference.query(b"AB", 0.45).unwrap());
     }
 
     #[test]
@@ -808,25 +795,18 @@ mod tests {
         )
         .unwrap();
         assert!(approx.has_approx_indexes());
+        let occurrences = |service: &QueryService, request: QueryRequest| -> Vec<(usize, usize)> {
+            let hits = hits(service, &request);
+            let pairs = hits
+                .iter()
+                .flat_map(|d| d.hits.iter().map(|&(p, _)| (d.doc, p)));
+            pairs.collect()
+        };
         for (pattern, tau) in [(&b"AB"[..], 0.4), (b"B", 0.5), (b"C", 0.9)] {
-            let must: Vec<(usize, usize)> = exact
-                .query(pattern, tau)
-                .unwrap()
-                .iter()
-                .flat_map(|d| d.hits.iter().map(|&(p, _)| (d.doc, p)).collect::<Vec<_>>())
-                .collect();
-            let may: Vec<(usize, usize)> = exact
-                .query(pattern, (tau - eps).max(0.05))
-                .unwrap()
-                .iter()
-                .flat_map(|d| d.hits.iter().map(|&(p, _)| (d.doc, p)).collect::<Vec<_>>())
-                .collect();
-            let got: Vec<(usize, usize)> = approx
-                .query_approx(pattern, tau)
-                .unwrap()
-                .iter()
-                .flat_map(|d| d.hits.iter().map(|&(p, _)| (d.doc, p)).collect::<Vec<_>>())
-                .collect();
+            let must = occurrences(&exact, threshold(pattern, tau));
+            let may = occurrences(&exact, threshold(pattern, (tau - eps).max(0.05)));
+            let pattern = pattern.to_vec();
+            let got = occurrences(&approx, QueryRequest::Approx { pattern, tau });
             for m in &must {
                 assert!(got.contains(m), "missing exact hit {m:?}");
             }
@@ -839,32 +819,37 @@ mod tests {
     #[test]
     fn cache_serves_repeats_without_divergence() {
         let service = QueryService::build(&collection(), 0.05, config(2, 2, 8)).unwrap();
-        let first = service.query(b"AB", 0.3).unwrap();
+        let first = hits(&service, &threshold(b"AB", 0.3));
         let (h0, m0) = service.cache_stats();
         assert_eq!((h0, m0), (0, 1));
-        let second = service.query(b"AB", 0.3).unwrap();
+        let second = hits(&service, &threshold(b"AB", 0.3));
         assert_eq!(first, second);
         let (h1, m1) = service.cache_stats();
         assert_eq!((h1, m1), (1, 1));
         // Different τ is a different cache entry.
-        let _ = service.query(b"AB", 0.5).unwrap();
+        let _ = hits(&service, &threshold(b"AB", 0.5));
         assert_eq!(service.cache_stats(), (1, 2));
     }
 
     #[test]
     fn cache_keys_tau_exactly_and_never_shares_entries_across_modes() {
         let service = QueryService::build(&collection(), 0.05, config(2, 2, 8)).unwrap();
-        let a = service.query(b"AB", 0.3).unwrap();
+        let ask = |request: QueryRequest| service.answer(&request, None).0.unwrap();
+        let a = ask(threshold(b"AB", 0.3));
         assert_eq!(service.cache_stats(), (0, 1));
         // The same τ bit pattern hits; a neighbouring τ is its own entry.
-        assert_eq!(service.query(b"AB", 0.3).unwrap(), a);
+        assert_eq!(ask(threshold(b"AB", 0.3)), a);
         assert_eq!(service.cache_stats(), (1, 1));
-        let _ = service.query(b"AB", 0.3 + 2e-13).unwrap();
+        ask(threshold(b"AB", 0.3 + 2e-13));
         assert_eq!(service.cache_stats(), (1, 2));
         // Modes never share entries, even for identical (pattern, τ).
-        let _ = service.query_approx(b"AB", 0.3).unwrap();
+        let pattern = b"AB".to_vec();
+        ask(QueryRequest::Approx {
+            pattern: pattern.clone(),
+            tau: 0.3,
+        });
         assert_eq!(service.cache_stats(), (1, 3));
-        let _ = service.query_listing(b"AB", 0.3).unwrap();
+        ask(QueryRequest::Listing { pattern, tau: 0.3 });
         assert_eq!(service.cache_stats(), (1, 4));
     }
 
@@ -1010,7 +995,7 @@ mod tests {
             assert_eq!(g.as_ref().unwrap(), s.as_ref().unwrap(), "request {q}");
         }
         // Both workers outlived the panics: the pool still fans out.
-        assert!(service.query(b"AB", 0.3).is_ok());
+        assert!(service.answer(&threshold(b"AB", 0.3), None).0.is_ok());
     }
 
     #[test]
@@ -1060,22 +1045,26 @@ mod tests {
             .tracer()
             .set_sample_permyriad(ustr_obs::SAMPLE_SCALE);
         let batch = [cheap, expensive, threshold(b"BA")];
-        for (_, summary) in service.query_requests_traced(&batch, &[]) {
-            let summary = summary.expect("trace recorded at 100%");
-            let (trace, stage_sum) = (&summary.trace, summary.stages.iter().map(|(_, us)| us));
-            assert!(stage_sum.sum::<u64>() <= trace.duration_us, "{summary:?}");
-            let roots = trace.spans.iter().filter(|s| s.name == "request");
-            let [root] = roots.collect::<Vec<_>>()[..] else {
-                panic!("one root a request: {summary:?}");
+        assert!(service.query_requests(&batch).iter().all(|r| r.is_ok()));
+        let traces = service.tracer().traces();
+        assert_eq!(traces.len(), batch.len(), "one trace a request: {traces:?}");
+        for tree in &traces {
+            let [root] = &tree.roots[..] else {
+                panic!("one root a request: {tree:?}");
             };
-            assert_eq!(root.duration_us(), trace.duration_us);
-            for span in &trace.spans {
-                assert_eq!(span.trace_id, trace.trace_id);
+            assert_eq!(root.span.name, "request", "{tree:?}");
+            // The root's children are its stages, one after another.
+            let stage_sum: u64 = root.children.iter().map(|c| c.span.duration_us()).sum();
+            assert!(stage_sum <= root.span.duration_us(), "{tree:?}");
+            let mut inside: Vec<_> = root.children.iter().collect();
+            while let Some(node) = inside.pop() {
+                let (span, root) = (&node.span, &root.span);
                 assert!(
                     root.start_ns <= span.start_ns && span.end_ns <= root.end_ns,
-                    "{} outside its root: {summary:?}",
+                    "{} outside its root: {tree:?}",
                     span.name
                 );
+                inside.extend(&node.children);
             }
         }
     }
@@ -1109,9 +1098,14 @@ mod tests {
     fn empty_collection_serves_empty_answers() {
         let service = QueryService::build(&[], 0.1, config(2, 2, 4)).unwrap();
         assert_eq!(service.num_docs(), 0);
-        assert!(service.query(b"A", 0.5).unwrap().is_empty());
-        assert!(service.query_top_k(b"A", 3).unwrap().is_empty());
-        assert!(service.query_listing(b"A", 0.5).unwrap().is_empty());
+        for request in mixed_batch() {
+            let empty = match service.answer(&request, None).0.unwrap() {
+                QueryResponse::Threshold(hits) | QueryResponse::Approx(hits) => hits.is_empty(),
+                QueryResponse::TopK(top) => top.is_empty(),
+                QueryResponse::Listing(listed) => listed.is_empty(),
+            };
+            assert!(empty, "{request:?}");
+        }
     }
 
     #[test]
@@ -1120,7 +1114,7 @@ mod tests {
         let service = QueryService::build(&docs, 0.05, config(8, 8, 0)).unwrap();
         assert_eq!(service.num_shards(), 1, "no empty shards are planned");
         assert_eq!(service.threads(), 8);
-        let hits = service.query(b"AB", 0.5).unwrap();
+        let hits = hits(&service, &threshold(b"AB", 0.5));
         assert_eq!(hits.len(), 1);
         assert_eq!(hits[0].doc, 0);
         let mixed = service.query_requests(&mixed_batch());

@@ -5,6 +5,7 @@ use proptest::prelude::*;
 use uncertain_strings::{
     baseline::NaiveScanner,
     core::{canonical_hit_order, ListingHit},
+    uncertain::PROB_EPS,
     workload::{generate_string, sample_patterns, DatasetConfig, PatternMode},
     Index, ListingIndex, SpecialIndex, SpecialUncertainString, UncertainString,
 };
@@ -193,7 +194,12 @@ proptest! {
 
     /// Top-k is the threshold answer at τmin, ranked and cut at `k`, ties
     /// at the cut included, positions and probability bits alike — for the
-    /// general, listing and special indexes.
+    /// general, listing and special indexes. And listing at τmin is every
+    /// document the general index finds an occurrence in, at its most
+    /// probable one's probability — within `PROB_EPS`: the listing keeps
+    /// the maximum of its stored arithmetic, and two occurrences equal in
+    /// exact arithmetic may order one way there and the other way in the
+    /// canonical arithmetic `Index::query` reports.
     #[test]
     fn top_k_is_the_ranked_threshold_answer(
         docs in prop::collection::vec(prop::collection::vec(tie_heavy_row(), 1..40), 1..4),
@@ -203,8 +209,8 @@ proptest! {
         let docs: Vec<UncertainString> =
             docs.into_iter().map(|rows| UncertainString::from_rows(rows).unwrap()).collect();
         let listing = ListingIndex::build(&docs, tau_min).unwrap();
-        for s in &docs {
-            let idx = Index::build(s, tau_min).unwrap();
+        let indexes: Vec<Index> = docs.iter().map(|s| Index::build(s, tau_min).unwrap()).collect();
+        for (s, idx) in docs.iter().zip(&indexes) {
             for p in patterns_of(s) {
                 let context = format!("{:?}", String::from_utf8_lossy(&p));
                 let answer = idx.query(&p, tau_min).unwrap().into_hits();
@@ -213,6 +219,17 @@ proptest! {
                     hits.into_iter().map(|h| (h.doc, h.relevance)).collect()
                 };
                 let answer = doc_hits(listing.query(&p, tau_min).unwrap());
+                let maxima: Vec<(usize, f64)> = (indexes.iter().enumerate())
+                    .filter_map(|(d, idx)| {
+                        let hits = idx.query(&p, tau_min).unwrap().into_hits();
+                        hits.into_iter().map(|(_, pr)| pr).reduce(f64::max).map(|max| (d, max))
+                    })
+                    .collect();
+                let docs_of = |hits: &[(usize, f64)]| hits.iter().map(|&(d, _)| d).collect::<Vec<_>>();
+                prop_assert_eq!(docs_of(&answer), docs_of(&maxima), "listing {}", &context);
+                for (&(d, relevance), &(_, max)) in answer.iter().zip(&maxima) {
+                    prop_assert!((relevance - max).abs() <= PROB_EPS, "listing {} doc {}: {} vs {}", &context, d, relevance, max);
+                }
                 let top_k = |k| doc_hits(listing.query_top_k(&p, k).unwrap());
                 assert_ranked_prefixes(answer, top_k, &format!("listing {context}"));
             }
