@@ -1100,7 +1100,7 @@ fn collection_stats(path: &str) -> Result<String, String> {
     let mut kinds: Vec<(ustr_store::SnapshotKind, usize, u64)> = Vec::new();
     for e in &m.entries {
         out.push_str(&format!(
-            "  doc {:>6} {:<9} {:>10} bytes at offset {:>10}  fnv1a {:016x}\n",
+            "  doc {:>6} {:<11} {:>10} bytes at offset {:>10}  fnv1a {:016x}\n",
             e.doc,
             kind_name(e.kind),
             e.len,
@@ -1506,12 +1506,13 @@ mod tests {
         let out = run(&argv(&format!("stats {}", coll.display()))).unwrap();
         assert!(out.contains("documents                3"), "{out}");
         assert!(out.contains("format version           1"), "{out}");
-        assert!(out.contains("approx"), "approx sections listed: {out}");
+        assert!(out.contains("approxlinks"), "approx sections listed: {out}");
         assert!(out.contains("fnv1a"), "checksums listed: {out}");
-        // The totals per kind close the listing, shares summing to 100 %.
+        // The totals per kind close the listing, shares summing to 100 %:
+        // an approx section is the links alone, over its index's text.
         let totals: Vec<&str> = out.lines().rev().take(2).collect();
         assert!(totals[1].starts_with("total index ") && totals[1].contains(" 3 section(s)"));
-        assert!(totals[0].starts_with("total approx ") && totals[0].contains(" 3 section(s)"));
+        assert!(totals[0].starts_with("total approxlinks ") && totals[0].contains(" 3 section(s)"));
         let share = |line: &str| -> f64 {
             let percent = line.trim_end_matches(" %").rsplit(' ').next().unwrap();
             percent.parse().unwrap()

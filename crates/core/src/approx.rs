@@ -23,22 +23,40 @@
 //! each link in O(1); links whose chains cross the locus but fail the
 //! probability cutoff cost extra visits (bounded by the τmin-occurrences),
 //! which is the documented deviation from the fixed-τ HSV machinery.
+//!
+//! **One text.** The links hang off the suffix tree, `C` and position map
+//! of the §5 [`Index`] over the same source: [`ApproxIndex::over`] shares
+//! them, so a document has one transform and one tree. A link stores a
+//! *witness* — the text position of a leaf below its origin — instead of
+//! its source position (`pos[witness]`) and probability (the window of
+//! `C` at the witness), so a snapshot of the links
+//! ([`ApproxIndex::to_links_snapshot`]) is four integers a link, and a load
+//! reads each probability back from `C` with the build's own `canon::exp`.
 
+use std::sync::Arc;
 use std::time::Instant;
 
 use ustr_rmq::{BlockRmq, Direction, Rmq, ThresholdReporter};
-use ustr_suffix::{Ancestry, LeafLca, SuffixTree};
-use ustr_uncertain::{canon, transform, UncertainString};
+use ustr_suffix::{Ancestry, LeafLca};
+use ustr_uncertain::{canon, transform, UncertainString, NO_POSITION};
 
 use crate::{
     carray::CumulativeLogProb,
     error::{validate_query, Error},
+    index::{checked_pos_map, Index},
     result::QueryResult,
-    // A link's in-memory form *is* its snapshot row.
-    snapshot::{invalid, ApproxIndexState, ApproxLinkState as Link},
+    snapshot::{invalid, ApproxIndexState, ApproxLinkState, ApproxLinksState},
     stats::BuildStats,
-    substrate::{checked_tree, ScoredText},
+    substrate::ScoredText,
 };
+
+/// One ε-refined link as a query reads it: its snapshot row, with the
+/// probability read at its witness beside it (24 bytes).
+#[derive(Debug, Clone, Copy)]
+struct Link {
+    row: ApproxLinkState,
+    prob: f64,
+}
 
 /// Approximate substring-search index with additive error ε.
 ///
@@ -54,12 +72,16 @@ use crate::{
 /// assert!(!hits.positions().contains(&1));
 /// ```
 pub struct ApproxIndex {
-    /// Pattern loci over the transformed text. Nothing else of the §4
-    /// machinery outlives `build`: the links replace the levels, and carry
-    /// the probabilities and source positions a query reports.
-    tree: SuffixTree,
-    /// Preorder ranks over `tree`, the numbering `Link::origin_pre` is in —
-    /// derived state, one depth-first pass at construction and at load.
+    /// The scored text the links hang off: an [`Index`]'s, its arrays
+    /// shared, when built [`over`](ApproxIndex::over) one. Its tree gives
+    /// pattern loci; its `C` gave each link its probability. Counted by the
+    /// `Index`.
+    text: ScoredText,
+    /// The position map over `text`: a link's witness → its source position.
+    pos: Arc<[u32]>,
+    /// Preorder ranks over `text`'s tree, the numbering a link's
+    /// `origin_pre` is in — derived state, one depth-first pass at
+    /// construction and at load.
     ranks: Ancestry,
     /// Sorted by `origin_pre`.
     links: Vec<Link>,
@@ -71,139 +93,78 @@ pub struct ApproxIndex {
 }
 
 impl ApproxIndex {
-    /// Builds the index for threshold floor `tau_min` and additive error
-    /// `epsilon ∈ (0, 1)`.
+    /// Builds a stand-alone index for threshold floor `tau_min` and
+    /// additive error `epsilon ∈ (0, 1)`: the transform and tree an
+    /// [`Index`] over `source` would build, and the links over them.
     pub fn build(source: &UncertainString, tau_min: f64, epsilon: f64) -> Result<Self, Error> {
-        if !canon::valid_epsilon(epsilon) {
-            return Err(Error::InvalidEpsilon { value: epsilon });
-        }
+        check_epsilon(epsilon)?;
         let start = Instant::now();
         let transformed = transform(source, tau_min)?;
         let text = ScoredText::build(transformed.special.chars(), transformed.special.probs())?;
-        // What finds the links and no query reads: `C` (in `text`), the run
-        // lengths and the leaf-LCA structure are dropped when this returns.
-        let tree = &text.tree;
-        let ranks = Ancestry::build(tree);
-        let lca = LeafLca::build(tree);
-
-        // Group marked leaves by Posid (slots ascend in preorder order)
-        // with a counting sort into one flat arena — two passes, zero
-        // per-position `Vec` allocations (the plane/kernel treatment of the
-        // query path, applied to the build's hottest grouping loop).
-        let n_src = source.len();
-        let marked = |slot: usize| -> Option<usize> {
-            let x = tree.sa(slot);
-            if x >= transformed.pos.len() {
-                return None;
-            }
-            transformed.source_pos(x)
-        };
-        let mut bucket_start = vec![0u32; n_src + 2];
-        for slot in 1..tree.num_slots() {
-            if let Some(d) = marked(slot) {
-                bucket_start[d + 2] += 1;
-            }
-        }
-        for d in 2..bucket_start.len() {
-            bucket_start[d] += bucket_start[d - 1];
-        }
-        let mut flat = vec![0u32; *bucket_start.last().unwrap() as usize];
-        for slot in 1..tree.num_slots() {
-            if let Some(d) = marked(slot) {
-                flat[bucket_start[d + 1] as usize] = slot as u32;
-                bucket_start[d + 1] += 1;
-            }
-        }
-
-        let run = text.cum.run_lengths();
-        // A tree node as a link sees it: (preorder rank, string depth). A
-        // leaf's depth counts the virtual terminator; an internal node's is
-        // the LCP at the slot that names it.
-        let text_len = tree.text().len();
-        let leaf_node = |slot: usize| {
-            let depth = text_len - tree.sa(slot) + 1;
-            (ranks.leaf_preorder(slot) as u32, depth)
-        };
-        let lca_node = |a: u32, b: u32| {
-            let name = lca.lca_of_slots(a as usize, b as usize);
-            (ranks.interval_preorder(name) as u32, tree.slot_lcp(name))
-        };
-        let mut links: Vec<Link> = Vec::new();
-        // Virtual-tree stack of `(node, witness)`: the witness is the text
-        // position of the first marked leaf found below the node, fixed
-        // when the node is pushed.
-        let mut stack: Vec<((u32, usize), u32)> = Vec::new();
-        for d in 0..n_src {
-            let slots = &flat[bucket_start[d] as usize..bucket_start[d + 1] as usize];
-            stack.clear();
-            // Virtual (induced) tree over the marked leaves; emit one link
-            // per virtual edge.
-            let emit =
-                |(origin, witness_x): ((u32, usize), u32), v_depth, links: &mut Vec<Link>| {
-                    let lmax = run[witness_x as usize] as usize;
-                    refine_link(
-                        &text.cum,
-                        origin,
-                        v_depth,
-                        d as u32,
-                        (witness_x, lmax),
-                        epsilon,
-                        links,
-                    );
-                };
-            for (k, &slot) in slots.iter().enumerate() {
-                let leaf = (leaf_node(slot as usize), tree.sa(slot as usize) as u32);
-                if k == 0 {
-                    stack.push(leaf);
-                    continue;
-                }
-                // The previous leaf tops the stack.
-                let l = lca_node(slots[k - 1], slot);
-                let l_depth = l.1;
-                // Unwind stack nodes deeper than the new LCA, emitting their
-                // virtual-tree edges; the LCA ends up on top of the stack.
-                while let Some(&top) = stack.last() {
-                    if top.0 .1 <= l_depth {
-                        break;
-                    }
-                    stack.pop();
-                    match stack.last() {
-                        Some(&((_, p_depth), _)) if p_depth >= l_depth => {
-                            emit(top, p_depth, &mut links);
-                        }
-                        _ => {
-                            emit(top, l_depth, &mut links);
-                            stack.push((l, top.1));
-                            break;
-                        }
-                    }
-                }
-                debug_assert_eq!(stack.last().map(|e| e.0), Some(l), "LCA tops the stack");
-                stack.push(leaf);
-            }
-            // Drain: connect the remaining right spine, then the virtual
-            // root to the tree root (target depth 0) unless it is the root.
-            while let Some(top) = stack.pop() {
-                match stack.last() {
-                    Some(&((_, p_depth), _)) => emit(top, p_depth, &mut links),
-                    None if top.0 .1 > 0 => emit(top, 0, &mut links),
-                    None => {}
-                }
-            }
-        }
-
-        links.sort_unstable_by_key(|l| l.origin_pre);
-        links.shrink_to_fit();
-        let target_rmq = target_depth_rmq(&links);
-
         let stats = BuildStats {
             source_len: source.len(),
             transformed_len: transformed.len(),
             num_factors: transformed.num_factors,
             ..Default::default()
         };
+        let pos = transformed.pos.into();
+        Ok(Self::link(text, pos, tau_min, epsilon, stats, start))
+    }
+
+    /// Builds the links over `index`'s own text, tree and position map,
+    /// which both then share: the document's one transform and one suffix
+    /// tree serve the exact and the approximate queries.
+    pub fn over(index: &Index, epsilon: f64) -> Result<Self, Error> {
+        check_epsilon(epsilon)?;
+        let start = Instant::now();
+        let (text, pos) = index.shared_text();
+        let stats = BuildStats {
+            heap_bytes: 0,
+            build_time: Default::default(),
+            ..index.stats().clone()
+        };
+        let (text, pos) = (text.clone(), Arc::clone(pos));
+        Ok(Self::link(
+            text,
+            pos,
+            index.tau_min(),
+            epsilon,
+            stats,
+            start,
+        ))
+    }
+
+    /// Finds the links over `text` and assembles the index; the clock
+    /// started at `start`.
+    fn link(
+        text: ScoredText,
+        pos: Arc<[u32]>,
+        tau_min: f64,
+        epsilon: f64,
+        stats: BuildStats,
+        start: Instant,
+    ) -> Self {
+        let (ranks, links) = find_links(&text, &pos, epsilon);
+        let mut idx = Self::assemble(text, pos, ranks, links, epsilon, tau_min, stats);
+        // Last: the clock covers everything a caller waits for.
+        idx.stats.build_time = start.elapsed();
+        idx
+    }
+
+    fn assemble(
+        text: ScoredText,
+        pos: Arc<[u32]>,
+        ranks: Ancestry,
+        links: Vec<Link>,
+        epsilon: f64,
+        tau_min: f64,
+        stats: BuildStats,
+    ) -> Self {
+        let depths: Vec<f64> = links.iter().map(|l| l.row.target_depth as f64).collect();
+        let target_rmq = BlockRmq::new(&depths, Direction::Min);
         let mut idx = Self {
-            tree: text.tree,
+            text,
+            pos,
             ranks,
             links,
             target_rmq,
@@ -212,16 +173,14 @@ impl ApproxIndex {
             stats,
         };
         idx.stats.heap_bytes = idx.heap_size();
-        // Last: the clock covers everything a caller waits for.
-        idx.stats.build_time = start.elapsed();
-        Ok(idx)
+        idx
     }
 
     /// Heap bytes held, per structure: a `(name, bytes)` row for everything
-    /// the index keeps — which is everything a query reads.
-    pub fn heap_breakdown(&self) -> [(&'static str, usize); 4] {
+    /// the links add to the text they hang off. The text, its tree and the
+    /// position map are the [`Index`]'s rows, counted there once.
+    pub fn heap_breakdown(&self) -> [(&'static str, usize); 3] {
         [
-            ("suffix tree", self.tree.heap_size()),
             ("preorder ranks", self.ranks.heap_size()),
             ("links", self.links.capacity() * std::mem::size_of::<Link>()),
             ("link RMQ", self.target_rmq.heap_size()),
@@ -253,71 +212,99 @@ impl ApproxIndex {
         &self.stats
     }
 
-    /// Decomposes the index into its persistence-ready snapshot state (see
-    /// [`crate::snapshot`]). The byte encoding lives in `ustr-store`.
+    /// Decomposes the index into the state of a stand-alone one (see
+    /// [`crate::snapshot`]): the scored text and position map with the
+    /// links. The byte encoding lives in `ustr-store`.
     pub fn to_snapshot(&self) -> ApproxIndexState {
-        let (text, sa, lcp) = self.tree.to_parts();
         ApproxIndexState {
-            source_len: self.stats.source_len,
-            text,
-            sa,
-            lcp,
-            links: self.links.clone(),
-            epsilon: self.epsilon,
+            text: self.text.to_state(),
+            pos: self.pos.to_vec(),
             tau_min: self.tau_min,
             stats: self.stats.clone(),
+            links: self.links.iter().map(|l| l.row).collect(),
+            epsilon: self.epsilon,
         }
     }
 
-    /// Reassembles an index from snapshot state. Only the cheap derived
-    /// structures are rebuilt (the child table from the LCP array, the
-    /// preorder ranks in one depth-first pass, the min-RMQ over link target
-    /// depths); the sub-link table is restored verbatim, so the result holds
+    /// The links alone: what an index built [`over`](ApproxIndex::over) an
+    /// [`Index`] adds to that index's state.
+    pub fn to_links_snapshot(&self) -> ApproxLinksState {
+        ApproxLinksState {
+            links: self.links.iter().map(|l| l.row).collect(),
+            epsilon: self.epsilon,
+            build_time: self.stats.build_time,
+        }
+    }
+
+    /// Reassembles a stand-alone index from snapshot state. Only cheap
+    /// derived structures are rebuilt (the child table from the LCP array,
+    /// the preorder ranks in one depth-first pass, each link's probability
+    /// from `C`, the min-RMQ over link target depths), so the result holds
     /// what the index the snapshot was taken from held and answers every
     /// query byte-identically. Fails with [`Error::InvalidSnapshot`] on
     /// structurally inconsistent state.
     pub fn from_snapshot(state: ApproxIndexState) -> Result<Self, Error> {
-        if !canon::valid_epsilon(state.epsilon) {
-            return Err(invalid("epsilon outside (0, 1)"));
-        }
         if !canon::valid_tau(state.tau_min) {
             return Err(invalid("tau_min outside (0, 1]"));
         }
-        let tree = checked_tree(state.text, state.sa, state.lcp)?;
-        let ranks = Ancestry::build(&tree);
-        let source_len = state.source_len;
-        let mut prev_pre = 0u32;
-        for link in &state.links {
-            if link.origin_pre as usize >= ranks.node_count() {
-                return Err(invalid("link origin preorder outside the tree"));
-            }
-            if link.origin_pre < prev_pre {
-                return Err(invalid("links are not sorted by origin preorder"));
-            }
-            prev_pre = link.origin_pre;
-            if link.target_depth >= link.origin_depth {
-                return Err(invalid("link target depth not below its origin"));
-            }
-            if link.source_pos as usize >= source_len {
-                return Err(invalid("link source position outside the source"));
-            }
-            if !link.prob.is_finite() || canon::is_negative(link.prob) {
-                return Err(invalid("link probability is not a finite non-negative"));
-            }
-        }
-        let links = state.links;
-        let target_rmq = target_depth_rmq(&links);
-        let mut idx = Self {
-            tree,
-            ranks,
-            links,
-            target_rmq,
-            epsilon: state.epsilon,
-            tau_min: state.tau_min,
-            stats: state.stats,
+        let text = ScoredText::from_state(state.text)?;
+        let text_len = text.tree.text().len();
+        let pos = checked_pos_map(state.pos, text_len, state.stats.source_len)?;
+        let (links, epsilon) = (state.links, state.epsilon);
+        Self::load(text, pos, links, epsilon, state.tau_min, state.stats)
+    }
+
+    /// Reassembles the links of `state` over `index`, which must be the
+    /// index they were built over (or one loaded from its snapshot): the
+    /// counterpart of [`ApproxIndex::to_links_snapshot`]. Every link is
+    /// checked against `index`'s tree, so links paired with another text
+    /// fail with [`Error::InvalidSnapshot`] (see
+    /// [`ApproxIndex::from_snapshot`]).
+    pub fn from_links_snapshot(index: &Index, state: ApproxLinksState) -> Result<Self, Error> {
+        let (text, pos) = index.shared_text();
+        let stats = BuildStats {
+            heap_bytes: 0,
+            build_time: state.build_time,
+            ..index.stats().clone()
         };
-        idx.stats.heap_bytes = idx.heap_size();
-        Ok(idx)
+        let (text, pos) = (text.clone(), Arc::clone(pos));
+        Self::load(
+            text,
+            pos,
+            state.links,
+            state.epsilon,
+            index.tau_min(),
+            stats,
+        )
+    }
+
+    /// Checks `rows` against `text`'s tree and reads each one's probability
+    /// from its `C` (on the loading machine, with `canon::exp` — the
+    /// build's one call per link).
+    fn load(
+        text: ScoredText,
+        pos: Arc<[u32]>,
+        rows: Vec<ApproxLinkState>,
+        epsilon: f64,
+        tau_min: f64,
+        stats: BuildStats,
+    ) -> Result<Self, Error> {
+        if !canon::valid_epsilon(epsilon) {
+            return Err(invalid("epsilon outside (0, 1)"));
+        }
+        let ranks = Ancestry::build(&text.tree);
+        check_links(&text, &pos, &rows)?;
+        let run = text.cum.run_lengths();
+        let links = (rows.into_iter())
+            .map(|row| {
+                let lmax = run[row.witness as usize] as usize;
+                let prob = link_prob(&text.cum, (row.witness, lmax), row.origin_depth as usize);
+                Link { row, prob }
+            })
+            .collect();
+        Ok(Self::assemble(
+            text, pos, ranks, links, epsilon, tau_min, stats,
+        ))
     }
 
     /// Positions where `pattern` matches with probability ≥ τ, up to the
@@ -327,15 +314,14 @@ impl ApproxIndex {
     pub fn query(&self, pattern: &[u8], tau: f64) -> Result<QueryResult, Error> {
         validate_query(pattern, tau, self.tau_min)?;
         let m = pattern.len();
-        let Some((l, r)) = self.tree.suffix_range(pattern) else {
+        let tree = &self.text.tree;
+        let Some((l, r)) = tree.suffix_range(pattern) else {
             return Ok(QueryResult::default());
         };
-        let (pl, pr) = self.ranks.preorder_range(&self.tree, l, r);
+        let (pl, pr) = self.ranks.preorder_range(tree, l, r);
         // Link range whose origin preorder falls inside the locus subtree.
-        let lo = self.links.partition_point(|l| (l.origin_pre as usize) < pl);
-        let hi = self
-            .links
-            .partition_point(|l| (l.origin_pre as usize) <= pr);
+        let lo = (self.links).partition_point(|l| (l.row.origin_pre as usize) < pl);
+        let hi = (self.links).partition_point(|l| (l.row.origin_pre as usize) <= pr);
         if lo >= hi {
             return Ok(QueryResult::default());
         }
@@ -349,22 +335,194 @@ impl ApproxIndex {
             (m - 1) as f64,
             Direction::Min,
             |a, b| self.target_rmq.query(a, b),
-            |i| self.links[i].target_depth as f64,
+            |i| self.links[i].row.target_depth as f64,
         );
         for (i, _) in reporter {
-            let link = &self.links[i];
-            if (link.origin_depth as usize) >= m && link.prob >= cutoff {
-                hits.push((link.source_pos as usize, link.prob));
+            let Link { row, prob } = self.links[i];
+            if (row.origin_depth as usize) >= m && prob >= cutoff {
+                hits.push((self.pos[row.witness as usize] as usize, prob));
             }
         }
         Ok(QueryResult::from_hits(hits))
     }
 }
 
-/// Min-RMQ over `links[..].target_depth`.
-fn target_depth_rmq(links: &[Link]) -> BlockRmq {
-    let depths: Vec<f64> = links.iter().map(|l| l.target_depth as f64).collect();
-    BlockRmq::new(&depths, Direction::Min)
+fn check_epsilon(epsilon: f64) -> Result<(), Error> {
+    if canon::valid_epsilon(epsilon) {
+        Ok(())
+    } else {
+        Err(Error::InvalidEpsilon { value: epsilon })
+    }
+}
+
+/// Refuses link rows that the tree of `text` does not carry: out of order,
+/// a target not above its origin, or — in one depth-first pass beside the
+/// rows, which are sorted by origin — an origin that is no node, a witness
+/// out of the text or on a separator, a witness leaf outside the origin
+/// node's subtree, or an origin deeper than that node.
+fn check_links(text: &ScoredText, pos: &[u32], rows: &[ApproxLinkState]) -> Result<(), Error> {
+    let mut prev_pre = 0u32;
+    for row in rows {
+        if row.origin_pre < prev_pre {
+            return Err(invalid("links are not sorted by origin preorder"));
+        }
+        prev_pre = row.origin_pre;
+        if row.target_depth >= row.origin_depth {
+            return Err(invalid("link target depth not below its origin"));
+        }
+    }
+    let tree = &text.tree;
+    let chars = tree.text();
+    // Text position → the slot of its leaf (transient).
+    let mut slot_of = vec![0u32; chars.len()];
+    for slot in 1..tree.num_slots() {
+        slot_of[tree.sa(slot)] = slot as u32;
+    }
+    let mut rows = rows.iter().peekable();
+    let mut refused = None;
+    Ancestry::preorder(tree, |rank, (l, r)| {
+        let depth = if l == r {
+            chars.len() - tree.sa(l) + 1
+        } else {
+            tree.slot_lcp(tree.first_l_index(l, r))
+        };
+        while let Some(row) = rows.next_if(|row| row.origin_pre as usize == rank) {
+            let w = row.witness as usize;
+            let detail = if chars.get(w).is_none_or(|&c| c == 0) || pos[w] == NO_POSITION {
+                "link witness outside the text or on a separator"
+            } else if !(l..=r).contains(&(slot_of[w] as usize)) {
+                "link witness outside its origin's subtree"
+            } else if row.origin_depth as usize > depth {
+                "link origin deeper than its node"
+            } else {
+                continue;
+            };
+            refused.get_or_insert(detail);
+        }
+    });
+    if rows.next().is_some() {
+        refused.get_or_insert("link origin preorder outside the tree");
+    }
+    refused.map_or(Ok(()), |detail| Err(invalid(detail)))
+}
+
+/// Finds the ε-refined links over `text` (preorder ranks over its tree
+/// with them): for every source position of `pos`, the virtual tree of the
+/// leaves it marks, each edge split by [`refine_link`].
+fn find_links(text: &ScoredText, pos: &[u32], epsilon: f64) -> (Ancestry, Vec<Link>) {
+    // What finds the links and no query reads: the run lengths and the
+    // leaf-LCA structure are dropped when this returns.
+    let tree = &text.tree;
+    let ranks = Ancestry::build(tree);
+    let lca = LeafLca::build(tree);
+
+    // Group marked leaves by Posid (slots ascend in preorder order)
+    // with a counting sort into one flat arena — two passes, zero
+    // per-position `Vec` allocations (the plane/kernel treatment of the
+    // query path, applied to the build's hottest grouping loop).
+    let marked = |slot: usize| -> Option<usize> {
+        match *pos.get(tree.sa(slot))? {
+            NO_POSITION => None,
+            p => Some(p as usize),
+        }
+    };
+    let n_src = (pos.iter()).filter(|&&p| p != NO_POSITION).max();
+    let n_src = n_src.map_or(0, |&p| p as usize + 1);
+    let mut bucket_start = vec![0u32; n_src + 2];
+    for slot in 1..tree.num_slots() {
+        if let Some(d) = marked(slot) {
+            bucket_start[d + 2] += 1;
+        }
+    }
+    for d in 2..bucket_start.len() {
+        bucket_start[d] += bucket_start[d - 1];
+    }
+    let mut flat = vec![0u32; *bucket_start.last().unwrap() as usize];
+    for slot in 1..tree.num_slots() {
+        if let Some(d) = marked(slot) {
+            flat[bucket_start[d + 1] as usize] = slot as u32;
+            bucket_start[d + 1] += 1;
+        }
+    }
+
+    let run = text.cum.run_lengths();
+    // A tree node as a link sees it: (preorder rank, string depth). A
+    // leaf's depth counts the virtual terminator; an internal node's is
+    // the LCP at the slot that names it.
+    let text_len = tree.text().len();
+    let leaf_node = |slot: usize| {
+        let depth = text_len - tree.sa(slot) + 1;
+        (ranks.leaf_preorder(slot) as u32, depth)
+    };
+    let lca_node = |a: u32, b: u32| {
+        let name = lca.lca_of_slots(a as usize, b as usize);
+        (ranks.interval_preorder(name) as u32, tree.slot_lcp(name))
+    };
+    let mut links: Vec<Link> = Vec::new();
+    // Virtual-tree stack of `(node, witness)`: the witness is the text
+    // position of the first marked leaf found below the node, fixed
+    // when the node is pushed.
+    let mut stack: Vec<((u32, usize), u32)> = Vec::new();
+    for d in 0..n_src {
+        let slots = &flat[bucket_start[d] as usize..bucket_start[d + 1] as usize];
+        stack.clear();
+        // Virtual (induced) tree over the marked leaves; emit one link
+        // per virtual edge.
+        let emit = |(origin, witness): ((u32, usize), u32), v_depth, links: &mut Vec<Link>| {
+            let lmax = run[witness as usize] as usize;
+            refine_link(&text.cum, origin, v_depth, (witness, lmax), epsilon, links);
+        };
+        for (k, &slot) in slots.iter().enumerate() {
+            let leaf = (leaf_node(slot as usize), tree.sa(slot as usize) as u32);
+            if k == 0 {
+                stack.push(leaf);
+                continue;
+            }
+            // The previous leaf tops the stack.
+            let l = lca_node(slots[k - 1], slot);
+            let l_depth = l.1;
+            // Unwind stack nodes deeper than the new LCA, emitting their
+            // virtual-tree edges; the LCA ends up on top of the stack.
+            while let Some(&top) = stack.last() {
+                if top.0 .1 <= l_depth {
+                    break;
+                }
+                stack.pop();
+                match stack.last() {
+                    Some(&((_, p_depth), _)) if p_depth >= l_depth => {
+                        emit(top, p_depth, &mut links);
+                    }
+                    _ => {
+                        emit(top, l_depth, &mut links);
+                        stack.push((l, top.1));
+                        break;
+                    }
+                }
+            }
+            debug_assert_eq!(stack.last().map(|e| e.0), Some(l), "LCA tops the stack");
+            stack.push(leaf);
+        }
+        // Drain: connect the remaining right spine, then the virtual
+        // root to the tree root (target depth 0) unless it is the root.
+        while let Some(top) = stack.pop() {
+            match stack.last() {
+                Some(&((_, p_depth), _)) => emit(top, p_depth, &mut links),
+                None if top.0 .1 > 0 => emit(top, 0, &mut links),
+                None => {}
+            }
+        }
+    }
+
+    links.sort_unstable_by_key(|l| l.row.origin_pre);
+    links.shrink_to_fit();
+    (ranks, links)
+}
+
+/// The probability a link reports: that of the length-`depth` prefix of
+/// the suffix at witness `x`, capped at the factor boundary `lmax` (its run
+/// length).
+fn link_prob(cum: &CumulativeLogProb, (x, lmax): (u32, usize), depth: usize) -> f64 {
+    canon::exp(cum.window(x as usize, depth.min(lmax)))
 }
 
 /// Splits the virtual edge from a node — `origin` is its (preorder rank,
@@ -375,13 +533,12 @@ fn refine_link(
     cum: &CumulativeLogProb,
     (origin_pre, o0): (u32, usize),
     t0: usize,
-    source_pos: u32,
     (x, lmax): (u32, usize),
     epsilon: f64,
     links: &mut Vec<Link>,
 ) {
     debug_assert!(o0 > t0, "virtual child must be deeper than its parent");
-    let p_at = |depth: usize| -> f64 { canon::exp(cum.window(x as usize, depth.min(lmax))) };
+    let p_at = |depth: usize| link_prob(cum, (x, lmax), depth);
     let mut o = o0;
     while o > t0 {
         let p_o = p_at(o);
@@ -400,13 +557,13 @@ fn refine_link(
             }
         }
         let t = lo;
-        links.push(Link {
+        let row = ApproxLinkState {
             origin_pre,
             origin_depth: o as u32,
             target_depth: t as u32,
-            source_pos,
-            prob: p_o,
-        });
+            witness: x,
+        };
+        links.push(Link { row, prob: p_o });
         o = t;
     }
 }
@@ -518,26 +675,52 @@ mod tests {
         }
     }
 
-    #[test]
-    fn snapshot_round_trip_answers_identically() {
-        let s = UncertainString::parse(
+    fn protein_fragment() -> UncertainString {
+        UncertainString::parse(
             "P | S:.7,F:.3 | F | P | Q:.5,T:.5 | P | A:.4,F:.4,P:.2 | \
              I:.3,L:.3,P:.3,T:.1 | A | S:.5,T:.5 | A",
         )
-        .unwrap();
-        let built = ApproxIndex::build(&s, 0.02, 0.03).unwrap();
-        let loaded = ApproxIndex::from_snapshot(built.to_snapshot()).unwrap();
-        assert_eq!(built.num_links(), loaded.num_links());
-        assert_eq!(built.epsilon().to_bits(), loaded.epsilon().to_bits());
-        for pattern in [&b"AT"[..], b"PQ", b"SFPQ", b"PA", b"TPA", b"FPQP", b"Z"] {
+        .unwrap()
+    }
+
+    const PATTERNS: [&[u8]; 7] = [b"AT", b"PQ", b"SFPQ", b"PA", b"TPA", b"FPQP", b"Z"];
+
+    fn same_answers(a: &ApproxIndex, b: &ApproxIndex) {
+        for pattern in PATTERNS {
             for tau in [0.05, 0.12, 0.3, 0.5] {
                 assert_eq!(
-                    built.query(pattern, tau).unwrap().hits(),
-                    loaded.query(pattern, tau).unwrap().hits(),
+                    a.query(pattern, tau).unwrap().hits(),
+                    b.query(pattern, tau).unwrap().hits(),
                     "pattern {pattern:?} tau {tau}"
                 );
             }
         }
+    }
+
+    #[test]
+    fn snapshot_round_trip_answers_identically() {
+        let built = ApproxIndex::build(&protein_fragment(), 0.02, 0.03).unwrap();
+        let loaded = ApproxIndex::from_snapshot(built.to_snapshot()).unwrap();
+        assert_eq!(built.num_links(), loaded.num_links());
+        assert_eq!(built.epsilon().to_bits(), loaded.epsilon().to_bits());
+        same_answers(&built, &loaded);
+    }
+
+    /// Links built over an `Index` are the stand-alone build's links, over
+    /// the index's own tree, and survive their links-only snapshot.
+    #[test]
+    fn links_over_an_index_are_the_stand_alone_links() {
+        let s = protein_fragment();
+        let alone = ApproxIndex::build(&s, 0.02, 0.03).unwrap();
+        let index = Index::build(&s, 0.02).unwrap();
+        let over = ApproxIndex::over(&index, 0.03).unwrap();
+        let shared = |text: &ScoredText| text.tree.sa_slots().as_ptr();
+        assert_eq!(shared(&over.text), shared(index.shared_text().0));
+        assert_eq!(over.to_links_snapshot().links, alone.to_snapshot().links);
+        assert_eq!(over.heap_breakdown(), alone.heap_breakdown());
+        same_answers(&alone, &over);
+        let loaded = ApproxIndex::from_links_snapshot(&index, over.to_links_snapshot()).unwrap();
+        same_answers(&over, &loaded);
     }
 
     #[test]
@@ -557,6 +740,76 @@ mod tests {
             ApproxIndex::from_snapshot(state),
             Err(Error::InvalidSnapshot { .. })
         ));
+    }
+
+    /// A link is loaded only if the tree it hangs off carries it: its
+    /// witness is a suffix of the text below its origin node, no deeper
+    /// than that node. One row per way a checksummed state can break that,
+    /// and links paired with another document's index.
+    #[test]
+    fn loaded_links_are_checked_against_the_tree() {
+        let index = Index::build(&protein_fragment(), 0.02).unwrap();
+        let approx = ApproxIndex::over(&index, 0.03).unwrap();
+        let load = |index: &Index, links| {
+            let mut state = approx.to_links_snapshot();
+            state.links = links;
+            match ApproxIndex::from_links_snapshot(index, state) {
+                Err(Error::InvalidSnapshot { detail }) => detail,
+                Err(other) => panic!("wrong error kind: {other:?}"),
+                Ok(_) => panic!("inconsistent links were accepted"),
+            }
+        };
+        let rows = approx.to_links_snapshot().links;
+        let tree = &approx.text.tree;
+        let chars = tree.text();
+        let separator = chars.iter().position(|&c| c == 0).unwrap() as u32;
+        // A link from a leaf, whose subtree is its witness alone, and
+        // another suffix for it.
+        let leaf_rank = |w: u32| {
+            let slot = (0..tree.num_slots()).find(|&j| tree.sa(j) == w as usize);
+            approx.ranks.leaf_preorder(slot.unwrap()) as u32
+        };
+        let from_leaf = rows
+            .iter()
+            .position(|l| leaf_rank(l.witness) == l.origin_pre);
+        let from_leaf = from_leaf.unwrap();
+        let elsewhere = (0..chars.len() as u32)
+            .find(|&w| chars[w as usize] != 0 && w != rows[from_leaf].witness)
+            .unwrap();
+
+        type Tamper<'a> = Box<dyn Fn(&mut Vec<ApproxLinkState>) + 'a>;
+        let tampers: [(&str, Tamper<'_>); 5] = [
+            (
+                "preorder outside the tree",
+                Box::new(|l| l.last_mut().unwrap().origin_pre = u32::MAX),
+            ),
+            (
+                "outside the text or on a separator",
+                Box::new(|l| l[0].witness = chars.len() as u32),
+            ),
+            (
+                "outside the text or on a separator",
+                Box::new(move |l| l[0].witness = separator),
+            ),
+            (
+                "outside its origin's subtree",
+                Box::new(move |l| l[from_leaf].witness = elsewhere),
+            ),
+            (
+                "origin deeper than its node",
+                Box::new(|l| l.iter_mut().for_each(|l| l.origin_depth += 3)),
+            ),
+        ];
+        for (expected, tamper) in tampers {
+            let mut links = rows.clone();
+            tamper(&mut links);
+            let detail = load(&index, links);
+            assert!(detail.contains(expected), "{expected:?}: got {detail:?}");
+        }
+        // The links of one document over the index of another.
+        let other = UncertainString::parse("A | T | S:.5,T:.5 | P | A:.4,F:.4,P:.2").unwrap();
+        let other = Index::build(&other, 0.02).unwrap();
+        load(&other, rows.clone());
     }
 
     #[test]

@@ -7,46 +7,52 @@
 //! argmax is unchanged. Separator positions contribute 0 to the sums and are
 //! tracked separately so any window crossing one evaluates to −∞.
 
+use std::sync::Arc;
+
 use ustr_uncertain::canon;
 
-/// Cumulative log-probability array with separator tracking.
+/// Cumulative log-probability array with separator tracking. A clone shares
+/// the arrays.
 #[derive(Debug, Clone)]
 pub struct CumulativeLogProb {
     /// `prefix[i]` = Σ log(prob) over the first `i` positions.
-    prefix: Vec<f64>,
+    prefix: Arc<[f64]>,
     /// `sentinels[i]` = number of separator positions among the first `i`.
-    sentinels: Vec<u32>,
+    sentinels: Arc<[u32]>,
 }
 
 impl CumulativeLogProb {
     /// Builds from per-position probabilities; `is_sentinel(i)` marks
     /// separator positions (their probability is ignored).
     pub fn new(probs: &[f64], is_sentinel: impl Fn(usize) -> bool) -> Self {
-        let mut prefix = Vec::with_capacity(probs.len() + 1);
-        prefix.push(0.0);
         let mut sum = 0.0f64;
-        for (i, &p) in probs.iter().enumerate() {
+        let sums = probs.iter().enumerate().map(|(i, &p)| {
             if !is_sentinel(i) {
                 debug_assert!(canon::is_positive_prob(p), "probabilities must be positive");
                 sum += canon::ln(p);
             }
-            prefix.push(sum);
-        }
-        Self::from_prefix(prefix, is_sentinel)
+            sum
+        });
+        // Exact-size iterators: each array is collected straight into its
+        // shared allocation.
+        Self::counting(std::iter::once(0.0).chain(sums).collect(), is_sentinel)
     }
 
     /// Reassembles from the prefix sums (`len + 1` entries, never empty) —
     /// what snapshots store, so window evaluations stay bit-identical after
     /// a load — recounting the separators as [`Self::new`] counts them.
     pub fn from_prefix(prefix: Vec<f64>, is_sentinel: impl Fn(usize) -> bool) -> Self {
+        Self::counting(prefix.into(), is_sentinel)
+    }
+
+    fn counting(prefix: Arc<[f64]>, is_sentinel: impl Fn(usize) -> bool) -> Self {
         assert!(!prefix.is_empty(), "prefix sums start with the empty sum");
-        let mut sentinels = Vec::with_capacity(prefix.len());
-        sentinels.push(0);
         let mut count = 0u32;
-        for i in 0..prefix.len() - 1 {
+        let counts = (0..prefix.len() - 1).map(|i| {
             count += u32::from(is_sentinel(i));
-            sentinels.push(count);
-        }
+            count
+        });
+        let sentinels = std::iter::once(0).chain(counts).collect();
         Self { prefix, sentinels }
     }
 
@@ -93,8 +99,7 @@ impl CumulativeLogProb {
 
     /// Approximate heap footprint in bytes.
     pub fn heap_size(&self) -> usize {
-        self.prefix.capacity() * std::mem::size_of::<f64>()
-            + self.sentinels.capacity() * std::mem::size_of::<u32>()
+        std::mem::size_of_val(&*self.prefix) + std::mem::size_of_val(&*self.sentinels)
     }
 }
 

@@ -1,6 +1,7 @@
 //! The general uncertain-string substring index (§5): Lemma-2 transform +
 //! position mapping + per-level duplicate elimination over the §4 machinery.
 
+use std::sync::Arc;
 use std::time::Instant;
 
 use ustr_uncertain::{canon, transform, ProbPlane, UncertainString, NO_POSITION};
@@ -10,7 +11,7 @@ use crate::{
     result::QueryResult,
     snapshot::{invalid, IndexState},
     stats::BuildStats,
-    substrate::{DedupStrategy, Substrate, NO_KEY},
+    substrate::{DedupStrategy, ScoredText, Substrate, NO_KEY},
 };
 
 // The position map doubles as the dedup key array.
@@ -38,8 +39,10 @@ pub struct Index {
     /// [`Index::to_snapshot`] materializes again (formats are untouched).
     plane: ProbPlane,
     /// Lemma-2 position map, all that is kept of the transform beside the
-    /// substrate: text position → source position, [`NO_POSITION`] at separators.
-    pos: Vec<u32>,
+    /// substrate: text position → source position, [`NO_POSITION`] at
+    /// separators. Shared, with the substrate's text, by an
+    /// [`crate::ApproxIndex`] built [`over`](crate::ApproxIndex::over) this one.
+    pos: Arc<[u32]>,
     substrate: Substrate,
     tau_min: f64,
     stats: BuildStats,
@@ -50,8 +53,7 @@ impl Index {
     pub fn build(source: &UncertainString, tau_min: f64) -> Result<Self, Error> {
         let start = Instant::now();
         let transformed = transform(source, tau_min)?;
-        let mut pos = transformed.pos;
-        pos.shrink_to_fit();
+        let pos: Arc<[u32]> = transformed.pos.into();
         // `pos` is already the dedup key array: source position per text
         // position, `NO_POSITION` (= no key) at separators.
         let substrate = Substrate::build(
@@ -83,12 +85,18 @@ impl Index {
         self.tau_min
     }
 
+    /// The scored text and position map, for the §7 links that hang off
+    /// them.
+    pub(crate) fn shared_text(&self) -> (&ScoredText, &Arc<[u32]>) {
+        (self.substrate.text(), &self.pos)
+    }
+
     /// Decomposes the index into its persistence-ready snapshot state (see
     /// [`crate::snapshot`]). The byte encoding lives in `ustr-store`.
     pub fn to_snapshot(&self) -> IndexState {
         IndexState {
             source: self.plane.to_model(),
-            pos: self.pos.clone(),
+            pos: self.pos.to_vec(),
             substrate: self.substrate.to_state(),
             tau_min: self.tau_min,
             stats: self.stats.clone(),
@@ -102,24 +110,15 @@ impl Index {
     /// identically to the index the snapshot was taken from. Fails with
     /// [`Error::InvalidSnapshot`] on structurally inconsistent state.
     pub fn from_snapshot(state: IndexState) -> Result<Self, Error> {
-        if state.pos.len() != state.substrate.text.text.len() {
-            return Err(invalid("position map length does not match text"));
-        }
-        let source_len = state.source.len();
-        if state
-            .pos
-            .iter()
-            .any(|&p| p != NO_POSITION && p as usize >= source_len)
-        {
-            return Err(invalid("position map points outside the source string"));
-        }
+        let text_len = state.substrate.text.text.len();
+        let pos = checked_pos_map(state.pos, text_len, state.source.len())?;
         if !canon::valid_tau(state.tau_min) {
             return Err(invalid("tau_min outside (0, 1]"));
         }
         let substrate = Substrate::from_state(state.substrate)?;
         let mut idx = Self {
             plane: ProbPlane::build(&state.source),
-            pos: state.pos,
+            pos,
             substrate,
             tau_min: state.tau_min,
             stats: state.stats,
@@ -263,10 +262,7 @@ impl Index {
             cum,
             short,
             long,
-            (
-                "position map",
-                self.pos.capacity() * std::mem::size_of::<u32>(),
-            ),
+            ("position map", std::mem::size_of_val(&*self.pos)),
             ("model (plane)", self.plane.heap_size()),
         ]
     }
@@ -276,6 +272,22 @@ impl Index {
     pub fn heap_size(&self) -> usize {
         self.heap_breakdown().iter().map(|&(_, bytes)| bytes).sum()
     }
+}
+
+/// A stored position map over a text of `text_len` positions, into a source
+/// of `source_len`.
+pub(crate) fn checked_pos_map(
+    pos: Vec<u32>,
+    text_len: usize,
+    source_len: usize,
+) -> Result<Arc<[u32]>, Error> {
+    if pos.len() != text_len {
+        return Err(invalid("position map length does not match text"));
+    }
+    if (pos.iter()).any(|&p| p != NO_POSITION && p as usize >= source_len) {
+        return Err(invalid("position map points outside the source string"));
+    }
+    Ok(pos.into())
 }
 
 #[cfg(test)]

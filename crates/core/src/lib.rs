@@ -39,10 +39,14 @@
 //! tree + `C` + levels) is the only code that builds, queries, measures,
 //! decomposes and validates that triple; [`SpecialIndex`], [`Index`] and
 //! [`ListingIndex`] are each "substrate + own map + own verification", and
-//! [`ApproxIndex`] builds its links from the substrate's level-free half
-//! (suffix tree + `C`) and keeps the tree. In [`snapshot`] it appears as
-//! one [`snapshot::SubstrateState`] shared by the three state structs that
-//! have levels; all four get their tree back through one validator.
+//! [`ApproxIndex`] hangs its links off the substrate's level-free half
+//! (suffix tree + `C`) and the position map: [`ApproxIndex::over`] shares
+//! an [`Index`]'s, so a document served with ε has one transform and one
+//! tree. In [`snapshot`] the substrate appears as one
+//! [`snapshot::SubstrateState`] shared by the three state structs that have
+//! levels, and the links as an [`snapshot::ApproxLinksState`] that hangs
+//! off an [`snapshot::IndexState`]; all four get their tree back through
+//! one validator.
 //!
 //! A loaded index is a built index: a state struct says what `build`
 //! produces and a query reads, `from_snapshot` accepts only levels on the
@@ -76,17 +80,19 @@
 //! | source copy beside the plane, uncounted | 57.8 | 57.8 | — |
 //!
 //! And an [`ApproxIndex`] on the same string (1 944 732 links) — the rows of
-//! [`ApproxIndex::heap_breakdown`] — before → after PR 24 made everything
-//! only `build` reads a local of `build`:
+//! [`ApproxIndex::heap_breakdown`] — when it kept the `C` it found its links
+//! with, once everything only `build` reads was a local of `build`, and now
+//! that its links hang off the [`Index`]'s text: the text, tree and
+//! position map are the `Index`'s rows, counted there once.
 //!
-//! | structure | B/position |
-//! |---|---|
-//! | suffix tree (text + SA + LCP + child table) | 123.3 |
-//! | cumulative array `C` | 113.8 → 0 |
-//! | ancestry: preorder ranks (+ boundary names, LCP RMQ) | 274.4 → 75.9 |
-//! | links (24 B each) | 466.7 |
-//! | min-RMQ over the links' target depths | 330.5 |
-//! | **`stats().heap_bytes`** | **1 308.7 → 996.4** |
+//! | structure | with `C` | tree of its own | over the `Index` |
+//! |---|---|---|---|
+//! | suffix tree (text + SA + LCP + child table) | 123.3 | 123.3 | — |
+//! | cumulative array `C` | 113.8 | 0 | — |
+//! | ancestry: preorder ranks (+ boundary names, LCP RMQ) | 274.4 | 75.9 | 75.9 |
+//! | links (24 B each) | 466.7 | 466.7 | 466.7 |
+//! | min-RMQ over the links' target depths | 330.5 | 330.5 | 330.5 |
+//! | **`stats().heap_bytes`** | **1 308.7** | **996.4** | **873.1** |
 
 #![forbid(unsafe_code)]
 
@@ -107,8 +113,9 @@ pub use index::Index;
 pub use listing::{ListingHit, ListingIndex, RelMetric};
 pub use result::{canonical_hit_order, QueryResult};
 pub use snapshot::{
-    ApproxIndexState, ApproxLinkState, IndexState, LevelsParts, ListingIndexState, LongLevelParts,
-    ScoredTextState, ShortLevelParts, SpecialIndexState, SubstrateState,
+    ApproxIndexState, ApproxLinkState, ApproxLinksState, IndexState, LevelsParts,
+    ListingIndexState, LongLevelParts, ScoredTextState, ShortLevelParts, SpecialIndexState,
+    SubstrateState,
 };
 pub use special::SpecialIndex;
 pub use stats::BuildStats;

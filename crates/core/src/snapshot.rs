@@ -19,15 +19,18 @@
 //!     so window evaluations stay bit-identical; separators are recounted),
 //!   * per-level RMQ champion indices and duplicate masks (champion
 //!     *values* are re-derived from the cumulative array on reassembly),
-//! * each index's own map beside it: the Lemma-2 position map (§5), the
-//!   document maps (§6), or the ε-link table (§7) — that one beside the
-//!   bare text and `(SA, LCP)`: the approximate index reads no level and,
-//!   once its links exist, no probability.
+//! * each index's own map beside it: the Lemma-2 position map (§5) or the
+//!   document maps (§6),
+//! * the ε-link table (§7) as an [`ApproxLinksState`] that hangs off an
+//!   [`IndexState`]'s text: a link stores a *witness* text position, not
+//!   its source position or probability — the position map and `C` give
+//!   both back. A stand-alone approximate index ([`ApproxIndexState`])
+//!   carries the scored text and position map an `Index` would.
 //!
 //! A state says what `build` produces and a query reads, nothing else:
 //! level lengths are the ladder its text derives, and what only
-//! construction needs (the approximate index's `C`, the listing index's
-//! document offsets) is not in it. So a loaded index is a built index.
+//! construction needs (the listing index's document offsets) is not in
+//! it. So a loaded index is a built index.
 //!
 //! The byte-level encoding of these structs lives in the `ustr-store` crate;
 //! this module only defines the shapes. Assembly is invariant-checked in
@@ -35,8 +38,9 @@
 //! structurally inconsistent state is an [`crate::Error::InvalidSnapshot`]
 //! whichever index it was addressed to. Reassembly never recomputes the
 //! expensive parts of construction (SA-IS, the Lemma-2 transform, level
-//! mask sweeps) and produces an index that answers every query identically
-//! to the freshly built original.
+//! mask sweeps, the link search; a link's probability is one `canon::exp`
+//! of a `C` window, as the build computed it) and produces an index that
+//! answers every query identically to the freshly built original.
 
 use ustr_uncertain::UncertainString;
 
@@ -128,43 +132,56 @@ pub struct SpecialIndexState {
 ///
 /// Links are the §7 sub-link table: each connects an origin endpoint at
 /// `origin_depth` to a target endpoint at `target_depth` along the path from
-/// a marked suffix-tree node toward the root, and carries the probability of
-/// the origin-depth prefix at `source_pos`.
-#[derive(Debug, Clone, PartialEq)]
+/// a marked suffix-tree node toward the root. Its source position and
+/// probability are not stored: both are read at its `witness`, a text
+/// position whose leaf lies below the origin node — the position map gives
+/// the one, the cumulative array `C` (the window of `origin_depth`
+/// characters there, capped at the next separator) the other.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ApproxLinkState {
     /// Preorder rank of the (real) node anchoring the origin endpoint.
     pub origin_pre: u32,
-    /// String depth of the origin endpoint.
+    /// String depth of the origin endpoint (at most the node's own).
     pub origin_depth: u32,
     /// String depth of the target endpoint (`< origin_depth`).
     pub target_depth: u32,
-    /// Original string position (`Posid`).
-    pub source_pos: u32,
-    /// Probability of the origin-depth prefix at `source_pos`.
-    pub prob: f64,
+    /// Text position of a suffix below the origin node, on no separator.
+    pub witness: u32,
 }
 
-/// Snapshot state of an [`crate::ApproxIndex`].
+/// The ε-link table of an [`crate::ApproxIndex`] built
+/// [`over`](crate::ApproxIndex::over) an [`crate::Index`]: everything the
+/// links add to the text they hang off, which the index's state holds.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ApproxIndexState {
-    /// Length of the source string (every link's `source_pos` is below it).
-    pub source_len: usize,
-    /// The transformed text (no virtual terminator; 0 = separator). Its
-    /// probabilities are in the links.
-    pub text: Vec<u8>,
-    /// Plain suffix array of `text`.
-    pub sa: Vec<u32>,
-    /// LCP array of `text` (`lcp[0] = 0`).
-    pub lcp: Vec<u32>,
+pub struct ApproxLinksState {
     /// The ε-refined sub-link table, sorted by `origin_pre` (the min-RMQ
     /// over target depths is rebuilt from this on reassembly).
     pub links: Vec<ApproxLinkState>,
     /// The additive error bound ε.
     pub epsilon: f64,
+    /// What building the links took.
+    pub build_time: std::time::Duration,
+}
+
+/// Snapshot state of a stand-alone [`crate::ApproxIndex`]: the scored text
+/// and position map an [`crate::Index`] over the same source holds, and the
+/// links over them.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ApproxIndexState {
+    /// The transformed text, its suffix structure and cumulative
+    /// probabilities.
+    pub text: ScoredTextState,
+    /// Lemma-2 position map: text position → source position (`u32::MAX`
+    /// at separators).
+    pub pos: Vec<u32>,
     /// Construction-time threshold.
     pub tau_min: f64,
     /// Build statistics.
     pub stats: BuildStats,
+    /// The ε-refined sub-link table, sorted by `origin_pre`.
+    pub links: Vec<ApproxLinkState>,
+    /// The additive error bound ε.
+    pub epsilon: f64,
 }
 
 /// Snapshot state of a [`crate::ListingIndex`].

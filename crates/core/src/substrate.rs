@@ -7,10 +7,11 @@
 //! how the triple is built, queried (suffix range → candidates in
 //! decreasing-probability order, threshold or top-k), measured, taken apart
 //! into [`SubstrateState`] and validated back together. [`ScoredText`] is
-//! its level-free half (tree + `C`), which [`crate::ApproxIndex`] builds
-//! its links from and then keeps the tree of ([`checked_tree`] is how any
-//! index gets a tree back from a snapshot). The index types add their own
-//! map and their own verification.
+//! its level-free half (tree + `C`), whose clone shares its arrays: the
+//! [`crate::ApproxIndex`] built over an [`crate::Index`] hangs its links off
+//! the same tree and reads its probabilities from the same `C`
+//! ([`checked_tree`] is how any index gets a tree back from a snapshot).
+//! The index types add their own map and their own verification.
 //!
 //! Outside this module nothing sees a suffix-array *slot*: candidates come
 //! back as text positions.
@@ -45,7 +46,9 @@ pub(crate) fn check_text_len(len: usize) -> Result<(), Error> {
 /// A deterministic text with per-position probabilities: its suffix tree
 /// (pattern loci) and cumulative array `C` (O(1) window probabilities) —
 /// the only copy an index keeps of the characters (in the tree) and of the
-/// probabilities (`C`'s prefix sums).
+/// probabilities (`C`'s prefix sums). A clone shares both, array by array,
+/// so a holder reaches them as directly as their owner does.
+#[derive(Clone)]
 pub(crate) struct ScoredText {
     pub(crate) tree: SuffixTree,
     pub(crate) cum: CumulativeLogProb,
@@ -174,6 +177,11 @@ impl Substrate {
         let text = ScoredText::build(chars, probs)?;
         let levels = Levels::build(&text, dedup);
         Ok(Self { text, levels })
+    }
+
+    /// The scored text, for an index that shares it.
+    pub(crate) fn text(&self) -> &ScoredText {
+        &self.text
     }
 
     /// Suffix range of `pattern`: an opaque `(l, r)` for the query methods
@@ -359,7 +367,7 @@ mod tests {
             .to_snapshot();
         listing.substrate.text.lcp[0] = 1;
         let mut approx = ApproxIndex::build(&s, 0.1, 0.05).unwrap().to_snapshot();
-        approx.lcp[0] = 1;
+        approx.text.lcp[0] = 1;
         let details = [
             rejection(Index::from_snapshot(index)),
             rejection(SpecialIndex::from_snapshot(special)),

@@ -1585,7 +1585,7 @@ mod tests {
                 "duplicate sections",
             ),
             (
-                vec![section(0, SnapshotKind::Approx)],
+                vec![section(0, SnapshotKind::ApproxLinks)],
                 "no substring-index section",
             ),
         ];

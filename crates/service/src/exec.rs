@@ -21,7 +21,10 @@ use std::sync::Arc;
 
 use ustr_baseline::ScanIndex;
 use ustr_core::{ApproxIndex, Error, Index, ListingHit};
-use ustr_store::{collection, CollectionSection, Snapshot, SnapshotKind, StoreError, StoreIo};
+use ustr_store::{
+    collection, read_links_snapshot, write_links_snapshot, CollectionSection, Snapshot,
+    SnapshotKind, StoreError, StoreIo,
+};
 use ustr_uncertain::UncertainString;
 
 use crate::{DocHits, QueryRequest, QueryResponse, SharedHits, TopHit};
@@ -48,7 +51,8 @@ pub enum DocExecutor {
         /// The exact substring index (serves `Threshold`, `TopK`,
         /// `Listing`).
         index: Index,
-        /// The ε-approximate index (serves `Approx`; exact fallback when
+        /// The ε-approximate index over `index`'s own text and tree
+        /// ([`ApproxIndex::over`]; serves `Approx`, exact fallback when
         /// absent).
         approx: Option<ApproxIndex>,
     },
@@ -59,7 +63,8 @@ pub enum DocExecutor {
 
 impl DocExecutor {
     /// Builds the paper's indexes for one document: the substring index,
-    /// plus an ε-approximate index when `epsilon` is set.
+    /// plus, when `epsilon` is set, the ε-links over its text — one
+    /// transform and one suffix tree either way.
     pub fn build(
         source: &UncertainString,
         tau_min: f64,
@@ -67,7 +72,7 @@ impl DocExecutor {
     ) -> Result<Self, Error> {
         let index = Index::build(source, tau_min)?;
         let approx = epsilon
-            .map(|eps| ApproxIndex::build(source, tau_min, eps))
+            .map(|eps| ApproxIndex::over(&index, eps))
             .transpose()?;
         Ok(DocExecutor::Built { index, approx })
     }
@@ -134,19 +139,10 @@ fn corrupt(detail: String) -> StoreError {
     StoreError::Corrupt { detail }
 }
 
-fn section<S: Snapshot>(doc: usize, index: &S) -> Result<CollectionSection, StoreError> {
-    let mut bytes = Vec::new();
-    index.write_snapshot(&mut bytes)?;
-    Ok(CollectionSection {
-        doc,
-        kind: S::KIND,
-        bytes,
-    })
-}
-
 /// Writes `docs` as one `.coll` file ([`ustr_store::collection`]): per
-/// document, in rank order, its substring-index section, then its
-/// approx-index section when it holds one. Static collection snapshots and
+/// document, in rank order, its substring-index section, then the links of
+/// its approx index when it holds one (a section with no text: the links
+/// hang off the index's). Static collection snapshots and
 /// live sealed segments are both written here — and read back by
 /// [`load_coll`] — so they are the same artifact. Only built executors have
 /// a persistent form.
@@ -164,9 +160,20 @@ pub fn save_coll<'a>(
                 "document {num_docs} is scan-served: only built indexes can be saved"
             )));
         };
-        sections.push(section(num_docs, index)?);
+        let mut section = |kind, bytes| {
+            sections.push(CollectionSection {
+                doc: num_docs,
+                kind,
+                bytes,
+            })
+        };
+        let mut bytes = Vec::new();
+        index.write_snapshot(&mut bytes)?;
+        section(SnapshotKind::Index, bytes);
         if let Some(approx) = approx {
-            sections.push(section(num_docs, approx)?);
+            let mut bytes = Vec::new();
+            write_links_snapshot(approx, &mut bytes)?;
+            section(SnapshotKind::ApproxLinks, bytes);
         }
         num_docs += 1;
     }
@@ -179,7 +186,8 @@ pub struct LoadedColl {
     pub docs: Vec<DocExecutor>,
     /// Per-document index heap in bytes, the shard planner's weights:
     /// `Index::heap_size()` plus the approx index's `heap_bytes` (what the
-    /// loaded document holds, whatever the file's encoding).
+    /// loaded document holds, whatever the file's encoding; the text the
+    /// two share counted once).
     pub heap_bytes: Vec<usize>,
     /// The shard count recorded when the file was written.
     pub shard_hint: usize,
@@ -198,7 +206,7 @@ pub fn load_coll(io: &dyn StoreIo, path: &Path) -> Result<LoadedColl, StoreError
     for section in coll.sections {
         let table = match section.kind {
             SnapshotKind::Index => &mut index_bytes,
-            SnapshotKind::Approx => &mut approx_bytes,
+            SnapshotKind::ApproxLinks => &mut approx_bytes,
             other => {
                 return Err(corrupt(format!(
                     "collection section for document {} holds unsupported kind {}",
@@ -226,7 +234,7 @@ pub fn load_coll(io: &dyn StoreIo, path: &Path) -> Result<LoadedColl, StoreError
             ib.ok_or_else(|| corrupt(format!("document {rank} has no substring-index section")))?;
         let index = Index::read_snapshot(ib.as_slice())?;
         let approx = ab
-            .map(|bytes| ApproxIndex::read_snapshot(bytes.as_slice()))
+            .map(|bytes| read_links_snapshot(bytes.as_slice(), &index))
             .transpose()?;
         heap_bytes.push(index.heap_size() + approx.as_ref().map_or(0, |a| a.stats().heap_bytes));
         docs.push(DocExecutor::Built { index, approx });

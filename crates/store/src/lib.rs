@@ -8,11 +8,14 @@
 //! the only copy of the transformed text and its probabilities: the text
 //! with its `(SA, LCP)` arrays, the cumulative log-probability prefix sums,
 //! and every per-level RMQ table (champion indices + duplicate masks); for
-//! the approximate index, the text with its `(SA, LCP)` arrays and the
-//! ε-refined sub-link table — and [`Snapshot::load`] reassembles an index
-//! that holds what the built one held and answers **byte-identical** query
-//! results, skipping the expensive construction passes (the Lemma-2
-//! transform, SA-IS, the level mask sweeps, the link search).
+//! the approximate index, the scored text and position map an `Index`
+//! holds, and the ε-refined sub-link table — and [`Snapshot::load`]
+//! reassembles an index that holds what the built one held and answers
+//! **byte-identical** query results, skipping the expensive construction
+//! passes (the Lemma-2 transform, SA-IS, the level mask sweeps, the link
+//! search). The links of an [`ApproxIndex`] built over an [`Index`] are
+//! written alone ([`write_links_snapshot`]) and read back over that index
+//! ([`read_links_snapshot`]): a `.coll` file holds one text per document.
 //!
 //! Beyond single indexes, the [`collection`] module defines a one-file
 //! container for a whole document collection (manifest + per-section
@@ -26,22 +29,23 @@
 //! | offset | size | field |
 //! |---|---|---|
 //! | 0  | 8 | magic `"USTRSNAP"` |
-//! | 8  | 4 | format version, `u32` little-endian (currently 5) |
-//! | 12 | 1 | index kind: 1 = `Index`, 2 = `SpecialIndex`, 3 = `ListingIndex`, 4 = `ApproxIndex` |
+//! | 8  | 4 | format version, `u32` little-endian (currently 6) |
+//! | 12 | 1 | index kind: 1 = `Index`, 2 = `SpecialIndex`, 3 = `ListingIndex`, 4 = `ApproxIndex`, 5 = `ApproxIndex` links over an `Index` |
 //! | 13 | 3 | reserved, must be zero |
 //! | 16 | 8 | payload length in bytes, `u64` little-endian |
 //! | 24 | 8 | FNV-1a 64-bit checksum of the payload |
 //! | 32 | …  | payload |
 //!
 //! All fixed-width payload integers are little-endian; `f64`s are stored as
-//! their IEEE-754 bit patterns (so probabilities and prefix sums survive
-//! round-trips bit-exactly); variable-length sequences are length-prefixed
-//! with a `u64`. **One integer rule:** every `u32` array of a payload below
-//! other than the *string* piece — SA, LCP, text maps, champions, links — is
-//! written as LEB128 varints (`Reader::get_varint`: 1–5 bytes, shortest
-//! form only), by value size, not by type.
+//! their IEEE-754 bit patterns (so prefix sums survive round-trips
+//! bit-exactly). **One integer rule:** every integer of a payload below
+//! other than the *string* piece — SA, LCP, text maps, champions, links,
+//! and every sequence length, level count and stat — is written as an
+//! LEB128 varint (1–5 bytes for a `u32` value, 1–10 for a length or stat;
+//! shortest form only), by value size, not by type. The *string* piece is
+//! the WAL's record body too, and keeps its fixed-width `u64` lengths.
 //!
-//! # Payloads (version 5)
+//! # Payloads (version 6)
 //!
 //! A payload says what `build` produces and a query reads, each array
 //! once. Shared pieces first, then the four payloads, every field in the
@@ -51,9 +55,10 @@
 //! |---|---|
 //! | *string* | position count; per position: choice count (`u32`), then `(char, prob)` pairs; correlation count; *correlation* rows (shared with the WAL, so fixed-width) |
 //! | *correlation* | subject position, subject char, condition position, condition char, `p_present`, `p_absent` |
-//! | *scored text* | text bytes (0 = factor separator), SA, LCP, prefix sums `C` (`f64`s, text length + 1) |
+//! | *scored text* | text bytes (0 = factor separator), SA, LCP, prefix sums `C` (`f64`s, text length + 1), each after its length |
 //! | *substrate* | *scored text*; short-level count `L`; per short level: mask words (`u64`s), champions (one per 64 slots, the `j`-th as `c − 64·j`); long-level count; per long level, the `k`-th of length `L·2ᵏ`: champions (one per `L·2ᵏ` slots, as `c − j·L·2ᵏ`) |
 //! | *text map* | after its text, per non-separator text byte: the zigzag delta from the previous such entry (from 0 for the first) |
+//! | *links* | link count; per link, sorted by origin preorder: origin preorder as the delta from the previous link's, origin depth, the gap origin depth − target depth, the witness (a text position below the origin) as the zigzag delta from the previous link's (from 0 for the first); ε (`f64`) |
 //! | *stats* | source length, transformed length, factor count, build time in ns |
 //!
 //! | kind | payload |
@@ -61,7 +66,8 @@
 //! | `Index` | *string* (the source); *substrate*; position map (*text map*); `τmin`; *stats* |
 //! | `SpecialIndex` | per-character probabilities (`f64`s; the characters are the substrate's text); correlation count, *correlation* rows; *substrate*; *stats* |
 //! | `ListingIndex` | document count, one *string* each; *substrate*; text position → document (*text map*); text position → offset in document (*text map*); `τmin`; *stats* |
-//! | `ApproxIndex` | source length; text bytes, SA, LCP; link count; per link: origin preorder as the delta from the previous link's (links are sorted by it), origin depth, the gap origin depth − target depth, source position, probability (`f64`); ε; `τmin`; *stats* |
+//! | `ApproxIndex` | *scored text*; position map (*text map*); `τmin`; *stats*; *links* |
+//! | `ApproxIndex` links | *links*; build time in ns — a `.coll` approx section, read over its document's `Index` section |
 //!
 //! The two level counts must be the text's own — `L = ⌈log₂(slots + 1)⌉`
 //! short levels, a long level for every `L·2ᵏ` up to the text length: any
@@ -74,8 +80,10 @@
 //! length (the short-level count), each document's start in the
 //! concatenated source (the running sum of the documents' lengths), and the
 //! heap footprint (a measurement of the loaded index, taken again on load).
-//! Not written, because only construction reads it: the prefix sums `C` of
-//! an `ApproxIndex`, whose links carry every probability a query reports.
+//! Not written: link probabilities and source positions (derived from `C`
+//! and the position map at each link's witness — the probability with the
+//! build's own `canon::exp` — on load), and, in a links section, the text,
+//! `C`, position map and `τmin` (its document's `Index` section's).
 //!
 //! # Versioning policy
 //!
@@ -91,8 +99,12 @@
 //! of short levels), the listing index's document bases and the approximate
 //! index's prefix sums. Version 4 wrote every `u32` array at four bytes an
 //! entry (the position map at separators too, champions as slot numbers,
-//! links at 24 bytes each); version 5 is the layout above. The reserved
-//! header bytes allow future flags without disturbing the field offsets.
+//! links at 24 bytes each). Version 5 wrote those arrays as varints but
+//! every length, level count and stat as a `u64`, and an approximate index
+//! (in a `.coll` file too) with a text, SA and LCP of its own and each
+//! link's source position and `f64` probability; version 6 is the layout
+//! above. The reserved header bytes allow future flags without disturbing
+//! the field offsets.
 //!
 //! # Failure model
 //!
@@ -130,10 +142,12 @@ pub mod wire;
 use std::fs::File;
 use std::io::{BufReader, BufWriter, Read, Write};
 use std::path::Path;
+use std::time::Duration;
 
 use ustr_core::snapshot::{
-    ApproxIndexState, ApproxLinkState, IndexState, LevelsParts, ListingIndexState, LongLevelParts,
-    ScoredTextState, ShortLevelParts, SpecialIndexState, SubstrateState,
+    ApproxIndexState, ApproxLinkState, ApproxLinksState, IndexState, LevelsParts,
+    ListingIndexState, LongLevelParts, ScoredTextState, ShortLevelParts, SpecialIndexState,
+    SubstrateState,
 };
 use ustr_core::{ApproxIndex, BuildStats, Index, ListingIndex, SpecialIndex};
 use ustr_uncertain::{Correlation, UncertainString};
@@ -158,8 +172,10 @@ pub const MAGIC: [u8; 8] = *b"USTRSNAP";
 /// Current snapshot format version (see the crate docs for the policy).
 /// Version 2 added the `ApproxIndex` record kind; version 3 stores each
 /// array once; version 4 only what `build` produces and a query reads;
-/// version 5 writes its integer arrays as varints.
-pub const FORMAT_VERSION: u32 = 5;
+/// version 5 writes its integer arrays as varints; version 6 writes the
+/// §7 links as a section of their own over an `Index`, and every length,
+/// level count and stat as a varint.
+pub const FORMAT_VERSION: u32 = 6;
 
 /// Total header size in bytes.
 pub const HEADER_LEN: usize = 32;
@@ -173,8 +189,11 @@ pub enum SnapshotKind {
     Special = 2,
     /// A [`ListingIndex`].
     Listing = 3,
-    /// An [`ApproxIndex`].
+    /// A stand-alone [`ApproxIndex`].
     Approx = 4,
+    /// The links of an [`ApproxIndex`] built over an [`Index`], without
+    /// that index's text: a `.coll` approx section.
+    ApproxLinks = 5,
 }
 
 impl SnapshotKind {
@@ -184,6 +203,7 @@ impl SnapshotKind {
             2 => Ok(SnapshotKind::Special),
             3 => Ok(SnapshotKind::Listing),
             4 => Ok(SnapshotKind::Approx),
+            5 => Ok(SnapshotKind::ApproxLinks),
             other => Err(StoreError::UnknownKind { found: other }),
         }
     }
@@ -274,49 +294,14 @@ pub trait Snapshot: Sized {
     fn decode_payload(r: &mut Reader<'_>) -> Result<Self, StoreError>;
 
     /// Writes a complete snapshot (header + checksummed payload).
-    fn write_snapshot(&self, mut out: impl Write) -> Result<(), StoreError> {
-        let mut w = Writer::new();
-        self.encode_payload(&mut w);
-        let payload = w.into_bytes();
-        let mut header = Vec::with_capacity(HEADER_LEN);
-        header.extend_from_slice(&MAGIC);
-        header.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-        header.push(Self::KIND as u8);
-        header.extend_from_slice(&[0, 0, 0]);
-        header.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        header.extend_from_slice(&fnv1a(&payload).to_le_bytes());
-        out.write_all(&header)?;
-        out.write_all(&payload)?;
-        Ok(())
+    fn write_snapshot(&self, out: impl Write) -> Result<(), StoreError> {
+        write_container(Self::KIND, |w| self.encode_payload(w), out)
     }
 
     /// Reads a complete snapshot, verifying magic, version, kind, length,
     /// and checksum before decoding.
-    fn read_snapshot(mut input: impl Read) -> Result<Self, StoreError> {
-        let mut bytes = Vec::new();
-        input.read_to_end(&mut bytes)?;
-        let header = Header::parse(&bytes)?;
-        if header.kind != Self::KIND {
-            return Err(StoreError::KindMismatch {
-                expected: Self::KIND as u8,
-                found: header.kind as u8,
-            });
-        }
-        let payload = &bytes[HEADER_LEN..];
-        if payload.len() as u64 != header.payload_len {
-            return Err(StoreError::Truncated {
-                context: "snapshot payload",
-            });
-        }
-        if fnv1a(payload) != header.checksum {
-            return Err(StoreError::ChecksumMismatch);
-        }
-        let mut r = Reader::new(payload);
-        let value = Self::decode_payload(&mut r)?;
-        if !r.is_exhausted() {
-            return Err(corrupt("trailing bytes after payload"));
-        }
-        Ok(value)
+    fn read_snapshot(input: impl Read) -> Result<Self, StoreError> {
+        read_container(Self::KIND, input, Self::decode_payload)
     }
 
     /// Saves a snapshot to `path` (buffered).
@@ -333,6 +318,174 @@ pub trait Snapshot: Sized {
         let file = File::open(path)?;
         Self::read_snapshot(BufReader::new(file))
     }
+}
+
+/// Writes a complete snapshot of `kind`: header, then the payload `encode`
+/// writes.
+fn write_container(
+    kind: SnapshotKind,
+    encode: impl FnOnce(&mut Writer),
+    mut out: impl Write,
+) -> Result<(), StoreError> {
+    let mut w = Writer::new();
+    encode(&mut w);
+    let payload = w.into_bytes();
+    let mut header = Vec::with_capacity(HEADER_LEN);
+    header.extend_from_slice(&MAGIC);
+    header.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
+    header.push(kind as u8);
+    header.extend_from_slice(&[0, 0, 0]);
+    header.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+    header.extend_from_slice(&fnv1a(&payload).to_le_bytes());
+    out.write_all(&header)?;
+    out.write_all(&payload)?;
+    Ok(())
+}
+
+/// Reads a complete snapshot of `kind`, verifying magic, version, kind,
+/// length and checksum before `decode` reads the whole payload.
+fn read_container<T>(
+    kind: SnapshotKind,
+    mut input: impl Read,
+    decode: impl FnOnce(&mut Reader<'_>) -> Result<T, StoreError>,
+) -> Result<T, StoreError> {
+    let mut bytes = Vec::new();
+    input.read_to_end(&mut bytes)?;
+    let header = Header::parse(&bytes)?;
+    if header.kind != kind {
+        return Err(StoreError::KindMismatch {
+            expected: kind as u8,
+            found: header.kind as u8,
+        });
+    }
+    let payload = &bytes[HEADER_LEN..];
+    if payload.len() as u64 != header.payload_len {
+        return Err(StoreError::Truncated {
+            context: "snapshot payload",
+        });
+    }
+    if fnv1a(payload) != header.checksum {
+        return Err(StoreError::ChecksumMismatch);
+    }
+    let mut r = Reader::new(payload);
+    let value = decode(&mut r)?;
+    if !r.is_exhausted() {
+        return Err(corrupt("trailing bytes after payload"));
+    }
+    Ok(value)
+}
+
+/// Writes the links of `approx` — built [`over`](ApproxIndex::over) an
+/// [`Index`] — as a complete snapshot of kind [`SnapshotKind::ApproxLinks`]:
+/// a `.coll` approx section, which holds no text.
+pub fn write_links_snapshot(approx: &ApproxIndex, out: impl Write) -> Result<(), StoreError> {
+    let state = approx.to_links_snapshot();
+    write_container(SnapshotKind::ApproxLinks, |w| encode_links(w, &state), out)
+}
+
+/// Reads a snapshot written by [`write_links_snapshot`] and hangs its links
+/// off `index` ([`ApproxIndex::from_links_snapshot`], which refuses links
+/// that `index`'s tree does not carry).
+pub fn read_links_snapshot(input: impl Read, index: &Index) -> Result<ApproxIndex, StoreError> {
+    let state = read_container(SnapshotKind::ApproxLinks, input, decode_links)?;
+    Ok(ApproxIndex::from_links_snapshot(index, state)?)
+}
+
+// ---------------------------------------------------------------------------
+// Snapshot-local framing: every length, level count and stat of a payload
+// is a varint. The WAL and the wire protocol share `Writer`/`Reader` and
+// keep their fixed-width `u64`s, so these live here and not there.
+// ---------------------------------------------------------------------------
+
+/// `v` as an LEB128 varint: 1–10 bytes, low group first.
+fn put_size(w: &mut Writer, mut v: u64) {
+    while v >= 0x80 {
+        w.put_u8(v as u8 | 0x80);
+        v >>= 7;
+    }
+    w.put_u8(v as u8);
+}
+
+/// A varint written by [`put_size`]; anything but the shortest encoding of
+/// a `u64` is [`StoreError::Corrupt`].
+fn get_size(r: &mut Reader<'_>) -> Result<u64, StoreError> {
+    let mut v = 0u64;
+    for i in 0..10 {
+        let b = r.get_u8()?;
+        let bits = u64::from(b & 0x7f);
+        if i == 9 && bits > 1 {
+            return Err(corrupt("varint above u64::MAX"));
+        }
+        v |= bits << (7 * i);
+        if b & 0x80 == 0 {
+            if b == 0 && i > 0 {
+                return Err(corrupt("overlong varint"));
+            }
+            return Ok(v);
+        }
+    }
+    Err(corrupt("varint longer than 10 bytes"))
+}
+
+fn get_usize(r: &mut Reader<'_>) -> Result<usize, StoreError> {
+    usize::try_from(get_size(r)?).map_err(|_| corrupt("value exceeds the platform word size"))
+}
+
+/// A sequence length whose elements take at least `min_elem_bytes` each:
+/// one no remaining input could hold is refused before anything is
+/// allocated for it.
+fn get_count(r: &mut Reader<'_>, min_elem_bytes: usize) -> Result<usize, StoreError> {
+    let len = get_usize(r)?;
+    if len.saturating_mul(min_elem_bytes.max(1)) > r.remaining() {
+        return Err(StoreError::Truncated {
+            context: "sequence length",
+        });
+    }
+    Ok(len)
+}
+
+fn put_byte_seq(w: &mut Writer, v: &[u8]) {
+    put_size(w, v.len() as u64);
+    w.put_raw(v);
+}
+
+fn get_byte_seq(r: &mut Reader<'_>) -> Result<Vec<u8>, StoreError> {
+    let len = get_count(r, 1)?;
+    Ok(r.get_raw(len)?.to_vec())
+}
+
+fn put_varint_seq(w: &mut Writer, v: impl ExactSizeIterator<Item = u32>) {
+    put_size(w, v.len() as u64);
+    v.for_each(|x| w.put_varint(x));
+}
+
+fn get_varint_seq(r: &mut Reader<'_>) -> Result<Vec<u32>, StoreError> {
+    let len = get_count(r, 1)?;
+    let mut out = Vec::with_capacity(len);
+    for _ in 0..len {
+        out.push(r.get_varint()?);
+    }
+    Ok(out)
+}
+
+/// `u64`s and `f64`s (as bit patterns) stay eight bytes each.
+fn put_word_seq(w: &mut Writer, v: impl ExactSizeIterator<Item = u64>) {
+    put_size(w, v.len() as u64);
+    v.for_each(|x| w.put_u64(x));
+}
+
+fn get_word_seq<'a>(r: &mut Reader<'a>) -> Result<impl Iterator<Item = u64> + 'a, StoreError> {
+    let len = get_count(r, 8)?;
+    let words = r.get_raw(len * 8)?.chunks_exact(8);
+    Ok(words.map(|c| u64::from_le_bytes(c.try_into().unwrap())))
+}
+
+fn put_f64_seq(w: &mut Writer, v: &[f64]) {
+    put_word_seq(w, v.iter().map(|x| x.to_bits()));
+}
+
+fn get_f64_seq(r: &mut Reader<'_>) -> Result<Vec<f64>, StoreError> {
+    Ok(get_word_seq(r)?.map(f64::from_bits).collect())
 }
 
 // ---------------------------------------------------------------------------
@@ -407,18 +560,18 @@ pub(crate) fn decode_uncertain_string(r: &mut Reader<'_>) -> Result<UncertainStr
 }
 
 fn encode_scored_text(w: &mut Writer, t: &ScoredTextState) {
-    w.put_bytes(&t.text);
-    w.put_varints(t.sa.iter().copied());
-    w.put_varints(t.lcp.iter().copied());
-    w.put_f64s(&t.prefix);
+    put_byte_seq(w, &t.text);
+    put_varint_seq(w, t.sa.iter().copied());
+    put_varint_seq(w, t.lcp.iter().copied());
+    put_f64_seq(w, &t.prefix);
 }
 
 fn decode_scored_text(r: &mut Reader<'_>) -> Result<ScoredTextState, StoreError> {
     Ok(ScoredTextState {
-        text: r.get_bytes()?,
-        sa: r.get_varints()?,
-        lcp: r.get_varints()?,
-        prefix: r.get_f64s()?,
+        text: get_byte_seq(r)?,
+        sa: get_varint_seq(r)?,
+        lcp: get_varint_seq(r)?,
+        prefix: get_f64_seq(r)?,
     })
 }
 
@@ -455,18 +608,18 @@ fn decode_text_map(r: &mut Reader<'_>, text: &[u8]) -> Result<Vec<u32>, StoreErr
 /// block wraps, and does not decode).
 fn encode_champions(w: &mut Writer, champions: &[u32], block: usize) {
     let offsets = champions.iter().enumerate();
-    w.put_varints(offsets.map(|(j, &c)| c.wrapping_sub((j * block) as u32)));
+    put_varint_seq(w, offsets.map(|(j, &c)| c.wrapping_sub((j * block) as u32)));
 }
 
 fn decode_champions(r: &mut Reader<'_>, block: usize) -> Result<Vec<u32>, StoreError> {
     let at = |j: usize, off| u32::try_from(j.checked_mul(block)?.checked_add(off as usize)?).ok();
-    let offsets = r.get_varints()?.into_iter().enumerate();
+    let offsets = get_varint_seq(r)?.into_iter().enumerate();
     offsets
         .map(|(j, off)| at(j, off).ok_or_else(|| corrupt("champion past u32")))
         .collect()
 }
 
-/// The §4 machinery every index kind but `ApproxIndex` carries: scored text,
+/// The §4 machinery of `Index`, `SpecialIndex` and `ListingIndex`: scored text,
 /// then levels (a level's length is its place on the ladder and its block
 /// size 64 slots for a short level, the length for a long one: neither is
 /// written, and a champion is its offset in its block). The one place its
@@ -474,12 +627,12 @@ fn decode_champions(r: &mut Reader<'_>, block: usize) -> Result<Vec<u32>, StoreE
 fn encode_substrate(w: &mut Writer, state: &SubstrateState) {
     encode_scored_text(w, &state.text);
     let l = &state.levels;
-    w.put_u64(l.short.len() as u64);
+    put_size(w, l.short.len() as u64);
     for s in &l.short {
-        w.put_u64s(&s.mask_words);
+        put_word_seq(w, s.mask_words.iter().copied());
         encode_champions(w, &s.champions, 64);
     }
-    w.put_u64(l.long.len() as u64);
+    put_size(w, l.long.len() as u64);
     for (k, lv) in l.long.iter().enumerate() {
         encode_champions(w, &lv.champions, l.short.len() << k);
     }
@@ -487,15 +640,16 @@ fn encode_substrate(w: &mut Writer, state: &SubstrateState) {
 
 fn decode_substrate(r: &mut Reader<'_>) -> Result<SubstrateState, StoreError> {
     let text = decode_scored_text(r)?;
-    let num_short = r.get_len(8)?;
+    // A short level is at least its two lengths, a long one its one.
+    let num_short = get_count(r, 2)?;
     let mut short = Vec::with_capacity(num_short);
     for _ in 0..num_short {
         short.push(ShortLevelParts {
-            mask_words: r.get_u64s()?,
+            mask_words: get_word_seq(r)?.collect(),
             champions: decode_champions(r, 64)?,
         });
     }
-    let num_long = r.get_len(8)?;
+    let num_long = get_count(r, 1)?;
     let mut long = Vec::with_capacity(num_long);
     let mut block = num_short;
     for _ in 0..num_long {
@@ -513,20 +667,29 @@ fn decode_substrate(r: &mut Reader<'_>) -> Result<SubstrateState, StoreError> {
 /// The builder's record. `heap_bytes` is not part of it: that is a
 /// measurement of the index in memory, which `from_snapshot` takes again.
 fn encode_stats(w: &mut Writer, s: &BuildStats) {
-    w.put_u64(s.source_len as u64);
-    w.put_u64(s.transformed_len as u64);
-    w.put_u64(s.num_factors as u64);
-    w.put_u64(s.build_time.as_nanos().min(u64::MAX as u128) as u64);
+    put_size(w, s.source_len as u64);
+    put_size(w, s.transformed_len as u64);
+    put_size(w, s.num_factors as u64);
+    encode_build_time(w, s.build_time);
 }
 
 fn decode_stats(r: &mut Reader<'_>) -> Result<BuildStats, StoreError> {
     Ok(BuildStats {
-        source_len: r.get_usize()?,
-        transformed_len: r.get_usize()?,
-        num_factors: r.get_usize()?,
-        build_time: std::time::Duration::from_nanos(r.get_u64()?),
+        source_len: get_usize(r)?,
+        transformed_len: get_usize(r)?,
+        num_factors: get_usize(r)?,
+        build_time: decode_build_time(r)?,
         heap_bytes: 0,
     })
+}
+
+/// A build time in whole nanoseconds.
+fn encode_build_time(w: &mut Writer, t: Duration) {
+    put_size(w, t.as_nanos().min(u64::MAX as u128) as u64);
+}
+
+fn decode_build_time(r: &mut Reader<'_>) -> Result<Duration, StoreError> {
+    Ok(Duration::from_nanos(get_size(r)?))
 }
 
 // ---------------------------------------------------------------------------
@@ -567,8 +730,8 @@ impl Snapshot for SpecialIndex {
 
     fn encode_payload(&self, w: &mut Writer) {
         let state = self.to_snapshot();
-        w.put_f64s(&state.probs);
-        w.put_u64(state.correlations.len() as u64);
+        put_f64_seq(w, &state.probs);
+        put_size(w, state.correlations.len() as u64);
         for corr in &state.correlations {
             encode_correlation(w, corr);
         }
@@ -577,8 +740,8 @@ impl Snapshot for SpecialIndex {
     }
 
     fn decode_payload(r: &mut Reader<'_>) -> Result<Self, StoreError> {
-        let probs = r.get_f64s()?;
-        let num_corr = r.get_len(27)?;
+        let probs = get_f64_seq(r)?;
+        let num_corr = get_count(r, 27)?;
         let mut correlations = Vec::with_capacity(num_corr);
         for _ in 0..num_corr {
             correlations.push(decode_correlation(r)?);
@@ -598,7 +761,7 @@ impl Snapshot for ListingIndex {
 
     fn encode_payload(&self, w: &mut Writer) {
         let state = self.to_snapshot();
-        w.put_u64(state.docs.len() as u64);
+        put_size(w, state.docs.len() as u64);
         for doc in &state.docs {
             encode_uncertain_string(w, doc);
         }
@@ -611,7 +774,7 @@ impl Snapshot for ListingIndex {
     }
 
     fn decode_payload(r: &mut Reader<'_>) -> Result<Self, StoreError> {
-        let num_docs = r.get_len(9)?;
+        let num_docs = get_count(r, 9)?;
         let mut docs = Vec::with_capacity(num_docs);
         for _ in 0..num_docs {
             docs.push(decode_uncertain_string(r)?);
@@ -629,26 +792,70 @@ impl Snapshot for ListingIndex {
     }
 }
 
-fn encode_approx(w: &mut Writer, state: &ApproxIndexState) {
-    w.put_u64(state.source_len as u64);
-    w.put_bytes(&state.text);
-    w.put_varints(state.sa.iter().copied());
-    w.put_varints(state.lcp.iter().copied());
-    w.put_u64(state.links.len() as u64);
+/// The ε-link table and its ε. A link's witness is its zigzag delta from
+/// the previous link's (wrapping, so every `u32` round-trips): the links of
+/// one chain share a witness, so most deltas are 0.
+fn encode_link_rows(w: &mut Writer, links: &[ApproxLinkState], epsilon: f64) {
+    put_size(w, links.len() as u64);
     // Links are sorted by origin preorder and each target depth is under
     // its origin depth (a state where not wraps, and does not decode).
-    let mut prev = 0u32;
-    for link in &state.links {
-        w.put_varint(link.origin_pre.wrapping_sub(prev));
+    let (mut prev_pre, mut prev_witness) = (0u32, 0u32);
+    for link in links {
+        w.put_varint(link.origin_pre.wrapping_sub(prev_pre));
         w.put_varint(link.origin_depth);
         w.put_varint(link.origin_depth.wrapping_sub(link.target_depth));
-        w.put_varint(link.source_pos);
-        w.put_f64(link.prob);
-        prev = link.origin_pre;
+        let d = link.witness.wrapping_sub(prev_witness) as i32;
+        w.put_varint(((d << 1) ^ (d >> 31)) as u32);
+        (prev_pre, prev_witness) = (link.origin_pre, link.witness);
     }
-    w.put_f64(state.epsilon);
+    w.put_f64(epsilon);
+}
+
+fn decode_link_rows(r: &mut Reader<'_>) -> Result<(Vec<ApproxLinkState>, f64), StoreError> {
+    // Four varints of at least one byte each.
+    let num_links = get_count(r, 4)?;
+    let mut links = Vec::with_capacity(num_links);
+    let (mut prev_pre, mut prev_witness) = (0u32, 0u32);
+    for _ in 0..num_links {
+        let origin_pre = (prev_pre.checked_add(r.get_varint()?))
+            .ok_or_else(|| corrupt("link origin preorder past u32"))?;
+        let origin_depth = r.get_varint()?;
+        let target_depth = (origin_depth.checked_sub(r.get_varint()?))
+            .ok_or_else(|| corrupt("link gap larger than its origin depth"))?;
+        let z = r.get_varint()?;
+        let witness = prev_witness.wrapping_add(((z >> 1) as i32 ^ -((z & 1) as i32)) as u32);
+        links.push(ApproxLinkState {
+            origin_pre,
+            origin_depth,
+            target_depth,
+            witness,
+        });
+        (prev_pre, prev_witness) = (origin_pre, witness);
+    }
+    Ok((links, r.get_f64()?))
+}
+
+/// A `.coll` approx section's payload: links, ε and build time.
+fn encode_links(w: &mut Writer, state: &ApproxLinksState) {
+    encode_link_rows(w, &state.links, state.epsilon);
+    encode_build_time(w, state.build_time);
+}
+
+fn decode_links(r: &mut Reader<'_>) -> Result<ApproxLinksState, StoreError> {
+    let (links, epsilon) = decode_link_rows(r)?;
+    Ok(ApproxLinksState {
+        links,
+        epsilon,
+        build_time: decode_build_time(r)?,
+    })
+}
+
+fn encode_approx(w: &mut Writer, state: &ApproxIndexState) {
+    encode_scored_text(w, &state.text);
+    encode_text_map(w, &state.text.text, &state.pos);
     w.put_f64(state.tau_min);
     encode_stats(w, &state.stats);
+    encode_link_rows(w, &state.links, state.epsilon);
 }
 
 impl Snapshot for ApproxIndex {
@@ -659,35 +866,17 @@ impl Snapshot for ApproxIndex {
     }
 
     fn decode_payload(r: &mut Reader<'_>) -> Result<Self, StoreError> {
-        let source_len = r.get_usize()?;
-        let (text, sa, lcp) = (r.get_bytes()?, r.get_varints()?, r.get_varints()?);
-        let num_links = r.get_len(4 + 8)?;
-        let mut links = Vec::with_capacity(num_links);
-        let mut prev = 0u32;
-        for _ in 0..num_links {
-            let origin_pre = (prev.checked_add(r.get_varint()?))
-                .ok_or_else(|| corrupt("link origin preorder past u32"))?;
-            let origin_depth = r.get_varint()?;
-            let target_depth = (origin_depth.checked_sub(r.get_varint()?))
-                .ok_or_else(|| corrupt("link gap larger than its origin depth"))?;
-            links.push(ApproxLinkState {
-                origin_pre,
-                origin_depth,
-                target_depth,
-                source_pos: r.get_varint()?,
-                prob: r.get_f64()?,
-            });
-            prev = origin_pre;
-        }
+        let text = decode_scored_text(r)?;
+        let pos = decode_text_map(r, &text.text)?;
+        let (tau_min, stats) = (r.get_f64()?, decode_stats(r)?);
+        let (links, epsilon) = decode_link_rows(r)?;
         let state = ApproxIndexState {
-            source_len,
             text,
-            sa,
-            lcp,
+            pos,
+            tau_min,
+            stats,
             links,
-            epsilon: r.get_f64()?,
-            tau_min: r.get_f64()?,
-            stats: decode_stats(r)?,
+            epsilon,
         };
         Ok(ApproxIndex::from_snapshot(state)?)
     }
@@ -803,7 +992,11 @@ mod tests {
     fn pinned<T: Snapshot>(index: &T) -> (u64, u64) {
         let mut bytes = Vec::new();
         index.write_snapshot(&mut bytes).unwrap();
-        let header = Header::parse(&bytes).unwrap();
+        header_pin(&bytes)
+    }
+
+    fn header_pin(bytes: &[u8]) -> (u64, u64) {
+        let header = Header::parse(bytes).unwrap();
         (header.payload_len, header.checksum)
     }
 
@@ -827,7 +1020,7 @@ mod tests {
         s
     }
 
-    /// The version-5 payloads of six fixtures, byte for byte. The one
+    /// The version-6 payloads of seven fixtures, byte for byte. The one
     /// nondeterministic field, `build_time`, is set to zero through the
     /// public state struct; everything else — source, maps, text, SA, LCP,
     /// `C`, mask words, champions, links — is what the checksums cover.
@@ -838,10 +1031,18 @@ mod tests {
         let s = UncertainString::parse("Q:.7,S:.3 | Q:.3,P:.7 | P | A:.4,F:.3,P:.2,Q:.1").unwrap();
         let mut state = Index::build(&s, 0.1).unwrap().to_snapshot();
         state.stats.build_time = Duration::ZERO;
-        got.push(pinned(&Index::from_snapshot(state).unwrap()));
+        let index = Index::from_snapshot(state).unwrap();
+        got.push(pinned(&index));
         let mut state = ApproxIndex::build(&s, 0.1, 0.05).unwrap().to_snapshot();
         state.stats.build_time = Duration::ZERO;
         got.push(pinned(&ApproxIndex::from_snapshot(state).unwrap()));
+        // The same links, over the index, as a `.coll` section writes them.
+        let mut state = ApproxIndex::over(&index, 0.05).unwrap().to_links_snapshot();
+        state.build_time = Duration::ZERO;
+        let mut bytes = Vec::new();
+        let links = ApproxIndex::from_links_snapshot(&index, state).unwrap();
+        write_links_snapshot(&links, &mut bytes).unwrap();
+        got.push(header_pin(&bytes));
         let x = SpecialUncertainString::new(b"banana".to_vec(), vec![0.4, 0.7, 0.5, 0.8, 0.9, 0.6])
             .unwrap();
         let mut state = SpecialIndex::build(&x).unwrap().to_snapshot();
@@ -870,12 +1071,13 @@ mod tests {
         assert_eq!(
             got,
             [
-                (937, 17544646800515073745),  // Index
-                (1090, 8025420146160841090),  // ApproxIndex
-                (314, 3303820950824208278),   // SpecialIndex
-                (2513, 7204270978169736601),  // ListingIndex
-                (801, 310812119258609500),    // Index, correlated
-                (1457, 15598549054899896085), // ListingIndex, correlated
+                (762, 11012587562498709977),  // Index
+                (861, 16576530211739864105),  // ApproxIndex
+                (298, 17724625871942996325),  // ApproxIndex links
+                (174, 5104728074673387534),   // SpecialIndex
+                (2294, 13871431179338253690), // ListingIndex
+                (626, 13222628698494590206),  // Index, correlated
+                (1254, 1620749130267382875),  // ListingIndex, correlated
             ]
         );
     }
@@ -887,14 +1089,16 @@ mod tests {
     }
 
     /// A payload holds the source, one copy of each per-slot array — text
-    /// byte, SA and LCP, plus the `C` entry and the position map for
-    /// `Index` — the levels (or links), and nothing else that grows with
-    /// the text. Version 2 spent 34 and 30 bytes per slot where version 4
-    /// allowed 21 and 9 (17 in version 3, which wrote `C` for `ApproxIndex`
-    /// too), and 24 per link. Version 5 writes an SA entry of this text
-    /// (19 178 slots) in at most 3 bytes, an LCP or map entry in about 1,
-    /// and a link's four integers in about 6: 14 and 5 per slot, 14 per
-    /// link (13.1, 4.1 and 13.96 measured).
+    /// byte, SA and LCP, the `C` entry and the position map — the levels
+    /// (or links), and nothing else that grows with the text. Version 2
+    /// spent 34 and 30 bytes per slot where version 4 allowed 21 and 9 (17
+    /// in version 3, which wrote `C` for `ApproxIndex` too), and 24 per
+    /// link. Version 5 writes an SA entry of this text (19 178 slots) in at
+    /// most 3 bytes, an LCP or map entry in about 1: 14 per slot (13.1
+    /// measured). Version 6 writes a link as its four integers alone, in
+    /// at most 6 bytes (5.34 measured; 13.96 with the source position and
+    /// `f64` probability of version 5), and a `.coll` approx section as
+    /// its links alone.
     #[test]
     fn snapshot_holds_each_array_once() {
         let s = ustr_workload::generate_string(&ustr_workload::DatasetConfig::new(2_000, 0.3, 7));
@@ -912,13 +1116,36 @@ mod tests {
             "{payload} bytes for {slots} slots, source {source}, levels {levels}"
         );
 
-        let approx = ApproxIndex::build(&s, 0.1, 0.05).unwrap();
-        let links = approx.num_links() * (6 + 8);
+        let approx = ApproxIndex::over(&index, 0.05).unwrap();
+        let links = approx.num_links() * 6;
         let payload = encoded_len(|w| approx.encode_payload(w));
         assert!(
-            payload <= slots * (1 + 3 + 1) + links + FIXED,
+            payload <= slots * (1 + 3 + 1 + 8 + 1) + links + FIXED,
             "{payload} bytes for {slots} slots, links {links}"
         );
+        let section = encoded_len(|w| encode_links(w, &approx.to_links_snapshot()));
+        assert!(section <= links + FIXED, "{section} bytes, links {links}");
+    }
+
+    /// A length or stat takes one byte per started 7 bits, ten for
+    /// `u64::MAX`; a longer, overlong or out-of-range one is corrupt.
+    #[test]
+    fn sizes_are_shortest_form_varints() {
+        for (v, len) in [(0, 1), (127, 1), (128, 2), (1 << 35, 6), (u64::MAX, 10)] {
+            let mut w = Writer::new();
+            put_size(&mut w, v);
+            let bytes = w.into_bytes();
+            assert_eq!(bytes.len(), len, "{v} takes {len} bytes");
+            assert_eq!(get_size(&mut Reader::new(&bytes)).unwrap(), v);
+        }
+        for bytes in [
+            &[0x80; 10][..],                                               // an eleventh byte
+            &[0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02], // 2⁶⁴
+            &[0x80, 0x00],                                                 // an overlong zero
+        ] {
+            let got = get_size(&mut Reader::new(bytes));
+            assert!(matches!(got, Err(StoreError::Corrupt { .. })), "{bytes:?}");
+        }
     }
 
     /// `w`'s payload as a `T` snapshot with a valid header and checksum,

@@ -143,6 +143,11 @@ impl Writer {
         self.buf.extend_from_slice(v);
     }
 
+    /// Raw bytes, no length prefix: the reader knows how many.
+    pub fn put_raw(&mut self, v: &[u8]) {
+        self.buf.extend_from_slice(v);
+    }
+
     /// One `u32` as an LEB128 varint: one byte below 2⁷, five at most.
     pub fn put_varint(&mut self, mut v: u32) {
         while v >= 0x80 {
@@ -150,14 +155,6 @@ impl Writer {
             v >>= 7;
         }
         self.buf.push(v as u8);
-    }
-
-    /// Length-prefixed sequence of varints.
-    pub fn put_varints(&mut self, v: impl ExactSizeIterator<Item = u32>) {
-        self.put_u64(v.len() as u64);
-        for x in v {
-            self.put_varint(x);
-        }
     }
 
     /// Length-prefixed `u64` sequence.
@@ -258,6 +255,11 @@ impl<'a> Reader<'a> {
         Ok(self.take(len, "byte sequence")?.to_vec())
     }
 
+    /// The next `n` bytes, as [`Writer::put_raw`] wrote them.
+    pub fn get_raw(&mut self, n: usize) -> Result<&'a [u8], StoreError> {
+        self.take(n, "byte sequence")
+    }
+
     /// One varint written by [`Writer::put_varint`]. A value above
     /// `u32::MAX`, a sixth byte and an overlong encoding (a last byte of 0
     /// after the first) are [`StoreError::Corrupt`].
@@ -274,16 +276,6 @@ impl<'a> Reader<'a> {
             }
         }
         Err(corrupt("varint longer than 5 bytes"))
-    }
-
-    /// Length-prefixed sequence of varints.
-    pub fn get_varints(&mut self) -> Result<Vec<u32>, StoreError> {
-        let len = self.get_len(1)?;
-        let mut out = Vec::with_capacity(len);
-        for _ in 0..len {
-            out.push(self.get_varint()?);
-        }
-        Ok(out)
     }
 
     /// Length-prefixed `u64` sequence.
@@ -320,7 +312,8 @@ mod tests {
         w.put_u64(u64::MAX - 3);
         w.put_f64(-0.25);
         w.put_bytes(b"hello");
-        w.put_varints([1, 2, 3].into_iter());
+        w.put_varint(300);
+        w.put_raw(b"raw");
         w.put_u64s(&[u64::MAX, 0]);
         w.put_f64s(&[1.5, f64::NEG_INFINITY]);
         let bytes = w.into_bytes();
@@ -331,7 +324,8 @@ mod tests {
         assert_eq!(r.get_u64().unwrap(), u64::MAX - 3);
         assert_eq!(r.get_f64().unwrap(), -0.25);
         assert_eq!(r.get_bytes().unwrap(), b"hello");
-        assert_eq!(r.get_varints().unwrap(), vec![1, 2, 3]);
+        assert_eq!(r.get_varint().unwrap(), 300);
+        assert_eq!(r.get_raw(3).unwrap(), b"raw");
         assert_eq!(r.get_u64s().unwrap(), vec![u64::MAX, 0]);
         let f = r.get_f64s().unwrap();
         assert_eq!(f[0], 1.5);
@@ -378,13 +372,15 @@ mod tests {
 
     #[test]
     fn truncation_is_detected_not_panicked() {
+        let values = [1, 300, 70_000, u32::MAX];
         let mut w = Writer::new();
-        w.put_varints([1, 300, 70_000, u32::MAX].into_iter());
+        values.into_iter().for_each(|v| w.put_varint(v));
         let bytes = w.into_bytes();
         for cut in 0..bytes.len() {
             let mut r = Reader::new(&bytes[..cut]);
+            let read = values.iter().try_for_each(|_| r.get_varint().map(drop));
             assert!(
-                matches!(r.get_varints(), Err(StoreError::Truncated { .. })),
+                matches!(read, Err(StoreError::Truncated { .. })),
                 "cut at {cut} must be a clean truncation error"
             );
         }
@@ -396,17 +392,15 @@ mod tests {
         w.put_u64(u64::MAX); // a sequence length no buffer can satisfy
         let bytes = w.into_bytes();
         let mut r = Reader::new(&bytes);
-        assert!(matches!(r.get_varints(), Err(StoreError::Truncated { .. })));
+        assert!(matches!(r.get_bytes(), Err(StoreError::Truncated { .. })));
         // One byte short of one byte per element fails before allocating.
         let mut w = Writer::new();
         w.put_u64(4);
-        w.put_varint(1);
-        w.put_varint(2);
-        w.put_varint(3);
+        w.put_raw(&[1, 2, 3]);
         let bytes = w.into_bytes();
         let mut r = Reader::new(&bytes);
         assert!(matches!(
-            r.get_varints(),
+            r.get_bytes(),
             Err(StoreError::Truncated {
                 context: "sequence length"
             })

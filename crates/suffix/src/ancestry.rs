@@ -50,32 +50,44 @@ impl Ancestry {
         let slots = tree.num_slots();
         let mut leaf_pre = vec![0u32; slots];
         let mut interval_pre = vec![0u32; slots];
+        Self::preorder(tree, |rank, (l, r)| {
+            if l == r {
+                leaf_pre[l] = rank as u32;
+            } else {
+                interval_pre[tree.first_l_index(l, r)] = rank as u32;
+            }
+        });
+        Self {
+            leaf_pre,
+            interval_pre,
+        }
+    }
+
+    /// Calls `visit(rank, (l, r))` for every node of `tree` in preorder,
+    /// with the rank [`Ancestry::build`] gives it — a leaf as `(j, j)`. One
+    /// depth-first pass; what the ranks number is thereby what this visits.
+    pub fn preorder(tree: &SuffixTree, mut visit: impl FnMut(usize, (usize, usize))) {
+        let slots = tree.num_slots();
         // The empty text is a root above the terminator leaf: the one tree
         // whose root (rank 0) is not an interval of two slots or more.
-        let mut next_pre = u32::from(slots == 1);
+        let mut next_pre = usize::from(slots == 1);
         // Open internal nodes: the children still to visit.
         let mut dfs = Vec::new();
-        let mut visit = |(l, r): (usize, usize), dfs: &mut Vec<_>| {
-            if l == r {
-                leaf_pre[l] = next_pre;
-            } else {
-                interval_pre[tree.first_l_index(l, r)] = next_pre;
+        let mut step = |(l, r): (usize, usize), dfs: &mut Vec<_>| {
+            visit(next_pre, (l, r));
+            if l < r {
                 dfs.push(tree.child_intervals(l, r));
             }
             next_pre += 1;
         };
-        visit((0, slots - 1), &mut dfs);
+        step((0, slots - 1), &mut dfs);
         while let Some(children) = dfs.last_mut() {
             match children.next() {
-                Some(child) => visit(child, &mut dfs),
+                Some(child) => step(child, &mut dfs),
                 None => {
                     dfs.pop();
                 }
             }
-        }
-        Self {
-            leaf_pre,
-            interval_pre,
         }
     }
 
@@ -189,6 +201,9 @@ mod tests {
             let mut nodes = Vec::new();
             preorder(&st, 0, st.num_slots() - 1, &mut nodes);
             assert_eq!(anc.node_count(), nodes.len());
+            let mut walked = Vec::new();
+            Ancestry::preorder(&st, |rank, node| walked.push((rank, node)));
+            assert!(walked.into_iter().eq(nodes.iter().copied().enumerate()));
             for (rank, &(l, r)) in nodes.iter().enumerate() {
                 // The subtree is the run of nodes nested in `[l, r]`.
                 let size = nodes[rank..]

@@ -48,10 +48,14 @@
 //! bound by load latency rather than throughput, the one cost of the
 //! smaller structure (≈ 50 ns of a 200 ns descent at a 20-letter alphabet).
 
+use std::sync::Arc;
+
 use crate::{lcp_array, sais::suffix_array};
 
 /// Suffix tree with pattern descent to suffix-array ranges, held as text,
-/// suffix array, LCP array and child table (see the module docs).
+/// suffix array, LCP array and child table (see the module docs). The
+/// arrays are shared, not copied, by a clone: two indexes over one text
+/// hold one tree.
 ///
 /// ```
 /// use ustr_suffix::SuffixTree;
@@ -65,15 +69,15 @@ use crate::{lcp_array, sais::suffix_array};
 /// ```
 #[derive(Debug, Clone)]
 pub struct SuffixTree {
-    text: Vec<u8>,
+    text: Arc<[u8]>,
     /// Virtual SA: `sa[0] = n` (terminator suffix), `sa[1..]` = real SA.
-    sa: Vec<u32>,
+    sa: Arc<[u32]>,
     /// `slot_lcp[j]` = LCP of the suffixes in slots `j-1` and `j` (0 for
     /// `j <= 1`).
-    slot_lcp: Vec<u32>,
+    slot_lcp: Arc<[u32]>,
     /// One cell per slot: `up`, `nextlIndex` or `down` (module docs); 0
     /// where none exists.
-    child: Vec<u32>,
+    child: Arc<[u32]>,
 }
 
 impl SuffixTree {
@@ -91,14 +95,10 @@ impl SuffixTree {
         let n = text.len();
         let m = n + 1; // slots, including the virtual-terminator suffix
 
-        let mut sa = Vec::with_capacity(m);
-        sa.push(n as u32);
-        sa.extend_from_slice(&plain_sa);
-
-        let mut slot_lcp = vec![0u32; m];
-        if m > 2 {
-            slot_lcp[2..m].copy_from_slice(&lcp[1..m - 1]);
-        }
+        // Each array is collected straight into its shared allocation
+        // (exact-size iterators), with no `Vec` to copy from.
+        let sa = std::iter::once(n as u32).chain(plain_sa).collect();
+        let slot_lcp: Arc<[u32]> = (0..m).map(|j| if j < 2 { 0 } else { lcp[j - 1] }).collect();
 
         // The stack holds the slots whose interval is still open, LCP
         // non-decreasing toward the top; slot 0 (LCP 0) never leaves it.
@@ -110,7 +110,8 @@ impl SuffixTree {
         // start. A slot arriving at the LCP of the top is that one's
         // `nextlIndex`, written after — and so over — any `down` of the
         // same cell.
-        let mut child = vec![0u32; m];
+        let mut child: Arc<[u32]> = (0..m).map(|_| 0).collect();
+        let cells = Arc::get_mut(&mut child).expect("a new allocation has one owner");
         let mut stack: Vec<u32> = vec![0];
         for k in 1..m {
             let lcp_k = slot_lcp[k];
@@ -119,19 +120,19 @@ impl SuffixTree {
                 let lcp_top = slot_lcp[top as usize];
                 if lcp_top <= lcp_k {
                     if lcp_top == lcp_k {
-                        child[top as usize] = k as u32;
+                        cells[top as usize] = k as u32;
                     }
                     break;
                 }
                 stack.pop();
                 let below = *stack.last().expect("slot 0 is never popped") as usize;
                 if lcp_k <= slot_lcp[below] && slot_lcp[below] != lcp_top {
-                    child[below] = top;
+                    cells[below] = top;
                 }
                 last = Some(top);
             }
             if let Some(first) = last {
-                child[k - 1] = first;
+                cells[k - 1] = first;
             }
             stack.push(k as u32);
         }
@@ -139,13 +140,13 @@ impl SuffixTree {
         while let Some(top) = stack.pop() {
             if let Some(&below) = stack.last() {
                 if slot_lcp[below as usize] != slot_lcp[top as usize] {
-                    child[below as usize] = top;
+                    cells[below as usize] = top;
                 }
             }
         }
 
         Self {
-            text,
+            text: text.into(),
             sa,
             slot_lcp,
             child,
@@ -171,7 +172,7 @@ impl SuffixTree {
         if n > 1 {
             lcp[1..n].copy_from_slice(&self.slot_lcp[2..n + 1]);
         }
-        (self.text.clone(), plain_sa, lcp)
+        (self.text.to_vec(), plain_sa, lcp)
     }
 
     /// Number of SA slots / leaves: one per text character plus the
@@ -332,15 +333,16 @@ impl SuffixTree {
     /// Heap bytes held: the text, SA and LCP arrays plus
     /// [`SuffixTree::child_table_heap_size`].
     pub fn heap_size(&self) -> usize {
-        self.text.capacity()
-            + (self.sa.capacity() + self.slot_lcp.capacity()) * std::mem::size_of::<u32>()
+        std::mem::size_of_val(&*self.text)
+            + std::mem::size_of_val(&*self.sa)
+            + std::mem::size_of_val(&*self.slot_lcp)
             + self.child_table_heap_size()
     }
 
     /// Heap bytes of the child table alone — what the tree holds beyond the
     /// three arrays a snapshot stores.
     pub fn child_table_heap_size(&self) -> usize {
-        self.child.capacity() * std::mem::size_of::<u32>()
+        std::mem::size_of_val(&*self.child)
     }
 }
 

@@ -4,9 +4,13 @@
 //! bytes on the heap, row for row, and the same state when taken apart
 //! again (the recorded build time included: it is in the bytes). Nothing is
 //! kept that a snapshot does not carry or derive, and a snapshot carries
-//! nothing an index does not keep.
+//! nothing an index does not keep. The same holds for a document served
+//! with ε — an `Index` and the `ApproxIndex` over its text — through the
+//! `.coll` file the service writes.
 
 use uncertain_strings::{
+    service::{load_coll, save_coll, DocExecutor},
+    store::RealIo,
     workload::{generate_collection, generate_string, DatasetConfig},
     ApproxIndex, Index, ListingIndex, Snapshot, SpecialIndex, SpecialUncertainString,
     UncertainString,
@@ -97,5 +101,42 @@ fn approx_index_round_trip_keeps_heap_and_state() {
             assert_eq!(loaded.stats().heap_bytes, built.stats().heap_bytes);
             assert_eq!(loaded.to_snapshot(), state);
         }
+    }
+}
+
+#[test]
+fn index_and_links_over_it_round_trip_through_a_collection_file() {
+    let built: Vec<DocExecutor> = (strings().iter())
+        .map(|s| DocExecutor::build(s, TAU_MIN, Some(0.05)).unwrap())
+        .collect();
+    let path =
+        std::env::temp_dir().join(format!("ustr_loaded_is_built.{}.coll", std::process::id()));
+    save_coll(&RealIo, &path, &built, 1).unwrap();
+    let loaded = load_coll(&RealIo, &path).unwrap();
+    std::fs::remove_file(&path).unwrap();
+    assert_eq!(loaded.docs.len(), built.len());
+    for (built, loaded) in built.iter().zip(&loaded.docs) {
+        let (
+            DocExecutor::Built {
+                index,
+                approx: Some(approx),
+            },
+            DocExecutor::Built {
+                index: loaded_index,
+                approx: Some(loaded_approx),
+            },
+        ) = (built, loaded)
+        else {
+            panic!("a document served with ε holds an index and its links");
+        };
+        assert_eq!(loaded_index.heap_breakdown(), index.heap_breakdown());
+        assert_eq!(loaded_index.to_snapshot(), index.to_snapshot());
+        assert_eq!(loaded_approx.heap_breakdown(), approx.heap_breakdown());
+        assert_eq!(loaded_approx.stats(), approx.stats());
+        assert_eq!(
+            loaded_approx.to_links_snapshot(),
+            approx.to_links_snapshot()
+        );
+        assert_eq!(loaded_approx.to_snapshot(), approx.to_snapshot());
     }
 }

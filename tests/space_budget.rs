@@ -13,7 +13,8 @@
 //! space_budget -- --nocapture --test-threads=1`).
 
 use uncertain_strings::{
-    store::{write_collection, CollectionSection},
+    service::{save_coll, DocExecutor},
+    store::{read_collection_manifest, RealIo},
     uncertain::ProbPlane,
     workload::{generate_collection, generate_string, DatasetConfig},
     ApproxIndex, Index, ListingIndex, Snapshot, SnapshotKind, UncertainString,
@@ -110,9 +111,11 @@ fn heap_breakdown_stays_inside_the_budget() {
 }
 
 /// `ApproxIndex` heap per source position on the same input when the budget
-/// was last set (PR 24; 1 322.3 before it, when the index kept `C`, the
-/// boundary names and the LCP RMQ it had found its links with).
-const APPROX_MEASURED_BYTES_PER_POS: f64 = 1005.4;
+/// was last set: what the links add to the `Index` whose text they hang
+/// off (1 005.4 before, with a suffix tree of its own; 1 322.3 before that,
+/// when the index kept `C`, the boundary names and the LCP RMQ it had
+/// found its links with).
+const APPROX_MEASURED_BYTES_PER_POS: f64 = 879.5;
 
 #[test]
 fn approx_heap_breakdown_stays_inside_the_budget() {
@@ -127,9 +130,13 @@ fn approx_heap_breakdown_stays_inside_the_budget() {
     );
     let total = approx.stats().heap_bytes;
     check_heap_rows(&what, &rows, total, n, slots, APPROX_MEASURED_BYTES_PER_POS);
-    // Text 1 + SA 4 + LCP 4 + child table 4, and two rank arrays.
-    assert!(per(rows[0].1, slots) <= 13.01);
-    assert!(per(rows[1].1, slots) <= 8.01);
+    // No tree of its own: two rank arrays, and 24 bytes a link.
+    assert_eq!(
+        rows.map(|(name, _)| name),
+        ["preorder ranks", "links", "link RMQ"]
+    );
+    assert!(per(rows[0].1, slots) <= 8.01);
+    assert!(per(rows[1].1, approx.num_links()) <= 24.01);
 }
 
 /// `ListingIndex::heap_size()` per source position over the same positions
@@ -167,9 +174,10 @@ fn listing_heap_stays_inside_the_budget() {
 }
 
 /// `.idx` bytes per source position of the 10 000-position string when the
-/// budget was set (snapshot format 5, which writes integer arrays as
-/// varints: 261.8 in format 4).
-const IDX_BYTES_PER_POS: f64 = 180.4;
+/// budget was set (snapshot format 6, which writes lengths and stats as
+/// varints too: 180.4 in format 5, which wrote integer arrays as varints;
+/// 261.8 in format 4).
+const IDX_BYTES_PER_POS: f64 = 180.3;
 
 /// The `paper-string` snapshot (`snapshot_bytes_per_pos`) at a tenth.
 #[test]
@@ -183,7 +191,7 @@ fn index_file_bytes_stay_inside_the_budget() {
     println!("\n\n| file | bytes | B/position |");
     println!("|---|---:|---:|");
     println!(
-        "| `.idx` ({n} positions, format 5) | {} | {:.1} |",
+        "| `.idx` ({n} positions, format 6) | {} | {:.1} |",
         bytes.len(),
         per(bytes.len(), n)
     );
@@ -191,65 +199,57 @@ fn index_file_bytes_stay_inside_the_budget() {
 }
 
 /// Section bytes per source position of the collection below when the
-/// budget was last set (snapshot format 5, which writes integer arrays as
-/// varints: 291.3 and 579.8 in format 4): substring-index sections (292.8
-/// in format 3, with their long-level lengths) and approx-index sections
-/// (667.6 in format 3, with their prefix sums).
-const COLL_INDEX_BYTES_PER_POS: f64 = 186.1;
-const COLL_APPROX_BYTES_PER_POS: f64 = 294.7;
+/// budget was last set (snapshot format 6, whose approx sections are the
+/// links alone, four varints a link, over the index section's text: 294.7
+/// in format 5, which wrote their own text, SA, LCP, source positions and
+/// `f64` probabilities; 579.8 in format 4): substring-index sections (186.1
+/// in format 5, with `u64` lengths; 291.3 in format 4).
+const COLL_INDEX_BYTES_PER_POS: f64 = 178.9;
+const COLL_APPROX_BYTES_PER_POS: f64 = 97.0;
 
 /// The `serve-wire` collection — 62 documents of 20–45 positions — as the
-/// `.coll` file `build-collection --epsilon 0.05` writes, split by section
-/// kind.
+/// `.coll` file `save_coll` writes over `DocExecutor::build` with ε (what
+/// `build-collection --epsilon 0.05` writes), split by section kind.
 #[test]
 fn collection_file_bytes_stay_inside_the_budget() {
     let docs = generate_collection(&DatasetConfig::new(2_000, 0.25, 43));
     let positions: usize = docs.iter().map(UncertainString::len).sum();
-    let mut sections = Vec::new();
-    for (doc, d) in docs.iter().enumerate() {
-        let mut section = |kind, bytes| sections.push(CollectionSection { doc, kind, bytes });
-        let mut bytes = Vec::new();
-        Index::build(d, TAU_MIN)
-            .unwrap()
-            .write_snapshot(&mut bytes)
-            .unwrap();
-        section(SnapshotKind::Index, bytes);
-        let mut bytes = Vec::new();
-        ApproxIndex::build(d, TAU_MIN, EPSILON)
-            .unwrap()
-            .write_snapshot(&mut bytes)
-            .unwrap();
-        section(SnapshotKind::Approx, bytes);
-    }
-    let mut file = Vec::new();
-    write_collection(&mut file, docs.len(), 1, &sections).unwrap();
+    let built: Vec<DocExecutor> = (docs.iter())
+        .map(|d| DocExecutor::build(d, TAU_MIN, Some(EPSILON)).unwrap())
+        .collect();
+    let path = std::env::temp_dir().join(format!("ustr_space_budget.{}.coll", std::process::id()));
+    save_coll(&RealIo, &path, &built, 1).unwrap();
+    let file_len = std::fs::metadata(&path).unwrap().len() as usize;
+    let manifest = read_collection_manifest(&path).unwrap();
+    std::fs::remove_file(&path).unwrap();
 
     let of_kind = |kind| -> usize {
-        let of_kind = sections.iter().filter(|s| s.kind == kind);
-        of_kind.map(|s| s.bytes.len()).sum()
+        let of_kind = manifest.entries.iter().filter(|e| e.kind == kind);
+        of_kind.map(|e| e.len as usize).sum()
     };
-    let (index, approx) = (of_kind(SnapshotKind::Index), of_kind(SnapshotKind::Approx));
+    let index = of_kind(SnapshotKind::Index);
+    let approx = of_kind(SnapshotKind::ApproxLinks);
     println!("\n\n| .coll part | bytes | B/position | share |");
     println!("|---|---:|---:|---:|");
     for (part, bytes) in [
         ("index sections", index),
-        ("approx sections", approx),
-        ("header + manifest", file.len() - index - approx),
+        ("approx (links) sections", approx),
+        ("header + manifest", file_len - index - approx),
     ] {
         println!(
             "| {part} | {bytes} | {:.1} | {:.1} % |",
             per(bytes, positions),
-            100.0 * per(bytes, file.len())
+            100.0 * per(bytes, file_len)
         );
     }
     println!(
-        "| **file** ({} documents, {positions} positions) | **{}** | **{:.1}** | |",
+        "| **file** ({} documents, {positions} positions) | **{file_len}** | **{:.1}** | |",
         docs.len(),
-        file.len(),
-        per(file.len(), positions)
+        per(file_len, positions)
     );
 
     assert_eq!(docs.len(), 62);
+    assert_eq!(manifest.entries.len(), 2 * docs.len());
     assert!(per(index, positions) <= COLL_INDEX_BYTES_PER_POS * 1.05);
     assert!(per(approx, positions) <= COLL_APPROX_BYTES_PER_POS * 1.05);
 }
