@@ -52,6 +52,12 @@ impl Args {
         self.flags.iter().any(|f| f == name)
     }
 
+    /// The name of every option and flag given, in no particular order.
+    pub fn names(&self) -> impl Iterator<Item = &str> {
+        let options = self.options.keys().map(String::as_str);
+        options.chain(self.flags.iter().map(String::as_str))
+    }
+
     /// Typed option with a default.
     pub fn get_parsed<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, String> {
         match self.get(name) {

@@ -8,7 +8,7 @@
 //! ustr list collection.ustr PATTERN --tau 0.3   (one document per line)
 //! ustr stats data.ustr [--tau-min 0.1]
 //! ustr stats --live HOST:PORT   (scrape a running serve-net server)
-//! ustr build-index data.ustr --out data.idx --kind threshold|approx|listing
+//! ustr build-index data.ustr --out data.idx [--tau-min 0.1]
 //! ustr build-collection collection.ustr --out data.coll [--epsilon 0.05]
 //! ustr serve-batch (FILE.coll | FILE) queries.txt --threads 4
 //! ustr trace data.coll queries.txt --sample-rate 1.0 --out traces.json
@@ -16,11 +16,9 @@
 //!
 //! Files hold uncertain strings in the text format of
 //! [`UncertainString::parse`]; `generate` writes one. For `list`, each
-//! non-empty line is one document. `build-index` snapshots a built index to
-//! disk (`ustr-store` format) — `--kind` selects the index type (`threshold`
-//! is the default §5 substring index; `approx` is the §7 ε-approximate
-//! index; `listing` builds the §6 collection index from a one-document-per-
-//! line file) — and `search --index` loads one instead of rebuilding.
+//! non-empty line is one document. `build-index` snapshots a built §5
+//! substring index to disk (`ustr-store` format), and `search --index`
+//! loads one instead of rebuilding.
 //! `build-collection` packs a whole collection (per-document substring
 //! indexes, plus approx indexes when `--epsilon` is given) into one `.coll`
 //! snapshot. `serve-batch` answers a query file over a `.coll` collection
@@ -30,7 +28,7 @@
 //! `PATTERN TAU` (threshold search) or mixed-mode
 //! `search|top|list|approx PATTERN ARG` lines, where `ARG` is τ (or K for
 //! `top`). `--quiet` on any query command prints result rows only, for
-//! scripting.
+//! scripting. A command refuses any option its usage line does not name.
 
 #![forbid(unsafe_code)]
 
@@ -41,7 +39,7 @@ use std::io::{self, Write};
 use std::process::ExitCode;
 
 use args::Args;
-use ustr_core::{ApproxIndex, Index, ListingIndex};
+use ustr_core::{Index, ListingIndex};
 use ustr_live::{LiveConfig, LiveService};
 use ustr_service::{QueryRequest, QueryResponse, QueryService, ServiceConfig};
 use ustr_store::{Snapshot, COLLECTION_MAGIC, MAGIC};
@@ -77,8 +75,8 @@ const COMMANDS: &[(&str, &str, &str)] = &[
     ),
     (
         "build-index",
-        "ustr build-index FILE --out FILE.idx [--kind threshold|approx|listing] [--tau-min T0] [--epsilon E] [--quiet]",
-        "build and snapshot an index",
+        "ustr build-index FILE --out FILE.idx [--tau-min T0] [--quiet]",
+        "build and snapshot a substring index",
     ),
     (
         "build-collection",
@@ -92,7 +90,8 @@ const COMMANDS: &[(&str, &str, &str)] = &[
     ),
     (
         "ingest",
-        "ustr ingest LIVEDIR FILE [--tau-min T0] [--epsilon E] [--seal-threshold N] [--quiet]",
+        "ustr ingest LIVEDIR FILE [--tau-min T0] [--epsilon E] [--seal-threshold N] \
+         [--compact-min N] [--threads N] [--cache C] [--quiet]",
         "append documents to a live collection (WAL + memtable)",
     ),
     (
@@ -107,7 +106,8 @@ const COMMANDS: &[(&str, &str, &str)] = &[
     ),
     (
         "serve-live",
-        "ustr serve-live LIVEDIR QUERIES.txt [--threads N] [--cache C] [--slow-query-us N] [--quiet]",
+        "ustr serve-live LIVEDIR QUERIES.txt [--threads N] [--cache C] [--seal-threshold N] \
+         [--compact-min N] [--slow-query-us N] [--quiet]",
         "answer a (mixed-mode) query file over a live collection, one request at a time, \
          each fanned over its segments",
     ),
@@ -116,7 +116,8 @@ const COMMANDS: &[(&str, &str, &str)] = &[
         "ustr serve-net (LIVEDIR | FILE.coll | FILE) --addr HOST:PORT \
          [--threads N] [--io-threads N] [--inflight N] [--max-conns N] [--port-file PATH] \
          [--metrics-addr HOST:PORT] [--trace-sample F] [--slow-query-us N] \
-         [--idle-timeout-s N] [--error-budget N] [--tau-min T0] [--epsilon E] [--quiet]",
+         [--idle-timeout-s N] [--error-budget N] [--shards S] [--cache C] [--tau-min T0] \
+         [--epsilon E] [--seal-threshold N] [--compact-min N] [--quiet]",
         "serve queries over TCP (ustr-net wire protocol): --threads query workers in \
          all (default one per core) beside the --io-threads event loops",
     ),
@@ -129,7 +130,8 @@ const COMMANDS: &[(&str, &str, &str)] = &[
         "trace",
         "ustr trace (LIVEDIR | FILE.coll | FILE) QUERIES.txt \
          [--sample-rate F] [--out FILE.json] [--threads N] [--shards S] [--cache C] \
-         [--tau-min T0] [--epsilon E] [--quiet]",
+         [--tau-min T0] [--epsilon E] [--seal-threshold N] [--compact-min N] \
+         [--slow-query-us N] [--quiet]",
         "answer a query file one request at a time with tracing on and export Chrome trace JSON",
     ),
 ];
@@ -178,9 +180,28 @@ fn main() -> ExitCode {
     }
 }
 
+/// Refuses an option or flag that the command's usage line in [`COMMANDS`]
+/// does not name: a typo (`--tua`) or an option of another command must
+/// not leave a default silently in force.
+fn check_options(args: &Args) -> Result<(), String> {
+    let command = &args.command;
+    let Some((_, usage, _)) = COMMANDS.iter().find(|(name, _, _)| name == command) else {
+        return Ok(());
+    };
+    let named = |option: &str| {
+        let mut words = usage.split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'));
+        words.any(|word| word.strip_prefix("--") == Some(option))
+    };
+    match args.names().find(|option| !named(option)) {
+        Some(option) => Err(format!("unknown option --{option} for `ustr {command}`")),
+        None => Ok(()),
+    }
+}
+
 /// Dispatches a parsed command line; returns the text to print.
 fn run(argv: &[String]) -> Result<String, String> {
     let args = Args::parse(argv)?;
+    check_options(&args)?;
     match args.command.as_str() {
         "generate" => cmd_generate(&args),
         "search" => cmd_search(&args),
@@ -243,6 +264,11 @@ fn cmd_search(args: &Args) -> Result<String, String> {
     // With --index the snapshot supplies the text and tau_min; otherwise the
     // index is built from the uncertain-string file.
     let (index, pattern) = match args.get("index") {
+        Some(_) if args.get("tau-min").is_some() => {
+            return Err("--tau-min applies only when building from FILE; \
+                 a snapshot carries its own tau_min"
+                .to_string())
+        }
         Some(idx_path) => {
             let index = Index::load(idx_path).map_err(|e| format!("{idx_path}: {e}"))?;
             (index, args.positional(0, "PATTERN")?.as_bytes().to_vec())
@@ -281,39 +307,15 @@ fn cmd_build_index(args: &Args) -> Result<String, String> {
         .get("out")
         .ok_or_else(|| "missing required option --out".to_string())?;
     let tau_min: f64 = args.get_parsed("tau-min", 0.1)?;
-    let kind = args.get("kind").unwrap_or("threshold");
-    let stats = match kind {
-        "threshold" => {
-            let s = load_string(path)?;
-            let index = Index::build(&s, tau_min).map_err(|e| e.to_string())?;
-            index.save(out_path).map_err(|e| e.to_string())?;
-            index.stats().clone()
-        }
-        "approx" => {
-            let epsilon: f64 = args.get_parsed("epsilon", 0.05)?;
-            let s = load_string(path)?;
-            let index = ApproxIndex::build(&s, tau_min, epsilon).map_err(|e| e.to_string())?;
-            index.save(out_path).map_err(|e| e.to_string())?;
-            index.stats().clone()
-        }
-        "listing" => {
-            let docs = load_collection(path)?;
-            let index = ListingIndex::build(&docs, tau_min).map_err(|e| e.to_string())?;
-            index.save(out_path).map_err(|e| e.to_string())?;
-            index.stats().clone()
-        }
-        other => {
-            return Err(format!(
-                "unknown --kind {other:?} (expected threshold, approx, or listing)"
-            ))
-        }
-    };
+    let index = Index::build(&load_string(path)?, tau_min).map_err(|e| e.to_string())?;
+    index.save(out_path).map_err(|e| e.to_string())?;
     if args.flag("quiet") {
         return Ok(String::new());
     }
+    let stats = index.stats();
     let bytes = fs::metadata(out_path).map(|m| m.len()).unwrap_or(0);
     Ok(format!(
-        "wrote {out_path} ({kind}): {} source positions, {} factors, tau_min {tau_min}, \
+        "wrote {out_path}: {} source positions, {} factors, tau_min {tau_min}, \
          {bytes} bytes (built in {:?})",
         stats.source_len, stats.num_factors, stats.build_time
     ))
@@ -1370,43 +1372,60 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
+    /// A misspelt option, an option of another command and one the
+    /// command no longer takes are refused, not left at their defaults; so
+    /// is a τmin beside the snapshot that carries its own.
     #[test]
-    fn build_index_kinds_produce_loadable_snapshots() {
-        let single = write_temp("ustr_cli_kind_one.ustr", "a:.9,b:.1 | a | a:.5,b:.5 | a");
-        let multi = write_temp(
-            "ustr_cli_kind_docs.ustr",
-            "A:.4,B:.3,F:.3 | B:.3,L:.3,F:.3,J:.1 | F:.5,J:.5\n\
-             A:.6,C:.4 | B:.5,F:.3,E:.2 | B:.4,C:.3,P:.2,F:.1\n",
-        );
-        let tmp = std::env::temp_dir();
-
-        let approx = tmp.join("ustr_cli_kind.approx.idx");
-        let msg = run(&argv(&format!(
-            "build-index {single} --out {} --kind approx --tau-min 0.05 --epsilon 0.1",
-            approx.display()
+    fn unknown_options_are_refused() {
+        let data = write_temp("ustr_cli_unknown.ustr", "a:.9,b:.1 | a | a:.5,b:.5 | a");
+        let path = std::env::temp_dir().join("ustr_cli_unknown.idx");
+        let _ = fs::remove_file(&path);
+        let idx = path.display();
+        for (cmd, option) in [
+            (format!("search {data} aa --tua 0.3"), "--tua"),
+            (format!("top {data} aa --tau 0.3"), "--tau"),
+            (format!("list {data} aa --tau 0.3 --quite"), "--quite"),
+            (
+                format!("build-index {data} --out {idx} --kind approx"),
+                "--kind",
+            ),
+            (
+                format!("build-index {data} --out {idx} --epsilon 0.1"),
+                "--epsilon",
+            ),
+        ] {
+            let err = run(&argv(&cmd)).unwrap_err();
+            assert!(
+                err.contains(&format!("unknown option {option} ")),
+                "{cmd}: {err}"
+            );
+        }
+        assert!(!path.exists(), "nothing was written");
+        run(&argv(&format!(
+            "build-index {data} --out {idx} --tau-min 0.05"
         )))
         .unwrap();
-        assert!(msg.contains("(approx)"), "{msg}");
-        let loaded = ApproxIndex::load(&approx).unwrap();
-        assert!((loaded.epsilon() - 0.1).abs() < 1e-12);
-        assert!(!loaded.query(b"aa", 0.3).unwrap().is_empty());
+        let err = run(&argv(&format!(
+            "search --index {idx} aa --tau 0.3 --tau-min 0.05"
+        )));
+        assert!(err.unwrap_err().contains("--tau-min"));
+        let _ = fs::remove_file(&path);
+    }
 
-        let listing = tmp.join("ustr_cli_kind.listing.idx");
-        let msg = run(&argv(&format!(
-            "build-index {multi} --out {} --kind listing --tau-min 0.05",
-            listing.display()
-        )))
-        .unwrap();
-        assert!(msg.contains("(listing)"), "{msg}");
-        let loaded = ListingIndex::load(&listing).unwrap();
-        assert_eq!(loaded.num_docs(), 2);
-
-        assert!(run(&argv(&format!(
-            "build-index {single} --out /tmp/x.idx --kind bogus"
-        )))
-        .is_err());
-        let _ = fs::remove_file(&approx);
-        let _ = fs::remove_file(&listing);
+    /// Every `--name` a usage line shows, as an option or as a flag, passes
+    /// the check of its command.
+    #[test]
+    fn every_usage_option_is_accepted() {
+        for (command, usage, _) in COMMANDS {
+            let words = usage.split_whitespace();
+            let names = words.map(|w| w.trim_matches(|c| "[]()|".contains(c)));
+            for name in names.filter(|w| w.starts_with("--")) {
+                for tail in [" 1", ""] {
+                    let args = Args::parse(&argv(&format!("{command} {name}{tail}"))).unwrap();
+                    check_options(&args).unwrap_or_else(|e| panic!("{usage}: {e}"));
+                }
+            }
+        }
     }
 
     #[test]

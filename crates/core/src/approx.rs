@@ -43,9 +43,9 @@ use ustr_uncertain::{canon, transform, UncertainString, NO_POSITION};
 use crate::{
     carray::CumulativeLogProb,
     error::{validate_query, Error},
-    index::{checked_pos_map, Index},
+    index::Index,
     result::QueryResult,
-    snapshot::{invalid, ApproxIndexState, ApproxLinkState, ApproxLinksState},
+    snapshot::{invalid, ApproxLinkState, ApproxLinksState},
     stats::BuildStats,
     substrate::ScoredText,
 };
@@ -212,20 +212,6 @@ impl ApproxIndex {
         &self.stats
     }
 
-    /// Decomposes the index into the state of a stand-alone one (see
-    /// [`crate::snapshot`]): the scored text and position map with the
-    /// links. The byte encoding lives in `ustr-store`.
-    pub fn to_snapshot(&self) -> ApproxIndexState {
-        ApproxIndexState {
-            text: self.text.to_state(),
-            pos: self.pos.to_vec(),
-            tau_min: self.tau_min,
-            stats: self.stats.clone(),
-            links: self.links.iter().map(|l| l.row).collect(),
-            epsilon: self.epsilon,
-        }
-    }
-
     /// The links alone: what an index built [`over`](ApproxIndex::over) an
     /// [`Index`] adds to that index's state.
     pub fn to_links_snapshot(&self) -> ApproxLinksState {
@@ -236,72 +222,39 @@ impl ApproxIndex {
         }
     }
 
-    /// Reassembles a stand-alone index from snapshot state. Only cheap
-    /// derived structures are rebuilt (the child table from the LCP array,
-    /// the preorder ranks in one depth-first pass, each link's probability
-    /// from `C`, the min-RMQ over link target depths), so the result holds
-    /// what the index the snapshot was taken from held and answers every
-    /// query byte-identically. Fails with [`Error::InvalidSnapshot`] on
-    /// structurally inconsistent state.
-    pub fn from_snapshot(state: ApproxIndexState) -> Result<Self, Error> {
-        if !canon::valid_tau(state.tau_min) {
-            return Err(invalid("tau_min outside (0, 1]"));
-        }
-        let text = ScoredText::from_state(state.text)?;
-        let text_len = text.tree.text().len();
-        let pos = checked_pos_map(state.pos, text_len, state.stats.source_len)?;
-        let (links, epsilon) = (state.links, state.epsilon);
-        Self::load(text, pos, links, epsilon, state.tau_min, state.stats)
-    }
-
     /// Reassembles the links of `state` over `index`, which must be the
     /// index they were built over (or one loaded from its snapshot): the
-    /// counterpart of [`ApproxIndex::to_links_snapshot`]. Every link is
-    /// checked against `index`'s tree, so links paired with another text
-    /// fail with [`Error::InvalidSnapshot`] (see
-    /// [`ApproxIndex::from_snapshot`]).
+    /// counterpart of [`ApproxIndex::to_links_snapshot`]. Only cheap derived
+    /// structures are rebuilt — the preorder ranks in one depth-first pass,
+    /// each link's probability from `C` (on the loading machine, with
+    /// `canon::exp`: the build's one call per link), the min-RMQ over link
+    /// target depths — so the result holds what the index the state was
+    /// taken from held and answers every query byte-identically. Every link
+    /// is checked against `index`'s tree, so links paired with another text
+    /// fail with [`Error::InvalidSnapshot`], as does any other structurally
+    /// inconsistent state.
     pub fn from_links_snapshot(index: &Index, state: ApproxLinksState) -> Result<Self, Error> {
-        let (text, pos) = index.shared_text();
-        let stats = BuildStats {
-            heap_bytes: 0,
-            build_time: state.build_time,
-            ..index.stats().clone()
-        };
-        let (text, pos) = (text.clone(), Arc::clone(pos));
-        Self::load(
-            text,
-            pos,
-            state.links,
-            state.epsilon,
-            index.tau_min(),
-            stats,
-        )
-    }
-
-    /// Checks `rows` against `text`'s tree and reads each one's probability
-    /// from its `C` (on the loading machine, with `canon::exp` — the
-    /// build's one call per link).
-    fn load(
-        text: ScoredText,
-        pos: Arc<[u32]>,
-        rows: Vec<ApproxLinkState>,
-        epsilon: f64,
-        tau_min: f64,
-        stats: BuildStats,
-    ) -> Result<Self, Error> {
-        if !canon::valid_epsilon(epsilon) {
+        if !canon::valid_epsilon(state.epsilon) {
             return Err(invalid("epsilon outside (0, 1)"));
         }
+        let (text, pos) = index.shared_text();
         let ranks = Ancestry::build(&text.tree);
-        check_links(&text, &pos, &rows)?;
+        check_links(text, pos, &state.links)?;
         let run = text.cum.run_lengths();
-        let links = (rows.into_iter())
+        let links = (state.links.into_iter())
             .map(|row| {
                 let lmax = run[row.witness as usize] as usize;
                 let prob = link_prob(&text.cum, (row.witness, lmax), row.origin_depth as usize);
                 Link { row, prob }
             })
             .collect();
+        let stats = BuildStats {
+            heap_bytes: 0,
+            build_time: state.build_time,
+            ..index.stats().clone()
+        };
+        let (text, pos) = (text.clone(), Arc::clone(pos));
+        let (epsilon, tau_min) = (state.epsilon, index.tau_min());
         Ok(Self::assemble(
             text, pos, ranks, links, epsilon, tau_min, stats,
         ))
@@ -697,15 +650,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn snapshot_round_trip_answers_identically() {
-        let built = ApproxIndex::build(&protein_fragment(), 0.02, 0.03).unwrap();
-        let loaded = ApproxIndex::from_snapshot(built.to_snapshot()).unwrap();
-        assert_eq!(built.num_links(), loaded.num_links());
-        assert_eq!(built.epsilon().to_bits(), loaded.epsilon().to_bits());
-        same_answers(&built, &loaded);
-    }
-
     /// Links built over an `Index` are the stand-alone build's links, over
     /// the index's own tree, and survive their links-only snapshot.
     #[test]
@@ -716,50 +660,32 @@ mod tests {
         let over = ApproxIndex::over(&index, 0.03).unwrap();
         let shared = |text: &ScoredText| text.tree.sa_slots().as_ptr();
         assert_eq!(shared(&over.text), shared(index.shared_text().0));
-        assert_eq!(over.to_links_snapshot().links, alone.to_snapshot().links);
+        assert_eq!(
+            over.to_links_snapshot().links,
+            alone.to_links_snapshot().links
+        );
         assert_eq!(over.heap_breakdown(), alone.heap_breakdown());
         same_answers(&alone, &over);
         let loaded = ApproxIndex::from_links_snapshot(&index, over.to_links_snapshot()).unwrap();
         same_answers(&over, &loaded);
     }
 
-    #[test]
-    fn snapshot_rejects_tampered_links() {
-        let s = UncertainString::parse("a:.9,b:.1 | a | a:.9,b:.1").unwrap();
-        let built = ApproxIndex::build(&s, 0.05, 0.1).unwrap();
-        let mut state = built.to_snapshot();
-        assert!(!state.links.is_empty());
-        state.links[0].target_depth = state.links[0].origin_depth + 1;
-        assert!(matches!(
-            ApproxIndex::from_snapshot(state),
-            Err(Error::InvalidSnapshot { .. })
-        ));
-        let mut state = built.to_snapshot();
-        state.epsilon = 0.0;
-        assert!(matches!(
-            ApproxIndex::from_snapshot(state),
-            Err(Error::InvalidSnapshot { .. })
-        ));
-    }
-
     /// A link is loaded only if the tree it hangs off carries it: its
     /// witness is a suffix of the text below its origin node, no deeper
-    /// than that node. One row per way a checksummed state can break that,
-    /// and links paired with another document's index.
+    /// than that node, and its target above its origin; and only with an ε
+    /// in (0, 1). One row per way a checksummed state can break that, and
+    /// links paired with another document's index.
     #[test]
     fn loaded_links_are_checked_against_the_tree() {
         let index = Index::build(&protein_fragment(), 0.02).unwrap();
         let approx = ApproxIndex::over(&index, 0.03).unwrap();
-        let load = |index: &Index, links| {
-            let mut state = approx.to_links_snapshot();
-            state.links = links;
-            match ApproxIndex::from_links_snapshot(index, state) {
-                Err(Error::InvalidSnapshot { detail }) => detail,
-                Err(other) => panic!("wrong error kind: {other:?}"),
-                Ok(_) => panic!("inconsistent links were accepted"),
-            }
+        let load = |index: &Index, state| match ApproxIndex::from_links_snapshot(index, state) {
+            Err(Error::InvalidSnapshot { detail }) => detail,
+            Err(other) => panic!("wrong error kind: {other:?}"),
+            Ok(_) => panic!("inconsistent links were accepted"),
         };
-        let rows = approx.to_links_snapshot().links;
+        let state = approx.to_links_snapshot();
+        let rows = &state.links;
         let tree = &approx.text.tree;
         let chars = tree.text();
         let separator = chars.iter().position(|&c| c == 0).unwrap() as u32;
@@ -777,39 +703,44 @@ mod tests {
             .find(|&w| chars[w as usize] != 0 && w != rows[from_leaf].witness)
             .unwrap();
 
-        type Tamper<'a> = Box<dyn Fn(&mut Vec<ApproxLinkState>) + 'a>;
-        let tampers: [(&str, Tamper<'_>); 5] = [
+        type Tamper<'a> = Box<dyn Fn(&mut ApproxLinksState) + 'a>;
+        let tampers: [(&str, Tamper<'_>); 7] = [
+            ("epsilon outside (0, 1)", Box::new(|s| s.epsilon = 0.0)),
+            (
+                "target depth not below its origin",
+                Box::new(|s| s.links[0].target_depth = s.links[0].origin_depth),
+            ),
             (
                 "preorder outside the tree",
-                Box::new(|l| l.last_mut().unwrap().origin_pre = u32::MAX),
+                Box::new(|s| s.links.last_mut().unwrap().origin_pre = u32::MAX),
             ),
             (
                 "outside the text or on a separator",
-                Box::new(|l| l[0].witness = chars.len() as u32),
+                Box::new(|s| s.links[0].witness = chars.len() as u32),
             ),
             (
                 "outside the text or on a separator",
-                Box::new(move |l| l[0].witness = separator),
+                Box::new(move |s| s.links[0].witness = separator),
             ),
             (
                 "outside its origin's subtree",
-                Box::new(move |l| l[from_leaf].witness = elsewhere),
+                Box::new(move |s| s.links[from_leaf].witness = elsewhere),
             ),
             (
                 "origin deeper than its node",
-                Box::new(|l| l.iter_mut().for_each(|l| l.origin_depth += 3)),
+                Box::new(|s| s.links.iter_mut().for_each(|l| l.origin_depth += 3)),
             ),
         ];
         for (expected, tamper) in tampers {
-            let mut links = rows.clone();
-            tamper(&mut links);
-            let detail = load(&index, links);
+            let mut tampered = state.clone();
+            tamper(&mut tampered);
+            let detail = load(&index, tampered);
             assert!(detail.contains(expected), "{expected:?}: got {detail:?}");
         }
         // The links of one document over the index of another.
         let other = UncertainString::parse("A | T | S:.5,T:.5 | P | A:.4,F:.4,P:.2").unwrap();
         let other = Index::build(&other, 0.02).unwrap();
-        load(&other, rows.clone());
+        load(&other, state.clone());
     }
 
     #[test]

@@ -110,15 +110,20 @@ impl Index {
     /// identically to the index the snapshot was taken from. Fails with
     /// [`Error::InvalidSnapshot`] on structurally inconsistent state.
     pub fn from_snapshot(state: IndexState) -> Result<Self, Error> {
-        let text_len = state.substrate.text.text.len();
-        let pos = checked_pos_map(state.pos, text_len, state.source.len())?;
+        if state.pos.len() != state.substrate.text.text.len() {
+            return Err(invalid("position map length does not match text"));
+        }
+        let source_len = state.source.len();
+        if (state.pos.iter()).any(|&p| p != NO_POSITION && p as usize >= source_len) {
+            return Err(invalid("position map points outside the source string"));
+        }
         if !canon::valid_tau(state.tau_min) {
             return Err(invalid("tau_min outside (0, 1]"));
         }
         let substrate = Substrate::from_state(state.substrate)?;
         let mut idx = Self {
             plane: ProbPlane::build(&state.source),
-            pos,
+            pos: state.pos.into(),
             substrate,
             tau_min: state.tau_min,
             stats: state.stats,
@@ -272,22 +277,6 @@ impl Index {
     pub fn heap_size(&self) -> usize {
         self.heap_breakdown().iter().map(|&(_, bytes)| bytes).sum()
     }
-}
-
-/// A stored position map over a text of `text_len` positions, into a source
-/// of `source_len`.
-pub(crate) fn checked_pos_map(
-    pos: Vec<u32>,
-    text_len: usize,
-    source_len: usize,
-) -> Result<Arc<[u32]>, Error> {
-    if pos.len() != text_len {
-        return Err(invalid("position map length does not match text"));
-    }
-    if (pos.iter()).any(|&p| p != NO_POSITION && p as usize >= source_len) {
-        return Err(invalid("position map points outside the source string"));
-    }
-    Ok(pos.into())
 }
 
 #[cfg(test)]

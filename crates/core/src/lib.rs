@@ -15,14 +15,16 @@
 //! | [`ListingIndex`] | §6 | string listing from an uncertain collection, with [`RelMetric`] relevance | `Listing` |
 //! | [`ApproxIndex`] | §7 | approximate substring search with additive error ε | `Approx` |
 //!
-//! Every index type — [`SpecialIndex`], [`Index`], [`ListingIndex`], and
-//! [`ApproxIndex`] — exposes a `to_snapshot` / `from_snapshot` pair over the
-//! plain-data state structs in [`snapshot`]: the build-once/serve-forever
-//! persistence layer. The byte encoding (magic, format version, checksum)
-//! lives in the `ustr-store` crate (which also defines the single-file
-//! *collection snapshot* container); the concurrent sharded serving engine
-//! dispatching all four query modes over built or loaded indexes lives in
-//! `ustr-service`.
+//! The build-once/serve-forever persistence layer covers what a server
+//! loads: an [`Index`] (`to_snapshot` / `from_snapshot`) and the links of
+//! an [`ApproxIndex`] built over one (`to_links_snapshot` /
+//! `from_links_snapshot`), as the plain-data state structs in [`snapshot`].
+//! [`SpecialIndex`], [`ListingIndex`] and a stand-alone [`ApproxIndex`] are
+//! built from their input whenever they are wanted. The byte encoding
+//! (magic, format version, checksum) lives in the `ustr-store` crate (which
+//! also defines the single-file *collection snapshot* container); the
+//! concurrent sharded serving engine dispatching all four query modes over
+//! built or loaded indexes lives in `ustr-service`.
 //!
 //! The machinery follows the paper: the uncertain string is reduced to a
 //! deterministic text (via the Lemma-2 maximal-factor transform for general
@@ -43,10 +45,9 @@
 //! (suffix tree + `C`) and the position map: [`ApproxIndex::over`] shares
 //! an [`Index`]'s, so a document served with ε has one transform and one
 //! tree. In [`snapshot`] the substrate appears as one
-//! [`snapshot::SubstrateState`] shared by the three state structs that have
-//! levels, and the links as an [`snapshot::ApproxLinksState`] that hangs
-//! off an [`snapshot::IndexState`]; all four get their tree back through
-//! one validator.
+//! [`snapshot::SubstrateState`] inside an [`snapshot::IndexState`], and the
+//! links as an [`snapshot::ApproxLinksState`] that hangs off it; the tree
+//! comes back through one validator, and each link is checked against it.
 //!
 //! A loaded index is a built index: a state struct says what `build`
 //! produces and a query reads, `from_snapshot` accepts only levels on the
@@ -113,9 +114,8 @@ pub use index::Index;
 pub use listing::{ListingHit, ListingIndex, RelMetric};
 pub use result::{canonical_hit_order, QueryResult};
 pub use snapshot::{
-    ApproxIndexState, ApproxLinkState, ApproxLinksState, IndexState, LevelsParts,
-    ListingIndexState, LongLevelParts, ScoredTextState, ShortLevelParts, SpecialIndexState,
-    SubstrateState,
+    ApproxLinkState, ApproxLinksState, IndexState, LevelsParts, LongLevelParts, ScoredTextState,
+    ShortLevelParts, SubstrateState,
 };
 pub use special::SpecialIndex;
 pub use stats::BuildStats;

@@ -7,7 +7,6 @@ use ustr_uncertain::{canon, transform, ProbPlane, UncertainString};
 
 use crate::{
     error::{validate_query, Error},
-    snapshot::{invalid, ListingIndexState},
     stats::BuildStats,
     substrate::{check_text_len, DedupStrategy, Substrate, NO_KEY},
 };
@@ -53,9 +52,7 @@ pub struct ListingHit {
 /// ```
 pub struct ListingIndex {
     /// Per-document flat verification planes, the one in-memory copy of
-    /// each document's model — rebuilt on load from the snapshot's strings,
-    /// which [`ListingIndex::to_snapshot`] materializes again (formats are
-    /// untouched).
+    /// each document's model.
     planes: Vec<ProbPlane>,
     substrate: Substrate,
     /// X position → document id (`u32::MAX` at separators).
@@ -165,54 +162,6 @@ impl ListingIndex {
     /// Construction statistics.
     pub fn stats(&self) -> &BuildStats {
         &self.stats
-    }
-
-    /// Decomposes the index into its persistence-ready snapshot state (see
-    /// [`crate::snapshot`]).
-    pub fn to_snapshot(&self) -> ListingIndexState {
-        ListingIndexState {
-            docs: self.planes.iter().map(ProbPlane::to_model).collect(),
-            substrate: self.substrate.to_state(),
-            doc_of: self.doc_of.clone(),
-            src_of: self.src_of.clone(),
-            tau_min: self.tau_min,
-            stats: self.stats.clone(),
-        }
-    }
-
-    /// Reassembles an index from snapshot state; the result answers every
-    /// query identically to the original. Fails with
-    /// [`Error::InvalidSnapshot`] on structurally inconsistent state.
-    pub fn from_snapshot(state: ListingIndexState) -> Result<Self, Error> {
-        let n = state.substrate.text.text.len();
-        if state.doc_of.len() != n || state.src_of.len() != n {
-            return Err(invalid("document maps do not match the text length"));
-        }
-        for (&d, &s) in state.doc_of.iter().zip(state.src_of.iter()) {
-            if d == NONE32 {
-                continue;
-            }
-            let Some(doc) = state.docs.get(d as usize) else {
-                return Err(invalid("document id outside the collection"));
-            };
-            if s == NONE32 || s as usize >= doc.len() {
-                return Err(invalid("source offset outside its document"));
-            }
-        }
-        if !canon::valid_tau(state.tau_min) {
-            return Err(invalid("tau_min outside (0, 1]"));
-        }
-        let substrate = Substrate::from_state(state.substrate)?;
-        let mut idx = Self {
-            planes: state.docs.iter().map(ProbPlane::build).collect(),
-            substrate,
-            doc_of: state.doc_of,
-            src_of: state.src_of,
-            tau_min: state.tau_min,
-            stats: state.stats,
-        };
-        idx.stats.heap_bytes = idx.heap_size();
-        Ok(idx)
     }
 
     /// Lists all strings with `Rel_max ≥ tau` (the default metric), sorted

@@ -1,17 +1,15 @@
-//! Decomposed, persistence-ready state of the index types.
+//! Decomposed, persistence-ready state of what a server loads: the §5
+//! [`crate::Index`] and the §7 links over it.
 //!
-//! Each of the four index types — [`crate::SpecialIndex`], [`crate::Index`],
-//! [`crate::ListingIndex`] and [`crate::ApproxIndex`] — can be taken apart
-//! into a plain-data *snapshot state* struct (`to_snapshot` /
-//! `from_snapshot`) holding exactly the query-critical state, each array
+//! An [`crate::Index`] is taken apart into an [`IndexState`] (`to_snapshot`
+//! / `from_snapshot`) holding exactly the query-critical state, each array
 //! once (so assembly checks that the one copy is valid, never that two agree):
 //!
-//! * the source model (uncertain string(s), correlations) — in memory an
-//!   index holds it only as its verification plane(s), so `to_snapshot`
-//!   rebuilds the strings bit for bit and `from_snapshot` builds the planes
-//!   from them and drops them,
-//! * the paper's §4 machinery as one [`SubstrateState`], the same shape in
-//!   every index that has it:
+//! * the source model (uncertain string, correlations) — in memory the
+//!   index holds it only as its verification plane, so `to_snapshot`
+//!   rebuilds the string bit for bit and `from_snapshot` builds the plane
+//!   from it and drops it,
+//! * the paper's §4 machinery as one [`SubstrateState`]:
 //!   * a [`ScoredTextState`] — the **only copy** of the deterministic text
 //!     and its probabilities: the text with its `(SA, LCP)` arrays (the
 //!     suffix tree is rebuilt from these in one linear, deterministic pass)
@@ -19,24 +17,25 @@
 //!     so window evaluations stay bit-identical; separators are recounted),
 //!   * per-level RMQ champion indices and duplicate masks (champion
 //!     *values* are re-derived from the cumulative array on reassembly),
-//! * each index's own map beside it: the Lemma-2 position map (§5) or the
-//!   document maps (§6),
-//! * the ε-link table (§7) as an [`ApproxLinksState`] that hangs off an
-//!   [`IndexState`]'s text: a link stores a *witness* text position, not
-//!   its source position or probability — the position map and `C` give
-//!   both back. A stand-alone approximate index ([`ApproxIndexState`])
-//!   carries the scored text and position map an `Index` would.
+//! * the Lemma-2 position map beside it.
+//!
+//! The ε-link table of an [`crate::ApproxIndex`] built
+//! [`over`](crate::ApproxIndex::over) an index is an [`ApproxLinksState`]
+//! that hangs off the [`IndexState`]'s text: a link stores a *witness* text
+//! position, not its source position or probability — the position map and
+//! `C` give both back. [`crate::SpecialIndex`], [`crate::ListingIndex`]
+//! and a stand-alone [`crate::ApproxIndex`] have no state: nothing loads
+//! one, so each is built from its input whenever it is wanted.
 //!
 //! A state says what `build` produces and a query reads, nothing else:
-//! level lengths are the ladder its text derives, and what only
-//! construction needs (the listing index's document offsets) is not in
-//! it. So a loaded index is a built index.
+//! level lengths are the ladder its text derives. So a loaded index is a
+//! built index.
 //!
 //! The byte-level encoding of these structs lives in the `ustr-store` crate;
-//! this module only defines the shapes. Assembly is invariant-checked in
-//! one place for all four types (the crate-private substrate), so a
-//! structurally inconsistent state is an [`crate::Error::InvalidSnapshot`]
-//! whichever index it was addressed to. Reassembly never recomputes the
+//! this module only defines the shapes. Assembly is invariant-checked (the
+//! tree and levels by the crate-private substrate, the links against that
+//! tree), so a structurally inconsistent state is an
+//! [`crate::Error::InvalidSnapshot`]. Reassembly never recomputes the
 //! expensive parts of construction (SA-IS, the Lemma-2 transform, level
 //! mask sweeps, the link search; a link's probability is one `canon::exp`
 //! of a `C` window, as the build computed it) and produces an index that
@@ -114,20 +113,6 @@ pub struct IndexState {
     pub stats: BuildStats,
 }
 
-/// Snapshot state of a [`crate::SpecialIndex`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct SpecialIndexState {
-    /// Probability of every character of the indexed string (the
-    /// characters are `substrate.text.text`).
-    pub probs: Vec<f64>,
-    /// Correlations attached at build time, as plain rows.
-    pub correlations: Vec<ustr_uncertain::Correlation>,
-    /// The §4 machinery over the string's characters.
-    pub substrate: SubstrateState,
-    /// Build statistics.
-    pub stats: BuildStats,
-}
-
 /// One ε-refined link of an [`crate::ApproxIndex`], as plain data.
 ///
 /// Links are the §7 sub-link table: each connects an origin endpoint at
@@ -161,44 +146,6 @@ pub struct ApproxLinksState {
     pub epsilon: f64,
     /// What building the links took.
     pub build_time: std::time::Duration,
-}
-
-/// Snapshot state of a stand-alone [`crate::ApproxIndex`]: the scored text
-/// and position map an [`crate::Index`] over the same source holds, and the
-/// links over them.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ApproxIndexState {
-    /// The transformed text, its suffix structure and cumulative
-    /// probabilities.
-    pub text: ScoredTextState,
-    /// Lemma-2 position map: text position → source position (`u32::MAX`
-    /// at separators).
-    pub pos: Vec<u32>,
-    /// Construction-time threshold.
-    pub tau_min: f64,
-    /// Build statistics.
-    pub stats: BuildStats,
-    /// The ε-refined sub-link table, sorted by `origin_pre`.
-    pub links: Vec<ApproxLinkState>,
-    /// The additive error bound ε.
-    pub epsilon: f64,
-}
-
-/// Snapshot state of a [`crate::ListingIndex`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct ListingIndexState {
-    /// The indexed collection.
-    pub docs: Vec<UncertainString>,
-    /// The §4 machinery over the concatenated transformed texts.
-    pub substrate: SubstrateState,
-    /// Transformed position → document id (`u32::MAX` at separators).
-    pub doc_of: Vec<u32>,
-    /// Transformed position → offset within its document.
-    pub src_of: Vec<u32>,
-    /// Construction-time threshold.
-    pub tau_min: f64,
-    /// Build statistics.
-    pub stats: BuildStats,
 }
 
 /// Shorthand for snapshot-assembly failures.

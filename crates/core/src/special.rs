@@ -9,7 +9,6 @@ use ustr_uncertain::{canon, CorrelationSet, SpecialUncertainString};
 use crate::{
     error::{validate_query, Error},
     result::QueryResult,
-    snapshot::{invalid, SpecialIndexState},
     stats::BuildStats,
     substrate::{DedupStrategy, Substrate},
 };
@@ -86,44 +85,6 @@ impl SpecialIndex {
     /// The indexed string.
     pub fn special(&self) -> &SpecialUncertainString {
         &self.special
-    }
-
-    /// Decomposes the index into its persistence-ready snapshot state (see
-    /// [`crate::snapshot`]).
-    pub fn to_snapshot(&self) -> SpecialIndexState {
-        SpecialIndexState {
-            probs: self.special.probs().to_vec(),
-            correlations: self.correlations.iter().cloned().collect(),
-            substrate: self.substrate.to_state(),
-            stats: self.stats.clone(),
-        }
-    }
-
-    /// Reassembles an index from snapshot state; the result answers every
-    /// query identically to the original. Fails with
-    /// [`Error::InvalidSnapshot`] on structurally inconsistent state.
-    pub fn from_snapshot(state: SpecialIndexState) -> Result<Self, Error> {
-        // The characters are the substrate's text; `special()` serves a copy.
-        let chars = state.substrate.text.text.clone();
-        let special =
-            SpecialUncertainString::new(chars, state.probs).map_err(|e| invalid(e.to_string()))?;
-        let mut correlations = CorrelationSet::new();
-        for corr in state.correlations {
-            correlations.add(corr).map_err(Error::Model)?;
-        }
-        let substrate = Substrate::from_state(state.substrate)?;
-        // Derived, never trusted from the snapshot: a too-small boost would
-        // silently prune true matches under correlation uplift.
-        let boost_log = correlation_boost(&special, &correlations);
-        let mut idx = Self {
-            special,
-            correlations,
-            substrate,
-            boost_log,
-            stats: state.stats,
-        };
-        idx.stats.heap_bytes = idx.heap_size();
-        Ok(idx)
     }
 
     /// All positions where `pattern` matches with probability ≥ `tau`.

@@ -10,7 +10,7 @@
 //! its level-free half (tree + `C`), whose clone shares its arrays: the
 //! [`crate::ApproxIndex`] built over an [`crate::Index`] hangs its links off
 //! the same tree and reads its probabilities from the same `C`
-//! ([`checked_tree`] is how any index gets a tree back from a snapshot).
+//! ([`checked_tree`] is how a loaded index gets its tree back).
 //! The index types add their own map and their own verification.
 //!
 //! Outside this module nothing sees a suffix-array *slot*: candidates come
@@ -78,49 +78,15 @@ impl ScoredText {
     fn window(&self, slot: usize, len: usize) -> f64 {
         self.cum.window(self.tree.sa(slot), len)
     }
-
-    /// Decomposes into plain data: `(text, SA, LCP)` and the prefix sums.
-    pub(crate) fn to_state(&self) -> ScoredTextState {
-        let (text, sa, lcp) = self.tree.to_parts();
-        ScoredTextState {
-            text,
-            sa,
-            lcp,
-            prefix: self.cum.prefix().to_vec(),
-        }
-    }
-
-    /// Validates and reassembles: the tree through [`checked_tree`], and
-    /// `C` must cover the text (whose separators are recounted as
-    /// [`ScoredText::build`] counts them).
-    pub(crate) fn from_state(state: ScoredTextState) -> Result<Self, Error> {
-        let ScoredTextState {
-            text,
-            sa,
-            lcp,
-            prefix,
-        } = state;
-        let tree = checked_tree(text, sa, lcp)?;
-        let text = tree.text();
-        if prefix.len() != text.len() + 1 {
-            return Err(invalid("cumulative array length does not match text"));
-        }
-        let cum = CumulativeLogProb::from_prefix(prefix, |i| text[i] == 0);
-        Ok(Self { tree, cum })
-    }
 }
 
-/// The suffix tree of `text` from its stored `(SA, LCP)` arrays, for every
-/// index that loads one. The checks are exact: the SA must be *the* suffix
+/// The suffix tree of `text` from its stored `(SA, LCP)` arrays, for a
+/// loaded index. The checks are exact: the SA must be *the* suffix
 /// array of the text — a permutation of `0..n` whose neighbours ascend —
 /// and every LCP entry the full common prefix of its two suffixes, because
 /// `SuffixTree::from_parts` derives its child table from the LCP values
 /// alone and a wrong table loses occurrences silently.
-pub(crate) fn checked_tree(
-    text: Vec<u8>,
-    sa: Vec<u32>,
-    lcp: Vec<u32>,
-) -> Result<SuffixTree, Error> {
+fn checked_tree(text: Vec<u8>, sa: Vec<u32>, lcp: Vec<u32>) -> Result<SuffixTree, Error> {
     let n = text.len();
     if sa.len() != n || lcp.len() != n {
         return Err(invalid("suffix/LCP array length does not match text"));
@@ -222,18 +188,40 @@ impl Substrate {
         self.heap_breakdown().iter().map(|&(_, bytes)| bytes).sum()
     }
 
-    /// Decomposes into plain data (see [`crate::snapshot`]).
+    /// Decomposes into plain data (see [`crate::snapshot`]): `(text, SA,
+    /// LCP)`, the prefix sums and the levels.
     pub(crate) fn to_state(&self) -> SubstrateState {
+        let (text, sa, lcp) = self.text.tree.to_parts();
+        let prefix = self.text.cum.prefix().to_vec();
         SubstrateState {
-            text: self.text.to_state(),
+            text: ScoredTextState {
+                text,
+                sa,
+                lcp,
+                prefix,
+            },
             levels: self.levels.to_parts(),
         }
     }
 
-    /// Validates and reassembles; [`Error::InvalidSnapshot`] on any
-    /// structural inconsistency, never a panic.
+    /// Validates and reassembles — the tree through [`checked_tree`]; `C`
+    /// must cover the text (whose separators are recounted as
+    /// [`ScoredText::build`] counts them) — with [`Error::InvalidSnapshot`]
+    /// on any structural inconsistency, never a panic.
     pub(crate) fn from_state(state: SubstrateState) -> Result<Self, Error> {
-        let text = ScoredText::from_state(state.text)?;
+        let ScoredTextState {
+            text,
+            sa,
+            lcp,
+            prefix,
+        } = state.text;
+        let tree = checked_tree(text, sa, lcp)?;
+        let chars = tree.text();
+        if prefix.len() != chars.len() + 1 {
+            return Err(invalid("cumulative array length does not match text"));
+        }
+        let cum = CumulativeLogProb::from_prefix(prefix, |i| chars[i] == 0);
+        let text = ScoredText { tree, cum };
         let levels = Levels::from_parts(state.levels, &text)?;
         Ok(Self { text, levels })
     }
@@ -242,34 +230,16 @@ impl Substrate {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::snapshot::{IndexState, SpecialIndexState};
-    use crate::{ApproxIndex, Index, ListingIndex, SpecialIndex};
-    use ustr_uncertain::{SpecialUncertainString, UncertainString};
+    use crate::snapshot::IndexState;
+    use crate::{ApproxIndex, Index};
+    use ustr_uncertain::UncertainString;
 
-    const BANANA_PROBS: [f64; 6] = [0.4, 0.7, 0.5, 0.8, 0.9, 0.6];
-
-    fn banana() -> SpecialUncertainString {
-        SpecialUncertainString::new(b"banana".to_vec(), BANANA_PROBS.to_vec()).unwrap()
-    }
-
-    fn figure_10() -> UncertainString {
-        UncertainString::parse("Q:.7,S:.3 | Q:.3,P:.7 | P | A:.4,F:.3,P:.2,Q:.1").unwrap()
-    }
-
-    /// Figure 5's string (7 slots, 3 short levels, long levels at 3 and 6)
-    /// as a special index, beside Figure 10's as a general one: between
-    /// them every array a state struct holds.
-    fn states() -> (SpecialIndexState, IndexState) {
-        (
-            SpecialIndex::build(&banana()).unwrap().to_snapshot(),
-            Index::build(&figure_10(), 0.1).unwrap().to_snapshot(),
-        )
-    }
-
-    fn assemble((special, index): (SpecialIndexState, IndexState)) -> Result<(), Error> {
-        SpecialIndex::from_snapshot(special)?;
-        Index::from_snapshot(index)?;
-        Ok(())
+    /// Figure 5's characters twice as a certain string (a separator ends
+    /// its one factor: 14 slots, 4 short levels, long levels at 4 and 8):
+    /// every array a state struct holds, and a ladder with two long levels.
+    fn state() -> IndexState {
+        let banana = UncertainString::deterministic(b"bananabanana");
+        Index::build(&banana, 0.5).unwrap().to_snapshot()
     }
 
     fn rejection<T>(result: Result<T, Error>) -> String {
@@ -287,57 +257,58 @@ mod tests {
     /// holds each once.
     #[test]
     fn inconsistent_state_is_rejected_not_panicked_on() {
-        assert!(assemble(states()).is_ok());
-        type Tamper = fn(&mut SpecialIndexState, &mut IndexState);
+        let levels = &state().substrate.levels;
+        assert_eq!((levels.short.len(), levels.long.len()), (4, 2));
+        assert!(Index::from_snapshot(state()).is_ok());
+        type Tamper = fn(&mut IndexState);
         const LADDER: &str = "level count does not match the ladder";
-        let rows: [(&str, Tamper); 15] = [
-            ("not a permutation", |s, _| {
-                s.substrate.text.sa[0] = s.substrate.text.sa[1]
+        let rows: [(&str, Tamper); 14] = [
+            ("not a permutation", |i| {
+                i.substrate.text.sa[0] = i.substrate.text.sa[1]
             }),
-            ("lcp[0] must be 0", |s, _| s.substrate.text.lcp[0] = 1),
-            ("exceeds the true common prefix", |s, _| {
-                s.substrate.text.lcp[1] += 1
+            ("lcp[0] must be 0", |i| i.substrate.text.lcp[0] = 1),
+            ("exceeds the true common prefix", |i| {
+                i.substrate.text.lcp[1] += 1
             }),
-            // Two suffixes swapped, with the LCPs around them zeroed so
-            // that none *exceeds* a common prefix.
-            ("not in suffix order", |s, _| {
-                s.substrate.text.sa.swap(2, 3);
-                s.substrate.text.lcp[2..5].fill(0);
+            // The last `a…` suffix and the first `b…` one swapped, with the
+            // LCPs around them zeroed so that none *exceeds* a common prefix.
+            ("not in suffix order", |i| {
+                i.substrate.text.sa.swap(6, 7);
+                i.substrate.text.lcp[6..9].fill(0);
             }),
-            ("short of the true common prefix", |s, _| {
-                let lcp = &mut s.substrate.text.lcp;
+            ("short of the true common prefix", |i| {
+                let lcp = &mut i.substrate.text.lcp;
                 *lcp.iter_mut().find(|l| **l > 0).unwrap() -= 1;
             }),
-            ("cumulative array length", |s, _| {
-                s.substrate.text.prefix.push(0.0)
+            ("cumulative array length", |i| {
+                i.substrate.text.prefix.push(0.0)
             }),
-            ("mask word count", |s, _| {
-                s.substrate.levels.short[0].mask_words.push(0)
+            ("mask word count", |i| {
+                i.substrate.levels.short[0].mask_words.push(0)
             }),
-            ("outside its block", |s, _| {
-                s.substrate.levels.short[0].champions[0] = u32::MAX
+            ("outside its block", |i| {
+                i.substrate.levels.short[0].champions[0] = u32::MAX
             }),
             // One short level missing, one long level missing, one long
             // level too many: a file describes the levels `build` makes.
-            (LADDER, |s, _| drop(s.substrate.levels.short.pop())),
-            (LADDER, |s, _| drop(s.substrate.levels.long.pop())),
-            (LADDER, |s, _| {
-                let extra = s.substrate.levels.long[1].clone();
-                s.substrate.levels.long.push(extra)
+            (LADDER, |i| drop(i.substrate.levels.short.pop())),
+            (LADDER, |i| drop(i.substrate.levels.long.pop())),
+            (LADDER, |i| {
+                let extra = i.substrate.levels.long[1].clone();
+                i.substrate.levels.long.push(extra)
             }),
-            ("champion count", |s, _| {
-                s.substrate.levels.long[0].champions.push(0)
+            ("champion count", |i| {
+                i.substrate.levels.long[0].champions.push(0)
             }),
-            ("does not match probability count", |s, _| s.probs.push(0.5)),
-            ("position map length", |_, i| i.pos.push(0)),
-            ("outside the source string", |_, i| {
+            ("position map length", |i| i.pos.push(0)),
+            ("outside the source string", |i| {
                 i.pos[0] = i.source.len() as u32
             }),
         ];
         for (expected, tamper) in rows {
-            let (mut special, mut index) = states();
-            tamper(&mut special, &mut index);
-            let detail = rejection(assemble((special, index)));
+            let mut index = state();
+            tamper(&mut index);
+            let detail = rejection(Index::from_snapshot(index));
             assert!(detail.contains(expected), "{expected:?}: got {detail:?}");
         }
     }
@@ -354,55 +325,18 @@ mod tests {
         ));
     }
 
-    /// One row of the table through each public entry point: all four
-    /// `from_snapshot`s reach the same validator.
-    #[test]
-    fn every_from_snapshot_reaches_the_substrate_validator() {
-        let s = figure_10();
-        let (mut special, mut index) = states();
-        index.substrate.text.lcp[0] = 1;
-        special.substrate.text.lcp[0] = 1;
-        let mut listing = ListingIndex::build(&[s.clone(), s.clone()], 0.1)
-            .unwrap()
-            .to_snapshot();
-        listing.substrate.text.lcp[0] = 1;
-        let mut approx = ApproxIndex::build(&s, 0.1, 0.05).unwrap().to_snapshot();
-        approx.text.lcp[0] = 1;
-        let details = [
-            rejection(Index::from_snapshot(index)),
-            rejection(SpecialIndex::from_snapshot(special)),
-            rejection(ListingIndex::from_snapshot(listing)),
-            rejection(ApproxIndex::from_snapshot(approx)),
-        ];
-        assert_eq!(details, ["lcp[0] must be 0"; 4]);
-    }
-
-    /// `heap_bytes` measures the index it is read from: a loaded index
-    /// reports its own footprint, not the number its builder recorded.
+    /// `heap_bytes` measures the index it is read from: a loaded index, and
+    /// the links loaded over it, report their own footprint, not the number
+    /// recorded at build time.
     #[test]
     fn a_loaded_index_reports_its_own_heap() {
-        let s = figure_10();
-        let (mut special, mut index) = states();
-        let mut listing = ListingIndex::build(&[s.clone(), s.clone()], 0.1)
-            .unwrap()
-            .to_snapshot();
-        let mut approx = ApproxIndex::build(&s, 0.1, 0.05).unwrap().to_snapshot();
-        for stats in [
-            &mut special.stats,
-            &mut index.stats,
-            &mut listing.stats,
-            &mut approx.stats,
-        ] {
-            stats.heap_bytes = 1;
-        }
-        let special = SpecialIndex::from_snapshot(special).unwrap();
+        let mut index = state();
+        index.stats.heap_bytes = 1;
         let index = Index::from_snapshot(index).unwrap();
-        let listing = ListingIndex::from_snapshot(listing).unwrap();
-        let approx = ApproxIndex::from_snapshot(approx).unwrap();
+        let links = ApproxIndex::over(&index, 0.05).unwrap().to_links_snapshot();
+        let approx = ApproxIndex::from_links_snapshot(&index, links).unwrap();
         for (reported, held) in [
-            (special.stats().heap_bytes, special.heap_size()),
             (index.stats().heap_bytes, index.heap_size()),
-            (listing.stats().heap_bytes, listing.heap_size()),
             (approx.stats().heap_bytes, approx.heap_size()),
         ] {
             assert!(reported > 1);

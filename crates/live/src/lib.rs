@@ -1566,13 +1566,6 @@ mod tests {
             (
                 vec![
                     section(0, SnapshotKind::Index),
-                    section(0, SnapshotKind::Listing),
-                ],
-                "unsupported kind 3",
-            ),
-            (
-                vec![
-                    section(0, SnapshotKind::Index),
                     section(1, SnapshotKind::Index),
                 ],
                 "names document 1",

@@ -194,10 +194,9 @@ pub struct LoadedColl {
 }
 
 /// Reads a `.coll` file written by [`save_coll`]. A well-formed container
-/// with the wrong contents — a section of a kind no executor holds, a rank
-/// outside the declared document count, two sections of one kind for a
-/// document, a document without a substring index — is
-/// [`StoreError::Corrupt`], never a panic.
+/// with the wrong contents — a rank outside the declared document count,
+/// two sections of one kind for a document, a document without a substring
+/// index — is [`StoreError::Corrupt`], never a panic.
 pub fn load_coll(io: &dyn StoreIo, path: &Path) -> Result<LoadedColl, StoreError> {
     let coll = collection::load_collection_file(io, path)?;
     let n = coll.num_docs;
@@ -207,12 +206,6 @@ pub fn load_coll(io: &dyn StoreIo, path: &Path) -> Result<LoadedColl, StoreError
         let table = match section.kind {
             SnapshotKind::Index => &mut index_bytes,
             SnapshotKind::ApproxLinks => &mut approx_bytes,
-            other => {
-                return Err(corrupt(format!(
-                    "collection section for document {} holds unsupported kind {}",
-                    section.doc, other as u8
-                )))
-            }
         };
         let Some(slot) = table.get_mut(section.doc) else {
             return Err(corrupt(format!(

@@ -1,21 +1,21 @@
-//! Versioned binary snapshots for the uncertain-string indexes.
+//! Versioned binary snapshots of what a server loads.
 //!
 //! The paper's indexes are built once and queried many times; this crate
-//! makes the "built once" part durable. [`Snapshot::save`] serializes the
-//! query-critical state of an [`Index`], [`SpecialIndex`], [`ListingIndex`],
-//! or [`ApproxIndex`] — the source model, the index's own map, and the
-//! paper's §4 substrate, encoded by one routine for every kind and holding
-//! the only copy of the transformed text and its probabilities: the text
-//! with its `(SA, LCP)` arrays, the cumulative log-probability prefix sums,
-//! and every per-level RMQ table (champion indices + duplicate masks); for
-//! the approximate index, the scored text and position map an `Index`
-//! holds, and the ε-refined sub-link table — and [`Snapshot::load`]
-//! reassembles an index that holds what the built one held and answers
-//! **byte-identical** query results, skipping the expensive construction
-//! passes (the Lemma-2 transform, SA-IS, the level mask sweeps, the link
-//! search). The links of an [`ApproxIndex`] built over an [`Index`] are
-//! written alone ([`write_links_snapshot`]) and read back over that index
-//! ([`read_links_snapshot`]): a `.coll` file holds one text per document.
+//! makes the "built once" part durable for the two structures the serving
+//! stack loads. [`Snapshot::save`] serializes the query-critical state of
+//! an [`Index`] — the source model, its position map, and the paper's §4
+//! substrate, holding the only copy of the transformed text and its
+//! probabilities: the text with its `(SA, LCP)` arrays, the cumulative
+//! log-probability prefix sums, and every per-level RMQ table (champion
+//! indices + duplicate masks) — and [`Snapshot::load`] reassembles an index
+//! that holds what the built one held and answers **byte-identical** query
+//! results, skipping the expensive construction passes (the Lemma-2
+//! transform, SA-IS, the level mask sweeps). The ε-refined links of an
+//! [`ApproxIndex`] built over an [`Index`] are written alone
+//! ([`write_links_snapshot`]) and read back over that index
+//! ([`read_links_snapshot`]), skipping the link search: a `.coll` file
+//! holds one text per document. The other index types have no snapshot;
+//! each is built from its input whenever it is wanted.
 //!
 //! Beyond single indexes, the [`collection`] module defines a one-file
 //! container for a whole document collection (manifest + per-section
@@ -30,7 +30,7 @@
 //! |---|---|---|
 //! | 0  | 8 | magic `"USTRSNAP"` |
 //! | 8  | 4 | format version, `u32` little-endian (currently 6) |
-//! | 12 | 1 | index kind: 1 = `Index`, 2 = `SpecialIndex`, 3 = `ListingIndex`, 4 = `ApproxIndex`, 5 = `ApproxIndex` links over an `Index` |
+//! | 12 | 1 | kind: 1 = `Index`, 5 = `ApproxIndex` links over an `Index`; any other byte is refused |
 //! | 13 | 3 | reserved, must be zero |
 //! | 16 | 8 | payload length in bytes, `u64` little-endian |
 //! | 24 | 8 | FNV-1a 64-bit checksum of the payload |
@@ -48,7 +48,7 @@
 //! # Payloads (version 6)
 //!
 //! A payload says what `build` produces and a query reads, each array
-//! once. Shared pieces first, then the four payloads, every field in the
+//! once. Shared pieces first, then the two payloads, every field in the
 //! order it is written:
 //!
 //! | piece | fields |
@@ -64,9 +64,6 @@
 //! | kind | payload |
 //! |---|---|
 //! | `Index` | *string* (the source); *substrate*; position map (*text map*); `τmin`; *stats* |
-//! | `SpecialIndex` | per-character probabilities (`f64`s; the characters are the substrate's text); correlation count, *correlation* rows; *substrate*; *stats* |
-//! | `ListingIndex` | document count, one *string* each; *substrate*; text position → document (*text map*); text position → offset in document (*text map*); `τmin`; *stats* |
-//! | `ApproxIndex` | *scored text*; position map (*text map*); `τmin`; *stats*; *links* |
 //! | `ApproxIndex` links | *links*; build time in ns — a `.coll` approx section, read over its document's `Index` section |
 //!
 //! The two level counts must be the text's own — `L = ⌈log₂(slots + 1)⌉`
@@ -77,9 +74,8 @@
 //! `C` (the zero bytes of the text), a text map's entries at separators
 //! (`u32::MAX`, the zero bytes of the text), a level's length (its place on
 //! the ladder) and block size (64, or the length), the largest short pattern
-//! length (the short-level count), each document's start in the
-//! concatenated source (the running sum of the documents' lengths), and the
-//! heap footprint (a measurement of the loaded index, taken again on load).
+//! length (the short-level count), and the heap footprint (a measurement
+//! of the loaded index, taken again on load).
 //! Not written: link probabilities and source positions (derived from `C`
 //! and the position map at each link's witness — the probability with the
 //! build's own `canon::exp` — on load), and, in a links section, the text,
@@ -103,8 +99,12 @@
 //! every length, level count and stat as a `u64`, and an approximate index
 //! (in a `.coll` file too) with a text, SA and LCP of its own and each
 //! link's source position and `f64` probability; version 6 is the layout
-//! above. The reserved header bytes allow future flags without disturbing
-//! the field offsets.
+//! above. Version 6 files of kinds 2 (`SpecialIndex`), 3 (`ListingIndex`)
+//! and 4 (a stand-alone `ApproxIndex`) were written by earlier builds,
+//! though nothing read them back; this build refuses them with
+//! [`StoreError::UnknownKind`], with no version bump, since kinds 1 and 5
+//! are byte for byte what they were. The reserved header bytes allow future
+//! flags without disturbing the field offsets.
 //!
 //! # Failure model
 //!
@@ -145,11 +145,10 @@ use std::path::Path;
 use std::time::Duration;
 
 use ustr_core::snapshot::{
-    ApproxIndexState, ApproxLinkState, ApproxLinksState, IndexState, LevelsParts,
-    ListingIndexState, LongLevelParts, ScoredTextState, ShortLevelParts, SpecialIndexState,
-    SubstrateState,
+    ApproxLinkState, ApproxLinksState, IndexState, LevelsParts, LongLevelParts, ScoredTextState,
+    ShortLevelParts, SubstrateState,
 };
-use ustr_core::{ApproxIndex, BuildStats, Index, ListingIndex, SpecialIndex};
+use ustr_core::{ApproxIndex, BuildStats, Index};
 use ustr_uncertain::{Correlation, UncertainString};
 
 pub use collection::{
@@ -180,29 +179,22 @@ pub const FORMAT_VERSION: u32 = 6;
 /// Total header size in bytes.
 pub const HEADER_LEN: usize = 32;
 
-/// Which index type a snapshot holds.
+/// Which structure a snapshot holds: one a server loads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SnapshotKind {
     /// A general substring [`Index`].
     Index = 1,
-    /// A [`SpecialIndex`].
-    Special = 2,
-    /// A [`ListingIndex`].
-    Listing = 3,
-    /// A stand-alone [`ApproxIndex`].
-    Approx = 4,
     /// The links of an [`ApproxIndex`] built over an [`Index`], without
     /// that index's text: a `.coll` approx section.
     ApproxLinks = 5,
 }
 
 impl SnapshotKind {
+    /// The kind a header byte names; any other byte — 2, 3 and 4 included
+    /// (see the versioning policy) — is [`StoreError::UnknownKind`].
     pub(crate) fn from_byte(b: u8) -> Result<Self, StoreError> {
         match b {
             1 => Ok(SnapshotKind::Index),
-            2 => Ok(SnapshotKind::Special),
-            3 => Ok(SnapshotKind::Listing),
-            4 => Ok(SnapshotKind::Approx),
             5 => Ok(SnapshotKind::ApproxLinks),
             other => Err(StoreError::UnknownKind { found: other }),
         }
@@ -530,7 +522,9 @@ fn decode_correlation(r: &mut Reader<'_>) -> Result<Correlation, StoreError> {
 }
 
 pub(crate) fn decode_uncertain_string(r: &mut Reader<'_>) -> Result<UncertainString, StoreError> {
-    let n = r.get_len(1)?;
+    // A position is at least its 4-byte choice count, a correlation row
+    // its 34 bytes: a count no remaining input could hold allocates nothing.
+    let n = r.get_len(4)?;
     let mut rows = Vec::with_capacity(n);
     for _ in 0..n {
         let k = r.get_u32()? as usize;
@@ -548,7 +542,7 @@ pub(crate) fn decode_uncertain_string(r: &mut Reader<'_>) -> Result<UncertainStr
         rows.push(row);
     }
     let mut s = UncertainString::from_rows(rows)?;
-    let num_corr = r.get_len(27)?;
+    let num_corr = r.get_len(34)?;
     if num_corr > 0 {
         let mut set = ustr_uncertain::CorrelationSet::new();
         for _ in 0..num_corr {
@@ -619,8 +613,7 @@ fn decode_champions(r: &mut Reader<'_>, block: usize) -> Result<Vec<u32>, StoreE
         .collect()
 }
 
-/// The §4 machinery of `Index`, `SpecialIndex` and `ListingIndex`: scored text,
-/// then levels (a level's length is its place on the ladder and its block
+/// The §4 machinery of an `Index`: scored text, then levels (a level's length is its place on the ladder and its block
 /// size 64 slots for a short level, the length for a long one: neither is
 /// written, and a champion is its offset in its block). The one place its
 /// byte layout is written down.
@@ -693,7 +686,7 @@ fn decode_build_time(r: &mut Reader<'_>) -> Result<Duration, StoreError> {
 }
 
 // ---------------------------------------------------------------------------
-// Snapshot impls for the four index types.
+// The two payloads: an `Index`, and the links over one.
 // ---------------------------------------------------------------------------
 
 fn encode_index(w: &mut Writer, state: &IndexState) {
@@ -725,82 +718,16 @@ impl Snapshot for Index {
     }
 }
 
-impl Snapshot for SpecialIndex {
-    const KIND: SnapshotKind = SnapshotKind::Special;
-
-    fn encode_payload(&self, w: &mut Writer) {
-        let state = self.to_snapshot();
-        put_f64_seq(w, &state.probs);
-        put_size(w, state.correlations.len() as u64);
-        for corr in &state.correlations {
-            encode_correlation(w, corr);
-        }
-        encode_substrate(w, &state.substrate);
-        encode_stats(w, &state.stats);
-    }
-
-    fn decode_payload(r: &mut Reader<'_>) -> Result<Self, StoreError> {
-        let probs = get_f64_seq(r)?;
-        let num_corr = get_count(r, 27)?;
-        let mut correlations = Vec::with_capacity(num_corr);
-        for _ in 0..num_corr {
-            correlations.push(decode_correlation(r)?);
-        }
-        let state = SpecialIndexState {
-            probs,
-            correlations,
-            substrate: decode_substrate(r)?,
-            stats: decode_stats(r)?,
-        };
-        Ok(SpecialIndex::from_snapshot(state)?)
-    }
-}
-
-impl Snapshot for ListingIndex {
-    const KIND: SnapshotKind = SnapshotKind::Listing;
-
-    fn encode_payload(&self, w: &mut Writer) {
-        let state = self.to_snapshot();
-        put_size(w, state.docs.len() as u64);
-        for doc in &state.docs {
-            encode_uncertain_string(w, doc);
-        }
-        let text = &state.substrate.text.text;
-        encode_substrate(w, &state.substrate);
-        encode_text_map(w, text, &state.doc_of);
-        encode_text_map(w, text, &state.src_of);
-        w.put_f64(state.tau_min);
-        encode_stats(w, &state.stats);
-    }
-
-    fn decode_payload(r: &mut Reader<'_>) -> Result<Self, StoreError> {
-        let num_docs = get_count(r, 9)?;
-        let mut docs = Vec::with_capacity(num_docs);
-        for _ in 0..num_docs {
-            docs.push(decode_uncertain_string(r)?);
-        }
-        let substrate = decode_substrate(r)?;
-        let state = ListingIndexState {
-            docs,
-            doc_of: decode_text_map(r, &substrate.text.text)?,
-            src_of: decode_text_map(r, &substrate.text.text)?,
-            substrate,
-            tau_min: r.get_f64()?,
-            stats: decode_stats(r)?,
-        };
-        Ok(ListingIndex::from_snapshot(state)?)
-    }
-}
-
-/// The ε-link table and its ε. A link's witness is its zigzag delta from
-/// the previous link's (wrapping, so every `u32` round-trips): the links of
-/// one chain share a witness, so most deltas are 0.
-fn encode_link_rows(w: &mut Writer, links: &[ApproxLinkState], epsilon: f64) {
-    put_size(w, links.len() as u64);
+/// A `.coll` approx section's payload: the ε-link table, ε and the build
+/// time. A link's witness is its zigzag delta from the previous link's
+/// (wrapping, so every `u32` round-trips): the links of one chain share a
+/// witness, so most deltas are 0.
+fn encode_links(w: &mut Writer, state: &ApproxLinksState) {
+    put_size(w, state.links.len() as u64);
     // Links are sorted by origin preorder and each target depth is under
     // its origin depth (a state where not wraps, and does not decode).
     let (mut prev_pre, mut prev_witness) = (0u32, 0u32);
-    for link in links {
+    for link in &state.links {
         w.put_varint(link.origin_pre.wrapping_sub(prev_pre));
         w.put_varint(link.origin_depth);
         w.put_varint(link.origin_depth.wrapping_sub(link.target_depth));
@@ -808,10 +735,11 @@ fn encode_link_rows(w: &mut Writer, links: &[ApproxLinkState], epsilon: f64) {
         w.put_varint(((d << 1) ^ (d >> 31)) as u32);
         (prev_pre, prev_witness) = (link.origin_pre, link.witness);
     }
-    w.put_f64(epsilon);
+    w.put_f64(state.epsilon);
+    encode_build_time(w, state.build_time);
 }
 
-fn decode_link_rows(r: &mut Reader<'_>) -> Result<(Vec<ApproxLinkState>, f64), StoreError> {
+fn decode_links(r: &mut Reader<'_>) -> Result<ApproxLinksState, StoreError> {
     // Four varints of at least one byte each.
     let num_links = get_count(r, 4)?;
     let mut links = Vec::with_capacity(num_links);
@@ -832,60 +760,16 @@ fn decode_link_rows(r: &mut Reader<'_>) -> Result<(Vec<ApproxLinkState>, f64), S
         });
         (prev_pre, prev_witness) = (origin_pre, witness);
     }
-    Ok((links, r.get_f64()?))
-}
-
-/// A `.coll` approx section's payload: links, ε and build time.
-fn encode_links(w: &mut Writer, state: &ApproxLinksState) {
-    encode_link_rows(w, &state.links, state.epsilon);
-    encode_build_time(w, state.build_time);
-}
-
-fn decode_links(r: &mut Reader<'_>) -> Result<ApproxLinksState, StoreError> {
-    let (links, epsilon) = decode_link_rows(r)?;
     Ok(ApproxLinksState {
         links,
-        epsilon,
+        epsilon: r.get_f64()?,
         build_time: decode_build_time(r)?,
     })
-}
-
-fn encode_approx(w: &mut Writer, state: &ApproxIndexState) {
-    encode_scored_text(w, &state.text);
-    encode_text_map(w, &state.text.text, &state.pos);
-    w.put_f64(state.tau_min);
-    encode_stats(w, &state.stats);
-    encode_link_rows(w, &state.links, state.epsilon);
-}
-
-impl Snapshot for ApproxIndex {
-    const KIND: SnapshotKind = SnapshotKind::Approx;
-
-    fn encode_payload(&self, w: &mut Writer) {
-        encode_approx(w, &self.to_snapshot());
-    }
-
-    fn decode_payload(r: &mut Reader<'_>) -> Result<Self, StoreError> {
-        let text = decode_scored_text(r)?;
-        let pos = decode_text_map(r, &text.text)?;
-        let (tau_min, stats) = (r.get_f64()?, decode_stats(r)?);
-        let (links, epsilon) = decode_link_rows(r)?;
-        let state = ApproxIndexState {
-            text,
-            pos,
-            tau_min,
-            stats,
-            links,
-            epsilon,
-        };
-        Ok(ApproxIndex::from_snapshot(state)?)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ustr_uncertain::SpecialUncertainString;
 
     fn sample_index() -> Index {
         let s = UncertainString::parse("Q:.7,S:.3 | Q:.3,P:.7 | P | A:.4,F:.3,P:.2,Q:.1").unwrap();
@@ -902,14 +786,59 @@ mod tests {
         assert_eq!(header.payload_len as usize, bytes.len() - HEADER_LEN);
     }
 
+    /// An `Index` file read as links, and links read as an `Index`.
     #[test]
     fn wrong_kind_is_rejected() {
+        let index = sample_index();
         let mut bytes = Vec::new();
-        sample_index().write_snapshot(&mut bytes).unwrap();
-        let Err(err) = SpecialIndex::read_snapshot(&bytes[..]) else {
-            panic!("wrong kind must fail");
+        index.write_snapshot(&mut bytes).unwrap();
+        let err = read_links_snapshot(&bytes[..], &index).err();
+        assert!(
+            matches!(err, Some(StoreError::KindMismatch { .. })),
+            "{err:?}"
+        );
+        let mut bytes = Vec::new();
+        let approx = ApproxIndex::over(&index, 0.05).unwrap();
+        write_links_snapshot(&approx, &mut bytes).unwrap();
+        let err = Index::read_snapshot(&bytes[..]).err();
+        assert!(
+            matches!(err, Some(StoreError::KindMismatch { .. })),
+            "{err:?}"
+        );
+    }
+
+    /// Kinds 2, 3 and 4 — a `SpecialIndex`, a `ListingIndex` and a
+    /// stand-alone `ApproxIndex`, which earlier builds wrote at this format
+    /// version — are unknown to the header, to both readers and to a
+    /// collection's manifest.
+    #[test]
+    fn retired_kinds_are_refused() {
+        let index = sample_index();
+        let mut w = Writer::new();
+        index.encode_payload(&mut w);
+        let payload = w.into_bytes();
+        let section = CollectionSection {
+            doc: 0,
+            kind: SnapshotKind::Index,
+            bytes: framed(SnapshotKind::Index as u8, &payload),
         };
-        assert!(matches!(err, StoreError::KindMismatch { .. }), "{err:?}");
+        let mut coll = Vec::new();
+        write_collection(&mut coll, 1, 1, &[section]).unwrap();
+        for kind in [2, 3, 4] {
+            let unknown = |err: Option<StoreError>| {
+                assert!(
+                    matches!(err, Some(StoreError::UnknownKind { found }) if found == kind),
+                    "kind {kind}: {err:?}"
+                );
+            };
+            let bytes = framed(kind, &payload);
+            unknown(Header::parse(&bytes).err());
+            unknown(Index::read_snapshot(&bytes[..]).err());
+            unknown(read_links_snapshot(&bytes[..], &index).err());
+            let mut coll = coll.clone();
+            coll[collection::COLLECTION_HEADER_LEN + 8] = kind;
+            unknown(read_collection(&coll[..]).err());
+        }
     }
 
     #[test]
@@ -924,80 +853,20 @@ mod tests {
         assert!(matches!(err, StoreError::ChecksumMismatch), "{err:?}");
     }
 
-    #[test]
-    fn listing_snapshot_round_trips() {
-        let docs = vec![
-            UncertainString::parse("A:.4,B:.3,F:.3 | B:.3,L:.3,F:.3,J:.1 | F:.5,J:.5").unwrap(),
-            UncertainString::parse("A:.6,C:.4 | B:.5,F:.3,E:.2 | B:.4,C:.3,P:.2,F:.1").unwrap(),
-        ];
-        let built = ListingIndex::build(&docs, 0.05).unwrap();
-        let mut bytes = Vec::new();
-        built.write_snapshot(&mut bytes).unwrap();
-        let loaded = ListingIndex::read_snapshot(&bytes[..]).unwrap();
-        for pattern in [&b"BF"[..], b"A", b"F", b"ZZ"] {
-            for tau in [0.05, 0.1, 0.3] {
-                assert_eq!(
-                    built.query(pattern, tau).unwrap(),
-                    loaded.query(pattern, tau).unwrap(),
-                    "pattern {pattern:?} tau {tau}"
-                );
-            }
-        }
-        assert_eq!(built.num_docs(), loaded.num_docs());
-    }
-
-    #[test]
-    fn approx_snapshot_round_trips() {
-        let s = UncertainString::parse(
-            "P | S:.7,F:.3 | F | P | Q:.5,T:.5 | P | A:.4,F:.4,P:.2 | \
-             I:.3,L:.3,P:.3,T:.1 | A | S:.5,T:.5 | A",
-        )
-        .unwrap();
-        let built = ApproxIndex::build(&s, 0.02, 0.03).unwrap();
-        let mut bytes = Vec::new();
-        built.write_snapshot(&mut bytes).unwrap();
-        let header = Header::parse(&bytes).unwrap();
-        assert_eq!(header.kind, SnapshotKind::Approx);
-        let loaded = ApproxIndex::read_snapshot(&bytes[..]).unwrap();
-        assert_eq!(built.num_links(), loaded.num_links());
-        for pattern in [&b"AT"[..], b"PQ", b"SFPQ", b"PA", b"FPQP"] {
-            for tau in [0.05, 0.12, 0.3, 0.5] {
-                assert_eq!(
-                    built.query(pattern, tau).unwrap().hits(),
-                    loaded.query(pattern, tau).unwrap().hits(),
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn special_snapshot_round_trips() {
-        let x = SpecialUncertainString::new(b"banana".to_vec(), vec![0.4, 0.7, 0.5, 0.8, 0.9, 0.6])
-            .unwrap();
-        let built = SpecialIndex::build(&x).unwrap();
-        let mut bytes = Vec::new();
-        built.write_snapshot(&mut bytes).unwrap();
-        let loaded = SpecialIndex::read_snapshot(&bytes[..]).unwrap();
-        for pattern in [&b"ana"[..], b"a", b"banana", b"nan"] {
-            for tau in [0.05, 0.2, 0.3, 0.5] {
-                assert_eq!(
-                    built.query(pattern, tau).unwrap().hits(),
-                    loaded.query(pattern, tau).unwrap().hits(),
-                );
-            }
-        }
-    }
-
-    /// `(payload length, FNV-1a payload checksum)` of `index`'s snapshot.
-    fn pinned<T: Snapshot>(index: &T) -> (u64, u64) {
-        let mut bytes = Vec::new();
-        index.write_snapshot(&mut bytes).unwrap();
-        header_pin(&bytes)
-    }
-
+    /// `(payload length, FNV-1a payload checksum)` of a snapshot's bytes.
     fn header_pin(bytes: &[u8]) -> (u64, u64) {
         let header = Header::parse(bytes).unwrap();
         (header.payload_len, header.checksum)
+    }
+
+    /// The pin of `index`'s snapshot, its build time set to zero.
+    fn pinned(index: &Index) -> (u64, u64) {
+        let mut state = index.to_snapshot();
+        state.stats.build_time = std::time::Duration::ZERO;
+        let mut bytes = Vec::new();
+        let index = Index::from_snapshot(state).unwrap();
+        index.write_snapshot(&mut bytes).unwrap();
+        header_pin(&bytes)
     }
 
     /// A model with one correlation (one, so the set's iteration order is
@@ -1020,64 +889,28 @@ mod tests {
         s
     }
 
-    /// The version-6 payloads of seven fixtures, byte for byte. The one
+    /// The version-6 payloads of three fixtures, byte for byte. The one
     /// nondeterministic field, `build_time`, is set to zero through the
-    /// public state struct; everything else — source, maps, text, SA, LCP,
+    /// public state struct; everything else — source, map, text, SA, LCP,
     /// `C`, mask words, champions, links — is what the checksums cover.
     #[test]
     fn snapshot_payloads_are_pinned() {
-        use std::time::Duration;
-        let mut got = Vec::new();
-        let s = UncertainString::parse("Q:.7,S:.3 | Q:.3,P:.7 | P | A:.4,F:.3,P:.2,Q:.1").unwrap();
-        let mut state = Index::build(&s, 0.1).unwrap().to_snapshot();
-        state.stats.build_time = Duration::ZERO;
-        let index = Index::from_snapshot(state).unwrap();
-        got.push(pinned(&index));
-        let mut state = ApproxIndex::build(&s, 0.1, 0.05).unwrap().to_snapshot();
-        state.stats.build_time = Duration::ZERO;
-        got.push(pinned(&ApproxIndex::from_snapshot(state).unwrap()));
-        // The same links, over the index, as a `.coll` section writes them.
+        let index = sample_index();
+        // The links over the index, as a `.coll` section writes them.
         let mut state = ApproxIndex::over(&index, 0.05).unwrap().to_links_snapshot();
-        state.build_time = Duration::ZERO;
+        state.build_time = std::time::Duration::ZERO;
         let mut bytes = Vec::new();
         let links = ApproxIndex::from_links_snapshot(&index, state).unwrap();
         write_links_snapshot(&links, &mut bytes).unwrap();
-        got.push(header_pin(&bytes));
-        let x = SpecialUncertainString::new(b"banana".to_vec(), vec![0.4, 0.7, 0.5, 0.8, 0.9, 0.6])
-            .unwrap();
-        let mut state = SpecialIndex::build(&x).unwrap().to_snapshot();
-        state.stats.build_time = Duration::ZERO;
-        got.push(pinned(&SpecialIndex::from_snapshot(state).unwrap()));
-        let docs = vec![
-            UncertainString::parse("A:.4,B:.3,F:.3 | B:.3,L:.3,F:.3,J:.1 | F:.5,J:.5").unwrap(),
-            UncertainString::parse("A:.6,C:.4 | B:.5,F:.3,E:.2 | B:.4,C:.3,P:.2,F:.1").unwrap(),
-        ];
-        let mut state = ListingIndex::build(&docs, 0.05).unwrap().to_snapshot();
-        state.stats.build_time = Duration::ZERO;
-        got.push(pinned(&ListingIndex::from_snapshot(state).unwrap()));
-
         // The same bytes after the model went through a correlation, a
         // near-1.0 single choice and a correlated certain position.
-        let mut state = Index::build(&correlated(), 0.1).unwrap().to_snapshot();
-        state.stats.build_time = Duration::ZERO;
-        got.push(pinned(&Index::from_snapshot(state).unwrap()));
-        let docs = vec![
-            correlated(),
-            UncertainString::parse("A:.6,C:.4 | B:.5,F:.3,E:.2 | B").unwrap(),
-        ];
-        let mut state = ListingIndex::build(&docs, 0.05).unwrap().to_snapshot();
-        state.stats.build_time = Duration::ZERO;
-        got.push(pinned(&ListingIndex::from_snapshot(state).unwrap()));
+        let correlated = Index::build(&correlated(), 0.1).unwrap();
         assert_eq!(
-            got,
+            [pinned(&index), header_pin(&bytes), pinned(&correlated)],
             [
-                (762, 11012587562498709977),  // Index
-                (861, 16576530211739864105),  // ApproxIndex
-                (298, 17724625871942996325),  // ApproxIndex links
-                (174, 5104728074673387534),   // SpecialIndex
-                (2294, 13871431179338253690), // ListingIndex
-                (626, 13222628698494590206),  // Index, correlated
-                (1254, 1620749130267382875),  // ListingIndex, correlated
+                (762, 11012587562498709977), // Index
+                (298, 17724625871942996325), // ApproxIndex links
+                (626, 13222628698494590206), // Index, correlated
             ]
         );
     }
@@ -1089,11 +922,9 @@ mod tests {
     }
 
     /// A payload holds the source, one copy of each per-slot array — text
-    /// byte, SA and LCP, the `C` entry and the position map — the levels
-    /// (or links), and nothing else that grows with the text. Version 2
-    /// spent 34 and 30 bytes per slot where version 4 allowed 21 and 9 (17
-    /// in version 3, which wrote `C` for `ApproxIndex` too), and 24 per
-    /// link. Version 5 writes an SA entry of this text (19 178 slots) in at
+    /// byte, SA and LCP, the `C` entry and the position map — the levels,
+    /// and nothing else that grows with the text. Version 2 spent 34 bytes
+    /// per slot where version 4 allowed 21, and 24 per link. Version 5 writes an SA entry of this text (19 178 slots) in at
     /// most 3 bytes, an LCP or map entry in about 1: 14 per slot (13.1
     /// measured). Version 6 writes a link as its four integers alone, in
     /// at most 6 bytes (5.34 measured; 13.96 with the source position and
@@ -1118,11 +949,6 @@ mod tests {
 
         let approx = ApproxIndex::over(&index, 0.05).unwrap();
         let links = approx.num_links() * 6;
-        let payload = encoded_len(|w| approx.encode_payload(w));
-        assert!(
-            payload <= slots * (1 + 3 + 1 + 8 + 1) + links + FIXED,
-            "{payload} bytes for {slots} slots, links {links}"
-        );
         let section = encoded_len(|w| encode_links(w, &approx.to_links_snapshot()));
         assert!(section <= links + FIXED, "{section} bytes, links {links}");
     }
@@ -1148,17 +974,15 @@ mod tests {
         }
     }
 
-    /// `w`'s payload as a `T` snapshot with a valid header and checksum,
-    /// read back.
-    fn read_payload<T: Snapshot>(w: Writer) -> Result<T, StoreError> {
-        let payload = w.into_bytes();
+    /// `payload` behind a valid header of kind byte `kind` and its checksum.
+    fn framed(kind: u8, payload: &[u8]) -> Vec<u8> {
         let mut bytes = MAGIC.to_vec();
         bytes.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-        bytes.extend_from_slice(&[T::KIND as u8, 0, 0, 0]);
+        bytes.extend_from_slice(&[kind, 0, 0, 0]);
         bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        bytes.extend_from_slice(&fnv1a(&payload).to_le_bytes());
-        bytes.extend_from_slice(&payload);
-        T::read_snapshot(&bytes[..])
+        bytes.extend_from_slice(&fnv1a(payload).to_le_bytes());
+        bytes.extend_from_slice(payload);
+        bytes
     }
 
     /// A checksummed payload whose integers decode to no built state is a
@@ -1167,8 +991,9 @@ mod tests {
     #[test]
     fn checksummed_but_invalid_payloads_are_clean_errors() {
         let s = ustr_workload::generate_string(&ustr_workload::DatasetConfig::new(200, 0.3, 7));
-        let approx = ApproxIndex::build(&s, 0.1, 0.05).unwrap().to_snapshot();
-        let index = Index::build(&s, 0.1).unwrap().to_snapshot();
+        let built = Index::build(&s, 0.1).unwrap();
+        let links = ApproxIndex::over(&built, 0.05).unwrap().to_links_snapshot();
+        let index = built.to_snapshot();
         assert!(index.substrate.levels.short[0].champions.len() > 1);
         let first = index.substrate.text.text.iter().position(|&b| b != 0);
         fn corrupt<T>(err: Result<T, StoreError>, says: &str) {
@@ -1178,20 +1003,21 @@ mod tests {
             }
         }
 
-        let encoded = |state: &ApproxIndexState| {
+        let encoded = |state: &ApproxLinksState| {
             let mut w = Writer::new();
-            encode_approx(&mut w, state);
-            read_payload::<ApproxIndex>(w)
+            encode_links(&mut w, state);
+            let bytes = framed(SnapshotKind::ApproxLinks as u8, &w.into_bytes());
+            read_links_snapshot(&bytes[..], &built)
         };
-        assert!(encoded(&approx).is_ok());
-        let mut state = approx.clone();
+        assert!(encoded(&links).is_ok());
+        let mut state = links.clone();
         state.links[0].target_depth = state.links[0].origin_depth + 1;
         corrupt(encoded(&state), "gap larger than its origin depth");
 
         let encoded = |state: &IndexState| {
             let mut w = Writer::new();
             encode_index(&mut w, state);
-            read_payload::<Index>(w)
+            Index::read_snapshot(&framed(SnapshotKind::Index as u8, &w.into_bytes())[..])
         };
         assert!(encoded(&index).is_ok());
         // The first entry written as the step from 0 to −1.

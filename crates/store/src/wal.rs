@@ -635,6 +635,40 @@ mod tests {
         ));
     }
 
+    /// A checksummed insert whose string declares more positions, or more
+    /// correlation rows, than its remaining bytes could hold — a position
+    /// is at least its 4-byte choice count, a row 34 bytes — is refused
+    /// before anything is allocated for them.
+    #[test]
+    fn declared_counts_are_bounded_by_the_remaining_bytes() {
+        const REMAINING: usize = 64;
+        let no_positions = 0u64.to_le_bytes().to_vec();
+        for (before, count) in [(vec![], REMAINING / 2), (no_positions, REMAINING / 30)] {
+            let mut payload = 7u64.to_le_bytes().to_vec();
+            payload.extend(before);
+            payload.extend((count as u64).to_le_bytes());
+            payload.extend([0u8; REMAINING]);
+            let mut summed = vec![1u8];
+            summed.extend(1u64.to_le_bytes());
+            summed.extend(&payload);
+            let mut bytes = wal_header().to_vec();
+            bytes.extend(&summed[..9]);
+            bytes.extend((payload.len() as u64).to_le_bytes());
+            bytes.extend(&payload);
+            bytes.extend(fnv1a(&summed).to_le_bytes());
+            let got = read_wal_bytes(&bytes);
+            assert!(
+                matches!(
+                    got,
+                    Err(StoreError::Truncated {
+                        context: "sequence length"
+                    })
+                ),
+                "{count} declared: {got:?}"
+            );
+        }
+    }
+
     #[test]
     fn non_monotone_sequences_are_rejected() {
         let mut records = sample_records();

@@ -4,9 +4,12 @@
 //! every flavour of file corruption fails with a clean error, never a panic.
 
 use proptest::prelude::*;
-use ustr_core::{ApproxIndex, Index, ListingIndex, SpecialIndex};
-use ustr_store::{Snapshot, StoreError, FORMAT_VERSION, HEADER_LEN, MAGIC};
-use ustr_uncertain::{SpecialUncertainString, UncertainString};
+use ustr_core::{ApproxIndex, Index};
+use ustr_store::{
+    read_links_snapshot, write_links_snapshot, Snapshot, StoreError, FORMAT_VERSION, HEADER_LEN,
+    MAGIC,
+};
+use ustr_uncertain::UncertainString;
 
 /// Random rows over {a, b, c} with 1–3 normalized choices per position.
 fn rows(max_len: usize) -> impl Strategy<Value = Vec<Vec<(u8, f64)>>> {
@@ -67,60 +70,9 @@ proptest! {
         prop_assert_eq!(built.stats().transformed_len, loaded.stats().transformed_len);
     }
 
-    /// The special index round-trips exactly.
-    #[test]
-    fn special_round_trip_is_exact(
-        r in rows(12),
-        p in pattern(4),
-        tau_idx in 0usize..3,
-    ) {
-        let tau = [0.1, 0.3, 0.6][tau_idx];
-        // Collapse each row to its most probable choice: a valid special
-        // string with varied probabilities.
-        let s = UncertainString::from_rows(r).unwrap();
-        let chars: Vec<u8> = (0..s.len()).map(|i| s.position(i).most_probable().0).collect();
-        let probs: Vec<f64> = (0..s.len()).map(|i| s.position(i).most_probable().1).collect();
-        let x = SpecialUncertainString::new(chars, probs).unwrap();
-        let built = SpecialIndex::build(&x).unwrap();
-        let mut bytes = Vec::new();
-        built.write_snapshot(&mut bytes).unwrap();
-        let loaded = SpecialIndex::read_snapshot(&bytes[..]).unwrap();
-        prop_assert_eq!(
-            built.query(&p, tau).unwrap().hits(),
-            loaded.query(&p, tau).unwrap().hits()
-        );
-    }
-
-    /// The listing index round-trips exactly (docs, relevances, top-k).
-    #[test]
-    fn listing_round_trip_is_exact(
-        docs in prop::collection::vec(rows(8), 1..5),
-        p in pattern(3),
-        tau_idx in 0usize..3,
-    ) {
-        let tau = [0.1, 0.25, 0.5][tau_idx];
-        let docs: Vec<UncertainString> = docs
-            .into_iter()
-            .map(|r| UncertainString::from_rows(r).unwrap())
-            .collect();
-        let built = ListingIndex::build(&docs, 0.05).unwrap();
-        let mut bytes = Vec::new();
-        built.write_snapshot(&mut bytes).unwrap();
-        let loaded = ListingIndex::read_snapshot(&bytes[..]).unwrap();
-        prop_assert_eq!(
-            built.query(&p, tau).unwrap(),
-            loaded.query(&p, tau).unwrap()
-        );
-        prop_assert_eq!(
-            built.query_top_k(&p, 3).unwrap(),
-            loaded.query_top_k(&p, 3).unwrap()
-        );
-    }
-
-    /// The approximate index round-trips byte-identically: positions AND
-    /// reported (ε-approximate) probabilities, across ε and τ values — both
-    /// through `to_snapshot`/`from_snapshot` directly and through the full
-    /// byte encoding.
+    /// The links over an index round-trip byte-identically: positions AND
+    /// reported (ε-approximate) probabilities, across ε and τ values — over
+    /// the index they were built over and over one loaded from its bytes.
     #[test]
     fn approx_round_trip_is_exact(
         r in rows(14),
@@ -131,39 +83,39 @@ proptest! {
         let epsilon = [0.02, 0.05, 0.2][eps_idx];
         let tau = [0.1, 0.25, 0.5, 0.8][tau_idx];
         let s = UncertainString::from_rows(r).unwrap();
-        let built = ApproxIndex::build(&s, 0.05, epsilon).unwrap();
-
-        let reassembled = ApproxIndex::from_snapshot(built.to_snapshot()).unwrap();
-        prop_assert_eq!(
-            built.query(&p, tau).unwrap().hits(),
-            reassembled.query(&p, tau).unwrap().hits(),
-            "state round-trip diverged"
-        );
+        let index = Index::build(&s, 0.05).unwrap();
+        let built = ApproxIndex::over(&index, epsilon).unwrap();
 
         let mut bytes = Vec::new();
-        built.write_snapshot(&mut bytes).unwrap();
-        let loaded = ApproxIndex::read_snapshot(&bytes[..]).unwrap();
+        index.write_snapshot(&mut bytes).unwrap();
+        let loaded_index = Index::read_snapshot(&bytes[..]).unwrap();
+        let mut bytes = Vec::new();
+        write_links_snapshot(&built, &mut bytes).unwrap();
         let a = built.query(&p, tau).unwrap();
-        let b = loaded.query(&p, tau).unwrap();
-        prop_assert_eq!(a.hits(), b.hits(), "byte round-trip diverged");
-        for (&(_, pa), &(_, pb)) in a.hits().iter().zip(b.hits().iter()) {
-            prop_assert_eq!(pa.to_bits(), pb.to_bits(), "probabilities not bit-exact");
+        for over in [&index, &loaded_index] {
+            let loaded = read_links_snapshot(&bytes[..], over).unwrap();
+            let b = loaded.query(&p, tau).unwrap();
+            prop_assert_eq!(a.hits(), b.hits(), "byte round-trip diverged");
+            for (&(_, pa), &(_, pb)) in a.hits().iter().zip(b.hits().iter()) {
+                prop_assert_eq!(pa.to_bits(), pb.to_bits(), "probabilities not bit-exact");
+            }
+            prop_assert_eq!(built.num_links(), loaded.num_links());
+            prop_assert_eq!(built.epsilon().to_bits(), loaded.epsilon().to_bits());
+            prop_assert_eq!(built.tau_min().to_bits(), loaded.tau_min().to_bits());
         }
-        prop_assert_eq!(built.num_links(), loaded.num_links());
-        prop_assert_eq!(built.epsilon().to_bits(), loaded.epsilon().to_bits());
-        prop_assert_eq!(built.tau_min().to_bits(), loaded.tau_min().to_bits());
     }
 
-    /// Every truncation point of a valid approx snapshot fails cleanly.
+    /// Every truncation point of a valid links snapshot fails cleanly.
     #[test]
     fn approx_truncation_always_errors(r in rows(8), cut_seed in 0u32..10_000) {
         let s = UncertainString::from_rows(r).unwrap();
-        let built = ApproxIndex::build(&s, 0.1, 0.1).unwrap();
+        let index = Index::build(&s, 0.1).unwrap();
+        let built = ApproxIndex::over(&index, 0.1).unwrap();
         let mut bytes = Vec::new();
-        built.write_snapshot(&mut bytes).unwrap();
+        write_links_snapshot(&built, &mut bytes).unwrap();
         let cut = cut_seed as usize % bytes.len();
         prop_assert!(
-            ApproxIndex::read_snapshot(&bytes[..cut]).is_err(),
+            read_links_snapshot(&bytes[..cut], &index).is_err(),
             "prefix of {} bytes must not load", cut
         );
     }
@@ -265,9 +217,10 @@ fn save_load_files_round_trip() {
         built.query(b"QP", 0.2).unwrap().hits(),
         loaded.query(b"QP", 0.2).unwrap().hits()
     );
-    // Loading the wrong type from the same file fails cleanly.
+    // Loading the file as links over the index fails cleanly.
+    let file = std::fs::File::open(&path).unwrap();
     assert!(matches!(
-        SpecialIndex::load(&path),
+        read_links_snapshot(file, &loaded),
         Err(StoreError::KindMismatch { .. })
     ));
     let _ = std::fs::remove_file(&path);

@@ -17,9 +17,10 @@
 //! * **Approximate search** ([`ApproxIndex`]): O(m + occ) retrieval with an
 //!   additive error ε on the probability threshold.
 //!
-//! Indexes are built once and served many times: [`Snapshot`] persists any
-//! index (including [`ApproxIndex`]) to a versioned, checksummed binary file
-//! that loads back with byte-identical query behaviour; a whole collection
+//! Indexes are built once and served many times: [`Snapshot`] persists an
+//! [`Index`] (and `ustr_store::write_links_snapshot` the links of an
+//! [`ApproxIndex`] over one) to a versioned, checksummed binary file that
+//! loads back with byte-identical query behaviour; a whole collection
 //! packs into one single-file *collection snapshot* (`.coll`, manifest +
 //! per-section checksums) via `QueryService::save_collection`; and
 //! [`QueryService`] serves batches mixing all four [`QueryRequest`] modes —
@@ -63,7 +64,7 @@
 //! |---|---|---|
 //! | [`UncertainString`], [`SpecialUncertainString`], correlation & transform | `ustr-uncertain` | data model, possible worlds, Lemma-2 factor transform |
 //! | [`Index`], [`SpecialIndex`], [`ListingIndex`], [`ApproxIndex`] | `ustr-core` | the paper's indexes (§4–§7), each built from its input and `τmin` alone |
-//! | [`Snapshot`], [`StoreError`], snapshot/collection/WAL formats | `ustr-store` | versioned binary index persistence; single-file collection snapshots; write-ahead log + live manifest |
+//! | [`Snapshot`], [`StoreError`], snapshot/collection/WAL formats | `ustr-store` | versioned binary persistence of what a server loads (an `Index`, the links over it); single-file collection snapshots; write-ahead log + live manifest |
 //! | [`QueryService`], [`QueryRequest`], [`ServiceConfig`], [`DocHits`], [`TopHit`] | `ustr-service` | concurrent sharded serving: four typed query modes, one `Engine` dispatcher over `SegmentSet`s, deterministic merge, per-mode LRU cache |
 //! | [`LiveService`], [`LiveConfig`] | `ustr-live` | mutable collections: WAL → memtable → sealed segments → compaction |
 //! | [`NetServer`], [`NetClient`], [`ServerConfig`] | `ustr-net` | TCP serving: checksummed wire protocol, handshake, pipelined concurrent server, client |
