@@ -11,6 +11,10 @@
 //! to be augmented per correlation); it assumes independent positions, which
 //! is how the paper's experiments are set up.
 
+// A reference evaluator shares none of the kernel's arithmetic, so a
+// differential test against it is not circular (INVARIANTS.md §1).
+#![allow(clippy::float_arithmetic, reason = "an independent reference")]
+
 use ustr_uncertain::UncertainString;
 
 /// KMP failure function: `pi[k]` = length of the longest proper border of

@@ -23,6 +23,9 @@
 //! [`MatchKernel`](ustr_uncertain::MatchKernel) flat loop.
 
 #![forbid(unsafe_code)]
+// Probabilities are computed once, in `ustr-uncertain` (INVARIANTS.md §1).
+// `not(test)`: no `clippy.toml` key exempts unit tests from these lints.
+#![cfg_attr(not(test), deny(clippy::float_arithmetic, clippy::float_cmp))]
 
 mod dp;
 mod exec;

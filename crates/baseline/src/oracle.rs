@@ -1,5 +1,9 @@
 //! Ground-truth oracle by exhaustive possible-world enumeration.
 
+// A reference evaluator shares none of the kernel's arithmetic, so a
+// differential test against it is not circular (INVARIANTS.md §1).
+#![allow(clippy::float_arithmetic, reason = "an independent reference")]
+
 use std::collections::HashMap;
 
 use ustr_uncertain::{ModelError, UncertainString};

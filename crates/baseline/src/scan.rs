@@ -17,6 +17,7 @@ impl NaiveScanner {
     }
 
     /// Like [`Self::find`], also returning the occurrence probabilities.
+    #[allow(clippy::float_arithmetic, reason = "the scanner's running log product")]
     pub fn find_with_probs(s: &UncertainString, pattern: &[u8], tau: f64) -> Vec<(usize, f64)> {
         let m = pattern.len();
         let n = s.len();
@@ -92,6 +93,7 @@ impl NaiveScanner {
             0 => 0.0,
             // §6: one occurrence's relevance is its probability.
             1 => probs[0],
+            #[allow(clippy::float_arithmetic, reason = "§6's Rel_OR, Σp − Πp")]
             _ => {
                 let sum: f64 = probs.iter().sum();
                 let prod: f64 = probs.iter().product();

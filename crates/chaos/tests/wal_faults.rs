@@ -1,15 +1,19 @@
 //! WAL recovery under injected fsync/write/rename failures, exercised at
 //! every record boundary through the [`StoreIo`] seam (no real crashes
-//! needed: the faulting io produces the exact byte states a crash would).
+//! needed: the faulting io produces the exact byte states a crash would),
+//! and the order of the durability steps themselves, recorded through the
+//! same seam.
 
-use std::path::PathBuf;
+use std::io::Write;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use ustr_chaos::{Fault, FaultIo, FaultPlan};
 use ustr_live::{LiveConfig, LiveService};
 use ustr_store::{
-    read_wal, replace_wal_file, wal::WalOp, wal::WalRecord, RealIo, StoreFile, StoreIo, WalWriter,
+    load_manifest, read_wal, replace_wal_file, save_manifest, wal::WalOp, wal::WalRecord,
+    LiveManifest, RealIo, StoreFile, StoreIo, WalWriter,
 };
 use ustr_uncertain::UncertainString;
 
@@ -295,5 +299,174 @@ fn failed_rename_leaves_the_original_wal_intact() {
     let replay = read_wal(&RealIo, &path).unwrap();
     assert!(replay.clean);
     assert_eq!(replay.records, recs);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The real filesystem, with every durability step recorded by file name:
+/// `create F`, `write F`, `sync_data F`, `rename F>T` and `sync_dir`. A
+/// rename onto `MANIFEST` also lists the segment files the new manifest
+/// names.
+#[derive(Debug, Default)]
+struct RecordingIo(Arc<Mutex<Vec<String>>>);
+
+/// A file [`RecordingIo`] created: its writes and syncs go into the same log.
+#[derive(Debug)]
+struct RecordingFile(Box<dyn StoreFile>, String, Arc<Mutex<Vec<String>>>);
+
+fn name(path: &Path) -> String {
+    path.file_name().unwrap().to_string_lossy().into_owned()
+}
+
+impl RecordingIo {
+    fn record(&self, op: String) {
+        self.0.lock().unwrap().push(op);
+    }
+
+    fn take(&self) -> Vec<String> {
+        std::mem::take(&mut self.0.lock().unwrap())
+    }
+}
+
+impl Write for RecordingFile {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.2.lock().unwrap().push(format!("write {}", self.1));
+        self.0.write(buf)
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        self.0.flush()
+    }
+}
+
+impl StoreFile for RecordingFile {
+    fn sync_data(&mut self) -> std::io::Result<()> {
+        self.2.lock().unwrap().push(format!("sync_data {}", self.1));
+        self.0.sync_data()
+    }
+
+    fn set_len(&mut self, len: u64) -> std::io::Result<()> {
+        self.0.set_len(len)
+    }
+}
+
+impl StoreIo for RecordingIo {
+    fn create(&self, path: &Path) -> std::io::Result<Box<dyn StoreFile>> {
+        self.record(format!("create {}", name(path)));
+        let file = RealIo.create(path)?;
+        Ok(Box::new(RecordingFile(
+            file,
+            name(path),
+            Arc::clone(&self.0),
+        )))
+    }
+
+    fn open_append(&self, path: &Path) -> std::io::Result<(Box<dyn StoreFile>, u64)> {
+        RealIo.open_append(path)
+    }
+
+    fn read(&self, path: &Path) -> std::io::Result<Option<Vec<u8>>> {
+        RealIo.read(path)
+    }
+
+    fn rename(&self, from: &Path, to: &Path) -> std::io::Result<()> {
+        let mut op = format!("rename {}>{}", name(from), name(to));
+        if name(to) == "MANIFEST" {
+            for segment in load_manifest(&RealIo, from).unwrap().unwrap().segments {
+                op = format!("{op} {}", segment.file);
+            }
+        }
+        self.record(op);
+        RealIo.rename(from, to)
+    }
+
+    fn remove_file(&self, path: &Path) -> std::io::Result<()> {
+        RealIo.remove_file(path)
+    }
+
+    fn sync_dir(&self, dir: &Path) -> std::io::Result<()> {
+        self.record("sync_dir".into());
+        RealIo.sync_dir(dir)
+    }
+}
+
+/// Asserts that before op `upto`, `file` was created, written and then
+/// synced (`sync_data` after its last write).
+fn assert_synced_before(ops: &[String], upto: usize, file: &str) {
+    let last = |op: &str| {
+        ops[..upto]
+            .iter()
+            .rposition(|o| *o == format!("{op} {file}"))
+    };
+    match (last("create"), last("write"), last("sync_data")) {
+        (Some(c), Some(w), Some(s)) if c < w && w < s => {}
+        _ => panic!("{file} is not created, written and synced before op {upto}: {ops:#?}"),
+    }
+}
+
+/// Asserts that op `rename` moves a synced file and a directory sync
+/// follows it before the next rename (INVARIANTS.md §4).
+fn assert_durable_rename(ops: &[String], rename: usize) {
+    let from = ops[rename].strip_prefix("rename ").unwrap();
+    assert_synced_before(ops, rename, from.split('>').next().unwrap());
+    let mut after = ops[rename + 1..]
+        .iter()
+        .take_while(|o| !o.starts_with("rename "));
+    assert!(
+        after.any(|o| o == "sync_dir"),
+        "no directory sync after op {rename} before the next rename: {ops:#?}"
+    );
+}
+
+#[test]
+fn atomic_replaces_sync_the_content_before_the_rename_and_the_directory_after() {
+    let dir = scratch("op_order");
+    let io = RecordingIo::default();
+    replace_wal_file(&io, dir.join("wal.log"), &records(2)).unwrap();
+    let ops = io.take();
+    let rename = ops.iter().position(|o| o == "rename wal.tmp>wal.log");
+    assert_durable_rename(&ops, rename.expect("the WAL replace renames"));
+
+    save_manifest(&io, dir.join("MANIFEST"), &LiveManifest::default()).unwrap();
+    let ops = io.take();
+    let rename = ops.iter().position(|o| o == "rename MANIFEST.tmp>MANIFEST");
+    assert_durable_rename(&ops, rename.expect("the manifest save renames"));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A property of the seal as a whole, across functions: the segment file is
+/// synced, and its directory entry too, before the manifest rename that
+/// names it, and that rename is itself durable.
+#[test]
+fn a_sealed_segment_is_durable_before_the_manifest_names_it() {
+    let dir = scratch("seal_order");
+    let io = Arc::new(RecordingIo::default());
+    let cfg = LiveConfig {
+        threads: 1,
+        seal_threshold: 0, // manual seals only
+        ..LiveConfig::default()
+    };
+    let live = LiveService::open_with_io(&dir, cfg, Arc::clone(&io) as Arc<dyn StoreIo>).unwrap();
+    live.insert(UncertainString::parse("A:.6,B:.4 | B | C").unwrap())
+        .unwrap();
+    live.seal().unwrap();
+    live.wait_idle().unwrap();
+    drop(live);
+
+    let ops = io.take();
+    let segment = ops.iter().find_map(|o| o.strip_prefix("create segment_"));
+    let segment = format!("segment_{}", segment.expect("the seal writes a segment"));
+    let named = ops
+        .iter()
+        .position(|o| o.starts_with("rename MANIFEST.tmp>MANIFEST") && o.ends_with(&segment))
+        .expect("a manifest names the segment");
+    assert_synced_before(&ops, named, &segment);
+    let synced = ops
+        .iter()
+        .rposition(|o| *o == format!("sync_data {segment}"));
+    assert!(
+        ops[synced.unwrap()..named].iter().any(|o| o == "sync_dir"),
+        "{segment}'s directory entry is not synced before the manifest names it: {ops:#?}"
+    );
+    assert_durable_rename(&ops, named);
     let _ = std::fs::remove_dir_all(&dir);
 }

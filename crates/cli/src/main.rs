@@ -10,7 +10,7 @@
 //! ustr stats --live HOST:PORT   (scrape a running serve-net server)
 //! ustr build-index data.ustr --out data.idx [--tau-min 0.1]
 //! ustr build-collection collection.ustr --out data.coll [--epsilon 0.05]
-//! ustr serve-batch (FILE.coll | FILE) queries.txt --threads 4
+//! ustr serve-batch (LIVEDIR | FILE.coll | FILE) queries.txt --threads 4
 //! ustr trace data.coll queries.txt --sample-rate 1.0 --out traces.json
 //! ```
 //!
@@ -21,9 +21,9 @@
 //! loads one instead of rebuilding.
 //! `build-collection` packs a whole collection (per-document substring
 //! indexes, plus approx indexes when `--epsilon` is given) into one `.coll`
-//! snapshot. `serve-batch` answers a query file over a `.coll` collection
-//! snapshot or a plain collection file, one request at a time, each fanned
-//! out over the shards by the `ustr-service` engine; query lines are either
+//! snapshot. `serve-batch` answers a query file over a live directory, a
+//! `.coll` collection snapshot or a plain collection file, one request at a
+//! time, each fanned out over the shards or segments; query lines are either
 //! the legacy
 //! `PATTERN TAU` (threshold search) or mixed-mode
 //! `search|top|list|approx PATTERN ARG` lines, where `ARG` is τ (or K for
@@ -85,8 +85,11 @@ const COMMANDS: &[(&str, &str, &str)] = &[
     ),
     (
         "serve-batch",
-        "ustr serve-batch (FILE.coll | FILE) QUERIES.txt --threads N [--shards S] [--cache C] [--tau-min T0] [--epsilon E] [--slow-query-us N] [--quiet]",
-        "answer a (mixed-mode) query file, one request at a time, each fanned over the shards",
+        "ustr serve-batch (LIVEDIR | FILE.coll | FILE) QUERIES.txt [--threads N] [--shards S] \
+         [--cache C] [--tau-min T0] [--epsilon E] [--seal-threshold N] [--compact-min N] \
+         [--slow-query-us N] [--quiet]",
+        "answer a (mixed-mode) query file, one request at a time, each fanned over the \
+         shards or segments",
     ),
     (
         "ingest",
@@ -103,13 +106,6 @@ const COMMANDS: &[(&str, &str, &str)] = &[
         "compact",
         "ustr compact LIVEDIR [--quiet]",
         "seal the memtable and merge all segments into one",
-    ),
-    (
-        "serve-live",
-        "ustr serve-live LIVEDIR QUERIES.txt [--threads N] [--cache C] [--seal-threshold N] \
-         [--compact-min N] [--slow-query-us N] [--quiet]",
-        "answer a (mixed-mode) query file over a live collection, one request at a time, \
-         each fanned over its segments",
     ),
     (
         "serve-net",
@@ -214,7 +210,6 @@ fn run(argv: &[String]) -> Result<String, String> {
         "ingest" => cmd_ingest(&args),
         "delete" => cmd_delete(&args),
         "compact" => cmd_compact(&args),
-        "serve-live" => cmd_serve_live(&args),
         "serve-net" => cmd_serve_net(&args),
         "client" => cmd_client(&args),
         "trace" => cmd_trace(&args),
@@ -476,30 +471,12 @@ fn apply_slow_query_threshold(args: &Args, log: &ustr_obs::SlowQueryLog) -> Resu
     Ok(())
 }
 
-/// `serve-batch`: [`serve_in_process`] over a static source (any other
-/// directory is refused by `load_static_service`).
+/// `serve-batch`: opens the source through the same backend `serve-net`
+/// serves, answers the query file in-process — one request at a time, each
+/// fanned out over the shards or segments — and renders the answers under a
+/// summary of the run.
 fn cmd_serve_batch(args: &Args) -> Result<String, String> {
     let source = args.positional(0, "SOURCE")?;
-    if require_live_dir(source).is_ok() {
-        return Err(format!(
-            "{source} is a live collection directory: answer it with `ustr serve-live`"
-        ));
-    }
-    serve_in_process(source, args)
-}
-
-/// `serve-live`: [`serve_in_process`] over an existing live directory.
-fn cmd_serve_live(args: &Args) -> Result<String, String> {
-    let dir = args.positional(0, "LIVEDIR")?;
-    require_live_dir(dir)?;
-    serve_in_process(dir, args)
-}
-
-/// Opens `source` (already vetted by the calling command), answers the
-/// query file in-process through the same backend `serve-net` serves — one
-/// request at a time, each fanned out over the segments — and renders the
-/// answers under a summary of the run.
-fn serve_in_process(source: &str, args: &Args) -> Result<String, String> {
     let queries_path = args.positional(1, "QUERIES.txt")?;
     let quiet = args.flag("quiet");
     let queries = load_queries(queries_path)?;
@@ -549,9 +526,9 @@ fn cache_summary(hits: u64, misses: u64) -> String {
     format!("cache: {hits} hit(s), {misses} miss(es), hit ratio {ratio:.1}%\n")
 }
 
-/// Renders batch answers (shared by `serve-batch`, `serve-live`, and
-/// `client` — the error type is local for in-process serving and the
-/// transported `RemoteError` for TCP answers).
+/// Renders batch answers (shared by `serve-batch` and `client` — the error
+/// type is local for in-process serving and the transported `RemoteError`
+/// for TCP answers).
 fn render_results<E: std::fmt::Display>(
     out: &mut String,
     queries: &[QueryRequest],
@@ -630,8 +607,21 @@ fn render_results<E: std::fmt::Display>(
     }
 }
 
-/// Builds a [`LiveConfig`] from the shared live-collection options.
-fn live_config(args: &Args) -> Result<LiveConfig, String> {
+/// Builds a [`LiveConfig`] from the shared live-collection options. An
+/// existing live directory keeps the τmin and ε its manifest recorded, so
+/// over one `--tau-min` and `--epsilon` are refused, not ignored.
+fn live_config(dir: &str, args: &Args) -> Result<LiveConfig, String> {
+    if require_live_dir(dir).is_ok() {
+        if let Some(option) = ["tau-min", "epsilon"]
+            .into_iter()
+            .find(|o| args.get(o).is_some())
+        {
+            return Err(format!(
+                "--{option} applies only when creating a live directory; \
+                 {dir} keeps the value it was created with"
+            ));
+        }
+    }
     let epsilon = match args.get("epsilon") {
         Some(_) => Some(args.get_parsed("epsilon", 0.05)?),
         None => None,
@@ -650,7 +640,7 @@ fn cmd_ingest(args: &Args) -> Result<String, String> {
     let dir = args.positional(0, "LIVEDIR")?;
     let file = args.positional(1, "FILE")?;
     let docs = load_collection(file)?;
-    let live = LiveService::open(dir, live_config(args)?).map_err(|e| e.to_string())?;
+    let live = LiveService::open(dir, live_config(dir, args)?).map_err(|e| e.to_string())?;
     let mut first = None;
     let mut last = None;
     for d in docs {
@@ -678,7 +668,7 @@ fn cmd_ingest(args: &Args) -> Result<String, String> {
 }
 
 /// Ensures `dir` already holds a live collection. Administrative commands
-/// (`delete`, `compact`, `serve-live`) must not materialize a brand-new
+/// (`delete`, `compact`) must not materialize a brand-new
 /// live directory on a mistyped path — only `ingest` creates one.
 fn require_live_dir(dir: &str) -> Result<(), String> {
     let p = std::path::Path::new(dir);
@@ -742,11 +732,11 @@ fn net_backend(
     args: &Args,
 ) -> Result<(std::sync::Arc<dyn ustr_net::QueryBackend>, String), String> {
     use std::sync::Arc;
-    // Live directories take the live options for the first-open case (an
-    // existing directory adopts its recorded values); every static shape
-    // goes through `load_static_service`, flag validation included.
+    // Flag validation is `live_config`'s for a live directory and
+    // `load_static_service`'s for every static shape.
     if require_live_dir(source).is_ok() {
-        let live = LiveService::open(source, live_config(args)?).map_err(|e| e.to_string())?;
+        let live =
+            LiveService::open(source, live_config(source, args)?).map_err(|e| e.to_string())?;
         apply_slow_query_threshold(args, live.slow_log())?;
         let what = format!(
             "live directory {source} ({} live document(s): {} sealed segment(s) + {} memtable \
@@ -1637,7 +1627,7 @@ mod tests {
 
         // Serve mixed modes over segments + memtable.
         let out = run(&argv(&format!(
-            "serve-live {} {queries} --threads 2",
+            "serve-batch {} {queries} --threads 2",
             dir.display()
         )))
         .unwrap();
@@ -1648,9 +1638,24 @@ mod tests {
         );
         assert!(out.contains("cache:"), "{out}");
 
-        // serve-batch refuses a live directory and names the command for it.
-        let err = run(&argv(&format!("serve-batch {} {queries}", dir.display()))).unwrap_err();
-        assert!(err.contains("serve-live"), "{err}");
+        // The directory keeps the τmin and ε it was created with: a command
+        // that opens it refuses both instead of ignoring them.
+        let traces = std::env::temp_dir().join("ustr_cli_live_traces.json");
+        for cmd in [
+            format!("serve-batch {} {queries} --tau-min 0.3", dir.display()),
+            format!(
+                "trace {} {queries} --epsilon 0.1 --out {}",
+                dir.display(),
+                traces.display()
+            ),
+            format!("ingest {} {more} --tau-min 0.3", dir.display()),
+        ] {
+            let err = run(&argv(&cmd)).unwrap_err();
+            assert!(
+                err.contains("keeps the value it was created with"),
+                "{cmd}: {err}"
+            );
+        }
 
         // Ingest more, tombstone one, compact everything into one segment.
         run(&argv(&format!("ingest {} {more} --quiet", dir.display()))).unwrap();
@@ -1661,7 +1666,7 @@ mod tests {
 
         // Deleted documents stay gone; the survivor ids are stable.
         let quiet = run(&argv(&format!(
-            "serve-live {} {queries} --quiet",
+            "serve-batch {} {queries} --quiet",
             dir.display()
         )))
         .unwrap();
@@ -1680,10 +1685,12 @@ mod tests {
         // materializing a fresh live directory there.
         let typo = std::env::temp_dir().join("ustr_cli_live_typo");
         let _ = fs::remove_dir_all(&typo);
-        for cmd in ["delete {} 0", "compact {}", "serve-live {} q.txt"] {
+        for cmd in ["delete {} 0", "compact {}"] {
             let err = run(&argv(&cmd.replace("{}", &typo.display().to_string()))).unwrap_err();
             assert!(err.contains("not a live collection"), "{err}");
         }
+        let err = run(&argv(&format!("serve-batch {} {queries}", typo.display()))).unwrap_err();
+        assert!(err.contains("cannot read"), "{err}");
         assert!(!typo.exists(), "no directory was created");
     }
 

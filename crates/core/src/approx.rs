@@ -278,6 +278,7 @@ impl ApproxIndex {
         if lo >= hi {
             return Ok(QueryResult::default());
         }
+        #[allow(clippy::float_arithmetic, reason = "§7's cut τ − ε, once per query")]
         let cutoff = tau - self.epsilon - ustr_uncertain::PROB_EPS;
         let mut hits: Vec<(usize, f64)> = Vec::new();
         // Pop links by ascending target depth; prune once the minimum
@@ -482,6 +483,7 @@ fn link_prob(cum: &CumulativeLogProb, (x, lmax): (u32, usize), depth: usize) -> 
 /// string depth `o₀`) — up to depth `t₀` into sub-links whose endpoint
 /// probabilities differ by ≤ ε. Probabilities are evaluated at the witness
 /// position `x`, capped at the factor boundary `lmax` (its run length).
+#[allow(clippy::float_arithmetic, reason = "a build-time link split at ε")]
 fn refine_link(
     cum: &CumulativeLogProb,
     (origin_pre, o0): (u32, usize),

@@ -24,6 +24,7 @@ pub struct CumulativeLogProb {
 impl CumulativeLogProb {
     /// Builds from per-position probabilities; `is_sentinel(i)` marks
     /// separator positions (their probability is ignored).
+    #[allow(clippy::float_arithmetic, reason = "prefix sums of canonical ln p")]
     pub fn new(probs: &[f64], is_sentinel: impl Fn(usize) -> bool) -> Self {
         let mut sum = 0.0f64;
         let sums = probs.iter().enumerate().map(|(i, &p)| {
@@ -65,6 +66,7 @@ impl CumulativeLogProb {
     /// window leaves the array or crosses a separator; 0 (= log 1) for the
     /// empty window.
     #[inline]
+    #[allow(clippy::float_arithmetic, reason = "a window of the prefix sums")]
     pub fn window(&self, start: usize, len: usize) -> f64 {
         let end = start + len;
         if end > self.len() {
@@ -105,6 +107,8 @@ impl CumulativeLogProb {
 
 #[cfg(test)]
 mod tests {
+    #![allow(clippy::disallowed_methods, reason = "independent expected values")]
+
     use super::*;
 
     #[test]

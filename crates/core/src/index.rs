@@ -230,6 +230,7 @@ impl Index {
             out.truncate(k);
             return Ok(out);
         }
+        #[allow(clippy::float_arithmetic, reason = "the τmin cut, once per query")]
         let floor = canon::ln(self.tau_min) - ustr_uncertain::PROB_EPS;
         // The search also returns the k-th candidate's whole tie class, so
         // the cut is decided by the canonical order below, not by heap

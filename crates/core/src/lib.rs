@@ -96,6 +96,9 @@
 //! | **`stats().heap_bytes`** | **1 308.7** | **996.4** | **873.1** |
 
 #![forbid(unsafe_code)]
+// Probabilities are computed once, in `ustr-uncertain` (INVARIANTS.md §1).
+// `not(test)`: no `clippy.toml` key exempts unit tests from these lints.
+#![cfg_attr(not(test), deny(clippy::float_arithmetic, clippy::float_cmp))]
 
 mod approx;
 mod carray;

@@ -275,6 +275,7 @@ impl ListingIndex {
                 // §6: a single occurrence's relevance is its probability;
                 // the Σp − Πp form applies to multiple occurrences.
                 RelMetric::Or if group.len() == 1 => group[0].2,
+                #[allow(clippy::float_arithmetic, reason = "§6's Rel_OR, Σp − Πp")]
                 RelMetric::Or => probs.clone().sum::<f64>() - probs.product::<f64>(),
                 RelMetric::IndependentOr => canon::independent_or(probs),
                 RelMetric::Max => unreachable!("handled by query_max"),

@@ -95,6 +95,7 @@ impl SpecialIndex {
             return Ok(QueryResult::default());
         };
         // Candidates come back with their *stored* window log-probability.
+        #[allow(clippy::float_arithmetic, reason = "a cut; hits are re-verified")]
         let candidates = self
             .substrate
             .report(m, l, r, canon::ln(tau) - self.boost_log);
@@ -133,6 +134,7 @@ impl SpecialIndex {
 /// window's probability above the stored product (stored probabilities play
 /// the paper's pr+ role), so the recursion threshold is relaxed by the total
 /// possible uplift; exact verification filters afterwards.
+#[allow(clippy::float_arithmetic, reason = "a build-time candidate bound")]
 fn correlation_boost(special: &SpecialUncertainString, correlations: &CorrelationSet) -> f64 {
     let mut boost_log = 0.0f64;
     for corr in correlations.iter() {
@@ -148,6 +150,8 @@ fn correlation_boost(special: &SpecialUncertainString, correlations: &Correlatio
 
 #[cfg(test)]
 mod tests {
+    #![allow(clippy::disallowed_methods, reason = "independent expected values")]
+
     use super::*;
     use ustr_uncertain::Correlation;
 

@@ -23,6 +23,7 @@ pub struct BuildStats {
 
 impl BuildStats {
     /// Expansion ratio |X| / |S| (the space constant discussed in §8.7).
+    #[allow(clippy::float_arithmetic, reason = "a size ratio, not a probability")]
     pub fn expansion(&self) -> f64 {
         if self.source_len == 0 {
             0.0

@@ -322,6 +322,7 @@ impl Substrate {
     pub(crate) fn report(&self, m: usize, l: usize, r: usize, log_tau: f64) -> Vec<(usize, f64)> {
         debug_assert!(m >= 1, "patterns are validated non-empty");
         let (text, level) = (&self.text, self.levels.serving(m));
+        #[allow(clippy::float_arithmetic, reason = "the τ cut, once per report")]
         let threshold = log_tau - ustr_uncertain::PROB_EPS;
         let mut hits = Vec::new();
         level
@@ -464,6 +465,7 @@ fn keep_sweep(
         for i in 0..finite {
             let seen = std::mem::replace(&mut stamp[at + i], partition[i]) == partition[i];
             if keep_max {
+                #[allow(clippy::float_arithmetic, reason = "a stored window sum ranks keys")]
                 let value = prefix[x + i + 1] - prefix[x];
                 let incumbent = &mut best[at + i];
                 if seen {
@@ -527,6 +529,7 @@ impl LongSweep {
 /// visible values; the block's first slot when none is). `keep` is the
 /// [`keep_sweep`] result; `long` levels are offered every slot whose run
 /// reaches their length.
+#[allow(clippy::float_arithmetic, reason = "stored window sums rank champions")]
 fn champion_sweep(
     text: &ScoredText,
     run: &[u32],
@@ -591,6 +594,8 @@ fn champion_sweep(
 
 #[cfg(test)]
 mod tests {
+    #![allow(clippy::disallowed_methods, reason = "independent expected values")]
+
     use super::*;
     use proptest::prelude::*;
     use std::collections::{BTreeMap, HashMap};

@@ -95,6 +95,7 @@ pub(super) fn top_k_search(
     let (slot, key) = bound(l, r);
     heap.push(Entry::Range { key, slot, l, r });
     while let Some(entry) = heap.pop() {
+        #[allow(clippy::float_arithmetic, reason = "the k-th value's tie cut")]
         let cut = out
             .get(k - 1)
             .map_or(floor, |&(_, kth)| floor.max(kth - PROB_EPS));

@@ -103,6 +103,9 @@
     clippy::unreachable,
     clippy::indexing_slicing
 )]
+// Probabilities are computed once, in `ustr-uncertain` (INVARIANTS.md §1).
+// `not(test)`: no `clippy.toml` key exempts unit tests from these lints.
+#![cfg_attr(not(test), deny(clippy::float_arithmetic, clippy::float_cmp))]
 
 pub mod client;
 pub(crate) mod conn;

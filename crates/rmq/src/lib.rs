@@ -33,6 +33,9 @@
 //! recursion relies on for determinism.
 
 #![forbid(unsafe_code)]
+// Probabilities are computed once, in `ustr-uncertain` (INVARIANTS.md §1).
+// `not(test)`: no `clippy.toml` key exempts unit tests from these lints.
+#![cfg_attr(not(test), deny(clippy::float_arithmetic, clippy::float_cmp))]
 
 mod block;
 mod reporter;

@@ -34,10 +34,6 @@ use crate::exec::{merge_partials, Segment, ShardPartial};
 use crate::pool::run_each;
 use crate::{LruCache, QueryRequest, QueryResponse, ThreadPool};
 
-/// τ values closer than this are treated as the same threshold by request
-/// validation against the serving floor (see [`validate_request`]).
-pub const TAU_TOLERANCE: f64 = canon::TAU_TOLERANCE;
-
 /// Per-mode request key: `(mode, pattern, τ bits or k)`. The mode tag keeps
 /// e.g. `Threshold("AB", τ)` and `Approx("AB", τ)` in distinct entries. τ is
 /// keyed by its bit pattern: an occurrence is admitted iff `p ≥ τ −
@@ -75,7 +71,7 @@ pub fn validate_request(req: &QueryRequest, tau_min: f64) -> Result<(), Error> {
             if !canon::valid_tau(*tau) {
                 return Err(Error::InvalidThreshold { value: *tau });
             }
-            if *tau < tau_min - TAU_TOLERANCE {
+            if canon::below_floor(*tau, tau_min) {
                 return Err(Error::ThresholdBelowTauMin { tau: *tau, tau_min });
             }
             Ok(())

@@ -101,6 +101,9 @@
     clippy::unreachable,
     clippy::indexing_slicing
 )]
+// Probabilities are computed once, in `ustr-uncertain` (INVARIANTS.md §1).
+// `not(test)`: no `clippy.toml` key exempts unit tests from these lints.
+#![cfg_attr(not(test), deny(clippy::float_arithmetic, clippy::float_cmp))]
 
 mod cache;
 pub mod engine;
@@ -117,9 +120,7 @@ use ustr_store::{RealIo, StoreError};
 use ustr_uncertain::UncertainString;
 
 pub use cache::LruCache;
-pub use engine::{
-    mode_name, validate_request, Answer, Engine, SegmentSet, TraceSummary, TAU_TOLERANCE,
-};
+pub use engine::{mode_name, validate_request, Answer, Engine, SegmentSet, TraceSummary};
 pub use exec::{
     load_coll, merge_partials, save_coll, top_hit_order, DocExecutor, LoadedColl, Segment,
     ShardPartial,

@@ -132,6 +132,9 @@
 //! ```
 
 #![forbid(unsafe_code)]
+// Probabilities are computed once, in `ustr-uncertain` (INVARIANTS.md §1).
+// `not(test)`: no `clippy.toml` key exempts unit tests from these lints.
+#![cfg_attr(not(test), deny(clippy::float_arithmetic, clippy::float_cmp))]
 
 pub mod collection;
 mod error;

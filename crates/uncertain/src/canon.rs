@@ -6,14 +6,18 @@
 //! That only holds if the underlying float operations are written once.
 //! This module is that single home: threshold validation, log-domain
 //! conversion, tolerance comparison, and multi-occurrence combination all
-//! live here, and the `float-determinism` lint (`ustr-lint`) rejects raw
-//! float arithmetic against literals anywhere else outside
-//! `ustr-uncertain`'s model modules.
+//! live here. Outside `ustr-uncertain`, clippy rejects float arithmetic in
+//! the crates that carry answers (`float_arithmetic`, `float_cmp`), and
+//! everywhere it rejects a raw `ln`/`exp`/`powf`/… call (`clippy.toml`'s
+//! `disallowed-methods`); `ci/invariants.sh` rejects a comparison against a
+//! float literal. This module is the one that calls the primitives.
 //!
 //! Everything here is `#[inline]` and delegates straight to the `f64`
 //! primitive — the point is one definition, not a different numeric
 //! result. Changing any formula in this file is a determinism-contract
 //! change and must be called out as such.
+
+#![allow(clippy::disallowed_methods, reason = "the log domain's one door")]
 
 use crate::PROB_EPS;
 

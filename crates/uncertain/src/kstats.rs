@@ -10,6 +10,10 @@
 //! [`kernel_totals`] (e.g. merged into an exposition snapshot under
 //! `kernel.*` names).
 
+// Telemetry counters stay integer: this is the one `ustr-uncertain` module
+// outside the canonical-probability code (INVARIANTS.md §1).
+#![cfg_attr(not(test), deny(clippy::float_arithmetic, clippy::float_cmp))]
+
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;

@@ -41,7 +41,8 @@
 use std::cell::RefCell;
 
 use crate::{
-    chars::UncertainChar, correlation::CorrelationSet, log_meets_threshold, string::UncertainString,
+    canon, chars::UncertainChar, correlation::CorrelationSet, log_meets_threshold,
+    string::UncertainString,
 };
 
 /// Rank value meaning "this byte never occurs in the document" (byte 0 is
@@ -239,9 +240,9 @@ impl ProbPlane {
                 choice_bytes.push(c);
                 choice_probs.push(pr);
                 if dense {
-                    logs[row * sigma + rank_of[c as usize] as usize] = pr.ln();
+                    logs[row * sigma + rank_of[c as usize] as usize] = canon::ln(pr);
                 } else {
-                    logs.push(pr.ln());
+                    logs.push(canon::ln(pr));
                 }
             }
             choice_start.push(choice_bytes.len() as u32);
@@ -271,9 +272,9 @@ impl ProbPlane {
                     ch: c.subject_char,
                     cond_pos: c.cond_pos as u32,
                     cond_char: c.cond_char,
-                    ln_present: c.p_present.ln(),
-                    ln_absent: c.p_absent.ln(),
-                    ln_outside: outside.ln(),
+                    ln_present: canon::ln(c.p_present),
+                    ln_absent: canon::ln(c.p_absent),
+                    ln_outside: canon::ln(outside),
                 }
             })
             .collect();
@@ -677,7 +678,7 @@ impl<'a> MatchKernel<'a> {
     /// [`UncertainString::match_probability`].
     #[inline]
     pub fn match_probability(&self, pos: usize) -> f64 {
-        self.log_match(pos).exp()
+        canon::exp(self.log_match(pos))
     }
 
     /// Scan-style evaluation with the per-factor threshold early exit of
@@ -922,11 +923,11 @@ mod tests {
         let plane = ProbPlane::build(&s);
         plane.with_kernel(b"aa", |k| {
             let full = k.log_match(0);
-            assert_eq!(k.log_match_bounded(0, 0.5f64.ln()), Some(full));
+            assert_eq!(k.log_match_bounded(0, canon::ln(0.5)), Some(full));
             // .9 * .8 = .72 < .8: dropped by the threshold.
-            assert_eq!(k.log_match_bounded(0, 0.8f64.ln()), None);
+            assert_eq!(k.log_match_bounded(0, canon::ln(0.8)), None);
             // Out of bounds and absent chars are dropped, not −∞-summed.
-            assert_eq!(k.log_match_bounded(2, 0.1f64.ln()), None);
+            assert_eq!(k.log_match_bounded(2, canon::ln(0.1)), None);
         });
     }
 
@@ -998,7 +999,7 @@ mod tests {
         let rank = |c| plane.rank(c).unwrap();
         assert_eq!(plane.log_prob(1, rank(b'G')).to_bits(), 0.0f64.to_bits());
         assert_eq!(plane.log_prob(1, rank(b'A')), f64::NEG_INFINITY);
-        assert_eq!(plane.log_prob(2, rank(b'T')), 0.9f64.ln());
+        assert_eq!(plane.log_prob(2, rank(b'T')), canon::ln(0.9));
         assert_eq!(plane.log_prob(2, rank(b'G')), f64::NEG_INFINITY);
         assert_eq!(plane.to_model(), s);
     }

@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use crate::{chars::UncertainChar, correlation::CorrelationSet, error::ModelError};
+use crate::{canon, chars::UncertainChar, correlation::CorrelationSet, error::ModelError};
 
 /// A character-level uncertain string: a sequence of per-position character
 /// distributions, optionally with pairwise correlations between positions.
@@ -144,7 +144,7 @@ impl UncertainString {
     /// outside use the law of total probability. Returns 0 when the window
     /// leaves the string.
     pub fn match_probability(&self, pattern: &[u8], pos: usize) -> f64 {
-        self.log_match_probability(pattern, pos).exp()
+        canon::exp(self.log_match_probability(pattern, pos))
     }
 
     /// Natural logarithm of [`Self::match_probability`] (−∞ for impossible
@@ -180,7 +180,7 @@ impl UncertainString {
             if p <= 0.0 {
                 return f64::NEG_INFINITY;
             }
-            log_p += p.ln();
+            log_p += canon::ln(p);
         }
         log_p
     }

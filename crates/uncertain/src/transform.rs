@@ -28,7 +28,7 @@
 //! match) and re-verifies candidates exactly against the original string.
 
 use crate::{
-    error::ModelError, log_meets_threshold, special::SpecialUncertainString,
+    canon, error::ModelError, log_meets_threshold, special::SpecialUncertainString,
     string::UncertainString,
 };
 
@@ -121,7 +121,7 @@ fn transform_capped(
             limit: MAX_TEXT_LEN,
         });
     }
-    let log_tau = tau_min.ln();
+    let log_tau = canon::ln(tau_min);
     let mut out_chars: Vec<u8> = Vec::new();
     let mut out_probs: Vec<f64> = Vec::new();
     let mut out_pos: Vec<u32> = Vec::new();
@@ -176,7 +176,7 @@ fn transform_capped(
             if q < n {
                 for &(c, base) in s.position(q).choices() {
                     let p = upper_prob(q, c, base);
-                    if p > 0.0 && log_meets_threshold(log_p + p.ln(), log_tau) {
+                    if p > 0.0 && log_meets_threshold(log_p + canon::ln(p), log_tau) {
                         next.push((c, p));
                     }
                 }
@@ -185,7 +185,7 @@ fn transform_capped(
                 next.pop();
                 levels.push(next);
                 chosen.push((c, p));
-                log_p += p.ln();
+                log_p += canon::ln(p);
                 continue;
             }
             // No viable extension: the current path is a maximal factor.
@@ -197,12 +197,12 @@ fn transform_capped(
                 let Some((_, p)) = chosen.pop() else {
                     break 'dfs;
                 };
-                log_p -= p.ln();
+                log_p -= canon::ln(p);
                 let siblings = levels.last_mut().expect("levels track chosen");
                 if let Some(&(c2, p2)) = siblings.last() {
                     siblings.pop();
                     chosen.push((c2, p2));
-                    log_p += p2.ln();
+                    log_p += canon::ln(p2);
                     continue 'dfs;
                 }
                 levels.pop();

@@ -7,6 +7,8 @@
 //! And the plane is the model: [`ProbPlane::to_model`] gives back every
 //! probability bit for bit, and the correlations.
 
+#![allow(clippy::disallowed_methods, reason = "the naive scan is the reference")]
+
 use proptest::prelude::*;
 use ustr_uncertain::{
     log_meets_threshold, Correlation, CorrelationSet, ProbPlane, UncertainChar, UncertainString,

@@ -7,6 +7,7 @@ use uncertain_strings::{
 };
 
 #[test]
+#[allow(clippy::disallowed_methods, reason = "an independent expected value")]
 fn underflow_scale_products_are_handled_in_log_space() {
     // 20K characters at probability 0.9: a plain f64 product underflows to
     // zero after ~7000 characters; log space must stay exact.
