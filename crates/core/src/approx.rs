@@ -33,6 +33,7 @@
 //! ([`ApproxIndex::to_links_snapshot`]) is four integers a link, and a load
 //! reads each probability back from `C` with the build's own `canon::exp`.
 
+use std::cmp::Reverse;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -467,7 +468,9 @@ fn find_links(text: &ScoredText, pos: &[u32], epsilon: f64) -> (Ancestry, Vec<Li
         }
     }
 
-    links.sort_unstable_by_key(|l| l.row.origin_pre);
+    // Unique per link (one virtual edge per origin and source position, one
+    // sub-link per origin depth), so the table is the input's alone.
+    links.sort_unstable_by_key(|l| (l.row.origin_pre, l.row.witness, Reverse(l.row.origin_depth)));
     links.shrink_to_fit();
     (ranks, links)
 }
