@@ -34,12 +34,13 @@
 //! reads each probability back from `C` with the build's own `canon::exp`.
 
 use std::cmp::Reverse;
+use std::ops::Range;
 use std::sync::Arc;
 use std::time::Instant;
 
 use ustr_rmq::{BlockRmq, Direction, Rmq, ThresholdReporter};
 use ustr_suffix::{Ancestry, LeafLca};
-use ustr_uncertain::{canon, transform, UncertainString, NO_POSITION};
+use ustr_uncertain::{canon, split, transform, UncertainString, NO_POSITION};
 
 use crate::{
     carray::CumulativeLogProb,
@@ -361,15 +362,30 @@ fn check_links(text: &ScoredText, pos: &[u32], rows: &[ApproxLinkState]) -> Resu
     refused.map_or(Ok(()), |detail| Err(invalid(detail)))
 }
 
+/// Slots from which [`find_links`] builds the preorder ranks and the
+/// leaf-LCA structure on two threads.
+const SPLIT_SLOTS: usize = 16_384;
+
+/// Source positions from which [`find_links`] walks its sources as two
+/// halves on two threads (below it, a spawn per small document costs more
+/// than its links).
+const SPLIT_SOURCES: usize = 4_096;
+
 /// Finds the ε-refined links over `text` (preorder ranks over its tree
 /// with them): for every source position of `pos`, the virtual tree of the
-/// leaves it marks, each edge split by [`refine_link`].
+/// leaves it marks, each edge split by [`refine_link`]. Sources are
+/// independent, so a long text walks them as two halves on two threads;
+/// the sort below makes the table the same either way.
 fn find_links(text: &ScoredText, pos: &[u32], epsilon: f64) -> (Ancestry, Vec<Link>) {
     // What finds the links and no query reads: the run lengths and the
-    // leaf-LCA structure are dropped when this returns.
+    // leaf-LCA structure are dropped when this returns. The ranks are
+    // kept, so this thread allocates them.
     let tree = &text.tree;
-    let ranks = Ancestry::build(tree);
-    let lca = LeafLca::build(tree);
+    let (ranks, lca) = split::join(
+        split::worth_splitting(tree.num_slots(), SPLIT_SLOTS),
+        || Ancestry::build(tree),
+        || LeafLca::build(tree),
+    );
 
     // Group marked leaves by Posid (slots ascend in preorder order)
     // with a counting sort into one flat arena — two passes, zero
@@ -413,66 +429,108 @@ fn find_links(text: &ScoredText, pos: &[u32], epsilon: f64) -> (Ancestry, Vec<Li
         let name = lca.lca_of_slots(a as usize, b as usize);
         (ranks.interval_preorder(name) as u32, tree.slot_lcp(name))
     };
-    let mut links: Vec<Link> = Vec::new();
-    // Virtual-tree stack of `(node, witness)`: the witness is the text
-    // position of the first marked leaf found below the node, fixed
-    // when the node is pushed.
-    let mut stack: Vec<((u32, usize), u32)> = Vec::new();
-    for d in 0..n_src {
-        let slots = &flat[bucket_start[d] as usize..bucket_start[d + 1] as usize];
-        stack.clear();
-        // Virtual (induced) tree over the marked leaves; emit one link
-        // per virtual edge.
-        let emit = |(origin, witness): ((u32, usize), u32), v_depth, links: &mut Vec<Link>| {
-            let lmax = run[witness as usize] as usize;
-            refine_link(&text.cum, origin, v_depth, (witness, lmax), epsilon, links);
-        };
-        for (k, &slot) in slots.iter().enumerate() {
-            let leaf = (leaf_node(slot as usize), tree.sa(slot as usize) as u32);
-            if k == 0 {
-                stack.push(leaf);
-                continue;
-            }
-            // The previous leaf tops the stack.
-            let l = lca_node(slots[k - 1], slot);
-            let l_depth = l.1;
-            // Unwind stack nodes deeper than the new LCA, emitting their
-            // virtual-tree edges; the LCA ends up on top of the stack.
-            while let Some(&top) = stack.last() {
-                if top.0 .1 <= l_depth {
-                    break;
+    let walk = |sources: Range<usize>| {
+        let mut links: Vec<Link> = Vec::new();
+        // Virtual-tree stack of `(node, witness)`: the witness is the text
+        // position of the first marked leaf found below the node, fixed
+        // when the node is pushed.
+        let mut stack: Vec<((u32, usize), u32)> = Vec::new();
+        for d in sources {
+            let slots = &flat[bucket_start[d] as usize..bucket_start[d + 1] as usize];
+            stack.clear();
+            // Virtual (induced) tree over the marked leaves; emit one link
+            // per virtual edge.
+            let emit = |(origin, witness): ((u32, usize), u32), v_depth, links: &mut Vec<Link>| {
+                let lmax = run[witness as usize] as usize;
+                refine_link(&text.cum, origin, v_depth, (witness, lmax), epsilon, links);
+            };
+            for (k, &slot) in slots.iter().enumerate() {
+                let leaf = (leaf_node(slot as usize), tree.sa(slot as usize) as u32);
+                if k == 0 {
+                    stack.push(leaf);
+                    continue;
                 }
-                stack.pop();
-                match stack.last() {
-                    Some(&((_, p_depth), _)) if p_depth >= l_depth => {
-                        emit(top, p_depth, &mut links);
-                    }
-                    _ => {
-                        emit(top, l_depth, &mut links);
-                        stack.push((l, top.1));
+                // The previous leaf tops the stack.
+                let l = lca_node(slots[k - 1], slot);
+                let l_depth = l.1;
+                // Unwind stack nodes deeper than the new LCA, emitting their
+                // virtual-tree edges; the LCA ends up on top of the stack.
+                while let Some(&top) = stack.last() {
+                    if top.0 .1 <= l_depth {
                         break;
                     }
+                    stack.pop();
+                    match stack.last() {
+                        Some(&((_, p_depth), _)) if p_depth >= l_depth => {
+                            emit(top, p_depth, &mut links);
+                        }
+                        _ => {
+                            emit(top, l_depth, &mut links);
+                            stack.push((l, top.1));
+                            break;
+                        }
+                    }
+                }
+                debug_assert_eq!(stack.last().map(|e| e.0), Some(l), "LCA tops the stack");
+                stack.push(leaf);
+            }
+            // Drain: connect the remaining right spine, then the virtual
+            // root to the tree root (target depth 0) unless it is the root.
+            while let Some(top) = stack.pop() {
+                match stack.last() {
+                    Some(&((_, p_depth), _)) => emit(top, p_depth, &mut links),
+                    None if top.0 .1 > 0 => emit(top, 0, &mut links),
+                    None => {}
                 }
             }
-            debug_assert_eq!(stack.last().map(|e| e.0), Some(l), "LCA tops the stack");
-            stack.push(leaf);
         }
-        // Drain: connect the remaining right spine, then the virtual
-        // root to the tree root (target depth 0) unless it is the root.
-        while let Some(top) = stack.pop() {
-            match stack.last() {
-                Some(&((_, p_depth), _)) => emit(top, p_depth, &mut links),
-                None if top.0 .1 > 0 => emit(top, 0, &mut links),
-                None => {}
-            }
-        }
-    }
-
-    // Unique per link (one virtual edge per origin and source position, one
-    // sub-link per origin depth), so the table is the input's alone.
-    links.sort_unstable_by_key(|l| (l.row.origin_pre, l.row.witness, Reverse(l.row.origin_depth)));
-    links.shrink_to_fit();
+        links
+    };
+    let mid = n_src / 2;
+    let halves = split::join(
+        split::worth_splitting(n_src, SPLIT_SOURCES),
+        || walk(0..mid),
+        || walk(mid..n_src),
+    );
+    let links = in_table_order(halves, ranks.node_count());
     (ranks, links)
+}
+
+/// The links of both halves of the walk in table order: by origin preorder
+/// (a counting sort over the tree's `nodes`), then by witness, deepest
+/// origin first. The key is unique per link — one virtual edge per origin
+/// and source position, one sub-link per origin depth — so the table
+/// depends on the input alone, not on a sort's tie-breaking or on where
+/// the walk was split.
+fn in_table_order((first, later): (Vec<Link>, Vec<Link>), nodes: usize) -> Vec<Link> {
+    let all = || first.iter().chain(&later);
+    let Some(&placeholder) = all().next() else {
+        return Vec::new();
+    };
+    // `end[o]`: the start of origin `o`'s run, then — as the scatter
+    // advances it — its end.
+    let mut end = vec![0u32; nodes + 1];
+    for l in all() {
+        end[l.row.origin_pre as usize + 1] += 1;
+    }
+    for o in 1..=nodes {
+        end[o] += end[o - 1];
+    }
+    let mut links = vec![placeholder; end[nodes] as usize];
+    for &l in all() {
+        let at = &mut end[l.row.origin_pre as usize];
+        links[*at as usize] = l;
+        *at += 1;
+    }
+    let mut start = 0;
+    for &end in &end[..nodes] {
+        let run = &mut links[start..end as usize];
+        if run.len() > 1 {
+            run.sort_unstable_by_key(|l| (l.row.witness, Reverse(l.row.origin_depth)));
+        }
+        start = end as usize;
+    }
+    links
 }
 
 /// The probability a link reports: that of the length-`depth` prefix of
@@ -505,16 +563,7 @@ fn refine_link(
         // exceeds ε the link degenerates to a single character. At depths
         // ≥ `lmax` P is the constant P(lmax) = P(o) (`o` is deeper still),
         // so the predicate holds there without a probe.
-        let (mut lo, mut hi) = (t0, o - 1);
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            if mid >= lmax || p_at(mid) - p_o <= epsilon {
-                hi = mid;
-            } else {
-                lo = mid + 1;
-            }
-        }
-        let t = lo;
+        let t = first_holding(t0, o - 1, lmax, |mid| p_at(mid) - p_o <= epsilon);
         let row = ApproxLinkState {
             origin_pre,
             origin_depth: o as u32,
@@ -524,6 +573,39 @@ fn refine_link(
         links.push(Link { row, prob: p_o });
         o = t;
     }
+}
+
+/// The binary search for the smallest `t ∈ [lo, hi]` at which `holds`,
+/// where every midpoint at or past `lmax` holds without a probe: the
+/// probes and the answer of the plain search, with its runs of unprobed
+/// halvings taken in O(1). Such a halving keeps `lo` and halves the range,
+/// so `k` of them leave ⌊w / 2ᵏ⌋ of a range of `w`; the k-th is taken while
+/// ⌊w / 2ᵏ⌋ ≥ `lmax − lo`, which makes `k` the `ilog2` of `w / (lmax − lo)`.
+/// Unlike a clamp of `hi` to `lmax`, this needs nothing of `holds`: no
+/// monotonicity, so no assumption that `exp` is monotone.
+fn first_holding(
+    mut lo: usize,
+    mut hi: usize,
+    lmax: usize,
+    mut holds: impl FnMut(usize) -> bool,
+) -> usize {
+    while lo < hi {
+        let w = hi - lo;
+        match lmax.checked_sub(lo) {
+            // Every midpoint from here on is at or past `lmax`.
+            None | Some(0) => return lo,
+            Some(gap) if w >= gap => hi = lo + (w >> (w / gap).ilog2()),
+            Some(_) => {}
+        }
+        // Below `lmax` now: ⌊w / 2ᵏ⁺¹⌋ < lmax − lo.
+        let mid = lo + (hi - lo) / 2;
+        if holds(mid) {
+            hi = mid;
+        } else {
+            lo = mid + 1;
+        }
+    }
+    lo
 }
 
 #[cfg(test)]
@@ -746,6 +828,69 @@ mod tests {
         let other = UncertainString::parse("A | T | S:.5,T:.5 | P | A:.4,F:.4,P:.2").unwrap();
         let other = Index::build(&other, 0.02).unwrap();
         load(&other, state.clone());
+    }
+
+    /// The search as it was written before its unprobed halvings were
+    /// skipped: one halving per step.
+    fn first_holding_plain(
+        mut lo: usize,
+        mut hi: usize,
+        lmax: usize,
+        mut holds: impl FnMut(usize) -> bool,
+    ) -> usize {
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if mid >= lmax || holds(mid) {
+                hi = mid;
+            } else {
+                lo = mid + 1;
+            }
+        }
+        lo
+    }
+
+    /// For random `(t0, o, lmax)` — leaf depths run to the text length,
+    /// run lengths to a factor's — and predicates below `lmax` that are
+    /// monotone or not, the skipping search probes the midpoints the plain
+    /// one probes, in the same order, and returns the same `t`.
+    #[test]
+    fn skipped_halvings_probe_and_answer_as_the_plain_search() {
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for case in 0..20_000 {
+            let t0 = (next() % 64) as usize;
+            let o = t0 + 1 + (next() % [4, 100, 1_000_000][case % 3]) as usize;
+            let lmax = (next() % 80) as usize;
+            let salt = next();
+            // Monotone (a threshold), or a hash of the depth.
+            let cut = t0 + (salt % 70) as usize;
+            let holds = |mid: usize| {
+                if case % 2 == 0 {
+                    mid >= cut
+                } else {
+                    (mid as u64).wrapping_mul(salt) >> 63 == 1
+                }
+            };
+            let (mut plain, mut skipping) = (Vec::new(), Vec::new());
+            let want = first_holding_plain(t0, o - 1, lmax, |mid| {
+                plain.push(mid);
+                holds(mid)
+            });
+            let got = first_holding(t0, o - 1, lmax, |mid| {
+                skipping.push(mid);
+                holds(mid)
+            });
+            assert_eq!(
+                (got, &skipping),
+                (want, &plain),
+                "t0 {t0} o {o} lmax {lmax}"
+            );
+        }
     }
 
     #[test]

@@ -5,7 +5,8 @@
 //! classic suffix-structure operations over a *deterministic* text `t`
 //! derived from the uncertain string:
 //!
-//! * [`suffix_array`] — linear-time SA-IS construction.
+//! * [`suffix_array`] — linear-time SA-IS construction on `u32` arrays,
+//!   the text read as byte ranks.
 //! * [`lcp_array`] — Kasai's linear-time longest-common-prefix array.
 //! * [`SuffixArray`] — text + SA bundle with O(m log n) pattern range search
 //!   (used by the simple/naive baselines).

@@ -33,6 +33,7 @@ mod error;
 pub mod kstats;
 pub mod plane;
 mod special;
+pub mod split;
 mod string;
 mod transform;
 mod worlds;

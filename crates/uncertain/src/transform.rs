@@ -27,8 +27,10 @@
 //! the index layer uses them for RMQ ordering/pruning (never missing a true
 //! match) and re-verifies candidates exactly against the original string.
 
+use std::ops::Range;
+
 use crate::{
-    canon, error::ModelError, log_meets_threshold, special::SpecialUncertainString,
+    canon, error::ModelError, log_meets_threshold, special::SpecialUncertainString, split,
     string::UncertainString,
 };
 
@@ -103,8 +105,14 @@ pub fn transform(s: &UncertainString, tau_min: f64) -> Result<Transformed, Model
     transform_capped(s, tau_min, MAX_TEXT_LEN)
 }
 
+/// Source positions below which [`transform`] runs on one thread.
+const SPLIT_FLOOR: usize = 4096;
+
 /// [`transform`], failing once the output exceeds `limit` characters
-/// (checked per emitted factor).
+/// (checked per emitted factor). Factor starts are independent, so a long
+/// string runs its first half of starts on this thread and its second half
+/// on another, and the two outputs are concatenated in start order: the
+/// same output, and the same error, as one thread produces.
 fn transform_capped(
     s: &UncertainString,
     tau_min: f64,
@@ -122,99 +130,140 @@ fn transform_capped(
         });
     }
     let log_tau = canon::ln(tau_min);
-    let mut out_chars: Vec<u8> = Vec::new();
-    let mut out_probs: Vec<f64> = Vec::new();
-    let mut out_pos: Vec<u32> = Vec::new();
-    let mut num_factors = 0usize;
-
-    // Upper-bound probability of choosing `ch` at position `q` (see module
-    // docs for why correlated characters use max(pr+, pr-)).
-    let upper_prob = |q: usize, ch: u8, base: f64| -> f64 {
-        match s.correlations().get(q, ch) {
-            Some(corr) => corr.max_prob(),
-            None => base,
-        }
+    let factors = |starts| Factors::enumerate(s, starts, log_tau, limit);
+    let out = if split::worth_splitting(n, SPLIT_FLOOR) {
+        let (mut out, later) = split::join(true, || factors(0..n / 2), || factors(n / 2..n));
+        out.append(later);
+        out
+    } else {
+        factors(0..n)
     };
+    if out.chars.len() > limit {
+        // One thread stops at the first factor whose separator lands past
+        // the limit: report the length it had then.
+        let past = out.chars[limit..].iter().position(|&c| c == SENTINEL);
+        return Err(ModelError::TransformTooLarge {
+            produced: limit + 1 + past.expect("every factor ends with a separator"),
+            limit,
+        });
+    }
+    Ok(Transformed {
+        special: SpecialUncertainString::from_raw(out.chars, out.probs),
+        pos: out.pos,
+        num_factors: out.count,
+    })
+}
 
-    let mut emit = |start: usize,
-                    chosen: &[(u8, f64)],
-                    out_chars: &mut Vec<u8>,
-                    out_probs: &mut Vec<f64>,
-                    out_pos: &mut Vec<u32>|
-     -> Result<(), ModelError> {
-        for (k, &(c, p)) in chosen.iter().enumerate() {
-            out_chars.push(c);
-            out_probs.push(p);
-            out_pos.push((start + k) as u32);
-        }
-        out_chars.push(SENTINEL);
-        out_probs.push(1.0);
-        out_pos.push(NO_POSITION);
-        num_factors += 1;
-        if out_chars.len() > limit {
-            return Err(ModelError::TransformTooLarge {
-                produced: out_chars.len(),
-                limit,
-            });
-        }
-        Ok(())
-    };
+/// One character choice on a factor path: the byte, its (upper-bound)
+/// probability, and that probability's `canon::ln`, computed once.
+#[derive(Clone, Copy)]
+struct Choice {
+    c: u8,
+    p: f64,
+    ln_p: f64,
+}
 
-    for start in 0..n {
-        if start > 0 && s.is_effectively_deterministic(start - 1) {
-            continue; // covered by the factor extending through position start-1
-        }
-        // Iterative DFS over viable character choices. `chosen` is the
-        // current path; `levels[k]` holds the untried siblings at depth k.
-        let mut chosen: Vec<(u8, f64)> = Vec::new();
-        let mut levels: Vec<Vec<(u8, f64)>> = Vec::new();
-        let mut log_p = 0.0f64;
+/// The factors of a run of start positions, in the transformed string's
+/// layout.
+#[derive(Default)]
+struct Factors {
+    chars: Vec<u8>,
+    probs: Vec<f64>,
+    pos: Vec<u32>,
+    count: usize,
+}
 
-        'dfs: loop {
-            let q = start + chosen.len();
-            let mut next: Vec<(u8, f64)> = Vec::new();
-            if q < n {
-                for &(c, base) in s.position(q).choices() {
-                    let p = upper_prob(q, c, base);
-                    if p > 0.0 && log_meets_threshold(log_p + canon::ln(p), log_tau) {
-                        next.push((c, p));
+impl Factors {
+    /// The maximal factors of every start in `starts`, in start order —
+    /// stopping after the first factor that takes the output past `limit`
+    /// characters.
+    fn enumerate(s: &UncertainString, starts: Range<usize>, log_tau: f64, limit: usize) -> Self {
+        let n = s.len();
+        let mut out = Self::default();
+        // Iterative DFS over viable character choices. `path` is the current
+        // path; `siblings` holds the untried siblings of every node on it in
+        // one stack, those at depth k from `open[k]` up to `open[k + 1]`.
+        let mut path: Vec<Choice> = Vec::new();
+        let mut siblings: Vec<Choice> = Vec::new();
+        let mut open: Vec<usize> = Vec::new();
+        for start in starts {
+            if start > 0 && s.is_effectively_deterministic(start - 1) {
+                continue; // covered by the factor extending through position start-1
+            }
+            let mut log_p = 0.0f64;
+            'dfs: loop {
+                let q = start + path.len();
+                let level = siblings.len();
+                if q < n {
+                    for &(c, base) in s.position(q).choices() {
+                        // Upper-bound probability of choosing `c` at `q` (see
+                        // the module docs for why correlated characters use
+                        // max(pr+, pr-)).
+                        let p = (s.correlations().get(q, c)).map_or(base, |corr| corr.max_prob());
+                        if p > 0.0 {
+                            let ln_p = canon::ln(p);
+                            if log_meets_threshold(log_p + ln_p, log_tau) {
+                                siblings.push(Choice { c, p, ln_p });
+                            }
+                        }
                     }
                 }
-            }
-            if let Some(&(c, p)) = next.last() {
-                next.pop();
-                levels.push(next);
-                chosen.push((c, p));
-                log_p += canon::ln(p);
-                continue;
-            }
-            // No viable extension: the current path is a maximal factor.
-            if !chosen.is_empty() {
-                emit(start, &chosen, &mut out_chars, &mut out_probs, &mut out_pos)?;
-            }
-            // Backtrack to the deepest level with an untried sibling.
-            loop {
-                let Some((_, p)) = chosen.pop() else {
-                    break 'dfs;
-                };
-                log_p -= canon::ln(p);
-                let siblings = levels.last_mut().expect("levels track chosen");
-                if let Some(&(c2, p2)) = siblings.last() {
-                    siblings.pop();
-                    chosen.push((c2, p2));
-                    log_p += canon::ln(p2);
-                    continue 'dfs;
+                // The last viable choice first, its siblings kept for later.
+                if siblings.len() > level {
+                    let next = siblings.pop().expect("a viable choice");
+                    open.push(level);
+                    path.push(next);
+                    log_p += next.ln_p;
+                    continue;
                 }
-                levels.pop();
+                // No viable extension: the current path is a maximal factor.
+                if !path.is_empty() {
+                    out.emit(start, &path);
+                    if out.chars.len() > limit {
+                        return out;
+                    }
+                }
+                // Backtrack to the deepest level with an untried sibling.
+                loop {
+                    let Some(last) = path.pop() else {
+                        break 'dfs;
+                    };
+                    log_p -= last.ln_p;
+                    let level = *open.last().expect("one open level per path step");
+                    if siblings.len() > level {
+                        let next = siblings.pop().expect("an untried sibling");
+                        path.push(next);
+                        log_p += next.ln_p;
+                        continue 'dfs;
+                    }
+                    open.pop();
+                }
             }
         }
+        out
     }
 
-    Ok(Transformed {
-        special: SpecialUncertainString::from_raw(out_chars, out_probs),
-        pos: out_pos,
-        num_factors,
-    })
+    /// Appends the factor `path` read from source position `start`, and its
+    /// separator.
+    fn emit(&mut self, start: usize, path: &[Choice]) {
+        for (k, choice) in path.iter().enumerate() {
+            self.chars.push(choice.c);
+            self.probs.push(choice.p);
+            self.pos.push((start + k) as u32);
+        }
+        self.chars.push(SENTINEL);
+        self.probs.push(1.0);
+        self.pos.push(NO_POSITION);
+        self.count += 1;
+    }
+
+    /// Appends `later`, the factors of the starts after this run's.
+    fn append(&mut self, later: Self) {
+        self.chars.extend_from_slice(&later.chars);
+        self.probs.extend_from_slice(&later.probs);
+        self.pos.extend_from_slice(&later.pos);
+        self.count += later.count;
+    }
 }
 
 #[cfg(test)]
@@ -335,6 +384,30 @@ mod tests {
             transform_capped(&s, 0.1, 4),
             Err(ModelError::TransformTooLarge { .. })
         ));
+    }
+
+    /// A limit that falls in the second half of the starts fails as one
+    /// thread fails: after the factor that crossed it, with the length the
+    /// output had then.
+    #[test]
+    fn a_limit_in_the_second_half_fails_as_one_thread_fails() {
+        let spec: Vec<&str> = (0..2 * SPLIT_FLOOR)
+            .map(|i| if i % 3 == 0 { "A:.5,B:.5" } else { "C" })
+            .collect();
+        let s = UncertainString::parse(&spec.join(" | ")).unwrap();
+        let full = transform(&s, 0.1).unwrap().len();
+        for limit in [full * 3 / 4, full - 1] {
+            let serial = Factors::enumerate(&s, 0..s.len(), canon::ln(0.1), limit);
+            assert!(serial.chars.len() > limit);
+            let err = transform_capped(&s, 0.1, limit).unwrap_err();
+            assert_eq!(
+                err,
+                ModelError::TransformTooLarge {
+                    produced: serial.chars.len(),
+                    limit
+                }
+            );
+        }
     }
 
     #[test]
