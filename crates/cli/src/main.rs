@@ -42,7 +42,7 @@ use args::Args;
 use ustr_core::{Index, ListingIndex};
 use ustr_live::{LiveConfig, LiveService};
 use ustr_service::{QueryRequest, QueryResponse, QueryService, ServiceConfig};
-use ustr_store::{Snapshot, COLLECTION_MAGIC, MAGIC};
+use ustr_store::{Snapshot, MAGIC};
 use ustr_uncertain::UncertainString;
 use ustr_workload::{generate_string, DatasetConfig};
 
@@ -80,7 +80,7 @@ const COMMANDS: &[(&str, &str, &str)] = &[
     ),
     (
         "build-collection",
-        "ustr build-collection FILE --out FILE.coll [--tau-min T0] [--epsilon E] [--shards S] [--quiet]",
+        "ustr build-collection FILE --out FILE.coll [--tau-min T0] [--epsilon E] [--quiet]",
         "pack a collection into one snapshot file",
     ),
     (
@@ -326,9 +326,10 @@ fn cmd_build_collection(args: &Args) -> Result<String, String> {
         Some(_) => Some(args.get_parsed("epsilon", 0.05)?),
         None => None,
     };
+    // The file records no shard plan: whoever loads it shards it.
     let config = ServiceConfig {
         threads: 1,
-        shards: args.get_parsed("shards", 0usize)?,
+        shards: 1,
         cache_capacity: 0,
         epsilon,
     };
@@ -342,9 +343,8 @@ fn cmd_build_collection(args: &Args) -> Result<String, String> {
     }
     let bytes = fs::metadata(out_path).map(|m| m.len()).unwrap_or(0);
     Ok(format!(
-        "wrote {out_path}: {} document(s) in {} shard(s), approx indexes: {}, {bytes} bytes",
+        "wrote {out_path}: {} document(s), approx indexes: {}, {bytes} bytes",
         service.num_docs(),
-        service.num_shards(),
         if service.has_approx_indexes() {
             "yes"
         } else {
@@ -428,7 +428,7 @@ fn load_static_service(source: &str, args: &Args) -> Result<QueryService, String
             "{source} is a directory, not a collection: pack one with `ustr build-collection`"
         ));
     }
-    let from_snapshots = file_magic(source) == COLLECTION_MAGIC;
+    let from_snapshots = file_magic(source) == MAGIC;
     if from_snapshots && args.get("tau-min").is_some() {
         return Err(
             "--tau-min applies only when building from a collection file; \
@@ -1069,22 +1069,20 @@ fn cmd_list(args: &Args) -> Result<String, String> {
     Ok(out.trim_end().to_string())
 }
 
-/// `stats` on a `.coll` collection snapshot: the manifest alone is read —
-/// format version, document count, per-document section sizes and
+/// `stats` on a snapshot file — an `.idx`, a `.coll`, a live segment: the
+/// manifest alone is read — document count, per-document section sizes and
 /// checksums, then the totals per section kind — no index payload is loaded
-/// or decoded.
+/// or decoded. An `.idx` is a manifest of one document.
 fn collection_stats(path: &str) -> Result<String, String> {
     let m = ustr_store::read_collection_manifest(path).map_err(|e| format!("{path}: {e}"))?;
     let total: u64 = m.entries.iter().map(|e| e.len).sum();
     let mut out = format!(
-        "collection snapshot      {path}\n\
+        "snapshot                 {path}\n\
          format version           {}\n\
          documents                {}\n\
-         shard plan hint          {}\n\
          sections                 {} ({total} payload bytes)\n",
-        m.version,
+        ustr_store::FORMAT_VERSION,
         m.num_docs,
-        m.shard_hint,
         m.entries.len(),
     );
     let kind_name = |kind| format!("{kind:?}").to_lowercase();
@@ -1092,11 +1090,10 @@ fn collection_stats(path: &str) -> Result<String, String> {
     let mut kinds: Vec<(ustr_store::SnapshotKind, usize, u64)> = Vec::new();
     for e in &m.entries {
         out.push_str(&format!(
-            "  doc {:>6} {:<11} {:>10} bytes at offset {:>10}  fnv1a {:016x}\n",
+            "  doc {:>6} {:<11} {:>10} bytes  fnv1a {:016x}\n",
             e.doc,
             kind_name(e.kind),
             e.len,
-            e.offset,
             e.checksum
         ));
         match kinds.iter_mut().find(|k| k.0 == e.kind) {
@@ -1112,19 +1109,6 @@ fn collection_stats(path: &str) -> Result<String, String> {
         ));
     }
     Ok(out.trim_end().to_string())
-}
-
-/// `stats` on a single-index `.idx` snapshot: header only.
-fn snapshot_stats(path: &str) -> Result<String, String> {
-    let h = ustr_store::read_header(path).map_err(|e| format!("{path}: {e}"))?;
-    Ok(format!(
-        "index snapshot           {path}\n\
-         format version           {}\n\
-         kind                     {:?}\n\
-         payload                  {} bytes\n\
-         payload checksum         fnv1a {:016x}",
-        h.version, h.kind, h.payload_len, h.checksum
-    ))
 }
 
 /// The first 8 bytes of a file (for magic sniffing); empty on any error.
@@ -1158,14 +1142,14 @@ fn cmd_stats(args: &Args) -> Result<String, String> {
         return Err("--json applies only to `stats --live` (the wire scrape)".to_string());
     }
     let path = args.positional(0, "FILE")?;
-    // Snapshot artifacts are inspected from their manifests, without
-    // loading any index.
+    // Snapshot files are inspected from their manifests, without loading
+    // any index. Every binary file `ustr` writes starts with `USTR`: one
+    // that is neither a WAL nor a snapshot of this build's format (an
+    // older build's `.idx`, say) is refused by the snapshot reader, which
+    // says why.
     let magic = file_magic(path);
-    if magic == COLLECTION_MAGIC {
+    if magic.starts_with(b"USTR") && magic != ustr_store::WAL_MAGIC {
         return collection_stats(path);
-    }
-    if magic == MAGIC {
-        return snapshot_stats(path);
     }
     let tau_min: f64 = args.get_parsed("tau-min", 0.1)?;
     let s = load_string(path)?;
@@ -1435,7 +1419,7 @@ mod tests {
         );
         let coll = std::env::temp_dir().join("ustr_cli_coll.coll");
         let msg = run(&argv(&format!(
-            "build-collection {docs} --out {} --tau-min 0.05 --epsilon 0.05 --shards 2",
+            "build-collection {docs} --out {} --tau-min 0.05 --epsilon 0.05",
             coll.display()
         )))
         .unwrap();
@@ -1514,7 +1498,7 @@ mod tests {
         .unwrap();
         let out = run(&argv(&format!("stats {}", coll.display()))).unwrap();
         assert!(out.contains("documents                3"), "{out}");
-        assert!(out.contains("format version           1"), "{out}");
+        assert!(out.contains("format version           7"), "{out}");
         assert!(out.contains("approxlinks"), "approx sections listed: {out}");
         assert!(out.contains("fnv1a"), "checksums listed: {out}");
         // The totals per kind close the listing, shares summing to 100 %:
@@ -1538,66 +1522,86 @@ mod tests {
             idx.display()
         )))
         .unwrap();
+        // An `.idx` is a manifest of one document with one index section.
         let out = run(&argv(&format!("stats {}", idx.display()))).unwrap();
-        assert!(out.contains("kind                     Index"), "{out}");
+        assert!(out.contains("documents                1\n"), "{out}");
+        assert!(out.contains("\n  doc      0 index "), "{out}");
         let _ = fs::remove_file(&coll);
         let _ = fs::remove_file(&idx);
     }
 
-    /// A file of the previous snapshot format is refused with its path and
-    /// both version numbers, by every command that opens one (`serve-net`
-    /// loads through the same function as `serve-batch`).
+    /// Files of the previous snapshot format — a single-index file and a
+    /// version-1 collection, as the previous build wrote them — are refused
+    /// with their path and a message that says to rebuild them, by every
+    /// command that opens one (`serve-net` loads through the same function
+    /// as `serve-batch`).
     #[test]
     fn an_old_format_file_is_refused_by_path() {
-        use ustr_store::{collection, FORMAT_VERSION};
-        let docs = write_temp(
-            "ustr_cli_oldfmt_docs.ustr",
-            "A:.9,B:.1 | B | C\nC | C | C\n",
-        );
         let queries = write_temp("ustr_cli_oldfmt_q.txt", "AB 0.3\n");
-        let coll = std::env::temp_dir().join("ustr_cli_oldfmt.coll");
+        let fixture = |name| {
+            format!(
+                "{}/../store/tests/fixtures/{name}",
+                env!("CARGO_MANIFEST_DIR")
+            )
+        };
+        let (idx, coll) = (fixture("format6.idx"), fixture("format6.coll"));
+        for (cmd, path, says) in [
+            (
+                format!("serve-batch {coll} {queries}"),
+                &coll,
+                "version 1 (this build reads version 7)",
+            ),
+            (
+                format!("stats {coll}"),
+                &coll,
+                "version 1 (this build reads version 7)",
+            ),
+            (format!("stats {idx}"), &idx, "bad magic"),
+            (
+                format!("search --index {idx} AB --tau 0.3"),
+                &idx,
+                "bad magic",
+            ),
+        ] {
+            let err = run(&argv(&cmd)).unwrap_err();
+            assert!(err.starts_with(&format!("{path}: ")), "{cmd}: {err}");
+            assert!(err.contains(says), "{cmd}: {err}");
+            assert!(
+                err.ends_with(": rebuild it from its source"),
+                "{cmd}: {err}"
+            );
+        }
+    }
+
+    /// A collection file records no shard plan: `build-collection` builds on
+    /// one thread, and the file is still served in as many shards as the
+    /// loading command's threads, like the same documents built in process.
+    #[test]
+    fn a_collection_file_is_sharded_by_its_loader() {
+        let docs = write_temp(
+            "ustr_cli_shards_docs.ustr",
+            "A:.9,B:.1 | B | C\nC | C | C\nA:.5,B:.5 | B | C\nB | C | A\n",
+        );
+        let queries = write_temp("ustr_cli_shards_q.txt", "AB 0.3\n");
+        let coll = std::env::temp_dir().join("ustr_cli_shards.coll");
         run(&argv(&format!(
             "build-collection {docs} --out {} --tau-min 0.05",
             coll.display()
         )))
         .unwrap();
-        let mut parsed = collection::read_collection(&fs::read(&coll).unwrap()[..]).unwrap();
-        let old = FORMAT_VERSION - 1;
-        parsed.sections[0].bytes[8..12].copy_from_slice(&old.to_le_bytes());
-        let mut bytes = Vec::new();
-        collection::write_collection(
-            &mut bytes,
-            parsed.num_docs,
-            parsed.shard_hint,
-            &parsed.sections,
-        )
-        .unwrap();
-        fs::write(&coll, bytes).unwrap();
-        let idx = std::env::temp_dir().join("ustr_cli_oldfmt.idx");
-        fs::write(&idx, &parsed.sections[0].bytes).unwrap();
-
-        for (cmd, path) in [
-            (format!("serve-batch {} {queries}", coll.display()), &coll),
-            (format!("stats {}", idx.display()), &idx),
-            (
-                format!("search --index {} AB --tau 0.3", idx.display()),
-                &idx,
-            ),
-        ] {
-            let err = run(&argv(&cmd)).unwrap_err();
+        for source in [coll.display().to_string(), docs.clone()] {
+            let out = run(&argv(&format!(
+                "serve-batch {source} {queries} --threads 4"
+            )))
+            .unwrap();
             assert!(
-                err.starts_with(&format!("{}: ", path.display())),
-                "{cmd}: {err}"
-            );
-            assert!(
-                err.contains(&format!(
-                    "version {old} (this build reads version {FORMAT_VERSION})"
+                out.contains(&format!(
+                    "{source} (4 document(s) in 4 shard(s), 4 thread(s))"
                 )),
-                "{cmd}: {err}"
+                "{out}"
             );
         }
         let _ = fs::remove_file(&coll);
-        let _ = fs::remove_file(&idx);
     }
 
     #[test]

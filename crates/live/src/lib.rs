@@ -567,7 +567,7 @@ impl Inner {
         let file = format!("segment_{id:08}.coll");
         let path = self.dir.join(&file);
         let executors = docs.iter().map(|(_, d)| d.as_ref());
-        save_coll(self.io.as_ref(), &path, executors, 1)?;
+        save_coll(self.io.as_ref(), &path, executors)?;
         wal::fsync_parent_dir(self.io.as_ref(), &path)?;
         Ok(wal::SegmentMeta {
             id,
@@ -793,16 +793,16 @@ impl LiveService {
                 StoreError::Corrupt { detail } => in_segment(detail),
                 other => in_segment(other.to_string()),
             })?;
-            if loaded.docs.len() != meta.docs.len() {
+            if loaded.len() != meta.docs.len() {
                 return Err(in_segment(format!(
                     "holds {} documents, manifest says {}",
-                    loaded.docs.len(),
+                    loaded.len(),
                     meta.docs.len()
                 ))
                 .into());
             }
             let docs = (meta.docs.iter().copied())
-                .zip(loaded.docs.into_iter().map(Arc::new))
+                .zip(loaded.into_iter().map(Arc::new))
                 .collect();
             segments.push(Arc::new(SealedSegment {
                 meta: meta.clone(),
@@ -1553,16 +1553,16 @@ mod tests {
 
     #[test]
     fn well_formed_files_with_wrong_contents_fail_cleanly_through_every_door() {
-        use ustr_store::{collection, CollectionSection, Snapshot, SnapshotKind};
-        let mut index = Vec::new();
+        use ustr_store::{collection, Section, Snapshot, SnapshotKind, Writer};
+        let mut w = Writer::new();
         ustr_core::Index::build(&doc("A:.9,B:.1 | B"), 0.05)
             .unwrap()
-            .write_snapshot(&mut index)
-            .unwrap();
-        let section = |doc: usize, kind: SnapshotKind| CollectionSection {
+            .encode_payload(&mut w);
+        let index = w.into_bytes();
+        let section = |doc: usize, kind: SnapshotKind| Section {
             doc,
             kind,
-            bytes: index.clone(),
+            payload: &index,
         };
         // One document declared; each row's sections break one rule.
         let rows = [
@@ -1602,7 +1602,7 @@ mod tests {
         ustr_store::save_manifest(&RealIo, dir.join(MANIFEST_FILE), &manifest).unwrap();
         for (sections, expect) in rows {
             let mut bytes = Vec::new();
-            collection::write_collection(&mut bytes, 1, 1, &sections).unwrap();
+            collection::write_collection(&mut bytes, 1, &sections).unwrap();
             std::fs::write(dir.join(file), bytes).unwrap();
             let Err(StoreError::Corrupt { detail }) = load_coll(&RealIo, &dir.join(file)) else {
                 panic!("{expect}: the shared reader must report Corrupt");
@@ -1624,38 +1624,37 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// A file of the previous format version is refused by its version
-    /// field, saying both versions, through every door — and the live
-    /// directory says which segment it was.
+    /// A segment written by the previous format (a version-1 collection,
+    /// as the previous build wrote it) is refused by its version field,
+    /// saying both versions and to rebuild, through every door — and the
+    /// live directory says which segment it was.
     #[test]
     fn an_old_format_section_names_itself_through_every_door() {
-        use ustr_store::{collection, Snapshot, FORMAT_VERSION};
+        use ustr_store::{Snapshot, FORMAT_VERSION};
         let dir = fresh_dir("ustr_live_old_format");
         let live = LiveService::open(&dir, config(0)).unwrap();
         live.insert(doc("A:.9,B:.1 | B")).unwrap();
         live.flush().unwrap();
         drop(live);
         let file = dir.join("segment_00000000.coll");
-        let mut coll = collection::read_collection(&std::fs::read(&file).unwrap()[..]).unwrap();
-        let old = FORMAT_VERSION - 1;
-        coll.sections[0].bytes[8..12].copy_from_slice(&old.to_le_bytes());
-        let mut bytes = Vec::new();
-        collection::write_collection(&mut bytes, coll.num_docs, coll.shard_hint, &coll.sections)
-            .unwrap();
-        std::fs::write(&file, bytes).unwrap();
-        let idx = dir.join("old.idx");
-        std::fs::write(&idx, &coll.sections[0].bytes).unwrap();
+        let old = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../store/tests/fixtures/format6.coll"
+        );
+        std::fs::copy(old, &file).unwrap();
 
         let refused = |e: Option<StoreError>| match e {
-            Some(e @ StoreError::UnsupportedVersion { found }) if found == old => e.to_string(),
+            Some(e @ StoreError::UnsupportedVersion { found: 1, .. }) => e.to_string(),
             other => panic!("expected UnsupportedVersion, got {other:?}"),
         };
-        let said = refused(ustr_core::Index::load(&idx).err());
-        assert!(said.contains(&format!("version {old} ")), "{said}");
+        let said = refused(ustr_core::Index::load(&file).err());
         assert!(
-            said.contains(&format!("version {FORMAT_VERSION})")),
+            said.contains(&format!(
+                "version 1 (this build reads version {FORMAT_VERSION})"
+            )),
             "{said}"
         );
+        assert!(said.ends_with("rebuild it from its source"), "{said}");
         assert_eq!(refused(load_coll(&RealIo, &file).err()), said);
         let loaded = QueryService::load_collection(&file, ServiceConfig::default());
         assert_eq!(refused(loaded.err()), said);

@@ -22,8 +22,8 @@ use std::sync::Arc;
 use ustr_baseline::ScanIndex;
 use ustr_core::{ApproxIndex, Error, Index, ListingHit};
 use ustr_store::{
-    collection, read_links_snapshot, write_links_snapshot, CollectionSection, Snapshot,
-    SnapshotKind, StoreError, StoreIo,
+    collection, decode_links_payload, encode_links_payload, Section, Snapshot, SnapshotKind,
+    StoreError, StoreIo, Writer,
 };
 use ustr_uncertain::UncertainString;
 
@@ -133,6 +133,18 @@ impl DocExecutor {
             _ => self.threshold(pattern, tau),
         }
     }
+
+    /// Heap bytes the executor holds: a built document's index plus its
+    /// links (the text they share counted once), a scanned one's plane. The
+    /// shard planner's weight.
+    pub fn heap_size(&self) -> usize {
+        match self {
+            DocExecutor::Built { index, approx } => {
+                index.heap_size() + approx.as_ref().map_or(0, |a| a.stats().heap_bytes)
+            }
+            DocExecutor::Scanned(scan) => scan.plane().heap_size(),
+        }
+    }
 }
 
 fn corrupt(detail: String) -> StoreError {
@@ -150,9 +162,8 @@ pub fn save_coll<'a>(
     io: &dyn StoreIo,
     path: &Path,
     docs: impl IntoIterator<Item = &'a DocExecutor>,
-    shard_hint: usize,
 ) -> Result<(), StoreError> {
-    let mut sections = Vec::new();
+    let mut payloads = Vec::new();
     let mut num_docs = 0;
     for doc in docs {
         let DocExecutor::Built { index, approx } = doc else {
@@ -160,82 +171,67 @@ pub fn save_coll<'a>(
                 "document {num_docs} is scan-served: only built indexes can be saved"
             )));
         };
-        let mut section = |kind, bytes| {
-            sections.push(CollectionSection {
-                doc: num_docs,
-                kind,
-                bytes,
-            })
-        };
-        let mut bytes = Vec::new();
-        index.write_snapshot(&mut bytes)?;
-        section(SnapshotKind::Index, bytes);
+        let mut w = Writer::new();
+        index.encode_payload(&mut w);
+        payloads.push((num_docs, SnapshotKind::Index, w.into_bytes()));
         if let Some(approx) = approx {
-            let mut bytes = Vec::new();
-            write_links_snapshot(approx, &mut bytes)?;
-            section(SnapshotKind::ApproxLinks, bytes);
+            let mut w = Writer::new();
+            encode_links_payload(approx, &mut w);
+            payloads.push((num_docs, SnapshotKind::ApproxLinks, w.into_bytes()));
         }
         num_docs += 1;
     }
-    collection::save_collection_file(io, path, num_docs, shard_hint, &sections)
+    let sections: Vec<Section> = (payloads.iter())
+        .map(|(doc, kind, payload)| Section {
+            doc: *doc,
+            kind: *kind,
+            payload,
+        })
+        .collect();
+    collection::save_collection_file(io, path, num_docs, &sections)
 }
 
-/// A `.coll` file decoded by [`load_coll`].
-pub struct LoadedColl {
-    /// One built executor per document, in rank order.
-    pub docs: Vec<DocExecutor>,
-    /// Per-document index heap in bytes, the shard planner's weights:
-    /// `Index::heap_size()` plus the approx index's `heap_bytes` (what the
-    /// loaded document holds, whatever the file's encoding; the text the
-    /// two share counted once).
-    pub heap_bytes: Vec<usize>,
-    /// The shard count recorded when the file was written.
-    pub shard_hint: usize,
-}
-
-/// Reads a `.coll` file written by [`save_coll`]. A well-formed container
-/// with the wrong contents — a rank outside the declared document count,
-/// two sections of one kind for a document, a document without a substring
-/// index — is [`StoreError::Corrupt`], never a panic.
-pub fn load_coll(io: &dyn StoreIo, path: &Path) -> Result<LoadedColl, StoreError> {
-    let coll = collection::load_collection_file(io, path)?;
-    let n = coll.num_docs;
-    let mut index_bytes: Vec<Option<Vec<u8>>> = (0..n).map(|_| None).collect();
-    let mut approx_bytes: Vec<Option<Vec<u8>>> = (0..n).map(|_| None).collect();
-    for section in coll.sections {
-        let table = match section.kind {
-            SnapshotKind::Index => &mut index_bytes,
-            SnapshotKind::ApproxLinks => &mut approx_bytes,
-        };
-        let Some(slot) = table.get_mut(section.doc) else {
-            return Err(corrupt(format!(
-                "collection section names document {} of {n}",
-                section.doc
-            )));
-        };
-        if slot.replace(section.bytes).is_some() {
-            return Err(corrupt(format!(
-                "document {} has duplicate sections of one kind",
-                section.doc
-            )));
+/// Reads a `.coll` file written by [`save_coll`]: one built executor per
+/// document, in rank order, decoded straight from the file's buffer. A
+/// well-formed container with the wrong contents — two sections of one
+/// kind for a document, a document without a substring index — is
+/// [`StoreError::Corrupt`], never a panic.
+pub fn load_coll(io: &dyn StoreIo, path: &Path) -> Result<Vec<DocExecutor>, StoreError> {
+    collection::load_collection_file(io, path, |coll| {
+        let n = coll.num_docs;
+        let mut indexes: Vec<Option<Section>> = vec![None; n];
+        let mut links: Vec<Option<Section>> = vec![None; n];
+        for section in coll.sections {
+            let table = match section.kind {
+                SnapshotKind::Index => &mut indexes,
+                SnapshotKind::ApproxLinks => &mut links,
+            };
+            // The container has checked every id against `n`; this crate
+            // indexes nothing unchecked all the same.
+            let slot = table.get_mut(section.doc).ok_or_else(|| {
+                corrupt(format!(
+                    "collection section names document {} of {n}",
+                    section.doc
+                ))
+            })?;
+            if slot.replace(section).is_some() {
+                return Err(corrupt(format!(
+                    "document {} has duplicate sections of one kind",
+                    section.doc
+                )));
+            }
         }
-    }
-    let mut docs = Vec::with_capacity(n);
-    let mut heap_bytes = Vec::with_capacity(n);
-    for (rank, (ib, ab)) in index_bytes.into_iter().zip(approx_bytes).enumerate() {
-        let ib =
-            ib.ok_or_else(|| corrupt(format!("document {rank} has no substring-index section")))?;
-        let index = Index::read_snapshot(ib.as_slice())?;
-        let approx = ab
-            .map(|bytes| read_links_snapshot(bytes.as_slice(), &index))
-            .transpose()?;
-        heap_bytes.push(index.heap_size() + approx.as_ref().map_or(0, |a| a.stats().heap_bytes));
-        docs.push(DocExecutor::Built { index, approx });
-    }
-    Ok(LoadedColl {
-        docs,
-        heap_bytes,
-        shard_hint: coll.shard_hint,
+        let docs = indexes.into_iter().zip(links).enumerate();
+        docs.map(|(rank, (index, links))| {
+            let index = index
+                .ok_or_else(|| corrupt(format!("document {rank} has no substring-index section")))?
+                .decode(Index::decode_payload)?;
+            let approx = links
+                .map(|links| links.decode(|r| decode_links_payload(r, &index)))
+                .transpose()?;
+            Ok(DocExecutor::Built { index, approx })
+        })
+        .collect()
     })
 }
 

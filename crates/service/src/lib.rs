@@ -38,10 +38,10 @@
 //! The primary format is the single-file **collection snapshot**
 //! ([`QueryService::save_collection`] / [`QueryService::load_collection`],
 //! format in [`ustr_store::collection`]): one `.coll` artifact holding a
-//! manifest (doc count, shard plan, per-doc offsets, per-section checksums)
-//! plus one substring-index section — and, when the service was built with
-//! [`ServiceConfig::epsilon`], one approx-index section — per document.
-//! Loading memory-plans shards from each loaded document's index heap.
+//! manifest (document count, per-section lengths and checksums) plus one
+//! substring-index section — and, when the service was built with
+//! [`ServiceConfig::epsilon`], one links section — per document. Building
+//! and loading plan shards alike, from each document's heap.
 //! Mutable collections persist as `ustr-live` directories instead.
 //!
 //! # Architecture
@@ -122,8 +122,7 @@ use ustr_uncertain::UncertainString;
 pub use cache::LruCache;
 pub use engine::{mode_name, validate_request, Answer, Engine, SegmentSet, TraceSummary};
 pub use exec::{
-    load_coll, merge_partials, save_coll, top_hit_order, DocExecutor, LoadedColl, Segment,
-    ShardPartial,
+    load_coll, merge_partials, save_coll, top_hit_order, DocExecutor, Segment, ShardPartial,
 };
 pub use pool::ThreadPool;
 pub use sync::{lock_clean, wait_clean, WakeQueue};
@@ -300,27 +299,22 @@ impl QueryService {
             .iter()
             .map(|d| DocExecutor::build(d, tau_min, config.epsilon))
             .collect::<Result<Vec<_>, Error>>()?;
-        Ok(Self::assemble(executors, &vec![1; docs.len()], 0, &config))
+        Ok(Self::assemble(executors, &config))
     }
 
-    /// Shards `docs` by `weights` (one per document) and wires up the
-    /// dispatch engine. The shard count is `config.shards`,
-    /// else `shard_hint`, else the pool's thread count (first non-zero).
-    fn assemble(
-        docs: Vec<DocExecutor>,
-        weights: &[usize],
-        shard_hint: usize,
-        config: &ServiceConfig,
-    ) -> Self {
+    /// Shards `docs` into contiguous runs balanced by each executor's heap
+    /// ([`DocExecutor::heap_size`]) and wires up the dispatch engine. The
+    /// shard count is `config.shards`, else the pool's thread count.
+    fn assemble(docs: Vec<DocExecutor>, config: &ServiceConfig) -> Self {
         let num_docs = docs.len();
         let engine = Engine::new(config.threads, config.cache_capacity);
-        let num_shards = match (config.shards, shard_hint) {
-            (0, 0) => engine.threads(),
-            (0, hint) => hint,
-            (shards, _) => shards,
+        let num_shards = match config.shards {
+            0 => engine.threads(),
+            shards => shards,
         };
         let tau_min = docs.iter().map(|d| d.tau_min()).fold(0.0, f64::max);
-        let sizes = plan_shards(weights, num_shards);
+        let weights: Vec<usize> = docs.iter().map(DocExecutor::heap_size).collect();
+        let sizes = plan_shards(&weights, num_shards);
         let mut shards = Vec::with_capacity(sizes.len());
         let mut iter = docs.into_iter().enumerate();
         for take in sizes {
@@ -339,33 +333,27 @@ impl QueryService {
         }
     }
 
-    /// Saves the whole collection as one file: a manifest (doc count, shard
-    /// plan, per-doc offsets, per-section checksums) followed by each
-    /// document's substring-index snapshot — and its approx-index snapshot,
-    /// when the service holds one. Format:
-    /// [`ustr_store::collection`]; written by [`save_coll`].
+    /// Saves the whole collection as one file: a manifest (document count,
+    /// per-section lengths and checksums) followed by each document's
+    /// substring-index payload — and its links payload, when the service
+    /// holds one. Format: [`ustr_store::collection`]; written by
+    /// [`save_coll`]. The shard plan is not saved: it is the loader's.
     pub fn save_collection(&self, path: impl AsRef<Path>) -> Result<(), StoreError> {
         let docs = self.shards.iter().flat_map(|shard| &shard.docs);
         let docs = docs.map(|(_, d)| d.as_ref());
-        save_coll(&RealIo, path.as_ref(), docs, self.num_shards())
+        save_coll(&RealIo, path.as_ref(), docs)
     }
 
-    /// Loads a single-file collection snapshot and assembles a service.
-    /// Shards are **memory-planned**: contiguous document ranges balanced
-    /// by each loaded document's index heap, using `config.shards` when
-    /// non-zero and the file's recorded shard plan otherwise. Truncated or
-    /// corrupted files fail with a clean [`StoreError`], never a panic.
+    /// Loads a single-file collection snapshot and assembles a service,
+    /// sharded as [`QueryService::build`] shards the same documents at the
+    /// same `config`. Truncated or corrupted files fail with a clean
+    /// [`StoreError`], never a panic.
     pub fn load_collection(
         path: impl AsRef<Path>,
         config: ServiceConfig,
     ) -> Result<Self, StoreError> {
-        let coll = load_coll(&RealIo, path.as_ref())?;
-        Ok(Self::assemble(
-            coll.docs,
-            &coll.heap_bytes,
-            coll.shard_hint,
-            &config,
-        ))
+        let docs = load_coll(&RealIo, path.as_ref())?;
+        Ok(Self::assemble(docs, &config))
     }
 
     /// Number of documents served.
@@ -1174,9 +1162,20 @@ mod tests {
                 assert_eq!(a.as_ref().unwrap(), b.as_ref().unwrap());
             }
         }
-        // shards = 0 adopts the file's recorded shard plan.
-        let planned = QueryService::load_collection(&path, config(2, 0, 0)).unwrap();
-        assert_eq!(planned.num_shards(), built.num_shards());
+        // Built and loaded at one config, the same documents shard alike:
+        // both plans weigh each document by its executor's heap.
+        for cfg in [config(2, 0, 0), config(2, 3, 0), config(1, 5, 0)] {
+            let with_links = ServiceConfig {
+                epsilon: Some(0.05),
+                ..cfg.clone()
+            };
+            let built = QueryService::build(&docs, 0.05, with_links).unwrap();
+            let loaded = QueryService::load_collection(&path, cfg).unwrap();
+            let sizes = |s: &QueryService| -> Vec<usize> {
+                s.segments().iter().map(|shard| shard.docs.len()).collect()
+            };
+            assert_eq!(sizes(&loaded), sizes(&built));
+        }
         let _ = std::fs::remove_file(&path);
     }
 

@@ -2,6 +2,34 @@
 
 use std::fmt;
 
+use crate::SnapshotKind;
+
+/// The two file formats this crate checks a magic and a version of.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FileKind {
+    /// A snapshot file: an `.idx`, a `.coll` or a live segment.
+    Snapshot,
+    /// A write-ahead log or a live manifest.
+    Wal,
+}
+
+impl FileKind {
+    fn name(self) -> &'static str {
+        match self {
+            FileKind::Snapshot => "snapshot",
+            FileKind::Wal => "WAL",
+        }
+    }
+
+    /// What to do with a file of this kind that this build cannot read.
+    fn remedy(self) -> &'static str {
+        match self {
+            FileKind::Snapshot => ": rebuild it from its source",
+            FileKind::Wal => "",
+        }
+    }
+}
+
 /// Everything that can go wrong saving or loading a snapshot. Loading is
 /// total: malformed input of any shape produces one of these variants, never
 /// a panic.
@@ -9,31 +37,41 @@ use std::fmt;
 pub enum StoreError {
     /// Underlying filesystem / stream error.
     Io(std::io::Error),
-    /// The file does not start with the `USTRSNAP` magic.
-    BadMagic,
+    /// The file does not start with the magic of the kind expected.
+    BadMagic {
+        /// The kind of file the reader expected.
+        expected: FileKind,
+    },
     /// The file was written by a different format version.
     UnsupportedVersion {
+        /// The kind of file the reader expected.
+        file: FileKind,
         /// Version found in the header.
         found: u32,
+        /// The one version this build reads for `file`.
+        reads: u32,
     },
     /// The kind byte is not a known index type.
     UnknownKind {
-        /// Byte found in the header.
+        /// Byte found in the manifest.
         found: u8,
     },
-    /// The snapshot holds a different index type than requested.
-    KindMismatch {
-        /// Kind byte the caller expected.
-        expected: u8,
-        /// Kind byte in the header.
-        found: u8,
+    /// A single-index file (an `.idx`) holds something else: a collection,
+    /// or one section of another kind.
+    NotSingle {
+        /// The section kind requested.
+        kind: SnapshotKind,
+        /// Documents the file declares.
+        docs: usize,
+        /// Sections the file holds.
+        sections: usize,
     },
     /// The input ended before the structure it encodes was complete.
     Truncated {
         /// What was being decoded when the input ran out.
         context: &'static str,
     },
-    /// The payload checksum does not match the header.
+    /// The payload checksum does not match the manifest.
     ChecksumMismatch,
     /// The payload decodes but its structure is inconsistent.
     Corrupt {
@@ -50,23 +88,30 @@ impl fmt::Display for StoreError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             StoreError::Io(e) => write!(f, "snapshot I/O error: {e}"),
-            StoreError::BadMagic => write!(f, "not a snapshot file (bad magic)"),
-            StoreError::UnsupportedVersion { found } => {
-                write!(
-                    f,
-                    "unsupported snapshot format version {found} (this build reads version {})",
-                    crate::FORMAT_VERSION
-                )
-            }
+            StoreError::BadMagic { expected } => write!(
+                f,
+                "not a {} file of this build's format (bad magic){}",
+                expected.name(),
+                expected.remedy()
+            ),
+            StoreError::UnsupportedVersion { file, found, reads } => write!(
+                f,
+                "unsupported {} format version {found} (this build reads version {reads}){}",
+                file.name(),
+                file.remedy()
+            ),
             StoreError::UnknownKind { found } => {
                 write!(f, "unknown snapshot kind byte {found}")
             }
-            StoreError::KindMismatch { expected, found } => {
-                write!(
-                    f,
-                    "snapshot holds kind {found}, but kind {expected} was requested"
-                )
-            }
+            StoreError::NotSingle {
+                kind,
+                docs,
+                sections,
+            } => write!(
+                f,
+                "expected one document with one {kind:?} section, \
+                 found {docs} document(s) in {sections} section(s)"
+            ),
             StoreError::Truncated { context } => {
                 write!(f, "snapshot truncated while reading {context}")
             }

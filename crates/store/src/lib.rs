@@ -11,30 +11,27 @@
 //! that holds what the built one held and answers **byte-identical** query
 //! results, skipping the expensive construction passes (the Lemma-2
 //! transform, SA-IS, the level mask sweeps). The ε-refined links of an
-//! [`ApproxIndex`] built over an [`Index`] are written alone
-//! ([`write_links_snapshot`]) and read back over that index
-//! ([`read_links_snapshot`]), skipping the link search: a `.coll` file
+//! [`ApproxIndex`] built over an [`Index`] are a payload of their own
+//! ([`encode_links_payload`]), read back over that index
+//! ([`decode_links_payload`]), skipping the link search: a `.coll` file
 //! holds one text per document. The other index types have no snapshot;
 //! each is built from its input whenever it is wanted.
 //!
-//! Beyond single indexes, the [`collection`] module defines a one-file
-//! container for a whole document collection (manifest + per-section
-//! checksums) — the primary persistence path of the `ustr-service` serving
-//! layer.
+//! # One container
 //!
-//! # Snapshot container format
+//! Every snapshot file is the [`collection`] container: a header (magic
+//! `"USTRCOLL"`, the format version), a manifest of `(document, kind,
+//! length, checksum)` rows, then the bare payloads. An `.idx` is one
+//! document with one `Index` section; a `.coll` file or a live segment
+//! holds, per document, its `Index` section and, when it is served with ε,
+//! its links section. The byte layout is in the [`collection`] module docs.
 //!
-//! Every snapshot is a 32-byte header followed by one payload:
+//! | kind byte | section payload |
+//! |---|---|
+//! | 1 | an [`Index`] |
+//! | 5 | the links of an [`ApproxIndex`] over its document's `Index` section |
 //!
-//! | offset | size | field |
-//! |---|---|---|
-//! | 0  | 8 | magic `"USTRSNAP"` |
-//! | 8  | 4 | format version, `u32` little-endian (currently 6) |
-//! | 12 | 1 | kind: 1 = `Index`, 5 = `ApproxIndex` links over an `Index`; any other byte is refused |
-//! | 13 | 3 | reserved, must be zero |
-//! | 16 | 8 | payload length in bytes, `u64` little-endian |
-//! | 24 | 8 | FNV-1a 64-bit checksum of the payload |
-//! | 32 | …  | payload |
+//! Any other kind byte is refused ([`StoreError::UnknownKind`]).
 //!
 //! All fixed-width payload integers are little-endian; `f64`s are stored as
 //! their IEEE-754 bit patterns (so prefix sums survive round-trips
@@ -45,7 +42,7 @@
 //! shortest form only), by value size, not by type. The *string* piece is
 //! the WAL's record body too, and keeps its fixed-width `u64` lengths.
 //!
-//! # Payloads (version 6)
+//! # Payloads (version 7)
 //!
 //! A payload says what `build` produces and a query reads, each array
 //! once. Shared pieces first, then the two payloads, every field in the
@@ -83,11 +80,12 @@
 //!
 //! # Versioning policy
 //!
-//! The format version is bumped whenever the payload layout changes in any
-//! way. Readers accept exactly their own version — a snapshot written by a
-//! different version fails with [`StoreError::UnsupportedVersion`] instead of
-//! being misdecoded; rebuilding from source data is always possible and is
-//! the supported migration path. Version 2 wrote the transformed text twice
+//! One version, [`FORMAT_VERSION`], covers the container and every payload:
+//! it is bumped whenever either changes in any way. Readers accept exactly
+//! their own version — a file written at another fails with
+//! [`StoreError::UnsupportedVersion`], whose message says to rebuild it,
+//! instead of being misdecoded; rebuilding from source data is always
+//! possible and is the supported migration path. Version 2 wrote the transformed text twice
 //! (once under the suffix arrays, once with the position map), the
 //! per-character probabilities beside their prefix sums, and the separator
 //! counts. Version 3 wrote each array once but also every long level's
@@ -98,20 +96,19 @@
 //! links at 24 bytes each). Version 5 wrote those arrays as varints but
 //! every length, level count and stat as a `u64`, and an approximate index
 //! (in a `.coll` file too) with a text, SA and LCP of its own and each
-//! link's source position and `f64` probability; version 6 is the layout
-//! above. Version 6 files of kinds 2 (`SpecialIndex`), 3 (`ListingIndex`)
-//! and 4 (a stand-alone `ApproxIndex`) were written by earlier builds,
-//! though nothing read them back; this build refuses them with
-//! [`StoreError::UnknownKind`], with no version bump, since kinds 1 and 5
-//! are byte for byte what they were. The reserved header bytes allow future
-//! flags without disturbing the field offsets.
+//! link's source position and `f64` probability. Version 6 wrote today's
+//! payloads byte for byte, but each inside a 32-byte header of its own
+//! (magic, version, kind, length, checksum): an `.idx` was one such
+//! snapshot, and a `.coll` put them in a container with a version of its
+//! own (1) whose manifest also recorded each section's offset and the shard
+//! count at save time. Version 7 is the one container with bare payloads.
 //!
 //! # Failure model
 //!
 //! Loading never panics on bad input: wrong magic, a foreign version, a
-//! kind mismatch, truncation, checksum failures, and structurally
-//! inconsistent (but well-checksummed) payloads all surface as
-//! [`StoreError`] values.
+//! collection where a single index was asked for, truncation, checksum
+//! failures, and structurally inconsistent (but well-checksummed) payloads
+//! all surface as [`StoreError`] values.
 //!
 //! ```
 //! use ustr_core::Index;
@@ -121,9 +118,10 @@
 //! let s = UncertainString::parse("Q:.7,S:.3 | Q:.3,P:.7 | P | A:.4,F:.3,P:.2,Q:.1").unwrap();
 //! let built = Index::build(&s, 0.1).unwrap();
 //!
-//! let mut bytes = Vec::new();
-//! built.write_snapshot(&mut bytes).unwrap();
-//! let loaded = Index::read_snapshot(&bytes[..]).unwrap();
+//! let path = std::env::temp_dir().join("ustr_store_doc_example.idx");
+//! built.save(&path).unwrap();
+//! let loaded = Index::load(&path).unwrap();
+//! std::fs::remove_file(&path).unwrap();
 //!
 //! assert_eq!(
 //!     built.query(b"QP", 0.2).unwrap().hits(),
@@ -142,8 +140,6 @@ pub mod io;
 pub mod wal;
 pub mod wire;
 
-use std::fs::File;
-use std::io::{BufReader, BufWriter, Read, Write};
 use std::path::Path;
 use std::time::Duration;
 
@@ -155,11 +151,11 @@ use ustr_core::{ApproxIndex, BuildStats, Index};
 use ustr_uncertain::{Correlation, UncertainString};
 
 pub use collection::{
-    read_collection, read_collection_manifest, write_collection, Collection, CollectionManifest,
-    CollectionSection, ManifestEntry, COLLECTION_MAGIC, COLLECTION_VERSION,
+    load_collection_file, read_collection, read_collection_manifest, save_collection_file,
+    write_collection, Collection, CollectionManifest, ManifestEntry, Section,
 };
 use error::corrupt;
-pub use error::StoreError;
+pub use error::{FileKind, StoreError};
 pub use io::{RealIo, StoreFile, StoreIo};
 pub use wal::{
     fsync_parent_dir, load_manifest, read_wal, read_wal_bytes, replace_wal_file, save_manifest,
@@ -169,20 +165,18 @@ pub use wal::{
 pub use wire::{read_frame, write_frame, Reader, Writer, FRAME_OVERHEAD};
 
 /// The 8-byte magic prefix of every snapshot file.
-pub const MAGIC: [u8; 8] = *b"USTRSNAP";
+pub const MAGIC: [u8; 8] = *b"USTRCOLL";
 
-/// Current snapshot format version (see the crate docs for the policy).
-/// Version 2 added the `ApproxIndex` record kind; version 3 stores each
-/// array once; version 4 only what `build` produces and a query reads;
-/// version 5 writes its integer arrays as varints; version 6 writes the
-/// §7 links as a section of their own over an `Index`, and every length,
-/// level count and stat as a varint.
-pub const FORMAT_VERSION: u32 = 6;
+/// Current snapshot format version, of the container and every payload
+/// together (see the crate docs for the policy). Version 2 added the
+/// `ApproxIndex` record kind; version 3 stores each array once; version 4
+/// only what `build` produces and a query reads; version 5 writes its
+/// integer arrays as varints; version 6 writes the §7 links as a section of
+/// their own over an `Index`, and every length, level count and stat as a
+/// varint; version 7 is one container of bare payloads for every file.
+pub const FORMAT_VERSION: u32 = 7;
 
-/// Total header size in bytes.
-pub const HEADER_LEN: usize = 32;
-
-/// Which structure a snapshot holds: one a server loads.
+/// Which structure a section holds: one a server loads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SnapshotKind {
     /// A general substring [`Index`].
@@ -193,8 +187,9 @@ pub enum SnapshotKind {
 }
 
 impl SnapshotKind {
-    /// The kind a header byte names; any other byte — 2, 3 and 4 included
-    /// (see the versioning policy) — is [`StoreError::UnknownKind`].
+    /// The kind a manifest byte names; any other byte — 2, 3 and 4, which
+    /// earlier builds wrote for other indexes, included — is
+    /// [`StoreError::UnknownKind`].
     pub(crate) fn from_byte(b: u8) -> Result<Self, StoreError> {
         match b {
             1 => Ok(SnapshotKind::Index),
@@ -214,186 +209,64 @@ pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-/// Parsed snapshot header.
-#[derive(Debug, Clone, Copy)]
-pub struct Header {
-    /// Format version the snapshot was written with.
-    pub version: u32,
-    /// Index type held by the payload.
-    pub kind: SnapshotKind,
-    /// Payload length in bytes.
-    pub payload_len: u64,
-    /// FNV-1a checksum of the payload.
-    pub checksum: u64,
-}
+/// Save/load support for an index type: its section payload codec, and the
+/// file-path pair over it.
+pub trait Snapshot: Sized {
+    /// The kind byte identifying this index type in a manifest row.
+    const KIND: SnapshotKind;
 
-impl Header {
-    /// Parses and validates the fixed-size header (magic, version, kind).
-    pub fn parse(bytes: &[u8]) -> Result<Self, StoreError> {
-        if bytes.len() < HEADER_LEN {
-            return Err(StoreError::Truncated {
-                context: "snapshot header",
-            });
-        }
-        if bytes[0..8] != MAGIC {
-            return Err(StoreError::BadMagic);
-        }
-        let version = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
-        if version != FORMAT_VERSION {
-            return Err(StoreError::UnsupportedVersion { found: version });
-        }
-        let kind = SnapshotKind::from_byte(bytes[12])?;
-        if bytes[13..16] != [0, 0, 0] {
-            return Err(corrupt("reserved header bytes are not zero"));
-        }
-        let payload_len = u64::from_le_bytes(bytes[16..24].try_into().unwrap());
-        let checksum = u64::from_le_bytes(bytes[24..32].try_into().unwrap());
-        Ok(Self {
-            version,
-            kind,
-            payload_len,
-            checksum,
+    /// Encodes the section payload into `w`.
+    fn encode_payload(&self, w: &mut Writer);
+
+    /// Decodes the section payload and reassembles the index.
+    fn decode_payload(r: &mut Reader<'_>) -> Result<Self, StoreError>;
+
+    /// Saves `self` to `path` as a snapshot file of one document and one
+    /// section, fsynced before returning.
+    fn save(&self, path: impl AsRef<Path>) -> Result<(), StoreError> {
+        let mut w = Writer::new();
+        self.encode_payload(&mut w);
+        let payload = w.into_bytes();
+        let section = Section {
+            doc: 0,
+            kind: Self::KIND,
+            payload: &payload,
+        };
+        save_collection_file(&RealIo, path, 1, &[section])
+    }
+
+    /// Loads a file written by [`Snapshot::save`]: any other file — a
+    /// collection of several documents included — is an error.
+    fn load(path: impl AsRef<Path>) -> Result<Self, StoreError> {
+        load_collection_file(&RealIo, path, |file| {
+            file.single(Self::KIND)?.decode(Self::decode_payload)
         })
     }
 }
 
-/// Reads a snapshot's header without decoding its payload (e.g. to discover
-/// which index type a file holds).
-pub fn read_header(path: impl AsRef<Path>) -> Result<Header, StoreError> {
-    let mut file = File::open(path)?;
-    let mut buf = [0u8; HEADER_LEN];
-    let mut filled = 0;
-    while filled < HEADER_LEN {
-        let n = file.read(&mut buf[filled..])?;
-        if n == 0 {
-            break;
-        }
-        filled += n;
-    }
-    Header::parse(&buf[..filled])
-}
-
-/// Save/load support for an index type.
-///
-/// The provided methods wrap the type-specific payload codec in the common
-/// container: header, length, checksum. `save`/`load` are the file-path
-/// conveniences over `write_snapshot`/`read_snapshot`.
-pub trait Snapshot: Sized {
-    /// The kind byte identifying this index type in the header.
-    const KIND: SnapshotKind;
-
-    /// Encodes the payload (no header) into `w`.
-    fn encode_payload(&self, w: &mut Writer);
-
-    /// Decodes the payload (no header) and reassembles the index.
-    fn decode_payload(r: &mut Reader<'_>) -> Result<Self, StoreError>;
-
-    /// Writes a complete snapshot (header + checksummed payload).
-    fn write_snapshot(&self, out: impl Write) -> Result<(), StoreError> {
-        write_container(Self::KIND, |w| self.encode_payload(w), out)
-    }
-
-    /// Reads a complete snapshot, verifying magic, version, kind, length,
-    /// and checksum before decoding.
-    fn read_snapshot(input: impl Read) -> Result<Self, StoreError> {
-        read_container(Self::KIND, input, Self::decode_payload)
-    }
-
-    /// Saves a snapshot to `path` (buffered).
-    fn save(&self, path: impl AsRef<Path>) -> Result<(), StoreError> {
-        let file = File::create(path)?;
-        let mut out = BufWriter::new(file);
-        self.write_snapshot(&mut out)?;
-        out.flush()?;
-        Ok(())
-    }
-
-    /// Loads a snapshot from `path` (buffered).
-    fn load(path: impl AsRef<Path>) -> Result<Self, StoreError> {
-        let file = File::open(path)?;
-        Self::read_snapshot(BufReader::new(file))
-    }
-}
-
-/// Writes a complete snapshot of `kind`: header, then the payload `encode`
-/// writes.
-fn write_container(
-    kind: SnapshotKind,
-    encode: impl FnOnce(&mut Writer),
-    mut out: impl Write,
-) -> Result<(), StoreError> {
-    let mut w = Writer::new();
-    encode(&mut w);
-    let payload = w.into_bytes();
-    let mut header = Vec::with_capacity(HEADER_LEN);
-    header.extend_from_slice(&MAGIC);
-    header.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-    header.push(kind as u8);
-    header.extend_from_slice(&[0, 0, 0]);
-    header.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    header.extend_from_slice(&fnv1a(&payload).to_le_bytes());
-    out.write_all(&header)?;
-    out.write_all(&payload)?;
-    Ok(())
-}
-
-/// Reads a complete snapshot of `kind`, verifying magic, version, kind,
-/// length and checksum before `decode` reads the whole payload.
-fn read_container<T>(
-    kind: SnapshotKind,
-    mut input: impl Read,
-    decode: impl FnOnce(&mut Reader<'_>) -> Result<T, StoreError>,
-) -> Result<T, StoreError> {
-    let mut bytes = Vec::new();
-    input.read_to_end(&mut bytes)?;
-    let header = Header::parse(&bytes)?;
-    if header.kind != kind {
-        return Err(StoreError::KindMismatch {
-            expected: kind as u8,
-            found: header.kind as u8,
-        });
-    }
-    let payload = &bytes[HEADER_LEN..];
-    if payload.len() as u64 != header.payload_len {
-        return Err(StoreError::Truncated {
-            context: "snapshot payload",
-        });
-    }
-    if fnv1a(payload) != header.checksum {
-        return Err(StoreError::ChecksumMismatch);
-    }
-    let mut r = Reader::new(payload);
-    let value = decode(&mut r)?;
-    if !r.is_exhausted() {
-        return Err(corrupt("trailing bytes after payload"));
-    }
-    Ok(value)
-}
-
 /// Writes the links of `approx` — built [`over`](ApproxIndex::over) an
-/// [`Index`] — as a complete snapshot of kind [`SnapshotKind::ApproxLinks`]:
-/// a `.coll` approx section, which holds no text.
-pub fn write_links_snapshot(approx: &ApproxIndex, out: impl Write) -> Result<(), StoreError> {
-    let state = approx.to_links_snapshot();
-    write_container(SnapshotKind::ApproxLinks, |w| encode_links(w, &state), out)
+/// [`Index`] — as a section payload of kind [`SnapshotKind::ApproxLinks`],
+/// which holds no text.
+pub fn encode_links_payload(approx: &ApproxIndex, w: &mut Writer) {
+    encode_links(w, &approx.to_links_snapshot());
 }
 
-/// Reads a snapshot written by [`write_links_snapshot`] and hangs its links
+/// Reads a payload written by [`encode_links_payload`] and hangs its links
 /// off `index` ([`ApproxIndex::from_links_snapshot`], which refuses links
 /// that `index`'s tree does not carry).
-pub fn read_links_snapshot(input: impl Read, index: &Index) -> Result<ApproxIndex, StoreError> {
-    let state = read_container(SnapshotKind::ApproxLinks, input, decode_links)?;
-    Ok(ApproxIndex::from_links_snapshot(index, state)?)
+pub fn decode_links_payload(r: &mut Reader<'_>, index: &Index) -> Result<ApproxIndex, StoreError> {
+    Ok(ApproxIndex::from_links_snapshot(index, decode_links(r)?)?)
 }
 
 // ---------------------------------------------------------------------------
-// Snapshot-local framing: every length, level count and stat of a payload
-// is a varint. The WAL and the wire protocol share `Writer`/`Reader` and
-// keep their fixed-width `u64`s, so these live here and not there.
+// Snapshot-local framing: every length, level count and stat of a payload,
+// and every count, id and length of a manifest, is a varint. The WAL and the
+// wire protocol share `Writer`/`Reader` and keep their fixed-width `u64`s,
+// so these live here and not there.
 // ---------------------------------------------------------------------------
 
 /// `v` as an LEB128 varint: 1–10 bytes, low group first.
-fn put_size(w: &mut Writer, mut v: u64) {
+pub(crate) fn put_size(w: &mut Writer, mut v: u64) {
     while v >= 0x80 {
         w.put_u8(v as u8 | 0x80);
         v >>= 7;
@@ -403,7 +276,7 @@ fn put_size(w: &mut Writer, mut v: u64) {
 
 /// A varint written by [`put_size`]; anything but the shortest encoding of
 /// a `u64` is [`StoreError::Corrupt`].
-fn get_size(r: &mut Reader<'_>) -> Result<u64, StoreError> {
+pub(crate) fn get_size(r: &mut Reader<'_>) -> Result<u64, StoreError> {
     let mut v = 0u64;
     for i in 0..10 {
         let b = r.get_u8()?;
@@ -422,14 +295,14 @@ fn get_size(r: &mut Reader<'_>) -> Result<u64, StoreError> {
     Err(corrupt("varint longer than 10 bytes"))
 }
 
-fn get_usize(r: &mut Reader<'_>) -> Result<usize, StoreError> {
+pub(crate) fn get_usize(r: &mut Reader<'_>) -> Result<usize, StoreError> {
     usize::try_from(get_size(r)?).map_err(|_| corrupt("value exceeds the platform word size"))
 }
 
 /// A sequence length whose elements take at least `min_elem_bytes` each:
 /// one no remaining input could hold is refused before anything is
 /// allocated for it.
-fn get_count(r: &mut Reader<'_>, min_elem_bytes: usize) -> Result<usize, StoreError> {
+pub(crate) fn get_count(r: &mut Reader<'_>, min_elem_bytes: usize) -> Result<usize, StoreError> {
     let len = get_usize(r)?;
     if len.saturating_mul(min_elem_bytes.max(1)) > r.remaining() {
         return Err(StoreError::Truncated {
@@ -779,97 +652,124 @@ mod tests {
         Index::build(&s, 0.1).unwrap()
     }
 
-    #[test]
-    fn header_survives_round_trip() {
-        let mut bytes = Vec::new();
-        sample_index().write_snapshot(&mut bytes).unwrap();
-        let header = Header::parse(&bytes).unwrap();
-        assert_eq!(header.version, FORMAT_VERSION);
-        assert_eq!(header.kind, SnapshotKind::Index);
-        assert_eq!(header.payload_len as usize, bytes.len() - HEADER_LEN);
-    }
-
-    /// An `Index` file read as links, and links read as an `Index`.
-    #[test]
-    fn wrong_kind_is_rejected() {
-        let index = sample_index();
-        let mut bytes = Vec::new();
-        index.write_snapshot(&mut bytes).unwrap();
-        let err = read_links_snapshot(&bytes[..], &index).err();
-        assert!(
-            matches!(err, Some(StoreError::KindMismatch { .. })),
-            "{err:?}"
-        );
-        let mut bytes = Vec::new();
-        let approx = ApproxIndex::over(&index, 0.05).unwrap();
-        write_links_snapshot(&approx, &mut bytes).unwrap();
-        let err = Index::read_snapshot(&bytes[..]).err();
-        assert!(
-            matches!(err, Some(StoreError::KindMismatch { .. })),
-            "{err:?}"
-        );
-    }
-
-    /// Kinds 2, 3 and 4 — a `SpecialIndex`, a `ListingIndex` and a
-    /// stand-alone `ApproxIndex`, which earlier builds wrote at this format
-    /// version — are unknown to the header, to both readers and to a
-    /// collection's manifest.
-    #[test]
-    fn retired_kinds_are_refused() {
-        let index = sample_index();
+    fn payload(encode: impl FnOnce(&mut Writer)) -> Vec<u8> {
         let mut w = Writer::new();
-        index.encode_payload(&mut w);
-        let payload = w.into_bytes();
-        let section = CollectionSection {
-            doc: 0,
-            kind: SnapshotKind::Index,
-            bytes: framed(SnapshotKind::Index as u8, &payload),
-        };
-        let mut coll = Vec::new();
-        write_collection(&mut coll, 1, 1, &[section]).unwrap();
-        for kind in [2, 3, 4] {
-            let unknown = |err: Option<StoreError>| {
-                assert!(
-                    matches!(err, Some(StoreError::UnknownKind { found }) if found == kind),
-                    "kind {kind}: {err:?}"
-                );
-            };
-            let bytes = framed(kind, &payload);
-            unknown(Header::parse(&bytes).err());
-            unknown(Index::read_snapshot(&bytes[..]).err());
-            unknown(read_links_snapshot(&bytes[..], &index).err());
-            let mut coll = coll.clone();
-            coll[collection::COLLECTION_HEADER_LEN + 8] = kind;
-            unknown(read_collection(&coll[..]).err());
+        encode(&mut w);
+        w.into_bytes()
+    }
+
+    /// The bytes of a snapshot file of `num_docs` holding `sections`.
+    fn file_of(num_docs: usize, sections: &[Section<'_>]) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        write_collection(&mut bytes, num_docs, sections).unwrap();
+        bytes
+    }
+
+    fn temp_file(name: &str, bytes: &[u8]) -> std::path::PathBuf {
+        let path = std::env::temp_dir().join(format!("{name}.{}", std::process::id()));
+        std::fs::write(&path, bytes).unwrap();
+        path
+    }
+
+    /// An `.idx` is the container with one `Index` section, whose payload
+    /// is the encoded index byte for byte, behind at most 32 bytes of
+    /// header and manifest.
+    #[test]
+    fn an_index_file_is_one_bare_section() {
+        let index = sample_index();
+        let path = std::env::temp_dir().join(format!("ustr_store_one.{}.idx", std::process::id()));
+        index.save(&path).unwrap();
+        let bytes = std::fs::read(&path).unwrap();
+        let file = read_collection(&bytes).unwrap();
+        let section = file.single(SnapshotKind::Index).unwrap();
+        assert_eq!(section.payload, payload(|w| index.encode_payload(w)));
+        assert!(bytes.len() - section.payload.len() <= 32);
+        let loaded = Index::load(&path).unwrap();
+        assert_eq!(loaded.to_snapshot(), index.to_snapshot());
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// `Index::load` reads one document with one `Index` section: a links
+    /// section alone, or a collection, is [`StoreError::NotSingle`].
+    #[test]
+    fn index_load_wants_one_index_section() {
+        let index = sample_index();
+        let approx = ApproxIndex::over(&index, 0.05).unwrap();
+        let (ib, lb) = (
+            payload(|w| index.encode_payload(w)),
+            payload(|w| encode_links_payload(&approx, w)),
+        );
+        let section = |doc, kind, payload| Section { doc, kind, payload };
+        for (docs, sections) in [
+            (1, vec![section(0, SnapshotKind::ApproxLinks, &lb[..])]),
+            (
+                1,
+                vec![
+                    section(0, SnapshotKind::Index, &ib[..]),
+                    section(0, SnapshotKind::ApproxLinks, &lb[..]),
+                ],
+            ),
+            (
+                2,
+                vec![
+                    section(0, SnapshotKind::Index, &ib[..]),
+                    section(1, SnapshotKind::Index, &ib[..]),
+                ],
+            ),
+        ] {
+            let path = temp_file("ustr_store_not_single.coll", &file_of(docs, &sections));
+            let err = Index::load(&path).err();
+            assert!(
+                matches!(err, Some(StoreError::NotSingle { docs: d, sections: s, .. })
+                    if d == docs && s == sections.len()),
+                "{err:?}"
+            );
+            std::fs::remove_file(&path).unwrap();
         }
     }
 
+    /// A manifest kind byte other than 1 and 5 — 2, 3 and 4 were a
+    /// `SpecialIndex`, a `ListingIndex` and a stand-alone `ApproxIndex` in
+    /// earlier builds — is unknown.
     #[test]
-    fn flipped_payload_byte_fails_checksum() {
-        let mut bytes = Vec::new();
-        sample_index().write_snapshot(&mut bytes).unwrap();
-        let mid = HEADER_LEN + (bytes.len() - HEADER_LEN) / 2;
-        bytes[mid] ^= 0xFF;
-        let Err(err) = Index::read_snapshot(&bytes[..]) else {
-            panic!("corrupt payload must fail");
+    fn unknown_kinds_are_refused() {
+        let ib = payload(|w| sample_index().encode_payload(w));
+        let section = Section {
+            doc: 0,
+            kind: SnapshotKind::Index,
+            payload: &ib,
         };
-        assert!(matches!(err, StoreError::ChecksumMismatch), "{err:?}");
+        let bytes = file_of(1, &[section]);
+        // Magic, version, the two counts, the row's document id.
+        let kind_at = 8 + 4 + 1 + 1 + 1;
+        assert_eq!(bytes[kind_at], SnapshotKind::Index as u8);
+        for kind in [0, 2, 3, 4, 6] {
+            let mut bytes = bytes.clone();
+            bytes[kind_at] = kind;
+            let err = read_collection(&bytes).err();
+            assert!(
+                matches!(err, Some(StoreError::UnknownKind { found }) if found == kind),
+                "kind {kind}: {err:?}"
+            );
+        }
     }
 
-    /// `(payload length, FNV-1a payload checksum)` of a snapshot's bytes.
-    fn header_pin(bytes: &[u8]) -> (u64, u64) {
-        let header = Header::parse(bytes).unwrap();
-        (header.payload_len, header.checksum)
+    /// `(payload length, FNV-1a payload checksum)` of every manifest row.
+    fn manifest_pins(bytes: &[u8]) -> Vec<(u64, u64)> {
+        let (manifest, _) = collection::parse_manifest(bytes).unwrap();
+        manifest
+            .entries
+            .iter()
+            .map(|e| (e.len, e.checksum))
+            .collect()
     }
 
-    /// The pin of `index`'s snapshot, its build time set to zero.
-    fn pinned(index: &Index) -> (u64, u64) {
+    /// The payload of `index`, its build time set to zero.
+    fn pinned(index: &Index) -> Vec<u8> {
         let mut state = index.to_snapshot();
         state.stats.build_time = std::time::Duration::ZERO;
-        let mut bytes = Vec::new();
         let index = Index::from_snapshot(state).unwrap();
-        index.write_snapshot(&mut bytes).unwrap();
-        header_pin(&bytes)
+        payload(|w| index.encode_payload(w))
     }
 
     /// A model with one correlation (one, so the set's iteration order is
@@ -892,24 +792,39 @@ mod tests {
         s
     }
 
-    /// The version-6 payloads of three fixtures, byte for byte. The one
-    /// nondeterministic field, `build_time`, is set to zero through the
-    /// public state struct; everything else — source, map, text, SA, LCP,
-    /// `C`, mask words, champions, links — is what the checksums cover.
+    /// The payloads of three fixtures, byte for byte, as the manifest rows
+    /// of one file record them (the payloads are version 6's, unchanged).
+    /// The one nondeterministic field, `build_time`, is set to zero through
+    /// the public state struct; everything else — source, map, text, SA,
+    /// LCP, `C`, mask words, champions, links — is what the checksums cover.
     #[test]
     fn snapshot_payloads_are_pinned() {
         let index = sample_index();
         // The links over the index, as a `.coll` section writes them.
         let mut state = ApproxIndex::over(&index, 0.05).unwrap().to_links_snapshot();
         state.build_time = std::time::Duration::ZERO;
-        let mut bytes = Vec::new();
         let links = ApproxIndex::from_links_snapshot(&index, state).unwrap();
-        write_links_snapshot(&links, &mut bytes).unwrap();
         // The same bytes after the model went through a correlation, a
         // near-1.0 single choice and a correlated certain position.
         let correlated = Index::build(&correlated(), 0.1).unwrap();
+        let payloads = [
+            (0, SnapshotKind::Index, pinned(&index)),
+            (
+                0,
+                SnapshotKind::ApproxLinks,
+                payload(|w| encode_links_payload(&links, w)),
+            ),
+            (1, SnapshotKind::Index, pinned(&correlated)),
+        ];
+        let sections: Vec<Section> = (payloads.iter())
+            .map(|(doc, kind, payload)| Section {
+                doc: *doc,
+                kind: *kind,
+                payload,
+            })
+            .collect();
         assert_eq!(
-            [pinned(&index), header_pin(&bytes), pinned(&correlated)],
+            manifest_pins(&file_of(2, &sections)),
             [
                 (762, 11012587562498709977), // Index
                 // ApproxIndex links: the links of one origin in witness
@@ -922,9 +837,7 @@ mod tests {
     }
 
     fn encoded_len(encode: impl FnOnce(&mut Writer)) -> usize {
-        let mut w = Writer::new();
-        encode(&mut w);
-        w.into_bytes().len()
+        payload(encode).len()
     }
 
     /// A payload holds the source, one copy of each per-slot array — text
@@ -980,15 +893,18 @@ mod tests {
         }
     }
 
-    /// `payload` behind a valid header of kind byte `kind` and its checksum.
-    fn framed(kind: u8, payload: &[u8]) -> Vec<u8> {
-        let mut bytes = MAGIC.to_vec();
-        bytes.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-        bytes.extend_from_slice(&[kind, 0, 0, 0]);
-        bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        bytes.extend_from_slice(&fnv1a(payload).to_le_bytes());
-        bytes.extend_from_slice(payload);
-        bytes
+    /// `payload` decoded whole as a section of `kind`.
+    fn decoded<T>(
+        kind: SnapshotKind,
+        payload: &[u8],
+        decode: impl FnOnce(&mut Reader<'_>) -> Result<T, StoreError>,
+    ) -> Result<T, StoreError> {
+        let section = Section {
+            doc: 0,
+            kind,
+            payload,
+        };
+        section.decode(decode)
     }
 
     /// A checksummed payload whose integers decode to no built state is a
@@ -1010,10 +926,10 @@ mod tests {
         }
 
         let encoded = |state: &ApproxLinksState| {
-            let mut w = Writer::new();
-            encode_links(&mut w, state);
-            let bytes = framed(SnapshotKind::ApproxLinks as u8, &w.into_bytes());
-            read_links_snapshot(&bytes[..], &built)
+            let bytes = payload(|w| encode_links(w, state));
+            decoded(SnapshotKind::ApproxLinks, &bytes, |r| {
+                decode_links_payload(r, &built)
+            })
         };
         assert!(encoded(&links).is_ok());
         let mut state = links.clone();
@@ -1021,9 +937,8 @@ mod tests {
         corrupt(encoded(&state), "gap larger than its origin depth");
 
         let encoded = |state: &IndexState| {
-            let mut w = Writer::new();
-            encode_index(&mut w, state);
-            Index::read_snapshot(&framed(SnapshotKind::Index as u8, &w.into_bytes())[..])
+            let bytes = payload(|w| encode_index(w, state));
+            decoded(SnapshotKind::Index, &bytes, Index::decode_payload)
         };
         assert!(encoded(&index).is_ok());
         // The first entry written as the step from 0 to −1.

@@ -43,7 +43,9 @@ use std::path::Path;
 use ustr_uncertain::UncertainString;
 
 use crate::io::{StoreFile, StoreIo};
-use crate::{decode_uncertain_string, encode_uncertain_string, fnv1a, Reader, StoreError, Writer};
+use crate::{
+    decode_uncertain_string, encode_uncertain_string, fnv1a, FileKind, Reader, StoreError, Writer,
+};
 
 /// The 8-byte magic prefix of every WAL / manifest file.
 pub const WAL_MAGIC: [u8; 8] = *b"USTRWAL1";
@@ -368,11 +370,17 @@ pub fn read_wal_bytes(bytes: &[u8]) -> Result<WalReplay, StoreError> {
         });
     }
     if bytes[0..8] != WAL_MAGIC {
-        return Err(StoreError::BadMagic);
+        return Err(StoreError::BadMagic {
+            expected: FileKind::Wal,
+        });
     }
     let version = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
     if version != WAL_VERSION {
-        return Err(StoreError::UnsupportedVersion { found: version });
+        return Err(StoreError::UnsupportedVersion {
+            file: FileKind::Wal,
+            found: version,
+            reads: WAL_VERSION,
+        });
     }
     if bytes[12..16] != [0, 0, 0, 0] {
         return Err(StoreError::Corrupt {
@@ -633,6 +641,35 @@ mod tests {
             read_wal_bytes(&flipped),
             Err(StoreError::ChecksumMismatch)
         ));
+    }
+
+    /// A log of another version names the WAL format and the version this
+    /// build reads, not the snapshot format's.
+    #[test]
+    fn a_foreign_wal_version_names_the_wal_format() {
+        let mut bytes = wal_bytes(&sample_records());
+        bytes[8..12].copy_from_slice(&2u32.to_le_bytes());
+        let err = read_wal_bytes(&bytes).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                StoreError::UnsupportedVersion {
+                    file: FileKind::Wal,
+                    found: 2,
+                    reads: 1
+                }
+            ),
+            "{err:?}"
+        );
+        assert_eq!(
+            err.to_string(),
+            "unsupported WAL format version 2 (this build reads version 1)"
+        );
+        bytes[0] ^= 0xff;
+        assert_eq!(
+            read_wal_bytes(&bytes).unwrap_err().to_string(),
+            "not a WAL file of this build's format (bad magic)"
+        );
     }
 
     /// A checksummed insert whose string declares more positions, or more

@@ -2,12 +2,14 @@
 //! answers *identically* (positions and exact probabilities) to the index it
 //! was saved from, for random uncertain strings across τmin values — and
 //! every flavour of file corruption fails with a clean error, never a panic.
+//! The files are the one container: a one-document `.idx` and a two-section
+//! `.coll` (an index and the links over it).
 
 use proptest::prelude::*;
 use ustr_core::{ApproxIndex, Index};
 use ustr_store::{
-    read_links_snapshot, write_links_snapshot, Snapshot, StoreError, FORMAT_VERSION, HEADER_LEN,
-    MAGIC,
+    decode_links_payload, encode_links_payload, read_collection, write_collection, FileKind,
+    Section, Snapshot, SnapshotKind, StoreError, Writer, FORMAT_VERSION, MAGIC,
 };
 use ustr_uncertain::UncertainString;
 
@@ -36,6 +38,70 @@ fn pattern(max_len: usize) -> impl Strategy<Value = Vec<u8>> {
         .prop_map(|v| v.into_iter().map(|c| b'a' + c).collect())
 }
 
+fn payload(encode: impl FnOnce(&mut Writer)) -> Vec<u8> {
+    let mut w = Writer::new();
+    encode(&mut w);
+    w.into_bytes()
+}
+
+/// The bytes `Snapshot::save` writes for `index`.
+fn idx_bytes(index: &Index) -> Vec<u8> {
+    let payload = payload(|w| index.encode_payload(w));
+    let mut bytes = Vec::new();
+    let section = Section {
+        doc: 0,
+        kind: SnapshotKind::Index,
+        payload: &payload,
+    };
+    write_collection(&mut bytes, 1, &[section]).unwrap();
+    bytes
+}
+
+fn load_idx(bytes: &[u8]) -> Result<Index, StoreError> {
+    let file = read_collection(bytes)?;
+    file.single(SnapshotKind::Index)?
+        .decode(Index::decode_payload)
+}
+
+/// A one-document `.coll`: `index`'s section, then `approx`'s links.
+fn coll_bytes(index: &Index, approx: &ApproxIndex) -> Vec<u8> {
+    let ib = payload(|w| index.encode_payload(w));
+    let lb = payload(|w| encode_links_payload(approx, w));
+    let sections = [
+        Section {
+            doc: 0,
+            kind: SnapshotKind::Index,
+            payload: &ib,
+        },
+        Section {
+            doc: 0,
+            kind: SnapshotKind::ApproxLinks,
+            payload: &lb,
+        },
+    ];
+    let mut bytes = Vec::new();
+    write_collection(&mut bytes, 1, &sections).unwrap();
+    bytes
+}
+
+/// The index and the links over it, from [`coll_bytes`]' file.
+fn load_coll(bytes: &[u8]) -> Result<(Index, ApproxIndex), StoreError> {
+    let file = read_collection(bytes)?;
+    let [index, links] = file.sections[..] else {
+        return Err(StoreError::Corrupt {
+            detail: format!("{} sections", file.sections.len()),
+        });
+    };
+    if (index.kind, links.kind) != (SnapshotKind::Index, SnapshotKind::ApproxLinks) {
+        return Err(StoreError::Corrupt {
+            detail: "section kinds".into(),
+        });
+    }
+    let index = index.decode(Index::decode_payload)?;
+    let approx = links.decode(|r| decode_links_payload(r, &index))?;
+    Ok((index, approx))
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -52,9 +118,7 @@ proptest! {
         let tau = [0.2, 0.35, 0.5, 0.8][tau_idx];
         let s = UncertainString::from_rows(r).unwrap();
         let built = Index::build(&s, tau_min).unwrap();
-        let mut bytes = Vec::new();
-        built.write_snapshot(&mut bytes).unwrap();
-        let loaded = Index::read_snapshot(&bytes[..]).unwrap();
+        let loaded = load_idx(&idx_bytes(&built)).unwrap();
 
         let a = built.query(&p, tau).unwrap();
         let b = loaded.query(&p, tau).unwrap();
@@ -72,7 +136,7 @@ proptest! {
 
     /// The links over an index round-trip byte-identically: positions AND
     /// reported (ε-approximate) probabilities, across ε and τ values — over
-    /// the index they were built over and over one loaded from its bytes.
+    /// the index they were built over and over the one the file carries.
     #[test]
     fn approx_round_trip_is_exact(
         r in rows(14),
@@ -86,14 +150,14 @@ proptest! {
         let index = Index::build(&s, 0.05).unwrap();
         let built = ApproxIndex::over(&index, epsilon).unwrap();
 
-        let mut bytes = Vec::new();
-        index.write_snapshot(&mut bytes).unwrap();
-        let loaded_index = Index::read_snapshot(&bytes[..]).unwrap();
-        let mut bytes = Vec::new();
-        write_links_snapshot(&built, &mut bytes).unwrap();
+        let bytes = coll_bytes(&index, &built);
+        let (loaded_index, from_file) = load_coll(&bytes).unwrap();
+        let links = payload(|w| encode_links_payload(&built, w));
+        let over_built = Section { doc: 0, kind: SnapshotKind::ApproxLinks, payload: &links }
+            .decode(|r| decode_links_payload(r, &index))
+            .unwrap();
         let a = built.query(&p, tau).unwrap();
-        for over in [&index, &loaded_index] {
-            let loaded = read_links_snapshot(&bytes[..], over).unwrap();
+        for loaded in [over_built, from_file] {
             let b = loaded.query(&p, tau).unwrap();
             prop_assert_eq!(a.hits(), b.hits(), "byte round-trip diverged");
             for (&(_, pa), &(_, pb)) in a.hits().iter().zip(b.hits().iter()) {
@@ -103,107 +167,124 @@ proptest! {
             prop_assert_eq!(built.epsilon().to_bits(), loaded.epsilon().to_bits());
             prop_assert_eq!(built.tau_min().to_bits(), loaded.tau_min().to_bits());
         }
+        prop_assert_eq!(loaded_index.to_snapshot(), index.to_snapshot());
     }
 
-    /// Every truncation point of a valid links snapshot fails cleanly.
+    /// Every truncation point of a two-section `.coll` fails cleanly.
     #[test]
     fn approx_truncation_always_errors(r in rows(8), cut_seed in 0u32..10_000) {
         let s = UncertainString::from_rows(r).unwrap();
         let index = Index::build(&s, 0.1).unwrap();
         let built = ApproxIndex::over(&index, 0.1).unwrap();
-        let mut bytes = Vec::new();
-        write_links_snapshot(&built, &mut bytes).unwrap();
+        let bytes = coll_bytes(&index, &built);
         let cut = cut_seed as usize % bytes.len();
         prop_assert!(
-            read_links_snapshot(&bytes[..cut], &index).is_err(),
+            load_coll(&bytes[..cut]).is_err(),
             "prefix of {} bytes must not load", cut
         );
     }
 
-    /// Every truncation point of a valid snapshot fails cleanly (no panic,
-    /// no bogus success).
+    /// Every truncation point of a one-document `.idx` fails cleanly (no
+    /// panic, no bogus success).
     #[test]
     fn truncation_always_errors(r in rows(8), cut_seed in 0u32..10_000) {
         let s = UncertainString::from_rows(r).unwrap();
         let built = Index::build(&s, 0.1).unwrap();
-        let mut bytes = Vec::new();
-        built.write_snapshot(&mut bytes).unwrap();
+        let bytes = idx_bytes(&built);
         let cut = cut_seed as usize % bytes.len();
         prop_assert!(
-            Index::read_snapshot(&bytes[..cut]).is_err(),
+            load_idx(&bytes[..cut]).is_err(),
             "prefix of {} bytes must not load", cut
         );
     }
 
-    /// A flipped byte anywhere in the payload is caught by the checksum (or,
-    /// in the header, by magic/version/kind/length validation).
+    /// A flipped byte anywhere in either file is caught: in a payload by its
+    /// checksum; in the header or manifest by the magic, the version, a
+    /// count, a document id, a kind, or the lengths no longer filling the
+    /// file.
     #[test]
     fn bit_flips_never_load_silently(r in rows(8), flip_seed in 0u32..10_000) {
         let s = UncertainString::from_rows(r).unwrap();
         let built = Index::build(&s, 0.1).unwrap();
-        let mut bytes = Vec::new();
-        built.write_snapshot(&mut bytes).unwrap();
-        let baseline = built.query(b"a", 0.1).unwrap();
-        let at = flip_seed as usize % bytes.len();
-        bytes[at] ^= 0x40;
-        match Index::read_snapshot(&bytes[..]) {
-            Err(_) => {}
-            Ok(loaded) => {
-                // Only a flip inside the checksum field itself could still
-                // load; then the payload is untouched and answers match.
-                prop_assert!((24..32).contains(&at), "flip at {} loaded", at);
-                prop_assert_eq!(baseline.hits(), loaded.query(b"a", 0.1).unwrap().hits());
-            }
-        }
+        let mut idx = idx_bytes(&built);
+        let at = flip_seed as usize % idx.len();
+        idx[at] ^= 0x40;
+        prop_assert!(load_idx(&idx).is_err(), ".idx flip at {} loaded", at);
+
+        let approx = ApproxIndex::over(&built, 0.1).unwrap();
+        let mut coll = coll_bytes(&built, &approx);
+        let at = flip_seed as usize % coll.len();
+        coll[at] ^= 0x40;
+        prop_assert!(load_coll(&coll).is_err(), ".coll flip at {} loaded", at);
     }
+}
+
+fn sample() -> Index {
+    let s = UncertainString::parse("a:.5,b:.5 | b | a").unwrap();
+    Index::build(&s, 0.1).unwrap()
 }
 
 #[test]
 fn bad_magic_is_a_clean_error() {
-    let s = UncertainString::parse("a:.5,b:.5 | b | a").unwrap();
-    let built = Index::build(&s, 0.1).unwrap();
-    let mut bytes = Vec::new();
-    built.write_snapshot(&mut bytes).unwrap();
+    let mut bytes = idx_bytes(&sample());
     bytes[0..8].copy_from_slice(b"NOTSNAPS");
     assert!(matches!(
-        Index::read_snapshot(&bytes[..]),
-        Err(StoreError::BadMagic)
+        load_idx(&bytes),
+        Err(StoreError::BadMagic {
+            expected: FileKind::Snapshot
+        })
     ));
 }
 
-/// A newer file and an older one (version 2 wrote each array twice) are
-/// refused by the version field alone, before any payload byte is read.
+/// A newer file and older ones (version 1 was the old `.coll` container)
+/// are refused by the version field alone, before any payload byte is read.
 #[test]
 fn wrong_version_is_a_clean_error() {
-    let s = UncertainString::parse("a:.5,b:.5 | b | a").unwrap();
-    let built = Index::build(&s, 0.1).unwrap();
-    let mut bytes = Vec::new();
-    built.write_snapshot(&mut bytes).unwrap();
-    for foreign in [FORMAT_VERSION + 1, FORMAT_VERSION - 1] {
+    let mut bytes = idx_bytes(&sample());
+    for foreign in [FORMAT_VERSION + 1, FORMAT_VERSION - 1, 1] {
         bytes[8..12].copy_from_slice(&foreign.to_le_bytes());
-        match Index::read_snapshot(&bytes[..]) {
-            Err(StoreError::UnsupportedVersion { found }) => assert_eq!(found, foreign),
+        match load_idx(&bytes) {
+            Err(StoreError::UnsupportedVersion { found, reads, .. }) => {
+                assert_eq!((found, reads), (foreign, FORMAT_VERSION))
+            }
             Err(other) => panic!("expected UnsupportedVersion, got {other:?}"),
             Ok(_) => panic!("foreign version must not load"),
         }
     }
 }
 
+/// Files written by the previous format: a single-index file (format 6, a
+/// header of its own around the payload) and a version-1 collection. Both
+/// are refused with a message that says to rebuild them.
+#[test]
+fn old_format_files_are_refused_with_a_rebuild_message() {
+    let fixtures = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
+    for (file, refused) in [
+        ("format6.idx", "bad magic"),
+        ("format6.coll", "version 1 (this build reads version 7)"),
+    ] {
+        let err = Index::load(fixtures.join(file)).err().unwrap();
+        let said = err.to_string();
+        assert!(said.contains(refused), "{file}: {said}");
+        assert!(
+            said.ends_with(": rebuild it from its source"),
+            "{file}: {said}"
+        );
+    }
+}
+
 #[test]
 fn empty_and_header_only_files_error() {
+    assert!(matches!(load_idx(b""), Err(StoreError::Truncated { .. })));
+    // One document, one section claiming 1 000 payload bytes, and none.
+    let mut header_only = MAGIC.to_vec();
+    header_only.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
+    header_only.extend_from_slice(&[1, 1, 0, SnapshotKind::Index as u8, 0xe8, 0x07]);
+    header_only.extend_from_slice(&0u64.to_le_bytes());
     assert!(matches!(
-        Index::read_snapshot(&b""[..]),
+        load_idx(&header_only),
         Err(StoreError::Truncated { .. })
     ));
-    let mut header_only = Vec::new();
-    header_only.extend_from_slice(&MAGIC);
-    header_only.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-    header_only.push(1);
-    header_only.extend_from_slice(&[0, 0, 0]);
-    header_only.extend_from_slice(&1000u64.to_le_bytes()); // claims a payload
-    header_only.extend_from_slice(&0u64.to_le_bytes());
-    assert_eq!(header_only.len(), HEADER_LEN);
-    assert!(Index::read_snapshot(&header_only[..]).is_err());
 }
 
 #[test]
@@ -217,11 +298,17 @@ fn save_load_files_round_trip() {
         built.query(b"QP", 0.2).unwrap().hits(),
         loaded.query(b"QP", 0.2).unwrap().hits()
     );
-    // Loading the file as links over the index fails cleanly.
-    let file = std::fs::File::open(&path).unwrap();
+    assert_eq!(std::fs::read(&path).unwrap(), idx_bytes(&loaded));
+    // A collection — here an index and its links — is not an index file.
+    let approx = ApproxIndex::over(&built, 0.05).unwrap();
+    std::fs::write(&path, coll_bytes(&built, &approx)).unwrap();
     assert!(matches!(
-        read_links_snapshot(file, &loaded),
-        Err(StoreError::KindMismatch { .. })
+        Index::load(&path),
+        Err(StoreError::NotSingle {
+            docs: 1,
+            sections: 2,
+            ..
+        })
     ));
     let _ = std::fs::remove_file(&path);
 }

@@ -135,7 +135,7 @@ proptest! {
                     StoreError::ChecksumMismatch
                         | StoreError::Corrupt { .. }
                         | StoreError::Truncated { .. }
-                        | StoreError::BadMagic
+                        | StoreError::BadMagic { .. }
                         | StoreError::UnsupportedVersion { .. }
                         | StoreError::UnknownKind { .. }
                 ));

@@ -18,11 +18,13 @@
 //!   additive error ε on the probability threshold.
 //!
 //! Indexes are built once and served many times: [`Snapshot`] persists an
-//! [`Index`] (and `ustr_store::write_links_snapshot` the links of an
-//! [`ApproxIndex`] over one) to a versioned, checksummed binary file that
-//! loads back with byte-identical query behaviour; a whole collection
-//! packs into one single-file *collection snapshot* (`.coll`, manifest +
-//! per-section checksums) via `QueryService::save_collection`; and
+//! [`Index`] to a versioned, checksummed binary file (`.idx`) that loads
+//! back with byte-identical query behaviour; a whole collection — each
+//! document's index and, with ε, the links of an [`ApproxIndex`] over it
+//! (`ustr_store::encode_links_payload`) — packs into one *collection
+//! snapshot* (`.coll`) via `QueryService::save_collection`. Both are one
+//! container: a manifest of per-section lengths and checksums, then the
+//! bare payloads; and
 //! [`QueryService`] serves batches mixing all four [`QueryRequest`] modes —
 //! threshold, top-k, listing, approx — over a sharded collection with a
 //! fixed thread pool, deterministic merge, and a per-mode LRU result cache.

@@ -1,7 +1,7 @@
 //! A loaded index is a built index: taking what a server loads — an
 //! `Index`, and the links of an `ApproxIndex` over its text — apart and
 //! putting it back together, from its state or from the bytes of its
-//! snapshot, yields the structures `build` made: the same bytes on the
+//! section payload, yields the structures `build` made: the same bytes on the
 //! heap, row for row, and the same state when taken apart again (the
 //! recorded build time included: it is in the bytes). Nothing is kept that
 //! a snapshot does not carry or derive, and a snapshot carries nothing an
@@ -10,7 +10,7 @@
 
 use uncertain_strings::{
     service::{load_coll, save_coll, DocExecutor},
-    store::{read_links_snapshot, write_links_snapshot, RealIo},
+    store::{decode_links_payload, encode_links_payload, Reader, RealIo, Writer},
     workload::{generate_string, DatasetConfig},
     ApproxIndex, Index, Snapshot, UncertainString,
 };
@@ -33,11 +33,16 @@ fn strings() -> Vec<UncertainString> {
     out
 }
 
-/// `built` written as a snapshot file's bytes and read back.
+fn payload(encode: impl FnOnce(&mut Writer)) -> Vec<u8> {
+    let mut w = Writer::new();
+    encode(&mut w);
+    w.into_bytes()
+}
+
+/// `built` written as a section payload and read back.
 fn reread(built: &Index) -> Index {
-    let mut bytes = Vec::new();
-    built.write_snapshot(&mut bytes).unwrap();
-    Index::read_snapshot(&bytes[..]).unwrap()
+    let bytes = payload(|w| built.encode_payload(w));
+    Index::decode_payload(&mut Reader::new(&bytes)).unwrap()
 }
 
 #[test]
@@ -59,11 +64,10 @@ fn approx_index_round_trip_keeps_heap_and_state() {
         let index = Index::build(&s, TAU_MIN).unwrap();
         let built = ApproxIndex::over(&index, 0.05).unwrap();
         let state = built.to_links_snapshot();
-        let mut bytes = Vec::new();
-        write_links_snapshot(&built, &mut bytes).unwrap();
+        let bytes = payload(|w| encode_links_payload(&built, w));
         for loaded in [
             ApproxIndex::from_links_snapshot(&index, state.clone()).unwrap(),
-            read_links_snapshot(&bytes[..], &reread(&index)).unwrap(),
+            decode_links_payload(&mut Reader::new(&bytes), &reread(&index)).unwrap(),
         ] {
             assert_eq!(loaded.heap_breakdown(), built.heap_breakdown());
             assert_eq!(loaded.stats().heap_bytes, built.stats().heap_bytes);
@@ -79,11 +83,11 @@ fn index_and_links_over_it_round_trip_through_a_collection_file() {
         .collect();
     let path =
         std::env::temp_dir().join(format!("ustr_loaded_is_built.{}.coll", std::process::id()));
-    save_coll(&RealIo, &path, &built, 1).unwrap();
+    save_coll(&RealIo, &path, &built).unwrap();
     let loaded = load_coll(&RealIo, &path).unwrap();
     std::fs::remove_file(&path).unwrap();
-    assert_eq!(loaded.docs.len(), built.len());
-    for (built, loaded) in built.iter().zip(&loaded.docs) {
+    assert_eq!(loaded.len(), built.len());
+    for (built, loaded) in built.iter().zip(&loaded) {
         let (
             DocExecutor::Built {
                 index,
