@@ -90,7 +90,7 @@ use std::collections::BTreeSet;
 use std::fmt;
 use std::fs::File;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Sender};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -323,7 +323,7 @@ impl LiveMetrics {
 struct Inner {
     dir: PathBuf,
     /// The filesystem seam every durable operation goes through. `RealIo`
-    /// in production; `ustr-chaos` injects faulting implementations.
+    /// in production; the fault-injection tests pass faulting ones.
     io: Arc<dyn StoreIo>,
     tau_min: f64,
     epsilon: Option<f64>,
@@ -340,6 +340,11 @@ struct Inner {
     /// view below. Installs do not bump `generation` because answers are
     /// identical across them (cached responses stay valid).
     structure_version: AtomicU64,
+    /// Live (inserted, not deleted) documents, changed under the state lock
+    /// wherever the live set changes and read without it: the net
+    /// handshake reports it from an event thread, which must not wait on
+    /// the lock `insert` holds across its WAL fsync.
+    live_docs: AtomicUsize,
     /// The last built view, reused until `structure_version` moves so a
     /// read-heavy workload does not rebuild O(docs) segment vectors per
     /// batch.
@@ -862,7 +867,9 @@ impl LiveService {
             applied_seq: manifest.applied_seq,
         };
         Inner::prune_dead_tombstones(&mut state);
-        let state = state;
+        let live_docs = (state.present_ids())
+            .filter(|id| !state.tombstones.contains(id))
+            .count();
         let inner = Arc::new(Inner {
             dir,
             io,
@@ -873,6 +880,7 @@ impl LiveService {
             engine: Engine::new(config.threads, config.cache_capacity),
             generation: AtomicU64::new(0),
             structure_version: AtomicU64::new(0),
+            live_docs: AtomicUsize::new(live_docs),
             view_cache: Mutex::new(None),
             _dir_lock: dir_lock,
             pending_jobs: Mutex::new(0),
@@ -982,6 +990,9 @@ impl LiveService {
         self.inner
             .append_wal(&mut st, id, WalOp::Insert { doc: id, body })?;
         self.inner.metrics.inserts.inc();
+        // ordering: Relaxed — a count read only for reporting; nothing is
+        // published through it, and the state lock orders its writers.
+        self.inner.live_docs.fetch_add(1, Ordering::Relaxed);
         st.next_doc_id += 1;
         st.memtable.push((id, Arc::new(DocExecutor::Scanned(scan))));
         let batch = if self.seal_threshold > 0 && st.memtable.len() >= self.seal_threshold {
@@ -1035,6 +1046,8 @@ impl LiveService {
         self.inner
             .append_wal(&mut st, id, WalOp::Delete { doc: id })?;
         self.inner.metrics.deletes.inc();
+        // ordering: Relaxed — as in `insert`.
+        self.inner.live_docs.fetch_sub(1, Ordering::Relaxed);
         st.tombstones.insert(id);
         // ordering: AcqRel — both bumps publish the mutation to the next
         // view()'s Acquire loads.
@@ -1052,8 +1065,8 @@ impl LiveService {
         self.check_background()?;
         let mut st = lock_clean(&self.inner.state);
         if let Some(batch_id) = Self::freeze_memtable(&mut st) {
-            // ordering: AcqRel publishes the tombstone purge to the next view()'s
-            // Acquire load.
+            // ordering: AcqRel publishes the memtable's move to a sealing batch
+            // to the next view()'s Acquire load.
             self.inner.structure_version.fetch_add(1, Ordering::AcqRel);
             drop(st);
             self.enqueue(Job::Seal { batch_id });
@@ -1098,20 +1111,10 @@ impl LiveService {
         self.inner.epsilon
     }
 
-    /// Number of live (inserted, not deleted) documents.
+    /// Number of live (inserted, not deleted) documents. Takes no lock.
     pub fn num_docs(&self) -> usize {
-        self.live_doc_ids().len()
-    }
-
-    /// Stable ids of every live document, ascending.
-    pub fn live_doc_ids(&self) -> Vec<u64> {
-        let st = lock_clean(&self.inner.state);
-        let mut ids: Vec<u64> = st
-            .present_ids()
-            .filter(|id| !st.tombstones.contains(id))
-            .collect();
-        ids.sort_unstable();
-        ids
+        // ordering: Relaxed — as in `insert`.
+        self.inner.live_docs.load(Ordering::Relaxed)
     }
 
     /// The live documents themselves, in ascending stable-id order
@@ -1218,7 +1221,7 @@ impl Drop for LiveService {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ustr_service::{DocHits, ListingHit, QueryService, ServiceConfig, TopHit};
+    use ustr_service::{DocHits, QueryService, ServiceConfig};
 
     fn doc(spec: &str) -> UncertainString {
         UncertainString::parse(spec).unwrap()
@@ -1249,62 +1252,6 @@ mod tests {
             UncertainString::deterministic(b"ABABAB"),
             doc("B | A:.2,B:.8 | B"),
         ]
-    }
-
-    /// Static reference over the same documents (dense ids = position in
-    /// ascending stable-id order).
-    fn static_reference(live: &LiveService) -> QueryService {
-        let docs: Vec<UncertainString> = live.live_docs().into_iter().map(|(_, d)| d).collect();
-        QueryService::build(
-            &docs,
-            live.tau_min(),
-            ServiceConfig {
-                threads: 1,
-                shards: 1,
-                cache_capacity: 0,
-                epsilon: None,
-            },
-        )
-        .unwrap()
-    }
-
-    /// Translates a static response's dense ids to the live stable ids.
-    fn translate(resp: &QueryResponse, ids: &[u64]) -> QueryResponse {
-        match resp {
-            QueryResponse::Threshold(h) => QueryResponse::Threshold(Arc::new(
-                h.iter()
-                    .map(|d| DocHits {
-                        doc: ids[d.doc] as usize,
-                        hits: d.hits.clone(),
-                    })
-                    .collect(),
-            )),
-            QueryResponse::Approx(h) => QueryResponse::Approx(Arc::new(
-                h.iter()
-                    .map(|d| DocHits {
-                        doc: ids[d.doc] as usize,
-                        hits: d.hits.clone(),
-                    })
-                    .collect(),
-            )),
-            QueryResponse::TopK(h) => QueryResponse::TopK(Arc::new(
-                h.iter()
-                    .map(|t| TopHit {
-                        doc: ids[t.doc] as usize,
-                        pos: t.pos,
-                        prob: t.prob,
-                    })
-                    .collect(),
-            )),
-            QueryResponse::Listing(h) => QueryResponse::Listing(Arc::new(
-                h.iter()
-                    .map(|l| ListingHit {
-                        doc: ids[l.doc] as usize,
-                        relevance: l.relevance,
-                    })
-                    .collect(),
-            )),
-        }
     }
 
     fn threshold(pattern: &[u8], tau: f64) -> QueryRequest {
@@ -1403,14 +1350,28 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// Live parallel = live sequential = a static rebuild of the live
+    /// documents. The rebuild holds one document per assigned id, a dead id
+    /// holding `Z` (no batch pattern occurs in it), so its ids are the
+    /// stable ones.
     fn assert_matches_static(live: &LiveService) {
-        let stat = static_reference(live);
-        let ids = live.live_doc_ids();
+        let next = lock_clean(&live.inner.state).next_doc_id as usize;
+        let mut docs = vec![UncertainString::deterministic(b"Z"); next];
+        for (id, d) in live.live_docs() {
+            docs[id as usize] = d;
+        }
+        let config = ServiceConfig {
+            threads: 1,
+            shards: 1,
+            cache_capacity: 0,
+            epsilon: None,
+        };
+        let stat = QueryService::build(&docs, live.tau_min(), config).unwrap();
         let batch = mixed_batch();
         let got = live.query_requests(&batch);
         let seq = live.query_requests_sequential(&batch);
         let want = stat.query_requests_sequential(&batch);
-        for (q, ((g, s), w)) in got.iter().zip(seq.iter()).zip(want.iter()).enumerate() {
+        for (q, ((g, s), w)) in got.iter().zip(&seq).zip(&want).enumerate() {
             let g = g.as_ref().unwrap();
             assert_eq!(
                 g,
@@ -1419,7 +1380,7 @@ mod tests {
             );
             assert_eq!(
                 g,
-                &translate(w.as_ref().unwrap(), &ids),
+                w.as_ref().unwrap(),
                 "request {q}: live != static rebuild"
             );
         }
@@ -1681,7 +1642,8 @@ mod tests {
         // Reopen: sealed segments load from .coll, the WAL tail replays.
         let live = LiveService::open(&dir, config(0)).unwrap();
         assert_eq!(live.num_docs(), 4);
-        assert_eq!(live.live_doc_ids(), vec![0, 1, 3, 4]);
+        let ids: Vec<u64> = live.live_docs().iter().map(|d| d.0).collect();
+        assert_eq!(ids, vec![0, 1, 3, 4]);
         assert_matches_static(&live);
         // New writes continue from the recovered counters.
         let id = live.insert(doc("C | A:.6,B:.4")).unwrap();

@@ -9,7 +9,9 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
-use ustr_chaos::{Fault, FaultIo, FaultPlan};
+mod fault;
+
+use fault::{Fault, FaultIo, FaultPlan};
 use ustr_live::{LiveConfig, LiveService};
 use ustr_store::{
     load_manifest, read_wal, replace_wal_file, save_manifest, wal::WalOp, wal::WalRecord,
@@ -18,10 +20,60 @@ use ustr_store::{
 use ustr_uncertain::UncertainString;
 
 fn scratch(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("ustr_chaos_walfaults_{name}"));
+    let dir = std::env::temp_dir().join(format!("ustr_live_walfaults_{name}"));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     dir
+}
+
+#[test]
+fn plans_are_deterministic_and_cover_every_fault_kind() {
+    let mut kinds = [0; 3];
+    for seed in 0..64 {
+        let plan = FaultPlan::from_seed(seed);
+        assert_eq!(plan, FaultPlan::from_seed(seed), "seed {seed}");
+        kinds[match plan.fault {
+            Fault::FailFsync { .. } => 0,
+            Fault::TearWrite { .. } => 1,
+            Fault::FailRename { .. } => 2,
+        }] += 1;
+    }
+    assert!(kinds.iter().all(|&n| n > 0), "fsync/tear/rename {kinds:?}");
+}
+
+#[test]
+fn fault_io_fires_exactly_once() {
+    let dir = scratch("once");
+    let io = FaultIo::new(FaultPlan {
+        seed: 0,
+        fault: Fault::FailFsync { nth: 1 },
+    });
+    let mut f = io.create(&dir.join("f.bin")).unwrap();
+    f.write_all(b"x").unwrap();
+    f.sync_data().unwrap(); // fsync #0: passes
+    assert!(io.injection().is_none());
+    assert!(f.sync_data().is_err(), "fsync #1 must fail");
+    assert!(io.injection().unwrap().contains("fsync"));
+    f.sync_data().unwrap(); // one-shot: later fsyncs pass
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn torn_writes_leave_a_partial_prefix() {
+    let dir = scratch("tear");
+    let io = FaultIo::new(FaultPlan {
+        seed: 0,
+        fault: Fault::TearWrite {
+            nth: 0,
+            keep_permille: 500,
+        },
+    });
+    let path = dir.join("torn.bin");
+    let mut f = io.create(&path).unwrap();
+    assert!(f.write_all(b"0123456789").is_err());
+    drop(f);
+    assert_eq!(std::fs::read(&path).unwrap(), b"01234");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 fn records(n: u64) -> Vec<WalRecord> {
@@ -272,7 +324,11 @@ fn acknowledged_writes_survive_a_post_rename_fsync_failure_in_the_wal_replace() 
 
     let recovered = LiveService::open(&dir, cfg).unwrap();
     assert_eq!(
-        recovered.live_doc_ids(),
+        recovered
+            .live_docs()
+            .iter()
+            .map(|d| d.0)
+            .collect::<Vec<_>>(),
         acked,
         "every acknowledged insert must survive recovery"
     );

@@ -113,6 +113,8 @@ pub trait QueryBackend: Send + Sync {
     }
 
     /// Documents currently served (point-in-time for mutable backends).
+    /// The handshake calls it on an event thread, so it must not wait on a
+    /// lock a writer holds across I/O.
     fn num_docs(&self) -> usize;
 
     /// The serving threshold floor advertised in the handshake.

@@ -3,8 +3,8 @@
 //! Every durability-relevant filesystem operation the store performs —
 //! creating a file, appending, reading a whole file, renaming, removing,
 //! fsyncing a directory — goes through a [`StoreIo`] so a test harness can
-//! interpose deterministic faults (see `ustr-chaos`): fail the Nth fsync,
-//! tear a write at byte k, error a rename. Production code passes
+//! interpose deterministic faults (see `ustr-live`'s tests): fail the Nth
+//! fsync, tear a write at byte k, error a rename. Production code passes
 //! [`RealIo`], a zero-state passthrough to `std::fs`, so the seam costs one
 //! dynamic dispatch per (already syscall-bound) operation and nothing else.
 //!
