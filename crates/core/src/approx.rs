@@ -28,23 +28,23 @@
 //! of the §5 [`Index`] over the same source: [`ApproxIndex::over`] shares
 //! them, so a document has one transform and one tree. A link stores a
 //! *witness* — the text position of a leaf below its origin — instead of
-//! its source position (`pos[witness]`) and probability (the window of
-//! `C` at the witness), so a snapshot of the links
+//! its source position (the position map's at the witness) and probability
+//! (the window of `C` at the witness), so a snapshot of the links
 //! ([`ApproxIndex::to_links_snapshot`]) is four integers a link, and a load
 //! reads each probability back from `C` with the build's own `canon::exp`.
 
 use std::cmp::Reverse;
 use std::ops::Range;
-use std::sync::Arc;
 use std::time::Instant;
 
 use ustr_rmq::{BlockRmq, Direction, Rmq, ThresholdReporter};
 use ustr_suffix::{Ancestry, LeafLca};
-use ustr_uncertain::{canon, split, transform, UncertainString, NO_POSITION};
+use ustr_uncertain::{canon, split, transform, UncertainString};
 
 use crate::{
     carray::CumulativeLogProb,
     error::{validate_query, Error},
+    factors::FactorMap,
     index::Index,
     result::QueryResult,
     snapshot::{invalid, ApproxLinkState, ApproxLinksState},
@@ -80,7 +80,7 @@ pub struct ApproxIndex {
     /// `Index`.
     text: ScoredText,
     /// The position map over `text`: a link's witness → its source position.
-    pos: Arc<[u32]>,
+    map: FactorMap,
     /// Preorder ranks over `text`'s tree, the numbering a link's
     /// `origin_pre` is in — derived state, one depth-first pass at
     /// construction and at load.
@@ -102,15 +102,17 @@ impl ApproxIndex {
         check_epsilon(epsilon)?;
         let start = Instant::now();
         let transformed = transform(source, tau_min)?;
-        let text = ScoredText::build(transformed.special.chars(), transformed.special.probs())?;
+        let chars = transformed.special.chars();
+        let text = ScoredText::build(chars, transformed.special.probs())?;
+        let map =
+            FactorMap::new(chars, &transformed.pos).expect("the transform emits a factor map");
         let stats = BuildStats {
             source_len: source.len(),
             transformed_len: transformed.len(),
             num_factors: transformed.num_factors,
             ..Default::default()
         };
-        let pos = transformed.pos.into();
-        Ok(Self::link(text, pos, tau_min, epsilon, stats, start))
+        Ok(Self::link(text, map, tau_min, epsilon, stats, start))
     }
 
     /// Builds the links over `index`'s own text, tree and position map,
@@ -119,16 +121,16 @@ impl ApproxIndex {
     pub fn over(index: &Index, epsilon: f64) -> Result<Self, Error> {
         check_epsilon(epsilon)?;
         let start = Instant::now();
-        let (text, pos) = index.shared_text();
+        let (text, map) = index.shared_text();
         let stats = BuildStats {
             heap_bytes: 0,
             build_time: Default::default(),
             ..index.stats().clone()
         };
-        let (text, pos) = (text.clone(), Arc::clone(pos));
+        let (text, map) = (text.clone(), map.clone());
         Ok(Self::link(
             text,
-            pos,
+            map,
             index.tau_min(),
             epsilon,
             stats,
@@ -140,14 +142,14 @@ impl ApproxIndex {
     /// started at `start`.
     fn link(
         text: ScoredText,
-        pos: Arc<[u32]>,
+        map: FactorMap,
         tau_min: f64,
         epsilon: f64,
         stats: BuildStats,
         start: Instant,
     ) -> Self {
-        let (ranks, links) = find_links(&text, &pos, epsilon);
-        let mut idx = Self::assemble(text, pos, ranks, links, epsilon, tau_min, stats);
+        let (ranks, links) = find_links(&text, &map, epsilon);
+        let mut idx = Self::assemble(text, map, ranks, links, epsilon, tau_min, stats);
         // Last: the clock covers everything a caller waits for.
         idx.stats.build_time = start.elapsed();
         idx
@@ -155,7 +157,7 @@ impl ApproxIndex {
 
     fn assemble(
         text: ScoredText,
-        pos: Arc<[u32]>,
+        map: FactorMap,
         ranks: Ancestry,
         links: Vec<Link>,
         epsilon: f64,
@@ -166,7 +168,7 @@ impl ApproxIndex {
         let target_rmq = BlockRmq::new(&depths, Direction::Min);
         let mut idx = Self {
             text,
-            pos,
+            map,
             ranks,
             links,
             target_rmq,
@@ -192,6 +194,12 @@ impl ApproxIndex {
     /// Heap bytes held: the sum of [`ApproxIndex::heap_breakdown`].
     pub(crate) fn heap_size(&self) -> usize {
         self.heap_breakdown().iter().map(|&(_, bytes)| bytes).sum()
+    }
+
+    /// Source position of text position `x` (`None` at separators).
+    #[cfg(test)]
+    pub(crate) fn source_pos(&self, x: usize) -> Option<usize> {
+        self.map.source_pos(x)
     }
 
     /// The additive error bound ε.
@@ -239,10 +247,10 @@ impl ApproxIndex {
         if !canon::valid_epsilon(state.epsilon) {
             return Err(invalid("epsilon outside (0, 1)"));
         }
-        let (text, pos) = index.shared_text();
+        let (text, map) = index.shared_text();
         let ranks = Ancestry::build(&text.tree);
-        check_links(text, pos, &state.links)?;
-        let run = text.cum.run_lengths();
+        check_links(text, map, &state.links)?;
+        let run = text.run_lengths();
         let links = (state.links.into_iter())
             .map(|row| {
                 let lmax = run[row.witness as usize] as usize;
@@ -255,10 +263,10 @@ impl ApproxIndex {
             build_time: state.build_time,
             ..index.stats().clone()
         };
-        let (text, pos) = (text.clone(), Arc::clone(pos));
+        let (text, map) = (text.clone(), map.clone());
         let (epsilon, tau_min) = (state.epsilon, index.tau_min());
         Ok(Self::assemble(
-            text, pos, ranks, links, epsilon, tau_min, stats,
+            text, map, ranks, links, epsilon, tau_min, stats,
         ))
     }
 
@@ -296,9 +304,16 @@ impl ApproxIndex {
         for (i, _) in reporter {
             let Link { row, prob } = self.links[i];
             if (row.origin_depth as usize) >= m && prob >= cutoff {
-                hits.push((self.pos[row.witness as usize] as usize, prob));
+                hits.push((row.witness as usize, prob));
             }
         }
+        // Witnesses become source positions in a pass of their own, where
+        // the map's lookups overlap.
+        let source = |(witness, prob)| {
+            let pos = self.map.source_pos(witness);
+            (pos.expect("a link's witness is a text character"), prob)
+        };
+        let hits = hits.into_iter().map(source).collect();
         Ok(QueryResult::from_hits(hits))
     }
 }
@@ -316,7 +331,7 @@ fn check_epsilon(epsilon: f64) -> Result<(), Error> {
 /// rows, which are sorted by origin — an origin that is no node, a witness
 /// out of the text or on a separator, a witness leaf outside the origin
 /// node's subtree, or an origin deeper than that node.
-fn check_links(text: &ScoredText, pos: &[u32], rows: &[ApproxLinkState]) -> Result<(), Error> {
+fn check_links(text: &ScoredText, map: &FactorMap, rows: &[ApproxLinkState]) -> Result<(), Error> {
     let mut prev_pre = 0u32;
     for row in rows {
         if row.origin_pre < prev_pre {
@@ -344,7 +359,7 @@ fn check_links(text: &ScoredText, pos: &[u32], rows: &[ApproxLinkState]) -> Resu
         };
         while let Some(row) = rows.next_if(|row| row.origin_pre as usize == rank) {
             let w = row.witness as usize;
-            let detail = if chars.get(w).is_none_or(|&c| c == 0) || pos[w] == NO_POSITION {
+            let detail = if map.source_pos(w).is_none() {
                 "link witness outside the text or on a separator"
             } else if !(l..=r).contains(&(slot_of[w] as usize)) {
                 "link witness outside its origin's subtree"
@@ -372,11 +387,11 @@ const SPLIT_SLOTS: usize = 16_384;
 const SPLIT_SOURCES: usize = 4_096;
 
 /// Finds the ε-refined links over `text` (preorder ranks over its tree
-/// with them): for every source position of `pos`, the virtual tree of the
+/// with them): for every source position of `map`, the virtual tree of the
 /// leaves it marks, each edge split by [`refine_link`]. Sources are
 /// independent, so a long text walks them as two halves on two threads;
 /// the sort below makes the table the same either way.
-fn find_links(text: &ScoredText, pos: &[u32], epsilon: f64) -> (Ancestry, Vec<Link>) {
+fn find_links(text: &ScoredText, map: &FactorMap, epsilon: f64) -> (Ancestry, Vec<Link>) {
     // What finds the links and no query reads: the run lengths and the
     // leaf-LCA structure are dropped when this returns. The ranks are
     // kept, so this thread allocates them.
@@ -391,14 +406,10 @@ fn find_links(text: &ScoredText, pos: &[u32], epsilon: f64) -> (Ancestry, Vec<Li
     // with a counting sort into one flat arena — two passes, zero
     // per-position `Vec` allocations (the plane/kernel treatment of the
     // query path, applied to the build's hottest grouping loop).
-    let marked = |slot: usize| -> Option<usize> {
-        match *pos.get(tree.sa(slot))? {
-            NO_POSITION => None,
-            p => Some(p as usize),
-        }
-    };
-    let n_src = (pos.iter()).filter(|&&p| p != NO_POSITION).max();
-    let n_src = n_src.map_or(0, |&p| p as usize + 1);
+    let marked = |slot: usize| map.source_pos(tree.sa(slot));
+    let text_len = tree.text().len();
+    let n_src = (0..text_len).filter_map(|x| map.source_pos(x)).max();
+    let n_src = n_src.map_or(0, |p| p + 1);
     let mut bucket_start = vec![0u32; n_src + 2];
     for slot in 1..tree.num_slots() {
         if let Some(d) = marked(slot) {
@@ -416,11 +427,10 @@ fn find_links(text: &ScoredText, pos: &[u32], epsilon: f64) -> (Ancestry, Vec<Li
         }
     }
 
-    let run = text.cum.run_lengths();
+    let run = text.run_lengths();
     // A tree node as a link sees it: (preorder rank, string depth). A
     // leaf's depth counts the virtual terminator; an internal node's is
     // the LCP at the slot that names it.
-    let text_len = tree.text().len();
     let leaf_node = |slot: usize| {
         let depth = text_len - tree.sa(slot) + 1;
         (ranks.leaf_preorder(slot) as u32, depth)

@@ -4,21 +4,30 @@
 //! `C[i+j-1] / C[i-1]`. Products of hundreds of probabilities underflow
 //! `f64`, so we store cumulative *log* probabilities and evaluate windows by
 //! subtraction — a monotone transform, so every comparison and every RMQ
-//! argmax is unchanged. Separator positions contribute 0 to the sums and are
-//! tracked separately so any window crossing one evaluates to −∞.
+//! argmax is unchanged. Separator positions contribute 0 to the sums.
+//!
+//! # The window contract
+//!
+//! `C` holds the prefix sums and nothing else: [`CumulativeLogProb::window`]
+//! is one subtraction, and its caller guarantees a window that stays inside
+//! the array and crosses no separator. Every query meets that by
+//! construction — each slot of a pattern's suffix range starts with the
+//! pattern, which holds no separator byte — and the substrate's
+//! `ScoredText::window` checks it in debug builds against the text. Reads
+//! that may meet a separator (champion values at build and load time, a
+//! link's capped depth) go through the slot's run length, which the text's
+//! bytes give; the separators themselves are the text's, counted nowhere
+//! here.
 
 use std::sync::Arc;
 
 use ustr_uncertain::canon;
 
-/// Cumulative log-probability array with separator tracking. A clone shares
-/// the arrays.
+/// Cumulative log-probability array. A clone shares the prefix sums.
 #[derive(Debug, Clone)]
 pub struct CumulativeLogProb {
     /// `prefix[i]` = Σ log(prob) over the first `i` positions.
     prefix: Arc<[f64]>,
-    /// `sentinels[i]` = number of separator positions among the first `i`.
-    sentinels: Arc<[u32]>,
 }
 
 impl CumulativeLogProb {
@@ -34,27 +43,18 @@ impl CumulativeLogProb {
             }
             sum
         });
-        // Exact-size iterators: each array is collected straight into its
-        // shared allocation.
-        Self::counting(std::iter::once(0.0).chain(sums).collect(), is_sentinel)
+        // An exact-size iterator: collected straight into the shared
+        // allocation.
+        Self::from_prefix(std::iter::once(0.0).chain(sums).collect::<Arc<[f64]>>())
     }
 
     /// Reassembles from the prefix sums (`len + 1` entries, never empty) —
     /// what snapshots store, so window evaluations stay bit-identical after
-    /// a load — recounting the separators as [`Self::new`] counts them.
-    pub fn from_prefix(prefix: Vec<f64>, is_sentinel: impl Fn(usize) -> bool) -> Self {
-        Self::counting(prefix.into(), is_sentinel)
-    }
-
-    fn counting(prefix: Arc<[f64]>, is_sentinel: impl Fn(usize) -> bool) -> Self {
+    /// a load.
+    pub fn from_prefix(prefix: impl Into<Arc<[f64]>>) -> Self {
+        let prefix = prefix.into();
         assert!(!prefix.is_empty(), "prefix sums start with the empty sum");
-        let mut count = 0u32;
-        let counts = (0..prefix.len() - 1).map(|i| {
-            count += u32::from(is_sentinel(i));
-            count
-        });
-        let sentinels = std::iter::once(0).chain(counts).collect();
-        Self { prefix, sentinels }
+        Self { prefix }
     }
 
     /// Number of positions covered.
@@ -62,46 +62,24 @@ impl CumulativeLogProb {
         self.prefix.len() - 1
     }
 
-    /// Log probability of the window `[start, start + len)`: −∞ when the
-    /// window leaves the array or crosses a separator; 0 (= log 1) for the
-    /// empty window.
+    /// Log probability of the window `[start, start + len)`, which must lie
+    /// inside the array and cross no separator (see the module docs); 0
+    /// (= log 1) for the empty window.
     #[inline]
     #[allow(clippy::float_arithmetic, reason = "a window of the prefix sums")]
     pub fn window(&self, start: usize, len: usize) -> f64 {
-        let end = start + len;
-        if end > self.len() {
-            return f64::NEG_INFINITY;
-        }
-        if self.sentinels[end] != self.sentinels[start] {
-            return f64::NEG_INFINITY;
-        }
-        self.prefix[end] - self.prefix[start]
+        self.prefix[start + len] - self.prefix[start]
     }
 
-    /// The prefix sums themselves: `window(start, len)` of a window that
-    /// crosses no separator is `prefix()[start + len] - prefix()[start]`.
+    /// The prefix sums themselves: `window(start, len)` is
+    /// `prefix()[start + len] - prefix()[start]`.
     pub(crate) fn prefix(&self) -> &[f64] {
         &self.prefix
     }
 
-    /// For every start `0..=len()`, the number of positions until the next
-    /// separator (or the end of the array) — the longest valid window
-    /// there: `window(start, len)` is finite exactly when
-    /// `len <= run_lengths()[start]`. One backward pass.
-    pub(crate) fn run_lengths(&self) -> Vec<u32> {
-        let n = self.len();
-        let mut run = vec![0u32; n + 1];
-        for i in (0..n).rev() {
-            if self.sentinels[i + 1] == self.sentinels[i] {
-                run[i] = run[i + 1] + 1;
-            }
-        }
-        run
-    }
-
     /// Approximate heap footprint in bytes.
     pub fn heap_size(&self) -> usize {
-        std::mem::size_of_val(&*self.prefix) + std::mem::size_of_val(&*self.sentinels)
+        std::mem::size_of_val(&*self.prefix)
     }
 }
 
@@ -116,7 +94,6 @@ mod tests {
         // Figure 5's special string: probabilities of "banana".
         let probs = [0.4, 0.7, 0.5, 0.8, 0.9, 0.6];
         let cum = CumulativeLogProb::new(&probs, |_| false);
-        assert_eq!(cum.window(4, 3), f64::NEG_INFINITY, "out of bounds");
         for start in 0..probs.len() {
             for len in 0..=probs.len() - start {
                 let direct: f64 = probs[start..start + len].iter().product();
@@ -129,28 +106,12 @@ mod tests {
     }
 
     #[test]
-    fn sentinel_crossing_is_rejected() {
-        // probs: a b | c d  (index 2 is a separator)
-        let probs = [0.5, 0.5, 1.0, 0.5, 0.5];
+    fn separators_add_nothing_to_the_sums() {
+        // probs: a b | c d  (index 2 is a separator; its 0.25 is ignored)
+        let probs = [0.5, 0.5, 0.25, 0.5, 0.5];
         let cum = CumulativeLogProb::new(&probs, |i| i == 2);
-        assert!(cum.window(0, 2).is_finite());
-        assert_eq!(cum.window(0, 3), f64::NEG_INFINITY);
-        assert_eq!(cum.window(1, 3), f64::NEG_INFINITY);
-        assert!(cum.window(3, 2).is_finite());
-        assert_eq!(cum.window(2, 1), f64::NEG_INFINITY);
-    }
-
-    #[test]
-    fn run_lengths_find_the_next_separator() {
-        let probs = [0.5, 0.5, 1.0, 0.5, 1.0, 0.5];
-        let cum = CumulativeLogProb::new(&probs, |i| i == 2 || i == 4);
-        let run = cum.run_lengths();
-        assert_eq!(run, [2, 1, 0, 1, 0, 1, 0]);
-        for (start, &run) in run.iter().enumerate() {
-            for len in 0..=probs.len() + 1 {
-                assert_eq!(cum.window(start, len).is_finite(), len <= run as usize);
-            }
-        }
+        assert_eq!(cum.prefix()[2], cum.prefix()[3]);
+        assert!((cum.window(3, 2).exp() - 0.25).abs() < 1e-12);
     }
 
     #[test]
@@ -169,6 +130,5 @@ mod tests {
         let cum = CumulativeLogProb::new(&[], |_| false);
         assert_eq!(cum.len(), 0);
         assert_eq!(cum.window(0, 0), 0.0);
-        assert_eq!(cum.window(0, 1), f64::NEG_INFINITY);
     }
 }

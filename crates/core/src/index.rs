@@ -1,13 +1,13 @@
 //! The general uncertain-string substring index (§5): Lemma-2 transform +
 //! position mapping + per-level duplicate elimination over the §4 machinery.
 
-use std::sync::Arc;
 use std::time::Instant;
 
 use ustr_uncertain::{canon, transform, ProbPlane, UncertainString, NO_POSITION};
 
 use crate::{
     error::{validate_query, Error},
+    factors::FactorMap,
     result::QueryResult,
     snapshot::{invalid, IndexState},
     stats::BuildStats,
@@ -39,10 +39,10 @@ pub struct Index {
     /// [`Index::to_snapshot`] materializes again (formats are untouched).
     plane: ProbPlane,
     /// Lemma-2 position map, all that is kept of the transform beside the
-    /// substrate: text position → source position, [`NO_POSITION`] at
-    /// separators. Shared, with the substrate's text, by an
+    /// substrate: text position → source position, `None` at separators,
+    /// as one base per factor. Shared, with the substrate's text, by an
     /// [`crate::ApproxIndex`] built [`over`](crate::ApproxIndex::over) this one.
-    pos: Arc<[u32]>,
+    map: FactorMap,
     substrate: Substrate,
     tau_min: f64,
     stats: BuildStats,
@@ -53,14 +53,16 @@ impl Index {
     pub fn build(source: &UncertainString, tau_min: f64) -> Result<Self, Error> {
         let start = Instant::now();
         let transformed = transform(source, tau_min)?;
-        let pos: Arc<[u32]> = transformed.pos.into();
+        let (chars, pos) = (transformed.special.chars(), &transformed.pos);
         // `pos` is already the dedup key array: source position per text
-        // position, `NO_POSITION` (= no key) at separators.
+        // position, `NO_POSITION` (= no key) at separators. It is dropped
+        // once the levels are built; the map keeps its bases.
         let substrate = Substrate::build(
-            transformed.special.chars(),
+            chars,
             transformed.special.probs(),
-            &DedupStrategy::BySource(&pos),
+            &DedupStrategy::BySource(pos),
         )?;
+        let map = FactorMap::new(chars, pos).expect("the transform emits a factor map");
         let stats = BuildStats {
             source_len: source.len(),
             transformed_len: pos.len(),
@@ -69,7 +71,7 @@ impl Index {
         };
         let mut idx = Self {
             plane: ProbPlane::build(source),
-            pos,
+            map,
             substrate,
             tau_min,
             stats,
@@ -87,16 +89,19 @@ impl Index {
 
     /// The scored text and position map, for the §7 links that hang off
     /// them.
-    pub(crate) fn shared_text(&self) -> (&ScoredText, &Arc<[u32]>) {
-        (self.substrate.text(), &self.pos)
+    pub(crate) fn shared_text(&self) -> (&ScoredText, &FactorMap) {
+        (self.substrate.text(), &self.map)
     }
 
     /// Decomposes the index into its persistence-ready snapshot state (see
-    /// [`crate::snapshot`]). The byte encoding lives in `ustr-store`.
+    /// [`crate::snapshot`]); the position map is written out in full, one
+    /// `u32` per text position. The byte encoding lives in `ustr-store`.
     pub fn to_snapshot(&self) -> IndexState {
         IndexState {
             source: self.plane.to_model(),
-            pos: self.pos.to_vec(),
+            pos: self
+                .map
+                .to_positions(self.substrate.text().tree.text().len()),
             substrate: self.substrate.to_state(),
             tau_min: self.tau_min,
             stats: self.stats.clone(),
@@ -106,9 +111,12 @@ impl Index {
     /// Reassembles an index from snapshot state. Rebuilds only the cheap
     /// derived structures (suffix-tree child table from the LCP array, RMQ
     /// champion values from the cumulative array, the plane from the
-    /// source, which is then dropped); the result answers every query
-    /// identically to the index the snapshot was taken from. Fails with
-    /// [`Error::InvalidSnapshot`] on structurally inconsistent state.
+    /// source, which is then dropped, and the position map's factor bases
+    /// from the stored map); the result answers every query identically to
+    /// the index the snapshot was taken from. Fails with
+    /// [`Error::InvalidSnapshot`] on structurally inconsistent state — a
+    /// position map included that is not [`NO_POSITION`] exactly at the
+    /// separators and consecutive inside each factor.
     pub fn from_snapshot(state: IndexState) -> Result<Self, Error> {
         if state.pos.len() != state.substrate.text.text.len() {
             return Err(invalid("position map length does not match text"));
@@ -120,10 +128,11 @@ impl Index {
         if !canon::valid_tau(state.tau_min) {
             return Err(invalid("tau_min outside (0, 1]"));
         }
+        let map = FactorMap::new(&state.substrate.text.text, &state.pos).map_err(invalid)?;
         let substrate = Substrate::from_state(state.substrate)?;
         let mut idx = Self {
             plane: ProbPlane::build(&state.source),
-            pos: state.pos.into(),
+            map,
             substrate,
             tau_min: state.tau_min,
             stats: state.stats,
@@ -144,11 +153,8 @@ impl Index {
 
     /// Source position of the suffix starting at text position `x`, if it
     /// starts inside a factor.
-    fn source_pos(&self, x: usize) -> Option<usize> {
-        match *self.pos.get(x)? {
-            NO_POSITION => None,
-            p => Some(p as usize),
-        }
+    pub(crate) fn source_pos(&self, x: usize) -> Option<usize> {
+        self.map.source_pos(x)
     }
 
     /// All positions of the source string where `pattern` matches with
@@ -260,15 +266,17 @@ impl Index {
     /// array the index keeps, each counted by capacity. The rows are the
     /// whole footprint, the model included (the plane is its one copy) —
     /// [`Index::heap_size`] is their sum.
-    pub fn heap_breakdown(&self) -> [(&'static str, usize); 7] {
+    pub fn heap_breakdown(&self) -> [(&'static str, usize); 8] {
         let [arrays, child_table, cum, short, long] = self.substrate.heap_breakdown();
+        let (rank, bases) = self.map.heap_sizes();
         [
             arrays,
             child_table,
             cum,
             short,
             long,
-            ("position map", std::mem::size_of_val(&*self.pos)),
+            ("separator rank", rank),
+            ("factor bases", bases),
             ("model (plane)", self.plane.heap_size()),
         ]
     }

@@ -80,6 +80,11 @@
 //! | **`Index::heap_size()`** | **973.9** | **563.3** | **454.3** |
 //! | source copy beside the plane, uncounted | 57.8 | 57.8 | — |
 //!
+//! Since then `C` keeps its prefix sums alone (75.9: no window a query
+//! reads crosses a separator: the window contract in `carray.rs`), and the
+//! position map is a separator rank (2.4) and one base per factor (3.3):
+//! `Index::heap_size()` is 384.1.
+//!
 //! And an [`ApproxIndex`] on the same string (1 944 732 links) — the rows of
 //! [`ApproxIndex::heap_breakdown`] — when it kept the `C` it found its links
 //! with, once everything only `build` reads was a local of `build`, and now
@@ -103,6 +108,7 @@
 mod approx;
 mod carray;
 mod error;
+mod factors;
 mod index;
 mod listing;
 mod result;

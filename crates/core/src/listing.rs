@@ -7,6 +7,7 @@ use ustr_uncertain::{canon, transform, ProbPlane, UncertainString};
 
 use crate::{
     error::{validate_query, Error},
+    factors::FactorMap,
     stats::BuildStats,
     substrate::{check_text_len, DedupStrategy, Substrate, NO_KEY},
 };
@@ -55,15 +56,17 @@ pub struct ListingIndex {
     /// each document's model.
     planes: Vec<ProbPlane>,
     substrate: Substrate,
-    /// X position → document id (`u32::MAX` at separators).
-    doc_of: Vec<u32>,
-    /// X position → source position *within its document*.
-    src_of: Vec<u32>,
+    /// X position → source position *within its document* (`None` at
+    /// separators), one base per factor.
+    map: FactorMap,
+    /// Factor → its document's id.
+    factor_doc: Box<[u32]>,
     tau_min: f64,
     stats: BuildStats,
 }
 
-/// "No document" in `doc_of`/`src_of` — the dedup sweeps' "no key" too.
+/// "No document" in the build's `doc_of`/`src_of` — the dedup sweeps' "no
+/// key" too.
 const NONE32: u32 = NO_KEY;
 
 impl ListingIndex {
@@ -76,8 +79,11 @@ impl ListingIndex {
         check_text_len(docs.len().max(source_total))?;
         let mut chars: Vec<u8> = Vec::new();
         let mut probs: Vec<f64> = Vec::new();
+        // Per text position (transient: the dedup keys and the map's
+        // input): document id and source position within it.
         let mut doc_of: Vec<u32> = Vec::new();
         let mut src_of: Vec<u32> = Vec::new();
+        let mut factor_doc: Vec<u32> = Vec::new();
         // Start of each document in the concatenated *source* position
         // space: globally unique dedup keys, under correlations.
         let mut doc_base: Vec<u32> = Vec::with_capacity(docs.len());
@@ -87,6 +93,7 @@ impl ListingIndex {
             doc_base.push(base as u32);
             let t = transform(d, tau_min)?;
             num_factors += t.num_factors;
+            factor_doc.resize(num_factors, id as u32);
             chars.extend_from_slice(t.special.chars());
             probs.extend_from_slice(t.special.probs());
             for k in 0..t.len() {
@@ -103,9 +110,6 @@ impl ListingIndex {
             }
             base += d.len();
         }
-        // Held for the life of the index: no growth slack.
-        doc_of.shrink_to_fit();
-        src_of.shrink_to_fit();
         let has_correlations = docs.iter().any(|d| !d.correlations().is_empty());
 
         // Doc-level dedup keeps the max-probability entry per document per
@@ -129,6 +133,12 @@ impl ListingIndex {
             DedupStrategy::ByKeyMax(&doc_of)
         };
         let substrate = Substrate::build(&chars, &probs, &dedup)?;
+        let map = FactorMap::new(&chars, &src_of).expect("transforms emit factor maps");
+        debug_assert_eq!(
+            map.num_factors(),
+            factor_doc.len(),
+            "one document per factor"
+        );
         let stats = BuildStats {
             source_len: source_total,
             transformed_len: chars.len(),
@@ -138,8 +148,8 @@ impl ListingIndex {
         let mut idx = Self {
             planes: docs.iter().map(ProbPlane::build).collect(),
             substrate,
-            doc_of,
-            src_of,
+            map,
+            factor_doc: factor_doc.into(),
             tau_min,
             stats,
         };
@@ -200,12 +210,9 @@ impl ListingIndex {
 
     /// Document and in-document offset of text position `x` (`None` at
     /// separators).
-    fn doc_and_src(&self, x: usize) -> Option<(usize, usize)> {
-        let d = *self.doc_of.get(x)?;
-        if d == NONE32 {
-            return None;
-        }
-        Some((d as usize, self.src_of[x] as usize))
+    pub(crate) fn doc_and_src(&self, x: usize) -> Option<(usize, usize)> {
+        let (factor, src) = self.map.locate(x)?;
+        Some((self.factor_doc[factor] as usize, src))
     }
 
     /// Every distinct occurrence among the candidate text positions `xs`,
@@ -264,9 +271,9 @@ impl ListingIndex {
         r: usize,
         metric: RelMetric,
     ) -> Result<Vec<ListingHit>, Error> {
-        let windows = self.substrate.windows(pattern.len(), l, r);
-        let xs = windows.filter(|&(_, stored)| stored > f64::NEG_INFINITY);
-        let mut occs = self.verified(pattern, xs.map(|(x, _)| x));
+        // Every slot of the range starts with the pattern: its window is
+        // whole, so each is a candidate.
+        let mut occs = self.verified(pattern, self.substrate.positions(l, r));
         occs.retain(|&(_, _, p)| canon::is_positive_prob(p));
         let mut hits = Vec::new();
         for group in occs.chunk_by(|a, b| a.0 == b.0) {
@@ -304,11 +311,14 @@ impl ListingIndex {
     /// Approximate heap footprint in bytes: everything the index holds,
     /// the documents' models included (their planes are their one copy).
     pub fn heap_size(&self) -> usize {
-        use std::mem::size_of;
+        use std::mem::{size_of, size_of_val};
+        let (rank, bases) = self.map.heap_sizes();
         self.substrate.heap_size()
             + self.planes.capacity() * size_of::<ProbPlane>()
             + self.planes.iter().map(ProbPlane::heap_size).sum::<usize>()
-            + (self.doc_of.capacity() + self.src_of.capacity()) * size_of::<u32>()
+            + rank
+            + bases
+            + size_of_val(&*self.factor_doc)
     }
 }
 

@@ -14,10 +14,16 @@
 //!     and its probabilities: the text with its `(SA, LCP)` arrays (the
 //!     suffix tree is rebuilt from these in one linear, deterministic pass)
 //!     and the cumulative log-probability prefix sums (serialized verbatim
-//!     so window evaluations stay bit-identical; separators are recounted),
+//!     so window evaluations stay bit-identical; the separators are the
+//!     text's zero bytes, and nothing counts them beside the sums),
 //!   * per-level RMQ champion indices and duplicate masks (champion
-//!     *values* are re-derived from the cumulative array on reassembly),
-//! * the Lemma-2 position map beside it.
+//!     *values* are re-derived from the cumulative array on reassembly,
+//!     read through each slot's run to the next separator),
+//! * the Lemma-2 position map beside it, one `u32` a text position. In
+//!   memory it is one base per factor: `from_snapshot` checks that the map
+//!   is [`NO_POSITION`](ustr_uncertain::NO_POSITION) exactly at the
+//!   separators and rises by one inside each factor, then compresses it,
+//!   and `to_snapshot` writes it out again, so the bytes do not change.
 //!
 //! The ε-link table of an [`crate::ApproxIndex`] built
 //! [`over`](crate::ApproxIndex::over) an index is an [`ApproxLinksState`]

@@ -73,10 +73,45 @@ impl ScoredText {
     }
 
     /// Stored log-probability of the length-`len` prefix of the suffix in
-    /// `slot` (−∞ past the text end or across a separator).
+    /// `slot`, which must cross no separator and stay inside the text: the
+    /// contract of [`CumulativeLogProb::window`], which every slot of a
+    /// pattern's suffix range meets at the pattern's length. Checked
+    /// against the text in debug builds.
     #[inline]
     fn window(&self, slot: usize, len: usize) -> f64 {
-        self.cum.window(self.tree.sa(slot), len)
+        let x = self.tree.sa(slot);
+        debug_assert!(
+            (self.tree.text().get(x..x + len)).is_some_and(|window| !window.contains(&0)),
+            "window {x}+{len} crosses a separator or leaves the text"
+        );
+        self.cum.window(x, len)
+    }
+
+    /// For every text position and the end, the number of characters up to
+    /// the next separator or the text end — the longest window there. One
+    /// backward pass over the text's bytes; transient, for the build- and
+    /// load-time reads that can meet a separator.
+    pub(crate) fn run_lengths(&self) -> Vec<u32> {
+        let chars = self.tree.text();
+        let mut run = vec![0u32; chars.len() + 1];
+        for x in (0..chars.len()).rev() {
+            if chars[x] != 0 {
+                run[x] = run[x + 1] + 1;
+            }
+        }
+        run
+    }
+
+    /// [`ScoredText::window`] where the window is whole, −∞ where it would
+    /// cross a separator or leave the text: read through the slot's run
+    /// length (`run` is [`ScoredText::run_lengths`]).
+    #[inline]
+    fn run_window(&self, run: &[u32], slot: usize, len: usize) -> f64 {
+        if len > run[self.tree.sa(slot)] as usize {
+            f64::NEG_INFINITY
+        } else {
+            self.window(slot, len)
+        }
     }
 }
 
@@ -157,15 +192,9 @@ impl Substrate {
         self.text.tree.suffix_range(pattern)
     }
 
-    /// Every suffix in `[l, r]` as `(text position, stored length-m window
-    /// log-probability)`, unfiltered and with duplicates.
-    pub(crate) fn windows(
-        &self,
-        m: usize,
-        l: usize,
-        r: usize,
-    ) -> impl Iterator<Item = (usize, f64)> + '_ {
-        (l..=r).map(move |slot| (self.text.pos(slot), self.text.window(slot, m)))
+    /// The text position of every suffix in `[l, r]`, with duplicates.
+    pub(crate) fn positions(&self, l: usize, r: usize) -> impl Iterator<Item = usize> + '_ {
+        (l..=r).map(|slot| self.text.pos(slot))
     }
 
     /// Heap bytes per structure; a `(name, bytes)` row each.
@@ -205,9 +234,9 @@ impl Substrate {
     }
 
     /// Validates and reassembles — the tree through [`checked_tree`]; `C`
-    /// must cover the text (whose separators are recounted as
-    /// [`ScoredText::build`] counts them) — with [`Error::InvalidSnapshot`]
-    /// on any structural inconsistency, never a panic.
+    /// must cover the text, whose bytes alone say where the separators
+    /// are — with [`Error::InvalidSnapshot`] on any structural
+    /// inconsistency, never a panic.
     pub(crate) fn from_state(state: SubstrateState) -> Result<Self, Error> {
         let ScoredTextState {
             text,
@@ -216,11 +245,10 @@ impl Substrate {
             prefix,
         } = state.text;
         let tree = checked_tree(text, sa, lcp)?;
-        let chars = tree.text();
-        if prefix.len() != chars.len() + 1 {
+        if prefix.len() != tree.text().len() + 1 {
             return Err(invalid("cumulative array length does not match text"));
         }
-        let cum = CumulativeLogProb::from_prefix(prefix, |i| chars[i] == 0);
+        let cum = CumulativeLogProb::from_prefix(prefix);
         let text = ScoredText { tree, cum };
         let levels = Levels::from_parts(state.levels, &text)?;
         Ok(Self { text, levels })
@@ -232,7 +260,7 @@ mod tests {
     use super::*;
     use crate::snapshot::IndexState;
     use crate::{ApproxIndex, Index};
-    use ustr_uncertain::UncertainString;
+    use ustr_uncertain::{UncertainString, NO_POSITION};
 
     /// Figure 5's characters twice as a certain string (a separator ends
     /// its one factor: 14 slots, 4 short levels, long levels at 4 and 8):
@@ -262,7 +290,7 @@ mod tests {
         assert!(Index::from_snapshot(state()).is_ok());
         type Tamper = fn(&mut IndexState);
         const LADDER: &str = "level count does not match the ladder";
-        let rows: [(&str, Tamper); 14] = [
+        let rows: [(&str, Tamper); 17] = [
             ("not a permutation", |i| {
                 i.substrate.text.sa[0] = i.substrate.text.sa[1]
             }),
@@ -304,12 +332,70 @@ mod tests {
             ("outside the source string", |i| {
                 i.pos[0] = i.source.len() as u32
             }),
+            // The map is a factor map: no position exactly at separators,
+            // and consecutive positions inside a factor.
+            ("no source position inside a factor", |i| {
+                i.pos[3] = NO_POSITION
+            }),
+            ("source position at a separator", |i| {
+                *i.pos.last_mut().unwrap() = 0
+            }),
+            ("not consecutive inside a factor", |i| i.pos[3] = 5),
         ];
         for (expected, tamper) in rows {
             let mut index = state();
             tamper(&mut index);
             let detail = rejection(Index::from_snapshot(index));
             assert!(detail.contains(expected), "{expected:?}: got {detail:?}");
+        }
+    }
+
+    /// The run at a text position ends at the next separator or the text
+    /// end, and a window read through it is whole exactly up to there.
+    #[test]
+    fn run_lengths_find_the_next_separator() {
+        let text = ScoredText::build(b"ab\0c\0d", &[0.5, 0.5, 1.0, 0.5, 1.0, 0.5]).unwrap();
+        let run = text.run_lengths();
+        assert_eq!(run, [2, 1, 0, 1, 0, 1, 0]);
+        for slot in 0..text.tree.num_slots() {
+            let x = text.pos(slot);
+            for len in 0..=run.len() {
+                let whole = text.run_window(&run, slot, len).is_finite();
+                assert_eq!(whole, len <= run[x] as usize, "{x}+{len}");
+            }
+        }
+    }
+
+    /// A pattern whose characters meet only across a separator occurs in
+    /// no text: not in a bare text, and — where the source string gives it
+    /// less than τmin, so the transform splits it — in no index's. A query
+    /// therefore never asks `C` for a window across a separator.
+    #[test]
+    fn a_pattern_that_would_span_a_separator_is_found_by_no_index() {
+        let bare = Substrate::build(b"A\0B", &[0.9, 1.0, 0.9], &DedupStrategy::None).unwrap();
+        assert_eq!(bare.range(b"AB"), None);
+        assert!(bare.range(b"A").is_some() && bare.range(b"B").is_some());
+
+        // Every window of two has probability .25 < τmin: one factor per
+        // character, and each pair of neighbours across a separator.
+        let source = UncertainString::parse("A:.5,C:.5 | B:.5,D:.5 | A:.5,C:.5").unwrap();
+        let tau_min = 0.3;
+        let index = Index::build(&source, tau_min).unwrap();
+        let over = ApproxIndex::over(&index, 0.05).unwrap();
+        let alone = ApproxIndex::build(&source, tau_min, 0.05).unwrap();
+        let listing = crate::ListingIndex::build(std::slice::from_ref(&source), tau_min).unwrap();
+        let chars = index.shared_text().0.tree.text();
+        let spans: Vec<[u8; 2]> = (1..chars.len() - 1)
+            .filter(|&x| chars[x] == 0)
+            .map(|x| [chars[x - 1], chars[x + 1]])
+            .collect();
+        assert_eq!(spans.len(), 5, "six one-character factors");
+        for pattern in &spans {
+            assert!(index.query(pattern, tau_min).unwrap().is_empty());
+            assert!(index.query_top_k(pattern, 3).unwrap().is_empty());
+            assert!(over.query(pattern, tau_min).unwrap().is_empty());
+            assert!(alone.query(pattern, tau_min).unwrap().is_empty());
+            assert!(listing.query(pattern, tau_min).unwrap().is_empty());
         }
     }
 

@@ -58,11 +58,15 @@
 //!    leftmost maximum of every level among the kept bits; the champions go
 //!    straight into [`SampledRmq::from_parts`].
 //!
-//! A window is finite exactly up to the slot's separator-free run length
-//! ([`CumulativeLogProb::run_lengths`](crate::carray::CumulativeLogProb::run_lengths)),
-//! so neither sweep reads `C` past it: deeper short levels are masked (or
-//! −∞) without a memory access, and a long level is evaluated only for the
-//! few slots whose run reaches its length.
+//! A window exists exactly up to the slot's separator-free run length
+//! ([`ScoredText::run_lengths`], from the text's bytes), and `C` holds no
+//! separators to check it against (see [`crate::carray`]): neither sweep
+//! reads `C` past the run — deeper short levels are masked (or −∞) without
+//! a memory access, and a long level is evaluated only for the few slots
+//! whose run reaches its length. Champion values, which
+//! [`SampledRmq::from_parts`] reads at build and load time for any slot,
+//! are read through the run too, and are −∞ past it; a query reads only
+//! its suffix range, whose windows are whole.
 //!
 //! # Space
 //!
@@ -147,8 +151,11 @@ pub(super) struct Levels {
     long: Vec<Level>,
 }
 
-/// Level-`len` value of slot `j`: the stored window probability, or −∞
-/// where `mask` hides the slot.
+/// Level-`len` value of slot `j` at query time: the stored window
+/// probability, or −∞ where `mask` hides the slot. A query reads only slots
+/// of a suffix range at lengths up to the pattern's, so the window is
+/// whole (see [`ScoredText::window`]); a champion's value is read once, at
+/// build or load time, through [`champion_value`].
 fn level_value<'a>(
     mask: &'a BitVec,
     text: &'a ScoredText,
@@ -163,12 +170,33 @@ fn level_value<'a>(
     }
 }
 
+/// [`level_value`] for any slot: a champion may be a slot whose window
+/// crosses a separator or leaves the text (a block with nothing visible, or
+/// a level without a mask), so this one reads through the slot's run length
+/// (`run` is [`ScoredText::run_lengths`]) and is −∞ there.
+fn champion_value<'a>(
+    mask: &'a BitVec,
+    text: &'a ScoredText,
+    run: &'a [u32],
+    len: usize,
+) -> impl Fn(usize) -> f64 + Copy + 'a {
+    move |j| {
+        if mask.get(j) {
+            f64::NEG_INFINITY
+        } else {
+            text.run_window(run, j, len)
+        }
+    }
+}
+
 impl Level {
-    /// The level of length `len` over `text` from its mask words (none for
-    /// a long level) and per-block champions; the block size follows from
-    /// the kind: 64 slots under a mask, `len` without one.
+    /// The level of length `len` over `text` (with its run lengths `run`)
+    /// from its mask words (none for a long level) and per-block champions;
+    /// the block size follows from the kind: 64 slots under a mask, `len`
+    /// without one.
     fn new(
         text: &ScoredText,
+        run: &[u32],
         len: usize,
         words: Vec<u64>,
         champions: Vec<u32>,
@@ -183,7 +211,7 @@ impl Level {
             block,
             Direction::Max,
             champions,
-            &level_value(&mask, text, len),
+            &champion_value(&mask, text, run, len),
         )?;
         Ok(Self { len, rmq, mask })
     }
@@ -210,7 +238,7 @@ impl Levels {
     /// always masked.
     pub(super) fn build(text: &ScoredText, dedup: &DedupStrategy<'_>) -> Self {
         let slots = text.tree.num_slots();
-        let run = text.cum.run_lengths();
+        let run = text.run_lengths();
         let (max_short, long_lens) = ladder(text);
         let mut long_sweeps: Vec<LongSweep> =
             long_lens.map(|len| LongSweep::new(len, slots)).collect();
@@ -218,7 +246,7 @@ impl Levels {
         let keep = keep_sweep(text, &run, max_short, dedup);
         let swept = champion_sweep(text, &run, max_short, keep.as_deref(), &mut long_sweeps);
         let level = |len, words, champions| {
-            Level::new(text, len, words, champions)
+            Level::new(text, &run, len, words, champions)
                 .expect("the sweep yields one in-block champion per block")
         };
         let short = swept
@@ -237,7 +265,7 @@ impl Levels {
     /// [`Levels::from_parts`]: per short level the duplicate-mask words and
     /// RMQ champion indices, per long level its champions. Champion *values*
     /// are never stored — they are re-derived from the cumulative array on
-    /// reload, exactly as queries re-derive them — nor lengths.
+    /// reload, read as the build read them — nor lengths.
     pub(super) fn to_parts(&self) -> LevelsParts {
         let champions = |level: &Level| level.rmq.champions().to_vec();
         LevelsParts {
@@ -271,18 +299,19 @@ impl Levels {
             return Err(invalid("level count does not match the ladder of the text"));
         }
         let mask_words = text.tree.num_slots().div_ceil(64);
+        let run = text.run_lengths();
         let short = parts.short.into_iter().zip(1..).map(|(level, len)| {
             if level.mask_words.len() != mask_words {
                 return Err("mask word count does not match slot count");
             }
-            Level::new(text, len, level.mask_words, level.champions)
+            Level::new(text, &run, len, level.mask_words, level.champions)
         });
         let short = short.collect::<Result<_, _>>().map_err(invalid)?;
         let long = parts
             .long
             .into_iter()
             .zip(long_lens)
-            .map(|(level, len)| Level::new(text, len, Vec::new(), level.champions));
+            .map(|(level, len)| Level::new(text, &run, len, Vec::new(), level.champions));
         let long = long.collect::<Result<_, _>>().map_err(invalid)?;
         Ok(Self { short, long })
     }
@@ -676,14 +705,6 @@ mod tests {
         assert!((hits[0].1 - 0.81).abs() < 1e-9, "max entry kept");
     }
 
-    #[test]
-    fn sentinel_windows_never_report() {
-        let sub = substrate(b"A\0B", &[0.9, 1.0, 0.9], &DedupStrategy::None);
-        // "A\0" would cross the separator: the window is -inf at level 2.
-        let (l, r) = sub.range(b"A").unwrap();
-        assert!(sub.report(2, l, r, 0.001f64.ln()).is_empty());
-    }
-
     /// A 48-character text for the matrix below: 6 short levels and long
     /// levels at 6, 12, 24 and 48. Characters repeat with period 3 and
     /// probabilities with period 6, broken by one separator, so a pattern
@@ -806,13 +827,15 @@ mod tests {
     /// `SampledRmq::new` over the masked accessor.
     fn reference_parts(text: &ScoredText, dedup: &DedupStrategy<'_>) -> LevelsParts {
         let slots = text.tree.num_slots();
+        let run = text.run_lengths();
         let (max_short, long_lens) = ladder(text);
         let short = (1..=max_short)
             .map(|i| {
                 let mask = BitVec {
                     words: reference_mask(text, i, dedup),
                 };
-                let rmq = SampledRmq::new(slots, Direction::Max, &level_value(&mask, text, i));
+                let value = champion_value(&mask, text, &run, i);
+                let rmq = SampledRmq::new(slots, Direction::Max, &value);
                 ShortLevelParts {
                     champions: rmq.champions().to_vec(),
                     mask_words: mask.words,
@@ -821,7 +844,7 @@ mod tests {
             .collect();
         let long = long_lens
             .map(|len| {
-                let value = |j| text.window(j, len);
+                let value = |j| text.run_window(&run, j, len);
                 let rmq = SampledRmq::with_block_size(slots, len, Direction::Max, &value);
                 LongLevelParts {
                     champions: rmq.champions().to_vec(),
@@ -835,6 +858,8 @@ mod tests {
     fn reference_mask(text: &ScoredText, level: usize, dedup: &DedupStrategy<'_>) -> Vec<u64> {
         let tree = &text.tree;
         let slots = tree.num_slots();
+        let run = text.run_lengths();
+        let window = |j| text.run_window(&run, j, level);
         let mut words = vec![0u64; slots.div_ceil(64)];
         let set = |words: &mut Vec<u64>, j: usize| words[j / 64] |= 1u64 << (j % 64);
         let clear = |words: &mut Vec<u64>, j: usize| words[j / 64] &= !(1u64 << (j % 64));
@@ -850,7 +875,7 @@ mod tests {
                     if tree.slot_lcp(j) < level {
                         partition += 1;
                     }
-                    let valid = text.window(j, level) > f64::NEG_INFINITY;
+                    let valid = window(j) > f64::NEG_INFINITY;
                     match key_of(keys, j) {
                         Some(key) if valid => {
                             if seen.insert(key, partition) == Some(partition) {
@@ -880,7 +905,7 @@ mod tests {
                     if tree.slot_lcp(j) < level {
                         flush(&mut best, &mut members, &mut words);
                     }
-                    let value = text.window(j, level);
+                    let value = window(j);
                     match key_of(keys, j) {
                         Some(key) if value > f64::NEG_INFINITY => {
                             members.push(j);
@@ -915,6 +940,28 @@ mod tests {
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The window contract's premise: every slot of a pattern's suffix
+        /// range starts with the pattern, so the window a query reads there
+        /// at the pattern's length lies inside the text and crosses no
+        /// separator.
+        #[test]
+        fn every_slot_of_a_range_has_a_whole_window(
+            positions in prop::collection::vec(position(2), 1..80),
+        ) {
+            let chars: Vec<u8> = positions.iter().map(|p| p.0).collect();
+            let probs: Vec<f64> = positions.iter().map(|p| p.1).collect();
+            let sub = substrate(&chars, &probs, &DedupStrategy::None);
+            for m in 1..=chars.len().min(12) {
+                for pattern in chars.windows(m).filter(|w| !w.contains(&0)) {
+                    let (l, r) = sub.range(pattern).unwrap();
+                    for slot in l..=r {
+                        let x = sub.text.pos(slot);
+                        prop_assert_eq!(chars.get(x..x + m), Some(pattern));
+                    }
+                }
+            }
+        }
 
         /// The fused sweeps yield the reference's mask words and champions,
         /// level by level, for every strategy.

@@ -67,8 +67,8 @@
 //! short levels, a long level for every `L·2ᵏ` up to the text length: any
 //! other ladder is refused, so a loaded index has a built one's levels.
 //!
-//! Not written, because another field fixes it: the separator counts beside
-//! `C` (the zero bytes of the text), a text map's entries at separators
+//! Not written, because another field fixes it: where the separators are
+//! (the zero bytes of the text), a text map's entries at separators
 //! (`u32::MAX`, the zero bytes of the text), a level's length (its place on
 //! the ladder) and block size (64, or the length), the largest short pattern
 //! length (the short-level count), and the heap footprint (a measurement

@@ -352,7 +352,8 @@ mod tests {
                         0
                     };
                     separated.extend(std::iter::repeat_n(0u8, run));
-                    separated.push(1 + ((r >> 16) % sigma as u64) as u8);
+                    // Symbols 1..=255 beside the separator: at most 255.
+                    separated.push(1 + ((r >> 16) % sigma.min(255) as u64) as u8);
                 }
                 separated.truncate(len);
                 // Periodic: a short random word repeated, a point mutation

@@ -71,11 +71,14 @@ fn check_heap_rows(
 }
 
 /// `Index::heap_size()` per source position on this input when the budget
-/// was last set (PR 26, which made the plane the one copy of the model, with
-/// probability rows only at uncertain positions; 561.4 at PR 23, which did
-/// not count the ≈ 58 B of source copy beside the plane; 925.3 before PR 23,
-/// with explicit tree nodes and a sparse table per level).
-const MEASURED_BYTES_PER_POS: f64 = 452.3;
+/// was last set, once `C` kept only its prefix sums and the position map
+/// became a separator rank and one base per factor (452.3 before, with a
+/// `u32` per character for each — the figure since the plane became the
+/// one copy of the model, with probability rows only at uncertain
+/// positions; 561.4 before that, not counting the ≈ 58 B of source copy
+/// beside the plane; 925.3 with explicit tree nodes and a sparse table per
+/// level).
+const MEASURED_BYTES_PER_POS: f64 = 380.8;
 
 #[test]
 fn heap_breakdown_stays_inside_the_budget() {
@@ -96,6 +99,10 @@ fn heap_breakdown_stays_inside_the_budget() {
     };
     assert!(per(row("child table"), slots) <= 8.0);
     assert!(per(row("short levels"), slots * short_levels) <= 0.5);
+    // The position map: 16 bytes per 64 characters (0.25 B a character),
+    // and 4 B a factor.
+    assert!(row("separator rank") <= (slots - 1).div_ceil(64) * 16);
+    assert_eq!(row("factor bases"), index.stats().num_factors * 4);
     // Probability rows only where the kernel reads one: σ cells at each
     // uncertain position, plus the per-position sidecars and the uncertain
     // positions' choices verbatim.
@@ -140,10 +147,12 @@ fn approx_heap_breakdown_stays_inside_the_budget() {
 }
 
 /// `ListingIndex::heap_size()` per source position over the same positions
-/// cut into documents when the budget was set (PR 26, the first count of
-/// everything the index holds: 549.8 on `paper-string` before it, without
-/// the documents' source copies or the planes' slots).
-const LISTING_MEASURED_BYTES_PER_POS: f64 = 450.6;
+/// cut into documents when the budget was last set, once its document and
+/// source maps (8 B a character) became a factor map and a document id per
+/// factor (450.6 before; that was the first count of everything the index
+/// holds: 549.8 on `paper-string` before it, without the documents' source
+/// copies or the planes' slots).
+const LISTING_MEASURED_BYTES_PER_POS: f64 = 360.8;
 
 #[test]
 fn listing_heap_stays_inside_the_budget() {
