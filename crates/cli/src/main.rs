@@ -1498,7 +1498,7 @@ mod tests {
         .unwrap();
         let out = run(&argv(&format!("stats {}", coll.display()))).unwrap();
         assert!(out.contains("documents                3"), "{out}");
-        assert!(out.contains("format version           7"), "{out}");
+        assert!(out.contains("format version           8"), "{out}");
         assert!(out.contains("approxlinks"), "approx sections listed: {out}");
         assert!(out.contains("fnv1a"), "checksums listed: {out}");
         // The totals per kind close the listing, shares summing to 100 %:
@@ -1549,12 +1549,12 @@ mod tests {
             (
                 format!("serve-batch {coll} {queries}"),
                 &coll,
-                "version 1 (this build reads version 7)",
+                "version 1 (this build reads version 8)",
             ),
             (
                 format!("stats {coll}"),
                 &coll,
-                "version 1 (this build reads version 7)",
+                "version 1 (this build reads version 8)",
             ),
             (format!("stats {idx}"), &idx, "bad magic"),
             (

@@ -44,7 +44,7 @@ use ustr_uncertain::{canon, split, transform, UncertainString};
 use crate::{
     carray::CumulativeLogProb,
     error::{validate_query, Error},
-    factors::FactorMap,
+    factors::{stretch_starts, FactorMap},
     index::Index,
     result::QueryResult,
     snapshot::{invalid, ApproxLinkState, ApproxLinksState},
@@ -104,8 +104,9 @@ impl ApproxIndex {
         let transformed = transform(source, tau_min)?;
         let chars = transformed.special.chars();
         let text = ScoredText::build(chars, transformed.special.probs())?;
+        let starts = stretch_starts(chars).map(|x| transformed.pos[x]);
         let map =
-            FactorMap::new(chars, &transformed.pos).expect("the transform emits a factor map");
+            FactorMap::new(chars, starts, source.len()).expect("the transform emits a factor map");
         let stats = BuildStats {
             source_len: source.len(),
             transformed_len: transformed.len(),

@@ -6,6 +6,9 @@
 //! subtraction — a monotone transform, so every comparison and every RMQ
 //! argmax is unchanged. Separator positions contribute 0 to the sums.
 //!
+//! A snapshot does not store the sums: a load runs [`CumulativeLogProb::new`]
+//! over the build's probabilities again, so its windows are bit-identical.
+//!
 //! # The window contract
 //!
 //! `C` holds the prefix sums and nothing else: [`CumulativeLogProb::window`]
@@ -45,16 +48,9 @@ impl CumulativeLogProb {
         });
         // An exact-size iterator: collected straight into the shared
         // allocation.
-        Self::from_prefix(std::iter::once(0.0).chain(sums).collect::<Arc<[f64]>>())
-    }
-
-    /// Reassembles from the prefix sums (`len + 1` entries, never empty) —
-    /// what snapshots store, so window evaluations stay bit-identical after
-    /// a load.
-    pub fn from_prefix(prefix: impl Into<Arc<[f64]>>) -> Self {
-        let prefix = prefix.into();
-        assert!(!prefix.is_empty(), "prefix sums start with the empty sum");
-        Self { prefix }
+        Self {
+            prefix: std::iter::once(0.0).chain(sums).collect(),
+        }
     }
 
     /// Number of positions covered.

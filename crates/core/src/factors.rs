@@ -9,13 +9,10 @@
 //! before `x` — so the map costs 0.25 B per character and 4 B per factor,
 //! where a `u32` per character cost 4 B.
 //!
-//! A snapshot stores the plain map (`IndexState::pos`), which
-//! [`FactorMap::to_positions`] gives back and [`FactorMap::new`] checks and
-//! compresses.
+//! A snapshot stores each factor's source start ([`FactorMap::starts`]),
+//! which [`FactorMap::new`] checks and turns into the bases.
 
 use std::sync::Arc;
-
-use ustr_uncertain::NO_POSITION;
 
 /// 64 characters of the text: which are separators, and how many
 /// separators come before the first of them.
@@ -36,47 +33,48 @@ pub(crate) struct FactorMap {
     bases: Arc<[u32]>,
 }
 
+/// The text position where each stretch of `chars` (byte 0 = separator)
+/// starts: 0, and every position after a separator. A stretch lies between
+/// separators — a factor, or nothing where two meet — and owns a base even
+/// when empty, so that a rank is always a factor index.
+pub(crate) fn stretch_starts(chars: &[u8]) -> impl Iterator<Item = usize> + '_ {
+    (0..chars.len()).filter(|&x| x == 0 || chars[x - 1] == 0)
+}
+
 impl FactorMap {
-    /// Compresses the position map `pos` of `chars` (byte 0 = separator).
-    /// `pos` must be a factor map — [`NO_POSITION`] exactly at the
-    /// separators, and one more from each character to the next inside a
-    /// factor — or the reason it is not comes back.
-    pub(crate) fn new(chars: &[u8], pos: &[u32]) -> Result<Self, &'static str> {
-        if chars.len() != pos.len() {
-            return Err("position map length does not match text");
-        }
+    /// The map of `chars` (byte 0 = separator) whose `k`-th stretch reads
+    /// the source from the `k`-th of `starts` on, or the reason not: there
+    /// must be one start per stretch, and every factor must end inside a
+    /// source of `source_len` positions.
+    pub(crate) fn new(
+        chars: &[u8],
+        starts: impl IntoIterator<Item = u32>,
+        source_len: usize,
+    ) -> Result<Self, &'static str> {
+        const COUNT: &str = "factor start count does not match the stretches of the text";
+        let mut starts = starts.into_iter();
         let mut words = Vec::with_capacity(chars.len().div_ceil(64));
         let mut bases = Vec::new();
-        // The previous character's source position; `None` after a
-        // separator, where a factor starts.
-        let mut previous: Option<u32> = None;
+        // Whether the next character starts a stretch, and how many source
+        // positions the current factor has left.
+        let (mut at_start, mut room) = (true, 0usize);
         let mut before = 0u32;
-        for (w, (chars, pos)) in chars.chunks(64).zip(pos.chunks(64)).enumerate() {
+        for (w, chars) in chars.chunks(64).enumerate() {
             let mut separators = 0u64;
-            for (i, (&c, &p)) in chars.iter().zip(pos).enumerate() {
-                let x = (w * 64 + i) as u32;
-                match (c, p, previous) {
-                    (0, NO_POSITION, prev) => {
-                        // A stretch with no characters still owns a base,
-                        // so that a rank is always a factor index.
-                        if prev.is_none() {
-                            bases.push(0);
-                        }
-                        separators |= 1 << i;
-                        previous = None;
-                        continue;
-                    }
-                    (0, _, _) => return Err("position map has a source position at a separator"),
-                    (_, NO_POSITION, _) => {
-                        return Err("position map has no source position inside a factor")
-                    }
-                    (_, p, None) => bases.push(p.wrapping_sub(x)),
-                    (_, p, Some(prev)) if p != prev.wrapping_add(1) => {
-                        return Err("position map is not consecutive inside a factor")
-                    }
-                    _ => {}
+            for (i, &c) in chars.iter().enumerate() {
+                if at_start {
+                    let start = starts.next().ok_or(COUNT)?;
+                    bases.push(start.wrapping_sub((w * 64 + i) as u32));
+                    room = source_len.saturating_sub(start as usize);
                 }
-                previous = Some(p);
+                at_start = c == 0;
+                if c == 0 {
+                    separators |= 1 << i;
+                } else if room == 0 {
+                    return Err("factor runs past the source string");
+                } else {
+                    room -= 1;
+                }
             }
             // Bits past the text end read as separators.
             let past_end = u64::MAX.checked_shl(chars.len() as u32).unwrap_or(0);
@@ -85,6 +83,9 @@ impl FactorMap {
                 before,
             });
             before += separators.count_ones();
+        }
+        if starts.next().is_some() {
+            return Err(COUNT);
         }
         Ok(Self {
             words: words.into(),
@@ -113,11 +114,11 @@ impl FactorMap {
         self.locate(x).map(|(_, source)| source)
     }
 
-    /// The plain map over the first `len` text positions (the whole text),
-    /// [`NO_POSITION`] at separators: what [`FactorMap::new`] compressed.
-    pub(crate) fn to_positions(&self, len: usize) -> Vec<u32> {
-        let at = |x| self.source_pos(x).map_or(NO_POSITION, |p| p as u32);
-        (0..len).map(at).collect()
+    /// The source start of every stretch of `chars`, the text this map is
+    /// over: what [`FactorMap::new`] took.
+    pub(crate) fn starts(&self, chars: &[u8]) -> Vec<u32> {
+        let bases = stretch_starts(chars).zip(self.bases.iter());
+        bases.map(|(x, &b)| (x as u32).wrapping_add(b)).collect()
     }
 
     /// Number of factors (bases).
@@ -140,18 +141,31 @@ mod tests {
     use super::*;
     use crate::{ApproxIndex, Index, ListingIndex};
     use proptest::prelude::*;
-    use ustr_uncertain::{transform, Correlation, CorrelationSet, UncertainString};
+    use ustr_uncertain::{transform, Correlation, CorrelationSet, UncertainString, NO_POSITION};
 
     const N: u32 = NO_POSITION;
+
+    /// The map of `chars` built from the starts of its plain map `pos`,
+    /// after checking that it gives `pos` back at every text position and
+    /// its starts back whole.
+    fn from_plain(chars: &[u8], pos: &[u32], source_len: usize) -> FactorMap {
+        let starts: Vec<u32> = stretch_starts(chars).map(|x| pos[x]).collect();
+        let map = FactorMap::new(chars, starts.iter().copied(), source_len).unwrap();
+        let plain: Vec<u32> = (0..chars.len())
+            .map(|x| map.source_pos(x).map_or(N, |p| p as u32))
+            .collect();
+        assert_eq!(plain, pos);
+        assert_eq!(map.starts(chars), starts);
+        map
+    }
 
     #[test]
     fn positions_come_back_from_the_bases() {
         // Factors "ab" from source 5, "c" from 0 and "ab" from 5 again.
         let chars = b"ab\0c\0ab\0";
-        let pos = [5, 6, N, 0, N, 5, 6, N];
-        let map = FactorMap::new(chars, &pos).unwrap();
+        let map = from_plain(chars, &[5, 6, N, 0, N, 5, 6, N], 7);
         assert_eq!(map.num_factors(), 3);
-        assert_eq!(map.to_positions(chars.len()), pos);
+        assert_eq!(map.starts(chars), [5, 0, 5]);
         assert_eq!(map.locate(3), Some((1, 0)));
         assert_eq!(map.locate(6), Some((2, 6)));
         assert_eq!(map.source_pos(8), None, "past the text");
@@ -174,28 +188,33 @@ mod tests {
                 }
             })
             .collect();
-        let map = FactorMap::new(&chars, &pos).unwrap();
+        let map = from_plain(&chars, &pos, 66);
         assert_eq!(map.num_factors(), 20);
-        assert_eq!(map.to_positions(chars.len()), pos);
         assert_eq!(map.heap_sizes(), (4 * 16, 20 * 4));
     }
 
     #[test]
     fn stretches_without_characters_keep_ranks_aligned() {
         let chars = b"\0\0ab\0\0c";
-        let pos = [N, N, 7, 8, N, N, 2];
-        let map = FactorMap::new(chars, &pos).unwrap();
-        assert_eq!(map.to_positions(chars.len()), pos);
-        assert_eq!(FactorMap::new(b"", &[]).unwrap().num_factors(), 0);
+        let map = from_plain(chars, &[N, N, 7, 8, N, N, 2], 9);
+        assert_eq!(map.num_factors(), 5);
+        assert_eq!(FactorMap::new(b"", [], 0).unwrap().num_factors(), 0);
     }
 
+    /// One start per stretch, and each factor inside the source: a trailing
+    /// stretch without a separator is one, the empty one after a final
+    /// separator is none.
     #[test]
-    fn a_map_that_is_no_factor_map_is_refused() {
-        let refused = |chars: &[u8], pos: &[u32]| FactorMap::new(chars, pos).unwrap_err();
-        assert!(refused(b"ab\0", &[0, 1]).contains("length"));
-        assert!(refused(b"ab\0", &[0, 1, 2]).contains("at a separator"));
-        assert!(refused(b"ab\0", &[0, N, N]).contains("no source position"));
-        assert!(refused(b"ab\0", &[0, 2, N]).contains("not consecutive"));
+    fn starts_that_are_no_factor_map_are_refused() {
+        let refused = |chars: &[u8], starts: &[u32], source_len| {
+            FactorMap::new(chars, starts.iter().copied(), source_len).unwrap_err()
+        };
+        assert!(FactorMap::new(b"ab\0c", [0, 2], 3).is_ok());
+        assert!(refused(b"ab\0c", &[0], 3).contains("start count"));
+        assert!(refused(b"ab\0", &[0, 2], 3).contains("start count"));
+        assert!(refused(b"ab\0c", &[2, 0], 3).contains("past the source"));
+        assert!(refused(b"ab\0c", &[0, 3], 3).contains("past the source"));
+        assert!(refused(b"ab\0c", &[0, u32::MAX], 3).contains("past the source"));
     }
 
     /// Shapes of [`shaped`]: as drawn, with a correlation, certain (one
@@ -247,7 +266,7 @@ mod tests {
         /// The factor map of every index answers as the plain map of the
         /// transform it was built from, at every text position and past
         /// the text — for an `Index` (built and loaded, whose snapshot
-        /// writes the plain map back), the `ApproxIndex` over it (built and
+        /// writes the plain map's factor starts), the `ApproxIndex` over it (built and
         /// loaded), a stand-alone `ApproxIndex`, and a `ListingIndex`, whose map and
         /// per-factor documents give the pair the per-position arrays gave.
         #[test]
@@ -265,7 +284,8 @@ mod tests {
             }
             let index = Index::build(&s, tau_min).unwrap();
             let state = index.to_snapshot();
-            prop_assert_eq!(&state.pos, &plain.pos);
+            let starts = stretch_starts(plain.special.chars()).map(|x| plain.pos[x]);
+            prop_assert_eq!(state.starts, starts.collect::<Vec<_>>());
             let loaded = Index::from_snapshot(state).unwrap();
             let over = ApproxIndex::over(&index, 0.05).unwrap();
             let links = over.to_links_snapshot();

@@ -7,7 +7,7 @@ use ustr_uncertain::{canon, transform, ProbPlane, UncertainString, NO_POSITION};
 
 use crate::{
     error::{validate_query, Error},
-    factors::FactorMap,
+    factors::{stretch_starts, FactorMap},
     result::QueryResult,
     snapshot::{invalid, IndexState},
     stats::BuildStats,
@@ -16,6 +16,23 @@ use crate::{
 
 // The position map doubles as the dedup key array.
 const _: () = assert!(NO_POSITION == NO_KEY);
+
+/// Each character's probability as the transform of `source` gave it: its
+/// choice's at its source position, through the transform's own rule
+/// ([`CorrelationSet::upper_bound`](ustr_uncertain::CorrelationSet::upper_bound)),
+/// and 1 at separators. A character with none there is an
+/// [`Error::InvalidSnapshot`]: no transform emits it, and `C` cannot sum it.
+fn text_probs(source: &UncertainString, chars: &[u8], map: &FactorMap) -> Result<Vec<f64>, Error> {
+    let prob = |(x, &c): (usize, &u8)| {
+        let p = map.source_pos(x).map_or(1.0, |q| {
+            let base = source.position(q).prob_of(c);
+            source.correlations().upper_bound(q, c, base)
+        });
+        let missing = || invalid("text character has no probability at its source position");
+        canon::is_positive_prob(p).then_some(p).ok_or_else(missing)
+    };
+    chars.iter().enumerate().map(prob).collect()
+}
 
 /// Substring-search index over a general [`UncertainString`].
 ///
@@ -62,7 +79,9 @@ impl Index {
             transformed.special.probs(),
             &DedupStrategy::BySource(pos),
         )?;
-        let map = FactorMap::new(chars, pos).expect("the transform emits a factor map");
+        let starts = stretch_starts(chars).map(|x| pos[x]);
+        let map =
+            FactorMap::new(chars, starts, source.len()).expect("the transform emits a factor map");
         let stats = BuildStats {
             source_len: source.len(),
             transformed_len: pos.len(),
@@ -94,14 +113,12 @@ impl Index {
     }
 
     /// Decomposes the index into its persistence-ready snapshot state (see
-    /// [`crate::snapshot`]); the position map is written out in full, one
-    /// `u32` per text position. The byte encoding lives in `ustr-store`.
+    /// [`crate::snapshot`]): the position map as one source start per
+    /// factor, and no `C`. The byte encoding lives in `ustr-store`.
     pub fn to_snapshot(&self) -> IndexState {
         IndexState {
             source: self.plane.to_model(),
-            pos: self
-                .map
-                .to_positions(self.substrate.text().tree.text().len()),
+            starts: self.map.starts(self.substrate.text().tree.text()),
             substrate: self.substrate.to_state(),
             tau_min: self.tau_min,
             stats: self.stats.clone(),
@@ -109,27 +126,21 @@ impl Index {
     }
 
     /// Reassembles an index from snapshot state. Rebuilds only the cheap
-    /// derived structures (suffix-tree child table from the LCP array, RMQ
-    /// champion values from the cumulative array, the plane from the
-    /// source, which is then dropped, and the position map's factor bases
-    /// from the stored map); the result answers every query identically to
-    /// the index the snapshot was taken from. Fails with
+    /// derived structures (suffix-tree child table from the LCP array, the
+    /// map's factor bases from the starts, `C` from the source through the
+    /// map, RMQ champion values from `C`, the plane from the source, which
+    /// is then dropped): the built index, bit for bit. Fails with
     /// [`Error::InvalidSnapshot`] on structurally inconsistent state — a
-    /// position map included that is not [`NO_POSITION`] exactly at the
-    /// separators and consecutive inside each factor.
+    /// start count other than the text's stretch count, a factor past the
+    /// source, or a character with no probability there included.
     pub fn from_snapshot(state: IndexState) -> Result<Self, Error> {
-        if state.pos.len() != state.substrate.text.text.len() {
-            return Err(invalid("position map length does not match text"));
-        }
-        let source_len = state.source.len();
-        if (state.pos.iter()).any(|&p| p != NO_POSITION && p as usize >= source_len) {
-            return Err(invalid("position map points outside the source string"));
-        }
         if !canon::valid_tau(state.tau_min) {
             return Err(invalid("tau_min outside (0, 1]"));
         }
-        let map = FactorMap::new(&state.substrate.text.text, &state.pos).map_err(invalid)?;
-        let substrate = Substrate::from_state(state.substrate)?;
+        let chars = &state.substrate.text.text;
+        let map = FactorMap::new(chars, state.starts, state.source.len()).map_err(invalid)?;
+        let probs = text_probs(&state.source, chars, &map)?;
+        let substrate = Substrate::from_state(state.substrate, &probs)?;
         let mut idx = Self {
             plane: ProbPlane::build(&state.source),
             map,
@@ -411,6 +422,76 @@ mod tests {
         assert!(st.num_factors >= 2);
         assert!(st.expansion() > 1.0);
         assert!(st.heap_bytes > 0);
+    }
+
+    /// The generated protein string with a correlation on the first choice
+    /// of every 5th uncertain position, conditioned on the first choice of
+    /// the position before it: pr⁺ above pr⁻ at every other one, below it
+    /// at the rest.
+    fn correlated(n: usize, seed: u64) -> UncertainString {
+        use ustr_uncertain::{Correlation, CorrelationSet};
+        use ustr_workload::{generate_string, DatasetConfig};
+        let mut s = generate_string(&DatasetConfig::new(n, 0.3, seed));
+        let mut set = CorrelationSet::new();
+        let uncertain = (1..n).filter(|&q| s.position(q).num_choices() > 1);
+        for (k, q) in uncertain.step_by(5).enumerate() {
+            let (subject_char, p) = s.position(q).choices()[0];
+            let (high, low) = ((p * 1.5).min(1.0), p * 0.5);
+            let (p_present, p_absent) = if k % 2 == 0 { (high, low) } else { (low, high) };
+            set.add(Correlation {
+                subject_pos: q,
+                subject_char,
+                cond_pos: q - 1,
+                cond_char: s.position(q - 1).choices()[0].0,
+                p_present,
+                p_absent,
+            })
+            .unwrap();
+        }
+        s.set_correlations(set).unwrap();
+        s
+    }
+
+    /// A load sums `C` from the model through the factor map with the
+    /// build's own code: its prefix sums are the built ones to the bit —
+    /// correlation subjects at their bound (pr⁺ above pr⁻ and below it), a
+    /// correlated certain position and a single choice just below 1.0
+    /// included.
+    #[test]
+    fn a_loaded_c_is_the_built_c_bit_for_bit() {
+        use ustr_uncertain::{Correlation, CorrelationSet};
+        let mut fixture =
+            UncertainString::parse("A:.6,B:.4 | C | A:.999999999999 | B:.5,C:.5").unwrap();
+        let mut set = CorrelationSet::new();
+        set.add(Correlation {
+            subject_pos: 1,
+            subject_char: b'C',
+            cond_pos: 0,
+            cond_char: b'A',
+            p_present: 0.9,
+            p_absent: 0.7,
+        })
+        .unwrap();
+        fixture.set_correlations(set).unwrap();
+        let bits = |index: &Index| -> Vec<u64> {
+            let cum = &index.shared_text().0.cum;
+            cum.prefix().iter().map(|x| x.to_bits()).collect()
+        };
+        for (s, tau_min) in [
+            (correlated(400, 13), 0.1),
+            (correlated(2_000, 29), 0.1),
+            (correlated(2_000, 43), 0.02),
+            (fixture, 0.1),
+        ] {
+            // pr⁺ > pr⁻ per correlation: both orders (the fixture has one).
+            let up: Vec<bool> = (s.correlations().iter())
+                .map(|c| c.p_present > c.p_absent)
+                .collect();
+            assert!(up.contains(&true) && (up.contains(&false) || s.len() == 4));
+            let built = Index::build(&s, tau_min).unwrap();
+            let loaded = Index::from_snapshot(built.to_snapshot()).unwrap();
+            assert_eq!(bits(&loaded), bits(&built));
+        }
     }
 
     #[test]

@@ -7,7 +7,7 @@ use ustr_uncertain::{canon, transform, ProbPlane, UncertainString};
 
 use crate::{
     error::{validate_query, Error},
-    factors::FactorMap,
+    factors::{stretch_starts, FactorMap},
     stats::BuildStats,
     substrate::{check_text_len, DedupStrategy, Substrate, NO_KEY},
 };
@@ -133,7 +133,9 @@ impl ListingIndex {
             DedupStrategy::ByKeyMax(&doc_of)
         };
         let substrate = Substrate::build(&chars, &probs, &dedup)?;
-        let map = FactorMap::new(&chars, &src_of).expect("transforms emit factor maps");
+        let starts = stretch_starts(&chars).map(|x| src_of[x]);
+        let map =
+            FactorMap::new(&chars, starts, source_total).expect("transforms emit factor maps");
         debug_assert_eq!(
             map.num_factors(),
             factor_doc.len(),

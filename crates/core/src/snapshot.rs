@@ -2,7 +2,7 @@
 //! [`crate::Index`] and the §7 links over it.
 //!
 //! An [`crate::Index`] is taken apart into an [`IndexState`] (`to_snapshot`
-//! / `from_snapshot`) holding exactly the query-critical state, each array
+//! / `from_snapshot`) holding exactly the query-critical state, each fact
 //! once (so assembly checks that the one copy is valid, never that two agree):
 //!
 //! * the source model (uncertain string, correlations) — in memory the
@@ -10,20 +10,16 @@
 //!   rebuilds the string bit for bit and `from_snapshot` builds the plane
 //!   from it and drops it,
 //! * the paper's §4 machinery as one [`SubstrateState`]:
-//!   * a [`ScoredTextState`] — the **only copy** of the deterministic text
-//!     and its probabilities: the text with its `(SA, LCP)` arrays (the
-//!     suffix tree is rebuilt from these in one linear, deterministic pass)
-//!     and the cumulative log-probability prefix sums (serialized verbatim
-//!     so window evaluations stay bit-identical; the separators are the
-//!     text's zero bytes, and nothing counts them beside the sums),
+//!   * a [`ScoredTextState`] — the **only copy** of the deterministic text,
+//!     with its `(SA, LCP)` arrays (the suffix tree is rebuilt from these in
+//!     one linear, deterministic pass; separators are its zero bytes),
 //!   * per-level RMQ champion indices and duplicate masks (champion
 //!     *values* are re-derived from the cumulative array on reassembly,
 //!     read through each slot's run to the next separator),
-//! * the Lemma-2 position map beside it, one `u32` a text position. In
-//!   memory it is one base per factor: `from_snapshot` checks that the map
-//!   is [`NO_POSITION`](ustr_uncertain::NO_POSITION) exactly at the
-//!   separators and rises by one inside each factor, then compresses it,
-//!   and `to_snapshot` writes it out again, so the bytes do not change.
+//! * the Lemma-2 position map beside it, as each factor's source start.
+//!
+//! `C` is not stored: the model and the map already say it, and
+//! `from_snapshot` sums it again with the build's own code, bit for bit.
 //!
 //! The ε-link table of an [`crate::ApproxIndex`] built
 //! [`over`](crate::ApproxIndex::over) an index is an [`ApproxLinksState`]
@@ -51,9 +47,9 @@ use ustr_uncertain::UncertainString;
 
 use crate::stats::BuildStats;
 
-/// The deterministic text of an index with its suffix structure and
-/// cumulative probabilities — what window probabilities and pattern loci
-/// are read from; no state struct holds either a second time.
+/// The deterministic text of an index with its suffix structure — what
+/// pattern loci are read from, and, with the model and the position map,
+/// window probabilities; no state struct holds either a second time.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScoredTextState {
     /// The indexed deterministic text (no virtual terminator; 0 = separator).
@@ -62,8 +58,6 @@ pub struct ScoredTextState {
     pub sa: Vec<u32>,
     /// LCP array of `text` (`lcp[0] = 0`).
     pub lcp: Vec<u32>,
-    /// Prefix sums of per-position log probabilities (`len + 1` entries).
-    pub prefix: Vec<f64>,
 }
 
 /// Persistent representation of one short RMQ level.
@@ -97,7 +91,7 @@ pub struct LevelsParts {
 /// The §4 machinery of an index: scored text plus per-length RMQ levels.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SubstrateState {
-    /// Text, suffix structure and cumulative probabilities.
+    /// Text and suffix structure.
     pub text: ScoredTextState,
     /// Per-length RMQ levels over `text`.
     pub levels: LevelsParts,
@@ -108,9 +102,10 @@ pub struct SubstrateState {
 pub struct IndexState {
     /// The source uncertain string (with correlations).
     pub source: UncertainString,
-    /// Lemma-2 position map: text position → source position (`u32::MAX`
-    /// at separators).
-    pub pos: Vec<u32>,
+    /// Lemma-2 position map: per stretch of the text (position 0 and every
+    /// position after a separator start one), the source position its
+    /// characters read from, one by one.
+    pub starts: Vec<u32>,
     /// The §4 machinery over the transformed text.
     pub substrate: SubstrateState,
     /// Construction-time threshold.

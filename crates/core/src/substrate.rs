@@ -60,10 +60,15 @@ impl ScoredText {
     /// text too long for `u32` positions and slots is refused.
     pub(crate) fn build(chars: &[u8], probs: &[f64]) -> Result<Self, Error> {
         check_text_len(chars.len())?;
-        Ok(Self {
-            tree: SuffixTree::build(chars.to_vec()),
-            cum: CumulativeLogProb::new(probs, |i| chars[i] == 0),
-        })
+        Ok(Self::new(SuffixTree::build(chars.to_vec()), probs))
+    }
+
+    /// `tree`'s text with `C` over `probs`, one per character (ignored at
+    /// separators): the one place `C` is computed, for a build and a load.
+    fn new(tree: SuffixTree, probs: &[f64]) -> Self {
+        let chars = tree.text();
+        let cum = CumulativeLogProb::new(probs, |i| chars[i] == 0);
+        Self { tree, cum }
     }
 
     /// Text position of the suffix in suffix-array slot `slot`.
@@ -218,38 +223,22 @@ impl Substrate {
     }
 
     /// Decomposes into plain data (see [`crate::snapshot`]): `(text, SA,
-    /// LCP)`, the prefix sums and the levels.
+    /// LCP)` and the levels. `C` is not in it: a load derives it.
     pub(crate) fn to_state(&self) -> SubstrateState {
         let (text, sa, lcp) = self.text.tree.to_parts();
-        let prefix = self.text.cum.prefix().to_vec();
         SubstrateState {
-            text: ScoredTextState {
-                text,
-                sa,
-                lcp,
-                prefix,
-            },
+            text: ScoredTextState { text, sa, lcp },
             levels: self.levels.to_parts(),
         }
     }
 
-    /// Validates and reassembles — the tree through [`checked_tree`]; `C`
-    /// must cover the text, whose bytes alone say where the separators
-    /// are — with [`Error::InvalidSnapshot`] on any structural
+    /// Validates and reassembles — the tree through [`checked_tree`], `C`
+    /// over `probs` (one per text character, as the index's load derived
+    /// them) — with [`Error::InvalidSnapshot`] on any structural
     /// inconsistency, never a panic.
-    pub(crate) fn from_state(state: SubstrateState) -> Result<Self, Error> {
-        let ScoredTextState {
-            text,
-            sa,
-            lcp,
-            prefix,
-        } = state.text;
-        let tree = checked_tree(text, sa, lcp)?;
-        if prefix.len() != tree.text().len() + 1 {
-            return Err(invalid("cumulative array length does not match text"));
-        }
-        let cum = CumulativeLogProb::from_prefix(prefix);
-        let text = ScoredText { tree, cum };
+    pub(crate) fn from_state(state: SubstrateState, probs: &[f64]) -> Result<Self, Error> {
+        let ScoredTextState { text, sa, lcp } = state.text;
+        let text = ScoredText::new(checked_tree(text, sa, lcp)?, probs);
         let levels = Levels::from_parts(state.levels, &text)?;
         Ok(Self { text, levels })
     }
@@ -260,7 +249,7 @@ mod tests {
     use super::*;
     use crate::snapshot::IndexState;
     use crate::{ApproxIndex, Index};
-    use ustr_uncertain::{UncertainString, NO_POSITION};
+    use ustr_uncertain::UncertainString;
 
     /// Figure 5's characters twice as a certain string (a separator ends
     /// its one factor: 14 slots, 4 short levels, long levels at 4 and 8):
@@ -290,7 +279,7 @@ mod tests {
         assert!(Index::from_snapshot(state()).is_ok());
         type Tamper = fn(&mut IndexState);
         const LADDER: &str = "level count does not match the ladder";
-        let rows: [(&str, Tamper); 17] = [
+        let rows: [(&str, Tamper); 14] = [
             ("not a permutation", |i| {
                 i.substrate.text.sa[0] = i.substrate.text.sa[1]
             }),
@@ -307,9 +296,6 @@ mod tests {
             ("short of the true common prefix", |i| {
                 let lcp = &mut i.substrate.text.lcp;
                 *lcp.iter_mut().find(|l| **l > 0).unwrap() -= 1;
-            }),
-            ("cumulative array length", |i| {
-                i.substrate.text.prefix.push(0.0)
             }),
             ("mask word count", |i| {
                 i.substrate.levels.short[0].mask_words.push(0)
@@ -328,19 +314,15 @@ mod tests {
             ("champion count", |i| {
                 i.substrate.levels.long[0].champions.push(0)
             }),
-            ("position map length", |i| i.pos.push(0)),
-            ("outside the source string", |i| {
-                i.pos[0] = i.source.len() as u32
+            // The map is one start per stretch (here one factor, and no
+            // stretch after the final separator) with each factor inside
+            // the source, and every character has a probability at its
+            // source position: `C` is summed from them.
+            ("start count does not match", |i| i.starts.push(0)),
+            ("runs past the source string", |i| i.starts[0] = 1),
+            ("no probability at its source position", |i| {
+                i.substrate.text.text[0] = b'n'
             }),
-            // The map is a factor map: no position exactly at separators,
-            // and consecutive positions inside a factor.
-            ("no source position inside a factor", |i| {
-                i.pos[3] = NO_POSITION
-            }),
-            ("source position at a separator", |i| {
-                *i.pos.last_mut().unwrap() = 0
-            }),
-            ("not consecutive inside a factor", |i| i.pos[3] = 5),
         ];
         for (expected, tamper) in rows {
             let mut index = state();

@@ -573,7 +573,6 @@ impl Inner {
         let path = self.dir.join(&file);
         let executors = docs.iter().map(|(_, d)| d.as_ref());
         save_coll(self.io.as_ref(), &path, executors)?;
-        wal::fsync_parent_dir(self.io.as_ref(), &path)?;
         Ok(wal::SegmentMeta {
             id,
             file,
@@ -689,11 +688,11 @@ fn micros(d: Duration) -> u64 {
     u64::try_from(d.as_micros()).unwrap_or(u64::MAX)
 }
 
-/// Removes every `segment_*.coll` in `dir` that `named` does not list: the
-/// leftovers of a crash between a segment write and its manifest, or of a
-/// failed post-compaction remove. Nothing will ever load them, and
-/// `next_segment_id` has moved past them. Removal is best effort — the next
-/// open tries again.
+/// Removes every `segment_*.coll` in `dir` that `named` does not list, and
+/// every `segment_*.coll.tmp`: the leftovers of a crash during a segment
+/// write or between one and its manifest, or of a failed post-compaction
+/// remove. Nothing will ever load them, and `next_segment_id` has moved
+/// past them. Removal is best effort — the next open tries again.
 fn sweep_orphan_segments(
     dir: &Path,
     io: &dyn StoreIo,
@@ -703,7 +702,7 @@ fn sweep_orphan_segments(
         let name = entry?.file_name();
         let name = name.to_string_lossy();
         if name.starts_with("segment_")
-            && name.ends_with(".coll")
+            && name.trim_end_matches(".tmp").ends_with(".coll")
             && !named.iter().any(|s| s.file == *name)
         {
             let _ = io.remove_file(&dir.join(&*name));
@@ -1479,8 +1478,12 @@ mod tests {
         let orphan = dir.join("segment_00000000.coll");
         assert!(named.exists() && !orphan.exists());
         std::fs::copy(&named, &orphan).unwrap();
+        // And what a crash during a segment write leaves: its temporary file.
+        let torn = dir.join("segment_00000009.coll.tmp");
+        std::fs::write(&torn, b"USTRCOLL").unwrap();
         let live = LiveService::open(&dir, config(0)).unwrap();
         assert!(!orphan.exists(), "the orphan is swept at open");
+        assert!(!torn.exists(), "the temporary file is swept at open");
         assert!(named.exists(), "the manifest-named segment survives");
         assert_eq!(live.query_requests(&mixed_batch()), before);
         drop(live);

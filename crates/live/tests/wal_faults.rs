@@ -14,8 +14,8 @@ mod fault;
 use fault::{Fault, FaultIo, FaultPlan};
 use ustr_live::{LiveConfig, LiveService};
 use ustr_store::{
-    load_manifest, read_wal, replace_wal_file, save_manifest, wal::WalOp, wal::WalRecord,
-    LiveManifest, RealIo, StoreFile, StoreIo, WalWriter,
+    load_manifest, read_wal, replace_wal_file, save_collection_file, save_manifest, wal::WalOp,
+    wal::WalRecord, LiveManifest, RealIo, Section, SnapshotKind, StoreFile, StoreIo, WalWriter,
 };
 use ustr_uncertain::UncertainString;
 
@@ -486,12 +486,30 @@ fn atomic_replaces_sync_the_content_before_the_rename_and_the_directory_after() 
     let ops = io.take();
     let rename = ops.iter().position(|o| o == "rename MANIFEST.tmp>MANIFEST");
     assert_durable_rename(&ops, rename.expect("the manifest save renames"));
+
+    // A snapshot saved over an existing one: the old file is never
+    // truncated, only replaced by the rename.
+    let coll = dir.join("data.coll");
+    std::fs::write(&coll, b"the previous file").unwrap();
+    let section = Section {
+        doc: 0,
+        kind: SnapshotKind::Index,
+        payload: b"payload",
+    };
+    save_collection_file(&io, &coll, 1, &[section]).unwrap();
+    let ops = io.take();
+    assert!(!ops.contains(&"create data.coll".to_string()), "{ops:#?}");
+    let rename = ops
+        .iter()
+        .position(|o| o == "rename data.coll.tmp>data.coll");
+    assert_durable_rename(&ops, rename.expect("the snapshot save renames"));
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// A property of the seal as a whole, across functions: the segment file is
-/// synced, and its directory entry too, before the manifest rename that
-/// names it, and that rename is itself durable.
+/// written to a temporary name, synced and durably renamed to its own name
+/// before the manifest rename that names it, and that rename is itself
+/// durable.
 #[test]
 fn a_sealed_segment_is_durable_before_the_manifest_names_it() {
     let dir = scratch("seal_order");
@@ -510,18 +528,18 @@ fn a_sealed_segment_is_durable_before_the_manifest_names_it() {
 
     let ops = io.take();
     let segment = ops.iter().find_map(|o| o.strip_prefix("create segment_"));
-    let segment = format!("segment_{}", segment.expect("the seal writes a segment"));
+    let segment = segment.expect("the seal writes a segment");
+    let segment = format!("segment_{}", segment.strip_suffix(".tmp").unwrap());
     let named = ops
         .iter()
         .position(|o| o.starts_with("rename MANIFEST.tmp>MANIFEST") && o.ends_with(&segment))
         .expect("a manifest names the segment");
-    assert_synced_before(&ops, named, &segment);
-    let synced = ops
+    let renamed = ops[..named]
         .iter()
-        .rposition(|o| *o == format!("sync_data {segment}"));
-    assert!(
-        ops[synced.unwrap()..named].iter().any(|o| o == "sync_dir"),
-        "{segment}'s directory entry is not synced before the manifest names it: {ops:#?}"
+        .position(|o| *o == format!("rename {segment}.tmp>{segment}"));
+    assert_durable_rename(
+        &ops,
+        renamed.expect("the segment is renamed before it is named"),
     );
     assert_durable_rename(&ops, named);
     let _ = std::fs::remove_dir_all(&dir);

@@ -9,12 +9,12 @@
 //! (`QueryService::{save_collection, load_collection}`) and of `ustr-live`'s
 //! sealed segments.
 //!
-//! # Container format (version 7)
+//! # Container format (version 8)
 //!
 //! | field | encoding |
 //! |---|---|
 //! | magic `"USTRCOLL"` | 8 bytes |
-//! | format version, currently 7 | `u32` little-endian |
+//! | format version, currently 8 | `u32` little-endian |
 //! | document count | varint |
 //! | section count | varint |
 //! | per section, in file order: document id, kind, payload length, checksum | varint, 1 byte, varint, FNV-1a 64 of the payload as a `u64` little-endian |
@@ -35,13 +35,13 @@
 
 use std::fs::File;
 use std::io::{BufWriter, Read, Write};
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 use crate::error::corrupt;
 use crate::io::StoreIo;
 use crate::{
-    fnv1a, get_count, get_size, get_usize, put_size, FileKind, Reader, SnapshotKind, StoreError,
-    Writer, FORMAT_VERSION, MAGIC,
+    fnv1a, fsync_parent_dir, get_count, get_size, get_usize, put_size, FileKind, Reader,
+    SnapshotKind, StoreError, Writer, FORMAT_VERSION, MAGIC,
 };
 
 /// Magic and version: the fixed prefix of every snapshot file.
@@ -154,22 +154,30 @@ pub fn write_collection(
     Ok(())
 }
 
-/// [`write_collection`] to a file path (buffered). The file is fsynced
-/// before returning, so callers recording it in a manifest (the live
-/// serving path truncates its WAL once a segment is manifested) can rely on
-/// the bytes surviving a power loss.
+/// [`write_collection`] to a file path (buffered), replacing any file there
+/// atomically: the bytes go to the sibling `PATH.tmp`, which is fsynced and
+/// renamed over `path`, and then the directory entry is fsynced. A crash or
+/// an I/O error mid-save leaves the old file or the new one, never neither,
+/// and callers recording it in a manifest (the live serving path truncates
+/// its WAL once a segment is manifested) can rely on the file and its name
+/// surviving a power loss.
 pub fn save_collection_file(
     io: &dyn StoreIo,
     path: impl AsRef<Path>,
     num_docs: usize,
     sections: &[Section<'_>],
 ) -> Result<(), StoreError> {
-    let file = io.create(path.as_ref())?;
-    let mut out = BufWriter::new(file);
+    let path = path.as_ref();
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    let tmp = PathBuf::from(tmp);
+    let mut out = BufWriter::new(io.create(&tmp)?);
     write_collection(&mut out, num_docs, sections)?;
     out.flush()?;
     out.get_mut().sync_data()?;
-    Ok(())
+    drop(out);
+    io.rename(&tmp, path)?;
+    fsync_parent_dir(io, path)
 }
 
 /// The header and manifest at the front of `bytes`, and the offset where

@@ -4,13 +4,13 @@
 //! makes the "built once" part durable for the two structures the serving
 //! stack loads. [`Snapshot::save`] serializes the query-critical state of
 //! an [`Index`] — the source model, its position map, and the paper's §4
-//! substrate, holding the only copy of the transformed text and its
-//! probabilities: the text with its `(SA, LCP)` arrays, the cumulative
-//! log-probability prefix sums, and every per-level RMQ table (champion
-//! indices + duplicate masks) — and [`Snapshot::load`] reassembles an index
-//! that holds what the built one held and answers **byte-identical** query
-//! results, skipping the expensive construction passes (the Lemma-2
-//! transform, SA-IS, the level mask sweeps). The ε-refined links of an
+//! substrate, holding the only copy of the transformed text: the text with
+//! its `(SA, LCP)` arrays and every per-level RMQ table (champion indices +
+//! duplicate masks) — and [`Snapshot::load`] reassembles an index that
+//! holds what the built one held, `C` summed again from the model, and
+//! answers **byte-identical** query results, skipping the expensive
+//! construction passes (the Lemma-2 transform, SA-IS, the level mask
+//! sweeps). The ε-refined links of an
 //! [`ApproxIndex`] built over an [`Index`] are a payload of their own
 //! ([`encode_links_payload`]), read back over that index
 //! ([`decode_links_payload`]), skipping the link search: a `.coll` file
@@ -34,15 +34,15 @@
 //! Any other kind byte is refused ([`StoreError::UnknownKind`]).
 //!
 //! All fixed-width payload integers are little-endian; `f64`s are stored as
-//! their IEEE-754 bit patterns (so prefix sums survive round-trips
+//! their IEEE-754 bit patterns (so probabilities survive round-trips
 //! bit-exactly). **One integer rule:** every integer of a payload below
-//! other than the *string* piece — SA, LCP, text maps, champions, links,
+//! other than the *string* piece — SA, LCP, factor starts, champions, links,
 //! and every sequence length, level count and stat — is written as an
 //! LEB128 varint (1–5 bytes for a `u32` value, 1–10 for a length or stat;
 //! shortest form only), by value size, not by type. The *string* piece is
 //! the WAL's record body too, and keeps its fixed-width `u64` lengths.
 //!
-//! # Payloads (version 7)
+//! # Payloads (version 8)
 //!
 //! A payload says what `build` produces and a query reads, each array
 //! once. Shared pieces first, then the two payloads, every field in the
@@ -52,15 +52,15 @@
 //! |---|---|
 //! | *string* | position count; per position: choice count (`u32`), then `(char, prob)` pairs; correlation count; *correlation* rows (shared with the WAL, so fixed-width) |
 //! | *correlation* | subject position, subject char, condition position, condition char, `p_present`, `p_absent` |
-//! | *scored text* | text bytes (0 = factor separator), SA, LCP, prefix sums `C` (`f64`s, text length + 1), each after its length |
+//! | *scored text* | text bytes (0 = factor separator), SA, LCP, each after its length |
 //! | *substrate* | *scored text*; short-level count `L`; per short level: mask words (`u64`s), champions (one per 64 slots, the `j`-th as `c − 64·j`); long-level count; per long level, the `k`-th of length `L·2ᵏ`: champions (one per `L·2ᵏ` slots, as `c − j·L·2ᵏ`) |
-//! | *text map* | after its text, per non-separator text byte: the zigzag delta from the previous such entry (from 0 for the first) |
+//! | *factor starts* | per stretch of the text (position 0 and every position after a separator start one), after their count: the source position of its first character, as the zigzag delta from the previous start (from 0 for the first; wrapping) |
 //! | *links* | link count; per link, sorted by origin preorder (a build writes one origin's links by witness, then deepest first): origin preorder as the delta from the previous link's, origin depth, the gap origin depth − target depth, the witness (a text position below the origin) as the zigzag delta from the previous link's (from 0 for the first); ε (`f64`) |
 //! | *stats* | source length, transformed length, factor count, build time in ns |
 //!
 //! | kind | payload |
 //! |---|---|
-//! | `Index` | *string* (the source); *substrate*; position map (*text map*); `τmin`; *stats* |
+//! | `Index` | *string* (the source); *substrate*; position map (*factor starts*); `τmin`; *stats* |
 //! | `ApproxIndex` links | *links*; build time in ns — a `.coll` approx section, read over its document's `Index` section |
 //!
 //! The two level counts must be the text's own — `L = ⌈log₂(slots + 1)⌉`
@@ -68,11 +68,12 @@
 //! other ladder is refused, so a loaded index has a built one's levels.
 //!
 //! Not written, because another field fixes it: where the separators are
-//! (the zero bytes of the text), a text map's entries at separators
-//! (`u32::MAX`, the zero bytes of the text), a level's length (its place on
-//! the ladder) and block size (64, or the length), the largest short pattern
-//! length (the short-level count), and the heap footprint (a measurement
-//! of the loaded index, taken again on load).
+//! (the zero bytes of the text), the map past a factor's first character
+//! (one more each), `C` (the model's probabilities at the mapped positions,
+//! through the transform's rule, summed on load by the build's code), a
+//! level's length (its place on the ladder) and block size (64, or the
+//! length), the largest short pattern length (the short-level count), and
+//! the heap footprint (a measurement of the loaded index, taken again).
 //! Not written: link probabilities and source positions (derived from `C`
 //! and the position map at each link's witness — the probability with the
 //! build's own `canon::exp` — on load), and, in a links section, the text,
@@ -101,7 +102,9 @@
 //! (magic, version, kind, length, checksum): an `.idx` was one such
 //! snapshot, and a `.coll` put them in a container with a version of its
 //! own (1) whose manifest also recorded each section's offset and the shard
-//! count at save time. Version 7 is the one container with bare payloads.
+//! count at save time. Version 7 was the one container with bare payloads,
+//! an `Index`'s with `C` and a map entry per character; version 8 writes
+//! one map entry per factor and no `C`.
 //!
 //! # Failure model
 //!
@@ -173,8 +176,9 @@ pub const MAGIC: [u8; 8] = *b"USTRCOLL";
 /// only what `build` produces and a query reads; version 5 writes its
 /// integer arrays as varints; version 6 writes the §7 links as a section of
 /// their own over an `Index`, and every length, level count and stat as a
-/// varint; version 7 is one container of bare payloads for every file.
-pub const FORMAT_VERSION: u32 = 7;
+/// varint; version 7 is one container of bare payloads for every file;
+/// version 8 writes the position map per factor and derives `C` on load.
+pub const FORMAT_VERSION: u32 = 8;
 
 /// Which structure a section holds: one a server loads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -348,12 +352,16 @@ fn get_word_seq<'a>(r: &mut Reader<'a>) -> Result<impl Iterator<Item = u64> + 'a
     Ok(words.map(|c| u64::from_le_bytes(c.try_into().unwrap())))
 }
 
-fn put_f64_seq(w: &mut Writer, v: &[f64]) {
-    put_word_seq(w, v.iter().map(|x| x.to_bits()));
+/// The wrapping step from `prev` to `v`, zigzagged: a small step either way
+/// is a small varint, and every `u32` round-trips.
+fn zigzag(prev: u32, v: u32) -> u32 {
+    let d = v.wrapping_sub(prev) as i32;
+    ((d << 1) ^ (d >> 31)) as u32
 }
 
-fn get_f64_seq(r: &mut Reader<'_>) -> Result<Vec<f64>, StoreError> {
-    Ok(get_word_seq(r)?.map(f64::from_bits).collect())
+/// The value [`zigzag`] stepped to from `prev`.
+fn unzigzag(prev: u32, z: u32) -> u32 {
+    prev.wrapping_add(((z >> 1) as i32 ^ -((z & 1) as i32)) as u32)
 }
 
 // ---------------------------------------------------------------------------
@@ -433,7 +441,6 @@ fn encode_scored_text(w: &mut Writer, t: &ScoredTextState) {
     put_byte_seq(w, &t.text);
     put_varint_seq(w, t.sa.iter().copied());
     put_varint_seq(w, t.lcp.iter().copied());
-    put_f64_seq(w, &t.prefix);
 }
 
 fn decode_scored_text(r: &mut Reader<'_>) -> Result<ScoredTextState, StoreError> {
@@ -441,37 +448,24 @@ fn decode_scored_text(r: &mut Reader<'_>) -> Result<ScoredTextState, StoreError>
         text: get_byte_seq(r)?,
         sa: get_varint_seq(r)?,
         lcp: get_varint_seq(r)?,
-        prefix: get_f64_seq(r)?,
     })
 }
 
-/// A text map (`u32::MAX` exactly at the text's zero bytes), as the crate
-/// docs lay it out. Its values — source positions, document ids, offsets in
-/// a document — stay below 2³¹ for any model that fits in memory, so each
-/// delta fits an `i32`.
-fn encode_text_map(w: &mut Writer, text: &[u8], map: &[u32]) {
-    let mut prev = 0u32;
-    for (_, &v) in text.iter().zip(map).filter(|&(&b, _)| b != 0) {
-        let d = v.wrapping_sub(prev) as i32;
-        w.put_varint(((d << 1) ^ (d >> 31)) as u32);
-        prev = v;
-    }
+/// Factor starts, as the crate docs lay them out: a build's rise by a
+/// little from one factor to the next, so most take one byte.
+fn encode_starts(w: &mut Writer, starts: &[u32]) {
+    let prev = |k: usize| if k == 0 { 0 } else { starts[k - 1] };
+    put_varint_seq(w, (0..starts.len()).map(|k| zigzag(prev(k), starts[k])));
 }
 
-fn decode_text_map(r: &mut Reader<'_>, text: &[u8]) -> Result<Vec<u32>, StoreError> {
-    let mut prev = 0u32;
-    let mut map = Vec::with_capacity(text.len());
-    for &b in text {
-        if b != 0 {
-            let z = r.get_varint()?;
-            let d = (z >> 1) as i32 ^ -((z & 1) as i32);
-            prev = (prev.checked_add_signed(d))
-                .filter(|&v| v != u32::MAX)
-                .ok_or_else(|| corrupt("text map delta leaves u32"))?;
-        }
-        map.push(if b == 0 { u32::MAX } else { prev });
+fn decode_starts(r: &mut Reader<'_>) -> Result<Vec<u32>, StoreError> {
+    let mut starts = get_varint_seq(r)?;
+    let mut prev = 0;
+    for start in &mut starts {
+        *start = unzigzag(prev, *start);
+        prev = *start;
     }
-    Ok(map)
+    Ok(starts)
 }
 
 /// Champions as offsets inside their blocks of `block` slots (one below its
@@ -568,7 +562,7 @@ fn decode_build_time(r: &mut Reader<'_>) -> Result<Duration, StoreError> {
 fn encode_index(w: &mut Writer, state: &IndexState) {
     encode_uncertain_string(w, &state.source);
     encode_substrate(w, &state.substrate);
-    encode_text_map(w, &state.substrate.text.text, &state.pos);
+    encode_starts(w, &state.starts);
     w.put_f64(state.tau_min);
     encode_stats(w, &state.stats);
 }
@@ -585,7 +579,7 @@ impl Snapshot for Index {
         let substrate = decode_substrate(r)?;
         let state = IndexState {
             source,
-            pos: decode_text_map(r, &substrate.text.text)?,
+            starts: decode_starts(r)?,
             substrate,
             tau_min: r.get_f64()?,
             stats: decode_stats(r)?,
@@ -607,8 +601,7 @@ fn encode_links(w: &mut Writer, state: &ApproxLinksState) {
         w.put_varint(link.origin_pre.wrapping_sub(prev_pre));
         w.put_varint(link.origin_depth);
         w.put_varint(link.origin_depth.wrapping_sub(link.target_depth));
-        let d = link.witness.wrapping_sub(prev_witness) as i32;
-        w.put_varint(((d << 1) ^ (d >> 31)) as u32);
+        w.put_varint(zigzag(prev_witness, link.witness));
         (prev_pre, prev_witness) = (link.origin_pre, link.witness);
     }
     w.put_f64(state.epsilon);
@@ -626,8 +619,7 @@ fn decode_links(r: &mut Reader<'_>) -> Result<ApproxLinksState, StoreError> {
         let origin_depth = r.get_varint()?;
         let target_depth = (origin_depth.checked_sub(r.get_varint()?))
             .ok_or_else(|| corrupt("link gap larger than its origin depth"))?;
-        let z = r.get_varint()?;
-        let witness = prev_witness.wrapping_add(((z >> 1) as i32 ^ -((z & 1) as i32)) as u32);
+        let witness = unzigzag(prev_witness, r.get_varint()?);
         links.push(ApproxLinkState {
             origin_pre,
             origin_depth,
@@ -793,7 +785,8 @@ mod tests {
     }
 
     /// The payloads of three fixtures, byte for byte, as the manifest rows
-    /// of one file record them (the payloads are version 6's, unchanged).
+    /// of one file record them (version 8: the two `Index` payloads lost
+    /// `C` and the per-character map; the links payload is version 6's).
     /// The one nondeterministic field, `build_time`, is set to zero through
     /// the public state struct; everything else — source, map, text, SA,
     /// LCP, `C`, mask words, champions, links — is what the checksums cover.
@@ -826,12 +819,12 @@ mod tests {
         assert_eq!(
             manifest_pins(&file_of(2, &sections)),
             [
-                (762, 11012587562498709977), // Index
+                (364, 18245839441643084873), // Index
                 // ApproxIndex links: the links of one origin in witness
                 // order, not in whatever order the std sort left them, so
                 // the witness deltas (and the checksum) moved.
                 (298, 2459065095511756565),
-                (626, 13222628698494590206), // Index, correlated
+                (328, 15807307767832286229), // Index, correlated
             ]
         );
     }
@@ -841,14 +834,16 @@ mod tests {
     }
 
     /// A payload holds the source, one copy of each per-slot array — text
-    /// byte, SA and LCP, the `C` entry and the position map — the levels,
-    /// and nothing else that grows with the text. Version 2 spent 34 bytes
-    /// per slot where version 4 allowed 21, and 24 per link. Version 5 writes an SA entry of this text (19 178 slots) in at
-    /// most 3 bytes, an LCP or map entry in about 1: 14 per slot (13.1
-    /// measured). Version 6 writes a link as its four integers alone, in
-    /// at most 6 bytes (5.34 measured; 13.96 with the source position and
-    /// `f64` probability of version 5), and a `.coll` approx section as
-    /// its links alone.
+    /// byte, SA and LCP — one factor start per factor, the levels, and
+    /// nothing else that grows with the text. Version 2 spent 34 bytes per
+    /// slot where version 4 allowed 21, and 24 per link. Version 5 writes
+    /// an SA entry of this text (19 178 slots) in at most 3 bytes, an LCP
+    /// or map entry in about 1: 14 per slot with `C`'s 8 (13.1 measured).
+    /// Version 8 writes no `C` and a factor start, of about one byte, for
+    /// every few slots: 6 per slot (4.23 measured). Version 6 writes a link
+    /// as its four integers alone, in at most 6 bytes (5.34 measured; 13.96
+    /// with the source position and `f64` probability of version 5), and a
+    /// `.coll` approx section as its links alone.
     #[test]
     fn snapshot_holds_each_array_once() {
         let s = ustr_workload::generate_string(&ustr_workload::DatasetConfig::new(2_000, 0.3, 7));
@@ -862,7 +857,7 @@ mod tests {
             - encoded_len(|w| encode_scored_text(w, &state.substrate.text));
         let payload = encoded_len(|w| index.encode_payload(w));
         assert!(
-            payload <= source + slots * (1 + 3 + 1 + 8 + 1) + levels + FIXED,
+            payload <= source + slots * (1 + 3 + 1 + 1) + levels + FIXED,
             "{payload} bytes for {slots} slots, source {source}, levels {levels}"
         );
 
@@ -908,8 +903,8 @@ mod tests {
     }
 
     /// A checksummed payload whose integers decode to no built state is a
-    /// clean error: a link gap above its origin depth, a position-map delta
-    /// that leaves `u32`, a champion offset past its block or past `u32`.
+    /// clean error: a link gap above its origin depth, a factor start past
+    /// the source, a champion offset past its block or past `u32`.
     #[test]
     fn checksummed_but_invalid_payloads_are_clean_errors() {
         let s = ustr_workload::generate_string(&ustr_workload::DatasetConfig::new(200, 0.3, 7));
@@ -917,7 +912,6 @@ mod tests {
         let links = ApproxIndex::over(&built, 0.05).unwrap().to_links_snapshot();
         let index = built.to_snapshot();
         assert!(index.substrate.levels.short[0].champions.len() > 1);
-        let first = index.substrate.text.text.iter().position(|&b| b != 0);
         fn corrupt<T>(err: Result<T, StoreError>, says: &str) {
             match err {
                 Err(StoreError::Corrupt { detail }) => assert!(detail.contains(says), "{detail}"),
@@ -941,10 +935,11 @@ mod tests {
             decoded(SnapshotKind::Index, &bytes, Index::decode_payload)
         };
         assert!(encoded(&index).is_ok());
-        // The first entry written as the step from 0 to −1.
+        // Every factor start decodes (its step wraps): one past the source
+        // is the index's to refuse.
         let mut state = index.clone();
-        state.pos[first.unwrap()] = u32::MAX;
-        corrupt(encoded(&state), "text map delta leaves u32");
+        state.starts[0] = u32::MAX;
+        assert!(matches!(encoded(&state), Err(StoreError::Index(_))));
         // A champion offset past its block decodes, into the next block,
         // which the validators refuse.
         let mut state = index.clone();

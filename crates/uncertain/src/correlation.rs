@@ -104,6 +104,17 @@ impl CorrelationSet {
         self.by_subject.get(&(pos, ch))
     }
 
+    /// The probability the Lemma-2 transform gives character `ch` at
+    /// position `pos`, whose own probability there is `base`: `base`, or
+    /// the correlation's [`Correlation::max_prob`] when `(pos, ch)` is a
+    /// correlation subject — an upper bound on every conditioning outcome.
+    /// The transform's factor search and an index load both read a text
+    /// character's probability through this one rule.
+    #[inline]
+    pub fn upper_bound(&self, pos: usize, ch: u8, base: f64) -> f64 {
+        self.get(pos, ch).map_or(base, Correlation::max_prob)
+    }
+
     /// Returns `true` when no correlations are registered.
     pub fn is_empty(&self) -> bool {
         self.by_subject.is_empty()

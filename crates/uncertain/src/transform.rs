@@ -199,7 +199,7 @@ impl Factors {
                         // Upper-bound probability of choosing `c` at `q` (see
                         // the module docs for why correlated characters use
                         // max(pr+, pr-)).
-                        let p = (s.correlations().get(q, c)).map_or(base, |corr| corr.max_prob());
+                        let p = s.correlations().upper_bound(q, c, base);
                         if p > 0.0 {
                             let ln_p = canon::ln(p);
                             if log_meets_threshold(log_p + ln_p, log_tau) {

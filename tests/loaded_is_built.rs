@@ -6,21 +6,50 @@
 //! recorded build time included: it is in the bytes). Nothing is kept that
 //! a snapshot does not carry or derive, and a snapshot carries nothing an
 //! index does not keep. The same holds for a document served with ε
-//! through the `.coll` file the service writes.
+//! through the `.coll` file the service writes. A loaded `C` is summed
+//! from the model through the position map; `ustr-core`'s
+//! `a_loaded_c_is_the_built_c_bit_for_bit` holds its bits to the built one's.
 
 use uncertain_strings::{
     service::{load_coll, save_coll, DocExecutor},
     store::{decode_links_payload, encode_links_payload, Reader, RealIo, Writer},
     workload::{generate_string, DatasetConfig},
-    ApproxIndex, Index, Snapshot, UncertainString,
+    ApproxIndex, Correlation, CorrelationSet, Index, Snapshot, UncertainString,
 };
 
 const TAU_MIN: f64 = 0.1;
 
+/// The generated protein string with a correlation on the first choice of
+/// every 5th uncertain position, conditioned on the first choice of the
+/// position before it (the generator `build_pins.rs` pins): pr⁺ above pr⁻
+/// at every other one, below it at the rest.
+fn correlated(n: usize, seed: u64) -> UncertainString {
+    let mut s = generate_string(&DatasetConfig::new(n, 0.3, seed));
+    let mut set = CorrelationSet::new();
+    let uncertain = (1..n).filter(|&q| s.position(q).num_choices() > 1);
+    for (k, q) in uncertain.step_by(5).enumerate() {
+        let (subject_char, p) = s.position(q).choices()[0];
+        let (high, low) = ((p * 1.5).min(1.0), p * 0.5);
+        let (p_present, p_absent) = if k % 2 == 0 { (high, low) } else { (low, high) };
+        set.add(Correlation {
+            subject_pos: q,
+            subject_char,
+            cond_pos: q - 1,
+            cond_char: s.position(q - 1).choices()[0].0,
+            p_present,
+            p_absent,
+        })
+        .unwrap();
+    }
+    s.set_correlations(set).unwrap();
+    s
+}
+
 /// Generated strings from one position (no long level at all) to 2 000
 /// (more than 16 384 slots, so some SA entries take three varint bytes),
-/// certain and uncertain, and a periodic certain one whose LCPs pass 127
-/// (two-byte LCP entries).
+/// certain and uncertain, a periodic certain one whose LCPs pass 127
+/// (two-byte LCP entries), and correlated ones, whose `C` a load sums from
+/// the correlations' bounds.
 fn strings() -> Vec<UncertainString> {
     let mut out = Vec::new();
     for (n, seed) in [(1, 3), (2, 5), (3, 7), (37, 11), (400, 13), (2_000, 29)] {
@@ -30,6 +59,9 @@ fn strings() -> Vec<UncertainString> {
     }
     let periodic = (0..300).map(|i| vec![(b"ABC"[i % 3], 1.0)]).collect();
     out.push(UncertainString::from_rows(periodic).unwrap());
+    for (n, seed) in [(37, 11), (400, 13), (2_000, 43)] {
+        out.push(correlated(n, seed));
+    }
     out
 }
 

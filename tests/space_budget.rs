@@ -183,11 +183,11 @@ fn listing_heap_stays_inside_the_budget() {
 }
 
 /// `.idx` bytes per source position of the 10 000-position string when the
-/// budget was set (snapshot format 6, which writes lengths and stats as
-/// varints too: 180.4 in format 5, which wrote integer arrays as varints;
-/// 261.8 in format 4; format 7 frames the same payload in at most as many
-/// bytes).
-const IDX_BYTES_PER_POS: f64 = 180.3;
+/// budget was set (snapshot format 8, which writes no `C` and one position
+/// map entry per factor: 180.3 in formats 6 and 7, which wrote lengths and
+/// stats as varints too; 180.4 in format 5, which wrote integer arrays as
+/// varints; 261.8 in format 4).
+const IDX_BYTES_PER_POS: f64 = 94.9;
 
 /// The `paper-string` snapshot (`snapshot_bytes_per_pos`) at a tenth.
 #[test]
@@ -200,7 +200,7 @@ fn index_file_bytes_stay_inside_the_budget() {
     println!("\n\n| file | bytes | B/position |");
     println!("|---|---:|---:|");
     println!(
-        "| `.idx` ({n} positions, format 7) | {len} | {:.1} |",
+        "| `.idx` ({n} positions, format 8) | {len} | {:.1} |",
         per(len, n)
     );
     assert!(per(len, n) <= IDX_BYTES_PER_POS * 1.05);
@@ -210,9 +210,11 @@ fn index_file_bytes_stay_inside_the_budget() {
 /// budget was last set (snapshot format 6, whose approx sections are the
 /// links alone, four varints a link, over the index section's text: 294.7
 /// in format 5, which wrote their own text, SA, LCP, source positions and
-/// `f64` probabilities; 579.8 in format 4): substring-index sections (186.1
-/// in format 5, with `u64` lengths; 291.3 in format 4).
-const COLL_INDEX_BYTES_PER_POS: f64 = 178.9;
+/// `f64` probabilities; 579.8 in format 4): substring-index sections
+/// (format 8, without `C` and with one map entry per factor; 178.9 in
+/// formats 6 and 7; 186.1 in format 5, with `u64` lengths; 291.3 in
+/// format 4).
+const COLL_INDEX_BYTES_PER_POS: f64 = 81.9;
 const COLL_APPROX_BYTES_PER_POS: f64 = 97.0;
 
 /// The `serve-wire` collection — 62 documents of 20–45 positions — as the
