@@ -1498,7 +1498,7 @@ mod tests {
         .unwrap();
         let out = run(&argv(&format!("stats {}", coll.display()))).unwrap();
         assert!(out.contains("documents                3"), "{out}");
-        assert!(out.contains("format version           8"), "{out}");
+        assert!(out.contains("format version           9"), "{out}");
         assert!(out.contains("approxlinks"), "approx sections listed: {out}");
         assert!(out.contains("fnv1a"), "checksums listed: {out}");
         // The totals per kind close the listing, shares summing to 100 %:
@@ -1545,16 +1545,22 @@ mod tests {
             )
         };
         let (idx, coll) = (fixture("format6.idx"), fixture("format6.coll"));
+        let approx = fixture("format8.coll");
         for (cmd, path, says) in [
+            (
+                format!("serve-batch {approx} {queries}"),
+                &approx,
+                "version 8 (this build reads version 9)",
+            ),
             (
                 format!("serve-batch {coll} {queries}"),
                 &coll,
-                "version 1 (this build reads version 8)",
+                "version 1 (this build reads version 9)",
             ),
             (
                 format!("stats {coll}"),
                 &coll,
-                "version 1 (this build reads version 8)",
+                "version 1 (this build reads version 9)",
             ),
             (format!("stats {idx}"), &idx, "bad magic"),
             (

@@ -11,18 +11,31 @@
 //!
 //! **Query.** For a pattern of length `m` with locus `ip`, the stabbed
 //! sub-link for position `d` is the unique one with
-//! `target_depth < m ≤ origin_depth` and origin preorder inside `ip`'s
-//! subtree. Using `m` (rather than `depth(ip)`, which can overshoot the
-//! pattern into a longer shared prefix) makes the additive guarantee exact:
+//! `target_depth < m ≤ origin_depth` and origin inside `ip`'s subtree.
+//! Using `m` (rather than `depth(ip)`, which can overshoot the pattern
+//! into a longer shared prefix) makes the additive guarantee exact:
 //! the true occurrence probability is sandwiched between the sub-link's
 //! endpoint probabilities, which differ by ≤ ε. Hence
 //! `exact(τ) ⊆ reported ⊆ exact(τ − ε)` — the paper's additive-error
 //! semantics.
 //!
-//! Retrieval walks a min-RMQ recursion over link target depths, reporting
-//! each link in O(1); links whose chains cross the locus but fail the
+//! A link keys its origin as the suffix tree keys its nodes
+//! ([`SuffixTree::node_key`]) and the table is sorted by key, so the links
+//! of `ip`'s subtree are one run ([`SuffixTree::subtree_keys`]). Retrieval
+//! walks a min-RMQ recursion over that run's target depths, reporting each
+//! link in O(1); links whose chains cross the locus but fail the
 //! probability cutoff cost extra visits (bounded by the τmin-occurrences),
 //! which is the documented deviation from the fixed-τ HSV machinery.
+//!
+//! **Correlation.** Under correlation `C` holds each character's
+//! [`CorrelationSet::upper_bound`](ustr_uncertain::CorrelationSet::upper_bound),
+//! not its probability, so a link's probability only bounds the truth from
+//! above: the cut at τ − ε keeps every true hit but may keep more, and the
+//! value overstates. A correlated document's index therefore holds the
+//! [`Index`]'s verification plane (shared, not copied) and re-verifies
+//! each hit through its kernel, as [`Index::query`] does: a hit stays iff
+//! its exact probability meets τ − ε, and reports that exact value.
+//! Uncorrelated documents hold no plane and do no such work.
 //!
 //! **One text.** The links hang off the suffix tree, `C` and position map
 //! of the §5 [`Index`] over the same source: [`ApproxIndex::over`] shares
@@ -35,11 +48,12 @@
 
 use std::cmp::Reverse;
 use std::ops::Range;
+use std::sync::Arc;
 use std::time::Instant;
 
 use ustr_rmq::{BlockRmq, Direction, Rmq, ThresholdReporter};
-use ustr_suffix::{Ancestry, LeafLca};
-use ustr_uncertain::{canon, split, transform, UncertainString};
+use ustr_suffix::{LeafLca, SuffixTree};
+use ustr_uncertain::{canon, split, transform, ProbPlane, UncertainString};
 
 use crate::{
     carray::CumulativeLogProb,
@@ -49,7 +63,7 @@ use crate::{
     result::QueryResult,
     snapshot::{invalid, ApproxLinkState, ApproxLinksState},
     stats::BuildStats,
-    substrate::ScoredText,
+    substrate::{check_text_len, ScoredText},
 };
 
 /// One ε-refined link as a query reads it: its snapshot row, with the
@@ -81,11 +95,11 @@ pub struct ApproxIndex {
     text: ScoredText,
     /// The position map over `text`: a link's witness → its source position.
     map: FactorMap,
-    /// Preorder ranks over `text`'s tree, the numbering a link's
-    /// `origin_pre` is in — derived state, one depth-first pass at
-    /// construction and at load.
-    ranks: Ancestry,
-    /// Sorted by `origin_pre`.
+    /// The source model's verification plane, held only when the model has
+    /// correlations (module docs): an [`Index`]'s, shared, when built over
+    /// one. Counted by the `Index`.
+    plane: Option<Arc<ProbPlane>>,
+    /// Sorted by `origin`, the key of the origin node in `text`'s tree.
     links: Vec<Link>,
     /// Min-RMQ over `links[..].target_depth`.
     target_rmq: BlockRmq,
@@ -97,7 +111,8 @@ pub struct ApproxIndex {
 impl ApproxIndex {
     /// Builds a stand-alone index for threshold floor `tau_min` and
     /// additive error `epsilon ∈ (0, 1)`: the transform and tree an
-    /// [`Index`] over `source` would build, and the links over them.
+    /// [`Index`] over `source` would build, and the links over them (and
+    /// the plane, when `source` has correlations).
     pub fn build(source: &UncertainString, tau_min: f64, epsilon: f64) -> Result<Self, Error> {
         check_epsilon(epsilon)?;
         let start = Instant::now();
@@ -107,18 +122,20 @@ impl ApproxIndex {
         let starts = stretch_starts(chars).map(|x| transformed.pos[x]);
         let map =
             FactorMap::new(chars, starts, source.len()).expect("the transform emits a factor map");
+        let plane = (!source.correlations().is_empty()).then(|| Arc::new(ProbPlane::build(source)));
         let stats = BuildStats {
             source_len: source.len(),
             transformed_len: transformed.len(),
             num_factors: transformed.num_factors,
             ..Default::default()
         };
-        Ok(Self::link(text, map, tau_min, epsilon, stats, start))
+        Self::link(text, map, plane, tau_min, epsilon, stats, start)
     }
 
     /// Builds the links over `index`'s own text, tree and position map,
-    /// which both then share: the document's one transform and one suffix
-    /// tree serve the exact and the approximate queries.
+    /// which both then share (and its plane, when its model has
+    /// correlations): the document's one transform and one suffix tree
+    /// serve the exact and the approximate queries.
     pub fn over(index: &Index, epsilon: f64) -> Result<Self, Error> {
         check_epsilon(epsilon)?;
         let start = Instant::now();
@@ -129,14 +146,8 @@ impl ApproxIndex {
             ..index.stats().clone()
         };
         let (text, map) = (text.clone(), map.clone());
-        Ok(Self::link(
-            text,
-            map,
-            index.tau_min(),
-            epsilon,
-            stats,
-            start,
-        ))
+        let plane = index.correlated_plane();
+        Self::link(text, map, plane, index.tau_min(), epsilon, stats, start)
     }
 
     /// Finds the links over `text` and assembles the index; the clock
@@ -144,22 +155,24 @@ impl ApproxIndex {
     fn link(
         text: ScoredText,
         map: FactorMap,
+        plane: Option<Arc<ProbPlane>>,
         tau_min: f64,
         epsilon: f64,
         stats: BuildStats,
         start: Instant,
-    ) -> Self {
-        let (ranks, links) = find_links(&text, &map, epsilon);
-        let mut idx = Self::assemble(text, map, ranks, links, epsilon, tau_min, stats);
+    ) -> Result<Self, Error> {
+        check_text_len(text.tree.text().len(), MAX_KEYED_LEN)?;
+        let links = find_links(&text, &map, epsilon);
+        let mut idx = Self::assemble(text, map, plane, links, epsilon, tau_min, stats);
         // Last: the clock covers everything a caller waits for.
         idx.stats.build_time = start.elapsed();
-        idx
+        Ok(idx)
     }
 
     fn assemble(
         text: ScoredText,
         map: FactorMap,
-        ranks: Ancestry,
+        plane: Option<Arc<ProbPlane>>,
         links: Vec<Link>,
         epsilon: f64,
         tau_min: f64,
@@ -170,7 +183,7 @@ impl ApproxIndex {
         let mut idx = Self {
             text,
             map,
-            ranks,
+            plane,
             links,
             target_rmq,
             epsilon,
@@ -183,10 +196,10 @@ impl ApproxIndex {
 
     /// Heap bytes held, per structure: a `(name, bytes)` row for everything
     /// the links add to the text they hang off. The text, its tree and the
-    /// position map are the [`Index`]'s rows, counted there once.
-    pub fn heap_breakdown(&self) -> [(&'static str, usize); 3] {
+    /// position map (and a correlated model's plane) are the [`Index`]'s
+    /// rows, counted there once.
+    pub fn heap_breakdown(&self) -> [(&'static str, usize); 2] {
         [
-            ("preorder ranks", self.ranks.heap_size()),
             ("links", self.links.capacity() * std::mem::size_of::<Link>()),
             ("link RMQ", self.target_rmq.heap_size()),
         ]
@@ -236,20 +249,19 @@ impl ApproxIndex {
     /// Reassembles the links of `state` over `index`, which must be the
     /// index they were built over (or one loaded from its snapshot): the
     /// counterpart of [`ApproxIndex::to_links_snapshot`]. Only cheap derived
-    /// structures are rebuilt — the preorder ranks in one depth-first pass,
-    /// each link's probability from `C` (on the loading machine, with
-    /// `canon::exp`: the build's one call per link), the min-RMQ over link
-    /// target depths — so the result holds what the index the state was
-    /// taken from held and answers every query byte-identically. Every link
-    /// is checked against `index`'s tree, so links paired with another text
-    /// fail with [`Error::InvalidSnapshot`], as does any other structurally
-    /// inconsistent state.
+    /// structures are rebuilt — each link's probability from `C` (on the
+    /// loading machine, with `canon::exp`: the build's one call per link),
+    /// the min-RMQ over link target depths — so the result holds what the
+    /// index the state was taken from held and answers every query
+    /// byte-identically. Every link is checked against `index`'s tree, so
+    /// links paired with another text fail with [`Error::InvalidSnapshot`],
+    /// as does any other structurally inconsistent state.
     pub fn from_links_snapshot(index: &Index, state: ApproxLinksState) -> Result<Self, Error> {
         if !canon::valid_epsilon(state.epsilon) {
             return Err(invalid("epsilon outside (0, 1)"));
         }
         let (text, map) = index.shared_text();
-        let ranks = Ancestry::build(&text.tree);
+        check_text_len(text.tree.text().len(), MAX_KEYED_LEN)?;
         check_links(text, map, &state.links)?;
         let run = text.run_lengths();
         let links = (state.links.into_iter())
@@ -264,28 +276,28 @@ impl ApproxIndex {
             build_time: state.build_time,
             ..index.stats().clone()
         };
-        let (text, map) = (text.clone(), map.clone());
+        let (text, map, plane) = (text.clone(), map.clone(), index.correlated_plane());
         let (epsilon, tau_min) = (state.epsilon, index.tau_min());
         Ok(Self::assemble(
-            text, map, ranks, links, epsilon, tau_min, stats,
+            text, map, plane, links, epsilon, tau_min, stats,
         ))
     }
 
     /// Positions where `pattern` matches with probability ≥ τ, up to the
     /// additive error: the result contains every position with true
     /// probability ≥ τ and no position below τ − ε. Reported probabilities
-    /// are the link approximations (within ε below the true value).
+    /// are the link approximations (within ε below the true value), or,
+    /// for a model with correlations, the exact ones (module docs).
     pub fn query(&self, pattern: &[u8], tau: f64) -> Result<QueryResult, Error> {
         validate_query(pattern, tau, self.tau_min)?;
         let m = pattern.len();
-        let tree = &self.text.tree;
-        let Some((l, r)) = tree.suffix_range(pattern) else {
+        let Some((l, r)) = self.text.tree.suffix_range(pattern) else {
             return Ok(QueryResult::default());
         };
-        let (pl, pr) = self.ranks.preorder_range(tree, l, r);
-        // Link range whose origin preorder falls inside the locus subtree.
-        let lo = (self.links).partition_point(|l| (l.row.origin_pre as usize) < pl);
-        let hi = (self.links).partition_point(|l| (l.row.origin_pre as usize) <= pr);
+        // The links whose origin is keyed inside the locus subtree.
+        let keys = SuffixTree::subtree_keys(l, r);
+        let lo = (self.links).partition_point(|l| (l.row.origin as usize) < *keys.start());
+        let hi = (self.links).partition_point(|l| (l.row.origin as usize) <= *keys.end());
         if lo >= hi {
             return Ok(QueryResult::default());
         }
@@ -314,10 +326,22 @@ impl ApproxIndex {
             let pos = self.map.source_pos(witness);
             (pos.expect("a link's witness is a text character"), prob)
         };
-        let hits = hits.into_iter().map(source).collect();
+        let hits = hits.into_iter().map(source);
+        let hits = match &self.plane {
+            None => hits.collect(),
+            // The cut above kept every true hit; the kernel drops the rest.
+            Some(plane) => plane.with_kernel(pattern, |kernel| {
+                let exact = |(pos, _)| (pos, kernel.match_probability(pos));
+                hits.map(exact).filter(|&(_, p)| p >= cutoff).collect()
+            }),
+        };
         Ok(QueryResult::from_hits(hits))
     }
 }
+
+/// The longest text whose node keys fit a link's `u32` origin: the
+/// largest, leaf `n`'s, is `2·n + 1`.
+const MAX_KEYED_LEN: usize = (u32::MAX / 2) as usize;
 
 fn check_epsilon(epsilon: f64) -> Result<(), Error> {
     if canon::valid_epsilon(epsilon) {
@@ -328,80 +352,70 @@ fn check_epsilon(epsilon: f64) -> Result<(), Error> {
 }
 
 /// Refuses link rows that the tree of `text` does not carry: out of order,
-/// a target not above its origin, or — in one depth-first pass beside the
-/// rows, which are sorted by origin — an origin that is no node, a witness
-/// out of the text or on a separator, a witness leaf outside the origin
-/// node's subtree, or an origin deeper than that node.
+/// a target not above its origin, an origin key that names no node, a
+/// witness out of the text or on a separator, a witness leaf outside the
+/// origin node's subtree, or an origin deeper than that node.
 fn check_links(text: &ScoredText, map: &FactorMap, rows: &[ApproxLinkState]) -> Result<(), Error> {
-    let mut prev_pre = 0u32;
+    let mut prev = 0u32;
     for row in rows {
-        if row.origin_pre < prev_pre {
-            return Err(invalid("links are not sorted by origin preorder"));
+        if row.origin < prev {
+            return Err(invalid("links are not sorted by origin"));
         }
-        prev_pre = row.origin_pre;
+        prev = row.origin;
         if row.target_depth >= row.origin_depth {
             return Err(invalid("link target depth not below its origin"));
         }
     }
     let tree = &text.tree;
     let chars = tree.text();
-    // Text position → the slot of its leaf (transient).
+    // Transient, from one walk over the tree: text position → the slot of
+    // its leaf, and the key of every node → its interval.
     let mut slot_of = vec![0u32; chars.len()];
     for slot in 1..tree.num_slots() {
         slot_of[tree.sa(slot)] = slot as u32;
     }
-    let mut rows = rows.iter().peekable();
-    let mut refused = None;
-    Ancestry::preorder(tree, |rank, (l, r)| {
+    // (`(1, 0)`, an empty interval, at a key that names no node).
+    let mut node_of = vec![(1u32, 0u32); SuffixTree::leaf_key(tree.num_slots())];
+    tree.for_each_node(|l, r| node_of[tree.node_key(l, r)] = (l as u32, r as u32));
+    for row in rows {
+        let (l, r) = match node_of.get(row.origin as usize) {
+            Some(&(l, r)) if l <= r => (l as usize, r as usize),
+            _ => return Err(invalid("link origin names no node of the tree")),
+        };
         let depth = if l == r {
             chars.len() - tree.sa(l) + 1
         } else {
             tree.slot_lcp(tree.first_l_index(l, r))
         };
-        while let Some(row) = rows.next_if(|row| row.origin_pre as usize == rank) {
-            let w = row.witness as usize;
-            let detail = if map.source_pos(w).is_none() {
-                "link witness outside the text or on a separator"
-            } else if !(l..=r).contains(&(slot_of[w] as usize)) {
-                "link witness outside its origin's subtree"
-            } else if row.origin_depth as usize > depth {
-                "link origin deeper than its node"
-            } else {
-                continue;
-            };
-            refused.get_or_insert(detail);
+        let w = row.witness as usize;
+        if map.source_pos(w).is_none() {
+            return Err(invalid("link witness outside the text or on a separator"));
         }
-    });
-    if rows.next().is_some() {
-        refused.get_or_insert("link origin preorder outside the tree");
+        if !(l..=r).contains(&(slot_of[w] as usize)) {
+            return Err(invalid("link witness outside its origin's subtree"));
+        }
+        if row.origin_depth as usize > depth {
+            return Err(invalid("link origin deeper than its node"));
+        }
     }
-    refused.map_or(Ok(()), |detail| Err(invalid(detail)))
+    Ok(())
 }
-
-/// Slots from which [`find_links`] builds the preorder ranks and the
-/// leaf-LCA structure on two threads.
-const SPLIT_SLOTS: usize = 16_384;
 
 /// Source positions from which [`find_links`] walks its sources as two
 /// halves on two threads (below it, a spawn per small document costs more
 /// than its links).
 const SPLIT_SOURCES: usize = 4_096;
 
-/// Finds the ε-refined links over `text` (preorder ranks over its tree
-/// with them): for every source position of `map`, the virtual tree of the
-/// leaves it marks, each edge split by [`refine_link`]. Sources are
-/// independent, so a long text walks them as two halves on two threads;
-/// the sort below makes the table the same either way.
-fn find_links(text: &ScoredText, map: &FactorMap, epsilon: f64) -> (Ancestry, Vec<Link>) {
+/// Finds the ε-refined links over `text`: for every source position of
+/// `map`, the virtual tree of the leaves it marks, each edge split by
+/// [`refine_link`]. Sources are independent, so a long text walks them as
+/// two halves on two threads; the sort below makes the table the same
+/// either way.
+fn find_links(text: &ScoredText, map: &FactorMap, epsilon: f64) -> Vec<Link> {
     // What finds the links and no query reads: the run lengths and the
-    // leaf-LCA structure are dropped when this returns. The ranks are
-    // kept, so this thread allocates them.
+    // leaf-LCA structure are dropped when this returns.
     let tree = &text.tree;
-    let (ranks, lca) = split::join(
-        split::worth_splitting(tree.num_slots(), SPLIT_SLOTS),
-        || Ancestry::build(tree),
-        || LeafLca::build(tree),
-    );
+    let lca = LeafLca::build(tree);
 
     // Group marked leaves by Posid (slots ascend in preorder order)
     // with a counting sort into one flat arena — two passes, zero
@@ -429,16 +443,16 @@ fn find_links(text: &ScoredText, map: &FactorMap, epsilon: f64) -> (Ancestry, Ve
     }
 
     let run = text.run_lengths();
-    // A tree node as a link sees it: (preorder rank, string depth). A
-    // leaf's depth counts the virtual terminator; an internal node's is
-    // the LCP at the slot that names it.
+    // A tree node as a link sees it: (key, string depth). A leaf's depth
+    // counts the virtual terminator; an internal node's is the LCP at the
+    // slot that names it.
     let leaf_node = |slot: usize| {
         let depth = text_len - tree.sa(slot) + 1;
-        (ranks.leaf_preorder(slot) as u32, depth)
+        (SuffixTree::leaf_key(slot) as u32, depth)
     };
     let lca_node = |a: u32, b: u32| {
         let name = lca.lca_of_slots(a as usize, b as usize);
-        (ranks.interval_preorder(name) as u32, tree.slot_lcp(name))
+        (SuffixTree::internal_key(name) as u32, tree.slot_lcp(name))
     };
     let walk = |sources: Range<usize>| {
         let mut links: Vec<Link> = Vec::new();
@@ -503,38 +517,37 @@ fn find_links(text: &ScoredText, map: &FactorMap, epsilon: f64) -> (Ancestry, Ve
         || walk(0..mid),
         || walk(mid..n_src),
     );
-    let links = in_table_order(halves, ranks.node_count());
-    (ranks, links)
+    in_table_order(halves, SuffixTree::leaf_key(tree.num_slots()))
 }
 
-/// The links of both halves of the walk in table order: by origin preorder
-/// (a counting sort over the tree's `nodes`), then by witness, deepest
-/// origin first. The key is unique per link — one virtual edge per origin
-/// and source position, one sub-link per origin depth — so the table
-/// depends on the input alone, not on a sort's tie-breaking or on where
-/// the walk was split.
-fn in_table_order((first, later): (Vec<Link>, Vec<Link>), nodes: usize) -> Vec<Link> {
+/// The links of both halves of the walk in table order: by origin (a
+/// counting sort over the tree's node keys, all below `keys`), then by
+/// witness, deepest origin first. The order is unique per link — one
+/// virtual edge per origin and source position, one sub-link per origin
+/// depth — so the table depends on the input alone, not on a sort's
+/// tie-breaking or on where the walk was split.
+fn in_table_order((first, later): (Vec<Link>, Vec<Link>), keys: usize) -> Vec<Link> {
     let all = || first.iter().chain(&later);
     let Some(&placeholder) = all().next() else {
         return Vec::new();
     };
     // `end[o]`: the start of origin `o`'s run, then — as the scatter
     // advances it — its end.
-    let mut end = vec![0u32; nodes + 1];
+    let mut end = vec![0u32; keys + 1];
     for l in all() {
-        end[l.row.origin_pre as usize + 1] += 1;
+        end[l.row.origin as usize + 1] += 1;
     }
-    for o in 1..=nodes {
+    for o in 1..=keys {
         end[o] += end[o - 1];
     }
-    let mut links = vec![placeholder; end[nodes] as usize];
+    let mut links = vec![placeholder; end[keys] as usize];
     for &l in all() {
-        let at = &mut end[l.row.origin_pre as usize];
+        let at = &mut end[l.row.origin as usize];
         links[*at as usize] = l;
         *at += 1;
     }
     let mut start = 0;
-    for &end in &end[..nodes] {
+    for &end in &end[..keys] {
         let run = &mut links[start..end as usize];
         if run.len() > 1 {
             run.sort_unstable_by_key(|l| (l.row.witness, Reverse(l.row.origin_depth)));
@@ -551,14 +564,14 @@ fn link_prob(cum: &CumulativeLogProb, (x, lmax): (u32, usize), depth: usize) -> 
     canon::exp(cum.window(x as usize, depth.min(lmax)))
 }
 
-/// Splits the virtual edge from a node — `origin` is its (preorder rank,
-/// string depth `o₀`) — up to depth `t₀` into sub-links whose endpoint
+/// Splits the virtual edge from a node — `origin` is its (key, string
+/// depth `o₀`) — up to depth `t₀` into sub-links whose endpoint
 /// probabilities differ by ≤ ε. Probabilities are evaluated at the witness
 /// position `x`, capped at the factor boundary `lmax` (its run length).
 #[allow(clippy::float_arithmetic, reason = "a build-time link split at ε")]
 fn refine_link(
     cum: &CumulativeLogProb,
-    (origin_pre, o0): (u32, usize),
+    (origin, o0): (u32, usize),
     t0: usize,
     (x, lmax): (u32, usize),
     epsilon: f64,
@@ -576,7 +589,7 @@ fn refine_link(
         // so the predicate holds there without a probe.
         let t = first_holding(t0, o - 1, lmax, |mid| p_at(mid) - p_o <= epsilon);
         let row = ApproxLinkState {
-            origin_pre,
+            origin,
             origin_depth: o as u32,
             target_depth: t as u32,
             witness: x,
@@ -789,28 +802,35 @@ mod tests {
         let separator = chars.iter().position(|&c| c == 0).unwrap() as u32;
         // A link from a leaf, whose subtree is its witness alone, and
         // another suffix for it.
-        let leaf_rank = |w: u32| {
+        let leaf_key = |w: u32| {
             let slot = (0..tree.num_slots()).find(|&j| tree.sa(j) == w as usize);
-            approx.ranks.leaf_preorder(slot.unwrap()) as u32
+            SuffixTree::leaf_key(slot.unwrap()) as u32
         };
-        let from_leaf = rows
-            .iter()
-            .position(|l| leaf_rank(l.witness) == l.origin_pre);
+        let from_leaf = rows.iter().position(|l| leaf_key(l.witness) == l.origin);
         let from_leaf = from_leaf.unwrap();
         let elsewhere = (0..chars.len() as u32)
             .find(|&w| chars[w as usize] != 0 && w != rows[from_leaf].witness)
             .unwrap();
 
         type Tamper<'a> = Box<dyn Fn(&mut ApproxLinksState) + 'a>;
-        let tampers: [(&str, Tamper<'_>); 7] = [
+        let tampers: [(&str, Tamper<'_>); 9] = [
             ("epsilon outside (0, 1)", Box::new(|s| s.epsilon = 0.0)),
             (
                 "target depth not below its origin",
                 Box::new(|s| s.links[0].target_depth = s.links[0].origin_depth),
             ),
             (
-                "preorder outside the tree",
-                Box::new(|s| s.links.last_mut().unwrap().origin_pre = u32::MAX),
+                "not sorted by origin",
+                Box::new(|s| s.links[0].origin = u32::MAX),
+            ),
+            (
+                "names no node of the tree",
+                Box::new(|s| s.links.last_mut().unwrap().origin = u32::MAX),
+            ),
+            (
+                // Key 0 would be slot 0's name, and slot 0 names no node.
+                "names no node of the tree",
+                Box::new(|s| s.links[0].origin = 0),
             ),
             (
                 "outside the text or on a separator",
@@ -902,6 +922,12 @@ mod tests {
                 "t0 {t0} o {o} lmax {lmax}"
             );
         }
+    }
+
+    /// The longest text the links take keys its last leaf `u32::MAX`.
+    #[test]
+    fn the_last_key_of_the_longest_keyed_text_fits_u32() {
+        assert_eq!(SuffixTree::leaf_key(MAX_KEYED_LEN), u32::MAX as usize);
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! The general uncertain-string substring index (§5): Lemma-2 transform +
 //! position mapping + per-level duplicate elimination over the §4 machinery.
 
+use std::sync::Arc;
 use std::time::Instant;
 
 use ustr_uncertain::{canon, transform, ProbPlane, UncertainString, NO_POSITION};
@@ -54,7 +55,9 @@ pub struct Index {
     /// The one in-memory copy of the source model, and its verification
     /// kernel — rebuilt on load from the snapshot's string, which
     /// [`Index::to_snapshot`] materializes again (formats are untouched).
-    plane: ProbPlane,
+    /// Shared by the [`crate::ApproxIndex`] over this one when the model
+    /// has correlations.
+    plane: Arc<ProbPlane>,
     /// Lemma-2 position map, all that is kept of the transform beside the
     /// substrate: text position → source position, `None` at separators,
     /// as one base per factor. Shared, with the substrate's text, by an
@@ -89,7 +92,7 @@ impl Index {
             ..Default::default()
         };
         let mut idx = Self {
-            plane: ProbPlane::build(source),
+            plane: Arc::new(ProbPlane::build(source)),
             map,
             substrate,
             tau_min,
@@ -110,6 +113,12 @@ impl Index {
     /// them.
     pub(crate) fn shared_text(&self) -> (&ScoredText, &FactorMap) {
         (self.substrate.text(), &self.map)
+    }
+
+    /// The verification plane, for §7 links over a model with correlations
+    /// (whose `C` only bounds each probability from above); `None` without.
+    pub(crate) fn correlated_plane(&self) -> Option<Arc<ProbPlane>> {
+        (self.plane.has_correlations()).then(|| Arc::clone(&self.plane))
     }
 
     /// Decomposes the index into its persistence-ready snapshot state (see
@@ -142,7 +151,7 @@ impl Index {
         let probs = text_probs(&state.source, chars, &map)?;
         let substrate = Substrate::from_state(state.substrate, &probs)?;
         let mut idx = Self {
-            plane: ProbPlane::build(&state.source),
+            plane: Arc::new(ProbPlane::build(&state.source)),
             map,
             substrate,
             tau_min: state.tau_min,

@@ -87,18 +87,20 @@
 //!
 //! And an [`ApproxIndex`] on the same string (1 944 732 links) — the rows of
 //! [`ApproxIndex::heap_breakdown`] — when it kept the `C` it found its links
-//! with, once everything only `build` reads was a local of `build`, and now
-//! that its links hang off the [`Index`]'s text: the text, tree and
-//! position map are the `Index`'s rows, counted there once.
+//! with, once everything only `build` reads was a local of `build`, once its
+//! links hung off the [`Index`]'s text (the text, tree and position map are
+//! the `Index`'s rows, counted there once), and now that a link keys its
+//! origin as the suffix tree keys its nodes, with no preorder numbering
+//! beside the tree.
 //!
-//! | structure | with `C` | tree of its own | over the `Index` |
-//! |---|---|---|---|
-//! | suffix tree (text + SA + LCP + child table) | 123.3 | 123.3 | — |
-//! | cumulative array `C` | 113.8 | 0 | — |
-//! | ancestry: preorder ranks (+ boundary names, LCP RMQ) | 274.4 | 75.9 | 75.9 |
-//! | links (24 B each) | 466.7 | 466.7 | 466.7 |
-//! | min-RMQ over the links' target depths | 330.5 | 330.5 | 330.5 |
-//! | **`stats().heap_bytes`** | **1 308.7** | **996.4** | **873.1** |
+//! | structure | with `C` | tree of its own | over the `Index` | keyed by the tree |
+//! |---|---|---|---|---|
+//! | suffix tree (text + SA + LCP + child table) | 123.3 | 123.3 | — | — |
+//! | cumulative array `C` | 113.8 | 0 | — | — |
+//! | ancestry: preorder ranks (+ boundary names, LCP RMQ) | 274.4 | 75.9 | 75.9 | — |
+//! | links (24 B each) | 466.7 | 466.7 | 466.7 | 466.7 |
+//! | min-RMQ over the links' target depths | 330.5 | 330.5 | 330.5 | 330.5 |
+//! | **`stats().heap_bytes`** | **1 308.7** | **996.4** | **873.1** | **797.2** |
 
 #![forbid(unsafe_code)]
 // Probabilities are computed once, in `ustr-uncertain` (INVARIANTS.md §1).

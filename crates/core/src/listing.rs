@@ -3,7 +3,7 @@
 
 use std::time::Instant;
 
-use ustr_uncertain::{canon, transform, ProbPlane, UncertainString};
+use ustr_uncertain::{canon, transform, ProbPlane, UncertainString, MAX_TEXT_LEN};
 
 use crate::{
     error::{validate_query, Error},
@@ -76,7 +76,7 @@ impl ListingIndex {
         // Document ids and `doc_base` offsets are `u32`s, like the text
         // positions `Substrate::build` checks.
         let source_total: usize = docs.iter().map(UncertainString::len).sum();
-        check_text_len(docs.len().max(source_total))?;
+        check_text_len(docs.len().max(source_total), MAX_TEXT_LEN)?;
         let mut chars: Vec<u8> = Vec::new();
         let mut probs: Vec<f64> = Vec::new();
         // Per text position (transient: the dedup keys and the map's

@@ -125,8 +125,10 @@ pub struct IndexState {
 /// characters there, capped at the next separator) the other.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ApproxLinkState {
-    /// Preorder rank of the (real) node anchoring the origin endpoint.
-    pub origin_pre: u32,
+    /// Key of the (real) node anchoring the origin endpoint, as the suffix
+    /// tree keys it ([`ustr_suffix::SuffixTree::node_key`]): `2·j + 1` for
+    /// leaf `j`, `2·k` for the internal node whose first ℓ-index is `k`.
+    pub origin: u32,
     /// String depth of the origin endpoint (at most the node's own).
     pub origin_depth: u32,
     /// String depth of the target endpoint (`< origin_depth`).
@@ -140,7 +142,7 @@ pub struct ApproxLinkState {
 /// links add to the text they hang off, which the index's state holds.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ApproxLinksState {
-    /// The ε-refined sub-link table, sorted by `origin_pre` (the min-RMQ
+    /// The ε-refined sub-link table, sorted by `origin` (the min-RMQ
     /// over target depths is rebuilt from this on reassembly).
     pub links: Vec<ApproxLinkState>,
     /// The additive error bound ε.

@@ -31,13 +31,13 @@ use crate::{
 use levels::Levels;
 pub(crate) use levels::{DedupStrategy, NO_KEY};
 
-/// Refuses a length that `u32` positions (and one more slot than
-/// positions) cannot address.
-pub(crate) fn check_text_len(len: usize) -> Result<(), Error> {
-    if len > MAX_TEXT_LEN {
+/// Refuses a length past `limit`: [`MAX_TEXT_LEN`] for a text that `u32`
+/// positions (and one more slot than positions) must address.
+pub(crate) fn check_text_len(len: usize, limit: usize) -> Result<(), Error> {
+    if len > limit {
         return Err(Error::Model(ModelError::TransformTooLarge {
             produced: len,
-            limit: MAX_TEXT_LEN,
+            limit,
         }));
     }
     Ok(())
@@ -59,7 +59,7 @@ impl ScoredText {
     /// per character. Every index builds its text here, so this is where a
     /// text too long for `u32` positions and slots is refused.
     pub(crate) fn build(chars: &[u8], probs: &[f64]) -> Result<Self, Error> {
-        check_text_len(chars.len())?;
+        check_text_len(chars.len(), MAX_TEXT_LEN)?;
         Ok(Self::new(SuffixTree::build(chars.to_vec()), probs))
     }
 
@@ -385,8 +385,8 @@ mod tests {
     /// more than the length, so the last length that fits is one below it.
     #[test]
     fn a_text_too_long_for_u32_positions_is_refused() {
-        assert!(check_text_len(u32::MAX as usize - 1).is_ok());
-        let refused = check_text_len(u32::MAX as usize);
+        assert!(check_text_len(u32::MAX as usize - 1, MAX_TEXT_LEN).is_ok());
+        let refused = check_text_len(u32::MAX as usize, MAX_TEXT_LEN);
         assert!(matches!(
             refused,
             Err(Error::Model(ModelError::TransformTooLarge { .. }))

@@ -49,7 +49,10 @@
 //! [`ustr_service::DocExecutor`] interchangeability contract, a
 //! [`LiveService`] answers **byte-identically** to a static
 //! [`ustr_service::QueryService`] rebuilt from scratch over the same live
-//! documents — before, during, and after any seal or compaction.
+//! documents — before, during, and after any seal or compaction — in every
+//! mode but `Approx` with ε. There a memtable document answers exactly and
+//! a sealed one from its ε-links, so a seal changes the answer (and moves
+//! the cache epoch); both meet the ε-sandwich.
 //!
 //! ```
 //! use ustr_live::{LiveConfig, LiveService};
@@ -330,15 +333,16 @@ struct Inner {
     compact_min_segments: usize,
     state: Mutex<LiveState>,
     engine: Engine,
-    /// Bumped on every mutation **under the state lock**; query snapshots
-    /// carry it as their cache epoch, so responses computed against a
-    /// superseded state can never serve a later lookup (see
-    /// [`SegmentSet::cache_epoch`]).
+    /// Bumped on every mutation and every seal or compaction install
+    /// **under the state lock**; query snapshots carry it as their cache
+    /// epoch, so responses computed against a superseded state can never
+    /// serve a later lookup (see [`SegmentSet::cache_epoch`]). An install
+    /// moves it too: a sealed document answers `Approx` from its ε-links
+    /// where its memtable scan answered exactly.
     generation: AtomicU64,
     /// Bumped (under the state lock) whenever the physical layout changes —
-    /// mutations *and* seal/compact installs — and used to key the memoized
-    /// view below. Installs do not bump `generation` because answers are
-    /// identical across them (cached responses stay valid).
+    /// mutations, the move of a memtable to a sealing batch, and installs —
+    /// and used to key the memoized view below.
     structure_version: AtomicU64,
     /// Live (inserted, not deleted) documents, changed under the state lock
     /// wherever the live set changes and read without it: the net
@@ -545,8 +549,9 @@ impl Inner {
             st.segments.extend(sealed);
             st.sealing.retain(|b| b.batch_id != batch_id);
             st.applied_seq = st.applied_seq.max(max_seq);
-            // ordering: AcqRel publishes the segment change to the next
-            // view()'s Acquire load.
+            // ordering: AcqRel — both bumps publish the segment change to
+            // the next view()'s Acquire loads.
+            self.generation.fetch_add(1, Ordering::AcqRel);
             self.structure_version.fetch_add(1, Ordering::AcqRel);
             Inner::prune_dead_tombstones(&mut st);
             self.write_manifest(&st)?;
@@ -626,8 +631,9 @@ impl Inner {
                 // every tombstone whose document no longer exists anywhere
                 // (including strays a replayed delete record resurrected
                 // after an earlier compaction already removed the document).
-                // ordering: AcqRel publishes the segment change to the next
-                // view()'s Acquire load.
+                // ordering: AcqRel — both bumps publish the segment change
+                // to the next view()'s Acquire loads.
+                self.generation.fetch_add(1, Ordering::AcqRel);
                 self.structure_version.fetch_add(1, Ordering::AcqRel);
                 Inner::prune_dead_tombstones(&mut st);
                 self.write_manifest(&st)?;
@@ -1783,38 +1789,85 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// With ε, a memtable document answers `Approx` exactly and a sealed
+    /// one from its ε-links: a seal changes the answer, so it moves the
+    /// cache epoch. Asked before and after the flush with the cache on, the
+    /// requests answer after it as they do in a cache-off directory; every
+    /// answer, in the memtable and sealed, keeps the ε-sandwich.
     #[test]
     fn epsilon_directories_serve_approx_from_sealed_segments() {
         let dir = fresh_dir("ustr_live_epsilon");
+        let uncached_dir = fresh_dir("ustr_live_epsilon_uncached");
         let cfg = LiveConfig {
             epsilon: Some(0.05),
             ..config(0)
         };
-        let live = LiveService::open(&dir, cfg).unwrap();
-        for d in sample_docs() {
-            live.insert(d).unwrap();
-        }
-        live.flush().unwrap();
-        let eps = live.epsilon().unwrap();
-        // ε-sandwich: everything ≥ τ is present, nothing below τ − ε.
-        let tau = 0.4;
-        let occurrences = |request: QueryRequest| -> Vec<(usize, usize)> {
-            let hits = hits(&live, &request);
-            let pairs = hits
-                .iter()
-                .flat_map(|d| d.hits.iter().map(|&(p, _)| (d.doc, p)));
-            pairs.collect()
+        let uncached_cfg = LiveConfig {
+            cache_capacity: 0,
+            ..cfg.clone()
         };
-        let must = occurrences(threshold(b"AB", tau));
-        let may = occurrences(threshold(b"AB", (tau - eps).max(0.05)));
-        let pattern = b"AB".to_vec();
-        let got = occurrences(QueryRequest::Approx { pattern, tau });
-        for m in &must {
-            assert!(got.contains(m), "missing exact hit {m:?}");
+        // Near-certain choices in a row, which one link spans: the links
+        // answer below the exact probabilities there.
+        let mut docs = sample_docs();
+        docs.push(doc(
+            "A:.97,B:.03 | B:.98,C:.02 | A:.96,C:.04 | A:.01,B:.99 | A:.97,B:.03 | C",
+        ));
+        docs.push(doc(
+            "A:.05,B:.95 | A:.98,B:.02 | B:.97,C:.03 | A:.99,C:.01 | B",
+        ));
+        let requests: Vec<(&[u8], f64)> = [&b"A"[..], b"B", b"AB", b"BA", b"ABA", b"BAB"]
+            .into_iter()
+            .flat_map(|pattern| [(pattern, 0.4), (pattern, 0.9)])
+            .collect();
+        let live = LiveService::open(&dir, cfg).unwrap();
+        let uncached = LiveService::open(&uncached_dir, uncached_cfg).unwrap();
+        for d in docs {
+            live.insert(d.clone()).unwrap();
+            uncached.insert(d).unwrap();
         }
-        for g in &got {
-            assert!(may.contains(g), "spurious hit {g:?} below tau - eps");
-        }
+        let eps = live.epsilon().unwrap();
+        let approx = |&(pattern, tau): &(&[u8], f64)| QueryRequest::Approx {
+            pattern: pattern.to_vec(),
+            tau,
+        };
+        // ε-sandwich: everything ≥ τ is present, nothing below τ − ε.
+        let sandwich = |live: &LiveService| {
+            let occurrences = |request: QueryRequest| -> Vec<(usize, usize)> {
+                let hits = hits(live, &request);
+                let pairs = hits
+                    .iter()
+                    .flat_map(|d| d.hits.iter().map(|&(p, _)| (d.doc, p)));
+                pairs.collect()
+            };
+            for request in &requests {
+                let (pattern, tau) = *request;
+                let must = occurrences(threshold(pattern, tau));
+                let may = occurrences(threshold(pattern, (tau - eps).max(0.05)));
+                let got = occurrences(approx(request));
+                for m in &must {
+                    assert!(got.contains(m), "missing exact hit {m:?}");
+                }
+                for g in &got {
+                    assert!(may.contains(g), "spurious hit {g:?} below tau - eps");
+                }
+            }
+        };
+        // The approx requests alone, which the cache holds all of.
+        let answers = |live: &LiveService| -> Vec<Vec<DocHits>> {
+            requests.iter().map(|r| hits(live, &approx(r))).collect()
+        };
+        sandwich(&live);
+        answers(&live);
+        live.flush().unwrap();
+        uncached.flush().unwrap();
+        assert_eq!(
+            answers(&live),
+            answers(&uncached),
+            "a seal left cached answers"
+        );
+        sandwich(&live);
+        drop(uncached);
+        let _ = std::fs::remove_dir_all(&uncached_dir);
         // Reopening adopts the recorded ε even when the config omits it.
         drop(live);
         let live = LiveService::open(&dir, config(0)).unwrap();

@@ -34,13 +34,17 @@ use crate::{DocHits, QueryRequest, QueryResponse, SharedHits, TopHit};
 /// documents too young to have been indexed (a live memtable).
 ///
 /// **Interchangeability contract:** both variants over the same document
-/// with the same `τmin` return **bit-identical** answers from every method.
-/// That holds because answers are *canonical*: probabilities are always
-/// recomputed from the source model through the plane kernel, never read
-/// off an execution structure's internal arithmetic; top-k uses the total
+/// with the same `τmin` return **bit-identical** answers from every method
+/// but [`DocExecutor::approx`] with ε. That holds because answers are
+/// *canonical*: probabilities are always recomputed from the source model
+/// through the plane kernel, never read off an execution structure's
+/// internal arithmetic; top-k uses the total
 /// [`ustr_core::canonical_hit_order`], so ties at the cut are never left to
 /// implementation arbitration; and the top-k candidate set is exactly the
-/// threshold answer at `τmin`.
+/// threshold answer at `τmin`. An `approx` answer of a built document with
+/// ε comes from its ε-links and a scanned one's is exact: the two differ,
+/// and both keep the ε-sandwich (every position at τ or above, none below
+/// τ − ε).
 // Executors always live behind an `Arc` in a `Segment`, so the size
 // difference between a built index bundle and a bare scan wrapper is paid
 // once per document, not per handle.

@@ -9,12 +9,12 @@
 //! (`QueryService::{save_collection, load_collection}`) and of `ustr-live`'s
 //! sealed segments.
 //!
-//! # Container format (version 8)
+//! # Container format (version 9)
 //!
 //! | field | encoding |
 //! |---|---|
 //! | magic `"USTRCOLL"` | 8 bytes |
-//! | format version, currently 8 | `u32` little-endian |
+//! | format version, currently 9 | `u32` little-endian |
 //! | document count | varint |
 //! | section count | varint |
 //! | per section, in file order: document id, kind, payload length, checksum | varint, 1 byte, varint, FNV-1a 64 of the payload as a `u64` little-endian |

@@ -42,7 +42,7 @@
 //! shortest form only), by value size, not by type. The *string* piece is
 //! the WAL's record body too, and keeps its fixed-width `u64` lengths.
 //!
-//! # Payloads (version 8)
+//! # Payloads (version 9)
 //!
 //! A payload says what `build` produces and a query reads, each array
 //! once. Shared pieces first, then the two payloads, every field in the
@@ -55,7 +55,7 @@
 //! | *scored text* | text bytes (0 = factor separator), SA, LCP, each after its length |
 //! | *substrate* | *scored text*; short-level count `L`; per short level: mask words (`u64`s), champions (one per 64 slots, the `j`-th as `c − 64·j`); long-level count; per long level, the `k`-th of length `L·2ᵏ`: champions (one per `L·2ᵏ` slots, as `c − j·L·2ᵏ`) |
 //! | *factor starts* | per stretch of the text (position 0 and every position after a separator start one), after their count: the source position of its first character, as the zigzag delta from the previous start (from 0 for the first; wrapping) |
-//! | *links* | link count; per link, sorted by origin preorder (a build writes one origin's links by witness, then deepest first): origin preorder as the delta from the previous link's, origin depth, the gap origin depth − target depth, the witness (a text position below the origin) as the zigzag delta from the previous link's (from 0 for the first); ε (`f64`) |
+//! | *links* | link count; per link, sorted by origin (a build writes one origin's links by witness, then deepest first): the origin node's key in the suffix tree of its document's text (`2·j + 1` for leaf `j`, `2·k` for the internal node whose first ℓ-index is `k`) as the delta from the previous link's, origin depth, the gap origin depth − target depth, the witness (a text position below the origin) as the zigzag delta from the previous link's (from 0 for the first); ε (`f64`) |
 //! | *stats* | source length, transformed length, factor count, build time in ns |
 //!
 //! | kind | payload |
@@ -103,8 +103,10 @@
 //! snapshot, and a `.coll` put them in a container with a version of its
 //! own (1) whose manifest also recorded each section's offset and the shard
 //! count at save time. Version 7 was the one container with bare payloads,
-//! an `Index`'s with `C` and a map entry per character; version 8 writes
-//! one map entry per factor and no `C`.
+//! an `Index`'s with `C` and a map entry per character; version 8 wrote
+//! one map entry per factor and no `C`, and named each link's origin by its
+//! preorder rank in the tree; version 9 names it by the node's key, as the
+//! tree does, so a loader numbers nothing.
 //!
 //! # Failure model
 //!
@@ -177,8 +179,9 @@ pub const MAGIC: [u8; 8] = *b"USTRCOLL";
 /// integer arrays as varints; version 6 writes the §7 links as a section of
 /// their own over an `Index`, and every length, level count and stat as a
 /// varint; version 7 is one container of bare payloads for every file;
-/// version 8 writes the position map per factor and derives `C` on load.
-pub const FORMAT_VERSION: u32 = 8;
+/// version 8 writes the position map per factor and derives `C` on load;
+/// version 9 keys each link's origin as the suffix tree keys its nodes.
+pub const FORMAT_VERSION: u32 = 9;
 
 /// Which structure a section holds: one a server loads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -594,15 +597,15 @@ impl Snapshot for Index {
 /// witness, so most deltas are 0.
 fn encode_links(w: &mut Writer, state: &ApproxLinksState) {
     put_size(w, state.links.len() as u64);
-    // Links are sorted by origin preorder and each target depth is under
-    // its origin depth (a state where not wraps, and does not decode).
-    let (mut prev_pre, mut prev_witness) = (0u32, 0u32);
+    // Links are sorted by origin and each target depth is under its origin
+    // depth (a state where not wraps, and does not decode).
+    let (mut prev_origin, mut prev_witness) = (0u32, 0u32);
     for link in &state.links {
-        w.put_varint(link.origin_pre.wrapping_sub(prev_pre));
+        w.put_varint(link.origin.wrapping_sub(prev_origin));
         w.put_varint(link.origin_depth);
         w.put_varint(link.origin_depth.wrapping_sub(link.target_depth));
         w.put_varint(zigzag(prev_witness, link.witness));
-        (prev_pre, prev_witness) = (link.origin_pre, link.witness);
+        (prev_origin, prev_witness) = (link.origin, link.witness);
     }
     w.put_f64(state.epsilon);
     encode_build_time(w, state.build_time);
@@ -612,21 +615,21 @@ fn decode_links(r: &mut Reader<'_>) -> Result<ApproxLinksState, StoreError> {
     // Four varints of at least one byte each.
     let num_links = get_count(r, 4)?;
     let mut links = Vec::with_capacity(num_links);
-    let (mut prev_pre, mut prev_witness) = (0u32, 0u32);
+    let (mut prev_origin, mut prev_witness) = (0u32, 0u32);
     for _ in 0..num_links {
-        let origin_pre = (prev_pre.checked_add(r.get_varint()?))
-            .ok_or_else(|| corrupt("link origin preorder past u32"))?;
+        let origin = (prev_origin.checked_add(r.get_varint()?))
+            .ok_or_else(|| corrupt("link origin past u32"))?;
         let origin_depth = r.get_varint()?;
         let target_depth = (origin_depth.checked_sub(r.get_varint()?))
             .ok_or_else(|| corrupt("link gap larger than its origin depth"))?;
         let witness = unzigzag(prev_witness, r.get_varint()?);
         links.push(ApproxLinkState {
-            origin_pre,
+            origin,
             origin_depth,
             target_depth,
             witness,
         });
-        (prev_pre, prev_witness) = (origin_pre, witness);
+        (prev_origin, prev_witness) = (origin, witness);
     }
     Ok(ApproxLinksState {
         links,
@@ -786,7 +789,8 @@ mod tests {
 
     /// The payloads of three fixtures, byte for byte, as the manifest rows
     /// of one file record them (version 8: the two `Index` payloads lost
-    /// `C` and the per-character map; the links payload is version 6's).
+    /// `C` and the per-character map; version 9: the links payload keys
+    /// origins by node, as the tree does, and the `Index` rows held).
     /// The one nondeterministic field, `build_time`, is set to zero through
     /// the public state struct; everything else — source, map, text, SA,
     /// LCP, `C`, mask words, champions, links — is what the checksums cover.
@@ -820,10 +824,10 @@ mod tests {
             manifest_pins(&file_of(2, &sections)),
             [
                 (364, 18245839441643084873), // Index
-                // ApproxIndex links: the links of one origin in witness
-                // order, not in whatever order the std sort left them, so
-                // the witness deltas (and the checksum) moved.
-                (298, 2459065095511756565),
+                // ApproxIndex links: origins keyed as the suffix tree keys
+                // its nodes, no longer by preorder rank, so the origin
+                // deltas and the order of the rows (and the checksum) moved.
+                (298, 12034348778766969133),
                 (328, 15807307767832286229), // Index, correlated
             ]
         );

@@ -254,16 +254,18 @@ fn wrong_version_is_a_clean_error() {
 }
 
 /// Files written by earlier formats: a single-index file of format 6 (a
-/// header of its own around the payload), a version-1 collection, and a
-/// format-7 `.idx` (its payload holds `C` and the per-character map). Each
-/// is refused with a message that says to rebuild it.
+/// header of its own around the payload), a version-1 collection, a
+/// format-7 `.idx` (its payload holds `C` and the per-character map), and a
+/// format-8 `.coll` with approx sections (its links name their origins by
+/// preorder rank). Each is refused with a message that says to rebuild it.
 #[test]
 fn old_format_files_are_refused_with_a_rebuild_message() {
     let fixtures = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
     for (file, refused) in [
         ("format6.idx", "bad magic"),
-        ("format6.coll", "version 1 (this build reads version 8)"),
-        ("format7.idx", "version 7 (this build reads version 8)"),
+        ("format6.coll", "version 1 (this build reads version 9)"),
+        ("format7.idx", "version 7 (this build reads version 9)"),
+        ("format8.coll", "version 8 (this build reads version 9)"),
     ] {
         let err = Index::load(fixtures.join(file)).err().unwrap();
         let said = err.to_string();

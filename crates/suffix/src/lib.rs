@@ -14,11 +14,11 @@
 //!   and a child table built from the LCP array in one stack sweep, with
 //!   O(m · σ) descent to a pattern's suffix range and child-interval
 //!   enumeration — what every index of Sections 4–6 queries. Nodes are LCP
-//!   intervals; none is stored.
-//! * [`Ancestry`] — preorder numbering and subtree preorder intervals over
-//!   a [`SuffixTree`] — and [`LeafLca`] — O(1) LCA of leaves — for the
-//!   ε-link structure of Section 7: the ranks are what its queries read,
-//!   the LCA only what finds its links.
+//!   intervals; none is stored. Keyed "internal node named `k`, then leaf
+//!   `k`" ([`SuffixTree::node_key`]), a subtree is one run of keys.
+//! * [`LeafLca`] — O(1) LCA of leaves — for the ε-link structure of
+//!   Section 7: what finds its links, which key their origins as the tree
+//!   does.
 //!
 //! # Space
 //!
@@ -33,15 +33,16 @@
 //!   tree had explicit nodes: a 12-byte `{depth, l, r}` record and 8 bytes
 //!   of CSR child list for each of ≈ 1.55 nodes per slot, leaves included —
 //!   ≈ 40 B/slot in all.)
-//! * **Ancestry layer**, which only `ustr_core::ApproxIndex` derives.
-//!   *Held* ([`Ancestry`], 8 B/slot): preorder rank of each leaf 4 and of
-//!   each internal node (at the slot that names it) 4 — one depth-first
-//!   pass over the core, at construction and at snapshot load.
-//!   *Build-time* ([`LeafLca`], ≈ 21 B/slot, never built on load): name of
-//!   the LCA of each pair of neighbouring leaves 4 and the LCP min-RMQ
-//!   (`ustr_rmq::BlockRmq`: value 8 + in-block mask 8 per slot, plus its
-//!   block table). (Until PR 24 one struct held all ≈ 28 B/slot for the
-//!   life of the index; ≈ 37 before PR 23, with per-node ranks and ends.)
+//! * **Ancestry layer** ([`LeafLca`], ≈ 21 B/slot), which only
+//!   `ustr_core::ApproxIndex` derives, and only at build time — never on
+//!   load: name of the LCA of each pair of neighbouring leaves 4 and the
+//!   LCP min-RMQ (`ustr_rmq::BlockRmq`: value 8 + in-block mask 8 per slot,
+//!   plus its block table). (Through snapshot format 8 the layer also
+//!   *held* two preorder-rank arrays, 8 B/slot, rebuilt in one depth-first
+//!   pass at construction and at load, to number the links' origins; the
+//!   tree's own node keys number them now. Earlier still, one struct held
+//!   all ≈ 28 B/slot for the life of the index, and ≈ 37 with per-node
+//!   ranks and ends.)
 //!
 //! Measured per *source* position on the benchmark's `paper-string` workload
 //! (n = 100 000, 9.48 slots per position): the locus core is 123.3 B, of
@@ -60,7 +61,7 @@ mod lcp;
 mod sais;
 mod tree;
 
-pub use ancestry::{Ancestry, LeafLca};
+pub use ancestry::LeafLca;
 pub use array::SuffixArray;
 pub use lcp::{lcp_array, rank_array};
 pub use sais::suffix_array;

@@ -48,6 +48,7 @@
 //! bound by load latency rather than throughput, the one cost of the
 //! smaller structure (≈ 50 ns of a 200 ns descent at a 20-letter alphabet).
 
+use std::ops::RangeInclusive;
 use std::sync::Arc;
 
 use crate::{lcp_array, sais::suffix_array};
@@ -217,6 +218,76 @@ impl SuffixTree {
             up
         } else {
             self.child[l] as usize
+        }
+    }
+
+    /// The key of leaf `slot`: `2·slot + 1`. Keys order the nodes "the
+    /// internal node named `k`, then leaf `k`", in which a subtree is one
+    /// run ([`SuffixTree::subtree_keys`]).
+    #[inline]
+    pub fn leaf_key(slot: usize) -> usize {
+        2 * slot + 1
+    }
+
+    /// The key of the internal node named `name`
+    /// ([`SuffixTree::first_l_index`]): `2·name`.
+    #[inline]
+    pub fn internal_key(name: usize) -> usize {
+        2 * name
+    }
+
+    /// The key of the node `[l, r]` (a leaf when `l == r`).
+    #[inline]
+    pub fn node_key(&self, l: usize, r: usize) -> usize {
+        if l == r {
+            Self::leaf_key(l)
+        } else {
+            Self::internal_key(self.first_l_index(l, r))
+        }
+    }
+
+    /// The keys of the subtree of the node `[l, r]` (a leaf when `l == r`):
+    /// exactly the run from leaf `l`'s key to leaf `r`'s. Its leaves are
+    /// keyed there, and so is every internal node inside, the node itself
+    /// included: each is named in `(l, r]`. No other node is: an ancestor
+    /// named in `(l, r]` would put an LCP below the node's depth there,
+    /// where the node's depth is the minimum, and the ancestor named `l`
+    /// keys `2·l`, just before the run.
+    ///
+    /// ```
+    /// use ustr_suffix::SuffixTree;
+    /// let st = SuffixTree::build(b"banana".to_vec());
+    /// let (l, r) = st.suffix_range(b"an").unwrap(); // "anana", "ana"
+    /// let keys = SuffixTree::subtree_keys(l, r);
+    /// assert!(keys.contains(&st.node_key(l, r)));
+    /// let (pl, pr) = st.suffix_range(b"a").unwrap(); // its parent
+    /// assert!(!keys.contains(&st.node_key(pl, pr)));
+    /// ```
+    #[inline]
+    pub fn subtree_keys(l: usize, r: usize) -> RangeInclusive<usize> {
+        Self::leaf_key(l)..=Self::leaf_key(r)
+    }
+
+    /// Calls `visit(l, r)` for every node of the tree, a leaf as `(j, j)`,
+    /// in preorder (children in SA order): one depth-first pass.
+    pub fn for_each_node(&self, mut visit: impl FnMut(usize, usize)) {
+        // Open internal nodes: the children still to visit. The empty text
+        // is a root above the terminator leaf, visited as that leaf.
+        let mut open = Vec::new();
+        let mut step = |(l, r): (usize, usize), open: &mut Vec<_>| {
+            visit(l, r);
+            if l < r {
+                open.push(self.child_intervals(l, r));
+            }
+        };
+        step((0, self.num_slots() - 1), &mut open);
+        while let Some(children) = open.last_mut() {
+            match children.next() {
+                Some(child) => step(child, &mut open),
+                None => {
+                    open.pop();
+                }
+            }
         }
     }
 
@@ -465,6 +536,34 @@ mod tests {
             // some node is an ℓ-index of exactly one: fewer internal nodes
             // than slots.
             assert!(nodes > st.num_slots() && nodes < 2 * st.num_slots());
+        }
+    }
+
+    /// Every node below and including `[l, r]`, in preorder.
+    fn preorder(st: &SuffixTree, l: usize, r: usize, out: &mut Vec<(usize, usize)>) {
+        out.push((l, r));
+        if l < r {
+            for (a, b) in st.child_intervals(l, r) {
+                preorder(st, a, b, out);
+            }
+        }
+    }
+
+    #[test]
+    fn the_node_walk_is_a_recursive_preorder_walk() {
+        for text in [
+            &b"mississippi"[..],
+            b"abaababaabaab",
+            b"A\0A\0\0",
+            b"a",
+            b"",
+        ] {
+            let st = SuffixTree::build(text.to_vec());
+            let mut nodes = Vec::new();
+            preorder(&st, 0, st.num_slots() - 1, &mut nodes);
+            let mut walked = Vec::new();
+            st.for_each_node(|l, r| walked.push((l, r)));
+            assert_eq!(walked, nodes, "{text:?}");
         }
     }
 

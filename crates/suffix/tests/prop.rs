@@ -2,9 +2,7 @@
 //! LCA.
 
 use proptest::prelude::*;
-use ustr_suffix::{
-    lcp_array, rank_array, suffix_array, Ancestry, LeafLca, SuffixArray, SuffixTree,
-};
+use ustr_suffix::{lcp_array, rank_array, suffix_array, LeafLca, SuffixArray, SuffixTree};
 
 fn byte_text() -> impl Strategy<Value = Vec<u8>> {
     prop_oneof![
@@ -129,23 +127,23 @@ proptest! {
         }
     }
 
-    /// Preorder ranks, subtree ends and leaf LCAs against a tree built here
-    /// from SA + LCP with explicit nodes — the numbering the ε-link
-    /// snapshots persist (`origin_pre`).
+    /// Node keys, names, children and leaf LCAs against a tree built here
+    /// from SA + LCP with explicit nodes: the keys the ε-link snapshots
+    /// persist (`origin`) are one per node, and for every node `[l, r]`
+    /// the nodes keyed in `subtree_keys(l, r)` are exactly its subtree.
     #[test]
-    fn ancestry_matches_an_explicit_tree(text in byte_text()) {
+    fn keys_and_lcas_match_an_explicit_tree(text in byte_text()) {
         let tree = SuffixTree::build(text);
-        let anc = Ancestry::build(&tree);
         let oracle = ExplicitTree::build(&tree);
-        prop_assert_eq!(anc.node_count(), oracle.nodes.len());
-        let (pre, pre_end) = oracle.preorder();
+        let keys: Vec<usize> = (oracle.nodes.iter()).map(|v| tree.node_key(v.l, v.r)).collect();
+        let mut distinct = keys.clone();
+        distinct.sort_unstable();
+        distinct.dedup();
+        prop_assert_eq!(distinct.len(), keys.len(), "one key per node");
         for (v, node) in oracle.nodes.iter().enumerate() {
             let (l, r) = (node.l, node.r);
-            if l == r {
-                prop_assert_eq!(anc.leaf_preorder(l), pre[v]);
-            } else if v > 0 || tree.num_slots() > 1 {
+            if l < r {
                 let name = tree.first_l_index(l, r);
-                prop_assert_eq!(anc.interval_preorder(name), pre[v]);
                 prop_assert_eq!(tree.slot_lcp(name), node.depth);
                 let kids: Vec<(usize, usize)> = oracle.children[v]
                     .iter()
@@ -153,9 +151,9 @@ proptest! {
                     .collect();
                 prop_assert_eq!(tree.child_intervals(l, r).collect::<Vec<_>>(), kids);
             }
-            if l < r || v > 0 {
-                prop_assert_eq!(anc.preorder_range(&tree, l, r), (pre[v], pre_end[v]));
-            }
+            let run = SuffixTree::subtree_keys(l, r);
+            let keyed: Vec<usize> = (0..keys.len()).filter(|&w| run.contains(&keys[w])).collect();
+            prop_assert_eq!(keyed, oracle.subtree(v), "node [{}, {}]", l, r);
         }
         let slots = tree.num_slots();
         let leaf_lca = LeafLca::build(&tree);
@@ -189,20 +187,17 @@ proptest! {
 
     /// Every internal node, as an interval: its children partition its
     /// range in SA order, there are at least two, and each is strictly
-    /// deeper and nested in preorder.
+    /// deeper.
     #[test]
     fn tree_structural_invariants(text in byte_text()) {
         let n = text.len();
         let tree = SuffixTree::build(text);
-        let anc = Ancestry::build(&tree);
         let depth = |l: usize, r: usize| {
             if l == r { n - tree.sa(l) + 1 } else { tree.slot_lcp(tree.first_l_index(l, r)) }
         };
         let mut open = vec![(0, tree.num_slots() - 1)];
         let mut leaves = 0;
         while let Some((l, r)) = open.pop() {
-            let (pl, pr) = anc.preorder_range(&tree, l, r);
-            prop_assert!(pl <= pr);
             if l == r {
                 leaves += 1;
                 continue;
@@ -213,8 +208,6 @@ proptest! {
                 prop_assert_eq!(cl, cursor);
                 prop_assert!(cl <= cr);
                 prop_assert!(depth(l, r) < depth(cl, cr));
-                let (cpl, cpr) = anc.preorder_range(&tree, cl, cr);
-                prop_assert!(pl < cpl && cpr <= pr);
                 cursor = cr + 1;
                 kids += 1;
                 open.push((cl, cr));
@@ -228,7 +221,7 @@ proptest! {
 
 /// The suffix tree with explicit nodes, built from SA + LCP by the stack
 /// sweep `SuffixTree` used before it named nodes by intervals: the oracle
-/// for [`Ancestry`]'s numbering.
+/// for the tree's node keys.
 struct ExplicitTree {
     nodes: Vec<OracleNode>,
     /// Children of each node in SA order.
@@ -313,22 +306,15 @@ impl ExplicitTree {
         }
     }
 
-    /// Node -> preorder rank, and the largest rank in its subtree.
-    fn preorder(&self) -> (Vec<usize>, Vec<usize>) {
-        let mut pre = vec![0; self.nodes.len()];
-        let mut pre_end = vec![0; self.nodes.len()];
-        let mut next = 0;
-        self.number(0, &mut next, &mut pre, &mut pre_end);
-        (pre, pre_end)
-    }
-
-    fn number(&self, v: usize, next: &mut usize, pre: &mut [usize], pre_end: &mut [usize]) {
-        pre[v] = *next;
-        *next += 1;
-        for &c in &self.children[v] {
-            self.number(c, next, pre, pre_end);
+    /// The nodes below and including `v`, ascending.
+    fn subtree(&self, v: usize) -> Vec<usize> {
+        let (mut below, mut open) = (Vec::new(), vec![v]);
+        while let Some(w) = open.pop() {
+            below.push(w);
+            open.extend(&self.children[w]);
         }
-        pre_end[v] = *next - 1;
+        below.sort_unstable();
+        below
     }
 
     fn lca(&self, mut a: usize, mut b: usize) -> usize {

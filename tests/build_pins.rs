@@ -91,7 +91,7 @@ fn transform_output_is_pinned() {
 }
 
 /// The link table of `ApproxIndex::over` at ε = 0.05: `(links, hash over
-/// each link's origin preorder, origin depth, target depth and witness)`.
+/// each link's origin key, origin depth, target depth and witness)`.
 #[test]
 fn links_over_an_index_are_pinned() {
     let index = Index::build(&string(10_000, false), 0.1).unwrap();
@@ -101,9 +101,39 @@ fn links_over_an_index_are_pinned() {
         .links;
     let mut h = Fnv::new();
     for l in &links {
-        for v in [l.origin_pre, l.origin_depth, l.target_depth, l.witness] {
+        for v in [l.origin, l.origin_depth, l.target_depth, l.witness] {
             h.bytes(&v.to_le_bytes());
         }
     }
-    assert_eq!((links.len(), h.0), (196_610, 15733865487106721345));
+    // The hash moved once, when origins went from preorder ranks to the
+    // tree's node keys: the same links, keyed and ordered anew.
+    assert_eq!((links.len(), h.0), (196_610, 17047414776978951797));
+}
+
+/// The answers of `ApproxIndex::over` at ε = 0.05 on the uncorrelated
+/// 10 000-position string: `(hits, hash over each hit's position and
+/// probability bits)` for the most probable reading of the string at every
+/// 97th start, at six pattern lengths and four thresholds. Pinned before
+/// the links' origins were keyed by the tree's own names, which must not
+/// move an answer.
+#[test]
+fn approx_answers_are_pinned() {
+    let s = string(10_000, false);
+    let approx = ApproxIndex::over(&Index::build(&s, 0.1).unwrap(), 0.05).unwrap();
+    let (mut hits, mut h) = (0, Fnv::new());
+    for m in [1, 2, 3, 5, 8, 12] {
+        for start in (0..s.len() - m).step_by(97) {
+            let pattern: Vec<u8> = (start..start + m)
+                .map(|q| s.position(q).most_probable().0)
+                .collect();
+            for tau in [0.1, 0.2, 0.4, 0.7] {
+                for (pos, prob) in approx.query(&pattern, tau).unwrap() {
+                    h.bytes(&(pos as u64).to_le_bytes());
+                    h.bytes(&prob.to_bits().to_le_bytes());
+                    hits += 1;
+                }
+            }
+        }
+    }
+    assert_eq!((hits, h.0), (279_541, 2162928314732282412));
 }

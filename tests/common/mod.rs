@@ -1,9 +1,43 @@
-//! Shared by the integration tests that cross an index's long levels.
+//! Shared by the integration tests: the pattern lengths that cross an
+//! index's long levels, and a generated string with correlations.
+
+use uncertain_strings::{
+    workload::{generate_string, DatasetConfig},
+    Correlation, CorrelationSet, UncertainString,
+};
 
 /// The shortest pattern lengths an index's first and second long level
 /// answer, `[L + 1, 2L + 1]`: an index over `transformed_len` characters
 /// (one suffix-array slot more) has `L = ⌈log₂(slots + 1)⌉` short levels.
+#[allow(dead_code, reason = "not every test file that shares this calls it")]
 pub fn first_long_lengths(transformed_len: usize) -> [usize; 2] {
     let short = (usize::BITS - (transformed_len + 1).leading_zeros()) as usize;
     [short + 1, 2 * short + 1]
+}
+
+/// The generated protein string with a correlation on the first choice of
+/// every 5th uncertain position, conditioned on the first choice of the
+/// position before it (the generator `build_pins.rs` pins): pr⁺ above pr⁻
+/// at every other one, below it at the rest.
+#[allow(dead_code, reason = "not every test file that shares this calls it")]
+pub fn correlated(n: usize, seed: u64) -> UncertainString {
+    let mut s = generate_string(&DatasetConfig::new(n, 0.3, seed));
+    let mut set = CorrelationSet::new();
+    let uncertain = (1..n).filter(|&q| s.position(q).num_choices() > 1);
+    for (k, q) in uncertain.step_by(5).enumerate() {
+        let (subject_char, p) = s.position(q).choices()[0];
+        let (high, low) = ((p * 1.5).min(1.0), p * 0.5);
+        let (p_present, p_absent) = if k % 2 == 0 { (high, low) } else { (low, high) };
+        set.add(Correlation {
+            subject_pos: q,
+            subject_char,
+            cond_pos: q - 1,
+            cond_char: s.position(q - 1).choices()[0].0,
+            p_present,
+            p_absent,
+        })
+        .unwrap();
+    }
+    s.set_correlations(set).unwrap();
+    s
 }

@@ -10,40 +10,17 @@
 //! from the model through the position map; `ustr-core`'s
 //! `a_loaded_c_is_the_built_c_bit_for_bit` holds its bits to the built one's.
 
+mod common;
+
+use common::correlated;
 use uncertain_strings::{
     service::{load_coll, save_coll, DocExecutor},
     store::{decode_links_payload, encode_links_payload, Reader, RealIo, Writer},
     workload::{generate_string, DatasetConfig},
-    ApproxIndex, Correlation, CorrelationSet, Index, Snapshot, UncertainString,
+    ApproxIndex, Index, Snapshot, UncertainString,
 };
 
 const TAU_MIN: f64 = 0.1;
-
-/// The generated protein string with a correlation on the first choice of
-/// every 5th uncertain position, conditioned on the first choice of the
-/// position before it (the generator `build_pins.rs` pins): pr⁺ above pr⁻
-/// at every other one, below it at the rest.
-fn correlated(n: usize, seed: u64) -> UncertainString {
-    let mut s = generate_string(&DatasetConfig::new(n, 0.3, seed));
-    let mut set = CorrelationSet::new();
-    let uncertain = (1..n).filter(|&q| s.position(q).num_choices() > 1);
-    for (k, q) in uncertain.step_by(5).enumerate() {
-        let (subject_char, p) = s.position(q).choices()[0];
-        let (high, low) = ((p * 1.5).min(1.0), p * 0.5);
-        let (p_present, p_absent) = if k % 2 == 0 { (high, low) } else { (low, high) };
-        set.add(Correlation {
-            subject_pos: q,
-            subject_char,
-            cond_pos: q - 1,
-            cond_char: s.position(q - 1).choices()[0].0,
-            p_present,
-            p_absent,
-        })
-        .unwrap();
-    }
-    s.set_correlations(set).unwrap();
-    s
-}
 
 /// Generated strings from one position (no long level at all) to 2 000
 /// (more than 16 384 slots, so some SA entries take three varint bytes),

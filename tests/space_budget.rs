@@ -119,10 +119,11 @@ fn heap_breakdown_stays_inside_the_budget() {
 
 /// `ApproxIndex` heap per source position on the same input when the budget
 /// was last set: what the links add to the `Index` whose text they hang
-/// off (1 005.4 before, with a suffix tree of its own; 1 322.3 before that,
-/// when the index kept `C`, the boundary names and the LCP RMQ it had
-/// found its links with).
-const APPROX_MEASURED_BYTES_PER_POS: f64 = 879.5;
+/// off, once their origins were keyed as the tree keys its nodes (879.5
+/// before, with 77.5 of preorder ranks; 1 005.4 before that, with a suffix
+/// tree of its own; 1 322.3 before that, when the index kept `C`, the
+/// boundary names and the LCP RMQ it had found its links with).
+const APPROX_MEASURED_BYTES_PER_POS: f64 = 802.0;
 
 #[test]
 fn approx_heap_breakdown_stays_inside_the_budget() {
@@ -137,13 +138,9 @@ fn approx_heap_breakdown_stays_inside_the_budget() {
     );
     let total = approx.stats().heap_bytes;
     check_heap_rows(&what, &rows, total, n, slots, APPROX_MEASURED_BYTES_PER_POS);
-    // No tree of its own: two rank arrays, and 24 bytes a link.
-    assert_eq!(
-        rows.map(|(name, _)| name),
-        ["preorder ranks", "links", "link RMQ"]
-    );
-    assert!(per(rows[0].1, slots) <= 8.01);
-    assert!(per(rows[1].1, approx.num_links()) <= 24.01);
+    // No tree of its own and nothing numbered beside it: 24 bytes a link.
+    assert_eq!(rows.map(|(name, _)| name), ["links", "link RMQ"]);
+    assert!(per(rows[0].1, approx.num_links()) <= 24.01);
 }
 
 /// `ListingIndex::heap_size()` per source position over the same positions
@@ -200,7 +197,7 @@ fn index_file_bytes_stay_inside_the_budget() {
     println!("\n\n| file | bytes | B/position |");
     println!("|---|---:|---:|");
     println!(
-        "| `.idx` ({n} positions, format 8) | {len} | {:.1} |",
+        "| `.idx` ({n} positions, format 9) | {len} | {:.1} |",
         per(len, n)
     );
     assert!(per(len, n) <= IDX_BYTES_PER_POS * 1.05);
@@ -213,9 +210,10 @@ fn index_file_bytes_stay_inside_the_budget() {
 /// `f64` probabilities; 579.8 in format 4): substring-index sections
 /// (format 8, without `C` and with one map entry per factor; 178.9 in
 /// formats 6 and 7; 186.1 in format 5, with `u64` lengths; 291.3 in
-/// format 4).
+/// format 4). Approx sections re-measured in format 9, whose origins are
+/// node keys (96.0 with format 8's preorder ranks).
 const COLL_INDEX_BYTES_PER_POS: f64 = 81.9;
-const COLL_APPROX_BYTES_PER_POS: f64 = 97.0;
+const COLL_APPROX_BYTES_PER_POS: f64 = 96.2;
 
 /// The `serve-wire` collection — 62 documents of 20–45 positions — as the
 /// `.coll` file `save_coll` writes over `DocExecutor::build` with ε (what
