@@ -9,7 +9,7 @@
 //! **bit-identical** to what a built [`ustr_core::Index`] over the same
 //! document at the same `τmin` returns (both report canonical
 //! probabilities recomputed from the model through the same
-//! [`MatchKernel`], both use the same threshold tolerance, and top-k uses
+//! [`MatchKernel`], both decide by the one threshold rule, and top-k uses
 //! the same total order, [`ustr_core::canonical_hit_order`], over the same
 //! candidate set, the threshold answer at `τmin`).
 //!
@@ -57,8 +57,9 @@ impl ScanIndex {
     }
 
     /// The plane-backed scan shared by threshold and top-k: presence-row
-    /// prefilter on the first pattern character, bounded kernel loop per
-    /// surviving candidate, canonical linear-domain filter at `tau`.
+    /// prefilter on the first pattern character, then the bounded kernel
+    /// loop per surviving candidate, which decides by the threshold rule
+    /// ([`canon::log_meets_threshold`]).
     /// Equivalent to `NaiveScanner::find_with_probs` + retain, bit for bit.
     fn scan(&self, kernel: &MatchKernel<'_>, pattern: &[u8], tau: f64) -> Vec<(usize, f64)> {
         let m = pattern.len();
@@ -72,11 +73,9 @@ impl ScanIndex {
         let mut candidates = 0u64;
         for i in kernel.candidates(n - m + 1) {
             candidates += 1;
+            // The bounded loop has decided by the threshold rule already.
             if let Some(log_p) = kernel.log_match_bounded(i, log_tau) {
-                let p = canon::exp(log_p);
-                if canon::meets_threshold(p, tau) {
-                    hits.push((i, p));
-                }
+                hits.push((i, canon::exp(log_p)));
             }
         }
         // One batched record per scan: the per-candidate loop stays free
@@ -100,9 +99,8 @@ impl ScanIndex {
     /// probability ≥ `tau`, sorted by position. Requires `tau ≥ tau_min`.
     pub fn threshold_hits(&self, pattern: &[u8], tau: f64) -> Result<Vec<(usize, f64)>, Error> {
         validate_query(pattern, tau, self.tau_min)?;
-        // The kernel's log-domain early exit mirrors the index's RMQ report
-        // threshold; the linear-domain filter mirrors the index's final
-        // canonical-probability filter.
+        // The kernel's bounded loop decides by the same rule, on the same
+        // log value, as the index's final filter.
         Ok(self
             .plane
             .with_kernel(pattern, |kernel| self.scan(kernel, pattern, tau)))
@@ -115,8 +113,7 @@ impl ScanIndex {
         if k == 0 {
             return Ok(Vec::new());
         }
-        // Candidates = the threshold answer at τmin (log prefilter plus
-        // the same canonical linear filter the index applies); canonical
+        // Candidates = the threshold answer at τmin; canonical
         // (probability ↓, position ↑) order decides ties at the cut.
         let mut hits = self
             .plane
@@ -140,35 +137,77 @@ mod tests {
         .unwrap()
     }
 
+    /// Five positions, the third's `A` conditioned on the first's: the
+    /// index stores its upper bound .9, and the true marginal is .5.
+    fn correlated_string() -> UncertainString {
+        let mut s = UncertainString::parse("A:.5,B:.5 | T | A:.4,T:.6 | T | A:.3,B:.7").unwrap();
+        let mut set = ustr_uncertain::CorrelationSet::new();
+        set.add(ustr_uncertain::Correlation {
+            subject_pos: 2,
+            subject_char: b'A',
+            cond_pos: 0,
+            cond_char: b'A',
+            p_present: 0.9,
+            p_absent: 0.1,
+        })
+        .unwrap();
+        s.set_correlations(set).unwrap();
+        s
+    }
+
+    /// Fixed τs, and the three boundary draws at each occurrence's
+    /// probability p: τ = p and p·(1 + PROB_EPS/2) report it, and
+    /// p·(1 + 2·PROB_EPS) does not — on both executors, to the bit, with
+    /// and without a correlation.
     #[test]
     fn threshold_hits_are_bit_identical_to_an_index() {
-        let s = figure_3_string();
-        let scan = ScanIndex::new(&s, 0.05).unwrap();
-        let idx = Index::build(&s, 0.05).unwrap();
-        for pattern in [&b"AT"[..], b"P", b"FP", b"SFPQ", b"ZZ"] {
-            for tau in [0.05, 0.1, 0.4, 0.9] {
-                assert_eq!(
-                    scan.threshold_hits(pattern, tau).unwrap(),
-                    idx.query(pattern, tau).unwrap().into_hits(),
-                    "pattern {pattern:?} tau {tau}"
-                );
+        use ustr_uncertain::PROB_EPS;
+        let margins = [
+            (1.0, true),
+            (1.0 + PROB_EPS / 2.0, true),
+            (1.0 + 2.0 * PROB_EPS, false),
+        ];
+        for s in [figure_3_string(), correlated_string()] {
+            let scan = ScanIndex::new(&s, 0.05).unwrap();
+            let idx = Index::build(&s, 0.05).unwrap();
+            let answers = |pattern: &[u8], tau: f64| {
+                let got = scan.threshold_hits(pattern, tau).unwrap();
+                let want = idx.query(pattern, tau).unwrap().into_hits();
+                assert_eq!(got, want, "{s}: pattern {pattern:?} tau {tau}");
+                got
+            };
+            for pattern in [&b"AT"[..], b"P", b"FP", b"SFPQ", b"ZZ", b"T", b"TA", b"A"] {
+                for tau in [0.05, 0.1, 0.2, 0.4, 0.5, 0.9] {
+                    answers(pattern, tau);
+                }
+                for (pos, p) in answers(pattern, 0.05) {
+                    for (tau, reported) in margins.map(|(m, reported)| (p * m, reported)) {
+                        if (0.05..=1.0).contains(&tau) {
+                            let at = answers(pattern, tau).iter().any(|&(q, _)| q == pos);
+                            assert_eq!(at, reported, "{s}: {pattern:?} at {pos}, tau {tau}");
+                        }
+                    }
+                }
             }
         }
     }
 
+    /// Under correlation the index's stored values are only upper bounds;
+    /// it ranks the canonical τmin threshold answer, so both still agree.
     #[test]
     fn top_k_is_bit_identical_to_an_index() {
-        let s = figure_3_string();
-        let scan = ScanIndex::new(&s, 0.05).unwrap();
-        let idx = Index::build(&s, 0.05).unwrap();
-        for pattern in [&b"P"[..], b"AT", b"T", b"F"] {
-            // The last two: `k` is unvalidated wire input, never a capacity.
-            for k in [1usize, 2, 5, 100, 1 << 40, usize::MAX] {
-                assert_eq!(
-                    scan.top_k_hits(pattern, k).unwrap(),
-                    idx.query_top_k(pattern, k).unwrap(),
-                    "pattern {pattern:?} k {k}"
-                );
+        for s in [figure_3_string(), correlated_string()] {
+            let scan = ScanIndex::new(&s, 0.05).unwrap();
+            let idx = Index::build(&s, 0.05).unwrap();
+            for pattern in [&b"P"[..], b"AT", b"T", b"F", b"A"] {
+                // The last two: `k` is unvalidated wire input, never a capacity.
+                for k in [1usize, 2, 5, 100, 1 << 40, usize::MAX] {
+                    assert_eq!(
+                        scan.top_k_hits(pattern, k).unwrap(),
+                        idx.query_top_k(pattern, k).unwrap(),
+                        "{s}: pattern {pattern:?} k {k}"
+                    );
+                }
             }
         }
     }
@@ -182,43 +221,6 @@ mod tests {
         let got = scan.top_k_hits(b"AB", 2).unwrap();
         assert_eq!(got, vec![(0, 1.0), (2, 1.0)], "smallest positions win");
         assert_eq!(got, idx.query_top_k(b"AB", 2).unwrap());
-    }
-
-    #[test]
-    fn correlated_documents_stay_bit_identical() {
-        // Under correlation the index's stored values are only upper
-        // bounds; both executors must still agree bitwise (the index falls
-        // back to ranking the canonical τmin threshold answer).
-        let mut s = UncertainString::parse("A:.5,B:.5 | T | A:.4,T:.6 | T | A:.3,B:.7").unwrap();
-        let mut set = ustr_uncertain::CorrelationSet::new();
-        set.add(ustr_uncertain::Correlation {
-            subject_pos: 2,
-            subject_char: b'A',
-            cond_pos: 0,
-            cond_char: b'A',
-            p_present: 0.9,
-            p_absent: 0.1,
-        })
-        .unwrap();
-        s.set_correlations(set).unwrap();
-        let scan = ScanIndex::new(&s, 0.05).unwrap();
-        let idx = Index::build(&s, 0.05).unwrap();
-        for pattern in [&b"AT"[..], b"T", b"A"] {
-            for tau in [0.05, 0.2, 0.5] {
-                assert_eq!(
-                    scan.threshold_hits(pattern, tau).unwrap(),
-                    idx.query(pattern, tau).unwrap().into_hits(),
-                    "threshold {pattern:?} tau {tau}"
-                );
-            }
-            for k in [1usize, 2, 10] {
-                assert_eq!(
-                    scan.top_k_hits(pattern, k).unwrap(),
-                    idx.query_top_k(pattern, k).unwrap(),
-                    "top-k {pattern:?} k {k}"
-                );
-            }
-        }
     }
 
     #[test]

@@ -6,7 +6,7 @@
 
 use std::collections::HashMap;
 
-use ustr_uncertain::{ModelError, UncertainString};
+use ustr_uncertain::{canon, ModelError, UncertainString};
 
 /// Exhaustive oracle: evaluates queries by enumerating every possible world
 /// (§1's possible-world semantics). Exponential — usable only on the small
@@ -38,16 +38,19 @@ impl PossibleWorldOracle {
         Ok(acc)
     }
 
-    /// Positions where `pattern` matches with probability ≥ `tau` (sorted).
+    /// Positions where `pattern` matches with probability ≥ `tau` (sorted),
+    /// by the workspace's one threshold rule
+    /// ([`canon::log_meets_threshold`]) on the world sum.
     pub fn matches(
         s: &UncertainString,
         pattern: &[u8],
         tau: f64,
     ) -> Result<Vec<usize>, ModelError> {
         let probs = Self::occurrence_probabilities(s, pattern)?;
+        let log_tau = canon::ln(tau);
         let mut out: Vec<usize> = probs
             .into_iter()
-            .filter(|&(_, p)| p >= tau - 1e-9)
+            .filter(|&(_, p)| canon::log_meets_threshold(canon::ln(p), log_tau))
             .map(|(i, _)| i)
             .collect();
         out.sort_unstable();

@@ -1,6 +1,6 @@
 //! Online per-position scan (the Li et al. \[20\] style baseline).
 
-use ustr_uncertain::{canon, log_meets_threshold, UncertainString};
+use ustr_uncertain::{canon, UncertainString};
 
 /// Stateless online matcher: O(n·m) worst case, with early termination as
 /// soon as a window's running product drops below the threshold (products of
@@ -55,7 +55,7 @@ impl NaiveScanner {
                     continue 'positions;
                 }
                 log_p += canon::ln(p);
-                if !log_meets_threshold(log_p, log_tau) {
+                if !canon::log_meets_threshold(log_p, log_tau) {
                     continue 'positions;
                 }
             }

@@ -73,7 +73,7 @@ impl SimpleIndex {
                 let Some(src) = self.transformed.source_pos(x) else {
                     continue;
                 };
-                if ustr_uncertain::log_meets_threshold(kernel.log_match(src), log_tau) {
+                if canon::log_meets_threshold(kernel.log_match(src), log_tau) {
                     out.push(src);
                 }
             }

@@ -301,6 +301,7 @@ impl ApproxIndex {
         if lo >= hi {
             return Ok(QueryResult::default());
         }
+        // §7's lower sandwich edge: a bound, not the exact threshold rule.
         #[allow(clippy::float_arithmetic, reason = "§7's cut τ − ε, once per query")]
         let cutoff = tau - self.epsilon - ustr_uncertain::PROB_EPS;
         let mut hits: Vec<(usize, f64)> = Vec::new();

@@ -186,7 +186,8 @@ impl Index {
         let Some((l, r)) = self.substrate.range(pattern) else {
             return Ok(QueryResult::default());
         };
-        let candidates = self.substrate.report(m, l, r, canon::ln(tau));
+        let log_tau = canon::ln(tau);
+        let candidates = self.substrate.report(m, l, r, log_tau);
         // Reported probabilities are *canonical*: always recomputed from the
         // source model, never read off the stored prefix sums. The two agree
         // to float noise, but the canonical value is independent of the
@@ -195,8 +196,8 @@ impl Index {
         // bit-identical probabilities. (Under correlation the stored values
         // are only upper bounds, making the recomputation mandatory rather
         // than merely canonical.) Recomputation goes through the flat
-        // `ProbPlane` kernel — bit-identical to `match_probability` with the
-        // pattern remapped to plane ranks once, not once per candidate.
+        // `ProbPlane` kernel, pattern remapped to plane ranks once; the rule
+        // decides on its log value, and `exp` of it runs for hits only.
         let mut hits: Vec<(usize, f64)> = Vec::with_capacity(candidates.len());
         if !candidates.is_empty() {
             let start = std::time::Instant::now();
@@ -206,9 +207,9 @@ impl Index {
                     let Some(src) = self.source_pos(x) else {
                         continue;
                     };
-                    let exact = kernel.match_probability(src);
-                    if canon::meets_threshold(exact, tau) {
-                        hits.push((src, exact));
+                    let log_p = kernel.log_match(src);
+                    if canon::log_meets_threshold(log_p, log_tau) {
+                        hits.push((src, canon::exp(log_p)));
                     }
                 }
             });
@@ -256,27 +257,25 @@ impl Index {
             out.truncate(k);
             return Ok(out);
         }
-        #[allow(clippy::float_arithmetic, reason = "the τmin cut, once per query")]
-        let floor = canon::ln(self.tau_min) - ustr_uncertain::PROB_EPS;
+        let (log_tau_min, m) = (canon::ln(self.tau_min), pattern.len());
         // The search also returns the k-th candidate's whole tie class, so
         // the cut is decided by the canonical order below, not by heap
         // arbitration among equal stored values.
-        let ranked = self
-            .substrate
-            .top_k(pattern.len(), l, r, k, floor, |x| self.source_pos(x));
+        let floor = canon::log_cut(log_tau_min);
+        let ranked = (self.substrate).top_k(m, l, r, k, floor, |x| self.source_pos(x));
         let mut out: Vec<(usize, f64)> = Vec::with_capacity(ranked.len());
         if !ranked.is_empty() {
+            // The threshold query's final filter at τmin, so the candidate
+            // set is exactly the τmin threshold answer.
             self.plane.with_kernel(pattern, |kernel| {
-                out.extend(
-                    ranked
-                        .into_iter()
-                        .map(|(src, _)| (src, kernel.match_probability(src))),
-                );
+                for (src, _) in ranked {
+                    let log_p = kernel.log_match(src);
+                    if canon::log_meets_threshold(log_p, log_tau_min) {
+                        out.push((src, canon::exp(log_p)));
+                    }
+                }
             });
         }
-        // Mirror the threshold query's final canonical filter at τmin, so
-        // the candidate set is exactly the τmin threshold answer.
-        out.retain(|&(_, p)| canon::meets_threshold(p, self.tau_min));
         out.sort_by(crate::canonical_hit_order);
         out.truncate(k);
         Ok(out)

@@ -218,8 +218,8 @@ impl ListingIndex {
     }
 
     /// Every distinct occurrence among the candidate text positions `xs`,
-    /// as `(doc, src, canonical probability)` in `(doc, src)` order. The
-    /// probability is recomputed from the document model through its plane
+    /// as `(doc, src, canonical log-probability)` in `(doc, src)` order.
+    /// The value is recomputed from the document model through its plane
     /// kernel (see `Index::query`), one [`ProbPlane::with_kernel`] per
     /// document, so each occurrence's value agrees bit for bit with any
     /// per-document executor's.
@@ -234,8 +234,8 @@ impl ListingIndex {
         occs.dedup_by_key(|&mut (doc, src, _)| (doc, src));
         for group in occs.chunk_by_mut(|a, b| a.0 == b.0) {
             self.planes[group[0].0].with_kernel(pattern, |kernel| {
-                for (_, src, p) in group.iter_mut() {
-                    *p = kernel.match_probability(*src);
+                for (_, src, log_p) in group.iter_mut() {
+                    *log_p = kernel.log_match(*src);
                 }
             });
         }
@@ -251,12 +251,13 @@ impl ListingIndex {
         l: usize,
         r: usize,
     ) -> Result<Vec<ListingHit>, Error> {
-        let candidates = self.substrate.report(pattern.len(), l, r, canon::ln(tau));
-        let mut hits: Vec<ListingHit> = self
-            .verified(pattern, candidates.into_iter().map(|(x, _)| x))
-            .into_iter()
-            .filter(|&(_, _, p)| canon::meets_threshold(p, tau))
-            .map(|(doc, _, relevance)| ListingHit { doc, relevance })
+        let log_tau = canon::ln(tau);
+        let candidates = self.substrate.report(pattern.len(), l, r, log_tau);
+        let occs = self.verified(pattern, candidates.into_iter().map(|(x, _)| x));
+        let mut hits: Vec<ListingHit> = (occs.into_iter())
+            .filter(|&(_, _, log_p)| canon::log_meets_threshold(log_p, log_tau))
+            .map(|(doc, _, log_p)| (doc, canon::exp(log_p)))
+            .map(|(doc, relevance)| ListingHit { doc, relevance })
             .collect();
         hits.sort_unstable_by(|a, b| a.doc.cmp(&b.doc).then(b.relevance.total_cmp(&a.relevance)));
         hits.dedup_by_key(|hit| hit.doc);
@@ -276,20 +277,20 @@ impl ListingIndex {
         // Every slot of the range starts with the pattern: its window is
         // whole, so each is a candidate.
         let mut occs = self.verified(pattern, self.substrate.positions(l, r));
-        occs.retain(|&(_, _, p)| canon::is_positive_prob(p));
-        let mut hits = Vec::new();
+        occs.retain(|&(_, _, log_p)| canon::is_positive_prob(canon::exp(log_p)));
+        let (log_tau, mut hits) = (canon::ln(tau), Vec::new());
         for group in occs.chunk_by(|a, b| a.0 == b.0) {
-            let probs = group.iter().map(|&(_, _, p)| p);
+            let probs = group.iter().map(|&(_, _, log_p)| canon::exp(log_p));
             let relevance = match metric {
                 // §6: a single occurrence's relevance is its probability;
                 // the Σp − Πp form applies to multiple occurrences.
-                RelMetric::Or if group.len() == 1 => group[0].2,
+                RelMetric::Or if group.len() == 1 => canon::exp(group[0].2),
                 #[allow(clippy::float_arithmetic, reason = "§6's Rel_OR, Σp − Πp")]
                 RelMetric::Or => probs.clone().sum::<f64>() - probs.product::<f64>(),
                 RelMetric::IndependentOr => canon::independent_or(probs),
                 RelMetric::Max => unreachable!("handled by query_max"),
             };
-            if canon::meets_threshold(relevance, tau) {
+            if canon::log_meets_threshold(canon::ln(relevance), log_tau) {
                 hits.push(ListingHit {
                     doc: group[0].0,
                     relevance,

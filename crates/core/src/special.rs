@@ -95,19 +95,19 @@ impl SpecialIndex {
             return Ok(QueryResult::default());
         };
         // Candidates come back with their *stored* window log-probability.
+        let log_tau = canon::ln(tau);
         #[allow(clippy::float_arithmetic, reason = "a cut; hits are re-verified")]
-        let candidates = self
-            .substrate
-            .report(m, l, r, canon::ln(tau) - self.boost_log);
+        let candidates = self.substrate.report(m, l, r, log_tau - self.boost_log);
         let mut hits = Vec::with_capacity(candidates.len());
         for (pos, stored) in candidates {
-            let exact = if self.correlations.is_empty() {
-                canon::exp(stored)
+            let (log_p, p) = if self.correlations.is_empty() {
+                (stored, canon::exp(stored))
             } else {
-                self.special.window_prob_with(&self.correlations, pos, m)
+                let p = self.special.window_prob_with(&self.correlations, pos, m);
+                (canon::ln(p), p)
             };
-            if canon::meets_threshold(exact, tau) {
-                hits.push((pos, exact));
+            if canon::log_meets_threshold(log_p, log_tau) {
+                hits.push((pos, p));
             }
         }
         Ok(QueryResult::from_hits(hits))

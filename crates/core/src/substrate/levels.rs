@@ -83,6 +83,7 @@
 //! document's own (source positions, or document ids).
 
 use ustr_rmq::{Direction, SampledRmq};
+use ustr_uncertain::canon;
 
 use super::{topk::top_k_search, ScoredText, Substrate};
 use crate::{
@@ -351,14 +352,12 @@ impl Substrate {
     pub(crate) fn report(&self, m: usize, l: usize, r: usize, log_tau: f64) -> Vec<(usize, f64)> {
         debug_assert!(m >= 1, "patterns are validated non-empty");
         let (text, level) = (&self.text, self.levels.serving(m));
-        #[allow(clippy::float_arithmetic, reason = "the τ cut, once per report")]
-        let threshold = log_tau - ustr_uncertain::PROB_EPS;
-        let mut hits = Vec::new();
+        let (cut, mut hits) = (canon::log_cut(log_tau), Vec::new());
         level
             .rmq
-            .report_at_least(l, r, threshold, &level.value(text), |slot, upper| {
+            .report_at_least(l, r, cut, &level.value(text), |slot, upper| {
                 let v = level.exact(text, m, slot, upper);
-                if v >= threshold {
+                if canon::log_meets_threshold(v, log_tau) {
                     hits.push((text.pos(slot), v));
                 }
             });

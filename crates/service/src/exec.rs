@@ -38,13 +38,15 @@ use crate::{DocHits, QueryRequest, QueryResponse, SharedHits, TopHit};
 /// but [`DocExecutor::approx`] with ε. That holds because answers are
 /// *canonical*: probabilities are always recomputed from the source model
 /// through the plane kernel, never read off an execution structure's
-/// internal arithmetic; top-k uses the total
-/// [`ustr_core::canonical_hit_order`], so ties at the cut are never left to
-/// implementation arbitration; and the top-k candidate set is exactly the
-/// threshold answer at `τmin`. An `approx` answer of a built document with
-/// ε comes from its ε-links and a scanned one's is exact: the two differ,
-/// and both keep the ε-sandwich (every position at τ or above, none below
-/// τ − ε).
+/// internal arithmetic, and both decide on that value by the one threshold
+/// rule ([`ustr_uncertain::canon::log_meets_threshold`]), so a document
+/// answers alike before and after a seal, correlated or not; top-k uses the
+/// total [`ustr_core::canonical_hit_order`], so ties at the cut are never
+/// left to implementation arbitration; and the top-k candidate set is
+/// exactly the threshold answer at `τmin`. An `approx` answer of a built
+/// document with ε comes from its ε-links and a scanned one's is exact: the
+/// two differ, and both keep the ε-sandwich (every position at τ or above,
+/// none below τ − ε).
 // Executors always live behind an `Arc` in a `Segment`, so the size
 // difference between a built index bundle and a bare scan wrapper is paid
 // once per document, not per handle.

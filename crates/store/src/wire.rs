@@ -164,14 +164,6 @@ impl Writer {
             self.buf.extend_from_slice(&x.to_le_bytes());
         }
     }
-
-    /// Length-prefixed `f64` sequence (bit patterns).
-    pub fn put_f64s(&mut self, v: &[f64]) {
-        self.put_u64(v.len() as u64);
-        for &x in v {
-            self.buf.extend_from_slice(&x.to_bits().to_le_bytes());
-        }
-    }
 }
 
 /// Bounds-checked payload cursor.
@@ -287,16 +279,6 @@ impl<'a> Reader<'a> {
             .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
             .collect())
     }
-
-    /// Length-prefixed `f64` sequence (bit patterns).
-    pub fn get_f64s(&mut self) -> Result<Vec<f64>, StoreError> {
-        let len = self.get_len(8)?;
-        let raw = self.take(len * 8, "f64 sequence")?;
-        Ok(raw
-            .chunks_exact(8)
-            .map(|c| f64::from_bits(u64::from_le_bytes(c.try_into().unwrap())))
-            .collect())
-    }
 }
 
 #[cfg(test)]
@@ -315,7 +297,6 @@ mod tests {
         w.put_varint(300);
         w.put_raw(b"raw");
         w.put_u64s(&[u64::MAX, 0]);
-        w.put_f64s(&[1.5, f64::NEG_INFINITY]);
         let bytes = w.into_bytes();
         let mut r = Reader::new(&bytes);
         assert_eq!(r.get_u8().unwrap(), 7);
@@ -327,9 +308,6 @@ mod tests {
         assert_eq!(r.get_varint().unwrap(), 300);
         assert_eq!(r.get_raw(3).unwrap(), b"raw");
         assert_eq!(r.get_u64s().unwrap(), vec![u64::MAX, 0]);
-        let f = r.get_f64s().unwrap();
-        assert_eq!(f[0], 1.5);
-        assert!(f[1].is_infinite());
         assert!(r.is_exhausted());
     }
 

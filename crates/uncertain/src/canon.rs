@@ -12,6 +12,12 @@
 //! `disallowed-methods`); `ci/invariants.sh` rejects a comparison against a
 //! float literal. This module is the one that calls the primitives.
 //!
+//! **The threshold rule**, stated once: an occurrence of probability `p`
+//! meets τ iff `ln p ≥ ln τ − PROB_EPS` ([`log_meets_threshold`]), decided
+//! on the kernel's log value, whose `exp` is the reported probability. The
+//! transform, the level prune, the top-k floor, every executor and the
+//! possible-world oracle use it; §7's `τ − ε − PROB_EPS` is a sandwich edge.
+//!
 //! Everything here is `#[inline]` and delegates straight to the `f64`
 //! primitive — the point is one definition, not a different numeric
 //! result. Changing any formula in this file is a determinism-contract
@@ -46,6 +52,18 @@ pub fn valid_tau(tau: f64) -> bool {
     tau > 0.0 && tau <= 1.0
 }
 
+/// A model probability is valid iff it lies in `(0, 1 + PROB_EPS]`.
+#[inline]
+pub fn valid_prob(p: f64) -> bool {
+    p > 0.0 && p <= 1.0 + PROB_EPS
+}
+
+/// Whether a model probability is 1, up to [`PROB_EPS`].
+#[inline]
+pub fn is_certain(p: f64) -> bool {
+    p >= 1.0 - PROB_EPS
+}
+
 /// An approximation parameter ε is valid iff it lies in `(0, 1)` (ε = 1
 /// would retain nothing; ε = 0 is the exact index).
 #[inline]
@@ -67,12 +85,18 @@ pub fn tau_in_range(tau: f64, tau_min: f64) -> bool {
     tau >= tau_min - TAU_TOLERANCE && tau <= 1.0
 }
 
-/// Linear-domain threshold test with the canonical tolerance: `p ≥ τ` up
-/// to [`PROB_EPS`]. The log-domain twin is
-/// [`log_meets_threshold`](crate::log_meets_threshold).
+/// The least log-probability that meets `log_tau = ln τ`: the threshold
+/// rule as a number, for structures that compare (an RMQ report, a floor).
 #[inline]
-pub fn meets_threshold(p: f64, tau: f64) -> bool {
-    p >= tau - PROB_EPS
+pub fn log_cut(log_tau: f64) -> f64 {
+    log_tau - PROB_EPS
+}
+
+/// The threshold rule (module docs): an occurrence of log-probability
+/// `log_p` meets τ iff `ln p ≥ ln τ − PROB_EPS`, i.e. `p ≥ τ·e^−PROB_EPS`.
+#[inline]
+pub fn log_meets_threshold(log_p: f64, log_tau: f64) -> bool {
+    log_p >= log_cut(log_tau)
 }
 
 /// Whether a probability contribution is strictly positive (a zero factor
@@ -80,14 +104,6 @@ pub fn meets_threshold(p: f64, tau: f64) -> bool {
 #[inline]
 pub fn is_positive_prob(p: f64) -> bool {
     p > 0.0
-}
-
-/// Whether a stored probability weight is negative (snapshot validation:
-/// `NaN` is deliberately *not* negative — it is caught by finiteness
-/// checks so corrupt-state diagnostics stay precise).
-#[inline]
-pub fn is_negative(p: f64) -> bool {
-    p < 0.0
 }
 
 /// Independent-event OR over occurrence probabilities: `1 − Π(1 − pᵢ)`.

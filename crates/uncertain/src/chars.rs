@@ -1,6 +1,6 @@
 //! A single uncertain position: a pdf over characters.
 
-use crate::{error::ModelError, transform::SENTINEL, PROB_EPS};
+use crate::{canon, error::ModelError, transform::SENTINEL};
 
 /// One position of an uncertain string: a non-empty set of
 /// `(character, probability)` choices with probabilities in `(0, 1]` summing
@@ -43,7 +43,7 @@ impl UncertainChar {
             if c == SENTINEL {
                 return Err(ModelError::ReservedByte { position });
             }
-            if !(p > 0.0 && p <= 1.0 + PROB_EPS) {
+            if !canon::valid_prob(p) {
                 return Err(ModelError::InvalidProbability {
                     position,
                     ch: c,
@@ -104,7 +104,7 @@ impl UncertainChar {
     /// A position is deterministic when it has exactly one choice with
     /// probability 1.
     pub fn is_deterministic(&self) -> bool {
-        self.choices.len() == 1 && self.choices[0].1 >= 1.0 - PROB_EPS
+        self.choices.len() == 1 && canon::is_certain(self.choices[0].1)
     }
 }
 

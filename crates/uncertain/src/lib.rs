@@ -47,13 +47,7 @@ pub use string::UncertainString;
 pub use transform::{transform, Transformed, MAX_TEXT_LEN, NO_POSITION, SENTINEL};
 pub use worlds::DEFAULT_WORLD_LIMIT;
 
-/// Relative tolerance used for probability comparisons throughout the
-/// workspace (products of hundreds of floats accumulate rounding error).
+/// Relative tolerance of every probability comparison (products of hundreds
+/// of floats accumulate rounding error): [`canon::log_meets_threshold`]
+/// admits `p ≥ τ·e^−PROB_EPS`, and a model probability may exceed 1 by it.
 pub const PROB_EPS: f64 = 1e-9;
-
-/// Natural-log threshold comparison with tolerance: `log_p >= log_tau` up to
-/// [`PROB_EPS`].
-#[inline]
-pub fn log_meets_threshold(log_p: f64, log_tau: f64) -> bool {
-    log_p >= log_tau - PROB_EPS
-}

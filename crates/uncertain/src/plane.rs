@@ -40,10 +40,7 @@
 
 use std::cell::RefCell;
 
-use crate::{
-    canon, chars::UncertainChar, correlation::CorrelationSet, log_meets_threshold,
-    string::UncertainString,
-};
+use crate::{canon, chars::UncertainChar, correlation::CorrelationSet, string::UncertainString};
 
 /// Rank value meaning "this byte never occurs in the document" (byte 0 is
 /// the reserved sentinel, so σ ≤ 255 and every live rank is below it).
@@ -584,12 +581,6 @@ impl<'a> MatchKernel<'a> {
         self.plane
     }
 
-    /// `true` when some pattern byte never occurs in the document — every
-    /// window is impossible and callers may skip candidate enumeration.
-    pub fn is_impossible(&self) -> bool {
-        self.impossible
-    }
-
     /// Candidate start positions for a scan: every `pos < limit` where the
     /// *first* pattern character has nonzero probability — ANDed with the
     /// second character's presence at `pos + 1` when the pattern has one.
@@ -734,7 +725,7 @@ impl<'a> MatchKernel<'a> {
                 return None;
             }
             log_p += lp;
-            if !log_meets_threshold(log_p, log_tau) {
+            if !canon::log_meets_threshold(log_p, log_tau) {
                 return None;
             }
         }
@@ -779,7 +770,7 @@ impl<'a> MatchKernel<'a> {
                 return f64::NEG_INFINITY;
             }
             log_p += v;
-            if log_tau != f64::NEG_INFINITY && !log_meets_threshold(log_p, log_tau) {
+            if log_tau != f64::NEG_INFINITY && !canon::log_meets_threshold(log_p, log_tau) {
                 return f64::NEG_INFINITY;
             }
         }
@@ -912,7 +903,7 @@ mod tests {
             assert_eq!(got, vec![0, 2]);
         });
         plane.with_kernel(b"az", |k| {
-            assert!(k.is_impossible());
+            assert!((0..5).all(|pos| k.log_match(pos) == f64::NEG_INFINITY));
             assert_eq!(k.candidates(5).count(), 0);
         });
     }

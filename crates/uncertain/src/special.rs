@@ -1,7 +1,7 @@
 //! Special uncertain strings (Definition 1): one probabilistic character per
 //! position.
 
-use crate::{correlation::CorrelationSet, error::ModelError, PROB_EPS};
+use crate::{canon, correlation::CorrelationSet, error::ModelError};
 
 /// A special uncertain string `X = (c₁, pr₁) … (c_N, pr_N)`.
 ///
@@ -40,7 +40,7 @@ impl SpecialUncertainString {
             });
         }
         for (i, &p) in probs.iter().enumerate() {
-            if !(p > 0.0 && p <= 1.0 + PROB_EPS) {
+            if !canon::valid_prob(p) {
                 return Err(ModelError::InvalidProbability {
                     position: i,
                     ch: chars[i],

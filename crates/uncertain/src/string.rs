@@ -246,7 +246,7 @@ impl fmt::Display for UncertainString {
                 if k > 0 {
                     write!(f, ",")?;
                 }
-                if pr >= 1.0 - crate::PROB_EPS && p.choices().len() == 1 {
+                if canon::is_certain(pr) && p.choices().len() == 1 {
                     write!(f, "{}", c as char)?;
                 } else {
                     write!(f, "{}:{}", c as char, pr)?;

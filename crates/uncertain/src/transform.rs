@@ -30,8 +30,7 @@
 use std::ops::Range;
 
 use crate::{
-    canon, error::ModelError, log_meets_threshold, special::SpecialUncertainString, split,
-    string::UncertainString,
+    canon, error::ModelError, special::SpecialUncertainString, split, string::UncertainString,
 };
 
 /// Separator byte between factors in the transformed string. Reserved: it
@@ -202,7 +201,7 @@ impl Factors {
                         let p = s.correlations().upper_bound(q, c, base);
                         if p > 0.0 {
                             let ln_p = canon::ln(p);
-                            if log_meets_threshold(log_p + ln_p, log_tau) {
+                            if canon::log_meets_threshold(log_p + ln_p, log_tau) {
                                 siblings.push(Choice { c, p, ln_p });
                             }
                         }

@@ -11,8 +11,8 @@
 
 use proptest::prelude::*;
 use ustr_uncertain::{
-    log_meets_threshold, Correlation, CorrelationSet, ProbPlane, UncertainChar, UncertainString,
-    PROB_EPS,
+    canon::log_meets_threshold, Correlation, CorrelationSet, ProbPlane, UncertainChar,
+    UncertainString,
 };
 
 /// Random rows over a tiny alphabet; `scale < 1` leaves the sums
@@ -386,7 +386,6 @@ proptest! {
                 Ok(())
             })?;
         }
-        let _ = PROB_EPS; // tolerance constant shared with the scanner
     }
 }
 
