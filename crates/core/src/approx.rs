@@ -328,7 +328,7 @@ impl ApproxIndex {
             (pos.expect("a link's witness is a text character"), prob)
         };
         let hits = hits.into_iter().map(source);
-        let hits = match &self.plane {
+        let hits: Vec<_> = match &self.plane {
             None => hits.collect(),
             // The cut above kept every true hit; the kernel drops the rest.
             Some(plane) => plane.with_kernel(pattern, |kernel| {
@@ -336,7 +336,9 @@ impl ApproxIndex {
                 hits.map(exact).filter(|&(_, p)| p >= cutoff).collect()
             }),
         };
-        Ok(QueryResult::from_hits(hits))
+        let (reported, result) = (hits.len(), QueryResult::from_hits(hits));
+        debug_assert_eq!(result.len(), reported, "one stabbed sub-link per position");
+        Ok(result)
     }
 }
 

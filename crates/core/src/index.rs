@@ -222,10 +222,7 @@ impl Index {
         }
         // A duplicate-masked level reports each source position once; the
         // blocking scheme and source-level masks under correlation may
-        // repeat one. Repeats carry the same canonical
-        // probability, so keep one per position.
-        hits.sort_unstable_by_key(|&(p, _)| p);
-        hits.dedup_by_key(|&mut (p, _)| p);
+        // repeat one, which `from_hits` drops.
         Ok(QueryResult::from_hits(hits))
     }
 

@@ -18,9 +18,14 @@ pub fn canonical_hit_order(a: &(usize, f64), b: &(usize, f64)) -> std::cmp::Orde
 }
 
 impl QueryResult {
-    /// Builds from `(position, probability)` pairs; sorts by position.
+    /// Builds from `(position, probability)` pairs; sorts by position and
+    /// keeps one pair per position. Only [`crate::Index`] hands it repeats
+    /// (the blocking scheme and source-level masks under correlation may
+    /// report a position twice), and they carry the same canonical
+    /// probability.
     pub(crate) fn from_hits(mut hits: Vec<(usize, f64)>) -> Self {
         hits.sort_unstable_by_key(|&(pos, _)| pos);
+        hits.dedup_by_key(|&mut (pos, _)| pos);
         Self { hits }
     }
 
@@ -81,6 +86,12 @@ mod tests {
         assert_eq!(r.len(), 3);
         assert!(!r.is_empty());
         assert!((r.max_probability() - 0.9).abs() < 1e-12);
+    }
+
+    #[test]
+    fn one_hit_per_position() {
+        let r = QueryResult::from_hits(vec![(5, 0.2), (1, 0.9), (5, 0.2), (1, 0.9)]);
+        assert_eq!(r.hits(), &[(1, 0.9), (5, 0.2)]);
     }
 
     #[test]

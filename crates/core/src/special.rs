@@ -110,7 +110,9 @@ impl SpecialIndex {
                 hits.push((pos, p));
             }
         }
-        Ok(QueryResult::from_hits(hits))
+        let (reported, result) = (hits.len(), QueryResult::from_hits(hits));
+        debug_assert_eq!(result.len(), reported, "a special slot is a position");
+        Ok(result)
     }
 
     /// The `k` most probable occurrences of `pattern`: `query(pattern, τ)`

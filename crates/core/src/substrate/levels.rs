@@ -30,9 +30,10 @@
 //! level that serves `m` bounds every candidate, and the exact value is
 //! that bound when the level's length is `m`, the length-`m` window
 //! otherwise. A threshold report is that level's
-//! [`SampledRmq::report_at_least`]: the suffix range is split at its
-//! maximum only while it spans more than two blocks, and a smaller range is
-//! read once, so each candidate costs O(1) reads (§4's `O(m + occ)`).
+//! [`SampledRmq::report_at_least`]: it reads each slot of the suffix range
+//! at most once — the partial edge blocks, and a full middle block only
+//! when its champion reaches the cut — at most `block · (reported + 2)`
+//! slots, so each candidate costs O(1) reads (§4's `O(m + occ)`).
 //! Top-k is [`super::topk`]'s best-first search over the same level.
 //! No other shape exists: [`ladder`] derives the lengths from
 //! the text alone, `build` makes exactly those levels and `from_parts`
@@ -818,6 +819,70 @@ mod tests {
             sub
         };
         check_against_brute_force(&[7, 12, 13, 17], two_long, false);
+    }
+
+    /// A short level's threshold report, counted through its accessor on a
+    /// generated string under both masks: it reads the suffix range once,
+    /// less the full middle blocks whose champion fails the cut, which it
+    /// drops unread — so the width when none fails, below it when one does
+    /// (asserted to happen on some range of four blocks or more). Its hits
+    /// are the brute-force filter of the range.
+    #[test]
+    fn short_report_reads_the_range_once_less_the_failing_blocks() {
+        use std::cell::Cell;
+        use ustr_workload::{generate_string, DatasetConfig};
+        let source = generate_string(&DatasetConfig::new(20_000, 0.3, 43));
+        let transformed = ustr_uncertain::transform(&source, 0.1).unwrap();
+        let (chars, pos) = (transformed.special.chars(), &transformed.pos);
+        // Documents of 1 000 source positions for the listing mask.
+        let docs: Vec<u32> = pos
+            .iter()
+            .map(|&p| if p == NO_KEY { NO_KEY } else { p / 1_000 })
+            .collect();
+        let block = SampledRmq::DEFAULT_BLOCK;
+        let mut dropped_in_wide_range = 0;
+        for dedup in [DedupStrategy::BySource(pos), DedupStrategy::ByKeyMax(&docs)] {
+            let sub = substrate(chars, transformed.special.probs(), &dedup);
+            let mut patterns: Vec<&[u8]> = (1..=sub.levels.short.len())
+                .flat_map(|m| chars.windows(m).step_by(211))
+                .filter(|w| !w.contains(&0))
+                .collect();
+            patterns.sort_unstable();
+            patterns.dedup();
+            for pattern in patterns {
+                let (m, (l, r)) = (pattern.len(), sub.range(pattern).unwrap());
+                let level = sub.levels.serving(m);
+                assert_eq!(level.len, m, "a short level serves {m}");
+                let value = level.value(&sub.text);
+                let reads = Cell::new(0usize);
+                let counted = |j| {
+                    reads.set(reads.get() + 1);
+                    value(j)
+                };
+                for tau in [0.1f64, 0.5, 0.9] {
+                    let cut = canon::log_cut(tau.ln());
+                    reads.set(0);
+                    let mut hits = Vec::new();
+                    (level.rmq).report_at_least(l, r, cut, &counted, |slot, _| hits.push(slot));
+                    hits.sort_unstable();
+                    let expected: Vec<usize> = (l..=r).filter(|&j| value(j) >= cut).collect();
+                    let context =
+                        format!("{:?} [{l}, {r}] at {tau}", String::from_utf8_lossy(pattern));
+                    assert_eq!(hits, expected, "{context}");
+                    let middle = l / block + 1..r / block;
+                    let fails = |b: usize| (b * block..(b + 1) * block).all(|j| value(j) < cut);
+                    let failing = middle.clone().filter(|&b| fails(b)).count();
+                    assert_eq!(reads.get(), r - l + 1 - block * failing, "{context}");
+                    if failing > 0 && middle.len() >= 2 {
+                        dropped_in_wide_range += 1;
+                    }
+                }
+            }
+        }
+        assert!(
+            dropped_in_wide_range > 0,
+            "no range of ≥ 4 blocks dropped a middle block"
+        );
     }
 
     /// The per-level construction the sweeps replaced, kept as their

@@ -21,9 +21,10 @@
 //!   discards the `C_i` arrays after building `RMQ_i`); partial blocks are
 //!   rescanned through the accessor. A query reads up to two blocks;
 //!   [`SampledRmq::report_at_least`], the levels' threshold report
-//!   (Algorithm 2/4 in the paper), splits a range at its extreme only while
-//!   it spans more than two blocks and reads a smaller one once, not once
-//!   per value it reports: `O(block · (occ + 1))` reads in all.
+//!   (Algorithm 2/4 in the paper), reads each value of its range at most
+//!   once: both partial edge blocks, and a full middle block only when its
+//!   champion reaches the threshold (the same split recursion, over the
+//!   champions), so at most `block · (occ + 2)` reads in all.
 //! * [`ThresholdReporter`] — the same recursion over any range-extreme
 //!   oracle, in decreasing order within each subrange (the approximate
 //!   index's links, over a [`BlockRmq`]).

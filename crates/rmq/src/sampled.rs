@@ -7,8 +7,10 @@
 //! values; partial blocks are rescanned through a caller-supplied accessor
 //! (each probe is O(1) via `C`), keeping queries O(block size) = O(1) for a
 //! fixed block size. A threshold report ([`SampledRmq::report_at_least`])
-//! pays that per split only while a range spans more than two blocks: a
-//! range inside two blocks is read once, not once per value it reports.
+//! reads each value of its range at most once: the two partial edge blocks
+//! once each, and a full middle block only when its champion reaches the
+//! threshold — found by the same max-split recursion over the champions —
+//! so at most `block · (reported + 2)` values.
 
 use crate::{BlockRmq, Direction, Rmq};
 
@@ -197,10 +199,14 @@ impl SampledRmq {
 
     /// Calls `emit(i, value)` once for every `i` in `[l, r]` whose value
     /// [reaches](Direction::reaches) `threshold`, in no set order (nothing
-    /// for `l > r`). A range wider than two blocks is split at its extreme
-    /// and dropped when the extreme fails; a range inside two blocks is read
-    /// once, value by value. A split and a two-block read each read at most
-    /// `2·block` values, and there are at most `2·reported + 1` of them.
+    /// for `l > r`), reading each value of the range at most once. A range
+    /// inside two blocks is read once, value by value. A wider one reads
+    /// its two partial edge blocks once each; its full middle blocks are
+    /// split at their champion, block by block: a block whose champion
+    /// reaches `threshold` is read once and both sides of it are split in
+    /// turn, a sub-range whose best champion fails is dropped unread. A read
+    /// middle block reports at least its champion, so at most
+    /// `min(r − l + 1, block·(reported + 2))` values are read.
     ///
     /// # Panics
     ///
@@ -214,26 +220,34 @@ impl SampledRmq {
         mut emit: impl FnMut(usize, f64),
     ) {
         assert!(l > r || r < self.len, "range end {r} out of bounds");
-        let mut next = (l <= r).then_some((l, r));
-        let mut pending = Vec::new();
-        while let Some((l, r)) = next.take().or_else(|| pending.pop()) {
-            if r / self.block_size <= l / self.block_size + 1 {
-                for i in l..=r {
-                    let v = accessor(i);
-                    if self.direction.reaches(v, threshold) {
-                        emit(i, v);
-                    }
+        let mut read = |lo: usize, hi: usize| {
+            for i in lo..=hi {
+                let v = accessor(i);
+                if self.direction.reaches(v, threshold) {
+                    emit(i, v);
                 }
+            }
+        };
+        let (bs, bl, br) = (self.block_size, l / self.block_size, r / self.block_size);
+        if l > r || br <= bl + 1 {
+            read(l, r);
+            return;
+        }
+        read(l, (bl + 1) * bs - 1);
+        read(br * bs, r);
+        let mut next = Some((bl + 1, br - 1));
+        let mut pending = Vec::new();
+        while let Some((a, b)) = next.take().or_else(|| pending.pop()) {
+            let block = self.block_table.query(a, b);
+            let champion = self.block_table.value(block);
+            if !self.direction.reaches(champion, threshold) {
                 continue;
             }
-            let (m, v) = self.extreme(l, r, accessor);
-            if self.direction.reaches(v, threshold) {
-                emit(m, v);
-                if m > l {
-                    pending.push((l, m - 1));
-                }
-                next = (m < r).then_some((m + 1, r));
+            read(block * bs, (block + 1) * bs - 1);
+            if block > a {
+                pending.push((a, block - 1));
             }
+            next = (block < b).then_some((block + 1, b));
         }
     }
 

@@ -82,13 +82,14 @@ proptest! {
     }
 
     /// `SampledRmq::report_at_least` emits the naive filter's index set,
-    /// each index once, and reads at most `2·block·(2·reported + 1)` values
-    /// through the accessor — an exact work bound, checked as a count — and
-    /// a range inside two blocks exactly once. Each drawn range is also cut
-    /// to its first block and to its first two, under heavy ties and runs of
-    /// −∞ (masked level entries).
+    /// each index once, reads each index of the range at most once through
+    /// the accessor and at most `min(r − l + 1, block·(reported + 2))` in
+    /// all — an exact work bound, checked as a count per index — and a range
+    /// inside two blocks exactly once. Each drawn range is also cut to its
+    /// first block and to its first two, under heavy ties and runs of −∞
+    /// (masked level entries).
     #[test]
-    fn report_at_least_reads_a_small_range_once(
+    fn report_at_least_reads_each_index_at_most_once(
         raw in prop::collection::vec(-3i64..6, 1..700),
         masked in prop::collection::vec((0usize..700, 0usize..120), 0..4),
         ranges in prop::collection::vec((0usize..700, 0usize..700), 1..8),
@@ -104,9 +105,9 @@ proptest! {
             }
         }
         let t = threshold as f64;
-        let reads = std::cell::Cell::new(0usize);
+        let reads: Vec<std::cell::Cell<usize>> = vec![Default::default(); n];
         let at = |i: usize| {
-            reads.set(reads.get() + 1);
+            reads[i].set(reads[i].get() + 1);
             values[i]
         };
         for bs in [1usize, 2, 7, 64, 300] {
@@ -116,15 +117,18 @@ proptest! {
                 let block_end = |blocks: usize| r.min((l / bs + blocks) * bs - 1);
                 for (l, r) in [(l, block_end(1)), (l, block_end(2)), (l, r)] {
                     let mut got = Vec::new();
-                    reads.set(0);
+                    reads.iter().for_each(|c| c.set(0));
                     sampled.report_at_least(l, r, t, &at, |i, v| {
                         assert_eq!(v, values[i]);
                         got.push(i);
                     });
-                    let bound = 2 * bs * (2 * got.len() + 1);
-                    prop_assert!(reads.get() <= bound, "bs={} [{},{}]: {} reads > {}", bs, l, r, reads.get(), bound);
+                    let reread = reads.iter().position(|c| c.get() > 1);
+                    prop_assert_eq!(reread, None, "bs={} [{},{}] read an index twice", bs, l, r);
+                    let total: usize = reads.iter().map(|c| c.get()).sum();
+                    let bound = (r - l + 1).min(bs * (got.len() + 2));
+                    prop_assert!(total <= bound, "bs={} [{},{}]: {} reads > {}", bs, l, r, total, bound);
                     if r / bs <= l / bs + 1 {
-                        prop_assert_eq!(reads.get(), r - l + 1, "bs={} [{},{}] read once", bs, l, r);
+                        prop_assert_eq!(total, r - l + 1, "bs={} [{},{}] read once", bs, l, r);
                     }
                     got.sort_unstable();
                     let expected: Vec<usize> = (l..=r).filter(|&i| dir.reaches(values[i], t)).collect();
