@@ -34,7 +34,11 @@
 //! at most once — the partial edge blocks, and a full middle block only
 //! when its champion reaches the cut — at most `block · (reported + 2)`
 //! slots, so each candidate costs O(1) reads (§4's `O(m + occ)`).
-//! Top-k is [`super::topk`]'s best-first search over the same level.
+//! Top-k is [`super::topk`]'s search over the same level's
+//! [`SampledRmq::best_first`] walk, which hands out the range's values best
+//! first and reads each slot at most once as well: the edge blocks, and a
+//! middle block only when its champion is the next value out — at most
+//! `block · (emitted + 2)` slots on the pattern's own level (O(m + k)).
 //! No other shape exists: [`ladder`] derives the lengths from
 //! the text alone, `build` makes exactly those levels and `from_parts`
 //! accepts exactly those — a stored state names no lengths, and one level
@@ -368,11 +372,14 @@ impl Substrate {
     /// The `k` most probable distinct sources over the suffix range `[l, r]`
     /// of a length-`m` pattern, and every other source tied with the `k`-th
     /// within `PROB_EPS`, as `(source, stored value)` in decreasing
-    /// stored-value order: best-first search over the level that serves `m`
-    /// (see [`super::topk`]), its values lazy bounds when it is shorter than
-    /// `m`. `source` maps a text position to its deduplicated output key
-    /// (`None` to skip it); `floor` is a log-probability cut-off below which
-    /// nothing is emitted (`f64::MIN` disables it).
+    /// stored-value order: [`super::topk`]'s search over the
+    /// [`SampledRmq::best_first`] walk of the level that serves `m`, its
+    /// values lazy bounds when it is shorter than `m`. The walk reads each
+    /// slot of the range at most once, and on the level of length `m` at
+    /// most `64 · (emitted + 2)` slots. `source` maps a text position to its
+    /// deduplicated output key (`None` to skip it); `floor` is a
+    /// log-probability cut-off below which nothing is emitted (`f64::MIN`
+    /// disables it).
     pub(crate) fn top_k(
         &self,
         m: usize,
@@ -387,14 +394,10 @@ impl Substrate {
         // and it must never size an allocation.
         let k = k.min(r - l + 1);
         let (text, level) = (&self.text, self.levels.serving(m));
-        let source = |slot: usize| source(text.pos(slot));
         let bound = level.value(text);
-        let best = |a, b| {
-            let s = level.rmq.query_with(a, b, &bound);
-            (s, bound(s))
-        };
+        let ranked = level.rmq.best_first(l, r, floor, &bound);
         let exact = |slot, upper| level.exact(text, m, slot, upper);
-        top_k_search(l, r, k, floor, best, exact, source)
+        top_k_search(ranked, k, exact, |slot| source(text.pos(slot)))
     }
 }
 
@@ -821,27 +824,25 @@ mod tests {
         check_against_brute_force(&[7, 12, 13, 17], two_long, false);
     }
 
-    /// A short level's threshold report, counted through its accessor on a
-    /// generated string under both masks: it reads the suffix range once,
-    /// less the full middle blocks whose champion fails the cut, which it
-    /// drops unread — so the width when none fails, below it when one does
-    /// (asserted to happen on some range of four blocks or more). Its hits
-    /// are the brute-force filter of the range.
-    #[test]
-    fn short_report_reads_the_range_once_less_the_failing_blocks() {
-        use std::cell::Cell;
+    /// The cases of the short levels' read counts below: a generated
+    /// 20 000-position string under both masks — by source position, and
+    /// by documents of 1 000 source positions for the listing mask — and
+    /// the distinct patterns among every 211th window of each short length.
+    /// `check(sub, keys, pattern, (l, r))` gets the substrate, the mask's
+    /// key per text position, and the pattern with its suffix range.
+    fn for_each_counted_range(mut check: impl FnMut(&Substrate, &[u32], &[u8], (usize, usize))) {
         use ustr_workload::{generate_string, DatasetConfig};
         let source = generate_string(&DatasetConfig::new(20_000, 0.3, 43));
         let transformed = ustr_uncertain::transform(&source, 0.1).unwrap();
-        let (chars, pos) = (transformed.special.chars(), &transformed.pos);
-        // Documents of 1 000 source positions for the listing mask.
+        let (chars, pos) = (transformed.special.chars(), &transformed.pos[..]);
         let docs: Vec<u32> = pos
             .iter()
             .map(|&p| if p == NO_KEY { NO_KEY } else { p / 1_000 })
             .collect();
-        let block = SampledRmq::DEFAULT_BLOCK;
-        let mut dropped_in_wide_range = 0;
-        for dedup in [DedupStrategy::BySource(pos), DedupStrategy::ByKeyMax(&docs)] {
+        for (dedup, keys) in [
+            (DedupStrategy::BySource(pos), pos),
+            (DedupStrategy::ByKeyMax(&docs), &docs[..]),
+        ] {
             let sub = substrate(chars, transformed.special.probs(), &dedup);
             let mut patterns: Vec<&[u8]> = (1..=sub.levels.short.len())
                 .flat_map(|m| chars.windows(m).step_by(211))
@@ -850,39 +851,117 @@ mod tests {
             patterns.sort_unstable();
             patterns.dedup();
             for pattern in patterns {
-                let (m, (l, r)) = (pattern.len(), sub.range(pattern).unwrap());
-                let level = sub.levels.serving(m);
-                assert_eq!(level.len, m, "a short level serves {m}");
-                let value = level.value(&sub.text);
-                let reads = Cell::new(0usize);
-                let counted = |j| {
-                    reads.set(reads.get() + 1);
-                    value(j)
-                };
-                for tau in [0.1f64, 0.5, 0.9] {
-                    let cut = canon::log_cut(tau.ln());
-                    reads.set(0);
-                    let mut hits = Vec::new();
-                    (level.rmq).report_at_least(l, r, cut, &counted, |slot, _| hits.push(slot));
-                    hits.sort_unstable();
-                    let expected: Vec<usize> = (l..=r).filter(|&j| value(j) >= cut).collect();
-                    let context =
-                        format!("{:?} [{l}, {r}] at {tau}", String::from_utf8_lossy(pattern));
-                    assert_eq!(hits, expected, "{context}");
-                    let middle = l / block + 1..r / block;
-                    let fails = |b: usize| (b * block..(b + 1) * block).all(|j| value(j) < cut);
-                    let failing = middle.clone().filter(|&b| fails(b)).count();
-                    assert_eq!(reads.get(), r - l + 1 - block * failing, "{context}");
-                    if failing > 0 && middle.len() >= 2 {
-                        dropped_in_wide_range += 1;
-                    }
-                }
+                let m = pattern.len();
+                assert_eq!(sub.levels.serving(m).len, m, "a short level serves {m}");
+                check(&sub, keys, pattern, sub.range(pattern).unwrap());
             }
         }
+    }
+
+    /// A short level's threshold report, counted through its accessor on
+    /// [`for_each_counted_range`]'s cases: it reads the suffix range once,
+    /// less the full middle blocks whose champion fails the cut, which it
+    /// drops unread — so the width when none fails, below it when one does
+    /// (asserted to happen on some range of four blocks or more). Its hits
+    /// are the brute-force filter of the range.
+    #[test]
+    fn short_report_reads_the_range_once_less_the_failing_blocks() {
+        use std::cell::Cell;
+        let block = SampledRmq::DEFAULT_BLOCK;
+        let mut dropped_in_wide_range = 0;
+        for_each_counted_range(|sub, _, pattern, (l, r)| {
+            let level = sub.levels.serving(pattern.len());
+            let value = level.value(&sub.text);
+            let reads = Cell::new(0usize);
+            let counted = |j| {
+                reads.set(reads.get() + 1);
+                value(j)
+            };
+            for tau in [0.1f64, 0.5, 0.9] {
+                let cut = canon::log_cut(tau.ln());
+                reads.set(0);
+                let mut hits = Vec::new();
+                (level.rmq).report_at_least(l, r, cut, &counted, |slot, _| hits.push(slot));
+                hits.sort_unstable();
+                let expected: Vec<usize> = (l..=r).filter(|&j| value(j) >= cut).collect();
+                let context = format!("{:?} [{l}, {r}] at {tau}", String::from_utf8_lossy(pattern));
+                assert_eq!(hits, expected, "{context}");
+                let middle = l / block + 1..r / block;
+                let fails = |b: usize| (b * block..(b + 1) * block).all(|j| value(j) < cut);
+                let failing = middle.clone().filter(|&b| fails(b)).count();
+                assert_eq!(reads.get(), r - l + 1 - block * failing, "{context}");
+                if failing > 0 && middle.len() >= 2 {
+                    dropped_in_wide_range += 1;
+                }
+            }
+        });
         assert!(
             dropped_in_wide_range > 0,
             "no range of ≥ 4 blocks dropped a middle block"
         );
+    }
+
+    /// Top-k on a short level, counted through its accessor on
+    /// [`for_each_counted_range`]'s cases, for k = 1 and 10, with and
+    /// without `Index`'s τmin floor: each slot of the range is read at most
+    /// once (a read outside it panics) and at most
+    /// `min(r − l + 1, 64·(emitted + 2))` in all, and the answer is the
+    /// brute-force top-k of the range — the best value of each key, cut at
+    /// the k-th — plus the k-th value's tie class.
+    #[test]
+    fn short_top_k_reads_each_slot_at_most_once() {
+        use std::cell::Cell;
+        use ustr_uncertain::PROB_EPS;
+        let block = SampledRmq::DEFAULT_BLOCK;
+        let mut wide_ranges = 0;
+        for_each_counted_range(|sub, keys, pattern, (l, r)| {
+            let (m, text) = (pattern.len(), &sub.text);
+            let level = sub.levels.serving(m);
+            let value = level.value(text);
+            let reads = vec![Cell::new(0u32); r - l + 1];
+            let counted = |j: usize| {
+                reads[j - l].set(reads[j - l].get() + 1);
+                value(j)
+            };
+            let key = |slot: usize| Some(keys[text.pos(slot)] as usize);
+            for floor in [f64::MIN, canon::log_cut(canon::ln(0.1))] {
+                let mut best = HashMap::new();
+                for j in (l..=r).filter(|&j| value(j) >= floor) {
+                    let v = best.entry(key(j).unwrap()).or_insert(value(j));
+                    *v = v.max(value(j));
+                }
+                let mut ranked: Vec<f64> = best.values().copied().collect();
+                ranked.sort_by(|a, b| b.total_cmp(a));
+                for k in [1, 10] {
+                    reads.iter().for_each(|c| c.set(0));
+                    let walk = level.rmq.best_first(l, r, floor, &counted);
+                    let exact = |slot, upper| level.exact(text, m, slot, upper);
+                    let got = top_k_search(walk, k, exact, key);
+                    let context = format!(
+                        "{:?} [{l}, {r}] k = {k}, floor {floor:e}",
+                        String::from_utf8_lossy(pattern)
+                    );
+                    assert!(reads.iter().all(|c| c.get() <= 1), "{context}: read twice");
+                    let total = reads.iter().map(Cell::get).sum::<u32>() as usize;
+                    let bound = (r - l + 1).min(block * (got.len() + 2));
+                    assert!(total <= bound, "{context}: {total} reads > {bound}");
+                    let cut = ranked.get(k - 1).map_or(floor, |&kth| kth - PROB_EPS);
+                    let mut expected: Vec<(usize, u64)> = (best.iter())
+                        .filter(|&(_, &v)| v >= cut)
+                        .map(|(&src, &v)| (src, v.to_bits()))
+                        .collect();
+                    expected.sort_unstable();
+                    let mut got: Vec<(usize, u64)> =
+                        got.iter().map(|&(src, v)| (src, v.to_bits())).collect();
+                    got.sort_unstable();
+                    assert_eq!(got, expected, "{context}");
+                    if r / block > l / block + 2 {
+                        wide_ranges += 1;
+                    }
+                }
+            }
+        });
+        assert!(wide_ranges > 0, "no range of ≥ 4 blocks");
     }
 
     /// The per-level construction the sweeps replaced, kept as their

@@ -25,6 +25,12 @@
 //!   once: both partial edge blocks, and a full middle block only when its
 //!   champion reaches the threshold (the same split recursion, over the
 //!   champions), so at most `block · (occ + 2)` reads in all.
+//!   [`SampledRmq::best_first`], the levels' top-k, hands out the values of
+//!   a range best first ([`BestFirst`]), reading each at most once as well:
+//!   both partial edge blocks, and a full middle block only when its
+//!   champion is the best value left, so drained it reads at most
+//!   `block · (yielded + 2)`; its floor can be raised as it goes, and a
+//!   yielded index put back at a worse value (top-k's lazy bounds).
 //! * [`ThresholdReporter`] — the same recursion over any range-extreme
 //!   oracle, in decreasing order within each subrange (the approximate
 //!   index's links, over a [`BlockRmq`]).
@@ -45,7 +51,7 @@ mod sparse;
 
 pub use block::BlockRmq;
 pub use reporter::{report_above, ThresholdReporter};
-pub use sampled::SampledRmq;
+pub use sampled::{BestFirst, SampledRmq};
 pub use sparse::SparseTable;
 
 /// Whether a structure answers range-maximum or range-minimum queries.

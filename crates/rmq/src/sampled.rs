@@ -10,7 +10,15 @@
 //! reads each value of its range at most once: the two partial edge blocks
 //! once each, and a full middle block only when its champion reaches the
 //! threshold — found by the same max-split recursion over the champions —
-//! so at most `block · (reported + 2)` values.
+//! so at most `block · (reported + 2)` values. A best-first walk
+//! ([`SampledRmq::best_first`], top-k's) reads the same way in the order of
+//! the values: the edge blocks on creation, the middle blocks under one
+//! queue entry keyed by their best champion, and a block only when that
+//! champion is the best value left — so a drained walk reads at most
+//! `block · (yielded + 2)` values, and each at most once.
+
+use std::cmp::{Ordering, Reverse};
+use std::collections::BinaryHeap;
 
 use crate::{BlockRmq, Direction, Rmq};
 
@@ -251,6 +259,70 @@ impl SampledRmq {
         }
     }
 
+    /// Every `(i, value)` of `[l, r]` whose value [reaches](Direction::reaches)
+    /// `floor`, best first (non-increasing for a maximum, non-decreasing for
+    /// a minimum; nothing for `l > r`), reading each value of the range at
+    /// most once. A range inside two blocks is read on creation, value by
+    /// value. A wider one reads its two partial edge blocks on creation and
+    /// queues its full middle blocks as one entry, keyed by their best
+    /// champion; when such an entry is the best one queued, its champion's
+    /// block is read, its values are queued, and the blocks on either side
+    /// are queued as two entries keyed by their own best champions. At
+    /// equal keys a read value comes out before an unopened block, so a
+    /// middle block is read only once the walk has emitted everything
+    /// better than its champion, which it emits next: drained, the walk
+    /// reads at most `min(r − l + 1, block·(yielded + 2))` values.
+    /// [`BestFirst::raise_floor`] drops the values and blocks that can no
+    /// longer be wanted.
+    ///
+    /// ```
+    /// use ustr_rmq::{Direction, SampledRmq};
+    /// let values = [0.2, 0.9, 0.4, 0.9, 0.1, 0.7, 0.3, 0.8];
+    /// let at = |i: usize| values[i];
+    /// let rmq = SampledRmq::with_block_size(values.len(), 2, Direction::Max, &at);
+    /// let mut walk = rmq.best_first(1, 7, 0.3, &at);
+    /// assert_eq!(walk.next(), Some((1, 0.9)));
+    /// assert_eq!(walk.next(), Some((3, 0.9)));
+    /// walk.raise_floor(0.75);
+    /// assert_eq!(walk.collect::<Vec<_>>(), vec![(7, 0.8)]);
+    /// ```
+    ///
+    /// # Panics
+    ///
+    /// Panics if `l <= r` and `r >= self.len()`.
+    pub fn best_first<'a, A>(
+        &'a self,
+        l: usize,
+        r: usize,
+        floor: f64,
+        accessor: &'a A,
+    ) -> BestFirst<'a, A>
+    where
+        A: Fn(usize) -> f64 + ?Sized,
+    {
+        assert!(l > r || r < self.len, "range end {r} out of bounds");
+        let mut walk = BestFirst {
+            rmq: self,
+            accessor,
+            floor,
+            queue: BinaryHeap::new(),
+        };
+        let (bs, bl, br) = (self.block_size, l / self.block_size, r / self.block_size);
+        if l > r {
+            return walk;
+        }
+        let values = |lo, hi| read(accessor, self.direction, floor, lo, hi);
+        if br <= bl + 1 {
+            walk.queue = values(l, r).collect();
+            return walk;
+        }
+        walk.queue = values(l, (bl + 1) * bs - 1)
+            .chain(values(br * bs, r))
+            .collect();
+        walk.queue_blocks(bl + 1, br - 1);
+        walk
+    }
+
     /// [`SampledRmq::query_with`] with the extreme's value.
     fn extreme(
         &self,
@@ -282,6 +354,182 @@ impl SampledRmq {
         }
         best = self.scan(br * self.block_size, r, accessor, best);
         best.expect("non-empty range")
+    }
+}
+
+/// The walk of [`SampledRmq::best_first`]: an iterator over `(index,
+/// value)`, best first, that reads each index at most once.
+pub struct BestFirst<'a, A: ?Sized> {
+    rmq: &'a SampledRmq,
+    accessor: &'a A,
+    floor: f64,
+    queue: BinaryHeap<Queued>,
+}
+
+/// One queued entry of a [`BestFirst`] walk, in the order it comes out:
+/// the greater key first, then a read value before unopened blocks, then
+/// the leftmost.
+#[derive(Clone, Copy)]
+struct Queued {
+    /// The value, or the blocks' best champion, as [`key`] orders it.
+    key: f64,
+    item: Item,
+}
+
+impl PartialEq for Queued {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+impl Eq for Queued {}
+impl PartialOrd for Queued {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl Ord for Queued {
+    fn cmp(&self, other: &Self) -> Ordering {
+        (self.key.total_cmp(&other.key)).then(self.item.cmp(&other.item))
+    }
+}
+
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Item {
+    /// The full blocks `a..=b`, unread; `best` holds their best champion.
+    Blocks {
+        best: Reverse<usize>,
+        a: usize,
+        b: usize,
+    },
+    /// The value read at this index.
+    Value(Reverse<usize>),
+}
+
+/// `value` as a queue key, the better value the greater: itself for a
+/// maximum, negated for a minimum (which reverses the total order
+/// exactly). Its own inverse.
+#[allow(clippy::float_arithmetic, reason = "negation is exact")]
+fn key(direction: Direction, value: f64) -> f64 {
+    match direction {
+        Direction::Max => value,
+        Direction::Min => -value,
+    }
+}
+
+/// The queue entries of the values in `[lo, hi]` that reach `floor`, each
+/// read once.
+fn read<A: Fn(usize) -> f64 + ?Sized>(
+    accessor: &A,
+    direction: Direction,
+    floor: f64,
+    lo: usize,
+    hi: usize,
+) -> impl Iterator<Item = Queued> + '_ {
+    (lo..=hi).filter_map(move |i| {
+        let v = accessor(i);
+        direction.reaches(v, floor).then(|| Queued {
+            key: key(direction, v),
+            item: Item::Value(Reverse(i)),
+        })
+    })
+}
+
+impl<A: Fn(usize) -> f64 + ?Sized> BestFirst<'_, A> {
+    /// The values a walk still yields reach this.
+    pub fn floor(&self) -> f64 {
+        self.floor
+    }
+
+    /// From now on yields only values that [reach](Direction::reaches)
+    /// `floor` as well, and queues nothing that does not: the tail is the
+    /// values of the range that reach both floors. A `floor` the current
+    /// one already reaches changes nothing.
+    pub fn raise_floor(&mut self, floor: f64) {
+        if self.rmq.direction.beats(floor, self.floor) {
+            self.floor = floor;
+        }
+    }
+
+    /// Queues index `i` once more at `value`, to come out in its place
+    /// among the rest, unless `value` misses the floor. For a caller whose
+    /// values bound the true ones from above: `value` is the true value of
+    /// an index the walk yielded, no better than that yield, so it comes
+    /// out once nothing left in the walk can beat it.
+    ///
+    /// ```
+    /// use ustr_rmq::{Direction, SampledRmq};
+    /// let bounds = [0.9, 0.8, 0.7];
+    /// let at = |i: usize| bounds[i];
+    /// let rmq = SampledRmq::with_block_size(bounds.len(), 1, Direction::Max, &at);
+    /// let mut walk = rmq.best_first(0, 2, 0.0, &at);
+    /// assert_eq!(walk.next(), Some((0, 0.9)));
+    /// walk.requeue(0, 0.75);
+    /// let rest: Vec<(usize, f64)> = walk.collect();
+    /// assert_eq!(rest, vec![(1, 0.8), (0, 0.75), (2, 0.7)]);
+    /// ```
+    pub fn requeue(&mut self, i: usize, value: f64) {
+        let direction = self.rmq.direction;
+        if direction.reaches(value, self.floor) {
+            self.queue.push(Queued {
+                key: key(direction, value),
+                item: Item::Value(Reverse(i)),
+            });
+        }
+    }
+
+    /// Queues the full blocks `a..=b` unread, keyed by their best
+    /// champion, when it reaches the floor.
+    fn queue_blocks(&mut self, a: usize, b: usize) {
+        let best = self.rmq.block_table.query(a, b);
+        let champion = self.rmq.block_table.value(best);
+        if self.rmq.direction.reaches(champion, self.floor) {
+            self.queue.push(Queued {
+                key: key(self.rmq.direction, champion),
+                item: Item::Blocks {
+                    best: Reverse(best),
+                    a,
+                    b,
+                },
+            });
+        }
+    }
+}
+
+impl<A: Fn(usize) -> f64 + ?Sized> Iterator for BestFirst<'_, A> {
+    type Item = (usize, f64);
+
+    fn next(&mut self) -> Option<(usize, f64)> {
+        let direction = self.rmq.direction;
+        while let Some(Queued { key: k, item }) = self.queue.pop() {
+            let value = key(direction, k);
+            if !direction.reaches(value, self.floor) {
+                // Everything still queued is no better.
+                self.queue.clear();
+                return None;
+            }
+            match item {
+                Item::Value(Reverse(i)) => return Some((i, value)),
+                Item::Blocks {
+                    best: Reverse(best),
+                    a,
+                    b,
+                } => {
+                    let (lo, hi) = (
+                        best * self.rmq.block_size,
+                        (best + 1) * self.rmq.block_size - 1,
+                    );
+                    self.queue
+                        .extend(read(self.accessor, direction, self.floor, lo, hi));
+                    if best > a {
+                        self.queue_blocks(a, best - 1);
+                    }
+                    if best < b {
+                        self.queue_blocks(best + 1, b);
+                    }
+                }
+            }
+        }
+        None
     }
 }
 
