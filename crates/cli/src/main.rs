@@ -9,7 +9,7 @@
 //! ustr stats data.ustr [--tau-min 0.1]
 //! ustr stats --live HOST:PORT   (scrape a running serve-net server)
 //! ustr build-index data.ustr --out data.idx [--tau-min 0.1]
-//! ustr build-collection collection.ustr --out data.coll [--epsilon 0.05]
+//! ustr build-collection collection.ustr --out data.coll [--tau-min 0.05]
 //! ustr serve-batch (LIVEDIR | FILE.coll | FILE) queries.txt --threads 4
 //! ustr trace data.coll queries.txt --sample-rate 1.0 --out traces.json
 //! ```
@@ -19,16 +19,17 @@
 //! non-empty line is one document. `build-index` snapshots a built §5
 //! substring index to disk (`ustr-store` format), and `search --index`
 //! loads one instead of rebuilding.
-//! `build-collection` packs a whole collection (per-document substring
-//! indexes, plus approx indexes when `--epsilon` is given) into one `.coll`
-//! snapshot. `serve-batch` answers a query file over a live directory, a
-//! `.coll` collection snapshot or a plain collection file, one request at a
-//! time, each fanned out over the shards or segments; query lines are either
-//! the legacy
+//! `build-collection` packs a whole collection (one substring index per
+//! document) into one `.coll` snapshot. `serve-batch` answers a query file
+//! over a live directory, a `.coll` collection snapshot or a plain
+//! collection file, one request at a time, each fanned out over the shards
+//! or segments; query lines are either the legacy
 //! `PATTERN TAU` (threshold search) or mixed-mode
 //! `search|top|list|approx PATTERN ARG` lines, where `ARG` is τ (or K for
-//! `top`). `--quiet` on any query command prints result rows only, for
-//! scripting. A command refuses any option its usage line does not name.
+//! `top`); an `approx` line is answered exactly, which keeps §7's
+//! ε-sandwich for every ε. `--quiet` on any query command prints result
+//! rows only, for scripting. A command refuses any option its usage line
+//! does not name.
 
 #![forbid(unsafe_code)]
 
@@ -80,21 +81,21 @@ const COMMANDS: &[(&str, &str, &str)] = &[
     ),
     (
         "build-collection",
-        "ustr build-collection FILE --out FILE.coll [--tau-min T0] [--epsilon E] [--quiet]",
+        "ustr build-collection FILE --out FILE.coll [--tau-min T0] [--quiet]",
         "pack a collection into one snapshot file",
     ),
     (
         "serve-batch",
         "ustr serve-batch (LIVEDIR | FILE.coll | FILE) QUERIES.txt [--threads N] [--shards S] \
-         [--cache C] [--tau-min T0] [--epsilon E] [--seal-threshold N] [--compact-min N] \
+         [--cache C] [--tau-min T0] [--seal-threshold N] [--compact-min N] \
          [--slow-query-us N] [--quiet]",
         "answer a (mixed-mode) query file, one request at a time, each fanned over the \
          shards or segments",
     ),
     (
         "ingest",
-        "ustr ingest LIVEDIR FILE [--tau-min T0] [--epsilon E] [--seal-threshold N] \
-         [--compact-min N] [--threads N] [--cache C] [--quiet]",
+        "ustr ingest LIVEDIR FILE [--tau-min T0] [--seal-threshold N] [--compact-min N] \
+         [--threads N] [--cache C] [--quiet]",
         "append documents to a live collection (WAL + memtable)",
     ),
     (
@@ -113,7 +114,7 @@ const COMMANDS: &[(&str, &str, &str)] = &[
          [--threads N] [--io-threads N] [--inflight N] [--max-conns N] [--port-file PATH] \
          [--metrics-addr HOST:PORT] [--trace-sample F] [--slow-query-us N] \
          [--idle-timeout-s N] [--error-budget N] [--shards S] [--cache C] [--tau-min T0] \
-         [--epsilon E] [--seal-threshold N] [--compact-min N] [--quiet]",
+         [--seal-threshold N] [--compact-min N] [--quiet]",
         "serve queries over TCP (ustr-net wire protocol): --threads query workers in \
          all (default one per core) beside the --io-threads event loops",
     ),
@@ -126,8 +127,7 @@ const COMMANDS: &[(&str, &str, &str)] = &[
         "trace",
         "ustr trace (LIVEDIR | FILE.coll | FILE) QUERIES.txt \
          [--sample-rate F] [--out FILE.json] [--threads N] [--shards S] [--cache C] \
-         [--tau-min T0] [--epsilon E] [--seal-threshold N] [--compact-min N] \
-         [--slow-query-us N] [--quiet]",
+         [--tau-min T0] [--seal-threshold N] [--compact-min N] [--slow-query-us N] [--quiet]",
         "answer a query file one request at a time with tracing on and export Chrome trace JSON",
     ),
 ];
@@ -322,16 +322,12 @@ fn cmd_build_collection(args: &Args) -> Result<String, String> {
         .get("out")
         .ok_or_else(|| "missing required option --out".to_string())?;
     let tau_min: f64 = args.get_parsed("tau-min", 0.05)?;
-    let epsilon: Option<f64> = match args.get("epsilon") {
-        Some(_) => Some(args.get_parsed("epsilon", 0.05)?),
-        None => None,
-    };
     // The file records no shard plan: whoever loads it shards it.
     let config = ServiceConfig {
         threads: 1,
         shards: 1,
         cache_capacity: 0,
-        epsilon,
+        epsilon: None,
     };
     let docs = load_collection(path)?;
     let service = QueryService::build(&docs, tau_min, config).map_err(|e| e.to_string())?;
@@ -343,13 +339,8 @@ fn cmd_build_collection(args: &Args) -> Result<String, String> {
     }
     let bytes = fs::metadata(out_path).map(|m| m.len()).unwrap_or(0);
     Ok(format!(
-        "wrote {out_path}: {} document(s), approx indexes: {}, {bytes} bytes",
+        "wrote {out_path}: {} document(s), {bytes} bytes",
         service.num_docs(),
-        if service.has_approx_indexes() {
-            "yes"
-        } else {
-            "no"
-        },
     ))
 }
 
@@ -416,9 +407,9 @@ fn describe_request(req: &QueryRequest) -> String {
 }
 
 /// Detects a *static* source's shape (`.coll` snapshot or plain collection
-/// text file), rejects `--tau-min`/`--epsilon` for snapshot sources (they
-/// would be silently ignored — snapshots carry their own), and loads or
-/// builds the service. Shared by `serve-batch` and `serve-net`.
+/// text file), rejects `--tau-min` for snapshot sources (it would be
+/// silently ignored — snapshots carry their own), and loads or builds the
+/// service. Shared by `serve-batch` and `serve-net`.
 fn load_static_service(source: &str, args: &Args) -> Result<QueryService, String> {
     let is_dir = fs::metadata(source)
         .map_err(|e| format!("cannot read {source}: {e}"))?
@@ -436,23 +427,11 @@ fn load_static_service(source: &str, args: &Args) -> Result<QueryService, String
                 .to_string(),
         );
     }
-    if from_snapshots && args.get("epsilon").is_some() {
-        return Err(
-            "--epsilon applies only when building from a collection file; \
-             snapshot sources serve the approx indexes they already carry \
-             (build them in with `ustr build-collection --epsilon`)"
-                .to_string(),
-        );
-    }
-    let epsilon: Option<f64> = match args.get("epsilon") {
-        Some(_) => Some(args.get_parsed("epsilon", 0.05)?),
-        None => None,
-    };
     let config = ServiceConfig {
         threads: args.get_parsed("threads", 0usize)?,
         shards: args.get_parsed("shards", 0usize)?,
         cache_capacity: args.get_parsed("cache", 1024usize)?,
-        epsilon,
+        epsilon: None,
     };
     if from_snapshots {
         QueryService::load_collection(source, config).map_err(|e| format!("{source}: {e}"))
@@ -608,29 +587,20 @@ fn render_results<E: std::fmt::Display>(
 }
 
 /// Builds a [`LiveConfig`] from the shared live-collection options. An
-/// existing live directory keeps the τmin and ε its manifest recorded, so
-/// over one `--tau-min` and `--epsilon` are refused, not ignored.
+/// existing live directory keeps the τmin its manifest recorded, so over
+/// one `--tau-min` is refused, not ignored.
 fn live_config(dir: &str, args: &Args) -> Result<LiveConfig, String> {
-    if require_live_dir(dir).is_ok() {
-        if let Some(option) = ["tau-min", "epsilon"]
-            .into_iter()
-            .find(|o| args.get(o).is_some())
-        {
-            return Err(format!(
-                "--{option} applies only when creating a live directory; \
-                 {dir} keeps the value it was created with"
-            ));
-        }
+    if require_live_dir(dir).is_ok() && args.get("tau-min").is_some() {
+        return Err(format!(
+            "--tau-min applies only when creating a live directory; \
+             {dir} keeps the value it was created with"
+        ));
     }
-    let epsilon = match args.get("epsilon") {
-        Some(_) => Some(args.get_parsed("epsilon", 0.05)?),
-        None => None,
-    };
     Ok(LiveConfig {
         threads: args.get_parsed("threads", 0usize)?,
         cache_capacity: args.get_parsed("cache", 1024usize)?,
         tau_min: args.get_parsed("tau-min", 0.05)?,
-        epsilon,
+        epsilon: None,
         seal_threshold: args.get_parsed("seal-threshold", 64usize)?,
         compact_min_segments: args.get_parsed("compact-min", 4usize)?,
     })
@@ -1367,6 +1337,14 @@ mod tests {
                 format!("build-index {data} --out {idx} --epsilon 0.1"),
                 "--epsilon",
             ),
+            (
+                format!("build-collection {data} --out {idx} --epsilon 0.1"),
+                "--epsilon",
+            ),
+            (
+                format!("serve-batch {data} {data} --epsilon 0.1"),
+                "--epsilon",
+            ),
         ] {
             let err = run(&argv(&cmd)).unwrap_err();
             assert!(
@@ -1419,12 +1397,11 @@ mod tests {
         );
         let coll = std::env::temp_dir().join("ustr_cli_coll.coll");
         let msg = run(&argv(&format!(
-            "build-collection {docs} --out {} --tau-min 0.05 --epsilon 0.05",
+            "build-collection {docs} --out {} --tau-min 0.05",
             coll.display()
         )))
         .unwrap();
         assert!(msg.contains("3 document(s)"), "{msg}");
-        assert!(msg.contains("approx indexes: yes"), "{msg}");
 
         let out = run(&argv(&format!(
             "serve-batch {} {queries} --threads 2",
@@ -1443,23 +1420,21 @@ mod tests {
             out.contains("query 3 list \"AB\" tau=0.3: 2 document(s)"),
             "{out}"
         );
-        assert!(out.contains("query 4 approx \"AB\" tau=0.3"), "{out}");
+        // Answered exactly: the rows of the search at the same τ.
+        assert!(
+            out.contains("query 4 approx \"AB\" tau=0.3: 2 document(s)"),
+            "{out}"
+        );
         assert!(out.contains("#1"), "ranked output present: {out}");
         assert!(out.contains("Rel_max"), "listing output present: {out}");
 
-        // --tau-min and --epsilon are rejected for snapshot sources: both
-        // only apply when the service is built from a collection file.
+        // --tau-min is rejected for snapshot sources: it only applies when
+        // the service is built from a collection file.
         assert!(run(&argv(&format!(
             "serve-batch {} {queries} --tau-min 0.1",
             coll.display()
         )))
         .is_err());
-        let err = run(&argv(&format!(
-            "serve-batch {} {queries} --epsilon 0.1",
-            coll.display()
-        )))
-        .unwrap_err();
-        assert!(err.contains("--epsilon"), "{err}");
         let _ = fs::remove_file(&coll);
     }
 
@@ -1492,28 +1467,18 @@ mod tests {
         );
         let coll = std::env::temp_dir().join("ustr_cli_stats.coll");
         run(&argv(&format!(
-            "build-collection {docs} --out {} --tau-min 0.05 --epsilon 0.05",
+            "build-collection {docs} --out {} --tau-min 0.05",
             coll.display()
         )))
         .unwrap();
         let out = run(&argv(&format!("stats {}", coll.display()))).unwrap();
         assert!(out.contains("documents                3"), "{out}");
-        assert!(out.contains("format version           9"), "{out}");
-        assert!(out.contains("approxlinks"), "approx sections listed: {out}");
+        assert!(out.contains("format version           10"), "{out}");
         assert!(out.contains("fnv1a"), "checksums listed: {out}");
-        // The totals per kind close the listing, shares summing to 100 %:
-        // an approx section is the links alone, over its index's text.
-        let totals: Vec<&str> = out.lines().rev().take(2).collect();
-        assert!(totals[1].starts_with("total index ") && totals[1].contains(" 3 section(s)"));
-        assert!(totals[0].starts_with("total approxlinks ") && totals[0].contains(" 3 section(s)"));
-        let share = |line: &str| -> f64 {
-            let percent = line.trim_end_matches(" %").rsplit(' ').next().unwrap();
-            percent.parse().unwrap()
-        };
-        assert!(
-            (share(totals[0]) + share(totals[1]) - 100.0).abs() < 0.11,
-            "{out}"
-        );
+        // The total per kind closes the listing: one kind, all the bytes.
+        let total = out.lines().last().unwrap();
+        assert!(total.starts_with("total index ") && total.contains(" 3 section(s)"));
+        assert!(total.ends_with(" 100.0 %"), "{out}");
 
         let idx = std::env::temp_dir().join("ustr_cli_stats.idx");
         let single = write_temp("ustr_cli_stats_one.ustr", "a:.9,b:.1 | a");
@@ -1530,11 +1495,11 @@ mod tests {
         let _ = fs::remove_file(&idx);
     }
 
-    /// Files of the previous snapshot format — a single-index file and a
-    /// version-1 collection, as the previous build wrote them — are refused
-    /// with their path and a message that says to rebuild them, by every
-    /// command that opens one (`serve-net` loads through the same function
-    /// as `serve-batch`).
+    /// Files of earlier snapshot formats — a single-index file, a version-1
+    /// collection, and format-8 and format-9 collections with approx
+    /// sections, as earlier builds wrote them — are refused with their path
+    /// and a message that says to rebuild them, by every command that opens
+    /// one (`serve-net` loads through the same function as `serve-batch`).
     #[test]
     fn an_old_format_file_is_refused_by_path() {
         let queries = write_temp("ustr_cli_oldfmt_q.txt", "AB 0.3\n");
@@ -1545,22 +1510,27 @@ mod tests {
             )
         };
         let (idx, coll) = (fixture("format6.idx"), fixture("format6.coll"));
-        let approx = fixture("format8.coll");
+        let (approx8, approx9) = (fixture("format8.coll"), fixture("format9.coll"));
         for (cmd, path, says) in [
             (
-                format!("serve-batch {approx} {queries}"),
-                &approx,
-                "version 8 (this build reads version 9)",
+                format!("serve-batch {approx8} {queries}"),
+                &approx8,
+                "version 8 (this build reads version 10)",
+            ),
+            (
+                format!("serve-batch {approx9} {queries}"),
+                &approx9,
+                "version 9 (this build reads version 10)",
             ),
             (
                 format!("serve-batch {coll} {queries}"),
                 &coll,
-                "version 1 (this build reads version 9)",
+                "version 1 (this build reads version 10)",
             ),
             (
                 format!("stats {coll}"),
                 &coll,
-                "version 1 (this build reads version 9)",
+                "version 1 (this build reads version 10)",
             ),
             (format!("stats {idx}"), &idx, "bad magic"),
             (
@@ -1648,13 +1618,13 @@ mod tests {
         );
         assert!(out.contains("cache:"), "{out}");
 
-        // The directory keeps the τmin and ε it was created with: a command
-        // that opens it refuses both instead of ignoring them.
+        // The directory keeps the τmin it was created with: a command that
+        // opens it refuses one instead of ignoring it.
         let traces = std::env::temp_dir().join("ustr_cli_live_traces.json");
         for cmd in [
             format!("serve-batch {} {queries} --tau-min 0.3", dir.display()),
             format!(
-                "trace {} {queries} --epsilon 0.1 --out {}",
+                "trace {} {queries} --tau-min 0.1 --out {}",
                 dir.display(),
                 traces.display()
             ),
@@ -1746,8 +1716,8 @@ mod tests {
         let err = run(&argv(&format!("client 127.0.0.1:1 {queries}"))).unwrap_err();
         assert!(err.contains("127.0.0.1:1"), "{err}");
 
-        // Snapshot sources reject --tau-min/--epsilon instead of silently
-        // ignoring them, exactly like serve-batch.
+        // Snapshot sources reject --tau-min instead of silently ignoring
+        // it, exactly like serve-batch.
         let coll = std::env::temp_dir().join("ustr_cli_net_flags.coll");
         run(&argv(&format!(
             "build-collection {docs} --out {} --tau-min 0.05",
@@ -1760,12 +1730,6 @@ mod tests {
         )))
         .unwrap_err();
         assert!(err.contains("--tau-min"), "{err}");
-        let err = run(&argv(&format!(
-            "serve-net {} --epsilon 0.1 --max-conns 1",
-            coll.display()
-        )))
-        .unwrap_err();
-        assert!(err.contains("--epsilon"), "{err}");
         let _ = fs::remove_file(&coll);
     }
 

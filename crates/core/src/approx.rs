@@ -32,23 +32,20 @@
 //! not its probability, so a link's probability only bounds the truth from
 //! above: the cut at τ − ε keeps every true hit but may keep more, and the
 //! value overstates. A correlated document's index therefore holds the
-//! [`Index`]'s verification plane (shared, not copied) and re-verifies
-//! each hit through its kernel, as [`Index::query`] does: a hit stays iff
-//! its exact probability meets τ − ε, and reports that exact value.
-//! Uncorrelated documents hold no plane and do no such work.
+//! model's verification plane and re-verifies each hit through its kernel,
+//! as [`Index::query`](crate::Index::query) does: a hit stays iff its exact
+//! probability meets τ − ε, and reports that exact value. Uncorrelated
+//! documents hold no plane and do no such work.
 //!
-//! **One text.** The links hang off the suffix tree, `C` and position map
-//! of the §5 [`Index`] over the same source: [`ApproxIndex::over`] shares
-//! them, so a document has one transform and one tree. A link stores a
-//! *witness* — the text position of a leaf below its origin — instead of
-//! its source position (the position map's at the witness) and probability
-//! (the window of `C` at the witness), so a snapshot of the links
-//! ([`ApproxIndex::to_links_snapshot`]) is four integers a link, and a load
-//! reads each probability back from `C` with the build's own `canon::exp`.
+//! **The paper's artifact.** This index is built and measured as §7 has
+//! it; nothing serves it. The exact answer keeps the sandwich by
+//! definition, and the exact [`Index`](crate::Index) answers as fast, so
+//! the serving stack answers `Approx` from its `Index` and holds no links.
+//! A link stores a *witness* — the text position of a leaf below its
+//! origin — and reads its source position off the position map there.
 
 use std::cmp::Reverse;
 use std::ops::Range;
-use std::sync::Arc;
 use std::time::Instant;
 
 use ustr_rmq::{BlockRmq, Direction, Rmq, ThresholdReporter};
@@ -59,18 +56,27 @@ use crate::{
     carray::CumulativeLogProb,
     error::{validate_query, Error},
     factors::{stretch_starts, FactorMap},
-    index::Index,
     result::QueryResult,
-    snapshot::{invalid, ApproxLinkState, ApproxLinksState},
     stats::BuildStats,
     substrate::{check_text_len, ScoredText},
 };
 
-/// One ε-refined link as a query reads it: its snapshot row, with the
-/// probability read at its witness beside it (24 bytes).
+/// One ε-refined link (24 bytes): it connects an origin endpoint at
+/// `origin_depth` to a target endpoint at `target_depth` along the path from
+/// a marked suffix-tree node toward the root.
 #[derive(Debug, Clone, Copy)]
 struct Link {
-    row: ApproxLinkState,
+    /// Key of the (real) node anchoring the origin endpoint, as the suffix
+    /// tree keys it ([`SuffixTree::node_key`]).
+    origin: u32,
+    /// String depth of the origin endpoint (at most the node's own).
+    origin_depth: u32,
+    /// String depth of the target endpoint (`< origin_depth`).
+    target_depth: u32,
+    /// Text position of a suffix below the origin node, on no separator.
+    witness: u32,
+    /// The window of `origin_depth` characters of `C` at the witness,
+    /// capped at the next separator.
     prob: f64,
 }
 
@@ -88,17 +94,15 @@ struct Link {
 /// assert!(!hits.positions().contains(&1));
 /// ```
 pub struct ApproxIndex {
-    /// The scored text the links hang off: an [`Index`]'s, its arrays
-    /// shared, when built [`over`](ApproxIndex::over) one. Its tree gives
-    /// pattern loci; its `C` gave each link its probability. Counted by the
-    /// `Index`.
+    /// The scored text the links hang off, as an [`Index`](crate::Index)
+    /// over the same source holds it. Its tree gives pattern loci; its `C`
+    /// gave each link its probability.
     text: ScoredText,
     /// The position map over `text`: a link's witness → its source position.
     map: FactorMap,
     /// The source model's verification plane, held only when the model has
-    /// correlations (module docs): an [`Index`]'s, shared, when built over
-    /// one. Counted by the `Index`.
-    plane: Option<Arc<ProbPlane>>,
+    /// correlations (module docs).
+    plane: Option<ProbPlane>,
     /// Sorted by `origin`, the key of the origin node in `text`'s tree.
     links: Vec<Link>,
     /// Min-RMQ over `links[..].target_depth`.
@@ -109,12 +113,14 @@ pub struct ApproxIndex {
 }
 
 impl ApproxIndex {
-    /// Builds a stand-alone index for threshold floor `tau_min` and
-    /// additive error `epsilon ∈ (0, 1)`: the transform and tree an
-    /// [`Index`] over `source` would build, and the links over them (and
-    /// the plane, when `source` has correlations).
+    /// Builds the index for threshold floor `tau_min` and additive error
+    /// `epsilon ∈ (0, 1)`: the transform and tree an [`Index`](crate::Index)
+    /// over `source` would build, and the links over them (and the plane,
+    /// when `source` has correlations).
     pub fn build(source: &UncertainString, tau_min: f64, epsilon: f64) -> Result<Self, Error> {
-        check_epsilon(epsilon)?;
+        if !canon::valid_epsilon(epsilon) {
+            return Err(Error::InvalidEpsilon { value: epsilon });
+        }
         let start = Instant::now();
         let transformed = transform(source, tau_min)?;
         let chars = transformed.special.chars();
@@ -122,63 +128,10 @@ impl ApproxIndex {
         let starts = stretch_starts(chars).map(|x| transformed.pos[x]);
         let map =
             FactorMap::new(chars, starts, source.len()).expect("the transform emits a factor map");
-        let plane = (!source.correlations().is_empty()).then(|| Arc::new(ProbPlane::build(source)));
-        let stats = BuildStats {
-            source_len: source.len(),
-            transformed_len: transformed.len(),
-            num_factors: transformed.num_factors,
-            ..Default::default()
-        };
-        Self::link(text, map, plane, tau_min, epsilon, stats, start)
-    }
-
-    /// Builds the links over `index`'s own text, tree and position map,
-    /// which both then share (and its plane, when its model has
-    /// correlations): the document's one transform and one suffix tree
-    /// serve the exact and the approximate queries.
-    pub fn over(index: &Index, epsilon: f64) -> Result<Self, Error> {
-        check_epsilon(epsilon)?;
-        let start = Instant::now();
-        let (text, map) = index.shared_text();
-        let stats = BuildStats {
-            heap_bytes: 0,
-            build_time: Default::default(),
-            ..index.stats().clone()
-        };
-        let (text, map) = (text.clone(), map.clone());
-        let plane = index.correlated_plane();
-        Self::link(text, map, plane, index.tau_min(), epsilon, stats, start)
-    }
-
-    /// Finds the links over `text` and assembles the index; the clock
-    /// started at `start`.
-    fn link(
-        text: ScoredText,
-        map: FactorMap,
-        plane: Option<Arc<ProbPlane>>,
-        tau_min: f64,
-        epsilon: f64,
-        stats: BuildStats,
-        start: Instant,
-    ) -> Result<Self, Error> {
+        let plane = (!source.correlations().is_empty()).then(|| ProbPlane::build(source));
         check_text_len(text.tree.text().len(), MAX_KEYED_LEN)?;
         let links = find_links(&text, &map, epsilon);
-        let mut idx = Self::assemble(text, map, plane, links, epsilon, tau_min, stats);
-        // Last: the clock covers everything a caller waits for.
-        idx.stats.build_time = start.elapsed();
-        Ok(idx)
-    }
-
-    fn assemble(
-        text: ScoredText,
-        map: FactorMap,
-        plane: Option<Arc<ProbPlane>>,
-        links: Vec<Link>,
-        epsilon: f64,
-        tau_min: f64,
-        stats: BuildStats,
-    ) -> Self {
-        let depths: Vec<f64> = links.iter().map(|l| l.row.target_depth as f64).collect();
+        let depths: Vec<f64> = links.iter().map(|l| l.target_depth as f64).collect();
         let target_rmq = BlockRmq::new(&depths, Direction::Min);
         let mut idx = Self {
             text,
@@ -188,16 +141,23 @@ impl ApproxIndex {
             target_rmq,
             epsilon,
             tau_min,
-            stats,
+            stats: BuildStats {
+                source_len: source.len(),
+                transformed_len: transformed.len(),
+                num_factors: transformed.num_factors,
+                ..Default::default()
+            },
         };
         idx.stats.heap_bytes = idx.heap_size();
-        idx
+        // Last: the clock covers everything a caller waits for.
+        idx.stats.build_time = start.elapsed();
+        Ok(idx)
     }
 
     /// Heap bytes held, per structure: a `(name, bytes)` row for everything
     /// the links add to the text they hang off. The text, its tree and the
-    /// position map (and a correlated model's plane) are the [`Index`]'s
-    /// rows, counted there once.
+    /// position map (and a correlated model's plane) are an
+    /// [`Index`](crate::Index)'s rows, and are not counted here.
     pub fn heap_breakdown(&self) -> [(&'static str, usize); 2] {
         [
             ("links", self.links.capacity() * std::mem::size_of::<Link>()),
@@ -236,53 +196,6 @@ impl ApproxIndex {
         &self.stats
     }
 
-    /// The links alone: what an index built [`over`](ApproxIndex::over) an
-    /// [`Index`] adds to that index's state.
-    pub fn to_links_snapshot(&self) -> ApproxLinksState {
-        ApproxLinksState {
-            links: self.links.iter().map(|l| l.row).collect(),
-            epsilon: self.epsilon,
-            build_time: self.stats.build_time,
-        }
-    }
-
-    /// Reassembles the links of `state` over `index`, which must be the
-    /// index they were built over (or one loaded from its snapshot): the
-    /// counterpart of [`ApproxIndex::to_links_snapshot`]. Only cheap derived
-    /// structures are rebuilt — each link's probability from `C` (on the
-    /// loading machine, with `canon::exp`: the build's one call per link),
-    /// the min-RMQ over link target depths — so the result holds what the
-    /// index the state was taken from held and answers every query
-    /// byte-identically. Every link is checked against `index`'s tree, so
-    /// links paired with another text fail with [`Error::InvalidSnapshot`],
-    /// as does any other structurally inconsistent state.
-    pub fn from_links_snapshot(index: &Index, state: ApproxLinksState) -> Result<Self, Error> {
-        if !canon::valid_epsilon(state.epsilon) {
-            return Err(invalid("epsilon outside (0, 1)"));
-        }
-        let (text, map) = index.shared_text();
-        check_text_len(text.tree.text().len(), MAX_KEYED_LEN)?;
-        check_links(text, map, &state.links)?;
-        let run = text.run_lengths();
-        let links = (state.links.into_iter())
-            .map(|row| {
-                let lmax = run[row.witness as usize] as usize;
-                let prob = link_prob(&text.cum, (row.witness, lmax), row.origin_depth as usize);
-                Link { row, prob }
-            })
-            .collect();
-        let stats = BuildStats {
-            heap_bytes: 0,
-            build_time: state.build_time,
-            ..index.stats().clone()
-        };
-        let (text, map, plane) = (text.clone(), map.clone(), index.correlated_plane());
-        let (epsilon, tau_min) = (state.epsilon, index.tau_min());
-        Ok(Self::assemble(
-            text, map, plane, links, epsilon, tau_min, stats,
-        ))
-    }
-
     /// Positions where `pattern` matches with probability ≥ τ, up to the
     /// additive error: the result contains every position with true
     /// probability ≥ τ and no position below τ − ε. Reported probabilities
@@ -296,8 +209,8 @@ impl ApproxIndex {
         };
         // The links whose origin is keyed inside the locus subtree.
         let keys = SuffixTree::subtree_keys(l, r);
-        let lo = (self.links).partition_point(|l| (l.row.origin as usize) < *keys.start());
-        let hi = (self.links).partition_point(|l| (l.row.origin as usize) <= *keys.end());
+        let lo = (self.links).partition_point(|l| (l.origin as usize) < *keys.start());
+        let hi = (self.links).partition_point(|l| (l.origin as usize) <= *keys.end());
         if lo >= hi {
             return Ok(QueryResult::default());
         }
@@ -313,12 +226,12 @@ impl ApproxIndex {
             (m - 1) as f64,
             Direction::Min,
             |a, b| self.target_rmq.query(a, b),
-            |i| self.links[i].row.target_depth as f64,
+            |i| self.links[i].target_depth as f64,
         );
         for (i, _) in reporter {
-            let Link { row, prob } = self.links[i];
-            if (row.origin_depth as usize) >= m && prob >= cutoff {
-                hits.push((row.witness as usize, prob));
+            let link = &self.links[i];
+            if (link.origin_depth as usize) >= m && link.prob >= cutoff {
+                hits.push((link.witness as usize, link.prob));
             }
         }
         // Witnesses become source positions in a pass of their own, where
@@ -345,64 +258,6 @@ impl ApproxIndex {
 /// The longest text whose node keys fit a link's `u32` origin: the
 /// largest, leaf `n`'s, is `2·n + 1`.
 const MAX_KEYED_LEN: usize = (u32::MAX / 2) as usize;
-
-fn check_epsilon(epsilon: f64) -> Result<(), Error> {
-    if canon::valid_epsilon(epsilon) {
-        Ok(())
-    } else {
-        Err(Error::InvalidEpsilon { value: epsilon })
-    }
-}
-
-/// Refuses link rows that the tree of `text` does not carry: out of order,
-/// a target not above its origin, an origin key that names no node, a
-/// witness out of the text or on a separator, a witness leaf outside the
-/// origin node's subtree, or an origin deeper than that node.
-fn check_links(text: &ScoredText, map: &FactorMap, rows: &[ApproxLinkState]) -> Result<(), Error> {
-    let mut prev = 0u32;
-    for row in rows {
-        if row.origin < prev {
-            return Err(invalid("links are not sorted by origin"));
-        }
-        prev = row.origin;
-        if row.target_depth >= row.origin_depth {
-            return Err(invalid("link target depth not below its origin"));
-        }
-    }
-    let tree = &text.tree;
-    let chars = tree.text();
-    // Transient, from one walk over the tree: text position → the slot of
-    // its leaf, and the key of every node → its interval.
-    let mut slot_of = vec![0u32; chars.len()];
-    for slot in 1..tree.num_slots() {
-        slot_of[tree.sa(slot)] = slot as u32;
-    }
-    // (`(1, 0)`, an empty interval, at a key that names no node).
-    let mut node_of = vec![(1u32, 0u32); SuffixTree::leaf_key(tree.num_slots())];
-    tree.for_each_node(|l, r| node_of[tree.node_key(l, r)] = (l as u32, r as u32));
-    for row in rows {
-        let (l, r) = match node_of.get(row.origin as usize) {
-            Some(&(l, r)) if l <= r => (l as usize, r as usize),
-            _ => return Err(invalid("link origin names no node of the tree")),
-        };
-        let depth = if l == r {
-            chars.len() - tree.sa(l) + 1
-        } else {
-            tree.slot_lcp(tree.first_l_index(l, r))
-        };
-        let w = row.witness as usize;
-        if map.source_pos(w).is_none() {
-            return Err(invalid("link witness outside the text or on a separator"));
-        }
-        if !(l..=r).contains(&(slot_of[w] as usize)) {
-            return Err(invalid("link witness outside its origin's subtree"));
-        }
-        if row.origin_depth as usize > depth {
-            return Err(invalid("link origin deeper than its node"));
-        }
-    }
-    Ok(())
-}
 
 /// Source positions from which [`find_links`] walks its sources as two
 /// halves on two threads (below it, a spawn per small document costs more
@@ -538,14 +393,14 @@ fn in_table_order((first, later): (Vec<Link>, Vec<Link>), keys: usize) -> Vec<Li
     // advances it — its end.
     let mut end = vec![0u32; keys + 1];
     for l in all() {
-        end[l.row.origin as usize + 1] += 1;
+        end[l.origin as usize + 1] += 1;
     }
     for o in 1..=keys {
         end[o] += end[o - 1];
     }
     let mut links = vec![placeholder; end[keys] as usize];
     for &l in all() {
-        let at = &mut end[l.row.origin as usize];
+        let at = &mut end[l.origin as usize];
         links[*at as usize] = l;
         *at += 1;
     }
@@ -553,18 +408,11 @@ fn in_table_order((first, later): (Vec<Link>, Vec<Link>), keys: usize) -> Vec<Li
     for &end in &end[..keys] {
         let run = &mut links[start..end as usize];
         if run.len() > 1 {
-            run.sort_unstable_by_key(|l| (l.row.witness, Reverse(l.row.origin_depth)));
+            run.sort_unstable_by_key(|l| (l.witness, Reverse(l.origin_depth)));
         }
         start = end as usize;
     }
     links
-}
-
-/// The probability a link reports: that of the length-`depth` prefix of
-/// the suffix at witness `x`, capped at the factor boundary `lmax` (its run
-/// length).
-fn link_prob(cum: &CumulativeLogProb, (x, lmax): (u32, usize), depth: usize) -> f64 {
-    canon::exp(cum.window(x as usize, depth.min(lmax)))
 }
 
 /// Splits the virtual edge from a node — `origin` is its (key, string
@@ -581,7 +429,7 @@ fn refine_link(
     links: &mut Vec<Link>,
 ) {
     debug_assert!(o0 > t0, "virtual child must be deeper than its parent");
-    let p_at = |depth: usize| link_prob(cum, (x, lmax), depth);
+    let p_at = |depth: usize| canon::exp(cum.window(x as usize, depth.min(lmax)));
     let mut o = o0;
     while o > t0 {
         let p_o = p_at(o);
@@ -591,13 +439,13 @@ fn refine_link(
         // ≥ `lmax` P is the constant P(lmax) = P(o) (`o` is deeper still),
         // so the predicate holds there without a probe.
         let t = first_holding(t0, o - 1, lmax, |mid| p_at(mid) - p_o <= epsilon);
-        let row = ApproxLinkState {
+        links.push(Link {
             origin,
             origin_depth: o as u32,
             target_depth: t as u32,
             witness: x,
-        };
-        links.push(Link { row, prob: p_o });
+            prob: p_o,
+        });
         o = t;
     }
 }
@@ -742,126 +590,30 @@ mod tests {
         }
     }
 
-    fn protein_fragment() -> UncertainString {
-        UncertainString::parse(
-            "P | S:.7,F:.3 | F | P | Q:.5,T:.5 | P | A:.4,F:.4,P:.2 | \
-             I:.3,L:.3,P:.3,T:.1 | A | S:.5,T:.5 | A",
-        )
-        .unwrap()
+    /// FNV-1a, 64 bits.
+    fn fnv(h: u64, bytes: &[u8]) -> u64 {
+        (bytes.iter()).fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
     }
 
-    const PATTERNS: [&[u8]; 7] = [b"AT", b"PQ", b"SFPQ", b"PA", b"TPA", b"FPQP", b"Z"];
-
-    fn same_answers(a: &ApproxIndex, b: &ApproxIndex) {
-        for pattern in PATTERNS {
-            for tau in [0.05, 0.12, 0.3, 0.5] {
-                assert_eq!(
-                    a.query(pattern, tau).unwrap().hits(),
-                    b.query(pattern, tau).unwrap().hits(),
-                    "pattern {pattern:?} tau {tau}"
-                );
+    /// The link table at ε = 0.05 over the generated 10 000-position
+    /// protein string (seed 43) at τmin 0.1: `(links, hash over each link's
+    /// origin key, origin depth, target depth and witness)`. The walk runs
+    /// as two halves on two threads above its size floor; CI runs this a
+    /// second time pinned to one core, where it runs serially, against the
+    /// same numbers. The hash moved once, when origins went from preorder
+    /// ranks to the tree's node keys: the same links, keyed and ordered
+    /// anew.
+    #[test]
+    fn the_link_table_is_pinned() {
+        let s = ustr_workload::generate_string(&ustr_workload::DatasetConfig::new(10_000, 0.3, 43));
+        let idx = ApproxIndex::build(&s, 0.1, 0.05).unwrap();
+        let mut h = 0xcbf2_9ce4_8422_2325;
+        for l in &idx.links {
+            for v in [l.origin, l.origin_depth, l.target_depth, l.witness] {
+                h = fnv(h, &v.to_le_bytes());
             }
         }
-    }
-
-    /// Links built over an `Index` are the stand-alone build's links, over
-    /// the index's own tree, and survive their links-only snapshot.
-    #[test]
-    fn links_over_an_index_are_the_stand_alone_links() {
-        let s = protein_fragment();
-        let alone = ApproxIndex::build(&s, 0.02, 0.03).unwrap();
-        let index = Index::build(&s, 0.02).unwrap();
-        let over = ApproxIndex::over(&index, 0.03).unwrap();
-        let shared = |text: &ScoredText| text.tree.sa_slots().as_ptr();
-        assert_eq!(shared(&over.text), shared(index.shared_text().0));
-        assert_eq!(
-            over.to_links_snapshot().links,
-            alone.to_links_snapshot().links
-        );
-        assert_eq!(over.heap_breakdown(), alone.heap_breakdown());
-        same_answers(&alone, &over);
-        let loaded = ApproxIndex::from_links_snapshot(&index, over.to_links_snapshot()).unwrap();
-        same_answers(&over, &loaded);
-    }
-
-    /// A link is loaded only if the tree it hangs off carries it: its
-    /// witness is a suffix of the text below its origin node, no deeper
-    /// than that node, and its target above its origin; and only with an ε
-    /// in (0, 1). One row per way a checksummed state can break that, and
-    /// links paired with another document's index.
-    #[test]
-    fn loaded_links_are_checked_against_the_tree() {
-        let index = Index::build(&protein_fragment(), 0.02).unwrap();
-        let approx = ApproxIndex::over(&index, 0.03).unwrap();
-        let load = |index: &Index, state| match ApproxIndex::from_links_snapshot(index, state) {
-            Err(Error::InvalidSnapshot { detail }) => detail,
-            Err(other) => panic!("wrong error kind: {other:?}"),
-            Ok(_) => panic!("inconsistent links were accepted"),
-        };
-        let state = approx.to_links_snapshot();
-        let rows = &state.links;
-        let tree = &approx.text.tree;
-        let chars = tree.text();
-        let separator = chars.iter().position(|&c| c == 0).unwrap() as u32;
-        // A link from a leaf, whose subtree is its witness alone, and
-        // another suffix for it.
-        let leaf_key = |w: u32| {
-            let slot = (0..tree.num_slots()).find(|&j| tree.sa(j) == w as usize);
-            SuffixTree::leaf_key(slot.unwrap()) as u32
-        };
-        let from_leaf = rows.iter().position(|l| leaf_key(l.witness) == l.origin);
-        let from_leaf = from_leaf.unwrap();
-        let elsewhere = (0..chars.len() as u32)
-            .find(|&w| chars[w as usize] != 0 && w != rows[from_leaf].witness)
-            .unwrap();
-
-        type Tamper<'a> = Box<dyn Fn(&mut ApproxLinksState) + 'a>;
-        let tampers: [(&str, Tamper<'_>); 9] = [
-            ("epsilon outside (0, 1)", Box::new(|s| s.epsilon = 0.0)),
-            (
-                "target depth not below its origin",
-                Box::new(|s| s.links[0].target_depth = s.links[0].origin_depth),
-            ),
-            (
-                "not sorted by origin",
-                Box::new(|s| s.links[0].origin = u32::MAX),
-            ),
-            (
-                "names no node of the tree",
-                Box::new(|s| s.links.last_mut().unwrap().origin = u32::MAX),
-            ),
-            (
-                // Key 0 would be slot 0's name, and slot 0 names no node.
-                "names no node of the tree",
-                Box::new(|s| s.links[0].origin = 0),
-            ),
-            (
-                "outside the text or on a separator",
-                Box::new(|s| s.links[0].witness = chars.len() as u32),
-            ),
-            (
-                "outside the text or on a separator",
-                Box::new(move |s| s.links[0].witness = separator),
-            ),
-            (
-                "outside its origin's subtree",
-                Box::new(move |s| s.links[from_leaf].witness = elsewhere),
-            ),
-            (
-                "origin deeper than its node",
-                Box::new(|s| s.links.iter_mut().for_each(|l| l.origin_depth += 3)),
-            ),
-        ];
-        for (expected, tamper) in tampers {
-            let mut tampered = state.clone();
-            tamper(&mut tampered);
-            let detail = load(&index, tampered);
-            assert!(detail.contains(expected), "{expected:?}: got {detail:?}");
-        }
-        // The links of one document over the index of another.
-        let other = UncertainString::parse("A | T | S:.5,T:.5 | P | A:.4,F:.4,P:.2").unwrap();
-        let other = Index::build(&other, 0.02).unwrap();
-        load(&other, state.clone());
+        assert_eq!((idx.num_links(), h), (196_610, 17047414776978951797));
     }
 
     /// The search as it was written before its unprobed halvings were

@@ -22,15 +22,13 @@
 //! bytes give; the separators themselves are the text's, counted nowhere
 //! here.
 
-use std::sync::Arc;
-
 use ustr_uncertain::canon;
 
-/// Cumulative log-probability array. A clone shares the prefix sums.
-#[derive(Debug, Clone)]
+/// Cumulative log-probability array.
+#[derive(Debug)]
 pub struct CumulativeLogProb {
     /// `prefix[i]` = Σ log(prob) over the first `i` positions.
-    prefix: Arc<[f64]>,
+    prefix: Box<[f64]>,
 }
 
 impl CumulativeLogProb {
@@ -46,8 +44,7 @@ impl CumulativeLogProb {
             }
             sum
         });
-        // An exact-size iterator: collected straight into the shared
-        // allocation.
+        // An exact-size iterator: collected straight into one allocation.
         Self {
             prefix: std::iter::once(0.0).chain(sums).collect(),
         }

@@ -12,8 +12,6 @@
 //! A snapshot stores each factor's source start ([`FactorMap::starts`]),
 //! which [`FactorMap::new`] checks and turns into the bases.
 
-use std::sync::Arc;
-
 /// 64 characters of the text: which are separators, and how many
 /// separators come before the first of them.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -24,13 +22,13 @@ struct RankWord {
     before: u32,
 }
 
-/// Text position → factor and source position. A clone shares the arrays.
-#[derive(Debug, Clone)]
+/// Text position → factor and source position.
+#[derive(Debug)]
 pub(crate) struct FactorMap {
-    words: Arc<[RankWord]>,
+    words: Box<[RankWord]>,
     /// Per factor (per stretch between separators): source start minus
     /// text start, as wrapping `u32` arithmetic.
-    bases: Arc<[u32]>,
+    bases: Box<[u32]>,
 }
 
 /// The text position where each stretch of `chars` (byte 0 = separator)
@@ -266,9 +264,9 @@ mod tests {
         /// The factor map of every index answers as the plain map of the
         /// transform it was built from, at every text position and past
         /// the text — for an `Index` (built and loaded, whose snapshot
-        /// writes the plain map's factor starts), the `ApproxIndex` over it (built and
-        /// loaded), a stand-alone `ApproxIndex`, and a `ListingIndex`, whose map and
-        /// per-factor documents give the pair the per-position arrays gave.
+        /// writes the plain map's factor starts), an `ApproxIndex`, and a
+        /// `ListingIndex`, whose map and per-factor documents give the pair
+        /// the per-position arrays gave.
         #[test]
         fn the_factor_map_is_the_plain_map(
             rows in prop::collection::vec(prop::collection::vec((0u8..3, 1u32..100), 1..=3), 1..=24),
@@ -287,16 +285,11 @@ mod tests {
             let starts = stretch_starts(plain.special.chars()).map(|x| plain.pos[x]);
             prop_assert_eq!(state.starts, starts.collect::<Vec<_>>());
             let loaded = Index::from_snapshot(state).unwrap();
-            let over = ApproxIndex::over(&index, 0.05).unwrap();
-            let links = over.to_links_snapshot();
-            let reloaded = ApproxIndex::from_links_snapshot(&loaded, links).unwrap();
             let alone = ApproxIndex::build(&s, tau_min, 0.05).unwrap();
             for x in 0..len + 64 {
                 let want = (x < len).then(|| plain.source_pos(x)).flatten();
                 prop_assert_eq!(index.source_pos(x), want, "index at {}", x);
                 prop_assert_eq!(loaded.source_pos(x), want, "loaded index at {}", x);
-                prop_assert_eq!(over.source_pos(x), want, "approx over the index at {}", x);
-                prop_assert_eq!(reloaded.source_pos(x), want, "approx loaded over it at {}", x);
                 prop_assert_eq!(alone.source_pos(x), want, "stand-alone approx at {}", x);
             }
 

@@ -1,7 +1,6 @@
 //! The general uncertain-string substring index (§5): Lemma-2 transform +
 //! position mapping + per-level duplicate elimination over the §4 machinery.
 
-use std::sync::Arc;
 use std::time::Instant;
 
 use ustr_uncertain::{canon, transform, ProbPlane, UncertainString, NO_POSITION};
@@ -12,7 +11,7 @@ use crate::{
     result::QueryResult,
     snapshot::{invalid, IndexState},
     stats::BuildStats,
-    substrate::{DedupStrategy, ScoredText, Substrate, NO_KEY},
+    substrate::{DedupStrategy, Substrate, NO_KEY},
 };
 
 // The position map doubles as the dedup key array.
@@ -55,13 +54,10 @@ pub struct Index {
     /// The one in-memory copy of the source model, and its verification
     /// kernel — rebuilt on load from the snapshot's string, which
     /// [`Index::to_snapshot`] materializes again (formats are untouched).
-    /// Shared by the [`crate::ApproxIndex`] over this one when the model
-    /// has correlations.
-    plane: Arc<ProbPlane>,
+    plane: ProbPlane,
     /// Lemma-2 position map, all that is kept of the transform beside the
     /// substrate: text position → source position, `None` at separators,
-    /// as one base per factor. Shared, with the substrate's text, by an
-    /// [`crate::ApproxIndex`] built [`over`](crate::ApproxIndex::over) this one.
+    /// as one base per factor.
     map: FactorMap,
     substrate: Substrate,
     tau_min: f64,
@@ -92,7 +88,7 @@ impl Index {
             ..Default::default()
         };
         let mut idx = Self {
-            plane: Arc::new(ProbPlane::build(source)),
+            plane: ProbPlane::build(source),
             map,
             substrate,
             tau_min,
@@ -107,18 +103,6 @@ impl Index {
     /// The construction-time threshold.
     pub fn tau_min(&self) -> f64 {
         self.tau_min
-    }
-
-    /// The scored text and position map, for the §7 links that hang off
-    /// them.
-    pub(crate) fn shared_text(&self) -> (&ScoredText, &FactorMap) {
-        (self.substrate.text(), &self.map)
-    }
-
-    /// The verification plane, for §7 links over a model with correlations
-    /// (whose `C` only bounds each probability from above); `None` without.
-    pub(crate) fn correlated_plane(&self) -> Option<Arc<ProbPlane>> {
-        (self.plane.has_correlations()).then(|| Arc::clone(&self.plane))
     }
 
     /// Decomposes the index into its persistence-ready snapshot state (see
@@ -151,7 +135,7 @@ impl Index {
         let probs = text_probs(&state.source, chars, &map)?;
         let substrate = Substrate::from_state(state.substrate, &probs)?;
         let mut idx = Self {
-            plane: Arc::new(ProbPlane::build(&state.source)),
+            plane: ProbPlane::build(&state.source),
             map,
             substrate,
             tau_min: state.tau_min,
@@ -479,7 +463,7 @@ mod tests {
         .unwrap();
         fixture.set_correlations(set).unwrap();
         let bits = |index: &Index| -> Vec<u64> {
-            let cum = &index.shared_text().0.cum;
+            let cum = &index.substrate.text().cum;
             cum.prefix().iter().map(|x| x.to_bits()).collect()
         };
         for (s, tau_min) in [

@@ -16,15 +16,15 @@
 //! | [`ApproxIndex`] | §7 | approximate substring search with additive error ε | `Approx` |
 //!
 //! The build-once/serve-forever persistence layer covers what a server
-//! loads: an [`Index`] (`to_snapshot` / `from_snapshot`) and the links of
-//! an [`ApproxIndex`] built over one (`to_links_snapshot` /
-//! `from_links_snapshot`), as the plain-data state structs in [`snapshot`].
-//! [`SpecialIndex`], [`ListingIndex`] and a stand-alone [`ApproxIndex`] are
-//! built from their input whenever they are wanted. The byte encoding
-//! (magic, format version, checksum) lives in the `ustr-store` crate (which
-//! also defines the single-file *collection snapshot* container); the
-//! concurrent sharded serving engine dispatching all four query modes over
-//! built or loaded indexes lives in `ustr-service`.
+//! loads: an [`Index`] (`to_snapshot` / `from_snapshot`), as the
+//! plain-data state structs in [`snapshot`]. [`SpecialIndex`],
+//! [`ListingIndex`] and [`ApproxIndex`] are built from their input whenever
+//! they are wanted. The byte encoding (magic, format version, checksum)
+//! lives in the `ustr-store` crate (which also defines the single-file
+//! *collection snapshot* container); the concurrent sharded serving engine
+//! dispatching all four query modes over built or loaded indexes lives in
+//! `ustr-service`, which answers `Approx` from the exact [`Index`] (the
+//! exact answer keeps §7's sandwich by definition, and is as fast).
 //!
 //! The machinery follows the paper: the uncertain string is reduced to a
 //! deterministic text (via the Lemma-2 maximal-factor transform for general
@@ -42,12 +42,9 @@
 //! decomposes and validates that triple; [`SpecialIndex`], [`Index`] and
 //! [`ListingIndex`] are each "substrate + own map + own verification", and
 //! [`ApproxIndex`] hangs its links off the substrate's level-free half
-//! (suffix tree + `C`) and the position map: [`ApproxIndex::over`] shares
-//! an [`Index`]'s, so a document served with ε has one transform and one
-//! tree. In [`snapshot`] the substrate appears as one
-//! [`snapshot::SubstrateState`] inside an [`snapshot::IndexState`], and the
-//! links as an [`snapshot::ApproxLinksState`] that hangs off it; the tree
-//! comes back through one validator, and each link is checked against it.
+//! (suffix tree + `C`) and the position map. In [`snapshot`] the substrate
+//! appears as one [`snapshot::SubstrateState`] inside an
+//! [`snapshot::IndexState`]; the tree comes back through one validator.
 //!
 //! A loaded index is a built index: a state struct says what `build`
 //! produces and a query reads, `from_snapshot` accepts only levels on the
@@ -88,8 +85,8 @@
 //! And an [`ApproxIndex`] on the same string (1 944 732 links) — the rows of
 //! [`ApproxIndex::heap_breakdown`] — when it kept the `C` it found its links
 //! with, once everything only `build` reads was a local of `build`, once its
-//! links hung off the [`Index`]'s text (the text, tree and position map are
-//! the `Index`'s rows, counted there once), and now that a link keys its
+//! links hung off an [`Index`]'s text (the text, tree and position map are
+//! an `Index`'s rows, not counted here), and now that a link keys its
 //! origin as the suffix tree keys its nodes, with no preorder numbering
 //! beside the tree.
 //!
@@ -125,8 +122,7 @@ pub use index::Index;
 pub use listing::{ListingHit, ListingIndex, RelMetric};
 pub use result::{canonical_hit_order, QueryResult};
 pub use snapshot::{
-    ApproxLinkState, ApproxLinksState, IndexState, LevelsParts, LongLevelParts, ScoredTextState,
-    ShortLevelParts, SubstrateState,
+    IndexState, LevelsParts, LongLevelParts, ScoredTextState, ShortLevelParts, SubstrateState,
 };
 pub use special::SpecialIndex;
 pub use stats::BuildStats;

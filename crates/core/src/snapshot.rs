@@ -1,5 +1,5 @@
 //! Decomposed, persistence-ready state of what a server loads: the §5
-//! [`crate::Index`] and the §7 links over it.
+//! [`crate::Index`].
 //!
 //! An [`crate::Index`] is taken apart into an [`IndexState`] (`to_snapshot`
 //! / `from_snapshot`) holding exactly the query-critical state, each fact
@@ -21,13 +21,9 @@
 //! `C` is not stored: the model and the map already say it, and
 //! `from_snapshot` sums it again with the build's own code, bit for bit.
 //!
-//! The ε-link table of an [`crate::ApproxIndex`] built
-//! [`over`](crate::ApproxIndex::over) an index is an [`ApproxLinksState`]
-//! that hangs off the [`IndexState`]'s text: a link stores a *witness* text
-//! position, not its source position or probability — the position map and
-//! `C` give both back. [`crate::SpecialIndex`], [`crate::ListingIndex`]
-//! and a stand-alone [`crate::ApproxIndex`] have no state: nothing loads
-//! one, so each is built from its input whenever it is wanted.
+//! [`crate::SpecialIndex`], [`crate::ListingIndex`] and
+//! [`crate::ApproxIndex`] have no state: nothing loads one, so each is built
+//! from its input whenever it is wanted.
 //!
 //! A state says what `build` produces and a query reads, nothing else:
 //! level lengths are the ladder its text derives. So a loaded index is a
@@ -35,13 +31,11 @@
 //!
 //! The byte-level encoding of these structs lives in the `ustr-store` crate;
 //! this module only defines the shapes. Assembly is invariant-checked (the
-//! tree and levels by the crate-private substrate, the links against that
-//! tree), so a structurally inconsistent state is an
-//! [`crate::Error::InvalidSnapshot`]. Reassembly never recomputes the
-//! expensive parts of construction (SA-IS, the Lemma-2 transform, level
-//! mask sweeps, the link search; a link's probability is one `canon::exp`
-//! of a `C` window, as the build computed it) and produces an index that
-//! answers every query identically to the freshly built original.
+//! tree and levels by the crate-private substrate), so a structurally
+//! inconsistent state is an [`crate::Error::InvalidSnapshot`]. Reassembly
+//! never recomputes the expensive parts of construction (SA-IS, the Lemma-2
+//! transform, level mask sweeps) and produces an index that answers every
+//! query identically to the freshly built original.
 
 use ustr_uncertain::UncertainString;
 
@@ -112,43 +106,6 @@ pub struct IndexState {
     pub tau_min: f64,
     /// Build statistics (the original build's numbers).
     pub stats: BuildStats,
-}
-
-/// One ε-refined link of an [`crate::ApproxIndex`], as plain data.
-///
-/// Links are the §7 sub-link table: each connects an origin endpoint at
-/// `origin_depth` to a target endpoint at `target_depth` along the path from
-/// a marked suffix-tree node toward the root. Its source position and
-/// probability are not stored: both are read at its `witness`, a text
-/// position whose leaf lies below the origin node — the position map gives
-/// the one, the cumulative array `C` (the window of `origin_depth`
-/// characters there, capped at the next separator) the other.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ApproxLinkState {
-    /// Key of the (real) node anchoring the origin endpoint, as the suffix
-    /// tree keys it ([`ustr_suffix::SuffixTree::node_key`]): `2·j + 1` for
-    /// leaf `j`, `2·k` for the internal node whose first ℓ-index is `k`.
-    pub origin: u32,
-    /// String depth of the origin endpoint (at most the node's own).
-    pub origin_depth: u32,
-    /// String depth of the target endpoint (`< origin_depth`).
-    pub target_depth: u32,
-    /// Text position of a suffix below the origin node, on no separator.
-    pub witness: u32,
-}
-
-/// The ε-link table of an [`crate::ApproxIndex`] built
-/// [`over`](crate::ApproxIndex::over) an [`crate::Index`]: everything the
-/// links add to the text they hang off, which the index's state holds.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ApproxLinksState {
-    /// The ε-refined sub-link table, sorted by `origin` (the min-RMQ
-    /// over target depths is rebuilt from this on reassembly).
-    pub links: Vec<ApproxLinkState>,
-    /// The additive error bound ε.
-    pub epsilon: f64,
-    /// What building the links took.
-    pub build_time: std::time::Duration,
 }
 
 /// Shorthand for snapshot-assembly failures.

@@ -7,10 +7,9 @@
 //! how the triple is built, queried (suffix range → candidates in
 //! decreasing-probability order, threshold or top-k), measured, taken apart
 //! into [`SubstrateState`] and validated back together. [`ScoredText`] is
-//! its level-free half (tree + `C`), whose clone shares its arrays: the
-//! [`crate::ApproxIndex`] built over an [`crate::Index`] hangs its links off
-//! the same tree and reads its probabilities from the same `C`
-//! ([`checked_tree`] is how a loaded index gets its tree back).
+//! its level-free half (tree + `C`), which the [`crate::ApproxIndex`] hangs
+//! its links off ([`checked_tree`] is how a loaded index gets its tree
+//! back).
 //! The index types add their own map and their own verification.
 //!
 //! Outside this module nothing sees a suffix-array *slot*: candidates come
@@ -46,9 +45,7 @@ pub(crate) fn check_text_len(len: usize, limit: usize) -> Result<(), Error> {
 /// A deterministic text with per-position probabilities: its suffix tree
 /// (pattern loci) and cumulative array `C` (O(1) window probabilities) —
 /// the only copy an index keeps of the characters (in the tree) and of the
-/// probabilities (`C`'s prefix sums). A clone shares both, array by array,
-/// so a holder reaches them as directly as their owner does.
-#[derive(Clone)]
+/// probabilities (`C`'s prefix sums).
 pub(crate) struct ScoredText {
     pub(crate) tree: SuffixTree,
     pub(crate) cum: CumulativeLogProb,
@@ -185,7 +182,7 @@ impl Substrate {
         Ok(Self { text, levels })
     }
 
-    /// The scored text, for an index that shares it.
+    /// The scored text.
     pub(crate) fn text(&self) -> &ScoredText {
         &self.text
     }
@@ -363,10 +360,9 @@ mod tests {
         let source = UncertainString::parse("A:.5,C:.5 | B:.5,D:.5 | A:.5,C:.5").unwrap();
         let tau_min = 0.3;
         let index = Index::build(&source, tau_min).unwrap();
-        let over = ApproxIndex::over(&index, 0.05).unwrap();
         let alone = ApproxIndex::build(&source, tau_min, 0.05).unwrap();
         let listing = crate::ListingIndex::build(std::slice::from_ref(&source), tau_min).unwrap();
-        let chars = index.shared_text().0.tree.text();
+        let chars = index.to_snapshot().substrate.text.text;
         let spans: Vec<[u8; 2]> = (1..chars.len() - 1)
             .filter(|&x| chars[x] == 0)
             .map(|x| [chars[x - 1], chars[x + 1]])
@@ -375,7 +371,6 @@ mod tests {
         for pattern in &spans {
             assert!(index.query(pattern, tau_min).unwrap().is_empty());
             assert!(index.query_top_k(pattern, 3).unwrap().is_empty());
-            assert!(over.query(pattern, tau_min).unwrap().is_empty());
             assert!(alone.query(pattern, tau_min).unwrap().is_empty());
             assert!(listing.query(pattern, tau_min).unwrap().is_empty());
         }
@@ -393,22 +388,14 @@ mod tests {
         ));
     }
 
-    /// `heap_bytes` measures the index it is read from: a loaded index, and
-    /// the links loaded over it, report their own footprint, not the number
-    /// recorded at build time.
+    /// `heap_bytes` measures the index it is read from: a loaded index
+    /// reports its own footprint, not the number recorded at build time.
     #[test]
     fn a_loaded_index_reports_its_own_heap() {
         let mut index = state();
         index.stats.heap_bytes = 1;
         let index = Index::from_snapshot(index).unwrap();
-        let links = ApproxIndex::over(&index, 0.05).unwrap().to_links_snapshot();
-        let approx = ApproxIndex::from_links_snapshot(&index, links).unwrap();
-        for (reported, held) in [
-            (index.stats().heap_bytes, index.heap_size()),
-            (approx.stats().heap_bytes, approx.heap_size()),
-        ] {
-            assert!(reported > 1);
-            assert_eq!(reported, held);
-        }
+        assert!(index.stats().heap_bytes > 1);
+        assert_eq!(index.stats().heap_bytes, index.heap_size());
     }
 }

@@ -19,9 +19,9 @@
 //!        └────────┬──────────┘
 //!                 │ seal (background thread, off the query path)
 //!                 ▼
-//!        ┌─── sealed segments┐          real `Index`/`ApproxIndex` per
-//!        │ segment_<id>.coll │          document, built with the existing
-//!        └────────┬──────────┘          constructors, persisted as `.coll`
+//!        ┌─── sealed segments┐          a real `Index` per document,
+//!        │ segment_<id>.coll │          built with the existing
+//!        └────────┬──────────┘          constructor, persisted as `.coll`
 //!                 │ compact (background)
 //!                 ▼
 //!        ┌─── one big segment┐          tombstoned documents dropped,
@@ -51,9 +51,7 @@
 //! [`LiveService`] answers **byte-identically** to a static
 //! [`ustr_service::QueryService`] rebuilt from scratch over the same live
 //! documents — before, during, and after any seal or compaction — in every
-//! mode but `Approx` with ε. There a memtable document answers exactly and
-//! a sealed one from its ε-links, so a seal changes the answer (and moves
-//! the cache epoch); both meet the ε-sandwich.
+//! mode, `Approx` included (both executors answer it exactly).
 //!
 //! ```
 //! use ustr_live::{LiveConfig, LiveService};
@@ -130,10 +128,9 @@ pub struct LiveConfig {
     /// Construction threshold `τmin ∈ (0, 1]` for every document. Fixed at
     /// directory creation; reopening adopts the recorded value.
     pub tau_min: f64,
-    /// When set, sealing additionally builds one ε-approximate index per
-    /// document, making `Approx` requests ε-approximate for sealed
-    /// documents (memtable documents always answer exactly, which
-    /// trivially satisfies the sandwich). Fixed at directory creation.
+    /// Accepted and ignored: `Approx` requests are answered exactly, sealed
+    /// or not, which keeps the §7 sandwich for every ε. Kept only because
+    /// `benchmark/src` names it; removal is queued in ROADMAP item 1A(e).
     pub epsilon: Option<f64>,
     /// Memtable document count that triggers a background seal
     /// (0 = only seal on explicit [`LiveService::seal`]).
@@ -330,7 +327,6 @@ struct Inner {
     /// in production; the fault-injection tests pass faulting ones.
     io: Arc<dyn StoreIo>,
     tau_min: f64,
-    epsilon: Option<f64>,
     compact_min_segments: usize,
     state: Mutex<LiveState>,
     engine: Engine,
@@ -338,8 +334,9 @@ struct Inner {
     /// **under the state lock**; query snapshots carry it as their cache
     /// epoch, so responses computed against a superseded state can never
     /// serve a later lookup (see [`SegmentSet::cache_epoch`]). An install
-    /// moves it too: a sealed document answers `Approx` from its ε-links
-    /// where its memtable scan answered exactly.
+    /// moves it too: no answer changes across one (the `DocExecutor`
+    /// contract), but no cached answer then outlives the layout it was
+    /// computed on.
     generation: AtomicU64,
     /// Bumped (under the state lock) whenever the physical layout changes —
     /// mutations, the move of a memtable to a sealing batch, and installs —
@@ -460,7 +457,8 @@ impl Inner {
             next_doc_id: st.next_doc_id,
             next_segment_id: st.next_segment_id,
             tau_min: self.tau_min,
-            epsilon: self.epsilon,
+            // The manifest keeps its field; nothing reads it.
+            epsilon: None,
             tombstones: st.tombstones.iter().copied().collect(),
             segments: st.segments.iter().map(|s| s.meta.clone()).collect(),
         };
@@ -533,8 +531,7 @@ impl Inner {
             if !docs.is_empty() {
                 let built = (docs.iter())
                     .map(|(id, exec)| {
-                        let built =
-                            DocExecutor::build(&exec.to_source(), self.tau_min, self.epsilon)?;
+                        let built = DocExecutor::build(&exec.to_source(), self.tau_min)?;
                         Ok((*id, Arc::new(built)))
                     })
                     .collect::<Result<Vec<_>, Error>>()?;
@@ -735,8 +732,8 @@ impl LiveService {
     /// does not name are removed), and the WAL tail replays into the
     /// memtable — a torn final record (interrupted crash
     /// write) is discarded, every committed write is recovered. On an
-    /// existing directory, `config.tau_min`/`config.epsilon` are ignored
-    /// in favor of the recorded values.
+    /// existing directory, `config.tau_min` is ignored in favor of the
+    /// recorded value.
     pub fn open(dir: impl AsRef<Path>, config: LiveConfig) -> Result<Self, LiveError> {
         Self::open_with_io(dir, config, Arc::new(RealIo))
     }
@@ -765,26 +762,15 @@ impl LiveService {
         let metrics = LiveMetrics::new();
         let recovery_started = Instant::now();
         let manifest = wal::load_manifest(io.as_ref(), dir.join(MANIFEST_FILE))?;
-        let (tau_min, epsilon) = match &manifest {
-            Some(m) => (m.tau_min, m.epsilon),
-            None => (config.tau_min, config.epsilon),
-        };
+        let tau_min = manifest.as_ref().map_or(config.tau_min, |m| m.tau_min);
         if !canon::valid_tau(tau_min) {
             return Err(LiveError::Config(format!(
                 "tau_min {tau_min} is outside (0, 1]"
             )));
         }
-        if let Some(eps) = epsilon {
-            if !canon::valid_epsilon(eps) {
-                return Err(LiveError::Config(format!(
-                    "epsilon {eps} is outside (0, 1)"
-                )));
-            }
-        }
         let fresh_directory = manifest.is_none();
         let manifest = manifest.unwrap_or(wal::LiveManifest {
             tau_min,
-            epsilon,
             ..Default::default()
         });
 
@@ -880,7 +866,6 @@ impl LiveService {
             dir,
             io,
             tau_min,
-            epsilon,
             compact_min_segments: config.compact_min_segments,
             state: Mutex::new(state),
             engine: Engine::new(config.threads, config.cache_capacity),
@@ -895,7 +880,7 @@ impl LiveService {
             metrics,
         });
         if fresh_directory {
-            // Record tau_min/epsilon immediately: a never-sealed directory
+            // Record tau_min immediately: a never-sealed directory
             // must not adopt whatever config the *next* opener passes.
             let st = lock_clean(&inner.state);
             inner.write_manifest(&st)?;
@@ -1108,11 +1093,6 @@ impl LiveService {
     /// The construction threshold every document uses.
     pub fn tau_min(&self) -> f64 {
         self.inner.tau_min
-    }
-
-    /// ε for sealed approx indexes, when configured.
-    pub fn epsilon(&self) -> Option<f64> {
-        self.inner.epsilon
     }
 
     /// Number of live (inserted, not deleted) documents. Takes no lock.
@@ -1419,11 +1399,7 @@ mod tests {
     #[test]
     fn a_sealed_segment_loads_as_a_static_collection() {
         let dir = fresh_dir("ustr_live_cross_load");
-        let cfg = LiveConfig {
-            epsilon: Some(0.05),
-            ..config(0)
-        };
-        let live = LiveService::open(&dir, cfg).unwrap();
+        let live = LiveService::open(&dir, config(0)).unwrap();
         for d in sample_docs() {
             live.insert(d).unwrap();
         }
@@ -1434,7 +1410,6 @@ mod tests {
             ServiceConfig::default(),
         )
         .unwrap();
-        assert!(stat.has_approx_indexes());
         let batch = mixed_batch();
         assert_eq!(stat.query_requests(&batch), live.query_requests(&batch));
         drop(live);
@@ -1468,11 +1443,7 @@ mod tests {
                     section(0, SnapshotKind::Index),
                     section(0, SnapshotKind::Index),
                 ],
-                "duplicate sections",
-            ),
-            (
-                vec![section(0, SnapshotKind::ApproxLinks)],
-                "no substring-index section",
+                "2 sections for 1 documents",
             ),
         ];
         let dir = fresh_dir("ustr_live_semantic_corruption");
@@ -1710,11 +1681,10 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// With ε, a memtable document answers `Approx` exactly and a sealed
-    /// one from its ε-links: a seal changes the answer, so it moves the
-    /// cache epoch. Asked before and after the flush with the cache on, the
-    /// requests answer after it as they do in a cache-off directory; every
-    /// answer, in the memtable and sealed, keeps the ε-sandwich.
+    /// With ε, a document answers `Approx` as it answers `Threshold` at the
+    /// same τ, bit for bit, in the memtable and sealed: the ε is ignored.
+    /// Asked before and after the flush with the cache on, the requests
+    /// answer after it as they do in a cache-off directory.
     #[test]
     fn epsilon_directories_serve_approx_from_sealed_segments() {
         let dir = fresh_dir("ustr_live_epsilon");
@@ -1727,8 +1697,8 @@ mod tests {
             cache_capacity: 0,
             ..cfg.clone()
         };
-        // Near-certain choices in a row, which one link spans: the links
-        // answer below the exact probabilities there.
+        // Near-certain choices in a row, which one §7 link would span: the
+        // links answered below the exact probabilities there.
         let mut docs = sample_docs();
         docs.push(doc(
             "A:.97,B:.03 | B:.98,C:.02 | A:.96,C:.04 | A:.01,B:.99 | A:.97,B:.03 | C",
@@ -1746,39 +1716,20 @@ mod tests {
             live.insert(d.clone()).unwrap();
             uncached.insert(d).unwrap();
         }
-        let eps = live.epsilon().unwrap();
         let approx = |&(pattern, tau): &(&[u8], f64)| QueryRequest::Approx {
             pattern: pattern.to_vec(),
             tau,
-        };
-        // ε-sandwich: everything ≥ τ is present, nothing below τ − ε.
-        let sandwich = |live: &LiveService| {
-            let occurrences = |request: QueryRequest| -> Vec<(usize, usize)> {
-                let hits = hits(live, &request);
-                let pairs = hits
-                    .iter()
-                    .flat_map(|d| d.hits.iter().map(|&(p, _)| (d.doc, p)));
-                pairs.collect()
-            };
-            for request in &requests {
-                let (pattern, tau) = *request;
-                let must = occurrences(threshold(pattern, tau));
-                let may = occurrences(threshold(pattern, (tau - eps).max(0.05)));
-                let got = occurrences(approx(request));
-                for m in &must {
-                    assert!(got.contains(m), "missing exact hit {m:?}");
-                }
-                for g in &got {
-                    assert!(may.contains(g), "spurious hit {g:?} below tau - eps");
-                }
-            }
         };
         // The approx requests alone, which the cache holds all of.
         let answers = |live: &LiveService| -> Vec<Vec<DocHits>> {
             requests.iter().map(|r| hits(live, &approx(r))).collect()
         };
-        sandwich(&live);
-        answers(&live);
+        let exact = |live: &LiveService| -> Vec<Vec<DocHits>> {
+            (requests.iter())
+                .map(|&(pattern, tau)| hits(live, &threshold(pattern, tau)))
+                .collect()
+        };
+        assert_eq!(answers(&live), exact(&live), "memtable");
         live.flush().unwrap();
         uncached.flush().unwrap();
         assert_eq!(
@@ -1786,13 +1737,9 @@ mod tests {
             answers(&uncached),
             "a seal left cached answers"
         );
-        sandwich(&live);
+        assert_eq!(answers(&live), exact(&live), "sealed");
         drop(uncached);
         let _ = std::fs::remove_dir_all(&uncached_dir);
-        // Reopening adopts the recorded ε even when the config omits it.
-        drop(live);
-        let live = LiveService::open(&dir, config(0)).unwrap();
-        assert_eq!(live.epsilon(), Some(0.05));
         drop(live);
         let _ = std::fs::remove_dir_all(&dir);
     }

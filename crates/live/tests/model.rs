@@ -6,17 +6,20 @@
 //! `64..128`. Even seeds run on one thread with no background maintenance,
 //! the cache off and one static shard; odd seeds on eight threads, sealing
 //! at two documents and compacting at two segments in the background, with
-//! the cache on and three static shards. One seed in four has ε.
+//! the cache on and three static shards. One seed in four sets ε, which
+//! the services ignore.
 //!
 //! At every check the service holds exactly the acknowledged history, and
 //! the live `answer`, `query_requests` and `query_requests_sequential` and
 //! a static [`QueryService`]'s `answer` and `query_requests_sequential`
 //! answer a mixed batch plus boundary draws (τ = p, p·(1 + PROB_EPS/2),
-//! p·(1 + 2·PROB_EPS) at known occurrences) bit for bit alike. Every answer
-//! keeps the threshold rule against each occurrence's probability: the
-//! possible-world oracle's for an uncorrelated document, the static door's
-//! for a correlated one (pr⁺ and pr⁻ do not form a distribution). A failing
-//! list is shrunk; the panic names the seed, the plan and the shrunk list.
+//! p·(1 + 2·PROB_EPS) at known occurrences) bit for bit alike, and an
+//! `Approx` request as the `Threshold` request at its pattern and τ. Every
+//! answer keeps the threshold rule against each occurrence's probability:
+//! the possible-world oracle's for an uncorrelated document, the static
+//! door's for a correlated one (pr⁺ and pr⁻ do not form a distribution). A
+//! failing list is shrunk; the panic names the seed, the plan and the
+//! shrunk list.
 
 mod fault;
 
@@ -350,16 +353,9 @@ impl Run {
             .collect()
     }
 
-    /// `Approx` with ε answers a memtable document exactly and a sealed one
-    /// from its ε-links: its answers keep the sandwich, not the rule.
-    fn sandwiched(&self, request: &QueryRequest) -> bool {
-        matches!(request, QueryRequest::Approx { .. }) && configs(self.seed).0.epsilon.is_some()
-    }
-
     /// `response` keeps the threshold rule against the reference: every
     /// occurrence that must be reported is, and every reported one is a
-    /// reference occurrence at its probability that may be reported — or,
-    /// when [`Run::sandwiched`], one not below τ − ε.
+    /// reference occurrence at its probability that may be reported.
     fn hold(
         &self,
         request: &QueryRequest,
@@ -374,7 +370,6 @@ impl Run {
         };
         let i = (PATTERNS.iter().position(|p| p == pattern)).expect("a batch pattern");
         let listing = matches!(request, QueryRequest::Listing { .. });
-        let sandwich = self.sandwiched(request);
         let got = hit_list(response);
         let fail = |what: String| self.fail(format!("{request:?}: {what}; got {got:?}"));
         for (&id, occs) in refs {
@@ -394,13 +389,7 @@ impl Run {
                 (Some(occs), false) => occs.iter().find(|o| o.0 == pos).map(|o| o.1),
                 (None, _) => None,
             };
-            let ok = match p {
-                // A correlated document's reference stops at τmin, and the
-                // sandwich reaches below it.
-                None => sandwich && occs.is_some() && !self.model[&id].correlations().is_empty(),
-                Some(p) if sandwich => p >= tau - EPSILON - PROB_EPS,
-                Some(p) => expect(p, *tau) != Some(false) && (q - p).abs() <= PROB_EPS,
-            };
+            let ok = p.is_some_and(|p| expect(p, *tau) != Some(false) && (q - p).abs() <= PROB_EPS);
             if !ok {
                 fail(format!(
                     "doc {id} pos {pos} ({q}, reference {p:?}) reported"
@@ -410,7 +399,8 @@ impl Run {
     }
 
     /// The service holds exactly the model, every door answers the batch
-    /// and the boundary draws bit for bit alike, and the answers keep the
+    /// and the boundary draws bit for bit alike, an `Approx` request as the
+    /// `Threshold` request at its pattern and τ, and the answers keep the
     /// threshold rule against the reference.
     fn check(&mut self, live: &LiveService, when: &str) {
         self.log.push(format!("check {when}"));
@@ -427,6 +417,7 @@ impl Run {
         let batched = live.query_requests(&requests);
         let sequential = live.query_requests_sequential(&requests);
         let stat_sequential = stat.query_requests_sequential(&requests);
+        let mut singles = Vec::with_capacity(requests.len());
         for (q, request) in requests.iter().enumerate() {
             let fail =
                 |door, what| self.fail(format!("{when}: {request:?} through {door}: {what}"));
@@ -441,23 +432,26 @@ impl Run {
                 ("static sequential", &stat_sequential[q]),
             ];
             let doors = doors.map(|(door, got)| (door, answer(door, got)));
-            // A background seal may land between two live calls: under the
-            // sandwich every door keeps it, and the static doors agree.
-            let (by_answer, by_sequential) = (&doors[2].1, &doors[3].1);
-            if self.sandwiched(request) {
-                doors
-                    .iter()
-                    .for_each(|(_, got)| self.hold(request, got, &refs));
-                if by_sequential != by_answer {
-                    fail(
-                        "static sequential",
-                        format!("{by_sequential:?}, not {by_answer:?}"),
-                    );
-                }
-            } else if let Some((door, got)) = doors.iter().find(|(_, got)| *got != single) {
+            if let Some((door, got)) = doors.iter().find(|(_, got)| *got != single) {
                 fail(door, format!("{got:?}, not {single:?}"));
             }
             self.hold(request, &single, &refs);
+            singles.push(single);
+        }
+        // An `Approx` answer is the `Threshold` answer at its pattern and τ.
+        for (request, got) in requests.iter().zip(&singles) {
+            let QueryRequest::Approx { pattern, tau } = request else {
+                continue;
+            };
+            let twin = QueryRequest::Threshold {
+                pattern: pattern.clone(),
+                tau: *tau,
+            };
+            let at = (requests.iter()).position(|r| *r == twin);
+            let exact = at.map(|t| hit_list(&singles[t]));
+            if exact.as_ref() != Some(&hit_list(got)) {
+                self.fail(format!("{when}: {request:?}: {got:?}, not {exact:?}"));
+            }
         }
     }
 }

@@ -2,7 +2,8 @@
 //! to in-process `Engine` answers for all four query modes — from a `.coll`
 //! collection snapshot, from a live directory (including while ingest is
 //! racing the queries), with both served concurrently to 8+ connections,
-//! and whichever thread the server answers on.
+//! and whichever thread the server answers on; an `Approx` answer is the
+//! `Threshold` answer at its τ.
 
 use std::sync::Arc;
 
@@ -109,6 +110,23 @@ fn coll_snapshot_over_tcp_matches_in_process_for_all_modes() {
     )
     .unwrap();
     assert_clients_match(server.local_addr(), service.as_ref(), 3);
+    // ε is ignored: each pattern's `Approx` answer is its `Threshold`
+    // answer at the same τ, bit for bit, over the wire.
+    let mut client = NetClient::connect(server.local_addr()).expect("connect");
+    let remote = client.query_requests(&mixed_batch()).expect("batch");
+    for four in remote.chunks(4) {
+        let (Ok(QueryResponse::Threshold(exact)), Ok(QueryResponse::Approx(approx))) =
+            (&four[0], &four[3])
+        else {
+            panic!("a threshold and an approx answer: {four:?}");
+        };
+        assert_byte_identical(
+            &QueryResponse::Threshold(Arc::clone(approx)),
+            &QueryResponse::Threshold(Arc::clone(exact)),
+            "approx answered as threshold",
+        );
+    }
+    let _ = client.goodbye();
     server.shutdown();
     let _ = std::fs::remove_file(&path);
 }

@@ -20,67 +20,48 @@ use std::path::Path;
 use std::sync::Arc;
 
 use ustr_baseline::ScanIndex;
-use ustr_core::{ApproxIndex, Error, Index, ListingHit};
-use ustr_store::{
-    collection, decode_links_payload, encode_links_payload, Section, Snapshot, SnapshotKind,
-    StoreError, StoreIo, Writer,
-};
+use ustr_core::{Error, Index, ListingHit};
+use ustr_store::{collection, Section, Snapshot, SnapshotKind, StoreError, StoreIo, Writer};
 use ustr_uncertain::UncertainString;
 
 use crate::{DocHits, QueryRequest, QueryResponse, SharedHits, TopHit};
 
-/// How one document is queried: through built index structures, or by
-/// scanning the source string. `Scanned` is the serving strategy for
-/// documents too young to have been indexed (a live memtable).
+/// How one document is queried: through its built index, or by scanning
+/// the source string. `Scanned` is the serving strategy for documents too
+/// young to have been indexed (a live memtable).
 ///
 /// **Interchangeability contract:** both variants over the same document
-/// with the same `τmin` return **bit-identical** answers from every method
-/// but [`DocExecutor::approx`] with ε. That holds because answers are
-/// *canonical*: probabilities are always recomputed from the source model
-/// through the plane kernel, never read off an execution structure's
-/// internal arithmetic, and both decide on that value by the one threshold
-/// rule ([`ustr_uncertain::canon::log_meets_threshold`]), so a document
-/// answers alike before and after a seal, correlated or not; top-k uses the
-/// total [`ustr_core::canonical_hit_order`], so ties at the cut are never
-/// left to implementation arbitration; and the top-k candidate set is
-/// exactly the threshold answer at `τmin`. An `approx` answer of a built
-/// document with ε comes from its ε-links and a scanned one's is exact: the
-/// two differ, and both keep the ε-sandwich (every position at τ or above,
-/// none below τ − ε).
+/// with the same `τmin` return **bit-identical** answers from every method.
+/// That holds because answers are *canonical*: probabilities are always
+/// recomputed from the source model through the plane kernel, never read
+/// off an execution structure's internal arithmetic, and both decide on
+/// that value by the one threshold rule
+/// ([`ustr_uncertain::canon::log_meets_threshold`]), so a document answers
+/// alike before and after a seal, correlated or not; top-k uses the total
+/// [`ustr_core::canonical_hit_order`], so ties at the cut are never left to
+/// implementation arbitration; and the top-k candidate set is exactly the
+/// threshold answer at `τmin`. Both answer [`DocExecutor::approx`] exactly,
+/// through [`DocExecutor::threshold`]: the exact answer keeps §7's
+/// ε-sandwich (every position at τ or above, none below τ − ε) for every ε.
 // Executors always live behind an `Arc` in a `Segment`, so the size
-// difference between a built index bundle and a bare scan wrapper is paid
-// once per document, not per handle.
+// difference between a built index and a bare scan wrapper is paid once per
+// document, not per handle.
 #[allow(clippy::large_enum_variant)]
 pub enum DocExecutor {
-    /// The paper's built indexes.
+    /// The paper's built index.
     Built {
-        /// The exact substring index (serves `Threshold`, `TopK`,
-        /// `Listing`).
+        /// The exact substring index (serves every mode).
         index: Index,
-        /// The ε-approximate index over `index`'s own text and tree
-        /// ([`ApproxIndex::over`]; serves `Approx`, exact fallback when
-        /// absent).
-        approx: Option<ApproxIndex>,
     },
-    /// A scan of the source document (always exact; `Approx` requests get
-    /// the exact answer, which trivially satisfies the ε sandwich).
+    /// A scan of the source document.
     Scanned(ScanIndex),
 }
 
 impl DocExecutor {
-    /// Builds the paper's indexes for one document: the substring index,
-    /// plus, when `epsilon` is set, the ε-links over its text — one
-    /// transform and one suffix tree either way.
-    pub fn build(
-        source: &UncertainString,
-        tau_min: f64,
-        epsilon: Option<f64>,
-    ) -> Result<Self, Error> {
+    /// Builds the paper's substring index for one document.
+    pub fn build(source: &UncertainString, tau_min: f64) -> Result<Self, Error> {
         let index = Index::build(source, tau_min)?;
-        let approx = epsilon
-            .map(|eps| ApproxIndex::over(&index, eps))
-            .transpose()?;
-        Ok(DocExecutor::Built { index, approx })
+        Ok(DocExecutor::Built { index })
     }
 
     /// The document this executor answers for, rebuilt bit for bit from
@@ -100,18 +81,6 @@ impl DocExecutor {
         }
     }
 
-    /// `true` when `Approx` requests are served ε-approximately rather than
-    /// by an exact fallback.
-    pub fn has_approx(&self) -> bool {
-        matches!(
-            self,
-            DocExecutor::Built {
-                approx: Some(_),
-                ..
-            }
-        )
-    }
-
     /// Threshold occurrences, sorted by position.
     pub fn threshold(&self, pattern: &[u8], tau: f64) -> Result<Vec<(usize, f64)>, Error> {
         match self {
@@ -129,25 +98,16 @@ impl DocExecutor {
         }
     }
 
-    /// ε-approximate occurrences (exact when no approx index is held).
+    /// §7 ε-approximate occurrences, for any ε: the exact threshold answer.
     pub fn approx(&self, pattern: &[u8], tau: f64) -> Result<Vec<(usize, f64)>, Error> {
-        match self {
-            DocExecutor::Built {
-                approx: Some(approx),
-                ..
-            } => Ok(approx.query(pattern, tau)?.into_hits()),
-            _ => self.threshold(pattern, tau),
-        }
+        self.threshold(pattern, tau)
     }
 
-    /// Heap bytes the executor holds: a built document's index plus its
-    /// links (the text they share counted once), a scanned one's plane. The
-    /// shard planner's weight.
+    /// Heap bytes the executor holds: a built document's index, a scanned
+    /// one's plane. The shard planner's weight.
     pub fn heap_size(&self) -> usize {
         match self {
-            DocExecutor::Built { index, approx } => {
-                index.heap_size() + approx.as_ref().map_or(0, |a| a.stats().heap_bytes)
-            }
+            DocExecutor::Built { index } => index.heap_size(),
             DocExecutor::Scanned(scan) => scan.plane().heap_size(),
         }
     }
@@ -158,86 +118,59 @@ fn corrupt(detail: String) -> StoreError {
 }
 
 /// Writes `docs` as one `.coll` file ([`ustr_store::collection`]): per
-/// document, in rank order, its substring-index section, then the links of
-/// its approx index when it holds one (a section with no text: the links
-/// hang off the index's). Static collection snapshots and
-/// live sealed segments are both written here — and read back by
-/// [`load_coll`] — so they are the same artifact. Only built executors have
-/// a persistent form.
+/// document, in rank order, its substring-index section. Static collection
+/// snapshots and live sealed segments are both written here — and read
+/// back by [`load_coll`] — so they are the same artifact. Only built
+/// executors have a persistent form.
 pub fn save_coll<'a>(
     io: &dyn StoreIo,
     path: &Path,
     docs: impl IntoIterator<Item = &'a DocExecutor>,
 ) -> Result<(), StoreError> {
     let mut payloads = Vec::new();
-    let mut num_docs = 0;
     for doc in docs {
-        let DocExecutor::Built { index, approx } = doc else {
+        let DocExecutor::Built { index } = doc else {
             return Err(corrupt(format!(
-                "document {num_docs} is scan-served: only built indexes can be saved"
+                "document {} is scan-served: only built indexes can be saved",
+                payloads.len()
             )));
         };
         let mut w = Writer::new();
         index.encode_payload(&mut w);
-        payloads.push((num_docs, SnapshotKind::Index, w.into_bytes()));
-        if let Some(approx) = approx {
-            let mut w = Writer::new();
-            encode_links_payload(approx, &mut w);
-            payloads.push((num_docs, SnapshotKind::ApproxLinks, w.into_bytes()));
-        }
-        num_docs += 1;
+        payloads.push(w.into_bytes());
     }
-    let sections: Vec<Section> = (payloads.iter())
-        .map(|(doc, kind, payload)| Section {
-            doc: *doc,
-            kind: *kind,
+    let sections: Vec<Section> = (payloads.iter().enumerate())
+        .map(|(doc, payload)| Section {
+            doc,
+            kind: SnapshotKind::Index,
             payload,
         })
         .collect();
-    collection::save_collection_file(io, path, num_docs, &sections)
+    collection::save_collection_file(io, path, payloads.len(), &sections)
 }
 
 /// Reads a `.coll` file written by [`save_coll`]: one built executor per
 /// document, in rank order, decoded straight from the file's buffer. A
-/// well-formed container with the wrong contents — two sections of one
-/// kind for a document, a document without a substring index — is
+/// well-formed container with the wrong contents — a section count other
+/// than its document count, a section out of document order — is
 /// [`StoreError::Corrupt`], never a panic.
 pub fn load_coll(io: &dyn StoreIo, path: &Path) -> Result<Vec<DocExecutor>, StoreError> {
     collection::load_collection_file(io, path, |coll| {
-        let n = coll.num_docs;
-        let mut indexes: Vec<Option<Section>> = vec![None; n];
-        let mut links: Vec<Option<Section>> = vec![None; n];
-        for section in coll.sections {
-            let table = match section.kind {
-                SnapshotKind::Index => &mut indexes,
-                SnapshotKind::ApproxLinks => &mut links,
-            };
-            // The container has checked every id against `n`; this crate
-            // indexes nothing unchecked all the same.
-            let slot = table.get_mut(section.doc).ok_or_else(|| {
-                corrupt(format!(
-                    "collection section names document {} of {n}",
-                    section.doc
-                ))
-            })?;
-            if slot.replace(section).is_some() {
-                return Err(corrupt(format!(
-                    "document {} has duplicate sections of one kind",
-                    section.doc
-                )));
-            }
+        let (n, sections) = (coll.num_docs, coll.sections);
+        if sections.len() != n {
+            let m = sections.len();
+            return Err(corrupt(format!("{m} sections for {n} documents")));
         }
-        let docs = indexes.into_iter().zip(links).enumerate();
-        docs.map(|(rank, (index, links))| {
-            let index = index
-                .ok_or_else(|| corrupt(format!("document {rank} has no substring-index section")))?
-                .decode(Index::decode_payload)?;
-            let approx = links
-                .map(|links| links.decode(|r| decode_links_payload(r, &index)))
-                .transpose()?;
-            Ok(DocExecutor::Built { index, approx })
-        })
-        .collect()
+        (sections.iter().enumerate())
+            .map(|(rank, section)| {
+                if section.doc != rank {
+                    let doc = section.doc;
+                    return Err(corrupt(format!("section {rank} holds document {doc}")));
+                }
+                let index = section.decode(Index::decode_payload)?;
+                Ok(DocExecutor::Built { index })
+            })
+            .collect()
     })
 }
 
@@ -291,12 +224,11 @@ impl Segment {
     pub fn answer(&self, req: &QueryRequest) -> Result<ShardPartial, Error> {
         let doc_hits = |doc, hits| DocHits { doc, hits };
         match req {
-            QueryRequest::Threshold { pattern, tau } => self
-                .rows(|d| d.threshold(pattern, *tau), doc_hits)
-                .map(ShardPartial::Hits),
-            QueryRequest::Approx { pattern, tau } => self
-                .rows(|d| d.approx(pattern, *tau), doc_hits)
-                .map(ShardPartial::Hits),
+            // `Approx` is answered exactly (`DocExecutor::approx`).
+            QueryRequest::Threshold { pattern, tau } | QueryRequest::Approx { pattern, tau } => {
+                let hits = self.rows(|d| d.threshold(pattern, *tau), doc_hits);
+                hits.map(ShardPartial::Hits)
+            }
             QueryRequest::TopK { pattern, k } => {
                 // Any global top-k hit is inside its document's top-k, so
                 // per-doc truncation loses nothing.

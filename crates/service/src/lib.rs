@@ -7,12 +7,12 @@
 //!
 //! * **Four query modes** — a [`QueryRequest`] is `Threshold` (§5 substring
 //!   search), `TopK` (ranked retrieval), `Listing` (§6 string listing with
-//!   `Rel_max` relevance), or `Approx` (§7 ε-approximate search). Any mix of
-//!   modes can share one batch; each answer comes back as the matching
+//!   `Rel_max` relevance), or `Approx` (§7 ε-approximate search, answered
+//!   exactly: the exact answer keeps the ε-sandwich for every ε). Any mix
+//!   of modes can share one batch; each answer comes back as the matching
 //!   [`QueryResponse`] variant.
 //! * **Document sharding** — a collection is split into contiguous shards,
-//!   each holding one [`ustr_core::Index`] (and optionally one
-//!   [`ustr_core::ApproxIndex`]) per document.
+//!   each holding one [`ustr_core::Index`] per document.
 //! * **One fixed thread pool** — a request fans out as one job per shard
 //!   over [`ThreadPool::scatter`], and a batch as one job per request (each
 //!   then working its own shards), worked by the calling thread beside the
@@ -39,9 +39,8 @@
 //! ([`QueryService::save_collection`] / [`QueryService::load_collection`],
 //! format in [`ustr_store::collection`]): one `.coll` artifact holding a
 //! manifest (document count, per-section lengths and checksums) plus one
-//! substring-index section — and, when the service was built with
-//! [`ServiceConfig::epsilon`], one links section — per document. Building
-//! and loading plan shards alike, from each document's heap.
+//! substring-index section per document. Building and loading plan shards
+//! alike, from each document's heap.
 //! Mutable collections persist as `ustr-live` directories instead.
 //!
 //! # Architecture
@@ -138,11 +137,10 @@ pub struct ServiceConfig {
     pub shards: usize,
     /// LRU cache capacity in request entries (0 disables caching).
     pub cache_capacity: usize,
-    /// When set, [`QueryService::build`] additionally builds one
-    /// [`ustr_core::ApproxIndex`] with this ε per document, making `Approx`
-    /// requests ε-approximate. Without approx indexes, `Approx` requests
-    /// fall back to the exact index (a valid — if slower — answer under the
-    /// §7 sandwich guarantee).
+    /// Accepted and ignored: `Approx` requests are answered by the exact
+    /// index, whose answer keeps the §7 sandwich for every ε. Kept only
+    /// because `benchmark/src` names it; removal is queued in ROADMAP item
+    /// 1A(e).
     pub epsilon: Option<f64>,
 }
 
@@ -204,7 +202,7 @@ pub enum QueryRequest {
         tau: f64,
     },
     /// §7 ε-approximate search: all occurrences with probability ≥ τ, none
-    /// below τ − ε (exact when the service has no approx indexes).
+    /// below τ − ε. Answered exactly, as [`QueryRequest::Threshold`] is.
     Approx {
         /// Query pattern.
         pattern: Vec<u8>,
@@ -288,8 +286,7 @@ impl SegmentSet for QueryService {
 }
 
 impl QueryService {
-    /// Builds one index per document (plus one approx index per document
-    /// when [`ServiceConfig::epsilon`] is set) and shards the collection.
+    /// Builds one index per document and shards the collection.
     pub fn build(
         docs: &[UncertainString],
         tau_min: f64,
@@ -297,7 +294,7 @@ impl QueryService {
     ) -> Result<Self, Error> {
         let executors = docs
             .iter()
-            .map(|d| DocExecutor::build(d, tau_min, config.epsilon))
+            .map(|d| DocExecutor::build(d, tau_min))
             .collect::<Result<Vec<_>, Error>>()?;
         Ok(Self::assemble(executors, &config))
     }
@@ -335,8 +332,7 @@ impl QueryService {
 
     /// Saves the whole collection as one file: a manifest (document count,
     /// per-section lengths and checksums) followed by each document's
-    /// substring-index payload — and its links payload, when the service
-    /// holds one. Format: [`ustr_store::collection`]; written by
+    /// substring-index payload. Format: [`ustr_store::collection`]; written by
     /// [`save_coll`]. The shard plan is not saved: it is the loader's.
     pub fn save_collection(&self, path: impl AsRef<Path>) -> Result<(), StoreError> {
         let docs = self.shards.iter().flat_map(|shard| &shard.docs);
@@ -379,16 +375,6 @@ impl QueryService {
     /// The smallest τ the service accepts (largest `τmin` of its indexes).
     pub fn tau_min(&self) -> f64 {
         self.tau_min
-    }
-
-    /// `true` when every document carries an [`ustr_core::ApproxIndex`] (so `Approx`
-    /// requests are genuinely ε-approximate rather than exact fallbacks).
-    pub fn has_approx_indexes(&self) -> bool {
-        self.num_docs > 0
-            && self
-                .shards
-                .iter()
-                .all(|s| s.docs.iter().all(|(_, d)| d.has_approx()))
     }
 
     /// `(hits, misses)` of the result cache; zeros when caching is
@@ -716,6 +702,30 @@ mod tests {
         // Agrees with the §6 ListingIndex under Rel_max.
         let reference = ustr_core::ListingIndex::build(&docs, 0.05).unwrap();
         assert_eq!(*listed, reference.query(b"AB", 0.45).unwrap());
+    }
+
+    /// An `Approx` request answers as the `Threshold` request at its τ, bit
+    /// for bit, whatever ε the service was configured with: the exact
+    /// answer keeps the ε-sandwich for every ε.
+    #[test]
+    fn approx_answers_are_the_threshold_answers() {
+        let with_epsilon = ServiceConfig {
+            epsilon: Some(0.05),
+            ..config(2, 2, 0)
+        };
+        let service = QueryService::build(&collection(), 0.05, with_epsilon).unwrap();
+        for pattern in [&b"AB"[..], b"B", b"A", b"ZZ"] {
+            for tau in [0.05, 0.3, 0.6, 0.9] {
+                let approx = QueryRequest::Approx {
+                    pattern: pattern.to_vec(),
+                    tau,
+                };
+                assert_eq!(
+                    hits(&service, &approx),
+                    hits(&service, &threshold(pattern, tau))
+                );
+            }
+        }
     }
 
     #[test]
@@ -1050,17 +1060,7 @@ mod tests {
     #[test]
     fn collection_snapshot_round_trips_every_mode() {
         let docs = collection();
-        let built = QueryService::build(
-            &docs,
-            0.05,
-            ServiceConfig {
-                threads: 2,
-                shards: 3,
-                cache_capacity: 0,
-                epsilon: Some(0.05),
-            },
-        )
-        .unwrap();
+        let built = QueryService::build(&docs, 0.05, config(2, 3, 0)).unwrap();
         let path = std::env::temp_dir().join("ustr_service_round_trip.coll");
         built.save_collection(&path).unwrap();
         // Reload at several thread/shard configurations: answers must be
@@ -1070,7 +1070,6 @@ mod tests {
         for cfg in [config(1, 1, 0), config(4, 0, 0), config(8, 5, 0)] {
             let loaded = QueryService::load_collection(&path, cfg).unwrap();
             assert_eq!(loaded.num_docs(), docs.len());
-            assert!(loaded.has_approx_indexes(), "approx sections reloaded");
             for (a, b) in loaded.query_requests(&batch).iter().zip(reference.iter()) {
                 assert_eq!(a.as_ref().unwrap(), b.as_ref().unwrap());
             }
@@ -1078,11 +1077,7 @@ mod tests {
         // Built and loaded at one config, the same documents shard alike:
         // both plans weigh each document by its executor's heap.
         for cfg in [config(2, 0, 0), config(2, 3, 0), config(1, 5, 0)] {
-            let with_links = ServiceConfig {
-                epsilon: Some(0.05),
-                ..cfg.clone()
-            };
-            let built = QueryService::build(&docs, 0.05, with_links).unwrap();
+            let built = QueryService::build(&docs, 0.05, cfg.clone()).unwrap();
             let loaded = QueryService::load_collection(&path, cfg).unwrap();
             let sizes = |s: &QueryService| -> Vec<usize> {
                 s.segments().iter().map(|shard| shard.docs.len()).collect()

@@ -10,12 +10,8 @@
 //! holds what the built one held, `C` summed again from the model, and
 //! answers **byte-identical** query results, skipping the expensive
 //! construction passes (the Lemma-2 transform, SA-IS, the level mask
-//! sweeps). The ε-refined links of an
-//! [`ApproxIndex`] built over an [`Index`] are a payload of their own
-//! ([`encode_links_payload`]), read back over that index
-//! ([`decode_links_payload`]), skipping the link search: a `.coll` file
-//! holds one text per document. The other index types have no snapshot;
-//! each is built from its input whenever it is wanted.
+//! sweeps). The other index types have no snapshot; each is built from its
+//! input whenever it is wanted.
 //!
 //! # One container
 //!
@@ -23,30 +19,30 @@
 //! `"USTRCOLL"`, the format version), a manifest of `(document, kind,
 //! length, checksum)` rows, then the bare payloads. An `.idx` is one
 //! document with one `Index` section; a `.coll` file or a live segment
-//! holds, per document, its `Index` section and, when it is served with ε,
-//! its links section. The byte layout is in the [`collection`] module docs.
+//! holds one `Index` section per document. The byte layout is in the
+//! [`collection`] module docs.
 //!
 //! | kind byte | section payload |
 //! |---|---|
 //! | 1 | an [`Index`] |
-//! | 5 | the links of an [`ApproxIndex`] over its document's `Index` section |
 //!
-//! Any other kind byte is refused ([`StoreError::UnknownKind`]).
+//! Any other kind byte is refused ([`StoreError::UnknownKind`]): 5, which
+//! format 9 wrote for the §7 links over an `Index`, included.
 //!
 //! All fixed-width payload integers are little-endian; `f64`s are stored as
 //! their IEEE-754 bit patterns (so probabilities survive round-trips
 //! bit-exactly). **One integer rule:** every integer of a payload below
-//! other than the *string* piece — SA, LCP, factor starts, champions, links,
-//! and every sequence length, level count and stat — is written as an
+//! other than the *string* piece — SA, LCP, factor starts, champions, and
+//! every sequence length, level count and stat — is written as an
 //! LEB128 varint (1–5 bytes for a `u32` value, 1–10 for a length or stat;
 //! shortest form only), by value size, not by type. The *string* piece is
 //! the WAL's record body too, and keeps its fixed-width `u64` lengths.
 //!
-//! # Payloads (version 9)
+//! # Payloads (version 10)
 //!
 //! A payload says what `build` produces and a query reads, each array
-//! once. Shared pieces first, then the two payloads, every field in the
-//! order it is written:
+//! once. Shared pieces first, then the payload, every field in the order it
+//! is written:
 //!
 //! | piece | fields |
 //! |---|---|
@@ -55,13 +51,11 @@
 //! | *scored text* | text bytes (0 = factor separator), SA, LCP, each after its length |
 //! | *substrate* | *scored text*; short-level count `L`; per short level: mask words (`u64`s), champions (one per 64 slots, the `j`-th as `c − 64·j`); long-level count; per long level, the `k`-th of length `L·2ᵏ`: champions (one per `L·2ᵏ` slots, as `c − j·L·2ᵏ`) |
 //! | *factor starts* | per stretch of the text (position 0 and every position after a separator start one), after their count: the source position of its first character, as the zigzag delta from the previous start (from 0 for the first; wrapping) |
-//! | *links* | link count; per link, sorted by origin (a build writes one origin's links by witness, then deepest first): the origin node's key in the suffix tree of its document's text (`2·j + 1` for leaf `j`, `2·k` for the internal node whose first ℓ-index is `k`) as the delta from the previous link's, origin depth, the gap origin depth − target depth, the witness (a text position below the origin) as the zigzag delta from the previous link's (from 0 for the first); ε (`f64`) |
 //! | *stats* | source length, transformed length, factor count, build time in ns |
 //!
 //! | kind | payload |
 //! |---|---|
 //! | `Index` | *string* (the source); *substrate*; position map (*factor starts*); `τmin`; *stats* |
-//! | `ApproxIndex` links | *links*; build time in ns — a `.coll` approx section, read over its document's `Index` section |
 //!
 //! The two level counts must be the text's own — `L = ⌈log₂(slots + 1)⌉`
 //! short levels, a long level for every `L·2ᵏ` up to the text length: any
@@ -74,10 +68,6 @@
 //! level's length (its place on the ladder) and block size (64, or the
 //! length), the largest short pattern length (the short-level count), and
 //! the heap footprint (a measurement of the loaded index, taken again).
-//! Not written: link probabilities and source positions (derived from `C`
-//! and the position map at each link's witness — the probability with the
-//! build's own `canon::exp` — on load), and, in a links section, the text,
-//! `C`, position map and `τmin` (its document's `Index` section's).
 //!
 //! # Versioning policy
 //!
@@ -105,8 +95,10 @@
 //! count at save time. Version 7 was the one container with bare payloads,
 //! an `Index`'s with `C` and a map entry per character; version 8 wrote
 //! one map entry per factor and no `C`, and named each link's origin by its
-//! preorder rank in the tree; version 9 names it by the node's key, as the
-//! tree does, so a loader numbers nothing.
+//! preorder rank in the tree; version 9 named it by the node's key, as the
+//! tree does, and also wrote a `.coll` links section (kind 5) per document
+//! served with ε; version 10 writes the same `Index` payloads byte for byte
+//! and no links: the serving stack answers `Approx` from the `Index`.
 //!
 //! # Failure model
 //!
@@ -149,10 +141,9 @@ use std::path::Path;
 use std::time::Duration;
 
 use ustr_core::snapshot::{
-    ApproxLinkState, ApproxLinksState, IndexState, LevelsParts, LongLevelParts, ScoredTextState,
-    ShortLevelParts, SubstrateState,
+    IndexState, LevelsParts, LongLevelParts, ScoredTextState, ShortLevelParts, SubstrateState,
 };
-use ustr_core::{ApproxIndex, BuildStats, Index};
+use ustr_core::{BuildStats, Index};
 use ustr_uncertain::{Correlation, UncertainString};
 
 pub use collection::{
@@ -180,27 +171,24 @@ pub const MAGIC: [u8; 8] = *b"USTRCOLL";
 /// their own over an `Index`, and every length, level count and stat as a
 /// varint; version 7 is one container of bare payloads for every file;
 /// version 8 writes the position map per factor and derives `C` on load;
-/// version 9 keys each link's origin as the suffix tree keys its nodes.
-pub const FORMAT_VERSION: u32 = 9;
+/// version 9 keys each link's origin as the suffix tree keys its nodes;
+/// version 10 writes no links.
+pub const FORMAT_VERSION: u32 = 10;
 
 /// Which structure a section holds: one a server loads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SnapshotKind {
     /// A general substring [`Index`].
     Index = 1,
-    /// The links of an [`ApproxIndex`] built over an [`Index`], without
-    /// that index's text: a `.coll` approx section.
-    ApproxLinks = 5,
 }
 
 impl SnapshotKind {
-    /// The kind a manifest byte names; any other byte — 2, 3 and 4, which
-    /// earlier builds wrote for other indexes, included — is
+    /// The kind a manifest byte names; any other byte — 2 to 5, which
+    /// earlier builds wrote for other indexes and links, included — is
     /// [`StoreError::UnknownKind`].
     pub(crate) fn from_byte(b: u8) -> Result<Self, StoreError> {
         match b {
             1 => Ok(SnapshotKind::Index),
-            5 => Ok(SnapshotKind::ApproxLinks),
             other => Err(StoreError::UnknownKind { found: other }),
         }
     }
@@ -249,20 +237,6 @@ pub trait Snapshot: Sized {
             file.single(Self::KIND)?.decode(Self::decode_payload)
         })
     }
-}
-
-/// Writes the links of `approx` — built [`over`](ApproxIndex::over) an
-/// [`Index`] — as a section payload of kind [`SnapshotKind::ApproxLinks`],
-/// which holds no text.
-pub fn encode_links_payload(approx: &ApproxIndex, w: &mut Writer) {
-    encode_links(w, &approx.to_links_snapshot());
-}
-
-/// Reads a payload written by [`encode_links_payload`] and hangs its links
-/// off `index` ([`ApproxIndex::from_links_snapshot`], which refuses links
-/// that `index`'s tree does not carry).
-pub fn decode_links_payload(r: &mut Reader<'_>, index: &Index) -> Result<ApproxIndex, StoreError> {
-    Ok(ApproxIndex::from_links_snapshot(index, decode_links(r)?)?)
 }
 
 // ---------------------------------------------------------------------------
@@ -530,13 +504,14 @@ fn decode_substrate(r: &mut Reader<'_>) -> Result<SubstrateState, StoreError> {
     })
 }
 
-/// The builder's record. `heap_bytes` is not part of it: that is a
-/// measurement of the index in memory, which `from_snapshot` takes again.
+/// The builder's record, its build time in whole nanoseconds. `heap_bytes`
+/// is not part of it: that is a measurement of the index in memory, which
+/// `from_snapshot` takes again.
 fn encode_stats(w: &mut Writer, s: &BuildStats) {
     put_size(w, s.source_len as u64);
     put_size(w, s.transformed_len as u64);
     put_size(w, s.num_factors as u64);
-    encode_build_time(w, s.build_time);
+    put_size(w, s.build_time.as_nanos().min(u64::MAX as u128) as u64);
 }
 
 fn decode_stats(r: &mut Reader<'_>) -> Result<BuildStats, StoreError> {
@@ -544,22 +519,13 @@ fn decode_stats(r: &mut Reader<'_>) -> Result<BuildStats, StoreError> {
         source_len: get_usize(r)?,
         transformed_len: get_usize(r)?,
         num_factors: get_usize(r)?,
-        build_time: decode_build_time(r)?,
+        build_time: Duration::from_nanos(get_size(r)?),
         heap_bytes: 0,
     })
 }
 
-/// A build time in whole nanoseconds.
-fn encode_build_time(w: &mut Writer, t: Duration) {
-    put_size(w, t.as_nanos().min(u64::MAX as u128) as u64);
-}
-
-fn decode_build_time(r: &mut Reader<'_>) -> Result<Duration, StoreError> {
-    Ok(Duration::from_nanos(get_size(r)?))
-}
-
 // ---------------------------------------------------------------------------
-// The two payloads: an `Index`, and the links over one.
+// The payload: an `Index`.
 // ---------------------------------------------------------------------------
 
 fn encode_index(w: &mut Writer, state: &IndexState) {
@@ -589,53 +555,6 @@ impl Snapshot for Index {
         };
         Ok(Index::from_snapshot(state)?)
     }
-}
-
-/// A `.coll` approx section's payload: the ε-link table, ε and the build
-/// time. A link's witness is its zigzag delta from the previous link's
-/// (wrapping, so every `u32` round-trips): the links of one chain share a
-/// witness, so most deltas are 0.
-fn encode_links(w: &mut Writer, state: &ApproxLinksState) {
-    put_size(w, state.links.len() as u64);
-    // Links are sorted by origin and each target depth is under its origin
-    // depth (a state where not wraps, and does not decode).
-    let (mut prev_origin, mut prev_witness) = (0u32, 0u32);
-    for link in &state.links {
-        w.put_varint(link.origin.wrapping_sub(prev_origin));
-        w.put_varint(link.origin_depth);
-        w.put_varint(link.origin_depth.wrapping_sub(link.target_depth));
-        w.put_varint(zigzag(prev_witness, link.witness));
-        (prev_origin, prev_witness) = (link.origin, link.witness);
-    }
-    w.put_f64(state.epsilon);
-    encode_build_time(w, state.build_time);
-}
-
-fn decode_links(r: &mut Reader<'_>) -> Result<ApproxLinksState, StoreError> {
-    // Four varints of at least one byte each.
-    let num_links = get_count(r, 4)?;
-    let mut links = Vec::with_capacity(num_links);
-    let (mut prev_origin, mut prev_witness) = (0u32, 0u32);
-    for _ in 0..num_links {
-        let origin = (prev_origin.checked_add(r.get_varint()?))
-            .ok_or_else(|| corrupt("link origin past u32"))?;
-        let origin_depth = r.get_varint()?;
-        let target_depth = (origin_depth.checked_sub(r.get_varint()?))
-            .ok_or_else(|| corrupt("link gap larger than its origin depth"))?;
-        let witness = unzigzag(prev_witness, r.get_varint()?);
-        links.push(ApproxLinkState {
-            origin,
-            origin_depth,
-            target_depth,
-            witness,
-        });
-        (prev_origin, prev_witness) = (origin, witness);
-    }
-    Ok(ApproxLinksState {
-        links,
-        epsilon: r.get_f64()?,
-        build_time: decode_build_time(r)?,
-    })
 }
 
 #[cfg(test)]
@@ -684,33 +603,19 @@ mod tests {
         std::fs::remove_file(&path).unwrap();
     }
 
-    /// `Index::load` reads one document with one `Index` section: a links
-    /// section alone, or a collection, is [`StoreError::NotSingle`].
+    /// `Index::load` reads one document with one `Index` section: a
+    /// collection is [`StoreError::NotSingle`].
     #[test]
     fn index_load_wants_one_index_section() {
-        let index = sample_index();
-        let approx = ApproxIndex::over(&index, 0.05).unwrap();
-        let (ib, lb) = (
-            payload(|w| index.encode_payload(w)),
-            payload(|w| encode_links_payload(&approx, w)),
-        );
-        let section = |doc, kind, payload| Section { doc, kind, payload };
+        let ib = payload(|w| sample_index().encode_payload(w));
+        let section = |doc| Section {
+            doc,
+            kind: SnapshotKind::Index,
+            payload: &ib[..],
+        };
         for (docs, sections) in [
-            (1, vec![section(0, SnapshotKind::ApproxLinks, &lb[..])]),
-            (
-                1,
-                vec![
-                    section(0, SnapshotKind::Index, &ib[..]),
-                    section(0, SnapshotKind::ApproxLinks, &lb[..]),
-                ],
-            ),
-            (
-                2,
-                vec![
-                    section(0, SnapshotKind::Index, &ib[..]),
-                    section(1, SnapshotKind::Index, &ib[..]),
-                ],
-            ),
+            (1, vec![section(0), section(0)]),
+            (2, vec![section(0), section(1)]),
         ] {
             let path = temp_file("ustr_store_not_single.coll", &file_of(docs, &sections));
             let err = Index::load(&path).err();
@@ -723,9 +628,9 @@ mod tests {
         }
     }
 
-    /// A manifest kind byte other than 1 and 5 — 2, 3 and 4 were a
+    /// A manifest kind byte other than 1 — 2, 3 and 4 were a
     /// `SpecialIndex`, a `ListingIndex` and a stand-alone `ApproxIndex` in
-    /// earlier builds — is unknown.
+    /// earlier builds, 5 the links over an `Index` — is unknown.
     #[test]
     fn unknown_kinds_are_refused() {
         let ib = payload(|w| sample_index().encode_payload(w));
@@ -738,7 +643,7 @@ mod tests {
         // Magic, version, the two counts, the row's document id.
         let kind_at = 8 + 4 + 1 + 1 + 1;
         assert_eq!(bytes[kind_at], SnapshotKind::Index as u8);
-        for kind in [0, 2, 3, 4, 6] {
+        for kind in [0, 2, 3, 4, 5, 6] {
             let mut bytes = bytes.clone();
             bytes[kind_at] = kind;
             let err = read_collection(&bytes).err();
@@ -787,36 +692,22 @@ mod tests {
         s
     }
 
-    /// The payloads of three fixtures, byte for byte, as the manifest rows
-    /// of one file record them (version 8: the two `Index` payloads lost
-    /// `C` and the per-character map; version 9: the links payload keys
-    /// origins by node, as the tree does, and the `Index` rows held).
+    /// The payloads of two fixtures, byte for byte, as the manifest rows
+    /// of one file record them (version 8: the `Index` payloads lost `C`
+    /// and the per-character map; versions 9 and 10 kept them).
     /// The one nondeterministic field, `build_time`, is set to zero through
     /// the public state struct; everything else — source, map, text, SA,
-    /// LCP, `C`, mask words, champions, links — is what the checksums cover.
+    /// LCP, `C`, mask words, champions — is what the checksums cover.
     #[test]
     fn snapshot_payloads_are_pinned() {
-        let index = sample_index();
-        // The links over the index, as a `.coll` section writes them.
-        let mut state = ApproxIndex::over(&index, 0.05).unwrap().to_links_snapshot();
-        state.build_time = std::time::Duration::ZERO;
-        let links = ApproxIndex::from_links_snapshot(&index, state).unwrap();
-        // The same bytes after the model went through a correlation, a
+        // The second after the model went through a correlation, a
         // near-1.0 single choice and a correlated certain position.
         let correlated = Index::build(&correlated(), 0.1).unwrap();
-        let payloads = [
-            (0, SnapshotKind::Index, pinned(&index)),
-            (
-                0,
-                SnapshotKind::ApproxLinks,
-                payload(|w| encode_links_payload(&links, w)),
-            ),
-            (1, SnapshotKind::Index, pinned(&correlated)),
-        ];
-        let sections: Vec<Section> = (payloads.iter())
-            .map(|(doc, kind, payload)| Section {
-                doc: *doc,
-                kind: *kind,
+        let payloads = [pinned(&sample_index()), pinned(&correlated)];
+        let sections: Vec<Section> = (payloads.iter().enumerate())
+            .map(|(doc, payload)| Section {
+                doc,
+                kind: SnapshotKind::Index,
                 payload,
             })
             .collect();
@@ -824,10 +715,6 @@ mod tests {
             manifest_pins(&file_of(2, &sections)),
             [
                 (364, 18245839441643084873), // Index
-                // ApproxIndex links: origins keyed as the suffix tree keys
-                // its nodes, no longer by preorder rank, so the origin
-                // deltas and the order of the rows (and the checksum) moved.
-                (298, 12034348778766969133),
                 (328, 15807307767832286229), // Index, correlated
             ]
         );
@@ -844,10 +731,7 @@ mod tests {
     /// an SA entry of this text (19 178 slots) in at most 3 bytes, an LCP
     /// or map entry in about 1: 14 per slot with `C`'s 8 (13.1 measured).
     /// Version 8 writes no `C` and a factor start, of about one byte, for
-    /// every few slots: 6 per slot (4.23 measured). Version 6 writes a link
-    /// as its four integers alone, in at most 6 bytes (5.34 measured; 13.96
-    /// with the source position and `f64` probability of version 5), and a
-    /// `.coll` approx section as its links alone.
+    /// every few slots: 6 per slot (4.23 measured).
     #[test]
     fn snapshot_holds_each_array_once() {
         let s = ustr_workload::generate_string(&ustr_workload::DatasetConfig::new(2_000, 0.3, 7));
@@ -864,11 +748,6 @@ mod tests {
             payload <= source + slots * (1 + 3 + 1 + 1) + levels + FIXED,
             "{payload} bytes for {slots} slots, source {source}, levels {levels}"
         );
-
-        let approx = ApproxIndex::over(&index, 0.05).unwrap();
-        let links = approx.num_links() * 6;
-        let section = encoded_len(|w| encode_links(w, &approx.to_links_snapshot()));
-        assert!(section <= links + FIXED, "{section} bytes, links {links}");
     }
 
     /// A length or stat takes one byte per started 7 bits, ten for
@@ -892,29 +771,13 @@ mod tests {
         }
     }
 
-    /// `payload` decoded whole as a section of `kind`.
-    fn decoded<T>(
-        kind: SnapshotKind,
-        payload: &[u8],
-        decode: impl FnOnce(&mut Reader<'_>) -> Result<T, StoreError>,
-    ) -> Result<T, StoreError> {
-        let section = Section {
-            doc: 0,
-            kind,
-            payload,
-        };
-        section.decode(decode)
-    }
-
     /// A checksummed payload whose integers decode to no built state is a
-    /// clean error: a link gap above its origin depth, a factor start past
-    /// the source, a champion offset past its block or past `u32`.
+    /// clean error: a factor start past the source, a champion offset past
+    /// its block or past `u32`.
     #[test]
     fn checksummed_but_invalid_payloads_are_clean_errors() {
         let s = ustr_workload::generate_string(&ustr_workload::DatasetConfig::new(200, 0.3, 7));
-        let built = Index::build(&s, 0.1).unwrap();
-        let links = ApproxIndex::over(&built, 0.05).unwrap().to_links_snapshot();
-        let index = built.to_snapshot();
+        let index = Index::build(&s, 0.1).unwrap().to_snapshot();
         assert!(index.substrate.levels.short[0].champions.len() > 1);
         fn corrupt<T>(err: Result<T, StoreError>, says: &str) {
             match err {
@@ -923,20 +786,14 @@ mod tests {
             }
         }
 
-        let encoded = |state: &ApproxLinksState| {
-            let bytes = payload(|w| encode_links(w, state));
-            decoded(SnapshotKind::ApproxLinks, &bytes, |r| {
-                decode_links_payload(r, &built)
-            })
-        };
-        assert!(encoded(&links).is_ok());
-        let mut state = links.clone();
-        state.links[0].target_depth = state.links[0].origin_depth + 1;
-        corrupt(encoded(&state), "gap larger than its origin depth");
-
         let encoded = |state: &IndexState| {
             let bytes = payload(|w| encode_index(w, state));
-            decoded(SnapshotKind::Index, &bytes, Index::decode_payload)
+            let section = Section {
+                doc: 0,
+                kind: SnapshotKind::Index,
+                payload: &bytes,
+            };
+            section.decode(Index::decode_payload)
         };
         assert!(encoded(&index).is_ok());
         // Every factor start decodes (its step wraps): one past the source

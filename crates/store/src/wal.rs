@@ -125,7 +125,9 @@ pub struct LiveManifest {
     pub next_segment_id: u64,
     /// Construction threshold every segment (and the memtable) uses.
     pub tau_min: f64,
-    /// ε for per-document approx indexes in sealed segments, when enabled.
+    /// Written as `None` and not read: sealed segments hold no §7 links
+    /// since snapshot format 10. The field stays until the next MANIFEST
+    /// version.
     pub epsilon: Option<f64>,
     /// Tombstoned stable document ids (sorted ascending).
     pub tombstones: Vec<u64>,

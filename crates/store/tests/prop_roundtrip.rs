@@ -2,14 +2,14 @@
 //! answers *identically* (positions and exact probabilities) to the index it
 //! was saved from, for random uncertain strings across τmin values — and
 //! every flavour of file corruption fails with a clean error, never a panic.
-//! The files are the one container: a one-document `.idx` and a two-section
-//! `.coll` (an index and the links over it).
+//! The files are the one container: a one-document `.idx` and a
+//! two-document `.coll`.
 
 use proptest::prelude::*;
-use ustr_core::{ApproxIndex, Index};
+use ustr_core::Index;
 use ustr_store::{
-    decode_links_payload, encode_links_payload, read_collection, write_collection, FileKind,
-    Section, Snapshot, SnapshotKind, StoreError, Writer, FORMAT_VERSION, MAGIC,
+    read_collection, write_collection, FileKind, Section, Snapshot, SnapshotKind, StoreError,
+    Writer, FORMAT_VERSION, MAGIC,
 };
 use ustr_uncertain::UncertainString;
 
@@ -63,43 +63,30 @@ fn load_idx(bytes: &[u8]) -> Result<Index, StoreError> {
         .decode(Index::decode_payload)
 }
 
-/// A one-document `.coll`: `index`'s section, then `approx`'s links.
-fn coll_bytes(index: &Index, approx: &ApproxIndex) -> Vec<u8> {
+/// A two-document `.coll`: `index`'s section for each.
+fn coll_bytes(index: &Index) -> Vec<u8> {
     let ib = payload(|w| index.encode_payload(w));
-    let lb = payload(|w| encode_links_payload(approx, w));
-    let sections = [
-        Section {
-            doc: 0,
-            kind: SnapshotKind::Index,
-            payload: &ib,
-        },
-        Section {
-            doc: 0,
-            kind: SnapshotKind::ApproxLinks,
-            payload: &lb,
-        },
-    ];
+    let section = |doc| Section {
+        doc,
+        kind: SnapshotKind::Index,
+        payload: &ib,
+    };
     let mut bytes = Vec::new();
-    write_collection(&mut bytes, 1, &sections).unwrap();
+    write_collection(&mut bytes, 2, &[section(0), section(1)]).unwrap();
     bytes
 }
 
-/// The index and the links over it, from [`coll_bytes`]' file.
-fn load_coll(bytes: &[u8]) -> Result<(Index, ApproxIndex), StoreError> {
+/// The two indexes of [`coll_bytes`]' file.
+fn load_coll(bytes: &[u8]) -> Result<Vec<Index>, StoreError> {
     let file = read_collection(bytes)?;
-    let [index, links] = file.sections[..] else {
+    if file.sections.len() != 2 {
         return Err(StoreError::Corrupt {
             detail: format!("{} sections", file.sections.len()),
         });
-    };
-    if (index.kind, links.kind) != (SnapshotKind::Index, SnapshotKind::ApproxLinks) {
-        return Err(StoreError::Corrupt {
-            detail: "section kinds".into(),
-        });
     }
-    let index = index.decode(Index::decode_payload)?;
-    let approx = links.decode(|r| decode_links_payload(r, &index))?;
-    Ok((index, approx))
+    (file.sections.iter())
+        .map(|section| section.decode(Index::decode_payload))
+        .collect()
 }
 
 proptest! {
@@ -134,49 +121,12 @@ proptest! {
         prop_assert_eq!(built.stats().transformed_len, loaded.stats().transformed_len);
     }
 
-    /// The links over an index round-trip byte-identically: positions AND
-    /// reported (ε-approximate) probabilities, across ε and τ values — over
-    /// the index they were built over and over the one the file carries.
+    /// Every truncation point of a two-document `.coll` fails cleanly.
     #[test]
-    fn approx_round_trip_is_exact(
-        r in rows(14),
-        p in pattern(4),
-        eps_idx in 0usize..3,
-        tau_idx in 0usize..4,
-    ) {
-        let epsilon = [0.02, 0.05, 0.2][eps_idx];
-        let tau = [0.1, 0.25, 0.5, 0.8][tau_idx];
+    fn coll_truncation_always_errors(r in rows(8), cut_seed in 0u32..10_000) {
         let s = UncertainString::from_rows(r).unwrap();
-        let index = Index::build(&s, 0.05).unwrap();
-        let built = ApproxIndex::over(&index, epsilon).unwrap();
-
-        let bytes = coll_bytes(&index, &built);
-        let (loaded_index, from_file) = load_coll(&bytes).unwrap();
-        let links = payload(|w| encode_links_payload(&built, w));
-        let over_built = Section { doc: 0, kind: SnapshotKind::ApproxLinks, payload: &links }
-            .decode(|r| decode_links_payload(r, &index))
-            .unwrap();
-        let a = built.query(&p, tau).unwrap();
-        for loaded in [over_built, from_file] {
-            let b = loaded.query(&p, tau).unwrap();
-            prop_assert_eq!(a.hits(), b.hits(), "byte round-trip diverged");
-            for (&(_, pa), &(_, pb)) in a.hits().iter().zip(b.hits().iter()) {
-                prop_assert_eq!(pa.to_bits(), pb.to_bits(), "probabilities not bit-exact");
-            }
-            prop_assert_eq!(built.num_links(), loaded.num_links());
-            prop_assert_eq!(built.epsilon().to_bits(), loaded.epsilon().to_bits());
-            prop_assert_eq!(built.tau_min().to_bits(), loaded.tau_min().to_bits());
-        }
-        prop_assert_eq!(loaded_index.to_snapshot(), index.to_snapshot());
-    }
-
-    /// Every truncation point of a two-section `.coll` fails cleanly.
-    #[test]
-    fn approx_truncation_always_errors(r in rows(8), cut_seed in 0u32..10_000) {
-        let s = UncertainString::from_rows(r).unwrap();
-        let index = Index::build(&s, 0.1).unwrap();
-        let built = ApproxIndex::over(&index, 0.1).unwrap();
-        let bytes = coll_bytes(&index, &built);
+        let bytes = coll_bytes(&Index::build(&s, 0.1).unwrap());
+        prop_assert!(load_coll(&bytes).is_ok());
         let cut = cut_seed as usize % bytes.len();
         prop_assert!(
             load_coll(&bytes[..cut]).is_err(),
@@ -211,8 +161,7 @@ proptest! {
         idx[at] ^= 0x40;
         prop_assert!(load_idx(&idx).is_err(), ".idx flip at {} loaded", at);
 
-        let approx = ApproxIndex::over(&built, 0.1).unwrap();
-        let mut coll = coll_bytes(&built, &approx);
+        let mut coll = coll_bytes(&built);
         let at = flip_seed as usize % coll.len();
         coll[at] ^= 0x40;
         prop_assert!(load_coll(&coll).is_err(), ".coll flip at {} loaded", at);
@@ -255,17 +204,20 @@ fn wrong_version_is_a_clean_error() {
 
 /// Files written by earlier formats: a single-index file of format 6 (a
 /// header of its own around the payload), a version-1 collection, a
-/// format-7 `.idx` (its payload holds `C` and the per-character map), and a
+/// format-7 `.idx` (its payload holds `C` and the per-character map), a
 /// format-8 `.coll` with approx sections (its links name their origins by
-/// preorder rank). Each is refused with a message that says to rebuild it.
+/// preorder rank), and a format-9 `.coll` with approx sections (its links
+/// name their origins by node key). Each is refused with a message that
+/// says to rebuild it.
 #[test]
 fn old_format_files_are_refused_with_a_rebuild_message() {
     let fixtures = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
     for (file, refused) in [
         ("format6.idx", "bad magic"),
-        ("format6.coll", "version 1 (this build reads version 9)"),
-        ("format7.idx", "version 7 (this build reads version 9)"),
-        ("format8.coll", "version 8 (this build reads version 9)"),
+        ("format6.coll", "version 1 (this build reads version 10)"),
+        ("format7.idx", "version 7 (this build reads version 10)"),
+        ("format8.coll", "version 8 (this build reads version 10)"),
+        ("format9.coll", "version 9 (this build reads version 10)"),
     ] {
         let err = Index::load(fixtures.join(file)).err().unwrap();
         let said = err.to_string();
@@ -303,13 +255,12 @@ fn save_load_files_round_trip() {
         loaded.query(b"QP", 0.2).unwrap().hits()
     );
     assert_eq!(std::fs::read(&path).unwrap(), idx_bytes(&loaded));
-    // A collection — here an index and its links — is not an index file.
-    let approx = ApproxIndex::over(&built, 0.05).unwrap();
-    std::fs::write(&path, coll_bytes(&built, &approx)).unwrap();
+    // A collection is not an index file.
+    std::fs::write(&path, coll_bytes(&built)).unwrap();
     assert!(matches!(
         Index::load(&path),
         Err(StoreError::NotSingle {
-            docs: 1,
+            docs: 2,
             sections: 2,
             ..
         })

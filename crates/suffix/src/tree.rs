@@ -49,14 +49,11 @@
 //! smaller structure (≈ 50 ns of a 200 ns descent at a 20-letter alphabet).
 
 use std::ops::RangeInclusive;
-use std::sync::Arc;
 
 use crate::{lcp_array, sais::suffix_array};
 
 /// Suffix tree with pattern descent to suffix-array ranges, held as text,
-/// suffix array, LCP array and child table (see the module docs). The
-/// arrays are shared, not copied, by a clone: two indexes over one text
-/// hold one tree.
+/// suffix array, LCP array and child table (see the module docs).
 ///
 /// ```
 /// use ustr_suffix::SuffixTree;
@@ -70,15 +67,15 @@ use crate::{lcp_array, sais::suffix_array};
 /// ```
 #[derive(Debug, Clone)]
 pub struct SuffixTree {
-    text: Arc<[u8]>,
+    text: Box<[u8]>,
     /// Virtual SA: `sa[0] = n` (terminator suffix), `sa[1..]` = real SA.
-    sa: Arc<[u32]>,
+    sa: Box<[u32]>,
     /// `slot_lcp[j]` = LCP of the suffixes in slots `j-1` and `j` (0 for
     /// `j <= 1`).
-    slot_lcp: Arc<[u32]>,
+    slot_lcp: Box<[u32]>,
     /// One cell per slot: `up`, `nextlIndex` or `down` (module docs); 0
     /// where none exists.
-    child: Arc<[u32]>,
+    child: Box<[u32]>,
 }
 
 impl SuffixTree {
@@ -96,10 +93,10 @@ impl SuffixTree {
         let n = text.len();
         let m = n + 1; // slots, including the virtual-terminator suffix
 
-        // Each array is collected straight into its shared allocation
-        // (exact-size iterators), with no `Vec` to copy from.
+        // Each array is collected straight into its allocation (exact-size
+        // iterators).
         let sa = std::iter::once(n as u32).chain(plain_sa).collect();
-        let slot_lcp: Arc<[u32]> = (0..m).map(|j| if j < 2 { 0 } else { lcp[j - 1] }).collect();
+        let slot_lcp: Box<[u32]> = (0..m).map(|j| if j < 2 { 0 } else { lcp[j - 1] }).collect();
 
         // The stack holds the slots whose interval is still open, LCP
         // non-decreasing toward the top; slot 0 (LCP 0) never leaves it.
@@ -111,8 +108,7 @@ impl SuffixTree {
         // start. A slot arriving at the LCP of the top is that one's
         // `nextlIndex`, written after — and so over — any `down` of the
         // same cell.
-        let mut child: Arc<[u32]> = (0..m).map(|_| 0).collect();
-        let cells = Arc::get_mut(&mut child).expect("a new allocation has one owner");
+        let mut child = vec![0u32; m].into_boxed_slice();
         let mut stack: Vec<u32> = vec![0];
         for k in 1..m {
             let lcp_k = slot_lcp[k];
@@ -121,19 +117,19 @@ impl SuffixTree {
                 let lcp_top = slot_lcp[top as usize];
                 if lcp_top <= lcp_k {
                     if lcp_top == lcp_k {
-                        cells[top as usize] = k as u32;
+                        child[top as usize] = k as u32;
                     }
                     break;
                 }
                 stack.pop();
                 let below = *stack.last().expect("slot 0 is never popped") as usize;
                 if lcp_k <= slot_lcp[below] && slot_lcp[below] != lcp_top {
-                    cells[below] = top;
+                    child[below] = top;
                 }
                 last = Some(top);
             }
             if let Some(first) = last {
-                cells[k - 1] = first;
+                child[k - 1] = first;
             }
             stack.push(k as u32);
         }
@@ -141,7 +137,7 @@ impl SuffixTree {
         while let Some(top) = stack.pop() {
             if let Some(&below) = stack.last() {
                 if slot_lcp[below as usize] != slot_lcp[top as usize] {
-                    cells[below as usize] = top;
+                    child[below as usize] = top;
                 }
             }
         }

@@ -19,15 +19,16 @@
 //!
 //! Indexes are built once and served many times: [`Snapshot`] persists an
 //! [`Index`] to a versioned, checksummed binary file (`.idx`) that loads
-//! back with byte-identical query behaviour; a whole collection — each
-//! document's index and, with ε, the links of an [`ApproxIndex`] over it
-//! (`ustr_store::encode_links_payload`) — packs into one *collection
-//! snapshot* (`.coll`) via `QueryService::save_collection`. Both are one
-//! container: a manifest of per-section lengths and checksums, then the
-//! bare payloads; and
+//! back with byte-identical query behaviour; a whole collection — one
+//! index per document — packs into one *collection snapshot* (`.coll`) via
+//! `QueryService::save_collection`. Both are one container: a manifest of
+//! per-section lengths and checksums, then the bare payloads; and
 //! [`QueryService`] serves batches mixing all four [`QueryRequest`] modes —
 //! threshold, top-k, listing, approx — over a sharded collection with a
 //! fixed thread pool, deterministic merge, and a per-mode LRU result cache.
+//! It answers approx exactly, from each document's [`Index`]: the exact
+//! answer keeps the ε-sandwich for every ε, and the exact index answers as
+//! fast as the [`ApproxIndex`] links, which stay the paper's §7 artifact.
 //!
 //! Collections are **mutable** too: [`LiveService`] accepts inserts and
 //! deletes at serving time — writes go through a checksummed, fsynced

@@ -2,12 +2,14 @@
 //! above which the transform and the ε-link walk run as two halves on two
 //! threads. The pins were taken from one-thread builds, so a split build
 //! must reproduce them exactly; CI runs this file a second time pinned to
-//! one core, where every pass runs serially, against the same numbers.
+//! one core, where every pass runs serially, against the same numbers. The
+//! link table itself is pinned in `ustr-core` (`the_link_table_is_pinned`),
+//! where its rows are visible.
 
 use uncertain_strings::{
     uncertain::transform,
     workload::{generate_string, DatasetConfig},
-    ApproxIndex, Correlation, CorrelationSet, Index, UncertainString,
+    ApproxIndex, Correlation, CorrelationSet, UncertainString,
 };
 
 /// FNV-1a, 64 bits.
@@ -90,36 +92,17 @@ fn transform_output_is_pinned() {
     );
 }
 
-/// The link table of `ApproxIndex::over` at ε = 0.05: `(links, hash over
-/// each link's origin key, origin depth, target depth and witness)`.
-#[test]
-fn links_over_an_index_are_pinned() {
-    let index = Index::build(&string(10_000, false), 0.1).unwrap();
-    let links = ApproxIndex::over(&index, 0.05)
-        .unwrap()
-        .to_links_snapshot()
-        .links;
-    let mut h = Fnv::new();
-    for l in &links {
-        for v in [l.origin, l.origin_depth, l.target_depth, l.witness] {
-            h.bytes(&v.to_le_bytes());
-        }
-    }
-    // The hash moved once, when origins went from preorder ranks to the
-    // tree's node keys: the same links, keyed and ordered anew.
-    assert_eq!((links.len(), h.0), (196_610, 17047414776978951797));
-}
-
-/// The answers of `ApproxIndex::over` at ε = 0.05 on the uncorrelated
+/// The answers of `ApproxIndex` at ε = 0.05 on the uncorrelated
 /// 10 000-position string: `(hits, hash over each hit's position and
 /// probability bits)` for the most probable reading of the string at every
 /// 97th start, at six pattern lengths and four thresholds. Pinned before
 /// the links' origins were keyed by the tree's own names, which must not
-/// move an answer.
+/// move an answer, and over an `Index`'s text before the links were built
+/// only on their own, which must not either.
 #[test]
 fn approx_answers_are_pinned() {
     let s = string(10_000, false);
-    let approx = ApproxIndex::over(&Index::build(&s, 0.1).unwrap(), 0.05).unwrap();
+    let approx = ApproxIndex::build(&s, 0.1, 0.05).unwrap();
     let (mut hits, mut h) = (0, Fnv::new());
     for m in [1, 2, 3, 5, 8, 12] {
         for start in (0..s.len() - m).step_by(97) {

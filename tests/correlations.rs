@@ -206,9 +206,8 @@ fn correlation_chain_through_many_positions() {
 /// §7 under correlation, where `C` holds each character's upper bound and a
 /// link's probability only bounds the truth from above: for every probable
 /// pattern of length 1–4 at every 11th start, and four thresholds, the
-/// approximate index — stand-alone, over an `Index`, and loaded over it —
-/// reports every position the exact index does at τ, none below τ − ε, and
-/// no probability above the true one (the links alone reported "E" at 350
+/// approximate index reports every position the exact index does at τ,
+/// none below τ − ε, and no probability above the true one (the links alone reported "E" at 350
 /// of the 2 000-position string at 0.125 for τ = 0.1, where it is 0.0417).
 #[test]
 fn approx_sandwich_holds_under_correlation() {
@@ -221,9 +220,7 @@ fn approx_sandwich_holds_under_correlation() {
     ];
     for s in &strings {
         let index = Index::build(s, 0.05).unwrap();
-        let over = ApproxIndex::over(&index, EPS).unwrap();
-        let loaded = ApproxIndex::from_links_snapshot(&index, over.to_links_snapshot()).unwrap();
-        let alone = ApproxIndex::build(s, 0.05, EPS).unwrap();
+        let approx = ApproxIndex::build(s, 0.05, EPS).unwrap();
         let probable = |q: usize| s.position(q).most_probable().0;
         let mut patterns: Vec<Vec<u8>> = (1..=s.len().min(4))
             .flat_map(|m| (0..=s.len() - m).step_by(11).map(move |i| i..i + m))
@@ -233,16 +230,14 @@ fn approx_sandwich_holds_under_correlation() {
         for pattern in &patterns {
             for tau in [0.05, 0.1, 0.2, 0.4] {
                 let exact = index.query(pattern, tau).unwrap().positions();
-                for approx in [&over, &loaded, &alone] {
-                    let hits = approx.query(pattern, tau).unwrap();
-                    let reported = hits.positions();
-                    let what = format!("{:?} at τ {tau}", String::from_utf8_lossy(pattern));
-                    assert!(exact.iter().all(|p| reported.contains(p)), "{what}");
-                    for &(pos, p) in hits.hits() {
-                        let truth = s.match_probability(pattern, pos);
-                        assert!(truth >= tau - EPS - 1e-9, "{what}: {pos} at {truth}");
-                        assert!(p <= truth + 1e-9, "{what}: {pos} reported {p}, is {truth}");
-                    }
+                let hits = approx.query(pattern, tau).unwrap();
+                let reported = hits.positions();
+                let what = format!("{:?} at τ {tau}", String::from_utf8_lossy(pattern));
+                assert!(exact.iter().all(|p| reported.contains(p)), "{what}");
+                for &(pos, p) in hits.hits() {
+                    let truth = s.match_probability(pattern, pos);
+                    assert!(truth >= tau - EPS - 1e-9, "{what}: {pos} at {truth}");
+                    assert!(p <= truth + 1e-9, "{what}: {pos} reported {p}, is {truth}");
                 }
             }
         }

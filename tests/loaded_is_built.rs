@@ -1,13 +1,12 @@
 //! A loaded index is a built index: taking what a server loads — an
-//! `Index`, and the links of an `ApproxIndex` over its text — apart and
-//! putting it back together, from its state or from the bytes of its
-//! section payload, yields the structures `build` made: the same bytes on the
-//! heap, row for row, and the same state when taken apart again (the
-//! recorded build time included: it is in the bytes). Nothing is kept that
-//! a snapshot does not carry or derive, and a snapshot carries nothing an
-//! index does not keep. The same holds for a document served with ε
-//! through the `.coll` file the service writes. A loaded `C` is summed
-//! from the model through the position map; `ustr-core`'s
+//! `Index` — apart and putting it back together, from its state or from the
+//! bytes of its section payload, yields the structures `build` made: the
+//! same bytes on the heap, row for row, and the same state when taken apart
+//! again (the recorded build time included: it is in the bytes). Nothing is
+//! kept that a snapshot does not carry or derive, and a snapshot carries
+//! nothing an index does not keep. The same holds for a document through
+//! the `.coll` file the service writes. A loaded `C` is summed from the
+//! model through the position map; `ustr-core`'s
 //! `a_loaded_c_is_the_built_c_bit_for_bit` holds its bits to the built one's.
 
 mod common;
@@ -15,9 +14,9 @@ mod common;
 use common::correlated;
 use uncertain_strings::{
     service::{load_coll, save_coll, DocExecutor},
-    store::{decode_links_payload, encode_links_payload, Reader, RealIo, Writer},
+    store::{Reader, RealIo, Writer},
     workload::{generate_string, DatasetConfig},
-    ApproxIndex, Index, Snapshot, UncertainString,
+    Index, Snapshot, UncertainString,
 };
 
 const TAU_MIN: f64 = 0.1;
@@ -68,27 +67,9 @@ fn index_round_trip_keeps_heap_and_state() {
 }
 
 #[test]
-fn approx_index_round_trip_keeps_heap_and_state() {
-    for s in strings() {
-        let index = Index::build(&s, TAU_MIN).unwrap();
-        let built = ApproxIndex::over(&index, 0.05).unwrap();
-        let state = built.to_links_snapshot();
-        let bytes = payload(|w| encode_links_payload(&built, w));
-        for loaded in [
-            ApproxIndex::from_links_snapshot(&index, state.clone()).unwrap(),
-            decode_links_payload(&mut Reader::new(&bytes), &reread(&index)).unwrap(),
-        ] {
-            assert_eq!(loaded.heap_breakdown(), built.heap_breakdown());
-            assert_eq!(loaded.stats().heap_bytes, built.stats().heap_bytes);
-            assert_eq!(loaded.to_links_snapshot(), state);
-        }
-    }
-}
-
-#[test]
-fn index_and_links_over_it_round_trip_through_a_collection_file() {
+fn an_index_round_trips_through_a_collection_file() {
     let built: Vec<DocExecutor> = (strings().iter())
-        .map(|s| DocExecutor::build(s, TAU_MIN, Some(0.05)).unwrap())
+        .map(|s| DocExecutor::build(s, TAU_MIN).unwrap())
         .collect();
     let path =
         std::env::temp_dir().join(format!("ustr_loaded_is_built.{}.coll", std::process::id()));
@@ -97,26 +78,11 @@ fn index_and_links_over_it_round_trip_through_a_collection_file() {
     std::fs::remove_file(&path).unwrap();
     assert_eq!(loaded.len(), built.len());
     for (built, loaded) in built.iter().zip(&loaded) {
-        let (
-            DocExecutor::Built {
-                index,
-                approx: Some(approx),
-            },
-            DocExecutor::Built {
-                index: loaded_index,
-                approx: Some(loaded_approx),
-            },
-        ) = (built, loaded)
+        let (DocExecutor::Built { index }, DocExecutor::Built { index: loaded }) = (built, loaded)
         else {
-            panic!("a document served with ε holds an index and its links");
+            panic!("a saved document is a built index");
         };
-        assert_eq!(loaded_index.heap_breakdown(), index.heap_breakdown());
-        assert_eq!(loaded_index.to_snapshot(), index.to_snapshot());
-        assert_eq!(loaded_approx.heap_breakdown(), approx.heap_breakdown());
-        assert_eq!(loaded_approx.stats(), approx.stats());
-        assert_eq!(
-            loaded_approx.to_links_snapshot(),
-            approx.to_links_snapshot()
-        );
+        assert_eq!(loaded.heap_breakdown(), index.heap_breakdown());
+        assert_eq!(loaded.to_snapshot(), index.to_snapshot());
     }
 }

@@ -197,33 +197,30 @@ fn index_file_bytes_stay_inside_the_budget() {
     println!("\n\n| file | bytes | B/position |");
     println!("|---|---:|---:|");
     println!(
-        "| `.idx` ({n} positions, format 9) | {len} | {:.1} |",
+        "| `.idx` ({n} positions, format 10) | {len} | {:.1} |",
         per(len, n)
     );
     assert!(per(len, n) <= IDX_BYTES_PER_POS * 1.05);
 }
 
 /// Section bytes per source position of the collection below when the
-/// budget was last set (snapshot format 6, whose approx sections are the
-/// links alone, four varints a link, over the index section's text: 294.7
-/// in format 5, which wrote their own text, SA, LCP, source positions and
-/// `f64` probabilities; 579.8 in format 4): substring-index sections
-/// (format 8, without `C` and with one map entry per factor; 178.9 in
-/// formats 6 and 7; 186.1 in format 5, with `u64` lengths; 291.3 in
-/// format 4). Approx sections re-measured in format 9, whose origins are
-/// node keys (96.0 with format 8's preorder ranks).
+/// budget was set: substring-index sections (format 8, without `C` and with
+/// one map entry per factor; 178.9 in formats 6 and 7; 186.1 in format 5,
+/// with `u64` lengths; 291.3 in format 4). Until format 10 a document
+/// served with ε also had an approx section of its links (96.2 in format 9;
+/// 96.0 in format 8; 294.7 in format 5; 579.8 in format 4); since, `Approx`
+/// is answered by the index.
 const COLL_INDEX_BYTES_PER_POS: f64 = 81.9;
-const COLL_APPROX_BYTES_PER_POS: f64 = 96.2;
 
 /// The `serve-wire` collection — 62 documents of 20–45 positions — as the
-/// `.coll` file `save_coll` writes over `DocExecutor::build` with ε (what
-/// `build-collection --epsilon 0.05` writes), split by section kind.
+/// `.coll` file `save_coll` writes over `DocExecutor::build` (what
+/// `build-collection` writes), split into index sections and framing.
 #[test]
 fn collection_file_bytes_stay_inside_the_budget() {
     let docs = generate_collection(&DatasetConfig::new(2_000, 0.25, 43));
     let positions: usize = docs.iter().map(UncertainString::len).sum();
     let built: Vec<DocExecutor> = (docs.iter())
-        .map(|d| DocExecutor::build(d, TAU_MIN, Some(EPSILON)).unwrap())
+        .map(|d| DocExecutor::build(d, TAU_MIN).unwrap())
         .collect();
     let path = std::env::temp_dir().join(format!("ustr_space_budget.{}.coll", std::process::id()));
     save_coll(&RealIo, &path, &built).unwrap();
@@ -231,18 +228,12 @@ fn collection_file_bytes_stay_inside_the_budget() {
     let manifest = read_collection_manifest(&path).unwrap();
     std::fs::remove_file(&path).unwrap();
 
-    let of_kind = |kind| -> usize {
-        let of_kind = manifest.entries.iter().filter(|e| e.kind == kind);
-        of_kind.map(|e| e.len as usize).sum()
-    };
-    let index = of_kind(SnapshotKind::Index);
-    let approx = of_kind(SnapshotKind::ApproxLinks);
+    let index: usize = manifest.entries.iter().map(|e| e.len as usize).sum();
     println!("\n\n| .coll part | bytes | B/position | share |");
     println!("|---|---:|---:|---:|");
     for (part, bytes) in [
         ("index sections", index),
-        ("approx (links) sections", approx),
-        ("header + manifest", file_len - index - approx),
+        ("header + manifest", file_len - index),
     ] {
         println!(
             "| {part} | {bytes} | {:.1} | {:.1} % |",
@@ -257,7 +248,10 @@ fn collection_file_bytes_stay_inside_the_budget() {
     );
 
     assert_eq!(docs.len(), 62);
-    assert_eq!(manifest.entries.len(), 2 * docs.len());
+    assert_eq!(manifest.entries.len(), docs.len());
+    assert!(manifest
+        .entries
+        .iter()
+        .all(|e| e.kind == SnapshotKind::Index));
     assert!(per(index, positions) <= COLL_INDEX_BYTES_PER_POS * 1.05);
-    assert!(per(approx, positions) <= COLL_APPROX_BYTES_PER_POS * 1.05);
 }
