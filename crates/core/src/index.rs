@@ -59,7 +59,7 @@ pub struct Index {
     /// substrate: text position → source position, `None` at separators,
     /// as one base per factor.
     map: FactorMap,
-    substrate: Substrate,
+    pub(crate) substrate: Substrate,
     tau_min: f64,
     stats: BuildStats,
 }

@@ -80,7 +80,11 @@
 //! Since then `C` keeps its prefix sums alone (75.9: no window a query
 //! reads crosses a separator: the window contract in `carray.rs`), and the
 //! position map is a separator rank (2.4) and one base per factor (3.3):
-//! `Index::heap_size()` is 384.1.
+//! `Index::heap_size()` was 384.1. The suffix tree then took its LCP at a
+//! byte per slot (text + SA + LCP 85.4 → 56.9), and the long levels end at
+//! the longest factor, 42 characters, instead of the text length (two
+//! levels where there were 16: 19.6 → 14.7): `Index::heap_size()` is
+//! ≈ 350.8.
 //!
 //! And an [`ApproxIndex`] on the same string (1 944 732 links) — the rows of
 //! [`ApproxIndex::heap_breakdown`] — when it kept the `C` it found its links

@@ -55,7 +55,7 @@ pub struct ListingIndex {
     /// Per-document flat verification planes, the one in-memory copy of
     /// each document's model.
     planes: Vec<ProbPlane>,
-    substrate: Substrate,
+    pub(crate) substrate: Substrate,
     /// X position → source position *within its document* (`None` at
     /// separators), one base per factor.
     map: FactorMap,

@@ -376,6 +376,122 @@ mod tests {
         }
     }
 
+    /// The ladder ends at the longest factor. Over generated strings and
+    /// collections, every long level of an `Index` and a `ListingIndex`
+    /// holds a finite champion, the longest is no longer than the text's
+    /// longest separator-free stretch (and the next length would be), and a
+    /// pattern longer than that stretch answers empty in every mode, as the
+    /// scanner does.
+    #[test]
+    fn no_long_level_passes_the_longest_stretch() {
+        use crate::ListingIndex;
+        use ustr_baseline::NaiveScanner;
+        use ustr_workload::{generate_collection, generate_string, DatasetConfig};
+        const TAU: f64 = 0.1;
+        // The longest separator-free stretch of `sub`'s text, after the
+        // checks on its long levels.
+        let checked = |sub: &Substrate| {
+            let text = sub.text.tree.text();
+            let longest = text.split(|&c| c == 0).map(<[u8]>::len).max().unwrap();
+            let long = sub.long_levels();
+            assert!(long.iter().all(|&(_, finite)| finite), "{long:?}");
+            if let Some(&(len, _)) = long.last() {
+                assert!(len <= longest && 2 * len > longest, "{len} for {longest}");
+            }
+            longest
+        };
+        // `len` characters of the world of each position's first choice,
+        // from `start` on, cycled past the end.
+        let world = |s: &UncertainString, start: usize, len: usize| -> Vec<u8> {
+            let chars = (0..s.len()).map(|q| s.position(q).choices()[0].0);
+            chars.cycle().skip(start).take(len).collect()
+        };
+        for (n, theta, seed) in [
+            (37, 0.3, 11),
+            (400, 0.3, 13),
+            (2_000, 0.3, 43),
+            (300, 0.0, 5),
+        ] {
+            let config = DatasetConfig::new(n, theta, seed);
+            let source = generate_string(&config);
+            let index = Index::build(&source, TAU).unwrap();
+            let approx = ApproxIndex::build(&source, TAU, 0.05).unwrap();
+            let longest = checked(&index.substrate);
+            for start in (0..n).step_by(n / 7 + 1) {
+                let pattern = world(&source, start, longest + 1);
+                assert!(NaiveScanner::find(&source, &pattern, TAU).is_empty());
+                assert!(index.query(&pattern, TAU).unwrap().is_empty());
+                assert!(index.query_top_k(&pattern, 3).unwrap().is_empty());
+                assert!(approx.query(&pattern, TAU).unwrap().is_empty());
+            }
+            let docs = generate_collection(&config);
+            let listing = ListingIndex::build(&docs, TAU).unwrap();
+            let longest = checked(&listing.substrate);
+            for doc in docs.iter().step_by(docs.len() / 5 + 1) {
+                let pattern = world(doc, 0, longest + 1);
+                assert!(NaiveScanner::listing(&docs, &pattern, TAU).is_empty());
+                assert!(listing.query(&pattern, TAU).unwrap().is_empty());
+                assert!(listing.query_top_k(&pattern, 3).unwrap().is_empty());
+            }
+        }
+    }
+
+    /// A deterministic period-2 source of 600 positions: its LCP entries
+    /// reach 598, past the byte table, so a descent deeper than 254
+    /// characters reads node depths from the exception list. For pattern
+    /// lengths from 1 to 601 (stepped, but whole around 255 and at the
+    /// text's end), in both phases, all four modes answer as the scanner
+    /// does — the index built and loaded — and the state round trip is the
+    /// identity.
+    #[test]
+    fn a_periodic_source_answers_through_long_lcp_entries() {
+        use crate::ListingIndex;
+        use ustr_baseline::NaiveScanner;
+        const TAU: f64 = 0.1;
+        let source = UncertainString::deterministic(&b"AB".repeat(300));
+        let built = Index::build(&source, TAU).unwrap();
+        let state = built.to_snapshot();
+        assert_eq!(state.substrate.text.lcp.iter().max(), Some(&598));
+        let loaded = Index::from_snapshot(state.clone()).unwrap();
+        assert_eq!(loaded.to_snapshot(), state);
+        let approx = ApproxIndex::build(&source, TAU, 0.05).unwrap();
+        let docs = [
+            source.clone(),
+            UncertainString::deterministic(&b"BA".repeat(150)),
+        ];
+        let listing = ListingIndex::build(&docs, TAU).unwrap();
+        let lens = (1..=20)
+            .chain((21..250).step_by(23))
+            .chain(250..=260)
+            .chain((261..590).step_by(29))
+            .chain(590..=601);
+        for m in lens {
+            for phase in [b"AB", b"BA"] {
+                let pattern: Vec<u8> = phase.iter().copied().cycle().take(m).collect();
+                let expected = NaiveScanner::find_with_probs(&source, &pattern, TAU);
+                assert_eq!(expected.is_empty(), m > 600 || (m == 600 && phase == b"BA"));
+                let mut top = expected.clone();
+                top.sort_by(crate::canonical_hit_order);
+                top.truncate(3);
+                for index in [&built, &loaded] {
+                    assert_eq!(index.query(&pattern, TAU).unwrap().hits(), expected, "{m}");
+                    assert_eq!(index.query_top_k(&pattern, 3).unwrap(), top, "top-k at {m}");
+                }
+                let approx = approx.query(&pattern, TAU).unwrap();
+                assert_eq!(approx.hits(), expected, "approx at {m}");
+                let documents: Vec<usize> = (listing.query(&pattern, TAU).unwrap())
+                    .iter()
+                    .map(|hit| hit.doc)
+                    .collect();
+                assert_eq!(
+                    documents,
+                    NaiveScanner::listing(&docs, &pattern, TAU),
+                    "{m}"
+                );
+            }
+        }
+    }
+
     /// `u32::MAX` is the "no position" value and the slot count is one
     /// more than the length, so the last length that fits is one below it.
     #[test]

@@ -17,11 +17,15 @@
 //!
 //! Long patterns (`m > L`): materialising per-length block maxima for every
 //! `i ∈ [log n, n]`, as §4.2 describes, costs Θ(n²) construction time; we
-//! build the blocking levels at geometric lengths `L, 2L, 4L, …` instead.
-//! Prefix probabilities are non-increasing in length, so a level-`i` value
-//! (`i ≤ m`) upper-bounds every length-`m` window in its block — a sound
-//! pruning filter; survivors are verified against `C` exactly. This keeps
-//! the paper's `O(m · occ)` long-pattern flavour at O(N log N) build cost.
+//! build the blocking levels at geometric lengths `L, 2L, 4L, …` instead,
+//! up to the longest factor (the longest separator-free stretch of the
+//! text): past it every window crosses a separator or leaves the text, so
+//! a level there would hold −∞ alone, and no pattern that long has a
+//! suffix range. Prefix probabilities are non-increasing in length, so a
+//! level-`i` value (`i ≤ m`) upper-bounds every length-`m` window in its
+//! block — a sound pruning filter; survivors are verified against `C`
+//! exactly. This keeps the paper's `O(m · occ)` long-pattern flavour at
+//! O(N log N) build cost.
 //!
 //! # One level type, one ladder, one query path
 //!
@@ -80,7 +84,10 @@
 //! A short level has blocks of 64 slots and one mask bit per slot:
 //! ≈ 0.44 B per slot per level. A long level's block is its length, from
 //! `L` up: 20.2 / `len` B per slot, under 2.5 B per slot for the whole
-//! geometric ladder.
+//! geometric ladder — and the ladder ends at the longest factor, so on a
+//! transformed text of short factors it is two or three levels, not
+//! `log₂(n / L)` (on `paper-string`, factors of at most 42 characters and
+//! `L = 20`: levels 20 and 40, where the text length allowed 16).
 //!
 //! Temporary memory: the run lengths (one word per text position), one
 //! `u64` of level bits per slot — `L ≤ 32` for any text an index accepts —
@@ -245,7 +252,7 @@ impl Levels {
     pub(super) fn build(text: &ScoredText, dedup: &DedupStrategy<'_>) -> Self {
         let slots = text.tree.num_slots();
         let run = text.run_lengths();
-        let (max_short, long_lens) = ladder(text);
+        let (max_short, long_lens) = ladder(text, &run);
         let mut long_sweeps: Vec<LongSweep> =
             long_lens.map(|len| LongSweep::new(len, slots)).collect();
 
@@ -299,13 +306,13 @@ impl Levels {
     /// level for level. Fails with [`Error::InvalidSnapshot`] on
     /// structurally inconsistent parts.
     pub(super) fn from_parts(parts: LevelsParts, text: &ScoredText) -> Result<Self, Error> {
-        let (max_short, long_lens) = ladder(text);
+        let run = text.run_lengths();
+        let (max_short, long_lens) = ladder(text, &run);
         let long_lens: Vec<usize> = long_lens.collect();
         if parts.short.len() != max_short || parts.long.len() != long_lens.len() {
             return Err(invalid("level count does not match the ladder of the text"));
         }
         let mask_words = text.tree.num_slots().div_ceil(64);
-        let run = text.run_lengths();
         let short = parts.short.into_iter().zip(1..).map(|(level, len)| {
             if level.mask_words.len() != mask_words {
                 return Err("mask word count does not match slot count");
@@ -329,7 +336,7 @@ impl Levels {
     fn serving(&self, m: usize) -> &Level {
         let long = || self.long.iter().rev().find(|level| level.len <= m);
         self.short.get(m - 1).or_else(long).expect(
-            "a pattern longer than L occurs only in a text that long, which has a long level",
+            "a pattern longer than L occurs only in a stretch that long, which has a long level",
         )
     }
 
@@ -401,15 +408,33 @@ impl Substrate {
     }
 }
 
+#[cfg(test)]
+impl Substrate {
+    /// Per long level, its length and whether some champion has a finite
+    /// value — a whole window at that length.
+    pub(crate) fn long_levels(&self) -> Vec<(usize, bool)> {
+        let run = self.text.run_lengths();
+        let finite = |level: &Level| {
+            let value = champion_value(&level.mask, &self.text, &run, level.len);
+            let champions = level.rmq.champions().iter();
+            champions.map(|&c| value(c as usize)).any(f64::is_finite)
+        };
+        let long = self.levels.long.iter();
+        long.map(|level| (level.len, finite(level))).collect()
+    }
+}
+
 /// The level ladder, derived from the text and nothing else: short levels
 /// for the pattern lengths `1..=L`, `L = ⌈log₂(slots + 1)⌉` (the paper's
-/// `log n`), and the lengths of the long levels, `L·2ᵏ` up to the text
-/// length.
-fn ladder(text: &ScoredText) -> (usize, impl Iterator<Item = usize>) {
+/// `log n`), and the lengths of the long levels, `L·2ᵏ` up to the longest
+/// separator-free stretch of the text — the largest of its run lengths
+/// `run` ([`ScoredText::run_lengths`]). A longer level would hold −∞ alone,
+/// and serve no pattern: one longer than every stretch has no suffix range.
+fn ladder(text: &ScoredText, run: &[u32]) -> (usize, impl Iterator<Item = usize>) {
     let max_short = (usize::BITS - text.tree.num_slots().leading_zeros()) as usize;
-    let text_len = text.cum.len().max(1);
+    let longest = run.iter().max().map_or(0, |&len| len as usize);
     let long = std::iter::successors(Some(max_short), |&len| len.checked_mul(2))
-        .take_while(move |&len| len <= text_len);
+        .take_while(move |&len| len <= longest);
     (max_short, long)
 }
 
@@ -432,8 +457,8 @@ fn low_bits(n: usize) -> u64 {
 /// How many of the `levels` short levels a threshold `t` lies above: the
 /// levels `ℓ < t`.
 #[inline]
-fn levels_below(t: u32, levels: usize) -> usize {
-    (t as usize).min(levels)
+fn levels_below(t: usize, levels: usize) -> usize {
+    t.min(levels)
 }
 
 /// A key's current winner in one level's partition (`ByKeyMax`).
@@ -459,8 +484,7 @@ fn keep_sweep(
         DedupStrategy::ByKeyMax(keys) => (keys, true),
     };
     debug_assert_eq!(keys.len(), text.cum.len(), "one key per text position");
-    let sa = text.tree.sa_slots();
-    let lcp = text.tree.slot_lcps();
+    let (tree, sa) = (&text.tree, text.tree.sa_slots());
     let prefix = text.cum.prefix();
     let key_space = keys
         .iter()
@@ -483,7 +507,7 @@ fn keep_sweep(
     let mut keep = vec![0u64; sa.len()];
     for j in 1..sa.len() {
         // A level's partition ends where the LCP drops below its length.
-        for p in &mut partition[levels_below(lcp[j], levels)..levels] {
+        for p in &mut partition[levels_below(tree.slot_lcp(j), levels)..levels] {
             *p += 1;
         }
         let x = sa[j] as usize;
@@ -492,7 +516,7 @@ fn keep_sweep(
             continue;
         }
         let at = key as usize * levels;
-        let finite = levels_below(run[x], levels);
+        let finite = levels_below(run[x] as usize, levels);
         let mut bits = 0u64;
         for i in 0..finite {
             let seen = std::mem::replace(&mut stamp[at + i], partition[i]) == partition[i];
@@ -595,7 +619,7 @@ fn champion_sweep(
             let run_x = run[x];
             let mut bits = match keep {
                 Some(keep) => keep[j],
-                None => low_bits(levels_below(run_x, levels)),
+                None => low_bits(levels_below(run_x as usize, levels)),
             };
             while bits != 0 {
                 let i = bits.trailing_zeros() as usize;
@@ -709,9 +733,10 @@ mod tests {
     }
 
     /// A 48-character text for the matrix below: 6 short levels and long
-    /// levels at 6, 12, 24 and 48. Characters repeat with period 3 and
-    /// probabilities with period 6, broken by one separator, so a pattern
-    /// matches at two residues with two different values.
+    /// levels at 6, 12 and 24 (its longest stretch is 30). Characters
+    /// repeat with period 3 and probabilities with period 6, broken by one
+    /// separator, so a pattern matches at two residues with two different
+    /// values.
     fn periodic_text() -> (Vec<u8>, Vec<f64>) {
         const PROBS: [f64; 6] = [0.9, 1.0, 0.8, 1.0, 0.95, 0.9];
         let mut chars: Vec<u8> = (0..48).map(|x| b"abc"[x % 3]).collect();
@@ -971,7 +996,7 @@ mod tests {
     fn reference_parts(text: &ScoredText, dedup: &DedupStrategy<'_>) -> LevelsParts {
         let slots = text.tree.num_slots();
         let run = text.run_lengths();
-        let (max_short, long_lens) = ladder(text);
+        let (max_short, long_lens) = ladder(text, &run);
         let short = (1..=max_short)
             .map(|i| {
                 let mask = BitVec {

@@ -38,7 +38,7 @@
 //! shortest form only), by value size, not by type. The *string* piece is
 //! the WAL's record body too, and keeps its fixed-width `u64` lengths.
 //!
-//! # Payloads (version 10)
+//! # Payloads (version 11)
 //!
 //! A payload says what `build` produces and a query reads, each array
 //! once. Shared pieces first, then the payload, every field in the order it
@@ -58,8 +58,9 @@
 //! | `Index` | *string* (the source); *substrate*; position map (*factor starts*); `τmin`; *stats* |
 //!
 //! The two level counts must be the text's own — `L = ⌈log₂(slots + 1)⌉`
-//! short levels, a long level for every `L·2ᵏ` up to the text length: any
-//! other ladder is refused, so a loaded index has a built one's levels.
+//! short levels, a long level for every `L·2ᵏ` up to the longest
+//! separator-free stretch of the text: any other ladder is refused, so a
+//! loaded index has a built one's levels.
 //!
 //! Not written, because another field fixes it: where the separators are
 //! (the zero bytes of the text), the map past a factor's first character
@@ -97,8 +98,12 @@
 //! one map entry per factor and no `C`, and named each link's origin by its
 //! preorder rank in the tree; version 9 named it by the node's key, as the
 //! tree does, and also wrote a `.coll` links section (kind 5) per document
-//! served with ε; version 10 writes the same `Index` payloads byte for byte
+//! served with ε; version 10 wrote the same `Index` payloads byte for byte
 //! and no links: the serving stack answers `Approx` from the `Index`.
+//! Version 11 writes no long level past the longest separator-free stretch
+//! (version 10 wrote them on up to the text length, though every value of
+//! such a level is −∞); everything else of a payload is version 10's, byte
+//! for byte.
 //!
 //! # Failure model
 //!
@@ -172,8 +177,9 @@ pub const MAGIC: [u8; 8] = *b"USTRCOLL";
 /// varint; version 7 is one container of bare payloads for every file;
 /// version 8 writes the position map per factor and derives `C` on load;
 /// version 9 keys each link's origin as the suffix tree keys its nodes;
-/// version 10 writes no links.
-pub const FORMAT_VERSION: u32 = 10;
+/// version 10 writes no links; version 11 ends the long levels at the
+/// longest separator-free stretch of the text.
+pub const FORMAT_VERSION: u32 = 11;
 
 /// Which structure a section holds: one a server loads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -694,7 +700,8 @@ mod tests {
 
     /// The payloads of two fixtures, byte for byte, as the manifest rows
     /// of one file record them (version 8: the `Index` payloads lost `C`
-    /// and the per-character map; versions 9 and 10 kept them).
+    /// and the per-character map; versions 9 and 10 kept them; version 11
+    /// lost the long levels past the longest separator-free stretch).
     /// The one nondeterministic field, `build_time`, is set to zero through
     /// the public state struct; everything else — source, map, text, SA,
     /// LCP, `C`, mask words, champions — is what the checksums cover.
@@ -714,8 +721,8 @@ mod tests {
         assert_eq!(
             manifest_pins(&file_of(2, &sections)),
             [
-                (364, 18245839441643084873), // Index
-                (328, 15807307767832286229), // Index, correlated
+                (347, 16749832266438231732), // Index
+                (314, 4236535003138851969),  // Index, correlated
             ]
         );
     }

@@ -39,25 +39,27 @@ impl LeafLca {
     /// Derives the structure from `tree`'s slot-LCP array: one stack sweep
     /// for the boundary names plus the RMQ construction.
     pub fn build(tree: &SuffixTree) -> Self {
-        let lcp = tree.slot_lcps();
-        let mut boundary_node = vec![0u32; lcp.len()];
+        let lcp = |k: usize| tree.slot_lcp(k);
+        let slots = tree.num_slots();
+        let mut boundary_node = vec![0u32; slots];
         // First ℓ-indices of the nodes still open, LCP strictly increasing
         // toward the top: a smaller LCP closes a node, an equal one is its
         // next ℓ-index, a larger one opens a node below it.
         let mut open: Vec<u32> = Vec::new();
-        for k in 1..lcp.len() {
-            while open.last().is_some_and(|&top| lcp[top as usize] > lcp[k]) {
+        for (k, name) in boundary_node.iter_mut().enumerate().skip(1) {
+            let lcp_k = lcp(k);
+            while open.last().is_some_and(|&top| lcp(top as usize) > lcp_k) {
                 open.pop();
             }
-            boundary_node[k] = match open.last() {
-                Some(&top) if lcp[top as usize] == lcp[k] => top,
+            *name = match open.last() {
+                Some(&top) if lcp(top as usize) == lcp_k => top,
                 _ => {
                     open.push(k as u32);
                     k as u32
                 }
             };
         }
-        let lcp_f64: Vec<f64> = lcp.iter().map(|&x| x as f64).collect();
+        let lcp_f64: Vec<f64> = (0..slots).map(|k| lcp(k) as f64).collect();
         Self {
             boundary_node,
             lcp_rmq: BlockRmq::new(&lcp_f64, Direction::Min),

@@ -26,13 +26,17 @@
 //! terminator); everything is an array over slots. The two layers are
 //! built — and paid for — separately:
 //!
-//! * **Locus core** ([`SuffixTree`], 13 B/slot): text 1, SA 4, slot-LCP 4,
+//! * **Locus core** ([`SuffixTree`], 10 B/slot): text 1, SA 4, slot-LCP 1,
 //!   child table 4 — one `u32` cell per slot holding the `up`, `down` or
 //!   `nextlIndex` value of Abouelhoda, Kurtz and Ohlebusch's enhanced
-//!   suffix array, whichever that slot can be asked for. (Until PR 23 the
-//!   tree had explicit nodes: a 12-byte `{depth, l, r}` record and 8 bytes
-//!   of CSR child list for each of ≈ 1.55 nodes per slot, leaves included —
-//!   ≈ 40 B/slot in all.)
+//!   suffix array, whichever that slot can be asked for. The LCP is their
+//!   byte table too: an entry of 255 or more is stored as 255, and its
+//!   value kept in an exception list sorted by slot (8 B an entry; none on
+//!   the benchmark's strings, whose entries stay below 55). (The LCP was a
+//!   `u32` per slot, 13 B/slot in all, through snapshot format 10. Until
+//!   PR 23 the tree had explicit nodes: a 12-byte `{depth, l, r}` record
+//!   and 8 bytes of CSR child list for each of ≈ 1.55 nodes per slot,
+//!   leaves included — ≈ 40 B/slot in all.)
 //! * **Ancestry layer** ([`LeafLca`], ≈ 21 B/slot), which only
 //!   `ustr_core::ApproxIndex` derives, and only at build time — never on
 //!   load: name of the LCA of each pair of neighbouring leaves 4 and the
@@ -45,10 +49,11 @@
 //!   ranks and ends.)
 //!
 //! Measured per *source* position on the benchmark's `paper-string` workload
-//! (n = 100 000, 9.48 slots per position): the locus core is 123.3 B, of
-//! which the child table is 37.9 — where nodes + CSR children were 293, the
-//! largest single structure of an `ustr_core::Index` (563.3 B in all, 973.9
-//! before; its crate docs have the table).
+//! (n = 100 000, 9.48 slots per position): the locus core is 94.8 B (123.3
+//! with a `u32` LCP), of which the child table is 37.9 — where nodes + CSR
+//! children were 293, the largest single structure of an
+//! `ustr_core::Index` (563.3 B in all, 973.9 before; its crate docs have
+//! the table).
 
 #![forbid(unsafe_code)]
 // Probabilities are computed once, in `ustr-uncertain` (INVARIANTS.md §1).

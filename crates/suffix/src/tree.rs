@@ -27,6 +27,13 @@
 //! `k ≥ 1` is an ℓ-index of exactly one node, the LCA of leaves `k − 1` and
 //! `k`.
 //!
+//! The LCP array is one byte per slot: string depths are small on the texts
+//! an index is built over (the transformed strings' factors are short), so
+//! an entry of 255 or more is stored as 255 and its true value kept in a
+//! short list sorted by slot, which [`SuffixTree::slot_lcp`] searches only
+//! for such an entry — the byte LCP table of Abouelhoda, Kurtz and
+//! Ohlebusch's enhanced suffix array.
+//!
 //! The child table is one `u32` per slot holding whichever of the classic
 //! `up`/`down`/`nextlIndex` values that slot can ever be asked for — they
 //! exclude each other:
@@ -52,6 +59,10 @@ use std::ops::RangeInclusive;
 
 use crate::{lcp_array, sais::suffix_array};
 
+/// The byte of a slot whose LCP does not fit below it: the true value is
+/// in the exception list.
+const LCP_MARK: u8 = u8::MAX;
+
 /// Suffix tree with pattern descent to suffix-array ranges, held as text,
 /// suffix array, LCP array and child table (see the module docs).
 ///
@@ -71,8 +82,10 @@ pub struct SuffixTree {
     /// Virtual SA: `sa[0] = n` (terminator suffix), `sa[1..]` = real SA.
     sa: Box<[u32]>,
     /// `slot_lcp[j]` = LCP of the suffixes in slots `j-1` and `j` (0 for
-    /// `j <= 1`).
-    slot_lcp: Box<[u32]>,
+    /// `j <= 1`), or [`LCP_MARK`] when that is 255 or more.
+    slot_lcp: Box<[u8]>,
+    /// `(slot, LCP)` of every slot marked in `slot_lcp`, by slot.
+    long_lcp: Box<[(u32, u32)]>,
     /// One cell per slot: `up`, `nextlIndex` or `down` (module docs); 0
     /// where none exists.
     child: Box<[u32]>,
@@ -88,7 +101,8 @@ impl SuffixTree {
     }
 
     /// Builds from a precomputed suffix array and LCP array of `text`: the
-    /// child table is one stack sweep over the LCP values.
+    /// child table is one stack sweep over the `u32` LCP values, which are
+    /// then narrowed to a byte each (module docs).
     pub fn from_parts(text: Vec<u8>, plain_sa: Vec<u32>, lcp: Vec<u32>) -> Self {
         let n = text.len();
         let m = n + 1; // slots, including the virtual-terminator suffix
@@ -96,7 +110,8 @@ impl SuffixTree {
         // Each array is collected straight into its allocation (exact-size
         // iterators).
         let sa = std::iter::once(n as u32).chain(plain_sa).collect();
-        let slot_lcp: Box<[u32]> = (0..m).map(|j| if j < 2 { 0 } else { lcp[j - 1] }).collect();
+        let slot_lcp: Vec<u32> = (0..m).map(|j| if j < 2 { 0 } else { lcp[j - 1] }).collect();
+        drop(lcp);
 
         // The stack holds the slots whose interval is still open, LCP
         // non-decreasing toward the top; slot 0 (LCP 0) never leaves it.
@@ -142,10 +157,19 @@ impl SuffixTree {
             }
         }
 
+        let long_lcp = (slot_lcp.iter().enumerate())
+            .filter(|&(_, &l)| l >= u32::from(LCP_MARK))
+            .map(|(j, &l)| (j as u32, l))
+            .collect();
+        let slot_lcp = slot_lcp
+            .iter()
+            .map(|&l| l.min(u32::from(LCP_MARK)) as u8)
+            .collect();
         Self {
             text: text.into(),
             sa,
             slot_lcp,
+            long_lcp,
             child,
         }
     }
@@ -161,14 +185,12 @@ impl SuffixTree {
     /// deterministic pass, so the reconstructed tree answers every query
     /// identically (and skips the SA-IS construction entirely).
     pub fn to_parts(&self) -> (Vec<u8>, Vec<u32>, Vec<u32>) {
-        let n = self.text.len();
         // `sa[0]` is the virtual-terminator slot; the plain SA follows.
         let plain_sa = self.sa[1..].to_vec();
-        // `slot_lcp[j]` for `j >= 2` holds `lcp[j - 1]`; `lcp[0]` is 0.
-        let mut lcp = vec![0u32; n];
-        if n > 1 {
-            lcp[1..n].copy_from_slice(&self.slot_lcp[2..n + 1]);
-        }
+        // `slot_lcp(j)` for `j >= 1` is `lcp[j - 1]`, widened back to `u32`.
+        let lcp = (1..self.num_slots())
+            .map(|j| self.slot_lcp(j) as u32)
+            .collect();
         (self.text.to_vec(), plain_sa, lcp)
     }
 
@@ -190,15 +212,25 @@ impl SuffixTree {
         &self.sa
     }
 
-    /// LCP between the suffixes in slots `j-1` and `j` (0 for `j <= 1`).
+    /// LCP between the suffixes in slots `j-1` and `j` (0 for `j <= 1`):
+    /// one byte load, and a binary search of the exception list for an
+    /// entry of 255 or more.
     #[inline]
     pub fn slot_lcp(&self, j: usize) -> usize {
-        self.slot_lcp[j] as usize
+        match self.slot_lcp[j] {
+            LCP_MARK => self.long_slot_lcp(j),
+            short => short as usize,
+        }
     }
 
-    /// The whole slot-LCP array: [`SuffixTree::slot_lcp`] of every slot.
-    pub fn slot_lcps(&self) -> &[u32] {
-        &self.slot_lcp
+    /// The LCP of a slot marked [`LCP_MARK`], from the exception list.
+    #[cold]
+    fn long_slot_lcp(&self, j: usize) -> usize {
+        let at = self
+            .long_lcp
+            .binary_search_by_key(&(j as u32), |&(slot, _)| slot)
+            .expect("every marked slot has an exception entry");
+        self.long_lcp[at].1 as usize
     }
 
     /// The name of the internal node `[l, r]` (`l < r`): its first ℓ-index,
@@ -292,7 +324,7 @@ impl SuffixTree {
     /// they partition `[l, r]`, and a child `(j, j)` is the leaf of slot `j`.
     pub fn child_intervals(&self, l: usize, r: usize) -> impl Iterator<Item = (usize, usize)> + '_ {
         let first = self.first_l_index(l, r);
-        let depth = self.slot_lcp[first];
+        let depth = self.slot_lcp(first);
         let (mut start, mut next) = (l, first);
         std::iter::from_fn(move || {
             if start > r {
@@ -305,7 +337,7 @@ impl SuffixTree {
                 // points right at an equal LCP (`down` points at a larger
                 // one, `up` points left).
                 let cell = self.child[start] as usize;
-                next = if cell > start && self.slot_lcp[cell] == depth {
+                next = if cell > start && self.slot_lcp(cell) == depth {
                     cell
                 } else {
                     r + 1
@@ -397,12 +429,13 @@ impl SuffixTree {
         }
     }
 
-    /// Heap bytes held: the text, SA and LCP arrays plus
-    /// [`SuffixTree::child_table_heap_size`].
+    /// Heap bytes held: the text, SA and LCP arrays (the LCP's exception
+    /// list included) plus [`SuffixTree::child_table_heap_size`].
     pub fn heap_size(&self) -> usize {
         std::mem::size_of_val(&*self.text)
             + std::mem::size_of_val(&*self.sa)
             + std::mem::size_of_val(&*self.slot_lcp)
+            + std::mem::size_of_val(&*self.long_lcp)
             + self.child_table_heap_size()
     }
 

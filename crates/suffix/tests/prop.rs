@@ -13,6 +13,25 @@ fn byte_text() -> impl Strategy<Value = Vec<u8>> {
     ]
 }
 
+/// A periodic text of 300–1 000 characters: a period of 1–3 symbols
+/// repeated, so that neighbouring suffixes share hundreds of characters —
+/// LCP entries of 255 and more, which the tree keeps beside its byte table —
+/// with a separator dropped in at up to two places.
+fn periodic_text() -> impl Strategy<Value = Vec<u8>> {
+    (
+        prop::collection::vec(prop::sample::select(vec![b'a', b'b', b'c']), 1..4),
+        300usize..1_000,
+        prop::collection::vec(0usize..1_000, 0..3),
+    )
+        .prop_map(|(period, len, separators)| {
+            let mut text: Vec<u8> = period.iter().copied().cycle().take(len).collect();
+            for at in separators {
+                text[at % len] = 0;
+            }
+            text
+        })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
 
@@ -216,6 +235,49 @@ proptest! {
             prop_assert!(kids >= 2);
         }
         prop_assert_eq!(leaves, tree.num_slots());
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// LCP entries past a byte: every slot reads Kasai's value, the parts a
+    /// snapshot stores carry it back at full width, and the descent — which
+    /// reads node depths through the same table — finds `SuffixArray`'s
+    /// range for patterns up to 600 long, present (cut from the text,
+    /// stretched past its end when the length says so) and absent (one
+    /// character changed at the end).
+    #[test]
+    fn long_lcp_entries_survive_the_byte_table(
+        text in periodic_text(),
+        cuts in prop::collection::vec((0usize..1_000, 1usize..601), 4),
+    ) {
+        let tree = SuffixTree::build(text.clone());
+        let arr = SuffixArray::new(text.clone());
+        let lcp = lcp_array(&text, arr.sa());
+        prop_assert_eq!(tree.slot_lcp(0), 0);
+        for j in 1..tree.num_slots() {
+            prop_assert_eq!(tree.slot_lcp(j), lcp[j - 1] as usize, "slot {}", j);
+        }
+        if !text.contains(&0) {
+            prop_assert!(lcp.iter().any(|&l| l >= 255), "no entry past a byte");
+        }
+        let (t, sa, stored) = tree.to_parts();
+        prop_assert_eq!(&stored, &lcp);
+        let rebuilt = SuffixTree::from_parts(t, sa, stored);
+        prop_assert_eq!(rebuilt.to_parts().2, lcp);
+        for (start, len) in cuts {
+            let start = start % text.len();
+            let mut present: Vec<u8> = text[start..].iter().copied().take(len).collect();
+            present.extend(std::iter::repeat_n(b'a', len.saturating_sub(present.len())));
+            let mut absent = present.clone();
+            *absent.last_mut().unwrap() = b'd';
+            for pattern in [present, absent] {
+                let shifted = arr.suffix_range(&pattern).map(|(l, r)| (l + 1, r + 1));
+                prop_assert_eq!(tree.suffix_range(&pattern), shifted, "length {}", pattern.len());
+                prop_assert_eq!(rebuilt.suffix_range(&pattern), shifted);
+            }
+        }
     }
 }
 

@@ -24,7 +24,8 @@ const TAU_MIN: f64 = 0.1;
 /// Generated strings from one position (no long level at all) to 2 000
 /// (more than 16 384 slots, so some SA entries take three varint bytes),
 /// certain and uncertain, a periodic certain one whose LCPs pass 127
-/// (two-byte LCP entries), and correlated ones, whose `C` a load sums from
+/// (two-byte LCP entries), a period-2 certain one whose LCPs pass 255 (the
+/// tree's exception list), and correlated ones, whose `C` a load sums from
 /// the correlations' bounds.
 fn strings() -> Vec<UncertainString> {
     let mut out = Vec::new();
@@ -35,6 +36,7 @@ fn strings() -> Vec<UncertainString> {
     }
     let periodic = (0..300).map(|i| vec![(b"ABC"[i % 3], 1.0)]).collect();
     out.push(UncertainString::from_rows(periodic).unwrap());
+    out.push(UncertainString::deterministic(&b"AB".repeat(300)));
     for (n, seed) in [(37, 11), (400, 13), (2_000, 43)] {
         out.push(correlated(n, seed));
     }

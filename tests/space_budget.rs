@@ -14,7 +14,7 @@
 
 use uncertain_strings::{
     service::{save_coll, DocExecutor},
-    store::{read_collection_manifest, RealIo},
+    store::{read_collection_manifest, RealIo, FORMAT_VERSION},
     uncertain::ProbPlane,
     workload::{generate_collection, generate_string, DatasetConfig},
     ApproxIndex, Index, ListingIndex, Snapshot, SnapshotKind, UncertainString,
@@ -71,14 +71,16 @@ fn check_heap_rows(
 }
 
 /// `Index::heap_size()` per source position on this input when the budget
-/// was last set, once `C` kept only its prefix sums and the position map
-/// became a separator rank and one base per factor (452.3 before, with a
+/// was last set, once the LCP became a byte per slot and the long levels
+/// ended at the longest separator-free stretch (380.8 before, the figure
+/// since `C` kept only its prefix sums and the position map became a
+/// separator rank and one base per factor; 452.3 before that, with a
 /// `u32` per character for each — the figure since the plane became the
 /// one copy of the model, with probability rows only at uncertain
 /// positions; 561.4 before that, not counting the ≈ 58 B of source copy
 /// beside the plane; 925.3 with explicit tree nodes and a sparse table per
 /// level).
-const MEASURED_BYTES_PER_POS: f64 = 380.8;
+const MEASURED_BYTES_PER_POS: f64 = 345.9;
 
 #[test]
 fn heap_breakdown_stays_inside_the_budget() {
@@ -98,6 +100,9 @@ fn heap_breakdown_stays_inside_the_budget() {
         found.unwrap_or_else(|| panic!("no {name:?} row")).1
     };
     assert!(per(row("child table"), slots) <= 8.0);
+    // A text byte, a `u32` SA entry and an LCP byte per slot: no LCP entry
+    // of this text reaches 255, so its exception list is empty.
+    assert!(per(row("text + SA + LCP"), slots) <= 6.0);
     assert!(per(row("short levels"), slots * short_levels) <= 0.5);
     // The position map: 16 bytes per 64 characters (0.25 B a character),
     // and 4 B a factor.
@@ -144,12 +149,14 @@ fn approx_heap_breakdown_stays_inside_the_budget() {
 }
 
 /// `ListingIndex::heap_size()` per source position over the same positions
-/// cut into documents when the budget was last set, once its document and
-/// source maps (8 B a character) became a factor map and a document id per
-/// factor (450.6 before; that was the first count of everything the index
+/// cut into documents when the budget was last set, once the LCP became a
+/// byte per slot and the long levels ended at the longest separator-free
+/// stretch (360.8 before, the figure since its document and source maps
+/// — 8 B a character — became a factor map and a document id per factor;
+/// 450.6 before that, the first count of everything the index
 /// holds: 549.8 on `paper-string` before it, without the documents' source
 /// copies or the planes' slots).
-const LISTING_MEASURED_BYTES_PER_POS: f64 = 360.8;
+const LISTING_MEASURED_BYTES_PER_POS: f64 = 326.1;
 
 #[test]
 fn listing_heap_stays_inside_the_budget() {
@@ -180,11 +187,12 @@ fn listing_heap_stays_inside_the_budget() {
 }
 
 /// `.idx` bytes per source position of the 10 000-position string when the
-/// budget was set (snapshot format 8, which writes no `C` and one position
-/// map entry per factor: 180.3 in formats 6 and 7, which wrote lengths and
-/// stats as varints too; 180.4 in format 5, which wrote integer arrays as
-/// varints; 261.8 in format 4).
-const IDX_BYTES_PER_POS: f64 = 94.9;
+/// budget was set (snapshot format 11, which writes no long level past the
+/// longest separator-free stretch: 94.9 in format 8, which writes no `C`
+/// and one position map entry per factor; 180.3 in formats 6 and 7, which
+/// wrote lengths and stats as varints too; 180.4 in format 5, which wrote
+/// integer arrays as varints; 261.8 in format 4).
+const IDX_BYTES_PER_POS: f64 = 94.6;
 
 /// The `paper-string` snapshot (`snapshot_bytes_per_pos`) at a tenth.
 #[test]
@@ -197,20 +205,22 @@ fn index_file_bytes_stay_inside_the_budget() {
     println!("\n\n| file | bytes | B/position |");
     println!("|---|---:|---:|");
     println!(
-        "| `.idx` ({n} positions, format 10) | {len} | {:.1} |",
+        "| `.idx` ({n} positions, format {FORMAT_VERSION}) | {len} | {:.1} |",
         per(len, n)
     );
     assert!(per(len, n) <= IDX_BYTES_PER_POS * 1.05);
 }
 
 /// Section bytes per source position of the collection below when the
-/// budget was set: substring-index sections (format 8, without `C` and with
-/// one map entry per factor; 178.9 in formats 6 and 7; 186.1 in format 5,
+/// budget was set: substring-index sections (format 11, without long levels
+/// past the longest separator-free stretch; 81.9 in format 8, without `C`
+/// and with one map entry per factor; 178.9 in formats 6 and 7; 186.1 in
+/// format 5,
 /// with `u64` lengths; 291.3 in format 4). Until format 10 a document
 /// served with ε also had an approx section of its links (96.2 in format 9;
 /// 96.0 in format 8; 294.7 in format 5; 579.8 in format 4); since, `Approx`
 /// is answered by the index.
-const COLL_INDEX_BYTES_PER_POS: f64 = 81.9;
+const COLL_INDEX_BYTES_PER_POS: f64 = 81.0;
 
 /// The `serve-wire` collection — 62 documents of 20–45 positions — as the
 /// `.coll` file `save_coll` writes over `DocExecutor::build` (what
