@@ -8,7 +8,7 @@
 //!   KMP-automaton containment DP ([`containment_probability`]);
 //! * the paper's own *simple index* (§4.1): suffix range + exhaustive
 //!   scan + cumulative-probability verification — reproduced as
-//!   [`SimpleIndex`] and used in the ablation benchmarks.
+//!   [`SimpleIndex`], whose scan `tests/paper_axes.rs` counts (the ablation).
 //!
 //! [`PossibleWorldOracle`] enumerates possible worlds outright and serves as
 //! the ground truth for every property test in the workspace.

@@ -83,7 +83,7 @@ impl SimpleIndex {
         Ok(out)
     }
 
-    /// Number of candidates the query scans (for the ablation benchmarks):
+    /// Number of candidates the query scans (the ablation `tests/paper_axes.rs` counts):
     /// the full suffix-range size, regardless of how many pass the threshold.
     pub fn candidates(&self, pattern: &[u8]) -> usize {
         self.sa.suffix_range(pattern).map_or(0, |(l, r)| r - l + 1)
