@@ -6,18 +6,20 @@
 //! choices, binary-searching each pattern character and probing the
 //! correlation hash map at every window position. On the alphabets real
 //! workloads use (DNA/IUPAC σ ≤ 16, protein σ ≤ 25) that walk dominates
-//! query time. This module lays the same model out flat, the way related
-//! work on weighted sequences stores position × character probabilities:
+//! query time. This module lays the same model out flat, storing only the
+//! choices, the way space-efficient indexes for weighted sequences do:
 //!
 //! * [`ProbPlane`] — built once per document. The live alphabet is remapped
 //!   to ranks `0..σ`. A *deterministic-position* bitmask with the flattened
-//!   deterministic bytes answers every certain position; the **natural-log**
-//!   probabilities are stored only for the others, as one contiguous
-//!   row-major `row × σ` table (a CSR layout is used instead when σ is large
-//!   and the rows are sparse), a row found by rank over the bitmask. Beside
-//!   them: the same positions' `(byte, p)` choices verbatim and the
-//!   correlations, so [`ProbPlane::to_model`] gives the model back bit for
-//!   bit; per-character *presence bitmaps* (which positions can produce a
+//!   deterministic bytes answers every certain position; every other
+//!   position has a *row*, found by rank over the bitmask. A row is one
+//!   **natural-log** cell per choice, rank-ascending, and one record of
+//!   ⌈(32 + σ)/64⌉ words: the row's first cell in the low 32 bits, then one
+//!   bit per rank. A lookup tests the rank's bit and reads the cell at the
+//!   row's start plus the set bits below it (one word at σ ≤ 32). Beside
+//!   them: the same positions' probabilities verbatim and the correlations,
+//!   so [`ProbPlane::to_model`] gives the model back bit for bit;
+//!   per-character *presence bitmaps* (which positions can produce a
 //!   character at all); and a *correlation-subject* bitmask over the
 //!   handful of correlated positions.
 //! * [`MatchKernel`] — a per-query view that remaps the pattern to ranks
@@ -46,18 +48,12 @@ use crate::{canon, chars::UncertainChar, correlation::CorrelationSet, string::Un
 /// the reserved sentinel, so σ ≤ 255 and every live rank is below it).
 pub const RANK_NONE: u8 = u8::MAX;
 
-/// Dense layout is always used up to this alphabet size (covers IUPAC DNA
-/// at σ ≤ 16 and protein at σ ≤ 25 — the workloads the kernel targets; a
-/// dense row costs one indexed load where CSR costs a chain of them, and
-/// CSR measured slower on protein windows even with the deterministic
-/// byte sidecar absorbing the single-choice positions). The deliberate
-/// trade: up to `32 × 8 = 256` bytes of mostly-`−∞` cells per uncertain
-/// position on sparse documents, bounded by this cap, in exchange for
-/// one-load verification there.
-const DENSE_SIGMA_MAX: usize = 32;
-/// Dense layout is always used when the whole table stays below this many
-/// cells (512 KiB of `f64`) — small documents never pay CSR indirection.
-const DENSE_CELLS_SMALL: usize = 1 << 16;
+/// Low bits of a row record's first word that hold the row's first cell;
+/// rank `r`'s bit is record bit `START_BITS + r`. The 32 ranks above them
+/// share the word, so at σ ≤ 32 a record is one `u64`.
+const START_BITS: usize = 32;
+/// Ranks whose bits share a record's first word with the start.
+const HEAD_RANKS: usize = 64 - START_BITS;
 
 /// One flattened pairwise correlation, with every probability outcome the
 /// naive evaluator could compute already resolved to its `ln` at build time.
@@ -86,7 +82,8 @@ struct PlaneCorrelation {
 /// The one in-memory copy of the model: an index keeps the plane and not
 /// the string, rebuilds the plane on load from the snapshot's string, and
 /// gets the string back from [`ProbPlane::to_model`] when it writes one —
-/// the snapshot formats are untouched.
+/// the snapshot formats are untouched. Its size is linear in the model's
+/// choices: a row holds one cell per choice, never one per alphabet rank.
 ///
 /// ```
 /// use ustr_uncertain::{ProbPlane, UncertainString};
@@ -111,19 +108,20 @@ pub struct ProbPlane {
     rank_of: Box<[u8; 256]>,
     /// Rank → byte, ascending.
     alphabet: Vec<u8>,
-    /// `ln p` of the non-det positions (those clear in `det_mask`), one row
-    /// each in position order: `sigma` cells per row, `−∞` where absent
-    /// (dense), or one cell per choice, parallel to `choice_bytes` (CSR).
+    /// `ln p` of every choice of the non-det positions (those clear in
+    /// `det_mask`), one row each in position order, rank-ascending within
+    /// a row; parallel to `choice_probs`.
     logs: Vec<f64>,
-    dense: bool,
+    /// `record_words` words per row: the row's first index into `logs`
+    /// in the low [`START_BITS`] bits, then bit `START_BITS + r` set when
+    /// rank `r` is one of the row's choices. A row's length is the
+    /// popcount of its rank bits, and its bytes are their ranks' bytes.
+    records: Vec<u64>,
+    record_words: usize,
     /// Non-det positions before each 64-position word of `det_mask`: a
     /// position's row is this plus a popcount within its word.
     row_base: Vec<u32>,
-    /// The non-det positions' choices verbatim, one row each:
-    /// `choice_start[r]..choice_start[r + 1]` indexes `choice_bytes` /
-    /// `choice_probs`, bytes ascending within a row.
-    choice_start: Vec<u32>,
-    choice_bytes: Vec<u8>,
+    /// The non-det positions' probabilities verbatim, parallel to `logs`.
     choice_probs: Vec<f64>,
     /// The model's correlations, kept as they came.
     correlations: CorrelationSet,
@@ -165,9 +163,36 @@ fn bit(words: &[u64], i: usize) -> bool {
     words[i / 64] >> (i % 64) & 1 == 1
 }
 
+/// The set bits of `words` below bit `i` when bit `i` is set: the rank of
+/// `i` among the set bits. `None` when it is clear.
+#[inline]
+fn rank_of_bit(words: &[u64], i: usize) -> Option<usize> {
+    let (w, b) = (i / 64, i % 64);
+    let word = words[w];
+    if word >> b & 1 == 0 {
+        return None;
+    }
+    let before: u32 = words[..w].iter().map(|x| x.count_ones()).sum();
+    Some((before + (word & ((1u64 << b) - 1)).count_ones()) as usize)
+}
+
+/// The set bits of `words`, ascending.
+fn ones(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    words.iter().enumerate().flat_map(|(w, &word)| {
+        let mut rest = word;
+        std::iter::from_fn(move || {
+            let b = rest.trailing_zeros() as usize;
+            (rest != 0).then(|| {
+                rest &= rest - 1;
+                w * 64 + b
+            })
+        })
+    })
+}
+
 impl ProbPlane {
-    /// Flattens `source` into a plane. Layout (dense vs CSR) is chosen from
-    /// the alphabet size and choice density; both answer identically.
+    /// Flattens `source` into a plane: one rank-bitmap record and one cell
+    /// per choice at each non-det position, whatever the alphabet.
     pub fn build(source: &UncertainString) -> Self {
         let n = source.len();
         let words_per_row = n.div_ceil(64);
@@ -201,48 +226,40 @@ impl ProbPlane {
         for (r, &c) in alphabet.iter().enumerate() {
             rank_of[c as usize] = r as u8;
         }
+        let rank = |c: u8| rank_of[c as usize] as usize;
 
-        let cells = rows * sigma;
-        let dense = sigma <= DENSE_SIGMA_MAX || cells <= DENSE_CELLS_SMALL || entries * 2 >= cells;
-        let mut logs = if dense {
-            vec![f64::NEG_INFINITY; cells]
-        } else {
-            Vec::with_capacity(entries)
-        };
-        let mut row_base = Vec::with_capacity(words_per_row);
-        let mut choice_start = Vec::with_capacity(rows + 1);
-        let mut choice_bytes = Vec::with_capacity(entries);
+        let record_words = (START_BITS + sigma).div_ceil(64);
+        let mut records = vec![0u64; rows * record_words];
+        let mut logs = Vec::with_capacity(entries);
         let mut choice_probs = Vec::with_capacity(entries);
-        choice_start.push(0u32);
+        let mut row_base = Vec::with_capacity(words_per_row);
         let mut presence = vec![0u64; sigma * words_per_row];
         let mut det_mask = vec![0u64; words_per_row];
         let mut det_chars = vec![0u8; n];
+        let mut row = 0usize;
         for (i, p) in source.positions().iter().enumerate() {
             if i % 64 == 0 {
-                row_base.push((choice_start.len() - 1) as u32);
+                row_base.push(row as u32);
             }
             for &(c, _) in p.choices() {
-                let r = rank_of[c as usize] as usize;
-                presence[r * words_per_row + i / 64] |= 1u64 << (i % 64);
+                presence[rank(c) * words_per_row + i / 64] |= 1u64 << (i % 64);
             }
             if let Some(c) = det_char(i, p) {
                 det_mask[i / 64] |= 1u64 << (i % 64);
                 det_chars[i] = c;
                 continue;
             }
-            let row = choice_start.len() - 1;
-            // Choices are sorted by byte, so each CSR row comes out
-            // byte-ascending for free (the lookup's early break needs it).
+            let record = &mut records[row * record_words..(row + 1) * record_words];
+            record[0] = u32::try_from(logs.len()).expect("fewer than 2^32 choices") as u64;
+            // Choices are sorted by byte, so ranks ascend and a choice's
+            // cell is the row's start plus the rank bits set below its own.
             for &(c, pr) in p.choices() {
-                choice_bytes.push(c);
+                let b = START_BITS + rank(c);
+                record[b / 64] |= 1u64 << (b % 64);
                 choice_probs.push(pr);
-                if dense {
-                    logs[row * sigma + rank_of[c as usize] as usize] = canon::ln(pr);
-                } else {
-                    logs.push(canon::ln(pr));
-                }
+                logs.push(canon::ln(pr));
             }
-            choice_start.push(choice_bytes.len() as u32);
+            row += 1;
         }
 
         let mut det_run = vec![0u32; n];
@@ -298,10 +315,9 @@ impl ProbPlane {
             rank_of,
             alphabet,
             logs,
-            dense,
+            records,
+            record_words,
             row_base,
-            choice_start,
-            choice_bytes,
             choice_probs,
             correlations: corrs.clone(),
             presence,
@@ -318,18 +334,20 @@ impl ProbPlane {
     /// The model this plane was built from, bit for bit: every choice's
     /// byte and probability, and the same correlations.
     pub fn to_model(&self) -> UncertainString {
-        let mut row = 0;
+        let mut records = self.records.chunks_exact(self.record_words);
         let positions = (self.det_chars.iter())
             .map(|&d| {
                 if d != 0 {
                     return UncertainChar::deterministic(d);
                 }
-                let span = self.choice_start[row] as usize..self.choice_start[row + 1] as usize;
-                row += 1;
-                let bytes = self.choice_bytes[span.clone()].iter().copied();
-                UncertainChar::from_validated(
-                    bytes.zip(self.choice_probs[span].iter().copied()).collect(),
-                )
+                let record = records.next().expect("a record per non-det position");
+                let start = record[0] as u32 as usize;
+                // The rank bits, ascending: a row's choices in cell order.
+                let ranks = ones(record).filter(|&b| b >= START_BITS);
+                let choices = ranks
+                    .enumerate()
+                    .map(|(k, b)| (self.alphabet[b - START_BITS], self.choice_probs[start + k]));
+                UncertainChar::from_validated(choices.collect())
             })
             .collect();
         UncertainString::from_validated(positions, self.correlations.clone())
@@ -369,12 +387,6 @@ impl ProbPlane {
         }
     }
 
-    /// `true` when the plane uses the dense row-major table (as opposed to
-    /// the CSR fallback for large sparse alphabets).
-    pub fn is_dense(&self) -> bool {
-        self.dense
-    }
-
     /// `ln pr(char(rank) at pos)`; `−∞` when absent (or `rank` is
     /// [`RANK_NONE`]). A det position answers from its byte: `0.0` or `−∞`.
     #[inline]
@@ -395,23 +407,31 @@ impl ProbPlane {
         self.row_base[w] as usize + below.count_ones() as usize
     }
 
-    /// `ln pr(char(rank))` in row `row`, for a live `rank`.
+    /// `ln pr(char(rank))` in row `row`, for a live `rank`: `−∞` when the
+    /// rank's record bit is clear, else the cell at the row's start plus
+    /// the rank bits set below it.
     #[inline]
     fn row_log_prob(&self, row: usize, rank: u8) -> f64 {
-        if self.dense {
-            return self.logs[row * self.sigma + rank as usize];
-        }
-        let ch = self.alphabet[rank as usize];
-        // Rows hold a handful of ascending bytes; a linear scan with early
-        // break beats binary search at these sizes.
-        for i in self.choice_start[row] as usize..self.choice_start[row + 1] as usize {
-            match self.choice_bytes[i] {
-                c if c == ch => return self.logs[i],
-                c if c > ch => return f64::NEG_INFINITY,
-                _ => {}
+        let at = row * self.record_words;
+        let head = self.records[at];
+        let head_ranks = (head >> START_BITS) as u32;
+        let r = rank as usize;
+        // Ranks below 32 sit in the head word beside the start, which is
+        // the whole record at σ ≤ 32; a higher rank counts the head's rank
+        // bits and its own rank within the words after the head.
+        let below = if r < HEAD_RANKS {
+            if head_ranks >> r & 1 == 0 {
+                return f64::NEG_INFINITY;
             }
-        }
-        f64::NEG_INFINITY
+            (head_ranks & ((1u32 << r) - 1)).count_ones() as usize
+        } else {
+            let tail = &self.records[at + 1..at + self.record_words];
+            match rank_of_bit(tail, r - HEAD_RANKS) {
+                Some(k) => head_ranks.count_ones() as usize + k,
+                None => return f64::NEG_INFINITY,
+            }
+        };
+        self.logs[head as u32 as usize + below]
     }
 
     /// Runs `f` with a [`MatchKernel`] for `pattern`, remapping the pattern
@@ -478,14 +498,13 @@ impl ProbPlane {
         (self.logs.capacity() + self.choice_probs.capacity()) * size_of::<f64>()
             + size_of::<[u8; 256]>()
             + self.alphabet.capacity()
-            + self.choice_bytes.capacity()
             + self.det_chars.capacity()
-            + (self.presence.capacity() + self.det_mask.capacity() + self.corr_mask.capacity())
+            + (self.records.capacity()
+                + self.presence.capacity()
+                + self.det_mask.capacity()
+                + self.corr_mask.capacity())
                 * size_of::<u64>()
-            + (self.row_base.capacity()
-                + self.choice_start.capacity()
-                + self.det_run.capacity()
-                + self.corr_run.capacity())
+            + (self.row_base.capacity() + self.det_run.capacity() + self.corr_run.capacity())
                 * size_of::<u32>()
             + self.corr.capacity() * size_of::<PlaneCorrelation>()
             + self.correlations.heap_size()
@@ -871,8 +890,8 @@ mod tests {
 
     #[test]
     fn csr_fallback_answers_identically() {
-        // A wide, sparse alphabet (every position a distinct pair of bytes)
-        // pushed past the dense thresholds.
+        // A wide, sparse alphabet: every position a distinct pair of bytes,
+        // σ = 250, so a row record is five words.
         let mut rows = Vec::new();
         for i in 0..3000usize {
             let a = 1 + (i * 7 % 200) as u8;
@@ -880,18 +899,85 @@ mod tests {
             rows.push(vec![(a, 0.6), (b, 0.4)]);
         }
         let s = UncertainString::from_rows(rows).unwrap();
-        let plane = ProbPlane::build(&s);
-        assert!(!plane.is_dense(), "sparse wide alphabet should pick CSR");
         let world = s.most_probable_world();
         for start in [0usize, 17, 1234] {
             assert_bit_identical(&s, &world[start..start + 5]);
         }
     }
 
+    /// A row record is one word at σ ≤ 32 and ⌈(32 + σ)/64⌉ above: rows of
+    /// 1 to σ choices, each a run of consecutive ranks from a rotating
+    /// offset so that runs straddle the record's word boundaries (ranks
+    /// 31|32 and 95|96), between runs of certain positions.
     #[test]
-    fn small_strings_stay_dense() {
-        let s = UncertainString::parse("A:.5,B:.5 | C | D").unwrap();
-        assert!(ProbPlane::build(&s).is_dense());
+    fn row_records_answer_across_word_boundaries() {
+        for sigma in [1usize, 2, 31, 32, 33, 95, 96, 97, 255] {
+            let alphabet: Vec<u8> = (1..=sigma as u8).collect();
+            let mut rows = Vec::new();
+            for row in 0..sigma.max(40) {
+                let k = 1 + row % sigma;
+                let offset = row * 29 % sigma;
+                // Weights 1..=k over a total above their sum, so a
+                // one-choice row is uncertain too.
+                let total = (k * (k + 1) / 2 + 1) as f64;
+                rows.push(
+                    (0..k)
+                        .map(|j| (alphabet[(offset + j) % sigma], (j + 1) as f64 / total))
+                        .collect(),
+                );
+                for c in 0..row % 4 {
+                    rows.push(vec![(alphabet[(row + c) % sigma], 1.0)]);
+                }
+            }
+            let s = UncertainString::from_rows(rows).unwrap();
+            let plane = ProbPlane::build(&s);
+            assert_eq!(plane.sigma(), sigma);
+            assert_eq!(plane.to_model(), s);
+            for (pos, p) in s.positions().iter().enumerate() {
+                for (rank, &c) in alphabet.iter().enumerate() {
+                    let want = match p.prob_of(c) {
+                        0.0 => f64::NEG_INFINITY,
+                        pr => canon::ln(pr),
+                    };
+                    let got = plane.log_prob(pos, rank as u8);
+                    assert_eq!(
+                        got.to_bits(),
+                        want.to_bits(),
+                        "σ {sigma} pos {pos} rank {rank}"
+                    );
+                }
+                assert_eq!(plane.log_prob(pos, RANK_NONE), f64::NEG_INFINITY);
+            }
+            // Patterns drawn through each row's choices, evaluated at every
+            // window: a match where they were drawn, mostly −∞ elsewhere.
+            let log_tau = canon::ln(0.01);
+            for start in (0..s.len()).step_by(3) {
+                for m in [1usize, 2, 3, 5] {
+                    let Some(window) = s.positions().get(start..start + m) else {
+                        continue;
+                    };
+                    let pattern: Vec<u8> = (window.iter().enumerate())
+                        .map(|(k, p)| p.choices()[(start + k * 7) % p.num_choices()].0)
+                        .collect();
+                    plane.with_kernel(&pattern, |kernel| {
+                        for pos in 0..=s.len() {
+                            let naive = s.log_match_probability(&pattern, pos);
+                            assert_eq!(kernel.log_match(pos).to_bits(), naive.to_bits());
+                            let bounded = |lt| kernel.log_match_bounded(pos, lt).map(f64::to_bits);
+                            // Bounded drops an impossible window at any τ.
+                            let kept = |lt| {
+                                naive != f64::NEG_INFINITY && canon::log_meets_threshold(naive, lt)
+                            };
+                            assert_eq!(
+                                bounded(f64::NEG_INFINITY),
+                                kept(f64::NEG_INFINITY).then_some(naive.to_bits())
+                            );
+                            assert_eq!(bounded(log_tau), kept(log_tau).then_some(naive.to_bits()));
+                        }
+                    });
+                }
+            }
+        }
     }
 
     #[test]

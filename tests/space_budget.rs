@@ -71,8 +71,10 @@ fn check_heap_rows(
 }
 
 /// `Index::heap_size()` per source position on this input when the budget
-/// was last set, once the LCP became a byte per slot and the long levels
-/// ended at the longest separator-free stretch (380.8 before, the figure
+/// was last set, once the plane stored a cell per choice and a one-word
+/// rank-bitmap record per uncertain row instead of σ cells (345.9 before,
+/// the figure once the LCP became a byte per slot and the long levels
+/// ended at the longest separator-free stretch; 380.8 before that, the figure
 /// since `C` kept only its prefix sums and the position map became a
 /// separator rank and one base per factor; 452.3 before that, with a
 /// `u32` per character for each — the figure since the plane became the
@@ -80,7 +82,7 @@ fn check_heap_rows(
 /// positions; 561.4 before that, not counting the ≈ 58 B of source copy
 /// beside the plane; 925.3 with explicit tree nodes and a sparse table per
 /// level).
-const MEASURED_BYTES_PER_POS: f64 = 345.9;
+const MEASURED_BYTES_PER_POS: f64 = 303.9;
 
 #[test]
 fn heap_breakdown_stays_inside_the_budget() {
@@ -108,14 +110,22 @@ fn heap_breakdown_stays_inside_the_budget() {
     // and 4 B a factor.
     assert!(row("separator rank") <= (slots - 1).div_ceil(64) * 16);
     assert_eq!(row("factor bases"), index.stats().num_factors * 4);
-    // Probability rows only where the kernel reads one: σ cells at each
-    // uncertain position, plus the per-position sidecars and the uncertain
-    // positions' choices verbatim.
+    // Only the choices: at each uncertain position a one-word record (σ ≤
+    // 32) and, per choice, its `ln p` cell and its probability verbatim;
+    // then per position a `u32` run length, a byte and σ presence bits, and
+    // a byte of slack for the masks, bases and alphabet.
+    let (uncertain, choices) = (s.positions().iter())
+        .filter(|p| !matches!(p.choices(), &[(_, pr)] if pr.to_bits() == 1.0f64.to_bits()))
+        .fold((0, 0), |(u, c), p| (u + 1, c + p.num_choices()));
+    let sigma = ProbPlane::build(&s).sigma();
+    assert!(sigma <= 32);
+    let rows_budget = per(uncertain * 8 + choices * 16, n);
+    let sidecars = 4.0 + 1.0 + sigma as f64 / 8.0 + 1.0;
     let plane = per(row("model (plane)"), n);
-    let rows_budget = s.uncertain_fraction() * ProbPlane::build(&s).sigma() as f64 * 8.0;
     assert!(
-        plane <= rows_budget + 24.0,
-        "the plane holds {plane:.1} B/position against {rows_budget:.1} of uncertain rows"
+        plane <= rows_budget + sidecars,
+        "the plane holds {plane:.1} B/position against {rows_budget:.1} of uncertain rows \
+         and {sidecars:.1} of sidecars"
     );
 
     let loaded = Index::from_snapshot(snapshot).unwrap();
@@ -149,14 +159,15 @@ fn approx_heap_breakdown_stays_inside_the_budget() {
 }
 
 /// `ListingIndex::heap_size()` per source position over the same positions
-/// cut into documents when the budget was last set, once the LCP became a
+/// cut into documents when the budget was last set, once each document's
+/// plane stored only its choices (326.1 before, the figure once the LCP became a
 /// byte per slot and the long levels ended at the longest separator-free
-/// stretch (360.8 before, the figure since its document and source maps
+/// stretch; 360.8 before that, the figure since its document and source maps
 /// — 8 B a character — became a factor map and a document id per factor;
 /// 450.6 before that, the first count of everything the index
 /// holds: 549.8 on `paper-string` before it, without the documents' source
 /// copies or the planes' slots).
-const LISTING_MEASURED_BYTES_PER_POS: f64 = 326.1;
+const LISTING_MEASURED_BYTES_PER_POS: f64 = 286.0;
 
 #[test]
 fn listing_heap_stays_inside_the_budget() {
