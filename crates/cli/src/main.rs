@@ -1473,7 +1473,7 @@ mod tests {
         .unwrap();
         let out = run(&argv(&format!("stats {}", coll.display()))).unwrap();
         assert!(out.contains("documents                3"), "{out}");
-        assert!(out.contains("format version           11"), "{out}");
+        assert!(out.contains("format version           12"), "{out}");
         assert!(out.contains("fnv1a"), "checksums listed: {out}");
         // The total per kind closes the listing: one kind, all the bytes.
         let total = out.lines().last().unwrap();
@@ -1497,10 +1497,10 @@ mod tests {
 
     /// Files of earlier snapshot formats — a single-index file, a version-1
     /// collection, format-8 and format-9 collections with approx sections,
-    /// and a format-10 collection, as earlier builds wrote them — are
-    /// refused with their path and a message that says to rebuild them, by
-    /// every command that opens one (`serve-net` loads through the same
-    /// function as `serve-batch`).
+    /// and format-10 and format-11 collections, as earlier builds wrote
+    /// them — are refused with their path and a message that says to
+    /// rebuild them, by every command that opens one (`serve-net` loads
+    /// through the same function as `serve-batch`).
     #[test]
     fn an_old_format_file_is_refused_by_path() {
         let queries = write_temp("ustr_cli_oldfmt_q.txt", "AB 0.3\n");
@@ -1512,32 +1512,37 @@ mod tests {
         };
         let (idx, coll) = (fixture("format6.idx"), fixture("format6.coll"));
         let (approx8, approx9) = (fixture("format8.coll"), fixture("format9.coll"));
-        let coll10 = fixture("format10.coll");
+        let (coll10, coll11) = (fixture("format10.coll"), fixture("format11.coll"));
         for (cmd, path, says) in [
             (
                 format!("serve-batch {approx8} {queries}"),
                 &approx8,
-                "version 8 (this build reads version 11)",
+                "version 8 (this build reads version 12)",
             ),
             (
                 format!("serve-batch {approx9} {queries}"),
                 &approx9,
-                "version 9 (this build reads version 11)",
+                "version 9 (this build reads version 12)",
             ),
             (
                 format!("serve-batch {coll10} {queries}"),
                 &coll10,
-                "version 10 (this build reads version 11)",
+                "version 10 (this build reads version 12)",
+            ),
+            (
+                format!("serve-batch {coll11} {queries}"),
+                &coll11,
+                "version 11 (this build reads version 12)",
             ),
             (
                 format!("serve-batch {coll} {queries}"),
                 &coll,
-                "version 1 (this build reads version 11)",
+                "version 1 (this build reads version 12)",
             ),
             (
                 format!("stats {coll}"),
                 &coll,
-                "version 1 (this build reads version 11)",
+                "version 1 (this build reads version 12)",
             ),
             (format!("stats {idx}"), &idx, "bad magic"),
             (

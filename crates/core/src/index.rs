@@ -204,9 +204,9 @@ impl Index {
                 ustr_uncertain::kstats::elapsed_ns(start),
             );
         }
-        // A duplicate-masked level reports each source position once; the
-        // blocking scheme and source-level masks under correlation may
-        // repeat one, which `from_hits` drops.
+        // A short level shows each source position once; the blocking
+        // scheme and source-level dedup under correlation may repeat one,
+        // which `from_hits` drops.
         Ok(QueryResult::from_hits(hits))
     }
 
@@ -266,13 +266,14 @@ impl Index {
     /// array the index keeps, each counted by capacity. The rows are the
     /// whole footprint, the model included (the plane is its one copy) —
     /// [`Index::heap_size`] is their sum.
-    pub fn heap_breakdown(&self) -> [(&'static str, usize); 8] {
-        let [arrays, child_table, cum, short, long] = self.substrate.heap_breakdown();
+    pub fn heap_breakdown(&self) -> [(&'static str, usize); 9] {
+        let [arrays, child_table, cum, visibility, short, long] = self.substrate.heap_breakdown();
         let (rank, bases) = self.map.heap_sizes();
         [
             arrays,
             child_table,
             cum,
+            visibility,
             short,
             long,
             ("separator rank", rank),
@@ -289,7 +290,7 @@ impl Index {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use ustr_baseline::NaiveScanner;
 
@@ -417,7 +418,7 @@ mod tests {
     /// of every 5th uncertain position, conditioned on the first choice of
     /// the position before it: pr⁺ above pr⁻ at every other one, below it
     /// at the rest.
-    fn correlated(n: usize, seed: u64) -> UncertainString {
+    pub(crate) fn correlated(n: usize, seed: u64) -> UncertainString {
         use ustr_uncertain::{Correlation, CorrelationSet};
         use ustr_workload::{generate_string, DatasetConfig};
         let mut s = generate_string(&DatasetConfig::new(n, 0.3, seed));

@@ -65,17 +65,18 @@
 //! choices verbatim, and no `UncertainString` beside it. The tables before
 //! PR 26 left that source copy out: the last row, by a counting allocator.
 //!
-//! | structure | nodes, sparse tables | child table, block RMQ | plane as model | choices only |
-//! |---|---|---|---|---|
-//! | text + SA + LCP | 85.4 | 85.4 | 85.4 | 56.9 |
-//! | suffix-tree nodes + CSR children → child table | 293.0 | 37.9 | 37.9 | 37.9 |
-//! | cumulative array `C` (prefix sums, separator counts) | 113.8 | 113.8 | 113.8 | 75.9 |
-//! | short levels (masks, champions, RMQ over champion values) | 200.4 | 84.7 | 84.7 | 84.7 |
-//! | long levels (champions, RMQ over champion values) | 59.2 | 19.6 | 19.6 | 14.7 |
-//! | position map → separator rank + factor bases | 37.9 | 37.9 | 37.9 | 5.7 |
-//! | model (plane) | 184.0 | 184.0 | 75.0 | 33.1 |
-//! | **`Index::heap_size()`** | **973.9** | **563.3** | **454.3** | **308.8** |
-//! | source copy beside the plane, uncounted | 57.8 | 57.8 | — | — |
+//! | structure | nodes, sparse tables | child table, block RMQ | plane as model | choices only | visibility bytes |
+//! |---|---|---|---|---|---|
+//! | text + SA + LCP | 85.4 | 85.4 | 85.4 | 56.9 | 56.9 |
+//! | suffix-tree nodes + CSR children → child table | 293.0 | 37.9 | 37.9 | 37.9 | 37.9 |
+//! | cumulative array `C` (prefix sums, separator counts) | 113.8 | 113.8 | 113.8 | 75.9 | 75.9 |
+//! | visibility bytes (the short levels' duplicate elimination) | — | — | — | — | 9.5 |
+//! | short levels (masks, champions, RMQ over champion values) | 200.4 | 84.7 | 84.7 | 84.7 | 61.0 |
+//! | long levels (champions, RMQ over champion values) | 59.2 | 19.6 | 19.6 | 14.7 | 14.7 |
+//! | position map → separator rank + factor bases | 37.9 | 37.9 | 37.9 | 5.7 | 5.7 |
+//! | model (plane) | 184.0 | 184.0 | 75.0 | 33.1 | 33.1 |
+//! | **`Index::heap_size()`** | **973.9** | **563.3** | **454.3** | **308.8** | **294.6** |
+//! | source copy beside the plane, uncounted | 57.8 | 57.8 | — | — | — |
 //!
 //! Between the last two columns `C` came to keep its prefix sums alone
 //! (no window a query reads crosses a separator: the window contract in
@@ -83,11 +84,14 @@
 //! one base per factor (3.3): `Index::heap_size()` was 384.1. The suffix
 //! tree then took its LCP at a byte per slot, and the long levels end at
 //! the longest factor, 42 characters, instead of the text length (two
-//! levels where there were 16): `Index::heap_size()` was 350.8. Last, the
+//! levels where there were 16): `Index::heap_size()` was 350.8. Then the
 //! plane stopped keeping σ = 22 cells at each uncertain position, most of
 //! them −∞: it holds one `ln p` cell per choice and a one-word
 //! rank-bitmap record per uncertain row, and gets the choices' bytes back
-//! from the record's bits (the last column).
+//! from the record's bits (the fourth column). Last, the short levels'
+//! duplicate masks, a bit per slot at each of the 20 levels (23.7), became
+//! one visibility byte per slot for all of them (the last column): the
+//! short levels keep their champions and block RMQs alone.
 //!
 //! And an [`ApproxIndex`] on the same string (1 944 732 links) — the rows of
 //! [`ApproxIndex::heap_breakdown`] — when it kept the `C` it found its links

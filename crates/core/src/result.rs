@@ -20,7 +20,7 @@ pub fn canonical_hit_order(a: &(usize, f64), b: &(usize, f64)) -> std::cmp::Orde
 impl QueryResult {
     /// Builds from `(position, probability)` pairs; sorts by position and
     /// keeps one pair per position. Only [`crate::Index`] hands it repeats
-    /// (the blocking scheme and source-level masks under correlation may
+    /// (the blocking scheme and source-level dedup under correlation may
     /// report a position twice), and they carry the same canonical
     /// probability.
     pub(crate) fn from_hits(mut hits: Vec<(usize, f64)>) -> Self {

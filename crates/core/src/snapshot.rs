@@ -13,7 +13,8 @@
 //!   * a [`ScoredTextState`] — the **only copy** of the deterministic text,
 //!     with its `(SA, LCP)` arrays (the suffix tree is rebuilt from these in
 //!     one linear, deterministic pass; separators are its zero bytes),
-//!   * per-level RMQ champion indices and duplicate masks (champion
+//!   * one visibility byte per slot, which says at which short levels a
+//!     slot is a duplicate, and per-level RMQ champion indices (champion
 //!     *values* are re-derived from the cumulative array on reassembly,
 //!     read through each slot's run to the next separator),
 //! * the Lemma-2 position map beside it, as each factor's source start.
@@ -34,7 +35,7 @@
 //! tree and levels by the crate-private substrate), so a structurally
 //! inconsistent state is an [`crate::Error::InvalidSnapshot`]. Reassembly
 //! never recomputes the expensive parts of construction (SA-IS, the Lemma-2
-//! transform, level mask sweeps) and produces an index that answers every
+//! transform, the level sweeps) and produces an index that answers every
 //! query identically to the freshly built original.
 
 use ustr_uncertain::UncertainString;
@@ -57,8 +58,6 @@ pub struct ScoredTextState {
 /// Persistent representation of one short RMQ level.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShortLevelParts {
-    /// Duplicate-elimination mask, 64 slots per word.
-    pub mask_words: Vec<u64>,
     /// Champion index of every 64-slot block.
     pub champions: Vec<u32>,
 }
@@ -73,9 +72,15 @@ pub struct LongLevelParts {
 
 /// Persistent representation of all RMQ levels of an index: exactly
 /// `L = ⌈log₂(slots + 1)⌉` short levels and a long level for every `L·2ᵏ`
-/// up to the text length.
+/// up to the longest separator-free stretch of the text.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LevelsParts {
+    /// Duplicate elimination for every short level, one byte per slot: the
+    /// short level of length `m` shows slot `j` iff `visibility[j] < m`.
+    /// The entry is the minimum LCP since the previous slot with the same
+    /// source position, capped at `L`; 0 when there is none, and 255 at a
+    /// slot with no source position and at the terminator.
+    pub visibility: Vec<u8>,
     /// Short levels, in pattern-length order (`1..=short.len()`).
     pub short: Vec<ShortLevelParts>,
     /// Long levels, in increasing filter-length order.

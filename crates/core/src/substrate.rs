@@ -200,14 +200,15 @@ impl Substrate {
     }
 
     /// Heap bytes per structure; a `(name, bytes)` row each.
-    pub(crate) fn heap_breakdown(&self) -> [(&'static str, usize); 5] {
+    pub(crate) fn heap_breakdown(&self) -> [(&'static str, usize); 6] {
         let tree = &self.text.tree;
         let child_table = tree.child_table_heap_size();
-        let (short, long) = self.levels.heap_sizes();
+        let (hidden, short, long) = self.levels.heap_sizes();
         [
             ("text + SA + LCP", tree.heap_size() - child_table),
             ("child table", child_table),
             ("cumulative array C", self.text.cum.heap_size()),
+            ("visibility bytes", hidden),
             ("short levels", short),
             ("long levels", long),
         ]
@@ -276,7 +277,7 @@ mod tests {
         assert!(Index::from_snapshot(state()).is_ok());
         type Tamper = fn(&mut IndexState);
         const LADDER: &str = "level count does not match the ladder";
-        let rows: [(&str, Tamper); 14] = [
+        let rows: [(&str, Tamper); 15] = [
             ("not a permutation", |i| {
                 i.substrate.text.sa[0] = i.substrate.text.sa[1]
             }),
@@ -294,8 +295,12 @@ mod tests {
                 let lcp = &mut i.substrate.text.lcp;
                 *lcp.iter_mut().find(|l| **l > 0).unwrap() -= 1;
             }),
-            ("mask word count", |i| {
-                i.substrate.levels.short[0].mask_words.push(0)
+            ("visibility byte count", |i| {
+                i.substrate.levels.visibility.pop();
+            }),
+            // Four short levels: a byte of 5 names none, 255 hides a slot.
+            ("visibility byte above", |i| {
+                i.substrate.levels.visibility[1] = 5
             }),
             ("outside its block", |i| {
                 i.substrate.levels.short[0].champions[0] = u32::MAX

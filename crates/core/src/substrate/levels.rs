@@ -10,10 +10,10 @@
 //!
 //! Duplicate elimination (§5.2/§6): within each level-`i` locus partition
 //! (maximal runs of suffix-array slots whose pairwise LCP is ≥ `i`),
-//! duplicate entries are masked to −∞ so each distinct source position (or
-//! document) is reported at most once. The suffix range of any length-`i`
-//! pattern coincides with exactly one partition, so masked levels report
-//! every distinct result exactly once.
+//! duplicate entries are hidden (read as −∞) so each distinct source
+//! position (or document) is reported at most once. The suffix range of any
+//! length-`i` pattern coincides with exactly one partition, so the short
+//! levels report every distinct result exactly once.
 //!
 //! Long patterns (`m > L`): materialising per-length block maxima for every
 //! `i ∈ [log n, n]`, as §4.2 describes, costs Θ(n²) construction time; we
@@ -27,13 +27,31 @@
 //! exactly. This keeps the paper's `O(m · occ)` long-pattern flavour at
 //! O(N log N) build cost.
 //!
+//! # What a short level hides
+//!
+//! Under `BySource` keys (an `Index`, and a `ListingIndex` over correlated
+//! documents) what every short level hides is one number per slot, its
+//! *visibility byte* `d[j]`: the minimum LCP over `(prev(j), j]`, capped at
+//! `L`, where `prev(j)` is the previous slot with the same key — 0 when no
+//! earlier slot has the key, and [`HIDDEN`] at a slot with no key and at the
+//! terminator. Slot `j` shares its level-`m` partition with `prev(j)`
+//! exactly when `m ≤ d[j]`, so the level of length `m` shows it iff
+//! `d[j] < m` (and its window is whole: `m` is at most its run, which a
+//! query's suffix range always meets). One byte per slot serves all `L`
+//! levels.
+//!
+//! `ByKeyMax` keys (a `ListingIndex` without correlations) keep one mask bit
+//! per slot per short level instead: a key's winner, its best slot in the
+//! partition, moves from level to level, so the slots a level shows are not
+//! the ones below a threshold. Without dedup (a `SpecialIndex`) nothing is
+//! hidden: every slot is a distinct position, and the terminator's run is 0.
+//!
 //! # One level type, one ladder, one query path
 //!
-//! Short and long levels are one type (length, [`SampledRmq`], mask — the
-//! empty one on a long level), and a query does not tell them apart: the
-//! level that serves `m` bounds every candidate, and the exact value is
-//! that bound when the level's length is `m`, the length-`m` window
-//! otherwise. A threshold report is that level's
+//! Short and long levels are one type (length, [`SampledRmq`]), and a query
+//! does not tell them apart: the level that serves `m` bounds every
+//! candidate, and the exact value is that bound when the level's length is
+//! `m`, the length-`m` window otherwise. A threshold report is that level's
 //! [`SampledRmq::report_at_least`]: it reads each slot of the suffix range
 //! at most once — the partial edge blocks, and a full middle block only
 //! when its champion reaches the cut — at most `block · (reported + 2)`
@@ -56,21 +74,25 @@
 //! level, and reads per slot `SA[j]`, `LCP[j]`, the slot's dedup key and
 //! that stretch:
 //!
-//! 1. **Keep sweep** (skipped without dedup): decides for every slot the
-//!    set of levels at which it stays visible, one bit per level. All
-//!    levels keep their own partition counter, bumped for the levels above
-//!    `LCP[j]`; "was this key already seen in this partition of this level"
-//!    is one read of a stamp table addressed `key · L + level` holding the
-//!    partition id it was last seen in (`ByKeyMax` keeps the winner's slot
-//!    and value beside the stamp and drops the displaced winner's bit).
-//! 2. **Champion sweep**: per block of slots, the mask word and the
-//!    leftmost maximum of every level among the kept bits; the champions go
-//!    straight into [`SampledRmq::from_parts`].
+//! 1. **Visibility sweep** (skipped without dedup). `BySource`: the chain
+//!    sweep (Muthukrishnan's previous-occurrence chain) keeps per key the
+//!    last slot that had it, and per level the last slot whose LCP is below
+//!    the level's length; `d[j]` counts the levels whose last such slot is
+//!    no later than `prev(j)`. `ByKeyMax`: the keep sweep keeps per level a
+//!    partition counter, bumped for the levels above `LCP[j]`, and a stamp
+//!    table addressed `key · L + level` holding the partition the key last
+//!    won in, the winner's slot and its value; a better slot takes the
+//!    displaced winner's bit.
+//! 2. **Champion sweep**: per block of slots, the leftmost maximum of every
+//!    level among the slots it shows — a slot's levels are
+//!    `low_bits(min(run, L)) & !low_bits(d[j])` under `BySource`, the keep
+//!    sweep's bits under `ByKeyMax`; the champions go straight into
+//!    [`SampledRmq::from_parts`].
 //!
 //! A window exists exactly up to the slot's separator-free run length
 //! ([`ScoredText::run_lengths`], from the text's bytes), and `C` holds no
 //! separators to check it against (see [`crate::carray`]): neither sweep
-//! reads `C` past the run — deeper short levels are masked (or −∞) without
+//! reads `C` past the run — deeper short levels are hidden (or −∞) without
 //! a memory access, and a long level is evaluated only for the few slots
 //! whose run reaches its length. Champion values, which
 //! [`SampledRmq::from_parts`] reads at build and load time for any slot,
@@ -81,18 +103,23 @@
 //!
 //! A level keeps one champion slot per block and a linear-space block RMQ
 //! over the champions' values, 20.2 B per block in all (see [`SampledRmq`]).
-//! A short level has blocks of 64 slots and one mask bit per slot:
-//! ≈ 0.44 B per slot per level. A long level's block is its length, from
-//! `L` up: 20.2 / `len` B per slot, under 2.5 B per slot for the whole
+//! A short level has blocks of 64 slots: ≈ 0.32 B per slot per level. Under
+//! `BySource` the visibility bytes add one byte per slot for all the short
+//! levels together (on `paper-string`, `L = 20`: 1 B per slot where a mask
+//! bit per level took 2.5); under `ByKeyMax` each level adds its mask bit,
+//! ≈ 0.44 B per slot per level in all. A long level's block is its length,
+//! from `L` up: 20.2 / `len` B per slot, under 2.5 B per slot for the whole
 //! geometric ladder — and the ladder ends at the longest factor, so on a
 //! transformed text of short factors it is two or three levels, not
 //! `log₂(n / L)` (on `paper-string`, factors of at most 42 characters and
 //! `L = 20`: levels 20 and 40, where the text length allowed 16).
 //!
-//! Temporary memory: the run lengths (one word per text position), one
-//! `u64` of level bits per slot — `L ≤ 32` for any text an index accepts —
-//! and the stamp table: `L × key space` words, the key space being the
-//! document's own (source positions, or document ids).
+//! Temporary memory: the run lengths (one word per text position), and the
+//! visibility sweep's tables. The chain sweep keeps one slot per key, the
+//! key space being the document's source positions. The keep sweep keeps
+//! one `u64` of level bits per slot — `L ≤ 32` for any text an index
+//! accepts — and a stamp table of `L × key space` partitions and winners,
+//! the key space being the collection's document ids.
 
 use ustr_rmq::{Direction, SampledRmq};
 use ustr_uncertain::canon;
@@ -103,20 +130,17 @@ use crate::{
     snapshot::{invalid, LevelsParts, LongLevelParts, ShortLevelParts},
 };
 
-/// Compact bit vector for per-level duplicate masks.
+/// Compact bit vector for the `ByKeyMax` per-level masks.
 #[derive(Debug, Clone)]
 struct BitVec {
     words: Vec<u64>,
 }
 
 impl BitVec {
-    /// Bit `i`; clear past the last word, so the empty vector is the mask
-    /// that hides nothing.
+    /// Bit `i`.
     #[inline]
     fn get(&self, i: usize) -> bool {
-        self.words
-            .get(i / 64)
-            .is_some_and(|w| w >> (i % 64) & 1 == 1)
+        self.words[i / 64] >> (i % 64) & 1 == 1
     }
 
     fn heap_size(&self) -> usize {
@@ -127,14 +151,18 @@ impl BitVec {
 /// "No key" in a [`DedupStrategy`] key array: separator positions.
 pub(crate) const NO_KEY: u32 = u32::MAX;
 
+/// The visibility byte of a slot no short level shows: one with no key,
+/// and the terminator.
+pub(crate) const HIDDEN: u8 = u8::MAX;
+
 /// How duplicate entries are eliminated inside each locus partition. Keys
 /// are given per *text position* a suffix starts at ([`NO_KEY`] at
 /// separators), so a caller can state its strategy before the suffix tree
-/// exists; the largest key sizes the build's stamp table.
+/// exists; the largest key sizes the build's per-key table.
 pub(crate) enum DedupStrategy<'a> {
-    /// No masking (the special index: every slot is a distinct position).
+    /// No hiding (the special index: every slot is a distinct position).
     None,
-    /// Mask slots whose source key repeats within the partition (general
+    /// Hide slots whose source key repeats within the partition (general
     /// substring index: key = original string position).
     BySource(&'a [u32]),
     /// Keep only the maximum-value slot per key per partition, the earlier
@@ -143,14 +171,27 @@ pub(crate) enum DedupStrategy<'a> {
     ByKeyMax(&'a [u32]),
 }
 
-/// One RMQ level: short levels (`len ≤ L`, 64-slot blocks) carry the
-/// duplicate mask of their length, long levels (block size = `len`, one
-/// champion per block as in the paper's `PB_i` arrays) the empty one.
+/// What the short levels hide, besides the slots whose window is not whole
+/// (see the module docs).
+enum Hidden {
+    /// Nothing (no dedup).
+    Nothing,
+    /// `BySource`: the visibility byte of every slot.
+    Depth(Box<[u8]>),
+    /// `ByKeyMax`: one mask per short level; a set bit hides the slot.
+    Masks(Vec<BitVec>),
+}
+
+/// What a long level hides.
+const NOTHING: &Hidden = &Hidden::Nothing;
+
+/// One RMQ level: short levels (`len ≤ L`) have blocks of 64 slots, long
+/// levels blocks of their length (one champion per block, as in the
+/// paper's `PB_i` arrays).
 struct Level {
     /// Prefix length of the level's values.
     len: usize,
     rmq: SampledRmq,
-    mask: BitVec,
 }
 
 /// The per-length RMQ levels of a [`Substrate`], on its text's [`ladder`].
@@ -162,76 +203,76 @@ pub(super) struct Levels {
     short: Vec<Level>,
     /// In increasing length order.
     long: Vec<Level>,
+    /// What the short levels hide.
+    hidden: Hidden,
 }
 
 /// Level-`len` value of slot `j` at query time: the stored window
-/// probability, or −∞ where `mask` hides the slot. A query reads only slots
-/// of a suffix range at lengths up to the pattern's, so the window is
+/// probability, or −∞ where `hidden` hides the slot. A query reads only
+/// slots of a suffix range at lengths up to the pattern's, so the window is
 /// whole (see [`ScoredText::window`]); a champion's value is read once, at
 /// build or load time, through [`champion_value`].
 fn level_value<'a>(
-    mask: &'a BitVec,
+    hidden: &'a Hidden,
     text: &'a ScoredText,
     len: usize,
 ) -> impl Fn(usize) -> f64 + Copy + 'a {
     move |j| {
-        if mask.get(j) {
-            f64::NEG_INFINITY
-        } else {
+        if hidden.shows(len, j) {
             text.window(j, len)
+        } else {
+            f64::NEG_INFINITY
         }
     }
 }
 
 /// [`level_value`] for any slot: a champion may be a slot whose window
 /// crosses a separator or leaves the text (a block with nothing visible, or
-/// a level without a mask), so this one reads through the slot's run length
-/// (`run` is [`ScoredText::run_lengths`]) and is −∞ there.
+/// a level that hides nothing), so this one reads through the slot's run
+/// length (`run` is [`ScoredText::run_lengths`]) and is −∞ there.
 fn champion_value<'a>(
-    mask: &'a BitVec,
+    hidden: &'a Hidden,
     text: &'a ScoredText,
     run: &'a [u32],
     len: usize,
 ) -> impl Fn(usize) -> f64 + Copy + 'a {
     move |j| {
-        if mask.get(j) {
-            f64::NEG_INFINITY
-        } else {
+        if hidden.shows(len, j) {
             text.run_window(run, j, len)
+        } else {
+            f64::NEG_INFINITY
         }
     }
 }
 
 impl Level {
     /// The level of length `len` over `text` (with its run lengths `run`)
-    /// from its mask words (none for a long level) and per-block champions;
-    /// the block size follows from the kind: 64 slots under a mask, `len`
-    /// without one.
+    /// from its per-block champions, blocks of `block` slots, hiding what
+    /// `hidden` hides.
     fn new(
         text: &ScoredText,
         run: &[u32],
-        len: usize,
-        words: Vec<u64>,
+        (len, block): (usize, usize),
+        hidden: &Hidden,
         champions: Vec<u32>,
     ) -> Result<Self, &'static str> {
-        let block = match words.len() {
-            0 => len,
-            _ => SampledRmq::DEFAULT_BLOCK,
-        };
-        let mask = BitVec { words };
         let rmq = SampledRmq::from_parts(
             text.tree.num_slots(),
             block,
             Direction::Max,
             champions,
-            &champion_value(&mask, text, run, len),
+            &champion_value(hidden, text, run, len),
         )?;
-        Ok(Self { len, rmq, mask })
+        Ok(Self { len, rmq })
     }
 
-    /// This level's [`level_value`].
-    fn value<'a>(&'a self, text: &'a ScoredText) -> impl Fn(usize) -> f64 + Copy + 'a {
-        level_value(&self.mask, text, self.len)
+    /// This level's [`level_value`], hiding what `hidden` hides.
+    fn value<'a>(
+        &self,
+        hidden: &'a Hidden,
+        text: &'a ScoredText,
+    ) -> impl Fn(usize) -> f64 + Copy + 'a {
+        level_value(hidden, text, self.len)
     }
 
     /// The length-`m` window of `slot`, whose value here is `upper`: that
@@ -245,10 +286,32 @@ impl Level {
     }
 }
 
+impl Hidden {
+    /// Whether the level of length `len` shows slot `j` where the slot's
+    /// window is whole. A long level hides [`NOTHING`], so `Depth` and
+    /// `Masks` are asked for a short level's, `len ≤ L`, only.
+    #[inline]
+    fn shows(&self, len: usize, j: usize) -> bool {
+        match self {
+            Hidden::Nothing => true,
+            Hidden::Depth(depth) => (depth[j] as usize) < len,
+            Hidden::Masks(masks) => !masks[len - 1].get(j),
+        }
+    }
+
+    fn heap_size(&self) -> usize {
+        match self {
+            Hidden::Nothing => 0,
+            Hidden::Depth(depth) => depth.len(),
+            Hidden::Masks(masks) => masks.iter().map(BitVec::heap_size).sum(),
+        }
+    }
+}
+
 impl Levels {
     /// Builds all levels over `text` (see the module docs) on the ladder
     /// [`ladder`] derives from it. Slot 0 (the virtual terminator) is
-    /// always masked.
+    /// never shown.
     pub(super) fn build(text: &ScoredText, dedup: &DedupStrategy<'_>) -> Self {
         let slots = text.tree.num_slots();
         let run = text.run_lengths();
@@ -256,37 +319,65 @@ impl Levels {
         let mut long_sweeps: Vec<LongSweep> =
             long_lens.map(|len| LongSweep::new(len, slots)).collect();
 
-        let keep = keep_sweep(text, &run, max_short, dedup);
-        let swept = champion_sweep(text, &run, max_short, keep.as_deref(), &mut long_sweeps);
-        let level = |len, words, champions| {
-            Level::new(text, &run, len, words, champions)
+        // The short levels whose window at text position `x` is whole.
+        let whole = |x: usize| low_bits(levels_below(run[x] as usize, max_short));
+        let (sweep, long) = ((text, &run[..], max_short), &mut long_sweeps[..]);
+        let (hidden, champions) = match *dedup {
+            DedupStrategy::None => (
+                Hidden::Nothing,
+                champion_sweep(sweep, |_, x| whole(x), long),
+            ),
+            DedupStrategy::BySource(keys) => {
+                let depth = chain_sweep(text, keys, max_short);
+                let shown = |j, x| whole(x) & !low_bits(depth[j] as usize);
+                let champions = champion_sweep(sweep, shown, long);
+                (Hidden::Depth(depth), champions)
+            }
+            DedupStrategy::ByKeyMax(keys) => {
+                let keep = keep_sweep(text, &run, max_short, keys);
+                let champions = champion_sweep(sweep, |j, _| keep[j], long);
+                (Hidden::Masks(masks(&keep, max_short)), champions)
+            }
+        };
+        let level = |len_block, hidden, champions| {
+            Level::new(text, &run, len_block, hidden, champions)
                 .expect("the sweep yields one in-block champion per block")
         };
-        let short = swept
-            .into_iter()
-            .enumerate()
-            .map(|(i, (words, champions))| level(i + 1, words, champions))
+        let block = SampledRmq::DEFAULT_BLOCK;
+        let short = (champions.into_iter().zip(1..))
+            .map(|(champions, len)| level((len, block), &hidden, champions))
             .collect();
         let long = long_sweeps
             .into_iter()
-            .map(|sweep| level(sweep.len, Vec::new(), sweep.champions))
+            .map(|sweep| level((sweep.len, sweep.len), NOTHING, sweep.champions))
             .collect();
-        Self { short, long }
+        Self {
+            short,
+            long,
+            hidden,
+        }
     }
 
-    /// Decomposes all levels into the persistent representation accepted by
-    /// [`Levels::from_parts`]: per short level the duplicate-mask words and
-    /// RMQ champion indices, per long level its champions. Champion *values*
-    /// are never stored — they are re-derived from the cumulative array on
-    /// reload, read as the build read them — nor lengths.
+    /// Decomposes the levels of a `BySource` build — an `Index`'s, the only
+    /// ones a state holds — into the persistent representation accepted by
+    /// [`Levels::from_parts`]: the visibility bytes, per short level and
+    /// per long level its RMQ champion indices. Champion *values* are never
+    /// stored — they are re-derived from the cumulative array on reload,
+    /// read as the build read them — nor lengths.
     pub(super) fn to_parts(&self) -> LevelsParts {
         let champions = |level: &Level| level.rmq.champions().to_vec();
+        let visibility = match &self.hidden {
+            Hidden::Depth(depth) => depth.to_vec(),
+            Hidden::Nothing | Hidden::Masks(_) => {
+                unreachable!("only an `Index` is taken apart, and it dedups by source")
+            }
+        };
         LevelsParts {
+            visibility,
             short: self
                 .short
                 .iter()
                 .map(|level| ShortLevelParts {
-                    mask_words: level.mask.words.clone(),
                     champions: champions(level),
                 })
                 .collect(),
@@ -300,11 +391,14 @@ impl Levels {
         }
     }
 
-    /// Reassembles levels from parts produced by [`Levels::to_parts`],
-    /// re-deriving all RMQ champion values through `text` (the reloaded
-    /// text of the same substrate), whose [`ladder`] the parts must sit on
-    /// level for level. Fails with [`Error::InvalidSnapshot`] on
-    /// structurally inconsistent parts.
+    /// Reassembles `BySource` levels from parts produced by
+    /// [`Levels::to_parts`], re-deriving all RMQ champion values through
+    /// `text` (the reloaded text of the same substrate), whose [`ladder`]
+    /// the parts must sit on level for level. Fails with
+    /// [`Error::InvalidSnapshot`] on structurally inconsistent parts: a
+    /// visibility byte per slot, each at most `L` or [`HIDDEN`], is checked,
+    /// but not re-derived (the chain sweep would cost a load what the
+    /// build paid for it).
     pub(super) fn from_parts(parts: LevelsParts, text: &ScoredText) -> Result<Self, Error> {
         let run = text.run_lengths();
         let (max_short, long_lens) = ladder(text, &run);
@@ -312,44 +406,53 @@ impl Levels {
         if parts.short.len() != max_short || parts.long.len() != long_lens.len() {
             return Err(invalid("level count does not match the ladder of the text"));
         }
-        let mask_words = text.tree.num_slots().div_ceil(64);
-        let short = parts.short.into_iter().zip(1..).map(|(level, len)| {
-            if level.mask_words.len() != mask_words {
-                return Err("mask word count does not match slot count");
-            }
-            Level::new(text, &run, len, level.mask_words, level.champions)
-        });
+        let depth = parts.visibility;
+        if depth.len() != text.tree.num_slots() {
+            return Err(invalid("visibility byte count does not match slot count"));
+        }
+        if (depth.iter()).any(|&d| d as usize > max_short && d != HIDDEN) {
+            return Err(invalid("visibility byte above the short-level count"));
+        }
+        let hidden = Hidden::Depth(depth.into_boxed_slice());
+        let block = SampledRmq::DEFAULT_BLOCK;
+        let short = (parts.short.into_iter().zip(1..))
+            .map(|(level, len)| Level::new(text, &run, (len, block), &hidden, level.champions));
         let short = short.collect::<Result<_, _>>().map_err(invalid)?;
-        let long = parts
-            .long
-            .into_iter()
-            .zip(long_lens)
-            .map(|(level, len)| Level::new(text, &run, len, Vec::new(), level.champions));
+        let long = (parts.long.into_iter().zip(long_lens))
+            .map(|(level, len)| Level::new(text, &run, (len, len), NOTHING, level.champions));
         let long = long.collect::<Result<_, _>>().map_err(invalid)?;
-        Ok(Self { short, long })
+        Ok(Self {
+            short,
+            long,
+            hidden,
+        })
     }
 
-    /// The level that serves pattern length `m ≥ 1`: its own short level up
-    /// to `L`; past that the longest long level no longer than `m`, whose
-    /// values bound every length-`m` window from above (prefix
-    /// probabilities are non-increasing in length).
-    fn serving(&self, m: usize) -> &Level {
-        let long = || self.long.iter().rev().find(|level| level.len <= m);
-        self.short.get(m - 1).or_else(long).expect(
+    /// The level that serves pattern length `m ≥ 1`, with what it hides:
+    /// its own short level up to `L`; past that the longest long level no
+    /// longer than `m`, whose values bound every length-`m` window from
+    /// above (prefix probabilities are non-increasing in length).
+    fn serving(&self, m: usize) -> (&Level, &Hidden) {
+        if let Some(level) = self.short.get(m - 1) {
+            return (level, &self.hidden);
+        }
+        let long = self.long.iter().rev().find(|level| level.len <= m);
+        let level = long.expect(
             "a pattern longer than L occurs only in a stretch that long, which has a long level",
-        )
+        );
+        (level, NOTHING)
     }
 
-    /// Heap bytes of the short levels (masks and RMQs) and of the long
-    /// levels.
-    pub(super) fn heap_sizes(&self) -> (usize, usize) {
-        let bytes = |levels: &[Level]| -> usize {
-            levels
-                .iter()
-                .map(|level| level.rmq.heap_size() + level.mask.heap_size())
-                .sum()
-        };
-        (bytes(&self.short), bytes(&self.long))
+    /// Heap bytes of what the short levels hide (the visibility bytes, or
+    /// the masks), of the short levels' RMQs and of the long levels'.
+    pub(super) fn heap_sizes(&self) -> (usize, usize, usize) {
+        let bytes =
+            |levels: &[Level]| -> usize { levels.iter().map(|level| level.rmq.heap_size()).sum() };
+        (
+            self.hidden.heap_size(),
+            bytes(&self.short),
+            bytes(&self.long),
+        )
     }
 }
 
@@ -363,11 +466,11 @@ impl Substrate {
     /// does *not* eliminate duplicate keys (the caller aggregates).
     pub(crate) fn report(&self, m: usize, l: usize, r: usize, log_tau: f64) -> Vec<(usize, f64)> {
         debug_assert!(m >= 1, "patterns are validated non-empty");
-        let (text, level) = (&self.text, self.levels.serving(m));
+        let (text, (level, hidden)) = (&self.text, self.levels.serving(m));
         let (cut, mut hits) = (canon::log_cut(log_tau), Vec::new());
         level
             .rmq
-            .report_at_least(l, r, cut, &level.value(text), |slot, upper| {
+            .report_at_least(l, r, cut, &level.value(hidden, text), |slot, upper| {
                 let v = level.exact(text, m, slot, upper);
                 if canon::log_meets_threshold(v, log_tau) {
                     hits.push((text.pos(slot), v));
@@ -400,8 +503,8 @@ impl Substrate {
         // off the wire: past that population it can surface nothing more,
         // and it must never size an allocation.
         let k = k.min(r - l + 1);
-        let (text, level) = (&self.text, self.levels.serving(m));
-        let bound = level.value(text);
+        let (text, (level, hidden)) = (&self.text, self.levels.serving(m));
+        let bound = level.value(hidden, text);
         let ranked = level.rmq.best_first(l, r, floor, &bound);
         let exact = |slot, upper| level.exact(text, m, slot, upper);
         top_k_search(ranked, k, exact, |slot| source(text.pos(slot)))
@@ -415,7 +518,7 @@ impl Substrate {
     pub(crate) fn long_levels(&self) -> Vec<(usize, bool)> {
         let run = self.text.run_lengths();
         let finite = |level: &Level| {
-            let value = champion_value(&level.mask, &self.text, &run, level.len);
+            let value = champion_value(NOTHING, &self.text, &run, level.len);
             let champions = level.rmq.champions().iter();
             champions.map(|&c| value(c as usize)).any(f64::is_finite)
         };
@@ -440,11 +543,12 @@ fn ladder(text: &ScoredText, run: &[u32]) -> (usize, impl Iterator<Item = usize>
 
 /// The sweeps hold a slot's short levels as the bits of one `u64`: level
 /// `ℓ` (pattern length `ℓ + 1`) is bit `ℓ`, and [`ladder`] cannot derive
-/// more levels than a `usize` has bits.
+/// more levels than a `usize` has bits — fewer than [`HIDDEN`], so a
+/// visibility byte holds every count of levels.
 const LEVEL_BITS: usize = u64::BITS as usize;
-const _: () = assert!(usize::BITS <= u64::BITS);
+const _: () = assert!(usize::BITS <= u64::BITS && LEVEL_BITS < HIDDEN as usize);
 
-/// `u64` with the low `n ≤ 64` bits set.
+/// `u64` with the low `n` bits set (all of them from 64 on).
 #[inline]
 fn low_bits(n: usize) -> u64 {
     if n >= 64 {
@@ -461,6 +565,43 @@ fn levels_below(t: usize, levels: usize) -> usize {
     t.min(levels)
 }
 
+/// The size of the key space of `keys`: one past the largest key.
+fn key_space(keys: &[u32]) -> usize {
+    let max = keys.iter().filter(|&&k| k != NO_KEY).max();
+    max.map_or(0, |&k| k as usize + 1)
+}
+
+/// The chain sweep: the visibility byte of every slot under the `BySource`
+/// `keys` over the short levels `0..levels` (see the module docs).
+fn chain_sweep(text: &ScoredText, keys: &[u32], levels: usize) -> Box<[u8]> {
+    debug_assert_eq!(keys.len(), text.cum.len(), "one key per text position");
+    let (tree, sa) = (&text.tree, text.tree.sa_slots());
+    // `prev[key]`: the last slot that had the key, 0 for none (slot 0, the
+    // terminator, has no key).
+    let mut prev = vec![0u32; key_space(keys)];
+    // `below[ℓ]`: the last slot whose LCP is below the length of level `ℓ`
+    // (`ℓ + 1`) — where the slot's level-`ℓ` partition starts.
+    let mut below = [0u32; LEVEL_BITS];
+    let mut depth = vec![HIDDEN; sa.len()];
+    for j in 1..sa.len() {
+        for b in &mut below[levels_below(tree.slot_lcp(j), levels)..levels] {
+            *b = j as u32;
+        }
+        let key = keys[sa[j] as usize];
+        if key == NO_KEY {
+            continue;
+        }
+        let p = std::mem::replace(&mut prev[key as usize], j as u32);
+        // `below` rises with the level: the levels that put `p` in slot
+        // `j`'s partition are the lowest ones, and none when `p` is 0.
+        depth[j] = match p {
+            0 => 0,
+            p => below[..levels].iter().take_while(|&&b| b <= p).count() as u8,
+        };
+    }
+    depth.into_boxed_slice()
+}
+
 /// A key's current winner in one level's partition (`ByKeyMax`).
 #[derive(Clone)]
 struct Best {
@@ -468,40 +609,26 @@ struct Best {
     value: f64,
 }
 
-/// The keep sweep over the short levels `0..levels`: for every slot, bit
-/// `i` set when the slot stays visible at level `i`, i.e. its window is
-/// finite and `dedup` does not hide it. `None` without dedup, where
-/// visibility is the run length alone.
-fn keep_sweep(
-    text: &ScoredText,
-    run: &[u32],
-    levels: usize,
-    dedup: &DedupStrategy<'_>,
-) -> Option<Vec<u64>> {
-    let (keys, keep_max) = match *dedup {
-        DedupStrategy::None => return None,
-        DedupStrategy::BySource(keys) => (keys, false),
-        DedupStrategy::ByKeyMax(keys) => (keys, true),
-    };
+/// The keep sweep over the short levels `0..levels` under the `ByKeyMax`
+/// `keys`: for every slot, bit `i` set when the slot stays visible at level
+/// `i`, i.e. its window is finite and it is its key's winner in its
+/// level-`i` partition.
+fn keep_sweep(text: &ScoredText, run: &[u32], levels: usize, keys: &[u32]) -> Vec<u64> {
     debug_assert_eq!(keys.len(), text.cum.len(), "one key per text position");
     let (tree, sa) = (&text.tree, text.tree.sa_slots());
     let prefix = text.cum.prefix();
-    let key_space = keys
-        .iter()
-        .filter(|&&k| k != NO_KEY)
-        .max()
-        .map_or(0, |&k| k as usize + 1);
+    let key_space = key_space(keys);
 
-    // `stamp[key · levels + i]`: the level-`i` partition the key was last
-    // seen in. Partition ids start at 1 (slot 1 opens one at every level),
-    // so 0 is "never".
+    // `stamp[key · levels + i]`: the level-`i` partition the key last won
+    // in, and `best[…]` the winner there. Partition ids start at 1 (slot 1
+    // opens one at every level), so 0 is "never".
     let mut stamp = vec![0u32; key_space * levels];
     let mut best = vec![
         Best {
             slot: 0,
             value: 0.0
         };
-        if keep_max { key_space * levels } else { 0 }
+        key_space * levels
     ];
     let mut partition = [0u32; LEVEL_BITS];
     let mut keep = vec![0u64; sa.len()];
@@ -520,28 +647,42 @@ fn keep_sweep(
         let mut bits = 0u64;
         for i in 0..finite {
             let seen = std::mem::replace(&mut stamp[at + i], partition[i]) == partition[i];
-            if keep_max {
-                #[allow(clippy::float_arithmetic, reason = "a stored window sum ranks keys")]
-                let value = prefix[x + i + 1] - prefix[x];
-                let incumbent = &mut best[at + i];
-                if seen {
-                    if incumbent.value >= value {
-                        continue;
-                    }
-                    keep[incumbent.slot as usize] &= !(1u64 << i);
+            #[allow(clippy::float_arithmetic, reason = "a stored window sum ranks keys")]
+            let value = prefix[x + i + 1] - prefix[x];
+            let incumbent = &mut best[at + i];
+            if seen {
+                if incumbent.value >= value {
+                    continue;
                 }
-                *incumbent = Best {
-                    slot: j as u32,
-                    value,
-                };
-            } else if seen {
-                continue;
+                keep[incumbent.slot as usize] &= !(1u64 << i);
             }
+            *incumbent = Best {
+                slot: j as u32,
+                value,
+            };
             bits |= 1u64 << i;
         }
         keep[j] = bits;
     }
-    Some(keep)
+    keep
+}
+
+/// The masks of the short levels `0..levels` from the [`keep_sweep`]
+/// result: level `i` hides every slot without bit `i`.
+fn masks(keep: &[u64], levels: usize) -> Vec<BitVec> {
+    let mut words = vec![!0u64; keep.len().div_ceil(64)];
+    if let Some(last) = words.last_mut() {
+        *last = low_bits(keep.len() - (keep.len() - 1) / 64 * 64);
+    }
+    let mut masks = vec![BitVec { words }; levels];
+    for (j, &bits) in keep.iter().enumerate() {
+        let mut bits = bits;
+        while bits != 0 {
+            masks[bits.trailing_zeros() as usize].words[j / 64] &= !(1u64 << (j % 64));
+            bits &= bits - 1;
+        }
+    }
+    masks
 }
 
 /// One long level while the champion sweep runs over it.
@@ -580,53 +721,35 @@ impl LongSweep {
     }
 }
 
-/// The champion sweep over the short levels `0..levels`: per level its
-/// duplicate-mask words and per-block champions (leftmost maximum of the
-/// visible values; the block's first slot when none is). `keep` is the
-/// [`keep_sweep`] result; `long` levels are offered every slot whose run
+/// The champion sweep over `text` (with its run lengths `run`) and its
+/// short levels `0..levels`: per level its per-block champions (leftmost
+/// maximum of the shown values; the block's first slot when none is).
+/// `bits(j, x)` are the levels slot `j` (at text position `x`) shows, its
+/// window whole at each; `long` levels are offered every slot whose run
 /// reaches their length.
 #[allow(clippy::float_arithmetic, reason = "stored window sums rank champions")]
 fn champion_sweep(
-    text: &ScoredText,
-    run: &[u32],
-    levels: usize,
-    keep: Option<&[u64]>,
+    (text, run, levels): (&ScoredText, &[u32], usize),
+    bits: impl Fn(usize, usize) -> u64,
     long: &mut [LongSweep],
-) -> Vec<(Vec<u64>, Vec<u32>)> {
+) -> Vec<Vec<u32>> {
     const BLOCK: usize = SampledRmq::DEFAULT_BLOCK;
-    const _: () = assert!(BLOCK == 64, "one mask word per champion block");
     let sa = text.tree.sa_slots();
     let prefix = text.cum.prefix();
     let blocks = sa.len().div_ceil(BLOCK);
-    let mut swept: Vec<(Vec<u64>, Vec<u32>)> = (0..levels)
-        .map(|_| (Vec::with_capacity(blocks), Vec::with_capacity(blocks)))
-        .collect();
-    let mut mask = [0u64; LEVEL_BITS];
+    let mut swept: Vec<Vec<u32>> = (0..levels).map(|_| Vec::with_capacity(blocks)).collect();
     let mut best = [f64::NEG_INFINITY; LEVEL_BITS];
     let mut champion = [0u32; LEVEL_BITS];
     for start in (0..sa.len()).step_by(BLOCK) {
         let end = (start + BLOCK).min(sa.len());
-        // With dedup every slot is masked until a kept bit says otherwise;
-        // without, only the virtual-terminator slot is.
-        mask[..levels].fill(match keep {
-            Some(_) => low_bits(end - start),
-            None => u64::from(start == 0),
-        });
         best[..levels].fill(f64::NEG_INFINITY);
         champion[..levels].fill(start as u32);
-        for j in start..end {
-            let x = sa[j] as usize;
-            let run_x = run[x];
-            let mut bits = match keep {
-                Some(keep) => keep[j],
-                None => low_bits(levels_below(run_x as usize, levels)),
-            };
-            while bits != 0 {
-                let i = bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                if keep.is_some() {
-                    mask[i] &= !(1u64 << (j - start));
-                }
+        for (j, &x) in (start..end).zip(&sa[start..end]) {
+            let x = x as usize;
+            let mut shown = bits(j, x);
+            while shown != 0 {
+                let i = shown.trailing_zeros() as usize;
+                shown &= shown - 1;
                 let value = prefix[x + i + 1] - prefix[x];
                 if value > best[i] {
                     best[i] = value;
@@ -634,14 +757,13 @@ fn champion_sweep(
                 }
             }
             for level in long.iter_mut() {
-                if level.len > run_x as usize {
+                if level.len > run[x] as usize {
                     break;
                 }
                 level.offer(j, prefix[x + level.len] - prefix[x]);
             }
         }
-        for (i, (words, champions)) in swept.iter_mut().enumerate() {
-            words.push(mask[i]);
+        for (i, champions) in swept.iter_mut().enumerate() {
             champions.push(champion[i]);
         }
     }
@@ -877,7 +999,7 @@ mod tests {
             patterns.dedup();
             for pattern in patterns {
                 let m = pattern.len();
-                assert_eq!(sub.levels.serving(m).len, m, "a short level serves {m}");
+                assert_eq!(sub.levels.serving(m).0.len, m, "a short level serves {m}");
                 check(&sub, keys, pattern, sub.range(pattern).unwrap());
             }
         }
@@ -895,8 +1017,8 @@ mod tests {
         let block = SampledRmq::DEFAULT_BLOCK;
         let mut dropped_in_wide_range = 0;
         for_each_counted_range(|sub, _, pattern, (l, r)| {
-            let level = sub.levels.serving(pattern.len());
-            let value = level.value(&sub.text);
+            let (level, hidden) = sub.levels.serving(pattern.len());
+            let value = level.value(hidden, &sub.text);
             let reads = Cell::new(0usize);
             let counted = |j| {
                 reads.set(reads.get() + 1);
@@ -941,8 +1063,8 @@ mod tests {
         let mut wide_ranges = 0;
         for_each_counted_range(|sub, keys, pattern, (l, r)| {
             let (m, text) = (pattern.len(), &sub.text);
-            let level = sub.levels.serving(m);
-            let value = level.value(text);
+            let (level, hidden) = sub.levels.serving(m);
+            let value = level.value(hidden, text);
             let reads = vec![Cell::new(0u32); r - l + 1];
             let counted = |j: usize| {
                 reads[j - l].set(reads[j - l].get() + 1);
@@ -989,37 +1111,73 @@ mod tests {
         assert!(wide_ranges > 0, "no range of ≥ 4 blocks");
     }
 
-    /// The per-level construction the sweeps replaced, kept as their
-    /// reference: for each level on its own, one pass over the slots for
-    /// the duplicate mask (hash maps keyed by dedup key), then
-    /// `SampledRmq::new` over the masked accessor.
-    fn reference_parts(text: &ScoredText, dedup: &DedupStrategy<'_>) -> LevelsParts {
+    /// Per short and per long level, its champions.
+    type Champions = (Vec<Vec<u32>>, Vec<Vec<u32>>);
+
+    /// What the per-level construction the sweeps replaced hides, kept as
+    /// their reference: the [`reference_mask`] of every short level.
+    fn reference_hidden(text: &ScoredText, dedup: &DedupStrategy<'_>) -> Hidden {
+        let (max_short, _) = ladder(text, &text.run_lengths());
+        let masks = (1..=max_short).map(|len| BitVec {
+            words: reference_mask(text, len, dedup),
+        });
+        Hidden::Masks(masks.collect())
+    }
+
+    /// The champions of the per-level construction: `SampledRmq::new` over
+    /// each level's accessor on its own, hiding what `hidden` hides.
+    fn reference_champions(text: &ScoredText, hidden: &Hidden) -> Champions {
         let slots = text.tree.num_slots();
         let run = text.run_lengths();
         let (max_short, long_lens) = ladder(text, &run);
         let short = (1..=max_short)
             .map(|i| {
-                let mask = BitVec {
-                    words: reference_mask(text, i, dedup),
-                };
-                let value = champion_value(&mask, text, &run, i);
-                let rmq = SampledRmq::new(slots, Direction::Max, &value);
-                ShortLevelParts {
-                    champions: rmq.champions().to_vec(),
-                    mask_words: mask.words,
-                }
+                let value = champion_value(hidden, text, &run, i);
+                SampledRmq::new(slots, Direction::Max, &value)
+                    .champions()
+                    .to_vec()
             })
             .collect();
         let long = long_lens
             .map(|len| {
                 let value = |j| text.run_window(&run, j, len);
                 let rmq = SampledRmq::with_block_size(slots, len, Direction::Max, &value);
-                LongLevelParts {
-                    champions: rmq.champions().to_vec(),
-                }
+                rmq.champions().to_vec()
             })
             .collect();
-        LevelsParts { short, long }
+        (short, long)
+    }
+
+    fn champions(levels: &Levels) -> Champions {
+        let of = |levels: &[Level]| -> Vec<Vec<u32>> {
+            (levels.iter())
+                .map(|level| level.rmq.champions().to_vec())
+                .collect()
+        };
+        (of(&levels.short), of(&levels.long))
+    }
+
+    /// The `(length, slot)` cells where a short level of `levels` (built
+    /// over `text`) shows a slot with a whole window and `reference` hides
+    /// it, or the other way round: none, when the levels hide what the
+    /// reference hides.
+    fn visibility_mismatches(
+        text: &ScoredText,
+        levels: &Levels,
+        reference: &Hidden,
+    ) -> Vec<(usize, usize)> {
+        let run = text.run_lengths();
+        let mut cells = Vec::new();
+        for len in 1..=levels.short.len() {
+            for j in 0..text.tree.num_slots() {
+                let whole = len <= run[text.pos(j)] as usize;
+                let shows = |hidden: &Hidden| whole && hidden.shows(len, j);
+                if shows(&levels.hidden) != shows(reference) {
+                    cells.push((len, j));
+                }
+            }
+        }
+        cells
     }
 
     /// The duplicate-mask words of one level, the old way.
@@ -1131,8 +1289,8 @@ mod tests {
             }
         }
 
-        /// The fused sweeps yield the reference's mask words and champions,
-        /// level by level, for every strategy.
+        /// The fused sweeps show what the reference shows and yield its
+        /// champions, level by level, for every strategy.
         #[test]
         fn sweeps_match_the_per_level_reference(
             positions in prop_oneof![
@@ -1153,18 +1311,58 @@ mod tests {
                 DedupStrategy::BySource(&keys),
                 DedupStrategy::ByKeyMax(&keys),
             ] {
-                let fused = Levels::build(&text, &dedup).to_parts();
-                let reference = reference_parts(&text, &dedup);
-                prop_assert_eq!(fused.short.len(), reference.short.len());
-                for (i, (f, r)) in fused.short.iter().zip(&reference.short).enumerate() {
-                    prop_assert_eq!(&f.mask_words, &r.mask_words, "mask of level {}", i + 1);
-                    prop_assert_eq!(&f.champions, &r.champions, "champions of level {}", i + 1);
+                let levels = Levels::build(&text, &dedup);
+                let reference = reference_hidden(&text, &dedup);
+                prop_assert_eq!(visibility_mismatches(&text, &levels, &reference), vec![]);
+                let (short, long) = champions(&levels);
+                let (ref_short, ref_long) = reference_champions(&text, &reference);
+                prop_assert_eq!(short.len(), ref_short.len());
+                for (i, (f, r)) in short.iter().zip(&ref_short).enumerate() {
+                    prop_assert_eq!(f, r, "champions of level {}", i + 1);
                 }
-                prop_assert_eq!(fused.long.len(), reference.long.len());
-                for (k, (f, r)) in fused.long.iter().zip(&reference.long).enumerate() {
-                    prop_assert_eq!(&f.champions, &r.champions, "champions of long level {}", k);
-                }
+                prop_assert_eq!(long, ref_long);
             }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// The chain sweep against the per-level reference on generated
+        /// strings: the visibility bytes of an `Index` over a generated
+        /// string and over the same string with correlations, and of a
+        /// `ListingIndex` over both as documents (its `BySource` fallback:
+        /// one of them is correlated), show at every short level exactly the
+        /// slots [`reference_mask`] leaves visible.
+        #[test]
+        fn visibility_bytes_are_the_reference_masks(
+            n in 20usize..400,
+            theta in prop::sample::select(vec![0.0, 0.3, 0.6]),
+            seed in 0u64..1 << 20,
+            tau in prop::sample::select(vec![0.05, 0.1, 0.3]),
+        ) {
+            use crate::{index::tests::correlated, Index, ListingIndex};
+            use ustr_workload::{generate_string, DatasetConfig};
+            let plain = generate_string(&DatasetConfig::new(n, theta, seed));
+            let correlated = correlated(n, seed);
+            let check = |sub: &Substrate, keys: &[u32]| {
+                prop_assert!(matches!(sub.levels.hidden, Hidden::Depth(_)));
+                let reference = reference_hidden(&sub.text, &DedupStrategy::BySource(keys));
+                let mismatches = visibility_mismatches(&sub.text, &sub.levels, &reference);
+                prop_assert_eq!(mismatches, vec![]);
+                Ok(())
+            };
+            for source in [&plain, &correlated] {
+                let index = Index::build(source, tau).unwrap();
+                check(&index.substrate, &ustr_uncertain::transform(source, tau).unwrap().pos)?;
+            }
+            let docs = [correlated.clone(), plain.clone()];
+            let listing = ListingIndex::build(&docs, tau).unwrap();
+            let base = [0, correlated.len()];
+            let keys: Vec<u32> = (0..listing.substrate.text.cum.len())
+                .map(|x| listing.doc_and_src(x).map_or(NO_KEY, |(d, q)| (base[d] + q) as u32))
+                .collect();
+            check(&listing.substrate, &keys)?;
         }
     }
 }

@@ -5,12 +5,12 @@
 //! stack loads. [`Snapshot::save`] serializes the query-critical state of
 //! an [`Index`] — the source model, its position map, and the paper's §4
 //! substrate, holding the only copy of the transformed text: the text with
-//! its `(SA, LCP)` arrays and every per-level RMQ table (champion indices +
-//! duplicate masks) — and [`Snapshot::load`] reassembles an index that
-//! holds what the built one held, `C` summed again from the model, and
-//! answers **byte-identical** query results, skipping the expensive
-//! construction passes (the Lemma-2 transform, SA-IS, the level mask
-//! sweeps). The other index types have no snapshot; each is built from its
+//! its `(SA, LCP)` arrays, the visibility byte of every slot (the short
+//! levels' duplicate elimination) and every per-level RMQ table (champion
+//! indices) — and [`Snapshot::load`] reassembles an index that holds what
+//! the built one held, `C` summed again from the model, and answers
+//! **byte-identical** query results, skipping the expensive construction
+//! passes (the Lemma-2 transform, SA-IS, the level sweeps). The other index types have no snapshot; each is built from its
 //! input whenever it is wanted.
 //!
 //! # One container
@@ -32,13 +32,14 @@
 //! All fixed-width payload integers are little-endian; `f64`s are stored as
 //! their IEEE-754 bit patterns (so probabilities survive round-trips
 //! bit-exactly). **One integer rule:** every integer of a payload below
-//! other than the *string* piece — SA, LCP, factor starts, champions, and
-//! every sequence length, level count and stat — is written as an
+//! other than the *string* piece and the visibility bytes — SA, LCP, factor
+//! starts, champions, and every sequence length, level count and stat — is
+//! written as an
 //! LEB128 varint (1–5 bytes for a `u32` value, 1–10 for a length or stat;
 //! shortest form only), by value size, not by type. The *string* piece is
 //! the WAL's record body too, and keeps its fixed-width `u64` lengths.
 //!
-//! # Payloads (version 11)
+//! # Payloads (version 12)
 //!
 //! A payload says what `build` produces and a query reads, each array
 //! once. Shared pieces first, then the payload, every field in the order it
@@ -49,7 +50,7 @@
 //! | *string* | position count; per position: choice count (`u32`), then `(char, prob)` pairs; correlation count; *correlation* rows (shared with the WAL, so fixed-width) |
 //! | *correlation* | subject position, subject char, condition position, condition char, `p_present`, `p_absent` |
 //! | *scored text* | text bytes (0 = factor separator), SA, LCP, each after its length |
-//! | *substrate* | *scored text*; short-level count `L`; per short level: mask words (`u64`s), champions (one per 64 slots, the `j`-th as `c − 64·j`); long-level count; per long level, the `k`-th of length `L·2ᵏ`: champions (one per `L·2ᵏ` slots, as `c − j·L·2ᵏ`) |
+//! | *substrate* | *scored text*; visibility bytes (one raw byte per slot, after their count: the short level of length `m` shows slot `j` iff its byte is below `m`); short-level count `L`; per short level: champions (one per 64 slots, the `j`-th as `c − 64·j`); long-level count; per long level, the `k`-th of length `L·2ᵏ`: champions (one per `L·2ᵏ` slots, as `c − j·L·2ᵏ`) |
 //! | *factor starts* | per stretch of the text (position 0 and every position after a separator start one), after their count: the source position of its first character, as the zigzag delta from the previous start (from 0 for the first; wrapping) |
 //! | *stats* | source length, transformed length, factor count, build time in ns |
 //!
@@ -60,7 +61,12 @@
 //! The two level counts must be the text's own — `L = ⌈log₂(slots + 1)⌉`
 //! short levels, a long level for every `L·2ᵏ` up to the longest
 //! separator-free stretch of the text: any other ladder is refused, so a
-//! loaded index has a built one's levels.
+//! loaded index has a built one's levels. A visibility byte is the minimum
+//! LCP since the previous slot with the same source position, capped at
+//! `L` (0 without one, 255 at a slot with no source position and at the
+//! terminator): a load refuses a count other than the slot count and a
+//! byte above `L` other than 255, but does not derive the bytes again —
+//! the chain sweep that does would cost a load what it costs the build.
 //!
 //! Not written, because another field fixes it: where the separators are
 //! (the zero bytes of the text), the map past a factor's first character
@@ -103,7 +109,11 @@
 //! Version 11 writes no long level past the longest separator-free stretch
 //! (version 10 wrote them on up to the text length, though every value of
 //! such a level is −∞); everything else of a payload is version 10's, byte
-//! for byte.
+//! for byte. Version 12 writes one visibility byte per slot in place of a
+//! duplicate mask of `⌈slots / 64⌉` `u64` words per short level (version
+//! 11's masks are that byte, unrolled: slot `j`'s bit at the level of
+//! length `m` was set iff its byte is at least `m` or its window there is
+//! not whole).
 //!
 //! # Failure model
 //!
@@ -178,8 +188,9 @@ pub const MAGIC: [u8; 8] = *b"USTRCOLL";
 /// version 8 writes the position map per factor and derives `C` on load;
 /// version 9 keys each link's origin as the suffix tree keys its nodes;
 /// version 10 writes no links; version 11 ends the long levels at the
-/// longest separator-free stretch of the text.
-pub const FORMAT_VERSION: u32 = 11;
+/// longest separator-free stretch of the text; version 12 writes a
+/// visibility byte per slot in place of the short levels' masks.
+pub const FORMAT_VERSION: u32 = 12;
 
 /// Which structure a section holds: one a server loads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -323,18 +334,6 @@ fn get_varint_seq(r: &mut Reader<'_>) -> Result<Vec<u32>, StoreError> {
     Ok(out)
 }
 
-/// `u64`s and `f64`s (as bit patterns) stay eight bytes each.
-fn put_word_seq(w: &mut Writer, v: impl ExactSizeIterator<Item = u64>) {
-    put_size(w, v.len() as u64);
-    v.for_each(|x| w.put_u64(x));
-}
-
-fn get_word_seq<'a>(r: &mut Reader<'a>) -> Result<impl Iterator<Item = u64> + 'a, StoreError> {
-    let len = get_count(r, 8)?;
-    let words = r.get_raw(len * 8)?.chunks_exact(8);
-    Ok(words.map(|c| u64::from_le_bytes(c.try_into().unwrap())))
-}
-
 /// The wrapping step from `prev` to `v`, zigzagged: a small step either way
 /// is a small varint, and every `u32` round-trips.
 fn zigzag(prev: u32, v: u32) -> u32 {
@@ -473,9 +472,9 @@ fn decode_champions(r: &mut Reader<'_>, block: usize) -> Result<Vec<u32>, StoreE
 fn encode_substrate(w: &mut Writer, state: &SubstrateState) {
     encode_scored_text(w, &state.text);
     let l = &state.levels;
+    put_byte_seq(w, &l.visibility);
     put_size(w, l.short.len() as u64);
     for s in &l.short {
-        put_word_seq(w, s.mask_words.iter().copied());
         encode_champions(w, &s.champions, 64);
     }
     put_size(w, l.long.len() as u64);
@@ -486,12 +485,12 @@ fn encode_substrate(w: &mut Writer, state: &SubstrateState) {
 
 fn decode_substrate(r: &mut Reader<'_>) -> Result<SubstrateState, StoreError> {
     let text = decode_scored_text(r)?;
-    // A short level is at least its two lengths, a long one its one.
-    let num_short = get_count(r, 2)?;
+    let visibility = get_byte_seq(r)?;
+    // A level is at least its champion count.
+    let num_short = get_count(r, 1)?;
     let mut short = Vec::with_capacity(num_short);
     for _ in 0..num_short {
         short.push(ShortLevelParts {
-            mask_words: get_word_seq(r)?.collect(),
             champions: decode_champions(r, 64)?,
         });
     }
@@ -506,7 +505,11 @@ fn decode_substrate(r: &mut Reader<'_>) -> Result<SubstrateState, StoreError> {
     }
     Ok(SubstrateState {
         text,
-        levels: LevelsParts { short, long },
+        levels: LevelsParts {
+            visibility,
+            short,
+            long,
+        },
     })
 }
 
@@ -701,10 +704,12 @@ mod tests {
     /// The payloads of two fixtures, byte for byte, as the manifest rows
     /// of one file record them (version 8: the `Index` payloads lost `C`
     /// and the per-character map; versions 9 and 10 kept them; version 11
-    /// lost the long levels past the longest separator-free stretch).
-    /// The one nondeterministic field, `build_time`, is set to zero through
-    /// the public state struct; everything else — source, map, text, SA,
-    /// LCP, `C`, mask words, champions — is what the checksums cover.
+    /// lost the long levels past the longest separator-free stretch;
+    /// version 12 holds a visibility byte per slot for the short levels'
+    /// masks). The one nondeterministic field, `build_time`, is set to zero
+    /// through the public state struct; everything else — source, map,
+    /// text, SA, LCP, visibility bytes, champions — is what the checksums
+    /// cover.
     #[test]
     fn snapshot_payloads_are_pinned() {
         // The second after the model went through a correlation, a
@@ -721,8 +726,8 @@ mod tests {
         assert_eq!(
             manifest_pins(&file_of(2, &sections)),
             [
-                (347, 16749832266438231732), // Index
-                (314, 4236535003138851969),  // Index, correlated
+                (341, 6632794141285210167), // Index
+                (296, 9753397242470991722), // Index, correlated
             ]
         );
     }
@@ -817,5 +822,57 @@ mod tests {
         let mut state = index.clone();
         state.substrate.levels.short[0].champions[1] = 0;
         corrupt(encoded(&state), "champion past u32");
+    }
+
+    /// A checksummed payload whose visibility bytes fit no build — one
+    /// missing, or one above the short-level count `L` that is not the
+    /// never-visible 255 — decodes, and the index refuses it as an invalid
+    /// snapshot: never a panic, at load or at a query.
+    #[test]
+    fn a_bad_visibility_array_is_an_invalid_snapshot() {
+        let s = ustr_workload::generate_string(&ustr_workload::DatasetConfig::new(200, 0.3, 7));
+        let index = Index::build(&s, 0.1).unwrap().to_snapshot();
+        let levels = index.substrate.levels.short.len();
+        let loaded = |state: &IndexState| {
+            let bytes = payload(|w| encode_index(w, state));
+            let section = Section {
+                doc: 0,
+                kind: SnapshotKind::Index,
+                payload: &bytes,
+            };
+            section.decode(Index::decode_payload)
+        };
+        let refused = |state: &IndexState, says: &str| match loaded(state) {
+            Err(StoreError::Index(ustr_core::Error::InvalidSnapshot { detail })) => {
+                assert!(detail.contains(says), "{detail}")
+            }
+            other => panic!("expected an invalid {says:?}, got {:?}", other.err()),
+        };
+        let visibility = &index.substrate.levels.visibility;
+        assert_eq!(visibility[0], 255, "the terminator is never visible");
+        assert!(visibility.iter().any(|&d| d > 0 && d as usize <= levels));
+        // A slot the first occurrence of its source position is in, shown
+        // at every short level.
+        let shown = visibility.iter().position(|&d| d == 0).unwrap();
+        assert!(loaded(&index).is_ok());
+        let mut state = index.clone();
+        state.substrate.levels.visibility.pop();
+        refused(&state, "visibility byte count");
+        let mut state = index.clone();
+        state.substrate.levels.visibility.push(0);
+        refused(&state, "visibility byte count");
+        for above in [levels + 1, 254] {
+            let mut state = index.clone();
+            state.substrate.levels.visibility[shown] = above as u8;
+            refused(&state, "visibility byte above");
+        }
+        // `L` itself and 255 both hide a slot at every level: in range, so
+        // they load, though this slot should show (the bytes are checked,
+        // not derived again).
+        for hidden in [levels, 255] {
+            let mut state = index.clone();
+            state.substrate.levels.visibility[shown] = hidden as u8;
+            assert!(loaded(&state).is_ok());
+        }
     }
 }

@@ -207,19 +207,21 @@ fn wrong_version_is_a_clean_error() {
 /// format-7 `.idx` (its payload holds `C` and the per-character map), a
 /// format-8 `.coll` with approx sections (its links name their origins by
 /// preorder rank), a format-9 `.coll` with approx sections (its links
-/// name their origins by node key), and a format-10 `.coll` (its long
-/// levels run on to the text length). Each is refused with a message that
-/// says to rebuild it.
+/// name their origins by node key), a format-10 `.coll` (its long levels
+/// run on to the text length) and a format-11 `.coll` (its short levels
+/// carry a duplicate mask each). Each is refused with a message that says
+/// to rebuild it.
 #[test]
 fn old_format_files_are_refused_with_a_rebuild_message() {
     let fixtures = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
     for (file, refused) in [
         ("format6.idx", "bad magic"),
-        ("format6.coll", "version 1 (this build reads version 11)"),
-        ("format7.idx", "version 7 (this build reads version 11)"),
-        ("format8.coll", "version 8 (this build reads version 11)"),
-        ("format9.coll", "version 9 (this build reads version 11)"),
-        ("format10.coll", "version 10 (this build reads version 11)"),
+        ("format6.coll", "version 1 (this build reads version 12)"),
+        ("format7.idx", "version 7 (this build reads version 12)"),
+        ("format8.coll", "version 8 (this build reads version 12)"),
+        ("format9.coll", "version 9 (this build reads version 12)"),
+        ("format10.coll", "version 10 (this build reads version 12)"),
+        ("format11.coll", "version 11 (this build reads version 12)"),
     ] {
         let err = Index::load(fixtures.join(file)).err().unwrap();
         let said = err.to_string();

@@ -70,19 +70,20 @@ fn check_heap_rows(
     );
 }
 
-/// `Index::heap_size()` per source position on this input when the budget
-/// was last set, once the plane stored a cell per choice and a one-word
-/// rank-bitmap record per uncertain row instead of σ cells (345.9 before,
-/// the figure once the LCP became a byte per slot and the long levels
-/// ended at the longest separator-free stretch; 380.8 before that, the figure
-/// since `C` kept only its prefix sums and the position map became a
-/// separator rank and one base per factor; 452.3 before that, with a
-/// `u32` per character for each — the figure since the plane became the
-/// one copy of the model, with probability rows only at uncertain
-/// positions; 561.4 before that, not counting the ≈ 58 B of source copy
-/// beside the plane; 925.3 with explicit tree nodes and a sparse table per
-/// level).
-const MEASURED_BYTES_PER_POS: f64 = 303.9;
+/// `Index::heap_size()` per source position on this input when the budget was
+/// last set, once the short levels' duplicate masks, a bit per slot per level,
+/// became one visibility byte per slot for all of them (303.9 before, the
+/// figure once the plane stored a cell per choice and a one-word rank-bitmap
+/// record per uncertain row instead of σ cells; 345.9 before that, the figure
+/// once the LCP became a byte per slot and the long levels ended at the longest
+/// separator-free stretch; 380.8 before that, the figure since `C` kept only
+/// its prefix sums and the position map became a separator rank and one base
+/// per factor; 452.3 before that, with a `u32` per character for each — the
+/// figure since the plane became the one copy of the model, with probability
+/// rows only at uncertain positions; 561.4 before that, not counting the ≈ 58 B
+/// of source copy beside the plane; 925.3 with explicit tree nodes and a sparse
+/// table per level).
+const MEASURED_BYTES_PER_POS: f64 = 293.0;
 
 #[test]
 fn heap_breakdown_stays_inside_the_budget() {
@@ -105,7 +106,10 @@ fn heap_breakdown_stays_inside_the_budget() {
     // A text byte, a `u32` SA entry and an LCP byte per slot: no LCP entry
     // of this text reaches 255, so its exception list is empty.
     assert!(per(row("text + SA + LCP"), slots) <= 6.0);
-    assert!(per(row("short levels"), slots * short_levels) <= 0.5);
+    // What the short levels hide is one byte per slot for all of them; each
+    // level is a champion per 64 slots and the block RMQ over their values.
+    assert_eq!(row("visibility bytes"), slots);
+    assert!(per(row("short levels"), slots * short_levels) <= 0.35);
     // The position map: 16 bytes per 64 characters (0.25 B a character),
     // and 4 B a factor.
     assert!(row("separator rank") <= (slots - 1).div_ceil(64) * 16);
@@ -198,12 +202,13 @@ fn listing_heap_stays_inside_the_budget() {
 }
 
 /// `.idx` bytes per source position of the 10 000-position string when the
-/// budget was set (snapshot format 11, which writes no long level past the
-/// longest separator-free stretch: 94.9 in format 8, which writes no `C`
-/// and one position map entry per factor; 180.3 in formats 6 and 7, which
-/// wrote lengths and stats as varints too; 180.4 in format 5, which wrote
-/// integer arrays as varints; 261.8 in format 4).
-const IDX_BYTES_PER_POS: f64 = 94.6;
+/// budget was set (snapshot format 12, which writes a visibility byte per slot
+/// in place of the short levels' mask words: 94.6 in format 11, which writes no
+/// long level past the longest separator-free stretch; 94.9 in format 8, which
+/// writes no `C` and one position map entry per factor; 180.3 in formats 6 and
+/// 7, which wrote lengths and stats as varints too; 180.4 in format 5, which
+/// wrote integer arrays as varints; 261.8 in format 4).
+const IDX_BYTES_PER_POS: f64 = 83.7;
 
 /// The `paper-string` snapshot (`snapshot_bytes_per_pos`) at a tenth.
 #[test]
@@ -222,16 +227,16 @@ fn index_file_bytes_stay_inside_the_budget() {
     assert!(per(len, n) <= IDX_BYTES_PER_POS * 1.05);
 }
 
-/// Section bytes per source position of the collection below when the
-/// budget was set: substring-index sections (format 11, without long levels
-/// past the longest separator-free stretch; 81.9 in format 8, without `C`
-/// and with one map entry per factor; 178.9 in formats 6 and 7; 186.1 in
-/// format 5,
-/// with `u64` lengths; 291.3 in format 4). Until format 10 a document
-/// served with ε also had an approx section of its links (96.2 in format 9;
-/// 96.0 in format 8; 294.7 in format 5; 579.8 in format 4); since, `Approx`
-/// is answered by the index.
-const COLL_INDEX_BYTES_PER_POS: f64 = 81.0;
+/// Section bytes per source position of the collection below when the budget
+/// was set: substring-index sections (format 12, with a visibility byte per
+/// slot in place of the short levels' mask words; 81.0 in format 11, without
+/// long levels past the longest separator-free stretch; 81.9 in format 8,
+/// without `C` and with one map entry per factor; 178.9 in formats 6 and 7;
+/// 186.1 in format 5, with `u64` lengths; 291.3 in format 4). Until format 10 a
+/// document served with ε also had an approx section of its links (96.2 in
+/// format 9; 96.0 in format 8; 294.7 in format 5; 579.8 in format 4); since,
+/// `Approx` is answered by the index.
+const COLL_INDEX_BYTES_PER_POS: f64 = 78.4;
 
 /// The `serve-wire` collection — 62 documents of 20–45 positions — as the
 /// `.coll` file `save_coll` writes over `DocExecutor::build` (what
