@@ -277,7 +277,7 @@ mod tests {
         assert!(Index::from_snapshot(state()).is_ok());
         type Tamper = fn(&mut IndexState);
         const LADDER: &str = "level count does not match the ladder";
-        let rows: [(&str, Tamper); 15] = [
+        let rows: [(&str, Tamper); 16] = [
             ("not a permutation", |i| {
                 i.substrate.text.sa[0] = i.substrate.text.sa[1]
             }),
@@ -298,8 +298,13 @@ mod tests {
             ("visibility byte count", |i| {
                 i.substrate.levels.visibility.pop();
             }),
-            // Four short levels: a byte of 5 names none, 255 hides a slot.
+            // Four short levels: a byte of 5 names none, at the first slot
+            // with a source position (slot 1 is a separator's, all 255).
             ("visibility byte above", |i| {
+                let visibility = &mut i.substrate.levels.visibility;
+                *visibility.iter_mut().find(|d| **d != 255).unwrap() = 5
+            }),
+            ("other than 255 at a separator", |i| {
                 i.substrate.levels.visibility[1] = 5
             }),
             ("outside its block", |i| {

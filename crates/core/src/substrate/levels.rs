@@ -396,7 +396,8 @@ impl Levels {
     /// `text` (the reloaded text of the same substrate), whose [`ladder`]
     /// the parts must sit on level for level. Fails with
     /// [`Error::InvalidSnapshot`] on structurally inconsistent parts: a
-    /// visibility byte per slot, each at most `L` or [`HIDDEN`], is checked,
+    /// visibility byte per slot, [`HIDDEN`] exactly at the slots without a
+    /// key and at most the slot's LCP capped at `L` elsewhere, is checked,
     /// but not re-derived (the chain sweep would cost a load what the
     /// build paid for it).
     pub(super) fn from_parts(parts: LevelsParts, text: &ScoredText) -> Result<Self, Error> {
@@ -410,8 +411,22 @@ impl Levels {
         if depth.len() != text.tree.num_slots() {
             return Err(invalid("visibility byte count does not match slot count"));
         }
-        if (depth.iter()).any(|&d| d as usize > max_short && d != HIDDEN) {
-            return Err(invalid("visibility byte above the short-level count"));
+        // One pass over the slots: 255 exactly where there is no key (the
+        // terminator, past the text, and the separators), and elsewhere a
+        // byte no higher than the slot's LCP capped at `L`, as the sweep leaves it.
+        let (tree, chars) = (&text.tree, text.tree.text());
+        for (j, (&d, &x)) in depth.iter().zip(tree.sa_slots()).enumerate() {
+            let keyless = chars.get(x as usize).is_none_or(|&c| c == 0);
+            if keyless != (d == HIDDEN) {
+                return Err(invalid(if keyless {
+                    "visibility byte other than 255 at a separator or the terminator"
+                } else {
+                    "visibility byte 255 at a slot with a source position"
+                }));
+            }
+            if !keyless && d as usize > levels_below(tree.slot_lcp(j), max_short) {
+                return Err(invalid("visibility byte above its slot's capped LCP"));
+            }
         }
         let hidden = Hidden::Depth(depth.into_boxed_slice());
         let block = SampledRmq::DEFAULT_BLOCK;

@@ -102,8 +102,8 @@ use ustr_baseline::ScanIndex;
 use ustr_core::Error;
 use ustr_obs::{Counter, Histogram, MetricsRegistry, MetricsSnapshot, TraceContext, TraceSpan};
 use ustr_service::{
-    load_coll, lock_clean, save_coll, wait_clean, Answer, DocExecutor, Engine, QueryRequest,
-    QueryResponse, Segment, SegmentSet,
+    load_coll, lock_clean, save_coll, wait_clean, Answer, DocExecutor, DocFilter, Engine,
+    QueryRequest, QueryResponse, Segment, SegmentSet,
 };
 use ustr_store::{wal, RealIo, StoreError, StoreIo, WalOp, WalRecord, WalWriter};
 use ustr_uncertain::{canon, UncertainString};
@@ -231,6 +231,16 @@ struct SealedSegment {
     meta: wal::SegmentMeta,
     /// `(stable_id, executor)` pairs in ascending stable-id order.
     docs: Vec<(u64, Arc<DocExecutor>)>,
+    /// The bigram filter over `docs`, built once here; every view shares
+    /// its table.
+    filter: Option<DocFilter>,
+}
+
+impl SealedSegment {
+    fn new(meta: wal::SegmentMeta, docs: Vec<(u64, Arc<DocExecutor>)>) -> Self {
+        let filter = DocFilter::build(docs.iter().map(|(_, d)| d.as_ref()));
+        Self { meta, docs, filter }
+    }
 }
 
 /// A memtable batch handed to the background sealer. Still query-visible
@@ -404,16 +414,26 @@ impl Inner {
                 }
             }
         }
-        let segments = st
-            .runs()
-            .map(|docs| {
-                let docs = docs
-                    .iter()
-                    .filter(|(id, _)| !st.tombstones.contains(id))
-                    .map(|(id, d)| (*id as usize, Arc::clone(d)))
-                    .collect();
-                Arc::new(Segment { docs })
-            })
+        let live = |(id, _): &&(u64, Arc<DocExecutor>)| !st.tombstones.contains(id);
+        let pairs = |docs: &Vec<(u64, Arc<DocExecutor>)>| -> Vec<(usize, Arc<DocExecutor>)> {
+            let docs = docs.iter().filter(live);
+            docs.map(|(id, d)| (*id as usize, Arc::clone(d))).collect()
+        };
+        // A sealed run shares its filter's table, less the columns of its
+        // tombstoned documents; the scanned runs have none.
+        let sealed = st.segments.iter().map(|seg| {
+            let docs = pairs(&seg.docs);
+            let filter = match &seg.filter {
+                Some(filter) if docs.len() < seg.docs.len() => {
+                    Some(filter.retain(seg.docs.iter().map(|d| live(&d))))
+                }
+                filter => filter.clone(),
+            };
+            Arc::new(Segment::with_filter(docs, filter))
+        });
+        let unsealed = (st.sealing.iter().map(|batch| &batch.docs)).chain([&st.memtable]);
+        let segments = sealed
+            .chain(unsealed.map(|docs| Arc::new(Segment::new(pairs(docs)))))
             .collect();
         let view = LiveView {
             segments,
@@ -539,7 +559,7 @@ impl Inner {
                 // records.
                 let meta = self.write_segment(&built)?;
                 self.metrics.sealed_docs.add(built.len() as u64);
-                sealed = Some(Arc::new(SealedSegment { meta, docs: built }));
+                sealed = Some(Arc::new(SealedSegment::new(meta, built)));
             }
             // Install: swap the sealing batch for the sealed segment, advance
             // applied_seq, persist the manifest, shrink the WAL.
@@ -623,7 +643,7 @@ impl Inner {
                 debug_assert!(st.segments.len() >= captured.len());
                 let old_files = captured.iter().map(|s| s.meta.file.clone()).collect();
                 let tail = st.segments.split_off(captured.len());
-                st.segments = vec![Arc::new(SealedSegment { meta, docs: kept })];
+                st.segments = vec![Arc::new(SealedSegment::new(meta, kept))];
                 st.segments.extend(tail);
                 // Tombstoned documents are gone from the merged segment; drop
                 // every tombstone whose document no longer exists anywhere
@@ -801,10 +821,7 @@ impl LiveService {
             let docs = (meta.docs.iter().copied())
                 .zip(loaded.into_iter().map(Arc::new))
                 .collect();
-            segments.push(Arc::new(SealedSegment {
-                meta: meta.clone(),
-                docs,
-            }));
+            segments.push(Arc::new(SealedSegment::new(meta.clone(), docs)));
         }
 
         // Replay the WAL tail (everything newer than the manifest) into
@@ -1740,6 +1757,110 @@ mod tests {
         assert_eq!(answers(&live), exact(&live), "sealed");
         drop(uncached);
         let _ = std::fs::remove_dir_all(&uncached_dir);
+        drop(live);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A sealed segment's bigram filter, seen through a view that
+    /// tombstones a middle document, at reopen and after compaction: every
+    /// mode answers what a static service over the surviving documents
+    /// answers, ids mapped. Each document has letters of its own, so a bit
+    /// left on the wrong document visits one that cannot answer.
+    #[test]
+    fn a_view_drops_the_filter_bits_of_its_tombstoned_documents() {
+        use ustr_service::{ListingHit, TopHit};
+        let dir = fresh_dir("ustr_live_filter_tombstone");
+        let live = LiveService::open(&dir, config(0)).unwrap();
+        let specs = [
+            "A | B:.8,C:.2 | D",
+            "E | F | G",
+            "H:.6,I:.4 | J | K:.7,A:.3",
+            "L | M | N",
+            "J | K | L:.5,M:.5",
+        ];
+        let ids: Vec<u64> = (specs.iter())
+            .map(|spec| live.insert(doc(spec)).unwrap())
+            .collect();
+        live.flush().unwrap();
+        live.delete(ids[1]).unwrap();
+        let fresh = live.insert(doc("O | P | H")).unwrap();
+        let survivors: Vec<(u64, &str)> = [0, 2, 3, 4]
+            .map(|i| (ids[i], specs[i]))
+            .into_iter()
+            .chain([(fresh, "O | P | H")])
+            .collect();
+        let docs: Vec<UncertainString> = survivors.iter().map(|(_, spec)| doc(spec)).collect();
+        let stat = QueryService::build(&docs, 0.05, ServiceConfig::default()).unwrap();
+        let id = |rank: usize| survivors[rank].0 as usize;
+        let with_ids = |response: QueryResponse| match response {
+            QueryResponse::Threshold(hits) | QueryResponse::Approx(hits) => {
+                let hits = hits.iter().map(|h| DocHits {
+                    doc: id(h.doc),
+                    hits: h.hits.clone(),
+                });
+                QueryResponse::Threshold(Arc::new(hits.collect()))
+            }
+            QueryResponse::TopK(top) => QueryResponse::TopK(Arc::new(
+                (top.iter())
+                    .map(|h| TopHit {
+                        doc: id(h.doc),
+                        ..*h
+                    })
+                    .collect(),
+            )),
+            QueryResponse::Listing(listed) => QueryResponse::Listing(Arc::new(
+                (listed.iter())
+                    .map(|h| ListingHit {
+                        doc: id(h.doc),
+                        relevance: h.relevance,
+                    })
+                    .collect(),
+            )),
+        };
+        let patterns: [&[u8]; 9] = [
+            b"AB", b"BD", b"EF", b"HJ", b"JK", b"LM", b"MN", b"OPH", b"K",
+        ];
+        let requests: Vec<QueryRequest> = (patterns.iter())
+            .flat_map(|p| {
+                let pattern = p.to_vec();
+                [
+                    threshold(p, 0.1),
+                    QueryRequest::Approx {
+                        pattern: pattern.clone(),
+                        tau: 0.1,
+                    },
+                    QueryRequest::TopK {
+                        pattern: pattern.clone(),
+                        k: 3,
+                    },
+                    QueryRequest::Listing { pattern, tau: 0.1 },
+                ]
+            })
+            .collect();
+        let want: Vec<Result<QueryResponse, Error>> = (stat.query_requests(&requests).into_iter())
+            .map(|r| r.map(with_ids))
+            .collect();
+        // `with_ids` answers an approx request as a threshold one.
+        let answers = |live: &LiveService| -> Vec<Result<QueryResponse, Error>> {
+            let answers = live.query_requests(&requests).into_iter();
+            answers
+                .map(|r| {
+                    r.map(|response| match response {
+                        QueryResponse::Approx(hits) => QueryResponse::Threshold(hits),
+                        other => other,
+                    })
+                })
+                .collect()
+        };
+        let two = |r: &Result<QueryResponse, Error>| matches!(r, Ok(QueryResponse::Threshold(h)) if h.len() == 2);
+        assert!(want.iter().any(two));
+        assert_eq!(answers(&live), want, "sealed, tombstoned, then an insert");
+        drop(live);
+        let live = LiveService::open(&dir, config(0)).unwrap();
+        assert_eq!(answers(&live), want, "reopened");
+        live.compact().unwrap();
+        live.wait_idle().unwrap();
+        assert_eq!(answers(&live), want, "compacted");
         drop(live);
         let _ = std::fs::remove_dir_all(&dir);
     }

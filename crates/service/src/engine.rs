@@ -368,9 +368,11 @@ impl Core {
                 break 'resolved Err(e);
             }
 
-            let key: CacheKey = (view.epoch, request_key(req));
+            // Without a cache there is nothing to key: no copy of the pattern.
+            let key: Option<CacheKey> =
+                (self.cache.as_ref()).map(|_| (view.epoch, request_key(req)));
             let mut lookup = Stage::begin(&root, "cache_lookup");
-            let hit = self.cache_get(&key);
+            let hit = key.as_ref().and_then(|key| self.cache_get(key));
             let cache = if hit.is_some() { "hit" } else { "miss" };
             lookup.span.set_str("cache", cache);
             lookup.end(Instant::now(), &self.metrics.lookup_us, &mut stages);
@@ -450,7 +452,7 @@ impl Core {
                 Some(e) => Err(e),
                 None => {
                     let response = merge_partials(req, parts);
-                    if let Some(cache) = &self.cache {
+                    if let (Some(cache), Some(key)) = (&self.cache, key) {
                         lock_clean(cache).insert(key, response.clone());
                     }
                     Ok(response)

@@ -3,8 +3,12 @@
 //! A collection — static ([`crate::QueryService`]) or mutable
 //! (`ustr-live`'s `LiveService`) — is served as an ordered sequence of
 //! [`Segment`]s, each holding `(doc id, executor)` pairs in ascending doc
-//! order. One function ([`Segment::answer`]) evaluates any
-//! [`QueryRequest`] over a segment; one function ([`merge_partials`])
+//! order and a bigram [`DocFilter`] over them. One function
+//! ([`Segment::answer`]) evaluates any [`QueryRequest`] over a segment,
+//! visiting only the documents whose transformed texts hold every bigram
+//! of the pattern inside a factor (all of them at `m = 1`, and all of a
+//! segment that holds a scanned document): the others answer nothing in any
+//! mode, so the filter changes no answer. One function ([`merge_partials`])
 //! deterministically reassembles per-segment partials into the final
 //! [`QueryResponse`]. Both services share these code paths, which is what
 //! makes their answers identical for identical document sets.
@@ -24,6 +28,7 @@ use ustr_core::{Error, Index, ListingHit};
 use ustr_store::{collection, Section, Snapshot, SnapshotKind, StoreError, StoreIo, Writer};
 use ustr_uncertain::UncertainString;
 
+use crate::filter::DocFilter;
 use crate::{DocHits, QueryRequest, QueryResponse, SharedHits, TopHit};
 
 /// How one document is queried: through its built index, or by scanning
@@ -175,11 +180,17 @@ pub fn load_coll(io: &dyn StoreIo, path: &Path) -> Result<Vec<DocExecutor>, Stor
 }
 
 /// One unit of query fan-out: a contiguous run of documents (ascending doc
-/// ids), each with its executor. The static service's shards and the live
-/// service's sealed segments + memtable are all `Segment`s.
+/// ids), each with its executor, and their bigram [`DocFilter`]. The static
+/// service's shards and the live service's sealed segments + memtable are
+/// all `Segment`s.
 pub struct Segment {
-    /// `(doc_id, executor)` pairs in ascending doc order.
+    /// `(doc_id, executor)` pairs in ascending doc order. The filter's
+    /// document `i` is the `i`-th pair: replace the pairs, replace the
+    /// segment.
     pub docs: Vec<(usize, Arc<DocExecutor>)>,
+    /// Which documents can hold a pattern; `None` when one is scanned, and
+    /// every document is visited.
+    filter: Option<DocFilter>,
 }
 
 /// One segment's (partial) answer to one request.
@@ -203,45 +214,101 @@ pub fn top_hit_order(a: &TopHit, b: &TopHit) -> std::cmp::Ordering {
 }
 
 impl Segment {
-    /// `row(doc, hits)` of every document whose `hits` answer is not empty,
-    /// in doc order.
+    /// The segment of `docs`, with the filter built over them.
+    pub fn new(docs: Vec<(usize, Arc<DocExecutor>)>) -> Self {
+        let filter = DocFilter::build(docs.iter().map(|(_, d)| d.as_ref()));
+        Self::with_filter(docs, filter)
+    }
+
+    /// The segment of `docs` with a filter already built over them — its
+    /// document `i` the `i`-th — or none, and every document is visited.
+    pub fn with_filter(docs: Vec<(usize, Arc<DocExecutor>)>, filter: Option<DocFilter>) -> Self {
+        debug_assert!(filter.as_ref().is_none_or(|f| f.docs() == docs.len()));
+        Self { docs, filter }
+    }
+
+    /// Heap bytes held, per structure: the executors' (shared with every
+    /// other segment over the same documents), the filter's, and the
+    /// `(doc, executor)` pairs'. [`Segment::heap_size`] is their sum.
+    pub fn heap_breakdown(&self) -> [(&'static str, usize); 3] {
+        let pairs = self.docs.capacity() * std::mem::size_of::<(usize, Arc<DocExecutor>)>();
+        [
+            (
+                "executors",
+                self.docs.iter().map(|(_, d)| d.heap_size()).sum(),
+            ),
+            (
+                "document filter",
+                self.filter.as_ref().map_or(0, |f| f.heap_size()),
+            ),
+            ("documents", pairs),
+        ]
+    }
+
+    /// Heap bytes held: the sum of [`Segment::heap_breakdown`].
+    pub fn heap_size(&self) -> usize {
+        self.heap_breakdown().iter().map(|&(_, bytes)| bytes).sum()
+    }
+
+    /// Calls `visit(doc, executor)`, in doc order, for every document the
+    /// filter passes for `pattern` — every one without a filter — and stops
+    /// at the first error.
+    fn visit(
+        &self,
+        pattern: &[u8],
+        mut visit: impl FnMut(usize, &DocExecutor) -> Result<(), Error>,
+    ) -> Result<(), Error> {
+        let Some(filter) = &self.filter else {
+            return (self.docs.iter()).try_for_each(|(doc, d)| visit(*doc, d));
+        };
+        filter.for_each_passed(pattern, |i| match self.docs.get(i) {
+            Some((doc, d)) => visit(*doc, d),
+            None => Err(Error::internal("the document filter outgrew its segment")),
+        })
+    }
+
+    /// `row(doc, hits)` of every document the filter passes whose `hits`
+    /// answer is not empty, in doc order.
     fn rows<T>(
         &self,
+        pattern: &[u8],
         hits: impl Fn(&DocExecutor) -> Result<Vec<(usize, f64)>, Error>,
         row: impl Fn(usize, Vec<(usize, f64)>) -> T,
     ) -> Result<Vec<T>, Error> {
         let mut out = Vec::new();
-        for (doc, d) in &self.docs {
+        self.visit(pattern, |doc, d| {
             let hits = hits(d)?;
             if !hits.is_empty() {
-                out.push(row(*doc, hits));
+                out.push(row(doc, hits));
             }
-        }
+            Ok(())
+        })?;
         Ok(out)
     }
 
-    /// Sequentially answers `req` over every document in the segment.
+    /// Sequentially answers a validated `req` ([`crate::validate_request`])
+    /// over the documents the filter passes for its pattern: the others
+    /// answer nothing in any mode.
     pub fn answer(&self, req: &QueryRequest) -> Result<ShardPartial, Error> {
         let doc_hits = |doc, hits| DocHits { doc, hits };
         match req {
             // `Approx` is answered exactly (`DocExecutor::approx`).
             QueryRequest::Threshold { pattern, tau } | QueryRequest::Approx { pattern, tau } => {
-                let hits = self.rows(|d| d.threshold(pattern, *tau), doc_hits);
+                let hits = self.rows(pattern, |d| d.threshold(pattern, *tau), doc_hits);
                 hits.map(ShardPartial::Hits)
             }
             QueryRequest::TopK { pattern, k } => {
                 // Any global top-k hit is inside its document's top-k, so
                 // per-doc truncation loses nothing.
                 let mut all = Vec::new();
-                for (doc, d) in &self.docs {
-                    for (pos, prob) in d.top_k(pattern, *k)? {
-                        all.push(TopHit {
-                            doc: *doc,
-                            pos,
-                            prob,
-                        });
-                    }
-                }
+                self.visit(pattern, |doc, d| {
+                    let hits = d.top_k(pattern, *k)?;
+                    all.extend(
+                        hits.into_iter()
+                            .map(|(pos, prob)| TopHit { doc, pos, prob }),
+                    );
+                    Ok(())
+                })?;
                 all.sort_by(top_hit_order);
                 all.truncate(*k);
                 Ok(ShardPartial::TopK(all))
@@ -249,6 +316,7 @@ impl Segment {
             // `Rel_max`: a document's best threshold hit.
             QueryRequest::Listing { pattern, tau } => self
                 .rows(
+                    pattern,
                     |d| d.threshold(pattern, *tau),
                     |doc, hits| ListingHit {
                         doc,

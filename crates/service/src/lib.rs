@@ -107,6 +107,7 @@
 mod cache;
 pub mod engine;
 pub mod exec;
+mod filter;
 mod pool;
 pub mod sync;
 
@@ -123,6 +124,7 @@ pub use engine::{mode_name, validate_request, Answer, Engine, SegmentSet, TraceS
 pub use exec::{
     load_coll, merge_partials, save_coll, top_hit_order, DocExecutor, Segment, ShardPartial,
 };
+pub use filter::DocFilter;
 pub use pool::ThreadPool;
 pub use sync::{lock_clean, wait_clean, WakeQueue};
 pub use ustr_core::ListingHit;
@@ -320,7 +322,7 @@ impl QueryService {
                 .take(take)
                 .map(|(doc, d)| (doc, Arc::new(d)))
                 .collect();
-            shards.push(Arc::new(Segment { docs }));
+            shards.push(Arc::new(Segment::new(docs)));
         }
         Self {
             shards,

@@ -825,8 +825,9 @@ mod tests {
     }
 
     /// A checksummed payload whose visibility bytes fit no build — one
-    /// missing, or one above the short-level count `L` that is not the
-    /// never-visible 255 — decodes, and the index refuses it as an invalid
+    /// missing; one above its slot's LCP capped at `L`; 255 at a slot with
+    /// a source position, or anything else at a separator or the
+    /// terminator — decodes, and the index refuses it as an invalid
     /// snapshot: never a panic, at load or at a query.
     #[test]
     fn a_bad_visibility_array_is_an_invalid_snapshot() {
@@ -866,13 +867,40 @@ mod tests {
             state.substrate.levels.visibility[shown] = above as u8;
             refused(&state, "visibility byte above");
         }
-        // `L` itself and 255 both hide a slot at every level: in range, so
-        // they load, though this slot should show (the bytes are checked,
-        // not derived again).
-        for hidden in [levels, 255] {
+        // Slot `j ≥ 1` is suffix-array entry `j − 1`, its LCP `lcp[j − 1]`.
+        let text = &index.substrate.text;
+        let keyed = |j: usize| j > 0 && text.text[text.sa[j - 1] as usize] != 0;
+        let capped = |j: usize| (text.lcp[j - 1] as usize).min(levels);
+        // A keyed slot whose LCP is below `L`: one more than the cap is in
+        // `0..=L`, yet above it.
+        let low = (1..visibility.len())
+            .find(|&j| keyed(j) && capped(j) < levels)
+            .unwrap();
+        let mut state = index.clone();
+        state.substrate.levels.visibility[low] = capped(low) as u8 + 1;
+        refused(&state, "visibility byte above its slot's capped LCP");
+        // 255 at a slot with a source position; 0 at the terminator and at
+        // a separator.
+        let mut state = index.clone();
+        state.substrate.levels.visibility[shown] = 255;
+        refused(
+            &state,
+            "visibility byte 255 at a slot with a source position",
+        );
+        let separator = (1..visibility.len()).find(|&j| !keyed(j)).unwrap();
+        for keyless in [0, separator] {
             let mut state = index.clone();
-            state.substrate.levels.visibility[shown] = hidden as u8;
-            assert!(loaded(&state).is_ok());
+            state.substrate.levels.visibility[keyless] = 0;
+            refused(&state, "other than 255 at a separator or the terminator");
         }
+        // A keyed byte inside its cap loads, right or wrong (the bytes are
+        // checked, not derived again): here the first occurrence of its
+        // source position, which should show, is hidden below its LCP.
+        let hidden = (1..visibility.len())
+            .find(|&j| visibility[j] == 0 && capped(j) > 0)
+            .unwrap();
+        let mut state = index.clone();
+        state.substrate.levels.visibility[hidden] = capped(hidden) as u8;
+        assert!(loaded(&state).is_ok());
     }
 }

@@ -21,9 +21,14 @@ pub fn first_long_lengths(transformed_len: usize) -> [usize; 2] {
 /// at every other one, below it at the rest.
 #[allow(dead_code, reason = "not every test file that shares this calls it")]
 pub fn correlated(n: usize, seed: u64) -> UncertainString {
-    let mut s = generate_string(&DatasetConfig::new(n, 0.3, seed));
+    with_correlations(generate_string(&DatasetConfig::new(n, 0.3, seed)))
+}
+
+/// `s` with `correlated`'s correlations.
+#[allow(dead_code, reason = "not every test file that shares this calls it")]
+pub fn with_correlations(mut s: UncertainString) -> UncertainString {
     let mut set = CorrelationSet::new();
-    let uncertain = (1..n).filter(|&q| s.position(q).num_choices() > 1);
+    let uncertain = (1..s.len()).filter(|&q| s.position(q).num_choices() > 1);
     for (k, q) in uncertain.step_by(5).enumerate() {
         let (subject_char, p) = s.position(q).choices()[0];
         let (high, low) = ((p * 1.5).min(1.0), p * 0.5);

@@ -13,7 +13,7 @@
 //! space_budget -- --nocapture --test-threads=1`).
 
 use uncertain_strings::{
-    service::{save_coll, DocExecutor},
+    service::{save_coll, DocExecutor, QueryService, Segment, SegmentSet, ServiceConfig},
     store::{read_collection_manifest, RealIo, FORMAT_VERSION},
     uncertain::ProbPlane,
     workload::{generate_collection, generate_string, DatasetConfig},
@@ -238,9 +238,17 @@ fn index_file_bytes_stay_inside_the_budget() {
 /// `Approx` is answered by the index.
 const COLL_INDEX_BYTES_PER_POS: f64 = 78.4;
 
+/// Bytes per source position of the same collection's bigram document
+/// filters when the budget was set, served as `serve-wire` serves it: two
+/// segments of 31 documents, each a table of σ² one-word cells over its
+/// 22 letters (3 872 B) and the table's own allocation. Derived at load,
+/// never in the file, and outside `index_bytes_per_pos`.
+const FILTER_BYTES_PER_POS: f64 = 4.2;
+
 /// The `serve-wire` collection — 62 documents of 20–45 positions — as the
 /// `.coll` file `save_coll` writes over `DocExecutor::build` (what
-/// `build-collection` writes), split into index sections and framing.
+/// `build-collection` writes), split into index sections and framing, and
+/// beside it the document filters its two served segments hold.
 #[test]
 fn collection_file_bytes_stay_inside_the_budget() {
     let docs = generate_collection(&DatasetConfig::new(2_000, 0.25, 43));
@@ -273,7 +281,36 @@ fn collection_file_bytes_stay_inside_the_budget() {
         per(file_len, positions)
     );
 
+    let config = ServiceConfig {
+        threads: 1,
+        shards: 2,
+        cache_capacity: 0,
+        epsilon: None,
+    };
+    let service = QueryService::build(&docs, TAU_MIN, config).unwrap();
+    let segments = service.segments();
+    let filter = |segment: &Segment| segment.heap_breakdown()[1];
+    println!("\n\n| served segment | documents | document filter | B/position |");
+    println!("|---|---:|---:|---:|");
+    for (i, segment) in segments.iter().enumerate() {
+        let (row, bytes) = filter(segment);
+        assert_eq!(row, "document filter");
+        println!(
+            "| {i} | {} | {bytes} | {:.1} |",
+            segment.docs.len(),
+            per(bytes, positions)
+        );
+    }
+    let filters: usize = segments.iter().map(|s| filter(s).1).sum();
+    println!(
+        "| **both** | {} | **{filters}** | **{:.1}** |",
+        docs.len(),
+        per(filters, positions)
+    );
+
     assert_eq!(docs.len(), 62);
+    assert_eq!(segments.len(), 2);
+    assert!(per(filters, positions) <= FILTER_BYTES_PER_POS * 1.05);
     assert_eq!(manifest.entries.len(), docs.len());
     assert!(manifest
         .entries
