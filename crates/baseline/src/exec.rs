@@ -7,22 +7,23 @@
 //! is exactly what a live memtable needs: a freshly
 //! ingested document is queryable immediately, and the answers are
 //! **bit-identical** to what a built [`ustr_core::Index`] over the same
-//! document at the same `τmin` returns (both report canonical
-//! probabilities recomputed from the model through the same
-//! [`MatchKernel`], both decide by the one threshold rule, and top-k uses
-//! the same total order, [`ustr_core::canonical_hit_order`], over the same
-//! candidate set, the threshold answer at `τmin`).
+//! document at the same `τmin` returns: both verify their candidates
+//! through the same kernel call, [`MatchKernel::verify`] — one walk, the
+//! one threshold rule, canonical probabilities recomputed from the model —
+//! and top-k uses the same total order, [`ustr_core::canonical_hit_order`],
+//! over the same candidate set, the threshold answer at `τmin`.
 //!
-//! The scan itself runs on the plane: candidate start positions are
-//! prefiltered with the presence bitmap of the *first* pattern character
-//! (every other start fails at its first factor), and each surviving
-//! window is verified by the kernel's bounded flat loop with the same
-//! per-factor early exit [`crate::NaiveScanner`] uses. `NaiveScanner`
-//! stays as the plane-free reference implementation the differential tests
-//! compare against.
+//! The scan's candidates are the starts whose first two pattern characters
+//! are possible there (the plane's presence bitmaps; every other start
+//! fails at its first or second factor), and the walk exits per factor as
+//! [`crate::NaiveScanner`] does. `NaiveScanner` stays as the plane-free
+//! reference implementation the differential tests compare against.
+//!
+//! [`MatchKernel::verify`]: ustr_uncertain::MatchKernel::verify
 
 use ustr_core::{validate_pattern, validate_query, Error};
-use ustr_uncertain::{canon, MatchKernel, ProbPlane, UncertainString};
+use ustr_uncertain::kstats::ScanPath;
+use ustr_uncertain::{canon, ProbPlane, Scan, UncertainString};
 
 /// A scan-backed per-document query engine (O(n·σ) construction for the
 /// probability plane, O(n·m) queries), interchangeable with a built
@@ -56,38 +57,17 @@ impl ScanIndex {
         &self.plane
     }
 
-    /// The plane-backed scan shared by threshold and top-k: presence-row
-    /// prefilter on the first pattern character, then the bounded kernel
-    /// loop per surviving candidate, which decides by the threshold rule
-    /// ([`canon::log_meets_threshold`]).
-    /// Equivalent to `NaiveScanner::find_with_probs` + retain, bit for bit.
-    fn scan(&self, kernel: &MatchKernel<'_>, pattern: &[u8], tau: f64) -> Vec<(usize, f64)> {
-        let m = pattern.len();
-        let n = self.plane.len();
-        let mut hits = Vec::new();
-        if m == 0 || m > n {
-            return hits;
-        }
-        let log_tau = canon::ln(tau);
-        let start = std::time::Instant::now();
-        let mut candidates = 0u64;
-        for i in kernel.candidates(n - m + 1) {
-            candidates += 1;
-            // The bounded loop has decided by the threshold rule already.
-            if let Some(log_p) = kernel.log_match_bounded(i, log_tau) {
-                hits.push((i, canon::exp(log_p)));
-            }
-        }
-        // One batched record per scan: the per-candidate loop stays free
-        // of atomics and clock reads. Counted as `ScanPath::Cold`: no index
-        // picked the candidates, though the plane kernel verifies them.
-        ustr_uncertain::kstats::record_scan_on(
-            ustr_uncertain::kstats::ScanPath::Cold,
-            candidates,
-            hits.len() as u64,
-            ustr_uncertain::kstats::elapsed_ns(start),
-        );
-        hits
+    /// The scan shared by threshold and top-k: the presence prefilter's
+    /// starts, verified by the kernel's one call and counted as
+    /// `ScanPath::Cold` (no index picked them). Equivalent to
+    /// `NaiveScanner::find_with_probs` + retain, bit for bit.
+    fn scan(&self, pattern: &[u8], tau: f64) -> Vec<(usize, f64)> {
+        let limit = (self.plane.len() + 1).saturating_sub(pattern.len());
+        let mut scan = Scan::new(ScanPath::Cold);
+        (self.plane).with_kernel(pattern, |k| {
+            k.verify(k.candidates(limit), canon::ln(tau), &mut scan)
+        });
+        scan.finish()
     }
 
     /// The smallest τ this executor accepts.
@@ -99,11 +79,7 @@ impl ScanIndex {
     /// probability ≥ `tau`, sorted by position. Requires `tau ≥ tau_min`.
     pub fn threshold_hits(&self, pattern: &[u8], tau: f64) -> Result<Vec<(usize, f64)>, Error> {
         validate_query(pattern, tau, self.tau_min)?;
-        // The kernel's bounded loop decides by the same rule, on the same
-        // log value, as the index's final filter.
-        Ok(self
-            .plane
-            .with_kernel(pattern, |kernel| self.scan(kernel, pattern, tau)))
+        Ok(self.scan(pattern, tau))
     }
 
     /// The `k` most probable occurrences with probability ≥ `tau_min`, in
@@ -115,9 +91,7 @@ impl ScanIndex {
         }
         // Candidates = the threshold answer at τmin; canonical
         // (probability ↓, position ↑) order decides ties at the cut.
-        let mut hits = self
-            .plane
-            .with_kernel(pattern, |kernel| self.scan(kernel, pattern, self.tau_min));
+        let mut hits = self.scan(pattern, self.tau_min);
         hits.sort_by(ustr_core::canonical_hit_order);
         hits.truncate(k);
         Ok(hits)
@@ -127,6 +101,7 @@ impl ScanIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::NaiveScanner;
     use ustr_core::Index;
 
     fn figure_3_string() -> UncertainString {
@@ -210,6 +185,34 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A choice given in (1, 1 + PROB_EPS] is stored as 1, so no window is
+    /// more probable than its prefix. Unclamped, `A`'s factor lifted `XA`
+    /// at 0 (p ≈ 0.4999999998) over τ = 0.5 for the full walk an index
+    /// verifies with, while the early-exit walk of the scan and the naive
+    /// scanner dropped it at `X` (0.49999999935): a live document answered
+    /// one way in the memtable and another once sealed.
+    #[test]
+    fn a_choice_above_one_answers_alike_through_every_executor() {
+        let text = "X:0.49999999935,Y:0.49999990065 | A:1.0000000009 | C";
+        let s = UncertainString::parse(text).unwrap();
+        let (pattern, tau) = (&b"XA"[..], 0.5);
+        let naive = NaiveScanner::find_with_probs(&s, pattern, tau);
+        let scan = ScanIndex::new(&s, 0.1).unwrap();
+        assert_eq!(scan.threshold_hits(pattern, tau).unwrap(), naive);
+        for tau_min in [0.1, 0.5] {
+            let idx = Index::build(&s, tau_min).unwrap();
+            let got = idx.query(pattern, tau).unwrap().into_hits();
+            assert_eq!(got, naive, "index at τmin {tau_min}");
+        }
+        let log_p = s.log_match_probability(pattern, 0);
+        assert_eq!(
+            canon::log_meets_threshold(log_p, canon::ln(tau)),
+            !naive.is_empty()
+        );
+        assert_eq!(naive, vec![], "X alone is below τ");
+        assert_eq!(s.position(1).choices(), &[(b'A', 1.0)]);
     }
 
     #[test]

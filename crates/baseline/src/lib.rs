@@ -19,8 +19,9 @@
 //! and whose answers are bit-identical to a built index — the serving path
 //! for documents too young to have been indexed (the `ustr-live`
 //! memtable). Its scan prefilters candidate starts with the plane's
-//! first-pattern-character presence row and verifies through the
-//! [`MatchKernel`](ustr_uncertain::MatchKernel) flat loop.
+//! presence rows and verifies them, as [`SimpleIndex`] does its suffix
+//! range, through the one kernel call
+//! ([`MatchKernel::verify`](ustr_uncertain::MatchKernel::verify)).
 
 #![forbid(unsafe_code)]
 // Probabilities are computed once, in `ustr-uncertain` (INVARIANTS.md §1).

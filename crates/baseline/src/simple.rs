@@ -7,7 +7,8 @@
 //! the efficient RMQ index removes.
 
 use ustr_suffix::SuffixArray;
-use ustr_uncertain::{canon, transform, ModelError, ProbPlane, Transformed, UncertainString};
+use ustr_uncertain::kstats::ScanPath;
+use ustr_uncertain::{canon, transform, ModelError, ProbPlane, Scan, Transformed, UncertainString};
 
 /// Simple (non-RMQ) index over a general uncertain string.
 ///
@@ -58,26 +59,17 @@ impl SimpleIndex {
         if !canon::tau_in_range(tau, self.tau_min) {
             return Err(ModelError::InvalidThreshold { value: tau });
         }
-        let mut out: Vec<usize> = Vec::new();
         let Some((l, r)) = self.sa.suffix_range(pattern) else {
-            return Ok(out);
+            return Ok(Vec::new());
         };
         // Scan the whole range (the inefficiency the efficient index fixes),
         // mapping each text offset back to the source position and verifying
-        // the exact probability there through the flat plane kernel
-        // (bit-identical to `log_match_probability`, pattern remapped once).
-        let log_tau = canon::ln(tau);
-        self.plane.with_kernel(pattern, |kernel| {
-            for j in l..=r {
-                let x = self.sa.sa()[j] as usize;
-                let Some(src) = self.transformed.source_pos(x) else {
-                    continue;
-                };
-                if canon::log_meets_threshold(kernel.log_match(src), log_tau) {
-                    out.push(src);
-                }
-            }
-        });
+        // the exact probability there by the plane kernel's one call.
+        let sa = &self.sa.sa()[l..=r];
+        let sources = (sa.iter()).filter_map(|&x| self.transformed.source_pos(x as usize));
+        let mut scan = Scan::new(ScanPath::Plane);
+        (self.plane).with_kernel(pattern, |k| k.verify(sources, canon::ln(tau), &mut scan));
+        let mut out: Vec<usize> = scan.finish().into_iter().map(|(src, _)| src).collect();
         out.sort_unstable();
         out.dedup();
         Ok(out)

@@ -245,7 +245,7 @@ impl ApproxIndex {
             None => hits.collect(),
             // The cut above kept every true hit; the kernel drops the rest.
             Some(plane) => plane.with_kernel(pattern, |kernel| {
-                let exact = |(pos, _)| (pos, kernel.match_probability(pos));
+                let exact = |(pos, _)| (pos, canon::exp(kernel.log_match(pos)));
                 hits.map(exact).filter(|&(_, p)| p >= cutoff).collect()
             }),
         };

@@ -3,7 +3,8 @@
 
 use std::time::Instant;
 
-use ustr_uncertain::{canon, transform, ProbPlane, UncertainString, NO_POSITION};
+use ustr_uncertain::kstats::ScanPath;
+use ustr_uncertain::{canon, transform, ProbPlane, Scan, UncertainString, NO_POSITION};
 
 use crate::{
     error::{validate_query, Error},
@@ -175,12 +176,11 @@ impl Index {
     /// each carries its exact occurrence probability.
     pub fn query(&self, pattern: &[u8], tau: f64) -> Result<QueryResult, Error> {
         validate_query(pattern, tau, self.tau_min)?;
-        let m = pattern.len();
         let Some((l, r)) = self.substrate.range(pattern) else {
             return Ok(QueryResult::default());
         };
         let log_tau = canon::ln(tau);
-        let candidates = self.substrate.report(m, l, r, log_tau);
+        let candidates = self.substrate.report(pattern.len(), l, r, log_tau);
         // Reported probabilities are *canonical*: always recomputed from the
         // source model, never read off the stored prefix sums. The two agree
         // to float noise, but the canonical value is independent of the
@@ -188,31 +188,13 @@ impl Index {
         // and an executor that scans the source directly all report
         // bit-identical probabilities. (Under correlation the stored values
         // are only upper bounds, making the recomputation mandatory rather
-        // than merely canonical.) Recomputation goes through the flat
-        // `ProbPlane` kernel, pattern remapped to plane ranks once; the rule
-        // decides on its log value, and `exp` of it runs for hits only.
-        let mut hits: Vec<(usize, f64)> = Vec::with_capacity(candidates.len());
-        if !candidates.is_empty() {
-            let start = std::time::Instant::now();
-            let evaluated = candidates.len() as u64;
-            self.plane.with_kernel(pattern, |kernel| {
-                for (x, _stored) in candidates {
-                    let Some(src) = self.source_pos(x) else {
-                        continue;
-                    };
-                    let log_p = kernel.log_match(src);
-                    if canon::log_meets_threshold(log_p, log_tau) {
-                        hits.push((src, canon::exp(log_p)));
-                    }
-                }
-            });
-            ustr_uncertain::kstats::record_scan_on(
-                ustr_uncertain::kstats::ScanPath::Plane,
-                evaluated,
-                hits.len() as u64,
-                ustr_uncertain::kstats::elapsed_ns(start),
-            );
-        }
+        // than merely canonical.) The kernel's one call verifies and counts.
+        let sources = candidates
+            .into_iter()
+            .filter_map(|(x, _)| self.source_pos(x));
+        let mut scan = Scan::new(ScanPath::Plane);
+        (self.plane).with_kernel(pattern, |kernel| kernel.verify(sources, log_tau, &mut scan));
+        let hits = scan.finish();
         // A short level shows each source position once; the blocking
         // scheme and source-level dedup under correlation may repeat one,
         // which `from_hits` drops.
@@ -236,36 +218,26 @@ impl Index {
         let Some((l, r)) = self.substrate.range(pattern) else {
             return Ok(Vec::new());
         };
-        if self.plane.has_correlations() {
-            // Stored values are only *upper bounds* under correlation —
-            // arbitrarily far from the canonical probabilities, so the
-            // best-first cut is not sound. Rank the full τmin threshold
-            // answer (already canonical and exactly the documented candidate
-            // set) instead.
-            let mut out = self.query(pattern, self.tau_min)?.into_hits();
-            out.sort_by(crate::canonical_hit_order);
-            out.truncate(k);
-            return Ok(out);
-        }
-        let (log_tau_min, m) = (canon::ln(self.tau_min), pattern.len());
-        // The search also returns the k-th candidate's whole tie class, so
-        // the cut is decided by the canonical order below, not by heap
-        // arbitration among equal stored values.
-        let floor = canon::log_cut(log_tau_min);
-        let ranked = (self.substrate).top_k(m, l, r, k, floor, |x| self.source_pos(x));
-        let mut out: Vec<(usize, f64)> = Vec::with_capacity(ranked.len());
-        if !ranked.is_empty() {
+        // Stored values are only *upper bounds* under correlation —
+        // arbitrarily far from the canonical probabilities, so the best-first
+        // cut is not sound. There, rank the full τmin threshold answer
+        // (already canonical and exactly the documented candidate set).
+        let mut out = if self.plane.has_correlations() {
+            self.query(pattern, self.tau_min)?.into_hits()
+        } else {
+            let (log_tau_min, m) = (canon::ln(self.tau_min), pattern.len());
+            // The search also returns the k-th candidate's whole tie class,
+            // so the cut is decided by the canonical order below, not by
+            // heap arbitration among equal stored values.
+            let floor = canon::log_cut(log_tau_min);
+            let ranked = (self.substrate).top_k(m, l, r, k, floor, |x| self.source_pos(x));
             // The threshold query's final filter at τmin, so the candidate
             // set is exactly the τmin threshold answer.
-            self.plane.with_kernel(pattern, |kernel| {
-                for (src, _) in ranked {
-                    let log_p = kernel.log_match(src);
-                    if canon::log_meets_threshold(log_p, log_tau_min) {
-                        out.push((src, canon::exp(log_p)));
-                    }
-                }
-            });
-        }
+            let sources = ranked.into_iter().map(|(src, _)| src);
+            let mut scan = Scan::new(ScanPath::Plane);
+            (self.plane).with_kernel(pattern, |k| k.verify(sources, log_tau_min, &mut scan));
+            scan.finish()
+        };
         out.sort_by(crate::canonical_hit_order);
         out.truncate(k);
         Ok(out)

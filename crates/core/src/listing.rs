@@ -3,7 +3,8 @@
 
 use std::time::Instant;
 
-use ustr_uncertain::{canon, transform, ProbPlane, UncertainString, MAX_TEXT_LEN};
+use ustr_uncertain::kstats::ScanPath;
+use ustr_uncertain::{canon, transform, ProbPlane, Scan, UncertainString, MAX_TEXT_LEN};
 
 use crate::{
     error::{validate_query, Error},
@@ -217,29 +218,34 @@ impl ListingIndex {
         Some((self.factor_doc[factor] as usize, src))
     }
 
-    /// Every distinct occurrence among the candidate text positions `xs`,
-    /// as `(doc, src, canonical log-probability)` in `(doc, src)` order.
-    /// The value is recomputed from the document model through its plane
-    /// kernel (see `Index::query`), one [`ProbPlane::with_kernel`] per
-    /// document, so each occurrence's value agrees bit for bit with any
-    /// per-document executor's.
+    /// Verifies every distinct occurrence among the candidate text
+    /// positions `xs` at `log_tau`'s cut and calls `per_doc(doc, kept)` for
+    /// each document in turn, `kept` being its occurrences that meet τ as
+    /// `(src, canonical probability)` in `src` order. The value is
+    /// recomputed from the document model by its plane kernel's one call
+    /// (see `Index::query`), one [`ProbPlane::with_kernel`] per document and
+    /// one [`Scan`] per query, so each occurrence's value agrees bit for bit
+    /// with any per-document executor's.
     fn verified(
         &self,
         pattern: &[u8],
         xs: impl IntoIterator<Item = usize>,
-    ) -> Vec<(usize, usize, f64)> {
-        let occ = |x| self.doc_and_src(x).map(|(doc, src)| (doc, src, 0.0));
-        let mut occs: Vec<(usize, usize, f64)> = xs.into_iter().filter_map(occ).collect();
-        occs.sort_unstable_by_key(|&(doc, src, _)| (doc, src));
-        occs.dedup_by_key(|&mut (doc, src, _)| (doc, src));
-        for group in occs.chunk_by_mut(|a, b| a.0 == b.0) {
-            self.planes[group[0].0].with_kernel(pattern, |kernel| {
-                for (_, src, log_p) in group.iter_mut() {
-                    *log_p = kernel.log_match(*src);
-                }
-            });
+        log_tau: f64,
+        mut per_doc: impl FnMut(usize, &[(usize, f64)]),
+    ) {
+        let mut occs: Vec<(usize, usize)> =
+            xs.into_iter().filter_map(|x| self.doc_and_src(x)).collect();
+        occs.sort_unstable();
+        occs.dedup();
+        // One scan across the documents' kernels: counted once per query.
+        let mut scan = Scan::new(ScanPath::Plane);
+        for group in occs.chunk_by(|a, b| a.0 == b.0) {
+            let (doc, sources) = (group[0].0, group.iter().map(|&(_, src)| src));
+            let kept = (self.planes[doc])
+                .with_kernel(pattern, |kernel| kernel.verify(sources, log_tau, &mut scan));
+            per_doc(doc, kept);
         }
-        occs
+        scan.finish();
     }
 
     /// `Rel_max` of every document whose most probable verified candidate
@@ -253,14 +259,11 @@ impl ListingIndex {
     ) -> Result<Vec<ListingHit>, Error> {
         let log_tau = canon::ln(tau);
         let candidates = self.substrate.report(pattern.len(), l, r, log_tau);
-        let occs = self.verified(pattern, candidates.into_iter().map(|(x, _)| x));
-        let mut hits: Vec<ListingHit> = (occs.into_iter())
-            .filter(|&(_, _, log_p)| canon::log_meets_threshold(log_p, log_tau))
-            .map(|(doc, _, log_p)| (doc, canon::exp(log_p)))
-            .map(|(doc, relevance)| ListingHit { doc, relevance })
-            .collect();
-        hits.sort_unstable_by(|a, b| a.doc.cmp(&b.doc).then(b.relevance.total_cmp(&a.relevance)));
-        hits.dedup_by_key(|hit| hit.doc);
+        let (xs, mut hits) = (candidates.into_iter().map(|(x, _)| x), Vec::new());
+        self.verified(pattern, xs, log_tau, |doc, kept| {
+            let relevance = kept.iter().map(|&(_, p)| p).max_by(f64::total_cmp);
+            hits.extend(relevance.map(|relevance| ListingHit { doc, relevance }));
+        });
         Ok(hits)
     }
 
@@ -276,27 +279,25 @@ impl ListingIndex {
     ) -> Result<Vec<ListingHit>, Error> {
         // Every slot of the range starts with the pattern: its window is
         // whole, so each is a candidate.
-        let mut occs = self.verified(pattern, self.substrate.positions(l, r));
-        occs.retain(|&(_, _, log_p)| canon::is_positive_prob(canon::exp(log_p)));
+        let all = self.substrate.positions(l, r);
         let (log_tau, mut hits) = (canon::ln(tau), Vec::new());
-        for group in occs.chunk_by(|a, b| a.0 == b.0) {
-            let probs = group.iter().map(|&(_, _, log_p)| canon::exp(log_p));
-            let relevance = match metric {
+        self.verified(pattern, all, f64::NEG_INFINITY, |doc, kept| {
+            let positive = (kept.iter().map(|&(_, p)| p)).filter(|&p| canon::is_positive_prob(p));
+            let probs: Vec<f64> = positive.collect();
+            let relevance = match (metric, probs.as_slice()) {
+                (_, []) => return,
                 // §6: a single occurrence's relevance is its probability;
                 // the Σp − Πp form applies to multiple occurrences.
-                RelMetric::Or if group.len() == 1 => canon::exp(group[0].2),
+                (RelMetric::Or, &[p]) => p,
                 #[allow(clippy::float_arithmetic, reason = "§6's Rel_OR, Σp − Πp")]
-                RelMetric::Or => probs.clone().sum::<f64>() - probs.product::<f64>(),
-                RelMetric::IndependentOr => canon::independent_or(probs),
-                RelMetric::Max => unreachable!("handled by query_max"),
+                (RelMetric::Or, _) => probs.iter().sum::<f64>() - probs.iter().product::<f64>(),
+                (RelMetric::IndependentOr, _) => canon::independent_or(probs.iter().copied()),
+                (RelMetric::Max, _) => unreachable!("handled by query_max"),
             };
             if canon::log_meets_threshold(canon::ln(relevance), log_tau) {
-                hits.push(ListingHit {
-                    doc: group[0].0,
-                    relevance,
-                });
+                hits.push(ListingHit { doc, relevance });
             }
-        }
+        });
         Ok(hits)
     }
 

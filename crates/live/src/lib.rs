@@ -340,24 +340,22 @@ struct Inner {
     compact_min_segments: usize,
     state: Mutex<LiveState>,
     engine: Engine,
-    /// Bumped on every mutation and every seal or compaction install
-    /// **under the state lock**; query snapshots carry it as their cache
-    /// epoch, so responses computed against a superseded state can never
-    /// serve a later lookup (see [`SegmentSet::cache_epoch`]). An install
-    /// moves it too: no answer changes across one (the `DocExecutor`
-    /// contract), but no cached answer then outlives the layout it was
-    /// computed on.
+    /// Bumped **under the state lock** whenever the collection or its
+    /// layout changes: every mutation, an explicit seal's move of the
+    /// memtable to a sealing batch, and every seal or compaction install.
+    /// Query snapshots carry it as their cache epoch, so responses computed
+    /// against a superseded state can never serve a later lookup (see
+    /// [`SegmentSet::cache_epoch`]), and it keys the memoized view below. A
+    /// layout change moves it too: no answer changes across one (the
+    /// `DocExecutor` contract), but no cached answer or view then outlives
+    /// the layout it was computed on.
     generation: AtomicU64,
-    /// Bumped (under the state lock) whenever the physical layout changes —
-    /// mutations, the move of a memtable to a sealing batch, and installs —
-    /// and used to key the memoized view below.
-    structure_version: AtomicU64,
     /// Live (inserted, not deleted) documents, changed under the state lock
     /// wherever the live set changes and read without it: the net
     /// handshake reports it from an event thread, which must not wait on
     /// the lock `insert` holds across its WAL fsync.
     live_docs: AtomicUsize,
-    /// The last built view, reused until `structure_version` moves so a
+    /// The last built view, reused until `generation` moves so a
     /// read-heavy workload does not rebuild O(docs) segment vectors per
     /// batch.
     view_cache: Mutex<Option<(u64, LiveView)>>,
@@ -397,19 +395,18 @@ impl SegmentSet for LiveView {
 }
 
 impl Inner {
-    /// Builds (or reuses) the query snapshot. The epoch and structure
-    /// version are read under the state lock, so a view can never pair one
-    /// collection state with another state's cache epoch.
+    /// Builds (or reuses) the query snapshot. The epoch is read under the
+    /// state lock, so a view can never pair one collection state with
+    /// another state's cache epoch.
     fn view(&self) -> LiveView {
         let st = lock_clean(&self.state);
         // ordering: Acquire pairs with the AcqRel bumps on mutation, so a view
-        // built for version V observes every state change that produced V.
+        // built for epoch E observes every state change that produced E.
         let epoch = self.generation.load(Ordering::Acquire);
-        let structure = self.structure_version.load(Ordering::Acquire);
         {
             let cache = lock_clean(&self.view_cache);
-            if let Some((cached_structure, view)) = cache.as_ref() {
-                if *cached_structure == structure {
+            if let Some((cached_epoch, view)) = cache.as_ref() {
+                if *cached_epoch == epoch {
                     return view.clone();
                 }
             }
@@ -440,7 +437,7 @@ impl Inner {
             tau_min: self.tau_min,
             epoch,
         };
-        *lock_clean(&self.view_cache) = Some((structure, view.clone()));
+        *lock_clean(&self.view_cache) = Some((epoch, view.clone()));
         view
     }
 
@@ -567,10 +564,9 @@ impl Inner {
             st.segments.extend(sealed);
             st.sealing.retain(|b| b.batch_id != batch_id);
             st.applied_seq = st.applied_seq.max(max_seq);
-            // ordering: AcqRel — both bumps publish the segment change to
+            // ordering: AcqRel — the bump publishes the segment change to
             // the next view()'s Acquire loads.
             self.generation.fetch_add(1, Ordering::AcqRel);
-            self.structure_version.fetch_add(1, Ordering::AcqRel);
             Inner::prune_dead_tombstones(&mut st);
             self.write_manifest(&st)?;
             self.rewrite_wal(&mut st)?;
@@ -649,10 +645,9 @@ impl Inner {
                 // every tombstone whose document no longer exists anywhere
                 // (including strays a replayed delete record resurrected
                 // after an earlier compaction already removed the document).
-                // ordering: AcqRel — both bumps publish the segment change
+                // ordering: AcqRel — the bump publishes the segment change
                 // to the next view()'s Acquire loads.
                 self.generation.fetch_add(1, Ordering::AcqRel);
-                self.structure_version.fetch_add(1, Ordering::AcqRel);
                 Inner::prune_dead_tombstones(&mut st);
                 self.write_manifest(&st)?;
                 old_files
@@ -887,7 +882,6 @@ impl LiveService {
             state: Mutex::new(state),
             engine: Engine::new(config.threads, config.cache_capacity),
             generation: AtomicU64::new(0),
-            structure_version: AtomicU64::new(0),
             live_docs: AtomicUsize::new(live_docs),
             view_cache: Mutex::new(None),
             _dir_lock: dir_lock,
@@ -1008,10 +1002,9 @@ impl LiveService {
         } else {
             None
         };
-        // ordering: AcqRel — both bumps publish the mutation to the next
+        // ordering: AcqRel — the bump publishes the mutation to the next
         // view()'s Acquire loads.
         self.inner.generation.fetch_add(1, Ordering::AcqRel);
-        self.inner.structure_version.fetch_add(1, Ordering::AcqRel);
         drop(st);
         if let Some(batch_id) = batch {
             self.enqueue(Job::Seal { batch_id });
@@ -1056,10 +1049,9 @@ impl LiveService {
         // ordering: Relaxed — as in `insert`.
         self.inner.live_docs.fetch_sub(1, Ordering::Relaxed);
         st.tombstones.insert(id);
-        // ordering: AcqRel — both bumps publish the mutation to the next
+        // ordering: AcqRel — the bump publishes the mutation to the next
         // view()'s Acquire loads.
         self.inner.generation.fetch_add(1, Ordering::AcqRel);
-        self.inner.structure_version.fetch_add(1, Ordering::AcqRel);
         drop(st);
         Ok(())
     }
@@ -1073,7 +1065,7 @@ impl LiveService {
         if let Some(batch_id) = Self::freeze_memtable(&mut st) {
             // ordering: AcqRel publishes the memtable's move to a sealing batch
             // to the next view()'s Acquire load.
-            self.inner.structure_version.fetch_add(1, Ordering::AcqRel);
+            self.inner.generation.fetch_add(1, Ordering::AcqRel);
             drop(st);
             self.enqueue(Job::Seal { batch_id });
         }
@@ -1694,6 +1686,16 @@ mod tests {
         live.delete(id).unwrap();
         assert_eq!(hits(&live, &ab).len(), 1);
         assert_eq!(live.cache_stats(), (1, 3), "a delete moved the epoch");
+        // The memtable's move to a sealing batch moves it too, whether or
+        // not the background install (which moves it again) ran first.
+        live.seal().unwrap();
+        assert_eq!(hits(&live, &ab).len(), 1);
+        assert_eq!(
+            live.cache_stats(),
+            (1, 4),
+            "an explicit seal moved the epoch"
+        );
+        live.wait_idle().unwrap();
         drop(live);
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -1,6 +1,7 @@
 //! One seeded checker for a live collection, held against an independent
 //! reference through every front door. Each seed draws a list of inserts
-//! (one document in four correlated), deletes (of live ids and of ids that
+//! (one document in four correlated, one certain position in four given
+//! just above 1), deletes (of live ids and of ids that
 //! are not live), seals, compactions, checkpoints and reopens, then runs it
 //! under `FaultPlan::from_seed(seed)` for seeds `0..64` and fault-free for
 //! `64..128`. Even seeds run on one thread with no background maintenance,
@@ -71,9 +72,13 @@ impl fmt::Display for Op {
 }
 
 /// A document of 1–10 positions over {a, b, c}, each with 1–3 choices of
-/// integer weight, normalised. One in four conditions the first choice of
-/// an uncertain position on the first choice of the position before it,
-/// pr⁺ above pr⁻ or below it (as `tests/common::correlated` does).
+/// integer weight, normalised. One single-choice row in four is given as
+/// 1 + u·PROB_EPS, u in (0, 1] — rounding above certainty, which the model
+/// admits and must store as 1, or a window could outweigh its prefix and
+/// an early-exit walk answer apart from a full one. One document in four
+/// conditions the first choice of an uncertain position on the first
+/// choice of the position before it, pr⁺ above pr⁻ or below it (as
+/// `tests/common::correlated` does).
 fn document(r: u64) -> UncertainString {
     let rows = (1..=1 + fnv_mix(r, 0) % 10)
         .map(|p| {
@@ -83,6 +88,12 @@ fn document(r: u64) -> UncertainString {
                 .collect();
             row.sort_by_key(|&(c, _)| c);
             row.dedup_by_key(|&mut (c, _)| c);
+            if let [(c, _)] = row[..] {
+                if fnv_mix(r, p << 8 | 0xF0) >> 62 == 0 {
+                    let u = ((fnv_mix(r, p << 8 | 0xF1) >> 11) + 1) as f64 / (1u64 << 53) as f64;
+                    return vec![(c, 1.0 + u * PROB_EPS)];
+                }
+            }
             let total: u64 = row.iter().map(|&(_, w)| w).sum();
             (row.into_iter())
                 .map(|(c, w)| (c, w as f64 / total as f64))

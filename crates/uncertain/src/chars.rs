@@ -5,7 +5,8 @@ use crate::{canon, error::ModelError, transform::SENTINEL};
 /// One position of an uncertain string: a non-empty set of
 /// `(character, probability)` choices with probabilities in `(0, 1]` summing
 /// to at most 1 (strictly-less sums model unenumerated rare characters,
-/// which real annotation pipelines produce).
+/// which real annotation pipelines produce). A choice in
+/// `(1, 1 + PROB_EPS]` — rounding above certainty — is stored as exactly 1.
 ///
 /// Choices are kept sorted by character byte.
 ///
@@ -39,18 +40,21 @@ impl UncertainChar {
                 });
             }
         }
-        for &(c, p) in &choices {
-            if c == SENTINEL {
+        for (c, p) in &mut choices {
+            if *c == SENTINEL {
                 return Err(ModelError::ReservedByte { position });
             }
-            if !canon::valid_prob(p) {
+            if !canon::valid_prob(*p) {
                 return Err(ModelError::InvalidProbability {
                     position,
-                    ch: c,
-                    prob: p,
+                    ch: *c,
+                    prob: *p,
                 });
             }
-            sum += p;
+            // Admitted up to 1 + PROB_EPS (rounding), stored as at most 1:
+            // no factor may raise a running product (plane.rs module docs).
+            *p = p.min(1.0);
+            sum += *p;
         }
         if sum > 1.0 + 1e-6 {
             return Err(ModelError::ProbabilitySumExceedsOne { position, sum });

@@ -3,10 +3,10 @@
 //! done, mirroring the paper's cost model (candidate count vs.
 //! verification work, Biswas et al. §5).
 //!
-//! Plain relaxed atomics, zero dependencies. Hot loops batch their local
-//! counts and call [`record_scan_on`] **once per scan**, so the per-candidate
-//! cost of instrumentation is zero. Counters are cumulative for the
-//! process lifetime; telemetry layers surface them via
+//! Plain relaxed atomics, zero dependencies. A [`Scan`](crate::Scan)
+//! batches its counts and calls [`record_scan_on`] **once per scan**, so
+//! the per-candidate cost of instrumentation is zero. Counters are
+//! cumulative for the process lifetime; telemetry layers surface them via
 //! [`kernel_totals`] (e.g. merged into an exposition snapshot under
 //! `kernel.*` names).
 
@@ -16,7 +16,6 @@
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Instant;
 
 static CANDIDATES: AtomicU64 = AtomicU64::new(0);
 static VERIFIED: AtomicU64 = AtomicU64::new(0);
@@ -54,7 +53,7 @@ pub struct KernelTotals {
     pub candidates: u64,
     /// Candidates that survived verification (reported as hits).
     pub verified: u64,
-    /// Nanoseconds spent inside instrumented kernel loops.
+    /// Nanoseconds from each scan's start to its record.
     pub kernel_ns: u64,
     /// Scans answered via the plane fast path.
     pub plane_scans: u64,
@@ -70,19 +69,16 @@ pub fn record_scan_on(path: ScanPath, candidates: u64, verified: u64, ns: u64) {
     CANDIDATES.fetch_add(candidates, Ordering::Relaxed);
     VERIFIED.fetch_add(verified, Ordering::Relaxed);
     KERNEL_NS.fetch_add(ns, Ordering::Relaxed);
-    let path_cell = match path {
-        ScanPath::Plane => &PLANE_SCANS,
-        ScanPath::Cold => &COLD_SCANS,
+    let (path_cell, tl_path_cell) = match path {
+        ScanPath::Plane => (&PLANE_SCANS, &TL_PLANE_SCANS),
+        ScanPath::Cold => (&COLD_SCANS, &TL_COLD_SCANS),
     };
     // ordering: Relaxed — see above.
     path_cell.fetch_add(1, Ordering::Relaxed);
     TL_CANDIDATES.with(|c| c.set(c.get() + candidates));
     TL_VERIFIED.with(|c| c.set(c.get() + verified));
     TL_KERNEL_NS.with(|c| c.set(c.get().saturating_add(ns)));
-    match path {
-        ScanPath::Plane => TL_PLANE_SCANS.with(|c| c.set(c.get() + 1)),
-        ScanPath::Cold => TL_COLD_SCANS.with(|c| c.set(c.get() + 1)),
-    }
+    tl_path_cell.with(|c| c.set(c.get() + 1));
 }
 
 /// Current process-wide totals.
@@ -124,13 +120,6 @@ impl KernelTotals {
             cold_scans: self.cold_scans.saturating_sub(earlier.cold_scans),
         }
     }
-}
-
-/// Helper for callers that want wall-time in the batched record: elapsed
-/// nanoseconds since `start`, saturated into a `u64`.
-#[inline]
-pub fn elapsed_ns(start: Instant) -> u64 {
-    u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
 #[cfg(test)]

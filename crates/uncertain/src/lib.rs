@@ -22,7 +22,8 @@
 //!   and its zero-allocation verification kernel: bit-identical to
 //!   [`UncertainString::log_match_probability`], but evaluated as a tight
 //!   flat-array loop (see [`plane`]). Every query executor in the workspace
-//!   verifies candidates through it.
+//!   verifies its candidates through one kernel call,
+//!   [`MatchKernel::verify`], and counts them once per [`Scan`].
 
 #![forbid(unsafe_code)]
 
@@ -41,7 +42,7 @@ mod worlds;
 pub use chars::UncertainChar;
 pub use correlation::{Correlation, CorrelationSet};
 pub use error::ModelError;
-pub use plane::{MatchKernel, ProbPlane};
+pub use plane::{MatchKernel, ProbPlane, Scan};
 pub use special::SpecialUncertainString;
 pub use string::UncertainString;
 pub use transform::{transform, Transformed, MAX_TEXT_LEN, NO_POSITION, SENTINEL};
@@ -49,5 +50,6 @@ pub use worlds::DEFAULT_WORLD_LIMIT;
 
 /// Relative tolerance of every probability comparison (products of hundreds
 /// of floats accumulate rounding error): [`canon::log_meets_threshold`]
-/// admits `p ≥ τ·e^−PROB_EPS`, and a model probability may exceed 1 by it.
+/// admits `p ≥ τ·e^−PROB_EPS`. A model probability given up to
+/// 1 + PROB_EPS is stored as 1 ([`UncertainChar::new`]).
 pub const PROB_EPS: f64 = 1e-9;

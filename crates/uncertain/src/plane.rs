@@ -23,10 +23,21 @@
 //!   character at all); and a *correlation-subject* bitmask over the
 //!   handful of correlated positions.
 //! * [`MatchKernel`] — a per-query view that remaps the pattern to ranks
-//!   **once**, then evaluates every candidate window as a tight flat-array
-//!   loop with first-impossible-factor early exit. Pattern rank scratch
-//!   lives in a thread-local buffer, so steady-state verification allocates
-//!   nothing per candidate (and nothing per query once the buffer is warm).
+//!   **once**, then evaluates every candidate window with **one walk**
+//!   ([`MatchKernel::log_match_bounded`]): a tight flat-array loop that
+//!   stops at the first impossible factor or the first running sum below
+//!   τ's cut. [`MatchKernel::log_match`] is that walk at a cut of −∞, and
+//!   [`MatchKernel::verify`] runs it over a run of candidates into a
+//!   [`Scan`], which keeps the hits and counts the work once — the one
+//!   verify-and-count loop every executor calls. Pattern rank scratch
+//!   lives in a thread-local buffer, so steady-state verification
+//!   allocates nothing per candidate (and nothing per query once the
+//!   buffer is warm).
+//!
+//! **Why one walk suffices.** A stored factor is at most 1
+//! ([`UncertainChar::new`] stores a choice in `(1, 1 + PROB_EPS]` as 1), so
+//! no running sum rises again: a window whose whole product meets τ meets
+//! it after every factor, and the early exit drops only windows that fail.
 //!
 //! **Bit-identity contract.** For every `(pattern, pos)`,
 //! [`MatchKernel::log_match`] returns *exactly* the `f64`
@@ -41,7 +52,9 @@
 //! pins the contract down to `f64::to_bits` equality.
 
 use std::cell::RefCell;
+use std::time::Instant;
 
+use crate::kstats::{self, ScanPath};
 use crate::{canon, chars::UncertainChar, correlation::CorrelationSet, string::UncertainString};
 
 /// Rank value meaning "this byte never occurs in the document" (byte 0 is
@@ -579,6 +592,39 @@ impl Iterator for PresenceIter<'_> {
     }
 }
 
+/// One scan's verification work, counted once across as many kernels as
+/// it opens (a listing query opens one per document): the clock read at
+/// its first candidate, the candidates [`MatchKernel::verify`] walked and
+/// the hits it kept.
+pub struct Scan {
+    path: ScanPath,
+    start: Option<Instant>,
+    candidates: u64,
+    hits: Vec<(usize, f64)>,
+}
+
+impl Scan {
+    /// Starts a scan attributed to `path`.
+    pub fn new(path: ScanPath) -> Self {
+        Self {
+            path,
+            start: None,
+            candidates: 0,
+            hits: Vec::new(),
+        }
+    }
+
+    /// Makes the scan's one batched [`kstats::record_scan_on`] (none when
+    /// it walked no candidate) and returns its hits.
+    pub fn finish(self) -> Vec<(usize, f64)> {
+        if let Some(start) = self.start {
+            let ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
+            kstats::record_scan_on(self.path, self.candidates, self.hits.len() as u64, ns);
+        }
+        self.hits
+    }
+}
+
 /// The per-query verification kernel: `pattern` remapped to ranks once,
 /// candidate windows evaluated as flat-array loops.
 ///
@@ -595,11 +641,6 @@ pub struct MatchKernel<'a> {
 }
 
 impl<'a> MatchKernel<'a> {
-    /// The plane this kernel verifies against.
-    pub fn plane(&self) -> &'a ProbPlane {
-        self.plane
-    }
-
     /// Candidate start positions for a scan: every `pos < limit` where the
     /// *first* pattern character has nonzero probability — ANDed with the
     /// second character's presence at `pos + 1` when the pattern has one.
@@ -616,122 +657,63 @@ impl<'a> MatchKernel<'a> {
         PresenceIter::new(self.first_row, next, limit.min(self.plane.len))
     }
 
-    /// Bit-identical to
+    /// `ln` of the pattern's probability at `pos`: the one walk
+    /// ([`Self::log_match_bounded`]) at a cut of −∞, which never fails, so
+    /// the value is the walk's own. Bit-identical to
     /// [`UncertainString::log_match_probability`]`(pattern, pos)`.
-    ///
-    /// Fast-path structure, cheapest test first: (1) one presence-bitmap
-    /// bit decides most candidates — the first factor is 0, exactly the
-    /// naive walk's first early exit, from an L1-resident row instead of
-    /// the probability table; (2) an O(1) `det_run` load turns windows that
-    /// lie entirely in a deterministic run into a byte compare (every
-    /// factor is exactly `ln 1 = 0.0`, so the naive sum is `0.0` on match,
-    /// `−∞` on mismatch); (3) everything else takes the flat loop, with the
-    /// rare correlated windows (O(1) `corr_run` gate) on a cold path that
-    /// mirrors the naive branch structure.
     #[inline]
     pub fn log_match(&self, pos: usize) -> f64 {
+        (self.log_match_bounded(pos, f64::NEG_INFINITY)).unwrap_or(f64::NEG_INFINITY)
+    }
+
+    /// The kernel's one walk: `Some(ln p)` exactly when the running sum
+    /// meets `log_tau` by the threshold rule
+    /// ([`canon::log_meets_threshold`]) after every factor, `None` at the
+    /// first factor that drops it below (or at an impossible one). Every
+    /// stored factor is at most 1, so no running sum rises again: the walk
+    /// keeps exactly the windows whose whole product meets τ, and the value
+    /// it keeps is the whole product's, bit for bit.
+    ///
+    /// Cheapest test first: (1) one presence-bitmap bit decides most
+    /// candidates — the first factor is 0, exactly the naive walk's first
+    /// early exit, from an L1-resident row instead of the probability
+    /// table; (2) an O(1) `det_run` load turns windows that lie entirely in
+    /// a deterministic run into a byte compare (every factor is exactly
+    /// `ln 1 = 0.0`, which meets any τ ≤ 1); (3) everything else takes the
+    /// flat loop, with the rare correlated windows (O(1) `corr_run` gate)
+    /// on a cold path that mirrors the naive branch structure.
+    #[inline]
+    pub fn log_match_bounded(&self, pos: usize, log_tau: f64) -> Option<f64> {
         let m = self.pattern.len();
         let plane = self.plane;
-        if pos + m > plane.len {
-            return f64::NEG_INFINITY;
+        if pos + m > plane.len || self.impossible {
+            return None;
         }
         if m == 0 {
-            return 0.0;
-        }
-        if self.impossible {
-            return f64::NEG_INFINITY;
+            return Some(0.0);
         }
         if self.first_row[pos / 64] >> (pos % 64) & 1 == 0 {
-            return f64::NEG_INFINITY;
+            return None;
         }
         if self.any_corr && (plane.corr_run[pos] as usize) < m {
-            return self.log_match_correlated(pos, f64::NEG_INFINITY);
+            return self.log_match_correlated(pos, log_tau);
         }
         if plane.det_run[pos] as usize >= m {
             // Byte loop instead of a slice `==` (runtime-length `bcmp`
             // call): windows this short reject at their first differing
             // byte.
             let window = &plane.det_chars[pos..pos + m];
-            return if window.iter().zip(self.pattern).all(|(a, b)| a == b) {
-                0.0
-            } else {
-                f64::NEG_INFINITY
-            };
+            return (window.iter().zip(self.pattern).all(|(a, b)| a == b)).then_some(0.0);
         }
         let mut log_p = 0.0;
         // Rows are in position order: the non-det positions before `pos`
         // number the window's first row, and each later one takes the next.
         let mut row = plane.row_of(pos);
         for k in 0..m {
-            let i = pos + k;
             // Deterministic positions resolve from the byte sidecar: their
             // factor is exactly 1, and `log_p + ln 1` is `log_p` bit for
-            // bit, so they need (and have) no probability row.
-            let d = plane.det_chars[i];
-            if d != 0 {
-                if d == self.pattern[k] {
-                    continue;
-                }
-                return f64::NEG_INFINITY;
-            }
-            let lp = plane.row_log_prob(row, self.ranks[k]);
-            row += 1;
-            if lp == f64::NEG_INFINITY {
-                return f64::NEG_INFINITY;
-            }
-            log_p += lp;
-        }
-        log_p
-    }
-
-    /// `exp` of [`Self::log_match`] — bit-identical to
-    /// [`UncertainString::match_probability`].
-    #[inline]
-    pub fn match_probability(&self, pos: usize) -> f64 {
-        canon::exp(self.log_match(pos))
-    }
-
-    /// Scan-style evaluation with the per-factor threshold early exit of
-    /// `NaiveScanner`: `Some(log_p)` exactly when the running product never
-    /// drops below `log_tau` (within [`crate::PROB_EPS`]); the returned
-    /// value is bit-identical to [`Self::log_match`]. Because factors never
-    /// exceed 1, the early exit can only skip windows whose final value
-    /// fails the threshold too.
-    #[inline]
-    pub fn log_match_bounded(&self, pos: usize, log_tau: f64) -> Option<f64> {
-        let m = self.pattern.len();
-        let plane = self.plane;
-        if m == 0 || pos + m > plane.len || self.impossible {
-            return None;
-        }
-        if self.first_row[pos / 64] >> (pos % 64) & 1 == 0 {
-            return None;
-        }
-        if self.any_corr && (plane.corr_run[pos] as usize) < m {
-            let v = self.log_match_correlated(pos, log_tau);
-            return if v == f64::NEG_INFINITY {
-                None
-            } else {
-                Some(v)
-            };
-        }
-        if plane.det_run[pos] as usize >= m {
-            // All factors are exactly 0.0, so every intermediate threshold
-            // check reduces to `0 ≥ log_tau − eps`, which holds for τ ≤ 1.
-            let window = &plane.det_chars[pos..pos + m];
-            return window
-                .iter()
-                .zip(self.pattern)
-                .all(|(a, b)| a == b)
-                .then_some(0.0);
-        }
-        let mut log_p = 0.0;
-        let mut row = plane.row_of(pos);
-        for k in 0..m {
-            let i = pos + k;
-            // Factor exactly 1: running product and threshold check are
-            // both unchanged, so the table load and the check are skipped.
-            let d = plane.det_chars[i];
+            // bit, so they need no row and leave the running check as it was.
+            let d = plane.det_chars[pos + k];
             if d != 0 {
                 if d == self.pattern[k] {
                     continue;
@@ -751,11 +733,34 @@ impl<'a> MatchKernel<'a> {
         Some(log_p)
     }
 
-    /// The correlation-aware cold path, mirroring the naive evaluator's
-    /// branch structure factor by factor. `log_tau` = `−∞` disables the
-    /// per-factor threshold exit (plain `log_match` semantics).
+    /// Verifies `candidates` at `log_tau`'s cut into `scan`, keeping
+    /// `(pos, p)` for each one that meets τ, in candidate order, `p` being
+    /// `exp` of the walk's value; returns the hits this call kept. The one
+    /// verify-and-count loop of every executor: no atomic, and no clock
+    /// read past a scan's first candidate.
+    pub fn verify<'s>(
+        &self,
+        candidates: impl IntoIterator<Item = usize>,
+        log_tau: f64,
+        scan: &'s mut Scan,
+    ) -> &'s [(usize, f64)] {
+        let (candidates, kept) = (candidates.into_iter(), scan.hits.len());
+        // Room for every candidate when the run says how many it holds.
+        (scan.hits).reserve(candidates.size_hint().1.unwrap_or(0));
+        for pos in candidates {
+            scan.start.get_or_insert_with(Instant::now);
+            scan.candidates += 1;
+            if let Some(log_p) = self.log_match_bounded(pos, log_tau) {
+                scan.hits.push((pos, canon::exp(log_p)));
+            }
+        }
+        &scan.hits[kept..]
+    }
+
+    /// The correlation-aware cold path of the walk, mirroring the naive
+    /// evaluator's branch structure factor by factor.
     #[cold]
-    fn log_match_correlated(&self, pos: usize, log_tau: f64) -> f64 {
+    fn log_match_correlated(&self, pos: usize, log_tau: f64) -> Option<f64> {
         let m = self.pattern.len();
         let plane = self.plane;
         let mut log_p = 0.0;
@@ -763,37 +768,36 @@ impl<'a> MatchKernel<'a> {
             let i = pos + k;
             let lp = plane.log_prob(i, self.ranks[k]);
             if lp == f64::NEG_INFINITY {
-                return f64::NEG_INFINITY;
+                return None;
             }
-            let in_corr = bit(&plane.corr_mask, i);
-            let v = if in_corr {
-                match plane.corr_at(i, self.pattern[k]) {
-                    Some(c) => {
-                        let j = c.cond_pos as usize;
-                        if j >= pos && j < pos + m {
-                            if self.pattern[j - pos] == c.cond_char {
-                                c.ln_present
-                            } else {
-                                c.ln_absent
-                            }
+            let corr = match bit(&plane.corr_mask, i) {
+                true => plane.corr_at(i, self.pattern[k]),
+                false => None,
+            };
+            let v = match corr {
+                Some(c) => {
+                    let j = c.cond_pos as usize;
+                    if j >= pos && j < pos + m {
+                        if self.pattern[j - pos] == c.cond_char {
+                            c.ln_present
                         } else {
-                            c.ln_outside
+                            c.ln_absent
                         }
+                    } else {
+                        c.ln_outside
                     }
-                    None => lp,
                 }
-            } else {
-                lp
+                None => lp,
             };
             if v == f64::NEG_INFINITY {
-                return f64::NEG_INFINITY;
+                return None;
             }
             log_p += v;
-            if log_tau != f64::NEG_INFINITY && !canon::log_meets_threshold(log_p, log_tau) {
-                return f64::NEG_INFINITY;
+            if !canon::log_meets_threshold(log_p, log_tau) {
+                return None;
             }
         }
-        log_p
+        Some(log_p)
     }
 }
 
@@ -835,7 +839,7 @@ mod tests {
         }
         plane.with_kernel(b"ana", |k| {
             assert_eq!(k.log_match(1), 0.0);
-            assert_eq!(k.match_probability(1), 1.0);
+            assert_eq!(canon::exp(k.log_match(1)), 1.0);
             assert_eq!(k.log_match(0), f64::NEG_INFINITY);
         });
     }

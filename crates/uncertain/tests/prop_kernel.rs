@@ -11,8 +11,8 @@
 
 use proptest::prelude::*;
 use ustr_uncertain::{
-    canon::log_meets_threshold, Correlation, CorrelationSet, ProbPlane, UncertainChar,
-    UncertainString,
+    canon::{self, log_meets_threshold},
+    Correlation, CorrelationSet, ProbPlane, UncertainChar, UncertainString,
 };
 
 /// Random rows over a tiny alphabet; `scale < 1` leaves the sums
@@ -269,7 +269,7 @@ proptest! {
                     );
                     prop_assert_eq!(
                         s.match_probability(&pattern, pos).to_bits(),
-                        k.match_probability(pos).to_bits()
+                        canon::exp(k.log_match(pos)).to_bits()
                     );
                 }
                 Ok(())
