@@ -34,7 +34,7 @@
 //! for such an entry — the byte LCP table of Abouelhoda, Kurtz and
 //! Ohlebusch's enhanced suffix array.
 //!
-//! The child table is one `u32` per slot holding whichever of the classic
+//! The child table is one cell per slot holding whichever of the classic
 //! `up`/`down`/`nextlIndex` values that slot can ever be asked for — they
 //! exclude each other:
 //!
@@ -44,6 +44,16 @@
 //! * else `down[k]`: the first ℓ-index of the widest interval that starts
 //!   at `k` (needed only for an interval the `up` of its end does not
 //!   name, which is exactly when `nextlIndex[k]` does not exist).
+//!
+//! A cell is an `i16`: the value's offset from the cell's own slot. The
+//! three values point into the node around the slot, so nearly all of
+//! them lie within ±32 767 slots; one that does not is stored as
+//! [`FAR`], and its value kept in a far list sorted by slot, reached
+//! through a start index of one `u32` per 256 slots
+//! ([`SuffixTree::cell`]). Only a child wider than 32 767 slots makes a
+//! far cell, so on a transformed string they are the root's: its sibling
+//! links and the `up`s of its widest children, ≈ 30 on `paper-string`'s
+//! tree of 950 000 slots, and none on a tree of fewer than 32 768 slots.
 //!
 //! A value is told apart by where it points and by what lies there — an
 //! equal LCP for a `nextlIndex`, or, in the pattern descent, a different
@@ -62,6 +72,13 @@ use crate::{lcp_array, sais::suffix_array};
 /// The byte of a slot whose LCP does not fit below it: the true value is
 /// in the exception list.
 const LCP_MARK: u8 = u8::MAX;
+
+/// The cell of a slot whose value lies more than 32 767 slots away: the
+/// value is in the far list.
+const FAR: i16 = i16::MIN;
+
+/// Slots per entry of the far list's start index.
+const FAR_BLOCK: usize = 256;
 
 /// Suffix tree with pattern descent to suffix-array ranges, held as text,
 /// suffix array, LCP array and child table (see the module docs).
@@ -86,9 +103,16 @@ pub struct SuffixTree {
     slot_lcp: Box<[u8]>,
     /// `(slot, LCP)` of every slot marked in `slot_lcp`, by slot.
     long_lcp: Box<[(u32, u32)]>,
-    /// One cell per slot: `up`, `nextlIndex` or `down` (module docs); 0
-    /// where none exists.
-    child: Box<[u32]>,
+    /// One cell per slot: the offset of its `up`, `nextlIndex` or `down`
+    /// (module docs) from the slot, or [`FAR`]. A slot with none holds 0,
+    /// pointing at itself, except the last, which points at slot 0.
+    child: Box<[i16]>,
+    /// `(slot, value)` of every cell marked [`FAR`], by slot.
+    far: Box<[(u32, u32)]>,
+    /// `far_start[b]`: the first entry of `far` at a slot of block `b` or
+    /// later, blocks being [`FAR_BLOCK`] slots; one entry past the last
+    /// block, and none at all when `far` is empty.
+    far_start: Box<[u32]>,
 }
 
 impl SuffixTree {
@@ -118,12 +142,20 @@ impl SuffixTree {
         // A slot popped because a smaller LCP arrived is the first ℓ-index
         // of an interval that just ended: the `up` of the arriving slot if
         // it is the last one popped, and the `down` of the slot below it
-        // if that one lies strictly shallower — unless the arriving LCP
-        // falls between the two, which opens a wider interval at the same
-        // start. A slot arriving at the LCP of the top is that one's
-        // `nextlIndex`, written after — and so over — any `down` of the
-        // same cell.
-        let mut child = vec![0u32; m].into_boxed_slice();
+        // if that one lies strictly shallower and is popped too — unless
+        // the arriving LCP falls between the two, which opens a wider
+        // interval at the same start. A slot arriving at the LCP of the
+        // top is that one's `nextlIndex`, which a cell holds in place of
+        // its `down`. So every cell is written at most once.
+        let mut child = vec![0i16; m].into_boxed_slice();
+        let mut far = Vec::new();
+        let mut set = |slot: usize, value: u32| match i16::try_from(value as i64 - slot as i64) {
+            Ok(offset) if offset != FAR => child[slot] = offset,
+            _ => {
+                child[slot] = FAR;
+                far.push((slot as u32, value));
+            }
+        };
         let mut stack: Vec<u32> = vec![0];
         for k in 1..m {
             let lcp_k = slot_lcp[k];
@@ -132,19 +164,19 @@ impl SuffixTree {
                 let lcp_top = slot_lcp[top as usize];
                 if lcp_top <= lcp_k {
                     if lcp_top == lcp_k {
-                        child[top as usize] = k as u32;
+                        set(top as usize, k as u32);
                     }
                     break;
                 }
                 stack.pop();
                 let below = *stack.last().expect("slot 0 is never popped") as usize;
-                if lcp_k <= slot_lcp[below] && slot_lcp[below] != lcp_top {
-                    child[below] = top;
+                if lcp_k < slot_lcp[below] && slot_lcp[below] != lcp_top {
+                    set(below, top);
                 }
                 last = Some(top);
             }
             if let Some(first) = last {
-                child[k - 1] = first;
+                set(k - 1, first);
             }
             stack.push(k as u32);
         }
@@ -152,11 +184,21 @@ impl SuffixTree {
         while let Some(top) = stack.pop() {
             if let Some(&below) = stack.last() {
                 if slot_lcp[below as usize] != slot_lcp[top as usize] {
-                    child[below as usize] = top;
+                    set(below as usize, top);
                 }
             }
         }
+        // The last slot has no `up`: slot 0 tells `first_l_index` so.
+        set(m - 1, 0);
 
+        far.sort_unstable();
+        let far_start = if far.is_empty() {
+            Box::default()
+        } else {
+            (0..=m.div_ceil(FAR_BLOCK))
+                .map(|b| far.partition_point(|&(slot, _)| (slot as usize) < b * FAR_BLOCK) as u32)
+                .collect()
+        };
         let long_lcp = (slot_lcp.iter().enumerate())
             .filter(|&(_, &l)| l >= u32::from(LCP_MARK))
             .map(|(j, &l)| (j as u32, l))
@@ -171,6 +213,8 @@ impl SuffixTree {
             slot_lcp,
             long_lcp,
             child,
+            far: far.into(),
+            far_start,
         }
     }
 
@@ -233,6 +277,28 @@ impl SuffixTree {
         self.long_lcp[at].1 as usize
     }
 
+    /// The child-table cell of slot `k` (module docs): one `i16` load, and
+    /// a search of one block's far cells for a value more than 32 767
+    /// slots away.
+    #[inline]
+    fn cell(&self, k: usize) -> usize {
+        match self.child[k] {
+            FAR => self.far_cell(k),
+            offset => k.wrapping_add_signed(isize::from(offset)),
+        }
+    }
+
+    /// The value of a cell marked [`FAR`], from the far list.
+    #[cold]
+    fn far_cell(&self, k: usize) -> usize {
+        let block = k / FAR_BLOCK;
+        let run = &self.far[self.far_start[block] as usize..self.far_start[block + 1] as usize];
+        let at = run
+            .binary_search_by_key(&(k as u32), |&(slot, _)| slot)
+            .expect("every far cell has a list entry");
+        run[at].1 as usize
+    }
+
     /// The name of the internal node `[l, r]` (`l < r`): its first ℓ-index,
     /// the end of its first child interval plus one.
     /// [`SuffixTree::slot_lcp`] there is the node's string depth.
@@ -241,11 +307,11 @@ impl SuffixTree {
         debug_assert!(l < r, "a leaf has no ℓ-index");
         // `up[r + 1]` names the widest interval ending at `r`; this one
         // unless that starts left of `l`, and then `down[l]` is stored.
-        let up = self.child[r] as usize;
+        let up = self.cell(r);
         if l < up && up <= r {
             up
         } else {
-            self.child[l] as usize
+            self.cell(l)
         }
     }
 
@@ -336,7 +402,7 @@ impl SuffixTree {
                 // The cell of an ℓ-index is its successor exactly when it
                 // points right at an equal LCP (`down` points at a larger
                 // one, `up` points left).
-                let cell = self.child[start] as usize;
+                let cell = self.cell(start);
                 next = if cell > start && self.slot_lcp(cell) == depth {
                     cell
                 } else {
@@ -360,7 +426,10 @@ impl SuffixTree {
         if m == 0 || n == 0 {
             return (m == 0).then_some((l, r));
         }
-        let mut first = self.first_l_index(l, r);
+        // The root's first child is the terminator leaf in slot 0, so
+        // slot 1 names it (`first_l_index(0, n)`, without reading the last
+        // slot's cell).
+        let mut first = 1;
         // The edge into the child starting at `slot` begins with its
         // suffixes' character `depth`; past the text end that is the
         // virtual terminator (`None`).
@@ -381,7 +450,7 @@ impl SuffixTree {
                 // points left (`up`) or into the same child (`down`) — told
                 // here by the edge character, which the walk reads anyway
                 // and which repeats inside a child.
-                let cell = self.child[a] as usize;
+                let cell = self.cell(a);
                 (next, next_c) = (r + 1, None);
                 if cell > a {
                     let cell_c = edge(cell, matched);
@@ -400,7 +469,7 @@ impl SuffixTree {
                 // `first_l_index(a, b)` without its test: a child that
                 // ends before `r` is the widest interval ending there, and
                 // the last child the widest starting at its boundary.
-                first = self.child[if b < r { b } else { a }] as usize;
+                first = self.cell(if b < r { b } else { a });
                 self.slot_lcp(first)
             };
             let end = depth.min(m);
@@ -439,10 +508,12 @@ impl SuffixTree {
             + self.child_table_heap_size()
     }
 
-    /// Heap bytes of the child table alone — what the tree holds beyond the
-    /// three arrays a snapshot stores.
+    /// Heap bytes of the child table alone — its cells, far list and start
+    /// index: what the tree holds beyond the three arrays a snapshot stores.
     pub fn child_table_heap_size(&self) -> usize {
         std::mem::size_of_val(&*self.child)
+            + std::mem::size_of_val(&*self.far)
+            + std::mem::size_of_val(&*self.far_start)
     }
 }
 
@@ -637,6 +708,162 @@ mod tests {
                 got.sort_unstable();
                 assert_eq!(got, expected);
             }
+        }
+    }
+
+    /// The child table as one `u32` per slot, by the sweep in its classic
+    /// form: a `nextlIndex` written over the `down` of the same cell, and
+    /// 0 in a cell with neither of the three values.
+    fn classic_child_table(st: &SuffixTree) -> Vec<u32> {
+        let m = st.num_slots();
+        let lcp: Vec<usize> = (0..m).map(|j| st.slot_lcp(j)).collect();
+        let mut child = vec![0u32; m];
+        let mut stack = vec![0usize];
+        for k in 1..m {
+            let mut last = None;
+            while let Some(&top) = stack.last() {
+                if lcp[top] <= lcp[k] {
+                    if lcp[top] == lcp[k] {
+                        child[top] = k as u32;
+                    }
+                    break;
+                }
+                stack.pop();
+                let below = *stack.last().unwrap();
+                if lcp[k] <= lcp[below] && lcp[below] != lcp[top] {
+                    child[below] = top as u32;
+                }
+                last = Some(top);
+            }
+            if let Some(first) = last {
+                child[k - 1] = first as u32;
+            }
+            stack.push(k);
+        }
+        while let Some(top) = stack.pop() {
+            if let Some(&below) = stack.last() {
+                if lcp[below] != lcp[top] {
+                    child[below] = top as u32;
+                }
+            }
+        }
+        child
+    }
+
+    /// Every cell reads the classic table's value — a cell without one
+    /// reads its own slot, the last slot's reads 0 — and the far list
+    /// holds one entry per cell marked [`FAR`], by slot.
+    fn check_cells(st: &SuffixTree) {
+        let last = st.num_slots() - 1;
+        for (k, value) in classic_child_table(st).into_iter().enumerate() {
+            let want = if value == 0 && k != last {
+                k
+            } else {
+                value as usize
+            };
+            assert_eq!(st.cell(k), want, "slot {k}");
+        }
+        let marked: Vec<u32> = (0..=last)
+            .filter(|&k| st.child[k] == FAR)
+            .map(|k| k as u32)
+            .collect();
+        assert_eq!(
+            st.far.iter().map(|&(slot, _)| slot).collect::<Vec<_>>(),
+            marked
+        );
+        let blocks = st.far_start.len().saturating_sub(1);
+        assert!(st.far.is_empty() || blocks == st.num_slots().div_ceil(FAR_BLOCK));
+    }
+
+    /// `a` repeated `count` times, then `b`.
+    fn a_run(count: usize) -> Vec<u8> {
+        let mut text = vec![b'a'; count];
+        text.push(b'b');
+        text
+    }
+
+    /// `a`, then `ab` repeated `count` times.
+    fn a_then_ab(count: usize) -> Vec<u8> {
+        std::iter::once(b'a').chain(b"ab".repeat(count)).collect()
+    }
+
+    #[test]
+    fn cells_read_the_classic_table() {
+        for text in [
+            &b"abracadabra"[..],
+            b"mississippi",
+            b"A\0A\0\0",
+            b"aaaaaa",
+            b"a",
+            b"",
+        ] {
+            let st = SuffixTree::build(text.to_vec());
+            check_cells(&st);
+            assert!(st.far.is_empty() && st.far_start.is_empty(), "{text:?}");
+        }
+    }
+
+    #[test]
+    fn an_up_may_point_at_its_own_slot() {
+        // Slots 1.. hold `aaaab`, `aaab`, `aab`, `ab`: the LCP falls 3, 2,
+        // 1, so slot 2's `up` names `[1, 2]`, whose one ℓ-index is 2.
+        let st = SuffixTree::build(b"aaaab".to_vec());
+        check_cells(&st);
+        assert_eq!((st.child[2], st.cell(2)), (0, 2));
+        assert_eq!(st.first_l_index(1, 2), 2);
+    }
+
+    #[test]
+    fn the_last_slot_reads_slot_zero() {
+        // Near in a small tree, far in one of 32 770 slots.
+        let st = SuffixTree::build(b"banana".to_vec());
+        assert_eq!((st.child[6], st.cell(6)), (-6, 0));
+        let st = SuffixTree::build(a_run(32_768));
+        let last = st.num_slots() - 1;
+        assert_eq!((st.child[last], st.cell(last)), (FAR, 0));
+        check_cells(&st);
+        // The root ends at the last slot: no `up` may name it.
+        assert_eq!(st.first_l_index(0, last), 1);
+    }
+
+    #[test]
+    fn offsets_of_32_767_fit_and_32_768_go_far() {
+        // Slot 1 starts the root's `a` child of `count` slots: its cell is
+        // the `nextlIndex` `count + 1`, `count` slots on.
+        for (count, cell) in [(32_767, 32_767), (32_768, FAR)] {
+            let st = SuffixTree::build(a_run(count));
+            check_cells(&st);
+            assert_eq!((st.child[1], st.cell(1)), (cell, count + 1));
+        }
+        // Slot 1 is the leaf `aab…` and slots 2.. the `count` suffixes
+        // `ab…`: the `a` child ends at slot `count + 1`, whose `up` names
+        // it by slot 2, `count − 1` slots back.
+        for (count, cell) in [(32_768, -32_767), (32_769, FAR)] {
+            let st = SuffixTree::build(a_then_ab(count));
+            check_cells(&st);
+            assert_eq!((st.child[count + 1], st.cell(count + 1)), (cell, 2));
+            assert_eq!(st.first_l_index(1, count + 1), 2);
+        }
+    }
+
+    #[test]
+    fn a_far_next_l_index_leaves_no_down_behind() {
+        // The classic sweep writes a cell's `down` and then its
+        // `nextlIndex` over it. A `nextlIndex` lies past the `down` of
+        // the same cell, so a cell can go from near to far that way but
+        // never back. Slot 1's `down` is near (2) in the first text and
+        // far (32 769) in the second, and its `nextlIndex` far in both:
+        // the far list holds the `nextlIndex` alone.
+        for (text, down, next) in [
+            (a_then_ab(32_768), 2, 32_770),
+            (a_run(32_769), 32_769, 32_770),
+        ] {
+            let st = SuffixTree::build(text);
+            check_cells(&st);
+            assert_eq!(st.child[1], FAR);
+            let entries: Vec<_> = st.far.iter().filter(|&&(slot, _)| slot == 1).collect();
+            assert_eq!(entries, [&(1, next)]);
+            assert_eq!(st.first_l_index(1, next as usize - 1), down);
         }
     }
 

@@ -32,6 +32,24 @@ fn periodic_text() -> impl Strategy<Value = Vec<u8>> {
         })
 }
 
+/// A text over `{a, b}` of 70 000–71 000 characters from a seeded
+/// xorshift: the root's `a` and `b` children are ≈ 35 000 slots wide, past
+/// the ±32 767 slots a child-table cell reaches, so the root's sibling link
+/// and the last slot's cell are kept in the tree's far list.
+fn two_letter_text() -> impl Strategy<Value = Vec<u8>> {
+    (any::<u64>(), 70_000usize..71_000).prop_map(|(seed, len)| {
+        let mut state = seed | 1;
+        (0..len)
+            .map(|_| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                b'a' + (state >> 63) as u8
+            })
+            .collect()
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
 
@@ -235,6 +253,50 @@ proptest! {
             prop_assert!(kids >= 2);
         }
         prop_assert_eq!(leaves, tree.num_slots());
+    }
+}
+
+proptest! {
+    // Six cases: a two-letter text costs ≈ 0.4 s in a debug build.
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// Far cells: on a tree with children wider than a cell reaches (and
+    /// on a periodic text, whose cells are all near), node names and
+    /// children match an explicit tree's, and the descent matches
+    /// `SuffixArray` for patterns cut from the text and for the same
+    /// patterns with their last letter swapped (`a` for `b` and back).
+    #[test]
+    fn far_cells_read_as_near_ones(
+        long in two_letter_text(),
+        periodic in periodic_text(),
+        cuts in prop::collection::vec((0usize..71_000, 1usize..40), 16),
+    ) {
+        for text in [long, periodic] {
+            let tree = SuffixTree::build(text.clone());
+            if text.len() >= 70_000 {
+                prop_assert!(tree.child_table_heap_size() > 2 * tree.num_slots(), "no far cell");
+            }
+            let oracle = ExplicitTree::build(&tree);
+            for (v, node) in oracle.nodes.iter().enumerate() {
+                if node.l < node.r {
+                    let name = tree.first_l_index(node.l, node.r);
+                    prop_assert_eq!(tree.slot_lcp(name), node.depth);
+                    let kids = (oracle.children[v].iter()).map(|&c| (oracle.nodes[c].l, oracle.nodes[c].r));
+                    prop_assert!(tree.child_intervals(node.l, node.r).eq(kids), "[{}, {}]", node.l, node.r);
+                }
+            }
+            let arr = SuffixArray::new(text.clone());
+            for &(start, len) in &cuts {
+                let start = start % text.len();
+                let present = text[start..(start + len).min(text.len())].to_vec();
+                let mut swapped = present.clone();
+                *swapped.last_mut().unwrap() ^= b'a' ^ b'b';
+                for pattern in [present, swapped] {
+                    let shifted = arr.suffix_range(&pattern).map(|(l, r)| (l + 1, r + 1));
+                    prop_assert_eq!(tree.suffix_range(&pattern), shifted, "pattern {:?}", pattern);
+                }
+            }
+        }
     }
 }
 

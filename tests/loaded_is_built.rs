@@ -25,8 +25,10 @@ const TAU_MIN: f64 = 0.1;
 /// (more than 16 384 slots, so some SA entries take three varint bytes),
 /// certain and uncertain, a periodic certain one whose LCPs pass 127
 /// (two-byte LCP entries), a period-2 certain one whose LCPs pass 255 (the
-/// tree's exception list), and correlated ones, whose `C` a load sums from
-/// the correlations' bounds.
+/// tree's exception list), a certain one over `{A, B}` of 70 000 positions,
+/// whose root children are wider than a child-table cell reaches (the tree's
+/// far list), and correlated ones, whose `C` a load sums from the
+/// correlations' bounds.
 fn strings() -> Vec<UncertainString> {
     let mut out = Vec::new();
     for (n, seed) in [(1, 3), (2, 5), (3, 7), (37, 11), (400, 13), (2_000, 29)] {
@@ -37,6 +39,16 @@ fn strings() -> Vec<UncertainString> {
     let periodic = (0..300).map(|i| vec![(b"ABC"[i % 3], 1.0)]).collect();
     out.push(UncertainString::from_rows(periodic).unwrap());
     out.push(UncertainString::deterministic(&b"AB".repeat(300)));
+    let mut state = 0x9e37_79b9_7f4a_7c15u64;
+    let coin_flips: Vec<u8> = (0..70_000)
+        .map(|_| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            b"AB"[(state >> 63) as usize]
+        })
+        .collect();
+    out.push(UncertainString::deterministic(&coin_flips));
     for (n, seed) in [(37, 11), (400, 13), (2_000, 43)] {
         out.push(correlated(n, seed));
     }
