@@ -47,13 +47,13 @@
 //!
 //! A cell is an `i16`: the value's offset from the cell's own slot. The
 //! three values point into the node around the slot, so nearly all of
-//! them lie within ±32 767 slots; one that does not is stored as
-//! [`FAR`], and its value kept in a far list sorted by slot, reached
-//! through a start index of one `u32` per 256 slots
-//! ([`SuffixTree::cell`]). Only a child wider than 32 767 slots makes a
-//! far cell, so on a transformed string they are the root's: its sibling
-//! links and the `up`s of its widest children, ≈ 30 on `paper-string`'s
-//! tree of 950 000 slots, and none on a tree of fewer than 32 768 slots.
+//! them lie within ±32 767 slots; one that does not is stored as `FAR`,
+//! and its value kept in a far list sorted by slot, reached through a
+//! start index of one `u32` per 256 slots. Only a child wider than 32 767
+//! slots makes a far cell, so on a transformed string they are the
+//! root's: its sibling links and the `up`s of its widest children, ≈ 30
+//! on `paper-string`'s tree of 950 000 slots, and none on a tree of fewer
+//! than 32 768 slots.
 //!
 //! A value is told apart by where it points and by what lies there — an
 //! equal LCP for a `nextlIndex`, or, in the pattern descent, a different
@@ -62,8 +62,10 @@
 //! place of a child-list entry and a node record (see the crate docs for
 //! the bytes per slot). The siblings of a node form a linked list through
 //! the table where the explicit nodes had an array: a walk over them is
-//! bound by load latency rather than throughput, the one cost of the
-//! smaller structure (≈ 50 ns of a 200 ns descent at a 20-letter alphabet).
+//! bound by load latency rather than throughput. The root's children,
+//! which every descent walks and whose links are the far cells, are also
+//! kept as an array — edge character, first slot and name — so the
+//! descent's first step is a scan of σ bytes.
 
 use std::ops::RangeInclusive;
 
@@ -113,6 +115,12 @@ pub struct SuffixTree {
     /// later, blocks being [`FAR_BLOCK`] slots; one entry past the last
     /// block, and none at all when `far` is empty.
     far_start: Box<[u32]>,
+    /// The edge character of each child of the root past the terminator
+    /// leaf, in SA order.
+    root_chars: Box<[u8]>,
+    /// `(first slot, name)` of each of those children (the name 0 for a
+    /// leaf), and `(num_slots, 0)` after the last.
+    root_children: Box<[(u32, u32)]>,
 }
 
 impl SuffixTree {
@@ -207,7 +215,7 @@ impl SuffixTree {
             .iter()
             .map(|&l| l.min(u32::from(LCP_MARK)) as u8)
             .collect();
-        Self {
+        let mut tree = Self {
             text: text.into(),
             sa,
             slot_lcp,
@@ -215,7 +223,20 @@ impl SuffixTree {
             child,
             far: far.into(),
             far_start,
-        }
+            root_chars: Box::default(),
+            root_children: Box::default(),
+        };
+        // The root's children past the terminator leaf start at the slots
+        // of LCP 0.
+        let starts: Vec<usize> = (1..m).filter(|&j| tree.slot_lcp[j] == 0).collect();
+        let ends = starts.iter().skip(1).chain([&m]).map(|&next| next - 1);
+        tree.root_chars = starts.iter().map(|&a| tree.text[tree.sa(a)]).collect();
+        tree.root_children = (starts.iter().zip(ends))
+            .map(|(&a, b)| (a, if a < b { tree.first_l_index(a, b) } else { 0 }))
+            .chain([(m, 0)])
+            .map(|(a, name)| (a as u32, name as u32))
+            .collect();
+        tree
     }
 
     /// The indexed text (without the virtual terminator).
@@ -420,26 +441,46 @@ impl SuffixTree {
     pub fn suffix_range(&self, pattern: &[u8]) -> Option<(usize, usize)> {
         let m = pattern.len();
         let n = self.text.len();
-        let (mut l, mut r) = (0, n);
-        // Characters matched == string depth of `[l, r]`.
-        let mut matched = 0usize;
         if m == 0 || n == 0 {
-            return (m == 0).then_some((l, r));
+            return (m == 0).then_some((0, n));
         }
-        // The root's first child is the terminator leaf in slot 0, so
-        // slot 1 names it (`first_l_index(0, n)`, without reading the last
-        // slot's cell).
-        let mut first = 1;
+        // The root's child `[a, b]` for the first character, from the root
+        // table, named `first` unless it is a leaf.
+        let i = self.root_chars.iter().position(|&c| c == pattern[0])?;
+        let ((a, first), (next, _)) = (self.root_children[i], self.root_children[i + 1]);
+        let (mut a, mut b, mut first) = (a as usize, next as usize - 1, first as usize);
+        // Characters matched == string depth of the parent of `[a, b]`.
+        let mut matched = 0usize;
         // The edge into the child starting at `slot` begins with its
         // suffixes' character `depth`; past the text end that is the
         // virtual terminator (`None`).
         let edge = |slot: usize, depth: usize| self.text.get(self.sa(slot) + depth).copied();
         loop {
+            let start = self.sa(a);
+            // Real characters on the path to the child: a leaf's last one
+            // is the virtual terminator, which matches nothing.
+            let depth = if a == b {
+                n - start
+            } else {
+                self.slot_lcp(first)
+            };
+            let end = depth.min(m);
+            if self.text[start + matched + 1..start + end] != pattern[matched + 1..end] {
+                return None;
+            }
+            if end == m {
+                return Some((a, b));
+            }
+            if a == b {
+                return None; // the pattern outruns the one suffix left
+            }
+            matched = depth;
+            let (l, r) = (a, b);
             let target = Some(pattern[matched]);
             // Walk the child boundaries: `a` starts the current child and
             // `next` the one after it (`r + 1` when there is none), `c` and
             // `next_c` are their edge characters.
-            let (mut a, mut c) = (l, edge(l, matched));
+            let mut c = edge(l, matched);
             let (mut next, mut next_c) = (first, edge(first, matched));
             while c != target {
                 if next > r {
@@ -459,31 +500,13 @@ impl SuffixTree {
                     }
                 }
             }
-            let b = next - 1;
-            let start = self.sa(a);
-            // Real characters on the path to the child: a leaf's last one
-            // is the virtual terminator, which matches nothing.
-            let depth = if a == b {
-                n - start
-            } else {
+            b = next - 1;
+            if a < b {
                 // `first_l_index(a, b)` without its test: a child that
                 // ends before `r` is the widest interval ending there, and
                 // the last child the widest starting at its boundary.
                 first = self.cell(if b < r { b } else { a });
-                self.slot_lcp(first)
-            };
-            let end = depth.min(m);
-            if self.text[start + matched + 1..start + end] != pattern[matched + 1..end] {
-                return None;
             }
-            if end == m {
-                return Some((a, b));
-            }
-            if a == b {
-                return None; // the pattern outruns the one suffix left
-            }
-            matched = depth;
-            (l, r) = (a, b);
         }
     }
 
@@ -514,6 +537,8 @@ impl SuffixTree {
         std::mem::size_of_val(&*self.child)
             + std::mem::size_of_val(&*self.far)
             + std::mem::size_of_val(&*self.far_start)
+            + std::mem::size_of_val(&*self.root_chars)
+            + std::mem::size_of_val(&*self.root_children)
     }
 }
 
