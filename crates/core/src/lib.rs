@@ -65,18 +65,18 @@
 //! choices verbatim, and no `UncertainString` beside it. The tables before
 //! PR 26 left that source copy out: the last row, by a counting allocator.
 //!
-//! | structure | nodes, sparse tables | child table, block RMQ | plane as model | choices only | visibility bytes |
-//! |---|---|---|---|---|---|
-//! | text + SA + LCP | 85.4 | 85.4 | 85.4 | 56.9 | 56.9 |
-//! | suffix-tree nodes + CSR children → child table | 293.0 | 37.9 | 37.9 | 37.9 | 37.9 |
-//! | cumulative array `C` (prefix sums, separator counts) | 113.8 | 113.8 | 113.8 | 75.9 | 75.9 |
-//! | visibility bytes (the short levels' duplicate elimination) | — | — | — | — | 9.5 |
-//! | short levels (masks, champions, RMQ over champion values) | 200.4 | 84.7 | 84.7 | 84.7 | 61.0 |
-//! | long levels (champions, RMQ over champion values) | 59.2 | 19.6 | 19.6 | 14.7 | 14.7 |
-//! | position map → separator rank + factor bases | 37.9 | 37.9 | 37.9 | 5.7 | 5.7 |
-//! | model (plane) | 184.0 | 184.0 | 75.0 | 33.1 | 33.1 |
-//! | **`Index::heap_size()`** | **973.9** | **563.3** | **454.3** | **308.8** | **294.6** |
-//! | source copy beside the plane, uncounted | 57.8 | 57.8 | — | — | — |
+//! | structure | nodes, sparse tables | child table, block RMQ | plane as model | choices only | visibility bytes | `i16` child cells |
+//! |---|---|---|---|---|---|---|
+//! | text + SA + LCP | 85.4 | 85.4 | 85.4 | 56.9 | 56.9 | 56.9 |
+//! | suffix-tree nodes + CSR children → child table | 293.0 | 37.9 | 37.9 | 37.9 | 37.9 | 19.1 |
+//! | cumulative array `C` (prefix sums, separator counts) | 113.8 | 113.8 | 113.8 | 75.9 | 75.9 | 75.9 |
+//! | visibility bytes (the short levels' duplicate elimination) | — | — | — | — | 9.5 | 9.5 |
+//! | short levels (masks, champions, RMQ over champion values) | 200.4 | 84.7 | 84.7 | 84.7 | 61.0 | 61.0 |
+//! | long levels (champions, RMQ over champion values) | 59.2 | 19.6 | 19.6 | 14.7 | 14.7 | 14.7 |
+//! | position map → separator rank + factor bases | 37.9 | 37.9 | 37.9 | 5.7 | 5.7 | 5.7 |
+//! | model (plane) | 184.0 | 184.0 | 75.0 | 33.1 | 33.1 | 33.1 |
+//! | **`Index::heap_size()`** | **973.9** | **563.3** | **454.3** | **308.8** | **294.6** | **275.8** |
+//! | source copy beside the plane, uncounted | 57.8 | 57.8 | — | — | — | — |
 //!
 //! Between the last two columns `C` came to keep its prefix sums alone
 //! (no window a query reads crosses a separator: the window contract in
@@ -90,8 +90,12 @@
 //! rank-bitmap record per uncertain row, and gets the choices' bytes back
 //! from the record's bits (the fourth column). Last, the short levels'
 //! duplicate masks, a bit per slot at each of the 20 levels (23.7), became
-//! one visibility byte per slot for all of them (the last column): the
-//! short levels keep their champions and block RMQs alone.
+//! one visibility byte per slot for all of them (the fifth column): the
+//! short levels keep their champions and block RMQs alone. Then the suffix
+//! tree's child table went from a `u32` per slot to an `i16` offset from
+//! the slot, with the ≈ 30 cells that do not fit in a far list, and the
+//! root's children in a table of their own (the last column); no file byte
+//! moved.
 //!
 //! And an [`ApproxIndex`] on the same string (1 944 732 links) — the rows of
 //! [`ApproxIndex::heap_breakdown`] — when it kept the `C` it found its links

@@ -26,17 +26,23 @@
 //! terminator); everything is an array over slots. The two layers are
 //! built — and paid for — separately:
 //!
-//! * **Locus core** ([`SuffixTree`], 10 B/slot): text 1, SA 4, slot-LCP 1,
-//!   child table 4 — one `u32` cell per slot holding the `up`, `down` or
-//!   `nextlIndex` value of Abouelhoda, Kurtz and Ohlebusch's enhanced
-//!   suffix array, whichever that slot can be asked for. The LCP is their
-//!   byte table too: an entry of 255 or more is stored as 255, and its
-//!   value kept in an exception list sorted by slot (8 B an entry; none on
-//!   the benchmark's strings, whose entries stay below 55). (The LCP was a
-//!   `u32` per slot, 13 B/slot in all, through snapshot format 10. Until
-//!   PR 23 the tree had explicit nodes: a 12-byte `{depth, l, r}` record
-//!   and 8 bytes of CSR child list for each of ≈ 1.55 nodes per slot,
-//!   leaves included — ≈ 40 B/slot in all.)
+//! * **Locus core** ([`SuffixTree`], 8 B/slot): text 1, SA 4, slot-LCP 1,
+//!   child table 2 — one `i16` cell per slot holding, as an offset from
+//!   the slot, the `up`, `down` or `nextlIndex` value of Abouelhoda, Kurtz
+//!   and Ohlebusch's enhanced suffix array, whichever that slot can be
+//!   asked for. A value more than 32 767 slots away is kept in a far list
+//!   sorted by slot (8 B an entry, and a `u32` start index per 256 slots
+//!   once there is one; ≈ 30 entries on the benchmark's `paper-string`,
+//!   none on a tree of fewer than 32 768 slots), and the root's children
+//!   in a table of their own, 9 B a child, which the descent's first step
+//!   reads in place of the root's sibling links. The LCP is their byte
+//!   table too: an entry of 255 or more is stored as 255, and its value
+//!   kept in an exception list sorted by slot (8 B an entry; none on the
+//!   benchmark's strings, whose entries stay below 55). (A `u32` child
+//!   cell made 10 B/slot in all, and 13 B/slot with the `u32` LCP of
+//!   snapshot formats up to 10. Until PR 23 the tree had explicit nodes:
+//!   a 12-byte `{depth, l, r}` record and 8 bytes of CSR child list for
+//!   each of ≈ 1.55 nodes per slot, leaves included — ≈ 40 B/slot in all.)
 //! * **Ancestry layer** ([`LeafLca`], ≈ 21 B/slot), which only
 //!   `ustr_core::ApproxIndex` derives, and only at build time — never on
 //!   load: name of the LCA of each pair of neighbouring leaves 4 and the
@@ -49,11 +55,11 @@
 //!   ranks and ends.)
 //!
 //! Measured per *source* position on the benchmark's `paper-string` workload
-//! (n = 100 000, 9.48 slots per position): the locus core is 94.8 B (123.3
-//! with a `u32` LCP), of which the child table is 37.9 — where nodes + CSR
-//! children were 293, the largest single structure of an
-//! `ustr_core::Index` (563.3 B in all, 973.9 before; its crate docs have
-//! the table).
+//! (n = 100 000, 9.48 slots per position): the locus core is 76.0 B (94.8
+//! with a `u32` child cell, 123.3 with a `u32` LCP too), of which the child
+//! table is 19.1 — where nodes + CSR children were 293, the largest single
+//! structure of an `ustr_core::Index` (563.3 B in all, 973.9 before; its
+//! crate docs have the table).
 
 #![forbid(unsafe_code)]
 // Probabilities are computed once, in `ustr-uncertain` (INVARIANTS.md §1).

@@ -63,7 +63,7 @@
 //! the bytes per slot). The siblings of a node form a linked list through
 //! the table where the explicit nodes had an array: a walk over them is
 //! bound by load latency rather than throughput. The root's children,
-//! which every descent walks and whose links are the far cells, are also
+//! where every descent starts and whose links are the far cells, are also
 //! kept as an array — edge character, first slot and name — so the
 //! descent's first step is a scan of σ bytes.
 
@@ -150,10 +150,10 @@ impl SuffixTree {
         // A slot popped because a smaller LCP arrived is the first ℓ-index
         // of an interval that just ended: the `up` of the arriving slot if
         // it is the last one popped, and the `down` of the slot below it
-        // if that one lies strictly shallower and is popped too — unless
-        // the arriving LCP falls between the two, which opens a wider
-        // interval at the same start. A slot arriving at the LCP of the
-        // top is that one's `nextlIndex`, which a cell holds in place of
+        // if that one lies strictly shallower and the arriving LCP pops it
+        // too; one between the two opens a wider interval at the same
+        // start. A slot arriving at the LCP of the top, once the pops are
+        // done, is that one's `nextlIndex`, which a cell holds in place of
         // its `down`. So every cell is written at most once.
         let mut child = vec![0i16; m].into_boxed_slice();
         let mut far = Vec::new();

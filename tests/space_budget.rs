@@ -104,8 +104,9 @@ fn heap_breakdown_stays_inside_the_budget() {
         found.unwrap_or_else(|| panic!("no {name:?} row")).1
     };
     // An `i16` cell per slot, plus the few cells more than 32 767 slots
-    // from their value and a `u32` per 256 slots to find them: 2.02 B/slot
-    // when set, +5 % (4.0 with a `u32` cell, which the row held to 8.0).
+    // from their value, a `u32` per 256 slots to find them and the root's
+    // children: 2.02 B/slot when set, +5 % (4.0 with a `u32` cell, which
+    // the row held to 8.0).
     assert!(per(row("child table"), slots) <= 2.12);
     // A text byte, a `u32` SA entry and an LCP byte per slot: no LCP entry
     // of this text reaches 255, so its exception list is empty.
