@@ -6,10 +6,12 @@
 //! link table itself is pinned in `ustr-core` (`the_link_table_is_pinned`),
 //! where its rows are visible.
 
+mod common;
+
 use uncertain_strings::{
     uncertain::transform,
-    workload::{generate_string, DatasetConfig},
-    ApproxIndex, Correlation, CorrelationSet, UncertainString,
+    workload::{generate_collection, generate_string, DatasetConfig},
+    ApproxIndex, Correlation, CorrelationSet, ListingIndex, RelMetric, UncertainString,
 };
 
 /// FNV-1a, 64 bits.
@@ -119,4 +121,53 @@ fn approx_answers_are_pinned() {
         }
     }
     assert_eq!((hits, h.0), (279_541, 2162928314732282412));
+}
+
+/// The answers of `ListingIndex` at τmin = 0.1 over a generated collection
+/// of 4 000 positions, with and without `common::with_correlations` on
+/// every document: `(hits, hash over each hit's document and relevance
+/// bits)` under `Rel_max` and `Rel_OR` for the most probable reading of
+/// the collection at every 29th start of every document, at five pattern
+/// lengths and four thresholds. Pinned over the per-document planes, with
+/// one kernel per document a query touched, before the index verified
+/// through one plane over the collection, which must not move a bit.
+#[test]
+fn listing_answers_are_pinned() {
+    let mut got = Vec::new();
+    for correlated in [false, true] {
+        let mut docs = generate_collection(&DatasetConfig::new(4_000, 0.3, 43));
+        if correlated {
+            docs = docs.into_iter().map(common::with_correlations).collect();
+        }
+        let listing = ListingIndex::build(&docs, 0.1).unwrap();
+        for metric in [RelMetric::Max, RelMetric::Or] {
+            let (mut hits, mut h) = (0, Fnv::new());
+            for m in [1, 2, 3, 5, 8] {
+                for doc in &docs {
+                    for start in (0..doc.len().saturating_sub(m)).step_by(29) {
+                        let pattern: Vec<u8> = (start..start + m)
+                            .map(|q| doc.position(q).most_probable().0)
+                            .collect();
+                        for tau in [0.1, 0.2, 0.4, 0.7] {
+                            for hit in listing.query_with_metric(&pattern, tau, metric).unwrap() {
+                                h.bytes(&(hit.doc as u64).to_le_bytes());
+                                h.bytes(&hit.relevance.to_bits().to_le_bytes());
+                                hits += 1;
+                            }
+                        }
+                    }
+                }
+            }
+            got.push((correlated, metric, hits, h.0));
+        }
+    }
+    assert_eq!(
+        got,
+        [
+            (false, RelMetric::Max, 96_840, 4150858921188894046),
+            (false, RelMetric::Or, 97_996, 3438174838647562859),
+            (true, RelMetric::Max, 96_824, 10289102496832396104),
+            (true, RelMetric::Or, 97_988, 10594577402539896450),
+        ]
+    );
 }

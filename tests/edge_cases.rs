@@ -2,8 +2,8 @@
 //! extremes, degenerate strings, boundary thresholds, and hostile inputs.
 
 use uncertain_strings::{
-    baseline::NaiveScanner, ApproxIndex, Index, ListingIndex, SpecialIndex, SpecialUncertainString,
-    UncertainChar, UncertainString,
+    baseline::NaiveScanner, ApproxIndex, Index, ListingIndex, RelMetric, SpecialIndex,
+    SpecialUncertainString, UncertainChar, UncertainString,
 };
 
 #[test]
@@ -110,6 +110,31 @@ fn listing_with_empty_and_tiny_documents() {
     let ids: Vec<usize> = hits.iter().map(|h| h.doc).collect();
     assert_eq!(ids, vec![1, 2]);
     assert!(idx.query(b"ab", 0.5).unwrap().iter().all(|h| h.doc == 2));
+
+    // Laid end to end, the first and third documents read `AB` at
+    // .6 × .7 = .42 across their boundary, the empty one between them
+    // adding no position: no metric lists a match that no document holds.
+    let docs = vec![
+        UncertainString::parse("C | A:.6,B:.4").unwrap(),
+        UncertainString::new(Vec::new()),
+        UncertainString::parse("B:.7,D:.3 | C").unwrap(),
+        UncertainString::parse("A | B:.8,C:.2").unwrap(),
+    ];
+    let idx = ListingIndex::build(&docs, 0.05).unwrap();
+    assert_eq!(idx.num_docs(), 4);
+    for metric in [RelMetric::Max, RelMetric::Or, RelMetric::IndependentOr] {
+        let hits = idx.query_with_metric(b"AB", 0.3, metric).unwrap();
+        assert_eq!(hits.len(), 1, "{metric:?}");
+        assert_eq!(hits[0].doc, 3, "{metric:?}");
+        assert!((hits[0].relevance - 0.8).abs() < 1e-12, "{metric:?}");
+    }
+    let ids = |p: &[u8], tau| -> Vec<usize> {
+        idx.query(p, tau).unwrap().iter().map(|h| h.doc).collect()
+    };
+    assert_eq!(ids(b"AB", 0.05), [3]);
+    // `CA` at 1 across the third document's end: only the first holds it.
+    assert_eq!(ids(b"CA", 0.5), [0]);
+    assert_eq!(ids(b"C", 1.0), [0, 2]);
 }
 
 #[test]
