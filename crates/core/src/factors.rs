@@ -22,7 +22,7 @@ struct RankWord {
     before: u32,
 }
 
-/// Text position → factor and source position.
+/// Text position → source position.
 #[derive(Debug)]
 pub(crate) struct FactorMap {
     words: Box<[RankWord]>,
@@ -91,25 +91,17 @@ impl FactorMap {
         })
     }
 
-    /// Factor index and source position of text position `x`; `None` on a
-    /// separator or past the text.
+    /// Source position of text position `x`; `None` on a separator or past
+    /// the text.
     #[inline]
-    pub(crate) fn locate(&self, x: usize) -> Option<(usize, usize)> {
+    pub(crate) fn source_pos(&self, x: usize) -> Option<usize> {
         let word = self.words.get(x / 64)?;
         let bit = 1u64 << (x % 64);
         if word.separators & bit != 0 {
             return None;
         }
         let factor = word.before as usize + (word.separators & (bit - 1)).count_ones() as usize;
-        let source = (x as u32).wrapping_add(self.bases[factor]);
-        Some((factor, source as usize))
-    }
-
-    /// Source position of text position `x`; `None` on a separator or past
-    /// the text.
-    #[inline]
-    pub(crate) fn source_pos(&self, x: usize) -> Option<usize> {
-        self.locate(x).map(|(_, source)| source)
+        Some((x as u32).wrapping_add(self.bases[factor]) as usize)
     }
 
     /// The source start of every stretch of `chars`, the text this map is
@@ -164,8 +156,8 @@ mod tests {
         let map = from_plain(chars, &[5, 6, N, 0, N, 5, 6, N], 7);
         assert_eq!(map.num_factors(), 3);
         assert_eq!(map.starts(chars), [5, 0, 5]);
-        assert_eq!(map.locate(3), Some((1, 0)));
-        assert_eq!(map.locate(6), Some((2, 6)));
+        assert_eq!(map.source_pos(3), Some(0));
+        assert_eq!(map.source_pos(6), Some(6));
         assert_eq!(map.source_pos(8), None, "past the text");
         assert_eq!(map.source_pos(64), None, "past the last word");
     }
@@ -265,8 +257,8 @@ mod tests {
         /// transform it was built from, at every text position and past
         /// the text — for an `Index` (built and loaded, whose snapshot
         /// writes the plain map's factor starts), an `ApproxIndex`, and a
-        /// `ListingIndex`, whose map and per-factor documents give the pair
-        /// the per-position arrays gave.
+        /// `ListingIndex`, whose map and document starts give the pair the
+        /// per-position arrays gave.
         #[test]
         fn the_factor_map_is_the_plain_map(
             rows in prop::collection::vec(prop::collection::vec((0u8..3, 1u32..100), 1..=3), 1..=24),

@@ -1,10 +1,22 @@
 //! Uncertain string listing (§6): report every string in a collection that
 //! contains a probable occurrence of the pattern.
+//!
+//! The index is one structure over the collection, as §6 builds it: the
+//! documents' transforms laid end to end under one suffix tree, `C` and
+//! set of levels, and the documents' models laid end to end in one
+//! [`ProbPlane`], each document's correlations shifted by its start. The
+//! factor map gives a text position's position in the collection, and one
+//! start per document splits those into documents. A query verifies its
+//! candidates with one kernel call, as `Index::query` does, and folds the
+//! hits of each document into its relevance.
 
 use std::time::Instant;
 
 use ustr_uncertain::kstats::ScanPath;
-use ustr_uncertain::{canon, transform, ProbPlane, Scan, UncertainString, MAX_TEXT_LEN};
+use ustr_uncertain::{
+    canon, transform, Correlation, CorrelationSet, ProbPlane, Scan, UncertainString, MAX_TEXT_LEN,
+    NO_POSITION,
+};
 
 use crate::{
     error::{validate_query, Error},
@@ -53,95 +65,94 @@ pub struct ListingHit {
 /// assert_eq!(hits[0].doc, 0);
 /// ```
 pub struct ListingIndex {
-    /// Per-document flat verification planes, the one in-memory copy of
-    /// each document's model.
-    planes: Vec<ProbPlane>,
+    /// The documents laid end to end as one string: one verification plane
+    /// over the collection, the one in-memory copy of every document's
+    /// model.
+    plane: ProbPlane,
     pub(crate) substrate: Substrate,
-    /// X position → source position *within its document* (`None` at
-    /// separators), one base per factor.
+    /// X position → its position in the collection (`None` at separators),
+    /// one base per factor.
     map: FactorMap,
-    /// Factor → its document's id.
-    factor_doc: Box<[u32]>,
+    /// Each document's first position in the collection; an empty document
+    /// shares the next one's.
+    doc_starts: Box<[u32]>,
     tau_min: f64,
     stats: BuildStats,
 }
 
-/// "No document" in the build's `doc_of`/`src_of` — the dedup sweeps' "no
-/// key" too.
-const NONE32: u32 = NO_KEY;
+/// The documents laid end to end as one string: their positions in order,
+/// and each one's correlations shifted by its start in `doc_starts`. A
+/// correlation never leaves its document, so the shifted ones are distinct
+/// and name positions of the same characters.
+fn concatenated(docs: &[UncertainString], doc_starts: &[u32]) -> UncertainString {
+    let positions = docs.iter().flat_map(|d| d.positions().iter().cloned());
+    let mut whole = UncertainString::new(positions.collect());
+    let mut correlations = CorrelationSet::new();
+    for (d, &start) in docs.iter().zip(doc_starts) {
+        for c in d.correlations().iter() {
+            let shifted = Correlation {
+                subject_pos: c.subject_pos + start as usize,
+                cond_pos: c.cond_pos + start as usize,
+                ..c.clone()
+            };
+            (correlations.add(shifted)).expect("one document's correlations, shifted by its start");
+        }
+    }
+    (whole.set_correlations(correlations)).expect("a correlation stays inside its document");
+    whole
+}
 
 impl ListingIndex {
     /// Builds the index over `docs` with construction threshold `tau_min`.
     pub fn build(docs: &[UncertainString], tau_min: f64) -> Result<Self, Error> {
         let start = Instant::now();
-        // Document ids and `doc_base` offsets are `u32`s, like the text
+        // Document ids and collection positions are `u32`s, like the text
         // positions `Substrate::build` checks.
         let source_total: usize = docs.iter().map(UncertainString::len).sum();
         check_text_len(docs.len().max(source_total), MAX_TEXT_LEN)?;
         let mut chars: Vec<u8> = Vec::new();
         let mut probs: Vec<f64> = Vec::new();
         // Per text position (transient: the dedup keys and the map's
-        // input): document id and source position within it.
+        // input): its position in the collection, and its document's id;
+        // `NO_KEY` at separators.
+        let mut pos: Vec<u32> = Vec::new();
         let mut doc_of: Vec<u32> = Vec::new();
-        let mut src_of: Vec<u32> = Vec::new();
-        let mut factor_doc: Vec<u32> = Vec::new();
-        // Start of each document in the concatenated *source* position
-        // space: globally unique dedup keys, under correlations.
-        let mut doc_base: Vec<u32> = Vec::with_capacity(docs.len());
-        let mut base = 0usize;
-        let mut num_factors = 0usize;
+        let mut doc_starts: Vec<u32> = Vec::with_capacity(docs.len());
+        let (mut base, mut num_factors) = (0u32, 0usize);
         for (id, d) in docs.iter().enumerate() {
-            doc_base.push(base as u32);
+            doc_starts.push(base);
             let t = transform(d, tau_min)?;
             num_factors += t.num_factors;
-            factor_doc.resize(num_factors, id as u32);
             chars.extend_from_slice(t.special.chars());
             probs.extend_from_slice(t.special.probs());
-            for k in 0..t.len() {
-                match t.source_pos(k) {
-                    Some(p) => {
-                        doc_of.push(id as u32);
-                        src_of.push(p as u32);
-                    }
-                    None => {
-                        doc_of.push(NONE32);
-                        src_of.push(NONE32);
-                    }
-                }
+            for &p in &t.pos {
+                let (key, doc) = match p {
+                    NO_POSITION => (NO_KEY, NO_KEY),
+                    p => (base + p, id as u32),
+                };
+                pos.push(key);
+                doc_of.push(doc);
             }
-            base += d.len();
+            base += d.len() as u32;
         }
         let has_correlations = docs.iter().any(|d| !d.correlations().is_empty());
 
         // Doc-level dedup keeps the max-probability entry per document per
         // partition (Rel_max). Under correlations the stored values are only
         // upper bounds, so the "max" entry could be the wrong one — fall back
-        // to source-level dedup (keys unique across documents) and aggregate
-        // per document at query time. `doc_of` is already the document key
-        // array (`NONE32` = no key).
-        let source_keys: Vec<u32>;
+        // to source-level dedup (keys unique across documents: the
+        // collection positions, as an `Index`'s map is its key array) and
+        // aggregate per document at query time.
         let dedup = if has_correlations {
-            source_keys = doc_of
-                .iter()
-                .zip(&src_of)
-                .map(|(&d, &s)| match d {
-                    NONE32 => NONE32,
-                    d => doc_base[d as usize] + s,
-                })
-                .collect();
-            DedupStrategy::BySource(&source_keys)
+            DedupStrategy::BySource(&pos)
         } else {
             DedupStrategy::ByKeyMax(&doc_of)
         };
         let substrate = Substrate::build(&chars, &probs, &dedup)?;
-        let starts = stretch_starts(&chars).map(|x| src_of[x]);
+        let starts = stretch_starts(&chars).map(|x| pos[x]);
         let map =
             FactorMap::new(&chars, starts, source_total).expect("transforms emit factor maps");
-        debug_assert_eq!(
-            map.num_factors(),
-            factor_doc.len(),
-            "one document per factor"
-        );
+        debug_assert_eq!(map.num_factors(), num_factors, "one base per factor");
         let stats = BuildStats {
             source_len: source_total,
             transformed_len: chars.len(),
@@ -149,10 +160,10 @@ impl ListingIndex {
             ..Default::default()
         };
         let mut idx = Self {
-            planes: docs.iter().map(ProbPlane::build).collect(),
+            plane: ProbPlane::build(&concatenated(docs, &doc_starts)),
             substrate,
             map,
-            factor_doc: factor_doc.into(),
+            doc_starts: doc_starts.into(),
             tau_min,
             stats,
         };
@@ -164,7 +175,7 @@ impl ListingIndex {
 
     /// Number of strings in the collection.
     pub fn num_docs(&self) -> usize {
-        self.planes.len()
+        self.doc_starts.len()
     }
 
     /// The construction-time threshold.
@@ -211,21 +222,36 @@ impl ListingIndex {
         }
     }
 
+    /// The document holding collection position `pos`: the last one that
+    /// starts at or before it (an empty document shares the next start).
+    fn doc_of(&self, pos: usize) -> usize {
+        self.doc_starts.partition_point(|&s| s as usize <= pos) - 1
+    }
+
+    /// The position in the collection where document `doc` ends.
+    fn doc_end(&self, doc: usize) -> usize {
+        (self.doc_starts.get(doc + 1)).map_or(self.plane.len(), |&s| s as usize)
+    }
+
     /// Document and in-document offset of text position `x` (`None` at
     /// separators).
+    #[cfg(test)]
     pub(crate) fn doc_and_src(&self, x: usize) -> Option<(usize, usize)> {
-        let (factor, src) = self.map.locate(x)?;
-        Some((self.factor_doc[factor] as usize, src))
+        let pos = self.map.source_pos(x)?;
+        let doc = self.doc_of(pos);
+        Some((doc, pos - self.doc_starts[doc] as usize))
     }
 
     /// Verifies every distinct occurrence among the candidate text
     /// positions `xs` at `log_tau`'s cut and calls `per_doc(doc, kept)` for
-    /// each document in turn, `kept` being its occurrences that meet τ as
-    /// `(src, canonical probability)` in `src` order. The value is
-    /// recomputed from the document model by its plane kernel's one call
-    /// (see `Index::query`), one [`ProbPlane::with_kernel`] per document and
-    /// one [`Scan`] per query, so each occurrence's value agrees bit for bit
-    /// with any per-document executor's.
+    /// each document with an occurrence that meets τ, in turn, `kept`
+    /// being those occurrences as `(collection position, canonical
+    /// probability)` in position order. The value is recomputed from the
+    /// model by the plane kernel's one call, as in `Index::query`, so each
+    /// occurrence's value agrees bit for bit with any per-document
+    /// executor's: a candidate's window lies inside one factor, so inside
+    /// its document, and the kernel sums that document's cells in the same
+    /// order.
     fn verified(
         &self,
         pattern: &[u8],
@@ -233,19 +259,27 @@ impl ListingIndex {
         log_tau: f64,
         mut per_doc: impl FnMut(usize, &[(usize, f64)]),
     ) {
-        let mut occs: Vec<(usize, usize)> =
-            xs.into_iter().filter_map(|x| self.doc_and_src(x)).collect();
-        occs.sort_unstable();
-        occs.dedup();
-        // One scan across the documents' kernels: counted once per query.
+        let mut sources: Vec<usize> = (xs.into_iter())
+            .filter_map(|x| self.map.source_pos(x))
+            .collect();
+        sources.sort_unstable();
+        sources.dedup();
         let mut scan = Scan::new(ScanPath::Plane);
-        for group in occs.chunk_by(|a, b| a.0 == b.0) {
-            let (doc, sources) = (group[0].0, group.iter().map(|&(_, src)| src));
-            let kept = (self.planes[doc])
-                .with_kernel(pattern, |kernel| kernel.verify(sources, log_tau, &mut scan));
+        (self.plane).with_kernel(pattern, |kernel| kernel.verify(sources, log_tau, &mut scan));
+        // The hits are in position order, which is document order.
+        let hits = scan.finish();
+        let mut rest = &hits[..];
+        while let Some(&(first, _)) = rest.first() {
+            let doc = self.doc_of(first);
+            let end = self.doc_end(doc);
+            let (kept, tail) = rest.split_at(rest.partition_point(|&(pos, _)| pos < end));
+            debug_assert!(
+                kept.iter().all(|&(pos, _)| pos + pattern.len() <= end),
+                "a hit's window ends inside its document"
+            );
             per_doc(doc, kept);
+            rest = tail;
         }
-        scan.finish();
     }
 
     /// `Rel_max` of every document whose most probable verified candidate
@@ -313,16 +347,14 @@ impl ListingIndex {
     }
 
     /// Approximate heap footprint in bytes: everything the index holds,
-    /// the documents' models included (their planes are their one copy).
+    /// the documents' models included (the plane is their one copy).
     pub fn heap_size(&self) -> usize {
-        use std::mem::{size_of, size_of_val};
         let (rank, bases) = self.map.heap_sizes();
         self.substrate.heap_size()
-            + self.planes.capacity() * size_of::<ProbPlane>()
-            + self.planes.iter().map(ProbPlane::heap_size).sum::<usize>()
+            + self.plane.heap_size()
             + rank
             + bases
-            + size_of_val(&*self.factor_doc)
+            + std::mem::size_of_val(&*self.doc_starts)
     }
 }
 

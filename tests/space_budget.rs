@@ -168,16 +168,19 @@ fn approx_heap_breakdown_stays_inside_the_budget() {
 }
 
 /// `ListingIndex::heap_size()` per source position over the same positions cut
-/// into documents when the budget was last set, once the suffix tree's child
-/// table held an `i16` offset per slot (286.0 before, the figure once each
-/// document's plane stored only its choices; 326.1 before that, the figure once
-/// the LCP became a byte per slot and the long levels ended at the longest
-/// separator-free stretch; 360.8 before that, the figure since its document and
-/// source maps — 8 B a character — became a factor map and a document id per
-/// factor; 450.6 before that, the first count of everything the index holds:
-/// 549.8 on `paper-string` before it, without the documents' source copies or
-/// the planes' slots).
-const LISTING_MEASURED_BYTES_PER_POS: f64 = 270.0;
+/// into documents when the budget was last set, once one plane over the
+/// collection held the documents' models and a start per document replaced a
+/// document id per factor (270.0 before, with a plane per document, 56.3
+/// B/position of it against the one plane's 33.1, the figure once the suffix
+/// tree's child table held an `i16` offset per slot; 286.0 before that, the
+/// figure once each document's plane stored only its choices; 326.1 before
+/// that, the figure once the LCP became a byte per slot and the long levels
+/// ended at the longest separator-free stretch; 360.8 before that, the figure
+/// since its document and source maps — 8 B a character — became a factor map
+/// and a document id per factor; 450.6 before that, the first count of
+/// everything the index holds: 549.8 on `paper-string` before it, without the
+/// documents' source copies or the planes' slots).
+const LISTING_MEASURED_BYTES_PER_POS: f64 = 243.0;
 
 #[test]
 fn listing_heap_stays_inside_the_budget() {
@@ -185,13 +188,14 @@ fn listing_heap_stays_inside_the_budget() {
     let n: usize = docs.iter().map(UncertainString::len).sum();
     let listing = ListingIndex::build(&docs, TAU_MIN).unwrap();
     let slots = listing.stats().transformed_len + 1;
-    let models: usize = (docs.iter())
-        .map(|d| ProbPlane::build(d).heap_size() + std::mem::size_of::<ProbPlane>())
-        .sum();
+    // The collection has no correlations: its model is the documents'
+    // positions laid end to end.
+    let positions = docs.iter().flat_map(|d| d.positions().iter().cloned());
+    let models = ProbPlane::build(&UncertainString::new(positions.collect())).heap_size();
     let total = listing.heap_size();
     let rows = [
         ("substrate + document maps", total - models),
-        ("models (one plane per document)", models),
+        ("models (one plane over the collection)", models),
     ];
     let what = format!(
         "`ListingIndex::heap_size()` ({} documents, {n} positions, {slots} slots)",
