@@ -796,7 +796,6 @@ fn cmd_serve_net(args: &Args) -> Result<String, String> {
                 snap.counters
                     .insert("kernel.candidates".into(), k.candidates);
                 snap.counters.insert("kernel.verified".into(), k.verified);
-                snap.counters.insert("kernel.kernel_ns".into(), k.kernel_ns);
                 snap
             });
             let traces: ustr_obs::TextFn = std::sync::Arc::new(server.trace_source());

@@ -19,7 +19,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 static CANDIDATES: AtomicU64 = AtomicU64::new(0);
 static VERIFIED: AtomicU64 = AtomicU64::new(0);
-static KERNEL_NS: AtomicU64 = AtomicU64::new(0);
 static PLANE_SCANS: AtomicU64 = AtomicU64::new(0);
 static COLD_SCANS: AtomicU64 = AtomicU64::new(0);
 
@@ -30,7 +29,6 @@ thread_local! {
     // without any cross-thread traffic in the hot loop.
     static TL_CANDIDATES: Cell<u64> = const { Cell::new(0) };
     static TL_VERIFIED: Cell<u64> = const { Cell::new(0) };
-    static TL_KERNEL_NS: Cell<u64> = const { Cell::new(0) };
     static TL_PLANE_SCANS: Cell<u64> = const { Cell::new(0) };
     static TL_COLD_SCANS: Cell<u64> = const { Cell::new(0) };
 }
@@ -53,7 +51,8 @@ pub struct KernelTotals {
     pub candidates: u64,
     /// Candidates that survived verification (reported as hits).
     pub verified: u64,
-    /// Nanoseconds from each scan's start to its record.
+    /// Always 0: the kernel reads no clock. Kept for readers that still
+    /// name the field.
     pub kernel_ns: u64,
     /// Scans answered via the plane fast path.
     pub plane_scans: u64,
@@ -61,14 +60,13 @@ pub struct KernelTotals {
     pub cold_scans: u64,
 }
 
-/// Adds one scan's batched counts: `candidates` windows evaluated,
-/// `verified` of them kept, `ns` spent in the loop, attributed to `path`.
+/// Adds one scan's batched counts: `candidates` windows evaluated and
+/// `verified` of them kept, attributed to `path`.
 #[inline]
-pub fn record_scan_on(path: ScanPath, candidates: u64, verified: u64, ns: u64) {
+pub fn record_scan_on(path: ScanPath, candidates: u64, verified: u64) {
     // ordering: Relaxed — process-wide monotone counters; nothing synchronizes on them.
     CANDIDATES.fetch_add(candidates, Ordering::Relaxed);
     VERIFIED.fetch_add(verified, Ordering::Relaxed);
-    KERNEL_NS.fetch_add(ns, Ordering::Relaxed);
     let (path_cell, tl_path_cell) = match path {
         ScanPath::Plane => (&PLANE_SCANS, &TL_PLANE_SCANS),
         ScanPath::Cold => (&COLD_SCANS, &TL_COLD_SCANS),
@@ -77,7 +75,6 @@ pub fn record_scan_on(path: ScanPath, candidates: u64, verified: u64, ns: u64) {
     path_cell.fetch_add(1, Ordering::Relaxed);
     TL_CANDIDATES.with(|c| c.set(c.get() + candidates));
     TL_VERIFIED.with(|c| c.set(c.get() + verified));
-    TL_KERNEL_NS.with(|c| c.set(c.get().saturating_add(ns)));
     tl_path_cell.with(|c| c.set(c.get() + 1));
 }
 
@@ -87,7 +84,7 @@ pub fn kernel_totals() -> KernelTotals {
         // ordering: Relaxed — a racy snapshot is fine; each cell is a monotone reading.
         candidates: CANDIDATES.load(Ordering::Relaxed),
         verified: VERIFIED.load(Ordering::Relaxed),
-        kernel_ns: KERNEL_NS.load(Ordering::Relaxed),
+        kernel_ns: 0,
         // ordering: Relaxed — same racy-snapshot reasoning as the cells above.
         plane_scans: PLANE_SCANS.load(Ordering::Relaxed),
         cold_scans: COLD_SCANS.load(Ordering::Relaxed),
@@ -102,7 +99,7 @@ pub fn thread_totals() -> KernelTotals {
     KernelTotals {
         candidates: TL_CANDIDATES.with(Cell::get),
         verified: TL_VERIFIED.with(Cell::get),
-        kernel_ns: TL_KERNEL_NS.with(Cell::get),
+        kernel_ns: 0,
         plane_scans: TL_PLANE_SCANS.with(Cell::get),
         cold_scans: TL_COLD_SCANS.with(Cell::get),
     }
@@ -115,7 +112,7 @@ impl KernelTotals {
         KernelTotals {
             candidates: self.candidates.saturating_sub(earlier.candidates),
             verified: self.verified.saturating_sub(earlier.verified),
-            kernel_ns: self.kernel_ns.saturating_sub(earlier.kernel_ns),
+            kernel_ns: 0,
             plane_scans: self.plane_scans.saturating_sub(earlier.plane_scans),
             cold_scans: self.cold_scans.saturating_sub(earlier.cold_scans),
         }
@@ -129,39 +126,37 @@ mod tests {
     #[test]
     fn record_scan_accumulates() {
         let before = kernel_totals();
-        record_scan_on(ScanPath::Cold, 10, 3, 1_000);
-        record_scan_on(ScanPath::Cold, 5, 5, 500);
+        record_scan_on(ScanPath::Cold, 10, 3);
+        record_scan_on(ScanPath::Cold, 5, 5);
         let after = kernel_totals();
         assert_eq!(after.candidates - before.candidates, 15);
         assert_eq!(after.verified - before.verified, 8);
-        assert_eq!(after.kernel_ns - before.kernel_ns, 1_500);
     }
 
     #[test]
     fn scan_paths_split_plane_and_cold_counts() {
         let before = kernel_totals();
-        record_scan_on(ScanPath::Plane, 4, 1, 10);
-        record_scan_on(ScanPath::Cold, 6, 2, 20);
-        record_scan_on(ScanPath::Plane, 2, 2, 30);
+        record_scan_on(ScanPath::Plane, 4, 1);
+        record_scan_on(ScanPath::Cold, 6, 2);
+        record_scan_on(ScanPath::Plane, 2, 2);
         let d = kernel_totals().since(&before);
         assert_eq!(d.plane_scans, 2);
         assert_eq!(d.cold_scans, 1);
         assert_eq!(d.candidates, 12);
         assert_eq!(d.verified, 5);
-        assert_eq!(d.kernel_ns, 60);
     }
 
     #[test]
     fn thread_totals_are_isolated_per_thread() {
         let base = thread_totals();
-        record_scan_on(ScanPath::Plane, 7, 3, 100);
+        record_scan_on(ScanPath::Plane, 7, 3);
         let mine = thread_totals().since(&base);
         assert_eq!(mine.candidates, 7);
         assert_eq!(mine.plane_scans, 1);
         // Another thread's work never shows up in this thread's cells.
         std::thread::spawn(|| {
             let base = thread_totals();
-            record_scan_on(ScanPath::Cold, 100, 50, 1_000);
+            record_scan_on(ScanPath::Cold, 100, 50);
             let theirs = thread_totals().since(&base);
             assert_eq!(theirs.candidates, 100);
             assert_eq!(theirs.cold_scans, 1);

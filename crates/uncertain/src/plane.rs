@@ -52,7 +52,6 @@
 //! pins the contract down to `f64::to_bits` equality.
 
 use std::cell::RefCell;
-use std::time::Instant;
 
 use crate::kstats::{self, ScanPath};
 use crate::{canon, chars::UncertainChar, correlation::CorrelationSet, string::UncertainString};
@@ -592,13 +591,10 @@ impl Iterator for PresenceIter<'_> {
     }
 }
 
-/// One scan's verification work, counted once across as many kernels as
-/// it opens (a listing query opens one per document): the clock read at
-/// its first candidate, the candidates [`MatchKernel::verify`] walked and
-/// the hits it kept.
+/// One scan's verification work, counted once: the candidates
+/// [`MatchKernel::verify`] walked and the hits it kept. It reads no clock.
 pub struct Scan {
     path: ScanPath,
-    start: Option<Instant>,
     candidates: u64,
     hits: Vec<(usize, f64)>,
 }
@@ -608,7 +604,6 @@ impl Scan {
     pub fn new(path: ScanPath) -> Self {
         Self {
             path,
-            start: None,
             candidates: 0,
             hits: Vec::new(),
         }
@@ -617,9 +612,8 @@ impl Scan {
     /// Makes the scan's one batched [`kstats::record_scan_on`] (none when
     /// it walked no candidate) and returns its hits.
     pub fn finish(self) -> Vec<(usize, f64)> {
-        if let Some(start) = self.start {
-            let ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            kstats::record_scan_on(self.path, self.candidates, self.hits.len() as u64, ns);
+        if self.candidates > 0 {
+            kstats::record_scan_on(self.path, self.candidates, self.hits.len() as u64);
         }
         self.hits
     }
@@ -736,8 +730,7 @@ impl<'a> MatchKernel<'a> {
     /// Verifies `candidates` at `log_tau`'s cut into `scan`, keeping
     /// `(pos, p)` for each one that meets τ, in candidate order, `p` being
     /// `exp` of the walk's value; returns the hits this call kept. The one
-    /// verify-and-count loop of every executor: no atomic, and no clock
-    /// read past a scan's first candidate.
+    /// verify-and-count loop of every executor: no atomic and no clock.
     pub fn verify<'s>(
         &self,
         candidates: impl IntoIterator<Item = usize>,
@@ -748,7 +741,6 @@ impl<'a> MatchKernel<'a> {
         // Room for every candidate when the run says how many it holds.
         (scan.hits).reserve(candidates.size_hint().1.unwrap_or(0));
         for pos in candidates {
-            scan.start.get_or_insert_with(Instant::now);
             scan.candidates += 1;
             if let Some(log_p) = self.log_match_bounded(pos, log_tau) {
                 scan.hits.push((pos, canon::exp(log_p)));
