@@ -31,9 +31,9 @@
 //!   the slot, the `up`, `down` or `nextlIndex` value of Abouelhoda, Kurtz
 //!   and Ohlebusch's enhanced suffix array, whichever that slot can be
 //!   asked for. A value more than 32 767 slots away is kept in a far list
-//!   sorted by slot (8 B an entry, and a `u32` start index per 256 slots
-//!   once there is one; ≈ 30 entries on the benchmark's `paper-string`,
-//!   none on a tree of fewer than 32 768 slots), and the root's children
+//!   sorted by slot and binary-searched (8 B an entry; ≈ 30 entries on
+//!   the benchmark's `paper-string`, none on a tree of fewer than 32 768
+//!   slots), and the root's children
 //!   in a table of their own, 9 B a child, which the descent's first step
 //!   reads in place of the root's sibling links. The LCP is their byte
 //!   table too: an entry of 255 or more is stored as 255, and its value

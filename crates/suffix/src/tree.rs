@@ -48,12 +48,13 @@
 //! A cell is an `i16`: the value's offset from the cell's own slot. The
 //! three values point into the node around the slot, so nearly all of
 //! them lie within ±32 767 slots; one that does not is stored as `FAR`,
-//! and its value kept in a far list sorted by slot, reached through a
-//! start index of one `u32` per 256 slots. Only a child wider than 32 767
-//! slots makes a far cell, so on a transformed string they are the
-//! root's: its sibling links and the `up`s of its widest children, ≈ 30
-//! on `paper-string`'s tree of 950 000 slots, and none on a tree of fewer
-//! than 32 768 slots.
+//! and its value kept in a far list sorted by slot, found by binary
+//! search. Only a child wider than 32 767 slots makes a far cell, so on a
+//! transformed string they are the root's: its sibling links and the
+//! `up`s of its widest children, ≈ 30 on `paper-string`'s tree of 950 000
+//! slots, and none on a tree of fewer than 32 768 slots. The descent reads
+//! the root's children from their own array (below), so its first step
+//! reads none.
 //!
 //! A value is told apart by where it points and by what lies there — an
 //! equal LCP for a `nextlIndex`, or, in the pattern descent, a different
@@ -78,9 +79,6 @@ const LCP_MARK: u8 = u8::MAX;
 /// The cell of a slot whose value lies more than 32 767 slots away: the
 /// value is in the far list.
 const FAR: i16 = i16::MIN;
-
-/// Slots per entry of the far list's start index.
-const FAR_BLOCK: usize = 256;
 
 /// Suffix tree with pattern descent to suffix-array ranges, held as text,
 /// suffix array, LCP array and child table (see the module docs).
@@ -111,10 +109,6 @@ pub struct SuffixTree {
     child: Box<[i16]>,
     /// `(slot, value)` of every cell marked [`FAR`], by slot.
     far: Box<[(u32, u32)]>,
-    /// `far_start[b]`: the first entry of `far` at a slot of block `b` or
-    /// later, blocks being [`FAR_BLOCK`] slots; one entry past the last
-    /// block, and none at all when `far` is empty.
-    far_start: Box<[u32]>,
     /// The edge character of each child of the root past the terminator
     /// leaf, in SA order.
     root_chars: Box<[u8]>,
@@ -200,13 +194,6 @@ impl SuffixTree {
         set(m - 1, 0);
 
         far.sort_unstable();
-        let far_start = if far.is_empty() {
-            Box::default()
-        } else {
-            (0..=m.div_ceil(FAR_BLOCK))
-                .map(|b| far.partition_point(|&(slot, _)| (slot as usize) < b * FAR_BLOCK) as u32)
-                .collect()
-        };
         let long_lcp = (slot_lcp.iter().enumerate())
             .filter(|&(_, &l)| l >= u32::from(LCP_MARK))
             .map(|(j, &l)| (j as u32, l))
@@ -222,7 +209,6 @@ impl SuffixTree {
             long_lcp,
             child,
             far: far.into(),
-            far_start,
             root_chars: Box::default(),
             root_children: Box::default(),
         };
@@ -299,8 +285,7 @@ impl SuffixTree {
     }
 
     /// The child-table cell of slot `k` (module docs): one `i16` load, and
-    /// a search of one block's far cells for a value more than 32 767
-    /// slots away.
+    /// a search of the far list for a value more than 32 767 slots away.
     #[inline]
     fn cell(&self, k: usize) -> usize {
         match self.child[k] {
@@ -312,12 +297,10 @@ impl SuffixTree {
     /// The value of a cell marked [`FAR`], from the far list.
     #[cold]
     fn far_cell(&self, k: usize) -> usize {
-        let block = k / FAR_BLOCK;
-        let run = &self.far[self.far_start[block] as usize..self.far_start[block + 1] as usize];
-        let at = run
+        let at = (self.far)
             .binary_search_by_key(&(k as u32), |&(slot, _)| slot)
             .expect("every far cell has a list entry");
-        run[at].1 as usize
+        self.far[at].1 as usize
     }
 
     /// The name of the internal node `[l, r]` (`l < r`): its first ℓ-index,
@@ -531,12 +514,11 @@ impl SuffixTree {
             + self.child_table_heap_size()
     }
 
-    /// Heap bytes of the child table alone — its cells, far list and start
-    /// index: what the tree holds beyond the three arrays a snapshot stores.
+    /// Heap bytes of the child table alone — its cells, far list and root
+    /// table: what the tree holds beyond the three arrays a snapshot stores.
     pub fn child_table_heap_size(&self) -> usize {
         std::mem::size_of_val(&*self.child)
             + std::mem::size_of_val(&*self.far)
-            + std::mem::size_of_val(&*self.far_start)
             + std::mem::size_of_val(&*self.root_chars)
             + std::mem::size_of_val(&*self.root_children)
     }
@@ -796,8 +778,6 @@ mod tests {
             st.far.iter().map(|&(slot, _)| slot).collect::<Vec<_>>(),
             marked
         );
-        let blocks = st.far_start.len().saturating_sub(1);
-        assert!(st.far.is_empty() || blocks == st.num_slots().div_ceil(FAR_BLOCK));
     }
 
     /// `a` repeated `count` times, then `b`.
@@ -824,7 +804,7 @@ mod tests {
         ] {
             let st = SuffixTree::build(text.to_vec());
             check_cells(&st);
-            assert!(st.far.is_empty() && st.far_start.is_empty(), "{text:?}");
+            assert!(st.far.is_empty(), "{text:?}");
         }
     }
 
