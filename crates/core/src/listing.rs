@@ -228,11 +228,6 @@ impl ListingIndex {
         self.doc_starts.partition_point(|&s| s as usize <= pos) - 1
     }
 
-    /// The position in the collection where document `doc` ends.
-    fn doc_end(&self, doc: usize) -> usize {
-        (self.doc_starts.get(doc + 1)).map_or(self.plane.len(), |&s| s as usize)
-    }
-
     /// Document and in-document offset of text position `x` (`None` at
     /// separators).
     #[cfg(test)]
@@ -271,11 +266,11 @@ impl ListingIndex {
         let mut rest = &hits[..];
         while let Some(&(first, _)) = rest.first() {
             let doc = self.doc_of(first);
-            let end = self.doc_end(doc);
+            let end = (self.doc_starts.get(doc + 1)).map_or(self.plane.len(), |&s| s as usize);
             let (kept, tail) = rest.split_at(rest.partition_point(|&(pos, _)| pos < end));
             debug_assert!(
-                kept.iter().all(|&(pos, _)| pos + pattern.len() <= end),
-                "a hit's window ends inside its document"
+                !kept.is_empty() && kept.iter().all(|&(pos, _)| pos + pattern.len() <= end),
+                "a document's run holds its first hit, and each window ends inside it"
             );
             per_doc(doc, kept);
             rest = tail;
