@@ -4,7 +4,10 @@
 
 use std::time::Instant;
 
-use ustr_uncertain::{canon, CorrelationSet, SpecialUncertainString};
+use ustr_uncertain::kstats::ScanPath;
+use ustr_uncertain::{
+    canon, CorrelationSet, ProbPlane, Scan, SpecialUncertainString, UncertainString,
+};
 
 use crate::{
     error::{validate_query, Error},
@@ -16,6 +19,12 @@ use crate::{
 /// Index over a [`SpecialUncertainString`] (Definition 1) supporting
 /// arbitrary thresholds `τ ∈ (0, 1]` (no transform means no `τmin`
 /// restriction).
+///
+/// Built as [`crate::Index`] is, with the identity position map: the
+/// string's model as one [`ProbPlane`], and `C` summed from each
+/// character's correlation upper bound, so every stored window bounds its
+/// probability from above. A query verifies its candidates through the
+/// plane's kernel, so its probabilities are every exact executor's bits.
 ///
 /// Query cost: `O(m + occ)` for `m ≤ ⌈log₂ n⌉` (per-length RMQ levels),
 /// `O(m · occ)`-flavoured for longer patterns (blocking scheme).
@@ -33,12 +42,10 @@ use crate::{
 /// assert_eq!(idx.query(b"ana", 0.2).unwrap().positions(), vec![1, 3]);
 /// ```
 pub struct SpecialIndex {
-    special: SpecialUncertainString,
-    correlations: CorrelationSet,
+    /// The string's model, one choice a position, with its correlations:
+    /// the one in-memory copy, and the verification kernel.
+    plane: ProbPlane,
     substrate: Substrate,
-    /// Log-space slack added to the recursion threshold so upward
-    /// correlation adjustments cannot prune true matches (§4.1).
-    boost_log: f64,
     stats: BuildStats,
 }
 
@@ -48,16 +55,37 @@ impl SpecialIndex {
         Self::build_correlated(special, CorrelationSet::new())
     }
 
-    /// Builds the index with `correlations` attached to the string.
+    /// Builds the index with `correlations` attached to the string. The
+    /// model's checks apply: a 0 byte, or a correlation naming a character
+    /// that does not occur at its position, is an [`Error::Model`].
     pub fn build_correlated(
         special: &SpecialUncertainString,
         correlations: CorrelationSet,
     ) -> Result<Self, Error> {
         let start = Instant::now();
+        let chars = special.chars();
+        let rows = (chars.iter().zip(special.probs())).map(|(&c, &p)| vec![(c, p)]);
+        let mut model = UncertainString::from_rows(rows.collect())?;
+        model.set_correlations(correlations)?;
+        // Each character's probability through the transform's rule, as
+        // `Index` reads it: the model's own, or its correlation's bound. A
+        // subject no outcome lets occur (pr⁺ = pr⁻ = 0) keeps its own, a
+        // looser bound: `C` sums positive values, and the kernel refuses
+        // every window over it.
+        let probs: Vec<f64> = (chars.iter().enumerate())
+            .map(|(i, &c)| {
+                let base = model.position(i).prob_of(c);
+                let bound = model.correlations().upper_bound(i, c, base);
+                if canon::is_positive_prob(bound) {
+                    bound
+                } else {
+                    base
+                }
+            })
+            .collect();
         // Every text position is a distinct occurrence position: nothing
         // to deduplicate.
-        let substrate = Substrate::build(special.chars(), special.probs(), &DedupStrategy::None)?;
-        let boost_log = correlation_boost(special, &correlations);
+        let substrate = Substrate::build(chars, &probs, &DedupStrategy::None)?;
         let stats = BuildStats {
             source_len: special.len(),
             transformed_len: special.len(),
@@ -65,10 +93,8 @@ impl SpecialIndex {
             ..Default::default()
         };
         let mut idx = Self {
-            special: special.clone(),
-            correlations,
+            plane: ProbPlane::build(&model),
             substrate,
-            boost_log,
             stats,
         };
         idx.stats.heap_bytes = idx.heap_size();
@@ -82,37 +108,19 @@ impl SpecialIndex {
         &self.stats
     }
 
-    /// The indexed string.
-    pub fn special(&self) -> &SpecialUncertainString {
-        &self.special
-    }
-
-    /// All positions where `pattern` matches with probability ≥ `tau`.
+    /// All positions where `pattern` matches with probability ≥ `tau`,
+    /// each with its probability as the kernel's one walk gives it.
     pub fn query(&self, pattern: &[u8], tau: f64) -> Result<QueryResult, Error> {
         validate_query(pattern, tau, 0.0)?;
-        let m = pattern.len();
         let Some((l, r)) = self.substrate.range(pattern) else {
             return Ok(QueryResult::default());
         };
-        // Candidates come back with their *stored* window log-probability.
         let log_tau = canon::ln(tau);
-        #[allow(clippy::float_arithmetic, reason = "a cut; hits are re-verified")]
-        let candidates = self.substrate.report(m, l, r, log_tau - self.boost_log);
-        let mut hits = Vec::with_capacity(candidates.len());
-        for (pos, stored) in candidates {
-            let (log_p, p) = if self.correlations.is_empty() {
-                (stored, canon::exp(stored))
-            } else {
-                let p = self.special.window_prob_with(&self.correlations, pos, m);
-                (canon::ln(p), p)
-            };
-            if canon::log_meets_threshold(log_p, log_tau) {
-                hits.push((pos, p));
-            }
-        }
-        let (reported, result) = (hits.len(), QueryResult::from_hits(hits));
-        debug_assert_eq!(result.len(), reported, "a special slot is a position");
-        Ok(result)
+        let candidates = self.substrate.report(pattern.len(), l, r, log_tau);
+        let positions = candidates.into_iter().map(|(pos, _)| pos);
+        let mut scan = Scan::new(ScanPath::Plane);
+        (self.plane).with_kernel(pattern, |k| k.verify(positions, log_tau, &mut scan));
+        Ok(QueryResult::from_hits(scan.finish()))
     }
 
     /// The `k` most probable occurrences of `pattern`: `query(pattern, τ)`
@@ -126,28 +134,10 @@ impl SpecialIndex {
         Ok(out)
     }
 
-    /// Approximate heap footprint in bytes.
+    /// Approximate heap footprint in bytes, the model (plane) included.
     pub fn heap_size(&self) -> usize {
-        self.substrate.heap_size() + self.special.len() * (1 + std::mem::size_of::<f64>())
+        self.substrate.heap_size() + self.plane.heap_size()
     }
-}
-
-/// Log-space slack for the reporting threshold: correlations can raise a
-/// window's probability above the stored product (stored probabilities play
-/// the paper's pr+ role), so the recursion threshold is relaxed by the total
-/// possible uplift; exact verification filters afterwards.
-#[allow(clippy::float_arithmetic, reason = "a build-time candidate bound")]
-fn correlation_boost(special: &SpecialUncertainString, correlations: &CorrelationSet) -> f64 {
-    let mut boost_log = 0.0f64;
-    for corr in correlations.iter() {
-        let pos = corr.subject_pos;
-        if special.chars().get(pos) == Some(&corr.subject_char) {
-            let stored = special.prob_at(pos);
-            let uplift = (canon::ln(corr.max_prob()) - canon::ln(stored)).max(0.0);
-            boost_log += uplift;
-        }
-    }
-    boost_log
 }
 
 #[cfg(test)]
@@ -207,9 +197,9 @@ mod tests {
 
     #[test]
     fn correlation_uplift_is_not_pruned() {
-        // Stored probability .2 at the subject, but pr+ = .9: the stored
-        // window value underestimates; without the boost the recursion would
-        // prune the true match at tau = .5.
+        // Probability .2 at the subject, but pr+ = .9: `C` sums the
+        // subject's upper bound, .9, where a window of the string's own .2
+        // would prune the true match at tau = .5.
         let x = SpecialUncertainString::new(b"eqz".to_vec(), vec![1.0, 1.0, 0.2]).unwrap();
         let mut corrs = CorrelationSet::new();
         corrs
@@ -230,6 +220,29 @@ mod tests {
         // marginal 1.0*.9 + 0*.1 = .9 (e always present).
         let r = idx.query(b"qz", 0.95).unwrap();
         assert!(r.is_empty());
+    }
+
+    #[test]
+    fn an_impossible_subject_matches_nowhere() {
+        // pr⁺ = pr⁻ = 0: `z` never occurs, whatever `e` does.
+        let x = SpecialUncertainString::new(b"eqzq".to_vec(), vec![0.6, 1.0, 0.5, 1.0]).unwrap();
+        let mut corrs = CorrelationSet::new();
+        corrs
+            .add(Correlation {
+                subject_pos: 2,
+                subject_char: b'z',
+                cond_pos: 0,
+                cond_char: b'e',
+                p_present: 0.0,
+                p_absent: 0.0,
+            })
+            .unwrap();
+        let idx = SpecialIndex::build_correlated(&x, corrs).unwrap();
+        for pattern in [&b"eqz"[..], b"zq", b"z"] {
+            assert!(idx.query(pattern, f64::MIN_POSITIVE).unwrap().is_empty());
+        }
+        assert_eq!(idx.query(b"q", 0.5).unwrap().positions(), vec![1, 3]);
+        assert_eq!(idx.query(b"eq", 0.5).unwrap().positions(), vec![0]);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Special uncertain strings (Definition 1): one probabilistic character per
 //! position.
 
-use crate::{canon, correlation::CorrelationSet, error::ModelError};
+use crate::{canon, error::ModelError};
 
 /// A special uncertain string `X = (c₁, pr₁) … (c_N, pr_N)`.
 ///
@@ -99,47 +99,11 @@ impl SpecialUncertainString {
         }
         self.probs[start..start + len].iter().product()
     }
-
-    /// Window probability honoring correlations (§4.1's verification rule):
-    /// a correlated character inside the window conditions on the actual
-    /// character stored at the conditioning position; outside, the law of
-    /// total probability applies with the stored probability as the marginal.
-    pub fn window_prob_with(&self, correlations: &CorrelationSet, start: usize, len: usize) -> f64 {
-        if start + len > self.probs.len() {
-            return 0.0;
-        }
-        let mut prob = 1.0;
-        for i in start..start + len {
-            let base = self.probs[i];
-            let p = match correlations.get(i, self.chars[i]) {
-                Some(corr) => {
-                    let j = corr.cond_pos;
-                    if j >= start && j < start + len {
-                        corr.effective_prob(Some(self.chars[j]), 0.0)
-                    } else {
-                        // Marginal of the conditioning character: its stored
-                        // probability if that character is the one present,
-                        // else it can never occur in a special string.
-                        let marginal = if self.chars.get(j) == Some(&corr.cond_char) {
-                            self.probs[j]
-                        } else {
-                            0.0
-                        };
-                        corr.effective_prob(None, marginal)
-                    }
-                }
-                None => base,
-            };
-            prob *= p;
-        }
-        prob
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::correlation::Correlation;
 
     fn banana() -> SpecialUncertainString {
         SpecialUncertainString::new(b"banana".to_vec(), vec![0.4, 0.7, 0.5, 0.8, 0.9, 0.6]).unwrap()
@@ -173,28 +137,5 @@ mod tests {
         assert_eq!(x.window_prob(4, 3), 0.0);
         assert_eq!(x.window_prob(6, 1), 0.0);
         assert_eq!(x.window_prob(0, 0), 1.0);
-    }
-
-    #[test]
-    fn correlated_window_prob() {
-        // X = (e,.6)(q,1)(z,.36); z conditioned on e at position 0.
-        let x = SpecialUncertainString::new(b"eqz".to_vec(), vec![0.6, 1.0, 0.36]).unwrap();
-        let mut corrs = CorrelationSet::new();
-        corrs
-            .add(Correlation {
-                subject_pos: 2,
-                subject_char: b'z',
-                cond_pos: 0,
-                cond_char: b'e',
-                p_present: 0.3,
-                p_absent: 0.4,
-            })
-            .unwrap();
-        // Window covering the conditioning position: e is present.
-        assert!((x.window_prob_with(&corrs, 0, 3) - 0.6 * 1.0 * 0.3).abs() < 1e-12);
-        // Window "qz": marginal = .6*.3 + .4*.4 = .34.
-        assert!((x.window_prob_with(&corrs, 1, 2) - 0.34).abs() < 1e-12);
-        // No correlation involved.
-        assert!((x.window_prob_with(&corrs, 0, 2) - 0.6).abs() < 1e-12);
     }
 }

@@ -4,6 +4,7 @@
 mod common;
 
 use common::{correlated, first_long_lengths};
+use proptest::prelude::*;
 use uncertain_strings::{
     baseline::NaiveScanner, ApproxIndex, Correlation, CorrelationSet, Index, ListingIndex,
     SpecialIndex, SpecialUncertainString, UncertainString,
@@ -145,6 +146,59 @@ fn special_index_boost_prevents_missed_uplifts() {
     // bc window: marginal for b = 1.0*.95 + 0*.05 = .95 (a always present).
     let hits = idx.query(b"bc", 0.9).unwrap();
     assert_eq!(hits.positions(), vec![1]);
+}
+
+/// A special string over `abc` with random probabilities, and up to five
+/// correlations whose subject and condition are the characters at their
+/// positions (a duplicate subject is dropped).
+fn correlated_special() -> impl Strategy<Value = (SpecialUncertainString, CorrelationSet)> {
+    let rows = prop::collection::vec((0u8..3, 1u32..101), 2..40);
+    let corrs = prop::collection::vec((0usize..1000, 0usize..1000, 0u32..101, 0u32..101), 0..6);
+    (rows, corrs).prop_map(|(rows, corrs)| {
+        let n = rows.len();
+        let (chars, probs): (Vec<u8>, Vec<f64>) = (rows.into_iter())
+            .map(|(c, p)| (b'a' + c, f64::from(p) / 100.0))
+            .unzip();
+        let mut set = CorrelationSet::new();
+        for (s, c, present, absent) in corrs {
+            let (s, c) = (s % n, c % n);
+            let (present, absent) = (f64::from(present) / 100.0, f64::from(absent) / 100.0);
+            if s != c {
+                let _ = set.add(corr(s, chars[s], c, chars[c], present, absent));
+            }
+        }
+        (SpecialUncertainString::new(chars, probs).unwrap(), set)
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// A correlated special index reports the scanner's answer over the
+    /// same one-choice model with the correlations attached, to the bit.
+    #[test]
+    fn special_index_reports_the_scanners_bits(case in correlated_special()) {
+        let (x, set) = case;
+        let rows = (x.chars().iter().zip(x.probs())).map(|(&c, &p)| vec![(c, p)]).collect();
+        let mut model = UncertainString::from_rows(rows).unwrap();
+        model.set_correlations(set.clone()).unwrap();
+        let idx = SpecialIndex::build_correlated(&x, set).unwrap();
+        let bits = |hits: Vec<(usize, f64)>| -> Vec<(usize, u64)> {
+            hits.into_iter().map(|(x, p)| (x, p.to_bits())).collect()
+        };
+        for m in 1..=x.len().min(6) {
+            for window in x.chars().windows(m).step_by(2) {
+                for tau in [f64::MIN_POSITIVE, 0.05, 0.2, 0.5] {
+                    let got = idx.query(window, tau).unwrap().into_hits();
+                    let expected = NaiveScanner::find_with_probs(&model, window, tau);
+                    prop_assert_eq!(
+                        bits(got), bits(expected),
+                        "pattern {:?} tau {}", String::from_utf8_lossy(window), tau
+                    );
+                }
+            }
+        }
+    }
 }
 
 #[test]

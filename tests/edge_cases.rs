@@ -2,8 +2,8 @@
 //! extremes, degenerate strings, boundary thresholds, and hostile inputs.
 
 use uncertain_strings::{
-    baseline::NaiveScanner, ApproxIndex, Index, ListingIndex, RelMetric, SpecialIndex,
-    SpecialUncertainString, UncertainChar, UncertainString,
+    baseline::NaiveScanner, ApproxIndex, Correlation, CorrelationSet, Error, Index, ListingIndex,
+    RelMetric, SpecialIndex, SpecialUncertainString, UncertainChar, UncertainString,
 };
 
 #[test]
@@ -87,6 +87,34 @@ fn special_index_on_all_certain_string() {
     let idx = SpecialIndex::build(&x).unwrap();
     assert_eq!(idx.query(b"issi", 0.999).unwrap().positions(), vec![1, 4]);
     assert_eq!(idx.query(b"i", 1.0).unwrap().len(), 4);
+}
+
+/// The special index builds its string's model, whose checks refuse a 0
+/// byte (the separator) and a correlation whose subject or condition
+/// character does not occur at its position: each is a model error, never
+/// a panic.
+#[test]
+fn special_index_refuses_what_the_model_refuses() {
+    let x = SpecialUncertainString::new(b"a\0b".to_vec(), vec![0.5, 1.0, 0.5]).unwrap();
+    assert!(matches!(SpecialIndex::build(&x), Err(Error::Model(_))));
+    let x = SpecialUncertainString::new(b"abc".to_vec(), vec![0.5; 3]).unwrap();
+    for (subject_char, cond_char) in [(b'x', b'a'), (b'b', b'x')] {
+        let mut set = CorrelationSet::new();
+        set.add(Correlation {
+            subject_pos: 1,
+            subject_char,
+            cond_pos: 0,
+            cond_char,
+            p_present: 0.9,
+            p_absent: 0.1,
+        })
+        .unwrap();
+        let built = SpecialIndex::build_correlated(&x, set);
+        assert!(
+            matches!(built, Err(Error::Model(_))),
+            "{subject_char} on {cond_char}"
+        );
+    }
 }
 
 #[test]

@@ -199,7 +199,9 @@ proptest! {
     /// probable one's probability — within `PROB_EPS`: the listing keeps
     /// the maximum of its stored arithmetic, and two occurrences equal in
     /// exact arithmetic may order one way there and the other way in the
-    /// canonical arithmetic `Index::query` reports.
+    /// canonical arithmetic `Index::query` reports. The special index's
+    /// threshold answer is the scanner's over the same one-choice model, to
+    /// the bit.
     #[test]
     fn top_k_is_the_ranked_threshold_answer(
         docs in prop::collection::vec(prop::collection::vec(tie_heavy_row(), 1..40), 1..4),
@@ -237,10 +239,22 @@ proptest! {
         let (chars, probs): (Vec<u8>, Vec<f64>) = special.into_iter().map(|(c, p)| (b'a' + c, p)).unzip();
         let x = SpecialUncertainString::new(chars.clone(), probs).unwrap();
         let idx = SpecialIndex::build(&x).unwrap();
+        // The same string as a model of one choice a position: the special
+        // index reports the scanner's bits.
+        let rows = chars.iter().zip(x.probs()).map(|(&c, &p)| vec![(c, p)]).collect();
+        let model = UncertainString::from_rows(rows).unwrap();
         for p in patterns_of(&UncertainString::deterministic(&chars)) {
+            let context = format!("special {:?}", String::from_utf8_lossy(&p));
+            for tau in [0.1, 0.3] {
+                let got = idx.query(&p, tau).unwrap().into_hits();
+                let expected = NaiveScanner::find_with_probs(&model, &p, tau);
+                prop_assert_eq!(bits(got), bits(expected), "{} τ {}", &context, tau);
+            }
             let answer = idx.query(&p, f64::MIN_POSITIVE).unwrap().into_hits();
+            let expected = NaiveScanner::find_with_probs(&model, &p, f64::MIN_POSITIVE);
+            prop_assert_eq!(bits(answer.clone()), bits(expected), "{}", &context);
             let top_k = |k| idx.query_top_k(&p, k).unwrap();
-            assert_ranked_prefixes(answer, top_k, &format!("special {:?}", String::from_utf8_lossy(&p)));
+            assert_ranked_prefixes(answer, top_k, &context);
         }
     }
 }
