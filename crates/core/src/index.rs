@@ -115,7 +115,6 @@ impl Index {
             starts: self.map.starts(self.substrate.text().tree.text()),
             substrate: self.substrate.to_state(),
             tau_min: self.tau_min,
-            stats: self.stats.clone(),
         }
     }
 
@@ -134,13 +133,19 @@ impl Index {
         let chars = &state.substrate.text.text;
         let map = FactorMap::new(chars, state.starts, state.source.len()).map_err(invalid)?;
         let probs = text_probs(&state.source, chars, &map)?;
+        let stats = BuildStats {
+            source_len: state.source.len(),
+            transformed_len: chars.len(),
+            num_factors: map.num_factors(),
+            ..Default::default()
+        };
         let substrate = Substrate::from_state(state.substrate, &probs)?;
         let mut idx = Self {
             plane: ProbPlane::build(&state.source),
             map,
             substrate,
             tau_min: state.tau_min,
-            stats: state.stats,
+            stats,
         };
         idx.stats.heap_bytes = idx.heap_size();
         Ok(idx)

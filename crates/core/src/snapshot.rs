@@ -40,8 +40,6 @@
 
 use ustr_uncertain::UncertainString;
 
-use crate::stats::BuildStats;
-
 /// The deterministic text of an index with its suffix structure — what
 /// pattern loci are read from, and, with the model and the position map,
 /// window probabilities; no state struct holds either a second time.
@@ -109,8 +107,6 @@ pub struct IndexState {
     pub substrate: SubstrateState,
     /// Construction-time threshold.
     pub tau_min: f64,
-    /// Build statistics (the original build's numbers).
-    pub stats: BuildStats,
 }
 
 /// Shorthand for snapshot-assembly failures.

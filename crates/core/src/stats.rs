@@ -14,7 +14,8 @@ pub struct BuildStats {
     pub transformed_len: usize,
     /// Number of maximal factors emitted by the transform.
     pub num_factors: usize,
-    /// Wall-clock construction time.
+    /// Wall-clock construction time; zero for an index loaded from a
+    /// snapshot, which records none (two builds write the same bytes).
     pub build_time: Duration,
     /// Approximate heap footprint, in bytes, of the index these statistics
     /// are read from: measured when built, and again when loaded.

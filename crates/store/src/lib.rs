@@ -33,13 +33,13 @@
 //! their IEEE-754 bit patterns (so probabilities survive round-trips
 //! bit-exactly). **One integer rule:** every integer of a payload below
 //! other than the *string* piece and the visibility bytes — SA, LCP, factor
-//! starts, champions, and every sequence length, level count and stat — is
+//! starts, champions, and every sequence length and level count — is
 //! written as an
-//! LEB128 varint (1–5 bytes for a `u32` value, 1–10 for a length or stat;
+//! LEB128 varint (1–5 bytes for a `u32` value, 1–10 for a length;
 //! shortest form only), by value size, not by type. The *string* piece is
 //! the WAL's record body too, and keeps its fixed-width `u64` lengths.
 //!
-//! # Payloads (version 12)
+//! # Payloads (version 13)
 //!
 //! A payload says what `build` produces and a query reads, each array
 //! once. Shared pieces first, then the payload, every field in the order it
@@ -52,11 +52,10 @@
 //! | *scored text* | text bytes (0 = factor separator), SA, LCP, each after its length |
 //! | *substrate* | *scored text*; visibility bytes (one raw byte per slot, after their count: the short level of length `m` shows slot `j` iff its byte is below `m`); short-level count `L`; per short level: champions (one per 64 slots, the `j`-th as `c − 64·j`); long-level count; per long level, the `k`-th of length `L·2ᵏ`: champions (one per `L·2ᵏ` slots, as `c − j·L·2ᵏ`) |
 //! | *factor starts* | per stretch of the text (position 0 and every position after a separator start one), after their count: the source position of its first character, as the zigzag delta from the previous start (from 0 for the first; wrapping) |
-//! | *stats* | source length, transformed length, factor count, build time in ns |
 //!
 //! | kind | payload |
 //! |---|---|
-//! | `Index` | *string* (the source); *substrate*; position map (*factor starts*); `τmin`; *stats* |
+//! | `Index` | *string* (the source); *substrate*; position map (*factor starts*); `τmin` |
 //!
 //! The two level counts must be the text's own — `L = ⌈log₂(slots + 1)⌉`
 //! short levels, a long level for every `L·2ᵏ` up to the longest
@@ -73,8 +72,11 @@
 //! (one more each), `C` (the model's probabilities at the mapped positions,
 //! through the transform's rule, summed on load by the build's code), a
 //! level's length (its place on the ladder) and block size (64, or the
-//! length), the largest short pattern length (the short-level count), and
-//! the heap footprint (a measurement of the loaded index, taken again).
+//! length), the largest short pattern length (the short-level count), the
+//! build statistics (the source length, the text length and the number of
+//! stretches; a loaded index's build time reads zero), and the heap
+//! footprint (a measurement of the loaded index, taken again). Nothing of a
+//! payload is measured, so two builds of one source write the same bytes.
 //!
 //! # Versioning policy
 //!
@@ -113,7 +115,10 @@
 //! duplicate mask of `⌈slots / 64⌉` `u64` words per short level (version
 //! 11's masks are that byte, unrolled: slot `j`'s bit at the level of
 //! length `m` was set iff its byte is at least `m` or its window there is
-//! not whole).
+//! not whole). Version 13 writes no *stats* piece (version 12 ended a
+//! payload with the source length, the text length, the factor count and
+//! the build time in nanoseconds, each a varint), so a payload holds no
+//! measurement.
 //!
 //! # Failure model
 //!
@@ -153,12 +158,11 @@ pub mod wal;
 pub mod wire;
 
 use std::path::Path;
-use std::time::Duration;
 
 use ustr_core::snapshot::{
     IndexState, LevelsParts, LongLevelParts, ScoredTextState, ShortLevelParts, SubstrateState,
 };
-use ustr_core::{BuildStats, Index};
+use ustr_core::Index;
 use ustr_uncertain::{Correlation, UncertainString};
 
 pub use collection::{
@@ -189,8 +193,9 @@ pub const MAGIC: [u8; 8] = *b"USTRCOLL";
 /// version 9 keys each link's origin as the suffix tree keys its nodes;
 /// version 10 writes no links; version 11 ends the long levels at the
 /// longest separator-free stretch of the text; version 12 writes a
-/// visibility byte per slot in place of the short levels' masks.
-pub const FORMAT_VERSION: u32 = 12;
+/// visibility byte per slot in place of the short levels' masks; version
+/// 13 writes no build statistics.
+pub const FORMAT_VERSION: u32 = 13;
 
 /// Which structure a section holds: one a server loads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -257,7 +262,7 @@ pub trait Snapshot: Sized {
 }
 
 // ---------------------------------------------------------------------------
-// Snapshot-local framing: every length, level count and stat of a payload,
+// Snapshot-local framing: every length and level count of a payload,
 // and every count, id and length of a manifest, is a varint. The WAL and the
 // wire protocol share `Writer`/`Reader` and keep their fixed-width `u64`s,
 // so these live here and not there.
@@ -513,26 +518,6 @@ fn decode_substrate(r: &mut Reader<'_>) -> Result<SubstrateState, StoreError> {
     })
 }
 
-/// The builder's record, its build time in whole nanoseconds. `heap_bytes`
-/// is not part of it: that is a measurement of the index in memory, which
-/// `from_snapshot` takes again.
-fn encode_stats(w: &mut Writer, s: &BuildStats) {
-    put_size(w, s.source_len as u64);
-    put_size(w, s.transformed_len as u64);
-    put_size(w, s.num_factors as u64);
-    put_size(w, s.build_time.as_nanos().min(u64::MAX as u128) as u64);
-}
-
-fn decode_stats(r: &mut Reader<'_>) -> Result<BuildStats, StoreError> {
-    Ok(BuildStats {
-        source_len: get_usize(r)?,
-        transformed_len: get_usize(r)?,
-        num_factors: get_usize(r)?,
-        build_time: Duration::from_nanos(get_size(r)?),
-        heap_bytes: 0,
-    })
-}
-
 // ---------------------------------------------------------------------------
 // The payload: an `Index`.
 // ---------------------------------------------------------------------------
@@ -542,7 +527,6 @@ fn encode_index(w: &mut Writer, state: &IndexState) {
     encode_substrate(w, &state.substrate);
     encode_starts(w, &state.starts);
     w.put_f64(state.tau_min);
-    encode_stats(w, &state.stats);
 }
 
 impl Snapshot for Index {
@@ -560,7 +544,6 @@ impl Snapshot for Index {
             starts: decode_starts(r)?,
             substrate,
             tau_min: r.get_f64()?,
-            stats: decode_stats(r)?,
         };
         Ok(Index::from_snapshot(state)?)
     }
@@ -673,14 +656,6 @@ mod tests {
             .collect()
     }
 
-    /// The payload of `index`, its build time set to zero.
-    fn pinned(index: &Index) -> Vec<u8> {
-        let mut state = index.to_snapshot();
-        state.stats.build_time = std::time::Duration::ZERO;
-        let index = Index::from_snapshot(state).unwrap();
-        payload(|w| index.encode_payload(w))
-    }
-
     /// A model with one correlation (one, so the set's iteration order is
     /// fixed) whose subject's only choice is exactly 1.0, and a single
     /// choice just below 1.0.
@@ -706,16 +681,15 @@ mod tests {
     /// and the per-character map; versions 9 and 10 kept them; version 11
     /// lost the long levels past the longest separator-free stretch;
     /// version 12 holds a visibility byte per slot for the short levels'
-    /// masks). The one nondeterministic field, `build_time`, is set to zero
-    /// through the public state struct; everything else — source, map,
-    /// text, SA, LCP, visibility bytes, champions — is what the checksums
-    /// cover.
+    /// masks; version 13 lost the build statistics). Everything of a
+    /// payload — source, map, text, SA, LCP, visibility bytes, champions,
+    /// `τmin` — is what the checksums cover.
     #[test]
     fn snapshot_payloads_are_pinned() {
         // The second after the model went through a correlation, a
         // near-1.0 single choice and a correlated certain position.
         let correlated = Index::build(&correlated(), 0.1).unwrap();
-        let payloads = [pinned(&sample_index()), pinned(&correlated)];
+        let payloads = [sample_index(), correlated].map(|i| payload(|w| i.encode_payload(w)));
         let sections: Vec<Section> = (payloads.iter().enumerate())
             .map(|(doc, payload)| Section {
                 doc,
@@ -726,10 +700,25 @@ mod tests {
         assert_eq!(
             manifest_pins(&file_of(2, &sections)),
             [
-                (341, 6632794141285210167), // Index
-                (296, 9753397242470991722), // Index, correlated
+                (337, 10105798850458639473), // Index
+                (292, 9070288558984972968),  // Index, correlated
             ]
         );
+    }
+
+    /// A payload holds no measurement: two builds of one source save the
+    /// same `.idx` bytes.
+    #[test]
+    fn two_builds_save_identical_bytes() {
+        let s = ustr_workload::generate_string(&ustr_workload::DatasetConfig::new(2_000, 0.3, 7));
+        let saved = |name: &str| {
+            let path = std::env::temp_dir().join(format!("{name}.{}.idx", std::process::id()));
+            Index::build(&s, 0.1).unwrap().save(&path).unwrap();
+            let bytes = std::fs::read(&path).unwrap();
+            std::fs::remove_file(&path).unwrap();
+            bytes
+        };
+        assert_eq!(saved("ustr_store_twice_a"), saved("ustr_store_twice_b"));
     }
 
     fn encoded_len(encode: impl FnOnce(&mut Writer)) -> usize {
@@ -762,7 +751,7 @@ mod tests {
         );
     }
 
-    /// A length or stat takes one byte per started 7 bits, ten for
+    /// A length takes one byte per started 7 bits, ten for
     /// `u64::MAX`; a longer, overlong or out-of-range one is corrupt.
     #[test]
     fn sizes_are_shortest_form_varints() {
