@@ -40,7 +40,10 @@
 //! ε-link table. So has this crate. One crate-private *substrate* (suffix
 //! tree + `C` + levels) is the only code that builds, queries, measures,
 //! decomposes and validates that triple; [`SpecialIndex`], [`Index`] and
-//! [`ListingIndex`] are each "substrate + own map + own verification", and
+//! [`ListingIndex`] are each "substrate + own map + one plane": a query
+//! reports the substrate's candidates through its map and verifies them in
+//! one [`MatchKernel::verify`](ustr_uncertain::MatchKernel::verify) call
+//! (the special index's map is the identity), and
 //! [`ApproxIndex`] hangs its links off the substrate's level-free half
 //! (suffix tree + `C`) and the position map. In [`snapshot`] the substrate
 //! appears as one [`snapshot::SubstrateState`] inside an
