@@ -134,11 +134,6 @@ impl CorrelationSet {
     pub(crate) fn heap_size(&self) -> usize {
         self.by_subject.capacity() * std::mem::size_of::<((usize, u8), Correlation)>()
     }
-
-    /// Returns `true` when any correlation's subject lies at `pos`.
-    pub fn has_subject_at(&self, pos: usize) -> bool {
-        self.by_subject.keys().any(|&(p, _)| p == pos)
-    }
 }
 
 #[cfg(test)]
@@ -199,7 +194,5 @@ mod tests {
         assert!(set.get(2, b'z').is_some());
         assert!(set.get(2, b'y').is_none());
         assert!(set.get(1, b'z').is_none());
-        assert!(set.has_subject_at(2));
-        assert!(!set.has_subject_at(0));
     }
 }

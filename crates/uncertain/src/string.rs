@@ -135,7 +135,10 @@ impl UncertainString {
     /// runs instead of restarting at every position.
     pub fn is_effectively_deterministic(&self, i: usize) -> bool {
         let p = &self.positions[i];
-        p.is_deterministic() && !self.correlations.has_subject_at(i)
+        // A subject's character occurs at its position (`set_correlations`
+        // refuses any other), so a certain position can only be the
+        // subject of its one choice: one lookup, not a scan of the set.
+        p.is_deterministic() && self.correlations.get(i, p.choices()[0].0).is_none()
     }
 
     /// Exact probability that the deterministic `pattern` occurs at `pos`
@@ -381,20 +384,28 @@ mod tests {
         let mut s = UncertainString::parse("a:.5,b:.5 | c | d").unwrap();
         assert!(!s.is_effectively_deterministic(0));
         assert!(s.is_effectively_deterministic(1));
+        // Subjects at 1 and 0; position 2 only conditions.
         let mut corrs = CorrelationSet::new();
-        corrs
-            .add(Correlation {
-                subject_pos: 1,
-                subject_char: b'c',
-                cond_pos: 0,
-                cond_char: b'a',
-                p_present: 0.9,
-                p_absent: 0.8,
-            })
-            .unwrap();
+        for (subject_pos, subject_char, cond_pos, cond_char) in
+            [(1, b'c', 0, b'a'), (0, b'b', 2, b'd')]
+        {
+            corrs
+                .add(Correlation {
+                    subject_pos,
+                    subject_char,
+                    cond_pos,
+                    cond_char,
+                    p_present: 0.9,
+                    p_absent: 0.8,
+                })
+                .unwrap();
+        }
         s.set_correlations(corrs).unwrap();
         assert!(!s.is_effectively_deterministic(1), "correlation subject");
-        assert!(s.is_effectively_deterministic(2));
+        assert!(
+            s.is_effectively_deterministic(2),
+            "a condition, not a subject"
+        );
     }
 
     #[test]
