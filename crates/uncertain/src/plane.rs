@@ -21,15 +21,18 @@
 //!   so [`ProbPlane::to_model`] gives the model back bit for bit;
 //!   per-character *presence bitmaps* (which positions can produce a
 //!   character at all); and a *correlation-subject* bitmask over the
-//!   handful of correlated positions.
+//!   handful of correlated positions, beside their correlations flattened
+//!   to `ln` values.
 //! * [`MatchKernel`] — a per-query view that remaps the pattern to ranks
 //!   **once**, then evaluates every candidate window with **one walk**
 //!   ([`MatchKernel::log_match_bounded`]): a tight flat-array loop that
 //!   stops at the first impossible factor or the first running sum below
-//!   τ's cut. [`MatchKernel::log_match`] is that walk at a cut of −∞, and
-//!   [`MatchKernel::verify`] runs it over a run of candidates into a
-//!   [`Scan`], which keeps the hits and counts the work once — the one
-//!   verify-and-count loop every executor calls. Pattern rank scratch
+//!   τ's cut. Correlated windows take the same walk: at a correlation
+//!   subject it reads the correlation's `ln pr⁺`, `ln pr⁻` or marginal in
+//!   place of the cell. [`MatchKernel::log_match`] is that walk at a cut
+//!   of −∞, and [`MatchKernel::verify`] runs it over a run of candidates
+//!   into a [`Scan`], which keeps the hits and counts the work once — the
+//!   one verify-and-count loop every executor calls. Pattern rank scratch
 //!   lives in a thread-local buffer, so steady-state verification
 //!   allocates nothing per candidate (and nothing per query once the
 //!   buffer is warm).
@@ -44,8 +47,8 @@
 //! [`UncertainString::log_match_probability`] returns — not merely a close
 //! value. The kernel preserves the naive evaluator's summation order and
 //! adds precomputed `ln` values of the *same* `f64` inputs the naive path
-//! feeds to `ln` at query time; the deterministic fast path only triggers
-//! when every factor is exactly `ln 1 = 0.0`. This is what lets every
+//! feeds to `ln` at query time; the walk skips a position only when its
+//! factor is exactly `ln 1 = 0.0`. This is what lets every
 //! executor in the workspace (built index, scan, snapshot-loaded, TCP) keep
 //! reporting bit-identical canonical probabilities while verifying through
 //! the plane. The differential property test in `tests/prop_kernel.rs`
@@ -86,6 +89,22 @@ struct PlaneCorrelation {
     /// `ln` of the total-probability marginal — conditioning position
     /// outside the window.
     ln_outside: f64,
+}
+
+impl PlaneCorrelation {
+    /// `ln` of the subject's probability in the window `pattern` read from
+    /// `pos`: `ln pr⁺` or `ln pr⁻` by the pattern's character at the
+    /// conditioning position when the window holds it, the marginal's `ln`
+    /// when it does not — [`crate::Correlation::effective_prob`]'s rule.
+    #[inline]
+    fn ln_in_window(&self, pos: usize, pattern: &[u8]) -> f64 {
+        let inside = (self.cond_pos as usize).checked_sub(pos);
+        match inside.and_then(|k| pattern.get(k)) {
+            Some(&c) if c == self.cond_char => self.ln_present,
+            Some(_) => self.ln_absent,
+            None => self.ln_outside,
+        }
+    }
 }
 
 /// A flat, rank-remapped view of one [`UncertainString`]'s probabilities,
@@ -145,19 +164,14 @@ pub struct ProbPlane {
     /// a single choice with probability exactly `1.0` and no correlation
     /// subject (so its factor is exactly `ln 1 = 0.0`).
     det_mask: Vec<u64>,
-    /// Length of the maximal all-deterministic run starting at each
-    /// position — the O(1) form of the `det_mask` window test the kernel
-    /// actually loads (one `u32` per candidate instead of a word fold).
-    det_run: Vec<u32>,
     /// The deterministic byte at det positions (`0`, the reserved sentinel,
-    /// elsewhere) — lets an all-deterministic window verify by byte compare,
-    /// and is all the plane keeps of a det position.
+    /// elsewhere) — the walk's per-position test: a det position verifies
+    /// by byte compare, so an all-deterministic window never numbers a row.
+    /// All the plane keeps of a det position.
     det_chars: Vec<u8>,
-    /// Bit `p` set when any correlation subject lives at position `p`.
+    /// Bit `p` set when any correlation subject lives at position `p` (never
+    /// a det position): the walk looks up `corr` only where it is set.
     corr_mask: Vec<u64>,
-    /// Length of the maximal correlation-free run starting at each position
-    /// (empty when the document has no correlations at all).
-    corr_run: Vec<u32>,
     /// Flattened correlations, sorted by `(pos, ch)` for binary search.
     corr: Vec<PlaneCorrelation>,
 }
@@ -274,17 +288,6 @@ impl ProbPlane {
             row += 1;
         }
 
-        let mut det_run = vec![0u32; n];
-        let mut run = 0u32;
-        for i in (0..n).rev() {
-            run = if bit(&det_mask, i) {
-                run.saturating_add(1)
-            } else {
-                0
-            };
-            det_run[i] = run;
-        }
-
         let mut corr: Vec<PlaneCorrelation> = corrs
             .iter()
             .map(|c| {
@@ -305,21 +308,6 @@ impl ProbPlane {
             })
             .collect();
         corr.sort_unstable_by_key(|c| (c.pos, c.ch));
-        let corr_run = if corr.is_empty() {
-            Vec::new()
-        } else {
-            let mut corr_run = vec![0u32; n];
-            let mut run = 0u32;
-            for i in (0..n).rev() {
-                run = if bit(&corr_mask, i) {
-                    0
-                } else {
-                    run.saturating_add(1)
-                };
-                corr_run[i] = run;
-            }
-            corr_run
-        };
 
         Self {
             len: n,
@@ -335,10 +323,8 @@ impl ProbPlane {
             presence,
             words_per_row,
             det_mask,
-            det_run,
             det_chars,
             corr_mask,
-            corr_run,
             corr,
         }
     }
@@ -401,8 +387,10 @@ impl ProbPlane {
 
     /// `ln pr(char(rank) at pos)`; `−∞` when absent (or `rank` is
     /// [`RANK_NONE`]). A det position answers from its byte: `0.0` or `−∞`.
-    #[inline]
-    pub fn log_prob(&self, pos: usize, rank: u8) -> f64 {
+    /// The tests' cell-by-cell reading of the plane; the walk reads the
+    /// same cells in window order.
+    #[cfg(test)]
+    fn log_prob(&self, pos: usize, rank: u8) -> f64 {
         match self.det_chars[pos] {
             _ if rank == RANK_NONE => f64::NEG_INFINITY,
             0 => self.row_log_prob(self.row_of(pos), rank),
@@ -516,8 +504,7 @@ impl ProbPlane {
                 + self.det_mask.capacity()
                 + self.corr_mask.capacity())
                 * size_of::<u64>()
-            + (self.row_base.capacity() + self.det_run.capacity() + self.corr_run.capacity())
-                * size_of::<u32>()
+            + self.row_base.capacity() * size_of::<u32>()
             + self.corr.capacity() * size_of::<PlaneCorrelation>()
             + self.correlations.heap_size()
     }
@@ -671,11 +658,12 @@ impl<'a> MatchKernel<'a> {
     /// Cheapest test first: (1) one presence-bitmap bit decides most
     /// candidates — the first factor is 0, exactly the naive walk's first
     /// early exit, from an L1-resident row instead of the probability
-    /// table; (2) an O(1) `det_run` load turns windows that lie entirely in
-    /// a deterministic run into a byte compare (every factor is exactly
-    /// `ln 1 = 0.0`, which meets any τ ≤ 1); (3) everything else takes the
-    /// flat loop, with the rare correlated windows (O(1) `corr_run` gate)
-    /// on a cold path that mirrors the naive branch structure.
+    /// table; (2) a deterministic position is a byte compare (its factor
+    /// is exactly `ln 1 = 0.0`) and has no row, so an all-deterministic
+    /// window never numbers one; (3) an uncertain position reads its row's
+    /// cell, and only a correlation subject (its `corr_mask` bit, tested
+    /// only when the plane has correlations) looks up the correlation whose
+    /// `ln pr⁺`, `ln pr⁻` or marginal replaces that cell.
     #[inline]
     pub fn log_match_bounded(&self, pos: usize, log_tau: f64) -> Option<f64> {
         let m = self.pattern.len();
@@ -689,33 +677,32 @@ impl<'a> MatchKernel<'a> {
         if self.first_row[pos / 64] >> (pos % 64) & 1 == 0 {
             return None;
         }
-        if self.any_corr && (plane.corr_run[pos] as usize) < m {
-            return self.log_match_correlated(pos, log_tau);
-        }
-        if plane.det_run[pos] as usize >= m {
-            // Byte loop instead of a slice `==` (runtime-length `bcmp`
-            // call): windows this short reject at their first differing
-            // byte.
-            let window = &plane.det_chars[pos..pos + m];
-            return (window.iter().zip(self.pattern).all(|(a, b)| a == b)).then_some(0.0);
-        }
         let mut log_p = 0.0;
-        // Rows are in position order: the non-det positions before `pos`
-        // number the window's first row, and each later one takes the next.
-        let mut row = plane.row_of(pos);
+        // Rows are in position order: the window's first non-det position
+        // numbers its row by rank, and each later one takes the next.
+        let mut row = None;
         for k in 0..m {
+            let i = pos + k;
             // Deterministic positions resolve from the byte sidecar: their
             // factor is exactly 1, and `log_p + ln 1` is `log_p` bit for
             // bit, so they need no row and leave the running check as it was.
-            let d = plane.det_chars[pos + k];
+            let d = plane.det_chars[i];
             if d != 0 {
                 if d == self.pattern[k] {
                     continue;
                 }
                 return None;
             }
-            let lp = plane.row_log_prob(row, self.ranks[k]);
-            row += 1;
+            let r = row.get_or_insert_with(|| plane.row_of(i));
+            let mut lp = plane.row_log_prob(*r, self.ranks[k]);
+            *r += 1;
+            // A subject's character occurs at its position (the model
+            // refuses any other), so only a live cell is ever replaced.
+            if self.any_corr && bit(&plane.corr_mask, i) {
+                if let Some(c) = plane.corr_at(i, self.pattern[k]) {
+                    lp = c.ln_in_window(pos, self.pattern);
+                }
+            }
             if lp == f64::NEG_INFINITY {
                 return None;
             }
@@ -747,49 +734,6 @@ impl<'a> MatchKernel<'a> {
             }
         }
         &scan.hits[kept..]
-    }
-
-    /// The correlation-aware cold path of the walk, mirroring the naive
-    /// evaluator's branch structure factor by factor.
-    #[cold]
-    fn log_match_correlated(&self, pos: usize, log_tau: f64) -> Option<f64> {
-        let m = self.pattern.len();
-        let plane = self.plane;
-        let mut log_p = 0.0;
-        for k in 0..m {
-            let i = pos + k;
-            let lp = plane.log_prob(i, self.ranks[k]);
-            if lp == f64::NEG_INFINITY {
-                return None;
-            }
-            let corr = match bit(&plane.corr_mask, i) {
-                true => plane.corr_at(i, self.pattern[k]),
-                false => None,
-            };
-            let v = match corr {
-                Some(c) => {
-                    let j = c.cond_pos as usize;
-                    if j >= pos && j < pos + m {
-                        if self.pattern[j - pos] == c.cond_char {
-                            c.ln_present
-                        } else {
-                            c.ln_absent
-                        }
-                    } else {
-                        c.ln_outside
-                    }
-                }
-                None => lp,
-            };
-            if v == f64::NEG_INFINITY {
-                return None;
-            }
-            log_p += v;
-            if !canon::log_meets_threshold(log_p, log_tau) {
-                return None;
-            }
-        }
-        Some(log_p)
     }
 }
 
@@ -839,7 +783,7 @@ mod tests {
     #[test]
     fn near_one_probability_is_not_deterministic_for_the_kernel() {
         // 0.999999999999 is "deterministic" for the model's tolerance-based
-        // predicate but must NOT take the exact-1.0 fast path.
+        // predicate but must NOT be a det position: the walk reads its cell.
         let s = UncertainString::parse("a:.999999999999 | b").unwrap();
         assert_bit_identical(&s, b"ab");
     }
@@ -1020,7 +964,8 @@ mod tests {
 
     #[test]
     fn long_window_masks_cross_word_boundaries() {
-        // 130 deterministic positions: the det-window fold spans 3 words.
+        // 130 deterministic positions: the walk's byte compare crosses three
+        // 64-position words.
         let text: Vec<u8> = (0..130u32).map(|i| b'a' + (i % 3) as u8).collect();
         let s = UncertainString::deterministic(&text);
         let plane = ProbPlane::build(&s);
@@ -1062,6 +1007,44 @@ mod tests {
         assert_eq!(plane.rank(b'G'), Some(2));
         assert_eq!(plane.rank(b'z'), None);
         assert_eq!(plane.log_prob(1, RANK_NONE), f64::NEG_INFINITY);
+    }
+
+    /// A correlation adds its own bytes to the plane and nothing per
+    /// position: the subject's bit lives in a mask every plane holds.
+    #[test]
+    fn one_correlation_costs_only_its_own_bytes() {
+        let rows = (0..1000)
+            .map(|i| match i % 3 {
+                0 => vec![(b'a', 0.5), (b'b', 0.5)],
+                _ => vec![(b'c', 1.0)],
+            })
+            .collect();
+        let plain = UncertainString::from_rows(rows).unwrap();
+        let mut corrs = CorrelationSet::new();
+        corrs
+            .add(Correlation {
+                subject_pos: 3,
+                subject_char: b'a',
+                cond_pos: 0,
+                cond_char: b'b',
+                p_present: 0.9,
+                p_absent: 0.1,
+            })
+            .unwrap();
+        let mut correlated = plain.clone();
+        correlated.set_correlations(corrs).unwrap();
+        let (with, without) = (ProbPlane::build(&correlated), ProbPlane::build(&plain));
+        assert!(with.has_correlations());
+        // Its table slots, and its flattened record (a collected `Vec`'s
+        // first allocation holds a few).
+        let own = correlated.correlations().heap_size()
+            + with.corr.capacity() * std::mem::size_of::<PlaneCorrelation>();
+        assert!(
+            with.heap_size() <= without.heap_size() + own,
+            "{} B with one correlation, {} B without and {own} B of its own",
+            with.heap_size(),
+            without.heap_size()
+        );
     }
 
     #[test]

@@ -99,7 +99,10 @@ fn attach_correlations(s: &mut UncertainString, picks: &[CorrPick]) {
 }
 
 /// Patterns to throw at one string: world windows, mutated windows, and
-/// windows containing a byte that is absent from the whole alphabet.
+/// windows containing a byte that is absent from the whole alphabet; on
+/// strings past 64 positions, also a few world windows of 65–80 positions
+/// and the same mutated at their last byte, so a correlation subject or a
+/// mismatch lies deep in a window and past a 64-position word boundary.
 fn patterns_for(s: &UncertainString) -> Vec<Vec<u8>> {
     let world = s.most_probable_world();
     let n = world.len();
@@ -115,6 +118,16 @@ fn patterns_for(s: &UncertainString) -> Vec<Vec<u8>> {
             out.push(mutated);
             out.push(alien);
         }
+    }
+    for start in (0..n).step_by(29) {
+        let len = 65 + start % 16;
+        let Some(w) = world.get(start..start + len) else {
+            continue;
+        };
+        let mut mutated = w.to_vec();
+        mutated[len - 1] = b'a' + ((mutated[len - 1] - b'a' + 1) % 5);
+        out.push(w.to_vec());
+        out.push(mutated);
     }
     out
 }

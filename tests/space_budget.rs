@@ -71,8 +71,10 @@ fn check_heap_rows(
 }
 
 /// `Index::heap_size()` per source position on this input when the budget was
-/// last set, once the suffix tree's child table held an `i16` offset per slot
-/// (293.0 before, the figure once the short levels' duplicate masks, a bit per
+/// last set, once the plane dropped its two `u32`-per-position run lengths and
+/// the kernel walked every window in one loop (274.0 before, the figure once
+/// the suffix tree's child table held an `i16` offset per slot; 293.0 before
+/// that, the figure once the short levels' duplicate masks, a bit per
 /// slot per level, became one visibility byte per slot for all of them; 303.9
 /// before that, the figure once the plane stored a cell per choice and a
 /// one-word rank-bitmap record per uncertain row instead of σ cells; 345.9
@@ -84,7 +86,7 @@ fn check_heap_rows(
 /// model, with probability rows only at uncertain positions; 561.4 before that,
 /// not counting the ≈ 58 B of source copy beside the plane; 925.3 with explicit
 /// tree nodes and a sparse table per level).
-const MEASURED_BYTES_PER_POS: f64 = 274.0;
+const MEASURED_BYTES_PER_POS: f64 = 269.7;
 
 #[test]
 fn heap_breakdown_stays_inside_the_budget() {
@@ -121,15 +123,15 @@ fn heap_breakdown_stays_inside_the_budget() {
     assert_eq!(row("factor bases"), index.stats().num_factors * 4);
     // Only the choices: at each uncertain position a one-word record (σ ≤
     // 32) and, per choice, its `ln p` cell and its probability verbatim;
-    // then per position a `u32` run length, a byte and σ presence bits, and
-    // a byte of slack for the masks, bases and alphabet.
+    // then per position a byte and σ presence bits, and a byte of slack for
+    // the masks, bases and alphabet.
     let (uncertain, choices) = (s.positions().iter())
         .filter(|p| !matches!(p.choices(), &[(_, pr)] if pr.to_bits() == 1.0f64.to_bits()))
         .fold((0, 0), |(u, c), p| (u + 1, c + p.num_choices()));
     let sigma = ProbPlane::build(&s).sigma();
     assert!(sigma <= 32);
     let rows_budget = per(uncertain * 8 + choices * 16, n);
-    let sidecars = 4.0 + 1.0 + sigma as f64 / 8.0 + 1.0;
+    let sidecars = 1.0 + sigma as f64 / 8.0 + 1.0;
     let plane = per(row("model (plane)"), n);
     assert!(
         plane <= rows_budget + sidecars,
@@ -168,9 +170,10 @@ fn approx_heap_breakdown_stays_inside_the_budget() {
 }
 
 /// `ListingIndex::heap_size()` per source position over the same positions cut
-/// into documents when the budget was last set, once one plane over the
-/// collection held the documents' models and a start per document replaced a
-/// document id per factor (270.0 before, with a plane per document, 56.3
+/// into documents when the budget was last set, once the plane dropped its two
+/// `u32`-per-position run lengths (243.0 before, the figure once one plane over
+/// the collection held the documents' models and a start per document replaced
+/// a document id per factor; 270.0 before that, with a plane per document, 56.3
 /// B/position of it against the one plane's 33.1, the figure once the suffix
 /// tree's child table held an `i16` offset per slot; 286.0 before that, the
 /// figure once each document's plane stored only its choices; 326.1 before
@@ -180,7 +183,7 @@ fn approx_heap_breakdown_stays_inside_the_budget() {
 /// and a document id per factor; 450.6 before that, the first count of
 /// everything the index holds: 549.8 on `paper-string` before it, without the
 /// documents' source copies or the planes' slots).
-const LISTING_MEASURED_BYTES_PER_POS: f64 = 243.0;
+const LISTING_MEASURED_BYTES_PER_POS: f64 = 238.9;
 
 #[test]
 fn listing_heap_stays_inside_the_budget() {
