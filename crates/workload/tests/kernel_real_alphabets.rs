@@ -1,7 +1,9 @@
 //! The flat-plane `MatchKernel` is **bit-identical** (`f64::to_bits`) to
 //! `UncertainString::log_match_probability` at the alphabet sizes real
 //! data has: IUPAC DNA (σ ≤ 16, long deterministic runs — one-word row
-//! records and the deterministic-window fast path) and the §8.1 protein pdfs
+//! records, all-deterministic windows that the walk byte-compares, and
+//! windows that cross a 64-position word before their first uncertain
+//! position, where the walk numbers its row) and the §8.1 protein pdfs
 //! (σ ≈ 20). `ustr-uncertain`'s own property test draws from five letters
 //! and at most 16 positions; this one verifies every candidate the
 //! plane's presence prefilter hands to verification.
