@@ -59,7 +59,7 @@
 //! The substrate holds the only copy of the transformed text and its
 //! probabilities, and the verification plane the only copy of the source
 //! model. What an [`Index`] keeps per *source* position on the benchmark's
-//! `paper-string` workload (n = 100 000, 948 400 slots) — the rows of
+//! `paper-string` workload (n = 100 000, 948 399 text characters) — the rows of
 //! [`Index::heap_breakdown`], which `ustr stats FILE` prints and
 //! `tests/space_budget.rs` pins — at PR 21; after the suffix tree dropped
 //! its node arena for a child table and the levels their sparse tables for
@@ -68,22 +68,22 @@
 //! choices verbatim, and no `UncertainString` beside it. The tables before
 //! PR 26 left that source copy out: the last row, by a counting allocator.
 //!
-//! | structure | nodes, sparse tables | child table, block RMQ | plane as model | choices only | visibility bytes | `i16` child cells |
-//! |---|---|---|---|---|---|---|
-//! | text + SA + LCP | 85.4 | 85.4 | 85.4 | 56.9 | 56.9 | 56.9 |
-//! | suffix-tree nodes + CSR children → child table | 293.0 | 37.9 | 37.9 | 37.9 | 37.9 | 19.1 |
-//! | cumulative array `C` (prefix sums, separator counts) | 113.8 | 113.8 | 113.8 | 75.9 | 75.9 | 75.9 |
-//! | visibility bytes (the short levels' duplicate elimination) | — | — | — | — | 9.5 | 9.5 |
-//! | short levels (masks, champions, RMQ over champion values) | 200.4 | 84.7 | 84.7 | 84.7 | 61.0 | 61.0 |
-//! | long levels (champions, RMQ over champion values) | 59.2 | 19.6 | 19.6 | 14.7 | 14.7 | 14.7 |
-//! | position map → separator rank + factor bases | 37.9 | 37.9 | 37.9 | 5.7 | 5.7 | 5.7 |
-//! | model (plane) | 184.0 | 184.0 | 75.0 | 33.1 | 33.1 | 33.1 |
-//! | **`Index::heap_size()`** | **973.9** | **563.3** | **454.3** | **308.8** | **294.6** | **275.8** |
-//! | source copy beside the plane, uncounted | 57.8 | 57.8 | — | — | — | — |
+//! | structure | nodes, sparse tables | child table, block RMQ | plane as model | choices only | visibility bytes | `i16` child cells | kept slots |
+//! |---|---|---|---|---|---|---|---|
+//! | text + SA + LCP | 85.4 | 85.4 | 85.4 | 56.9 | 56.9 | 56.9 | 23.3 |
+//! | suffix-tree nodes + CSR children → child table | 293.0 | 37.9 | 37.9 | 37.9 | 37.9 | 19.1 | 5.5 |
+//! | cumulative array `C` (prefix sums, separator counts) | 113.8 | 113.8 | 113.8 | 75.9 | 75.9 | 75.9 | 75.9 |
+//! | visibility bytes (the short levels' duplicate elimination) | — | — | — | — | 9.5 | 9.5 | 2.8 |
+//! | short levels (masks, champions, RMQ over champion values) | 200.4 | 84.7 | 84.7 | 84.7 | 61.0 | 61.0 | 16.8 |
+//! | long levels (champions, RMQ over champion values) | 59.2 | 19.6 | 19.6 | 14.7 | 14.7 | 14.7 | 4.5 |
+//! | position map → separator rank + factor bases | 37.9 | 37.9 | 37.9 | 5.7 | 5.7 | 5.7 | 5.7 |
+//! | model (plane) | 184.0 | 184.0 | 75.0 | 33.1 | 33.1 | 33.1 | 29.1 |
+//! | **`Index::heap_size()`** | **973.9** | **563.3** | **454.3** | **308.8** | **294.6** | **275.8** | **163.5** |
+//! | source copy beside the plane, uncounted | 57.8 | 57.8 | — | — | — | — | — |
 //!
-//! Between the last two columns `C` came to keep its prefix sums alone
-//! (no window a query reads crosses a separator: the window contract in
-//! `carray.rs`), and the position map became a separator rank (2.4) and
+//! Between the third and fourth columns `C` came to keep its prefix sums
+//! alone (no window a query reads crosses a separator: the window contract
+//! in `carray.rs`), and the position map became a separator rank (2.4) and
 //! one base per factor (3.3): `Index::heap_size()` was 384.1. The suffix
 //! tree then took its LCP at a byte per slot, and the long levels end at
 //! the longest factor, 42 characters, instead of the text length (two
@@ -97,8 +97,13 @@
 //! short levels keep their champions and block RMQs alone. Then the suffix
 //! tree's child table went from a `u32` per slot to an `i16` offset from
 //! the slot, with the ≈ 30 cells that do not fit in a far list, and the
-//! root's children in a table of their own (the last column); no file byte
-//! moved.
+//! root's children in a table of their own (the sixth column); no file byte
+//! moved. The plane then dropped its two `u32`-per-position run lengths
+//! (271.6). Last, under source-position keys the tree, the visibility bytes
+//! and the levels hold only the slots a query can reach: no separator's,
+//! and none whose window another slot of its source position extends or
+//! repeats before it — 276 187 of 948 399, 2.76 a position (the last
+//! column; snapshot format 14). The text and `C` stay per character.
 //!
 //! And an [`ApproxIndex`] on the same string (1 944 732 links) — the rows of
 //! [`ApproxIndex::heap_breakdown`] — when it kept the `C` it found its links

@@ -11,8 +11,9 @@
 //!   from it and drops it,
 //! * the paper's §4 machinery as one [`SubstrateState`]:
 //!   * a [`ScoredTextState`] — the **only copy** of the deterministic text,
-//!     with its `(SA, LCP)` arrays (the suffix tree is rebuilt from these in
-//!     one linear, deterministic pass; separators are its zero bytes),
+//!     with the `(SA, LCP)` arrays of the suffixes a query can reach (the
+//!     suffix tree is rebuilt from these in one linear, deterministic pass;
+//!     separators are its zero bytes),
 //!   * one visibility byte per slot, which says at which short levels a
 //!     slot is a duplicate, and per-level RMQ champion indices (champion
 //!     *values* are re-derived from the cumulative array on reassembly,
@@ -47,9 +48,12 @@ use ustr_uncertain::UncertainString;
 pub struct ScoredTextState {
     /// The indexed deterministic text (no virtual terminator; 0 = separator).
     pub text: Vec<u8>,
-    /// Plain suffix array of `text`.
+    /// The suffixes of `text` a query can reach, in suffix order: its suffix
+    /// array without the separators' entries and the redundant ones (a
+    /// window another entry of the same source position extends, or repeats
+    /// before it).
     pub sa: Vec<u32>,
-    /// LCP array of `text` (`lcp[0] = 0`).
+    /// LCP of each entry of `sa` with the one before (`lcp[0] = 0`).
     pub lcp: Vec<u32>,
 }
 
@@ -76,8 +80,8 @@ pub struct LevelsParts {
     /// Duplicate elimination for every short level, one byte per slot: the
     /// short level of length `m` shows slot `j` iff `visibility[j] < m`.
     /// The entry is the minimum LCP since the previous slot with the same
-    /// source position, capped at `L`; 0 when there is none, and 255 at a
-    /// slot with no source position and at the terminator.
+    /// source position, capped at `L`; 0 when there is none, and 255 at the
+    /// terminator.
     pub visibility: Vec<u8>,
     /// Short levels, in pattern-length order (`1..=short.len()`).
     pub short: Vec<ShortLevelParts>,

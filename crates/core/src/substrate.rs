@@ -14,11 +14,43 @@
 //!
 //! Outside this module nothing sees a suffix-array *slot*: candidates come
 //! back as text positions.
+//!
+//! # Only the suffixes a query can reach
+//!
+//! Under `BySource` keys (an `Index`, and a `ListingIndex` over correlated
+//! documents) the tree holds a sorted subset of the text's suffixes, not
+//! all of them. A slot's *window* is its suffix up to the next separator
+//! (or the text end); every pattern a slot can answer is a prefix of it,
+//! and is answered at the slot's key with the characters, so the
+//! probability, of the window. A slot is *redundant* when another slot of
+//! its key has a window that starts with all of its own: that slot answers
+//! everything this one does. [`keep_reachable`] drops every slot without a
+//! key (the separators) and every redundant one, keeping the first of
+//! exact twins, after SA-IS and the LCP ran over the whole text, and
+//! compacts SA and LCP: a kept pair's LCP is the minimum over the slots
+//! dropped between them, their true common prefix. The tree, `C`'s reads,
+//! the visibility bytes and the levels are then built over the kept slots
+//! (a descent over a sorted subset of suffixes with their LCPs is the same
+//! enhanced-suffix-array walk), and no (pattern, source position) pair is
+//! lost.
+//!
+//! The kept windows of one source position are prefix-free, so on
+//! uncorrelated input — where each is an event of probability ≥ τmin and
+//! prefix-free windows are disjoint events — at most ⌊1/τmin⌋ slots are
+//! kept per source position: the z-estimation's length, where the text is
+//! O(n/τmin²). On `paper-string` (θ 0.3, τmin 0.1) 29.1 % of the slots stay,
+//! 2.76 a position. Whether a loaded SA holds *every* reachable slot cannot
+//! be checked without SA-IS (INVARIANTS.md); [`checked_tree`] checks that
+//! its entries are distinct, keyed and sorted at their LCPs.
+//!
+//! A `SpecialIndex` (no keys: every slot is a distinct position), a
+//! `ListingIndex` under `ByKeyMax` (its winners are chosen by `C`'s bits)
+//! and an `ApproxIndex` (its own [`ScoredText`]) keep every slot.
 
 mod levels;
 mod topk;
 
-use ustr_suffix::SuffixTree;
+use ustr_suffix::{lcp_array, suffix_array, SuffixTree};
 use ustr_uncertain::{ModelError, MAX_TEXT_LEN};
 
 use crate::{
@@ -27,7 +59,7 @@ use crate::{
     snapshot::{invalid, ScoredTextState, SubstrateState},
 };
 
-use levels::Levels;
+use levels::{key_space, Levels};
 pub(crate) use levels::{DedupStrategy, NO_KEY};
 
 /// Refuses a length past `limit`: [`MAX_TEXT_LEN`] for a text that `u32`
@@ -40,6 +72,105 @@ pub(crate) fn check_text_len(len: usize, limit: usize) -> Result<(), Error> {
         }));
     }
     Ok(())
+}
+
+/// For every position of `chars` and its end, the number of characters up
+/// to the next separator or the text end — the longest window there. One
+/// backward pass over the text's bytes; transient, for the build- and
+/// load-time reads that can meet a separator.
+fn run_lengths(chars: &[u8]) -> Vec<u32> {
+    let mut run = vec![0u32; chars.len() + 1];
+    for x in (0..chars.len()).rev() {
+        if chars[x] != 0 {
+            run[x] = run[x + 1] + 1;
+        }
+    }
+    run
+}
+
+/// Keeps of the suffix array `sa` of `chars` and its LCP array `lcp` only
+/// the slots a query can reach under the `BySource` `keys` (module docs),
+/// compacted in place. Three linear passes:
+///
+/// 1. Left to right, each keyed slot `j` meets `p`, the previous slot of its
+///    key, and the minimum LCP over `(p, j]`, read off a stack of LCP minima.
+///    A slot's window is followed by a separator or the text end, which sort
+///    before every character, so the slots whose suffixes start with a
+///    window `w` are its twins (window `w`) and then the slots whose window
+///    extends `w`. Hence `p` is a twin of `j` when the minimum reaches `j`'s
+///    run (`j` is dropped: keep the first twin), and `j` extends `p`, or is
+///    its twin, when it reaches `p`'s.
+/// 2. Right to left, a twin takes the verdict of the next slot of its key
+///    ("extended by a longer window" is the same for twins).
+/// 3. Left to right, the kept slots move down, each with the minimum LCP
+///    since the previous kept one.
+fn keep_reachable(chars: &[u8], keys: &[u32], sa: &mut Vec<u32>, lcp: &mut Vec<u32>) {
+    /// A slot without a key: a separator's.
+    const KEYLESS: u8 = 1;
+    /// An earlier slot of the key has the same window.
+    const LATER_TWIN: u8 = 2;
+    /// A later slot of the key has a window that extends this one.
+    const EXTENDED: u8 = 4;
+    /// The next slot of the key has the same window, and this one's verdict.
+    const NEXT_IS_TWIN: u8 = 8;
+    let run = run_lengths(chars);
+    let window = |slot: u32| run[sa[slot as usize] as usize];
+    let mut flags = vec![0u8; sa.len()];
+    let mut prev = vec![u32::MAX; key_space(keys)];
+    // `(slot, LCP)` pairs, both rising toward the top: the minimum LCP over
+    // `(p, j]` is that of the first pair past `p`.
+    let mut minima: Vec<(u32, u32)> = Vec::new();
+    for j in 0..sa.len() as u32 {
+        let lcp_j = lcp[j as usize];
+        while minima.last().is_some_and(|&(_, l)| l >= lcp_j) {
+            minima.pop();
+        }
+        minima.push((j, lcp_j));
+        let key = keys[sa[j as usize] as usize];
+        if key == NO_KEY {
+            flags[j as usize] = KEYLESS;
+            continue;
+        }
+        let p = std::mem::replace(&mut prev[key as usize], j);
+        if p == u32::MAX {
+            continue;
+        }
+        let shared = minima[minima.partition_point(|&(slot, _)| slot <= p)].1;
+        if shared >= window(j) {
+            flags[j as usize] |= LATER_TWIN;
+        }
+        if shared >= window(p) {
+            flags[p as usize] |= if window(j) > window(p) {
+                EXTENDED
+            } else {
+                NEXT_IS_TWIN
+            };
+        }
+    }
+    // Per key, whether its slot right of the current one is extended.
+    let mut extended = vec![false; prev.len()];
+    drop(prev);
+    for j in (0..sa.len()).rev() {
+        let key = keys[sa[j] as usize];
+        if key == NO_KEY {
+            continue;
+        }
+        let next = &mut extended[key as usize];
+        *next = flags[j] & EXTENDED != 0 || (flags[j] & NEXT_IS_TWIN != 0 && *next);
+        if *next {
+            flags[j] |= EXTENDED;
+        }
+    }
+    let (mut kept, mut shared) = (0, u32::MAX);
+    for j in 0..sa.len() {
+        shared = shared.min(lcp[j]);
+        if flags[j] & (KEYLESS | LATER_TWIN | EXTENDED) == 0 {
+            (sa[kept], lcp[kept]) = (sa[j], shared);
+            (kept, shared) = (kept + 1, u32::MAX);
+        }
+    }
+    sa.truncate(kept);
+    lcp.truncate(kept);
 }
 
 /// A deterministic text with per-position probabilities: its suffix tree
@@ -89,19 +220,9 @@ impl ScoredText {
         self.cum.window(x, len)
     }
 
-    /// For every text position and the end, the number of characters up to
-    /// the next separator or the text end — the longest window there. One
-    /// backward pass over the text's bytes; transient, for the build- and
-    /// load-time reads that can meet a separator.
+    /// [`run_lengths`] of the text.
     pub(crate) fn run_lengths(&self) -> Vec<u32> {
-        let chars = self.tree.text();
-        let mut run = vec![0u32; chars.len() + 1];
-        for x in (0..chars.len()).rev() {
-            if chars[x] != 0 {
-                run[x] = run[x + 1] + 1;
-            }
-        }
-        run
+        run_lengths(self.tree.text())
     }
 
     /// [`ScoredText::window`] where the window is whole, −∞ where it would
@@ -118,23 +239,24 @@ impl ScoredText {
 }
 
 /// The suffix tree of `text` from its stored `(SA, LCP)` arrays, for a
-/// loaded index. The checks are exact: the SA must be *the* suffix
-/// array of the text — a permutation of `0..n` whose neighbours ascend —
-/// and every LCP entry the full common prefix of its two suffixes, because
+/// loaded index: the kept slots (module docs). The checks are exact for
+/// what is stored: every SA entry is a keyed position of the text (not a
+/// separator), no entry repeats, neighbours ascend in suffix order, and
+/// every LCP entry is the full common prefix of its two suffixes, because
 /// `SuffixTree::from_parts` derives its child table from the LCP values
-/// alone and a wrong table loses occurrences silently.
+/// alone and a wrong table loses occurrences silently. Whether the entries
+/// are *all* the reachable slots is not checked: that takes SA-IS.
 fn checked_tree(text: Vec<u8>, sa: Vec<u32>, lcp: Vec<u32>) -> Result<SuffixTree, Error> {
     let n = text.len();
-    if sa.len() != n || lcp.len() != n {
-        return Err(invalid("suffix/LCP array length does not match text"));
+    if lcp.len() != sa.len() {
+        return Err(invalid("suffix/LCP array lengths differ"));
     }
-    let mut seen = vec![false; n];
     for &p in &sa {
-        let p = p as usize;
-        if p >= n || seen[p] {
-            return Err(invalid("suffix array is not a permutation of 0..n"));
+        match text.get(p as usize) {
+            None => return Err(invalid("suffix array entry past the text")),
+            Some(0) => return Err(invalid("suffix array entry at a separator")),
+            Some(_) => {}
         }
-        seen[p] = true;
     }
     for (j, &l) in lcp.iter().enumerate() {
         let l = l as usize;
@@ -144,7 +266,12 @@ fn checked_tree(text: Vec<u8>, sa: Vec<u32>, lcp: Vec<u32>) -> Result<SuffixTree
             }
             continue;
         }
+        // Neighbours that ascend strictly are distinct, and so, by
+        // transitivity, is every entry.
         let (a, b) = (sa[j - 1] as usize, sa[j] as usize);
+        if a == b {
+            return Err(invalid("suffix array entry repeats"));
+        }
         if l > n - a || l > n - b || text[a..a + l] != text[b..b + l] {
             return Err(invalid("LCP entry exceeds the true common prefix"));
         }
@@ -171,13 +298,22 @@ pub(crate) struct Substrate {
 
 impl Substrate {
     /// Builds the machinery over `chars`/`probs`. `dedup` states which
-    /// suffixes of one locus partition are duplicates of each other.
+    /// suffixes of one locus partition are duplicates of each other; under
+    /// `BySource` keys the tree holds only the slots a query can reach
+    /// (module docs).
     pub(crate) fn build(
         chars: &[u8],
         probs: &[f64],
         dedup: &DedupStrategy<'_>,
     ) -> Result<Self, Error> {
-        let text = ScoredText::build(chars, probs)?;
+        check_text_len(chars.len(), MAX_TEXT_LEN)?;
+        let mut sa = suffix_array(chars);
+        let mut lcp = lcp_array(chars, &sa);
+        if let DedupStrategy::BySource(keys) = *dedup {
+            keep_reachable(chars, keys, &mut sa, &mut lcp);
+        }
+        let tree = SuffixTree::from_parts(chars.to_vec(), sa, lcp);
+        let text = ScoredText::new(tree, probs);
         let levels = Levels::build(&text, dedup);
         Ok(Self { text, levels })
     }
@@ -250,7 +386,9 @@ mod tests {
     use ustr_uncertain::UncertainString;
 
     /// Figure 5's characters twice as a certain string (a separator ends
-    /// its one factor: 14 slots, 4 short levels, long levels at 4 and 8):
+    /// its one factor; every character is a source position of its own, so
+    /// every slot but the separator's is kept: 13 slots, 4 short levels,
+    /// long levels at 4 and 8):
     /// every array a state struct holds, and a ladder with two long levels.
     fn state() -> IndexState {
         let banana = UncertainString::deterministic(b"bananabanana");
@@ -277,9 +415,12 @@ mod tests {
         assert!(Index::from_snapshot(state()).is_ok());
         type Tamper = fn(&mut IndexState);
         const LADDER: &str = "level count does not match the ladder";
-        let rows: [(&str, Tamper); 16] = [
-            ("not a permutation", |i| {
-                i.substrate.text.sa[0] = i.substrate.text.sa[1]
+        let rows: [(&str, Tamper); 19] = [
+            // The text is 12 characters and the separator at 12.
+            ("entry at a separator", |i| i.substrate.text.sa[0] = 12),
+            ("entry past the text", |i| i.substrate.text.sa[0] = 13),
+            ("entry repeats", |i| {
+                i.substrate.text.sa[1] = i.substrate.text.sa[0]
             }),
             ("lcp[0] must be 0", |i| i.substrate.text.lcp[0] = 1),
             ("exceeds the true common prefix", |i| {
@@ -288,8 +429,8 @@ mod tests {
             // The last `a…` suffix and the first `b…` one swapped, with the
             // LCPs around them zeroed so that none *exceeds* a common prefix.
             ("not in suffix order", |i| {
-                i.substrate.text.sa.swap(6, 7);
-                i.substrate.text.lcp[6..9].fill(0);
+                i.substrate.text.sa.swap(5, 6);
+                i.substrate.text.lcp[5..8].fill(0);
             }),
             ("short of the true common prefix", |i| {
                 let lcp = &mut i.substrate.text.lcp;
@@ -298,14 +439,15 @@ mod tests {
             ("visibility byte count", |i| {
                 i.substrate.levels.visibility.pop();
             }),
-            // Four short levels: a byte of 5 names none, at the first slot
-            // with a source position (slot 1 is a separator's, all 255).
+            // Four short levels: a byte of 5 names none, at slot 1.
             ("visibility byte above", |i| {
-                let visibility = &mut i.substrate.levels.visibility;
-                *visibility.iter_mut().find(|d| **d != 255).unwrap() = 5
-            }),
-            ("other than 255 at a separator", |i| {
                 i.substrate.levels.visibility[1] = 5
+            }),
+            ("visibility byte 255 at a slot", |i| {
+                i.substrate.levels.visibility[1] = 255
+            }),
+            ("other than 255 at the terminator", |i| {
+                i.substrate.levels.visibility[0] = 5
             }),
             ("outside its block", |i| {
                 i.substrate.levels.short[0].champions[0] = u32::MAX
@@ -498,6 +640,102 @@ mod tests {
                     NaiveScanner::listing(&docs, &pattern, TAU),
                     "{m}"
                 );
+            }
+        }
+    }
+
+    /// Factors that end in one window: `A:.5,B:.5 | C` at τmin 0.3 is the
+    /// factors `BC`, `AC` and `C`, whose slots at source position 1 are
+    /// three exact twins (window `C`) that no longer window extends. The
+    /// first is kept, so `C` is found at 1: three slots stay, one a window,
+    /// and the index — built and loaded — answers every pattern of up to
+    /// two characters, in both modes, as the scanner does.
+    #[test]
+    fn an_exact_twin_keeps_its_first_slot() {
+        use ustr_baseline::NaiveScanner;
+        let source = UncertainString::parse("A:.5,B:.5 | C").unwrap();
+        let built = Index::build(&source, 0.3).unwrap();
+        let state = built.to_snapshot();
+        let text = &state.substrate.text;
+        assert_eq!(text.text, b"BC\0AC\0C\0", "three factors");
+        let windows: Vec<Vec<u8>> = (text.sa.iter())
+            .map(|&x| {
+                text.text[x as usize..]
+                    .split(|&c| c == 0)
+                    .next()
+                    .unwrap()
+                    .to_vec()
+            })
+            .collect();
+        let loaded = Index::from_snapshot(state).unwrap();
+        let alphabet = [b'A', b'B', b'C'];
+        let pairs = alphabet.iter().flat_map(|&a| alphabet.map(|b| vec![a, b]));
+        for pattern in alphabet.iter().map(|&c| vec![c]).chain(pairs) {
+            for tau in [0.3, 0.5, 0.9] {
+                let expected = NaiveScanner::find_with_probs(&source, &pattern, tau);
+                let mut top = NaiveScanner::find_with_probs(&source, &pattern, 0.3);
+                top.sort_by(crate::canonical_hit_order);
+                top.truncate(2);
+                for index in [&built, &loaded] {
+                    assert_eq!(index.query(&pattern, tau).unwrap().hits(), expected);
+                    assert_eq!(index.query_top_k(&pattern, 2).unwrap(), top);
+                }
+            }
+        }
+        assert_eq!(windows, [&b"AC"[..], b"BC", b"C"]);
+    }
+
+    /// `keep_reachable` against its definition, on small random texts with
+    /// few characters and few keys: a keyed slot is kept iff no other slot
+    /// of its key has a window that starts with its own and is longer, or
+    /// equal and earlier in suffix order; the kept slots keep their order,
+    /// and each LCP is the true common prefix of its two suffixes.
+    #[test]
+    fn the_cut_keeps_what_its_definition_keeps() {
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = |bound: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % bound
+        };
+        for case in 0..400 {
+            let n = 1 + next(60) as usize;
+            let sigma = 1 + case % 3;
+            let chars: Vec<u8> = (0..n)
+                .map(|_| match next(sigma as u64 + 1) {
+                    0 => 0,
+                    c => b'a' + c as u8 - 1,
+                })
+                .collect();
+            let keys: Vec<u32> = (chars.iter())
+                .map(|&c| if c == 0 { NO_KEY } else { next(4) as u32 })
+                .collect();
+            let full = suffix_array(&chars);
+            let (mut sa, mut lcp) = (full.clone(), lcp_array(&chars, &full));
+            keep_reachable(&chars, &keys, &mut sa, &mut lcp);
+            let window = |x: u32| chars[x as usize..].split(|&c| c == 0).next().unwrap();
+            let expected: Vec<u32> = (full.iter().enumerate())
+                .filter(|&(_, &x)| keys[x as usize] != NO_KEY)
+                .filter(|&(j, &x)| {
+                    let (w, key) = (window(x), keys[x as usize]);
+                    !full.iter().enumerate().any(|(i, &y)| {
+                        let v = window(y);
+                        keys[y as usize] == key
+                            && v.starts_with(w)
+                            && (v.len() > w.len() || (i < j && v.len() == w.len()))
+                    })
+                })
+                .map(|(_, &x)| x)
+                .collect();
+            assert_eq!(sa, expected, "{chars:?} {keys:?}");
+            for j in 0..sa.len() {
+                let (a, b) = (
+                    &chars[sa[j] as usize..],
+                    j.checked_sub(1).map(|i| &chars[sa[i] as usize..]),
+                );
+                let common = b.map_or(0, |b| a.iter().zip(b).take_while(|(x, y)| x == y).count());
+                assert_eq!(lcp[j] as usize, common, "{chars:?} slot {j}");
             }
         }
     }

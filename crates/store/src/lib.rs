@@ -39,7 +39,7 @@
 //! shortest form only), by value size, not by type. The *string* piece is
 //! the WAL's record body too, and keeps its fixed-width `u64` lengths.
 //!
-//! # Payloads (version 13)
+//! # Payloads (version 14)
 //!
 //! A payload says what `build` produces and a query reads, each array
 //! once. Shared pieces first, then the payload, every field in the order it
@@ -49,7 +49,7 @@
 //! |---|---|
 //! | *string* | position count; per position: choice count (`u32`), then `(char, prob)` pairs; correlation count; *correlation* rows (shared with the WAL, so fixed-width) |
 //! | *correlation* | subject position, subject char, condition position, condition char, `p_present`, `p_absent` |
-//! | *scored text* | text bytes (0 = factor separator), SA, LCP, each after its length |
+//! | *scored text* | text bytes (0 = factor separator), SA, LCP, each after its length: the SA holds the kept slots alone — no separator, no slot whose window another slot of its source position extends or repeats before it — and the LCP their neighbours' common prefixes |
 //! | *substrate* | *scored text*; visibility bytes (one raw byte per slot, after their count: the short level of length `m` shows slot `j` iff its byte is below `m`); short-level count `L`; per short level: champions (one per 64 slots, the `j`-th as `c − 64·j`); long-level count; per long level, the `k`-th of length `L·2ᵏ`: champions (one per `L·2ᵏ` slots, as `c − j·L·2ᵏ`) |
 //! | *factor starts* | per stretch of the text (position 0 and every position after a separator start one), after their count: the source position of its first character, as the zigzag delta from the previous start (from 0 for the first; wrapping) |
 //!
@@ -62,10 +62,13 @@
 //! separator-free stretch of the text: any other ladder is refused, so a
 //! loaded index has a built one's levels. A visibility byte is the minimum
 //! LCP since the previous slot with the same source position, capped at
-//! `L` (0 without one, 255 at a slot with no source position and at the
-//! terminator): a load refuses a count other than the slot count and a
-//! byte above `L` other than 255, but does not derive the bytes again —
-//! the chain sweep that does would cost a load what it costs the build.
+//! `L` (0 without one, 255 at the terminator): a load refuses a count
+//! other than the slot count and a byte above `L` other than 255, but does
+//! not derive the bytes again — the chain sweep that does would cost a
+//! load what it costs the build. Nor does it check that the SA holds every
+//! slot a query can reach: that takes SA-IS. It checks that the entries
+//! are distinct keyed positions of the text, in suffix order at their
+//! LCPs.
 //!
 //! Not written, because another field fixes it: where the separators are
 //! (the zero bytes of the text), the map past a factor's first character
@@ -118,7 +121,10 @@
 //! not whole). Version 13 writes no *stats* piece (version 12 ended a
 //! payload with the source length, the text length, the factor count and
 //! the build time in nanoseconds, each a varint), so a payload holds no
-//! measurement.
+//! measurement. Version 14 writes the SA and LCP of the kept slots alone,
+//! and the visibility bytes and champions over them (version 13 wrote a
+//! slot for every text position, separators included: on `paper-string`
+//! 948 399 slots where 276 187 are kept).
 //!
 //! # Failure model
 //!
@@ -194,8 +200,9 @@ pub const MAGIC: [u8; 8] = *b"USTRCOLL";
 /// version 10 writes no links; version 11 ends the long levels at the
 /// longest separator-free stretch of the text; version 12 writes a
 /// visibility byte per slot in place of the short levels' masks; version
-/// 13 writes no build statistics.
-pub const FORMAT_VERSION: u32 = 13;
+/// 13 writes no build statistics; version 14 writes the suffix array and
+/// LCP of the slots a query can reach alone.
+pub const FORMAT_VERSION: u32 = 14;
 
 /// Which structure a section holds: one a server loads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -681,7 +688,8 @@ mod tests {
     /// and the per-character map; versions 9 and 10 kept them; version 11
     /// lost the long levels past the longest separator-free stretch;
     /// version 12 holds a visibility byte per slot for the short levels'
-    /// masks; version 13 lost the build statistics). Everything of a
+    /// masks; version 13 lost the build statistics; version 14 holds the
+    /// slots a query can reach alone). Everything of a
     /// payload — source, map, text, SA, LCP, visibility bytes, champions,
     /// `τmin` — is what the checksums cover.
     #[test]
@@ -700,8 +708,8 @@ mod tests {
         assert_eq!(
             manifest_pins(&file_of(2, &sections)),
             [
-                (337, 10105798850458639473), // Index
-                (292, 9070288558984972968),  // Index, correlated
+                (245, 12937658240950098923), // Index
+                (220, 671992598115421684),   // Index, correlated
             ]
         );
     }
@@ -815,8 +823,7 @@ mod tests {
 
     /// A checksummed payload whose visibility bytes fit no build — one
     /// missing; one above its slot's LCP capped at `L`; 255 at a slot with
-    /// a source position, or anything else at a separator or the
-    /// terminator — decodes, and the index refuses it as an invalid
+    /// a source position, or anything else at the terminator — decodes, and the index refuses it as an invalid
     /// snapshot: never a panic, at load or at a query.
     #[test]
     fn a_bad_visibility_array_is_an_invalid_snapshot() {
@@ -868,20 +875,18 @@ mod tests {
         let mut state = index.clone();
         state.substrate.levels.visibility[low] = capped(low) as u8 + 1;
         refused(&state, "visibility byte above its slot's capped LCP");
-        // 255 at a slot with a source position; 0 at the terminator and at
-        // a separator.
+        // 255 at a slot with a source position; 0 at the terminator, the
+        // one slot without (the SA holds no separator's).
         let mut state = index.clone();
         state.substrate.levels.visibility[shown] = 255;
         refused(
             &state,
             "visibility byte 255 at a slot with a source position",
         );
-        let separator = (1..visibility.len()).find(|&j| !keyed(j)).unwrap();
-        for keyless in [0, separator] {
-            let mut state = index.clone();
-            state.substrate.levels.visibility[keyless] = 0;
-            refused(&state, "other than 255 at a separator or the terminator");
-        }
+        assert!((1..visibility.len()).all(keyed));
+        let mut state = index.clone();
+        state.substrate.levels.visibility[0] = 0;
+        refused(&state, "other than 255 at the terminator");
         // A keyed byte inside its cap loads, right or wrong (the bytes are
         // checked, not derived again): here the first occurrence of its
         // source position, which should show, is hidden below its LCP.

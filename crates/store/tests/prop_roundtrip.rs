@@ -212,21 +212,23 @@ fn wrong_version_is_a_clean_error() {
 /// preorder rank), a format-9 `.coll` with approx sections (its links
 /// name their origins by node key), a format-10 `.coll` (its long levels
 /// run on to the text length), a format-11 `.coll` (its short levels
-/// carry a duplicate mask each) and a format-12 `.coll` (its payloads end
-/// with build statistics). Each is refused with a message that says to
-/// rebuild it.
+/// carry a duplicate mask each), a format-12 `.coll` (its payloads end
+/// with build statistics) and a format-13 `.coll` (its suffix arrays hold
+/// every keyed and separator slot). Each is refused with a message that
+/// says to rebuild it.
 #[test]
 fn old_format_files_are_refused_with_a_rebuild_message() {
     let fixtures = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
     for (file, refused) in [
         ("format6.idx", "bad magic"),
-        ("format6.coll", "version 1 (this build reads version 13)"),
-        ("format7.idx", "version 7 (this build reads version 13)"),
-        ("format8.coll", "version 8 (this build reads version 13)"),
-        ("format9.coll", "version 9 (this build reads version 13)"),
-        ("format10.coll", "version 10 (this build reads version 13)"),
-        ("format11.coll", "version 11 (this build reads version 13)"),
-        ("format12.coll", "version 12 (this build reads version 13)"),
+        ("format6.coll", "version 1 (this build reads version 14)"),
+        ("format7.idx", "version 7 (this build reads version 14)"),
+        ("format8.coll", "version 8 (this build reads version 14)"),
+        ("format9.coll", "version 9 (this build reads version 14)"),
+        ("format10.coll", "version 10 (this build reads version 14)"),
+        ("format11.coll", "version 11 (this build reads version 14)"),
+        ("format12.coll", "version 12 (this build reads version 14)"),
+        ("format13.coll", "version 13 (this build reads version 14)"),
     ] {
         let err = Index::load(fixtures.join(file)).err().unwrap();
         let said = err.to_string();

@@ -22,18 +22,22 @@
 //!
 //! # Space
 //!
-//! A tree over `n` characters has `n + 1` suffix-array slots (one virtual
-//! terminator); everything is an array over slots. The two layers are
-//! built — and paid for — separately:
+//! A tree over `k` suffixes of an `n`-character text has `k + 1`
+//! suffix-array slots (one virtual terminator): `k = n` from
+//! [`SuffixTree::build`], any sorted subset of the suffixes from
+//! [`SuffixTree::from_parts`] (an `ustr_core` index keeps only the suffixes
+//! a query can reach). Everything but the text is an array over slots. The
+//! two layers are built — and paid for — separately:
 //!
-//! * **Locus core** ([`SuffixTree`], 8 B/slot): text 1, SA 4, slot-LCP 1,
-//!   child table 2 — one `i16` cell per slot holding, as an offset from
+//! * **Locus core** ([`SuffixTree`], 7 B/slot and 1 B per text character):
+//!   text 1 per character, SA 4, slot-LCP 1, child table 2 — one `i16`
+//!   cell per slot holding, as an offset from
 //!   the slot, the `up`, `down` or `nextlIndex` value of Abouelhoda, Kurtz
 //!   and Ohlebusch's enhanced suffix array, whichever that slot can be
 //!   asked for. A value more than 32 767 slots away is kept in a far list
 //!   sorted by slot and binary-searched (8 B an entry; ≈ 30 entries on
-//!   the benchmark's `paper-string`, none on a tree of fewer than 32 768
-//!   slots), and the root's children
+//!   a tree of every slot of the benchmark's `paper-string`, none on a
+//!   tree of fewer than 32 768 slots), and the root's children
 //!   in a table of their own, 9 B a child, which the descent's first step
 //!   reads in place of the root's sibling links. The LCP is their byte
 //!   table too: an entry of 255 or more is stored as 255, and its value
@@ -55,11 +59,12 @@
 //!   ranks and ends.)
 //!
 //! Measured per *source* position on the benchmark's `paper-string` workload
-//! (n = 100 000, 9.48 slots per position): the locus core is 76.0 B (94.8
-//! with a `u32` child cell, 123.3 with a `u32` LCP too), of which the child
-//! table is 19.1 — where nodes + CSR children were 293, the largest single
-//! structure of an `ustr_core::Index` (563.3 B in all, 973.9 before; its
-//! crate docs have the table).
+//! (n = 100 000, 9.48 text characters per position): over every slot the
+//! locus core is 76.0 B (94.8 with a `u32` child cell, 123.3 with a `u32`
+//! LCP too), of which the child table is 19.1 — where nodes + CSR children
+//! were 293, the largest single structure of an `ustr_core::Index` (563.3 B
+//! in all, 973.9 before; its crate docs have the table). Over the 2.76
+//! slots per position an `Index` keeps, it is 28.8 B, the child table 5.5.
 
 #![forbid(unsafe_code)]
 // Probabilities are computed once, in `ustr-uncertain` (INVARIANTS.md §1).

@@ -9,11 +9,16 @@
 //!
 //! Consequences for users:
 //!
-//! * There are `n + 1` leaves; SA slot `0` is the virtual-terminator suffix
-//!   (text position `n`), slots `1..=n` are the real suffixes in the same
-//!   order as [`crate::suffix_array`].
+//! * A tree over `k` suffixes has `k + 1` leaves; SA slot `0` is the
+//!   virtual-terminator suffix (text position `n`), slots `1..=k` are the
+//!   suffixes it was given, in the order of [`crate::suffix_array`]. A tree
+//!   from [`SuffixTree::build`] is given every suffix (`k = n`); one from
+//!   [`SuffixTree::from_parts`] may be given a sorted subset, and is then the
+//!   compacted trie of those suffixes alone — the same enhanced-suffix-array
+//!   walk over fewer slots, where a pattern's range holds exactly the given
+//!   suffixes it prefixes.
 //! * Pattern descent never matches the virtual terminator, so suffix ranges
-//!   of non-empty patterns always lie within `[1, n]`.
+//!   of non-empty patterns always lie within `[1, k]`.
 //!
 //! # Nodes are intervals
 //!
@@ -51,10 +56,10 @@
 //! and its value kept in a far list sorted by slot, found by binary
 //! search. Only a child wider than 32 767 slots makes a far cell, so on a
 //! transformed string they are the root's: its sibling links and the
-//! `up`s of its widest children, ≈ 30 on `paper-string`'s tree of 950 000
-//! slots, and none on a tree of fewer than 32 768 slots. The descent reads
-//! the root's children from their own array (below), so its first step
-//! reads none.
+//! `up`s of its widest children, ≈ 30 on a tree of all 948 400 slots of
+//! `paper-string`'s text, and none on a tree of fewer than 32 768 slots.
+//! The descent reads the root's children from their own array (below), so
+//! its first step reads none.
 //!
 //! A value is told apart by where it points and by what lies there — an
 //! equal LCP for a `nextlIndex`, or, in the pattern descent, a different
@@ -96,7 +101,8 @@ const FAR: i16 = i16::MIN;
 #[derive(Debug, Clone)]
 pub struct SuffixTree {
     text: Box<[u8]>,
-    /// Virtual SA: `sa[0] = n` (terminator suffix), `sa[1..]` = real SA.
+    /// Virtual SA: `sa[0] = n` (terminator suffix), `sa[1..]` = the suffixes
+    /// the tree was given, in suffix order.
     sa: Box<[u32]>,
     /// `slot_lcp[j]` = LCP of the suffixes in slots `j-1` and `j` (0 for
     /// `j <= 1`), or [`LCP_MARK`] when that is 255 or more.
@@ -126,12 +132,16 @@ impl SuffixTree {
         Self::from_parts(text, plain_sa, lcp)
     }
 
-    /// Builds from a precomputed suffix array and LCP array of `text`: the
-    /// child table is one stack sweep over the `u32` LCP values, which are
-    /// then narrowed to a byte each (module docs).
+    /// Builds from a sorted set of `text`'s suffixes — its suffix array, or
+    /// any subsequence of it — with their LCP array (`lcp[j]` the common
+    /// prefix of entries `j − 1` and `j`, `lcp[0] = 0`): the child table is
+    /// one stack sweep over the `u32` LCP values, which are then narrowed
+    /// to a byte each (module docs). The tree has `plain_sa.len() + 1`
+    /// slots.
     pub fn from_parts(text: Vec<u8>, plain_sa: Vec<u32>, lcp: Vec<u32>) -> Self {
         let n = text.len();
-        let m = n + 1; // slots, including the virtual-terminator suffix
+        // Slots, including the virtual-terminator suffix.
+        let m = plain_sa.len() + 1;
 
         // Each array is collected straight into its allocation (exact-size
         // iterators).
@@ -231,10 +241,11 @@ impl SuffixTree {
     }
 
     /// Decomposes the tree into the `(text, suffix array, LCP array)` triple
-    /// accepted by [`SuffixTree::from_parts`] — the persistent representation
-    /// used by index snapshots. Rebuilding from these parts is a linear,
-    /// deterministic pass, so the reconstructed tree answers every query
-    /// identically (and skips the SA-IS construction entirely).
+    /// accepted by [`SuffixTree::from_parts`] — the suffixes it was given,
+    /// the persistent representation used by index snapshots. Rebuilding
+    /// from these parts is a linear, deterministic pass, so the
+    /// reconstructed tree answers every query identically (and skips the
+    /// SA-IS construction entirely).
     pub fn to_parts(&self) -> (Vec<u8>, Vec<u32>, Vec<u32>) {
         // `sa[0]` is the virtual-terminator slot; the plain SA follows.
         let plain_sa = self.sa[1..].to_vec();
@@ -245,8 +256,8 @@ impl SuffixTree {
         (self.text.to_vec(), plain_sa, lcp)
     }
 
-    /// Number of SA slots / leaves: one per text character plus the
-    /// virtual terminator.
+    /// Number of SA slots / leaves: one per suffix the tree was given plus
+    /// the virtual terminator.
     pub fn num_slots(&self) -> usize {
         self.sa.len()
     }
@@ -424,11 +435,12 @@ impl SuffixTree {
     pub fn suffix_range(&self, pattern: &[u8]) -> Option<(usize, usize)> {
         let m = pattern.len();
         let n = self.text.len();
-        if m == 0 || n == 0 {
-            return (m == 0).then_some((0, n));
+        if m == 0 {
+            return Some((0, self.num_slots() - 1));
         }
         // The root's child `[a, b]` for the first character, from the root
-        // table, named `first` unless it is a leaf.
+        // table, named `first` unless it is a leaf (no child at all in a
+        // tree of no suffix).
         let i = self.root_chars.iter().position(|&c| c == pattern[0])?;
         let ((a, first), (next, _)) = (self.root_children[i], self.root_children[i + 1]);
         let (mut a, mut b, mut first) = (a as usize, next as usize - 1, first as usize);
@@ -493,13 +505,12 @@ impl SuffixTree {
         }
     }
 
-    /// All text positions where `pattern` occurs (unsorted).
+    /// The start of every suffix the tree holds that `pattern` prefixes
+    /// (unsorted): every occurrence in the text, for a tree of all
+    /// suffixes.
     pub fn occurrences(&self, pattern: &[u8]) -> Vec<usize> {
-        if pattern.is_empty() {
-            return (0..self.text.len()).collect();
-        }
         match self.suffix_range(pattern) {
-            Some((l, r)) => (l..=r).map(|j| self.sa(j)).collect(),
+            Some((l, r)) => (l.max(1)..=r).map(|j| self.sa(j)).collect(),
             None => Vec::new(),
         }
     }

@@ -288,25 +288,25 @@ impl ProbPlane {
             row += 1;
         }
 
-        let mut corr: Vec<PlaneCorrelation> = corrs
-            .iter()
-            .map(|c| {
-                let marginal = source.position(c.cond_pos).prob_of(c.cond_char);
-                // Same formula (and the same f64 inputs) the naive
-                // evaluator feeds through `effective_prob` at query time,
-                // so the precomputed ln values are bit-identical.
-                let outside = c.effective_prob(None, marginal);
-                PlaneCorrelation {
-                    pos: c.subject_pos as u32,
-                    ch: c.subject_char,
-                    cond_pos: c.cond_pos as u32,
-                    cond_char: c.cond_char,
-                    ln_present: canon::ln(c.p_present),
-                    ln_absent: canon::ln(c.p_absent),
-                    ln_outside: canon::ln(outside),
-                }
-            })
-            .collect();
+        // Sized up front: the set's iterator does not report its length, and
+        // a collect would start at a capacity of four records.
+        let mut corr: Vec<PlaneCorrelation> = Vec::with_capacity(corrs.len());
+        corr.extend(corrs.iter().map(|c| {
+            let marginal = source.position(c.cond_pos).prob_of(c.cond_char);
+            // Same formula (and the same f64 inputs) the naive
+            // evaluator feeds through `effective_prob` at query time,
+            // so the precomputed ln values are bit-identical.
+            let outside = c.effective_prob(None, marginal);
+            PlaneCorrelation {
+                pos: c.subject_pos as u32,
+                ch: c.subject_char,
+                cond_pos: c.cond_pos as u32,
+                cond_char: c.cond_char,
+                ln_present: canon::ln(c.p_present),
+                ln_absent: canon::ln(c.p_absent),
+                ln_outside: canon::ln(outside),
+            }
+        }));
         corr.sort_unstable_by_key(|c| (c.pos, c.ch));
 
         Self {
@@ -1035,10 +1035,8 @@ mod tests {
         correlated.set_correlations(corrs).unwrap();
         let (with, without) = (ProbPlane::build(&correlated), ProbPlane::build(&plain));
         assert!(with.has_correlations());
-        // Its table slots, and its flattened record (a collected `Vec`'s
-        // first allocation holds a few).
-        let own = correlated.correlations().heap_size()
-            + with.corr.capacity() * std::mem::size_of::<PlaneCorrelation>();
+        // Its table slots, and its one flattened record.
+        let own = correlated.correlations().heap_size() + std::mem::size_of::<PlaneCorrelation>();
         assert!(
             with.heap_size() <= without.heap_size() + own,
             "{} B with one correlation, {} B without and {own} B of its own",

@@ -7,8 +7,12 @@ use uncertain_strings::{
 };
 
 /// The shortest pattern lengths an index's first and second long level
-/// answer, `[L + 1, 2L + 1]`: an index over `transformed_len` characters
-/// (one suffix-array slot more) has `L = ⌈log₂(slots + 1)⌉` short levels.
+/// answer, `[L + 1, 2L + 1]`, when it keeps every suffix-array slot: an
+/// index over `transformed_len` characters (one slot more) has
+/// `L = ⌈log₂(slots + 1)⌉` short levels. An `Index`, and a `ListingIndex`
+/// over correlated documents, keep only the slots a query can reach, so
+/// their `L` is at most this one, and both lengths still run on long
+/// levels.
 #[allow(dead_code, reason = "not every test file that shares this calls it")]
 pub fn first_long_lengths(transformed_len: usize) -> [usize; 2] {
     let short = (usize::BITS - (transformed_len + 1).leading_zeros()) as usize;

@@ -1,5 +1,7 @@
 //! The paper's §8 axes as counts: index space against τmin and n (Fig. 9),
-//! kernel work per occurrence against n, m and τ (Fig. 7), and the §4.1
+//! the suffix-array slots an index keeps per position against its
+//! ⌊1/τmin⌋ bound, kernel work per occurrence against n, m and τ (Fig. 7),
+//! and the §4.1
 //! ablation — how many suffix-array slots the simple index scans for the
 //! occurrences the RMQ levels report. Every number is a count over the
 //! shared §8.1 generator at a fixed seed, so a failure is a change in what
@@ -7,6 +9,8 @@
 //!
 //! CI appends the tables to the job summary (`cargo test --release --test
 //! paper_axes -- --nocapture --test-threads=1`).
+
+mod common;
 
 use std::sync::OnceLock;
 
@@ -23,8 +27,9 @@ const SEED: u64 = 43;
 const TAU_MIN: f64 = 0.1;
 const THETA: f64 = 0.3;
 
-/// Fig. 7's query lengths: 3–10 run on the short levels (`L = 20` on this
-/// generator), 25 on a long level, and 100 is past every factor.
+/// Fig. 7's query lengths: 3–10 run on the short levels (`L` = 14–18 over
+/// the slots the n sweep's indexes keep), 25 on a long level, and 100 is
+/// past every factor.
 const LENGTHS: [usize; 6] = [3, 4, 6, 10, 25, 100];
 const TAUS: [f64; 3] = [0.1, 0.2, 0.4];
 const PATTERNS_PER_LENGTH: usize = 40;
@@ -85,6 +90,49 @@ fn space_rises_as_tau_min_falls() {
             last = bytes;
         }
     }
+}
+
+/// Fig. 9's axis as a bound: the suffix-array slots an `Index` keeps — those
+/// a query can reach, the kept windows of one source position prefix-free —
+/// are at most ⌊1/τmin⌋ per source position on uncorrelated input, where
+/// the transform's text grows as 1/τmin². Each row prints the text and the
+/// kept slots per position and the index's bytes per position; one
+/// correlated row (whose window values are upper bounds, so the bound is
+/// not guaranteed) is printed and not asserted.
+#[test]
+fn kept_slots_are_at_most_one_over_tau_min_a_position() {
+    const N: usize = 10_000;
+    const TAU_MINS: [f64; 3] = [0.2, 0.1, 0.05];
+    const THETAS: [f64; 3] = [0.1, 0.3, 0.6];
+    println!(
+        "\n\n| θ | τmin | text / position | kept slots / position | ⌊1/τmin⌋ | Index B/position |"
+    );
+    println!("|---:|---:|---:|---:|---:|---:|");
+    // The kept slots of `s`'s index at `tau_min`, after its row.
+    let row = |theta: &str, tau_min: f64, s: &UncertainString| {
+        let index = Index::build(s, tau_min).unwrap();
+        let kept = index.to_snapshot().substrate.text.sa.len();
+        println!(
+            "| {theta} | {tau_min} | {:.2} | {:.2} | {} | {:.1} |",
+            per_position(index.stats().transformed_len, N),
+            per_position(kept, N),
+            (1.0 / tau_min).floor(),
+            per_position(index.heap_size(), N)
+        );
+        kept
+    };
+    for theta in THETAS {
+        let s = generate_string(&DatasetConfig::new(N, theta, SEED));
+        for tau_min in TAU_MINS {
+            let kept = row(&theta.to_string(), tau_min, &s);
+            let bound = (1.0 / tau_min).floor() as usize * N;
+            assert!(
+                kept <= bound,
+                "θ {theta}, τmin {tau_min}: {kept} slots kept, past {bound}"
+            );
+        }
+    }
+    row("0.3, correlated", TAU_MIN, &common::correlated(N, SEED));
 }
 
 /// One size of the n sweep: the string, both indexes over it at

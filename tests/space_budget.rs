@@ -71,8 +71,10 @@ fn check_heap_rows(
 }
 
 /// `Index::heap_size()` per source position on this input when the budget was
-/// last set, once the plane dropped its two `u32`-per-position run lengths and
-/// the kernel walked every window in one loop (274.0 before, the figure once
+/// last set, once the tree, the visibility bytes and the levels held only the
+/// slots a query can reach, 28 834 of 96 827 (269.7 before, over every slot,
+/// the figure once the plane dropped its two `u32`-per-position run lengths and
+/// the kernel walked every window in one loop; 274.0 before that, the figure once
 /// the suffix tree's child table held an `i16` offset per slot; 293.0 before
 /// that, the figure once the short levels' duplicate masks, a bit per
 /// slot per level, became one visibility byte per slot for all of them; 303.9
@@ -86,14 +88,19 @@ fn check_heap_rows(
 /// model, with probability rows only at uncertain positions; 561.4 before that,
 /// not counting the ≈ 58 B of source copy beside the plane; 925.3 with explicit
 /// tree nodes and a sparse table per level).
-const MEASURED_BYTES_PER_POS: f64 = 269.7;
+const MEASURED_BYTES_PER_POS: f64 = 165.0;
 
 #[test]
 fn heap_breakdown_stays_inside_the_budget() {
     let (n, s) = string();
     let index = Index::build(&s, TAU_MIN).unwrap();
     let snapshot = index.to_snapshot();
-    let slots = index.stats().transformed_len + 1;
+    // The kept slots and the terminator's: the tree holds only the suffixes
+    // a query can reach, where the text has `transformed_len` characters.
+    let (chars, slots) = (
+        index.stats().transformed_len,
+        snapshot.substrate.text.sa.len() + 1,
+    );
     let short_levels = snapshot.substrate.levels.short.len();
     let rows = index.heap_breakdown();
 
@@ -106,20 +113,21 @@ fn heap_breakdown_stays_inside_the_budget() {
         found.unwrap_or_else(|| panic!("no {name:?} row")).1
     };
     // An `i16` cell per slot, plus the few cells more than 32 767 slots
-    // from their value, a `u32` per 256 slots to find them and the root's
-    // children: 2.02 B/slot when set, +5 % (4.0 with a `u32` cell, which
-    // the row held to 8.0).
-    assert!(per(row("child table"), slots) <= 2.12);
-    // A text byte, a `u32` SA entry and an LCP byte per slot: no LCP entry
-    // of this text reaches 255, so its exception list is empty.
-    assert!(per(row("text + SA + LCP"), slots) <= 6.0);
+    // from their value and the root's children: 2.01 B/slot over the kept
+    // slots when set, +5 % (2.02 over every slot; 4.0 with a `u32` cell,
+    // which the row held to 8.0).
+    assert!(per(row("child table"), slots) <= 2.11);
+    // A text byte per character, and a `u32` SA entry and an LCP byte per
+    // slot: no LCP entry of this text reaches 255, so its exception list is
+    // empty.
+    assert_eq!(row("text + SA + LCP"), chars + 5 * slots);
     // What the short levels hide is one byte per slot for all of them; each
     // level is a champion per 64 slots and the block RMQ over their values.
     assert_eq!(row("visibility bytes"), slots);
     assert!(per(row("short levels"), slots * short_levels) <= 0.35);
     // The position map: 16 bytes per 64 characters (0.25 B a character),
     // and 4 B a factor.
-    assert!(row("separator rank") <= (slots - 1).div_ceil(64) * 16);
+    assert!(row("separator rank") <= chars.div_ceil(64) * 16);
     assert_eq!(row("factor bases"), index.stats().num_factors * 4);
     // Only the choices: at each uncertain position a one-word record (σ ≤
     // 32) and, per choice, its `ln p` cell and its probability verbatim;
@@ -215,13 +223,15 @@ fn listing_heap_stays_inside_the_budget() {
 }
 
 /// `.idx` bytes per source position of the 10 000-position string when the
-/// budget was set (snapshot format 12, which writes a visibility byte per slot
-/// in place of the short levels' mask words: 94.6 in format 11, which writes no
+/// budget was set (snapshot format 14, which writes the SA, LCP, visibility
+/// bytes and champions of the slots a query can reach alone: 83.7 in formats 12
+/// and 13, which write a visibility byte per slot in place of the short levels'
+/// mask words; 94.6 in format 11, which writes no
 /// long level past the longest separator-free stretch; 94.9 in format 8, which
 /// writes no `C` and one position map entry per factor; 180.3 in formats 6 and
 /// 7, which wrote lengths and stats as varints too; 180.4 in format 5, which
 /// wrote integer arrays as varints; 261.8 in format 4).
-const IDX_BYTES_PER_POS: f64 = 83.7;
+const IDX_BYTES_PER_POS: f64 = 48.4;
 
 /// The `paper-string` snapshot (`snapshot_bytes_per_pos`) at a tenth.
 #[test]
@@ -241,15 +251,16 @@ fn index_file_bytes_stay_inside_the_budget() {
 }
 
 /// Section bytes per source position of the collection below when the budget
-/// was set: substring-index sections (format 12, with a visibility byte per
-/// slot in place of the short levels' mask words; 81.0 in format 11, without
+/// was set: substring-index sections (format 14, over the slots a query can
+/// reach alone; 78.4 in formats 12 and 13, with a visibility byte per slot in
+/// place of the short levels' mask words; 81.0 in format 11, without
 /// long levels past the longest separator-free stretch; 81.9 in format 8,
 /// without `C` and with one map entry per factor; 178.9 in formats 6 and 7;
 /// 186.1 in format 5, with `u64` lengths; 291.3 in format 4). Until format 10 a
 /// document served with ε also had an approx section of its links (96.2 in
 /// format 9; 96.0 in format 8; 294.7 in format 5; 579.8 in format 4); since,
 /// `Approx` is answered by the index.
-const COLL_INDEX_BYTES_PER_POS: f64 = 78.4;
+const COLL_INDEX_BYTES_PER_POS: f64 = 53.0;
 
 /// Bytes per source position of the same collection's bigram document
 /// filters when the budget was set, served as `serve-wire` serves it: two
