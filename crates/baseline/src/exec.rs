@@ -167,7 +167,7 @@ mod tests {
         }
     }
 
-    /// Under correlation the index's stored values are only upper bounds;
+    /// Under correlation the index's window values are only upper bounds;
     /// it ranks the canonical τmin threshold answer, so both still agree.
     #[test]
     fn top_k_is_bit_identical_to_an_index() {

@@ -1472,7 +1472,7 @@ mod tests {
         .unwrap();
         let out = run(&argv(&format!("stats {}", coll.display()))).unwrap();
         assert!(out.contains("documents                3"), "{out}");
-        assert!(out.contains("format version           14"), "{out}");
+        assert!(out.contains("format version           15"), "{out}");
         assert!(out.contains("fnv1a"), "checksums listed: {out}");
         // The total per kind closes the listing: one kind, all the bytes.
         let total = out.lines().last().unwrap();
@@ -1496,7 +1496,7 @@ mod tests {
 
     /// Files of earlier snapshot formats — a single-index file, a version-1
     /// collection, format-8 and format-9 collections with approx sections,
-    /// and format-10 to format-13 collections, as earlier builds wrote
+    /// and format-10 to format-14 collections, as earlier builds wrote
     /// them — are refused with their path and a message that says to
     /// rebuild them, by every command that opens one (`serve-net` loads
     /// through the same function as `serve-batch`).
@@ -1513,46 +1513,52 @@ mod tests {
         let (approx8, approx9) = (fixture("format8.coll"), fixture("format9.coll"));
         let (coll10, coll11) = (fixture("format10.coll"), fixture("format11.coll"));
         let (coll12, coll13) = (fixture("format12.coll"), fixture("format13.coll"));
+        let coll14 = fixture("format14.coll");
         for (cmd, path, says) in [
             (
                 format!("serve-batch {approx8} {queries}"),
                 &approx8,
-                "version 8 (this build reads version 14)",
+                "version 8 (this build reads version 15)",
             ),
             (
                 format!("serve-batch {approx9} {queries}"),
                 &approx9,
-                "version 9 (this build reads version 14)",
+                "version 9 (this build reads version 15)",
             ),
             (
                 format!("serve-batch {coll10} {queries}"),
                 &coll10,
-                "version 10 (this build reads version 14)",
+                "version 10 (this build reads version 15)",
             ),
             (
                 format!("serve-batch {coll11} {queries}"),
                 &coll11,
-                "version 11 (this build reads version 14)",
+                "version 11 (this build reads version 15)",
             ),
             (
                 format!("serve-batch {coll12} {queries}"),
                 &coll12,
-                "version 12 (this build reads version 14)",
+                "version 12 (this build reads version 15)",
             ),
             (
                 format!("serve-batch {coll13} {queries}"),
                 &coll13,
-                "version 13 (this build reads version 14)",
+                "version 13 (this build reads version 15)",
+            ),
+            (
+                format!("serve-batch {coll14} {queries}"),
+                &coll14,
+                "version 14 (this build reads version 15)",
             ),
             (
                 format!("serve-batch {coll} {queries}"),
                 &coll,
-                "version 1 (this build reads version 14)",
+                "version 1 (this build reads version 15)",
             ),
             (
                 format!("stats {coll}"),
                 &coll,
-                "version 1 (this build reads version 14)",
+                "version 1 (this build reads version 15)",
             ),
             (format!("stats {idx}"), &idx, "bad magic"),
             (

@@ -27,7 +27,7 @@
 //! probability cutoff cost extra visits (bounded by the τmin-occurrences),
 //! which is the documented deviation from the fixed-τ HSV machinery.
 //!
-//! **Correlation.** Under correlation `C` holds each character's
+//! **Correlation.** Under correlation the build's `C` holds each character's
 //! [`CorrelationSet::upper_bound`](ustr_uncertain::CorrelationSet::upper_bound),
 //! not its probability, so a link's probability only bounds the truth from
 //! above: the cut at τ − ε keeps every true hit but may keep more, and the
@@ -50,7 +50,7 @@ use std::time::Instant;
 
 use ustr_rmq::{BlockRmq, Direction, Rmq, ThresholdReporter};
 use ustr_suffix::{LeafLca, SuffixTree};
-use ustr_uncertain::{canon, split, transform, ProbPlane, UncertainString};
+use ustr_uncertain::{canon, split, transform, ProbPlane, UncertainString, MAX_TEXT_LEN};
 
 use crate::{
     carray::CumulativeLogProb,
@@ -58,7 +58,7 @@ use crate::{
     factors::{stretch_starts, FactorMap},
     result::QueryResult,
     stats::BuildStats,
-    substrate::{check_text_len, ScoredText},
+    substrate::{check_text_len, run_lengths},
 };
 
 /// One ε-refined link (24 bytes): it connects an origin endpoint at
@@ -94,10 +94,10 @@ struct Link {
 /// assert!(!hits.positions().contains(&1));
 /// ```
 pub struct ApproxIndex {
-    /// The scored text the links hang off, as an [`Index`](crate::Index)
-    /// over the same source holds it. Its tree gives pattern loci; its `C`
-    /// gave each link its probability.
-    text: ScoredText,
+    /// The suffix tree of the text the links hang off, over every slot:
+    /// pattern loci. The build's `C`, a local of `build`, gave each link
+    /// its probability.
+    tree: SuffixTree,
     /// The position map over `text`: a link's witness → its source position.
     map: FactorMap,
     /// The source model's verification plane, held only when the model has
@@ -124,17 +124,19 @@ impl ApproxIndex {
         let start = Instant::now();
         let transformed = transform(source, tau_min)?;
         let chars = transformed.special.chars();
-        let text = ScoredText::build(chars, transformed.special.probs())?;
+        check_text_len(chars.len(), MAX_TEXT_LEN)?;
+        check_text_len(chars.len(), MAX_KEYED_LEN)?;
+        let tree = SuffixTree::build(chars.to_vec());
+        let cum = CumulativeLogProb::new(transformed.special.probs(), |i| chars[i] == 0);
         let starts = stretch_starts(chars).map(|x| transformed.pos[x]);
         let map =
             FactorMap::new(chars, starts, source.len()).expect("the transform emits a factor map");
         let plane = (!source.correlations().is_empty()).then(|| ProbPlane::build(source));
-        check_text_len(text.tree.text().len(), MAX_KEYED_LEN)?;
-        let links = find_links(&text, &map, epsilon);
+        let links = find_links(&tree, &cum, &map, epsilon);
         let depths: Vec<f64> = links.iter().map(|l| l.target_depth as f64).collect();
         let target_rmq = BlockRmq::new(&depths, Direction::Min);
         let mut idx = Self {
-            text,
+            tree,
             map,
             plane,
             links,
@@ -204,7 +206,7 @@ impl ApproxIndex {
     pub fn query(&self, pattern: &[u8], tau: f64) -> Result<QueryResult, Error> {
         validate_query(pattern, tau, self.tau_min)?;
         let m = pattern.len();
-        let Some((l, r)) = self.text.tree.suffix_range(pattern) else {
+        let Some((l, r)) = self.tree.suffix_range(pattern) else {
             return Ok(QueryResult::default());
         };
         // The links whose origin is keyed inside the locus subtree.
@@ -264,15 +266,19 @@ const MAX_KEYED_LEN: usize = (u32::MAX / 2) as usize;
 /// than its links).
 const SPLIT_SOURCES: usize = 4_096;
 
-/// Finds the ε-refined links over `text`: for every source position of
-/// `map`, the virtual tree of the leaves it marks, each edge split by
-/// [`refine_link`]. Sources are independent, so a long text walks them as
-/// two halves on two threads; the sort below makes the table the same
-/// either way.
-fn find_links(text: &ScoredText, map: &FactorMap, epsilon: f64) -> Vec<Link> {
+/// Finds the ε-refined links over `tree`'s text, whose probabilities `cum`
+/// holds: for every source position of `map`, the virtual tree of the
+/// leaves it marks, each edge split by [`refine_link`]. Sources are
+/// independent, so a long text walks them as two halves on two threads; the
+/// sort below makes the table the same either way.
+fn find_links(
+    tree: &SuffixTree,
+    cum: &CumulativeLogProb,
+    map: &FactorMap,
+    epsilon: f64,
+) -> Vec<Link> {
     // What finds the links and no query reads: the run lengths and the
     // leaf-LCA structure are dropped when this returns.
-    let tree = &text.tree;
     let lca = LeafLca::build(tree);
 
     // Group marked leaves by Posid (slots ascend in preorder order)
@@ -300,7 +306,7 @@ fn find_links(text: &ScoredText, map: &FactorMap, epsilon: f64) -> Vec<Link> {
         }
     }
 
-    let run = text.run_lengths();
+    let run = run_lengths(tree.text());
     // A tree node as a link sees it: (key, string depth). A leaf's depth
     // counts the virtual terminator; an internal node's is the LCP at the
     // slot that names it.
@@ -325,7 +331,7 @@ fn find_links(text: &ScoredText, map: &FactorMap, epsilon: f64) -> Vec<Link> {
             // per virtual edge.
             let emit = |(origin, witness): ((u32, usize), u32), v_depth, links: &mut Vec<Link>| {
                 let lmax = run[witness as usize] as usize;
-                refine_link(&text.cum, origin, v_depth, (witness, lmax), epsilon, links);
+                refine_link(cum, origin, v_depth, (witness, lmax), epsilon, links);
             };
             for (k, &slot) in slots.iter().enumerate() {
                 let leaf = (leaf_node(slot as usize), tree.sa(slot as usize) as u32);

@@ -1,32 +1,27 @@
-//! The cumulative probability array `C` (§4.1), in log space.
+//! The cumulative probability array `C` (§4.1), in log space, as the §7
+//! link split reads it.
 //!
 //! The paper stores `C[j] = Π_{i≤j} pr(cᵢ)` and evaluates any window as
 //! `C[i+j-1] / C[i-1]`. Products of hundreds of probabilities underflow
 //! `f64`, so we store cumulative *log* probabilities and evaluate windows by
-//! subtraction — a monotone transform, so every comparison and every RMQ
-//! argmax is unchanged. Separator positions contribute 0 to the sums.
+//! subtraction — a monotone transform, so every comparison is unchanged.
+//! Separator positions contribute 0 to the sums.
 //!
-//! A snapshot does not store the sums: a load runs [`CumulativeLogProb::new`]
-//! over the build's probabilities again, so its windows are bit-identical.
+//! Only [`crate::ApproxIndex`]'s build keeps one, for as long as it splits
+//! its links: the split probes a witness's windows at many depths by binary
+//! search, one subtraction each. The indexes a query reads keep their
+//! probabilities as value codes instead ([`crate::codes`]), whose windows
+//! are the kernel's own sums.
 //!
-//! # The window contract
-//!
-//! `C` holds the prefix sums and nothing else: [`CumulativeLogProb::window`]
-//! is one subtraction, and its caller guarantees a window that stays inside
-//! the array and crosses no separator. Every query meets that by
-//! construction — each slot of a pattern's suffix range starts with the
-//! pattern, which holds no separator byte — and the substrate's
-//! `ScoredText::window` checks it in debug builds against the text. Reads
-//! that may meet a separator (champion values at build and load time, a
-//! link's capped depth) go through the slot's run length, which the text's
-//! bytes give; the separators themselves are the text's, counted nowhere
-//! here.
+//! A window must stay inside the array and cross no separator: the link
+//! split caps every depth at the witness's run length, which the text's
+//! bytes give.
 
 use ustr_uncertain::canon;
 
 /// Cumulative log-probability array.
 #[derive(Debug)]
-pub struct CumulativeLogProb {
+pub(crate) struct CumulativeLogProb {
     /// `prefix[i]` = Σ log(prob) over the first `i` positions.
     prefix: Box<[f64]>,
 }
@@ -35,7 +30,7 @@ impl CumulativeLogProb {
     /// Builds from per-position probabilities; `is_sentinel(i)` marks
     /// separator positions (their probability is ignored).
     #[allow(clippy::float_arithmetic, reason = "prefix sums of canonical ln p")]
-    pub fn new(probs: &[f64], is_sentinel: impl Fn(usize) -> bool) -> Self {
+    pub(crate) fn new(probs: &[f64], is_sentinel: impl Fn(usize) -> bool) -> Self {
         let mut sum = 0.0f64;
         let sums = probs.iter().enumerate().map(|(i, &p)| {
             if !is_sentinel(i) {
@@ -50,29 +45,13 @@ impl CumulativeLogProb {
         }
     }
 
-    /// Number of positions covered.
-    pub fn len(&self) -> usize {
-        self.prefix.len() - 1
-    }
-
     /// Log probability of the window `[start, start + len)`, which must lie
     /// inside the array and cross no separator (see the module docs); 0
     /// (= log 1) for the empty window.
     #[inline]
     #[allow(clippy::float_arithmetic, reason = "a window of the prefix sums")]
-    pub fn window(&self, start: usize, len: usize) -> f64 {
+    pub(crate) fn window(&self, start: usize, len: usize) -> f64 {
         self.prefix[start + len] - self.prefix[start]
-    }
-
-    /// The prefix sums themselves: `window(start, len)` is
-    /// `prefix()[start + len] - prefix()[start]`.
-    pub(crate) fn prefix(&self) -> &[f64] {
-        &self.prefix
-    }
-
-    /// Approximate heap footprint in bytes.
-    pub fn heap_size(&self) -> usize {
-        std::mem::size_of_val(&*self.prefix)
     }
 }
 
@@ -103,7 +82,7 @@ mod tests {
         // probs: a b | c d  (index 2 is a separator; its 0.25 is ignored)
         let probs = [0.5, 0.5, 0.25, 0.5, 0.5];
         let cum = CumulativeLogProb::new(&probs, |i| i == 2);
-        assert_eq!(cum.prefix()[2], cum.prefix()[3]);
+        assert_eq!(cum.window(2, 1), 0.0);
         assert!((cum.window(3, 2).exp() - 0.25).abs() < 1e-12);
     }
 
@@ -121,7 +100,6 @@ mod tests {
     #[test]
     fn empty_array() {
         let cum = CumulativeLogProb::new(&[], |_| false);
-        assert_eq!(cum.len(), 0);
         assert_eq!(cum.window(0, 0), 0.0);
     }
 }

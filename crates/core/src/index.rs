@@ -18,11 +18,41 @@ use crate::{
 // The position map doubles as the dedup key array.
 const _: () = assert!(NO_POSITION == NO_KEY);
 
+/// The candidates `(position, window value)` of `pattern` that meet
+/// `log_tau`, as `(position, probability)` in candidate order, in one
+/// [`Scan`]: every index's report, `plane` being its model. The
+/// probabilities are *canonical*: every executor over the model — an index
+/// built or loaded, a scan of the model itself — reports the same bits,
+/// whatever the transform's factor layout. Without correlations a window's
+/// value is that canonical value, summed over the text's value codes in the
+/// kernel's order (`crate::codes`), so the candidates are kept as they are,
+/// with no kernel call. Under correlation a window's value only bounds the
+/// canonical one from above, and the kernel's one call verifies each
+/// candidate.
+pub(crate) fn confirmed(
+    plane: &ProbPlane,
+    pattern: &[u8],
+    candidates: impl IntoIterator<Item = (usize, f64)>,
+    log_tau: f64,
+) -> Vec<(usize, f64)> {
+    let mut scan = Scan::new(ScanPath::Plane);
+    if plane.has_correlations() {
+        let positions = candidates.into_iter().map(|(pos, _)| pos);
+        plane.with_kernel(pattern, |kernel| {
+            kernel.verify(positions, log_tau, &mut scan)
+        });
+    } else {
+        scan.keep(candidates, log_tau);
+    }
+    scan.finish()
+}
+
 /// Each character's probability as the transform of `source` gave it: its
 /// choice's at its source position, through the transform's own rule
 /// ([`CorrelationSet::upper_bound`](ustr_uncertain::CorrelationSet::upper_bound)),
 /// and 1 at separators. A character with none there is an
-/// [`Error::InvalidSnapshot`]: no transform emits it, and `C` cannot sum it.
+/// [`Error::InvalidSnapshot`]: no transform emits it, and it has no `ln p`
+/// to code.
 fn text_probs(source: &UncertainString, chars: &[u8], map: &FactorMap) -> Result<Vec<f64>, Error> {
     let prob = |(x, &c): (usize, &u8)| {
         let p = map.source_pos(x).map_or(1.0, |q| {
@@ -108,7 +138,7 @@ impl Index {
 
     /// Decomposes the index into its persistence-ready snapshot state (see
     /// [`crate::snapshot`]): the position map as one source start per
-    /// factor, and no `C`. The byte encoding lives in `ustr-store`.
+    /// factor, and no value codes. The byte encoding lives in `ustr-store`.
     pub fn to_snapshot(&self) -> IndexState {
         IndexState {
             source: self.plane.to_model(),
@@ -120,9 +150,9 @@ impl Index {
 
     /// Reassembles an index from snapshot state. Rebuilds only the cheap
     /// derived structures (suffix-tree child table from the LCP array, the
-    /// map's factor bases from the starts, `C` from the source through the
-    /// map, RMQ champion values from `C`, the plane from the source, which
-    /// is then dropped): the built index, bit for bit. Fails with
+    /// map's factor bases from the starts, the value codes from the source
+    /// through the map, RMQ champion values from the codes, the plane from
+    /// the source, which is then dropped): the built index, bit for bit. Fails with
     /// [`Error::InvalidSnapshot`] on structurally inconsistent state — a
     /// start count other than the text's stretch count, a factor past the
     /// source, or a character with no probability there included.
@@ -186,23 +216,10 @@ impl Index {
         };
         let log_tau = canon::ln(tau);
         let candidates = self.substrate.report(pattern.len(), l, r, log_tau);
-        // Reported probabilities are *canonical*: always recomputed from the
-        // source model, never read off the stored prefix sums. The two agree
-        // to float noise, but the canonical value is independent of the
-        // transform's factor layout — so an index, a snapshot-loaded index,
-        // and an executor that scans the source directly all report
-        // bit-identical probabilities. (Under correlation the stored values
-        // are only upper bounds, making the recomputation mandatory rather
-        // than merely canonical.) The kernel's one call verifies and counts.
-        let sources = candidates
-            .into_iter()
-            .filter_map(|(x, _)| self.source_pos(x));
-        let mut scan = Scan::new(ScanPath::Plane);
-        (self.plane).with_kernel(pattern, |kernel| kernel.verify(sources, log_tau, &mut scan));
-        let hits = scan.finish();
+        let sources = (candidates.into_iter()).filter_map(|(x, v)| Some((self.source_pos(x)?, v)));
         // A short level shows each source position once; the blocking
-        // scheme and source-level dedup under correlation may repeat one,
-        // which `from_hits` drops.
+        // scheme may repeat one, which `from_hits` drops.
+        let hits = confirmed(&self.plane, pattern, sources, log_tau);
         Ok(QueryResult::from_hits(hits))
     }
 
@@ -213,8 +230,8 @@ impl Index {
     ///
     /// That candidate set and total order make the answer *canonical*:
     /// independent of heap arbitration among ties and identical for any
-    /// other executor over the same document. Probabilities are recomputed
-    /// from the source model (see [`Index::query`]).
+    /// other executor over the same document. Probabilities are canonical
+    /// as [`Index::query`]'s are.
     pub fn query_top_k(&self, pattern: &[u8], k: usize) -> Result<Vec<(usize, f64)>, Error> {
         crate::error::validate_pattern(pattern)?;
         if k == 0 {
@@ -223,7 +240,7 @@ impl Index {
         let Some((l, r)) = self.substrate.range(pattern) else {
             return Ok(Vec::new());
         };
-        // Stored values are only *upper bounds* under correlation —
+        // Window values are only *upper bounds* under correlation —
         // arbitrarily far from the canonical probabilities, so the best-first
         // cut is not sound. There, rank the full τmin threshold answer
         // (already canonical and exactly the documented candidate set).
@@ -233,15 +250,12 @@ impl Index {
             let (log_tau_min, m) = (canon::ln(self.tau_min), pattern.len());
             // The search also returns the k-th candidate's whole tie class,
             // so the cut is decided by the canonical order below, not by
-            // heap arbitration among equal stored values.
+            // heap arbitration among equal values.
             let floor = canon::log_cut(log_tau_min);
             let ranked = (self.substrate).top_k(m, l, r, k, floor, |x| self.source_pos(x));
             // The threshold query's final filter at τmin, so the candidate
             // set is exactly the τmin threshold answer.
-            let sources = ranked.into_iter().map(|(src, _)| src);
-            let mut scan = Scan::new(ScanPath::Plane);
-            (self.plane).with_kernel(pattern, |k| k.verify(sources, log_tau_min, &mut scan));
-            scan.finish()
+            confirmed(&self.plane, pattern, ranked, log_tau_min)
         };
         out.sort_by(crate::canonical_hit_order);
         out.truncate(k);
@@ -405,9 +419,14 @@ pub(crate) mod tests {
     /// the position before it: pr⁺ above pr⁻ at every other one, below it
     /// at the rest.
     pub(crate) fn correlated(n: usize, seed: u64) -> UncertainString {
-        use ustr_uncertain::{Correlation, CorrelationSet};
         use ustr_workload::{generate_string, DatasetConfig};
-        let mut s = generate_string(&DatasetConfig::new(n, 0.3, seed));
+        with_correlations(generate_string(&DatasetConfig::new(n, 0.3, seed)))
+    }
+
+    /// `s` with [`correlated`]'s correlations.
+    fn with_correlations(mut s: UncertainString) -> UncertainString {
+        use ustr_uncertain::{Correlation, CorrelationSet};
+        let n = s.len();
         let mut set = CorrelationSet::new();
         let uncertain = (1..n).filter(|&q| s.position(q).num_choices() > 1);
         for (k, q) in uncertain.step_by(5).enumerate() {
@@ -428,13 +447,13 @@ pub(crate) mod tests {
         s
     }
 
-    /// A load sums `C` from the model through the factor map with the
-    /// build's own code: its prefix sums are the built ones to the bit —
-    /// correlation subjects at their bound (pr⁺ above pr⁻ and below it), a
-    /// correlated certain position and a single choice just below 1.0
+    /// A load codes the model's values through the factor map with the
+    /// build's own code: its table and codes are the built ones to the bit
+    /// — correlation subjects at their bound (pr⁺ above pr⁻ and below it),
+    /// a correlated certain position and a single choice just below 1.0
     /// included.
     #[test]
-    fn a_loaded_c_is_the_built_c_bit_for_bit() {
+    fn loaded_value_codes_are_the_built_ones_bit_for_bit() {
         use ustr_uncertain::{Correlation, CorrelationSet};
         let mut fixture =
             UncertainString::parse("A:.6,B:.4 | C | A:.999999999999 | B:.5,C:.5").unwrap();
@@ -449,10 +468,7 @@ pub(crate) mod tests {
         })
         .unwrap();
         fixture.set_correlations(set).unwrap();
-        let bits = |index: &Index| -> Vec<u64> {
-            let cum = &index.substrate.text().cum;
-            cum.prefix().iter().map(|x| x.to_bits()).collect()
-        };
+        let bits = |index: &Index| index.substrate.text().values.to_bits();
         for (s, tau_min) in [
             (correlated(400, 13), 0.1),
             (correlated(2_000, 29), 0.1),
@@ -468,6 +484,52 @@ pub(crate) mod tests {
             let loaded = Index::from_snapshot(built.to_snapshot()).unwrap();
             assert_eq!(bits(&loaded), bits(&built));
         }
+    }
+
+    /// The differential test of the window sums: over generated strings
+    /// (two seeds, θ ∈ {0.1, 0.3, 0.6}, τmin ∈ {0.1, 0.05}), for every kept
+    /// slot and every length up to its run, the value a level reads there —
+    /// the window's sum over the value codes — has the bits of the kernel's
+    /// `log_match` at the slot's source position; over the same strings
+    /// with correlations it is at least the kernel's value. Lengths past
+    /// `L` are the long levels' exact values.
+    #[test]
+    fn a_window_value_is_the_kernels_value() {
+        use ustr_workload::{generate_string, DatasetConfig};
+        let check = |index: &Index, exact: bool| {
+            let text = index.substrate.text();
+            let (run, chars) = (text.run_lengths(), text.tree.text());
+            let mut windows = 0;
+            for slot in 1..text.tree.num_slots() {
+                let x = text.tree.sa(slot);
+                let q = index
+                    .source_pos(x)
+                    .expect("a kept slot has a source position");
+                for len in 1..=run[x] as usize {
+                    let value = text.window(slot, len);
+                    let kernel = (index.plane).with_kernel(&chars[x..x + len], |k| k.log_match(q));
+                    if exact {
+                        assert_eq!(value.to_bits(), kernel.to_bits(), "slot {slot} at {len}");
+                    } else {
+                        assert!(value >= kernel, "slot {slot} at {len}: {value} < {kernel}");
+                    }
+                    windows += 1;
+                }
+            }
+            windows
+        };
+        let mut windows = 0;
+        for seed in [7, 43] {
+            for theta in [0.1, 0.3, 0.6] {
+                let plain = generate_string(&DatasetConfig::new(1_500, theta, seed));
+                let correlated = with_correlations(plain.clone());
+                for tau_min in [0.1, 0.05] {
+                    windows += check(&Index::build(&plain, tau_min).unwrap(), true);
+                    windows += check(&Index::build(&correlated, tau_min).unwrap(), false);
+                }
+            }
+        }
+        assert!(windows > 100_000, "{windows} windows");
     }
 
     #[test]

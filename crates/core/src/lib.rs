@@ -28,8 +28,9 @@
 //!
 //! The machinery follows the paper: the uncertain string is reduced to a
 //! deterministic text (via the Lemma-2 maximal-factor transform for general
-//! strings), a suffix tree provides pattern loci, the cumulative probability
-//! array `C` gives O(1) window probabilities, per-length arrays `C_i` with
+//! strings), a suffix tree provides pattern loci, the text's probabilities
+//! (the paper's cumulative array `C`; here one value code per character into
+//! a table of their `ln p`) give window probabilities, per-length arrays `C_i` with
 //! range-maximum structures drive the *report-in-decreasing-probability*
 //! recursion, per-level duplicate elimination keeps output time proportional
 //! to distinct results, and a geometric blocking scheme covers patterns
@@ -38,14 +39,15 @@
 //! That is §4's machinery, and the paper has only the one: §5, §6 and §7
 //! are the same engine under a Lemma-2 position map, a document map and an
 //! ε-link table. So has this crate. One crate-private *substrate* (suffix
-//! tree + `C` + levels) is the only code that builds, queries, measures,
+//! tree + value codes + levels) is the only code that builds, queries, measures,
 //! decomposes and validates that triple; [`SpecialIndex`], [`Index`] and
 //! [`ListingIndex`] are each "substrate + own map + one plane": a query
-//! reports the substrate's candidates through its map and verifies them in
-//! one [`MatchKernel::verify`](ustr_uncertain::MatchKernel::verify) call
-//! (the special index's map is the identity), and
-//! [`ApproxIndex`] hangs its links off the substrate's level-free half
-//! (suffix tree + `C`) and the position map. In [`snapshot`] the substrate
+//! reports the substrate's candidates through its map (the special index's
+//! map is the identity) — as they are where the model has no correlations,
+//! since a window's value is then its canonical probability, and verified
+//! in one [`MatchKernel::verify`](ustr_uncertain::MatchKernel::verify) call
+//! where it has — and [`ApproxIndex`] hangs its links off a suffix tree of
+//! its own, split by a `C` its build keeps, and the position map. In [`snapshot`] the substrate
 //! appears as one [`snapshot::SubstrateState`] inside an
 //! [`snapshot::IndexState`]; the tree comes back through one validator.
 //!
@@ -68,22 +70,22 @@
 //! choices verbatim, and no `UncertainString` beside it. The tables before
 //! PR 26 left that source copy out: the last row, by a counting allocator.
 //!
-//! | structure | nodes, sparse tables | child table, block RMQ | plane as model | choices only | visibility bytes | `i16` child cells | kept slots |
-//! |---|---|---|---|---|---|---|---|
-//! | text + SA + LCP | 85.4 | 85.4 | 85.4 | 56.9 | 56.9 | 56.9 | 23.3 |
-//! | suffix-tree nodes + CSR children → child table | 293.0 | 37.9 | 37.9 | 37.9 | 37.9 | 19.1 | 5.5 |
-//! | cumulative array `C` (prefix sums, separator counts) | 113.8 | 113.8 | 113.8 | 75.9 | 75.9 | 75.9 | 75.9 |
-//! | visibility bytes (the short levels' duplicate elimination) | — | — | — | — | 9.5 | 9.5 | 2.8 |
-//! | short levels (masks, champions, RMQ over champion values) | 200.4 | 84.7 | 84.7 | 84.7 | 61.0 | 61.0 | 16.8 |
-//! | long levels (champions, RMQ over champion values) | 59.2 | 19.6 | 19.6 | 14.7 | 14.7 | 14.7 | 4.5 |
-//! | position map → separator rank + factor bases | 37.9 | 37.9 | 37.9 | 5.7 | 5.7 | 5.7 | 5.7 |
-//! | model (plane) | 184.0 | 184.0 | 75.0 | 33.1 | 33.1 | 33.1 | 29.1 |
-//! | **`Index::heap_size()`** | **973.9** | **563.3** | **454.3** | **308.8** | **294.6** | **275.8** | **163.5** |
-//! | source copy beside the plane, uncounted | 57.8 | 57.8 | — | — | — | — | — |
+//! | structure | nodes, sparse tables | child table, block RMQ | plane as model | choices only | visibility bytes | `i16` child cells | kept slots | value codes |
+//! |---|---|---|---|---|---|---|---|---|
+//! | text + SA + LCP | 85.4 | 85.4 | 85.4 | 56.9 | 56.9 | 56.9 | 23.3 | 23.3 |
+//! | suffix-tree nodes + CSR children → child table | 293.0 | 37.9 | 37.9 | 37.9 | 37.9 | 19.1 | 5.5 | 5.5 |
+//! | cumulative array `C` (prefix sums, separator counts) → value codes | 113.8 | 113.8 | 113.8 | 75.9 | 75.9 | 75.9 | 75.9 | 9.5 |
+//! | visibility bytes (the short levels' duplicate elimination) | — | — | — | — | 9.5 | 9.5 | 2.8 | 2.8 |
+//! | short levels (masks, champions, RMQ over champion values) | 200.4 | 84.7 | 84.7 | 84.7 | 61.0 | 61.0 | 16.8 | 16.8 |
+//! | long levels (champions, RMQ over champion values) | 59.2 | 19.6 | 19.6 | 14.7 | 14.7 | 14.7 | 4.5 | 4.5 |
+//! | position map → separator rank + factor bases | 37.9 | 37.9 | 37.9 | 5.7 | 5.7 | 5.7 | 5.7 | 5.7 |
+//! | model (plane) | 184.0 | 184.0 | 75.0 | 33.1 | 33.1 | 33.1 | 29.1 | 29.1 |
+//! | **`Index::heap_size()`** | **973.9** | **563.3** | **454.3** | **308.8** | **294.6** | **275.8** | **163.5** | **97.1** |
+//! | source copy beside the plane, uncounted | 57.8 | 57.8 | — | — | — | — | — | — |
 //!
 //! Between the third and fourth columns `C` came to keep its prefix sums
-//! alone (no window a query reads crosses a separator: the window contract
-//! in `carray.rs`), and the position map became a separator rank (2.4) and
+//! alone (no window a query reads crosses a separator: the window contract,
+//! now in `codes.rs`), and the position map became a separator rank (2.4) and
 //! one base per factor (3.3): `Index::heap_size()` was 384.1. The suffix
 //! tree then took its LCP at a byte per slot, and the long levels end at
 //! the longest factor, 42 characters, instead of the text length (two
@@ -102,8 +104,13 @@
 //! (271.6). Last, under source-position keys the tree, the visibility bytes
 //! and the levels hold only the slots a query can reach: no separator's,
 //! and none whose window another slot of its source position extends or
-//! repeats before it — 276 187 of 948 399, 2.76 a position (the last
-//! column; snapshot format 14). The text and `C` stay per character.
+//! repeats before it — 276 187 of 948 399, 2.76 a position (the seventh
+//! column; snapshot format 14). The text and `C` stayed per character. Last,
+//! `C`'s `f64` prefix sums became a one-byte code per character into a table
+//! of the text's 58 distinct `ln p` values (464 bytes), and a window's value
+//! the left-to-right sum of its codes' values, the kernel's own sum (the
+//! last column; snapshot format 15, whose champions are the maxima of those
+//! sums).
 //!
 //! And an [`ApproxIndex`] on the same string (1 944 732 links) — the rows of
 //! [`ApproxIndex::heap_breakdown`] — when it kept the `C` it found its links
@@ -129,6 +136,7 @@
 
 mod approx;
 mod carray;
+mod codes;
 mod error;
 mod factors;
 mod index;

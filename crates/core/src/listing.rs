@@ -2,19 +2,20 @@
 //! contains a probable occurrence of the pattern.
 //!
 //! The index is one structure over the collection, as §6 builds it: the
-//! documents' transforms laid end to end under one suffix tree, `C` and
-//! set of levels, and the documents' models laid end to end in one
-//! [`ProbPlane`], each document's correlations shifted by its start. The
-//! factor map gives a text position's position in the collection, and one
-//! start per document splits those into documents. A query verifies its
-//! candidates with one kernel call, as `Index::query` does, and folds the
-//! hits of each document into its relevance.
+//! documents' transforms laid end to end under one suffix tree, one set of
+//! value codes and one set of levels, and the documents' models laid end
+//! to end in one [`ProbPlane`], each document's correlations shifted by its
+//! start. The factor map gives a text position's position in the
+//! collection, and one start per document splits those into documents. A
+//! query confirms its candidates as `Index::query` does — over a collection
+//! without correlations each window's value is its occurrence's canonical
+//! probability, kept as it is; under correlation one kernel call verifies
+//! them — and folds the hits of each document into its relevance.
 
 use std::time::Instant;
 
-use ustr_uncertain::kstats::ScanPath;
 use ustr_uncertain::{
-    canon, transform, Correlation, CorrelationSet, ProbPlane, Scan, UncertainString, MAX_TEXT_LEN,
+    canon, transform, Correlation, CorrelationSet, ProbPlane, UncertainString, MAX_TEXT_LEN,
     NO_POSITION,
 };
 
@@ -138,7 +139,7 @@ impl ListingIndex {
         let has_correlations = docs.iter().any(|d| !d.correlations().is_empty());
 
         // Doc-level dedup keeps the max-probability entry per document per
-        // partition (Rel_max). Under correlations the stored values are only
+        // partition (Rel_max). Under correlations the window values are only
         // upper bounds, so the "max" entry could be the wrong one — fall back
         // to source-level dedup (keys unique across documents: the
         // collection positions, as an `Index`'s map is its key array) and
@@ -189,12 +190,9 @@ impl ListingIndex {
     }
 
     /// Lists all strings with `Rel_max ≥ tau` (the default metric), sorted
-    /// by document id. A document's relevance is one of its occurrences'
-    /// probability, bit for bit as a per-document executor reports that
-    /// occurrence; the occurrence is the maximum in the index's stored
-    /// arithmetic, so the relevance can differ from the maximum of the
-    /// canonical probabilities by rounding (within `PROB_EPS`) where two
-    /// occurrences tie in exact arithmetic.
+    /// by document id. A document's relevance is the maximum of its
+    /// occurrences' probabilities, bit for bit as a per-document executor
+    /// reports each occurrence.
     pub fn query(&self, pattern: &[u8], tau: f64) -> Result<Vec<ListingHit>, Error> {
         self.query_with_metric(pattern, tau, RelMetric::Max)
     }
@@ -237,32 +235,32 @@ impl ListingIndex {
         Some((doc, pos - self.doc_starts[doc] as usize))
     }
 
-    /// Verifies every distinct occurrence among the candidate text
-    /// positions `xs` at `log_tau`'s cut and calls `per_doc(doc, kept)` for
-    /// each document with an occurrence that meets τ, in turn, `kept`
-    /// being those occurrences as `(collection position, canonical
-    /// probability)` in position order. The value is recomputed from the
-    /// model by the plane kernel's one call, as in `Index::query`, so each
-    /// occurrence's value agrees bit for bit with any per-document
-    /// executor's: a candidate's window lies inside one factor, so inside
-    /// its document, and the kernel sums that document's cells in the same
-    /// order.
+    /// Confirms every distinct occurrence among the candidates `(text
+    /// position, window value)` at `log_tau`'s cut and calls `per_doc(doc,
+    /// kept)` for each document with an occurrence that meets τ, in turn,
+    /// `kept` being those occurrences as `(collection position, canonical
+    /// probability)` in position order. A candidate's window lies inside one
+    /// factor, so inside its document, whose cells it sums in a
+    /// per-document executor's order: over a collection without
+    /// correlations its value is that executor's, bit for bit, and is kept
+    /// as it is; under correlation it is an upper bound, and the plane
+    /// kernel's one call verifies the occurrence, as in `Index::query`
+    /// (`crate::index::confirmed`).
     fn verified(
         &self,
         pattern: &[u8],
-        xs: impl IntoIterator<Item = usize>,
+        candidates: impl IntoIterator<Item = (usize, f64)>,
         log_tau: f64,
         mut per_doc: impl FnMut(usize, &[(usize, f64)]),
     ) {
-        let mut sources: Vec<usize> = (xs.into_iter())
-            .filter_map(|x| self.map.source_pos(x))
+        let mut sources: Vec<(usize, f64)> = (candidates.into_iter())
+            .filter_map(|(x, v)| Some((self.map.source_pos(x)?, v)))
             .collect();
-        sources.sort_unstable();
-        sources.dedup();
-        let mut scan = Scan::new(ScanPath::Plane);
-        (self.plane).with_kernel(pattern, |kernel| kernel.verify(sources, log_tau, &mut scan));
+        // One occurrence's windows all have its value.
+        sources.sort_unstable_by_key(|&(pos, _)| pos);
+        sources.dedup_by_key(|&mut (pos, _)| pos);
         // The hits are in position order, which is document order.
-        let hits = scan.finish();
+        let hits = crate::index::confirmed(&self.plane, pattern, sources, log_tau);
         let mut rest = &hits[..];
         while let Some(&(first, _)) = rest.first() {
             let doc = self.doc_of(first);
@@ -277,8 +275,10 @@ impl ListingIndex {
         }
     }
 
-    /// `Rel_max` of every document whose most probable verified candidate
-    /// reaches `tau`, sorted by document.
+    /// `Rel_max` of every document whose most probable candidate reaches
+    /// `tau`, sorted by document. Over a collection without correlations a
+    /// short level shows each document's best window alone, the canonical
+    /// maximum.
     fn query_max(
         &self,
         pattern: &[u8],
@@ -288,8 +288,8 @@ impl ListingIndex {
     ) -> Result<Vec<ListingHit>, Error> {
         let log_tau = canon::ln(tau);
         let candidates = self.substrate.report(pattern.len(), l, r, log_tau);
-        let (xs, mut hits) = (candidates.into_iter().map(|(x, _)| x), Vec::new());
-        self.verified(pattern, xs, log_tau, |doc, kept| {
+        let mut hits = Vec::new();
+        self.verified(pattern, candidates, log_tau, |doc, kept| {
             let relevance = kept.iter().map(|&(_, p)| p).max_by(f64::total_cmp);
             hits.extend(relevance.map(|relevance| ListingHit { doc, relevance }));
         });
@@ -308,7 +308,7 @@ impl ListingIndex {
     ) -> Result<Vec<ListingHit>, Error> {
         // Every slot of the range starts with the pattern: its window is
         // whole, so each is a candidate.
-        let all = self.substrate.positions(l, r);
+        let all = self.substrate.windows(pattern.len(), l, r);
         let (log_tau, mut hits) = (canon::ln(tau), Vec::new());
         self.verified(pattern, all, f64::NEG_INFINITY, |doc, kept| {
             let positive = (kept.iter().map(|&(_, p)| p)).filter(|&p| canon::is_positive_prob(p));
@@ -405,6 +405,82 @@ mod tests {
             let expected = NaiveScanner::relevance_max(&docs[hit.doc], b"F");
             assert!((hit.relevance - expected).abs() < 1e-9);
         }
+    }
+
+    /// Without correlations a listed document's relevance is
+    /// `NaiveScanner::relevance_max` to the bit — the canonical maximum,
+    /// whichever of its occurrences the level kept. Over generated
+    /// collections (the most probable reading at every 13th start, at
+    /// lengths that reach the long levels), and over tie-heavy ones: three
+    /// documents of non-dyadic choices over three letters, every window of
+    /// their most probable readings, where occurrences equal in exact
+    /// arithmetic round apart (52 of these 49 769 relevances, and 169 of
+    /// 172 188 over 200 such collections, missed the canonical maximum
+    /// when a level picked the winner by prefix-sum differences).
+    #[test]
+    fn relevance_is_the_canonical_maximum() {
+        use ustr_workload::{generate_collection, DatasetConfig};
+        let mut listed = 0;
+        let mut check = |docs: &[UncertainString], idx: &ListingIndex, pattern: &[u8], tau| {
+            let hits = idx.query(pattern, tau).unwrap();
+            let docs_of = hits.iter().map(|hit| hit.doc).collect::<Vec<_>>();
+            assert_eq!(docs_of, NaiveScanner::listing(docs, pattern, tau));
+            for hit in hits {
+                let max = NaiveScanner::relevance_max(&docs[hit.doc], pattern);
+                assert_eq!(hit.relevance.to_bits(), max.to_bits(), "{pattern:?}");
+                listed += 1;
+            }
+        };
+        for (theta, seed) in [(0.1, 5), (0.3, 43)] {
+            let docs = generate_collection(&DatasetConfig::new(2_000, theta, seed));
+            let idx = ListingIndex::build(&docs, 0.1).unwrap();
+            for m in [1, 2, 3, 6, 20, 30] {
+                for doc in &docs {
+                    for start in (0..doc.len().saturating_sub(m)).step_by(13) {
+                        let pattern: Vec<u8> = (start..start + m)
+                            .map(|q| doc.position(q).most_probable().0)
+                            .collect();
+                        for tau in [0.1, 0.3] {
+                            check(&docs, &idx, &pattern, tau);
+                        }
+                    }
+                }
+            }
+        }
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = |bound: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % bound
+        };
+        let shapes: [&[f64]; 5] = [&[1.0], &[0.7, 0.3], &[0.6, 0.4], &[0.9, 0.1], &[0.35, 0.65]];
+        for _ in 0..60 {
+            let docs: Vec<UncertainString> = (0..3)
+                .map(|_| {
+                    let rows = (0..5 + next(40)).map(|_| {
+                        let (shape, shift) = (shapes[next(5) as usize], next(3) as u8);
+                        let mut row: Vec<(u8, f64)> = (0u8..)
+                            .zip(shape)
+                            .map(|(i, &p)| (b'a' + (shift + i) % 3, p))
+                            .collect();
+                        row.sort_by_key(|&(c, _)| c);
+                        row
+                    });
+                    UncertainString::from_rows(rows.collect()).unwrap()
+                })
+                .collect();
+            let idx = ListingIndex::build(&docs, 0.01).unwrap();
+            for doc in &docs {
+                let world = doc.most_probable_world();
+                for m in 2..=6 {
+                    for pattern in world.windows(m) {
+                        check(&docs, &idx, pattern, 0.01);
+                    }
+                }
+            }
+        }
+        assert!(listed > 10_000, "{listed} listed");
     }
 
     #[test]

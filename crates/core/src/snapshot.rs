@@ -16,12 +16,13 @@
 //!     separators are its zero bytes),
 //!   * one visibility byte per slot, which says at which short levels a
 //!     slot is a duplicate, and per-level RMQ champion indices (champion
-//!     *values* are re-derived from the cumulative array on reassembly,
+//!     *values* are re-derived from the text's value codes on reassembly,
 //!     read through each slot's run to the next separator),
 //! * the Lemma-2 position map beside it, as each factor's source start.
 //!
-//! `C` is not stored: the model and the map already say it, and
-//! `from_snapshot` sums it again with the build's own code, bit for bit.
+//! The text's probabilities (its value codes) are not stored: the model and
+//! the map already say them, and `from_snapshot` codes them again with the
+//! build's own code, bit for bit.
 //!
 //! [`crate::SpecialIndex`], [`crate::ListingIndex`] and
 //! [`crate::ApproxIndex`] have no state: nothing loads one, so each is built

@@ -4,10 +4,7 @@
 
 use std::time::Instant;
 
-use ustr_uncertain::kstats::ScanPath;
-use ustr_uncertain::{
-    canon, CorrelationSet, ProbPlane, Scan, SpecialUncertainString, UncertainString,
-};
+use ustr_uncertain::{canon, CorrelationSet, ProbPlane, SpecialUncertainString, UncertainString};
 
 use crate::{
     error::{validate_query, Error},
@@ -21,10 +18,12 @@ use crate::{
 /// restriction).
 ///
 /// Built as [`crate::Index`] is, with the identity position map: the
-/// string's model as one [`ProbPlane`], and `C` summed from each
-/// character's correlation upper bound, so every stored window bounds its
-/// probability from above. A query verifies its candidates through the
-/// plane's kernel, so its probabilities are every exact executor's bits.
+/// string's model as one [`ProbPlane`], and the text's value codes taken
+/// from each character's correlation upper bound. Without correlations a
+/// window's value is its probability as the plane's kernel sums it, and a
+/// query reports it as it is; under correlation it bounds the probability
+/// from above, and a query verifies its candidates through the kernel. So
+/// its probabilities are every exact executor's bits.
 ///
 /// Query cost: `O(m + occ)` for `m ≤ ⌈log₂ n⌉` (per-length RMQ levels),
 /// `O(m · occ)`-flavoured for longer patterns (blocking scheme).
@@ -70,7 +69,7 @@ impl SpecialIndex {
         // Each character's probability through the transform's rule, as
         // `Index` reads it: the model's own, or its correlation's bound. A
         // subject no outcome lets occur (pr⁺ = pr⁻ = 0) keeps its own, a
-        // looser bound: `C` sums positive values, and the kernel refuses
+        // looser bound: a value code is of a positive value, and the kernel refuses
         // every window over it.
         let probs: Vec<f64> = (chars.iter().enumerate())
             .map(|(i, &c)| {
@@ -117,10 +116,8 @@ impl SpecialIndex {
         };
         let log_tau = canon::ln(tau);
         let candidates = self.substrate.report(pattern.len(), l, r, log_tau);
-        let positions = candidates.into_iter().map(|(pos, _)| pos);
-        let mut scan = Scan::new(ScanPath::Plane);
-        (self.plane).with_kernel(pattern, |k| k.verify(positions, log_tau, &mut scan));
-        Ok(QueryResult::from_hits(scan.finish()))
+        let hits = crate::index::confirmed(&self.plane, pattern, candidates, log_tau);
+        Ok(QueryResult::from_hits(hits))
     }
 
     /// The `k` most probable occurrences of `pattern`: `query(pattern, τ)`
@@ -197,7 +194,7 @@ mod tests {
 
     #[test]
     fn correlation_uplift_is_not_pruned() {
-        // Probability .2 at the subject, but pr+ = .9: `C` sums the
+        // Probability .2 at the subject, but pr+ = .9: the value codes take the
         // subject's upper bound, .9, where a window of the string's own .2
         // would prune the true match at tau = .5.
         let x = SpecialUncertainString::new(b"eqz".to_vec(), vec![1.0, 1.0, 0.2]).unwrap();

@@ -1,16 +1,18 @@
 //! The paper's §4 machinery, owned in one place.
 //!
 //! §4 builds one engine — a suffix tree over a deterministic text, the
-//! cumulative probability array `C`, and per-pattern-length RMQ levels — and
-//! §5, §6 and §7 reuse it under a Lemma-2 position map, a document map and
-//! an ε-link table. [`Substrate`] is that engine: the only code that knows
-//! how the triple is built, queried (suffix range → candidates in
-//! decreasing-probability order, threshold or top-k), measured, taken apart
-//! into [`SubstrateState`] and validated back together. [`ScoredText`] is
-//! its level-free half (tree + `C`), which the [`crate::ApproxIndex`] hangs
-//! its links off ([`checked_tree`] is how a loaded index gets its tree
-//! back).
-//! The index types add their own map and their own verification.
+//! text's probabilities (the paper's `C`; here one value code per character,
+//! [`crate::codes`]), and per-pattern-length RMQ levels — and §5 and §6
+//! reuse it under a Lemma-2 position map and a document map. [`Substrate`]
+//! is that engine: the only code that knows how the triple is built,
+//! queried (suffix range → candidates in decreasing-probability order,
+//! threshold or top-k), measured, taken apart into [`SubstrateState`] and
+//! validated back together. [`ScoredText`] is its level-free half (tree +
+//! value codes) ([`checked_tree`] is how a loaded index gets its tree
+//! back). A candidate's value is its window's sum in the kernel's order:
+//! on a model without correlations the probability every executor
+//! reports, so the index types report it as it is, and under correlation
+//! an upper bound, which they verify through their plane's kernel.
 //!
 //! Outside this module nothing sees a suffix-array *slot*: candidates come
 //! back as text positions.
@@ -28,8 +30,8 @@
 //! key (the separators) and every redundant one, keeping the first of
 //! exact twins, after SA-IS and the LCP ran over the whole text, and
 //! compacts SA and LCP: a kept pair's LCP is the minimum over the slots
-//! dropped between them, their true common prefix. The tree, `C`'s reads,
-//! the visibility bytes and the levels are then built over the kept slots
+//! dropped between them, their true common prefix. The tree, the window
+//! reads, the visibility bytes and the levels are then built over the kept slots
 //! (a descent over a sorted subset of suffixes with their LCPs is the same
 //! enhanced-suffix-array walk), and no (pattern, source position) pair is
 //! lost.
@@ -43,9 +45,10 @@
 //! be checked without SA-IS (INVARIANTS.md); [`checked_tree`] checks that
 //! its entries are distinct, keyed and sorted at their LCPs.
 //!
-//! A `SpecialIndex` (no keys: every slot is a distinct position), a
-//! `ListingIndex` under `ByKeyMax` (its winners are chosen by `C`'s bits)
-//! and an `ApproxIndex` (its own [`ScoredText`]) keep every slot.
+//! A `SpecialIndex` (no keys: every slot is a distinct position) and a
+//! `ListingIndex` under `ByKeyMax` (a document's winner may be any of its
+//! slots) keep every slot, and so does an `ApproxIndex`, which builds its
+//! tree on its own.
 
 mod levels;
 mod topk;
@@ -54,7 +57,7 @@ use ustr_suffix::{lcp_array, suffix_array, SuffixTree};
 use ustr_uncertain::{ModelError, MAX_TEXT_LEN};
 
 use crate::{
-    carray::CumulativeLogProb,
+    codes::ValueCodes,
     error::Error,
     snapshot::{invalid, ScoredTextState, SubstrateState},
 };
@@ -78,7 +81,7 @@ pub(crate) fn check_text_len(len: usize, limit: usize) -> Result<(), Error> {
 /// to the next separator or the text end — the longest window there. One
 /// backward pass over the text's bytes; transient, for the build- and
 /// load-time reads that can meet a separator.
-fn run_lengths(chars: &[u8]) -> Vec<u32> {
+pub(crate) fn run_lengths(chars: &[u8]) -> Vec<u32> {
     let mut run = vec![0u32; chars.len() + 1];
     for x in (0..chars.len()).rev() {
         if chars[x] != 0 {
@@ -174,29 +177,30 @@ fn keep_reachable(chars: &[u8], keys: &[u32], sa: &mut Vec<u32>, lcp: &mut Vec<u
 }
 
 /// A deterministic text with per-position probabilities: its suffix tree
-/// (pattern loci) and cumulative array `C` (O(1) window probabilities) —
+/// (pattern loci) and its value codes (window values, [`crate::codes`]) —
 /// the only copy an index keeps of the characters (in the tree) and of the
-/// probabilities (`C`'s prefix sums).
+/// probabilities (a code per character into a table of their `ln p`).
 pub(crate) struct ScoredText {
     pub(crate) tree: SuffixTree,
-    pub(crate) cum: CumulativeLogProb,
+    pub(crate) values: ValueCodes,
 }
 
 impl ScoredText {
     /// Builds over `chars` (byte 0 = factor separator) with one probability
-    /// per character. Every index builds its text here, so this is where a
-    /// text too long for `u32` positions and slots is refused.
+    /// per character, keeping every slot.
+    #[cfg(test)]
     pub(crate) fn build(chars: &[u8], probs: &[f64]) -> Result<Self, Error> {
         check_text_len(chars.len(), MAX_TEXT_LEN)?;
         Ok(Self::new(SuffixTree::build(chars.to_vec()), probs))
     }
 
-    /// `tree`'s text with `C` over `probs`, one per character (ignored at
-    /// separators): the one place `C` is computed, for a build and a load.
+    /// `tree`'s text with the value codes of `probs`, one per character
+    /// (ignored at separators): the one place they are computed, for a
+    /// build and a load.
     fn new(tree: SuffixTree, probs: &[f64]) -> Self {
         let chars = tree.text();
-        let cum = CumulativeLogProb::new(probs, |i| chars[i] == 0);
-        Self { tree, cum }
+        let values = ValueCodes::new(probs, |i| chars[i] == 0);
+        Self { tree, values }
     }
 
     /// Text position of the suffix in suffix-array slot `slot`.
@@ -205,19 +209,19 @@ impl ScoredText {
         self.tree.sa(slot)
     }
 
-    /// Stored log-probability of the length-`len` prefix of the suffix in
-    /// `slot`, which must cross no separator and stay inside the text: the
-    /// contract of [`CumulativeLogProb::window`], which every slot of a
-    /// pattern's suffix range meets at the pattern's length. Checked
-    /// against the text in debug builds.
+    /// Value of the length-`len` prefix of the suffix in `slot`, which must
+    /// cross no separator and stay inside the text: the contract of
+    /// [`ValueCodes::window`], which every slot of a pattern's suffix range
+    /// meets at the pattern's length. Checked against the text in debug
+    /// builds.
     #[inline]
-    fn window(&self, slot: usize, len: usize) -> f64 {
+    pub(crate) fn window(&self, slot: usize, len: usize) -> f64 {
         let x = self.tree.sa(slot);
         debug_assert!(
             (self.tree.text().get(x..x + len)).is_some_and(|window| !window.contains(&0)),
             "window {x}+{len} crosses a separator or leaves the text"
         );
-        self.cum.window(x, len)
+        self.values.window(x, len)
     }
 
     /// [`run_lengths`] of the text.
@@ -330,9 +334,15 @@ impl Substrate {
         self.text.tree.suffix_range(pattern)
     }
 
-    /// The text position of every suffix in `[l, r]`, with duplicates.
-    pub(crate) fn positions(&self, l: usize, r: usize) -> impl Iterator<Item = usize> + '_ {
-        (l..=r).map(|slot| self.text.pos(slot))
+    /// `(text position, window value)` of every suffix in `[l, r]`, the
+    /// suffix range of a length-`m` pattern, with duplicates.
+    pub(crate) fn windows(
+        &self,
+        m: usize,
+        l: usize,
+        r: usize,
+    ) -> impl Iterator<Item = (usize, f64)> + '_ {
+        (l..=r).map(move |slot| (self.text.pos(slot), self.text.window(slot, m)))
     }
 
     /// Heap bytes per structure; a `(name, bytes)` row each.
@@ -343,7 +353,7 @@ impl Substrate {
         [
             ("text + SA + LCP", tree.heap_size() - child_table),
             ("child table", child_table),
-            ("cumulative array C", self.text.cum.heap_size()),
+            ("value codes", self.text.values.heap_size()),
             ("visibility bytes", hidden),
             ("short levels", short),
             ("long levels", long),
@@ -357,7 +367,8 @@ impl Substrate {
     }
 
     /// Decomposes into plain data (see [`crate::snapshot`]): `(text, SA,
-    /// LCP)` and the levels. `C` is not in it: a load derives it.
+    /// LCP)` and the levels. The value codes are not in it: a load derives
+    /// them.
     pub(crate) fn to_state(&self) -> SubstrateState {
         let (text, sa, lcp) = self.text.tree.to_parts();
         SubstrateState {
@@ -366,9 +377,9 @@ impl Substrate {
         }
     }
 
-    /// Validates and reassembles — the tree through [`checked_tree`], `C`
-    /// over `probs` (one per text character, as the index's load derived
-    /// them) — with [`Error::InvalidSnapshot`] on any structural
+    /// Validates and reassembles — the tree through [`checked_tree`], the
+    /// value codes of `probs` (one per text character, as the index's load
+    /// derived them) — with [`Error::InvalidSnapshot`] on any structural
     /// inconsistency, never a panic.
     pub(crate) fn from_state(state: SubstrateState, probs: &[f64]) -> Result<Self, Error> {
         let ScoredTextState { text, sa, lcp } = state.text;
@@ -466,7 +477,7 @@ mod tests {
             // The map is one start per stretch (here one factor, and no
             // stretch after the final separator) with each factor inside
             // the source, and every character has a probability at its
-            // source position: `C` is summed from them.
+            // source position: its value code is derived from it.
             ("start count does not match", |i| i.starts.push(0)),
             ("runs past the source string", |i| i.starts[0] = 1),
             ("no probability at its source position", |i| {
@@ -500,7 +511,7 @@ mod tests {
     /// A pattern whose characters meet only across a separator occurs in
     /// no text: not in a bare text, and — where the source string gives it
     /// less than τmin, so the transform splits it — in no index's. A query
-    /// therefore never asks `C` for a window across a separator.
+    /// therefore never asks for a window across a separator.
     #[test]
     fn a_pattern_that_would_span_a_separator_is_found_by_no_index() {
         let bare = Substrate::build(b"A\0B", &[0.9, 1.0, 0.9], &DedupStrategy::None).unwrap();
@@ -736,6 +747,74 @@ mod tests {
                 );
                 let common = b.map_or(0, |b| a.iter().zip(b).take_while(|(x, y)| x == y).count());
                 assert_eq!(lcp[j] as usize, common, "{chars:?} slot {j}");
+            }
+        }
+    }
+
+    /// No workload's table numbers past a byte, so a bare substrate over
+    /// more than 256 and more than 65 536 distinct probabilities builds the
+    /// `u16` and `u32` codes: a text of `a`/`b`/`c` with a separator every
+    /// 50 characters, each source position its own key. Each is built, its
+    /// state reassembled to the same table and codes bit for bit, and every
+    /// pattern among every 997th window of up to four characters reported,
+    /// built and loaded, as the brute-force filter of the text, with each
+    /// value the left-to-right sum of its `ln p`.
+    #[test]
+    fn wide_value_tables_code_at_u16_and_u32() {
+        #![allow(clippy::disallowed_methods, reason = "independent expected values")]
+        for (distinct, width) in [(300, 2), (70_000, 4)] {
+            let n = distinct + (distinct - 1) / 49;
+            let separator = |x: usize| x % 50 == 49;
+            let chars: Vec<u8> = (0..n)
+                .map(|x| {
+                    if separator(x) {
+                        0
+                    } else {
+                        b"abc"[x * 7 % 11 % 3]
+                    }
+                })
+                .collect();
+            // One probability per character, all distinct.
+            let probs: Vec<f64> = (0..n)
+                .map(|x| 0.5 + (x - x / 50) as f64 * (0.4 / distinct as f64))
+                .collect();
+            let keys: Vec<u32> = (0..n as u32)
+                .map(|x| if separator(x as usize) { NO_KEY } else { x })
+                .collect();
+            let built = Substrate::build(&chars, &probs, &DedupStrategy::BySource(&keys)).unwrap();
+            let loaded = Substrate::from_state(built.to_state(), &probs).unwrap();
+            let values = &built.text.values;
+            assert_eq!(
+                (values.to_bits().0.len(), values.width()),
+                (distinct + 1, width)
+            );
+            assert_eq!(values.to_bits(), loaded.text.values.to_bits());
+            let tau = 0.05f64;
+            let cut = ustr_uncertain::canon::log_cut(tau.ln());
+            for m in 1..=4 {
+                let mut patterns: Vec<&[u8]> = (chars.windows(m).step_by(997))
+                    .filter(|w| !w.contains(&0))
+                    .collect();
+                patterns.sort_unstable();
+                patterns.dedup();
+                for pattern in patterns {
+                    let mut expected: Vec<(usize, u64)> = (0..=n - m)
+                        .filter(|&x| &chars[x..x + m] == pattern)
+                        .map(|x| (x, probs[x..x + m].iter().fold(0.0, |s, p| s + p.ln())))
+                        .filter(|&(_, v)| v >= cut)
+                        .map(|(x, v)| (x, v.to_bits()))
+                        .collect();
+                    expected.sort_unstable();
+                    for sub in [&built, &loaded] {
+                        let (l, r) = sub.range(pattern).unwrap();
+                        let mut got: Vec<(usize, u64)> = (sub.report(m, l, r, tau.ln()))
+                            .into_iter()
+                            .map(|(x, v)| (x, v.to_bits()))
+                            .collect();
+                        got.sort_unstable();
+                        assert_eq!(got, expected, "{pattern:?} over {distinct} values");
+                    }
+                }
             }
         }
     }

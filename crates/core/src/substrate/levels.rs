@@ -6,7 +6,9 @@
 //! builds an RMQ over it, and discards the array, re-deriving values from
 //! the cumulative array `C`. [`Levels`] does the same with
 //! [`SampledRmq`] structures whose accessors read
-//! [`ScoredText::window`].
+//! [`ScoredText::window`]: the window's sum over the text's value codes, in
+//! the kernel's order ([`crate::codes`]), so on a model without
+//! correlations a level's value is the probability an index reports.
 //!
 //! Duplicate elimination (§5.2/§6): within each level-`i` locus partition
 //! (maximal runs of suffix-array slots whose pairwise LCP is ≥ `i`),
@@ -23,8 +25,8 @@
 //! a level there would hold −∞ alone, and no pattern that long has a
 //! suffix range. Prefix probabilities are non-increasing in length, so a
 //! level-`i` value (`i ≤ m`) upper-bounds every length-`m` window in its
-//! block — a sound pruning filter; survivors are verified against `C`
-//! exactly. This keeps the paper's `O(m · occ)` long-pattern flavour at
+//! block — a sound pruning filter; survivors are valued at the pattern's
+//! length exactly. This keeps the paper's `O(m · occ)` long-pattern flavour at
 //! O(N log N) build cost.
 //!
 //! # What a short level hides
@@ -73,11 +75,12 @@
 //! under `ByKeyMax`, the kept ones under `BySource` (29.1 % of them on
 //! `paper-string`), so every sweep below runs over those alone.
 //!
-//! The level-`i` values of one slot `j` are the differences
-//! `C[x + i] − C[x]` of one *contiguous* stretch of `C` (`x = SA[j]`), so
-//! [`Levels::build`] walks the suffix array once per job, not once per
-//! level, and reads per slot `SA[j]`, `LCP[j]`, the slot's dedup key and
-//! that stretch:
+//! The level-`i` values of one slot `j` are the running sums of one
+//! *contiguous* stretch of the value codes (`x = SA[j]` on): the window of
+//! `i` characters is the sum of `i` of them, and each is the last plus one
+//! addition. So [`Levels::build`] walks the suffix array once per job, not
+//! once per level, and reads per slot `SA[j]`, `LCP[j]`, the slot's dedup
+//! key and that stretch, once ([`crate::codes::ValueCodes::running`]):
 //!
 //! 1. **Visibility sweep** (skipped without dedup). `BySource`: the chain
 //!    sweep (Muthukrishnan's previous-occurrence chain) keeps per key the
@@ -95,9 +98,9 @@
 //!    [`SampledRmq::from_parts`].
 //!
 //! A window exists exactly up to the slot's separator-free run length
-//! ([`ScoredText::run_lengths`], from the text's bytes), and `C` holds no
-//! separators to check it against (see [`crate::carray`]): neither sweep
-//! reads `C` past the run — deeper short levels are hidden (or −∞) without
+//! ([`ScoredText::run_lengths`], from the text's bytes), and the codes hold
+//! no separators to check it against (see [`crate::codes`]): neither sweep
+//! sums past the run — deeper short levels are hidden (or −∞) without
 //! a memory access, and a long level is evaluated only for the few slots
 //! whose run reaches its length. Champion values, which
 //! [`SampledRmq::from_parts`] reads at build and load time for any slot,
@@ -212,8 +215,8 @@ pub(super) struct Levels {
     hidden: Hidden,
 }
 
-/// Level-`len` value of slot `j` at query time: the stored window
-/// probability, or −∞ where `hidden` hides the slot. A query reads only
+/// Level-`len` value of slot `j` at query time: the window's value, or −∞
+/// where `hidden` hides the slot. A query reads only
 /// slots of a suffix range at lengths up to the pattern's, so the window is
 /// whole (see [`ScoredText::window`]); a champion's value is read once, at
 /// build or load time, through [`champion_value`].
@@ -367,8 +370,8 @@ impl Levels {
     /// ones a state holds — into the persistent representation accepted by
     /// [`Levels::from_parts`]: the visibility bytes, per short level and
     /// per long level its RMQ champion indices. Champion *values* are never
-    /// stored — they are re-derived from the cumulative array on reload,
-    /// read as the build read them — nor lengths.
+    /// stored — they are re-derived from the value codes on reload, read as
+    /// the build read them — nor lengths.
     pub(super) fn to_parts(&self) -> LevelsParts {
         let champions = |level: &Level| level.rmq.champions().to_vec();
         let visibility = match &self.hidden {
@@ -478,8 +481,8 @@ impl Levels {
 
 impl Substrate {
     /// Candidates of a length-`m` pattern (`m ≥ 1`) with suffix range
-    /// `[l, r]`: `(text position, stored window log-probability)` of every
-    /// suffix whose length-`m` window is ≥ `log_tau`. Algorithm 2/4 runs on
+    /// `[l, r]`: `(text position, window value)` of every suffix whose
+    /// length-`m` window meets `log_tau` by the threshold rule. Algorithm 2/4 runs on
     /// the level that serves `m`; survivors of a shorter level are verified
     /// at length `m`. Hits come in no set order. A short level (`m ≤ L`)
     /// yields one hit per distinct key; a long one — the blocking scheme —
@@ -501,8 +504,8 @@ impl Substrate {
 
     /// The `k` most probable distinct sources over the suffix range `[l, r]`
     /// of a length-`m` pattern, and every other source tied with the `k`-th
-    /// within `PROB_EPS`, as `(source, stored value)` in decreasing
-    /// stored-value order: [`super::topk`]'s search over the
+    /// within `PROB_EPS`, as `(source, window value)` in decreasing value
+    /// order: [`super::topk`]'s search over the
     /// [`SampledRmq::best_first`] walk of the level that serves `m`, its
     /// values lazy bounds when it is shorter than `m`. The walk reads each
     /// slot of the range at most once, and on the level of length `m` at
@@ -594,7 +597,7 @@ pub(super) fn key_space(keys: &[u32]) -> usize {
 /// The chain sweep: the visibility byte of every slot under the `BySource`
 /// `keys` over the short levels `0..levels` (see the module docs).
 fn chain_sweep(text: &ScoredText, keys: &[u32], levels: usize) -> Box<[u8]> {
-    debug_assert_eq!(keys.len(), text.cum.len(), "one key per text position");
+    debug_assert_eq!(keys.len(), text.values.len(), "one key per text position");
     let (tree, sa) = (&text.tree, text.tree.sa_slots());
     // `prev[key]`: the last slot that had the key, 0 for none (slot 0, the
     // terminator, has no key).
@@ -632,12 +635,13 @@ struct Best {
 /// The keep sweep over the short levels `0..levels` under the `ByKeyMax`
 /// `keys`: for every slot, bit `i` set when the slot stays visible at level
 /// `i`, i.e. its window is finite and it is its key's winner in its
-/// level-`i` partition.
+/// level-`i` partition — its greatest window value, the earliest slot on a
+/// tie.
 fn keep_sweep(text: &ScoredText, run: &[u32], levels: usize, keys: &[u32]) -> Vec<u64> {
-    debug_assert_eq!(keys.len(), text.cum.len(), "one key per text position");
+    debug_assert_eq!(keys.len(), text.values.len(), "one key per text position");
     let (tree, sa) = (&text.tree, text.tree.sa_slots());
-    let prefix = text.cum.prefix();
     let key_space = key_space(keys);
+    let mut sums = [f64::NEG_INFINITY; LEVEL_BITS];
 
     // `stamp[key · levels + i]`: the level-`i` partition the key last won
     // in, and `best[…]` the winner there. Partition ids start at 1 (slot 1
@@ -664,11 +668,10 @@ fn keep_sweep(text: &ScoredText, run: &[u32], levels: usize, keys: &[u32]) -> Ve
         }
         let at = key as usize * levels;
         let finite = levels_below(run[x] as usize, levels);
+        text.values.running(x, &mut sums[..finite]);
         let mut bits = 0u64;
-        for i in 0..finite {
+        for (i, &value) in sums[..finite].iter().enumerate() {
             let seen = std::mem::replace(&mut stamp[at + i], partition[i]) == partition[i];
-            #[allow(clippy::float_arithmetic, reason = "a stored window sum ranks keys")]
-            let value = prefix[x + i + 1] - prefix[x];
             let incumbent = &mut best[at + i];
             if seen {
                 if incumbent.value >= value {
@@ -746,8 +749,8 @@ impl LongSweep {
 /// maximum of the shown values; the block's first slot when none is).
 /// `bits(j, x)` are the levels slot `j` (at text position `x`) shows, its
 /// window whole at each; `long` levels are offered every slot whose run
-/// reaches their length.
-#[allow(clippy::float_arithmetic, reason = "stored window sums rank champions")]
+/// reaches their length. A slot's values are the running sums of its
+/// window, up to the longest length it is asked for.
 fn champion_sweep(
     (text, run, levels): (&ScoredText, &[u32], usize),
     bits: impl Fn(usize, usize) -> u64,
@@ -755,7 +758,8 @@ fn champion_sweep(
 ) -> Vec<Vec<u32>> {
     const BLOCK: usize = SampledRmq::DEFAULT_BLOCK;
     let sa = text.tree.sa_slots();
-    let prefix = text.cum.prefix();
+    let longest = long.last().map_or(0, |level| level.len).max(levels);
+    let mut sums = vec![f64::NEG_INFINITY; longest];
     let blocks = sa.len().div_ceil(BLOCK);
     let mut swept: Vec<Vec<u32>> = (0..levels).map(|_| Vec::with_capacity(blocks)).collect();
     let mut best = [f64::NEG_INFINITY; LEVEL_BITS];
@@ -767,12 +771,17 @@ fn champion_sweep(
         for (j, &x) in (start..end).zip(&sa[start..end]) {
             let x = x as usize;
             let mut shown = bits(j, x);
+            // The highest shown level's length, and the longest long level
+            // the run reaches: the sums this slot needs.
+            let short = (u64::BITS - shown.leading_zeros()) as usize;
+            let reached = long.iter().take_while(|level| level.len <= run[x] as usize);
+            let sums = &mut sums[..reached.last().map_or(0, |level| level.len).max(short)];
+            text.values.running(x, sums);
             while shown != 0 {
                 let i = shown.trailing_zeros() as usize;
                 shown &= shown - 1;
-                let value = prefix[x + i + 1] - prefix[x];
-                if value > best[i] {
-                    best[i] = value;
+                if sums[i] > best[i] {
+                    best[i] = sums[i];
                     champion[i] = j as u32;
                 }
             }
@@ -780,7 +789,7 @@ fn champion_sweep(
                 if level.len > run[x] as usize {
                     break;
                 }
-                level.offer(j, prefix[x + level.len] - prefix[x]);
+                level.offer(j, sums[level.len - 1]);
             }
         }
         for (i, champions) in swept.iter_mut().enumerate() {
@@ -1381,7 +1390,7 @@ mod tests {
             let docs = [correlated.clone(), plain.clone()];
             let listing = ListingIndex::build(&docs, tau).unwrap();
             let base = [0, correlated.len()];
-            let keys: Vec<u32> = (0..listing.substrate.text.cum.len())
+            let keys: Vec<u32> = (0..listing.substrate.text.values.len())
                 .map(|x| listing.doc_and_src(x).map_or(NO_KEY, |(d, q)| (base[d] + q) as u32))
                 .collect();
             check(&listing.substrate, &keys)?;

@@ -20,14 +20,14 @@
 //! value is exact and comes out once.
 //!
 //! `Substrate::top_k` points this search at an RMQ level. Values ranked there
-//! are the *stored* window products read off the cumulative array;
-//! `Index::query_top_k` re-verifies every emitted source through the flat
-//! [`ustr_uncertain::ProbPlane`] kernel to produce the canonical
-//! probabilities every executor over the document reports, and cuts at `k`
-//! in their canonical order. So the search closes the tie class at the cut
-//! itself: its one stop rule is the walk's floor, raised to the `k`-th
-//! emitted value less `PROB_EPS` once `k` sources are out, so everything
-//! tied with the `k`-th comes out in the same pass.
+//! are window sums over the text's value codes, in the kernel's order: on a
+//! model without correlations the canonical probabilities every executor
+//! over the document reports, which `Index::query_top_k` keeps as they are,
+//! and cuts at `k` in their canonical order (probability ↓, position ↑).
+//! The search closes the tie class at the cut itself: its one stop rule is
+//! the walk's floor, raised to the `k`-th emitted value less `PROB_EPS` once
+//! `k` sources are out, so everything tied with the `k`-th comes out in the
+//! same pass and the position order, not heap arbitration, settles ties.
 //!
 //! [`SampledRmq::best_first`]: ustr_rmq::SampledRmq::best_first
 

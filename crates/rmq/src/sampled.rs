@@ -5,8 +5,8 @@
 //! `C` during queries. [`SampledRmq`] mirrors that: it stores only per-block
 //! champion indices plus a linear-space [`BlockRmq`] over the champion
 //! values; partial blocks are rescanned through a caller-supplied accessor
-//! (each probe is O(1) via `C`), keeping queries O(block size) = O(1) for a
-//! fixed block size. A threshold report ([`SampledRmq::report_at_least`])
+//! (each probe costs what the accessor costs), keeping queries
+//! O(block size) probes for a fixed block size. A threshold report ([`SampledRmq::report_at_least`])
 //! reads each value of its range at most once: the two partial edge blocks
 //! once each, and a full middle block only when its champion reaches the
 //! threshold — found by the same max-split recursion over the champions —

@@ -8,7 +8,7 @@
 //! its `(SA, LCP)` arrays, the visibility byte of every slot (the short
 //! levels' duplicate elimination) and every per-level RMQ table (champion
 //! indices) — and [`Snapshot::load`] reassembles an index that holds what
-//! the built one held, `C` summed again from the model, and answers
+//! the built one held, its value codes taken again from the model, and answers
 //! **byte-identical** query results, skipping the expensive construction
 //! passes (the Lemma-2 transform, SA-IS, the level sweeps). The other index types have no snapshot; each is built from its
 //! input whenever it is wanted.
@@ -39,7 +39,7 @@
 //! shortest form only), by value size, not by type. The *string* piece is
 //! the WAL's record body too, and keeps its fixed-width `u64` lengths.
 //!
-//! # Payloads (version 14)
+//! # Payloads (version 15)
 //!
 //! A payload says what `build` produces and a query reads, each array
 //! once. Shared pieces first, then the payload, every field in the order it
@@ -72,8 +72,9 @@
 //!
 //! Not written, because another field fixes it: where the separators are
 //! (the zero bytes of the text), the map past a factor's first character
-//! (one more each), `C` (the model's probabilities at the mapped positions,
-//! through the transform's rule, summed on load by the build's code), a
+//! (one more each), the value codes (of the model's probabilities at the
+//! mapped positions, through the transform's rule, coded on load by the
+//! build's code), a
 //! level's length (its place on the ladder) and block size (64, or the
 //! length), the largest short pattern length (the short-level count), the
 //! build statistics (the source length, the text length and the number of
@@ -124,7 +125,13 @@
 //! measurement. Version 14 writes the SA and LCP of the kept slots alone,
 //! and the visibility bytes and champions over them (version 13 wrote a
 //! slot for every text position, separators included: on `paper-string`
-//! 948 399 slots where 276 187 are kept).
+//! 948 399 slots where 276 187 are kept). Version 15 writes the same
+//! fields; its champions are the maxima of the windows summed over the
+//! text's value codes in the kernel's order, where version 14's were those
+//! of `C`'s prefix-sum differences, which can differ in the last bits — so
+//! a block's champion moves where two of its windows tie to a rounding.
+//! A load checks that each champion lies in its block, not that it is a
+//! maximum, so a version-14 file is refused, not read.
 //!
 //! # Failure model
 //!
@@ -201,8 +208,9 @@ pub const MAGIC: [u8; 8] = *b"USTRCOLL";
 /// longest separator-free stretch of the text; version 12 writes a
 /// visibility byte per slot in place of the short levels' masks; version
 /// 13 writes no build statistics; version 14 writes the suffix array and
-/// LCP of the slots a query can reach alone.
-pub const FORMAT_VERSION: u32 = 14;
+/// LCP of the slots a query can reach alone; version 15 takes the levels'
+/// champions over the windows of the text's value codes.
+pub const FORMAT_VERSION: u32 = 15;
 
 /// Which structure a section holds: one a server loads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -689,7 +697,8 @@ mod tests {
     /// lost the long levels past the longest separator-free stretch;
     /// version 12 holds a visibility byte per slot for the short levels'
     /// masks; version 13 lost the build statistics; version 14 holds the
-    /// slots a query can reach alone). Everything of a
+    /// slots a query can reach alone; version 15 takes its champions over
+    /// the value codes' windows). Everything of a
     /// payload — source, map, text, SA, LCP, visibility bytes, champions,
     /// `τmin` — is what the checksums cover.
     #[test]

@@ -213,22 +213,24 @@ fn wrong_version_is_a_clean_error() {
 /// name their origins by node key), a format-10 `.coll` (its long levels
 /// run on to the text length), a format-11 `.coll` (its short levels
 /// carry a duplicate mask each), a format-12 `.coll` (its payloads end
-/// with build statistics) and a format-13 `.coll` (its suffix arrays hold
-/// every keyed and separator slot). Each is refused with a message that
+/// with build statistics), a format-13 `.coll` (its suffix arrays hold
+/// every keyed and separator slot) and a format-14 `.coll` (its champions
+/// are the maxima of `C`'s windows). Each is refused with a message that
 /// says to rebuild it.
 #[test]
 fn old_format_files_are_refused_with_a_rebuild_message() {
     let fixtures = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
     for (file, refused) in [
         ("format6.idx", "bad magic"),
-        ("format6.coll", "version 1 (this build reads version 14)"),
-        ("format7.idx", "version 7 (this build reads version 14)"),
-        ("format8.coll", "version 8 (this build reads version 14)"),
-        ("format9.coll", "version 9 (this build reads version 14)"),
-        ("format10.coll", "version 10 (this build reads version 14)"),
-        ("format11.coll", "version 11 (this build reads version 14)"),
-        ("format12.coll", "version 12 (this build reads version 14)"),
-        ("format13.coll", "version 13 (this build reads version 14)"),
+        ("format6.coll", "version 1 (this build reads version 15)"),
+        ("format7.idx", "version 7 (this build reads version 15)"),
+        ("format8.coll", "version 8 (this build reads version 15)"),
+        ("format9.coll", "version 9 (this build reads version 15)"),
+        ("format10.coll", "version 10 (this build reads version 15)"),
+        ("format11.coll", "version 11 (this build reads version 15)"),
+        ("format12.coll", "version 12 (this build reads version 15)"),
+        ("format13.coll", "version 13 (this build reads version 15)"),
+        ("format14.coll", "version 14 (this build reads version 15)"),
     ] {
         let err = Index::load(fixtures.join(file)).err().unwrap();
         let said = err.to_string();

@@ -40,6 +40,23 @@ pub fn ln(p: f64) -> f64 {
     p.ln()
 }
 
+/// The log of the empty product, `+0.0`: every window's sum starts here.
+pub const LOG_ONE: f64 = 0.0;
+
+/// One factor more of a window's product, in the log domain: `log_p +
+/// ln_factor`. The workspace's one summation step, with two callers: the
+/// kernel's walk ([`crate::MatchKernel::log_match_bounded`]) and an
+/// index's window sum over its value codes. Both add a window's factors
+/// left to right from [`LOG_ONE`], so a window's value is one sum in one
+/// order wherever it is taken. A factor of exactly `+0.0` (a certain
+/// character) leaves a sum that started at [`LOG_ONE`] as it was, bit for
+/// bit — no such sum is ever `−0.0` — so the kernel skips it, and the
+/// window sum adds it, to the same value.
+#[inline]
+pub fn log_mul(log_p: f64, ln_factor: f64) -> f64 {
+    log_p + ln_factor
+}
+
 /// Inverse of [`ln`]: back from the log domain to a linear probability.
 #[inline]
 pub fn exp(log_p: f64) -> f64 {
@@ -160,6 +177,19 @@ mod tests {
             assert_eq!(ln(p).to_bits(), p.ln().to_bits());
             assert_eq!(exp(ln(p)).to_bits(), p.ln().exp().to_bits());
         }
+    }
+
+    #[test]
+    fn adding_a_certain_factor_keeps_every_bit() {
+        // Sums from `LOG_ONE` of factors at most 0: `+0.0` is the identity
+        // on each, the empty sum included.
+        let mut log_p = LOG_ONE;
+        for factor in [0.0, ln(0.7), 0.0, ln(1e-300), ln(0.5), f64::NEG_INFINITY] {
+            assert_eq!(log_mul(log_p, 0.0).to_bits(), log_p.to_bits());
+            log_p = log_mul(log_p, factor);
+        }
+        assert_eq!(log_p, f64::NEG_INFINITY);
+        assert_eq!(LOG_ONE.to_bits(), 0.0f64.to_bits());
     }
 
     #[test]

@@ -604,6 +604,21 @@ impl Scan {
         }
         self.hits
     }
+
+    /// Keeps each of `candidates`, `(pos, ln p)` whose values are already
+    /// the walk's own, that meets `log_tau`, as `(pos, p)`, and counts
+    /// every one as a candidate: [`MatchKernel::verify`] without the walk.
+    /// An index whose model has no correlations hands its level values in
+    /// here: each is its window's cells summed left to right through
+    /// [`canon::log_mul`], which is the walk.
+    pub fn keep(&mut self, candidates: impl IntoIterator<Item = (usize, f64)>, log_tau: f64) {
+        for (pos, log_p) in candidates {
+            self.candidates += 1;
+            if canon::log_meets_threshold(log_p, log_tau) {
+                self.hits.push((pos, canon::exp(log_p)));
+            }
+        }
+    }
 }
 
 /// The per-query verification kernel: `pattern` remapped to ranks once,
@@ -677,7 +692,7 @@ impl<'a> MatchKernel<'a> {
         if self.first_row[pos / 64] >> (pos % 64) & 1 == 0 {
             return None;
         }
-        let mut log_p = 0.0;
+        let mut log_p = canon::LOG_ONE;
         // Rows are in position order: the window's first non-det position
         // numbers its row by rank, and each later one takes the next.
         let mut row = None;
@@ -706,7 +721,7 @@ impl<'a> MatchKernel<'a> {
             if lp == f64::NEG_INFINITY {
                 return None;
             }
-            log_p += lp;
+            log_p = canon::log_mul(log_p, lp);
             if !canon::log_meets_threshold(log_p, log_tau) {
                 return None;
             }

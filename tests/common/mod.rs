@@ -3,20 +3,29 @@
 
 use uncertain_strings::{
     workload::{generate_string, DatasetConfig},
-    Correlation, CorrelationSet, UncertainString,
+    Correlation, CorrelationSet, Index, UncertainString,
 };
 
 /// The shortest pattern lengths an index's first and second long level
-/// answer, `[L + 1, 2L + 1]`, when it keeps every suffix-array slot: an
-/// index over `transformed_len` characters (one slot more) has
-/// `L = ⌈log₂(slots + 1)⌉` short levels. An `Index`, and a `ListingIndex`
-/// over correlated documents, keep only the slots a query can reach, so
-/// their `L` is at most this one, and both lengths still run on long
-/// levels.
+/// answer, `[L + 1, 2L + 1]`: an index of `slots` suffix-array slots (the
+/// terminator's included) has `L = ⌈log₂(slots + 1)⌉` short levels. An
+/// `Index` keeps only the slots a query can reach, `to_snapshot().substrate
+/// .text.sa.len() + 1` of them; a `ListingIndex` over documents without
+/// correlations keeps one per text character and the terminator's,
+/// `stats().transformed_len + 1`. (Over correlated documents it keeps the
+/// reachable ones alone and exposes no count: the text's is an upper
+/// bound, whose lengths still run on long levels.)
 #[allow(dead_code, reason = "not every test file that shares this calls it")]
-pub fn first_long_lengths(transformed_len: usize) -> [usize; 2] {
-    let short = (usize::BITS - (transformed_len + 1).leading_zeros()) as usize;
+pub fn first_long_lengths(slots: usize) -> [usize; 2] {
+    let short = (usize::BITS - slots.leading_zeros()) as usize;
     [short + 1, 2 * short + 1]
+}
+
+/// The suffix-array slots of `index`, the terminator's included: what
+/// [`first_long_lengths`] takes.
+#[allow(dead_code, reason = "not every test file that shares this calls it")]
+pub fn slots(index: &Index) -> usize {
+    index.to_snapshot().substrate.text.sa.len() + 1
 }
 
 /// The generated protein string with a correlation on the first choice of

@@ -3,7 +3,7 @@
 
 mod common;
 
-use common::{correlated, first_long_lengths};
+use common::{correlated, first_long_lengths, slots};
 use proptest::prelude::*;
 use uncertain_strings::{
     baseline::NaiveScanner, ApproxIndex, Correlation, CorrelationSet, Index, ListingIndex,
@@ -80,7 +80,7 @@ fn general_index_agrees_with_scanner_under_correlation() {
     // The same three window cases past the first and the second long level.
     let s = figure_4_string_with_tail(TAIL);
     let idx = Index::build(&s, 0.05).unwrap();
-    for m in first_long_lengths(idx.stats().transformed_len) {
+    for m in first_long_lengths(slots(&idx)) {
         for head in [&b"eqz"[..], b"fqz", b"qz"] {
             let pattern = [head, &TAIL[..m - head.len()]].concat();
             assert_index_agrees_with_scanner(&idx, &s, &pattern);
@@ -214,7 +214,7 @@ fn listing_with_correlated_documents() {
         let idx = ListingIndex::build(&docs, 0.05).unwrap();
         let mut patterns = vec![b"acd".to_vec(), b"cd".to_vec(), b"c".to_vec()];
         if !tail.is_empty() {
-            for m in first_long_lengths(idx.stats().transformed_len) {
+            for m in first_long_lengths(idx.stats().transformed_len + 1) {
                 for head in [&b"acd"[..], b"cd"] {
                     patterns.push([head, &tail[..m - head.len()]].concat());
                 }

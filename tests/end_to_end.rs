@@ -3,7 +3,7 @@
 
 mod common;
 
-use common::first_long_lengths;
+use common::{first_long_lengths, slots};
 use uncertain_strings::{
     baseline::NaiveScanner,
     workload::{generate_collection, generate_string, sample_patterns, DatasetConfig, PatternMode},
@@ -45,7 +45,7 @@ fn workload_pipeline_listing() {
         );
         let mut patterns = sample_patterns(&all, 3, 10, PatternMode::Probable, 3);
         // Long patterns are drawn inside one document, so that it can list.
-        let long = first_long_lengths(idx.stats().transformed_len);
+        let long = first_long_lengths(idx.stats().transformed_len + 1);
         for m in long {
             let long_enough = docs.iter().filter(|d| d.len() >= m);
             patterns.extend(
@@ -96,7 +96,7 @@ fn long_patterns_cross_blocking_threshold() {
     for theta in [0.15, 0.02] {
         let s = generate_string(&DatasetConfig::new(3000, theta, 31));
         let idx = Index::build(&s, 0.1).unwrap();
-        let [first, second] = first_long_lengths(idx.stats().transformed_len);
+        let [first, second] = first_long_lengths(slots(&idx));
         for m in [first, second, 24, 32, 64] {
             let mut found = 0;
             for pattern in sample_patterns(&s, m, 4, PatternMode::Probable, 13) {

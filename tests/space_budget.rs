@@ -15,7 +15,7 @@
 use uncertain_strings::{
     service::{save_coll, DocExecutor, QueryService, Segment, SegmentSet, ServiceConfig},
     store::{read_collection_manifest, RealIo, FORMAT_VERSION},
-    uncertain::ProbPlane,
+    uncertain::{canon, ProbPlane},
     workload::{generate_collection, generate_string, DatasetConfig},
     ApproxIndex, Index, ListingIndex, Snapshot, SnapshotKind, UncertainString,
 };
@@ -71,8 +71,11 @@ fn check_heap_rows(
 }
 
 /// `Index::heap_size()` per source position on this input when the budget was
-/// last set, once the tree, the visibility bytes and the levels held only the
-/// slots a query can reach, 28 834 of 96 827 (269.7 before, over every slot,
+/// last set, once the text's probabilities became one byte code per character
+/// into a table of its 48 distinct `ln p` values (165.0 before, with `C`'s
+/// 77.5 of prefix sums, the figure once the tree, the visibility bytes and the
+/// levels held only the slots a query can reach, 28 834 of 96 827; 269.7
+/// before that, over every slot,
 /// the figure once the plane dropped its two `u32`-per-position run lengths and
 /// the kernel walked every window in one loop; 274.0 before that, the figure once
 /// the suffix tree's child table held an `i16` offset per slot; 293.0 before
@@ -88,7 +91,7 @@ fn check_heap_rows(
 /// model, with probability rows only at uncertain positions; 561.4 before that,
 /// not counting the ≈ 58 B of source copy beside the plane; 925.3 with explicit
 /// tree nodes and a sparse table per level).
-const MEASURED_BYTES_PER_POS: f64 = 165.0;
+const MEASURED_BYTES_PER_POS: f64 = 97.3;
 
 #[test]
 fn heap_breakdown_stays_inside_the_budget() {
@@ -121,6 +124,32 @@ fn heap_breakdown_stays_inside_the_budget() {
     // slot: no LCP entry of this text reaches 255, so its exception list is
     // empty.
     assert_eq!(row("text + SA + LCP"), chars + 5 * slots);
+    // A code per character at the narrowest width that numbers the table of
+    // the text's distinct `ln p` values, 8 bytes an entry: the characters'
+    // probabilities at their source positions (this string has no
+    // correlations), read through the snapshot's factor starts, and `ln 1`
+    // at the separators.
+    let text = &snapshot.substrate.text.text;
+    let mut starts = snapshot.starts.iter();
+    let (mut source, mut table) = (0, std::collections::BTreeSet::new());
+    for (x, &c) in text.iter().enumerate() {
+        if x == 0 || text[x - 1] == 0 {
+            source = starts.next().copied().unwrap_or_default() as usize;
+        }
+        let p = if c == 0 {
+            1.0
+        } else {
+            s.position(source).prob_of(c)
+        };
+        table.insert(canon::ln(p).to_bits());
+        source += 1;
+    }
+    let width = match table.len() {
+        len if len <= 1 << 8 => 1,
+        len if len <= 1 << 16 => 2,
+        _ => 4,
+    };
+    assert_eq!(row("value codes"), chars * width + 8 * table.len());
     // What the short levels hide is one byte per slot for all of them; each
     // level is a champion per 64 slots and the block RMQ over their values.
     assert_eq!(row("visibility bytes"), slots);
@@ -178,8 +207,10 @@ fn approx_heap_breakdown_stays_inside_the_budget() {
 }
 
 /// `ListingIndex::heap_size()` per source position over the same positions cut
-/// into documents when the budget was last set, once the plane dropped its two
-/// `u32`-per-position run lengths (243.0 before, the figure once one plane over
+/// into documents when the budget was last set, once the text's probabilities
+/// became one byte code per character (238.9 before, with `C`'s prefix sums,
+/// the figure once the plane dropped its two `u32`-per-position run lengths;
+/// 243.0 before that, the figure once one plane over
 /// the collection held the documents' models and a start per document replaced
 /// a document id per factor; 270.0 before that, with a plane per document, 56.3
 /// B/position of it against the one plane's 33.1, the figure once the suffix
@@ -191,7 +222,7 @@ fn approx_heap_breakdown_stays_inside_the_budget() {
 /// and a document id per factor; 450.6 before that, the first count of
 /// everything the index holds: 549.8 on `paper-string` before it, without the
 /// documents' source copies or the planes' slots).
-const LISTING_MEASURED_BYTES_PER_POS: f64 = 238.9;
+const LISTING_MEASURED_BYTES_PER_POS: f64 = 181.3;
 
 #[test]
 fn listing_heap_stays_inside_the_budget() {
@@ -223,8 +254,9 @@ fn listing_heap_stays_inside_the_budget() {
 }
 
 /// `.idx` bytes per source position of the 10 000-position string when the
-/// budget was set (snapshot format 14, which writes the SA, LCP, visibility
-/// bytes and champions of the slots a query can reach alone: 83.7 in formats 12
+/// budget was set (snapshot formats 14 and 15, which write the SA, LCP,
+/// visibility bytes and champions of the slots a query can reach alone — 15
+/// takes the champions over the windows of the value codes: 83.7 in formats 12
 /// and 13, which write a visibility byte per slot in place of the short levels'
 /// mask words; 94.6 in format 11, which writes no
 /// long level past the longest separator-free stretch; 94.9 in format 8, which
@@ -251,8 +283,8 @@ fn index_file_bytes_stay_inside_the_budget() {
 }
 
 /// Section bytes per source position of the collection below when the budget
-/// was set: substring-index sections (format 14, over the slots a query can
-/// reach alone; 78.4 in formats 12 and 13, with a visibility byte per slot in
+/// was set: substring-index sections (formats 14 and 15, over the slots a query
+/// can reach alone; 78.4 in formats 12 and 13, with a visibility byte per slot in
 /// place of the short levels' mask words; 81.0 in format 11, without
 /// long levels past the longest separator-free stretch; 81.9 in format 8,
 /// without `C` and with one map entry per factor; 178.9 in formats 6 and 7;

@@ -5,7 +5,6 @@ use proptest::prelude::*;
 use uncertain_strings::{
     baseline::NaiveScanner,
     core::{canonical_hit_order, ListingHit},
-    uncertain::PROB_EPS,
     workload::{generate_string, sample_patterns, DatasetConfig, PatternMode},
     Index, ListingIndex, SpecialIndex, SpecialUncertainString, UncertainString,
 };
@@ -196,10 +195,8 @@ proptest! {
     /// at the cut included, positions and probability bits alike — for the
     /// general, listing and special indexes. And listing at τmin is every
     /// document the general index finds an occurrence in, at its most
-    /// probable one's probability — within `PROB_EPS`: the listing keeps
-    /// the maximum of its stored arithmetic, and two occurrences equal in
-    /// exact arithmetic may order one way there and the other way in the
-    /// canonical arithmetic `Index::query` reports. The special index's
+    /// probable one's probability, to the bit: both rank the canonical
+    /// values `Index::query` reports. The special index's
     /// threshold answer is the scanner's over the same one-choice model, to
     /// the bit.
     #[test]
@@ -230,7 +227,7 @@ proptest! {
                 let docs_of = |hits: &[(usize, f64)]| hits.iter().map(|&(d, _)| d).collect::<Vec<_>>();
                 prop_assert_eq!(docs_of(&answer), docs_of(&maxima), "listing {}", &context);
                 for (&(d, relevance), &(_, max)) in answer.iter().zip(&maxima) {
-                    prop_assert!((relevance - max).abs() <= PROB_EPS, "listing {} doc {}: {} vs {}", &context, d, relevance, max);
+                    prop_assert_eq!(relevance.to_bits(), max.to_bits(), "listing {} doc {}", &context, d);
                 }
                 let top_k = |k| doc_hits(listing.query_top_k(&p, k).unwrap());
                 assert_ranked_prefixes(answer, top_k, &format!("listing {context}"));
