@@ -33,8 +33,8 @@
 //! a table of their `ln p`) give window probabilities, per-length arrays `C_i` with
 //! range-maximum structures drive the *report-in-decreasing-probability*
 //! recursion, per-level duplicate elimination keeps output time proportional
-//! to distinct results, and a geometric blocking scheme covers patterns
-//! longer than `log n`.
+//! to distinct results, and a blocking scheme at lengths `log n` and
+//! `2 log n` covers patterns longer than `log n`.
 //!
 //! That is §4's machinery, and the paper has only the one: §5, §6 and §7
 //! are the same engine under a Lemma-2 position map, a document map and an

@@ -66,7 +66,8 @@ pub struct ShortLevelParts {
 }
 
 /// Persistent representation of one long (blocking-scheme) level: the
-/// `k`-th has filter length and block size `L·2ᵏ`, `L` the short count.
+/// first has filter length and block size `L`, the short count, the second
+/// `2L`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LongLevelParts {
     /// Champion index of every block.
@@ -74,8 +75,8 @@ pub struct LongLevelParts {
 }
 
 /// Persistent representation of all RMQ levels of an index: exactly
-/// `L = ⌈log₂(slots + 1)⌉` short levels and a long level for every `L·2ᵏ`
-/// up to the longest separator-free stretch of the text.
+/// `L = ⌈log₂(slots + 1)⌉` short levels, and long levels of lengths `L` and
+/// `2L`, each where the text has a separator-free stretch that long.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LevelsParts {
     /// Duplicate elimination for every short level, one byte per slot: the

@@ -44,7 +44,7 @@ pub struct SpecialIndex {
     /// The string's model, one choice a position, with its correlations:
     /// the one in-memory copy, and the verification kernel.
     plane: ProbPlane,
-    substrate: Substrate,
+    pub(crate) substrate: Substrate,
     stats: BuildStats,
 }
 

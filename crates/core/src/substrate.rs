@@ -541,8 +541,8 @@ mod tests {
 
     /// The ladder ends at the longest factor. Over generated strings and
     /// collections, every long level of an `Index` and a `ListingIndex`
-    /// holds a finite champion, the longest is no longer than the text's
-    /// longest separator-free stretch (and the next length would be), and a
+    /// holds a finite champion, the long levels are those of `L` and `2L`
+    /// no longer than the text's longest separator-free stretch, and a
     /// pattern longer than that stretch answers empty in every mode, as the
     /// scanner does.
     #[test]
@@ -558,9 +558,10 @@ mod tests {
             let longest = text.split(|&c| c == 0).map(<[u8]>::len).max().unwrap();
             let long = sub.long_levels();
             assert!(long.iter().all(|&(_, finite)| finite), "{long:?}");
-            if let Some(&(len, _)) = long.last() {
-                assert!(len <= longest && 2 * len > longest, "{len} for {longest}");
-            }
+            let short = (usize::BITS - sub.text.tree.num_slots().leading_zeros()) as usize;
+            let fitting = [short, 2 * short].into_iter().filter(|&len| len <= longest);
+            let lens: Vec<usize> = long.iter().map(|&(len, _)| len).collect();
+            assert_eq!(lens, fitting.collect::<Vec<_>>(), "for {longest}");
             longest
         };
         // `len` characters of the world of each position's first choice,

@@ -18,16 +18,25 @@
 //! levels report every distinct result exactly once.
 //!
 //! Long patterns (`m > L`): materialising per-length block maxima for every
-//! `i ∈ [log n, n]`, as §4.2 describes, costs Θ(n²) construction time; we
-//! build the blocking levels at geometric lengths `L, 2L, 4L, …` instead,
-//! up to the longest factor (the longest separator-free stretch of the
-//! text): past it every window crosses a separator or leaves the text, so
-//! a level there would hold −∞ alone, and no pattern that long has a
-//! suffix range. Prefix probabilities are non-increasing in length, so a
-//! level-`i` value (`i ≤ m`) upper-bounds every length-`m` window in its
-//! block — a sound pruning filter; survivors are valued at the pattern's
-//! length exactly. This keeps the paper's `O(m · occ)` long-pattern flavour at
-//! O(N log N) build cost.
+//! `i ∈ [log n, n]`, as §4.2 describes, costs Θ(n²) construction time, and
+//! so would any level much longer than `L` here: a window's value is the
+//! sum of its characters' values, so a level of length `len` costs every
+//! slot whose run reaches it `len` additions — over a text of one long
+//! stretch (a special index's, or an index's over a near-certain string)
+//! Θ(n · len). We build two blocking levels instead, of lengths `L` and
+//! `2L`, each only where the text has a stretch that long: past the longest
+//! factor (the longest separator-free stretch of the text) every window
+//! crosses a separator or leaves the text, so a level there would hold −∞
+//! alone, and no pattern that long has a suffix range. A window's value is
+//! non-increasing in its length (each character adds a value ≤ 0, and
+//! rounding keeps the order), so a level-`i` value (`i ≤ m`) upper-bounds
+//! every length-`m` window in its block — a sound pruning filter; survivors
+//! are valued at the pattern's length exactly. A pattern of `2L` characters
+//! or more is filtered by its first `2L`: its candidates are the slots of
+//! its suffix range whose `2L`-prefix meets τ, a superset of its
+//! occurrences that a level nearer `m` would narrow, at `m` additions a
+//! slot of build. The build takes at most `2L` additions a slot, O(N log N)
+//! in all.
 //!
 //! # What a short level hides
 //!
@@ -116,11 +125,9 @@
 //! levels together (on `paper-string`, `L = 19` over its kept slots: 1 B
 //! per slot where a mask bit per level took 2.5); under `ByKeyMax` each
 //! level adds its mask bit, ≈ 0.44 B per slot per level in all. A long
-//! level's block is its length, from `L` up: 20.2 / `len` B per slot, under
-//! 2.5 B per slot for the whole geometric ladder — and the ladder ends at
-//! the longest factor, so on a transformed text of short factors it is
-//! two or three levels, not `log₂(n / L)` (on `paper-string`, factors of at most 42 characters and
-//! `L = 19`: levels 19 and 38, where the text length allowed 16).
+//! level's block is its length: 20.2 / `L` B per slot at `L` and half that
+//! at `2L` (on `paper-string`, `L = 19` over its kept slots and factors of
+//! at most 42 characters: levels 19 and 38).
 //!
 //! Temporary memory: the run lengths (one word per text position), and the
 //! visibility sweep's tables. The chain sweep keeps one slot per key, the
@@ -552,15 +559,18 @@ impl Substrate {
 
 /// The level ladder, derived from the text and nothing else: short levels
 /// for the pattern lengths `1..=L`, `L = ⌈log₂(slots + 1)⌉` (the paper's
-/// `log n`), and the lengths of the long levels, `L·2ᵏ` up to the longest
-/// separator-free stretch of the text — the largest of its run lengths
-/// `run` ([`ScoredText::run_lengths`]). A longer level would hold −∞ alone,
-/// and serve no pattern: one longer than every stretch has no suffix range.
+/// `log n`), and the lengths of the long levels, `L` and `2L`, each where
+/// the longest separator-free stretch of the text — the largest of its run
+/// lengths `run` ([`ScoredText::run_lengths`]) — is at least that long. A
+/// longer level would hold −∞ alone, and serve no pattern: one longer than
+/// every stretch has no suffix range. None is longer than `2L`: its build
+/// would cost a slot an addition per character (see the module docs).
 fn ladder(text: &ScoredText, run: &[u32]) -> (usize, impl Iterator<Item = usize>) {
     let max_short = (usize::BITS - text.tree.num_slots().leading_zeros()) as usize;
     let longest = run.iter().max().map_or(0, |&len| len as usize);
-    let long = std::iter::successors(Some(max_short), |&len| len.checked_mul(2))
-        .take_while(move |&len| len <= longest);
+    let long = [max_short, 2 * max_short]
+        .into_iter()
+        .filter(move |&len| len <= longest);
     (max_short, long)
 }
 
@@ -750,7 +760,7 @@ impl LongSweep {
 /// `bits(j, x)` are the levels slot `j` (at text position `x`) shows, its
 /// window whole at each; `long` levels are offered every slot whose run
 /// reaches their length. A slot's values are the running sums of its
-/// window, up to the longest length it is asked for.
+/// window, up to the longest length it is asked for: at most `2L`.
 fn champion_sweep(
     (text, run, levels): (&ScoredText, &[u32], usize),
     bits: impl Fn(usize, usize) -> u64,
@@ -884,7 +894,7 @@ mod tests {
     }
 
     /// A 48-character text for the matrix below: 6 short levels and long
-    /// levels at 6, 12 and 24 (its longest stretch is 30). Characters
+    /// levels at 6 and 12 (its longest stretch is 30). Characters
     /// repeat with period 3 and probabilities with period 6, broken by one
     /// separator, so a pattern matches at two residues with two different
     /// values.
@@ -985,6 +995,48 @@ mod tests {
         }
     }
 
+    /// A build adds at most `2L` values a slot in its sweeps over a text of
+    /// one separator-free stretch, where a long level as long as the
+    /// stretch would cost about n²/4 additions: a special index's text, and
+    /// an index's over a certain string, of 10⁵ characters each. The bound
+    /// covers the champion values the built levels read, `L²/128 + 2` a
+    /// slot.
+    #[test]
+    fn a_build_adds_at_most_2l_values_a_slot_over_one_long_stretch() {
+        use crate::{codes::summed, Index, SpecialIndex};
+        use ustr_uncertain::{SpecialUncertainString, UncertainString};
+        const N: usize = 100_000;
+        let mut state = 43u64;
+        let mut next = || {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1);
+            (state >> 33) as usize
+        };
+        let chars: Vec<u8> = (0..N).map(|_| b"acgt"[next() % 4]).collect();
+        let probs: Vec<f64> = (0..N).map(|_| [1.0, 0.99, 0.9, 0.6][next() % 4]).collect();
+        let special = SpecialUncertainString::new(chars.clone(), probs).unwrap();
+        let certain = UncertainString::deterministic(&chars);
+        // The ladder of `sub`, and its build's additions a slot, `work`.
+        let check = |sub: &Substrate, work: u64| {
+            let slots = sub.text.tree.num_slots();
+            let short = (usize::BITS - slots.leading_zeros()) as usize;
+            let lens: Vec<usize> = sub.long_levels().iter().map(|&(len, _)| len).collect();
+            assert_eq!(lens, [short, 2 * short], "the ladder stops at 2L");
+            let per_slot = work as f64 / slots as f64;
+            assert!(
+                per_slot <= (3 * short) as f64,
+                "{per_slot} additions a slot, L = {short}"
+            );
+        };
+        let before = summed();
+        let index = SpecialIndex::build(&special).unwrap();
+        check(&index.substrate, summed() - before);
+        let before = summed();
+        let index = Index::build(&certain, 0.1).unwrap();
+        check(&index.substrate, summed() - before);
+    }
+
     #[test]
     fn short_levels_match_brute_force() {
         check_against_brute_force(&[1, 2, 3, 5, 6], |sub| sub, true);
@@ -992,9 +1044,9 @@ mod tests {
 
     #[test]
     fn long_levels_match_brute_force() {
-        // Filter levels 6, 12 and 24 over all 49 slots; the blocking scheme
-        // may repeat a key. By source, the tree keeps the 6 slots of the
-        // first stretch's first period, and the levels are 3, 6, 12 and 24.
+        // Filter levels 6 and 12 over all 49 slots; the blocking scheme may
+        // repeat a key. By source, the tree keeps the 6 slots of the first
+        // stretch's first period, and the filter levels are 3 and 6.
         let two_long = |sub: Substrate| {
             assert!(sub.levels.short.len() < 7 && sub.levels.long.len() >= 2);
             sub

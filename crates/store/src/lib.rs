@@ -50,7 +50,7 @@
 //! | *string* | position count; per position: choice count (`u32`), then `(char, prob)` pairs; correlation count; *correlation* rows (shared with the WAL, so fixed-width) |
 //! | *correlation* | subject position, subject char, condition position, condition char, `p_present`, `p_absent` |
 //! | *scored text* | text bytes (0 = factor separator), SA, LCP, each after its length: the SA holds the kept slots alone — no separator, no slot whose window another slot of its source position extends or repeats before it — and the LCP their neighbours' common prefixes |
-//! | *substrate* | *scored text*; visibility bytes (one raw byte per slot, after their count: the short level of length `m` shows slot `j` iff its byte is below `m`); short-level count `L`; per short level: champions (one per 64 slots, the `j`-th as `c − 64·j`); long-level count; per long level, the `k`-th of length `L·2ᵏ`: champions (one per `L·2ᵏ` slots, as `c − j·L·2ᵏ`) |
+//! | *substrate* | *scored text*; visibility bytes (one raw byte per slot, after their count: the short level of length `m` shows slot `j` iff its byte is below `m`); short-level count `L`; per short level: champions (one per 64 slots, the `j`-th as `c − 64·j`); long-level count; per long level, the first of length `L`, the second `2L`: champions (one per `len` slots, as `c − j·len`) |
 //! | *factor starts* | per stretch of the text (position 0 and every position after a separator start one), after their count: the source position of its first character, as the zigzag delta from the previous start (from 0 for the first; wrapping) |
 //!
 //! | kind | payload |
@@ -58,8 +58,8 @@
 //! | `Index` | *string* (the source); *substrate*; position map (*factor starts*); `τmin` |
 //!
 //! The two level counts must be the text's own — `L = ⌈log₂(slots + 1)⌉`
-//! short levels, a long level for every `L·2ᵏ` up to the longest
-//! separator-free stretch of the text: any other ladder is refused, so a
+//! short levels, and long levels of lengths `L` and `2L`, each where the
+//! text has a separator-free stretch that long: any other ladder is refused, so a
 //! loaded index has a built one's levels. A visibility byte is the minimum
 //! LCP since the previous slot with the same source position, capped at
 //! `L` (0 without one, 255 at the terminator): a load refuses a count
@@ -129,7 +129,9 @@
 //! fields; its champions are the maxima of the windows summed over the
 //! text's value codes in the kernel's order, where version 14's were those
 //! of `C`'s prefix-sum differences, which can differ in the last bits — so
-//! a block's champion moves where two of its windows tie to a rounding.
+//! a block's champion moves where two of its windows tie to a rounding —
+//! and at most two long levels, of lengths `L` and `2L`, where version 14
+//! wrote one for every `L·2ᵏ` up to the longest separator-free stretch.
 //! A load checks that each champion lies in its block, not that it is a
 //! maximum, so a version-14 file is refused, not read.
 //!
@@ -209,7 +211,8 @@ pub const MAGIC: [u8; 8] = *b"USTRCOLL";
 /// visibility byte per slot in place of the short levels' masks; version
 /// 13 writes no build statistics; version 14 writes the suffix array and
 /// LCP of the slots a query can reach alone; version 15 takes the levels'
-/// champions over the windows of the text's value codes.
+/// champions over the windows of the text's value codes, and ends the long
+/// levels at `2L`.
 pub const FORMAT_VERSION: u32 = 15;
 
 /// Which structure a section holds: one a server loads.

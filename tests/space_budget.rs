@@ -15,7 +15,7 @@
 use uncertain_strings::{
     service::{save_coll, DocExecutor, QueryService, Segment, SegmentSet, ServiceConfig},
     store::{read_collection_manifest, RealIo, FORMAT_VERSION},
-    uncertain::{canon, ProbPlane},
+    uncertain::ProbPlane,
     workload::{generate_collection, generate_string, DatasetConfig},
     ApproxIndex, Index, ListingIndex, Snapshot, SnapshotKind, UncertainString,
 };
@@ -72,7 +72,7 @@ fn check_heap_rows(
 
 /// `Index::heap_size()` per source position on this input when the budget was
 /// last set, once the text's probabilities became one byte code per character
-/// into a table of its 48 distinct `ln p` values (165.0 before, with `C`'s
+/// into a table of its 48 distinct probabilities (165.0 before, with `C`'s
 /// 77.5 of prefix sums, the figure once the tree, the visibility bytes and the
 /// levels held only the slots a query can reach, 28 834 of 96 827; 269.7
 /// before that, over every slot,
@@ -125,10 +125,10 @@ fn heap_breakdown_stays_inside_the_budget() {
     // empty.
     assert_eq!(row("text + SA + LCP"), chars + 5 * slots);
     // A code per character at the narrowest width that numbers the table of
-    // the text's distinct `ln p` values, 8 bytes an entry: the characters'
-    // probabilities at their source positions (this string has no
-    // correlations), read through the snapshot's factor starts, and `ln 1`
-    // at the separators.
+    // the `ln p` of the text's distinct probabilities, 8 bytes an entry: the
+    // characters' probabilities at their source positions (this string has
+    // no correlations), read through the snapshot's factor starts, and 1 at
+    // the separators.
     let text = &snapshot.substrate.text.text;
     let mut starts = snapshot.starts.iter();
     let (mut source, mut table) = (0, std::collections::BTreeSet::new());
@@ -141,7 +141,7 @@ fn heap_breakdown_stays_inside_the_budget() {
         } else {
             s.position(source).prob_of(c)
         };
-        table.insert(canon::ln(p).to_bits());
+        table.insert(p.to_bits());
         source += 1;
     }
     let width = match table.len() {
