@@ -7,7 +7,11 @@
 //! proper ancestor, and each link is split into sub-links whose endpoint
 //! probabilities differ by at most ε (probabilities are evaluated on the
 //! *real* prefix of the witness suffix — the separator-capped window — so
-//! chains that run past a factor boundary stay finite).
+//! chains that run past a factor boundary stay finite). A window's value
+//! is the left-to-right sum of its value codes ([`crate::codes`]), as the
+//! exact indexes take it: on a model without correlations a link's
+//! probability is the canonical probability of its origin window, bit for
+//! bit, so a reported value is at most the occurrence's, never above it.
 //!
 //! **Query.** For a pattern of length `m` with locus `ip`, the stabbed
 //! sub-link for position `d` is the unique one with
@@ -27,7 +31,7 @@
 //! probability cutoff cost extra visits (bounded by the τmin-occurrences),
 //! which is the documented deviation from the fixed-τ HSV machinery.
 //!
-//! **Correlation.** Under correlation the build's `C` holds each character's
+//! **Correlation.** Under correlation a character's value code holds its
 //! [`CorrelationSet::upper_bound`](ustr_uncertain::CorrelationSet::upper_bound),
 //! not its probability, so a link's probability only bounds the truth from
 //! above: the cut at τ − ε keeps every true hit but may keep more, and the
@@ -50,15 +54,15 @@ use std::time::Instant;
 
 use ustr_rmq::{BlockRmq, Direction, Rmq, ThresholdReporter};
 use ustr_suffix::{LeafLca, SuffixTree};
-use ustr_uncertain::{canon, split, transform, ProbPlane, UncertainString, MAX_TEXT_LEN};
+use ustr_uncertain::{canon, split, transform, ProbPlane, UncertainString};
 
 use crate::{
-    carray::CumulativeLogProb,
+    codes::ValueCodes,
     error::{validate_query, Error},
     factors::{stretch_starts, FactorMap},
     result::QueryResult,
     stats::BuildStats,
-    substrate::{check_text_len, run_lengths},
+    substrate::{check_text_len, ScoredText},
 };
 
 /// One ε-refined link (24 bytes): it connects an origin endpoint at
@@ -75,8 +79,8 @@ struct Link {
     target_depth: u32,
     /// Text position of a suffix below the origin node, on no separator.
     witness: u32,
-    /// The window of `origin_depth` characters of `C` at the witness,
-    /// capped at the next separator.
+    /// The probability of the window of `origin_depth` characters at the
+    /// witness, capped at the next separator: its value codes' sum.
     prob: f64,
 }
 
@@ -95,8 +99,8 @@ struct Link {
 /// ```
 pub struct ApproxIndex {
     /// The suffix tree of the text the links hang off, over every slot:
-    /// pattern loci. The build's `C`, a local of `build`, gave each link
-    /// its probability.
+    /// pattern loci. The build's value codes, dropped when it returns, gave
+    /// each link its probability.
     tree: SuffixTree,
     /// The position map over `text`: a link's witness → its source position.
     map: FactorMap,
@@ -124,15 +128,16 @@ impl ApproxIndex {
         let start = Instant::now();
         let transformed = transform(source, tau_min)?;
         let chars = transformed.special.chars();
-        check_text_len(chars.len(), MAX_TEXT_LEN)?;
         check_text_len(chars.len(), MAX_KEYED_LEN)?;
-        let tree = SuffixTree::build(chars.to_vec());
-        let cum = CumulativeLogProb::new(transformed.special.probs(), |i| chars[i] == 0);
+        let text = ScoredText::build(chars, transformed.special.probs())?;
         let starts = stretch_starts(chars).map(|x| transformed.pos[x]);
         let map =
             FactorMap::new(chars, starts, source.len()).expect("the transform emits a factor map");
         let plane = (!source.correlations().is_empty()).then(|| ProbPlane::build(source));
-        let links = find_links(&tree, &cum, &map, epsilon);
+        let links = find_links(&text, &map, epsilon);
+        // The value codes gave the links their probabilities; no query
+        // reads them.
+        let tree = text.tree;
         let depths: Vec<f64> = links.iter().map(|l| l.target_depth as f64).collect();
         let target_rmq = BlockRmq::new(&depths, Direction::Min);
         let mut idx = Self {
@@ -266,17 +271,13 @@ const MAX_KEYED_LEN: usize = (u32::MAX / 2) as usize;
 /// than its links).
 const SPLIT_SOURCES: usize = 4_096;
 
-/// Finds the ε-refined links over `tree`'s text, whose probabilities `cum`
-/// holds: for every source position of `map`, the virtual tree of the
-/// leaves it marks, each edge split by [`refine_link`]. Sources are
-/// independent, so a long text walks them as two halves on two threads; the
-/// sort below makes the table the same either way.
-fn find_links(
-    tree: &SuffixTree,
-    cum: &CumulativeLogProb,
-    map: &FactorMap,
-    epsilon: f64,
-) -> Vec<Link> {
+/// Finds the ε-refined links over `text`: for every source position of
+/// `map`, the virtual tree of the leaves it marks, each edge split by
+/// [`Split::edge`]. Sources are independent, so a long text walks them as
+/// two halves on two threads; the sort below makes the table the same
+/// either way.
+fn find_links(text: &ScoredText, map: &FactorMap, epsilon: f64) -> Vec<Link> {
+    let tree = &text.tree;
     // What finds the links and no query reads: the run lengths and the
     // leaf-LCA structure are dropped when this returns.
     let lca = LeafLca::build(tree);
@@ -306,7 +307,7 @@ fn find_links(
         }
     }
 
-    let run = run_lengths(tree.text());
+    let run = text.run_lengths();
     // A tree node as a link sees it: (key, string depth). A leaf's depth
     // counts the virtual terminator; an internal node's is the LCP at the
     // slot that names it.
@@ -319,7 +320,14 @@ fn find_links(
         (SuffixTree::internal_key(name) as u32, tree.slot_lcp(name))
     };
     let walk = |sources: Range<usize>| {
-        let mut links: Vec<Link> = Vec::new();
+        let mut split = Split {
+            values: &text.values,
+            run: &run,
+            epsilon,
+            witness: None,
+            sums: Vec::new(),
+            links: Vec::new(),
+        };
         // Virtual-tree stack of `(node, witness)`: the witness is the text
         // position of the first marked leaf found below the node, fixed
         // when the node is pushed.
@@ -327,12 +335,8 @@ fn find_links(
         for d in sources {
             let slots = &flat[bucket_start[d] as usize..bucket_start[d + 1] as usize];
             stack.clear();
-            // Virtual (induced) tree over the marked leaves; emit one link
-            // per virtual edge.
-            let emit = |(origin, witness): ((u32, usize), u32), v_depth, links: &mut Vec<Link>| {
-                let lmax = run[witness as usize] as usize;
-                refine_link(cum, origin, v_depth, (witness, lmax), epsilon, links);
-            };
+            // Virtual (induced) tree over the marked leaves; split every
+            // virtual edge.
             for (k, &slot) in slots.iter().enumerate() {
                 let leaf = (leaf_node(slot as usize), tree.sa(slot as usize) as u32);
                 if k == 0 {
@@ -351,10 +355,10 @@ fn find_links(
                     stack.pop();
                     match stack.last() {
                         Some(&((_, p_depth), _)) if p_depth >= l_depth => {
-                            emit(top, p_depth, &mut links);
+                            split.edge(top, p_depth);
                         }
                         _ => {
-                            emit(top, l_depth, &mut links);
+                            split.edge(top, l_depth);
                             stack.push((l, top.1));
                             break;
                         }
@@ -367,13 +371,13 @@ fn find_links(
             // root to the tree root (target depth 0) unless it is the root.
             while let Some(top) = stack.pop() {
                 match stack.last() {
-                    Some(&((_, p_depth), _)) => emit(top, p_depth, &mut links),
-                    None if top.0 .1 > 0 => emit(top, 0, &mut links),
+                    Some(&((_, p_depth), _)) => split.edge(top, p_depth),
+                    None if top.0 .1 > 0 => split.edge(top, 0),
                     None => {}
                 }
             }
         }
-        links
+        split.links
     };
     let mid = n_src / 2;
     let halves = split::join(
@@ -421,72 +425,58 @@ fn in_table_order((first, later): (Vec<Link>, Vec<Link>), keys: usize) -> Vec<Li
     links
 }
 
-/// Splits the virtual edge from a node — `origin` is its (key, string
-/// depth `o₀`) — up to depth `t₀` into sub-links whose endpoint
-/// probabilities differ by ≤ ε. Probabilities are evaluated at the witness
-/// position `x`, capped at the factor boundary `lmax` (its run length).
-#[allow(clippy::float_arithmetic, reason = "a build-time link split at ε")]
-fn refine_link(
-    cum: &CumulativeLogProb,
-    (origin, o0): (u32, usize),
-    t0: usize,
-    (x, lmax): (u32, usize),
+/// One walk's link split: the links so far, and the window values of the
+/// witness it split last — `sums[d]` is its window of `d` characters, for
+/// every `d` up to its run length, summed once over the value codes and
+/// reused while consecutive edges share the witness.
+struct Split<'a> {
+    values: &'a ValueCodes,
+    /// The run length at every text position ([`ScoredText::run_lengths`]).
+    run: &'a [u32],
     epsilon: f64,
-    links: &mut Vec<Link>,
-) {
-    debug_assert!(o0 > t0, "virtual child must be deeper than its parent");
-    let p_at = |depth: usize| canon::exp(cum.window(x as usize, depth.min(lmax)));
-    let mut o = o0;
-    while o > t0 {
-        let p_o = p_at(o);
-        // Smallest t ∈ [t0, o-1] with P(t) − P(o) ≤ ε (P non-increasing in
-        // depth, so the predicate is monotone in t). If even one step up
-        // exceeds ε the link degenerates to a single character. At depths
-        // ≥ `lmax` P is the constant P(lmax) = P(o) (`o` is deeper still),
-        // so the predicate holds there without a probe.
-        let t = first_holding(t0, o - 1, lmax, |mid| p_at(mid) - p_o <= epsilon);
-        links.push(Link {
-            origin,
-            origin_depth: o as u32,
-            target_depth: t as u32,
-            witness: x,
-            prob: p_o,
-        });
-        o = t;
-    }
+    witness: Option<u32>,
+    sums: Vec<f64>,
+    links: Vec<Link>,
 }
 
-/// The binary search for the smallest `t ∈ [lo, hi]` at which `holds`,
-/// where every midpoint at or past `lmax` holds without a probe: the
-/// probes and the answer of the plain search, with its runs of unprobed
-/// halvings taken in O(1). Such a halving keeps `lo` and halves the range,
-/// so `k` of them leave ⌊w / 2ᵏ⌋ of a range of `w`; the k-th is taken while
-/// ⌊w / 2ᵏ⌋ ≥ `lmax − lo`, which makes `k` the `ilog2` of `w / (lmax − lo)`.
-/// Unlike a clamp of `hi` to `lmax`, this needs nothing of `holds`: no
-/// monotonicity, so no assumption that `exp` is monotone.
-fn first_holding(
-    mut lo: usize,
-    mut hi: usize,
-    lmax: usize,
-    mut holds: impl FnMut(usize) -> bool,
-) -> usize {
-    while lo < hi {
-        let w = hi - lo;
-        match lmax.checked_sub(lo) {
-            // Every midpoint from here on is at or past `lmax`.
-            None | Some(0) => return lo,
-            Some(gap) if w >= gap => hi = lo + (w >> (w / gap).ilog2()),
-            Some(_) => {}
+impl Split<'_> {
+    /// Splits the virtual edge from a node — `origin` is its (key, string
+    /// depth `o₀`) — up to depth `t₀` into sub-links whose endpoint
+    /// probabilities differ by ≤ ε. Probabilities are evaluated at the
+    /// witness position `x`, capped at the factor boundary `lmax` (its run
+    /// length).
+    #[allow(clippy::float_arithmetic, reason = "a build-time link split at ε")]
+    fn edge(&mut self, ((origin, o0), x): ((u32, usize), u32), t0: usize) {
+        debug_assert!(o0 > t0, "virtual child must be deeper than its parent");
+        if self.witness != Some(x) {
+            let lmax = self.run[x as usize] as usize;
+            self.sums.clear();
+            self.sums.resize(lmax + 1, canon::LOG_ONE);
+            self.values.running(x as usize, &mut self.sums[1..]);
+            self.witness = Some(x);
         }
-        // Below `lmax` now: ⌊w / 2ᵏ⁺¹⌋ < lmax − lo.
-        let mid = lo + (hi - lo) / 2;
-        if holds(mid) {
-            hi = mid;
-        } else {
-            lo = mid + 1;
+        let (sums, lmax) = (&self.sums, self.sums.len() - 1);
+        let mut o = o0;
+        while o > t0 {
+            let p_o = canon::exp(sums[o.min(lmax)]);
+            // Smallest t ∈ [t0, o-1] with P(t) − P(o) ≤ ε (P non-increasing
+            // in depth, so the predicate is monotone in t). If even one step
+            // up exceeds ε the link degenerates to a single character. At
+            // depths ≥ `lmax` P is the constant P(lmax) = P(o) (`o` is
+            // deeper still), so the search ends there, and probes nothing
+            // where `t0` is past the run already.
+            let probed = sums.get(t0..(o - 1).min(lmax)).unwrap_or(&[]);
+            let t = t0 + probed.partition_point(|&v| canon::exp(v) - p_o > self.epsilon);
+            self.links.push(Link {
+                origin,
+                origin_depth: o as u32,
+                target_depth: t as u32,
+                witness: x,
+                prob: p_o,
+            });
+            o = t;
         }
     }
-    lo
 }
 
 #[cfg(test)]
@@ -596,6 +586,42 @@ mod tests {
         }
     }
 
+    /// A link's probability is the canonical value of its origin window, at
+    /// least as long as the pattern, so no hit reports more than the
+    /// scanner's probability of its occurrence, to the bit. Over the pinned
+    /// 10 000-position string at ε 0.05 (as `the_link_table_is_pinned`),
+    /// the most probable reading at every 37th start, at seven pattern
+    /// lengths and τ 0.1; prints how many hits report that probability
+    /// exactly.
+    #[test]
+    fn no_hit_reports_more_than_the_exact_probability() {
+        let s = ustr_workload::generate_string(&ustr_workload::DatasetConfig::new(10_000, 0.3, 43));
+        let (tau, epsilon) = (0.1, 0.05);
+        let idx = ApproxIndex::build(&s, 0.1, epsilon).unwrap();
+        let reading: Vec<u8> = (0..s.len())
+            .map(|q| s.position(q).most_probable().0)
+            .collect();
+        let (mut hits, mut equal) = (0, 0);
+        for m in [1, 2, 3, 5, 8, 12, 20] {
+            for start in (0..=s.len() - m).step_by(37) {
+                let pattern = &reading[start..start + m];
+                // Every hit's occurrence meets τ − ε, up to the cut's slack.
+                let exact = NaiveScanner::find_with_probs(&s, pattern, (tau - epsilon) * 0.9);
+                let exact: std::collections::HashMap<usize, f64> = exact.into_iter().collect();
+                for (pos, p) in idx.query(pattern, tau).unwrap() {
+                    let truth = exact[&pos];
+                    assert!(
+                        p.to_bits() <= truth.to_bits(),
+                        "{p} above {truth} at {pos} for {pattern:?}"
+                    );
+                    hits += 1;
+                    equal += usize::from(p.to_bits() == truth.to_bits());
+                }
+            }
+        }
+        println!("{equal} of {hits} hits report the exact probability");
+    }
+
     /// FNV-1a, 64 bits.
     fn fnv(h: u64, bytes: &[u8]) -> u64 {
         (bytes.iter()).fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
@@ -608,7 +634,10 @@ mod tests {
     /// second time pinned to one core, where it runs serially, against the
     /// same numbers. The hash moved once, when origins went from preorder
     /// ranks to the tree's node keys: the same links, keyed and ordered
-    /// anew.
+    /// anew. Both numbers moved once, when the split went from prefix
+    /// differences of `C` to the value codes' canonical left-to-right sums,
+    /// whose last bits put some probes on the other side of ε: 28 fewer
+    /// links here, 48 on `paper-string`'s string (1 944 732 → 1 944 684).
     #[test]
     fn the_link_table_is_pinned() {
         let s = ustr_workload::generate_string(&ustr_workload::DatasetConfig::new(10_000, 0.3, 43));
@@ -619,70 +648,7 @@ mod tests {
                 h = fnv(h, &v.to_le_bytes());
             }
         }
-        assert_eq!((idx.num_links(), h), (196_610, 17047414776978951797));
-    }
-
-    /// The search as it was written before its unprobed halvings were
-    /// skipped: one halving per step.
-    fn first_holding_plain(
-        mut lo: usize,
-        mut hi: usize,
-        lmax: usize,
-        mut holds: impl FnMut(usize) -> bool,
-    ) -> usize {
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            if mid >= lmax || holds(mid) {
-                hi = mid;
-            } else {
-                lo = mid + 1;
-            }
-        }
-        lo
-    }
-
-    /// For random `(t0, o, lmax)` — leaf depths run to the text length,
-    /// run lengths to a factor's — and predicates below `lmax` that are
-    /// monotone or not, the skipping search probes the midpoints the plain
-    /// one probes, in the same order, and returns the same `t`.
-    #[test]
-    fn skipped_halvings_probe_and_answer_as_the_plain_search() {
-        let mut state = 0x2545_F491_4F6C_DD1Du64;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-        for case in 0..20_000 {
-            let t0 = (next() % 64) as usize;
-            let o = t0 + 1 + (next() % [4, 100, 1_000_000][case % 3]) as usize;
-            let lmax = (next() % 80) as usize;
-            let salt = next();
-            // Monotone (a threshold), or a hash of the depth.
-            let cut = t0 + (salt % 70) as usize;
-            let holds = |mid: usize| {
-                if case % 2 == 0 {
-                    mid >= cut
-                } else {
-                    (mid as u64).wrapping_mul(salt) >> 63 == 1
-                }
-            };
-            let (mut plain, mut skipping) = (Vec::new(), Vec::new());
-            let want = first_holding_plain(t0, o - 1, lmax, |mid| {
-                plain.push(mid);
-                holds(mid)
-            });
-            let got = first_holding(t0, o - 1, lmax, |mid| {
-                skipping.push(mid);
-                holds(mid)
-            });
-            assert_eq!(
-                (got, &skipping),
-                (want, &plain),
-                "t0 {t0} o {o} lmax {lmax}"
-            );
-        }
+        assert_eq!((idx.num_links(), h), (196_582, 5150909041425707026));
     }
 
     /// The longest text the links take keys its last leaf `u32::MAX`.

@@ -47,8 +47,8 @@
 //!
 //! A `SpecialIndex` (no keys: every slot is a distinct position) and a
 //! `ListingIndex` under `ByKeyMax` (a document's winner may be any of its
-//! slots) keep every slot, and so does an `ApproxIndex`, which builds its
-//! tree on its own.
+//! slots) keep every slot, and so does an `ApproxIndex`, whose links hang
+//! off a bare [`ScoredText::build`].
 
 mod levels;
 mod topk;
@@ -93,7 +93,8 @@ pub(crate) fn run_lengths(chars: &[u8]) -> Vec<u32> {
 
 /// Keeps of the suffix array `sa` of `chars` and its LCP array `lcp` only
 /// the slots a query can reach under the `BySource` `keys` (module docs),
-/// compacted in place. Three linear passes:
+/// compacted in place, with the text's [`run_lengths`] `run`. Three linear
+/// passes:
 ///
 /// 1. Left to right, each keyed slot `j` meets `p`, the previous slot of its
 ///    key, and the minimum LCP over `(p, j]`, read off a stack of LCP minima.
@@ -107,7 +108,7 @@ pub(crate) fn run_lengths(chars: &[u8]) -> Vec<u32> {
 ///    ("extended by a longer window" is the same for twins).
 /// 3. Left to right, the kept slots move down, each with the minimum LCP
 ///    since the previous kept one.
-fn keep_reachable(chars: &[u8], keys: &[u32], sa: &mut Vec<u32>, lcp: &mut Vec<u32>) {
+fn keep_reachable(run: &[u32], keys: &[u32], sa: &mut Vec<u32>, lcp: &mut Vec<u32>) {
     /// A slot without a key: a separator's.
     const KEYLESS: u8 = 1;
     /// An earlier slot of the key has the same window.
@@ -116,7 +117,6 @@ fn keep_reachable(chars: &[u8], keys: &[u32], sa: &mut Vec<u32>, lcp: &mut Vec<u
     const EXTENDED: u8 = 4;
     /// The next slot of the key has the same window, and this one's verdict.
     const NEXT_IS_TWIN: u8 = 8;
-    let run = run_lengths(chars);
     let window = |slot: u32| run[sa[slot as usize] as usize];
     let mut flags = vec![0u8; sa.len()];
     let mut prev = vec![u32::MAX; key_space(keys)];
@@ -188,7 +188,6 @@ pub(crate) struct ScoredText {
 impl ScoredText {
     /// Builds over `chars` (byte 0 = factor separator) with one probability
     /// per character, keeping every slot.
-    #[cfg(test)]
     pub(crate) fn build(chars: &[u8], probs: &[f64]) -> Result<Self, Error> {
         check_text_len(chars.len(), MAX_TEXT_LEN)?;
         Ok(Self::new(SuffixTree::build(chars.to_vec()), probs))
@@ -313,12 +312,13 @@ impl Substrate {
         check_text_len(chars.len(), MAX_TEXT_LEN)?;
         let mut sa = suffix_array(chars);
         let mut lcp = lcp_array(chars, &sa);
+        let run = run_lengths(chars);
         if let DedupStrategy::BySource(keys) = *dedup {
-            keep_reachable(chars, keys, &mut sa, &mut lcp);
+            keep_reachable(&run, keys, &mut sa, &mut lcp);
         }
         let tree = SuffixTree::from_parts(chars.to_vec(), sa, lcp);
         let text = ScoredText::new(tree, probs);
-        let levels = Levels::build(&text, dedup);
+        let levels = Levels::build(&text, &run, dedup);
         Ok(Self { text, levels })
     }
 
@@ -725,7 +725,7 @@ mod tests {
                 .collect();
             let full = suffix_array(&chars);
             let (mut sa, mut lcp) = (full.clone(), lcp_array(&chars, &full));
-            keep_reachable(&chars, &keys, &mut sa, &mut lcp);
+            keep_reachable(&run_lengths(&chars), &keys, &mut sa, &mut lcp);
             let window = |x: u32| chars[x as usize..].split(|&c| c == 0).next().unwrap();
             let expected: Vec<u32> = (full.iter().enumerate())
                 .filter(|&(_, &x)| keys[x as usize] != NO_KEY)

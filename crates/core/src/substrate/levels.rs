@@ -324,19 +324,18 @@ impl Hidden {
 }
 
 impl Levels {
-    /// Builds all levels over `text` (see the module docs) on the ladder
-    /// [`ladder`] derives from it. Slot 0 (the virtual terminator) is
-    /// never shown.
-    pub(super) fn build(text: &ScoredText, dedup: &DedupStrategy<'_>) -> Self {
+    /// Builds all levels over `text`, whose run lengths are `run` (see the
+    /// module docs), on the ladder [`ladder`] derives from it. Slot 0 (the
+    /// virtual terminator) is never shown.
+    pub(super) fn build(text: &ScoredText, run: &[u32], dedup: &DedupStrategy<'_>) -> Self {
         let slots = text.tree.num_slots();
-        let run = text.run_lengths();
-        let (max_short, long_lens) = ladder(text, &run);
+        let (max_short, long_lens) = ladder(text, run);
         let mut long_sweeps: Vec<LongSweep> =
             long_lens.map(|len| LongSweep::new(len, slots)).collect();
 
         // The short levels whose window at text position `x` is whole.
         let whole = |x: usize| low_bits(levels_below(run[x] as usize, max_short));
-        let (sweep, long) = ((text, &run[..], max_short), &mut long_sweeps[..]);
+        let (sweep, long) = ((text, run, max_short), &mut long_sweeps[..]);
         let (hidden, champions) = match *dedup {
             DedupStrategy::None => (
                 Hidden::Nothing,
@@ -349,13 +348,13 @@ impl Levels {
                 (Hidden::Depth(depth), champions)
             }
             DedupStrategy::ByKeyMax(keys) => {
-                let keep = keep_sweep(text, &run, max_short, keys);
+                let keep = keep_sweep(text, run, max_short, keys);
                 let champions = champion_sweep(sweep, |j, _| keep[j], long);
                 (Hidden::Masks(masks(&keep, max_short)), champions)
             }
         };
         let level = |len_block, hidden, champions| {
-            Level::new(text, &run, len_block, hidden, champions)
+            Level::new(text, run, len_block, hidden, champions)
                 .expect("the sweep yields one in-block champion per block")
         };
         let block = SampledRmq::DEFAULT_BLOCK;
@@ -1394,7 +1393,7 @@ mod tests {
                 DedupStrategy::BySource(&keys),
                 DedupStrategy::ByKeyMax(&keys),
             ] {
-                let levels = Levels::build(&text, &dedup);
+                let levels = Levels::build(&text, &text.run_lengths(), &dedup);
                 let reference = reference_hidden(&text, &dedup);
                 prop_assert_eq!(visibility_mismatches(&text, &levels, &reference), vec![]);
                 let (short, long) = champions(&levels);

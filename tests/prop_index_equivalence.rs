@@ -83,17 +83,20 @@ proptest! {
         );
     }
 
-    /// Reported probabilities equal the model's exact window probabilities.
+    /// Reported probabilities are the scanner's, bit for bit: a window's
+    /// value is its characters' `ln p` summed left to right, as the
+    /// scanner sums them.
     #[test]
     fn reported_probabilities_are_exact(
-        s in uncertain_string(12),
-        p in pattern(4),
+        s in uncertain_string(16),
+        p in pattern(6),
     ) {
         let idx = Index::build(&s, 0.1).unwrap();
-        for (pos, prob) in idx.query(&p, 0.1).unwrap() {
-            let direct = s.match_probability(&p, pos);
-            prop_assert!((prob - direct).abs() < 1e-9);
-        }
+        let bits = |hits: &[(usize, f64)]| -> Vec<(usize, u64)> {
+            hits.iter().map(|&(pos, prob)| (pos, prob.to_bits())).collect()
+        };
+        let expected = NaiveScanner::find_with_probs(&s, &p, 0.1);
+        prop_assert_eq!(bits(idx.query(&p, 0.1).unwrap().hits()), bits(&expected));
     }
 
     /// Listing over a random collection equals the per-document scan.
