@@ -57,7 +57,7 @@ use ustr_suffix::{LeafLca, SuffixTree};
 use ustr_uncertain::{canon, split, transform, ProbPlane, UncertainString};
 
 use crate::{
-    codes::ValueCodes,
+    codes::{self, ValueCodes},
     error::{validate_query, Error},
     factors::{stretch_starts, FactorMap},
     result::QueryResult,
@@ -308,6 +308,7 @@ fn find_links(text: &ScoredText, map: &FactorMap, epsilon: f64) -> Vec<Link> {
     }
 
     let run = text.run_lengths();
+    let (uncertain, rank) = text.values.without_certain();
     // A tree node as a link sees it: (key, string depth). A leaf's depth
     // counts the virtual terminator; an internal node's is the LCP at the
     // slot that names it.
@@ -321,7 +322,8 @@ fn find_links(text: &ScoredText, map: &FactorMap, epsilon: f64) -> Vec<Link> {
     };
     let walk = |sources: Range<usize>| {
         let mut split = Split {
-            values: &text.values,
+            uncertain: &uncertain,
+            rank: &rank,
             run: &run,
             epsilon,
             witness: None,
@@ -380,7 +382,7 @@ fn find_links(text: &ScoredText, map: &FactorMap, epsilon: f64) -> Vec<Link> {
         split.links
     };
     let mid = n_src / 2;
-    let halves = split::join(
+    let halves = codes::join(
         split::worth_splitting(n_src, SPLIT_SOURCES),
         || walk(0..mid),
         || walk(mid..n_src),
@@ -426,15 +428,22 @@ fn in_table_order((first, later): (Vec<Link>, Vec<Link>), keys: usize) -> Vec<Li
 }
 
 /// One walk's link split: the links so far, and the window values of the
-/// witness it split last — `sums[d]` is its window of `d` characters, for
-/// every `d` up to its run length, summed once over the value codes and
-/// reused while consecutive edges share the witness.
+/// witness it split last, summed once over its run's uncertain characters
+/// ([`ValueCodes::without_certain`]) and reused while consecutive edges
+/// share the witness. A witness costs one addition per uncertain character
+/// of its run and none per certain one, however long its run.
 struct Split<'a> {
-    values: &'a ValueCodes,
+    /// The text's uncertain characters alone.
+    uncertain: &'a ValueCodes,
+    /// `rank[i]`: the uncertain characters before text position `i`.
+    rank: &'a [u32],
     /// The run length at every text position ([`ScoredText::run_lengths`]).
     run: &'a [u32],
     epsilon: f64,
     witness: Option<u32>,
+    /// `sums[k]`: the witness's window through its run's first `k`
+    /// uncertain characters (`sums[0] = canon::LOG_ONE`), the value of
+    /// every window at the witness that holds those and no more.
     sums: Vec<f64>,
     links: Vec<Link>,
 }
@@ -448,25 +457,40 @@ impl Split<'_> {
     #[allow(clippy::float_arithmetic, reason = "a build-time link split at ε")]
     fn edge(&mut self, ((origin, o0), x): ((u32, usize), u32), t0: usize) {
         debug_assert!(o0 > t0, "virtual child must be deeper than its parent");
+        let lmax = self.run[x as usize] as usize;
+        // The window of `d ≤ lmax` characters holds `rank[d] − rank[0]` uncertain ones.
+        let rank = &self.rank[x as usize..=x as usize + lmax];
         if self.witness != Some(x) {
-            let lmax = self.run[x as usize] as usize;
             self.sums.clear();
-            self.sums.resize(lmax + 1, canon::LOG_ONE);
-            self.values.running(x as usize, &mut self.sums[1..]);
+            self.sums
+                .resize((rank[lmax] - rank[0]) as usize + 1, canon::LOG_ONE);
+            self.uncertain
+                .running(rank[0] as usize, &mut self.sums[1..]);
             self.witness = Some(x);
         }
-        let (sums, lmax) = (&self.sums, self.sums.len() - 1);
+        let p = |d: usize| self.sums[(rank[d.min(lmax)] - rank[0]) as usize];
         let mut o = o0;
         while o > t0 {
-            let p_o = canon::exp(sums[o.min(lmax)]);
+            let p_o = canon::exp(p(o));
             // Smallest t ∈ [t0, o-1] with P(t) − P(o) ≤ ε (P non-increasing
             // in depth, so the predicate is monotone in t). If even one step
             // up exceeds ε the link degenerates to a single character. At
             // depths ≥ `lmax` P is the constant P(lmax) = P(o) (`o` is
             // deeper still), so the search ends there, and probes nothing
-            // where `t0` is past the run already.
-            let probed = sums.get(t0..(o - 1).min(lmax)).unwrap_or(&[]);
-            let t = t0 + probed.partition_point(|&v| canon::exp(v) - p_o > self.epsilon);
+            // where `t0` is past the run already. P changes only where the
+            // window takes in an uncertain character: when the first `k`
+            // sums are those more than ε above P(o), the answer is the
+            // first depth whose window holds `k` uncertain characters.
+            let end = (o - 1).min(lmax);
+            let t = match rank.get(t0..end) {
+                Some(depths) if !depths.is_empty() => {
+                    let k = self
+                        .sums
+                        .partition_point(|&v| canon::exp(v) - p_o > self.epsilon);
+                    t0 + depths.partition_point(|&r| ((r - rank[0]) as usize) < k)
+                }
+                _ => t0,
+            };
             self.links.push(Link {
                 origin,
                 origin_depth: o as u32,
@@ -649,6 +673,46 @@ mod tests {
             }
         }
         assert_eq!((idx.num_links(), h), (196_582, 5150909041425707026));
+    }
+
+    /// The split adds a value per uncertain character of a witness's run,
+    /// none per certain one: over a 10⁵-character certain string, whose
+    /// transform is one factor — each witness's run reaches the end of the
+    /// text, and summing it whole would cost about n²/2 additions — it adds
+    /// none; over a near-certain one, one position in 1 000 held at 0.5, a
+    /// factor holds at most three such positions (0.5³ ≥ τmin 0.1), and the
+    /// split adds at most three values an edge. `codes::summed` counts both
+    /// halves of the walk.
+    #[test]
+    fn the_split_adds_no_value_for_a_certain_character() {
+        use crate::codes::summed;
+        const N: usize = 100_000;
+        let mut state = 43u64;
+        let mut next = || {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1);
+            (state >> 33) as usize
+        };
+        let chars: Vec<u8> = (0..N).map(|_| b"acgt"[next() % 4]).collect();
+        let certain = UncertainString::deterministic(&chars);
+        let rows = (chars.iter().enumerate())
+            .map(|(i, &c)| vec![(c, if i % 1_000 == 999 { 0.5 } else { 1.0 })])
+            .collect();
+        let near_certain = UncertainString::from_rows(rows).unwrap();
+        for (s, per_edge) in [(certain, 0), (near_certain, 3)] {
+            let before = summed();
+            let idx = ApproxIndex::build(&s, 0.1, 0.05).unwrap();
+            let work = summed() - before;
+            // Each source position's virtual tree has fewer edges than
+            // twice its marked leaves, one per text character.
+            let edges = 2 * idx.stats().transformed_len as u64;
+            assert!(
+                work <= per_edge * edges,
+                "{work} additions over {edges} edges"
+            );
+            println!("{work} additions, {} links, {edges} edges", idx.num_links());
+        }
     }
 
     /// The longest text the links take keys its last leaf `u32::MAX`.

@@ -41,7 +41,7 @@
 
 use std::collections::HashMap;
 
-use ustr_uncertain::canon;
+use ustr_uncertain::{canon, split};
 
 /// A character's code: an index into the value table.
 trait Code: Copy {
@@ -108,6 +108,28 @@ thread_local! {
 #[cfg(test)]
 pub(crate) fn summed() -> u64 {
     SUMMED.with(std::cell::Cell::get)
+}
+
+#[cfg(not(test))]
+pub(crate) use split::join;
+
+/// [`split::join`], with what `there` sums on a thread of its own counted
+/// on the calling thread too, so that [`summed`] reads a split pass whole.
+#[cfg(test)]
+pub(crate) fn join<A, B: Send>(
+    split: bool,
+    here: impl FnOnce() -> A,
+    there: impl FnOnce() -> B + Send,
+) -> (A, B) {
+    let there = || {
+        let before = summed();
+        (there(), summed() - before)
+    };
+    let (here, (there, there_summed)) = split::join(split, here, there);
+    if split {
+        SUMMED.with(|summed| summed.set(summed.get() + there_summed));
+    }
+    (here, there)
 }
 
 /// The `ln p` of the text's distinct probabilities, and one code per
@@ -194,6 +216,38 @@ impl ValueCodes {
         with_codes!(&self.codes, c => sum(&c[start..end], &self.table, &mut each));
     }
 
+    /// The text without its certain characters: the codes of those whose
+    /// value is not `+0.0`, in text order over the same table, and
+    /// `rank[i]`, how many of them stand before position `i`, for every `i`
+    /// up to the text's length. A certain character adds exactly `+0.0`,
+    /// which leaves a running sum's bits as they were ([`canon::log_mul`]),
+    /// so the window `[start, end)` has the value of the returned codes'
+    /// window `[rank[start], rank[end])`, and a sum over it costs nothing
+    /// for a certain character.
+    pub(crate) fn without_certain(&self) -> (Self, Vec<u32>) {
+        fn kept<C: Code>(codes: &[C], certain: &[bool], rank: &mut Vec<u32>) -> Box<[C]> {
+            let mut kept = Vec::new();
+            for &code in codes {
+                if !certain[code.index()] {
+                    kept.push(code);
+                }
+                rank.push(u32::try_from(kept.len()).expect("a text of u32 positions"));
+            }
+            kept.into_boxed_slice()
+        }
+        let certain: Vec<bool> = (self.table.iter())
+            .map(|v| v.to_bits() == canon::LOG_ONE.to_bits())
+            .collect();
+        let mut rank = vec![0];
+        let codes = match &self.codes {
+            Codes::U8(c) => Codes::U8(kept(c, &certain, &mut rank)),
+            Codes::U16(c) => Codes::U16(kept(c, &certain, &mut rank)),
+            Codes::U32(c) => Codes::U32(kept(c, &certain, &mut rank)),
+        };
+        let table = self.table.clone();
+        (Self { table, codes }, rank)
+    }
+
     /// Heap bytes: the codes at their width and 8 a table entry.
     pub(crate) fn heap_size(&self) -> usize {
         with_codes!(&self.codes, c => std::mem::size_of_val(&**c))
@@ -240,6 +294,26 @@ mod tests {
                 if len > 0 {
                     assert_eq!(running[len - 1].to_bits(), direct.to_bits());
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn a_window_without_its_certain_characters_keeps_its_bits() {
+        // probs: a 1 b 1 1 c | 1  (index 6 is a separator, coded as certain)
+        let probs = [0.4, 1.0, 0.7, 1.0, 1.0, 0.5, 0.25, 1.0];
+        let values = ValueCodes::new(&probs, |i| i == 6);
+        let (uncertain, rank) = values.without_certain();
+        assert_eq!(rank, [0, 1, 1, 2, 2, 2, 3, 3, 3]);
+        assert_eq!(uncertain.len(), 3);
+        for start in 0..probs.len() {
+            for end in start..=probs.len() {
+                let (from, to) = (rank[start] as usize, rank[end] as usize);
+                assert_eq!(
+                    uncertain.window(from, to - from).to_bits(),
+                    values.window(start, end - start).to_bits(),
+                    "window {start}..{end}"
+                );
             }
         }
     }

@@ -113,7 +113,7 @@
 //! last column; snapshot format 15, whose champions are the maxima of those
 //! sums).
 //!
-//! And an [`ApproxIndex`] on the same string (1 944 732 links) — the rows of
+//! And an [`ApproxIndex`] on the same string (1 944 684 links) — the rows of
 //! [`ApproxIndex::heap_breakdown`] — when it kept the `C` it found its links
 //! with, once everything only `build` reads was a local of `build`, once its
 //! links hung off an [`Index`]'s text (the text, tree and position map are
@@ -129,10 +129,6 @@
 //! | links (24 B each) | 466.7 | 466.7 | 466.7 | 466.7 |
 //! | min-RMQ over the links' target depths | 330.5 | 330.5 | 330.5 | 330.5 |
 //! | **`stats().heap_bytes`** | **1 308.7** | **996.4** | **873.1** | **797.2** |
-//!
-//! Since the link split sums the value codes, as the other indexes do, no
-//! build keeps `C`, and the string has 48 fewer links (1 944 684); the
-//! last column's rows read the same to a tenth.
 
 #![forbid(unsafe_code)]
 // Probabilities are computed once, in `ustr-uncertain` (INVARIANTS.md §1).
