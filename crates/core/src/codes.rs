@@ -6,9 +6,11 @@
 //! §8.1 generator's vote fractions give 58 distinct `ln p` over
 //! `paper-string`'s 948 399 characters, and Phred-quantized reads are the
 //! same — so [`ValueCodes`] keeps the `ln p` of each distinct probability
-//! once, in a table, and one code per character into it. A code is the narrowest of
-//! `u8`/`u16`/`u32` that numbers the table: the table's length picks the
-//! width, a property of the data and not a setting.
+//! once, in a table, and one code per character into it, coded by
+//! [`ustr_uncertain::codes::code`], which codes the verification plane's
+//! cells too. A code is the narrowest of `u8`/`u16`/`u32` that numbers the
+//! table: the table's length picks the width, a property of the data and
+//! not a setting.
 //!
 //! A window's value is the left-to-right sum of its characters' values
 //! from `+0.0`, each added through [`canon::log_mul`] — the kernel's own
@@ -39,50 +41,8 @@
 //! give. A separator is coded as a certain character, `ln 1 = +0.0`, and no
 //! window reads it.
 
-use std::collections::HashMap;
-
-use ustr_uncertain::{canon, split};
-
-/// A character's code: an index into the value table.
-trait Code: Copy {
-    fn of(code: u32) -> Self;
-    fn index(self) -> usize;
-}
-
-macro_rules! code {
-    ($($t:ty),*) => {$(
-        impl Code for $t {
-            #[inline]
-            fn of(code: u32) -> Self {
-                code as $t
-            }
-            #[inline]
-            fn index(self) -> usize {
-                self as usize
-            }
-        }
-    )*};
-}
-code!(u8, u16, u32);
-
-/// One code per character, at the narrowest width that numbers the table.
-#[derive(Debug)]
-enum Codes {
-    U8(Box<[u8]>),
-    U16(Box<[u16]>),
-    U32(Box<[u32]>),
-}
-
-/// `$body` with `$c` bound to the codes as a slice of their own width.
-macro_rules! with_codes {
-    ($codes:expr, $c:ident => $body:expr) => {
-        match $codes {
-            Codes::U8($c) => $body,
-            Codes::U16($c) => $body,
-            Codes::U32($c) => $body,
-        }
-    };
-}
+use ustr_uncertain::codes::{self, Code, Codes};
+use ustr_uncertain::{canon, split, with_codes};
 
 /// The one sum loop: the values of `codes` in `table` added left to right
 /// from [`canon::LOG_ONE`], each running sum handed to `each`; returns the
@@ -149,48 +109,19 @@ impl ValueCodes {
     /// table and the codes depend on `probs` alone, so a build and a load
     /// that derive the same probabilities get the same bits.
     pub(crate) fn new(probs: &[f64], is_sentinel: impl Fn(usize) -> bool) -> Self {
-        let mut table: Vec<f64> = Vec::new();
-        let mut by_prob: HashMap<u64, u32> = HashMap::new();
-        // The last character's probability and code: a character with the
-        // one before's probability skips the lookup (61 % of
-        // `paper-string`'s 948 399 characters: 8.2 ms where the map alone
-        // took 12.5, on a 2-vCPU Linux VM).
-        let mut last = None;
-        let wide: Vec<u32> = (probs.iter().enumerate())
-            .map(|(i, &p)| {
-                let p = if is_sentinel(i) { 1.0 } else { p };
-                debug_assert!(canon::is_positive_prob(p), "probabilities must be positive");
-                let bits = p.to_bits();
-                match last {
-                    Some((seen, code)) if seen == bits => code,
-                    _ => {
-                        let code = *(by_prob.entry(bits)).or_insert_with(|| {
-                            table.push(canon::ln(p));
-                            u32::try_from(table.len() - 1).expect("a text of u32 positions")
-                        });
-                        last = Some((bits, code));
-                        code
-                    }
-                }
-            })
-            .collect();
-        fn narrow<C: Code>(wide: Vec<u32>) -> Box<[C]> {
-            wide.into_iter().map(C::of).collect()
-        }
-        let codes = match table.len() {
-            len if len <= 1 << u8::BITS => Codes::U8(narrow(wide)),
-            len if len <= 1 << u16::BITS => Codes::U16(narrow(wide)),
-            _ => Codes::U32(wide.into_boxed_slice()),
-        };
+        let (table, codes) =
+            codes::code(
+                (probs.iter().enumerate()).map(|(i, &p)| if is_sentinel(i) { 1.0 } else { p }),
+            );
         Self {
-            table: table.into_boxed_slice(),
+            table: table.iter().map(|&(_, value)| value).collect(),
             codes,
         }
     }
 
     /// Number of characters coded.
     pub(crate) fn len(&self) -> usize {
-        with_codes!(&self.codes, c => c.len())
+        self.codes.len()
     }
 
     /// The value of the window `[start, start + len)`, which must lie
@@ -250,8 +181,7 @@ impl ValueCodes {
 
     /// Heap bytes: the codes at their width and 8 a table entry.
     pub(crate) fn heap_size(&self) -> usize {
-        with_codes!(&self.codes, c => std::mem::size_of_val(&**c))
-            + std::mem::size_of_val(&*self.table)
+        self.codes.heap_size() + std::mem::size_of_val(&*self.table)
     }
 
     /// The table's values and every character's code, widened: what a
@@ -267,10 +197,7 @@ impl ValueCodes {
     /// The code width in bytes.
     #[cfg(test)]
     pub(crate) fn width(&self) -> usize {
-        fn of<C>(_: &[C]) -> usize {
-            std::mem::size_of::<C>()
-        }
-        with_codes!(&self.codes, c => of(c))
+        self.codes.width()
     }
 }
 

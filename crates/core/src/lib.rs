@@ -71,18 +71,18 @@
 //! choices verbatim, and no `UncertainString` beside it. The tables before
 //! PR 26 left that source copy out: the last row, by a counting allocator.
 //!
-//! | structure | nodes, sparse tables | child table, block RMQ | plane as model | choices only | visibility bytes | `i16` child cells | kept slots | value codes |
-//! |---|---|---|---|---|---|---|---|---|
-//! | text + SA + LCP | 85.4 | 85.4 | 85.4 | 56.9 | 56.9 | 56.9 | 23.3 | 23.3 |
-//! | suffix-tree nodes + CSR children → child table | 293.0 | 37.9 | 37.9 | 37.9 | 37.9 | 19.1 | 5.5 | 5.5 |
-//! | cumulative array `C` (prefix sums, separator counts) → value codes | 113.8 | 113.8 | 113.8 | 75.9 | 75.9 | 75.9 | 75.9 | 9.5 |
-//! | visibility bytes (the short levels' duplicate elimination) | — | — | — | — | 9.5 | 9.5 | 2.8 | 2.8 |
-//! | short levels (masks, champions, RMQ over champion values) | 200.4 | 84.7 | 84.7 | 84.7 | 61.0 | 61.0 | 16.8 | 16.8 |
-//! | long levels (champions, RMQ over champion values) | 59.2 | 19.6 | 19.6 | 14.7 | 14.7 | 14.7 | 4.5 | 4.5 |
-//! | position map → separator rank + factor bases | 37.9 | 37.9 | 37.9 | 5.7 | 5.7 | 5.7 | 5.7 | 5.7 |
-//! | model (plane) | 184.0 | 184.0 | 75.0 | 33.1 | 33.1 | 33.1 | 29.1 | 29.1 |
-//! | **`Index::heap_size()`** | **973.9** | **563.3** | **454.3** | **308.8** | **294.6** | **275.8** | **163.5** | **97.1** |
-//! | source copy beside the plane, uncounted | 57.8 | 57.8 | — | — | — | — | — | — |
+//! | structure | nodes, sparse tables | child table, block RMQ | plane as model | choices only | visibility bytes | `i16` child cells | kept slots | value codes | plane codes |
+//! |---|---|---|---|---|---|---|---|---|---|
+//! | text + SA + LCP | 85.4 | 85.4 | 85.4 | 56.9 | 56.9 | 56.9 | 23.3 | 23.3 | 23.3 |
+//! | suffix-tree nodes + CSR children → child table | 293.0 | 37.9 | 37.9 | 37.9 | 37.9 | 19.1 | 5.5 | 5.5 | 5.5 |
+//! | cumulative array `C` (prefix sums, separator counts) → value codes | 113.8 | 113.8 | 113.8 | 75.9 | 75.9 | 75.9 | 75.9 | 9.5 | 9.5 |
+//! | visibility bytes (the short levels' duplicate elimination) | — | — | — | — | 9.5 | 9.5 | 2.8 | 2.8 | 2.8 |
+//! | short levels (masks, champions, RMQ over champion values) | 200.4 | 84.7 | 84.7 | 84.7 | 61.0 | 61.0 | 16.8 | 16.8 | 16.8 |
+//! | long levels (champions, RMQ over champion values) | 59.2 | 19.6 | 19.6 | 14.7 | 14.7 | 14.7 | 4.5 | 4.5 | 4.5 |
+//! | position map → separator rank + factor bases | 37.9 | 37.9 | 37.9 | 5.7 | 5.7 | 5.7 | 5.7 | 5.7 | 5.7 |
+//! | model (plane) | 184.0 | 184.0 | 75.0 | 33.1 | 33.1 | 33.1 | 29.1 | 29.1 | 7.9 |
+//! | **`Index::heap_size()`** | **973.9** | **563.3** | **454.3** | **308.8** | **294.6** | **275.8** | **163.5** | **97.1** | **75.9** |
+//! | source copy beside the plane, uncounted | 57.8 | 57.8 | — | — | — | — | — | — | — |
 //!
 //! Between the third and fourth columns `C` came to keep its prefix sums
 //! alone (no window a query reads crosses a separator: the window contract,
@@ -109,9 +109,12 @@
 //! column; snapshot format 14). The text and `C` stayed per character. Last,
 //! `C`'s `f64` prefix sums became a one-byte code per character into a table
 //! of the text's 58 distinct `ln p` values (464 bytes), and a window's value
-//! the left-to-right sum of its codes' values, the kernel's own sum (the
-//! last column; snapshot format 15, whose champions are the maxima of those
-//! sums).
+//! the left-to-right sum of its codes' values, the kernel's own sum
+//! (snapshot format 15, whose champions are the maxima of those sums). The
+//! plane then took the same coding (`ustr_uncertain::codes`): its two
+//! `f64`s per choice, `ln p` and `p`, became a one-byte code per choice
+//! into a table of the model's 61 distinct probabilities, each held once as
+//! its bits and its `ln` (976 bytes; the last column). No file byte moved.
 //!
 //! And an [`ApproxIndex`] on the same string (1 944 684 links) — the rows of
 //! [`ApproxIndex::heap_breakdown`] — when it kept the `C` it found its links

@@ -24,11 +24,15 @@
 //!   flat-array loop (see [`plane`]). Every query executor in the workspace
 //!   verifies its candidates through one kernel call,
 //!   [`MatchKernel::verify`], and counts them once per [`Scan`].
+//! * [`codes`] — probabilities as codes into a table of their distinct
+//!   values, at the narrowest width that numbers the table: the plane's
+//!   cells, and an index's text in `ustr-core`.
 
 #![forbid(unsafe_code)]
 
 pub mod canon;
 mod chars;
+pub mod codes;
 mod correlation;
 mod error;
 pub mod kstats;

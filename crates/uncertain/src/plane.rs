@@ -13,16 +13,18 @@
 //!   to ranks `0..σ`. A *deterministic-position* bitmask with the flattened
 //!   deterministic bytes answers every certain position; every other
 //!   position has a *row*, found by rank over the bitmask. A row is one
-//!   **natural-log** cell per choice, rank-ascending, and one record of
-//!   ⌈(32 + σ)/64⌉ words: the row's first cell in the low 32 bits, then one
-//!   bit per rank. A lookup tests the rank's bit and reads the cell at the
-//!   row's start plus the set bits below it (one word at σ ≤ 32). Beside
-//!   them: the same positions' probabilities verbatim and the correlations,
-//!   so [`ProbPlane::to_model`] gives the model back bit for bit;
-//!   per-character *presence bitmaps* (which positions can produce a
-//!   character at all); and a *correlation-subject* bitmask over the
-//!   handful of correlated positions, beside their correlations flattened
-//!   to `ln` values.
+//!   cell per choice, rank-ascending, and one record of ⌈(32 + σ)/64⌉
+//!   words: the row's first cell in the low 32 bits, then one bit per rank.
+//!   A cell is a code ([`crate::codes`]) into a table that holds each of
+//!   the model's distinct probabilities once, both its bits and its
+//!   **natural log**. A lookup tests the rank's bit and reads the table at
+//!   the code of the cell at the row's start plus the set bits below it
+//!   (one word at σ ≤ 32). The table's bits and the correlations, kept
+//!   beside the rows, make [`ProbPlane::to_model`] give the model back bit
+//!   for bit. Beside them too: per-character *presence bitmaps* (which
+//!   positions can produce a character at all); and a
+//!   *correlation-subject* bitmask over the handful of correlated
+//!   positions, beside their correlations flattened to `ln` values.
 //! * [`MatchKernel`] — a per-query view that remaps the pattern to ranks
 //!   **once**, then evaluates every candidate window with **one walk**
 //!   ([`MatchKernel::log_match_bounded`]): a tight flat-array loop that
@@ -56,6 +58,7 @@
 
 use std::cell::RefCell;
 
+use crate::codes::{self, Codes};
 use crate::kstats::{self, ScanPath};
 use crate::{canon, chars::UncertainChar, correlation::CorrelationSet, string::UncertainString};
 
@@ -114,7 +117,9 @@ impl PlaneCorrelation {
 /// the string, rebuilds the plane on load from the snapshot's string, and
 /// gets the string back from [`ProbPlane::to_model`] when it writes one —
 /// the snapshot formats are untouched. Its size is linear in the model's
-/// choices: a row holds one cell per choice, never one per alphabet rank.
+/// choices: a row holds one cell per choice, never one per alphabet rank,
+/// and a cell is a code as narrow as the model's distinct probabilities
+/// allow, not an `f64`.
 ///
 /// ```
 /// use ustr_uncertain::{ProbPlane, UncertainString};
@@ -139,11 +144,14 @@ pub struct ProbPlane {
     rank_of: Box<[u8; 256]>,
     /// Rank → byte, ascending.
     alphabet: Vec<u8>,
-    /// `ln p` of every choice of the non-det positions (those clear in
-    /// `det_mask`), one row each in position order, rank-ascending within
-    /// a row; parallel to `choice_probs`.
-    logs: Vec<f64>,
-    /// `record_words` words per row: the row's first index into `logs`
+    /// Each distinct probability of the non-det positions once, as `(p,
+    /// ln p)` ([`codes::code`]).
+    table: Box<[(f64, f64)]>,
+    /// A code into `table` for every choice of the non-det positions
+    /// (those clear in `det_mask`), one row each in position order,
+    /// rank-ascending within a row.
+    cells: Codes,
+    /// `record_words` words per row: the row's first index into `cells`
     /// in the low [`START_BITS`] bits, then bit `START_BITS + r` set when
     /// rank `r` is one of the row's choices. A row's length is the
     /// popcount of its rank bits, and its bytes are their ranks' bytes.
@@ -152,8 +160,6 @@ pub struct ProbPlane {
     /// Non-det positions before each 64-position word of `det_mask`: a
     /// position's row is this plus a popcount within its word.
     row_base: Vec<u32>,
-    /// The non-det positions' probabilities verbatim, parallel to `logs`.
-    choice_probs: Vec<f64>,
     /// The model's correlations, kept as they came.
     correlations: CorrelationSet,
     /// `sigma` presence rows of `words_per_row` words each: bit `p` of row
@@ -218,7 +224,8 @@ fn ones(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
 
 impl ProbPlane {
     /// Flattens `source` into a plane: one rank-bitmap record and one cell
-    /// per choice at each non-det position, whatever the alphabet.
+    /// per choice at each non-det position, whatever the alphabet, the
+    /// cells coded into a table of the distinct probabilities.
     pub fn build(source: &UncertainString) -> Self {
         let n = source.len();
         let words_per_row = n.div_ceil(64);
@@ -233,14 +240,13 @@ impl ProbPlane {
         };
 
         let mut seen = [false; 256];
-        let (mut rows, mut entries) = (0usize, 0usize);
+        let mut rows = 0usize;
         for (i, p) in source.positions().iter().enumerate() {
             for &(c, _) in p.choices() {
                 seen[c as usize] = true;
             }
             if det_char(i, p).is_none() {
                 rows += 1;
-                entries += p.num_choices();
             }
         }
         let alphabet: Vec<u8> = (0u16..256)
@@ -256,13 +262,16 @@ impl ProbPlane {
 
         let record_words = (START_BITS + sigma).div_ceil(64);
         let mut records = vec![0u64; rows * record_words];
-        let mut logs = Vec::with_capacity(entries);
-        let mut choice_probs = Vec::with_capacity(entries);
+        let (table, cells) = codes::code(
+            (source.positions().iter().enumerate())
+                .filter(|&(i, p)| det_char(i, p).is_none())
+                .flat_map(|(_, p)| p.choices().iter().map(|&(_, pr)| pr)),
+        );
         let mut row_base = Vec::with_capacity(words_per_row);
         let mut presence = vec![0u64; sigma * words_per_row];
         let mut det_mask = vec![0u64; words_per_row];
         let mut det_chars = vec![0u8; n];
-        let mut row = 0usize;
+        let (mut row, mut cell) = (0usize, 0usize);
         for (i, p) in source.positions().iter().enumerate() {
             if i % 64 == 0 {
                 row_base.push(row as u32);
@@ -276,16 +285,15 @@ impl ProbPlane {
                 continue;
             }
             let record = &mut records[row * record_words..(row + 1) * record_words];
-            record[0] = u32::try_from(logs.len()).expect("fewer than 2^32 choices") as u64;
+            record[0] = u32::try_from(cell).expect("fewer than 2^32 choices") as u64;
             // Choices are sorted by byte, so ranks ascend and a choice's
             // cell is the row's start plus the rank bits set below its own.
-            for &(c, pr) in p.choices() {
+            for &(c, _) in p.choices() {
                 let b = START_BITS + rank(c);
                 record[b / 64] |= 1u64 << (b % 64);
-                choice_probs.push(pr);
-                logs.push(canon::ln(pr));
             }
             row += 1;
+            cell += p.num_choices();
         }
 
         // Sized up front: the set's iterator does not report its length, and
@@ -314,11 +322,11 @@ impl ProbPlane {
             sigma,
             rank_of,
             alphabet,
-            logs,
+            table,
+            cells,
             records,
             record_words,
             row_base,
-            choice_probs,
             correlations: corrs.clone(),
             presence,
             words_per_row,
@@ -342,9 +350,12 @@ impl ProbPlane {
                 let start = record[0] as u32 as usize;
                 // The rank bits, ascending: a row's choices in cell order.
                 let ranks = ones(record).filter(|&b| b >= START_BITS);
-                let choices = ranks
-                    .enumerate()
-                    .map(|(k, b)| (self.alphabet[b - START_BITS], self.choice_probs[start + k]));
+                let choices = ranks.enumerate().map(|(k, b)| {
+                    (
+                        self.alphabet[b - START_BITS],
+                        self.table[self.cells.get(start + k)].0,
+                    )
+                });
                 UncertainChar::from_validated(choices.collect())
             })
             .collect();
@@ -408,8 +419,8 @@ impl ProbPlane {
     }
 
     /// `ln pr(char(rank))` in row `row`, for a live `rank`: `−∞` when the
-    /// rank's record bit is clear, else the cell at the row's start plus
-    /// the rank bits set below it.
+    /// rank's record bit is clear, else the value the cell at the row's
+    /// start plus the rank bits set below it codes.
     #[inline]
     fn row_log_prob(&self, row: usize, rank: u8) -> f64 {
         let at = row * self.record_words;
@@ -431,7 +442,7 @@ impl ProbPlane {
                 None => return f64::NEG_INFINITY,
             }
         };
-        self.logs[head as u32 as usize + below]
+        self.table[self.cells.get(head as u32 as usize + below)].1
     }
 
     /// Runs `f` with a [`MatchKernel`] for `pattern`, remapping the pattern
@@ -494,8 +505,9 @@ impl ProbPlane {
     /// Approximate heap footprint in bytes — the model's whole footprint,
     /// since the plane is its one copy.
     pub fn heap_size(&self) -> usize {
-        use std::mem::size_of;
-        (self.logs.capacity() + self.choice_probs.capacity()) * size_of::<f64>()
+        use std::mem::{size_of, size_of_val};
+        self.cells.heap_size()
+            + size_of_val(&*self.table)
             + size_of::<[u8; 256]>()
             + self.alphabet.capacity()
             + self.det_chars.capacity()
@@ -933,6 +945,116 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Every cell reads `canon::ln` of its probability to the bit, the
+    /// plane gives the model back bit for bit, and the kernel's walk is the
+    /// naive evaluator's at every start of patterns drawn through each
+    /// row's choices.
+    fn assert_plane_holds_the_model(s: &UncertainString) -> ProbPlane {
+        let plane = ProbPlane::build(s);
+        for (pos, p) in s.positions().iter().enumerate() {
+            for (rank, &c) in plane.alphabet().iter().enumerate() {
+                let want = match p.prob_of(c) {
+                    0.0 => f64::NEG_INFINITY,
+                    pr => canon::ln(pr),
+                };
+                let got = plane.log_prob(pos, rank as u8);
+                assert_eq!(got.to_bits(), want.to_bits(), "pos {pos} rank {rank}");
+            }
+        }
+        let model = plane.to_model();
+        assert_eq!(&model, s);
+        let bits = |s: &UncertainString| -> Vec<(u8, u64)> {
+            (s.positions().iter())
+                .flat_map(|p| p.choices().iter().map(|&(c, pr)| (c, pr.to_bits())))
+                .collect()
+        };
+        assert_eq!(bits(&model), bits(s));
+        for start in (0..s.len()).step_by(2) {
+            for m in [1usize, 2, 3, 5] {
+                let Some(window) = s.positions().get(start..start + m) else {
+                    continue;
+                };
+                let pattern: Vec<u8> = (window.iter().enumerate())
+                    .map(|(k, p)| p.choices()[(start + k * 7) % p.num_choices()].0)
+                    .collect();
+                plane.with_kernel(&pattern, |kernel| {
+                    for pos in 0..=s.len() {
+                        let naive = s.log_match_probability(&pattern, pos);
+                        assert_eq!(
+                            kernel.log_match(pos).to_bits(),
+                            naive.to_bits(),
+                            "pos {pos}"
+                        );
+                    }
+                });
+            }
+        }
+        plane
+    }
+
+    /// 600 distinct probabilities, more than a byte numbers: the cells take
+    /// `u16` codes into a table of 600 entries.
+    #[test]
+    fn a_wide_value_table_takes_u16_cells() {
+        let mut rows = Vec::new();
+        for i in 0..300usize {
+            let p = (i + 1) as f64 / 1000.0;
+            rows.push(vec![(b'a', p), (b'b', 1.0 - p)]);
+            if i % 4 == 0 {
+                rows.push(vec![(b'c', 1.0)]);
+            }
+        }
+        let s = UncertainString::from_rows(rows).unwrap();
+        let plane = assert_plane_holds_the_model(&s);
+        assert_eq!((plane.table.len(), plane.cells.width()), (600, 2));
+        assert_eq!(plane.cells.len(), 600);
+    }
+
+    /// Correlation subjects at uncertain positions and at otherwise certain
+    /// ones (which take a row), conditioned inside and outside the windows.
+    #[test]
+    fn a_correlated_plane_holds_its_model() {
+        let rows = (0..60usize)
+            .map(|i| match i % 3 {
+                0 => vec![(b'a', 0.25 + (i % 5) as f64 / 20.0), (b'b', 0.5)],
+                1 => vec![(b'c', 1.0)],
+                _ => vec![(b'a', 0.6), (b'c', 0.4)],
+            })
+            .collect();
+        let mut s = UncertainString::from_rows(rows).unwrap();
+        let mut corrs = CorrelationSet::new();
+        let mut add = |subject_pos, subject_char, cond_pos, cond_char, p_present, p_absent| {
+            (corrs.add(Correlation {
+                subject_pos,
+                subject_char,
+                cond_pos,
+                cond_char,
+                p_present,
+                p_absent,
+            }))
+            .unwrap()
+        };
+        for i in (0..60).step_by(6) {
+            add(i, b'a', i + 2, b'c', 0.3, 0.7);
+        }
+        for i in (1..60).step_by(9) {
+            add(i, b'c', i - 1, b'b', 0.9, 0.5);
+        }
+        add(33, b'a', 59, b'a', 0.2, 0.4);
+        s.set_correlations(corrs).unwrap();
+        let plane = assert_plane_holds_the_model(&s);
+        assert!(plane.has_correlations());
+        // The certain subjects take a row, so the certain positions' 1 is
+        // in the table too: it holds every distinct probability of the model.
+        let distinct: std::collections::BTreeSet<u64> = (s.positions().iter())
+            .flat_map(|p| p.choices().iter().map(|&(_, pr)| pr.to_bits()))
+            .collect();
+        assert_eq!(
+            (plane.table.len(), plane.cells.width()),
+            (distinct.len(), 1)
+        );
     }
 
     #[test]

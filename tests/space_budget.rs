@@ -39,6 +39,16 @@ fn per(bytes: usize, of: usize) -> f64 {
     bytes as f64 / of as f64
 }
 
+/// The bytes of a code into a table of `len` entries: the narrowest of
+/// `u8`/`u16`/`u32` that numbers it.
+fn code_width(len: usize) -> usize {
+    match len {
+        len if len <= 1 << 8 => 1,
+        len if len <= 1 << 16 => 2,
+        _ => 4,
+    }
+}
+
 /// Prints `rows` (the whole footprint `total` of the structure `what`) as a
 /// table and holds the total to its `budget` in bytes per position, +5 %.
 fn check_heap_rows(
@@ -71,8 +81,11 @@ fn check_heap_rows(
 }
 
 /// `Index::heap_size()` per source position on this input when the budget was
-/// last set, once the text's probabilities became one byte code per character
-/// into a table of its 48 distinct probabilities (165.0 before, with `C`'s
+/// last set, once the plane's cells became one byte code per choice into a
+/// table of the model's distinct probabilities, each held once as its bits and
+/// its `ln` (97.3 before, with two `f64`s per choice, the figure once the
+/// text's probabilities became one byte code per character
+/// into a table of its 48 distinct probabilities; 165.0 before that, with `C`'s
 /// 77.5 of prefix sums, the figure once the tree, the visibility bytes and the
 /// levels held only the slots a query can reach, 28 834 of 96 827; 269.7
 /// before that, over every slot,
@@ -91,7 +104,7 @@ fn check_heap_rows(
 /// model, with probability rows only at uncertain positions; 561.4 before that,
 /// not counting the ≈ 58 B of source copy beside the plane; 925.3 with explicit
 /// tree nodes and a sparse table per level).
-const MEASURED_BYTES_PER_POS: f64 = 97.3;
+const MEASURED_BYTES_PER_POS: f64 = 76.2;
 
 #[test]
 fn heap_breakdown_stays_inside_the_budget() {
@@ -144,12 +157,10 @@ fn heap_breakdown_stays_inside_the_budget() {
         table.insert(p.to_bits());
         source += 1;
     }
-    let width = match table.len() {
-        len if len <= 1 << 8 => 1,
-        len if len <= 1 << 16 => 2,
-        _ => 4,
-    };
-    assert_eq!(row("value codes"), chars * width + 8 * table.len());
+    assert_eq!(
+        row("value codes"),
+        chars * code_width(table.len()) + 8 * table.len()
+    );
     // What the short levels hide is one byte per slot for all of them; each
     // level is a champion per 64 slots and the block RMQ over their values.
     assert_eq!(row("visibility bytes"), slots);
@@ -159,15 +170,26 @@ fn heap_breakdown_stays_inside_the_budget() {
     assert!(row("separator rank") <= chars.div_ceil(64) * 16);
     assert_eq!(row("factor bases"), index.stats().num_factors * 4);
     // Only the choices: at each uncertain position a one-word record (σ ≤
-    // 32) and, per choice, its `ln p` cell and its probability verbatim;
-    // then per position a byte and σ presence bits, and a byte of slack for
-    // the masks, bases and alphabet.
-    let (uncertain, choices) = (s.positions().iter())
+    // 32) and, per choice, a code at the narrowest width that numbers the
+    // table of the distinct probabilities, 16 B an entry (a probability's
+    // bits and its `ln`); then per position a byte and σ presence bits, and
+    // a byte of slack for the masks, bases and alphabet.
+    let uncertain: Vec<_> = (s.positions().iter())
         .filter(|p| !matches!(p.choices(), &[(_, pr)] if pr.to_bits() == 1.0f64.to_bits()))
-        .fold((0, 0), |(u, c), p| (u + 1, c + p.num_choices()));
+        .collect();
+    let probs: Vec<u64> = (uncertain.iter())
+        .flat_map(|p| p.choices().iter().map(|&(_, pr)| pr.to_bits()))
+        .collect();
+    let distinct = probs
+        .iter()
+        .collect::<std::collections::BTreeSet<_>>()
+        .len();
     let sigma = ProbPlane::build(&s).sigma();
     assert!(sigma <= 32);
-    let rows_budget = per(uncertain * 8 + choices * 16, n);
+    let rows_budget = per(
+        uncertain.len() * 8 + probs.len() * code_width(distinct) + 16 * distinct,
+        n,
+    );
     let sidecars = 1.0 + sigma as f64 / 8.0 + 1.0;
     let plane = per(row("model (plane)"), n);
     assert!(
@@ -207,8 +229,10 @@ fn approx_heap_breakdown_stays_inside_the_budget() {
 }
 
 /// `ListingIndex::heap_size()` per source position over the same positions cut
-/// into documents when the budget was last set, once the text's probabilities
-/// became one byte code per character (238.9 before, with `C`'s prefix sums,
+/// into documents when the budget was last set, once the plane's cells became
+/// one byte code per choice (181.3 before, with two `f64`s per choice, the
+/// figure once the text's probabilities
+/// became one byte code per character; 238.9 before that, with `C`'s prefix sums,
 /// the figure once the plane dropped its two `u32`-per-position run lengths;
 /// 243.0 before that, the figure once one plane over
 /// the collection held the documents' models and a start per document replaced
@@ -222,7 +246,7 @@ fn approx_heap_breakdown_stays_inside_the_budget() {
 /// and a document id per factor; 450.6 before that, the first count of
 /// everything the index holds: 549.8 on `paper-string` before it, without the
 /// documents' source copies or the planes' slots).
-const LISTING_MEASURED_BYTES_PER_POS: f64 = 181.3;
+const LISTING_MEASURED_BYTES_PER_POS: f64 = 160.2;
 
 #[test]
 fn listing_heap_stays_inside_the_budget() {
