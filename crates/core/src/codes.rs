@@ -109,10 +109,10 @@ impl ValueCodes {
     /// table and the codes depend on `probs` alone, so a build and a load
     /// that derive the same probabilities get the same bits.
     pub(crate) fn new(probs: &[f64], is_sentinel: impl Fn(usize) -> bool) -> Self {
-        let (table, codes) =
-            codes::code(
-                (probs.iter().enumerate()).map(|(i, &p)| if is_sentinel(i) { 1.0 } else { p }),
-            );
+        let (table, codes) = codes::code(
+            probs.len(),
+            (probs.iter().enumerate()).map(|(i, &p)| if is_sentinel(i) { 1.0 } else { p }),
+        );
         Self {
             table: table.iter().map(|&(_, value)| value).collect(),
             codes,

@@ -114,7 +114,7 @@
 //! plane then took the same coding (`ustr_uncertain::codes`): its two
 //! `f64`s per choice, `ln p` and `p`, became a one-byte code per choice
 //! into a table of the model's 61 distinct probabilities, each held once as
-//! its bits and its `ln` (976 bytes; the last column). No file byte moved.
+//! its bits and its `ln` (976 bytes; the last column).
 //!
 //! And an [`ApproxIndex`] on the same string (1 944 684 links) — the rows of
 //! [`ApproxIndex::heap_breakdown`] — when it kept the `C` it found its links

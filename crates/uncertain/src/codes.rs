@@ -11,7 +11,9 @@
 //! narrowest of `u8`/`u16`/`u32` that numbers the table: the table's length
 //! picks the width, a property of the data and not a setting.
 
+use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
+use std::hash::{BuildHasher, Hasher};
 
 use crate::canon;
 
@@ -98,45 +100,96 @@ impl Codes {
     }
 }
 
+/// The map's hash of a probability's bits: one folded multiply, keyed once
+/// per map from [`RandomState`]. A SipHash per lookup cost more than the
+/// rest of a 30-position document's plane build.
+struct BitsKey(u64);
+
+impl BitsKey {
+    fn new() -> Self {
+        Self(RandomState::new().hash_one(0u64))
+    }
+}
+
+impl BuildHasher for BitsKey {
+    type Hasher = BitsHash;
+    fn build_hasher(&self) -> BitsHash {
+        BitsHash(self.0)
+    }
+}
+
+/// [`BitsKey`]'s hasher: the map hashes `u64` keys only.
+struct BitsHash(u64);
+
+impl Hasher for BitsHash {
+    fn write(&mut self, bytes: &[u8]) {
+        bytes.iter().for_each(|&b| self.write_u64(b.into()));
+    }
+    #[inline]
+    fn write_u64(&mut self, bits: u64) {
+        let m = u128::from(bits ^ self.0) * 0x9e37_79b9_7f4a_7c15;
+        self.0 = m as u64 ^ (m >> 64) as u64;
+    }
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
 /// Codes `probs` by their bits: returns the table — each distinct
 /// probability once, in the order `probs` first reaches it, as `(p,
-/// canon::ln(p))` — and one code per probability into it. The table and
+/// canon::ln(p))` — and one code per probability into it. `count` is the
+/// number of probabilities, which sizes the codes up front. The table and
 /// the codes depend on the probabilities' bits alone, so two callers that
 /// code the same probabilities get the same bits.
-pub fn code(probs: impl IntoIterator<Item = f64>) -> (Box<[(f64, f64)]>, Codes) {
-    let mut table: Vec<(f64, f64)> = Vec::new();
-    let mut by_prob: HashMap<u64, u32> = HashMap::new();
+pub fn code(count: usize, probs: impl IntoIterator<Item = f64>) -> (Box<[(f64, f64)]>, Codes) {
+    // A small start: a 40-choice document's few probabilities fit without
+    // a rehash, and a 61-probability model rehashes twice.
+    let mut by_prob: HashMap<u64, u32, BitsKey> =
+        HashMap::with_capacity_and_hasher(count.min(16), BitsKey::new());
+    // A code goes out as one byte while the table numbers at most 2⁸
+    // probabilities; the first code past that widens the codes so far to
+    // `u32`, once. So the usual model fills one allocation of `count` bytes.
+    let (mut bytes, mut wide): (Vec<u8>, Vec<u32>) = (Vec::with_capacity(count), Vec::new());
     // The last probability and its code: a probability equal to the one
     // before skips the lookup (61 % of `paper-string`'s 948 399 text
     // characters: 8.2 ms where the map alone took 12.5, on a 2-vCPU Linux
     // VM).
     let mut last = None;
-    let wide: Vec<u32> = (probs.into_iter())
-        .map(|p| {
-            debug_assert!(canon::is_positive_prob(p), "probabilities must be positive");
-            let bits = p.to_bits();
-            match last {
-                Some((seen, code)) if seen == bits => code,
-                _ => {
-                    let code = *(by_prob.entry(bits)).or_insert_with(|| {
-                        table.push((p, canon::ln(p)));
-                        u32::try_from(table.len() - 1).expect("fewer than 2^32 probabilities")
-                    });
-                    last = Some((bits, code));
-                    code
-                }
+    for p in probs {
+        debug_assert!(canon::is_positive_prob(p), "probabilities must be positive");
+        let bits = p.to_bits();
+        let code = match last {
+            Some((seen, code)) if seen == bits => code,
+            _ => {
+                let next = u32::try_from(by_prob.len()).expect("fewer than 2^32 probabilities");
+                let code = *by_prob.entry(bits).or_insert(next);
+                last = Some((bits, code));
+                code
             }
-        })
-        .collect();
-    fn narrow<C: Code>(wide: Vec<u32>) -> Box<[C]> {
-        wide.into_iter().map(C::of).collect()
+        };
+        match u8::try_from(code) {
+            Ok(byte) if wide.is_empty() => bytes.push(byte),
+            _ => {
+                if wide.is_empty() {
+                    wide.reserve_exact(count.max(bytes.len() + 1));
+                    wide.extend(bytes.drain(..).map(u32::from));
+                }
+                wide.push(code);
+            }
+        }
+    }
+    // The table at its final length: each distinct probability at its code.
+    let mut table = vec![(0.0, 0.0); by_prob.len()].into_boxed_slice();
+    for (&bits, &code) in &by_prob {
+        let p = f64::from_bits(bits);
+        table[code as usize] = (p, canon::ln(p));
     }
     let codes = match table.len() {
-        len if len <= 1 << u8::BITS => Codes::U8(narrow(wide)),
-        len if len <= 1 << u16::BITS => Codes::U16(narrow(wide)),
+        len if len <= 1 << u8::BITS => Codes::U8(bytes.into_boxed_slice()),
+        len if len <= 1 << u16::BITS => Codes::U16(wide.into_iter().map(u16::of).collect()),
         _ => Codes::U32(wide.into_boxed_slice()),
     };
-    (table.into_boxed_slice(), codes)
+    (table, codes)
 }
 
 #[cfg(test)]
@@ -156,7 +209,7 @@ mod tests {
             // Distinct probabilities, each reached twice: the codes number
             // the table whatever their width.
             let probs = (0..2 * distinct).map(|i| (1 + i % distinct.max(1)) as f64 / 65_538.0);
-            let (table, codes) = code(probs);
+            let (table, codes) = code(2 * distinct, probs);
             assert_eq!((table.len(), codes.width()), (distinct, width));
             assert_eq!(codes.len(), 2 * distinct);
             assert!((0..codes.len()).all(|i| codes.get(i) == i % distinct.max(1)));

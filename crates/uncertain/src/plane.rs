@@ -58,8 +58,9 @@
 
 use std::cell::RefCell;
 
-use crate::codes::{self, Codes};
+use crate::codes::{self, Code, Codes};
 use crate::kstats::{self, ScanPath};
+use crate::with_codes;
 use crate::{canon, chars::UncertainChar, correlation::CorrelationSet, string::UncertainString};
 
 /// Rank value meaning "this byte never occurs in the document" (byte 0 is
@@ -240,13 +241,14 @@ impl ProbPlane {
         };
 
         let mut seen = [false; 256];
-        let mut rows = 0usize;
+        let (mut rows, mut choices) = (0usize, 0usize);
         for (i, p) in source.positions().iter().enumerate() {
             for &(c, _) in p.choices() {
                 seen[c as usize] = true;
             }
             if det_char(i, p).is_none() {
                 rows += 1;
+                choices += p.num_choices();
             }
         }
         let alphabet: Vec<u8> = (0u16..256)
@@ -263,6 +265,7 @@ impl ProbPlane {
         let record_words = (START_BITS + sigma).div_ceil(64);
         let mut records = vec![0u64; rows * record_words];
         let (table, cells) = codes::code(
+            choices,
             (source.positions().iter().enumerate())
                 .filter(|&(i, p)| det_char(i, p).is_none())
                 .flat_map(|(_, p)| p.choices().iter().map(|&(_, pr)| pr)),
@@ -404,7 +407,7 @@ impl ProbPlane {
     fn log_prob(&self, pos: usize, rank: u8) -> f64 {
         match self.det_chars[pos] {
             _ if rank == RANK_NONE => f64::NEG_INFINITY,
-            0 => self.row_log_prob(self.row_of(pos), rank),
+            0 => with_codes!(&self.cells, c => self.row_log_prob(c, self.row_of(pos), rank)),
             d if self.alphabet[rank as usize] == d => 0.0,
             _ => f64::NEG_INFINITY,
         }
@@ -420,9 +423,10 @@ impl ProbPlane {
 
     /// `ln pr(char(rank))` in row `row`, for a live `rank`: `−∞` when the
     /// rank's record bit is clear, else the value the cell at the row's
-    /// start plus the rank bits set below it codes.
+    /// start plus the rank bits set below it codes. `cells` is the plane's
+    /// cells at their width, which the caller picks once per walk.
     #[inline]
-    fn row_log_prob(&self, row: usize, rank: u8) -> f64 {
+    fn row_log_prob<C: Code>(&self, cells: &[C], row: usize, rank: u8) -> f64 {
         let at = row * self.record_words;
         let head = self.records[at];
         let head_ranks = (head >> START_BITS) as u32;
@@ -442,7 +446,7 @@ impl ProbPlane {
                 None => return f64::NEG_INFINITY,
             }
         };
-        self.table[self.cells.get(head as u32 as usize + below)].1
+        self.table[cells[head as u32 as usize + below].index()].1
     }
 
     /// Runs `f` with a [`MatchKernel`] for `pattern`, remapping the pattern
@@ -693,6 +697,13 @@ impl<'a> MatchKernel<'a> {
     /// `ln pr⁺`, `ln pr⁻` or marginal replaces that cell.
     #[inline]
     pub fn log_match_bounded(&self, pos: usize, log_tau: f64) -> Option<f64> {
+        with_codes!(&self.plane.cells, c => self.walk(c, pos, log_tau))
+    }
+
+    /// [`Self::log_match_bounded`] over the plane's cells at their width:
+    /// the width is matched once per call, not once per cell.
+    #[inline]
+    fn walk<C: Code>(&self, cells: &[C], pos: usize, log_tau: f64) -> Option<f64> {
         let m = self.pattern.len();
         let plane = self.plane;
         if pos + m > plane.len || self.impossible {
@@ -721,7 +732,7 @@ impl<'a> MatchKernel<'a> {
                 return None;
             }
             let r = row.get_or_insert_with(|| plane.row_of(i));
-            let mut lp = plane.row_log_prob(*r, self.ranks[k]);
+            let mut lp = plane.row_log_prob(cells, *r, self.ranks[k]);
             *r += 1;
             // A subject's character occurs at its position (the model
             // refuses any other), so only a live cell is ever replaced.
@@ -754,12 +765,15 @@ impl<'a> MatchKernel<'a> {
         let (candidates, kept) = (candidates.into_iter(), scan.hits.len());
         // Room for every candidate when the run says how many it holds.
         (scan.hits).reserve(candidates.size_hint().1.unwrap_or(0));
-        for pos in candidates {
-            scan.candidates += 1;
-            if let Some(log_p) = self.log_match_bounded(pos, log_tau) {
-                scan.hits.push((pos, canon::exp(log_p)));
+        // One width match for the whole run of candidates.
+        with_codes!(&self.plane.cells, c => {
+            for pos in candidates {
+                scan.candidates += 1;
+                if let Some(log_p) = self.walk(c, pos, log_tau) {
+                    scan.hits.push((pos, canon::exp(log_p)));
+                }
             }
-        }
+        });
         &scan.hits[kept..]
     }
 }
