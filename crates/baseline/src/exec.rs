@@ -7,11 +7,14 @@
 //! is exactly what a live memtable needs: a freshly
 //! ingested document is queryable immediately, and the answers are
 //! **bit-identical** to what a built [`ustr_core::Index`] over the same
-//! document at the same `τmin` returns: both verify their candidates
-//! through the same kernel call, [`MatchKernel::verify`] — one walk, the
-//! one threshold rule, canonical probabilities recomputed from the model —
-//! and top-k uses the same total order, [`ustr_core::canonical_hit_order`],
-//! over the same candidate set, the threshold answer at `τmin`.
+//! document at the same `τmin` returns. The scan verifies through the
+//! kernel's one call, [`MatchKernel::verify`]; so does a correlated
+//! document's index, and an uncorrelated one's keeps window values that sum
+//! the same `canon::ln` values in the kernel's order. Both decide by the one
+//! threshold rule, and top-k uses the same total order,
+//! [`ustr_core::canonical_hit_order`], over the same candidate set, the
+//! threshold answer at `τmin`. A scan also holds its document's bigram set
+//! ([`ProbPlane::bigrams`]), derived once, for a memtable's filter.
 //!
 //! The scan's candidates are the starts whose first two pattern characters
 //! are possible there (the plane's presence bitmaps; every other start
@@ -32,6 +35,8 @@ use ustr_uncertain::{canon, ProbPlane, Scan, UncertainString};
 pub struct ScanIndex {
     plane: ProbPlane,
     tau_min: f64,
+    /// The plane's bigrams at `tau_min` ([`ProbPlane::bigrams`]).
+    bigrams: Box<[[u8; 2]]>,
 }
 
 impl ScanIndex {
@@ -41,9 +46,12 @@ impl ScanIndex {
         if !canon::valid_tau(tau_min) {
             return Err(Error::InvalidThreshold { value: tau_min });
         }
+        let plane = ProbPlane::build(doc);
+        let bigrams = plane.bigrams(tau_min).into();
         Ok(Self {
-            plane: ProbPlane::build(doc),
+            plane,
             tau_min,
+            bigrams,
         })
     }
 
@@ -55,6 +63,11 @@ impl ScanIndex {
     /// The document's flat verification plane.
     pub fn plane(&self) -> &ProbPlane {
         &self.plane
+    }
+
+    /// The document's bigrams at `τmin`, derived when the scan was made.
+    pub fn bigrams(&self) -> &[[u8; 2]] {
+        &self.bigrams
     }
 
     /// The scan shared by threshold and top-k: the presence prefilter's

@@ -191,13 +191,9 @@ impl Index {
         self.plane.to_model()
     }
 
-    /// Every pair of adjacent characters of the transformed text that lies
-    /// inside one factor (neither is a separator), in text order, repeats
-    /// included. An occurrence the index reports reads its pattern off one
-    /// factor, so each of the pattern's bigrams is among these.
-    pub fn factor_bigrams(&self) -> impl Iterator<Item = [u8; 2]> + '_ {
-        let text = self.substrate.text().tree.text();
-        (text.windows(2)).filter_map(|w| (w[0] != 0 && w[1] != 0).then_some([w[0], w[1]]))
+    /// The document's flat verification plane, its one copy of the model.
+    pub fn plane(&self) -> &ProbPlane {
+        &self.plane
     }
 
     /// Source position of the suffix starting at text position `x`, if it

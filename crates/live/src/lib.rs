@@ -233,7 +233,7 @@ struct SealedSegment {
     docs: Vec<(u64, Arc<DocExecutor>)>,
     /// The bigram filter over `docs`, built once here; every view shares
     /// its table.
-    filter: Option<DocFilter>,
+    filter: DocFilter,
 }
 
 impl SealedSegment {
@@ -417,14 +417,14 @@ impl Inner {
             docs.map(|(id, d)| (*id as usize, Arc::clone(d))).collect()
         };
         // A sealed run shares its filter's table, less the columns of its
-        // tombstoned documents; the scanned runs have none.
+        // tombstoned documents. A scanned run's filter ORs the sets its
+        // scans hold into a table of its own.
         let sealed = st.segments.iter().map(|seg| {
             let docs = pairs(&seg.docs);
-            let filter = match &seg.filter {
-                Some(filter) if docs.len() < seg.docs.len() => {
-                    Some(filter.retain(seg.docs.iter().map(|d| live(&d))))
-                }
-                filter => filter.clone(),
+            let filter = if docs.len() < seg.docs.len() {
+                seg.filter.retain(seg.docs.iter().map(|d| live(&d)))
+            } else {
+                seg.filter.clone()
             };
             Arc::new(Segment::with_filter(docs, filter))
         });

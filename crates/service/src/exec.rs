@@ -5,21 +5,24 @@
 //! [`Segment`]s, each holding `(doc id, executor)` pairs in ascending doc
 //! order and a bigram [`DocFilter`] over them. One function
 //! ([`Segment::answer`]) evaluates any [`QueryRequest`] over a segment,
-//! visiting only the documents whose transformed texts hold every bigram
-//! of the pattern inside a factor (all of them at `m = 1`, and all of a
-//! segment that holds a scanned document): the others answer nothing in any
-//! mode, so the filter changes no answer. One function ([`merge_partials`])
-//! deterministically reassembles per-segment partials into the final
-//! [`QueryResponse`]. Both services share these code paths, which is what
-//! makes their answers identical for identical document sets.
+//! visiting only the documents whose bigram sets hold every bigram of the
+//! pattern (all of them at `m = 1`), built or scanned alike: the others
+//! answer nothing in any mode, so the filter changes no answer. One
+//! function ([`merge_partials`]) deterministically reassembles per-segment
+//! partials into the final [`QueryResponse`]. Both services share these
+//! code paths, which is what makes their answers identical for identical
+//! document sets.
 //!
-//! Per-candidate verification inside every executor — built index or scan —
-//! runs on the flat [`ustr_uncertain::ProbPlane`] kernel (pattern remapped
-//! to plane ranks once per document per query, thread-local scratch, no
-//! per-candidate allocation), so the whole serving stack inherits the
-//! kernel's bit-identity contract: a query answered here matches the naive
-//! `match_probability` evaluation bit for bit.
+//! Every executor's probabilities are the kernel's canonical sums of the
+//! model's `ln` values in window order ([`ustr_uncertain::ProbPlane`]), so
+//! a query answered here matches the naive `match_probability` evaluation
+//! bit for bit. A scan and a correlated document's index verify their
+//! candidates through the kernel. An uncorrelated document's index keeps
+//! its window values with no kernel call: they are the same sums, its
+//! text's value codes added in the kernel's order from the same table of
+//! `canon::ln` values.
 
+use std::borrow::Cow;
 use std::path::Path;
 use std::sync::Arc;
 
@@ -37,11 +40,14 @@ use crate::{DocHits, QueryRequest, QueryResponse, SharedHits, TopHit};
 ///
 /// **Interchangeability contract:** both variants over the same document
 /// with the same `τmin` return **bit-identical** answers from every method.
-/// That holds because answers are *canonical*: probabilities are always
-/// recomputed from the source model through the plane kernel, never read
-/// off an execution structure's internal arithmetic, and both decide on
-/// that value by the one threshold rule
-/// ([`ustr_uncertain::canon::log_meets_threshold`]), so a document answers
+/// That holds because answers are *canonical*: a probability is the sum of
+/// the model's `ln` values over the window, in window order, and both
+/// decide on that value by the one threshold rule
+/// ([`ustr_uncertain::canon::log_meets_threshold`]). A scan, and the index
+/// of a correlated document, take the sum through the plane kernel; the
+/// index of an uncorrelated document keeps it from its window values, which
+/// sum the text's value codes in the kernel's order over the same table of
+/// `canon::ln` values, so their bits agree. A document answers
 /// alike before and after a seal, correlated or not; top-k uses the total
 /// [`ustr_core::canonical_hit_order`], so ties at the cut are never left to
 /// implementation arbitration; and the top-k candidate set is exactly the
@@ -109,11 +115,23 @@ impl DocExecutor {
     }
 
     /// Heap bytes the executor holds: a built document's index, a scanned
-    /// one's plane. The shard planner's weight.
+    /// one's plane and bigram set. The shard planner's weight.
     pub fn heap_size(&self) -> usize {
         match self {
             DocExecutor::Built { index } => index.heap_size(),
-            DocExecutor::Scanned(scan) => scan.plane().heap_size(),
+            DocExecutor::Scanned(scan) => {
+                scan.plane().heap_size() + std::mem::size_of_val(scan.bigrams())
+            }
+        }
+    }
+
+    /// The document's bigram set at its τmin, its column in a
+    /// [`DocFilter`]: a built index derives it from its plane, a scan holds
+    /// the one it derived when it was made.
+    pub fn bigrams(&self) -> Cow<'_, [[u8; 2]]> {
+        match self {
+            DocExecutor::Built { index } => Cow::Owned(index.plane().bigrams(index.tau_min())),
+            DocExecutor::Scanned(scan) => Cow::Borrowed(scan.bigrams()),
         }
     }
 }
@@ -188,9 +206,8 @@ pub struct Segment {
     /// document `i` is the `i`-th pair: replace the pairs, replace the
     /// segment.
     pub docs: Vec<(usize, Arc<DocExecutor>)>,
-    /// Which documents can hold a pattern; `None` when one is scanned, and
-    /// every document is visited.
-    filter: Option<DocFilter>,
+    /// Which documents can hold a pattern.
+    filter: DocFilter,
 }
 
 /// One segment's (partial) answer to one request.
@@ -220,10 +237,10 @@ impl Segment {
         Self::with_filter(docs, filter)
     }
 
-    /// The segment of `docs` with a filter already built over them — its
-    /// document `i` the `i`-th — or none, and every document is visited.
-    pub fn with_filter(docs: Vec<(usize, Arc<DocExecutor>)>, filter: Option<DocFilter>) -> Self {
-        debug_assert!(filter.as_ref().is_none_or(|f| f.docs() == docs.len()));
+    /// The segment of `docs` with a filter already built over them, its
+    /// document `i` the `i`-th.
+    pub fn with_filter(docs: Vec<(usize, Arc<DocExecutor>)>, filter: DocFilter) -> Self {
+        debug_assert_eq!(filter.docs(), docs.len());
         Self { docs, filter }
     }
 
@@ -237,10 +254,7 @@ impl Segment {
                 "executors",
                 self.docs.iter().map(|(_, d)| d.heap_size()).sum(),
             ),
-            (
-                "document filter",
-                self.filter.as_ref().map_or(0, |f| f.heap_size()),
-            ),
+            ("document filter", self.filter.heap_size()),
             ("documents", pairs),
         ]
     }
@@ -251,20 +265,17 @@ impl Segment {
     }
 
     /// Calls `visit(doc, executor)`, in doc order, for every document the
-    /// filter passes for `pattern` — every one without a filter — and stops
-    /// at the first error.
+    /// filter passes for `pattern`, and stops at the first error.
     fn visit(
         &self,
         pattern: &[u8],
         mut visit: impl FnMut(usize, &DocExecutor) -> Result<(), Error>,
     ) -> Result<(), Error> {
-        let Some(filter) = &self.filter else {
-            return (self.docs.iter()).try_for_each(|(doc, d)| visit(*doc, d));
-        };
-        filter.for_each_passed(pattern, |i| match self.docs.get(i) {
-            Some((doc, d)) => visit(*doc, d),
-            None => Err(Error::internal("the document filter outgrew its segment")),
-        })
+        self.filter
+            .for_each_passed(pattern, |i| match self.docs.get(i) {
+                Some((doc, d)) => visit(*doc, d),
+                None => Err(Error::internal("the document filter outgrew its segment")),
+            })
     }
 
     /// `row(doc, hits)` of every document the filter passes whose `hits`

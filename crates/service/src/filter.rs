@@ -1,32 +1,41 @@
 //! A segment's bigram document filter: which of its documents can hold a
 //! pattern at all.
 //!
-//! Every occurrence an [`Index`] reports at a τ ≥ τmin reads its pattern off
-//! one factor of the document's transformed text (Lemma 2), so each of the
-//! pattern's `m − 1` bigrams lies inside a factor there
-//! ([`Index::factor_bigrams`]). Under correlation the factors are cut on
-//! upper bounds of the correlated probabilities, so they hold a superset of
-//! the occurrences, and the argument stands. A document without one of
-//! those bigrams answers nothing in any mode: top-k and listing answer from
-//! the threshold answer at τmin. The filter is the smallest case of a
-//! multigram prefilter (SNIPPETS.md, snippet 3) over the one text a
-//! document's index holds.
+//! Every segment has one, whatever serves its documents. A document's set
+//! is [`ProbPlane::bigrams`] at its τmin: the adjacent pairs of choices
+//! the Lemma-2 transform accepts side by side, each at its correlation
+//! upper bound. An occurrence at τ ≥ τmin has each of its pattern's
+//! `m − 1` bigrams among them, because a sum of logs only falls as it
+//! grows; a correlated choice's bound is at least every probability it
+//! takes. A document without one of those bigrams answers nothing in any
+//! mode: top-k and listing answer from the threshold answer at τmin.
+//!
+//! The set is the model's, not an index's, so a scanned document has it
+//! too ([`ScanIndex`] holds it from when it was made). It equals, bit for
+//! bit, the set of bigrams inside the factors of the document's
+//! transformed text: a pair inside a factor passes the pair test, since
+//! the factor's running sum is the pair's plus values ≤ 0; and a passing
+//! pair at `(i, i + 1)` is read by the factor from the latest start ≤ `i`,
+//! whose characters before `i` are certain and add `ln 1 = +0.0`, so that
+//! factor's sum at `i + 1` is the pair's to the bit. The filter is the
+//! smallest case of a multigram prefilter (SNIPPETS.md, snippet 3).
+//!
+//! [`ProbPlane::bigrams`]: ustr_uncertain::ProbPlane::bigrams
+//! [`ScanIndex`]: ustr_baseline::ScanIndex
 
 use std::sync::Arc;
 
-use ustr_core::Index;
-
 use crate::exec::DocExecutor;
 
-/// The rank of a byte that no in-factor bigram of the segment holds. Byte 0
-/// separates factors and is never in one, so at most 255 bytes are ranked,
+/// The rank of a byte that no bigram of the segment holds. Byte 0 is the
+/// reserved sentinel and in no model, so at most 255 bytes are ranked,
 /// `0..=254`.
 const ABSENT: u8 = u8::MAX;
 
-/// The documents of a run of indexes that can hold a pattern: for every
-/// bigram over the run's alphabet, the bitmap of the documents whose
-/// transformed texts hold it inside a factor. Derived from the indexes,
-/// never stored in a file. Cloning shares the table.
+/// The documents of a run of executors that can hold a pattern: for
+/// every bigram over the run's alphabet, the bitmap of the documents whose
+/// bigram sets ([`DocExecutor::bigrams`]) hold it. Derived from the
+/// documents' models, never stored in a file. Cloning shares the table.
 #[derive(Clone)]
 pub struct DocFilter {
     table: Arc<Table>,
@@ -41,8 +50,8 @@ pub struct DocFilter {
 /// A dense table of σ² cells of `⌈columns / 64⌉` words each, bit `i` for
 /// the run's `i`-th document.
 struct Table {
-    /// Byte → rank in the alphabet (the bytes of the run's in-factor
-    /// bigrams, ascending), [`ABSENT`] for every other byte.
+    /// Byte → rank in the alphabet (the bytes of the run's bigrams,
+    /// ascending), [`ABSENT`] for every other byte.
     rank: [u8; 256],
     /// The alphabet's size σ.
     sigma: usize,
@@ -67,21 +76,14 @@ impl Table {
 }
 
 impl DocFilter {
-    /// The filter over `docs` in order, or `None` when one of them is
-    /// scanned: a scan has no transformed text, and passes every pattern.
-    pub fn build<'a>(docs: impl IntoIterator<Item = &'a DocExecutor>) -> Option<Self> {
-        let indexes = (docs.into_iter())
-            .map(|d| match d {
-                DocExecutor::Built { index } => Some(index),
-                DocExecutor::Scanned(_) => None,
-            })
-            .collect::<Option<Vec<&Index>>>()?;
+    /// The filter over `docs` in order: it ORs each document's bigram set
+    /// into the document's column.
+    pub fn build<'a>(docs: impl IntoIterator<Item = &'a DocExecutor>) -> Self {
+        let sets: Vec<_> = docs.into_iter().map(DocExecutor::bigrams).collect();
         let mut seen = [false; 256];
-        for [a, b] in indexes.iter().flat_map(|index| index.factor_bigrams()) {
-            for byte in [a, b] {
-                if let Some(seen) = seen.get_mut(usize::from(byte)) {
-                    *seen = true;
-                }
+        for &byte in sets.iter().flat_map(|set| set.iter().flatten()) {
+            if let Some(seen) = seen.get_mut(usize::from(byte)) {
+                *seen = true;
             }
         }
         let mut rank = [ABSENT; 256];
@@ -91,27 +93,27 @@ impl DocFilter {
             sigma += 1;
         }
         let sigma = usize::from(sigma);
-        let words = indexes.len().div_ceil(64);
+        let words = sets.len().div_ceil(64);
         let mut table = Table {
             rank,
             sigma,
-            columns: indexes.len(),
+            columns: sets.len(),
             words,
             cells: vec![0; sigma * sigma * words].into_boxed_slice(),
         };
-        for (i, index) in indexes.iter().enumerate() {
-            for [a, b] in index.factor_bigrams() {
+        for (i, set) in sets.iter().enumerate() {
+            for &[a, b] in set.iter() {
                 let at = table.cell(a, b).map(|cell| cell + i / 64);
                 if let Some(word) = at.and_then(|at| table.cells.get_mut(at)) {
                     *word |= 1 << (i % 64);
                 }
             }
         }
-        Some(Self {
+        Self {
             table: Arc::new(table),
             served: None,
-            docs: indexes.len(),
-        })
+            docs: sets.len(),
+        }
     }
 
     /// The filter over the documents whose `keep` flag is set, in order:
@@ -156,8 +158,8 @@ impl DocFilter {
         }
     }
 
-    /// Calls `visit(i)`, in ascending `i`, for every document `i` whose text
-    /// holds each bigram of `pattern` inside a factor — every document when
+    /// Calls `visit(i)`, in ascending `i`, for every document `i` whose set
+    /// holds each bigram of `pattern` — every document when
     /// `pattern` has none (`m = 1`), none when a byte of it is outside the
     /// alphabet — and stops at the first error. ANDs the cells one word at a
     /// time, so it allocates nothing.
@@ -211,10 +213,6 @@ mod tests {
     use ustr_baseline::ScanIndex;
     use ustr_uncertain::UncertainString;
 
-    fn built(spec: &str) -> DocExecutor {
-        DocExecutor::build(&UncertainString::parse(spec).unwrap(), 0.1).unwrap()
-    }
-
     fn passed(filter: &DocFilter, pattern: &[u8]) -> Vec<usize> {
         let mut out = Vec::new();
         filter
@@ -226,43 +224,82 @@ mod tests {
         out
     }
 
-    #[test]
-    fn a_document_passes_only_the_bigrams_of_its_factors() {
-        // 70 documents, so the bitmaps take two words: "AB" everywhere,
-        // "BC" in every third, "CA" in none (it would cross a factor).
-        let docs: Vec<DocExecutor> = (0..70)
-            .map(|i| built(if i % 3 == 0 { "A | B | C" } else { "A | B" }))
-            .collect();
-        let filter = DocFilter::build(&docs).unwrap();
-        assert_eq!(filter.docs(), 70);
-        assert_eq!(passed(&filter, b"AB"), (0..70).collect::<Vec<_>>());
-        assert_eq!(passed(&filter, b"B"), (0..70).collect::<Vec<_>>());
-        let thirds: Vec<usize> = (0..70).step_by(3).collect();
-        assert_eq!(passed(&filter, b"ABC"), thirds);
-        assert!(passed(&filter, b"CA").is_empty());
-        assert!(passed(&filter, b"AZ").is_empty());
-        // Dropping the first document renumbers every other one down by
-        // one; dropping the second word's first one too, those past it by
-        // two. Retaining composes.
-        let retained = filter.retain((0..70).map(|i| i != 0));
-        assert_eq!(retained.docs(), 69);
-        let shifted: Vec<usize> = (2..69).step_by(3).collect();
-        assert_eq!(passed(&retained, b"ABC"), shifted);
-        assert_eq!(passed(&retained, b"AB"), (0..69).collect::<Vec<_>>());
-        let twice = retained.retain((0..69).map(|i| i != 63));
-        let shifted: Vec<usize> = (2..63).step_by(3).chain((64..68).step_by(3)).collect();
-        assert_eq!(passed(&twice, b"ABC"), shifted);
-        assert_eq!(twice.docs(), 68);
+    /// Each pattern's passed documents in `filter` after `retain(keep)`:
+    /// those `filter` passes that `keep` holds, renumbered in order.
+    fn passed_after(filter: &DocFilter, keep: &[bool], pattern: &[u8]) -> Vec<usize> {
+        (passed(filter, pattern).into_iter())
+            .filter(|&i| keep[i])
+            .map(|i| keep[..i].iter().filter(|&&k| k).count())
+            .collect()
     }
 
     #[test]
-    fn a_scanned_document_leaves_no_filter() {
-        let source = UncertainString::parse("A | B").unwrap();
-        let docs = [
-            built("A | B"),
-            DocExecutor::Scanned(ScanIndex::new(&source, 0.1).unwrap()),
+    fn built_and_scanned_columns_pass_the_same_patterns() {
+        // 35 documents, each twice — built in column 2j, scanned in 2j + 1
+        // — so the bitmaps take two words. At τmin = .1 every third holds
+        // "AB" and "BC"; the others "AB", "AD", "BE" and "DE", but not "BC"
+        // or "DC" (.5 · .1 < .1).
+        let specs: Vec<&str> = (0..35)
+            .map(|j| match j % 3 {
+                0 => "A | B | C",
+                _ => "A | B:.5,D:.5 | C:.1,E:.9",
+            })
+            .collect();
+        let docs: Vec<DocExecutor> = (specs.iter())
+            .flat_map(|spec| {
+                let source = UncertainString::parse(spec).unwrap();
+                [
+                    DocExecutor::build(&source, 0.1).unwrap(),
+                    DocExecutor::Scanned(ScanIndex::new(&source, 0.1).unwrap()),
+                ]
+            })
+            .collect();
+        let filter = DocFilter::build(&docs);
+        assert_eq!(filter.docs(), 70);
+        let thirds: Vec<usize> = (0..70).filter(|i| i / 2 % 3 == 0).collect();
+        let others: Vec<usize> = (0..70).filter(|i| i / 2 % 3 != 0).collect();
+        assert_eq!(passed(&filter, b"AB"), (0..70).collect::<Vec<_>>());
+        assert_eq!(passed(&filter, b"B"), (0..70).collect::<Vec<_>>());
+        assert_eq!(passed(&filter, b"ABC"), thirds);
+        assert_eq!(passed(&filter, b"ADE"), others);
+        assert!(passed(&filter, b"DC").is_empty());
+        assert!(passed(&filter, b"CA").is_empty());
+        assert!(passed(&filter, b"AZ").is_empty());
+        let patterns: [&[u8]; 9] = [
+            b"AB", b"B", b"ABC", b"ADE", b"BE", b"BC", b"DC", b"CA", b"AZ",
         ];
-        assert!(DocFilter::build(&docs).is_none());
-        assert!(DocFilter::build(&docs[..1]).is_some());
+        for pattern in patterns {
+            let passed = passed(&filter, pattern);
+            for j in 0..35 {
+                assert_eq!(
+                    passed.contains(&(2 * j)),
+                    passed.contains(&(2 * j + 1)),
+                    "document {j} on {pattern:?}"
+                );
+            }
+        }
+        // Dropping the first column renumbers every other one down by one;
+        // dropping the second word's first one too, those past it by two.
+        // Retaining composes.
+        let keep: Vec<bool> = (0..70).map(|i| i != 0).collect();
+        let retained = filter.retain(keep.iter().copied());
+        assert_eq!(retained.docs(), 69);
+        let again: Vec<bool> = (0..69).map(|i| i != 63).collect();
+        let twice = retained.retain(again.iter().copied());
+        assert_eq!(twice.docs(), 68);
+        let both: Vec<bool> = (0..70).map(|i| i != 0 && i != 64).collect();
+        for pattern in patterns {
+            let once = passed_after(&filter, &keep, pattern);
+            assert_eq!(passed(&retained, pattern), once, "{pattern:?}");
+            assert_eq!(
+                passed(&twice, pattern),
+                passed_after(&retained, &again, pattern)
+            );
+            assert_eq!(
+                passed(&twice, pattern),
+                passed_after(&filter, &both, pattern)
+            );
+        }
+        assert_eq!(passed(&retained, b"ABC")[..3], [0, 5, 6]);
     }
 }

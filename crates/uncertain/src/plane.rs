@@ -365,6 +365,60 @@ impl ProbPlane {
         UncertainString::from_validated(positions, self.correlations.clone())
     }
 
+    /// The pairs `[a, b]` of a choice `a` at some position `i` and `b` at
+    /// `i + 1` that the transform at `tau_min` accepts side by side, each
+    /// once, ascending: each choice at its upper bound, which must be
+    /// positive ([`CorrelationSet::upper_bound`], the transform's rule), and
+    /// `ln a + ln b` meeting `tau_min` by [`canon::log_meets_threshold`]. An
+    /// occurrence at τ ≥ τmin has every adjacent pair of its choices here,
+    /// and the set is exactly the bigrams inside the factors of
+    /// [`crate::transform`]'s text (INVARIANTS.md §10).
+    pub fn bigrams(&self, tau_min: f64) -> Vec<[u8; 2]> {
+        let log_tau = canon::ln(tau_min);
+        let sigma = self.sigma;
+        let mut seen = vec![false; sigma * sigma];
+        // `(rank, ln bound)` of each viable choice at the previous position
+        // and at this one.
+        let mut prev: Vec<(usize, f64)> = Vec::new();
+        let mut here = Vec::new();
+        let mut records = self.records.chunks_exact(self.record_words);
+        for (i, &d) in self.det_chars.iter().enumerate() {
+            here.clear();
+            if d != 0 {
+                here.push((usize::from(self.rank_of[usize::from(d)]), canon::LOG_ONE));
+            } else {
+                let record = records.next().expect("a record per non-det position");
+                let start = record[0] as u32 as usize;
+                let ranks = ones(record).filter_map(|b| b.checked_sub(START_BITS));
+                for (k, r) in ranks.enumerate() {
+                    let (p, ln_p) = self.table[self.cells.get(start + k)];
+                    // The table's `ln` is `canon::ln(p)`, and only a
+                    // correlation subject's bound differs from `p`.
+                    let ln_bound = if bit(&self.corr_mask, i) {
+                        let bound = (self.correlations).upper_bound(i, self.alphabet[r], p);
+                        canon::is_positive_prob(bound).then(|| canon::ln(bound))
+                    } else {
+                        canon::is_positive_prob(p).then_some(ln_p)
+                    };
+                    here.extend(ln_bound.map(|ln| (r, ln)));
+                }
+            }
+            for &(a, ln_a) in &prev {
+                for &(b, ln_b) in &here {
+                    if canon::log_meets_threshold(ln_a + ln_b, log_tau) {
+                        seen[a * sigma + b] = true;
+                    }
+                }
+            }
+            std::mem::swap(&mut prev, &mut here);
+        }
+        // Ranks ascend with bytes, so the pairs come out ascending.
+        (seen.iter().enumerate())
+            .filter(|&(_, &seen)| seen)
+            .map(|(ab, _)| [self.alphabet[ab / sigma], self.alphabet[ab % sigma]])
+            .collect()
+    }
+
     /// Number of positions.
     pub fn len(&self) -> usize {
         self.len
